@@ -63,19 +63,25 @@ class CohomologyReport:
             raise ValueError("inconsistent dimensions in %r" % (self,))
 
 
+def _capped_dim(algebra: LieSuperalgebra, q: int, cap: int) -> int:
+    """dim C^q, refusing a degree wider than the cap."""
+    columns = graded_dim(SuperSpaceDims(*algebra.superdim), q)
+    if columns > cap:
+        raise ColumnCapExceeded(algebra.name, q, columns, cap)
+    return columns
+
+
 def _checked_rank(algebra: LieSuperalgebra, q: int, cap: int):
     """(dim C^q, rank d_q), refusing oversized matrices."""
     if q < 0:
         return 0, 0
-    dims = SuperSpaceDims(*algebra.superdim)
-    columns = graded_dim(dims, q)
-    if columns > cap:
-        raise ColumnCapExceeded(algebra.name, q, columns, cap)
+    columns = _capped_dim(algebra, q, cap)
     dm = differential_matrix(algebra, q)
-    r = rank(dm.matrix)
-    if r + (dm.matrix.cols - r) != columns:
-        raise AssertionError("rank/nullity bookkeeping failed at q=%d" % q)
-    return columns, r
+    codomain = graded_dim(SuperSpaceDims(*algebra.superdim), q + 1)
+    if (dm.matrix.cols, dm.matrix.rows) != (columns, codomain):
+        raise AssertionError("d_%d has shape %dx%d, not dim C^%d x dim C^%d"
+                             % (q, dm.matrix.rows, dm.matrix.cols, q + 1, q))
+    return columns, rank(dm.matrix)
 
 
 def cohomology_dims(algebra: LieSuperalgebra, q: int,
@@ -94,11 +100,15 @@ def betti_table(algebra: LieSuperalgebra, q_max: int,
                 column_cap: int = DEFAULT_COLUMN_CAP) -> List[CohomologyReport]:
     """Betti data for q = 0..q_max, computing each coboundary rank once.
 
-    Also cross-checks dim H^q = dim Z^q + dim Z^{q-1} - dim C^{q-1} in
-    every degree.
+    Every degree is checked against the column cap before any matrix is
+    built, so a refusal names the first degree over the cap and costs
+    nothing.  Also cross-checks dim H^q = dim Z^q + dim Z^{q-1} -
+    dim C^{q-1} in every degree.
     """
     if q_max < 0:
         raise ValueError("q_max must be nonnegative")
+    for q in range(q_max + 1):
+        _capped_dim(algebra, q, column_cap)
     dim_c = {-1: 0}
     rk = {-1: 0}
     z = {-1: 0}

@@ -32,7 +32,8 @@ class RationalMatrix:
             if not (0 <= r < rows and 0 <= c < cols):
                 raise ValueError("entry (%d, %d) outside a %dx%d matrix"
                                  % (r, c, rows, cols))
-            v = Fraction(v)
+            if not isinstance(v, Fraction):
+                v = Fraction(v)
             if v:
                 data[(r, c)] = v
         self.rows = rows
@@ -165,12 +166,20 @@ def rank(matrix: RationalMatrix) -> int:
     for r, row in rows.items():
         for c in row:
             col_rows.setdefault(c, set()).add(r)
+    # Markowitz queue: live columns bucketed by their row count, so the
+    # sparsest column (lowest index on ties) is found without a scan
+    buckets: Dict[int, set] = {}
+    for c, holders in col_rows.items():
+        buckets.setdefault(len(holders), set()).add(c)
     rk = 0
     while col_rows:
-        c = min(col_rows, key=lambda j: (len(col_rows[j]), j))
+        c = min(buckets[min(buckets)])
         r = min(col_rows[c], key=lambda i: (len(rows[i]), i))
         pivot_row = rows.pop(r)
         p = pivot_row[c]
+        # a step only changes the counts of the pivot row's columns:
+        # fill-in and cancellation both happen where the pivot row is nonzero
+        before = {cc: len(col_rows[cc]) for cc in pivot_row}
         for cc in pivot_row:
             holders = col_rows[cc]
             holders.discard(r)
@@ -211,6 +220,14 @@ def rank(matrix: RationalMatrix) -> int:
                 rows[r2] = new
             else:
                 del rows[r2]
+        for cc, n in before.items():
+            bucket = buckets[n]
+            bucket.discard(cc)
+            if not bucket:
+                del buckets[n]
+            holders = col_rows.get(cc)
+            if holders:
+                buckets.setdefault(len(holders), set()).add(cc)
         rk += 1
     return rk
 

@@ -52,7 +52,7 @@ class SuperMonomial:
             if bit <= mask:
                 raise ValueError("even indices must be strictly increasing")
             mask |= bit
-        if any(a < 0 for a in odd_exponents):
+        if odd_exponents and min(odd_exponents) < 0:
             raise ValueError("odd exponents must be nonnegative")
         self.even_set = even_set
         self.odd_exponents = odd_exponents
@@ -283,8 +283,9 @@ def enumerate_basis(dims: SuperSpaceDims, q: int):
         q1 = q - q0
         if m == 0 and q1 > 0:
             continue
+        alphas = tuple(_odd_exponent_vectors(q1, m))
         for evens in combinations(range(n), q0):
-            for alpha in _odd_exponent_vectors(q1, m):
+            for alpha in alphas:
                 out.append(SuperMonomial(evens, alpha))
     return out
 

@@ -1,10 +1,12 @@
 import pytest
 
+from heisenberg_cohomology import cohomology
 from heisenberg_cohomology.algebra import (make_heisenberg_even,
                                            make_heisenberg_odd)
 from heisenberg_cohomology.cohomology import (ColumnCapExceeded,
                                               CohomologyReport, METHOD_RANK,
                                               betti_table, cohomology_dims)
+from heisenberg_cohomology.differential import DifferentialMatrix
 
 
 def test_negative_degree_is_zero():
@@ -77,6 +79,32 @@ def test_column_cap_refusal():
 def test_betti_table_respects_cap():
     with pytest.raises(ColumnCapExceeded):
         betti_table(make_heisenberg_even(2, 2), 4, column_cap=10)
+
+
+def test_betti_table_refuses_before_building(monkeypatch):
+    def no_build(*args):
+        raise AssertionError("a matrix was built before the refusal")
+
+    monkeypatch.setattr(cohomology, "differential_matrix", no_build)
+    with pytest.raises(ColumnCapExceeded) as err:
+        betti_table(make_heisenberg_even(14, 16), 3)
+    # dims (29|16): 1006 columns at q=2, 3654 + 6496 + 3944 + 816 at q=3
+    assert (err.value.q, err.value.columns, err.value.cap) == (3, 14910, 5000)
+    assert str(err.value) == ("refusing h_{14,16} at q=3: matrix has 14910 "
+                              "columns, cap is 5000 (raise the cap to force "
+                              "the computation)")
+
+
+def test_checked_rank_rejects_a_misshapen_matrix(monkeypatch):
+    real = cohomology.differential_matrix
+
+    def transposed(algebra, q):
+        dm = real(algebra, q)
+        return DifferentialMatrix(q, dm.codomain, dm.domain, dm.matrix.transpose())
+
+    monkeypatch.setattr(cohomology, "differential_matrix", transposed)
+    with pytest.raises(AssertionError, match="shape"):
+        betti_table(make_heisenberg_odd(1), 2)
 
 
 def test_report_validation():

@@ -7,6 +7,7 @@ from heisenberg_cohomology.algebra import (make_heisenberg_even,
                                            make_heisenberg_odd)
 from heisenberg_cohomology.differential import (differential_matrix, d_element,
                                                 d_generator, psi_matrix, tau)
+from heisenberg_cohomology.fileformats import parse_algebra
 from heisenberg_cohomology.linalg import RationalMatrix, kernel_dim, rank
 from heisenberg_cohomology.superexterior import (SuperElement, SuperMonomial,
                                                  SuperSpaceDims, dual_pairing,
@@ -105,13 +106,66 @@ def test_differential_matrix_examples():
         differential_matrix(h1, -1)
 
 
+def assert_columns_match_d_element(alg, q_max):
+    for q in range(q_max + 1):
+        dm = differential_matrix(alg, q)
+        row = {m: r for r, m in enumerate(dm.codomain)}
+        got = {}
+        for (r, c), v in dm.matrix.entries.items():
+            got.setdefault(c, {})[r] = v
+        for j, mono in enumerate(dm.domain):
+            image = d_element(alg, SuperElement.from_monomial(mono))
+            want = {row[m]: c for m, c in image.terms.items()}
+            assert got.get(j, {}) == want, (alg.name, q, mono)
+
+
 def test_differential_matrix_columns_match_d_element():
-    alg = make_heisenberg_even(1, 1)
-    dm = differential_matrix(alg, 2)
-    for j, mono in enumerate(dm.domain):
-        image = d_element(alg, SuperElement.from_monomial(mono))
-        want = {dm.codomain.index(m): c for m, c in image.terms.items()}
-        assert dm.matrix.column(j) == want
+    for alg in (make_heisenberg_even(1, 1), make_heisenberg_odd(2),
+                make_heisenberg_even(2, 1)):
+        assert_columns_match_d_element(alg, 4)
+
+
+RATIONAL_CONSTANTS = """\
+name rational
+generator a 0
+generator b 0
+generator c 0
+generator u 1
+generator v 1
+bracket a b = c:1/3
+bracket u u = c:3/5
+bracket u v = c:-2/7
+"""
+
+
+def test_differential_matrix_with_rational_constants():
+    # the integer build scales by one denominator D; entries must come
+    # back as the exact rationals d_element produces
+    alg = parse_algebra(RATIONAL_CONSTANTS)
+    assert_columns_match_d_element(alg, 4)
+    # d(c-dual) has coefficients -1/3, -3/10 and 2/7, so D = 210
+    entries = differential_matrix(alg, 2).matrix.entries.values()
+    assert {v.denominator for v in entries} == {3, 7, 10}
+
+
+def test_psi_matrix_is_right_multiplication_by_tau():
+    # psi is built by the coboundary kernel; the reference wedges by tau
+    for n in (1, 2, 3):
+        free = SuperSpaceDims(n, n)
+        for l in (1, 2, 3):
+            tau_elem = tau(n, l)
+            for t in range(0, 5):
+                mat = psi_matrix(t, n, l)
+                row = {m: r for r, m in enumerate(enumerate_basis(free, t + 2))}
+                want = {}
+                for j, mono in enumerate(enumerate_basis(free, t)):
+                    lifted = SuperMonomial(mono.even_set, mono.odd_exponents + (0,))
+                    image = wedge(SuperElement.from_monomial(lifted), tau_elem)
+                    for m, c in image.terms.items():
+                        assert m.odd_exponents[n] == l - 1
+                        dropped = SuperMonomial(m.even_set, m.odd_exponents[:n])
+                        want[(row[dropped], j)] = c
+                assert mat.entries == want, (t, n, l)
 
 
 def pairing_of_word(alg, omega):
@@ -171,7 +225,8 @@ def test_tau_examples():
 
 
 def test_tau_matches_coboundary_of_z_powers():
-    for n in (1, 2):
+    # the verify grid's range: psi_matrix(t, n, l) for n <= 4, l <= 3
+    for n in (1, 2, 3, 4):
         alg = make_heisenberg_odd(n)
         for l in (1, 2, 3):
             zl = single((), (0,) * n + (l,))

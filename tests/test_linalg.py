@@ -88,6 +88,50 @@ def test_rank_agrees_with_dense_oracles():
         assert rank(m) == both_oracles(m) <= 1
 
 
+def nonzero_rational(rng):
+    return Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 4))
+
+
+def test_rank_agrees_with_bareiss_on_tied_counts():
+    # every column starts with the same count, and block copies keep
+    # counts tied through the elimination: the pivot queue's tie-breaks
+    # decide every step
+    rng = random.Random(23)
+    for _ in range(40):
+        rows, cols = rng.randint(1, 16), rng.randint(1, 16)
+        k = rng.randint(1, min(rows, 3))
+        entries = {(r, c): nonzero_rational(rng)
+                   for c in range(cols) for r in rng.sample(range(rows), k)}
+        m = RationalMatrix(rows, cols, entries)
+        assert rank(m) == dense_rank_bareiss(rows, cols, m.entries)
+    for _ in range(10):
+        block = random_sparse(rng, 4, 4, density=0.4)
+        copies = rng.randint(2, 4)
+        entries = {(r + 4 * i, c + 4 * i): v
+                   for i in range(copies) for (r, c), v in block.entries.items()}
+        m = RationalMatrix(4 * copies, 4 * copies, entries)
+        assert rank(m) == dense_rank_bareiss(m.rows, m.cols, m.entries) \
+            == copies * rank(block)
+
+
+def test_rank_agrees_with_bareiss_on_dense_matrices():
+    rng = random.Random(29)
+    for _ in range(20):
+        rows, cols = rng.randint(1, 12), rng.randint(1, 12)
+        m = RationalMatrix(rows, cols, {(r, c): nonzero_rational(rng)
+                                        for r in range(rows) for c in range(cols)})
+        assert rank(m) == dense_rank_bareiss(rows, cols, m.entries)
+    # dense but rank-deficient: a sum of k rank-one matrices
+    for _ in range(20):
+        rows, cols, k = rng.randint(2, 10), rng.randint(2, 10), rng.randint(1, 4)
+        vecs = [([nonzero_rational(rng) for _ in range(rows)],
+                 [nonzero_rational(rng) for _ in range(cols)]) for _ in range(k)]
+        m = RationalMatrix(rows, cols, {
+            (r, c): sum(u[r] * v[c] for u, v in vecs)
+            for r in range(rows) for c in range(cols)})
+        assert rank(m) == dense_rank_bareiss(rows, cols, m.entries) <= k
+
+
 def test_matmul():
     a = RationalMatrix(2, 3, {(0, 0): 1, (0, 2): 2, (1, 1): Fraction(1, 2)})
     b = RationalMatrix(3, 2, {(0, 0): 3, (1, 0): 4, (2, 1): 5})
