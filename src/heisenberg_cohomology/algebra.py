@@ -141,8 +141,14 @@ def validate(alg: LieSuperalgebra) -> list:
 
     Checks: no even generator has a nonzero self-bracket (skew-symmetry),
     every bracket is parity-homogeneous, and the graded Jacobi identity
-    holds on all generator triples.  An empty list means the table is a
+    holds on every generator triple.  An empty list means the table is a
     genuine Lie superalgebra.
+
+    A term [x,[y,z]] of the Jacobi sum is nonzero only if [y,z] has a
+    target k with [x,k] != 0, so only the triples {x, y, z} built that
+    way from the stored brackets are evaluated: the cost is
+    O(nonzero brackets x partners) rather than O(dim^3).  They are
+    visited in sorted order, the order of a full a <= b <= c loop.
     """
     issues = []
     names = [g.name for g in alg.generators]
@@ -155,17 +161,37 @@ def validate(alg: LieSuperalgebra) -> list:
             if alg.parity(k) != want:
                 issues.append("parity: [%s, %s] -> %s is not parity-homogeneous"
                               % (names[i], names[j], names[k]))
-    d = alg.dim
-    for a in range(d):
-        for b in range(a, d):
-            for c in range(b, d):
-                defect = _jacobi_defect(alg, a, b, c)
-                if defect:
-                    terms = " + ".join("%s*%s" % (v, names[l])
-                                       for l, v in sorted(defect.items()))
-                    issues.append("jacobi: (%s, %s, %s) leaves %s"
-                                  % (names[a], names[b], names[c], terms))
+    partners: Dict[int, set] = {}
+    for (i, j) in alg.brackets:
+        partners.setdefault(i, set()).add(j)
+        partners.setdefault(j, set()).add(i)
+    triples = set()
+    for (i, j), targets in alg.brackets.items():
+        for k in targets:
+            for x in partners.get(k, ()):
+                triples.add(tuple(sorted((x, i, j))))
+    for (a, b, c) in sorted(triples):
+        defect = _jacobi_defect(alg, a, b, c)
+        if defect:
+            terms = " + ".join("%s*%s" % (v, names[l])
+                               for l, v in sorted(defect.items()))
+            issues.append("jacobi: (%s, %s, %s) leaves %s"
+                          % (names[a], names[b], names[c], terms))
     return issues
+
+
+def even_family_shape(n: int, m: int) -> Tuple[str, Tuple[int, int]]:
+    """Name and superdimension (2n+1 | m) of h_{n,m}, without building it."""
+    if n < 1 or m < 1:
+        raise ValueError("h_{n,m} needs n >= 1 and m >= 1")
+    return "h_{%d,%d}" % (n, m), (2 * n + 1, m)
+
+
+def odd_family_shape(n: int) -> Tuple[str, Tuple[int, int]]:
+    """Name and superdimension (n | n+1) of h_n, without building it."""
+    if n < 1:
+        raise ValueError("h_n needs n >= 1")
+    return "h_%d" % n, (n, n + 1)
 
 
 def make_heisenberg_even(n: int, m: int) -> LieSuperalgebra:
@@ -174,18 +200,17 @@ def make_heisenberg_even(n: int, m: int) -> LieSuperalgebra:
     Generators: z (even), x_1..x_{2n} (even), y_1..y_m (odd); brackets
     [x_i, x_{n+i}] = z and [y_j, y_j] = z.  Superdimension (2n+1 | m).
     """
-    if n < 1 or m < 1:
-        raise ValueError("h_{n,m} needs n >= 1 and m >= 1")
+    name, _ = even_family_shape(n, m)
     gens = [("z", EVEN)]
     gens += [("x%d" % i, EVEN) for i in range(1, 2 * n + 1)]
     gens += [("y%d" % j, ODD) for j in range(1, m + 1)]
     brackets = {(i, n + i): {0: 1} for i in range(1, n + 1)}
     for j in range(1, m + 1):
         brackets[(2 * n + j, 2 * n + j)] = {0: 1}
-    alg = LieSuperalgebra("h_{%d,%d}" % (n, m), gens, brackets)
+    alg = LieSuperalgebra(name, gens, brackets)
     bad = validate(alg)
     if bad:
-        raise AssertionError("h_{%d,%d} failed validation: %s" % (n, m, bad))
+        raise AssertionError("%s failed validation: %s" % (name, bad))
     return alg
 
 
@@ -195,14 +220,13 @@ def make_heisenberg_odd(n: int) -> LieSuperalgebra:
     Generators: x_1..x_n (even), y_1..y_n (odd), z (odd); brackets
     [x_i, y_i] = z.  Superdimension (n | n+1).
     """
-    if n < 1:
-        raise ValueError("h_n needs n >= 1")
+    name, _ = odd_family_shape(n)
     gens = [("x%d" % i, EVEN) for i in range(1, n + 1)]
     gens += [("y%d" % i, ODD) for i in range(1, n + 1)]
     gens.append(("z", ODD))
     brackets = {(i - 1, n + i - 1): {2 * n: 1} for i in range(1, n + 1)}
-    alg = LieSuperalgebra("h_%d" % n, gens, brackets)
+    alg = LieSuperalgebra(name, gens, brackets)
     bad = validate(alg)
     if bad:
-        raise AssertionError("h_%d failed validation: %s" % (n, bad))
+        raise AssertionError("%s failed validation: %s" % (name, bad))
     return alg

@@ -3,9 +3,10 @@
 Verbs: `even` and `odd` print Betti tables for the built-in families,
 `compute` does the same for an algebra file, `verify` adjudicates the
 closed-form formulas against the rank engine on a grid.  All output is
-byte-deterministic; timing goes to stderr.  Exit codes: 0 success,
-1 usage or parse error, 2 validation error, 3 resource refusal,
-4 verification mismatch.
+byte-deterministic; `verify` prints its elapsed time to stderr.  Exit
+codes: 0 success, 1 usage or parse error, 2 validation error,
+3 resource refusal, 4 verification mismatch, 5 internal error (a failed
+invariant check, reported as one line on stderr).
 """
 
 from __future__ import annotations
@@ -14,10 +15,11 @@ import argparse
 import json
 import sys
 
-from .algebra import make_heisenberg_even, make_heisenberg_odd
+from .algebra import (even_family_shape, make_heisenberg_even,
+                      make_heisenberg_odd, odd_family_shape)
 from .cohomology import (DEFAULT_COLUMN_CAP, METHOD_FORMULA_EVEN,
                          METHOD_FORMULA_ODD_PROOF, CohomologyReport,
-                         ColumnCapExceeded, betti_table)
+                         ColumnCapExceeded, betti_table, check_column_cap)
 from .fileformats import (AlgebraParseError, AlgebraValidationError,
                           emit_report, parse_algebra)
 from .formulas import (dim_h_even, dim_h_odd_proof, even_cocycle_dim,
@@ -30,6 +32,7 @@ EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_RESOURCE = 3
 EXIT_MISMATCH = 4
+EXIT_INTERNAL = 5
 
 
 class _Parser(argparse.ArgumentParser):
@@ -96,20 +99,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _even_formula_report(n: int, m: int, q: int) -> CohomologyReport:
-    dims = SuperSpaceDims(2 * n + 1, m)
+    name, superdim = even_family_shape(n, m)
+    dims = SuperSpaceDims(*superdim)
     dim_c = graded_dim(dims, q)
     z = even_cocycle_dim(n, m, q)
     b = graded_dim(dims, q - 1) - even_cocycle_dim(n, m, q - 1)
-    return CohomologyReport("h_{%d,%d}" % (n, m), q, dim_c, z, b,
+    return CohomologyReport(name, q, dim_c, z, b,
                             dim_h_even(n, m, q), METHOD_FORMULA_EVEN)
 
 
 def _odd_formula_report(n: int, q: int) -> CohomologyReport:
-    dims = SuperSpaceDims(n, n + 1)
+    name, superdim = odd_family_shape(n)
+    dims = SuperSpaceDims(*superdim)
     dim_c = graded_dim(dims, q)
     z = odd_cocycle_dim(n, q)
     b = graded_dim(dims, q - 1) - odd_cocycle_dim(n, q - 1)
-    return CohomologyReport("h_%d" % n, q, dim_c, z, b,
+    return CohomologyReport(name, q, dim_c, z, b,
                             dim_h_odd_proof(n, q), METHOD_FORMULA_ODD_PROOF)
 
 
@@ -119,11 +124,19 @@ def _emit(reports, fmt: str) -> int:
     return EXIT_OK
 
 
-def _family_reports(args, rank_factory, formula_factory):
+def _family_reports(args, shape, build_family, formula_factory):
+    """Reports of a built-in family, given its (name, superdim) shape.
+
+    The rank route checks every degree against the column cap from the
+    shape alone, so a refusal comes before the family is built.
+    """
+    if args.q_max < 0:
+        raise ValueError("--q-max must be nonnegative")
     reports = []
     ranked = None
     if args.method in ("rank", "both"):
-        ranked = rank_factory()
+        check_column_cap(*shape, args.q_max, args.column_cap)
+        ranked = betti_table(build_family(), args.q_max, args.column_cap)
     for q in range(args.q_max + 1):
         if ranked is not None:
             reports.append(ranked[q])
@@ -133,23 +146,17 @@ def _family_reports(args, rank_factory, formula_factory):
 
 
 def _cmd_even(args) -> int:
-    alg = make_heisenberg_even(args.n, args.m)
-    if args.q_max < 0:
-        raise ValueError("--q-max must be nonnegative")
     reports = _family_reports(
-        args,
-        lambda: betti_table(alg, args.q_max, args.column_cap),
+        args, even_family_shape(args.n, args.m),
+        lambda: make_heisenberg_even(args.n, args.m),
         lambda q: _even_formula_report(args.n, args.m, q))
     return _emit(reports, args.format)
 
 
 def _cmd_odd(args) -> int:
-    alg = make_heisenberg_odd(args.n)
-    if args.q_max < 0:
-        raise ValueError("--q-max must be nonnegative")
     reports = _family_reports(
-        args,
-        lambda: betti_table(alg, args.q_max, args.column_cap),
+        args, odd_family_shape(args.n),
+        lambda: make_heisenberg_odd(args.n),
         lambda q: _odd_formula_report(args.n, q))
     return _emit(reports, args.format)
 
@@ -236,6 +243,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print("validation error: %s" % exc, file=sys.stderr)
         return EXIT_VALIDATION
+    except AssertionError as exc:
+        print("internal error: %s" % exc, file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def run():

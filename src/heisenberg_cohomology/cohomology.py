@@ -9,7 +9,7 @@ refusal, not a truncation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
 from .algebra import LieSuperalgebra
 from .differential import differential_matrix
@@ -63,19 +63,30 @@ class CohomologyReport:
             raise ValueError("inconsistent dimensions in %r" % (self,))
 
 
-def _capped_dim(algebra: LieSuperalgebra, q: int, cap: int) -> int:
-    """dim C^q, refusing a degree wider than the cap."""
-    columns = graded_dim(SuperSpaceDims(*algebra.superdim), q)
+def _capped_dim(name: str, superdim: Tuple[int, int], q: int, cap: int) -> int:
+    """dim C^q of an algebra of superdimension `superdim`, refusing a
+    degree wider than the cap."""
+    columns = graded_dim(SuperSpaceDims(*superdim), q)
     if columns > cap:
-        raise ColumnCapExceeded(algebra.name, q, columns, cap)
+        raise ColumnCapExceeded(name, q, columns, cap)
     return columns
+
+
+def check_column_cap(name: str, superdim: Tuple[int, int], q_max: int,
+                     column_cap: int = DEFAULT_COLUMN_CAP) -> None:
+    """Refuse, naming the first degree over the cap, if any degree
+    0..q_max of an algebra of superdimension `superdim` is wider than
+    `column_cap`.  Needs only the superdimension, so a caller can refuse
+    before the algebra is built."""
+    for q in range(q_max + 1):
+        _capped_dim(name, superdim, q, column_cap)
 
 
 def _checked_rank(algebra: LieSuperalgebra, q: int, cap: int):
     """(dim C^q, rank d_q), refusing oversized matrices."""
     if q < 0:
         return 0, 0
-    columns = _capped_dim(algebra, q, cap)
+    columns = _capped_dim(algebra.name, algebra.superdim, q, cap)
     dm = differential_matrix(algebra, q)
     codomain = graded_dim(SuperSpaceDims(*algebra.superdim), q + 1)
     if (dm.matrix.cols, dm.matrix.rows) != (columns, codomain):
@@ -107,8 +118,7 @@ def betti_table(algebra: LieSuperalgebra, q_max: int,
     """
     if q_max < 0:
         raise ValueError("q_max must be nonnegative")
-    for q in range(q_max + 1):
-        _capped_dim(algebra, q, column_cap)
+    check_column_cap(algebra.name, algebra.superdim, q_max, column_cap)
     dim_c = {-1: 0}
     rk = {-1: 0}
     z = {-1: 0}

@@ -165,3 +165,50 @@ def derived_subalgebra_dim(algebra):
         for k, c in targets.items():
             entries[(r, k)] = c
     return dense_rank_fractions(len(rows), algebra.dim, entries)
+
+
+def validate_dense(algebra):
+    """Axiom violations found by a dense scan of every generator triple.
+
+    Reads only the raw bracket table and the parities.  The full table of
+    structure constants is filled first, each reversed pair by its own
+    rule [g_j, g_i] = -(-1)^{|g_i||g_j|} [g_i, g_j]; then the graded Jacobi
+    sum (-1)^{|a||c|}[a,[b,c]] + (-1)^{|b||a|}[b,[c,a]] + (-1)^{|c||b|}[c,[a,b]]
+    is evaluated on every a <= b <= c.  Messages and their order follow
+    the package's validate.
+    """
+    gens = algebra.generators
+    dim = len(gens)
+    par = [g.parity for g in gens]
+    names = [g.name for g in gens]
+    const = [[{} for _ in range(dim)] for _ in range(dim)]
+    for (i, j), targets in algebra.brackets.items():
+        reverse = 1 if par[i] == 1 and par[j] == 1 else -1
+        for k, v in targets.items():
+            const[i][j][k] = Fraction(v)
+            if i != j:
+                const[j][i][k] = reverse * Fraction(v)
+    issues = []
+    for (i, j) in sorted(algebra.brackets):
+        if i == j and par[i] == 0:
+            issues.append("skew-symmetry: even generator %r has a nonzero self-bracket"
+                          % names[i])
+        for k in sorted(algebra.brackets[(i, j)]):
+            if par[k] != (par[i] + par[j]) % 2:
+                issues.append("parity: [%s, %s] -> %s is not parity-homogeneous"
+                              % (names[i], names[j], names[k]))
+    for a in range(dim):
+        for b in range(a, dim):
+            for c in range(b, dim):
+                total = [Fraction(0)] * dim
+                for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+                    sign = (-1) ** (par[x] * par[z])
+                    for k, inner in const[y][z].items():
+                        for l, outer in const[x][k].items():
+                            total[l] += sign * inner * outer
+                if any(total):
+                    terms = " + ".join("%s*%s" % (total[l], names[l])
+                                       for l in range(dim) if total[l])
+                    issues.append("jacobi: (%s, %s, %s) leaves %s"
+                                  % (names[a], names[b], names[c], terms))
+    return issues

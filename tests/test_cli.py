@@ -210,3 +210,71 @@ def test_output_is_byte_deterministic(capsysbinary):
         second = run_cli(capsysbinary, argv)
         assert first[0] == second[0]
         assert first[1] == second[1], argv
+
+
+def _refusal(name, q, columns):
+    return ("resource refusal: refusing %s at q=%d: matrix has %d columns, "
+            "cap is 5000 (raise the cap to force the computation)\n"
+            % (name, q, columns)).encode()
+
+
+def _never_built(*args):
+    raise AssertionError("the family was built before the refusal")
+
+
+def test_refusal_comes_before_the_family_is_built(capsysbinary, monkeypatch):
+    monkeypatch.setattr(cli, "make_heisenberg_even", _never_built)
+    monkeypatch.setattr(cli, "make_heisenberg_odd", _never_built)
+    for argv, message in (
+            (["even", "--n", "400", "--m", "1", "--q-max", "9"],
+             _refusal("h_{400,1}", 2, 321202)),
+            (["even", "--n", "400", "--m", "1", "--q-max", "9", "--method", "both"],
+             _refusal("h_{400,1}", 2, 321202)),
+            (["odd", "--n", "3000000", "--q-max", "2"],
+             _refusal("h_3000000", 1, 6000001))):
+        code, out, err = run_cli(capsysbinary, argv)
+        assert (code, out, err) == (3, b"", message), argv
+
+
+def test_refusal_message_matches_betti_table(capsysbinary):
+    from heisenberg_cohomology.cohomology import ColumnCapExceeded, betti_table
+    with pytest.raises(ColumnCapExceeded) as exc:
+        betti_table(make_heisenberg_odd(3), 4, 5)
+    code, out, err = run_cli(capsysbinary, [
+        "odd", "--n", "3", "--q-max", "4", "--column-cap", "5"])
+    assert (code, out) == (3, b"")
+    assert err == ("resource refusal: %s\n" % exc.value).encode()
+
+
+def test_formula_method_never_refuses(capsysbinary, monkeypatch):
+    monkeypatch.setattr(cli, "make_heisenberg_even", _never_built)
+    code, out, _ = run_cli(capsysbinary, [
+        "even", "--n", "400", "--m", "1", "--q-max", "9", "--method", "formula",
+        "--format", "csv"])
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out.decode())))[1:]
+    assert [r[1] for r in rows] == [str(q) for q in range(10)]
+    assert all(r[6] == "formula-even" for r in rows)
+
+
+def test_family_parameters_are_checked_before_q_max(capsysbinary):
+    for argv, message in (
+            (["even", "--n", "0", "--m", "1", "--q-max", "-1"],
+             b"validation error: h_{n,m} needs n >= 1 and m >= 1\n"),
+            (["odd", "--n", "0", "--q-max", "-1"],
+             b"validation error: h_n needs n >= 1\n"),
+            (["odd", "--n", "1", "--q-max", "-1", "--method", "formula"],
+             b"validation error: --q-max must be nonnegative\n")):
+        code, out, err = run_cli(capsysbinary, argv)
+        assert (code, out, err) == (2, b"", message), argv
+
+
+def test_internal_error_exit_5_without_traceback(capsysbinary, monkeypatch):
+    def broken(*args):
+        raise AssertionError("d_1 has shape 3x2, not dim C^2 x dim C^1")
+    monkeypatch.setattr(cli, "betti_table", broken)
+    code, out, err = run_cli(capsysbinary, [
+        "odd", "--n", "1", "--q-max", "2"])
+    assert (code, out) == (5, b"")
+    assert err == b"internal error: d_1 has shape 3x2, not dim C^2 x dim C^1\n"
+    assert b"Traceback" not in err
