@@ -9,7 +9,6 @@ rationals.  The verify harness adjudicates the two against each other.
 from .algebra import (EVEN, ODD, Generator, LieSuperalgebra,
                       make_heisenberg_even, make_heisenberg_odd, validate)
 from .cohomology import (DEFAULT_COLUMN_CAP, METHOD_FORMULA_EVEN,
-                         METHOD_FORMULA_ODD_DISPLAYED,
                          METHOD_FORMULA_ODD_PROOF, METHOD_RANK,
                          CohomologyReport, ColumnCapExceeded, betti_table,
                          cohomology_dims)
@@ -41,7 +40,6 @@ __all__ = [
     "CohomologyReport", "ColumnCapExceeded", "cohomology_dims",
     "betti_table", "DEFAULT_COLUMN_CAP",
     "METHOD_RANK", "METHOD_FORMULA_EVEN", "METHOD_FORMULA_ODD_PROOF",
-    "METHOD_FORMULA_ODD_DISPLAYED",
     "binom", "delta", "sym_power_dim", "dim_h_even", "ker_psi_dim",
     "dim_h_odd_proof", "dim_h_odd_displayed",
     "even_cocycle_dim", "odd_cocycle_dim",

@@ -21,9 +21,7 @@ DEFAULT_COLUMN_CAP = 5000
 METHOD_RANK = "rank"
 METHOD_FORMULA_EVEN = "formula-even"
 METHOD_FORMULA_ODD_PROOF = "formula-odd-proof"
-METHOD_FORMULA_ODD_DISPLAYED = "formula-odd-displayed"
-METHODS = (METHOD_RANK, METHOD_FORMULA_EVEN, METHOD_FORMULA_ODD_PROOF,
-           METHOD_FORMULA_ODD_DISPLAYED)
+METHODS = (METHOD_RANK, METHOD_FORMULA_EVEN, METHOD_FORMULA_ODD_PROOF)
 
 
 class ColumnCapExceeded(RuntimeError):

@@ -14,11 +14,12 @@ The halved coefficient on odd self-brackets matches the dual pairing, in
 which <o^2, y ^ y> = 2; tests check the whole convention against the
 alternating-sum formula for <d omega, a_0 ^ ... ^ a_q>.
 
-d_element applies the rule through SuperElement arithmetic.  The
-matrices are built by one integer kernel instead, on (even_mask,
-odd_exponents) keys with every coefficient scaled by a common
-denominator D; entries come back as the exact rationals v / D, and the
-tests hold the kernel to d_element column by column.
+One integer kernel applies the rule, on (even_mask, odd_exponents) keys
+with every coefficient scaled by a common denominator D, and serves
+every caller: differential_matrix and psi_matrix turn its columns into
+matrix entries v / D, d_element (and tau through it) into SuperElements
+with coefficients coeff * v / D.  The tests hold the kernel to the
+alternating-sum formula entry by entry.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Dict, Tuple
 from .algebra import LieSuperalgebra, ODD, make_heisenberg_odd
 from .linalg import RationalMatrix
 from .superexterior import (SuperElement, SuperMonomial, SuperSpaceDims,
-                            enumerate_basis, wedge, wedge_monomials)
+                            enumerate_basis, wedge_monomials)
 
 
 def _dual_monomial(algebra: LieSuperalgebra, i: int) -> SuperMonomial:
@@ -67,52 +68,6 @@ def d_generator(algebra: LieSuperalgebra, k: int) -> SuperElement:
             coeff = -c * sign
         out[mono] = out.get(mono, Fraction(0)) + coeff
     return SuperElement(out)
-
-
-def _slot_table(algebra: LieSuperalgebra) -> Dict[Tuple[str, int], SuperElement]:
-    table = {}
-    for pos, gi in enumerate(algebra.even_indices):
-        table[("e", pos)] = d_generator(algebra, gi)
-    for pos, gi in enumerate(algebra.odd_indices):
-        table[("o", pos)] = d_generator(algebra, gi)
-    return table
-
-
-def _subsequence_monomial(factors, n1: int) -> SuperMonomial:
-    # a subsequence of a canonical factor sequence is itself canonical
-    evens = []
-    exps = [0] * n1
-    for kind, idx in factors:
-        if kind == "e":
-            evens.append(idx)
-        else:
-            exps[idx] += 1
-    return SuperMonomial(tuple(evens), tuple(exps))
-
-
-def _d_monomial(mono: SuperMonomial, table, n1: int) -> SuperElement:
-    factors = list(mono.factors())
-    total = SuperElement.zero()
-    for t, f in enumerate(factors):
-        df = table[f]
-        if df.is_zero():
-            continue
-        prefix = _subsequence_monomial(factors[:t], n1)
-        suffix = _subsequence_monomial(factors[t + 1:], n1)
-        term = wedge(SuperElement.from_monomial(prefix),
-                     wedge(df, SuperElement.from_monomial(suffix)))
-        total = total + (term if t % 2 == 0 else -term)
-    return total
-
-
-def d_element(algebra: LieSuperalgebra, elem: SuperElement) -> SuperElement:
-    """Coboundary of a homogeneous element."""
-    table = _slot_table(algebra)
-    n1 = algebra.superdim[1]
-    total = SuperElement.zero()
-    for mono, coeff in elem.terms.items():
-        total = total + coeff * _d_monomial(mono, table, n1)
-    return total
 
 
 def _integer_slots(algebra: LieSuperalgebra):
@@ -215,6 +170,42 @@ def _keys(monomials):
     return [(m.even_mask, m.odd_exponents) for m in monomials]
 
 
+class _RowIndex(dict):
+    """Row numbers handed out to keys in order of first use."""
+
+    def __missing__(self, key):
+        row = self[key] = len(self)
+        return row
+
+
+def d_element(algebra: LieSuperalgebra, elem: SuperElement) -> SuperElement:
+    """Coboundary of a homogeneous element over the algebra's dual
+    superdimension, through the same integer kernel as the matrices."""
+    n0, n1 = algebra.superdim
+    monos = list(elem.terms)
+    for mono in monos:
+        # the kernel would silently truncate or mis-index these
+        if len(mono.odd_exponents) != n1 or mono.even_mask >> n0:
+            raise ValueError("%s is not a cochain of %s, whose dual "
+                             "superdimension is (%d|%d)"
+                             % (mono, algebra.name, n0, n1))
+    denom, even_slots, odd_slots = _integer_slots(algebra)
+    row_index = _RowIndex()
+    columns = _d_columns(even_slots, odd_slots, _keys(monos), row_index)
+    image: Dict[int, Fraction] = {}
+    for mono, col in zip(monos, columns):
+        coeff = elem.terms[mono]
+        for r, v in col.items():
+            image[r] = image.get(r, 0) + coeff * v
+    rows = list(row_index)
+    out = {}
+    for r, c in image.items():
+        mask, odds = rows[r]
+        evens = tuple(i for i in range(n0) if mask >> i & 1)
+        out[SuperMonomial(evens, odds)] = c / denom
+    return SuperElement(out)
+
+
 @dataclass(frozen=True)
 class DifferentialMatrix:
     """d_q : C^q -> C^{q+1} over the canonical bases of both sides."""
@@ -242,20 +233,13 @@ def differential_matrix(algebra: LieSuperalgebra, q: int) -> DifferentialMatrix:
 def tau(n: int, l: int) -> SuperElement:
     """The element tau_{(n,l)} = d((z-dual)^l) for the odd-center family h_n.
 
-    Built directly as l * (sum_i o_i e_i) * (z-dual)^{l-1} over dual dims
-    (n, n+1) with the z-dual as the last odd slot; the tests check it
-    against d_element of (z-dual)^l.
+    It lives over dual dims (n, n+1), the z-dual being the last odd slot,
+    and equals l * (sum_i -e_i o_i) * (z-dual)^{l-1}.
     """
     if n < 1 or l < 1:
         raise ValueError("tau needs n >= 1 and l >= 1")
-    base = {}
-    for i in range(n):
-        exps = [0] * (n + 1)
-        exps[i] = 1
-        base[SuperMonomial((i,), exps)] = -1
-    tau1 = SuperElement(base)
-    zpow = SuperElement.from_monomial(SuperMonomial((), (0,) * n + (l - 1,)))
-    return l * wedge(tau1, zpow)
+    zpow = SuperMonomial((), (0,) * n + (l,))
+    return d_element(make_heisenberg_odd(n), SuperElement.from_monomial(zpow))
 
 
 def psi_matrix(t: int, n: int, l: int) -> RationalMatrix:

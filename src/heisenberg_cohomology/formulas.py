@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .superexterior import SuperSpaceDims, graded_dim
+from .superexterior import SuperSpaceDims, graded_dim, sym_power_dim
 
 
 def binom(a: int, b: int) -> int:
@@ -28,20 +28,6 @@ def binom(a: int, b: int) -> int:
 
 def delta(a: int, b: int) -> int:
     return 1 if a == b else 0
-
-
-def sym_power_dim(m: int, p: int) -> int:
-    """Monomials of degree p in m commuting variables: C(m+p-1, p).
-
-    Zero for p < 0; equals graded_dim((0, m), p) for all p.
-    """
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    if p < 0:
-        return 0
-    if p == 0:
-        return 1
-    return comb(m + p - 1, p)
 
 
 def dim_h_even(n: int, m: int, q: int) -> int:

@@ -45,10 +45,6 @@ class RationalMatrix:
         return cls(rows, cols)
 
     @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls(n, n, {(i, i): 1 for i in range(n)})
-
-    @classmethod
     def from_columns(cls, rows: int, columns: Iterable[Mapping[int, object]]) -> "RationalMatrix":
         """Build from an iterable of {row: value} column vectors."""
         data = {}
@@ -68,10 +64,6 @@ class RationalMatrix:
 
     def column(self, c: int) -> Dict[int, Fraction]:
         return {r: v for (r, cc), v in self.entries.items() if cc == c}
-
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(self.cols, self.rows,
-                              {(c, r): v for (r, c), v in self.entries.items()})
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if not isinstance(other, RationalMatrix):
@@ -113,39 +105,6 @@ class RationalMatrix:
 
     def __repr__(self) -> str:
         return "RationalMatrix(%d, %d, nnz=%d)" % (self.rows, self.cols, self.nnz)
-
-    def dump(self) -> str:
-        """Deterministic text form: 'rows cols nnz' then one entry per line.
-
-        Entries appear as 'row col numerator/denominator' sorted by
-        (row, col); parse_dump inverts this exactly.
-        """
-        lines = ["%d %d %d" % (self.rows, self.cols, self.nnz)]
-        for (r, c) in sorted(self.entries):
-            v = self.entries[(r, c)]
-            lines.append("%d %d %d/%d" % (r, c, v.numerator, v.denominator))
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def parse_dump(cls, text: str) -> "RationalMatrix":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
-            raise ValueError("empty matrix dump")
-        head = lines[0].split()
-        if len(head) != 3:
-            raise ValueError("bad dump header %r" % lines[0])
-        rows, cols, nnz = (int(x) for x in head)
-        if nnz != len(lines) - 1:
-            raise ValueError("dump header announces %d entries, found %d"
-                             % (nnz, len(lines) - 1))
-        data = {}
-        for ln in lines[1:]:
-            parts = ln.split()
-            if len(parts) != 3:
-                raise ValueError("bad dump line %r" % ln)
-            r, c = int(parts[0]), int(parts[1])
-            data[(r, c)] = Fraction(parts[2])
-        return cls(rows, cols, data)
 
 
 def _integer_rows(matrix: RationalMatrix) -> Dict[int, Dict[int, int]]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, factorial, prod
 from typing import Iterable, Iterator, Mapping, Tuple, NamedTuple, Union
 
 Rational = Union[int, Fraction]
@@ -290,8 +290,13 @@ def enumerate_basis(dims: SuperSpaceDims, q: int):
     return out
 
 
-def _sym_dim(m: int, p: int) -> int:
-    # monomials of degree p in m commuting variables
+def sym_power_dim(m: int, p: int) -> int:
+    """Monomials of degree p in m commuting variables: C(m+p-1, p).
+
+    Zero for p < 0; equals graded_dim((0, m), p) for all p.
+    """
+    if m < 0:
+        raise ValueError("m must be nonnegative")
     if p < 0:
         return 0
     if p == 0:
@@ -309,83 +314,24 @@ def graded_dim(dims: SuperSpaceDims, q: int) -> int:
     total = 0
     for p in range(q + 1):
         if q - p <= n:
-            total += comb(n, q - p) * _sym_dim(m, p)
+            total += comb(n, q - p) * sym_power_dim(m, p)
     return total
-
-
-def _det(mat) -> int:
-    """Determinant of a small square integer matrix (fraction-free)."""
-    k = len(mat)
-    if k == 0:
-        return 1
-    m = [list(row) for row in mat]
-    prev = 1
-    sign = 1
-    for c in range(k):
-        piv = next((r for r in range(c, k) if m[r][c]), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            sign = -sign
-        p = m[c][c]
-        for r in range(c + 1, k):
-            a = m[r][c]
-            for j in range(c + 1, k):
-                num = p * m[r][j] - a * m[c][j]
-                q, rem = divmod(num, prev)
-                if rem:
-                    raise ArithmeticError("inexact division in determinant")
-                m[r][j] = q
-            m[r][c] = 0
-        prev = p
-    return sign * m[k - 1][k - 1]
-
-
-def _permanent(mat, row: int = 0) -> int:
-    """Permanent of a small square integer matrix.
-
-    Expands along `row` (top-level only); which row is chosen must not
-    change the value, which the tests exercise directly.
-    """
-    k = len(mat)
-    if k == 0:
-        return 1
-    if row < 0 or row >= k:
-        raise IndexError("expansion row out of range")
-    total = 0
-    rest = [r for i, r in enumerate(mat) if i != row]
-    for j in range(k):
-        a = mat[row][j]
-        if not a:
-            continue
-        minor = [r[:j] + r[j + 1:] for r in rest]
-        total += a * _permanent(minor)
-    return total
-
-
-def _odd_sequence(mono: SuperMonomial) -> Tuple[int, ...]:
-    return tuple(j for j, a in enumerate(mono.odd_exponents) for _ in range(a))
 
 
 def dual_pairing(alpha: SuperMonomial, u: SuperMonomial) -> Fraction:
     """Pair a dual-basis monomial `alpha` against a primal monomial `u`.
 
-    The value factors as a determinant over the even blocks times a
-    permanent over the odd blocks; on normal forms this makes the Gram
-    matrix diagonal with entries prod_j (odd exponent_j)!.
+    The pairing is a determinant over the even blocks times a permanent
+    over the odd blocks.  On normal forms the determinant is 1 exactly
+    when the even index sets agree, and the permanent counts the
+    prod_j (odd exponent_j)! matchings of equal odd factors, so the value
+    is that product when alpha == u and 0 otherwise.
     """
     if len(alpha.odd_exponents) != len(u.odd_exponents):
         raise ValueError("monomials live over different odd dimensions")
-    if len(alpha.even_set) != len(u.even_set):
+    if alpha != u:
         return Fraction(0)
-    if alpha.odd_degree != u.odd_degree:
-        return Fraction(0)
-    even = [[1 if i == j else 0 for j in u.even_set] for i in alpha.even_set]
-    arow = _odd_sequence(alpha)
-    ucol = _odd_sequence(u)
-    odd = [[1 if i == j else 0 for j in ucol] for i in arow]
-    return Fraction(_det(even) * _permanent(odd))
+    return Fraction(prod(map(factorial, alpha.odd_exponents)))
 
 
 def element_pairing(dual: SuperElement, primal: SuperElement) -> Fraction:

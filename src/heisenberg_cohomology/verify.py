@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import product
 from typing import List, Optional
 
-from .algebra import make_heisenberg_even, make_heisenberg_odd
-from .cohomology import DEFAULT_COLUMN_CAP, betti_table
+from .algebra import (even_family_shape, make_heisenberg_even,
+                      make_heisenberg_odd, odd_family_shape)
+from .cohomology import DEFAULT_COLUMN_CAP, betti_table, check_column_cap
 from .differential import psi_matrix
 from .formulas import dim_h_even, dim_h_odd_displayed, dim_h_odd_proof, ker_psi_dim
 from .linalg import kernel_dim
@@ -85,6 +87,9 @@ def verify_family(family: str, n_max: int, m_max: Optional[int] = None,
     family 'odd': dim_h_odd_proof and dim_h_odd_displayed on
     n=1..n_max, q=0..q_max, plus ker_psi_dim against the kernel of
     psi_matrix(t, n, l) for t=0..q_max and l=1,2,3.
+
+    Every grid point is checked against the column cap, in grid order,
+    before anything is computed, so an oversized grid is refused at once.
     """
     start = time.perf_counter()
     if n_max < 1 or q_max < 0:
@@ -93,15 +98,19 @@ def verify_family(family: str, n_max: int, m_max: Optional[int] = None,
     if family == "even":
         if m_max is None or m_max < 1:
             raise ValueError("family 'even' needs m_max >= 1")
-        for n in range(1, n_max + 1):
-            for m in range(1, m_max + 1):
-                for report in betti_table(make_heisenberg_even(n, m), q_max, column_cap):
-                    checks.append(Comparison("dim_h_even", n, m, report.q,
-                                             dim_h_even(n, m, report.q),
-                                             report.dim_cohomology))
+        grid = (range(1, n_max + 1), range(1, m_max + 1))
+        for n, m in product(*grid):
+            check_column_cap(*even_family_shape(n, m), q_max, column_cap)
+        for n, m in product(*grid):
+            for report in betti_table(make_heisenberg_even(n, m), q_max, column_cap):
+                checks.append(Comparison("dim_h_even", n, m, report.q,
+                                         dim_h_even(n, m, report.q),
+                                         report.dim_cohomology))
     elif family == "odd":
         if m_max is not None:
             raise ValueError("family 'odd' takes no m_max")
+        for n in range(1, n_max + 1):
+            check_column_cap(*odd_family_shape(n), q_max, column_cap)
         for n in range(1, n_max + 1):
             for report in betti_table(make_heisenberg_odd(n), q_max, column_cap):
                 oracle = report.dim_cohomology

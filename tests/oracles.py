@@ -2,12 +2,15 @@
 
 Everything here is written from first principles and shares no sign or
 elimination logic with the package: products are reduced as tensor
-words, ranks come from dense eliminations, and the coboundary is
-evaluated through the alternating-sum pairing formula.
+words, ranks come from dense eliminations, the dual pairing is a
+determinant times a permanent, and the coboundary is evaluated through
+the alternating-sum pairing formula.
 """
 
 from fractions import Fraction
 from math import lcm
+
+from heisenberg_cohomology.superexterior import SuperMonomial
 
 
 def tensor_normal_form(word):
@@ -91,6 +94,80 @@ def dense_rank_bareiss(rows, cols, entries):
     return rk
 
 
+def det(mat):
+    """Determinant of a small square integer matrix (fraction-free)."""
+    k = len(mat)
+    if k == 0:
+        return 1
+    m = [list(row) for row in mat]
+    prev = 1
+    sign = 1
+    for c in range(k):
+        piv = next((r for r in range(c, k) if m[r][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            sign = -sign
+        p = m[c][c]
+        for r in range(c + 1, k):
+            a = m[r][c]
+            for j in range(c + 1, k):
+                num = p * m[r][j] - a * m[c][j]
+                q, rem = divmod(num, prev)
+                if rem:
+                    raise ArithmeticError("inexact division in determinant")
+                m[r][j] = q
+            m[r][c] = 0
+        prev = p
+    return sign * m[k - 1][k - 1]
+
+
+def permanent(mat, row=0):
+    """Permanent of a small square integer matrix.
+
+    Expands along `row` (top-level only); which row is chosen must not
+    change the value.
+    """
+    k = len(mat)
+    if k == 0:
+        return 1
+    if row < 0 or row >= k:
+        raise IndexError("expansion row out of range")
+    total = 0
+    rest = [r for i, r in enumerate(mat) if i != row]
+    for j in range(k):
+        a = mat[row][j]
+        if not a:
+            continue
+        minor = [r[:j] + r[j + 1:] for r in rest]
+        total += a * permanent(minor)
+    return total
+
+
+def _odd_sequence(mono):
+    return tuple(j for j, a in enumerate(mono.odd_exponents) for _ in range(a))
+
+
+def pairing_det_perm(alpha, u):
+    """<alpha, u> of two normal-form monomials, from its definition.
+
+    A determinant of the delta matrix of the even factors times a
+    permanent of the delta matrix of the odd factor sequences.
+    """
+    if len(alpha.odd_exponents) != len(u.odd_exponents):
+        raise ValueError("monomials live over different odd dimensions")
+    if len(alpha.even_set) != len(u.even_set):
+        return Fraction(0)
+    if alpha.odd_degree != u.odd_degree:
+        return Fraction(0)
+    even = [[1 if i == j else 0 for j in u.even_set] for i in alpha.even_set]
+    arow = _odd_sequence(alpha)
+    ucol = _odd_sequence(u)
+    odd = [[1 if i == j else 0 for j in ucol] for i in arow]
+    return Fraction(det(even) * permanent(odd))
+
+
 def generator_slot(algebra, i):
     """('e'|'o', position) of generator i among its parity class."""
     if algebra.parity(i):
@@ -141,6 +218,31 @@ def coboundary_alternating_sum(algebra, gen_seq, pair_with):
     for coeff, word in insertion_terms(algebra, gen_seq):
         total += coeff * pair_with(word)
     return total
+
+
+def coboundary_entry(algebra, omega, u):
+    """Coefficient of the dual monomial u in d omega: <d omega, u> / <u, u>.
+
+    <d omega, u> is the alternating bracket-insertion sum over u's
+    generators, each word put in normal form by tensor_normal_form and
+    paired with omega by pairing_det_perm; the pairing is diagonal on
+    normal forms, so dividing by <u, u> isolates the coefficient.
+    """
+    n1 = algebra.superdim[1]
+
+    def pair(word):
+        sign, normal = tensor_normal_form(word)
+        if sign == 0:
+            return Fraction(0)
+        evens = tuple(i for kind, i in normal if kind == "e")
+        exps = [0] * n1
+        for kind, i in normal:
+            if kind == "o":
+                exps[i] += 1
+        return sign * pairing_det_perm(omega, SuperMonomial(evens, tuple(exps)))
+
+    seq = monomial_generator_sequence(algebra, u)
+    return coboundary_alternating_sum(algebra, seq, pair) / pairing_det_perm(u, u)
 
 
 def centralizer(algebra):

@@ -32,7 +32,8 @@ from heisenberg_cohomology.superexterior import (SuperMonomial, SuperSpaceDims,
 from heisenberg_cohomology.differential import d_element
 
 from oracles import (dense_rank_fractions, insertion_terms,
-                     monomial_generator_sequence, tensor_normal_form)
+                     monomial_generator_sequence, pairing_det_perm,
+                     tensor_normal_form)
 
 ALL_SEVEN = [make_heisenberg_odd(1), make_heisenberg_odd(2),
              make_heisenberg_odd(3), make_heisenberg_even(1, 1),
@@ -221,6 +222,7 @@ def test_acceptance_7_pairing_gram_matrix(criterion):
                     for i, a in enumerate(basis):
                         for j, b in enumerate(basis):
                             got = dual_pairing(a, b)
+                            assert got == pairing_det_perm(a, b), (dims, q, a, b)
                             if i != j:
                                 assert got == 0, (dims, q, a, b)
                             else:

@@ -236,6 +236,20 @@ def test_refusal_comes_before_the_family_is_built(capsysbinary, monkeypatch):
         assert (code, out, err) == (3, b"", message), argv
 
 
+def test_verify_refuses_the_grid_before_computing(capsysbinary, monkeypatch):
+    # the first point over the cap is m=97 (5047 columns at q=2); the
+    # 96 points before it fit, and none of them may be computed
+    monkeypatch.setattr(verify, "betti_table", _never_built)
+    for argv, message in (
+            (["verify", "--family", "even", "--n-max", "1", "--m-max", "120",
+              "--q-max", "2"], _refusal("h_{1,97}", 2, 5047)),
+            (["verify", "--family", "odd", "--n-max", "9", "--q-max", "3",
+              "--column-cap", "300"],
+             _refusal("h_6", 3, 377).replace(b"cap is 5000", b"cap is 300"))):
+        code, out, err = run_cli(capsysbinary, argv)
+        assert (code, out, err) == (3, b"", message), argv
+
+
 def test_refusal_message_matches_betti_table(capsysbinary):
     from heisenberg_cohomology.cohomology import ColumnCapExceeded, betti_table
     with pytest.raises(ColumnCapExceeded) as exc:

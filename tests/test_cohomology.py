@@ -7,6 +7,7 @@ from heisenberg_cohomology.cohomology import (ColumnCapExceeded,
                                               CohomologyReport, METHOD_RANK,
                                               betti_table, cohomology_dims)
 from heisenberg_cohomology.differential import DifferentialMatrix
+from heisenberg_cohomology.linalg import RationalMatrix
 
 
 def test_negative_degree_is_zero():
@@ -100,7 +101,10 @@ def test_checked_rank_rejects_a_misshapen_matrix(monkeypatch):
 
     def transposed(algebra, q):
         dm = real(algebra, q)
-        return DifferentialMatrix(q, dm.codomain, dm.domain, dm.matrix.transpose())
+        mat = dm.matrix
+        flipped = RationalMatrix(mat.cols, mat.rows,
+                                 {(c, r): v for (r, c), v in mat.entries.items()})
+        return DifferentialMatrix(q, dm.codomain, dm.domain, flipped)
 
     monkeypatch.setattr(cohomology, "differential_matrix", transposed)
     with pytest.raises(AssertionError, match="shape"):

@@ -14,12 +14,22 @@ from heisenberg_cohomology.superexterior import (SuperElement, SuperMonomial,
                                                  element_pairing,
                                                  enumerate_basis, wedge)
 
-from oracles import (coboundary_alternating_sum, monomial_generator_sequence,
-                     tensor_normal_form)
+from oracles import (coboundary_alternating_sum, coboundary_entry,
+                     monomial_generator_sequence, tensor_normal_form)
 
 
 def single(evens=(), odds=(), coeff=1):
     return SuperElement.from_monomial(SuperMonomial(tuple(evens), tuple(odds)), coeff)
+
+
+def explicit_tau(n, l):
+    """l * (sum_i -e_i o_i) * (z-dual)^{l-1} over dual dims (n, n+1)."""
+    tau1 = SuperElement.zero()
+    for i in range(n):
+        exps = [0] * (n + 1)
+        exps[i] = 1
+        tau1 = tau1 + single((i,), exps, -1)
+    return l * wedge(tau1, single((), (0,) * n + (l - 1,)))
 
 
 def test_d_central_generator_even_family():
@@ -125,6 +135,19 @@ def test_differential_matrix_columns_match_d_element():
         assert_columns_match_d_element(alg, 4)
 
 
+def test_d_element_rejects_a_wrong_odd_dimension():
+    h1 = make_heisenberg_odd(1)  # dual superdimension (1|2)
+    for odds in ((1,), (1, 0, 0)):
+        with pytest.raises(ValueError, match=r"not a cochain of h_1.*\(1\|2\)"):
+            d_element(h1, single((), odds))
+
+
+def test_d_element_rejects_an_even_index_out_of_range():
+    h1 = make_heisenberg_odd(1)
+    with pytest.raises(ValueError, match=r"e3\*o1 is not a cochain of h_1"):
+        d_element(h1, single((3,), (0, 1)))
+
+
 RATIONAL_CONSTANTS = """\
 name rational
 generator a 0
@@ -148,12 +171,27 @@ def test_differential_matrix_with_rational_constants():
     assert {v.denominator for v in entries} == {3, 7, 10}
 
 
+def assert_entries_match_oracle(alg, q_max):
+    for q in range(q_max + 1):
+        dm = differential_matrix(alg, q)
+        for j, omega in enumerate(dm.domain):
+            for r, u in enumerate(dm.codomain):
+                assert dm.matrix.get(r, j) == coboundary_entry(alg, omega, u), \
+                    (alg.name, q, omega, u)
+
+
+def test_differential_matrix_entries_match_coboundary_oracle():
+    for alg in (make_heisenberg_even(1, 1), make_heisenberg_odd(2),
+                make_heisenberg_even(2, 1), parse_algebra(RATIONAL_CONSTANTS)):
+        assert_entries_match_oracle(alg, 4)
+
+
 def test_psi_matrix_is_right_multiplication_by_tau():
     # psi is built by the coboundary kernel; the reference wedges by tau
     for n in (1, 2, 3):
         free = SuperSpaceDims(n, n)
         for l in (1, 2, 3):
-            tau_elem = tau(n, l)
+            tau_elem = explicit_tau(n, l)
             for t in range(0, 5):
                 mat = psi_matrix(t, n, l)
                 row = {m: r for r, m in enumerate(enumerate_basis(free, t + 2))}
@@ -230,7 +268,7 @@ def test_tau_matches_coboundary_of_z_powers():
         alg = make_heisenberg_odd(n)
         for l in (1, 2, 3):
             zl = single((), (0,) * n + (l,))
-            assert tau(n, l) == d_element(alg, zl)
+            assert tau(n, l) == d_element(alg, zl) == explicit_tau(n, l)
 
 
 def test_psi_matrix_examples():

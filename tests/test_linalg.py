@@ -31,7 +31,7 @@ def both_oracles(matrix):
 
 def test_rank_trivial_examples():
     assert rank(RationalMatrix.zero(4, 6)) == 0
-    assert rank(RationalMatrix.identity(5)) == 5
+    assert rank(RationalMatrix(5, 5, {(i, i): 1 for i in range(5)})) == 5
     assert kernel_dim(RationalMatrix.zero(3, 7)) == 7
     assert rank(RationalMatrix(2, 2, {(0, 0): 1, (0, 1): 2,
                                       (1, 0): 2, (1, 1): 4})) == 1
@@ -52,7 +52,9 @@ def test_rank_equals_transpose_rank():
     rng = random.Random(3)
     for _ in range(25):
         m = random_sparse(rng, rng.randint(1, 10), rng.randint(1, 10))
-        assert rank(m) == rank(m.transpose())
+        transposed = RationalMatrix(m.cols, m.rows,
+                                    {(c, r): v for (r, c), v in m.entries.items()})
+        assert rank(m) == rank(transposed)
 
 
 def test_rank_invariant_under_permutation_and_scaling():
@@ -141,7 +143,7 @@ def test_matmul():
     assert (a @ RationalMatrix.zero(3, 4)).is_zero()
     with pytest.raises(ValueError):
         a @ RationalMatrix.zero(2, 2)
-    ident = RationalMatrix.identity(3)
+    ident = RationalMatrix(3, 3, {(i, i): 1 for i in range(3)})
     assert a @ ident == a
 
 
@@ -161,24 +163,3 @@ def test_from_columns_and_column():
     assert m.column(0) == {0: 1, 2: -1}
     assert m.column(1) == {}
     assert m.column(2) == {1: Fraction(1, 3)}
-
-
-def test_dump_round_trip():
-    m = RationalMatrix(3, 4, {(0, 1): Fraction(-1, 2), (2, 0): 3})
-    text = m.dump()
-    lines = text.splitlines()
-    assert lines[0] == "3 4 2"
-    assert lines[1] == "0 1 -1/2"
-    assert lines[2] == "2 0 3/1"
-    assert RationalMatrix.parse_dump(text) == m
-    assert m.dump() == text  # deterministic
-    assert RationalMatrix.parse_dump(RationalMatrix.zero(2, 2).dump()).is_zero()
-
-
-def test_parse_dump_errors():
-    with pytest.raises(ValueError):
-        RationalMatrix.parse_dump("")
-    with pytest.raises(ValueError):
-        RationalMatrix.parse_dump("1 1 5\n0 0 1/1")
-    with pytest.raises(ValueError):
-        RationalMatrix.parse_dump("1 1\n")
