@@ -17,14 +17,11 @@ import sys
 
 from .algebra import (even_family_shape, make_heisenberg_even,
                       make_heisenberg_odd, odd_family_shape)
-from .cohomology import (DEFAULT_COLUMN_CAP, METHOD_FORMULA_EVEN,
-                         METHOD_FORMULA_ODD_PROOF, CohomologyReport,
-                         ColumnCapExceeded, betti_table, check_column_cap)
+from .cohomology import (DEFAULT_COLUMN_CAP, ColumnCapExceeded, betti_table,
+                         check_column_cap, even_formula_report,
+                         odd_formula_report)
 from .fileformats import (AlgebraParseError, AlgebraValidationError,
                           emit_report, parse_algebra)
-from .formulas import (dim_h_even, dim_h_odd_proof, even_cocycle_dim,
-                       odd_cocycle_dim)
-from .superexterior import SuperSpaceDims, graded_dim
 from .verify import VerifyResult, verify_family
 
 EXIT_OK = 0
@@ -98,26 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _even_formula_report(n: int, m: int, q: int) -> CohomologyReport:
-    name, superdim = even_family_shape(n, m)
-    dims = SuperSpaceDims(*superdim)
-    dim_c = graded_dim(dims, q)
-    z = even_cocycle_dim(n, m, q)
-    b = graded_dim(dims, q - 1) - even_cocycle_dim(n, m, q - 1)
-    return CohomologyReport(name, q, dim_c, z, b,
-                            dim_h_even(n, m, q), METHOD_FORMULA_EVEN)
-
-
-def _odd_formula_report(n: int, q: int) -> CohomologyReport:
-    name, superdim = odd_family_shape(n)
-    dims = SuperSpaceDims(*superdim)
-    dim_c = graded_dim(dims, q)
-    z = odd_cocycle_dim(n, q)
-    b = graded_dim(dims, q - 1) - odd_cocycle_dim(n, q - 1)
-    return CohomologyReport(name, q, dim_c, z, b,
-                            dim_h_odd_proof(n, q), METHOD_FORMULA_ODD_PROOF)
-
-
 def _emit(reports, fmt: str) -> int:
     sys.stdout.buffer.write(emit_report(reports, fmt))
     sys.stdout.buffer.flush()
@@ -149,7 +126,7 @@ def _cmd_even(args) -> int:
     reports = _family_reports(
         args, even_family_shape(args.n, args.m),
         lambda: make_heisenberg_even(args.n, args.m),
-        lambda q: _even_formula_report(args.n, args.m, q))
+        lambda q: even_formula_report(args.n, args.m, q))
     return _emit(reports, args.format)
 
 
@@ -157,7 +134,7 @@ def _cmd_odd(args) -> int:
     reports = _family_reports(
         args, odd_family_shape(args.n),
         lambda: make_heisenberg_odd(args.n),
-        lambda q: _odd_formula_report(args.n, q))
+        lambda q: odd_formula_report(args.n, q))
     return _emit(reports, args.format)
 
 

@@ -3,7 +3,9 @@
 dim H^q = dim ker d_q - rank d_{q-1}, all over the rationals.  Matrix
 sizes are capped (default 5000 columns) so a typo in q cannot silently
 start a week-long elimination; the cap is an explicit, overridable
-refusal, not a truncation.
+refusal, not a truncation.  The closed forms' reports for the two
+built-in families are built here too (even_formula_report,
+odd_formula_report), so every CohomologyReport comes from this module.
 """
 
 from __future__ import annotations
@@ -11,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from .algebra import LieSuperalgebra
+from .algebra import LieSuperalgebra, even_family_shape, odd_family_shape
 from .differential import differential_matrix
+from .formulas import dim_h_even, dim_h_odd_proof, even_cocycle_dim, odd_cocycle_dim
 from .linalg import rank
 from .superexterior import SuperSpaceDims, graded_dim
 
@@ -131,3 +134,25 @@ def betti_table(algebra: LieSuperalgebra, q_max: int,
         out.append(CohomologyReport(algebra.name, q, dim_c[q], z[q],
                                     rk[q - 1], h, METHOD_RANK))
     return out
+
+
+def even_formula_report(n: int, m: int, q: int) -> CohomologyReport:
+    """Betti data of h_{n,m} in degree q from the closed forms."""
+    name, superdim = even_family_shape(n, m)
+    dims = SuperSpaceDims(*superdim)
+    dim_c = graded_dim(dims, q)
+    z = even_cocycle_dim(n, m, q)
+    b = graded_dim(dims, q - 1) - even_cocycle_dim(n, m, q - 1)
+    return CohomologyReport(name, q, dim_c, z, b,
+                            dim_h_even(n, m, q), METHOD_FORMULA_EVEN)
+
+
+def odd_formula_report(n: int, q: int) -> CohomologyReport:
+    """Betti data of h_n in degree q from the closed forms."""
+    name, superdim = odd_family_shape(n)
+    dims = SuperSpaceDims(*superdim)
+    dim_c = graded_dim(dims, q)
+    z = odd_cocycle_dim(n, q)
+    b = graded_dim(dims, q - 1) - odd_cocycle_dim(n, q - 1)
+    return CohomologyReport(name, q, dim_c, z, b,
+                            dim_h_odd_proof(n, q), METHOD_FORMULA_ODD_PROOF)

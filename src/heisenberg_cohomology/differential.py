@@ -16,9 +16,10 @@ alternating-sum formula for <d omega, a_0 ^ ... ^ a_q>.
 
 One integer kernel applies the rule, on (even_mask, odd_exponents) keys
 with every coefficient scaled by a common denominator D, and serves
-every caller: differential_matrix and psi_matrix turn its columns into
-matrix entries v / D, d_element (and tau through it) into SuperElements
-with coefficients coeff * v / D.  The tests hold the kernel to the
+every caller: differential_matrix and psi_matrix hand its integer columns
+over as a RationalMatrix with scale 1/D (-1/D for psi at odd t), and
+d_element (and tau through it) turns them into SuperElements with
+coefficients coeff * v / D.  The tests hold the kernel to the
 alternating-sum formula entry by entry.
 """
 
@@ -151,21 +152,6 @@ def _d_columns(even_slots, odd_slots, domain, row_index):
     return columns
 
 
-def _rational_matrix(rows: int, columns, scale: Fraction) -> RationalMatrix:
-    # entries take few distinct values: make each Fraction once
-    frac: Dict[int, Fraction] = {}
-    out = []
-    for col in columns:
-        entries = {}
-        for r, v in col.items():
-            f = frac.get(v)
-            if f is None:
-                f = frac[v] = v * scale
-            entries[r] = f
-        out.append(entries)
-    return RationalMatrix.from_columns(rows, out)
-
-
 def _keys(monomials):
     return [(m.even_mask, m.odd_exponents) for m in monomials]
 
@@ -226,7 +212,7 @@ def differential_matrix(algebra: LieSuperalgebra, q: int) -> DifferentialMatrix:
     row_index = {key: r for r, key in enumerate(_keys(codomain))}
     denom, even_slots, odd_slots = _integer_slots(algebra)
     columns = _d_columns(even_slots, odd_slots, _keys(domain), row_index)
-    mat = _rational_matrix(len(codomain), columns, Fraction(1, denom))
+    mat = RationalMatrix.from_columns(len(codomain), columns, Fraction(1, denom))
     return DifferentialMatrix(q, domain, codomain, mat)
 
 
@@ -266,4 +252,4 @@ def psi_matrix(t: int, n: int, l: int) -> RationalMatrix:
     denom, even_slots, odd_slots = _integer_slots(make_heisenberg_odd(n))
     columns = _d_columns(even_slots, odd_slots, domain, row_index)
     sign = -1 if t & 1 else 1
-    return _rational_matrix(len(codomain), columns, Fraction(sign, denom))
+    return RationalMatrix.from_columns(len(codomain), columns, Fraction(sign, denom))

@@ -63,7 +63,13 @@ def _parse_rational(token: str, lineno: int) -> Fraction:
 def parse_algebra(text) -> LieSuperalgebra:
     """Parse and validate an algebra definition file."""
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # number lines as the parser below does, up to the bad byte
+            line = len((text[:exc.start].decode("utf-8") + ".").splitlines())
+            raise AlgebraParseError("byte 0x%02x is not UTF-8 (%s)"
+                                    % (text[exc.start], exc.reason), line) from None
     name = None
     gens: List[Tuple[str, int]] = []
     gen_index: Dict[str, int] = {}

@@ -1,29 +1,34 @@
 """Sparse exact linear algebra over the rationals.
 
-RationalMatrix stores only nonzero Fraction entries keyed by (row, col).
-rank() does fraction-free integer elimination on a sparse copy: each
-column is scaled to integers first (column scaling cannot change rank),
-pivots are chosen Markowitz-style (sparsest column, then the sparsest
-row in it, ties to the lowest index), and updated rows are divided by
-their content gcd to keep entries small.  Everything is exact; no
-floating point enters anywhere.
+A RationalMatrix is a list of sparse integer columns ({row: int}, no
+stored zeros) times one exact rational scale, so the coboundary kernel's
+integer output is a matrix as it stands.  rank() eliminates those
+integer columns directly (a nonzero scale cannot change rank) by
+fraction-free elimination: pivots are chosen Markowitz-style (sparsest
+column, then the sparsest row in it, ties to the lowest index), and
+updated rows are divided by their content gcd to keep entries small.
+Everything is exact; no floating point enters anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, Iterable, Mapping, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Tuple
 
 Entry = Tuple[int, int]
 
 
 class RationalMatrix:
-    """An immutable-by-convention sparse matrix of Fractions."""
+    """An immutable-by-convention sparse matrix: `scale` times the
+    integer columns `columns`."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "columns", "scale")
 
     def __init__(self, rows: int, cols: int, entries: Mapping[Entry, object] = ()):
+        """Build from {(row, col): rational}; stores v * L over scale 1/L,
+        L the lcm of the entries' denominators."""
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         data: Dict[Entry, Fraction] = {}
@@ -32,38 +37,56 @@ class RationalMatrix:
             if not (0 <= r < rows and 0 <= c < cols):
                 raise ValueError("entry (%d, %d) outside a %dx%d matrix"
                                  % (r, c, rows, cols))
-            if not isinstance(v, Fraction):
-                v = Fraction(v)
+            v = Fraction(v)
             if v:
                 data[(r, c)] = v
+        denom = lcm(1, *(v.denominator for v in data.values()))
+        columns: List[Dict[int, int]] = [{} for _ in range(cols)]
+        for (r, c), v in data.items():
+            columns[c][r] = v.numerator * (denom // v.denominator)
         self.rows = rows
         self.cols = cols
-        self.entries = data
+        self.columns = columns
+        self.scale = Fraction(1, denom)
 
     @classmethod
-    def zero(cls, rows: int, cols: int) -> "RationalMatrix":
-        return cls(rows, cols)
+    def from_columns(cls, rows: int, columns: List[Dict[int, int]],
+                     scale=1) -> "RationalMatrix":
+        """`scale` times the integer columns {row: nonzero int}; the
+        matrix takes the list over as its storage, without a copy."""
+        scale = Fraction(scale)
+        if rows < 0 or not scale:
+            raise ValueError("need rows >= 0 and a nonzero scale")
+        for c, col in enumerate(columns):
+            if col and (min(col) < 0 or max(col) >= rows or
+                        not all(type(v) is int and v for v in col.values())):
+                raise ValueError("column %d has a row outside 0..%d or a "
+                                 "value that is not a nonzero int" % (c, rows - 1))
+        self = cls.__new__(cls)
+        self.rows = rows
+        self.cols = len(columns)
+        self.columns = columns
+        self.scale = scale
+        return self
 
-    @classmethod
-    def from_columns(cls, rows: int, columns: Iterable[Mapping[int, object]]) -> "RationalMatrix":
-        """Build from an iterable of {row: value} column vectors."""
-        data = {}
-        cols = 0
-        for c, column in enumerate(columns):
-            cols = c + 1
-            for r, v in column.items():
-                data[(r, c)] = v
-        return cls(rows, cols, data)
+    @property
+    def entries(self) -> Mapping[Entry, Fraction]:
+        """Read-only {(row, col): Fraction} view of the nonzero entries."""
+        s = self.scale
+        return MappingProxyType({(r, c): v * s for c, col in enumerate(self.columns)
+                                 for r, v in col.items()})
 
     @property
     def nnz(self) -> int:
-        return len(self.entries)
+        return sum(map(len, self.columns))
 
     def get(self, r: int, c: int) -> Fraction:
-        return self.entries.get((r, c), Fraction(0))
+        v = self.columns[c].get(r, 0) if 0 <= c < self.cols else 0
+        return v * self.scale
 
     def column(self, c: int) -> Dict[int, Fraction]:
-        return {r: v for (r, cc), v in self.entries.items() if cc == c}
+        col = self.columns[c] if 0 <= c < self.cols else {}
+        return {r: v * self.scale for r, v in col.items()}
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if not isinstance(other, RationalMatrix):
@@ -71,32 +94,17 @@ class RationalMatrix:
         if self.cols != other.rows:
             raise ValueError("shape mismatch: %dx%d @ %dx%d"
                              % (self.rows, self.cols, other.rows, other.cols))
-        by_row: Dict[int, Dict[int, Fraction]] = {}
-        for (r, c), v in self.entries.items():
-            by_row.setdefault(r, {})[c] = v
-        by_col: Dict[int, Dict[int, Fraction]] = {}
-        for (r, c), v in other.entries.items():
-            by_col.setdefault(c, {})[r] = v
-        data = {}
-        for r, row in by_row.items():
-            for c, col in by_col.items():
-                total = Fraction(0)
-                if len(row) <= len(col):
-                    for k, v in row.items():
-                        w = col.get(k)
-                        if w is not None:
-                            total += v * w
-                else:
-                    for k, w in col.items():
-                        v = row.get(k)
-                        if v is not None:
-                            total += v * w
-                if total:
-                    data[(r, c)] = total
-        return RationalMatrix(self.rows, other.cols, data)
+        out = []
+        for col in other.columns:
+            acc: Dict[int, int] = {}
+            for k, w in col.items():
+                for r, v in self.columns[k].items():
+                    acc[r] = acc.get(r, 0) + v * w
+            out.append({r: v for r, v in acc.items() if v})
+        return RationalMatrix.from_columns(self.rows, out, self.scale * other.scale)
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not any(self.columns)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalMatrix):
@@ -107,24 +115,15 @@ class RationalMatrix:
         return "RationalMatrix(%d, %d, nnz=%d)" % (self.rows, self.cols, self.nnz)
 
 
-def _integer_rows(matrix: RationalMatrix) -> Dict[int, Dict[int, int]]:
-    # clear denominators column by column; column scaling preserves rank
-    scale: Dict[int, int] = {}
-    for (r, c), v in matrix.entries.items():
-        scale[c] = lcm(scale.get(c, 1), v.denominator)
-    rows: Dict[int, Dict[int, int]] = {}
-    for (r, c), v in matrix.entries.items():
-        rows.setdefault(r, {})[c] = v.numerator * (scale[c] // v.denominator)
-    return rows
-
-
 def rank(matrix: RationalMatrix) -> int:
-    """Exact rank by sparse integer elimination."""
-    rows = _integer_rows(matrix)
+    """Exact rank by sparse integer elimination of the stored columns."""
+    rows: Dict[int, Dict[int, int]] = {}
     col_rows: Dict[int, set] = {}
-    for r, row in rows.items():
-        for c in row:
-            col_rows.setdefault(c, set()).add(r)
+    for c, col in enumerate(matrix.columns):
+        if col:
+            col_rows[c] = set(col)
+            for r, v in col.items():
+                rows.setdefault(r, {})[c] = v
     # Markowitz queue: live columns bucketed by their row count, so the
     # sparsest column (lowest index on ties) is found without a scan
     buckets: Dict[int, set] = {}

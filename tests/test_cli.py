@@ -181,6 +181,12 @@ def test_bad_files_exit_codes(tmp_path, capsysbinary):
     assert code == 2
     assert b"validation error" in err
 
+    path.write_bytes(b"name a\ngenerator x \xff\n")
+    code, _, err = run_cli(capsysbinary, [
+        "compute", "--algebra", str(path), "--q-max", "1"])
+    assert code == 1
+    assert b"parse error" in err and b"line 2" in err
+
     code, _, err = run_cli(capsysbinary, [
         "compute", "--algebra", str(tmp_path / "missing.alg"), "--q-max", "1"])
     assert code == 1

@@ -98,6 +98,12 @@ def test_parse_errors_carry_line_numbers():
     err = parse_error("name a\n")
     assert "no generators" in str(err)
 
+    for text, line in ((b"\xff", 1), (b"name a\n\xfe", 2),
+                       (b"name a\ngenerator x \xff\n", 2),
+                       (b"name a\r\ngenerator x 0\n# caf\xe9\n", 3)):
+        err = parse_error(text)
+        assert err.line == line and "not UTF-8" in str(err), text
+
 
 def test_duplicate_pair_rejected_in_either_order():
     base = ("name a\ngenerator p 0\ngenerator q 0\ngenerator r 0\n"

@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 
@@ -30,9 +31,9 @@ def both_oracles(matrix):
 
 
 def test_rank_trivial_examples():
-    assert rank(RationalMatrix.zero(4, 6)) == 0
+    assert rank(RationalMatrix(4, 6)) == 0
     assert rank(RationalMatrix(5, 5, {(i, i): 1 for i in range(5)})) == 5
-    assert kernel_dim(RationalMatrix.zero(3, 7)) == 7
+    assert kernel_dim(RationalMatrix(3, 7)) == 7
     assert rank(RationalMatrix(2, 2, {(0, 0): 1, (0, 1): 2,
                                       (1, 0): 2, (1, 1): 4})) == 1
 
@@ -140,9 +141,9 @@ def test_matmul():
     ab = a @ b
     assert ab.rows == 2 and ab.cols == 2
     assert ab.get(0, 0) == 3 and ab.get(0, 1) == 10 and ab.get(1, 0) == 2
-    assert (a @ RationalMatrix.zero(3, 4)).is_zero()
+    assert (a @ RationalMatrix(3, 4)).is_zero()
     with pytest.raises(ValueError):
-        a @ RationalMatrix.zero(2, 2)
+        a @ RationalMatrix(2, 2)
     ident = RationalMatrix(3, 3, {(i, i): 1 for i in range(3)})
     assert a @ ident == a
 
@@ -158,8 +159,54 @@ def test_constructor_guards():
 
 
 def test_from_columns_and_column():
-    m = RationalMatrix.from_columns(3, [{0: 1, 2: -1}, {}, {1: Fraction(1, 3)}])
-    assert m.rows == 3 and m.cols == 3
-    assert m.column(0) == {0: 1, 2: -1}
+    m = RationalMatrix.from_columns(3, [{0: 1, 2: -1}, {}, {1: 2}], Fraction(1, 6))
+    assert m.rows == 3 and m.cols == 3 and m.nnz == 3
+    assert m.column(0) == {0: Fraction(1, 6), 2: Fraction(-1, 6)}
     assert m.column(1) == {}
     assert m.column(2) == {1: Fraction(1, 3)}
+    assert RationalMatrix.from_columns(2, [{1: 3}]).get(1, 0) == 3
+    for rows, columns, scale in ((3, [{3: 1}], 1), (3, [{-1: 1}], 1),
+                                 (3, [{0: 0}], 1), (3, [{0: Fraction(1, 2)}], 1),
+                                 (3, [{0: 1}], 0)):
+        with pytest.raises(ValueError):
+            RationalMatrix.from_columns(rows, columns, scale)
+
+
+def test_storage_does_not_change_the_matrix():
+    # one matrix stored three ways: rational entries, integers over 1/2,
+    # and the doubled integers over 1/4
+    half = Fraction(1, 2)
+    built = [
+        RationalMatrix(3, 2, {(0, 0): half, (2, 0): -1, (1, 1): Fraction(3, 2)}),
+        RationalMatrix.from_columns(3, [{0: 1, 2: -2}, {1: 3}], half),
+        RationalMatrix.from_columns(3, [{0: 2, 2: -4}, {1: 6}], Fraction(1, 4)),
+    ]
+    want = {(0, 0): half, (2, 0): Fraction(-1), (1, 1): Fraction(3, 2)}
+    for m in built:
+        assert m == built[0]
+        assert m.entries == want
+        assert m.get(0, 0) == half and m.get(1, 0) == 0 and m.get(1, 1) == Fraction(3, 2)
+        assert m.column(0) == {0: half, 2: -1} and m.column(1) == {1: Fraction(3, 2)}
+        assert m.nnz == 3
+    assert built[0] != RationalMatrix.from_columns(3, [{0: 1, 2: -2}, {1: 3}], Fraction(1, 4))
+    with pytest.raises(TypeError):
+        built[0].entries[(0, 1)] = 1
+
+
+def test_rank_leaves_the_columns_unchanged():
+    rng = random.Random(31)
+    matrices = [random_sparse(rng, 8, 8, density=0.5) for _ in range(5)]
+    matrices.append(differential_matrix(make_heisenberg_even(1, 1), 2).matrix)
+    for m in matrices:
+        before = copy.deepcopy(m.columns)
+        rank(m)
+        assert m.columns == before
+
+
+def test_rank_with_a_negative_scale():
+    # psi at odd t is stored over -1/D
+    for n in (1, 2, 3):
+        for t in (1, 3, 5):
+            m = psi_matrix(t, n, 2)
+            assert m.scale < 0
+            assert rank(m) == dense_rank_bareiss(m.rows, m.cols, m.entries)
