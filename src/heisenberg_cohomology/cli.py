@@ -40,17 +40,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, "%s: error: %s\n" % (self.prog, message))
 
 
-def _add_output_options(p, with_method=True):
+def _add_output_options(p):
     p.add_argument("--format", choices=("text", "json", "csv"), default="text",
                    help="output format (default: text)")
     p.add_argument("--column-cap", type=int, default=DEFAULT_COLUMN_CAP,
                    metavar="N", help="refuse coboundary matrices wider than N "
                    "(default: %d)" % DEFAULT_COLUMN_CAP)
-    if with_method:
-        p.add_argument("--method", choices=("rank", "formula", "both"),
-                       default="rank",
-                       help="rank: exact matrix ranks; formula: closed forms; "
-                       "both: interleaved (default: rank)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -74,6 +69,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_odd.add_argument("--q-max", type=int, required=True)
     _add_output_options(p_odd)
     p_odd.set_defaults(func=_cmd_odd)
+
+    # closed forms exist only for the built-in families: no --method on compute
+    for p in (p_even, p_odd):
+        p.add_argument("--method", choices=("rank", "formula", "both"),
+                       default="rank",
+                       help="rank: exact matrix ranks; formula: closed forms; "
+                       "both: interleaved (default: rank)")
 
     p_comp = sub.add_parser("compute",
                             help="Betti table of an algebra definition file")
@@ -139,11 +141,6 @@ def _cmd_odd(args) -> int:
 
 
 def _cmd_compute(args) -> int:
-    if args.method != "rank":
-        print("%s: error: --method %s is not available for compute; "
-              "closed forms only exist for the built-in families"
-              % ("heisenberg-cohomology", args.method), file=sys.stderr)
-        return EXIT_USAGE
     with open(args.algebra, "rb") as fh:
         text = fh.read()
     alg = parse_algebra(text)

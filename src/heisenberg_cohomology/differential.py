@@ -15,6 +15,7 @@ which <o^2, y ^ y> = 2; tests check the whole convention against the
 alternating-sum formula for <d omega, a_0 ^ ... ^ a_q>.
 
 One integer kernel applies the rule, on (even_mask, odd_exponents) keys
+(a SuperMonomial is one, so enumerate_basis output goes in as it stands)
 with every coefficient scaled by a common denominator D, and serves
 every caller: differential_matrix and psi_matrix hand its integer columns
 over as a RationalMatrix with scale 1/D (-1/D for psi at odd t), and
@@ -34,19 +35,17 @@ from typing import Dict, Tuple
 from .algebra import LieSuperalgebra, ODD, make_heisenberg_odd
 from .linalg import RationalMatrix
 from .superexterior import (SuperElement, SuperMonomial, SuperSpaceDims,
-                            enumerate_basis, wedge_monomials)
+                            _monomial, enumerate_basis, wedge_monomials)
 
 
 def _dual_monomial(algebra: LieSuperalgebra, i: int) -> SuperMonomial:
     """Degree-1 dual monomial of generator i, over the algebra's dual dims."""
-    n0, n1 = algebra.superdim
+    n1 = algebra.superdim[1]
     if algebra.parity(i) == ODD:
-        pos = algebra.odd_indices.index(i)
         exps = [0] * n1
-        exps[pos] = 1
-        return SuperMonomial((), exps)
-    pos = algebra.even_indices.index(i)
-    return SuperMonomial((pos,), (0,) * n1)
+        exps[algebra.odd_indices.index(i)] = 1
+        return _monomial(0, tuple(exps))
+    return _monomial(1 << algebra.even_indices.index(i), (0,) * n1)
 
 
 def d_generator(algebra: LieSuperalgebra, k: int) -> SuperElement:
@@ -58,16 +57,15 @@ def d_generator(algebra: LieSuperalgebra, k: int) -> SuperElement:
         c = targets.get(k)
         if c is None:
             continue
-        fi = _dual_monomial(algebra, i)
-        fj = _dual_monomial(algebra, j)
         if i == j:
+            if algebra.parity(i) != ODD:
+                raise ValueError("even generator %r has a nonzero self-bracket"
+                                 % algebra.generators[i].name)
             # odd self-bracket: <o^2, y ^ y> = 2 forces the 1/2
-            sign, mono = wedge_monomials(fi, fj)
-            coeff = -Fraction(c, 2) * sign
-        else:
-            sign, mono = wedge_monomials(fi, fj)
-            coeff = -c * sign
-        out[mono] = out.get(mono, Fraction(0)) + coeff
+            c = Fraction(c, 2)
+        sign, mono = wedge_monomials(_dual_monomial(algebra, i),
+                                     _dual_monomial(algebra, j))
+        out[mono] = out.get(mono, Fraction(0)) - c * sign
     return SuperElement(out)
 
 
@@ -152,10 +150,6 @@ def _d_columns(even_slots, odd_slots, domain, row_index):
     return columns
 
 
-def _keys(monomials):
-    return [(m.even_mask, m.odd_exponents) for m in monomials]
-
-
 class _RowIndex(dict):
     """Row numbers handed out to keys in order of first use."""
 
@@ -177,19 +171,14 @@ def d_element(algebra: LieSuperalgebra, elem: SuperElement) -> SuperElement:
                              % (mono, algebra.name, n0, n1))
     denom, even_slots, odd_slots = _integer_slots(algebra)
     row_index = _RowIndex()
-    columns = _d_columns(even_slots, odd_slots, _keys(monos), row_index)
+    columns = _d_columns(even_slots, odd_slots, monos, row_index)
     image: Dict[int, Fraction] = {}
     for mono, col in zip(monos, columns):
         coeff = elem.terms[mono]
         for r, v in col.items():
             image[r] = image.get(r, 0) + coeff * v
     rows = list(row_index)
-    out = {}
-    for r, c in image.items():
-        mask, odds = rows[r]
-        evens = tuple(i for i in range(n0) if mask >> i & 1)
-        out[SuperMonomial(evens, odds)] = c / denom
-    return SuperElement(out)
+    return SuperElement({_monomial(*rows[r]): c / denom for r, c in image.items()})
 
 
 @dataclass(frozen=True)
@@ -209,9 +198,9 @@ def differential_matrix(algebra: LieSuperalgebra, q: int) -> DifferentialMatrix:
     dims = SuperSpaceDims(*algebra.superdim)
     domain = tuple(enumerate_basis(dims, q))
     codomain = tuple(enumerate_basis(dims, q + 1))
-    row_index = {key: r for r, key in enumerate(_keys(codomain))}
+    row_index = {key: r for r, key in enumerate(codomain)}
     denom, even_slots, odd_slots = _integer_slots(algebra)
-    columns = _d_columns(even_slots, odd_slots, _keys(domain), row_index)
+    columns = _d_columns(even_slots, odd_slots, domain, row_index)
     mat = RationalMatrix.from_columns(len(codomain), columns, Fraction(1, denom))
     return DifferentialMatrix(q, domain, codomain, mat)
 
@@ -247,8 +236,8 @@ def psi_matrix(t: int, n: int, l: int) -> RationalMatrix:
         return RationalMatrix(len(codomain), 0)
     # a row outside the codomain (another z-dual power) raises KeyError
     row_index = {(mask, odds + (l - 1,)): r
-                 for r, (mask, odds) in enumerate(_keys(codomain))}
-    domain = [(mask, odds + (l,)) for mask, odds in _keys(enumerate_basis(free, t))]
+                 for r, (mask, odds) in enumerate(codomain)}
+    domain = [(mask, odds + (l,)) for mask, odds in enumerate_basis(free, t)]
     denom, even_slots, odd_slots = _integer_slots(make_heisenberg_odd(n))
     columns = _d_columns(even_slots, odd_slots, domain, row_index)
     sign = -1 if t & 1 else 1

@@ -81,12 +81,10 @@ class RationalMatrix:
         return sum(map(len, self.columns))
 
     def get(self, r: int, c: int) -> Fraction:
-        v = self.columns[c].get(r, 0) if 0 <= c < self.cols else 0
-        return v * self.scale
-
-    def column(self, c: int) -> Dict[int, Fraction]:
-        col = self.columns[c] if 0 <= c < self.cols else {}
-        return {r: v * self.scale for r, v in col.items()}
+        if not (0 <= r < self.rows and 0 <= c < self.cols):
+            raise IndexError("entry (%d, %d) outside a %dx%d matrix"
+                             % (r, c, self.rows, self.cols))
+        return self.columns[c].get(r, 0) * self.scale
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if not isinstance(other, RationalMatrix):

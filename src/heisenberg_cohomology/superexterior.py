@@ -11,6 +11,10 @@ rational combination of normal-form monomials
     e_{i_1} * ... * e_{i_k} * o_0^{a_0} * ... * o_{m-1}^{a_{m-1}},
 
 with i_1 < ... < i_k, which is the basis enumerated and paired below.
+
+A SuperMonomial is the tuple (even_mask, odd_exponents), the key the
+coboundary kernel indexes by, so len, iteration and tuple `<` apply to
+it; the canonical basis order is `monomial_sort_key`, not tuple order.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial, prod
+from operator import add, itemgetter
 from typing import Iterable, Iterator, Mapping, Tuple, NamedTuple, Union
 
 Rational = Union[int, Fraction]
@@ -30,19 +35,17 @@ class SuperSpaceDims(NamedTuple):
     odd_count: int
 
 
-class SuperMonomial:
-    """A normal-form basis monomial of the super-exterior algebra.
+class SuperMonomial(tuple):
+    """The normal-form monomial e_S o^alpha as the tuple (even_mask, alpha).
 
-    `even_set` is a strictly increasing tuple of even generator indices;
-    `odd_exponents[j]` is the power of the j-th odd generator.  The tuple
-    length of `odd_exponents` fixes the odd dimension the monomial lives
-    over, so monomials over different superspaces never compare equal.
+    Bit i of `even_mask` marks i in S.  Built from `even_set` (S, strictly
+    increasing) and `odd_exponents` (alpha), whose length fixes the odd
+    dimension: monomials over different superspaces never compare equal.
     """
 
-    __slots__ = ("even_set", "odd_exponents", "even_mask")
+    __slots__ = ()
 
-    def __init__(self, even_set: Iterable[int] = (), odd_exponents: Iterable[int] = ()):
-        even_set = tuple(even_set)
+    def __new__(cls, even_set: Iterable[int] = (), odd_exponents: Iterable[int] = ()):
         odd_exponents = tuple(odd_exponents)
         mask = 0
         for i in even_set:
@@ -54,13 +57,22 @@ class SuperMonomial:
             mask |= bit
         if odd_exponents and min(odd_exponents) < 0:
             raise ValueError("odd exponents must be nonnegative")
-        self.even_set = even_set
-        self.odd_exponents = odd_exponents
-        self.even_mask = mask
+        return tuple.__new__(cls, (mask, odd_exponents))
+
+    def __getnewargs__(self):
+        return (self.even_set, self.odd_exponents)
+
+    even_mask = property(itemgetter(0))
+    odd_exponents = property(itemgetter(1))
+
+    @property
+    def even_set(self) -> Tuple[int, ...]:
+        mask = self.even_mask
+        return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
     @property
     def even_degree(self) -> int:
-        return len(self.even_set)
+        return self.even_mask.bit_count()
 
     @property
     def odd_degree(self) -> int:
@@ -68,11 +80,11 @@ class SuperMonomial:
 
     @property
     def degree(self) -> int:
-        return len(self.even_set) + sum(self.odd_exponents)
+        return self.even_degree + self.odd_degree
 
     @property
     def parity(self) -> int:
-        return sum(self.odd_exponents) & 1
+        return self.odd_degree & 1
 
     def factors(self) -> Iterator[Tuple[str, int]]:
         """Canonical degree-1 factor sequence: evens ascending, then odds."""
@@ -81,15 +93,6 @@ class SuperMonomial:
         for j, a in enumerate(self.odd_exponents):
             for _ in range(a):
                 yield ("o", j)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SuperMonomial):
-            return NotImplemented
-        return (self.even_set == other.even_set
-                and self.odd_exponents == other.odd_exponents)
-
-    def __hash__(self) -> int:
-        return hash((self.even_set, self.odd_exponents))
 
     def __repr__(self) -> str:
         return "SuperMonomial(%r, %r)" % (self.even_set, self.odd_exponents)
@@ -104,9 +107,14 @@ class SuperMonomial:
         return "*".join(parts) if parts else "1"
 
 
+def _monomial(mask: int, odd_exponents: Tuple[int, ...]) -> SuperMonomial:
+    # unchecked: for keys that are normal forms by construction
+    return tuple.__new__(SuperMonomial, (mask, odd_exponents))
+
+
 def monomial_sort_key(mono: SuperMonomial):
     """Sort key realizing the basis order used by enumerate_basis."""
-    return (-len(mono.even_set), mono.even_set,
+    return (-mono.even_degree, mono.even_set,
             tuple(-a for a in mono.odd_exponents))
 
 
@@ -120,15 +128,14 @@ def wedge_monomials(a: SuperMonomial, b: SuperMonomial):
     """
     if len(a.odd_exponents) != len(b.odd_exponents):
         raise ValueError("monomials live over different odd dimensions")
-    if a.even_mask & b.even_mask:
-        return None
-    swaps = a.odd_degree * len(b.even_set)
     am = a.even_mask
+    if am & b.even_mask:
+        return None
+    swaps = a.odd_degree * b.even_degree
     for j in b.even_set:
         swaps += (am >> (j + 1)).bit_count()
-    evens = tuple(sorted(a.even_set + b.even_set))
-    odds = tuple(x + y for x, y in zip(a.odd_exponents, b.odd_exponents))
-    return (-1 if swaps & 1 else 1), SuperMonomial(evens, odds)
+    odds = tuple(map(add, a.odd_exponents, b.odd_exponents))
+    return (-1 if swaps & 1 else 1), _monomial(am | b.even_mask, odds)
 
 
 class SuperElement:
@@ -284,9 +291,10 @@ def enumerate_basis(dims: SuperSpaceDims, q: int):
         if m == 0 and q1 > 0:
             continue
         alphas = tuple(_odd_exponent_vectors(q1, m))
-        for evens in combinations(range(n), q0):
+        for bits in combinations([1 << i for i in range(n)], q0):
+            mask = sum(bits)
             for alpha in alphas:
-                out.append(SuperMonomial(evens, alpha))
+                out.append(_monomial(mask, alpha))
     return out
 
 

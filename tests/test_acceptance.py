@@ -190,7 +190,7 @@ def test_acceptance_5_structural_identities(criterion):
                               if 0 in mono.even_set]
                     for j, mono in enumerate(dmat.domain):
                         if j not in with_z:
-                            assert dmat.matrix.column(j) == {}, (alg.name, q)
+                            assert dmat.matrix.columns[j] == {}, (alg.name, q)
                     assert rank(dmat.matrix) == len(with_z), (alg.name, q)
                     rep = cohomology_dims(alg, q)
                     assert rep.dim_cocycles == graded_dim(free, q), (alg.name, q)

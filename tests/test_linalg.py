@@ -158,12 +158,19 @@ def test_constructor_guards():
     assert m.get(0, 0) == 0
 
 
+def test_get_outside_the_shape_raises():
+    m = RationalMatrix(2, 2, {(0, 0): 1})
+    for r, c in ((7, 0), (0, -3), (2, 0), (0, 2), (-1, 1)):
+        with pytest.raises(IndexError):
+            m.get(r, c)
+    assert m.get(0, 0) == 1 and m.get(1, 1) == 0
+
+
 def test_from_columns_and_column():
     m = RationalMatrix.from_columns(3, [{0: 1, 2: -1}, {}, {1: 2}], Fraction(1, 6))
     assert m.rows == 3 and m.cols == 3 and m.nnz == 3
-    assert m.column(0) == {0: Fraction(1, 6), 2: Fraction(-1, 6)}
-    assert m.column(1) == {}
-    assert m.column(2) == {1: Fraction(1, 3)}
+    assert m.entries == {(0, 0): Fraction(1, 6), (2, 0): Fraction(-1, 6),
+                         (1, 2): Fraction(1, 3)}
     assert RationalMatrix.from_columns(2, [{1: 3}]).get(1, 0) == 3
     for rows, columns, scale in ((3, [{3: 1}], 1), (3, [{-1: 1}], 1),
                                  (3, [{0: 0}], 1), (3, [{0: Fraction(1, 2)}], 1),
@@ -186,7 +193,8 @@ def test_storage_does_not_change_the_matrix():
         assert m == built[0]
         assert m.entries == want
         assert m.get(0, 0) == half and m.get(1, 0) == 0 and m.get(1, 1) == Fraction(3, 2)
-        assert m.column(0) == {0: half, 2: -1} and m.column(1) == {1: Fraction(3, 2)}
+        assert ([{r: v * m.scale for r, v in col.items()} for col in m.columns]
+                == [{0: half, 2: -1}, {1: Fraction(3, 2)}])
         assert m.nnz == 3
     assert built[0] != RationalMatrix.from_columns(3, [{0: 1, 2: -2}, {1: 3}], Fraction(1, 4))
     with pytest.raises(TypeError):

@@ -1,9 +1,14 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
+from heisenberg_cohomology.algebra import make_heisenberg_even
+from heisenberg_cohomology.differential import (_d_columns, _integer_slots,
+                                                d_element)
 from heisenberg_cohomology.superexterior import (
     SuperElement, SuperMonomial, SuperSpaceDims, dual_pairing,
     element_pairing, enumerate_basis, graded_dim, monomial_sort_key, wedge,
@@ -197,3 +202,55 @@ def test_monomial_str_and_repr():
     assert str(mono()) == "1"
     assert "SuperMonomial" in repr(m)
     assert eval(repr(m)) == m
+
+
+def test_monomial_is_its_kernel_key():
+    m = mono((0, 2), (1, 0))
+    assert m == (0b101, (1, 0)) and (0b101, (1, 0)) == m
+    assert hash(m) == hash((0b101, (1, 0)))
+    assert {(0b101, (1, 0)): "row"}[m] == "row"
+    assert (m.even_mask, m.odd_exponents) == tuple(m)
+
+
+def test_monomials_over_different_odd_dimensions_differ():
+    assert mono((0,), (1,)) != mono((0,), (1, 0))
+    assert mono() != mono((), (0,))
+    assert len({mono((), ()), mono((), (0,)), mono((), (0, 0))}) == 3
+
+
+def test_monomial_copy_and_pickle_round_trips():
+    m = mono((0, 2, 70), (1, 0, 3))
+    copies = [copy.copy(m), copy.deepcopy(m), copy.deepcopy([m])[0]]
+    copies += [pickle.loads(pickle.dumps(m, p))
+               for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for c in copies:
+        assert type(c) is SuperMonomial
+        assert c == m and repr(c) == repr(m)
+        assert c.even_set == (0, 2, 70) and c.odd_exponents == (1, 0, 3)
+
+
+def test_even_set_is_rebuilt_from_the_mask():
+    for evens in ((), (3,), (0, 5, 70), (1, 2, 64, 65, 200)):
+        m = mono(evens, (2,))
+        assert m.even_mask == sum(1 << i for i in evens)
+        assert m.even_set == evens and m.even_degree == len(evens)
+    # a mask built by the product, not by the constructor
+    sign, prod = wedge_monomials(mono((70,)), mono((0, 5)))
+    assert prod.even_set == (0, 5, 70) and prod == mono((0, 5, 70))
+    assert str(prod) == "e0*e5*e70"
+
+
+def test_basis_monomials_are_kernel_keys():
+    # enumerate_basis output goes into the coboundary kernel as it stands:
+    # as domain columns, and as the row keys the kernel probes with plain pairs
+    alg = make_heisenberg_even(1, 2)
+    dims = SuperSpaceDims(*alg.superdim)
+    denom, even_slots, odd_slots = _integer_slots(alg)
+    for q in range(4):
+        domain, codomain = enumerate_basis(dims, q), enumerate_basis(dims, q + 1)
+        row_index = {m: r for r, m in enumerate(codomain)}
+        columns = _d_columns(even_slots, odd_slots, domain, row_index)
+        assert len(columns) == len(domain)
+        for m, col in zip(domain, columns):
+            image = {codomain[r]: Fraction(v, denom) for r, v in col.items()}
+            assert image == d_element(alg, SuperElement.from_monomial(m)).terms
