@@ -6,8 +6,9 @@ finite in each degree, so dim H^q = dim C^q - rank d_q - rank d_{q-1},
 all over exact rationals.
 """
 
-from heisenberg_cohomology import (SuperElement, betti_table, d_element,
-                                   differential_matrix, make_heisenberg_even,
+from heisenberg_cohomology import (SuperElement, SuperSpaceDims, betti_table,
+                                   d_element, differential_matrix,
+                                   enumerate_basis, make_heisenberg_even,
                                    make_heisenberg_odd)
 
 
@@ -26,8 +27,9 @@ def main():
     print()
 
     print("d^2 = 0 at matrix level on h_{1,1}, q <= 4:", end=" ")
-    mats = [differential_matrix(h11, q).matrix for q in range(6)]
-    print(all((mats[q + 1] @ mats[q]).is_zero() for q in range(5)))
+    dims = SuperSpaceDims(*h11.superdim)
+    print(all(d_element(h11, d_element(h11, SuperElement.from_monomial(mono))).is_zero()
+              for q in range(5) for mono in enumerate_basis(dims, q)))
     print()
 
     for alg, q_max in ((h11, 6), (make_heisenberg_even(2, 2), 6),

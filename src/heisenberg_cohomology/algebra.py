@@ -180,6 +180,75 @@ def validate(alg: LieSuperalgebra) -> list:
     return issues
 
 
+def _subtract(v: Dict[int, Fraction], c: Fraction, row: Mapping) -> None:
+    """v -= c * row, in place, dropping the coordinates that cancel."""
+    for i, x in row.items():
+        w = v.get(i, 0) - c * x
+        if w:
+            v[i] = w
+        else:
+            del v[i]
+
+
+def adapted_basis(alg: LieSuperalgebra) -> LieSuperalgebra:
+    """The same algebra in a sparse basis adapted to [g, g].
+
+    Parity by parity, the exact RREF of the bracket images spans [g, g];
+    the generator at each pivot position is replaced by its RREF row and
+    every other generator stays, so the change of basis never mixes
+    parities.  The structure constants are rewritten by bilinearity.
+    Name, generator names, parities and order are kept, and Betti
+    numbers do not depend on the basis.  When every RREF row is a single
+    generator the change is the identity and `alg` itself is returned,
+    at O(brackets) cost.
+    """
+    rows: Dict[int, Dict[int, Fraction]] = {}
+    for targets in alg.brackets.values():
+        for parity in (EVEN, ODD):
+            # a row of one parity only reduces against rows of that parity
+            v = {k: c for k, c in targets.items() if alg.parity(k) == parity}
+            # every row is zero at the other pivots, so one pass reduces v
+            for p in [k for k in v if k in rows]:
+                _subtract(v, v[p], rows[p])
+            if not v:
+                continue
+            lead = min(v)
+            v = {i: x / v[lead] for i, x in v.items()}
+            for row in rows.values():
+                if lead in row:
+                    _subtract(row, row[lead], v)
+            rows[lead] = v
+    if all(len(row) == 1 for row in rows.values()):
+        return alg
+    basis = [rows.get(a, {a: Fraction(1)}) for a in range(alg.dim)]
+    partners: Dict[int, Dict[int, Dict[int, Fraction]]] = {}
+    for (i, j) in alg.brackets:
+        partners.setdefault(i, {})[j] = alg.bracket(i, j)
+        partners.setdefault(j, {})[i] = alg.bracket(j, i)
+    brackets = {}
+    for a in range(alg.dim):
+        # ad[j] = [b_a, g_j] in the old coordinates
+        ad: Dict[int, Dict[int, Fraction]] = {}
+        for i, x in basis[a].items():
+            for j, targets in partners.get(i, {}).items():
+                acc = ad.setdefault(j, {})
+                for k, c in targets.items():
+                    acc[k] = acc.get(k, 0) + x * c
+        for b in range(a, alg.dim):
+            w: Dict[int, Fraction] = {}
+            for j, y in basis[b].items():
+                for k, c in ad.get(j, {}).items():
+                    w[k] = w.get(k, 0) + y * c
+            # coordinates in the new basis: w[p] on pivot row p, and
+            # w[i] - sum_p w[p] * row_p[i] on a generator i that stays
+            new = dict(w)
+            for p in [k for k, c in w.items() if c and k in rows]:
+                _subtract(new, w[p], rows[p])
+                new[p] = w[p]
+            brackets[(a, b)] = new
+    return LieSuperalgebra(alg.name, alg.generators, brackets)
+
+
 def even_family_shape(n: int, m: int) -> Tuple[str, Tuple[int, int]]:
     """Name and superdimension (2n+1 | m) of h_{n,m}, without building it."""
     if n < 1 or m < 1:

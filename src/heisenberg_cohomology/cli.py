@@ -5,8 +5,10 @@ Verbs: `even` and `odd` print Betti tables for the built-in families,
 closed-form formulas against the rank engine on a grid.  All output is
 byte-deterministic; `verify` prints its elapsed time to stderr.  Exit
 codes: 0 success, 1 usage or parse error, 2 validation error,
-3 resource refusal, 4 verification mismatch, 5 internal error (a failed
-invariant check, reported as one line on stderr).
+3 resource refusal (a matrix over the column cap, or a verify grid over
+verify.MAX_GRID_POINTS), 4 verification mismatch, 5 internal error (a
+failed invariant check, such as an inconsistent CohomologyReport,
+reported as one line on stderr).
 """
 
 from __future__ import annotations
@@ -17,12 +19,12 @@ import sys
 
 from .algebra import (even_family_shape, make_heisenberg_even,
                       make_heisenberg_odd, odd_family_shape)
-from .cohomology import (DEFAULT_COLUMN_CAP, ColumnCapExceeded, betti_table,
-                         check_column_cap, even_formula_report,
-                         odd_formula_report)
+from .cohomology import (DEFAULT_COLUMN_CAP, ColumnCapExceeded,
+                         ReportInvariantError, betti_table, check_column_cap,
+                         even_formula_report, odd_formula_report)
 from .fileformats import (AlgebraParseError, AlgebraValidationError,
                           emit_report, parse_algebra)
-from .verify import VerifyResult, verify_family
+from .verify import GridTooLarge, VerifyResult, verify_family
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -208,12 +210,15 @@ def main(argv=None) -> int:
     except AlgebraValidationError as exc:
         print("validation error: %s" % exc, file=sys.stderr)
         return EXIT_VALIDATION
-    except ColumnCapExceeded as exc:
+    except (ColumnCapExceeded, GridTooLarge) as exc:
         print("resource refusal: %s" % exc, file=sys.stderr)
         return EXIT_RESOURCE
     except OSError as exc:
         print("cannot read input: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
+    except ReportInvariantError as exc:
+        print("internal error: %s" % exc, file=sys.stderr)
+        return EXIT_INTERNAL
     except ValueError as exc:
         print("validation error: %s" % exc, file=sys.stderr)
         return EXIT_VALIDATION

@@ -3,9 +3,15 @@
 dim H^q = dim ker d_q - rank d_{q-1}, all over the rationals.  Matrix
 sizes are capped (default 5000 columns) so a typo in q cannot silently
 start a week-long elimination; the cap is an explicit, overridable
-refusal, not a truncation.  The closed forms' reports for the two
-built-in families are built here too (even_formula_report,
-odd_formula_report), so every CohomologyReport comes from this module.
+refusal, not a truncation.  The cap needs only the superdimension, so
+it is checked first; then the algebra is rewritten once in a basis
+adapted to [g, g] (algebra.adapted_basis), which leaves every Betti
+number unchanged but makes the coboundary matrices of an algebra given
+in a dense basis sparse.  On the built-in families that rewrite is the
+identity.  The closed forms' reports for the two built-in families are
+built here too (even_formula_report, odd_formula_report), so every
+CohomologyReport comes from this module; a report whose dimensions are
+inconsistent raises ReportInvariantError.
 """
 
 from __future__ import annotations
@@ -13,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from .algebra import LieSuperalgebra, even_family_shape, odd_family_shape
+from .algebra import (LieSuperalgebra, adapted_basis, even_family_shape,
+                      odd_family_shape)
 from .differential import differential_matrix
 from .formulas import dim_h_even, dim_h_odd_proof, even_cocycle_dim, odd_cocycle_dim
 from .linalg import rank
@@ -41,6 +48,11 @@ class ColumnCapExceeded(RuntimeError):
         self.cap = cap
 
 
+class ReportInvariantError(ValueError):
+    """A CohomologyReport whose fields break its own invariants: a fault
+    in the engine, not in the user's input."""
+
+
 @dataclass(frozen=True)
 class CohomologyReport:
     """Dimension bookkeeping for one cohomological degree."""
@@ -55,13 +67,13 @@ class CohomologyReport:
 
     def __post_init__(self):
         if self.method not in METHODS:
-            raise ValueError("unknown method %r" % self.method)
+            raise ReportInvariantError("unknown method %r" % self.method)
         ok = (0 <= self.dim_cohomology
               and 0 <= self.dim_coboundaries
               and self.dim_cocycles <= self.dim_cochain
               and self.dim_cohomology == self.dim_cocycles - self.dim_coboundaries)
         if not ok:
-            raise ValueError("inconsistent dimensions in %r" % (self,))
+            raise ReportInvariantError("inconsistent dimensions in %r" % (self,))
 
 
 def _capped_dim(name: str, superdim: Tuple[int, int], q: int, cap: int) -> int:
@@ -101,6 +113,11 @@ def cohomology_dims(algebra: LieSuperalgebra, q: int,
     """Betti data in a single degree, via exact ranks."""
     if q < 0:
         return CohomologyReport(algebra.name, q, 0, 0, 0, 0, METHOD_RANK)
+    # refuse before the basis change, in the order _checked_rank would
+    for degree in (q, q - 1):
+        if degree >= 0:
+            _capped_dim(algebra.name, algebra.superdim, degree, column_cap)
+    algebra = adapted_basis(algebra)
     dim_c, rank_q = _checked_rank(algebra, q, column_cap)
     _, rank_prev = _checked_rank(algebra, q - 1, column_cap)
     z = dim_c - rank_q
@@ -114,12 +131,14 @@ def betti_table(algebra: LieSuperalgebra, q_max: int,
 
     Every degree is checked against the column cap before any matrix is
     built, so a refusal names the first degree over the cap and costs
-    nothing.  Also cross-checks dim H^q = dim Z^q + dim Z^{q-1} -
-    dim C^{q-1} in every degree.
+    nothing.  The ranks are taken in adapted_basis(algebra), which has
+    the same Betti numbers.  Also cross-checks dim H^q = dim Z^q +
+    dim Z^{q-1} - dim C^{q-1} in every degree.
     """
     if q_max < 0:
         raise ValueError("q_max must be nonnegative")
     check_column_cap(algebra.name, algebra.superdim, q_max, column_cap)
+    algebra = adapted_basis(algebra)
     dim_c = {-1: 0}
     rk = {-1: 0}
     z = {-1: 0}

@@ -86,21 +86,6 @@ class RationalMatrix:
                              % (r, c, self.rows, self.cols))
         return self.columns[c].get(r, 0) * self.scale
 
-    def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
-        if not isinstance(other, RationalMatrix):
-            return NotImplemented
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch: %dx%d @ %dx%d"
-                             % (self.rows, self.cols, other.rows, other.cols))
-        out = []
-        for col in other.columns:
-            acc: Dict[int, int] = {}
-            for k, w in col.items():
-                for r, v in self.columns[k].items():
-                    acc[r] = acc.get(r, 0) + v * w
-            out.append({r: v for r, v in acc.items() if v})
-        return RationalMatrix.from_columns(self.rows, out, self.scale * other.scale)
-
     def is_zero(self) -> bool:
         return not any(self.columns)
 

@@ -25,6 +25,22 @@ from .linalg import kernel_dim
 FAILING_FORMULAS = ("dim_h_even", "dim_h_odd_proof")
 PSI_POWERS = (1, 2, 3)
 
+# Largest grid verify_family accepts, in (n, m) points: n_max * m_max for
+# the even family, n_max for the odd one.  Far above any grid the
+# closed forms need checking on, and small enough that the per-point
+# column-cap pre-check stays instant.
+MAX_GRID_POINTS = 1000
+
+
+class GridTooLarge(RuntimeError):
+    """Refusal to walk a verify grid with more points than the limit."""
+
+    def __init__(self, points: int, limit: int):
+        super().__init__("refusing a verify grid of %d points, limit is %d"
+                         % (points, limit))
+        self.points = points
+        self.limit = limit
+
 
 @dataclass(frozen=True)
 class Comparison:
@@ -88,16 +104,27 @@ def verify_family(family: str, n_max: int, m_max: Optional[int] = None,
     n=1..n_max, q=0..q_max, plus ker_psi_dim against the kernel of
     psi_matrix(t, n, l) for t=0..q_max and l=1,2,3.
 
-    Every grid point is checked against the column cap, in grid order,
-    before anything is computed, so an oversized grid is refused at once.
+    A grid of more than MAX_GRID_POINTS points is refused from its size
+    alone (GridTooLarge); then every grid point is checked against the
+    column cap, in grid order, before anything is computed, so an
+    oversized grid is refused at once.
     """
     start = time.perf_counter()
     if n_max < 1 or q_max < 0:
         raise ValueError("need n_max >= 1 and q_max >= 0")
-    checks: List[Comparison] = []
     if family == "even":
         if m_max is None or m_max < 1:
             raise ValueError("family 'even' needs m_max >= 1")
+    elif family == "odd":
+        if m_max is not None:
+            raise ValueError("family 'odd' takes no m_max")
+    else:
+        raise ValueError("family must be 'even' or 'odd', got %r" % family)
+    points = n_max * (m_max or 1)
+    if points > MAX_GRID_POINTS:
+        raise GridTooLarge(points, MAX_GRID_POINTS)
+    checks: List[Comparison] = []
+    if family == "even":
         grid = (range(1, n_max + 1), range(1, m_max + 1))
         for n, m in product(*grid):
             check_column_cap(*even_family_shape(n, m), q_max, column_cap)
@@ -106,9 +133,7 @@ def verify_family(family: str, n_max: int, m_max: Optional[int] = None,
                 checks.append(Comparison("dim_h_even", n, m, report.q,
                                          dim_h_even(n, m, report.q),
                                          report.dim_cohomology))
-    elif family == "odd":
-        if m_max is not None:
-            raise ValueError("family 'odd' takes no m_max")
+    else:
         for n in range(1, n_max + 1):
             check_column_cap(*odd_family_shape(n), q_max, column_cap)
         for n in range(1, n_max + 1):
@@ -124,8 +149,6 @@ def verify_family(family: str, n_max: int, m_max: Optional[int] = None,
                     got = kernel_dim(psi_matrix(t, n, l))
                     checks.append(Comparison("ker_psi_dim[l=%d]" % l, n, None,
                                              t, want, got))
-    else:
-        raise ValueError("family must be 'even' or 'odd', got %r" % family)
     checks.sort(key=lambda c: (c.formula, c.n, c.m or 0, c.q))
     elapsed = time.perf_counter() - start
     return VerifyResult(family, n_max, m_max, q_max, checks, elapsed)

@@ -10,6 +10,7 @@ the alternating-sum pairing formula.
 from fractions import Fraction
 from math import lcm
 
+from heisenberg_cohomology.linalg import RationalMatrix
 from heisenberg_cohomology.superexterior import SuperMonomial
 
 
@@ -57,6 +58,23 @@ def dense_rank_fractions(rows, cols, entries):
                 m[r] = [a - f * b for a, b in zip(m[r], m[rk])]
         rk += 1
     return rk
+
+
+def matmul(a, b):
+    """a @ b for RationalMatrix operands, column by column: column c of
+    the product is sum_k b[k, c] * (column k of a), over the integers,
+    with scale a.scale * b.scale."""
+    if a.cols != b.rows:
+        raise ValueError("shape mismatch: %dx%d @ %dx%d"
+                         % (a.rows, a.cols, b.rows, b.cols))
+    out = []
+    for col in b.columns:
+        acc = {}
+        for k, w in col.items():
+            for r, v in a.columns[k].items():
+                acc[r] = acc.get(r, 0) + v * w
+        out.append({r: v for r, v in acc.items() if v})
+    return RationalMatrix.from_columns(a.rows, out, a.scale * b.scale)
 
 
 def dense_rank_bareiss(rows, cols, entries):

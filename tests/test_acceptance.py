@@ -31,7 +31,7 @@ from heisenberg_cohomology.superexterior import (SuperMonomial, SuperSpaceDims,
                                                  SuperElement)
 from heisenberg_cohomology.differential import d_element
 
-from oracles import (dense_rank_fractions, insertion_terms,
+from oracles import (dense_rank_fractions, insertion_terms, matmul,
                      monomial_generator_sequence, pairing_det_perm,
                      tensor_normal_form)
 
@@ -161,7 +161,7 @@ def test_acceptance_5_structural_identities(criterion):
             dims = SuperSpaceDims(*alg.superdim)
             mats = {q: differential_matrix(alg, q) for q in range(8)}
             for q in range(7):
-                assert (mats[q + 1].matrix @ mats[q].matrix).is_zero(), (alg.name, q)
+                assert matmul(mats[q + 1].matrix, mats[q].matrix).is_zero(), (alg.name, q)
             # <d omega, u> equals the bracket-insertion sum on every pair
             for q in range(4):
                 primal_tables = [(u, _pairing_table(alg, u))

@@ -256,6 +256,21 @@ def test_verify_refuses_the_grid_before_computing(capsysbinary, monkeypatch):
         assert (code, out, err) == (3, b"", message), argv
 
 
+def test_verify_refuses_an_oversized_grid_from_its_size(capsysbinary, monkeypatch):
+    # 10^8 points at q=0 each fit the cap; the point count alone refuses
+    monkeypatch.setattr(verify, "betti_table", _never_built)
+    monkeypatch.setattr(verify, "check_column_cap", _never_built)
+    for argv, points in (
+            (["verify", "--family", "odd", "--n-max", "100000000", "--q-max", "0"],
+             100000000),
+            (["verify", "--family", "even", "--n-max", "40", "--m-max", "40",
+              "--q-max", "0"], 1600)):
+        code, out, err = run_cli(capsysbinary, argv)
+        assert (code, out) == (3, b""), argv
+        assert err == ("resource refusal: refusing a verify grid of %d points, "
+                       "limit is %d\n" % (points, verify.MAX_GRID_POINTS)).encode()
+
+
 def test_refusal_message_matches_betti_table(capsysbinary):
     from heisenberg_cohomology.cohomology import ColumnCapExceeded, betti_table
     with pytest.raises(ColumnCapExceeded) as exc:
@@ -298,3 +313,19 @@ def test_internal_error_exit_5_without_traceback(capsysbinary, monkeypatch):
     assert (code, out) == (5, b"")
     assert err == b"internal error: d_1 has shape 3x2, not dim C^2 x dim C^1\n"
     assert b"Traceback" not in err
+
+
+def test_inconsistent_report_is_an_internal_error(capsysbinary, monkeypatch):
+    from heisenberg_cohomology.cohomology import (CohomologyReport,
+                                                  METHOD_FORMULA_ODD_PROOF)
+
+    def inconsistent(n, q):
+        # dim H^q = 5 with 1 cocycle and no coboundary
+        return CohomologyReport("h_%d" % n, q, 1, 1, 0, 5, METHOD_FORMULA_ODD_PROOF)
+
+    monkeypatch.setattr(cli, "odd_formula_report", inconsistent)
+    code, out, err = run_cli(capsysbinary, [
+        "odd", "--n", "1", "--q-max", "0", "--method", "formula"])
+    assert (code, out) == (5, b"")
+    assert err.startswith(b"internal error: inconsistent dimensions in CohomologyReport(")
+    assert err.count(b"\n") == 1 and b"Traceback" not in err

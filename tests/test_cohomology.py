@@ -87,6 +87,9 @@ def test_betti_table_refuses_before_building(monkeypatch):
         raise AssertionError("a matrix was built before the refusal")
 
     monkeypatch.setattr(cohomology, "differential_matrix", no_build)
+    monkeypatch.setattr(cohomology, "adapted_basis", no_build)
+    with pytest.raises(ColumnCapExceeded):
+        cohomology_dims(make_heisenberg_even(14, 16), 3)
     with pytest.raises(ColumnCapExceeded) as err:
         betti_table(make_heisenberg_even(14, 16), 3)
     # dims (29|16): 1006 columns at q=2, 3654 + 6496 + 3944 + 816 at q=3
