@@ -5,10 +5,10 @@ Verbs: `even` and `odd` print Betti tables for the built-in families,
 closed-form formulas against the rank engine on a grid.  All output is
 byte-deterministic; `verify` prints its elapsed time to stderr.  Exit
 codes: 0 success, 1 usage or parse error, 2 validation error,
-3 resource refusal (a matrix over the column cap, or a verify grid over
-verify.MAX_GRID_POINTS), 4 verification mismatch, 5 internal error (a
-failed invariant check, such as an inconsistent CohomologyReport,
-reported as one line on stderr).
+3 resource refusal (a --q-max over MAX_Q_MAX, a matrix over the column
+cap, or a verify grid over verify.MAX_GRID_POINTS), 4 verification
+mismatch, 5 internal error (a failed invariant check, such as an
+inconsistent CohomologyReport, reported as one line on stderr).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .cohomology import (DEFAULT_COLUMN_CAP, ColumnCapExceeded,
                          even_formula_report, odd_formula_report)
 from .fileformats import (AlgebraParseError, AlgebraValidationError,
                           emit_report, parse_algebra)
-from .verify import GridTooLarge, VerifyResult, verify_family
+from .verify import GridTooLarge, VerifyResult, check_grid, verify_family
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -32,6 +32,24 @@ EXIT_VALIDATION = 2
 EXIT_RESOURCE = 3
 EXIT_MISMATCH = 4
 EXIT_INTERNAL = 5
+
+# Largest --q-max any verb accepts.  The column cap bounds the width of
+# each degree, not how many degrees there are: with at most one odd
+# generator dim C^q stops growing, so the cap never refuses, and the
+# closed forms cost O(q^4) per table.  Every test, demo and benchmark
+# degree is far below it.
+MAX_Q_MAX = 100
+
+
+class DegreeLimitExceeded(RuntimeError):
+    """Refusal of a --q-max over MAX_Q_MAX."""
+
+
+def _check_degree(q_max: int) -> None:
+    # O(1), before any file is read or family is built
+    if q_max > MAX_Q_MAX:
+        raise DegreeLimitExceeded("refusing --q-max %d, limit is %d"
+                                  % (q_max, MAX_Q_MAX))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -113,6 +131,7 @@ def _family_reports(args, shape, build_family, formula_factory):
     """
     if args.q_max < 0:
         raise ValueError("--q-max must be nonnegative")
+    _check_degree(args.q_max)
     reports = []
     ranked = None
     if args.method in ("rank", "both"):
@@ -143,6 +162,7 @@ def _cmd_odd(args) -> int:
 
 
 def _cmd_compute(args) -> int:
+    _check_degree(args.q_max)
     with open(args.algebra, "rb") as fh:
         text = fh.read()
     alg = parse_algebra(text)
@@ -184,6 +204,8 @@ def _verify_json(res: VerifyResult) -> str:
 
 
 def _cmd_verify(args) -> int:
+    check_grid(args.family, args.n_max, args.m_max, args.q_max)
+    _check_degree(args.q_max)
     res = verify_family(args.family, args.n_max, args.m_max, args.q_max,
                         args.column_cap)
     text = _verify_text(res) if args.format == "text" else _verify_json(res)
@@ -210,7 +232,7 @@ def main(argv=None) -> int:
     except AlgebraValidationError as exc:
         print("validation error: %s" % exc, file=sys.stderr)
         return EXIT_VALIDATION
-    except (ColumnCapExceeded, GridTooLarge) as exc:
+    except (ColumnCapExceeded, DegreeLimitExceeded, GridTooLarge) as exc:
         print("resource refusal: %s" % exc, file=sys.stderr)
         return EXIT_RESOURCE
     except OSError as exc:

@@ -4,10 +4,12 @@ A RationalMatrix is a list of sparse integer columns ({row: int}, no
 stored zeros) times one exact rational scale, so the coboundary kernel's
 integer output is a matrix as it stands.  rank() eliminates those
 integer columns directly (a nonzero scale cannot change rank) by
-fraction-free elimination: pivots are chosen Markowitz-style (sparsest
-column, then the sparsest row in it, ties to the lowest index), and
-updated rows are divided by their content gcd to keep entries small.
-Everything is exact; no floating point enters anywhere.
+fraction-free echelon elimination in one order fixed before it starts:
+rows by nonzero count (ties to the lowest index), columns sparsest
+first.  Each column is reduced against the pivots found so far, keyed
+by their first row in that order, and every updated column is divided
+by its content gcd to keep entries small.  Everything is exact; no
+floating point enters anywhere.
 """
 
 from __future__ import annotations
@@ -99,78 +101,46 @@ class RationalMatrix:
 
 
 def rank(matrix: RationalMatrix) -> int:
-    """Exact rank by sparse integer elimination of the stored columns."""
-    rows: Dict[int, Dict[int, int]] = {}
-    col_rows: Dict[int, set] = {}
-    for c, col in enumerate(matrix.columns):
-        if col:
-            col_rows[c] = set(col)
-            for r, v in col.items():
-                rows.setdefault(r, {})[c] = v
-    # Markowitz queue: live columns bucketed by their row count, so the
-    # sparsest column (lowest index on ties) is found without a scan
-    buckets: Dict[int, set] = {}
-    for c, holders in col_rows.items():
-        buckets.setdefault(len(holders), set()).add(c)
-    rk = 0
-    while col_rows:
-        c = min(buckets[min(buckets)])
-        r = min(col_rows[c], key=lambda i: (len(rows[i]), i))
-        pivot_row = rows.pop(r)
-        p = pivot_row[c]
-        # a step only changes the counts of the pivot row's columns:
-        # fill-in and cancellation both happen where the pivot row is nonzero
-        before = {cc: len(col_rows[cc]) for cc in pivot_row}
-        for cc in pivot_row:
-            holders = col_rows[cc]
-            holders.discard(r)
-            if not holders:
-                del col_rows[cc]
-        targets = sorted(col_rows.get(c, ()))
-        for r2 in targets:
-            row2 = rows[r2]
-            a = row2[c]
-            new = {cc: p * v for cc, v in row2.items() if cc != c}
-            for cc, v in pivot_row.items():
-                if cc == c:
-                    continue
-                w = new.get(cc, 0) - a * v
+    """Exact rank by fraction-free elimination of the stored columns in
+    one pivot order, fixed before elimination starts."""
+    counts: Dict[int, int] = {}
+    for col in matrix.columns:
+        for r in col:
+            counts[r] = counts.get(r, 0) + 1
+    # rows in the fixed order: fewer nonzeros first, lower index on ties;
+    # a column is kept as {position of the row in that order: value}
+    position = {r: i for i, r in enumerate(sorted(counts, key=lambda r: (counts[r], r)))}
+    pivots: Dict[int, Dict[int, int]] = {}
+    for col in sorted(filter(None, matrix.columns), key=len):
+        v = {position[r]: x for r, x in col.items()}
+        lead = min(v)
+        # every row of the pivot keyed at `lead` comes at or after `lead`,
+        # and the update cancels `lead`, so the first row of v moves
+        # strictly later at each step and the loop ends
+        while lead in pivots:
+            p = pivots[lead]
+            if len(v) < len(p):
+                # the sparser of the two is kept as the pivot
+                pivots[lead], v, p = v, p, v
+            a, b = p[lead], v[lead]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            v = {k: a * x for k, x in v.items()}
+            for k, x in p.items():
+                w = v.get(k, 0) - b * x
                 if w:
-                    new[cc] = w
-                elif cc in new:
-                    del new[cc]
-            if new:
-                g = 0
-                for v in new.values():
-                    g = gcd(g, v)
-                    if g == 1:
-                        break
-                if g > 1:
-                    new = {cc: v // g for cc, v in new.items()}
-            for cc in row2:
-                if cc not in new:
-                    holders = col_rows.get(cc)
-                    if holders is not None:
-                        holders.discard(r2)
-                        if not holders:
-                            del col_rows[cc]
-            for cc in new:
-                if cc not in row2:
-                    col_rows.setdefault(cc, set()).add(r2)
-            if new:
-                rows[r2] = new
-            else:
-                del rows[r2]
-        for cc, n in before.items():
-            bucket = buckets[n]
-            bucket.discard(cc)
-            if not bucket:
-                del buckets[n]
-            holders = col_rows.get(cc)
-            if holders:
-                buckets.setdefault(len(holders), set()).add(cc)
-        rk += 1
-    return rk
+                    v[k] = w
+                else:
+                    del v[k]
+            if not v:
+                break
+            g = gcd(*v.values())
+            if g > 1:
+                v = {k: x // g for k, x in v.items()}
+            lead = min(v)
+        else:
+            pivots[lead] = v
+    return len(pivots)
 
 
 def kernel_dim(matrix: RationalMatrix) -> int:

@@ -20,7 +20,7 @@ it; the canonical basis order is `monomial_sort_key`, not tuple order.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import comb, factorial, prod
 from operator import add, itemgetter
 from typing import Iterable, Iterator, Mapping, Tuple, NamedTuple, Union
@@ -259,17 +259,13 @@ def wedge(a: SuperElement, b: SuperElement) -> SuperElement:
 
 
 def _odd_exponent_vectors(total: int, m: int) -> Iterator[Tuple[int, ...]]:
-    # descending lexicographic order on exponent tuples
-    if m == 0:
-        if total == 0:
-            yield ()
-        return
-    if m == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _odd_exponent_vectors(total - first, m - 1):
-            yield (first,) + rest
+    # index multisets come in lexicographic order, which is descending
+    # lexicographic order of the exponent tuples; O(m + total) per tuple
+    for picks in combinations_with_replacement(range(m), total):
+        alpha = [0] * m
+        for i in picks:
+            alpha[i] += 1
+        yield tuple(alpha)
 
 
 def enumerate_basis(dims: SuperSpaceDims, q: int):

@@ -94,6 +94,25 @@ class VerifyResult:
         return not self.failures
 
 
+def check_grid(family: str, n_max: int, m_max: Optional[int],
+               q_max: int) -> None:
+    """The O(1) checks on verify_family's arguments: ValueError for a
+    bad grid, then GridTooLarge for one of more than MAX_GRID_POINTS."""
+    if n_max < 1 or q_max < 0:
+        raise ValueError("need n_max >= 1 and q_max >= 0")
+    if family == "even":
+        if m_max is None or m_max < 1:
+            raise ValueError("family 'even' needs m_max >= 1")
+    elif family == "odd":
+        if m_max is not None:
+            raise ValueError("family 'odd' takes no m_max")
+    else:
+        raise ValueError("family must be 'even' or 'odd', got %r" % family)
+    points = n_max * (m_max or 1)
+    if points > MAX_GRID_POINTS:
+        raise GridTooLarge(points, MAX_GRID_POINTS)
+
+
 def verify_family(family: str, n_max: int, m_max: Optional[int] = None,
                   q_max: int = 8,
                   column_cap: int = DEFAULT_COLUMN_CAP) -> VerifyResult:
@@ -110,19 +129,7 @@ def verify_family(family: str, n_max: int, m_max: Optional[int] = None,
     oversized grid is refused at once.
     """
     start = time.perf_counter()
-    if n_max < 1 or q_max < 0:
-        raise ValueError("need n_max >= 1 and q_max >= 0")
-    if family == "even":
-        if m_max is None or m_max < 1:
-            raise ValueError("family 'even' needs m_max >= 1")
-    elif family == "odd":
-        if m_max is not None:
-            raise ValueError("family 'odd' takes no m_max")
-    else:
-        raise ValueError("family must be 'even' or 'odd', got %r" % family)
-    points = n_max * (m_max or 1)
-    if points > MAX_GRID_POINTS:
-        raise GridTooLarge(points, MAX_GRID_POINTS)
+    check_grid(family, n_max, m_max, q_max)
     checks: List[Comparison] = []
     if family == "even":
         grid = (range(1, n_max + 1), range(1, m_max + 1))

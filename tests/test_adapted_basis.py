@@ -16,11 +16,12 @@ from heisenberg_cohomology.algebra import (EVEN, ODD, LieSuperalgebra,
                                            make_heisenberg_odd, validate)
 from heisenberg_cohomology.cohomology import betti_table, cohomology_dims
 from heisenberg_cohomology.differential import differential_matrix
+from heisenberg_cohomology.fileformats import format_algebra, parse_algebra
 from heisenberg_cohomology.formulas import dim_h_even, dim_h_odd_proof
 from heisenberg_cohomology.linalg import rank
 from heisenberg_cohomology.superexterior import SuperSpaceDims, graded_dim
 
-from oracles import dense_rank_bareiss
+from oracles import dense_rank_bareiss, matmul
 from test_validate import (OSP12, SL2, _table, change_basis, direct_sum,
                            random_graded_table, random_two_step)
 
@@ -199,5 +200,24 @@ def test_hidden_two_step_hypothesis():
             assert rank(differential_matrix(alg, q).matrix) == \
                 rank(differential_matrix(adapted, q).matrix)
         assert [r.dim_cohomology for r in betti_table(alg, 3)] == _dense_betti(alg, 3)
+
+    check()
+
+
+def test_hidden_two_step_squares_to_zero_and_round_trips_hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(st.integers(0, 2 ** 32), st.integers(2, 6),
+                      st.sampled_from((0.3, 0.6, 0.9)))
+    def check(seed, dim, density):
+        rng = random.Random(seed)
+        alg = LieSuperalgebra("h", *change_basis(rng, random_two_step(rng, dim, density)))
+        assert parse_algebra(format_algebra(alg)) == alg
+        d = [differential_matrix(alg, q).matrix for q in range(4)]
+        for q in range(3):
+            assert matmul(d[q + 1], d[q]).is_zero(), q
 
     check()

@@ -329,3 +329,57 @@ def test_inconsistent_report_is_an_internal_error(capsysbinary, monkeypatch):
     assert (code, out) == (5, b"")
     assert err.startswith(b"internal error: inconsistent dimensions in CohomologyReport(")
     assert err.count(b"\n") == 1 and b"Traceback" not in err
+
+
+def _degree_refusal(q_max):
+    return ("resource refusal: refusing --q-max %d, limit is %d\n"
+            % (q_max, cli.MAX_Q_MAX)).encode()
+
+
+def test_degree_limit_refuses_before_any_work(capsysbinary, monkeypatch, tmp_path):
+    for name in ("make_heisenberg_even", "make_heisenberg_odd", "betti_table",
+                 "check_column_cap", "even_formula_report",
+                 "odd_formula_report", "parse_algebra"):
+        monkeypatch.setattr(cli, name, _never_built)
+    monkeypatch.setattr(verify, "betti_table", _never_built)
+    monkeypatch.setattr(verify, "check_column_cap", _never_built)
+    missing = str(tmp_path / "missing.alg")
+    for q_max in (cli.MAX_Q_MAX + 1, 100000000):
+        q = str(q_max)
+        for argv in (
+                ["even", "--n", "1", "--m", "1", "--q-max", q],
+                ["even", "--n", "1", "--m", "1", "--q-max", q, "--method", "both"],
+                ["odd", "--n", "1", "--q-max", q, "--method", "formula"],
+                ["odd", "--n", "3000000", "--q-max", q],
+                ["compute", "--algebra", missing, "--q-max", q],
+                ["verify", "--family", "even", "--n-max", "1", "--m-max", "1",
+                 "--q-max", q],
+                ["verify", "--family", "odd", "--n-max", "3", "--q-max", q]):
+            code, out, err = run_cli(capsysbinary, argv)
+            assert (code, out, err) == (3, b"", _degree_refusal(q_max)), argv
+
+
+def test_argument_checks_come_before_the_degree_limit(capsysbinary):
+    q = "100000000"
+    for argv, code, message in (
+            (["even", "--n", "0", "--m", "1", "--q-max", q], 2,
+             b"validation error: h_{n,m} needs n >= 1 and m >= 1\n"),
+            (["odd", "--n", "0", "--q-max", q, "--method", "formula"], 2,
+             b"validation error: h_n needs n >= 1\n"),
+            (["verify", "--family", "even", "--n-max", "0", "--m-max", "1",
+              "--q-max", q], 2, b"validation error: need n_max >= 1 and q_max >= 0\n"),
+            (["verify", "--family", "odd", "--n-max", "1", "--m-max", "1",
+              "--q-max", q], 2, b"validation error: family 'odd' takes no m_max\n"),
+            (["verify", "--family", "odd", "--n-max", "100000000", "--q-max", q], 3,
+             b"resource refusal: refusing a verify grid of 100000000 points, "
+             b"limit is 1000\n")):
+        assert run_cli(capsysbinary, argv) == (code, b"", message), argv
+
+
+def test_degree_limit_itself_is_accepted(capsysbinary):
+    code, out, _ = run_cli(capsysbinary, [
+        "even", "--n", "1", "--m", "1", "--q-max", str(cli.MAX_Q_MAX),
+        "--format", "csv"])
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out.decode())))[1:]
+    assert [r[1] for r in rows] == [str(q) for q in range(cli.MAX_Q_MAX + 1)]

@@ -218,3 +218,42 @@ def test_rank_with_a_negative_scale():
             m = psi_matrix(t, n, 2)
             assert m.scale < 0
             assert rank(m) == dense_rank_bareiss(m.rows, m.cols, m.entries)
+
+
+def _random_integer_columns(rng, rows, cols, density):
+    """Sparse integer columns with zero columns, duplicates, multiples of
+    earlier columns and entries of up to 30 digits."""
+    columns = []
+    for _ in range(cols):
+        pick = rng.random()
+        if pick < 0.15:
+            columns.append({})
+        elif pick < 0.35 and columns:
+            factor = rng.choice((1, -1, rng.randint(2, 10 ** 12)))
+            columns.append({r: factor * v for r, v in rng.choice(columns).items()})
+        else:
+            columns.append({r: rng.choice((1, -1)) * rng.randint(1, 10 ** rng.randint(1, 30))
+                            for r in range(rows) if rng.random() < density})
+    return columns
+
+
+def test_rank_hypothesis_under_row_and_column_permutations():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=80, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(st.integers(0, 2 ** 32), st.integers(1, 10),
+                      st.integers(1, 10), st.sampled_from((0.15, 0.4, 0.8)))
+    def check(seed, rows, cols, density):
+        rng = random.Random(seed)
+        columns = _random_integer_columns(rng, rows, cols, density)
+        want = dense_rank_bareiss(rows, cols, RationalMatrix.from_columns(rows, columns).entries)
+        row_order = list(range(rows))
+        rng.shuffle(row_order)
+        permuted = [{row_order[r]: v for r, v in col.items()} for col in columns]
+        rng.shuffle(permuted)
+        assert rank(RationalMatrix.from_columns(rows, columns)) == want
+        assert rank(RationalMatrix.from_columns(rows, permuted, rng.choice((-1, 3)))) == want
+
+    check()

@@ -2,6 +2,7 @@ import copy
 import pickle
 import random
 from fractions import Fraction
+from itertools import product
 from math import factorial
 
 import pytest
@@ -10,9 +11,9 @@ from heisenberg_cohomology.algebra import make_heisenberg_even
 from heisenberg_cohomology.differential import (_d_columns, _integer_slots,
                                                 d_element)
 from heisenberg_cohomology.superexterior import (
-    SuperElement, SuperMonomial, SuperSpaceDims, dual_pairing,
-    element_pairing, enumerate_basis, graded_dim, monomial_sort_key, wedge,
-    wedge_monomials)
+    SuperElement, SuperMonomial, SuperSpaceDims, _odd_exponent_vectors,
+    dual_pairing, element_pairing, enumerate_basis, graded_dim,
+    monomial_sort_key, wedge, wedge_monomials)
 
 from oracles import permanent, tensor_normal_form
 
@@ -254,3 +255,17 @@ def test_basis_monomials_are_kernel_keys():
         for m, col in zip(domain, columns):
             image = {codomain[r]: Fraction(v, denom) for r, v in col.items()}
             assert image == d_element(alg, SuperElement.from_monomial(m)).terms
+
+
+def test_odd_exponent_vectors_are_the_sorted_exponent_tuples():
+    # descending lexicographic order of every exponent tuple of the degree
+    for m in range(6):
+        for total in range(7):
+            brute = sorted((a for a in product(range(total + 1), repeat=m)
+                            if sum(a) == total), reverse=True)
+            assert list(_odd_exponent_vectors(total, m)) == brute, (m, total)
+
+
+def test_enumerate_basis_of_many_odd_duals():
+    dims = SuperSpaceDims(0, 401)
+    assert len(enumerate_basis(dims, 2)) == graded_dim(dims, 2)
