@@ -10,8 +10,8 @@ from .algebra import (EVEN, ODD, Generator, LieSuperalgebra,
                       make_heisenberg_even, make_heisenberg_odd, validate)
 from .cohomology import (DEFAULT_COLUMN_CAP, METHOD_FORMULA_EVEN,
                          METHOD_FORMULA_ODD_PROOF, METHOD_RANK,
-                         CohomologyReport, ColumnCapExceeded, betti_table,
-                         cohomology_dims)
+                         CodomainTooLarge, CohomologyReport,
+                         ColumnCapExceeded, betti_table, cohomology_dims)
 from .differential import (DifferentialMatrix, d_element, d_generator,
                            differential_matrix, psi_matrix, tau)
 from .fileformats import (AlgebraParseError, AlgebraValidationError,
@@ -37,7 +37,8 @@ __all__ = [
     "RationalMatrix", "rank", "kernel_dim",
     "DifferentialMatrix", "d_generator", "d_element",
     "differential_matrix", "tau", "psi_matrix",
-    "CohomologyReport", "ColumnCapExceeded", "cohomology_dims",
+    "CohomologyReport", "ColumnCapExceeded", "CodomainTooLarge",
+    "cohomology_dims",
     "betti_table", "DEFAULT_COLUMN_CAP",
     "METHOD_RANK", "METHOD_FORMULA_EVEN", "METHOD_FORMULA_ODD_PROOF",
     "binom", "delta", "sym_power_dim", "dim_h_even", "ker_psi_dim",

@@ -6,9 +6,10 @@ closed-form formulas against the rank engine on a grid.  All output is
 byte-deterministic; `verify` prints its elapsed time to stderr.  Exit
 codes: 0 success, 1 usage or parse error, 2 validation error,
 3 resource refusal (a --q-max over MAX_Q_MAX, a matrix over the column
-cap, or a verify grid over verify.MAX_GRID_POINTS), 4 verification
-mismatch, 5 internal error (a failed invariant check, such as an
-inconsistent CohomologyReport, reported as one line on stderr).
+cap, a top codomain over 100 times the cap in rows, or a verify grid
+over verify.MAX_GRID_POINTS), 4 verification mismatch, 5 internal
+error (a failed invariant check, such as an inconsistent
+CohomologyReport, reported as one line on stderr).
 """
 
 from __future__ import annotations
@@ -19,9 +20,10 @@ import sys
 
 from .algebra import (even_family_shape, make_heisenberg_even,
                       make_heisenberg_odd, odd_family_shape)
-from .cohomology import (DEFAULT_COLUMN_CAP, ColumnCapExceeded,
-                         ReportInvariantError, betti_table, check_column_cap,
-                         even_formula_report, odd_formula_report)
+from .cohomology import (DEFAULT_COLUMN_CAP, CodomainTooLarge,
+                         ColumnCapExceeded, ReportInvariantError, betti_table,
+                         check_column_cap, even_formula_report,
+                         odd_formula_report)
 from .fileformats import (AlgebraParseError, AlgebraValidationError,
                           emit_report, parse_algebra)
 from .verify import GridTooLarge, VerifyResult, check_grid, verify_family
@@ -232,7 +234,8 @@ def main(argv=None) -> int:
     except AlgebraValidationError as exc:
         print("validation error: %s" % exc, file=sys.stderr)
         return EXIT_VALIDATION
-    except (ColumnCapExceeded, DegreeLimitExceeded, GridTooLarge) as exc:
+    except (ColumnCapExceeded, CodomainTooLarge, DegreeLimitExceeded,
+            GridTooLarge) as exc:
         print("resource refusal: %s" % exc, file=sys.stderr)
         return EXIT_RESOURCE
     except OSError as exc:

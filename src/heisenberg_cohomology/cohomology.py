@@ -11,7 +11,9 @@ in a dense basis sparse.  On the built-in families that rewrite is the
 identity.  The closed forms' reports for the two built-in families are
 built here too (even_formula_report, odd_formula_report), so every
 CohomologyReport comes from this module; a report whose dimensions are
-inconsistent raises ReportInvariantError.
+inconsistent raises ReportInvariantError.  The codomain of the top
+degree, which is enumerated only to number rows, is capped too, at
+CODOMAIN_ROWS_PER_COLUMN times the column cap.
 """
 
 from __future__ import annotations
@@ -27,6 +29,11 @@ from .linalg import rank
 from .superexterior import SuperSpaceDims, graded_dim
 
 DEFAULT_COLUMN_CAP = 5000
+
+# The codomain C^{q+1} of the top degree is enumerated to number rows but
+# is nobody's domain, so the column cap does not bound it: it is refused
+# beyond this many rows per column of the cap (500,000 at the default).
+CODOMAIN_ROWS_PER_COLUMN = 100
 
 METHOD_RANK = "rank"
 METHOD_FORMULA_EVEN = "formula-even"
@@ -46,6 +53,21 @@ class ColumnCapExceeded(RuntimeError):
         self.q = q
         self.columns = columns
         self.cap = cap
+
+
+class CodomainTooLarge(RuntimeError):
+    """Refusal to build a coboundary matrix whose codomain has more rows
+    than CODOMAIN_ROWS_PER_COLUMN times the column cap."""
+
+    def __init__(self, algebra_name: str, q: int, rows: int, limit: int):
+        super().__init__(
+            "refusing %s at q=%d: codomain C^%d has %d rows, limit is %d "
+            "(%d times the column cap; raise the cap to force the computation)"
+            % (algebra_name, q, q + 1, rows, limit, CODOMAIN_ROWS_PER_COLUMN))
+        self.algebra_name = algebra_name
+        self.q = q
+        self.rows = rows
+        self.limit = limit
 
 
 class ReportInvariantError(ValueError):
@@ -85,14 +107,25 @@ def _capped_dim(name: str, superdim: Tuple[int, int], q: int, cap: int) -> int:
     return columns
 
 
+def _check_codomain(name: str, superdim: Tuple[int, int], q: int, cap: int) -> None:
+    """Refuse d_q if dim C^{q+1} is over CODOMAIN_ROWS_PER_COLUMN * cap."""
+    rows = graded_dim(SuperSpaceDims(*superdim), q + 1)
+    limit = CODOMAIN_ROWS_PER_COLUMN * cap
+    if rows > limit:
+        raise CodomainTooLarge(name, q, rows, limit)
+
+
 def check_column_cap(name: str, superdim: Tuple[int, int], q_max: int,
                      column_cap: int = DEFAULT_COLUMN_CAP) -> None:
     """Refuse, naming the first degree over the cap, if any degree
     0..q_max of an algebra of superdimension `superdim` is wider than
-    `column_cap`.  Needs only the superdimension, so a caller can refuse
-    before the algebra is built."""
+    `column_cap`; then refuse if the codomain C^{q_max+1} of the last
+    matrix has more rows than CODOMAIN_ROWS_PER_COLUMN * column_cap.
+    Needs only the superdimension, so a caller can refuse before the
+    algebra is built."""
     for q in range(q_max + 1):
         _capped_dim(name, superdim, q, column_cap)
+    _check_codomain(name, superdim, q_max, column_cap)
 
 
 def _checked_rank(algebra: LieSuperalgebra, q: int, cap: int):
@@ -117,6 +150,7 @@ def cohomology_dims(algebra: LieSuperalgebra, q: int,
     for degree in (q, q - 1):
         if degree >= 0:
             _capped_dim(algebra.name, algebra.superdim, degree, column_cap)
+    _check_codomain(algebra.name, algebra.superdim, q, column_cap)
     algebra = adapted_basis(algebra)
     dim_c, rank_q = _checked_rank(algebra, q, column_cap)
     _, rank_prev = _checked_rank(algebra, q - 1, column_cap)

@@ -22,12 +22,20 @@ over as a RationalMatrix with scale 1/D (-1/D for psi at odd t), and
 d_element (and tau through it) turns them into SuperElements with
 coefficients coeff * v / D.  The tests hold the kernel to the
 alternating-sum formula entry by entry.
+
+Work that depends only on a value is done once per value: a cochain
+space and its row index once per (dims, q), so the domain of d_q is the
+codomain just built for d_{q-1}; an algebra's slot table once per
+content of its table; h_n once per n for psi_matrix and tau.  The memos
+are small and bounded, and what they return is never mutated.
 """
 
 from __future__ import annotations
 
+import atexit
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from operator import add
 from typing import Dict, Tuple
@@ -76,8 +84,19 @@ def _integer_slots(algebra: LieSuperalgebra):
     per odd dual position.  A term is (even_mask, even_set,
     odd_exponents, odd_degree, D * coefficient) for a degree-2 monomial
     of d_generator; D is the lcm of the coefficient denominators, so
-    every scaled coefficient is an integer.
+    every scaled coefficient is an integer.  Memoized on the algebra's
+    content (generators and bracket table), never on its identity.
     """
+    table = tuple(sorted((pair, tuple(sorted(targets.items())))
+                         for pair, targets in algebra.brackets.items()))
+    return _slot_table(algebra.generators, table)
+
+
+@lru_cache(maxsize=16)
+def _slot_table(generators, brackets):
+    # rebuilt from the snapshot, so the memo holds no caller's algebra
+    algebra = LieSuperalgebra("", generators, {pair: dict(targets)
+                                               for pair, targets in brackets})
     table = [d_generator(algebra, g).terms
              for g in algebra.even_indices + algebra.odd_indices]
     denom = lcm(1, *(c.denominator for terms in table for c in terms.values()))
@@ -85,48 +104,73 @@ def _integer_slots(algebra: LieSuperalgebra):
                     int(c * denom)) for m, c in terms.items())
              for terms in table]
     n0 = algebra.superdim[0]
-    return denom, slots[:n0], slots[n0:]
+    return denom, tuple(slots[:n0]), tuple(slots[n0:])
+
+
+@lru_cache(maxsize=4)
+def _heisenberg_odd(n: int) -> LieSuperalgebra:
+    # built and validated once per n for psi_matrix and tau
+    return make_heisenberg_odd(n)
+
+
+@lru_cache(maxsize=2)
+def _cochain_space(dims: Tuple[int, int], q: int):
+    """(basis, {key: row}) of C^q over `dims`, in the canonical order.
+
+    Two spaces are kept: d_q's codomain is d_{q+1}'s domain, and psi's
+    bases serve every power l.  Callers do not mutate either.
+    """
+    basis = tuple(enumerate_basis(SuperSpaceDims(*dims), q))
+    return basis, {key: r for r, key in enumerate(basis)}
+
+
+# Emptied before interpreter shutdown: every collection the shutdown runs
+# would walk the cached monomials (tens of thousands of tracked tuples on
+# a CLI run), which costs several times more than releasing them first.
+atexit.register(_cochain_space.cache_clear)
 
 
 def _d_columns(even_slots, odd_slots, domain, row_index):
     """Integer coboundary columns {row: value} of (even_mask, alpha) keys.
 
-    Applies the derivation rule to e_S o^alpha directly.  The factor at
-    position t contributes (-1)^t g_1..g_{t-1} (d g_t) g_{t+1}..g_q, put
-    in normal form by counting crossings as wedge_monomials does: each
-    even factor of a d-term crosses the earlier evens above it and the
-    later evens below it, and each odd factor crosses the later evens.
+    Applies the derivation rule to e_S o^alpha directly, visiting only
+    the factors whose dual has a nonzero d.  The factor at position t
+    contributes (-1)^t g_1..g_{t-1} (d g_t) g_{t+1}..g_q, put in normal
+    form by counting crossings as wedge_monomials does: each even factor
+    of a d-term crosses the earlier evens above it and the later evens
+    below it, and each odd factor crosses the later evens.
     """
+    active = sum(1 << i for i, terms in enumerate(even_slots) if terms)
+    active_odd = [(j, terms) for j, terms in enumerate(odd_slots) if terms]
     columns = []
     for mask, alpha in domain:
         col: Dict[int, int] = {}
         k = mask.bit_count()
-        t = 0
-        rest = mask
+        rest = mask & active
         while rest:
             low = rest & -rest
             rest ^= low
-            terms = even_slots[low.bit_length() - 1]
-            if terms:
-                others = mask ^ low
-                below = others & (low - 1)
-                above = others ^ below
-                for emask, evens, beta, odd_deg, c in terms:
-                    if emask & others:
-                        continue
-                    swaps = t + odd_deg * (k - 1 - t)
-                    for e in evens:
-                        swaps += ((below >> (e + 1)).bit_count()
-                                  + (above & ((1 << e) - 1)).bit_count())
-                    r = row_index[(others | emask, tuple(map(add, alpha, beta)))]
-                    col[r] = col.get(r, 0) + (-c if swaps & 1 else c)
-            t += 1
-        # the copies of o_j sit at positions t..t+a-1, after all evens
-        for j, a in enumerate(alpha):
-            terms = odd_slots[j] if a else ()
-            if terms:
-                odds = list(alpha)
-                odds[j] -= 1
+            others = mask ^ low
+            below = others & (low - 1)
+            above = others ^ below
+            t = below.bit_count()
+            for emask, evens, beta, odd_deg, c in even_slots[low.bit_length() - 1]:
+                if emask & others:
+                    continue
+                swaps = t + odd_deg * (k - 1 - t)
+                for e in evens:
+                    swaps += ((below >> (e + 1)).bit_count()
+                              + (above & ((1 << e) - 1)).bit_count())
+                r = row_index[(others | emask, tuple(map(add, alpha, beta)))]
+                col[r] = col.get(r, 0) + (-c if swaps & 1 else c)
+        for j, terms in active_odd:
+            a = alpha[j]
+            if not a:
+                continue
+            # the copies of o_j sit at positions t..t+a-1, after all evens
+            t = k + sum(alpha[:j])
+            odds = list(alpha)
+            odds[j] -= 1
             for emask, evens, beta, odd_deg, c in terms:
                 if emask & mask:
                     continue
@@ -145,7 +189,6 @@ def _d_columns(even_slots, odd_slots, domain, row_index):
                     swaps += (mask >> (e + 1)).bit_count()
                 r = row_index[(mask | emask, tuple(map(add, odds, beta)))]
                 col[r] = col.get(r, 0) + (-mult * c if swaps & 1 else mult * c)
-            t += a
         columns.append({r: v for r, v in col.items() if v})
     return columns
 
@@ -195,10 +238,8 @@ def differential_matrix(algebra: LieSuperalgebra, q: int) -> DifferentialMatrix:
     """Matrix of the coboundary in degree q (columns indexed by C^q)."""
     if q < 0:
         raise ValueError("degree must be nonnegative")
-    dims = SuperSpaceDims(*algebra.superdim)
-    domain = tuple(enumerate_basis(dims, q))
-    codomain = tuple(enumerate_basis(dims, q + 1))
-    row_index = {key: r for r, key in enumerate(codomain)}
+    domain, _ = _cochain_space(algebra.superdim, q)
+    codomain, row_index = _cochain_space(algebra.superdim, q + 1)
     denom, even_slots, odd_slots = _integer_slots(algebra)
     columns = _d_columns(even_slots, odd_slots, domain, row_index)
     mat = RationalMatrix.from_columns(len(codomain), columns, Fraction(1, denom))
@@ -214,7 +255,7 @@ def tau(n: int, l: int) -> SuperElement:
     if n < 1 or l < 1:
         raise ValueError("tau needs n >= 1 and l >= 1")
     zpow = SuperMonomial((), (0,) * n + (l,))
-    return d_element(make_heisenberg_odd(n), SuperElement.from_monomial(zpow))
+    return d_element(_heisenberg_odd(n), SuperElement.from_monomial(zpow))
 
 
 def psi_matrix(t: int, n: int, l: int) -> RationalMatrix:
@@ -230,15 +271,15 @@ def psi_matrix(t: int, n: int, l: int) -> RationalMatrix:
     """
     if n < 1 or l < 1:
         raise ValueError("psi needs n >= 1 and l >= 1")
-    free = SuperSpaceDims(n, n)
-    codomain = enumerate_basis(free, t + 2)
+    codomain, _ = _cochain_space((n, n), t + 2)
     if t < 0:
         return RationalMatrix(len(codomain), 0)
+    free, _ = _cochain_space((n, n), t)
     # a row outside the codomain (another z-dual power) raises KeyError
     row_index = {(mask, odds + (l - 1,)): r
                  for r, (mask, odds) in enumerate(codomain)}
-    domain = [(mask, odds + (l,)) for mask, odds in enumerate_basis(free, t)]
-    denom, even_slots, odd_slots = _integer_slots(make_heisenberg_odd(n))
+    domain = [(mask, odds + (l,)) for mask, odds in free]
+    denom, even_slots, odd_slots = _integer_slots(_heisenberg_odd(n))
     columns = _d_columns(even_slots, odd_slots, domain, row_index)
     sign = -1 if t & 1 else 1
     return RationalMatrix.from_columns(len(codomain), columns, Fraction(sign, denom))

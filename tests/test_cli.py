@@ -271,6 +271,19 @@ def test_verify_refuses_an_oversized_grid_from_its_size(capsysbinary, monkeypatc
                        "limit is %d\n" % (points, verify.MAX_GRID_POINTS)).encode()
 
 
+def test_oversized_codomain_refuses_before_the_family_is_built(capsysbinary,
+                                                              monkeypatch):
+    # 4999 columns at q=1 fit the cap, but d_1's codomain C^2 has
+    # 12,495,001 rows, over 100 times the cap
+    monkeypatch.setattr(cli, "make_heisenberg_odd", _never_built)
+    monkeypatch.setattr(cli, "betti_table", _never_built)
+    code, out, err = run_cli(capsysbinary, ["odd", "--n", "2499", "--q-max", "1"])
+    assert (code, out) == (3, b"")
+    assert err == (b"resource refusal: refusing h_2499 at q=1: codomain C^2 has "
+                   b"12495001 rows, limit is 500000 (100 times the column cap; "
+                   b"raise the cap to force the computation)\n")
+
+
 def test_refusal_message_matches_betti_table(capsysbinary):
     from heisenberg_cohomology.cohomology import ColumnCapExceeded, betti_table
     with pytest.raises(ColumnCapExceeded) as exc:

@@ -2,10 +2,12 @@ import pytest
 
 from heisenberg_cohomology import cohomology
 from heisenberg_cohomology.algebra import (make_heisenberg_even,
-                                           make_heisenberg_odd)
-from heisenberg_cohomology.cohomology import (ColumnCapExceeded,
+                                           make_heisenberg_odd, odd_family_shape)
+from heisenberg_cohomology.cohomology import (CodomainTooLarge,
+                                              ColumnCapExceeded,
                                               CohomologyReport, METHOD_RANK,
-                                              betti_table, cohomology_dims)
+                                              betti_table, check_column_cap,
+                                              cohomology_dims)
 from heisenberg_cohomology.differential import DifferentialMatrix
 from heisenberg_cohomology.linalg import RationalMatrix
 
@@ -80,6 +82,35 @@ def test_column_cap_refusal():
 def test_betti_table_respects_cap():
     with pytest.raises(ColumnCapExceeded):
         betti_table(make_heisenberg_even(2, 2), 4, column_cap=10)
+
+
+def test_codomain_bound_comes_from_the_cap():
+    # h_2499 at q_max=1: 4999 columns, a codomain C^2 of 12,495,001 rows
+    shape = odd_family_shape(2499)
+    with pytest.raises(CodomainTooLarge) as err:
+        check_column_cap(*shape, 1)
+    assert (err.value.q, err.value.rows, err.value.limit) == (1, 12495001, 500000)
+    # the limit is 100 times the cap, so a larger cap forces the computation
+    with pytest.raises(CodomainTooLarge):
+        check_column_cap(*shape, 1, 124950)
+    check_column_cap(*shape, 1, 124951)
+    # h_400's C^2 (320,801 rows) is within the default limit
+    check_column_cap(*odd_family_shape(400), 1)
+    # a degree over the cap is still refused first, by its column count
+    with pytest.raises(ColumnCapExceeded):
+        check_column_cap(*odd_family_shape(3000000), 1)
+
+
+def test_codomain_bound_refuses_before_building(monkeypatch):
+    def no_build(*args):
+        raise AssertionError("a matrix was built before the refusal")
+
+    monkeypatch.setattr(cohomology, "differential_matrix", no_build)
+    monkeypatch.setattr(cohomology, "adapted_basis", no_build)
+    alg = make_heisenberg_odd(2499)
+    for call in (lambda: betti_table(alg, 1), lambda: cohomology_dims(alg, 1)):
+        with pytest.raises(CodomainTooLarge, match="codomain C\\^2 has 12495001 rows"):
+            call()
 
 
 def test_betti_table_refuses_before_building(monkeypatch):

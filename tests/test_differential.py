@@ -5,7 +5,7 @@ import pytest
 
 from heisenberg_cohomology.algebra import (LieSuperalgebra,
                                            make_heisenberg_even,
-                                           make_heisenberg_odd)
+                                           make_heisenberg_odd, validate)
 from heisenberg_cohomology.cohomology import betti_table
 from heisenberg_cohomology.differential import (differential_matrix, d_element,
                                                 d_generator, psi_matrix, tau)
@@ -197,6 +197,36 @@ def test_differential_matrix_entries_match_coboundary_oracle():
     for alg in (make_heisenberg_even(1, 1), make_heisenberg_odd(2),
                 make_heisenberg_even(2, 1), parse_algebra(RATIONAL_CONSTANTS)):
         assert_entries_match_oracle(alg, 4)
+
+
+def test_slot_memo_is_keyed_by_content():
+    # same name, generators and superdimension; only [y1, y1] differs, so
+    # a memo keyed by anything but the bracket constants mixes them up
+    gens = [("z", 0), ("x1", 0), ("x2", 0), ("y1", 1)]
+    one, two = (LieSuperalgebra("h_{1,1}", gens, {(1, 2): {0: 1}, (3, 3): {0: c}})
+                for c in (1, 2))
+    assert differential_matrix(one, 1).matrix != differential_matrix(two, 1).matrix
+    for degrees in (range(5), range(4, -1, -1)):
+        for q in degrees:
+            for alg in (one, two):
+                dm = differential_matrix(alg, q)
+                for j, omega in enumerate(dm.domain):
+                    for r, u in enumerate(dm.codomain):
+                        assert dm.matrix.get(r, j) == coboundary_entry(alg, omega, u), \
+                            (alg.brackets[(3, 3)], q, omega, u)
+
+
+def test_active_slots_away_from_the_ends():
+    # h_{1,1} (+) h_1 with its generators shuffled: the only duals with a
+    # nonzero d are z (even position 1 of 4) and w (odd position 1 of 3),
+    # each between inactive duals of its own parity
+    alg = LieSuperalgebra("h_{1,1}+h_1", [
+        ("x1", 0), ("y", 1), ("z", 0), ("w", 1), ("x", 0), ("v", 1), ("x2", 0)],
+        {(0, 6): {2: 1}, (1, 1): {2: 1}, (4, 5): {3: 1}})
+    assert validate(alg) == []
+    assert [bool(d_generator(alg, k).terms) for k in range(alg.dim)] \
+        == [False, False, True, True, False, False, False]
+    assert_entries_match_oracle(alg, 4)
 
 
 def test_psi_matrix_is_right_multiplication_by_tau():
