@@ -6,16 +6,18 @@ formulas, and exact ranks of the coboundary matrices over the
 rationals.  The verify harness adjudicates the two against each other.
 """
 
-from .algebra import (EVEN, ODD, Generator, LieSuperalgebra,
-                      make_heisenberg_even, make_heisenberg_odd, validate)
-from .cohomology import (DEFAULT_COLUMN_CAP, METHOD_FORMULA_EVEN,
+from .algebra import (EVEN, ODD, AlgebraValidationError, Generator,
+                      LieSuperalgebra, make_heisenberg_even,
+                      make_heisenberg_odd, validate)
+from .cohomology import (DEFAULT_COLUMN_CAP, MAX_Q_MAX, METHOD_FORMULA_EVEN,
                          METHOD_FORMULA_ODD_PROOF, METHOD_RANK,
                          CodomainTooLarge, CohomologyReport,
-                         ColumnCapExceeded, betti_table, cohomology_dims)
+                         ColumnCapExceeded, DegreeLimitExceeded, betti_table,
+                         cohomology_dims)
 from .differential import (DifferentialMatrix, d_element, d_generator,
                            differential_matrix, psi_matrix, tau)
-from .fileformats import (AlgebraParseError, AlgebraValidationError,
-                          emit_report, format_algebra, parse_algebra)
+from .fileformats import (AlgebraParseError, emit_report, format_algebra,
+                          parse_algebra)
 from .formulas import (binom, delta, dim_h_even, dim_h_odd_displayed,
                        dim_h_odd_proof, even_cocycle_dim, ker_psi_dim,
                        odd_cocycle_dim, sym_power_dim)
@@ -38,8 +40,8 @@ __all__ = [
     "DifferentialMatrix", "d_generator", "d_element",
     "differential_matrix", "tau", "psi_matrix",
     "CohomologyReport", "ColumnCapExceeded", "CodomainTooLarge",
-    "cohomology_dims",
-    "betti_table", "DEFAULT_COLUMN_CAP",
+    "DegreeLimitExceeded", "cohomology_dims",
+    "betti_table", "DEFAULT_COLUMN_CAP", "MAX_Q_MAX",
     "METHOD_RANK", "METHOD_FORMULA_EVEN", "METHOD_FORMULA_ODD_PROOF",
     "binom", "delta", "sym_power_dim", "dim_h_even", "ker_psi_dim",
     "dim_h_odd_proof", "dim_h_odd_displayed",

@@ -15,10 +15,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 EVEN = 0
 ODD = 1
+
+
+class AlgebraValidationError(ValueError):
+    """Bracket table that violates the axioms; `violations` lists how."""
+
+    def __init__(self, violations: List[str]):
+        super().__init__("algebra fails validation:\n  "
+                         + "\n  ".join(violations))
+        self.violations = list(violations)
 
 
 @dataclass(frozen=True)

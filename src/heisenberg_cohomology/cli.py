@@ -20,10 +20,10 @@ import sys
 
 from .algebra import (even_family_shape, make_heisenberg_even,
                       make_heisenberg_odd, odd_family_shape)
-from .cohomology import (DEFAULT_COLUMN_CAP, CodomainTooLarge,
-                         ColumnCapExceeded, ReportInvariantError, betti_table,
-                         check_column_cap, even_formula_report,
-                         odd_formula_report)
+from .cohomology import (DEFAULT_COLUMN_CAP, MAX_Q_MAX, CodomainTooLarge,
+                         ColumnCapExceeded, DegreeLimitExceeded,
+                         ReportInvariantError, betti_table, check_column_cap,
+                         check_degree, even_formula_report, odd_formula_report)
 from .fileformats import (AlgebraParseError, AlgebraValidationError,
                           emit_report, parse_algebra)
 from .verify import GridTooLarge, VerifyResult, check_grid, verify_family
@@ -34,24 +34,6 @@ EXIT_VALIDATION = 2
 EXIT_RESOURCE = 3
 EXIT_MISMATCH = 4
 EXIT_INTERNAL = 5
-
-# Largest --q-max any verb accepts.  The column cap bounds the width of
-# each degree, not how many degrees there are: with at most one odd
-# generator dim C^q stops growing, so the cap never refuses, and the
-# closed forms cost O(q^4) per table.  Every test, demo and benchmark
-# degree is far below it.
-MAX_Q_MAX = 100
-
-
-class DegreeLimitExceeded(RuntimeError):
-    """Refusal of a --q-max over MAX_Q_MAX."""
-
-
-def _check_degree(q_max: int) -> None:
-    # O(1), before any file is read or family is built
-    if q_max > MAX_Q_MAX:
-        raise DegreeLimitExceeded("refusing --q-max %d, limit is %d"
-                                  % (q_max, MAX_Q_MAX))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -133,7 +115,7 @@ def _family_reports(args, shape, build_family, formula_factory):
     """
     if args.q_max < 0:
         raise ValueError("--q-max must be nonnegative")
-    _check_degree(args.q_max)
+    check_degree(args.q_max)
     reports = []
     ranked = None
     if args.method in ("rank", "both"):
@@ -164,7 +146,7 @@ def _cmd_odd(args) -> int:
 
 
 def _cmd_compute(args) -> int:
-    _check_degree(args.q_max)
+    check_degree(args.q_max)
     with open(args.algebra, "rb") as fh:
         text = fh.read()
     alg = parse_algebra(text)
@@ -207,7 +189,7 @@ def _verify_json(res: VerifyResult) -> str:
 
 def _cmd_verify(args) -> int:
     check_grid(args.family, args.n_max, args.m_max, args.q_max)
-    _check_degree(args.q_max)
+    check_degree(args.q_max)
     res = verify_family(args.family, args.n_max, args.m_max, args.q_max,
                         args.column_cap)
     text = _verify_text(res) if args.format == "text" else _verify_json(res)

@@ -1,34 +1,40 @@
 """Betti numbers from exact ranks of the coboundary matrices.
 
-dim H^q = dim ker d_q - rank d_{q-1}, all over the rationals.  Matrix
-sizes are capped (default 5000 columns) so a typo in q cannot silently
-start a week-long elimination; the cap is an explicit, overridable
-refusal, not a truncation.  The cap needs only the superdimension, so
-it is checked first; then the algebra is rewritten once in a basis
-adapted to [g, g] (algebra.adapted_basis), which leaves every Betti
-number unchanged but makes the coboundary matrices of an algebra given
-in a dense basis sparse.  On the built-in families that rewrite is the
-identity.  The closed forms' reports for the two built-in families are
-built here too (even_formula_report, odd_formula_report), so every
-CohomologyReport comes from this module; a report whose dimensions are
-inconsistent raises ReportInvariantError.  The codomain of the top
-degree, which is enumerated only to number rows, is capped too, at
-CODOMAIN_ROWS_PER_COLUMN times the column cap.
+dim H^q = dim ker d_q - rank d_{q-1}, all over the rationals.
+betti_table and cohomology_dims share one preamble (_enter).  It first
+refuses, from the superdimension alone, a degree over MAX_Q_MAX, a
+matrix wider than the column cap (default 5000 columns) and a top
+codomain, enumerated only to number rows, over CODOMAIN_ROWS_PER_COLUMN
+times the cap: explicit, overridable refusals, not truncations.  Then
+it rewrites the algebra in a basis adapted to [g, g]
+(algebra.adapted_basis; the identity on the built-in families), which
+keeps every Betti number and makes dense-basis matrices sparse, and
+validates that table: one that is not a Lie superalgebra, so d^2 != 0,
+raises AlgebraValidationError.  Every CohomologyReport, the closed
+forms' too (even_formula_report, odd_formula_report), is built here; an
+inconsistent one raises ReportInvariantError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
-from .algebra import (LieSuperalgebra, adapted_basis, even_family_shape,
-                      odd_family_shape)
-from .differential import differential_matrix
+from .algebra import (AlgebraValidationError, LieSuperalgebra, adapted_basis,
+                      even_family_shape, odd_family_shape, validate)
+from .differential import _cochain_space, differential_matrix
 from .formulas import dim_h_even, dim_h_odd_proof, even_cocycle_dim, odd_cocycle_dim
 from .linalg import rank
 from .superexterior import SuperSpaceDims, graded_dim
 
 DEFAULT_COLUMN_CAP = 5000
+
+# Largest degree the engine accepts.  The column cap bounds the width of
+# each degree, not how many degrees there are: with at most one odd
+# generator dim C^q stops growing, so the cap never refuses, and the
+# closed forms cost O(q^4) per table.  Every test, demo and benchmark
+# degree is far below it.
+MAX_Q_MAX = 100
 
 # The codomain C^{q+1} of the top degree is enumerated to number rows but
 # is nobody's domain, so the column cap does not bound it: it is refused
@@ -39,6 +45,10 @@ METHOD_RANK = "rank"
 METHOD_FORMULA_EVEN = "formula-even"
 METHOD_FORMULA_ODD_PROOF = "formula-odd-proof"
 METHODS = (METHOD_RANK, METHOD_FORMULA_EVEN, METHOD_FORMULA_ODD_PROOF)
+
+
+class DegreeLimitExceeded(RuntimeError):
+    """Refusal of a degree over MAX_Q_MAX."""
 
 
 class ColumnCapExceeded(RuntimeError):
@@ -98,47 +108,62 @@ class CohomologyReport:
             raise ReportInvariantError("inconsistent dimensions in %r" % (self,))
 
 
-def _capped_dim(name: str, superdim: Tuple[int, int], q: int, cap: int) -> int:
-    """dim C^q of an algebra of superdimension `superdim`, refusing a
-    degree wider than the cap."""
-    columns = graded_dim(SuperSpaceDims(*superdim), q)
-    if columns > cap:
-        raise ColumnCapExceeded(name, q, columns, cap)
-    return columns
+def check_degree(q_max: int) -> None:
+    """Refuse a top degree over MAX_Q_MAX, in O(1)."""
+    if q_max > MAX_Q_MAX:
+        raise DegreeLimitExceeded("refusing --q-max %d, limit is %d"
+                                  % (q_max, MAX_Q_MAX))
 
 
-def _check_codomain(name: str, superdim: Tuple[int, int], q: int, cap: int) -> None:
-    """Refuse d_q if dim C^{q+1} is over CODOMAIN_ROWS_PER_COLUMN * cap."""
-    rows = graded_dim(SuperSpaceDims(*superdim), q + 1)
+def _checked_dims(name: str, superdim: Tuple[int, int], top: int,
+                  degrees: Iterable[int], cap: int) -> Dict[int, int]:
+    """{q: dim C^q} for -1, `degrees` and top + 1, after refusing top over
+    MAX_Q_MAX, each of `degrees` (in order) over the cap, and C^{top+1}
+    over CODOMAIN_ROWS_PER_COLUMN * cap."""
+    check_degree(top)
+    space = SuperSpaceDims(*superdim)
+    dims = {-1: 0}
+    for q in degrees:
+        dims[q] = graded_dim(space, q)
+        if dims[q] > cap:
+            raise ColumnCapExceeded(name, q, dims[q], cap)
+    rows = dims[top + 1] = graded_dim(space, top + 1)
     limit = CODOMAIN_ROWS_PER_COLUMN * cap
     if rows > limit:
-        raise CodomainTooLarge(name, q, rows, limit)
+        raise CodomainTooLarge(name, top, rows, limit)
+    return dims
 
 
 def check_column_cap(name: str, superdim: Tuple[int, int], q_max: int,
                      column_cap: int = DEFAULT_COLUMN_CAP) -> None:
-    """Refuse, naming the first degree over the cap, if any degree
-    0..q_max of an algebra of superdimension `superdim` is wider than
-    `column_cap`; then refuse if the codomain C^{q_max+1} of the last
-    matrix has more rows than CODOMAIN_ROWS_PER_COLUMN * column_cap.
-    Needs only the superdimension, so a caller can refuse before the
-    algebra is built."""
-    for q in range(q_max + 1):
-        _capped_dim(name, superdim, q, column_cap)
-    _check_codomain(name, superdim, q_max, column_cap)
+    """betti_table's size refusals for degrees 0..q_max (the first degree
+    over the cap is named).  Needs only the superdimension, so a caller
+    can refuse before the algebra is built."""
+    _checked_dims(name, superdim, q_max, range(q_max + 1), column_cap)
 
 
-def _checked_rank(algebra: LieSuperalgebra, q: int, cap: int):
-    """(dim C^q, rank d_q), refusing oversized matrices."""
+def _enter(algebra: LieSuperalgebra, top: int, degrees: Iterable[int],
+           cap: int) -> Tuple[LieSuperalgebra, Dict[int, int]]:
+    """The one way into the rank engine: the size refusals, then
+    adapted_basis, then validate on that sparse table, which fails
+    exactly when the input's does; the error lists validate(algebra).
+    Returns the adapted algebra and _checked_dims' dimensions."""
+    dims = _checked_dims(algebra.name, algebra.superdim, top, degrees, cap)
+    adapted = adapted_basis(algebra)
+    if validate(adapted):
+        raise AlgebraValidationError(validate(algebra))
+    return adapted, dims
+
+
+def _checked_rank(algebra: LieSuperalgebra, q: int, dims: Dict[int, int]) -> int:
+    """rank d_q, its shape checked against the preamble's dimensions."""
     if q < 0:
-        return 0, 0
-    columns = _capped_dim(algebra.name, algebra.superdim, q, cap)
+        return 0
     dm = differential_matrix(algebra, q)
-    codomain = graded_dim(SuperSpaceDims(*algebra.superdim), q + 1)
-    if (dm.matrix.cols, dm.matrix.rows) != (columns, codomain):
+    if (dm.matrix.cols, dm.matrix.rows) != (dims[q], dims[q + 1]):
         raise AssertionError("d_%d has shape %dx%d, not dim C^%d x dim C^%d"
                              % (q, dm.matrix.rows, dm.matrix.cols, q + 1, q))
-    return columns, rank(dm.matrix)
+    return rank(dm.matrix)
 
 
 def cohomology_dims(algebra: LieSuperalgebra, q: int,
@@ -146,17 +171,13 @@ def cohomology_dims(algebra: LieSuperalgebra, q: int,
     """Betti data in a single degree, via exact ranks."""
     if q < 0:
         return CohomologyReport(algebra.name, q, 0, 0, 0, 0, METHOD_RANK)
-    # refuse before the basis change, in the order _checked_rank would
-    for degree in (q, q - 1):
-        if degree >= 0:
-            _capped_dim(algebra.name, algebra.superdim, degree, column_cap)
-    _check_codomain(algebra.name, algebra.superdim, q, column_cap)
-    algebra = adapted_basis(algebra)
-    dim_c, rank_q = _checked_rank(algebra, q, column_cap)
-    _, rank_prev = _checked_rank(algebra, q - 1, column_cap)
-    z = dim_c - rank_q
-    return CohomologyReport(algebra.name, q, dim_c, z, rank_prev,
-                            z - rank_prev, METHOD_RANK)
+    try:
+        algebra, dims = _enter(algebra, q, (q, q - 1), column_cap)
+        z = dims[q] - _checked_rank(algebra, q, dims)
+        b = _checked_rank(algebra, q - 1, dims)
+    finally:
+        _cochain_space.cache_clear()
+    return CohomologyReport(algebra.name, q, dims[q], z, b, z - b, METHOD_RANK)
 
 
 def betti_table(algebra: LieSuperalgebra, q_max: int,
@@ -166,19 +187,18 @@ def betti_table(algebra: LieSuperalgebra, q_max: int,
     Every degree is checked against the column cap before any matrix is
     built, so a refusal names the first degree over the cap and costs
     nothing.  The ranks are taken in adapted_basis(algebra), which has
-    the same Betti numbers.  Also cross-checks dim H^q = dim Z^q +
-    dim Z^{q-1} - dim C^{q-1} in every degree.
+    the same Betti numbers.  The cochain spaces built on the way are
+    released when the call returns.  Also cross-checks dim H^q =
+    dim Z^q + dim Z^{q-1} - dim C^{q-1} in every degree.
     """
     if q_max < 0:
         raise ValueError("q_max must be nonnegative")
-    check_column_cap(algebra.name, algebra.superdim, q_max, column_cap)
-    algebra = adapted_basis(algebra)
-    dim_c = {-1: 0}
-    rk = {-1: 0}
-    z = {-1: 0}
-    for q in range(q_max + 1):
-        dim_c[q], rk[q] = _checked_rank(algebra, q, column_cap)
-        z[q] = dim_c[q] - rk[q]
+    try:
+        algebra, dim_c = _enter(algebra, q_max, range(q_max + 1), column_cap)
+        rk = {q: _checked_rank(algebra, q, dim_c) for q in range(-1, q_max + 1)}
+    finally:
+        _cochain_space.cache_clear()
+    z = {q: dim_c[q] - rk[q] for q in rk}
     out = []
     for q in range(q_max + 1):
         h = z[q] - rk[q - 1]

@@ -14,6 +14,10 @@ The halved coefficient on odd self-brackets matches the dual pairing, in
 which <o^2, y ^ y> = 2; tests check the whole convention against the
 alternating-sum formula for <d omega, a_0 ^ ... ^ a_q>.
 
+d_generator refuses an even self-bracket and a bracket that is not
+parity-homogeneous, so a d-term of an even dual has 0 or 2 odd factors
+and one of an odd dual exactly one even factor; the kernel relies on it.
+
 One integer kernel applies the rule, on (even_mask, odd_exponents) keys
 (a SuperMonomial is one, so enumerate_basis output goes in as it stands)
 with every coefficient scaled by a common denominator D, and serves
@@ -32,7 +36,6 @@ are small and bounded, and what they return is never mutated.
 
 from __future__ import annotations
 
-import atexit
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -65,6 +68,9 @@ def d_generator(algebra: LieSuperalgebra, k: int) -> SuperElement:
         c = targets.get(k)
         if c is None:
             continue
+        if algebra.parity(k) != (algebra.parity(i) + algebra.parity(j)) % 2:
+            raise ValueError("bracket [%s, %s] -> %s is not parity-homogeneous"
+                             % tuple(algebra.generators[g].name for g in (i, j, k)))
         if i == j:
             if algebra.parity(i) != ODD:
                 raise ValueError("even generator %r has a nonzero self-bracket"
@@ -82,9 +88,9 @@ def _integer_slots(algebra: LieSuperalgebra):
 
     Returns (D, even_slots, odd_slots), one tuple of terms per even and
     per odd dual position.  A term is (even_mask, even_set,
-    odd_exponents, odd_degree, D * coefficient) for a degree-2 monomial
-    of d_generator; D is the lcm of the coefficient denominators, so
-    every scaled coefficient is an integer.  Memoized on the algebra's
+    odd_exponents, D * coefficient) for a degree-2 monomial of
+    d_generator; D is the lcm of the coefficient denominators, so every
+    scaled coefficient is an integer.  Memoized on the algebra's
     content (generators and bracket table), never on its identity.
     """
     table = tuple(sorted((pair, tuple(sorted(targets.items())))
@@ -100,8 +106,8 @@ def _slot_table(generators, brackets):
     table = [d_generator(algebra, g).terms
              for g in algebra.even_indices + algebra.odd_indices]
     denom = lcm(1, *(c.denominator for terms in table for c in terms.values()))
-    slots = [tuple((m.even_mask, m.even_set, m.odd_exponents, m.odd_degree,
-                    int(c * denom)) for m, c in terms.items())
+    slots = [tuple((m.even_mask, m.even_set, m.odd_exponents, int(c * denom))
+                   for m, c in terms.items())
              for terms in table]
     n0 = algebra.superdim[0]
     return denom, tuple(slots[:n0]), tuple(slots[n0:])
@@ -118,16 +124,11 @@ def _cochain_space(dims: Tuple[int, int], q: int):
     """(basis, {key: row}) of C^q over `dims`, in the canonical order.
 
     Two spaces are kept: d_q's codomain is d_{q+1}'s domain, and psi's
-    bases serve every power l.  Callers do not mutate either.
+    bases serve every power l.  Callers do not mutate either; the rank
+    engine's entry points empty the memo when they return.
     """
     basis = tuple(enumerate_basis(SuperSpaceDims(*dims), q))
     return basis, {key: r for r, key in enumerate(basis)}
-
-
-# Emptied before interpreter shutdown: every collection the shutdown runs
-# would walk the cached monomials (tens of thousands of tracked tuples on
-# a CLI run), which costs several times more than releasing them first.
-atexit.register(_cochain_space.cache_clear)
 
 
 def _d_columns(even_slots, odd_slots, domain, row_index):
@@ -139,6 +140,11 @@ def _d_columns(even_slots, odd_slots, domain, row_index):
     form by counting crossings as wedge_monomials does: each even factor
     of a d-term crosses the earlier evens above it and the later evens
     below it, and each odd factor crosses the later evens.
+
+    By the module's precondition the odd factors of an even dual's
+    d-term add an even crossing count, and the one even factor e of
+    o_j's d-term crosses the t - k odds before the copy at position t,
+    so every copy's sign exponent is k plus e's crossings above it.
     """
     active = sum(1 << i for i, terms in enumerate(even_slots) if terms)
     active_odd = [(j, terms) for j, terms in enumerate(odd_slots) if terms]
@@ -154,10 +160,10 @@ def _d_columns(even_slots, odd_slots, domain, row_index):
             below = others & (low - 1)
             above = others ^ below
             t = below.bit_count()
-            for emask, evens, beta, odd_deg, c in even_slots[low.bit_length() - 1]:
+            for emask, evens, beta, c in even_slots[low.bit_length() - 1]:
                 if emask & others:
                     continue
-                swaps = t + odd_deg * (k - 1 - t)
+                swaps = t
                 for e in evens:
                     swaps += ((below >> (e + 1)).bit_count()
                               + (above & ((1 << e) - 1)).bit_count())
@@ -167,28 +173,14 @@ def _d_columns(even_slots, odd_slots, domain, row_index):
             a = alpha[j]
             if not a:
                 continue
-            # the copies of o_j sit at positions t..t+a-1, after all evens
-            t = k + sum(alpha[:j])
             odds = list(alpha)
             odds[j] -= 1
-            for emask, evens, beta, odd_deg, c in terms:
+            for emask, (e,), beta, c in terms:
                 if emask & mask:
                     continue
-                # copy s has sign exponent (t + s)(1 + |evens|) + const:
-                # with one even factor (every parity-homogeneous bracket)
-                # the a copies agree, otherwise they cancel in pairs
-                ne = len(evens)
-                if ne & 1:
-                    mult = a
-                elif a & 1:
-                    mult = 1
-                else:
-                    continue
-                swaps = t + (t - k) * ne
-                for e in evens:
-                    swaps += (mask >> (e + 1)).bit_count()
+                swaps = k + (mask >> (e + 1)).bit_count()
                 r = row_index[(mask | emask, tuple(map(add, odds, beta)))]
-                col[r] = col.get(r, 0) + (-mult * c if swaps & 1 else mult * c)
+                col[r] = col.get(r, 0) + (-a * c if swaps & 1 else a * c)
         columns.append({r: v for r, v in col.items() if v})
     return columns
 

@@ -25,7 +25,7 @@ import re
 from fractions import Fraction
 from typing import Dict, Iterable, List, Tuple
 
-from .algebra import LieSuperalgebra, validate
+from .algebra import AlgebraValidationError, LieSuperalgebra, validate
 from .cohomology import CohomologyReport
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
@@ -43,15 +43,6 @@ class AlgebraParseError(ValueError):
     def __init__(self, message: str, line: int):
         super().__init__("line %d: %s" % (line, message))
         self.line = line
-
-
-class AlgebraValidationError(ValueError):
-    """Well-formed file whose bracket table violates the axioms."""
-
-    def __init__(self, violations: List[str]):
-        super().__init__("algebra fails validation:\n  "
-                         + "\n  ".join(violations))
-        self.violations = list(violations)
 
 
 def _parse_rational(token: str, lineno: int) -> Fraction:

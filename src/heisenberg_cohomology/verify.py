@@ -18,7 +18,7 @@ from typing import List, Optional
 from .algebra import (even_family_shape, make_heisenberg_even,
                       make_heisenberg_odd, odd_family_shape)
 from .cohomology import DEFAULT_COLUMN_CAP, betti_table, check_column_cap
-from .differential import psi_matrix
+from .differential import _cochain_space, psi_matrix
 from .formulas import dim_h_even, dim_h_odd_displayed, dim_h_odd_proof, ker_psi_dim
 from .linalg import RationalMatrix, kernel_dim
 
@@ -141,37 +141,40 @@ def verify_family(family: str, n_max: int, m_max: Optional[int] = None,
     start = time.perf_counter()
     check_grid(family, n_max, m_max, q_max)
     checks: List[Comparison] = []
-    if family == "even":
-        grid = (range(1, n_max + 1), range(1, m_max + 1))
-        for n, m in product(*grid):
-            check_column_cap(*even_family_shape(n, m), q_max, column_cap)
-        for n, m in product(*grid):
-            for report in betti_table(make_heisenberg_even(n, m), q_max, column_cap):
-                checks.append(Comparison("dim_h_even", n, m, report.q,
-                                         dim_h_even(n, m, report.q),
-                                         report.dim_cohomology))
-    else:
-        for n in range(1, n_max + 1):
-            check_column_cap(*odd_family_shape(n), q_max, column_cap)
-        for n in range(1, n_max + 1):
-            for report in betti_table(make_heisenberg_odd(n), q_max, column_cap):
-                oracle = report.dim_cohomology
-                checks.append(Comparison("dim_h_odd_proof", n, None, report.q,
-                                         dim_h_odd_proof(n, report.q), oracle))
-                checks.append(Comparison("dim_h_odd_displayed", n, None, report.q,
-                                         dim_h_odd_displayed(n, report.q), oracle))
-            for t in range(q_max + 1):
-                want = ker_psi_dim(t, n)
-                base = psi_matrix(t, n, 1)
-                base_kernel = kernel_dim(base)
-                for l in PSI_POWERS:
-                    psi = base if l == 1 else psi_matrix(t, n, l)
-                    # psi_{(n,l)} = l * psi_{(n,1)}: equal matrices have
-                    # equal kernels, and any other matrix is eliminated
-                    same = psi is base or _is_multiple(psi, base, l)
-                    got = base_kernel if same else kernel_dim(psi)
-                    checks.append(Comparison("ker_psi_dim[l=%d]" % l, n, None,
-                                             t, want, got))
+    try:
+        if family == "even":
+            grid = (range(1, n_max + 1), range(1, m_max + 1))
+            for n, m in product(*grid):
+                check_column_cap(*even_family_shape(n, m), q_max, column_cap)
+            for n, m in product(*grid):
+                for report in betti_table(make_heisenberg_even(n, m), q_max, column_cap):
+                    checks.append(Comparison("dim_h_even", n, m, report.q,
+                                             dim_h_even(n, m, report.q),
+                                             report.dim_cohomology))
+        else:
+            for n in range(1, n_max + 1):
+                check_column_cap(*odd_family_shape(n), q_max, column_cap)
+            for n in range(1, n_max + 1):
+                for report in betti_table(make_heisenberg_odd(n), q_max, column_cap):
+                    oracle = report.dim_cohomology
+                    checks.append(Comparison("dim_h_odd_proof", n, None, report.q,
+                                             dim_h_odd_proof(n, report.q), oracle))
+                    checks.append(Comparison("dim_h_odd_displayed", n, None, report.q,
+                                             dim_h_odd_displayed(n, report.q), oracle))
+                for t in range(q_max + 1):
+                    want = ker_psi_dim(t, n)
+                    base = psi_matrix(t, n, 1)
+                    base_kernel = kernel_dim(base)
+                    for l in PSI_POWERS:
+                        psi = base if l == 1 else psi_matrix(t, n, l)
+                        # psi_{(n,l)} = l * psi_{(n,1)}: equal matrices have
+                        # equal kernels, and any other matrix is eliminated
+                        same = psi is base or _is_multiple(psi, base, l)
+                        got = base_kernel if same else kernel_dim(psi)
+                        checks.append(Comparison("ker_psi_dim[l=%d]" % l, n, None,
+                                                 t, want, got))
+    finally:
+        _cochain_space.cache_clear()
     checks.sort(key=lambda c: (c.formula, c.n, c.m or 0, c.q))
     elapsed = time.perf_counter() - start
     return VerifyResult(family, n_max, m_max, q_max, checks, elapsed)

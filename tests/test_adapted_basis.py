@@ -23,7 +23,7 @@ from heisenberg_cohomology.superexterior import SuperSpaceDims, graded_dim
 
 from oracles import dense_rank_bareiss, matmul
 from test_validate import (OSP12, SL2, _table, change_basis, direct_sum,
-                           random_graded_table, random_two_step)
+                           random_graded_table, random_table, random_two_step)
 
 # (table, closed-form Betti number in degree q)
 FACTORS = {
@@ -153,6 +153,23 @@ def test_adapted_basis_of_a_valid_algebra_is_valid():
                 + _hidden_with_simple_part(8, 19)):
         assert validate(alg) == [], alg.name
         assert validate(adapted_basis(alg)) == [], alg.name
+
+
+def test_adapted_basis_is_valid_exactly_when_the_input_is():
+    # betti_table validates the adapted table in place of the input
+    rng = random.Random(20139)
+    kinds = {"valid": 0, "invalid": 0, "rewritten": 0}
+    for k in range(150):
+        table = random_table(rng, rng.randint(1, 7), rng.choice((0.2, 0.4, 0.7)))
+        for alg in (LieSuperalgebra("random%d" % k, *table),
+                    LieSuperalgebra("hidden%d" % k, *change_basis(rng, table))):
+            adapted = adapted_basis(alg)
+            valid = validate(alg) == []
+            assert (validate(adapted) == []) == valid, alg.name
+            kinds["valid" if valid else "invalid"] += 1
+            kinds["rewritten"] += adapted is not alg
+    # skew, parity and Jacobi faults, and rewrites, all occur
+    assert min(kinds.values()) >= 20, kinds
 
 
 def test_identity_case_returns_the_algebra_itself():

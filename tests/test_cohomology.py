@@ -1,15 +1,31 @@
+import random
+
 import pytest
 
 from heisenberg_cohomology import cohomology
-from heisenberg_cohomology.algebra import (make_heisenberg_even,
-                                           make_heisenberg_odd, odd_family_shape)
+from heisenberg_cohomology.algebra import (AlgebraValidationError,
+                                           LieSuperalgebra, adapted_basis,
+                                           make_heisenberg_even,
+                                           make_heisenberg_odd, odd_family_shape,
+                                           validate)
 from heisenberg_cohomology.cohomology import (CodomainTooLarge,
                                               ColumnCapExceeded,
-                                              CohomologyReport, METHOD_RANK,
+                                              CohomologyReport,
+                                              DegreeLimitExceeded, METHOD_RANK,
                                               betti_table, check_column_cap,
                                               cohomology_dims)
-from heisenberg_cohomology.differential import DifferentialMatrix
+from heisenberg_cohomology.differential import (DifferentialMatrix,
+                                                _cochain_space,
+                                                differential_matrix)
 from heisenberg_cohomology.linalg import RationalMatrix
+from heisenberg_cohomology.verify import verify_family
+
+from test_validate import _table, change_basis, direct_sum
+
+# not Lie superalgebras: Jacobi fails on (x, y, z), and [x, y] -> u
+# joins two even generators to an odd one
+JACOBI_TABLE = ([("x", 0), ("y", 0), ("z", 0)], {(0, 1): {2: 1}, (0, 2): {0: 1}})
+PARITY_TABLE = ([("x", 0), ("y", 0), ("u", 1)], {(0, 1): {2: 1}})
 
 
 def test_negative_degree_is_zero():
@@ -157,3 +173,61 @@ def test_report_validation():
         CohomologyReport(**{**good, "dim_cocycles": 9})
     with pytest.raises(ValueError):
         CohomologyReport(**{**good, "dim_coboundaries": -1})
+
+
+def _invalid_algebras():
+    """The two faulty tables as written, and hidden by a change of basis
+    that adapted_basis does not undo to the identity (the parity table
+    next to h_1, so that its odd block has more than one generator)."""
+    plain = [LieSuperalgebra("jacobi", *JACOBI_TABLE),
+             LieSuperalgebra("parity", *PARITY_TABLE)]
+    h1 = _table(make_heisenberg_odd(1))
+    hidden = [LieSuperalgebra("hidden_jacobi", *change_basis(random.Random(0), JACOBI_TABLE)),
+              LieSuperalgebra("hidden_parity", *change_basis(
+                  random.Random(1), direct_sum(PARITY_TABLE, h1)))]
+    for alg in hidden:
+        assert adapted_basis(alg) is not alg, alg.name
+    return plain + hidden
+
+
+def test_invalid_tables_get_no_betti_numbers():
+    for alg in _invalid_algebras():
+        issues = validate(alg)
+        assert issues, alg.name
+        for call in (lambda: betti_table(alg, 3), lambda: cohomology_dims(alg, 2)):
+            with pytest.raises(AlgebraValidationError) as err:
+                call()
+            # the messages name the generators of the table as given
+            assert err.value.violations == issues, alg.name
+
+
+def test_degree_limit_refuses_before_any_dimension_is_counted(monkeypatch):
+    def no_count(*args):
+        raise AssertionError("a dimension was counted before the degree limit")
+
+    monkeypatch.setattr(cohomology, "graded_dim", no_count)
+    for call in (lambda: betti_table(make_heisenberg_even(1, 1), 20000),
+                 lambda: cohomology_dims(make_heisenberg_even(1, 1), 10 ** 8),
+                 lambda: verify_family("even", 1, 1, 10 ** 8)):
+        with pytest.raises(DegreeLimitExceeded, match="limit is 100"):
+            call()
+
+
+def test_cochain_spaces_are_released_when_the_call_returns():
+    betti_table(make_heisenberg_odd(40), 1)
+    assert _cochain_space.cache_info().currsize == 0
+    for call, error in ((lambda: betti_table(make_heisenberg_even(14, 16), 3),
+                         ColumnCapExceeded),
+                        (lambda: cohomology_dims(make_heisenberg_even(14, 16), 3),
+                         ColumnCapExceeded),
+                        (lambda: betti_table(_invalid_algebras()[0], 2),
+                         AlgebraValidationError),
+                        (lambda: verify_family("odd", 100, None, 2),
+                         ColumnCapExceeded)):
+        differential_matrix(make_heisenberg_odd(2), 2)
+        assert _cochain_space.cache_info().currsize == 2
+        with pytest.raises(error):
+            call()
+        assert _cochain_space.cache_info().currsize == 0
+    verify_family("odd", 1, None, 2)
+    assert _cochain_space.cache_info().currsize == 0

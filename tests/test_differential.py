@@ -161,6 +161,17 @@ def test_even_self_bracket_is_refused_by_name():
     assert d_generator(bad, 0).is_zero()
 
 
+def test_parity_breaking_bracket_is_refused_by_name():
+    # [x, y] -> u joins two even generators to an odd one; the kernel's
+    # signs assume every bracket is parity-homogeneous
+    bad = LieSuperalgebra("bad", [("x", 0), ("y", 0), ("u", 1)], {(0, 1): {2: 1}})
+    for call in (lambda: d_generator(bad, 2), lambda: differential_matrix(bad, 1),
+                 lambda: d_element(bad, single((), (1,)))):
+        with pytest.raises(ValueError,
+                           match=r"bracket \[x, y\] -> u is not parity-homogeneous"):
+            call()
+
+
 RATIONAL_CONSTANTS = """\
 name rational
 generator a 0
