@@ -216,8 +216,12 @@ def main(argv=None) -> int:
     except AlgebraValidationError as exc:
         print("validation error: %s" % exc, file=sys.stderr)
         return EXIT_VALIDATION
-    except (ColumnCapExceeded, CodomainTooLarge, DegreeLimitExceeded,
-            GridTooLarge) as exc:
+    except DegreeLimitExceeded as exc:
+        # the library names a degree; here it came from the option
+        print("resource refusal: refusing --q-max %d, limit is %d"
+              % (exc.degree, exc.limit), file=sys.stderr)
+        return EXIT_RESOURCE
+    except (ColumnCapExceeded, CodomainTooLarge, GridTooLarge) as exc:
         print("resource refusal: %s" % exc, file=sys.stderr)
         return EXIT_RESOURCE
     except OSError as exc:

@@ -13,16 +13,30 @@ validates that table: one that is not a Lie superalgebra, so d^2 != 0,
 raises AlgebraValidationError.  Every CohomologyReport, the closed
 forms' too (even_formula_report, odd_formula_report), is built here; an
 inconsistent one raises ReportInvariantError.
+
+betti_table takes one of two rank routes.  When one odd generator z is
+the only bracket target and appears in no bracket (h_n, and any table
+of that type once adapted), the z-dual f_z is the only dual with a
+nonzero d and d(alpha f_z^l) = +-l (alpha omega) f_z^{l-1} with
+omega = d f_z, so d_q splits into the blocks +-l L^(q-l), L^(t) the
+multiplication by omega from A^t to A^{t+2} (A: the cochains on the
+other duals), and rank d_q = sum_{t<q} rank L^(t).  Each L^(t) is built
+and eliminated once per table (differential.lefschetz_block).  Every
+other algebra, even centres included, has each full d_q built and
+eliminated: an even z-dual has no power above 1, so its blocks are
+reused by nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from itertools import chain
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from .algebra import (AlgebraValidationError, LieSuperalgebra, adapted_basis,
-                      even_family_shape, odd_family_shape, validate)
-from .differential import _cochain_space, differential_matrix
+from .algebra import (ODD, AlgebraValidationError, LieSuperalgebra,
+                      adapted_basis, even_family_shape, odd_family_shape,
+                      validate)
+from .differential import _cochain_space, differential_matrix, lefschetz_block
 from .formulas import dim_h_even, dim_h_odd_proof, even_cocycle_dim, odd_cocycle_dim
 from .linalg import rank
 from .superexterior import SuperSpaceDims, graded_dim
@@ -48,7 +62,12 @@ METHODS = (METHOD_RANK, METHOD_FORMULA_EVEN, METHOD_FORMULA_ODD_PROOF)
 
 
 class DegreeLimitExceeded(RuntimeError):
-    """Refusal of a degree over MAX_Q_MAX."""
+    """Refusal of a degree over MAX_Q_MAX; `degree` is the one refused."""
+
+    def __init__(self, degree: int, limit: int):
+        super().__init__("refusing degree %d, limit is %d" % (degree, limit))
+        self.degree = degree
+        self.limit = limit
 
 
 class ColumnCapExceeded(RuntimeError):
@@ -111,8 +130,7 @@ class CohomologyReport:
 def check_degree(q_max: int) -> None:
     """Refuse a top degree over MAX_Q_MAX, in O(1)."""
     if q_max > MAX_Q_MAX:
-        raise DegreeLimitExceeded("refusing --q-max %d, limit is %d"
-                                  % (q_max, MAX_Q_MAX))
+        raise DegreeLimitExceeded(q_max, MAX_Q_MAX)
 
 
 def _checked_dims(name: str, superdim: Tuple[int, int], top: int,
@@ -166,6 +184,46 @@ def _checked_rank(algebra: LieSuperalgebra, q: int, dims: Dict[int, int]) -> int
     return rank(dm.matrix)
 
 
+def _odd_centre(algebra: LieSuperalgebra) -> Optional[int]:
+    """The odd generator z that is the only nonzero bracket target and
+    appears in no nonzero bracket, or None: then the z-dual is the only
+    dual with a nonzero d, and no d-term contains it."""
+    targets = {k for t in algebra.brackets.values() for k in t}
+    if len(targets) != 1:
+        return None
+    (z,) = targets
+    if algebra.parity(z) != ODD or any(z in pair for pair in algebra.brackets):
+        return None
+    return z
+
+
+def _block_ranks(algebra: LieSuperalgebra, z: int, q_max: int,
+                 dims: Dict[int, int]) -> Dict[int, int]:
+    """{q: rank d_q} for q = -1..q_max as sum_{t<q} rank L^(t), each
+    block's shape and dim C^q = sum_l dim A^{q-l} checked against the
+    preamble's dimensions."""
+    n0, n1 = algebra.superdim
+    space = SuperSpaceDims(n0, n1 - 1)
+    dim_a = {s: graded_dim(space, s) for s in range(q_max + 2)}
+    for q in range(q_max + 2):
+        if sum(dim_a[q - l] for l in range(q + 1)) != dims[q]:
+            raise AssertionError("dim C^%d is not the sum of dim A^(%d-l) f_z^l"
+                                 % (q, q))
+    block_rank = {}
+    # even t, then odd t, each upward: block t's codomain is block t+2's
+    # domain, so each space of A is enumerated once
+    for t in chain(range(0, q_max, 2), range(1, q_max, 2)):
+        block = lefschetz_block(algebra, z, t, 1)
+        if (block.rows, block.cols) != (dim_a[t + 2], dim_a[t]):
+            raise AssertionError("L^(%d) has shape %dx%d, not dim A^%d x dim A^%d"
+                                 % (t, block.rows, block.cols, t + 2, t))
+        block_rank[t] = rank(block)
+    rk = {-1: 0, 0: 0}
+    for q in range(1, q_max + 1):
+        rk[q] = rk[q - 1] + block_rank[q - 1]
+    return rk
+
+
 def cohomology_dims(algebra: LieSuperalgebra, q: int,
                     column_cap: int = DEFAULT_COLUMN_CAP) -> CohomologyReport:
     """Betti data in a single degree, via exact ranks."""
@@ -187,15 +245,21 @@ def betti_table(algebra: LieSuperalgebra, q_max: int,
     Every degree is checked against the column cap before any matrix is
     built, so a refusal names the first degree over the cap and costs
     nothing.  The ranks are taken in adapted_basis(algebra), which has
-    the same Betti numbers.  The cochain spaces built on the way are
-    released when the call returns.  Also cross-checks dim H^q =
-    dim Z^q + dim Z^{q-1} - dim C^{q-1} in every degree.
+    the same Betti numbers: from its Lefschetz blocks when it has an odd
+    centre spanning [g, g] (_odd_centre), from each full d_q otherwise.
+    The cochain spaces built on the way are released when the call
+    returns.  Also cross-checks dim H^q = dim Z^q + dim Z^{q-1} -
+    dim C^{q-1} in every degree.
     """
     if q_max < 0:
         raise ValueError("q_max must be nonnegative")
     try:
         algebra, dim_c = _enter(algebra, q_max, range(q_max + 1), column_cap)
-        rk = {q: _checked_rank(algebra, q, dim_c) for q in range(-1, q_max + 1)}
+        z = _odd_centre(algebra)
+        if z is None:
+            rk = {q: _checked_rank(algebra, q, dim_c) for q in range(-1, q_max + 1)}
+        else:
+            rk = _block_ranks(algebra, z, q_max, dim_c)
     finally:
         _cochain_space.cache_clear()
     z = {q: dim_c[q] - rk[q] for q in rk}

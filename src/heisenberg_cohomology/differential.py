@@ -21,17 +21,21 @@ and one of an odd dual exactly one even factor; the kernel relies on it.
 One integer kernel applies the rule, on (even_mask, odd_exponents) keys
 (a SuperMonomial is one, so enumerate_basis output goes in as it stands)
 with every coefficient scaled by a common denominator D, and serves
-every caller: differential_matrix and psi_matrix hand its integer columns
-over as a RationalMatrix with scale 1/D (-1/D for psi at odd t), and
+every caller: differential_matrix and lefschetz_block hand its integer
+columns over as a RationalMatrix with scale 1/D, unchecked, and
 d_element (and tau through it) turns them into SuperElements with
-coefficients coeff * v / D.  The tests hold the kernel to the
+coefficients coeff * v / D.  lefschetz_block is the part of d that
+lowers the power of an odd central dual by one; psi_matrix is that
+block of h_n with scale (-1)^t / D.  The tests hold the kernel to the
 alternating-sum formula entry by entry.
 
 Work that depends only on a value is done once per value: a cochain
 space and its row index once per (dims, q), so the domain of d_q is the
-codomain just built for d_{q-1}; an algebra's slot table once per
-content of its table; h_n once per n for psi_matrix and tau.  The memos
-are small and bounded, and what they return is never mutated.
+codomain just built for d_{q-1}, and a space of z-dual-free cochains
+once per (dims, q, z's position), so block t's codomain is block
+t + 2's domain; an algebra's slot table once per content of its table;
+h_n once per n for psi_matrix and tau.  The memos are small and
+bounded, and what they return is never mutated.
 """
 
 from __future__ import annotations
@@ -120,14 +124,18 @@ def _heisenberg_odd(n: int) -> LieSuperalgebra:
 
 
 @lru_cache(maxsize=2)
-def _cochain_space(dims: Tuple[int, int], q: int):
-    """(basis, {key: row}) of C^q over `dims`, in the canonical order.
+def _cochain_space(dims: Tuple[int, int], q: int, without=None):
+    """(basis, {key: row}) of C^q over `dims`, in the canonical order;
+    with `without`, an odd position, of the cochains without that dual
+    (enumerate_basis's `without`), whose index numbers the rows of every
+    block with l = 1.
 
-    Two spaces are kept: d_q's codomain is d_{q+1}'s domain, and psi's
-    bases serve every power l.  Callers do not mutate either; the rank
-    engine's entry points empty the memo when they return.
+    Two spaces are kept: d_q's codomain is d_{q+1}'s domain, block t's
+    codomain is block t+2's domain, and psi's bases serve every power
+    l.  Callers do not mutate either; the rank engine's entry points
+    empty the memo when they return.
     """
-    basis = tuple(enumerate_basis(SuperSpaceDims(*dims), q))
+    basis = tuple(enumerate_basis(SuperSpaceDims(*dims), q, without))
     return basis, {key: r for r, key in enumerate(basis)}
 
 
@@ -234,8 +242,37 @@ def differential_matrix(algebra: LieSuperalgebra, q: int) -> DifferentialMatrix:
     codomain, row_index = _cochain_space(algebra.superdim, q + 1)
     denom, even_slots, odd_slots = _integer_slots(algebra)
     columns = _d_columns(even_slots, odd_slots, domain, row_index)
-    mat = RationalMatrix.from_columns(len(codomain), columns, Fraction(1, denom))
+    mat = RationalMatrix._wrap(len(codomain), columns, Fraction(1, denom))
     return DifferentialMatrix(q, domain, codomain, mat)
+
+
+def lefschetz_block(algebra: LieSuperalgebra, z: int, t: int,
+                    l: int) -> RationalMatrix:
+    """d from A^t (z-dual)^l to A^{t+2} (z-dual)^{l-1}, scale 1/D.
+
+    z is an odd generator, A the cochains on every other dual.  When
+    the z-dual f_z is the only dual with a nonzero d and no term of
+    omega = d f_z contains it, the cochains are A (x) k[f_z] and the
+    Leibniz rule gives
+    d(alpha f_z^l) = (-1)^t l (alpha omega) f_z^{l-1}: this matrix is
+    (-1)^t l times L^(t), multiplication by omega from A^t to A^{t+2}.
+    It is built by the coboundary kernel on A's keys with f_z^l put in
+    z's odd slot, which may be any slot; the rows are A^{t+2}'s keys
+    with f_z^{l-1}, and a d-term outside them (the precondition broken)
+    raises KeyError.  For t < 0 the domain is empty.
+    """
+    j = algebra.odd_indices.index(z)
+    # domain first: block t's codomain is block t + 2's domain, so a walk
+    # over every other t finds each space of A still in the memo
+    free, _ = _cochain_space(algebra.superdim, t, j)
+    codomain, row_index = _cochain_space(algebra.superdim, t + 2, j)
+    if l > 1:
+        row_index = {(mask, odds[:j] + (l - 1,) + odds[j + 1:]): r
+                     for r, (mask, odds) in enumerate(codomain)}
+    domain = [(mask, odds[:j] + (l,) + odds[j + 1:]) for mask, odds in free]
+    denom, even_slots, odd_slots = _integer_slots(algebra)
+    columns = _d_columns(even_slots, odd_slots, domain, row_index)
+    return RationalMatrix._wrap(len(codomain), columns, Fraction(1, denom))
 
 
 def tau(n: int, l: int) -> SuperElement:
@@ -257,21 +294,14 @@ def psi_matrix(t: int, n: int, l: int) -> RationalMatrix:
     monomials over (n, n), the constant (z-dual)^{l-1} factor dropped.
     For t < 0 the domain is empty.
 
-    Built by the coboundary kernel of h_n: d kills every dual but the
-    z-dual's, so for z-dual-free omega of degree t the Leibniz rule gives
-    omega * tau = (-1)^t d(omega * (z-dual)^l).
+    It is h_n's Lefschetz block: d kills every dual but the z-dual's, so
+    for z-dual-free omega of degree t the Leibniz rule gives
+    omega * tau = (-1)^t d(omega * (z-dual)^l), which is
+    lefschetz_block(h_n, z, t, l) with scale (-1)^t / D.
     """
     if n < 1 or l < 1:
         raise ValueError("psi needs n >= 1 and l >= 1")
-    codomain, _ = _cochain_space((n, n), t + 2)
-    if t < 0:
-        return RationalMatrix(len(codomain), 0)
-    free, _ = _cochain_space((n, n), t)
-    # a row outside the codomain (another z-dual power) raises KeyError
-    row_index = {(mask, odds + (l - 1,)): r
-                 for r, (mask, odds) in enumerate(codomain)}
-    domain = [(mask, odds + (l,)) for mask, odds in free]
-    denom, even_slots, odd_slots = _integer_slots(_heisenberg_odd(n))
-    columns = _d_columns(even_slots, odd_slots, domain, row_index)
-    sign = -1 if t & 1 else 1
-    return RationalMatrix.from_columns(len(codomain), columns, Fraction(sign, denom))
+    block = lefschetz_block(_heisenberg_odd(n), 2 * n, t, l)
+    if t & 1:
+        return RationalMatrix._wrap(block.rows, block.columns, -block.scale)
+    return block

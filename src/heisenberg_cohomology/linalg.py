@@ -64,6 +64,14 @@ class RationalMatrix:
                         not all(type(v) is int and v for v in col.values())):
                 raise ValueError("column %d has a row outside 0..%d or a "
                                  "value that is not a nonzero int" % (c, rows - 1))
+        return cls._wrap(rows, columns, scale)
+
+    @classmethod
+    def _wrap(cls, rows: int, columns: List[Dict[int, int]],
+              scale: Fraction) -> "RationalMatrix":
+        # from_columns without the walk over every value: for the
+        # coboundary kernel's columns, which hold their rows and nonzero
+        # ints by construction (the tests check each one they build)
         self = cls.__new__(cls)
         self.rows = rows
         self.cols = len(columns)

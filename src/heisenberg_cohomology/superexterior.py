@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import comb, factorial, prod
 from operator import add, itemgetter
-from typing import Iterable, Iterator, Mapping, Tuple, NamedTuple, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Tuple, Union
 
 Rational = Union[int, Fraction]
 
@@ -258,27 +258,36 @@ def wedge(a: SuperElement, b: SuperElement) -> SuperElement:
     return SuperElement(out)
 
 
-def _odd_exponent_vectors(total: int, m: int) -> Iterator[Tuple[int, ...]]:
+def _odd_exponent_vectors(total: int, m: int,
+                          without: Optional[int] = None) -> Iterator[Tuple[int, ...]]:
     # index multisets come in lexicographic order, which is descending
-    # lexicographic order of the exponent tuples; O(m + total) per tuple
-    for picks in combinations_with_replacement(range(m), total):
+    # lexicographic order of the exponent tuples; O(m + total) per tuple.
+    # Leaving index `without` out keeps that order on the rest.
+    slots = [i for i in range(m) if i != without]
+    for picks in combinations_with_replacement(slots, total):
         alpha = [0] * m
         for i in picks:
             alpha[i] += 1
         yield tuple(alpha)
 
 
-def enumerate_basis(dims: SuperSpaceDims, q: int):
+def enumerate_basis(dims: SuperSpaceDims, q: int, without: Optional[int] = None):
     """Degree-q basis monomials over `dims`, in the canonical order.
 
     The order is: more even factors first, then even index sets in
     ascending lexicographic order, then odd exponent tuples in
     descending lexicographic order.  enumerate_basis(dims, q) always has
     graded_dim(dims, q) entries.
+
+    With `without`, an odd generator's position, only the monomials in
+    which it has exponent 0, in the same order: the basis of the
+    cochains without that dual, graded_dim((n, m - 1), q) entries.
     """
     n, m = dims
     if n < 0 or m < 0:
         raise ValueError("dimensions must be nonnegative")
+    if without is not None and not 0 <= without < m:
+        raise ValueError("no odd generator %d among %d" % (without, m))
     out = []
     if q < 0:
         return out
@@ -286,7 +295,7 @@ def enumerate_basis(dims: SuperSpaceDims, q: int):
         q1 = q - q0
         if m == 0 and q1 > 0:
             continue
-        alphas = tuple(_odd_exponent_vectors(q1, m))
+        alphas = tuple(_odd_exponent_vectors(q1, m, without))
         for bits in combinations([1 << i for i in range(n)], q0):
             mask = sum(bits)
             for alpha in alphas:

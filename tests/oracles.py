@@ -4,14 +4,22 @@ Everything here is written from first principles and shares no sign or
 elimination logic with the package: products are reduced as tensor
 words, ranks come from dense eliminations, the dual pairing is a
 determinant times a permanent, and the coboundary is evaluated through
-the alternating-sum pairing formula.
+the alternating-sum pairing formula.  The exceptions are z_power_block
+and full_matrix_ranks, which read the package's full coboundary matrices
+so that the odd-centre block route can be held to the full-matrix route
+it stands in for, and kernel_matrices_are_checked, which checks the
+package's own matrices.
 """
 
 from fractions import Fraction
 from math import lcm
 
-from heisenberg_cohomology.linalg import RationalMatrix
-from heisenberg_cohomology.superexterior import SuperMonomial
+import pytest
+
+from heisenberg_cohomology.differential import differential_matrix
+from heisenberg_cohomology.linalg import RationalMatrix, rank
+from heisenberg_cohomology.superexterior import (SuperMonomial, SuperSpaceDims,
+                                                 enumerate_basis)
 
 
 def tensor_normal_form(word):
@@ -332,3 +340,85 @@ def validate_dense(algebra):
                     issues.append("jacobi: (%s, %s, %s) leaves %s"
                                   % (names[a], names[b], names[c], terms))
     return issues
+
+
+def assert_kernel_matrix(matrix):
+    """The invariant RationalMatrix.from_columns checks, on a matrix the
+    coboundary kernel built without it: rows >= 0, a nonzero rational
+    scale, and every column a {row: nonzero int} over rows 0..rows-1."""
+    assert matrix.rows >= 0 and matrix.cols == len(matrix.columns), matrix
+    assert isinstance(matrix.scale, Fraction) and matrix.scale, matrix
+    for c, col in enumerate(matrix.columns):
+        for r, v in col.items():
+            assert 0 <= r < matrix.rows, (matrix, c, r)
+            assert type(v) is int and v, (matrix, c, r, v)
+
+
+@pytest.fixture(autouse=True)
+def kernel_matrices_are_checked(monkeypatch):
+    """Autouse fixture for a test module that imports it: every matrix
+    built through RationalMatrix._wrap, the kernel's unchecked
+    constructor, is held to assert_kernel_matrix."""
+    real = RationalMatrix._wrap.__func__
+
+    def checked(cls, rows, columns, scale):
+        matrix = real(cls, rows, columns, scale)
+        assert_kernel_matrix(matrix)
+        return matrix
+
+    monkeypatch.setattr(RationalMatrix, "_wrap", classmethod(checked))
+
+
+def z_power_block(algebra, z, t, l):
+    """The block of differential_matrix(algebra, t + l) from the domain
+    monomials with z-dual power l to the rows with power l - 1, z's odd
+    slot dropped, over the canonical bases of the other duals' degree-t
+    and degree-(t+2) spaces.  Returns (block, rest): block is a
+    {(row, col): Fraction} map, and rest counts the entries of that
+    column range that fall outside every row with power l - 1."""
+    j = algebra.odd_indices.index(z)
+    n0, n1 = algebra.superdim
+    free = SuperSpaceDims(n0, n1 - 1)
+    col_of = {m: c for c, m in enumerate(enumerate_basis(free, t))}
+    row_of = {m: r for r, m in enumerate(enumerate_basis(free, t + 2))}
+
+    def strip(mono, power):
+        odds = mono.odd_exponents
+        if odds[j] != power:
+            return None
+        return SuperMonomial(mono.even_set, odds[:j] + odds[j + 1:])
+
+    dm = differential_matrix(algebra, t + l)
+    block, rest = {}, 0
+    for (r, c), v in dm.matrix.entries.items():
+        col = strip(dm.domain[c], l)
+        if col is None:
+            continue
+        row = strip(dm.codomain[r], l - 1)
+        if row is None:
+            rest += 1
+        else:
+            block[(row_of[row], col_of[col])] = v
+    return block, rest
+
+
+def full_matrix_ranks(algebra, q_max):
+    """{q: rank d_q} for q = -1..q_max from each full differential_matrix."""
+    out = {-1: 0}
+    for q in range(q_max + 1):
+        out[q] = rank(differential_matrix(algebra, q).matrix)
+    return out
+
+
+def dense_betti_numbers(algebra, q_max):
+    """dim H^q for q = 0..q_max from dense Fraction ranks of matrices
+    filled entry by entry from coboundary_entry."""
+    dims = SuperSpaceDims(*algebra.superdim)
+    bases = [enumerate_basis(dims, q) for q in range(q_max + 2)]
+    ranks = [0]
+    for q in range(q_max + 1):
+        entries = {(r, c): coboundary_entry(algebra, omega, u)
+                   for c, omega in enumerate(bases[q])
+                   for r, u in enumerate(bases[q + 1])}
+        ranks.append(dense_rank_fractions(len(bases[q + 1]), len(bases[q]), entries))
+    return [len(bases[q]) - ranks[q + 1] - ranks[q] for q in range(q_max + 1)]

@@ -157,7 +157,22 @@ def test_checked_rank_rejects_a_misshapen_matrix(monkeypatch):
         return DifferentialMatrix(q, dm.codomain, dm.domain, flipped)
 
     monkeypatch.setattr(cohomology, "differential_matrix", transposed)
-    with pytest.raises(AssertionError, match="shape"):
+    # an even centre takes the full-matrix route
+    with pytest.raises(AssertionError, match="d_0 has shape"):
+        betti_table(make_heisenberg_even(1, 1), 2)
+
+
+def test_block_ranks_reject_a_misshapen_block(monkeypatch):
+    real = cohomology.lefschetz_block
+
+    def transposed(algebra, z, t, l):
+        mat = real(algebra, z, t, l)
+        return RationalMatrix(mat.cols, mat.rows,
+                              {(c, r): v for (r, c), v in mat.entries.items()})
+
+    monkeypatch.setattr(cohomology, "lefschetz_block", transposed)
+    # an odd centre takes the block route; L^(0) of h_1 is 2x1
+    with pytest.raises(AssertionError, match=r"L\^\(0\) has shape 1x2"):
         betti_table(make_heisenberg_odd(1), 2)
 
 
@@ -209,8 +224,14 @@ def test_degree_limit_refuses_before_any_dimension_is_counted(monkeypatch):
     for call in (lambda: betti_table(make_heisenberg_even(1, 1), 20000),
                  lambda: cohomology_dims(make_heisenberg_even(1, 1), 10 ** 8),
                  lambda: verify_family("even", 1, 1, 10 ** 8)):
-        with pytest.raises(DegreeLimitExceeded, match="limit is 100"):
+        with pytest.raises(DegreeLimitExceeded, match="limit is 100") as err:
             call()
+        # a library caller passed a degree, not an option
+        assert "--q-max" not in str(err.value)
+    with pytest.raises(DegreeLimitExceeded) as err:
+        cohomology_dims(make_heisenberg_even(1, 1), 10 ** 8)
+    assert (err.value.degree, err.value.limit) == (10 ** 8, 100)
+    assert str(err.value) == "refusing degree 100000000, limit is 100"
 
 
 def test_cochain_spaces_are_released_when_the_call_returns():

@@ -16,7 +16,8 @@ from heisenberg_cohomology.superexterior import (SuperElement, SuperMonomial,
                                                  element_pairing,
                                                  enumerate_basis, wedge)
 
-from oracles import (coboundary_alternating_sum, coboundary_entry, matmul,
+from oracles import (coboundary_alternating_sum, coboundary_entry,  # noqa: F401
+                     kernel_matrices_are_checked, matmul,
                      monomial_generator_sequence, tensor_normal_form)
 
 

@@ -266,6 +266,25 @@ def test_odd_exponent_vectors_are_the_sorted_exponent_tuples():
             assert list(_odd_exponent_vectors(total, m)) == brute, (m, total)
 
 
+def test_enumerate_basis_without_an_odd_dual():
+    # the monomials with exponent 0 in one odd slot, as a subsequence of
+    # the full basis in its order
+    for n in range(3):
+        for m in range(1, 4):
+            dims = SuperSpaceDims(n, m)
+            for j in range(m):
+                for q in range(-1, 6):
+                    want = [mono for mono in enumerate_basis(dims, q)
+                            if mono.odd_exponents[j] == 0]
+                    got = enumerate_basis(dims, q, without=j)
+                    assert got == want, (n, m, j, q)
+                    assert len(got) == graded_dim(SuperSpaceDims(n, m - 1), q)
+    for dims, j in ((SuperSpaceDims(2, 2), 2), (SuperSpaceDims(2, 2), -1),
+                    (SuperSpaceDims(2, 0), 0)):
+        with pytest.raises(ValueError, match="no odd generator"):
+            enumerate_basis(dims, 1, without=j)
+
+
 def test_enumerate_basis_of_many_odd_duals():
     dims = SuperSpaceDims(0, 401)
     assert len(enumerate_basis(dims, 2)) == graded_dim(dims, 2)
