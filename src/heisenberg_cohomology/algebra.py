@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, Iterable, List, Mapping, Tuple
 
 EVEN = 0
@@ -199,6 +200,14 @@ def _subtract(v: Dict[int, Fraction], c: Fraction, row: Mapping) -> None:
             del v[i]
 
 
+def table_key(alg: LieSuperalgebra) -> Tuple:
+    """The content of alg's table as a hashable key: its generators and
+    a sorted snapshot of its brackets.  The name is not part of it."""
+    return alg.generators, tuple(sorted(
+        (pair, tuple(sorted(targets.items())))
+        for pair, targets in alg.brackets.items()))
+
+
 def adapted_basis(alg: LieSuperalgebra) -> LieSuperalgebra:
     """The same algebra in a sparse basis adapted to [g, g].
 
@@ -208,9 +217,27 @@ def adapted_basis(alg: LieSuperalgebra) -> LieSuperalgebra:
     parities.  The structure constants are rewritten by bilinearity.
     Name, generator names, parities and order are kept, and Betti
     numbers do not depend on the basis.  When every RREF row is a single
-    generator the change is the identity and `alg` itself is returned,
-    at O(brackets) cost.
+    generator the change is the identity and `alg` itself is returned.
+
+    The rewrite is memoized on the table's content (table_key), never
+    on the algebra's identity, so parse_algebra's check and the rank
+    engine that follows share one; the engine's entry points empty the
+    memo when they return.
     """
+    brackets = _adapted_brackets(*table_key(alg))
+    if brackets is None:
+        return alg
+    return LieSuperalgebra(alg.name, alg.generators, brackets)
+
+
+@lru_cache(maxsize=16)
+def _adapted_brackets(generators, table):
+    """The rewritten bracket table for a table_key, or None when the
+    change of basis is the identity.  The algebra is rebuilt from the
+    snapshot, so the memo holds no caller's algebra; callers copy the
+    table they get and never mutate it."""
+    alg = LieSuperalgebra("", generators, {pair: dict(targets)
+                                           for pair, targets in table})
     rows: Dict[int, Dict[int, Fraction]] = {}
     for targets in alg.brackets.values():
         for parity in (EVEN, ODD):
@@ -228,7 +255,7 @@ def adapted_basis(alg: LieSuperalgebra) -> LieSuperalgebra:
                     _subtract(row, row[lead], v)
             rows[lead] = v
     if all(len(row) == 1 for row in rows.values()):
-        return alg
+        return None
     basis = [rows.get(a, {a: Fraction(1)}) for a in range(alg.dim)]
     partners: Dict[int, Dict[int, Dict[int, Fraction]]] = {}
     for (i, j) in alg.brackets:
@@ -255,7 +282,7 @@ def adapted_basis(alg: LieSuperalgebra) -> LieSuperalgebra:
                 _subtract(new, w[p], rows[p])
                 new[p] = w[p]
             brackets[(a, b)] = new
-    return LieSuperalgebra(alg.name, alg.generators, brackets)
+    return brackets
 
 
 def even_family_shape(n: int, m: int) -> Tuple[str, Tuple[int, int]]:

@@ -10,9 +10,12 @@ it rewrites the algebra in a basis adapted to [g, g]
 (algebra.adapted_basis; the identity on the built-in families), which
 keeps every Betti number and makes dense-basis matrices sparse, and
 validates that table: one that is not a Lie superalgebra, so d^2 != 0,
-raises AlgebraValidationError.  Every CohomologyReport, the closed
-forms' too (even_formula_report, odd_formula_report), is built here; an
-inconsistent one raises ReportInvariantError.
+raises AlgebraValidationError.  The rewrite is memoized on the table's
+content, so a table parse_algebra just checked is not rewritten again;
+every memo the call fills is emptied when it returns (_release).  Every
+CohomologyReport, the closed forms' too (even_formula_report,
+odd_formula_report), is built here; an inconsistent one raises
+ReportInvariantError.
 
 betti_table takes one of two rank routes.  When one odd generator z is
 the only bracket target and appears in no bracket (h_n, and any table
@@ -34,8 +37,8 @@ from itertools import chain
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .algebra import (ODD, AlgebraValidationError, LieSuperalgebra,
-                      adapted_basis, even_family_shape, odd_family_shape,
-                      validate)
+                      _adapted_brackets, adapted_basis, even_family_shape,
+                      odd_family_shape, validate)
 from .differential import _cochain_space, differential_matrix, lefschetz_block
 from .formulas import dim_h_even, dim_h_odd_proof, even_cocycle_dim, odd_cocycle_dim
 from .linalg import rank
@@ -173,6 +176,13 @@ def _enter(algebra: LieSuperalgebra, top: int, degrees: Iterable[int],
     return adapted, dims
 
 
+def _release() -> None:
+    """Empty the memos an engine call fills (the cochain spaces and the
+    adapted tables, parse_algebra's included), so none outlives it."""
+    _cochain_space.cache_clear()
+    _adapted_brackets.cache_clear()
+
+
 def _checked_rank(algebra: LieSuperalgebra, q: int, dims: Dict[int, int]) -> int:
     """rank d_q, its shape checked against the preamble's dimensions."""
     if q < 0:
@@ -231,10 +241,11 @@ def cohomology_dims(algebra: LieSuperalgebra, q: int,
         return CohomologyReport(algebra.name, q, 0, 0, 0, 0, METHOD_RANK)
     try:
         algebra, dims = _enter(algebra, q, (q, q - 1), column_cap)
-        z = dims[q] - _checked_rank(algebra, q, dims)
+        # d_{q-1} first: its codomain C^q is d_q's domain, still in the memo
         b = _checked_rank(algebra, q - 1, dims)
+        z = dims[q] - _checked_rank(algebra, q, dims)
     finally:
-        _cochain_space.cache_clear()
+        _release()
     return CohomologyReport(algebra.name, q, dims[q], z, b, z - b, METHOD_RANK)
 
 
@@ -247,9 +258,9 @@ def betti_table(algebra: LieSuperalgebra, q_max: int,
     nothing.  The ranks are taken in adapted_basis(algebra), which has
     the same Betti numbers: from its Lefschetz blocks when it has an odd
     centre spanning [g, g] (_odd_centre), from each full d_q otherwise.
-    The cochain spaces built on the way are released when the call
-    returns.  Also cross-checks dim H^q = dim Z^q + dim Z^{q-1} -
-    dim C^{q-1} in every degree.
+    The cochain spaces and adapted tables built on the way are released
+    when the call returns.  Also cross-checks dim H^q = dim Z^q +
+    dim Z^{q-1} - dim C^{q-1} in every degree.
     """
     if q_max < 0:
         raise ValueError("q_max must be nonnegative")
@@ -261,7 +272,7 @@ def betti_table(algebra: LieSuperalgebra, q_max: int,
         else:
             rk = _block_ranks(algebra, z, q_max, dim_c)
     finally:
-        _cochain_space.cache_clear()
+        _release()
     z = {q: dim_c[q] - rk[q] for q in rk}
     out = []
     for q in range(q_max + 1):

@@ -47,7 +47,7 @@ from math import lcm
 from operator import add
 from typing import Dict, Tuple
 
-from .algebra import LieSuperalgebra, ODD, make_heisenberg_odd
+from .algebra import LieSuperalgebra, ODD, make_heisenberg_odd, table_key
 from .linalg import RationalMatrix
 from .superexterior import (SuperElement, SuperMonomial, SuperSpaceDims,
                             _monomial, enumerate_basis, wedge_monomials)
@@ -95,11 +95,9 @@ def _integer_slots(algebra: LieSuperalgebra):
     odd_exponents, D * coefficient) for a degree-2 monomial of
     d_generator; D is the lcm of the coefficient denominators, so every
     scaled coefficient is an integer.  Memoized on the algebra's
-    content (generators and bracket table), never on its identity.
+    content (algebra.table_key), never on its identity.
     """
-    table = tuple(sorted((pair, tuple(sorted(targets.items())))
-                         for pair, targets in algebra.brackets.items()))
-    return _slot_table(algebra.generators, table)
+    return _slot_table(*table_key(algebra))
 
 
 @lru_cache(maxsize=16)

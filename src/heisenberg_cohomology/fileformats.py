@@ -11,9 +11,16 @@ Each T:C pair contributes coefficient C (an integer or integer/integer)
 on generator T to [LEFT, RIGHT].  Each unordered generator pair may
 carry at most one bracket line; writing the pair in either order is
 allowed, the table stores the index-sorted form with the sign that
-super skew-symmetry dictates.  Parsing validates the axioms eagerly so
-a bad file fails at the parse site with a line number, not later inside
-a rank computation.
+super skew-symmetry dictates.
+
+Parsing fails at the parse site, not later inside a rank computation.
+A malformed line raises AlgebraParseError with its line number.  The
+axioms are checked on the table rewritten in the basis adapted to
+[g, g] (algebra.adapted_basis), which is sparse and which the rank
+engine reuses; they hold there exactly when they hold in the file's
+basis.  A table that fails raises AlgebraValidationError with
+validate's messages on the table as written, so they name the file's
+generators; they carry no line number.
 """
 
 from __future__ import annotations
@@ -25,7 +32,8 @@ import re
 from fractions import Fraction
 from typing import Dict, Iterable, List, Tuple
 
-from .algebra import AlgebraValidationError, LieSuperalgebra, validate
+from .algebra import (AlgebraValidationError, LieSuperalgebra, adapted_basis,
+                      validate)
 from .cohomology import CohomologyReport
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
@@ -130,9 +138,11 @@ def parse_algebra(text) -> LieSuperalgebra:
     if not gens:
         raise AlgebraParseError("no generators defined", max(1, len(text.splitlines())))
     alg = LieSuperalgebra(name, gens, brackets)
-    violations = validate(alg)
-    if violations:
-        raise AlgebraValidationError(violations)
+    # the axioms hold in every basis or in none, so check the sparse
+    # adapted table (which the rank engine reuses) and word a failure
+    # in the file's own basis
+    if validate(adapted_basis(alg)):
+        raise AlgebraValidationError(validate(alg))
     return alg
 
 

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from heisenberg_cohomology import cohomology
+from heisenberg_cohomology import cohomology, differential
 from heisenberg_cohomology.algebra import (AlgebraValidationError,
-                                           LieSuperalgebra, adapted_basis,
+                                           LieSuperalgebra, _adapted_brackets,
+                                           adapted_basis,
                                            make_heisenberg_even,
                                            make_heisenberg_odd, odd_family_shape,
                                            validate)
@@ -252,3 +253,73 @@ def test_cochain_spaces_are_released_when_the_call_returns():
         assert _cochain_space.cache_info().currsize == 0
     verify_family("odd", 1, None, 2)
     assert _cochain_space.cache_info().currsize == 0
+
+
+def test_cohomology_dims_enumerates_each_space_once(monkeypatch):
+    real = differential.enumerate_basis
+    calls = []
+
+    def counted(dims, q, without=None):
+        calls.append(q)
+        return real(dims, q, without)
+
+    monkeypatch.setattr(differential, "enumerate_basis", counted)
+    for q in range(6):
+        calls.clear()
+        cohomology_dims(make_heisenberg_even(2, 2), q)
+        # d_{q-1} then d_q: C^{q-1}, C^q (kept for d_q), C^{q+1}
+        assert calls == list(range(max(q - 1, 0), q + 2)), q
+
+
+def _hidden_valid(name, seed):
+    alg = LieSuperalgebra(name, *change_basis(random.Random(seed), direct_sum(
+        _table(make_heisenberg_odd(1)), _table(make_heisenberg_even(1, 1)))))
+    assert adapted_basis(alg) is not alg, name
+    return alg
+
+
+def test_adapted_tables_are_released_when_the_call_returns(monkeypatch):
+    hidden = _hidden_valid("hidden", 2)
+    invalid = _invalid_algebras()[2]
+    hits = []
+
+    def recorded(algebra):
+        adapted = adapted_basis(algebra)
+        hits.append(_adapted_brackets.cache_info().hits)
+        return adapted
+
+    monkeypatch.setattr(cohomology, "adapted_basis", recorded)
+    for call, error in ((lambda: betti_table(hidden, 3), None),
+                        (lambda: cohomology_dims(hidden, 3), None),
+                        (lambda: betti_table(hidden, 3, column_cap=5), ColumnCapExceeded),
+                        (lambda: cohomology_dims(hidden, 3, column_cap=5), ColumnCapExceeded),
+                        (lambda: cohomology_dims(hidden, 10 ** 8), DegreeLimitExceeded),
+                        (lambda: betti_table(invalid, 2), AlgebraValidationError)):
+        # as parse_algebra leaves it
+        _adapted_brackets.cache_clear()
+        adapted_basis(hidden)
+        assert _adapted_brackets.cache_info().currsize == 1
+        hits.clear()
+        if error is None:
+            call()
+            # the engine reused the rewrite
+            assert hits == [1]
+        else:
+            with pytest.raises(error):
+                call()
+        assert _adapted_brackets.cache_info().currsize == 0
+
+
+def test_adapted_tables_are_shared_by_content_not_by_name():
+    table = _table(_hidden_valid("hidden", 3))
+    a, b = LieSuperalgebra("a", *table), LieSuperalgebra("b", *table)
+    _adapted_brackets.cache_clear()
+    adapted_a, adapted_b = adapted_basis(a), adapted_basis(b)
+    info = _adapted_brackets.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    assert (adapted_a.name, adapted_b.name) == ("a", "b")
+    assert adapted_a.brackets == adapted_b.brackets
+    for alg in (a, b):
+        assert {r.algebra_name for r in betti_table(alg, 2)} == {alg.name}
+        assert cohomology_dims(alg, 2).algebra_name == alg.name
+    assert _adapted_brackets.cache_info().currsize == 0

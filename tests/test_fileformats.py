@@ -1,18 +1,23 @@
 import csv
 import io
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
-from heisenberg_cohomology.algebra import (make_heisenberg_even,
-                                           make_heisenberg_odd)
+from heisenberg_cohomology import cli, fileformats
+from heisenberg_cohomology.algebra import (LieSuperalgebra, adapted_basis,
+                                           make_heisenberg_even,
+                                           make_heisenberg_odd, validate)
 from heisenberg_cohomology.cohomology import betti_table, cohomology_dims
 from heisenberg_cohomology.fileformats import (AlgebraParseError,
                                                AlgebraValidationError,
                                                CSV_FIELDS, JSON_FIELDS,
                                                emit_report, format_algebra,
                                                parse_algebra)
+
+from test_validate import BAD_SL2, OSP12, SL2, _table, change_basis, direct_sum
 
 
 def test_round_trip_builtin_families():
@@ -125,6 +130,53 @@ bracket x x = z:1
     with pytest.raises(AlgebraValidationError) as err:
         parse_algebra(text)
     assert any("skew" in v for v in err.value.violations)
+
+
+def _hidden(name, table, seed):
+    alg = LieSuperalgebra(name, *change_basis(random.Random(seed), table))
+    # the rewrite is not the identity, so the check runs on another table
+    assert adapted_basis(alg) is not alg, name
+    return alg
+
+
+# skew-symmetric and parity-homogeneous; only the Jacobi identity fails
+JACOBI_ONLY = _hidden("jacobi_only", direct_sum(BAD_SL2, _table(make_heisenberg_odd(1))), 5)
+
+
+def test_hidden_jacobi_fault_is_worded_in_the_files_basis():
+    issues = validate(JACOBI_ONLY)
+    assert issues and all(v.startswith("jacobi:") for v in issues)
+    assert validate(adapted_basis(JACOBI_ONLY)) not in ([], issues)
+    with pytest.raises(AlgebraValidationError) as err:
+        parse_algebra(format_algebra(JACOBI_ONLY))
+    # the messages name the file's own basis, not the adapted table
+    # that was checked
+    assert err.value.violations == issues
+
+
+def test_valid_hidden_sums_parse_to_their_input(monkeypatch):
+    checked = []
+    monkeypatch.setattr(fileformats, "validate",
+                        lambda alg: checked.append(alg) or validate(alg))
+    h_1, h_2 = _table(make_heisenberg_odd(1)), _table(make_heisenberg_odd(2))
+    h_11, h_12 = _table(make_heisenberg_even(1, 1)), _table(make_heisenberg_even(1, 2))
+    for k, (a, b) in enumerate(((SL2, h_1), (OSP12, h_12), (h_2, h_11))):
+        alg = _hidden("sum%d" % k, direct_sum(a, b), k)
+        assert validate(alg) == []
+        checked.clear()
+        assert parse_algebra(format_algebra(alg)) == alg
+        # a valid file is checked once, on the sparse adapted table
+        assert checked == [adapted_basis(alg)]
+
+
+def test_compute_refuses_a_hidden_jacobi_fault(tmp_path, capsysbinary):
+    path = tmp_path / "jacobi.alg"
+    path.write_text(format_algebra(JACOBI_ONLY))
+    code = cli.main(["compute", "--algebra", str(path), "--q-max", "2"])
+    captured = capsysbinary.readouterr()
+    assert code == 2 and captured.out == b""
+    want = "validation error: %s\n" % AlgebraValidationError(validate(JACOBI_ONLY))
+    assert captured.err == want.encode("utf-8")
 
 
 def test_emit_csv_golden():
