@@ -219,10 +219,13 @@ def adapted_basis(alg: LieSuperalgebra) -> LieSuperalgebra:
     numbers do not depend on the basis.  When every RREF row is a single
     generator the change is the identity and `alg` itself is returned.
 
-    The rewrite is memoized on the table's content (table_key), never
-    on the algebra's identity, so parse_algebra's check and the rank
-    engine that follows share one; the engine's entry points empty the
-    memo when they return.
+    The rewrite visits only the pairs of new basis vectors that touch a
+    nonzero bracket, so it costs O(nonzero brackets x row lengths), not
+    O(dim^2), and a wide file reaches the engine's size refusals.  It is
+    memoized on the table's content (table_key), never on the algebra's
+    identity, so parse_algebra's check and the rank engine that follows
+    share one; the engine's entry points empty the memo when they return
+    (release_adapted_tables).
     """
     brackets = _adapted_brackets(*table_key(alg))
     if brackets is None:
@@ -234,8 +237,9 @@ def adapted_basis(alg: LieSuperalgebra) -> LieSuperalgebra:
 def _adapted_brackets(generators, table):
     """The rewritten bracket table for a table_key, or None when the
     change of basis is the identity.  The algebra is rebuilt from the
-    snapshot, so the memo holds no caller's algebra; callers copy the
-    table they get and never mutate it."""
+    snapshot, so the memo holds no caller's algebra, and it holds only
+    the nonzero brackets; callers copy the table they get and never
+    mutate it."""
     alg = LieSuperalgebra("", generators, {pair: dict(targets)
                                            for pair, targets in table})
     rows: Dict[int, Dict[int, Fraction]] = {}
@@ -256,33 +260,57 @@ def _adapted_brackets(generators, table):
             rows[lead] = v
     if all(len(row) == 1 for row in rows.values()):
         return None
-    basis = [rows.get(a, {a: Fraction(1)}) for a in range(alg.dim)]
     partners: Dict[int, Dict[int, Dict[int, Fraction]]] = {}
     for (i, j) in alg.brackets:
         partners.setdefault(i, {})[j] = alg.bracket(i, j)
         partners.setdefault(j, {})[i] = alg.bracket(j, i)
+    # users[j]: the pivot rows with a g_j coordinate; a generator that is
+    # no pivot is also its own basis vector
+    users: Dict[int, List[int]] = {}
+    for p, row in rows.items():
+        for j in row:
+            users.setdefault(j, []).append(p)
+
+    def touching(js) -> List[int]:
+        """The new basis vectors with a nonzero coordinate on some g_j."""
+        out = {j for j in js if j not in rows}
+        for j in js:
+            out.update(users.get(j, ()))
+        return sorted(out)
+
+    # only pairs of basis vectors that touch a bracketing pair are
+    # visited, so the cost follows the nonzero brackets, not dim^2
     brackets = {}
-    for a in range(alg.dim):
+    for a in touching(partners):
         # ad[j] = [b_a, g_j] in the old coordinates
         ad: Dict[int, Dict[int, Fraction]] = {}
-        for i, x in basis[a].items():
+        for i, x in rows.get(a, {a: 1}).items():
             for j, targets in partners.get(i, {}).items():
                 acc = ad.setdefault(j, {})
                 for k, c in targets.items():
                     acc[k] = acc.get(k, 0) + x * c
-        for b in range(a, alg.dim):
+        for b in touching(ad):
+            if b < a:
+                continue
             w: Dict[int, Fraction] = {}
-            for j, y in basis[b].items():
+            for j, y in rows.get(b, {b: 1}).items():
                 for k, c in ad.get(j, {}).items():
                     w[k] = w.get(k, 0) + y * c
             # coordinates in the new basis: w[p] on pivot row p, and
             # w[i] - sum_p w[p] * row_p[i] on a generator i that stays
-            new = dict(w)
-            for p in [k for k, c in w.items() if c and k in rows]:
-                _subtract(new, w[p], rows[p])
-                new[p] = w[p]
-            brackets[(a, b)] = new
+            new = {k: c for k, c in w.items() if c}
+            for p in [k for k in new if k in rows]:
+                c = w[p]
+                _subtract(new, c, rows[p])
+                new[p] = c
+            if new:
+                brackets[(a, b)] = new
     return brackets
+
+
+def release_adapted_tables() -> None:
+    """Empty adapted_basis's memo."""
+    _adapted_brackets.cache_clear()
 
 
 def even_family_shape(n: int, m: int) -> Tuple[str, Tuple[int, int]]:

@@ -37,8 +37,8 @@ from itertools import chain
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .algebra import (ODD, AlgebraValidationError, LieSuperalgebra,
-                      _adapted_brackets, adapted_basis, even_family_shape,
-                      odd_family_shape, validate)
+                      adapted_basis, even_family_shape, odd_family_shape,
+                      release_adapted_tables, validate)
 from .differential import _cochain_space, differential_matrix, lefschetz_block
 from .formulas import dim_h_even, dim_h_odd_proof, even_cocycle_dim, odd_cocycle_dim
 from .linalg import rank
@@ -180,7 +180,7 @@ def _release() -> None:
     """Empty the memos an engine call fills (the cochain spaces and the
     adapted tables, parse_algebra's included), so none outlives it."""
     _cochain_space.cache_clear()
-    _adapted_brackets.cache_clear()
+    release_adapted_tables()
 
 
 def _checked_rank(algebra: LieSuperalgebra, q: int, dims: Dict[int, int]) -> int:

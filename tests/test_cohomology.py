@@ -8,7 +8,7 @@ from heisenberg_cohomology.algebra import (AlgebraValidationError,
                                            adapted_basis,
                                            make_heisenberg_even,
                                            make_heisenberg_odd, odd_family_shape,
-                                           validate)
+                                           release_adapted_tables, validate)
 from heisenberg_cohomology.cohomology import (CodomainTooLarge,
                                               ColumnCapExceeded,
                                               CohomologyReport,
@@ -296,7 +296,7 @@ def test_adapted_tables_are_released_when_the_call_returns(monkeypatch):
                         (lambda: cohomology_dims(hidden, 10 ** 8), DegreeLimitExceeded),
                         (lambda: betti_table(invalid, 2), AlgebraValidationError)):
         # as parse_algebra leaves it
-        _adapted_brackets.cache_clear()
+        release_adapted_tables()
         adapted_basis(hidden)
         assert _adapted_brackets.cache_info().currsize == 1
         hits.clear()
@@ -313,7 +313,7 @@ def test_adapted_tables_are_released_when_the_call_returns(monkeypatch):
 def test_adapted_tables_are_shared_by_content_not_by_name():
     table = _table(_hidden_valid("hidden", 3))
     a, b = LieSuperalgebra("a", *table), LieSuperalgebra("b", *table)
-    _adapted_brackets.cache_clear()
+    release_adapted_tables()
     adapted_a, adapted_b = adapted_basis(a), adapted_basis(b)
     info = _adapted_brackets.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 1, 1)

@@ -2,14 +2,17 @@ import csv
 import io
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from heisenberg_cohomology import cli, fileformats
-from heisenberg_cohomology.algebra import (LieSuperalgebra, adapted_basis,
-                                           make_heisenberg_even,
-                                           make_heisenberg_odd, validate)
+from heisenberg_cohomology.algebra import (LieSuperalgebra, _adapted_brackets,
+                                           adapted_basis, make_heisenberg_even,
+                                           make_heisenberg_odd,
+                                           release_adapted_tables, table_key,
+                                           validate)
 from heisenberg_cohomology.cohomology import betti_table, cohomology_dims
 from heisenberg_cohomology.fileformats import (AlgebraParseError,
                                                AlgebraValidationError,
@@ -177,6 +180,49 @@ def test_compute_refuses_a_hidden_jacobi_fault(tmp_path, capsysbinary):
     assert code == 2 and captured.out == b""
     want = "validation error: %s\n" % AlgebraValidationError(validate(JACOBI_ONLY))
     assert captured.err == want.encode("utf-8")
+
+
+# 1200 even generators: C^1 fits the default cap of 5000 columns, and
+# C^2 has 719,400 rows, over the 500,000 the cap allows a codomain
+WIDE = 1200
+
+
+def _wide_text():
+    # [g0, g1] = g2 + g3 is no single generator, so the adapted basis
+    # is not the identity
+    return ("name wide\n"
+            + "".join("generator g%d 0\n" % i for i in range(WIDE))
+            + "bracket g0 g1 = g2:1 g3:1\n")
+
+
+def test_wide_file_with_a_basis_change_parses_in_sparse_work():
+    release_adapted_tables()
+    tracemalloc.start()
+    try:
+        alg = parse_algebra(_wide_text())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a rewrite over every generator pair builds about 720,000 dicts,
+    # some 160 MiB; the sparse one touches the single bracket
+    assert peak < 4 * 2 ** 20
+    adapted = adapted_basis(alg)
+    assert adapted is not alg
+    assert adapted.brackets == {(0, 1): {2: 1}}
+    # the memo holds the nonzero brackets only
+    assert _adapted_brackets(*table_key(alg)) == {(0, 1): {2: 1}}
+    release_adapted_tables()
+
+
+def test_compute_refuses_a_wide_file_by_its_size(tmp_path, capsysbinary):
+    path = tmp_path / "wide.alg"
+    path.write_text(_wide_text())
+    code = cli.main(["compute", "--algebra", str(path), "--q-max", "1"])
+    captured = capsysbinary.readouterr()
+    assert code == 3 and captured.out == b""
+    assert captured.err == (b"resource refusal: refusing wide at q=1: codomain C^2 "
+                            b"has 719400 rows, limit is 500000 (100 times the column "
+                            b"cap; raise the cap to force the computation)\n")
 
 
 def test_emit_csv_golden():
