@@ -9,13 +9,17 @@ with rational coefficients.  Brackets for i > j are derived from super
 skew-symmetry, [x, y] = -(-1)^{|x||y|} [y, x].  The two families built
 here are the Heisenberg superalgebras: an even-center family h_{n,m}
 and an odd-center family h_n, both two-step nilpotent.
+
+The table is read-only, so the tables derived from it (the adapted
+basis here, the coboundary's slot table in differential) are kept on
+the algebra itself, derived on first use and never stale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Tuple
 
 EVEN = 0
@@ -44,11 +48,14 @@ class LieSuperalgebra:
     `generators` is a sequence of (name, parity) pairs; `brackets` maps
     index pairs (i, j) with i <= j to {target_index: coefficient}.  The
     constructor normalizes coefficients to Fraction and drops zeros but
-    does not check the axioms; use validate() for that.
+    does not check the axioms; use validate() for that.  No attribute
+    can be rebound, and the stored table and each of its target maps
+    are read-only mappings, so `_derived`, the tables derived from it,
+    cannot go stale.
     """
 
     __slots__ = ("name", "generators", "brackets", "_index_by_name",
-                 "even_indices", "odd_indices")
+                 "even_indices", "odd_indices", "_derived")
 
     def __init__(self, name: str, generators: Iterable, brackets: Mapping):
         gens = []
@@ -70,7 +77,7 @@ class LieSuperalgebra:
                 raise ValueError("duplicate generator name %r" % g.name)
             by_name[g.name] = g.index
         dim = len(gens)
-        table: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
+        table = {}
         for (i, j), targets in brackets.items():
             if not (0 <= i <= j < dim):
                 raise ValueError("bracket pair (%d, %d) out of range or unordered" % (i, j))
@@ -82,13 +89,18 @@ class LieSuperalgebra:
                 if c:
                     cleaned[k] = c
             if cleaned:
-                table[(i, j)] = cleaned
-        self.name = str(name)
-        self.generators = tuple(gens)
-        self.brackets = table
-        self._index_by_name = by_name
-        self.even_indices = tuple(g.index for g in gens if g.parity == EVEN)
-        self.odd_indices = tuple(g.index for g in gens if g.parity == ODD)
+                table[(i, j)] = MappingProxyType(cleaned)
+        fields = {"name": str(name), "generators": tuple(gens),
+                  "brackets": MappingProxyType(table), "_index_by_name": by_name,
+                  "even_indices": tuple(g.index for g in gens if g.parity == EVEN),
+                  "odd_indices": tuple(g.index for g in gens if g.parity == ODD),
+                  "_derived": {}}
+        for attr, value in fields.items():
+            object.__setattr__(self, attr, value)
+
+    def __setattr__(self, attr, value):
+        # rebinding brackets or generators would leave _derived stale
+        raise AttributeError("LieSuperalgebra is read-only")
 
     @property
     def dim(self) -> int:
@@ -200,14 +212,6 @@ def _subtract(v: Dict[int, Fraction], c: Fraction, row: Mapping) -> None:
             del v[i]
 
 
-def table_key(alg: LieSuperalgebra) -> Tuple:
-    """The content of alg's table as a hashable key: its generators and
-    a sorted snapshot of its brackets.  The name is not part of it."""
-    return alg.generators, tuple(sorted(
-        (pair, tuple(sorted(targets.items())))
-        for pair, targets in alg.brackets.items()))
-
-
 def adapted_basis(alg: LieSuperalgebra) -> LieSuperalgebra:
     """The same algebra in a sparse basis adapted to [g, g].
 
@@ -222,26 +226,19 @@ def adapted_basis(alg: LieSuperalgebra) -> LieSuperalgebra:
     The rewrite visits only the pairs of new basis vectors that touch a
     nonzero bracket, so it costs O(nonzero brackets x row lengths), not
     O(dim^2), and a wide file reaches the engine's size refusals.  It is
-    memoized on the table's content (table_key), never on the algebra's
-    identity, so parse_algebra's check and the rank engine that follows
-    share one; the engine's entry points empty the memo when they return
-    (release_adapted_tables).
+    derived once per algebra and kept on it, so parse_algebra's check
+    and the rank engine that follows share one.
     """
-    brackets = _adapted_brackets(*table_key(alg))
-    if brackets is None:
-        return alg
-    return LieSuperalgebra(alg.name, alg.generators, brackets)
+    if "adapted" not in alg._derived:
+        brackets = _adapted_brackets(alg)
+        alg._derived["adapted"] = (None if brackets is None else
+                                   LieSuperalgebra(alg.name, alg.generators, brackets))
+    return alg._derived["adapted"] or alg
 
 
-@lru_cache(maxsize=16)
-def _adapted_brackets(generators, table):
-    """The rewritten bracket table for a table_key, or None when the
-    change of basis is the identity.  The algebra is rebuilt from the
-    snapshot, so the memo holds no caller's algebra, and it holds only
-    the nonzero brackets; callers copy the table they get and never
-    mutate it."""
-    alg = LieSuperalgebra("", generators, {pair: dict(targets)
-                                           for pair, targets in table})
+def _adapted_brackets(alg: LieSuperalgebra):
+    """The nonzero brackets of alg in the adapted basis, or None when
+    the change of basis is the identity."""
     rows: Dict[int, Dict[int, Fraction]] = {}
     for targets in alg.brackets.values():
         for parity in (EVEN, ODD):
@@ -306,11 +303,6 @@ def _adapted_brackets(generators, table):
             if new:
                 brackets[(a, b)] = new
     return brackets
-
-
-def release_adapted_tables() -> None:
-    """Empty adapted_basis's memo."""
-    _adapted_brackets.cache_clear()
 
 
 def even_family_shape(n: int, m: int) -> Tuple[str, Tuple[int, int]]:

@@ -26,7 +26,7 @@ from .cohomology import (DEFAULT_COLUMN_CAP, MAX_Q_MAX, CodomainTooLarge,
                          check_degree, even_formula_report, odd_formula_report)
 from .fileformats import (AlgebraParseError, AlgebraValidationError,
                           emit_report, parse_algebra)
-from .verify import GridTooLarge, VerifyResult, check_grid, verify_family
+from .verify import GridTooLarge, VerifyResult, verify_family
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -188,8 +188,6 @@ def _verify_json(res: VerifyResult) -> str:
 
 
 def _cmd_verify(args) -> int:
-    check_grid(args.family, args.n_max, args.m_max, args.q_max)
-    check_degree(args.q_max)
     res = verify_family(args.family, args.n_max, args.m_max, args.q_max,
                         args.column_cap)
     text = _verify_text(res) if args.format == "text" else _verify_json(res)

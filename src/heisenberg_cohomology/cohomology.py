@@ -10,9 +10,9 @@ it rewrites the algebra in a basis adapted to [g, g]
 (algebra.adapted_basis; the identity on the built-in families), which
 keeps every Betti number and makes dense-basis matrices sparse, and
 validates that table: one that is not a Lie superalgebra, so d^2 != 0,
-raises AlgebraValidationError.  The rewrite is memoized on the table's
-content, so a table parse_algebra just checked is not rewritten again;
-every memo the call fills is emptied when it returns (_release).  Every
+raises AlgebraValidationError.  The rewrite is kept on the algebra, so
+one parse_algebra just checked is not rewritten again; the cochain
+spaces the call enumerates are released when it returns.  Every
 CohomologyReport, the closed forms' too (even_formula_report,
 odd_formula_report), is built here; an inconsistent one raises
 ReportInvariantError.
@@ -34,11 +34,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .algebra import (ODD, AlgebraValidationError, LieSuperalgebra,
                       adapted_basis, even_family_shape, odd_family_shape,
-                      release_adapted_tables, validate)
+                      validate)
 from .differential import _cochain_space, differential_matrix, lefschetz_block
 from .formulas import dim_h_even, dim_h_odd_proof, even_cocycle_dim, odd_cocycle_dim
 from .linalg import rank
@@ -176,13 +176,6 @@ def _enter(algebra: LieSuperalgebra, top: int, degrees: Iterable[int],
     return adapted, dims
 
 
-def _release() -> None:
-    """Empty the memos an engine call fills (the cochain spaces and the
-    adapted tables, parse_algebra's included), so none outlives it."""
-    _cochain_space.cache_clear()
-    release_adapted_tables()
-
-
 def _checked_rank(algebra: LieSuperalgebra, q: int, dims: Dict[int, int]) -> int:
     """rank d_q, its shape checked against the preamble's dimensions."""
     if q < 0:
@@ -245,7 +238,7 @@ def cohomology_dims(algebra: LieSuperalgebra, q: int,
         b = _checked_rank(algebra, q - 1, dims)
         z = dims[q] - _checked_rank(algebra, q, dims)
     finally:
-        _release()
+        _cochain_space.cache_clear()
     return CohomologyReport(algebra.name, q, dims[q], z, b, z - b, METHOD_RANK)
 
 
@@ -258,9 +251,8 @@ def betti_table(algebra: LieSuperalgebra, q_max: int,
     nothing.  The ranks are taken in adapted_basis(algebra), which has
     the same Betti numbers: from its Lefschetz blocks when it has an odd
     centre spanning [g, g] (_odd_centre), from each full d_q otherwise.
-    The cochain spaces and adapted tables built on the way are released
-    when the call returns.  Also cross-checks dim H^q = dim Z^q +
-    dim Z^{q-1} - dim C^{q-1} in every degree.
+    The cochain spaces built on the way are released when the call
+    returns.
     """
     if q_max < 0:
         raise ValueError("q_max must be nonnegative")
@@ -272,35 +264,35 @@ def betti_table(algebra: LieSuperalgebra, q_max: int,
         else:
             rk = _block_ranks(algebra, z, q_max, dim_c)
     finally:
-        _release()
+        _cochain_space.cache_clear()
     z = {q: dim_c[q] - rk[q] for q in rk}
     out = []
     for q in range(q_max + 1):
-        h = z[q] - rk[q - 1]
-        if h != z[q] + z[q - 1] - dim_c[q - 1]:
-            raise AssertionError("cocycle/cochain dimension identity failed at q=%d" % q)
         out.append(CohomologyReport(algebra.name, q, dim_c[q], z[q],
-                                    rk[q - 1], h, METHOD_RANK))
+                                    rk[q - 1], z[q] - rk[q - 1], METHOD_RANK))
     return out
+
+
+def _formula_report(shape: Tuple[str, Tuple[int, int]],
+                    cocycle_dim: Callable[[int], int],
+                    h: int, method: str, q: int) -> CohomologyReport:
+    """Betti data in degree q of the family member of this shape from its
+    closed forms: cocycle_dim(p) is dim Z^p and h is dim H^q."""
+    name, superdim = shape
+    dims = SuperSpaceDims(*superdim)
+    b = graded_dim(dims, q - 1) - cocycle_dim(q - 1)
+    return CohomologyReport(name, q, graded_dim(dims, q), cocycle_dim(q), b,
+                            h, method)
 
 
 def even_formula_report(n: int, m: int, q: int) -> CohomologyReport:
     """Betti data of h_{n,m} in degree q from the closed forms."""
-    name, superdim = even_family_shape(n, m)
-    dims = SuperSpaceDims(*superdim)
-    dim_c = graded_dim(dims, q)
-    z = even_cocycle_dim(n, m, q)
-    b = graded_dim(dims, q - 1) - even_cocycle_dim(n, m, q - 1)
-    return CohomologyReport(name, q, dim_c, z, b,
-                            dim_h_even(n, m, q), METHOD_FORMULA_EVEN)
+    return _formula_report(even_family_shape(n, m),
+                           lambda p: even_cocycle_dim(n, m, p),
+                           dim_h_even(n, m, q), METHOD_FORMULA_EVEN, q)
 
 
 def odd_formula_report(n: int, q: int) -> CohomologyReport:
     """Betti data of h_n in degree q from the closed forms."""
-    name, superdim = odd_family_shape(n)
-    dims = SuperSpaceDims(*superdim)
-    dim_c = graded_dim(dims, q)
-    z = odd_cocycle_dim(n, q)
-    b = graded_dim(dims, q - 1) - odd_cocycle_dim(n, q - 1)
-    return CohomologyReport(name, q, dim_c, z, b,
-                            dim_h_odd_proof(n, q), METHOD_FORMULA_ODD_PROOF)
+    return _formula_report(odd_family_shape(n), lambda p: odd_cocycle_dim(n, p),
+                           dim_h_odd_proof(n, q), METHOD_FORMULA_ODD_PROOF, q)

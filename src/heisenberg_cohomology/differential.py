@@ -33,9 +33,10 @@ Work that depends only on a value is done once per value: a cochain
 space and its row index once per (dims, q), so the domain of d_q is the
 codomain just built for d_{q-1}, and a space of z-dual-free cochains
 once per (dims, q, z's position), so block t's codomain is block
-t + 2's domain; an algebra's slot table once per content of its table;
-h_n once per n for psi_matrix and tau.  The memos are small and
-bounded, and what they return is never mutated.
+t + 2's domain; h_n once per n for psi_matrix and tau.  The memos are
+small and bounded, and what they return is never mutated.  An
+algebra's slot table is derived once and kept on the algebra, whose
+bracket table is read-only.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from math import lcm
 from operator import add
 from typing import Dict, Tuple
 
-from .algebra import LieSuperalgebra, ODD, make_heisenberg_odd, table_key
+from .algebra import LieSuperalgebra, ODD, make_heisenberg_odd
 from .linalg import RationalMatrix
 from .superexterior import (SuperElement, SuperMonomial, SuperSpaceDims,
                             _monomial, enumerate_basis, wedge_monomials)
@@ -94,17 +95,15 @@ def _integer_slots(algebra: LieSuperalgebra):
     per odd dual position.  A term is (even_mask, even_set,
     odd_exponents, D * coefficient) for a degree-2 monomial of
     d_generator; D is the lcm of the coefficient denominators, so every
-    scaled coefficient is an integer.  Memoized on the algebra's
-    content (algebra.table_key), never on its identity.
+    scaled coefficient is an integer.  Derived once per algebra and
+    kept on it.
     """
-    return _slot_table(*table_key(algebra))
+    if "slots" not in algebra._derived:
+        algebra._derived["slots"] = _slot_table(algebra)
+    return algebra._derived["slots"]
 
 
-@lru_cache(maxsize=16)
-def _slot_table(generators, brackets):
-    # rebuilt from the snapshot, so the memo holds no caller's algebra
-    algebra = LieSuperalgebra("", generators, {pair: dict(targets)
-                                               for pair, targets in brackets})
+def _slot_table(algebra: LieSuperalgebra):
     table = [d_generator(algebra, g).terms
              for g in algebra.even_indices + algebra.odd_indices]
     denom = lcm(1, *(c.denominator for terms in table for c in terms.values()))
@@ -117,7 +116,8 @@ def _slot_table(generators, brackets):
 
 @lru_cache(maxsize=4)
 def _heisenberg_odd(n: int) -> LieSuperalgebra:
-    # built and validated once per n for psi_matrix and tau
+    # built and validated once per n for psi_matrix and tau, so its
+    # slot table, kept on it, serves every power and degree as well
     return make_heisenberg_odd(n)
 
 

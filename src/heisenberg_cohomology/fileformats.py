@@ -16,9 +16,10 @@ super skew-symmetry dictates.
 Parsing fails at the parse site, not later inside a rank computation.
 A malformed line raises AlgebraParseError with its line number.  The
 axioms are checked on the table rewritten in the basis adapted to
-[g, g] (algebra.adapted_basis), which is sparse and which the rank
-engine reuses; they hold there exactly when they hold in the file's
-basis.  A table that fails raises AlgebraValidationError with
+[g, g] (algebra.adapted_basis), which is sparse; they hold there
+exactly when they hold in the file's basis.  The rewrite is kept on
+the algebra returned, whose bracket table is read-only, so the rank
+engine reuses it.  A table that fails raises AlgebraValidationError with
 validate's messages on the table as written, so they name the file's
 generators; they carry no line number.
 """
@@ -139,7 +140,7 @@ def parse_algebra(text) -> LieSuperalgebra:
         raise AlgebraParseError("no generators defined", max(1, len(text.splitlines())))
     alg = LieSuperalgebra(name, gens, brackets)
     # the axioms hold in every basis or in none, so check the sparse
-    # adapted table (which the rank engine reuses) and word a failure
+    # adapted table (kept on alg for the rank engine) and word a failure
     # in the file's own basis
     if validate(adapted_basis(alg)):
         raise AlgebraValidationError(validate(alg))

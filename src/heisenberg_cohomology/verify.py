@@ -17,7 +17,8 @@ from typing import List, Optional
 
 from .algebra import (even_family_shape, make_heisenberg_even,
                       make_heisenberg_odd, odd_family_shape)
-from .cohomology import DEFAULT_COLUMN_CAP, betti_table, check_column_cap
+from .cohomology import (DEFAULT_COLUMN_CAP, betti_table, check_column_cap,
+                         check_degree)
 from .differential import _cochain_space, psi_matrix
 from .formulas import dim_h_even, dim_h_odd_displayed, dim_h_odd_proof, ker_psi_dim
 from .linalg import RationalMatrix, kernel_dim
@@ -97,7 +98,8 @@ class VerifyResult:
 def check_grid(family: str, n_max: int, m_max: Optional[int],
                q_max: int) -> None:
     """The O(1) checks on verify_family's arguments: ValueError for a
-    bad grid, then GridTooLarge for one of more than MAX_GRID_POINTS."""
+    bad grid, then GridTooLarge for one of more than MAX_GRID_POINTS,
+    then DegreeLimitExceeded for a q_max over cohomology.MAX_Q_MAX."""
     if n_max < 1 or q_max < 0:
         raise ValueError("need n_max >= 1 and q_max >= 0")
     if family == "even":
@@ -111,6 +113,7 @@ def check_grid(family: str, n_max: int, m_max: Optional[int],
     points = n_max * (m_max or 1)
     if points > MAX_GRID_POINTS:
         raise GridTooLarge(points, MAX_GRID_POINTS)
+    check_degree(q_max)
 
 
 def _is_multiple(matrix: RationalMatrix, base: RationalMatrix, l: int) -> bool:
@@ -134,7 +137,8 @@ def verify_family(family: str, n_max: int, m_max: Optional[int] = None,
     it, and any that is not gets its own elimination.
 
     A grid of more than MAX_GRID_POINTS points is refused from its size
-    alone (GridTooLarge); then every grid point is checked against the
+    alone (GridTooLarge), and a q_max over MAX_Q_MAX from its value
+    (DegreeLimitExceeded); then every grid point is checked against the
     column cap, in grid order, before anything is computed, so an
     oversized grid is refused at once.
     """

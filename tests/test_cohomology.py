@@ -2,13 +2,12 @@ import random
 
 import pytest
 
-from heisenberg_cohomology import cohomology, differential
+from heisenberg_cohomology import algebra, cohomology, differential
 from heisenberg_cohomology.algebra import (AlgebraValidationError,
-                                           LieSuperalgebra, _adapted_brackets,
-                                           adapted_basis,
+                                           LieSuperalgebra, adapted_basis,
                                            make_heisenberg_even,
                                            make_heisenberg_odd, odd_family_shape,
-                                           release_adapted_tables, validate)
+                                           validate)
 from heisenberg_cohomology.cohomology import (CodomainTooLarge,
                                               ColumnCapExceeded,
                                               CohomologyReport,
@@ -18,6 +17,7 @@ from heisenberg_cohomology.cohomology import (CodomainTooLarge,
 from heisenberg_cohomology.differential import (DifferentialMatrix,
                                                 _cochain_space,
                                                 differential_matrix)
+from heisenberg_cohomology.fileformats import format_algebra, parse_algebra
 from heisenberg_cohomology.linalg import RationalMatrix
 from heisenberg_cohomology.verify import verify_family
 
@@ -278,48 +278,61 @@ def _hidden_valid(name, seed):
     return alg
 
 
-def test_adapted_tables_are_released_when_the_call_returns(monkeypatch):
-    hidden = _hidden_valid("hidden", 2)
-    invalid = _invalid_algebras()[2]
-    hits = []
+def _counted(monkeypatch, module, name):
+    """Replace module.name by a wrapper; returns the list of its first
+    arguments, one per call."""
+    real = getattr(module, name)
+    calls = []
 
-    def recorded(algebra):
-        adapted = adapted_basis(algebra)
-        hits.append(_adapted_brackets.cache_info().hits)
-        return adapted
+    def counted(alg):
+        calls.append(alg)
+        return real(alg)
 
-    monkeypatch.setattr(cohomology, "adapted_basis", recorded)
-    for call, error in ((lambda: betti_table(hidden, 3), None),
-                        (lambda: cohomology_dims(hidden, 3), None),
-                        (lambda: betti_table(hidden, 3, column_cap=5), ColumnCapExceeded),
-                        (lambda: cohomology_dims(hidden, 3, column_cap=5), ColumnCapExceeded),
-                        (lambda: cohomology_dims(hidden, 10 ** 8), DegreeLimitExceeded),
-                        (lambda: betti_table(invalid, 2), AlgebraValidationError)):
-        # as parse_algebra leaves it
-        release_adapted_tables()
-        adapted_basis(hidden)
-        assert _adapted_brackets.cache_info().currsize == 1
-        hits.clear()
-        if error is None:
-            call()
-            # the engine reused the rewrite
-            assert hits == [1]
-        else:
-            with pytest.raises(error):
-                call()
-        assert _adapted_brackets.cache_info().currsize == 0
+    monkeypatch.setattr(module, name, counted)
+    return calls
 
 
-def test_adapted_tables_are_shared_by_content_not_by_name():
+def test_a_parsed_file_is_rewritten_once(monkeypatch):
+    text = format_algebra(_hidden_valid("hidden", 2))
+    rewrites = _counted(monkeypatch, algebra, "_adapted_brackets")
+    alg = parse_algebra(text)
+    table = betti_table(alg, 3)
+    assert cohomology_dims(alg, 3) == table[3]
+    # the parse's rewrite is kept on alg, and the engine reuses it
+    assert rewrites == [alg]
+
+
+def test_slot_table_is_derived_once_per_algebra(monkeypatch):
+    # full d_q on the hidden sum, Lefschetz blocks on h_3, full d_q on
+    # h_{2,2} (the identity rewrite)
+    for alg in (_hidden_valid("hidden", 2), make_heisenberg_odd(3),
+                make_heisenberg_even(2, 2)):
+        derived = _counted(monkeypatch, differential, "_slot_table")
+        betti_table(alg, 4)
+        betti_table(alg, 3)
+        assert derived == [adapted_basis(alg)], alg.name
+
+
+def test_bracket_table_is_read_only():
+    alg = make_heisenberg_even(1, 1)
+    with pytest.raises(TypeError):
+        alg.brackets[(1, 2)][0] = 2
+    with pytest.raises(TypeError):
+        alg.brackets[(0, 0)] = {0: 1}
+    with pytest.raises(TypeError):
+        del alg.brackets[(1, 2)]
+    # rebinding the table would leave the tables derived from it stale
+    with pytest.raises(AttributeError):
+        alg.brackets = {}
+    assert alg == make_heisenberg_even(1, 1)
+
+
+def test_algebras_with_one_table_keep_their_own_names():
     table = _table(_hidden_valid("hidden", 3))
     a, b = LieSuperalgebra("a", *table), LieSuperalgebra("b", *table)
-    release_adapted_tables()
     adapted_a, adapted_b = adapted_basis(a), adapted_basis(b)
-    info = _adapted_brackets.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
     assert (adapted_a.name, adapted_b.name) == ("a", "b")
     assert adapted_a.brackets == adapted_b.brackets
     for alg in (a, b):
         assert {r.algebra_name for r in betti_table(alg, 2)} == {alg.name}
         assert cohomology_dims(alg, 2).algebra_name == alg.name
-    assert _adapted_brackets.cache_info().currsize == 0

@@ -8,11 +8,9 @@ from fractions import Fraction
 import pytest
 
 from heisenberg_cohomology import cli, fileformats
-from heisenberg_cohomology.algebra import (LieSuperalgebra, _adapted_brackets,
-                                           adapted_basis, make_heisenberg_even,
-                                           make_heisenberg_odd,
-                                           release_adapted_tables, table_key,
-                                           validate)
+from heisenberg_cohomology.algebra import (LieSuperalgebra, adapted_basis,
+                                           make_heisenberg_even,
+                                           make_heisenberg_odd, validate)
 from heisenberg_cohomology.cohomology import betti_table, cohomology_dims
 from heisenberg_cohomology.fileformats import (AlgebraParseError,
                                                AlgebraValidationError,
@@ -196,7 +194,6 @@ def _wide_text():
 
 
 def test_wide_file_with_a_basis_change_parses_in_sparse_work():
-    release_adapted_tables()
     tracemalloc.start()
     try:
         alg = parse_algebra(_wide_text())
@@ -208,10 +205,8 @@ def test_wide_file_with_a_basis_change_parses_in_sparse_work():
     assert peak < 4 * 2 ** 20
     adapted = adapted_basis(alg)
     assert adapted is not alg
+    # the rewrite kept on alg holds the nonzero brackets only
     assert adapted.brackets == {(0, 1): {2: 1}}
-    # the memo holds the nonzero brackets only
-    assert _adapted_brackets(*table_key(alg)) == {(0, 1): {2: 1}}
-    release_adapted_tables()
 
 
 def test_compute_refuses_a_wide_file_by_its_size(tmp_path, capsysbinary):
