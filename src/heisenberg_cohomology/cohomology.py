@@ -32,11 +32,10 @@ reused by nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from .algebra import (ODD, AlgebraValidationError, LieSuperalgebra,
+from .algebra import (ODD, AlgebraValidationError, LieSuperalgebra, _Record,
                       adapted_basis, even_family_shape, odd_family_shape,
                       validate)
 from .differential import _cochain_space, differential_matrix, lefschetz_block
@@ -107,19 +106,15 @@ class ReportInvariantError(ValueError):
     in the engine, not in the user's input."""
 
 
-@dataclass(frozen=True)
-class CohomologyReport:
-    """Dimension bookkeeping for one cohomological degree."""
+class CohomologyReport(_Record):
+    """Dimension bookkeeping for one cohomological degree; the
+    constructor raises ReportInvariantError on inconsistent fields."""
 
-    algebra_name: str
-    q: int
-    dim_cochain: int
-    dim_cocycles: int
-    dim_coboundaries: int
-    dim_cohomology: int
-    method: str
+    __slots__ = ("algebra_name", "q", "dim_cochain", "dim_cocycles",
+                 "dim_coboundaries", "dim_cohomology", "method")
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         if self.method not in METHODS:
             raise ReportInvariantError("unknown method %r" % self.method)
         ok = (0 <= self.dim_cohomology

@@ -41,14 +41,13 @@ bracket table is read-only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from operator import add
 from typing import Dict, Tuple
 
-from .algebra import LieSuperalgebra, ODD, make_heisenberg_odd
+from .algebra import LieSuperalgebra, ODD, _Record, make_heisenberg_odd
 from .linalg import RationalMatrix
 from .superexterior import (SuperElement, SuperMonomial, SuperSpaceDims,
                             _monomial, enumerate_basis, wedge_monomials)
@@ -222,14 +221,12 @@ def d_element(algebra: LieSuperalgebra, elem: SuperElement) -> SuperElement:
     return SuperElement({_monomial(*rows[r]): c / denom for r, c in image.items()})
 
 
-@dataclass(frozen=True)
-class DifferentialMatrix:
-    """d_q : C^q -> C^{q+1} over the canonical bases of both sides."""
+class DifferentialMatrix(_Record):
+    """d_q : C^q -> C^{q+1} over the canonical bases of both sides: the
+    degree q, the domain and codomain as tuples of SuperMonomial, and
+    the RationalMatrix."""
 
-    q: int
-    domain: Tuple[SuperMonomial, ...]
-    codomain: Tuple[SuperMonomial, ...]
-    matrix: RationalMatrix
+    __slots__ = ("q", "domain", "codomain", "matrix")
 
 
 def differential_matrix(algebra: LieSuperalgebra, q: int) -> DifferentialMatrix:

@@ -39,11 +39,10 @@ from .cohomology import CohomologyReport
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
-# csv header per the report layout; json uses the dataclass field names
+# csv header per the report layout; json keys are the report's own fields
 CSV_FIELDS = ("algebra", "q", "dim_cochain", "dim_cocycles",
               "dim_coboundaries", "dim_cohomology", "method")
-JSON_FIELDS = ("algebra_name", "q", "dim_cochain", "dim_cocycles",
-               "dim_coboundaries", "dim_cohomology", "method")
+JSON_FIELDS = CohomologyReport._fields
 
 
 class AlgebraParseError(ValueError):
@@ -160,27 +159,21 @@ def format_algebra(alg: LieSuperalgebra) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _report_row(report: CohomologyReport):
-    return (report.algebra_name, report.q, report.dim_cochain,
-            report.dim_cocycles, report.dim_coboundaries,
-            report.dim_cohomology, report.method)
-
-
 def emit_report(reports: Iterable[CohomologyReport], fmt: str) -> bytes:
     """Serialize reports as 'json', 'csv' or 'text' (deterministic bytes)."""
     reports = list(reports)
     if fmt == "json":
-        payload = [dict(zip(JSON_FIELDS, _report_row(r))) for r in reports]
+        payload = [dict(zip(JSON_FIELDS, r._values())) for r in reports]
         return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_MINIMAL)
         writer.writerow(CSV_FIELDS)
         for r in reports:
-            writer.writerow(_report_row(r))
+            writer.writerow(r._values())
         return buf.getvalue().encode("utf-8")
     if fmt == "text":
-        table = [tuple(str(x) for x in _report_row(r)) for r in reports]
+        table = [tuple(str(x) for x in r._values()) for r in reports]
         widths = [len(h) for h in CSV_FIELDS]
         for row in table:
             widths = [max(w, len(x)) for w, x in zip(widths, row)]

@@ -107,6 +107,10 @@ class RationalMatrix:
     def __repr__(self) -> str:
         return "RationalMatrix(%d, %d, nnz=%d)" % (self.rows, self.cols, self.nnz)
 
+    def __reduce__(self):
+        # slots alone pickle only from protocol 2 on
+        return RationalMatrix.from_columns, (self.rows, self.columns, self.scale)
+
 
 def rank(matrix: RationalMatrix) -> int:
     """Exact rank by fraction-free elimination of the stored columns in

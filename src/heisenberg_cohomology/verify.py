@@ -11,11 +11,10 @@ rather than hidden.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from itertools import product
 from typing import List, Optional
 
-from .algebra import (even_family_shape, make_heisenberg_even,
+from .algebra import (_Record, even_family_shape, make_heisenberg_even,
                       make_heisenberg_odd, odd_family_shape)
 from .cohomology import (DEFAULT_COLUMN_CAP, betti_table, check_column_cap,
                          check_degree)
@@ -43,16 +42,11 @@ class GridTooLarge(RuntimeError):
         self.limit = limit
 
 
-@dataclass(frozen=True)
-class Comparison:
-    """One grid point: a closed form against the rank oracle."""
+class Comparison(_Record):
+    """One grid point: a closed form against the rank oracle (m is None
+    on the odd family)."""
 
-    formula: str
-    n: int
-    m: Optional[int]
-    q: int
-    formula_value: int
-    oracle_value: int
+    __slots__ = ("formula", "n", "m", "q", "formula_value", "oracle_value")
 
     @property
     def ok(self) -> bool:
@@ -68,14 +62,20 @@ class Comparison:
             self.oracle_value, status)
 
 
-@dataclass
-class VerifyResult:
-    family: str
-    n_max: int
-    m_max: Optional[int]
-    q_max: int
-    checks: List[Comparison] = field(default_factory=list)
-    elapsed: float = 0.0
+class VerifyResult(_Record):
+    """One verify_family run; unlike the other records it is mutable,
+    and so unhashable."""
+
+    __slots__ = ("family", "n_max", "m_max", "q_max", "checks", "elapsed")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, family: str, n_max: int, m_max: Optional[int],
+                 q_max: int, checks: Optional[List[Comparison]] = None,
+                 elapsed: float = 0.0):
+        super().__init__(family, n_max, m_max, q_max,
+                         [] if checks is None else checks, elapsed)
 
     @property
     def mismatches(self) -> List[Comparison]:

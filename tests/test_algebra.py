@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -5,6 +7,8 @@ import pytest
 from heisenberg_cohomology.algebra import (
     EVEN, ODD, Generator, LieSuperalgebra, make_heisenberg_even,
     make_heisenberg_odd, validate)
+from heisenberg_cohomology.differential import (DifferentialMatrix,
+                                                differential_matrix)
 
 from oracles import centralizer, derived_subalgebra_dim
 
@@ -133,9 +137,67 @@ def test_index_of_and_parity():
         alg.index_of("nope")
 
 
+def check_record(rec, fields, text, frozen=True, hashable=True):
+    """Pin the record behaviour of `rec`: its fields in order, its repr,
+    equality and hash by value, construction by keyword, TypeError on a
+    wrong field count, AttributeError on assignment when frozen, and
+    copy, deepcopy and pickle round trips at every protocol."""
+    cls = type(rec)
+    values = tuple(getattr(rec, f) for f in fields)
+    assert repr(rec) == text
+    assert cls.__match_args__ == fields
+    same = cls(**dict(zip(fields, values)))
+    assert same == rec and not same != rec and cls(*values) == rec
+    if hashable:
+        assert hash(same) == hash(rec) == hash(values)
+    else:
+        with pytest.raises(TypeError):
+            hash(rec)
+    # equal only to a record of the very same class
+    assert rec != values and rec.__eq__(values) is NotImplemented
+
+    class Sub(cls):
+        __slots__ = ()
+
+    assert Sub(*values) != rec and rec.__eq__(Sub(*values)) is NotImplemented
+    for args, kwargs in ((values[:1], {}), (values + (None,), {}),
+                         (values, {"unknown": 1}), (values, {fields[0]: values[0]})):
+        with pytest.raises(TypeError):
+            cls(*args, **kwargs)
+    if frozen:
+        for change in (lambda: setattr(rec, fields[0], values[0]),
+                       lambda: delattr(rec, fields[-1]),
+                       lambda: setattr(rec, "unknown", 1)):
+            with pytest.raises(AttributeError):
+                change()
+        assert tuple(getattr(rec, f) for f in fields) == values
+    copies = [copy.copy(rec), copy.deepcopy(rec), copy.deepcopy([rec])[0]]
+    copies += [pickle.loads(pickle.dumps(rec, p))
+               for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for c in copies:
+        assert type(c) is cls and c == rec and repr(c) == text
+
+
 def test_equality_and_repr():
     a = make_heisenberg_even(1, 2)
     b = make_heisenberg_even(1, 2)
     assert a == b
     assert a != make_heisenberg_even(2, 1)
     assert "h_{1,2}" in repr(a)
+    h1 = make_heisenberg_odd(1)
+    z = h1.generators[2]
+    check_record(z, ("name", "index", "parity"),
+                 "Generator(name='z', index=2, parity=1)")
+    assert z == Generator("z", 2, ODD) != Generator("z", 2, EVEN)
+    assert LieSuperalgebra("h", h1.generators, h1.brackets) == LieSuperalgebra(
+        "h", [(g.name, g.parity) for g in copy.deepcopy(h1.generators)], h1.brackets)
+    d1 = differential_matrix(h1, 1)
+    check_record(d1, ("q", "domain", "codomain", "matrix"),
+                 "DifferentialMatrix(q=1, domain=(SuperMonomial((0,), (0, 0)), "
+                 "SuperMonomial((), (1, 0)), SuperMonomial((), (0, 1))), "
+                 "codomain=(SuperMonomial((0,), (1, 0)), SuperMonomial((0,), (0, 1)), "
+                 "SuperMonomial((), (2, 0)), SuperMonomial((), (1, 1)), "
+                 "SuperMonomial((), (0, 2))), matrix=RationalMatrix(5, 3, nnz=1))",
+                 hashable=False)  # its RationalMatrix is unhashable
+    assert d1 == DifferentialMatrix(1, d1.domain, d1.codomain, d1.matrix)
+    assert d1 != differential_matrix(h1, 0)

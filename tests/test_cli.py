@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -396,3 +400,21 @@ def test_degree_limit_itself_is_accepted(capsysbinary):
     assert code == 0
     rows = list(csv.reader(io.StringIO(out.decode())))[1:]
     assert [r[1] for r in rows] == [str(q) for q in range(cli.MAX_Q_MAX + 1)]
+
+
+def test_cli_imports_neither_dataclasses_nor_inspect():
+    # every CLI child process pays for what importing the cli loads; the
+    # record types are plain slot classes, so neither module is needed
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+    def loaded(statement):
+        probe = ("import sys; %s; print(' '.join(m for m in ('dataclasses', 'inspect')"
+                 " if m in sys.modules))" % statement)
+        return subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                              capture_output=True, text=True).stdout.split()
+
+    if loaded("pass"):
+        pytest.skip("a bare interpreter here already imports %s" % loaded("pass"))
+    assert loaded("import heisenberg_cohomology.cli") == []

@@ -12,6 +12,7 @@ from heisenberg_cohomology.cohomology import (CodomainTooLarge,
                                               ColumnCapExceeded,
                                               CohomologyReport,
                                               DegreeLimitExceeded, METHOD_RANK,
+                                              ReportInvariantError,
                                               betti_table, check_column_cap,
                                               cohomology_dims)
 from heisenberg_cohomology.differential import (DifferentialMatrix,
@@ -19,8 +20,9 @@ from heisenberg_cohomology.differential import (DifferentialMatrix,
                                                 differential_matrix)
 from heisenberg_cohomology.fileformats import format_algebra, parse_algebra
 from heisenberg_cohomology.linalg import RationalMatrix
-from heisenberg_cohomology.verify import verify_family
+from heisenberg_cohomology.verify import Comparison, VerifyResult, verify_family
 
+from test_algebra import check_record
 from test_validate import _table, change_basis, direct_sum
 
 # not Lie superalgebras: Jacobi fails on (x, y, z), and [x, y] -> u
@@ -180,7 +182,7 @@ def test_block_ranks_reject_a_misshapen_block(monkeypatch):
 def test_report_validation():
     good = dict(algebra_name="h_1", q=2, dim_cochain=3, dim_cocycles=3,
                 dim_coboundaries=1, dim_cohomology=2, method=METHOD_RANK)
-    CohomologyReport(**good)
+    report = CohomologyReport(**good)
     with pytest.raises(ValueError):
         CohomologyReport(**{**good, "method": "guesswork"})
     with pytest.raises(ValueError):
@@ -189,6 +191,43 @@ def test_report_validation():
         CohomologyReport(**{**good, "dim_cocycles": 9})
     with pytest.raises(ValueError):
         CohomologyReport(**{**good, "dim_coboundaries": -1})
+    with pytest.raises(ReportInvariantError) as err:
+        CohomologyReport("h_1", 2, 3, 3, 1, 5, METHOD_RANK)
+    assert str(err.value) == (
+        "inconsistent dimensions in CohomologyReport(algebra_name='h_1', q=2, "
+        "dim_cochain=3, dim_cocycles=3, dim_coboundaries=1, dim_cohomology=5, "
+        "method='rank')")
+    check_record(report, tuple(good),
+                 "CohomologyReport(algebra_name='h_1', q=2, dim_cochain=3, "
+                 "dim_cocycles=3, dim_coboundaries=1, dim_cohomology=2, method='rank')")
+    assert report != CohomologyReport(**{**good, "algebra_name": "h_2"})
+
+    fields = ("formula", "n", "m", "q", "formula_value", "oracle_value")
+    even = Comparison("dim_h_even", 1, 2, 3, 4, 4)
+    odd = Comparison("dim_h_odd_displayed", 1, None, 2, 3, 2)
+    check_record(even, fields, "Comparison(formula='dim_h_even', n=1, m=2, q=3, "
+                               "formula_value=4, oracle_value=4)")
+    check_record(odd, fields, "Comparison(formula='dim_h_odd_displayed', n=1, "
+                              "m=None, q=2, formula_value=3, oracle_value=2)")
+    assert even.ok and not odd.ok and even != odd
+
+    check_record(VerifyResult("odd", 1, None, 2, [odd], 0.5),
+                 ("family", "n_max", "m_max", "q_max", "checks", "elapsed"),
+                 "VerifyResult(family='odd', n_max=1, m_max=None, q_max=2, checks=["
+                 "Comparison(formula='dim_h_odd_displayed', n=1, m=None, q=2, "
+                 "formula_value=3, oracle_value=2)], elapsed=0.5)",
+                 frozen=False, hashable=False)
+    result = verify_family("odd", 1, q_max=0)
+    assert type(result) is VerifyResult and len(result.checks) == 5 and result.ok()
+    # mutable, with a fresh list of checks by default
+    fresh, other = VerifyResult("odd", 1, None, 0), VerifyResult("odd", 1, None, 0)
+    assert fresh.checks == [] and fresh.checks is not other.checks
+    assert fresh.elapsed == 0.0 and fresh == other
+    fresh.checks.append(odd)
+    fresh.elapsed = 1.5
+    assert fresh != other and other.checks == []
+    assert fresh == VerifyResult("odd", 1, None, 0, [odd], 1.5)
+    assert fresh.mismatches == fresh.deviations == [odd] and fresh.ok()
 
 
 def _invalid_algebras():
