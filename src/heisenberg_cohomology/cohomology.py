@@ -4,8 +4,8 @@ dim H^q = dim ker d_q - rank d_{q-1}, all over the rationals.
 betti_table and cohomology_dims share one preamble (_enter).  It first
 refuses, from the superdimension alone, a degree over MAX_Q_MAX, a
 matrix wider than the column cap (default 5000 columns) and a top
-codomain, enumerated only to number rows, over CODOMAIN_ROWS_PER_COLUMN
-times the cap: explicit, overridable refusals, not truncations.  Then
+codomain C^{q+1} over CODOMAIN_ROWS_PER_COLUMN times the cap:
+explicit, overridable refusals, not truncations.  Then
 it rewrites the algebra in a basis adapted to [g, g]
 (algebra.adapted_basis; the identity on the built-in families), which
 keeps every Betti number and makes dense-basis matrices sparse, and
@@ -27,7 +27,9 @@ other duals), and rank d_q = sum_{t<q} rank L^(t).  Each L^(t) is built
 and eliminated once per table (differential.lefschetz_block).  Every
 other algebra, even centres included, has each full d_q built and
 eliminated: an even z-dual has no power above 1, so its blocks are
-reused by nothing.
+reused by nothing.  The top codomain C^{q+1} is nobody's domain, and
+Betti numbers do not depend on how its rows are numbered, so the top
+d_q numbers them on first use and C^{q+1} is never enumerated.
 """
 
 from __future__ import annotations
@@ -38,7 +40,8 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 from .algebra import (ODD, AlgebraValidationError, LieSuperalgebra, _Record,
                       adapted_basis, even_family_shape, odd_family_shape,
                       validate)
-from .differential import _cochain_space, differential_matrix, lefschetz_block
+from .differential import (_coboundary, _cochain_space, _RowIndex,
+                           differential_matrix, lefschetz_block)
 from .formulas import dim_h_even, dim_h_odd_proof, even_cocycle_dim, odd_cocycle_dim
 from .linalg import rank
 from .superexterior import SuperSpaceDims, graded_dim
@@ -52,9 +55,12 @@ DEFAULT_COLUMN_CAP = 5000
 # degree is far below it.
 MAX_Q_MAX = 100
 
-# The codomain C^{q+1} of the top degree is enumerated to number rows but
-# is nobody's domain, so the column cap does not bound it: it is refused
-# beyond this many rows per column of the cap (500,000 at the default).
+# The codomain C^{q+1} of the top degree is nobody's domain, so the
+# column cap does not bound it: it is refused beyond this many rows per
+# column of the cap (500,000 at the default).  The full-matrix route
+# numbers only the rows its top d_q reaches; what the refusal bounds is
+# the last codomain the block route enumerates, A^{q+1}, and the top
+# matrix the public differential_matrix would build.
 CODOMAIN_ROWS_PER_COLUMN = 100
 
 METHOD_RANK = "rank"
@@ -172,14 +178,29 @@ def _enter(algebra: LieSuperalgebra, top: int, degrees: Iterable[int],
 
 
 def _checked_rank(algebra: LieSuperalgebra, q: int, dims: Dict[int, int]) -> int:
-    """rank d_q, its shape checked against the preamble's dimensions."""
+    """rank d_q, its shape checked against the preamble's dimensions.
+
+    dims runs up to the top degree's codomain (_checked_dims).  Below
+    the top degree C^{q+1} is d_{q+1}'s domain, enumerated anyway,
+    and its canonical index numbers the rows.  The top codomain is
+    nobody's domain: its rows are numbered on first use, so it is never
+    enumerated, and the rows d_q reaches must fit in dim C^{q+1}.
+    """
     if q < 0:
         return 0
-    dm = differential_matrix(algebra, q)
-    if (dm.matrix.cols, dm.matrix.rows) != (dims[q], dims[q + 1]):
+    if q + 1 < max(dims):
+        matrix = differential_matrix(algebra, q).matrix
+    else:
+        domain, _ = _cochain_space(algebra.superdim, q)
+        row_index = _RowIndex()
+        matrix = _coboundary(algebra, domain, row_index, dims[q + 1])
+        if len(row_index) > dims[q + 1]:
+            raise AssertionError("d_%d reaches %d rows, more than dim C^%d = %d"
+                                 % (q, len(row_index), q + 1, dims[q + 1]))
+    if (matrix.cols, matrix.rows) != (dims[q], dims[q + 1]):
         raise AssertionError("d_%d has shape %dx%d, not dim C^%d x dim C^%d"
-                             % (q, dm.matrix.rows, dm.matrix.cols, q + 1, q))
-    return rank(dm.matrix)
+                             % (q, matrix.rows, matrix.cols, q + 1, q))
+    return rank(matrix)
 
 
 def _odd_centre(algebra: LieSuperalgebra) -> Optional[int]:
@@ -229,7 +250,8 @@ def cohomology_dims(algebra: LieSuperalgebra, q: int,
         return CohomologyReport(algebra.name, q, 0, 0, 0, 0, METHOD_RANK)
     try:
         algebra, dims = _enter(algebra, q, (q, q - 1), column_cap)
-        # d_{q-1} first: its codomain C^q is d_q's domain, still in the memo
+        # d_{q-1} first: its codomain C^q is d_q's domain, still in the
+        # memo; d_q is the top degree, so C^{q+1} is not enumerated
         b = _checked_rank(algebra, q - 1, dims)
         z = dims[q] - _checked_rank(algebra, q, dims)
     finally:

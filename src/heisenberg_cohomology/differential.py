@@ -33,10 +33,12 @@ Work that depends only on a value is done once per value: a cochain
 space and its row index once per (dims, q), so the domain of d_q is the
 codomain just built for d_{q-1}, and a space of z-dual-free cochains
 once per (dims, q, z's position), so block t's codomain is block
-t + 2's domain; h_n once per n for psi_matrix and tau.  The memos are
-small and bounded, and what they return is never mutated.  An
-algebra's slot table is derived once and kept on the algebra, whose
-bracket table is read-only.
+t + 2's domain; h_n once per n for psi_matrix and tau.  A codomain that
+is nobody's domain is not enumerated at all: d_element's image and the
+rank engine's top coboundary number their rows in order of first use
+(_RowIndex).  The memos are small and bounded, and what they return is
+never mutated.  An algebra's slot table is derived once and kept on the
+algebra, whose bracket table is read-only.
 """
 
 from __future__ import annotations
@@ -191,7 +193,9 @@ def _d_columns(even_slots, odd_slots, domain, row_index):
 
 
 class _RowIndex(dict):
-    """Row numbers handed out to keys in order of first use."""
+    """Row numbers handed out to keys in order of first use: the rows of
+    d_element's image, and of the rank engine's top coboundary, whose
+    codomain is nobody's domain and so is never enumerated."""
 
     def __missing__(self, key):
         row = self[key] = len(self)
@@ -235,10 +239,18 @@ def differential_matrix(algebra: LieSuperalgebra, q: int) -> DifferentialMatrix:
         raise ValueError("degree must be nonnegative")
     domain, _ = _cochain_space(algebra.superdim, q)
     codomain, row_index = _cochain_space(algebra.superdim, q + 1)
+    mat = _coboundary(algebra, domain, row_index, len(codomain))
+    return DifferentialMatrix(q, domain, codomain, mat)
+
+
+def _coboundary(algebra: LieSuperalgebra, domain, row_index,
+                rows: int) -> RationalMatrix:
+    """d of the keys `domain` as a matrix of `rows` rows with scale 1/D,
+    its rows numbered by `row_index`: a cochain space's index, or a
+    _RowIndex that numbers them on first use."""
     denom, even_slots, odd_slots = _integer_slots(algebra)
     columns = _d_columns(even_slots, odd_slots, domain, row_index)
-    mat = RationalMatrix._wrap(len(codomain), columns, Fraction(1, denom))
-    return DifferentialMatrix(q, domain, codomain, mat)
+    return RationalMatrix._wrap(rows, columns, Fraction(1, denom))
 
 
 def lefschetz_block(algebra: LieSuperalgebra, z: int, t: int,
@@ -265,9 +277,7 @@ def lefschetz_block(algebra: LieSuperalgebra, z: int, t: int,
         row_index = {(mask, odds[:j] + (l - 1,) + odds[j + 1:]): r
                      for r, (mask, odds) in enumerate(codomain)}
     domain = [(mask, odds[:j] + (l,) + odds[j + 1:]) for mask, odds in free]
-    denom, even_slots, odd_slots = _integer_slots(algebra)
-    columns = _d_columns(even_slots, odd_slots, domain, row_index)
-    return RationalMatrix._wrap(len(codomain), columns, Fraction(1, denom))
+    return _coboundary(algebra, domain, row_index, len(codomain))
 
 
 def tau(n: int, l: int) -> SuperElement:

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -220,6 +221,27 @@ def test_output_is_byte_deterministic(capsysbinary):
         second = run_cli(capsysbinary, argv)
         assert first[0] == second[0]
         assert first[1] == second[1], argv
+
+
+def _readme_commands():
+    """The heisenberg-cohomology lines of README's "Command line" block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("heisenberg-cohomology ")]
+
+
+def test_readme_examples_run(tmp_path, capsysbinary):
+    path = tmp_path / "myalgebra.alg"
+    path.write_text(format_algebra(make_heisenberg_odd(1)))
+    commands = _readme_commands()
+    assert sorted({argv[0] for argv in commands}) == ["compute", "even", "odd", "verify"]
+    for argv in commands:
+        argv = [str(path) if a == "myalgebra.alg" else a for a in argv]
+        code, out, err = run_cli(capsysbinary, argv)
+        assert code == 0 and out, (argv, err)
+        assert b"Traceback" not in out + err, argv
 
 
 def _refusal(name, q, columns):

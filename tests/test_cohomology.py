@@ -19,9 +19,11 @@ from heisenberg_cohomology.differential import (DifferentialMatrix,
                                                 _cochain_space,
                                                 differential_matrix)
 from heisenberg_cohomology.fileformats import format_algebra, parse_algebra
-from heisenberg_cohomology.linalg import RationalMatrix
+from heisenberg_cohomology.linalg import RationalMatrix, rank
 from heisenberg_cohomology.verify import Comparison, VerifyResult, verify_family
 
+from test_adapted_basis import (HIDDEN_SUMS, _hidden_two_step,
+                                _hidden_with_simple_part)
 from test_algebra import check_record
 from test_validate import _table, change_basis, direct_sum
 
@@ -162,6 +164,31 @@ def test_checked_rank_rejects_a_misshapen_matrix(monkeypatch):
     monkeypatch.setattr(cohomology, "differential_matrix", transposed)
     # an even centre takes the full-matrix route
     with pytest.raises(AssertionError, match="d_0 has shape"):
+        betti_table(make_heisenberg_even(1, 1), 2)
+    monkeypatch.undo()
+
+    # the top d_q numbers its rows on first use: more rows than dim C^{q+1},
+    # or a column too few, is a fault too
+    real_top = cohomology._coboundary
+
+    def overflowing(algebra, domain, row_index, rows):
+        mat = real_top(algebra, domain, row_index, rows)
+        for k in range(rows + 1 - len(row_index)):
+            row_index[("not a row", k)]
+        return mat
+
+    def narrow(algebra, domain, row_index, rows):
+        return real_top(algebra, domain[1:], row_index, rows)
+
+    # h_{1,1}: dims (3|1), dim C^2 = 7, dim C^3 = 8
+    monkeypatch.setattr(cohomology, "_coboundary", overflowing)
+    for call in (lambda: betti_table(make_heisenberg_even(1, 1), 2),
+                 lambda: cohomology_dims(make_heisenberg_even(1, 1), 2)):
+        with pytest.raises(AssertionError,
+                           match=r"d_2 reaches 9 rows, more than dim C\^3 = 8"):
+            call()
+    monkeypatch.setattr(cohomology, "_coboundary", narrow)
+    with pytest.raises(AssertionError, match="d_2 has shape 8x6"):
         betti_table(make_heisenberg_even(1, 1), 2)
 
 
@@ -306,8 +333,42 @@ def test_cohomology_dims_enumerates_each_space_once(monkeypatch):
     for q in range(6):
         calls.clear()
         cohomology_dims(make_heisenberg_even(2, 2), q)
-        # d_{q-1} then d_q: C^{q-1}, C^q (kept for d_q), C^{q+1}
-        assert calls == list(range(max(q - 1, 0), q + 2)), q
+        # d_{q-1} then d_q: C^{q-1}, C^q (kept for d_q); C^{q+1}, the
+        # top codomain, is numbered on first use and never enumerated
+        assert calls == list(range(max(q - 1, 0), q + 1)), q
+
+
+def test_betti_table_enumerates_each_space_once(monkeypatch):
+    real = differential.enumerate_basis
+    calls = []
+
+    def counted(dims, q, without=None):
+        calls.append(q)
+        return real(dims, q, without)
+
+    monkeypatch.setattr(differential, "enumerate_basis", counted)
+    for q_max in range(6):
+        calls.clear()
+        betti_table(make_heisenberg_even(2, 2), q_max)
+        # C^q once for d_{q-1} and d_q; C^{q_max+1} never
+        assert calls == list(range(q_max + 1)), q_max
+
+
+def test_first_use_rows_give_the_canonical_rank():
+    # the top d_q's rows are numbered on first use; every rank the engine
+    # reports equals the rank of the canonical differential_matrix
+    families = [make_heisenberg_even(n, m) for n, m in ((1, 1), (1, 3), (2, 1), (2, 2))]
+    hidden = [s for _, _, s in HIDDEN_SUMS] + _hidden_two_step(6, 41)
+    # [g, g] not central: the engine validates such a table in every
+    # call, at about 0.1 s, so one of them, in degrees up to 2
+    simple = _hidden_with_simple_part(1, 43)
+    for alg, q_max in ([(a, 4) for a in families] + [(a, 3) for a in hidden]
+                       + [(a, 2) for a in simple]):
+        canonical = [rank(differential_matrix(alg, q).matrix) for q in range(q_max + 1)]
+        table = betti_table(alg, q_max)
+        assert [r.dim_cochain - r.dim_cocycles for r in table] == canonical, alg.name
+        # cohomology_dims(alg, q) has d_q at its top
+        assert [cohomology_dims(alg, q) for q in range(q_max + 1)] == table, alg.name
 
 
 def _hidden_valid(name, seed):

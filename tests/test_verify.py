@@ -1,4 +1,6 @@
-from heisenberg_cohomology import verify
+from collections import Counter
+
+from heisenberg_cohomology import differential, verify
 from heisenberg_cohomology.formulas import ker_psi_dim
 from heisenberg_cohomology.linalg import RationalMatrix, kernel_dim
 
@@ -26,3 +28,20 @@ def test_psi_shortcut_cannot_hide_a_faulty_build(monkeypatch):
             assert c.describe().endswith("MISMATCH")
         else:
             assert c.ok, c.describe()
+
+
+def test_odd_grid_enumerates_each_space_at_most_twice(monkeypatch):
+    # once by betti_table's blocks and once by the psi walk, whose even
+    # and odd t each find their domain still in the memo
+    real = differential.enumerate_basis
+    calls = Counter()
+
+    def counted(dims, q, without=None):
+        calls[(tuple(dims), q, without)] += 1
+        return real(dims, q, without)
+
+    monkeypatch.setattr(differential, "enumerate_basis", counted)
+    verify.verify_family("odd", 4, None, 7)
+    # per n, A^0..A^9 (dims (n, n + 1) without z's slot n)
+    assert sorted(calls) == [((n, n + 1), q, n) for n in range(1, 5) for q in range(10)]
+    assert max(calls.values()) == 2, calls
