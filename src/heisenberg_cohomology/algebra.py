@@ -390,6 +390,17 @@ def odd_family_shape(n: int) -> Tuple[str, Tuple[int, int]]:
     return "h_%d" % n, (n, n + 1)
 
 
+def _built_in(name: str, gens, brackets) -> LieSuperalgebra:
+    """A built-in family member, validated once: the verdict is kept on
+    it, so the rank engine does not validate it again."""
+    alg = LieSuperalgebra(name, gens, brackets)
+    bad = validate(alg)
+    if bad:
+        raise AssertionError("%s failed validation: %s" % (name, bad))
+    alg._derived["valid"] = True
+    return alg
+
+
 def make_heisenberg_even(n: int, m: int) -> LieSuperalgebra:
     """Heisenberg superalgebra h_{n,m} with even central element z.
 
@@ -403,11 +414,7 @@ def make_heisenberg_even(n: int, m: int) -> LieSuperalgebra:
     brackets = {(i, n + i): {0: 1} for i in range(1, n + 1)}
     for j in range(1, m + 1):
         brackets[(2 * n + j, 2 * n + j)] = {0: 1}
-    alg = LieSuperalgebra(name, gens, brackets)
-    bad = validate(alg)
-    if bad:
-        raise AssertionError("%s failed validation: %s" % (name, bad))
-    return alg
+    return _built_in(name, gens, brackets)
 
 
 def make_heisenberg_odd(n: int) -> LieSuperalgebra:
@@ -421,8 +428,4 @@ def make_heisenberg_odd(n: int) -> LieSuperalgebra:
     gens += [("y%d" % i, ODD) for i in range(1, n + 1)]
     gens.append(("z", ODD))
     brackets = {(i - 1, n + i - 1): {2 * n: 1} for i in range(1, n + 1)}
-    alg = LieSuperalgebra(name, gens, brackets)
-    bad = validate(alg)
-    if bad:
-        raise AssertionError("%s failed validation: %s" % (name, bad))
-    return alg
+    return _built_in(name, gens, brackets)

@@ -4,9 +4,10 @@ Verbs: `even` and `odd` print Betti tables for the built-in families,
 `compute` does the same for an algebra file, `verify` adjudicates the
 closed-form formulas against the rank engine on a grid.  All output is
 byte-deterministic; `verify` prints its elapsed time to stderr.  Exit
-codes: 0 success, 1 usage or parse error, 2 validation error,
-3 resource refusal (a --q-max over MAX_Q_MAX, a matrix over the column
-cap, a top codomain over 100 times the cap in rows, or a verify grid
+codes: 0 success, 1 usage or parse error (a negative --column-cap
+included), 2 validation error, 3 resource refusal (a --q-max over
+MAX_Q_MAX, a matrix over the column cap, a top codomain, or on the odd
+verify grid psi's, over 100 times the cap in rows, or a verify grid
 over verify.MAX_GRID_POINTS), 4 verification mismatch, 5 internal
 error (a failed invariant check, such as an inconsistent
 CohomologyReport, reported as one line on stderr).
@@ -44,12 +45,27 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, "%s: error: %s\n" % (self.prog, message))
 
 
+def _column_cap(text: str) -> int:
+    try:
+        cap = int(text)
+    except ValueError:
+        # argparse's own wording for a bad int
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
+    if cap < 0:
+        raise argparse.ArgumentTypeError("must be nonnegative, got %d" % cap)
+    return cap
+
+
+def _add_column_cap(p):
+    p.add_argument("--column-cap", type=_column_cap, default=DEFAULT_COLUMN_CAP,
+                   metavar="N", help="refuse coboundary matrices wider than N "
+                   "(default: %d)" % DEFAULT_COLUMN_CAP)
+
+
 def _add_output_options(p):
     p.add_argument("--format", choices=("text", "json", "csv"), default="text",
                    help="output format (default: text)")
-    p.add_argument("--column-cap", type=int, default=DEFAULT_COLUMN_CAP,
-                   metavar="N", help="refuse coboundary matrices wider than N "
-                   "(default: %d)" % DEFAULT_COLUMN_CAP)
+    _add_column_cap(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -95,8 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--m-max", type=int, default=None)
     p_ver.add_argument("--q-max", type=int, required=True)
     p_ver.add_argument("--format", choices=("text", "json"), default="text")
-    p_ver.add_argument("--column-cap", type=int, default=DEFAULT_COLUMN_CAP,
-                       metavar="N")
+    _add_column_cap(p_ver)
     p_ver.set_defaults(func=_cmd_verify)
     return parser
 

@@ -10,9 +10,11 @@ it rewrites the algebra in a basis adapted to [g, g]
 (algebra.adapted_basis; the identity on the built-in families), which
 keeps every Betti number and makes dense-basis matrices sparse, and
 validates that table: one that is not a Lie superalgebra, so d^2 != 0,
-raises AlgebraValidationError.  The rewrite is kept on the algebra, so
-one parse_algebra just checked is not rewritten again; the cochain
-spaces the call enumerates are released when it returns.  Every
+raises AlgebraValidationError.  The rewrite and the verdict are kept on
+the algebra, so one that parse_algebra or a family constructor just
+checked is neither rewritten nor validated again.  Each call owns one
+workspace (differential._Workspace) that enumerates each cochain space
+it needs once, and is dropped when the call returns or raises.  Every
 CohomologyReport, the closed forms' too (even_formula_report,
 odd_formula_report), is built here; an inconsistent one raises
 ReportInvariantError.
@@ -23,8 +25,10 @@ of that type once adapted), the z-dual f_z is the only dual with a
 nonzero d and d(alpha f_z^l) = +-l (alpha omega) f_z^{l-1} with
 omega = d f_z, so d_q splits into the blocks +-l L^(q-l), L^(t) the
 multiplication by omega from A^t to A^{t+2} (A: the cochains on the
-other duals), and rank d_q = sum_{t<q} rank L^(t).  Each L^(t) is built
-and eliminated once per table (differential.lefschetz_block).  Every
+other duals), and rank d_q = sum_{t<q} rank L^(t).  One walk
+(_lefschetz_blocks) builds and eliminates each L^(t) once per table;
+verify_family iterates the same walk one block further, and reads the
+kernel of psi_{(n,1)} = +-L^(t) off each block's rank.  Every
 other algebra, even centres included, has each full d_q built and
 eliminated: an even z-dual has no power above 1, so its blocks are
 reused by nothing.  The top codomain C^{q+1} is nobody's domain, and
@@ -35,15 +39,15 @@ d_q numbers them on first use and C^{q+1} is never enumerated.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .algebra import (ODD, AlgebraValidationError, LieSuperalgebra, _Record,
                       adapted_basis, even_family_shape, odd_family_shape,
                       validate)
-from .differential import (_coboundary, _cochain_space, _RowIndex,
-                           differential_matrix, lefschetz_block)
+from .differential import (_coboundary, _lefschetz_block, _RowIndex,
+                           _Workspace)
 from .formulas import dim_h_even, dim_h_odd_proof, even_cocycle_dim, odd_cocycle_dim
-from .linalg import rank
+from .linalg import RationalMatrix, rank
 from .superexterior import SuperSpaceDims, graded_dim
 
 DEFAULT_COLUMN_CAP = 5000
@@ -94,17 +98,22 @@ class ColumnCapExceeded(RuntimeError):
 
 class CodomainTooLarge(RuntimeError):
     """Refusal to build a coboundary matrix whose codomain has more rows
-    than CODOMAIN_ROWS_PER_COLUMN times the column cap."""
+    than CODOMAIN_ROWS_PER_COLUMN times the column cap.  `codomain`
+    names the space: C^{q+1} by default, psi's A^{q+2} in verify."""
 
-    def __init__(self, algebra_name: str, q: int, rows: int, limit: int):
+    def __init__(self, algebra_name: str, q: int, rows: int, limit: int,
+                 codomain: Optional[str] = None):
+        if codomain is None:
+            codomain = "codomain C^%d" % (q + 1)
         super().__init__(
-            "refusing %s at q=%d: codomain C^%d has %d rows, limit is %d "
+            "refusing %s at q=%d: %s has %d rows, limit is %d "
             "(%d times the column cap; raise the cap to force the computation)"
-            % (algebra_name, q, q + 1, rows, limit, CODOMAIN_ROWS_PER_COLUMN))
+            % (algebra_name, q, codomain, rows, limit, CODOMAIN_ROWS_PER_COLUMN))
         self.algebra_name = algebra_name
         self.q = q
         self.rows = rows
         self.limit = limit
+        self.codomain = codomain
 
 
 class ReportInvariantError(ValueError):
@@ -165,19 +174,24 @@ def check_column_cap(name: str, superdim: Tuple[int, int], q_max: int,
 
 
 def _enter(algebra: LieSuperalgebra, top: int, degrees: Iterable[int],
-           cap: int) -> Tuple[LieSuperalgebra, Dict[int, int]]:
+           cap: int) -> Tuple[LieSuperalgebra, Dict[int, int], _Workspace]:
     """The one way into the rank engine: the size refusals, then
     adapted_basis, then validate on that sparse table, which fails
     exactly when the input's does; the error lists validate(algebra).
-    Returns the adapted algebra and _checked_dims' dimensions."""
+    The verdict is kept on the algebra, so it is validated once.
+    Returns the adapted algebra, _checked_dims' dimensions and the
+    call's workspace."""
     dims = _checked_dims(algebra.name, algebra.superdim, top, degrees, cap)
     adapted = adapted_basis(algebra)
-    if validate(adapted):
+    if "valid" not in algebra._derived:
+        algebra._derived["valid"] = not validate(adapted)
+    if not algebra._derived["valid"]:
         raise AlgebraValidationError(validate(algebra))
-    return adapted, dims
+    return adapted, dims, _Workspace()
 
 
-def _checked_rank(algebra: LieSuperalgebra, q: int, dims: Dict[int, int]) -> int:
+def _checked_rank(algebra: LieSuperalgebra, q: int, dims: Dict[int, int],
+                  workspace: _Workspace) -> int:
     """rank d_q, its shape checked against the preamble's dimensions.
 
     dims runs up to the top degree's codomain (_checked_dims).  Below
@@ -188,10 +202,11 @@ def _checked_rank(algebra: LieSuperalgebra, q: int, dims: Dict[int, int]) -> int
     """
     if q < 0:
         return 0
+    domain, _ = workspace.space(algebra.superdim, q)
     if q + 1 < max(dims):
-        matrix = differential_matrix(algebra, q).matrix
+        codomain, row_index = workspace.space(algebra.superdim, q + 1)
+        matrix = _coboundary(algebra, domain, row_index, len(codomain))
     else:
-        domain, _ = _cochain_space(algebra.superdim, q)
         row_index = _RowIndex()
         matrix = _coboundary(algebra, domain, row_index, dims[q + 1])
         if len(row_index) > dims[q + 1]:
@@ -216,31 +231,50 @@ def _odd_centre(algebra: LieSuperalgebra) -> Optional[int]:
     return z
 
 
-def _block_ranks(algebra: LieSuperalgebra, z: int, q_max: int,
-                 dims: Dict[int, int]) -> Dict[int, int]:
-    """{q: rank d_q} for q = -1..q_max as sum_{t<q} rank L^(t), each
-    block's shape and dim C^q = sum_l dim A^{q-l} checked against the
-    preamble's dimensions."""
+def _lefschetz_blocks(algebra: LieSuperalgebra, z: int, dims: Dict[int, int],
+                      t_end: int, workspace: _Workspace
+                      ) -> Iterator[Tuple[int, RationalMatrix, int]]:
+    """(t, L^(t), rank L^(t)) for t = 0..t_end-1, each block built and
+    eliminated once, its shape and dim C^q = sum_l dim A^{q-l} checked
+    against the preamble's dimensions.
+
+    The even t come first, then the odd t, each upward: block t's
+    codomain is block t+2's domain, so each space of A is enumerated
+    once.  A block is not kept past its t.
+    """
     n0, n1 = algebra.superdim
     space = SuperSpaceDims(n0, n1 - 1)
-    dim_a = {s: graded_dim(space, s) for s in range(q_max + 2)}
-    for q in range(q_max + 2):
+    dim_a = {s: graded_dim(space, s) for s in range(t_end + 2)}
+    for q in range(max(dims) + 1):
         if sum(dim_a[q - l] for l in range(q + 1)) != dims[q]:
             raise AssertionError("dim C^%d is not the sum of dim A^(%d-l) f_z^l"
                                  % (q, q))
-    block_rank = {}
-    # even t, then odd t, each upward: block t's codomain is block t+2's
-    # domain, so each space of A is enumerated once
-    for t in chain(range(0, q_max, 2), range(1, q_max, 2)):
-        block = lefschetz_block(algebra, z, t, 1)
+    for t in chain(range(0, t_end, 2), range(1, t_end, 2)):
+        block = _lefschetz_block(algebra, z, t, 1, workspace)
         if (block.rows, block.cols) != (dim_a[t + 2], dim_a[t]):
             raise AssertionError("L^(%d) has shape %dx%d, not dim A^%d x dim A^%d"
                                  % (t, block.rows, block.cols, t + 2, t))
-        block_rank[t] = rank(block)
+        yield t, block, rank(block)
+
+
+def _block_ranks(block_rank: Dict[int, int], q_max: int) -> Dict[int, int]:
+    """{q: rank d_q} for q = -1..q_max as sum_{t<q} rank L^(t)."""
     rk = {-1: 0, 0: 0}
     for q in range(1, q_max + 1):
         rk[q] = rk[q - 1] + block_rank[q - 1]
     return rk
+
+
+def _reports(name: str, dims: Dict[int, int],
+             rk: Dict[int, int]) -> List[CohomologyReport]:
+    """The rank route's reports for q = 0..max(rk), from dim C^q and
+    rank d_q."""
+    out = []
+    for q in range(max(rk) + 1):
+        z = dims[q] - rk[q]
+        out.append(CohomologyReport(name, q, dims[q], z, rk[q - 1],
+                                    z - rk[q - 1], METHOD_RANK))
+    return out
 
 
 def cohomology_dims(algebra: LieSuperalgebra, q: int,
@@ -248,14 +282,11 @@ def cohomology_dims(algebra: LieSuperalgebra, q: int,
     """Betti data in a single degree, via exact ranks."""
     if q < 0:
         return CohomologyReport(algebra.name, q, 0, 0, 0, 0, METHOD_RANK)
-    try:
-        algebra, dims = _enter(algebra, q, (q, q - 1), column_cap)
-        # d_{q-1} first: its codomain C^q is d_q's domain, still in the
-        # memo; d_q is the top degree, so C^{q+1} is not enumerated
-        b = _checked_rank(algebra, q - 1, dims)
-        z = dims[q] - _checked_rank(algebra, q, dims)
-    finally:
-        _cochain_space.cache_clear()
+    algebra, dims, workspace = _enter(algebra, q, (q, q - 1), column_cap)
+    # d_{q-1} first: its codomain C^q is d_q's domain, already enumerated;
+    # d_q is the top degree, so C^{q+1} is not enumerated
+    b = _checked_rank(algebra, q - 1, dims, workspace)
+    z = dims[q] - _checked_rank(algebra, q, dims, workspace)
     return CohomologyReport(algebra.name, q, dims[q], z, b, z - b, METHOD_RANK)
 
 
@@ -268,26 +299,19 @@ def betti_table(algebra: LieSuperalgebra, q_max: int,
     nothing.  The ranks are taken in adapted_basis(algebra), which has
     the same Betti numbers: from its Lefschetz blocks when it has an odd
     centre spanning [g, g] (_odd_centre), from each full d_q otherwise.
-    The cochain spaces built on the way are released when the call
-    returns.
+    The cochain spaces built on the way live in the call's workspace.
     """
     if q_max < 0:
         raise ValueError("q_max must be nonnegative")
-    try:
-        algebra, dim_c = _enter(algebra, q_max, range(q_max + 1), column_cap)
-        z = _odd_centre(algebra)
-        if z is None:
-            rk = {q: _checked_rank(algebra, q, dim_c) for q in range(-1, q_max + 1)}
-        else:
-            rk = _block_ranks(algebra, z, q_max, dim_c)
-    finally:
-        _cochain_space.cache_clear()
-    z = {q: dim_c[q] - rk[q] for q in rk}
-    out = []
-    for q in range(q_max + 1):
-        out.append(CohomologyReport(algebra.name, q, dim_c[q], z[q],
-                                    rk[q - 1], z[q] - rk[q - 1], METHOD_RANK))
-    return out
+    algebra, dims, workspace = _enter(algebra, q_max, range(q_max + 1), column_cap)
+    z = _odd_centre(algebra)
+    if z is None:
+        rk = {q: _checked_rank(algebra, q, dims, workspace)
+              for q in range(-1, q_max + 1)}
+    else:
+        blocks = _lefschetz_blocks(algebra, z, dims, q_max, workspace)
+        rk = _block_ranks({t: r for t, _, r in blocks}, q_max)
+    return _reports(algebra.name, dims, rk)
 
 
 def _formula_report(shape: Tuple[str, Tuple[int, int]],

@@ -29,16 +29,20 @@ lowers the power of an odd central dual by one; psi_matrix is that
 block of h_n with scale (-1)^t / D.  The tests hold the kernel to the
 alternating-sum formula entry by entry.
 
-Work that depends only on a value is done once per value: a cochain
+Work that depends only on a value is done once per value.  The rank
+engine's entry points (betti_table, cohomology_dims, and verify_family
+per n) each own one _Workspace for the call, which enumerates a cochain
 space and its row index once per (dims, q), so the domain of d_q is the
 codomain just built for d_{q-1}, and a space of z-dual-free cochains
 once per (dims, q, z's position), so block t's codomain is block
-t + 2's domain; h_n once per n for psi_matrix and tau.  A codomain that
-is nobody's domain is not enumerated at all: d_element's image and the
-rank engine's top coboundary number their rows in order of first use
-(_RowIndex).  The memos are small and bounded, and what they return is
-never mutated.  An algebra's slot table is derived once and kept on the
-algebra, whose bracket table is read-only.
+t + 2's domain and every power l of one t shares its spaces.  The
+workspace is dropped when its call returns or raises; the public
+builders take a fresh one per call.  A codomain that is nobody's domain
+is not enumerated at all: d_element's image and the rank engine's top
+coboundary number their rows in order of first use (_RowIndex).  h_n is
+built once per n for psi_matrix and tau, and an algebra's slot table is
+derived once and kept on the algebra, whose bracket table is read-only.
+What these return is never mutated.
 """
 
 from __future__ import annotations
@@ -122,20 +126,25 @@ def _heisenberg_odd(n: int) -> LieSuperalgebra:
     return make_heisenberg_odd(n)
 
 
-@lru_cache(maxsize=2)
-def _cochain_space(dims: Tuple[int, int], q: int, without=None):
-    """(basis, {key: row}) of C^q over `dims`, in the canonical order;
-    with `without`, an odd position, of the cochains without that dual
-    (enumerate_basis's `without`), whose index numbers the rows of every
-    block with l = 1.
+class _Workspace:
+    """The cochain spaces of one rank-engine call, each enumerated once.
 
-    Two spaces are kept: d_q's codomain is d_{q+1}'s domain, block t's
-    codomain is block t+2's domain, and psi's bases serve every power
-    l.  Callers do not mutate either; the rank engine's entry points
-    empty the memo when they return.
+    space(dims, q) is (basis, {key: row}) of C^q over `dims`, in the
+    canonical order; with `without`, an odd position, of the cochains
+    without that dual (enumerate_basis's `without`), whose index numbers
+    the rows of every block with l = 1.  Callers do not mutate either.
+    A workspace lives as long as the call that made it.
     """
-    basis = tuple(enumerate_basis(SuperSpaceDims(*dims), q, without))
-    return basis, {key: r for r, key in enumerate(basis)}
+
+    def __init__(self):
+        self._spaces = {}
+
+    def space(self, dims: Tuple[int, int], q: int, without=None):
+        key = (dims, q, without)
+        if key not in self._spaces:
+            basis = tuple(enumerate_basis(SuperSpaceDims(*dims), q, without))
+            self._spaces[key] = basis, {mono: r for r, mono in enumerate(basis)}
+        return self._spaces[key]
 
 
 def _d_columns(even_slots, odd_slots, domain, row_index):
@@ -237,8 +246,9 @@ def differential_matrix(algebra: LieSuperalgebra, q: int) -> DifferentialMatrix:
     """Matrix of the coboundary in degree q (columns indexed by C^q)."""
     if q < 0:
         raise ValueError("degree must be nonnegative")
-    domain, _ = _cochain_space(algebra.superdim, q)
-    codomain, row_index = _cochain_space(algebra.superdim, q + 1)
+    workspace = _Workspace()
+    domain, _ = workspace.space(algebra.superdim, q)
+    codomain, row_index = workspace.space(algebra.superdim, q + 1)
     mat = _coboundary(algebra, domain, row_index, len(codomain))
     return DifferentialMatrix(q, domain, codomain, mat)
 
@@ -268,11 +278,17 @@ def lefschetz_block(algebra: LieSuperalgebra, z: int, t: int,
     with f_z^{l-1}, and a d-term outside them (the precondition broken)
     raises KeyError.  For t < 0 the domain is empty.
     """
+    return _lefschetz_block(algebra, z, t, l, _Workspace())
+
+
+def _lefschetz_block(algebra: LieSuperalgebra, z: int, t: int, l: int,
+                     workspace: _Workspace) -> RationalMatrix:
+    """lefschetz_block on the spaces of `workspace`."""
     j = algebra.odd_indices.index(z)
     # domain first: block t's codomain is block t + 2's domain, so a walk
-    # over every other t finds each space of A still in the memo
-    free, _ = _cochain_space(algebra.superdim, t, j)
-    codomain, row_index = _cochain_space(algebra.superdim, t + 2, j)
+    # over every other t finds each space of A already enumerated
+    free, _ = workspace.space(algebra.superdim, t, j)
+    codomain, row_index = workspace.space(algebra.superdim, t + 2, j)
     if l > 1:
         row_index = {(mask, odds[:j] + (l - 1,) + odds[j + 1:]): r
                      for r, (mask, odds) in enumerate(codomain)}
@@ -306,7 +322,12 @@ def psi_matrix(t: int, n: int, l: int) -> RationalMatrix:
     """
     if n < 1 or l < 1:
         raise ValueError("psi needs n >= 1 and l >= 1")
-    block = lefschetz_block(_heisenberg_odd(n), 2 * n, t, l)
+    return _psi(lefschetz_block(_heisenberg_odd(n), 2 * n, t, l), t)
+
+
+def _psi(block: RationalMatrix, t: int) -> RationalMatrix:
+    """psi_{(n,l)} in degree t from h_n's Lefschetz block of power l:
+    the same integer columns, the scale times (-1)^t."""
     if t & 1:
         return RationalMatrix._wrap(block.rows, block.columns, -block.scale)
     return block

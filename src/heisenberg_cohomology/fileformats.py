@@ -17,9 +17,10 @@ Parsing fails at the parse site, not later inside a rank computation.
 A malformed line raises AlgebraParseError with its line number.  The
 axioms are checked on the table rewritten in the basis adapted to
 [g, g] (algebra.adapted_basis), which is sparse; they hold there
-exactly when they hold in the file's basis.  The rewrite is kept on
-the algebra returned, whose bracket table is read-only, so the rank
-engine reuses it.  A table that fails raises AlgebraValidationError with
+exactly when they hold in the file's basis.  The rewrite and the
+verdict are kept on the algebra returned, whose bracket table is
+read-only, so the rank engine reuses the one and does not validate
+again.  A table that fails raises AlgebraValidationError with
 validate's messages on the table as written, so they name the file's
 generators; they carry no line number.
 """
@@ -56,7 +57,12 @@ class AlgebraParseError(ValueError):
 def _parse_rational(token: str, lineno: int) -> Fraction:
     if not _RATIONAL_RE.match(token):
         raise AlgebraParseError("malformed rational %r" % token, lineno)
-    return Fraction(token)
+    try:
+        return Fraction(token)
+    except ValueError as exc:
+        # a numeral over the interpreter's integer-conversion limit
+        raise AlgebraParseError("rational of %d characters: %s"
+                                % (len(token), exc), lineno) from None
 
 
 def parse_algebra(text) -> LieSuperalgebra:
@@ -139,10 +145,11 @@ def parse_algebra(text) -> LieSuperalgebra:
         raise AlgebraParseError("no generators defined", max(1, len(text.splitlines())))
     alg = LieSuperalgebra(name, gens, brackets)
     # the axioms hold in every basis or in none, so check the sparse
-    # adapted table (kept on alg for the rank engine) and word a failure
-    # in the file's own basis
+    # adapted table and word a failure in the file's own basis; the
+    # rewrite and the verdict are kept on alg for the rank engine
     if validate(adapted_basis(alg)):
         raise AlgebraValidationError(validate(alg))
+    alg._derived["valid"] = True
     return alg
 
 

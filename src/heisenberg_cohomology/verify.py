@@ -11,16 +11,19 @@ rather than hidden.
 from __future__ import annotations
 
 import time
-from itertools import chain, product
+from itertools import product
 from typing import List, Optional
 
 from .algebra import (_Record, even_family_shape, make_heisenberg_even,
                       make_heisenberg_odd, odd_family_shape)
-from .cohomology import (DEFAULT_COLUMN_CAP, betti_table, check_column_cap,
-                         check_degree)
-from .differential import _cochain_space, psi_matrix
+from .cohomology import (CODOMAIN_ROWS_PER_COLUMN, DEFAULT_COLUMN_CAP,
+                         CodomainTooLarge, _block_ranks, _enter,
+                         _lefschetz_blocks, _reports, betti_table,
+                         check_column_cap, check_degree)
+from .differential import _lefschetz_block, _psi
 from .formulas import dim_h_even, dim_h_odd_displayed, dim_h_odd_proof, ker_psi_dim
 from .linalg import RationalMatrix, kernel_dim
+from .superexterior import SuperSpaceDims, graded_dim
 
 FAILING_FORMULAS = ("dim_h_even", "dim_h_odd_proof")
 PSI_POWERS = (1, 2, 3)
@@ -124,6 +127,17 @@ def _is_multiple(matrix: RationalMatrix, base: RationalMatrix, l: int) -> bool:
                                    for col in base.columns])
 
 
+def _check_psi_codomain(n: int, q_max: int, column_cap: int) -> None:
+    """Refuse h_n's psi walk when its top codomain A^{q_max+2}, over
+    dims (n|n), has more rows than CODOMAIN_ROWS_PER_COLUMN times the
+    cap (CodomainTooLarge); from graded_dim alone, in O(q_max)."""
+    rows = graded_dim(SuperSpaceDims(n, n), q_max + 2)
+    limit = CODOMAIN_ROWS_PER_COLUMN * column_cap
+    if rows > limit:
+        raise CodomainTooLarge(odd_family_shape(n)[0], q_max, rows, limit,
+                               "psi's codomain A^%d" % (q_max + 2))
+
+
 def verify_family(family: str, n_max: int, m_max: Optional[int] = None,
                   q_max: int = 8,
                   column_cap: int = DEFAULT_COLUMN_CAP) -> VerifyResult:
@@ -132,55 +146,71 @@ def verify_family(family: str, n_max: int, m_max: Optional[int] = None,
     family 'even': dim_h_even on n=1..n_max, m=1..m_max, q=0..q_max.
     family 'odd': dim_h_odd_proof and dim_h_odd_displayed on
     n=1..n_max, q=0..q_max, plus ker_psi_dim against the kernel of
-    psi_matrix(t, n, l) for t=0..q_max and l=1,2,3.  Every psi_matrix is
-    built; only l=1 is eliminated when the others are exactly l times
-    it, and any that is not gets its own elimination.
+    psi_{(n,l)} (psi_matrix(t, n, l)) for t=0..q_max and l=1,2,3.
+
+    Each n of the odd family makes one walk over h_n's Lefschetz blocks
+    L^(t), t=0..q_max, with one workspace, as betti_table does one
+    block further: each block is built and eliminated once, its rank
+    gives rank d_q for the Betti reports and the kernel of
+    psi_{(n,1)} = (-1)^t L^(t).  psi_{(n,2)} and psi_{(n,3)} are built
+    on the same spaces; one that is exactly l times psi_{(n,1)} has its
+    kernel, and any other gets its own elimination.
 
     A grid of more than MAX_GRID_POINTS points is refused from its size
     alone (GridTooLarge), and a q_max over MAX_Q_MAX from its value
     (DegreeLimitExceeded); then every grid point is checked against the
-    column cap, in grid order, before anything is computed, so an
-    oversized grid is refused at once.
+    column cap, in grid order, and on the odd family every psi walk
+    against its codomain bound (_check_psi_codomain), before anything is
+    computed, so an oversized grid is refused at once.
     """
     start = time.perf_counter()
     check_grid(family, n_max, m_max, q_max)
     checks: List[Comparison] = []
-    try:
-        if family == "even":
-            grid = (range(1, n_max + 1), range(1, m_max + 1))
-            for n, m in product(*grid):
-                check_column_cap(*even_family_shape(n, m), q_max, column_cap)
-            for n, m in product(*grid):
-                for report in betti_table(make_heisenberg_even(n, m), q_max, column_cap):
-                    checks.append(Comparison("dim_h_even", n, m, report.q,
-                                             dim_h_even(n, m, report.q),
-                                             report.dim_cohomology))
-        else:
-            for n in range(1, n_max + 1):
-                check_column_cap(*odd_family_shape(n), q_max, column_cap)
-            for n in range(1, n_max + 1):
-                for report in betti_table(make_heisenberg_odd(n), q_max, column_cap):
-                    oracle = report.dim_cohomology
-                    checks.append(Comparison("dim_h_odd_proof", n, None, report.q,
-                                             dim_h_odd_proof(n, report.q), oracle))
-                    checks.append(Comparison("dim_h_odd_displayed", n, None, report.q,
-                                             dim_h_odd_displayed(n, report.q), oracle))
-                # even t, then odd t, each upward: psi's codomain at t is
-                # its domain at t + 2, so each space is enumerated once
-                for t in chain(range(0, q_max + 1, 2), range(1, q_max + 1, 2)):
-                    want = ker_psi_dim(t, n)
-                    base = psi_matrix(t, n, 1)
-                    base_kernel = kernel_dim(base)
-                    for l in PSI_POWERS:
-                        psi = base if l == 1 else psi_matrix(t, n, l)
-                        # psi_{(n,l)} = l * psi_{(n,1)}: equal matrices have
-                        # equal kernels, and any other matrix is eliminated
-                        same = psi is base or _is_multiple(psi, base, l)
-                        got = base_kernel if same else kernel_dim(psi)
-                        checks.append(Comparison("ker_psi_dim[l=%d]" % l, n, None,
-                                                 t, want, got))
-    finally:
-        _cochain_space.cache_clear()
+    if family == "even":
+        grid = (range(1, n_max + 1), range(1, m_max + 1))
+        for n, m in product(*grid):
+            check_column_cap(*even_family_shape(n, m), q_max, column_cap)
+        for n, m in product(*grid):
+            for report in betti_table(make_heisenberg_even(n, m), q_max, column_cap):
+                checks.append(Comparison("dim_h_even", n, m, report.q,
+                                         dim_h_even(n, m, report.q),
+                                         report.dim_cohomology))
+    else:
+        for n in range(1, n_max + 1):
+            check_column_cap(*odd_family_shape(n), q_max, column_cap)
+        for n in range(1, n_max + 1):
+            _check_psi_codomain(n, q_max, column_cap)
+        for n in range(1, n_max + 1):
+            checks.extend(_odd_point(n, q_max, column_cap))
     checks.sort(key=lambda c: (c.formula, c.n, c.m or 0, c.q))
     elapsed = time.perf_counter() - start
     return VerifyResult(family, n_max, m_max, q_max, checks, elapsed)
+
+
+def _odd_point(n: int, q_max: int, column_cap: int) -> List[Comparison]:
+    """The checks of h_n: one block walk over t = 0..q_max on one
+    workspace, dropped when this returns."""
+    algebra, dims, workspace = _enter(make_heisenberg_odd(n), q_max,
+                                      range(q_max + 1), column_cap)
+    z = 2 * n  # h_n's odd centre, its last generator
+    checks = []
+    block_rank = {}
+    for t, block, r in _lefschetz_blocks(algebra, z, dims, q_max + 1, workspace):
+        block_rank[t] = r
+        want = ker_psi_dim(t, n)
+        base = _psi(block, t)
+        for l in PSI_POWERS:
+            psi = (base if l == 1
+                   else _psi(_lefschetz_block(algebra, z, t, l, workspace), t))
+            # psi_{(n,l)} = l * psi_{(n,1)}: equal matrices have equal
+            # kernels, and any other matrix is eliminated
+            same = psi is base or _is_multiple(psi, base, l)
+            got = block.cols - r if same else kernel_dim(psi)
+            checks.append(Comparison("ker_psi_dim[l=%d]" % l, n, None, t, want, got))
+    for report in _reports(algebra.name, dims, _block_ranks(block_rank, q_max)):
+        oracle = report.dim_cohomology
+        checks.append(Comparison("dim_h_odd_proof", n, None, report.q,
+                                 dim_h_odd_proof(n, report.q), oracle))
+        checks.append(Comparison("dim_h_odd_displayed", n, None, report.q,
+                                 dim_h_odd_displayed(n, report.q), oracle))
+    return checks

@@ -272,6 +272,7 @@ def test_verify_refuses_the_grid_before_computing(capsysbinary, monkeypatch):
     # the first point over the cap is m=97 (5047 columns at q=2); the
     # 96 points before it fit, and none of them may be computed
     monkeypatch.setattr(verify, "betti_table", _never_built)
+    monkeypatch.setattr(verify, "_enter", _never_built)
     for argv, message in (
             (["verify", "--family", "even", "--n-max", "1", "--m-max", "120",
               "--q-max", "2"], _refusal("h_{1,97}", 2, 5047)),
@@ -285,7 +286,9 @@ def test_verify_refuses_the_grid_before_computing(capsysbinary, monkeypatch):
 def test_verify_refuses_an_oversized_grid_from_its_size(capsysbinary, monkeypatch):
     # 10^8 points at q=0 each fit the cap; the point count alone refuses
     monkeypatch.setattr(verify, "betti_table", _never_built)
+    monkeypatch.setattr(verify, "_enter", _never_built)
     monkeypatch.setattr(verify, "check_column_cap", _never_built)
+    monkeypatch.setattr(verify, "_check_psi_codomain", _never_built)
     for argv, points in (
             (["verify", "--family", "odd", "--n-max", "100000000", "--q-max", "0"],
              100000000),
@@ -295,6 +298,51 @@ def test_verify_refuses_an_oversized_grid_from_its_size(capsysbinary, monkeypatc
         assert (code, out) == (3, b""), argv
         assert err == ("resource refusal: refusing a verify grid of %d points, "
                        "limit is %d\n" % (points, verify.MAX_GRID_POINTS)).encode()
+
+
+def test_verify_refuses_an_oversized_psi_codomain(capsysbinary, monkeypatch):
+    # every h_n of the grid fits the cap and its C^{q_max+1} fits the
+    # codomain bound, but psi's A^{q_max+2} over (n|n) does not from n=73
+    # on (n=16 at a cap of 50); no point may be computed
+    monkeypatch.setattr(verify, "_enter", _never_built)
+    monkeypatch.setattr(verify, "make_heisenberg_odd", _never_built)
+    for argv, message in (
+            (["verify", "--family", "odd", "--n-max", "499", "--q-max", "1"],
+             "refusing h_73 at q=1: psi's codomain A^3 has 518738 rows, "
+             "limit is 500000"),
+            (["verify", "--family", "odd", "--n-max", "20", "--q-max", "1",
+              "--column-cap", "50"],
+             "refusing h_16 at q=1: psi's codomain A^3 has 5472 rows, "
+             "limit is 5000")):
+        code, out, err = run_cli(capsysbinary, argv)
+        assert (code, out) == (3, b""), argv
+        assert err == ("resource refusal: %s (100 times the column cap; raise "
+                       "the cap to force the computation)\n" % message).encode()
+
+
+def test_negative_column_cap_is_a_usage_error(capsysbinary, monkeypatch):
+    for name in ("check_column_cap", "betti_table", "verify_family",
+                 "parse_algebra", "make_heisenberg_even", "make_heisenberg_odd"):
+        monkeypatch.setattr(cli, name, _never_built)
+    for argv in (["even", "--n", "1", "--m", "1", "--q-max", "1"],
+                 ["odd", "--n", "1", "--q-max", "1", "--method", "formula"],
+                 ["compute", "--algebra", "missing.alg", "--q-max", "1"],
+                 ["verify", "--family", "odd", "--n-max", "1", "--q-max", "1"]):
+        for cap in ("-1", "-5000"):
+            code, out, err = run_cli(capsysbinary, argv + ["--column-cap", cap])
+            assert (code, out) == (1, b""), argv
+            assert err.endswith(("error: argument --column-cap: must be "
+                                 "nonnegative, got %s\n" % cap).encode()), err
+    monkeypatch.undo()
+    # a cap of 0 refuses every rank computation at q=0 (C^0 has one
+    # column), and the closed forms never refuse
+    code, _, err = run_cli(capsysbinary, ["even", "--n", "1", "--m", "1",
+                                          "--q-max", "1", "--column-cap", "0"])
+    assert (code, err) == (3, _refusal("h_{1,1}", 0, 1).replace(b"cap is 5000",
+                                                               b"cap is 0"))
+    code, _, _ = run_cli(capsysbinary, ["odd", "--n", "1", "--q-max", "1",
+                                        "--method", "formula", "--column-cap", "0"])
+    assert code == 0
 
 
 def test_oversized_codomain_refuses_before_the_family_is_built(capsysbinary,
@@ -381,6 +429,7 @@ def test_degree_limit_refuses_before_any_work(capsysbinary, monkeypatch, tmp_pat
                  "odd_formula_report", "parse_algebra"):
         monkeypatch.setattr(cli, name, _never_built)
     monkeypatch.setattr(verify, "betti_table", _never_built)
+    monkeypatch.setattr(verify, "_enter", _never_built)
     monkeypatch.setattr(verify, "check_column_cap", _never_built)
     missing = str(tmp_path / "missing.alg")
     for q_max in (cli.MAX_Q_MAX + 1, 100000000):

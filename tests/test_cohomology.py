@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -15,9 +17,7 @@ from heisenberg_cohomology.cohomology import (CodomainTooLarge,
                                               ReportInvariantError,
                                               betti_table, check_column_cap,
                                               cohomology_dims)
-from heisenberg_cohomology.differential import (DifferentialMatrix,
-                                                _cochain_space,
-                                                differential_matrix)
+from heisenberg_cohomology.differential import _RowIndex, differential_matrix
 from heisenberg_cohomology.fileformats import format_algebra, parse_algebra
 from heisenberg_cohomology.linalg import RationalMatrix, rank
 from heisenberg_cohomology.verify import Comparison, VerifyResult, verify_family
@@ -126,7 +126,8 @@ def test_codomain_bound_refuses_before_building(monkeypatch):
     def no_build(*args):
         raise AssertionError("a matrix was built before the refusal")
 
-    monkeypatch.setattr(cohomology, "differential_matrix", no_build)
+    monkeypatch.setattr(cohomology, "_coboundary", no_build)
+    monkeypatch.setattr(cohomology, "_Workspace", no_build)
     monkeypatch.setattr(cohomology, "adapted_basis", no_build)
     alg = make_heisenberg_odd(2499)
     for call in (lambda: betti_table(alg, 1), lambda: cohomology_dims(alg, 1)):
@@ -138,7 +139,8 @@ def test_betti_table_refuses_before_building(monkeypatch):
     def no_build(*args):
         raise AssertionError("a matrix was built before the refusal")
 
-    monkeypatch.setattr(cohomology, "differential_matrix", no_build)
+    monkeypatch.setattr(cohomology, "_coboundary", no_build)
+    monkeypatch.setattr(cohomology, "_Workspace", no_build)
     monkeypatch.setattr(cohomology, "adapted_basis", no_build)
     with pytest.raises(ColumnCapExceeded):
         cohomology_dims(make_heisenberg_even(14, 16), 3)
@@ -152,33 +154,32 @@ def test_betti_table_refuses_before_building(monkeypatch):
 
 
 def test_checked_rank_rejects_a_misshapen_matrix(monkeypatch):
-    real = cohomology.differential_matrix
+    real_top = cohomology._coboundary
 
-    def transposed(algebra, q):
-        dm = real(algebra, q)
-        mat = dm.matrix
-        flipped = RationalMatrix(mat.cols, mat.rows,
-                                 {(c, r): v for (r, c), v in mat.entries.items()})
-        return DifferentialMatrix(q, dm.codomain, dm.domain, flipped)
+    def transposed(algebra, domain, row_index, rows):
+        mat = real_top(algebra, domain, row_index, rows)
+        return RationalMatrix(mat.cols, mat.rows,
+                              {(c, r): v for (r, c), v in mat.entries.items()})
 
-    monkeypatch.setattr(cohomology, "differential_matrix", transposed)
-    # an even centre takes the full-matrix route
-    with pytest.raises(AssertionError, match="d_0 has shape"):
+    monkeypatch.setattr(cohomology, "_coboundary", transposed)
+    # an even centre takes the full-matrix route; d_0 of h_{1,1} is 4x1
+    with pytest.raises(AssertionError, match="d_0 has shape 1x4"):
         betti_table(make_heisenberg_even(1, 1), 2)
-    monkeypatch.undo()
 
     # the top d_q numbers its rows on first use: more rows than dim C^{q+1},
-    # or a column too few, is a fault too
-    real_top = cohomology._coboundary
+    # or a column too few, is a fault too; the lower d_q are built as they are
 
     def overflowing(algebra, domain, row_index, rows):
         mat = real_top(algebra, domain, row_index, rows)
-        for k in range(rows + 1 - len(row_index)):
-            row_index[("not a row", k)]
+        if isinstance(row_index, _RowIndex):
+            for k in range(rows + 1 - len(row_index)):
+                row_index[("not a row", k)]
         return mat
 
     def narrow(algebra, domain, row_index, rows):
-        return real_top(algebra, domain[1:], row_index, rows)
+        if isinstance(row_index, _RowIndex):
+            domain = domain[1:]
+        return real_top(algebra, domain, row_index, rows)
 
     # h_{1,1}: dims (3|1), dim C^2 = 7, dim C^3 = 8
     monkeypatch.setattr(cohomology, "_coboundary", overflowing)
@@ -192,15 +193,19 @@ def test_checked_rank_rejects_a_misshapen_matrix(monkeypatch):
         betti_table(make_heisenberg_even(1, 1), 2)
 
 
-def test_block_ranks_reject_a_misshapen_block(monkeypatch):
-    real = cohomology.lefschetz_block
+def _transposed_blocks(monkeypatch):
+    real = cohomology._lefschetz_block
 
-    def transposed(algebra, z, t, l):
-        mat = real(algebra, z, t, l)
+    def transposed(algebra, z, t, l, workspace):
+        mat = real(algebra, z, t, l, workspace)
         return RationalMatrix(mat.cols, mat.rows,
                               {(c, r): v for (r, c), v in mat.entries.items()})
 
-    monkeypatch.setattr(cohomology, "lefschetz_block", transposed)
+    monkeypatch.setattr(cohomology, "_lefschetz_block", transposed)
+
+
+def test_block_ranks_reject_a_misshapen_block(monkeypatch):
+    _transposed_blocks(monkeypatch)
     # an odd centre takes the block route; L^(0) of h_1 is 2x1
     with pytest.raises(AssertionError, match=r"L\^\(0\) has shape 1x2"):
         betti_table(make_heisenberg_odd(1), 2)
@@ -301,9 +306,24 @@ def test_degree_limit_refuses_before_any_dimension_is_counted(monkeypatch):
     assert str(err.value) == "refusing degree 100000000, limit is 100"
 
 
-def test_cochain_spaces_are_released_when_the_call_returns():
+def test_cochain_spaces_are_released_when_the_call_returns(monkeypatch):
+    # every workspace, and so every cochain space it holds, is dropped
+    # when the call that made it returns or raises
+    made = []
+    real_init = differential._Workspace.__init__
+
+    def recorded(self):
+        real_init(self)
+        made.append(weakref.ref(self))
+
+    monkeypatch.setattr(differential._Workspace, "__init__", recorded)
+
+    def alive():
+        gc.collect()
+        return [ref for ref in made if ref() is not None]
+
     betti_table(make_heisenberg_odd(40), 1)
-    assert _cochain_space.cache_info().currsize == 0
+    assert len(made) == 1 and not alive()
     for call, error in ((lambda: betti_table(make_heisenberg_even(14, 16), 3),
                          ColumnCapExceeded),
                         (lambda: cohomology_dims(make_heisenberg_even(14, 16), 3),
@@ -311,14 +331,51 @@ def test_cochain_spaces_are_released_when_the_call_returns():
                         (lambda: betti_table(_invalid_algebras()[0], 2),
                          AlgebraValidationError),
                         (lambda: verify_family("odd", 100, None, 2),
-                         ColumnCapExceeded)):
+                         ColumnCapExceeded),
+                        (lambda: verify_family("odd", 30, None, 2),
+                         CodomainTooLarge)):
         differential_matrix(make_heisenberg_odd(2), 2)
-        assert _cochain_space.cache_info().currsize == 2
+        assert not alive()
         with pytest.raises(error):
             call()
-        assert _cochain_space.cache_info().currsize == 0
+        assert not alive()
+    # a fault found mid-walk, after the call's workspace was made
+    with monkeypatch.context() as patched:
+        _transposed_blocks(patched)
+        for call in (lambda: betti_table(make_heisenberg_odd(3), 4),
+                     lambda: verify_family("odd", 2, None, 3)):
+            before = len(made)
+            with pytest.raises(AssertionError, match="has shape"):
+                call()
+            assert len(made) == before + 1 and not alive()
+    cohomology_dims(make_heisenberg_even(2, 2), 3)
     verify_family("odd", 1, None, 2)
-    assert _cochain_space.cache_info().currsize == 0
+    assert not alive()
+
+
+def test_an_algebra_is_validated_once(monkeypatch):
+    checked = _counted(monkeypatch, cohomology, "validate")
+    alg = _hidden_valid("hidden", 2)
+    first = cohomology_dims(alg, 3)
+    assert checked == [adapted_basis(alg)]
+    # the verdict is kept on the algebra beside its rewrite
+    assert cohomology_dims(alg, 3) == first and betti_table(alg, 3)[3] == first
+    assert checked == [adapted_basis(alg)]
+    # the family constructors and parse_algebra record their own verdict
+    checked.clear()
+    betti_table(make_heisenberg_odd(2), 3)
+    betti_table(make_heisenberg_even(1, 2), 3)
+    verify_family("odd", 2, None, 3)
+    cohomology_dims(parse_algebra(format_algebra(alg)), 2)
+    assert checked == []
+    # a failing verdict is kept too, and still raises with the table's
+    # own messages
+    bad = _invalid_algebras()[0]
+    for _ in range(2):
+        with pytest.raises(AlgebraValidationError) as err:
+            cohomology_dims(bad, 1)
+        assert err.value.violations == validate(bad)
+    assert checked == [adapted_basis(bad), bad, bad]
 
 
 def test_cohomology_dims_enumerates_each_space_once(monkeypatch):

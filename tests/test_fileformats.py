@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -109,6 +110,26 @@ def test_parse_errors_carry_line_numbers():
                        (b"name a\r\ngenerator x 0\n# caf\xe9\n", 3)):
         err = parse_error(text)
         assert err.line == line and "not UTF-8" in str(err), text
+
+
+def test_an_over_long_numeral_is_a_parse_error(tmp_path, capsysbinary):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter converts integers of any length")
+    digits = "7" * (limit + 700)
+    for coeff in (digits, "-" + digits, "1/" + digits):
+        text = "name a\ngenerator x 0\ngenerator y 0\nbracket x y = x:%s\n" % coeff
+        err = parse_error(text)
+        assert err.line == 4 and "rational of %d characters" % len(coeff) in str(err)
+    path = tmp_path / "long.alg"
+    path.write_text("name a\ngenerator x 0\ngenerator y 0\n"
+                    "generator z 0\nbracket x y = z:%s\n" % digits)
+    code = cli.main(["compute", "--algebra", str(path), "--q-max", "1"])
+    captured = capsysbinary.readouterr()
+    assert (code, captured.out) == (1, b"")
+    assert captured.err.startswith(b"parse error: line 5: rational of %d characters: "
+                                   % len(digits))
+    assert captured.err.count(b"\n") == 1
 
 
 def test_duplicate_pair_rejected_in_either_order():

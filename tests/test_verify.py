@@ -1,6 +1,10 @@
 from collections import Counter
 
-from heisenberg_cohomology import differential, verify
+import pytest
+
+from heisenberg_cohomology import cohomology, differential, verify
+from heisenberg_cohomology.cohomology import CodomainTooLarge
+from heisenberg_cohomology.differential import psi_matrix
 from heisenberg_cohomology.formulas import ker_psi_dim
 from heisenberg_cohomology.linalg import RationalMatrix, kernel_dim
 
@@ -8,15 +12,16 @@ from heisenberg_cohomology.linalg import RationalMatrix, kernel_dim
 def test_psi_shortcut_cannot_hide_a_faulty_build(monkeypatch):
     # psi_{(n,2)} built with an extra zero column is not 2 * psi_{(n,1)},
     # so its own kernel (one larger than the closed form) must be reported
-    real = verify.psi_matrix
+    real = verify._lefschetz_block
 
-    def faulty(t, n, l):
-        psi = real(t, n, l)
+    def faulty(algebra, z, t, l, workspace):
+        block = real(algebra, z, t, l, workspace)
         if l != 2:
-            return psi
-        return RationalMatrix.from_columns(psi.rows, psi.columns + [{}], psi.scale)
+            return block
+        return RationalMatrix.from_columns(block.rows, block.columns + [{}],
+                                           block.scale)
 
-    monkeypatch.setattr(verify, "psi_matrix", faulty)
+    monkeypatch.setattr(verify, "_lefschetz_block", faulty)
     res = verify.verify_family("odd", 2, q_max=3)
     psi_checks = [c for c in res.checks if c.formula.startswith("ker_psi_dim")]
     assert len(psi_checks) == 2 * 4 * 3
@@ -24,15 +29,15 @@ def test_psi_shortcut_cannot_hide_a_faulty_build(monkeypatch):
         want = ker_psi_dim(c.q, c.n)
         assert c.formula_value == want
         if c.formula == "ker_psi_dim[l=2]":
-            assert c.oracle_value == kernel_dim(faulty(c.q, c.n, 2)) == want + 1
+            assert c.oracle_value == kernel_dim(psi_matrix(c.q, c.n, 2)) + 1 == want + 1
             assert c.describe().endswith("MISMATCH")
         else:
             assert c.ok, c.describe()
 
 
-def test_odd_grid_enumerates_each_space_at_most_twice(monkeypatch):
-    # once by betti_table's blocks and once by the psi walk, whose even
-    # and odd t each find their domain still in the memo
+def test_odd_grid_enumerates_each_space_once(monkeypatch):
+    # betti_table's block walk and the psi walk are one walk per n, whose
+    # even and odd t each find their domain already enumerated
     real = differential.enumerate_basis
     calls = Counter()
 
@@ -44,4 +49,55 @@ def test_odd_grid_enumerates_each_space_at_most_twice(monkeypatch):
     verify.verify_family("odd", 4, None, 7)
     # per n, A^0..A^9 (dims (n, n + 1) without z's slot n)
     assert sorted(calls) == [((n, n + 1), q, n) for n in range(1, 5) for q in range(10)]
-    assert max(calls.values()) == 2, calls
+    assert sum(calls.values()) == 40, calls
+
+
+def test_odd_grid_eliminates_each_block_once(monkeypatch):
+    # per (n, t) one l = 1 block is built and eliminated, and psi_{(n,2)}
+    # and psi_{(n,3)} are still built and compared with it
+    built = Counter()
+    blocks = {}
+    eliminated = []
+
+    def recording(module):
+        real = module._lefschetz_block
+
+        def record(algebra, z, t, l, workspace):
+            block = real(algebra, z, t, l, workspace)
+            built[(algebra.name, t, l)] += 1
+            if l == 1:
+                blocks[id(block)] = (algebra.name, t)
+            return block
+        return record
+
+    real_rank = cohomology.rank
+
+    def counted_rank(matrix):
+        eliminated.append(blocks.get(id(matrix)))
+        return real_rank(matrix)
+
+    for module in (cohomology, verify):
+        monkeypatch.setattr(module, "_lefschetz_block", recording(module))
+    monkeypatch.setattr(cohomology, "rank", counted_rank)
+    monkeypatch.setattr(verify, "kernel_dim", None)
+    res = verify.verify_family("odd", 3, None, 5)
+    assert res.ok() and len(res.checks) == 3 * 6 * 5
+    grid = [("h_%d" % n, t) for n in range(1, 4) for t in range(6)]
+    assert built == Counter({(name, t, l): 1 for name, t in grid for l in (1, 2, 3)})
+    assert sorted(eliminated) == grid
+
+
+def test_psi_codomain_is_refused_before_any_point(monkeypatch):
+    # h_499's C^2 fits (499,001 rows), but its psi walk at t = 1 would
+    # enumerate A^3 over (499|499); the first n over the bound is refused
+    monkeypatch.setattr(verify, "_enter", None)
+    with pytest.raises(CodomainTooLarge) as err:
+        verify.verify_family("odd", 499, None, 1)
+    assert (err.value.q, err.value.rows, err.value.limit) == (1, 518738, 500000)
+    assert str(err.value) == ("refusing h_73 at q=1: psi's codomain A^3 has "
+                              "518738 rows, limit is 500000 (100 times the "
+                              "column cap; raise the cap to force the "
+                              "computation)")
+    # the column cap is still checked first, at every point
+    with pytest.raises(cohomology.ColumnCapExceeded):
+        verify.verify_family("odd", 100, None, 2)
