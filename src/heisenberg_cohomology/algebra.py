@@ -21,17 +21,13 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Tuple
 
+# AlgebraValidationError and the family shapes live in limits, which
+# needs no engine module; they stay importable from here
+from .limits import (AlgebraValidationError, even_family_shape,
+                     odd_family_shape)
+
 EVEN = 0
 ODD = 1
-
-
-class AlgebraValidationError(ValueError):
-    """Bracket table that violates the axioms; `violations` lists how."""
-
-    def __init__(self, violations: List[str]):
-        super().__init__("algebra fails validation:\n  "
-                         + "\n  ".join(violations))
-        self.violations = list(violations)
 
 
 class _Record:
@@ -374,20 +370,6 @@ def _adapted_brackets(alg: LieSuperalgebra):
             if new:
                 brackets[(a, b)] = new
     return brackets
-
-
-def even_family_shape(n: int, m: int) -> Tuple[str, Tuple[int, int]]:
-    """Name and superdimension (2n+1 | m) of h_{n,m}, without building it."""
-    if n < 1 or m < 1:
-        raise ValueError("h_{n,m} needs n >= 1 and m >= 1")
-    return "h_{%d,%d}" % (n, m), (2 * n + 1, m)
-
-
-def odd_family_shape(n: int) -> Tuple[str, Tuple[int, int]]:
-    """Name and superdimension (n | n+1) of h_n, without building it."""
-    if n < 1:
-        raise ValueError("h_n needs n >= 1")
-    return "h_%d" % n, (n, n + 1)
 
 
 def _built_in(name: str, gens, brackets) -> LieSuperalgebra:

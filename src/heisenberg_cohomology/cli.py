@@ -8,26 +8,59 @@ codes: 0 success, 1 usage or parse error (a negative --column-cap
 included), 2 validation error, 3 resource refusal (a --q-max over
 MAX_Q_MAX, a matrix over the column cap, a top codomain, or on the odd
 verify grid psi's, over 100 times the cap in rows, or a verify grid
-over verify.MAX_GRID_POINTS), 4 verification mismatch, 5 internal
-error (a failed invariant check, such as an inconsistent
-CohomologyReport, reported as one line on stderr).
+over MAX_GRID_POINTS), 4 verification mismatch, 5 internal error (a
+failed invariant check, such as an inconsistent CohomologyReport,
+reported as one line on stderr).
+
+At start-up this module loads only argparse and limits, which holds the
+size limits and checks and every error type main catches.  `even`,
+`odd` and `verify` run all their refusals there, from the arguments
+alone, so a refused command never loads the engine; `compute` parses
+its file first.  The engine functions the verbs call are
+attributes of this module, each imported on first access and then kept
+(module __getattr__), so a verb loads only the modules it reaches.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from importlib import import_module
 
-from .algebra import (even_family_shape, make_heisenberg_even,
-                      make_heisenberg_odd, odd_family_shape)
-from .cohomology import (DEFAULT_COLUMN_CAP, MAX_Q_MAX, CodomainTooLarge,
-                         ColumnCapExceeded, DegreeLimitExceeded,
-                         ReportInvariantError, betti_table, check_column_cap,
-                         check_degree, even_formula_report, odd_formula_report)
-from .fileformats import (AlgebraParseError, AlgebraValidationError,
-                          emit_report, parse_algebra)
-from .verify import GridTooLarge, VerifyResult, verify_family
+from .limits import (DEFAULT_COLUMN_CAP, MAX_Q_MAX, AlgebraParseError,
+                     AlgebraValidationError, CodomainTooLarge,
+                     ColumnCapExceeded, DegreeLimitExceeded, GridTooLarge,
+                     ReportInvariantError, check_column_cap, check_degree,
+                     check_grid, even_family_shape, odd_family_shape)
+
+# The engine names the verbs reach, by module.  Each is imported on first
+# access and bound in this module once; the verbs look it up here
+# (_engine), so a name patched on this module stays patched.
+_ENGINE = {
+    "make_heisenberg_even": "algebra", "make_heisenberg_odd": "algebra",
+    "betti_table": "cohomology", "even_formula_report": "cohomology",
+    "odd_formula_report": "cohomology",
+    "parse_algebra": "fileformats", "emit_report": "fileformats",
+    "verify_family": "verify",
+}
+
+
+def __getattr__(name):
+    if name not in _ENGINE:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = getattr(import_module("." + _ENGINE[name], __package__), name)
+    globals()[name] = value
+    return value
+
+
+def _engine(name: str):
+    """This module's attribute `name`: a patch if there is one, else the
+    engine object, imported and bound on its first use."""
+    try:
+        return globals()[name]
+    except KeyError:
+        return __getattr__(name)
+
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -117,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(reports, fmt: str) -> int:
-    sys.stdout.buffer.write(emit_report(reports, fmt))
+    sys.stdout.buffer.write(_engine("emit_report")(reports, fmt))
     sys.stdout.buffer.flush()
     return EXIT_OK
 
@@ -135,7 +168,7 @@ def _family_reports(args, shape, build_family, formula_factory):
     ranked = None
     if args.method in ("rank", "both"):
         check_column_cap(*shape, args.q_max, args.column_cap)
-        ranked = betti_table(build_family(), args.q_max, args.column_cap)
+        ranked = _engine("betti_table")(build_family(), args.q_max, args.column_cap)
     for q in range(args.q_max + 1):
         if ranked is not None:
             reports.append(ranked[q])
@@ -147,16 +180,16 @@ def _family_reports(args, shape, build_family, formula_factory):
 def _cmd_even(args) -> int:
     reports = _family_reports(
         args, even_family_shape(args.n, args.m),
-        lambda: make_heisenberg_even(args.n, args.m),
-        lambda q: even_formula_report(args.n, args.m, q))
+        lambda: _engine("make_heisenberg_even")(args.n, args.m),
+        lambda q: _engine("even_formula_report")(args.n, args.m, q))
     return _emit(reports, args.format)
 
 
 def _cmd_odd(args) -> int:
     reports = _family_reports(
         args, odd_family_shape(args.n),
-        lambda: make_heisenberg_odd(args.n),
-        lambda q: odd_formula_report(args.n, q))
+        lambda: _engine("make_heisenberg_odd")(args.n),
+        lambda q: _engine("odd_formula_report")(args.n, q))
     return _emit(reports, args.format)
 
 
@@ -164,14 +197,14 @@ def _cmd_compute(args) -> int:
     check_degree(args.q_max)
     with open(args.algebra, "rb") as fh:
         text = fh.read()
-    alg = parse_algebra(text)
+    alg = _engine("parse_algebra")(text)
     if args.q_max < 0:
         raise ValueError("--q-max must be nonnegative")
-    reports = betti_table(alg, args.q_max, args.column_cap)
+    reports = _engine("betti_table")(alg, args.q_max, args.column_cap)
     return _emit(reports, args.format)
 
 
-def _verify_text(res: VerifyResult) -> str:
+def _verify_text(res) -> str:
     head = "verify family=%s n_max=%d" % (res.family, res.n_max)
     if res.m_max is not None:
         head += " m_max=%d" % res.m_max
@@ -185,7 +218,8 @@ def _verify_text(res: VerifyResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _verify_json(res: VerifyResult) -> str:
+def _verify_json(res) -> str:
+    import json  # only verify --format json needs it
     payload = {
         "family": res.family,
         "n_max": res.n_max,
@@ -203,8 +237,9 @@ def _verify_json(res: VerifyResult) -> str:
 
 
 def _cmd_verify(args) -> int:
-    res = verify_family(args.family, args.n_max, args.m_max, args.q_max,
-                        args.column_cap)
+    check_grid(args.family, args.n_max, args.m_max, args.q_max, args.column_cap)
+    res = _engine("verify_family")(args.family, args.n_max, args.m_max,
+                                   args.q_max, args.column_cap)
     text = _verify_text(res) if args.format == "text" else _verify_json(res)
     sys.stdout.buffer.write(text.encode("utf-8"))
     sys.stdout.buffer.flush()

@@ -2,14 +2,15 @@
 
 dim H^q = dim ker d_q - rank d_{q-1}, all over the rationals.
 betti_table and cohomology_dims share one preamble (_enter).  It first
-refuses, from the superdimension alone, a degree over MAX_Q_MAX, a
-matrix wider than the column cap (default 5000 columns) and a top
-codomain C^{q+1} over CODOMAIN_ROWS_PER_COLUMN times the cap:
-explicit, overridable refusals, not truncations.  Then
-it rewrites the algebra in a basis adapted to [g, g]
-(algebra.adapted_basis; the identity on the built-in families), which
-keeps every Betti number and makes dense-basis matrices sparse, and
-validates that table: one that is not a Lie superalgebra, so d^2 != 0,
+runs limits' size refusals, from the superdimension alone: a degree over
+MAX_Q_MAX, a matrix wider than the column cap (default 5000 columns)
+and a top codomain C^{q+1} over CODOMAIN_ROWS_PER_COLUMN times the cap,
+explicit, overridable refusals, not truncations.  Those constants, the
+checks and the error types are defined in limits, which loads no engine
+module, and stay importable from here.  Then it rewrites the algebra
+in a basis adapted to [g, g] (algebra.adapted_basis; the identity on
+the built-in families), which keeps every Betti number and makes
+dense-basis matrices sparse, and validates that table: one that is not a Lie superalgebra, so d^2 != 0,
 raises AlgebraValidationError.  The rewrite and the verdict are kept on
 the algebra, so one that parse_algebra or a family constructor just
 checked is neither rewritten nor validated again.  Each call owns one
@@ -41,84 +42,24 @@ from __future__ import annotations
 from itertools import chain
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from .algebra import (ODD, AlgebraValidationError, LieSuperalgebra, _Record,
-                      adapted_basis, even_family_shape, odd_family_shape,
-                      validate)
+from .algebra import ODD, LieSuperalgebra, _Record, adapted_basis, validate
 from .differential import (_coboundary, _lefschetz_block, _RowIndex,
                            _Workspace)
 from .formulas import dim_h_even, dim_h_odd_proof, even_cocycle_dim, odd_cocycle_dim
+# the size refusals and the error types live in limits, which needs no
+# engine module; they stay importable from here
+from .limits import (CODOMAIN_ROWS_PER_COLUMN, DEFAULT_COLUMN_CAP, MAX_Q_MAX,
+                     AlgebraValidationError, CodomainTooLarge,
+                     ColumnCapExceeded, DegreeLimitExceeded,
+                     ReportInvariantError, _checked_dims, check_column_cap,
+                     check_degree, even_family_shape, graded_dim,
+                     odd_family_shape)
 from .linalg import RationalMatrix, rank
-from .superexterior import SuperSpaceDims, graded_dim
-
-DEFAULT_COLUMN_CAP = 5000
-
-# Largest degree the engine accepts.  The column cap bounds the width of
-# each degree, not how many degrees there are: with at most one odd
-# generator dim C^q stops growing, so the cap never refuses, and the
-# closed forms cost O(q^4) per table.  Every test, demo and benchmark
-# degree is far below it.
-MAX_Q_MAX = 100
-
-# The codomain C^{q+1} of the top degree is nobody's domain, so the
-# column cap does not bound it: it is refused beyond this many rows per
-# column of the cap (500,000 at the default).  The full-matrix route
-# numbers only the rows its top d_q reaches; what the refusal bounds is
-# the last codomain the block route enumerates, A^{q+1}, and the top
-# matrix the public differential_matrix would build.
-CODOMAIN_ROWS_PER_COLUMN = 100
 
 METHOD_RANK = "rank"
 METHOD_FORMULA_EVEN = "formula-even"
 METHOD_FORMULA_ODD_PROOF = "formula-odd-proof"
 METHODS = (METHOD_RANK, METHOD_FORMULA_EVEN, METHOD_FORMULA_ODD_PROOF)
-
-
-class DegreeLimitExceeded(RuntimeError):
-    """Refusal of a degree over MAX_Q_MAX; `degree` is the one refused."""
-
-    def __init__(self, degree: int, limit: int):
-        super().__init__("refusing degree %d, limit is %d" % (degree, limit))
-        self.degree = degree
-        self.limit = limit
-
-
-class ColumnCapExceeded(RuntimeError):
-    """Refusal to build a coboundary matrix wider than the cap."""
-
-    def __init__(self, algebra_name: str, q: int, columns: int, cap: int):
-        super().__init__(
-            "refusing %s at q=%d: matrix has %d columns, cap is %d "
-            "(raise the cap to force the computation)"
-            % (algebra_name, q, columns, cap))
-        self.algebra_name = algebra_name
-        self.q = q
-        self.columns = columns
-        self.cap = cap
-
-
-class CodomainTooLarge(RuntimeError):
-    """Refusal to build a coboundary matrix whose codomain has more rows
-    than CODOMAIN_ROWS_PER_COLUMN times the column cap.  `codomain`
-    names the space: C^{q+1} by default, psi's A^{q+2} in verify."""
-
-    def __init__(self, algebra_name: str, q: int, rows: int, limit: int,
-                 codomain: Optional[str] = None):
-        if codomain is None:
-            codomain = "codomain C^%d" % (q + 1)
-        super().__init__(
-            "refusing %s at q=%d: %s has %d rows, limit is %d "
-            "(%d times the column cap; raise the cap to force the computation)"
-            % (algebra_name, q, codomain, rows, limit, CODOMAIN_ROWS_PER_COLUMN))
-        self.algebra_name = algebra_name
-        self.q = q
-        self.rows = rows
-        self.limit = limit
-        self.codomain = codomain
-
-
-class ReportInvariantError(ValueError):
-    """A CohomologyReport whose fields break its own invariants: a fault
-    in the engine, not in the user's input."""
 
 
 class CohomologyReport(_Record):
@@ -138,39 +79,6 @@ class CohomologyReport(_Record):
               and self.dim_cohomology == self.dim_cocycles - self.dim_coboundaries)
         if not ok:
             raise ReportInvariantError("inconsistent dimensions in %r" % (self,))
-
-
-def check_degree(q_max: int) -> None:
-    """Refuse a top degree over MAX_Q_MAX, in O(1)."""
-    if q_max > MAX_Q_MAX:
-        raise DegreeLimitExceeded(q_max, MAX_Q_MAX)
-
-
-def _checked_dims(name: str, superdim: Tuple[int, int], top: int,
-                  degrees: Iterable[int], cap: int) -> Dict[int, int]:
-    """{q: dim C^q} for -1, `degrees` and top + 1, after refusing top over
-    MAX_Q_MAX, each of `degrees` (in order) over the cap, and C^{top+1}
-    over CODOMAIN_ROWS_PER_COLUMN * cap."""
-    check_degree(top)
-    space = SuperSpaceDims(*superdim)
-    dims = {-1: 0}
-    for q in degrees:
-        dims[q] = graded_dim(space, q)
-        if dims[q] > cap:
-            raise ColumnCapExceeded(name, q, dims[q], cap)
-    rows = dims[top + 1] = graded_dim(space, top + 1)
-    limit = CODOMAIN_ROWS_PER_COLUMN * cap
-    if rows > limit:
-        raise CodomainTooLarge(name, top, rows, limit)
-    return dims
-
-
-def check_column_cap(name: str, superdim: Tuple[int, int], q_max: int,
-                     column_cap: int = DEFAULT_COLUMN_CAP) -> None:
-    """betti_table's size refusals for degrees 0..q_max (the first degree
-    over the cap is named).  Needs only the superdimension, so a caller
-    can refuse before the algebra is built."""
-    _checked_dims(name, superdim, q_max, range(q_max + 1), column_cap)
 
 
 def _enter(algebra: LieSuperalgebra, top: int, degrees: Iterable[int],
@@ -243,7 +151,7 @@ def _lefschetz_blocks(algebra: LieSuperalgebra, z: int, dims: Dict[int, int],
     once.  A block is not kept past its t.
     """
     n0, n1 = algebra.superdim
-    space = SuperSpaceDims(n0, n1 - 1)
+    space = (n0, n1 - 1)
     dim_a = {s: graded_dim(space, s) for s in range(t_end + 2)}
     for q in range(max(dims) + 1):
         if sum(dim_a[q - l] for l in range(q + 1)) != dims[q]:
@@ -320,9 +228,8 @@ def _formula_report(shape: Tuple[str, Tuple[int, int]],
     """Betti data in degree q of the family member of this shape from its
     closed forms: cocycle_dim(p) is dim Z^p and h is dim H^q."""
     name, superdim = shape
-    dims = SuperSpaceDims(*superdim)
-    b = graded_dim(dims, q - 1) - cocycle_dim(q - 1)
-    return CohomologyReport(name, q, graded_dim(dims, q), cocycle_dim(q), b,
+    b = graded_dim(superdim, q - 1) - cocycle_dim(q - 1)
+    return CohomologyReport(name, q, graded_dim(superdim, q), cocycle_dim(q), b,
                             h, method)
 
 

@@ -29,14 +29,15 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import re
 from fractions import Fraction
 from typing import Dict, Iterable, List, Tuple
 
-from .algebra import (AlgebraValidationError, LieSuperalgebra, adapted_basis,
-                      validate)
+from .algebra import LieSuperalgebra, adapted_basis, validate
 from .cohomology import CohomologyReport
+# both error types live in limits, which needs no engine module, so the
+# CLI catches them without loading this one; they stay importable here
+from .limits import AlgebraParseError, AlgebraValidationError
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
@@ -44,14 +45,6 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 CSV_FIELDS = ("algebra", "q", "dim_cochain", "dim_cocycles",
               "dim_coboundaries", "dim_cohomology", "method")
 JSON_FIELDS = CohomologyReport._fields
-
-
-class AlgebraParseError(ValueError):
-    """Malformed algebra file; `line` is the 1-based offending line."""
-
-    def __init__(self, message: str, line: int):
-        super().__init__("line %d: %s" % (line, message))
-        self.line = line
 
 
 def _parse_rational(token: str, lineno: int) -> Fraction:
@@ -170,6 +163,7 @@ def emit_report(reports: Iterable[CohomologyReport], fmt: str) -> bytes:
     """Serialize reports as 'json', 'csv' or 'text' (deterministic bytes)."""
     reports = list(reports)
     if fmt == "json":
+        import json  # only a json report needs it
         payload = [dict(zip(JSON_FIELDS, r._values())) for r in reports]
         return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
     if fmt == "csv":

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .superexterior import SuperSpaceDims, graded_dim, sym_power_dim
+from .limits import graded_dim, sym_power_dim
 
 
 def binom(a: int, b: int) -> int:
@@ -54,7 +54,7 @@ def ker_psi_dim(t: int, n: int) -> int:
     if t < 0:
         return 0
     total = delta(t, n)
-    free = SuperSpaceDims(n, n)
+    free = (n, n)
     for i in range(1, t // 2 + 1):
         term = graded_dim(free, t - 2 * i) - delta(t - 2 * i, n)
         total += term if i % 2 == 1 else -term
@@ -71,8 +71,8 @@ def dim_h_odd_proof(n: int, q: int) -> int:
         raise ValueError("n must be positive")
     if q < 0:
         return 0
-    free = SuperSpaceDims(n, n)
-    full = SuperSpaceDims(n, n + 1)
+    free = (n, n)
+    full = (n, n + 1)
     total = graded_dim(free, q) + graded_dim(free, q - 1) - graded_dim(full, q - 1)
     for i in range(1, q + 1):
         total += ker_psi_dim(q - i, n)
@@ -87,7 +87,7 @@ def odd_cocycle_dim(n: int, q: int) -> int:
         raise ValueError("n must be positive")
     if q < 0:
         return 0
-    total = graded_dim(SuperSpaceDims(n, n), q)
+    total = graded_dim((n, n), q)
     for l in range(1, q + 1):
         total += ker_psi_dim(q - l, n)
     return total
@@ -99,7 +99,7 @@ def even_cocycle_dim(n: int, m: int, q: int) -> int:
         raise ValueError("h_{n,m} needs n >= 1 and m >= 1")
     if q < 0:
         return 0
-    return graded_dim(SuperSpaceDims(2 * n, m), q)
+    return graded_dim((2 * n, m), q)
 
 
 def dim_h_odd_displayed(n: int, q: int) -> int:

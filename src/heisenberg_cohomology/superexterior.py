@@ -21,9 +21,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from math import comb, factorial, prod
+from math import factorial, prod
 from operator import add, itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Tuple, Union
+
+# the dimension counts live in limits, which needs no engine module;
+# they stay importable from here
+from .limits import graded_dim, sym_power_dim
 
 Rational = Union[int, Fraction]
 
@@ -301,34 +305,6 @@ def enumerate_basis(dims: SuperSpaceDims, q: int, without: Optional[int] = None)
             for alpha in alphas:
                 out.append(_monomial(mask, alpha))
     return out
-
-
-def sym_power_dim(m: int, p: int) -> int:
-    """Monomials of degree p in m commuting variables: C(m+p-1, p).
-
-    Zero for p < 0; equals graded_dim((0, m), p) for all p.
-    """
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    if p < 0:
-        return 0
-    if p == 0:
-        return 1
-    return comb(m + p - 1, p)
-
-
-def graded_dim(dims: SuperSpaceDims, q: int) -> int:
-    """Dimension of the degree-q component over `dims`."""
-    n, m = dims
-    if n < 0 or m < 0:
-        raise ValueError("dimensions must be nonnegative")
-    if q < 0:
-        return 0
-    total = 0
-    for p in range(q + 1):
-        if q - p <= n:
-            total += comb(n, q - p) * sym_power_dim(m, p)
-    return total
 
 
 def dual_pairing(alpha: SuperMonomial, u: SuperMonomial) -> Fraction:

@@ -6,6 +6,11 @@ formula, match or not.  Only disagreements of dim_h_even or
 dim_h_odd_proof count as failures; the expanded odd-family display is
 retained verbatim precisely so that its deviations can be reported
 rather than hidden.
+
+Every refusal of a grid is decided from sizes alone by limits.check_grid
+(its MAX_GRID_POINTS, GridTooLarge and the per-point column-cap and psi
+codomain checks live there), before any point is computed; the CLI runs
+the same check before this module is loaded.
 """
 
 from __future__ import annotations
@@ -14,35 +19,20 @@ import time
 from itertools import product
 from typing import List, Optional
 
-from .algebra import (_Record, even_family_shape, make_heisenberg_even,
-                      make_heisenberg_odd, odd_family_shape)
-from .cohomology import (CODOMAIN_ROWS_PER_COLUMN, DEFAULT_COLUMN_CAP,
-                         CodomainTooLarge, _block_ranks, _enter,
-                         _lefschetz_blocks, _reports, betti_table,
-                         check_column_cap, check_degree)
+from .algebra import _Record, make_heisenberg_even, make_heisenberg_odd
+from .cohomology import (_block_ranks, _enter, _lefschetz_blocks, _reports,
+                         betti_table)
 from .differential import _lefschetz_block, _psi
 from .formulas import dim_h_even, dim_h_odd_displayed, dim_h_odd_proof, ker_psi_dim
+# the grid's refusals live in limits, which needs no engine module, so
+# the CLI runs them before this module is loaded; they stay importable
+# from here
+from .limits import (DEFAULT_COLUMN_CAP, MAX_GRID_POINTS, GridTooLarge,
+                     _check_psi_codomain, check_grid)
 from .linalg import RationalMatrix, kernel_dim
-from .superexterior import SuperSpaceDims, graded_dim
 
 FAILING_FORMULAS = ("dim_h_even", "dim_h_odd_proof")
 PSI_POWERS = (1, 2, 3)
-
-# Largest grid verify_family accepts, in (n, m) points: n_max * m_max for
-# the even family, n_max for the odd one.  Far above any grid the
-# closed forms need checking on, and small enough that the per-point
-# column-cap pre-check stays instant.
-MAX_GRID_POINTS = 1000
-
-
-class GridTooLarge(RuntimeError):
-    """Refusal to walk a verify grid with more points than the limit."""
-
-    def __init__(self, points: int, limit: int):
-        super().__init__("refusing a verify grid of %d points, limit is %d"
-                         % (points, limit))
-        self.points = points
-        self.limit = limit
 
 
 class Comparison(_Record):
@@ -98,44 +88,12 @@ class VerifyResult(_Record):
         return not self.failures
 
 
-def check_grid(family: str, n_max: int, m_max: Optional[int],
-               q_max: int) -> None:
-    """The O(1) checks on verify_family's arguments: ValueError for a
-    bad grid, then GridTooLarge for one of more than MAX_GRID_POINTS,
-    then DegreeLimitExceeded for a q_max over cohomology.MAX_Q_MAX."""
-    if n_max < 1 or q_max < 0:
-        raise ValueError("need n_max >= 1 and q_max >= 0")
-    if family == "even":
-        if m_max is None or m_max < 1:
-            raise ValueError("family 'even' needs m_max >= 1")
-    elif family == "odd":
-        if m_max is not None:
-            raise ValueError("family 'odd' takes no m_max")
-    else:
-        raise ValueError("family must be 'even' or 'odd', got %r" % family)
-    points = n_max * (m_max or 1)
-    if points > MAX_GRID_POINTS:
-        raise GridTooLarge(points, MAX_GRID_POINTS)
-    check_degree(q_max)
-
-
 def _is_multiple(matrix: RationalMatrix, base: RationalMatrix, l: int) -> bool:
     """Whether `matrix` is stored as l times `base`: the same rows and
     scale, and every integer column l times base's.  O(nnz)."""
     return (matrix.rows == base.rows and matrix.scale == base.scale
             and matrix.columns == [{r: l * v for r, v in col.items()}
                                    for col in base.columns])
-
-
-def _check_psi_codomain(n: int, q_max: int, column_cap: int) -> None:
-    """Refuse h_n's psi walk when its top codomain A^{q_max+2}, over
-    dims (n|n), has more rows than CODOMAIN_ROWS_PER_COLUMN times the
-    cap (CodomainTooLarge); from graded_dim alone, in O(q_max)."""
-    rows = graded_dim(SuperSpaceDims(n, n), q_max + 2)
-    limit = CODOMAIN_ROWS_PER_COLUMN * column_cap
-    if rows > limit:
-        raise CodomainTooLarge(odd_family_shape(n)[0], q_max, rows, limit,
-                               "psi's codomain A^%d" % (q_max + 2))
 
 
 def verify_family(family: str, n_max: int, m_max: Optional[int] = None,
@@ -156,30 +114,23 @@ def verify_family(family: str, n_max: int, m_max: Optional[int] = None,
     on the same spaces; one that is exactly l times psi_{(n,1)} has its
     kernel, and any other gets its own elimination.
 
-    A grid of more than MAX_GRID_POINTS points is refused from its size
-    alone (GridTooLarge), and a q_max over MAX_Q_MAX from its value
-    (DegreeLimitExceeded); then every grid point is checked against the
-    column cap, in grid order, and on the odd family every psi walk
-    against its codomain bound (_check_psi_codomain), before anything is
-    computed, so an oversized grid is refused at once.
+    Every refusal comes first, from sizes alone (limits.check_grid): a
+    grid of more than MAX_GRID_POINTS points (GridTooLarge), a q_max
+    over MAX_Q_MAX (DegreeLimitExceeded), then every grid point against
+    the column cap, in grid order, and on the odd family every psi walk
+    against its codomain bound, so an oversized grid is refused before
+    anything is computed.
     """
     start = time.perf_counter()
-    check_grid(family, n_max, m_max, q_max)
+    check_grid(family, n_max, m_max, q_max, column_cap)
     checks: List[Comparison] = []
     if family == "even":
-        grid = (range(1, n_max + 1), range(1, m_max + 1))
-        for n, m in product(*grid):
-            check_column_cap(*even_family_shape(n, m), q_max, column_cap)
-        for n, m in product(*grid):
+        for n, m in product(range(1, n_max + 1), range(1, m_max + 1)):
             for report in betti_table(make_heisenberg_even(n, m), q_max, column_cap):
                 checks.append(Comparison("dim_h_even", n, m, report.q,
                                          dim_h_even(n, m, report.q),
                                          report.dim_cohomology))
     else:
-        for n in range(1, n_max + 1):
-            check_column_cap(*odd_family_shape(n), q_max, column_cap)
-        for n in range(1, n_max + 1):
-            _check_psi_codomain(n, q_max, column_cap)
         for n in range(1, n_max + 1):
             checks.extend(_odd_point(n, q_max, column_cap))
     checks.sort(key=lambda c: (c.formula, c.n, c.m or 0, c.q))

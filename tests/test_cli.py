@@ -5,12 +5,13 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from heisenberg_cohomology import cli, verify
-from heisenberg_cohomology.algebra import make_heisenberg_odd
+from heisenberg_cohomology import cli, limits, verify
+from heisenberg_cohomology.algebra import make_heisenberg_even, make_heisenberg_odd
 from heisenberg_cohomology.fileformats import format_algebra
 
 
@@ -287,8 +288,9 @@ def test_verify_refuses_an_oversized_grid_from_its_size(capsysbinary, monkeypatc
     # 10^8 points at q=0 each fit the cap; the point count alone refuses
     monkeypatch.setattr(verify, "betti_table", _never_built)
     monkeypatch.setattr(verify, "_enter", _never_built)
-    monkeypatch.setattr(verify, "check_column_cap", _never_built)
-    monkeypatch.setattr(verify, "_check_psi_codomain", _never_built)
+    # the per-point checks are made in limits.check_grid
+    monkeypatch.setattr(limits, "check_column_cap", _never_built)
+    monkeypatch.setattr(limits, "_check_psi_codomain", _never_built)
     for argv, points in (
             (["verify", "--family", "odd", "--n-max", "100000000", "--q-max", "0"],
              100000000),
@@ -430,7 +432,7 @@ def test_degree_limit_refuses_before_any_work(capsysbinary, monkeypatch, tmp_pat
         monkeypatch.setattr(cli, name, _never_built)
     monkeypatch.setattr(verify, "betti_table", _never_built)
     monkeypatch.setattr(verify, "_enter", _never_built)
-    monkeypatch.setattr(verify, "check_column_cap", _never_built)
+    monkeypatch.setattr(limits, "check_column_cap", _never_built)
     missing = str(tmp_path / "missing.alg")
     for q_max in (cli.MAX_Q_MAX + 1, 100000000):
         q = str(q_max)
@@ -489,3 +491,131 @@ def test_cli_imports_neither_dataclasses_nor_inspect():
     if loaded("pass"):
         pytest.skip("a bare interpreter here already imports %s" % loaded("pass"))
     assert loaded("import heisenberg_cohomology.cli") == []
+
+
+def _child(code):
+    """The stdout of a fresh interpreter that runs `code` against src/."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def _main_in_a_child(argv):
+    """cli.main(argv)'s exit code in a fresh interpreter, and the modules
+    loaded when it returns: the package's, and json and verify."""
+    out = _child(
+        "import io, sys\n"
+        "from heisenberg_cohomology import cli\n"
+        "sys.stdout, sys.stderr = io.TextIOWrapper(io.BytesIO()), io.StringIO()\n"
+        "code = cli.main(%r)\n"
+        "print(code, *sorted(sys.modules), file=sys.__stdout__)\n" % (argv,)).split()
+    return int(out[0]), [m for m in out[1:]
+                         if m.startswith("heisenberg_cohomology") or m == "json"]
+
+
+ENGINE_FREE = ["heisenberg_cohomology", "heisenberg_cohomology.cli",
+               "heisenberg_cohomology.limits"]
+
+
+@pytest.mark.parametrize("argv", (
+    ["even", "--n", "14", "--m", "16", "--q-max", "3"],
+    ["odd", "--n", "2499", "--q-max", "1"],
+    ["even", "--n", "1", "--m", "1", "--q-max", "101"],
+    ["verify", "--family", "odd", "--n-max", "499", "--q-max", "1"]), ids=" ".join)
+def test_a_refusal_loads_no_engine_module(argv):
+    # the refusals need the arguments alone, so a refused child compiles
+    # nothing of the engine
+    assert _main_in_a_child(argv) == (3, ENGINE_FREE)
+
+
+def test_a_text_table_loads_neither_verify_nor_json():
+    if "json" in _child("import sys; print(*sys.modules)").split():
+        pytest.skip("a bare interpreter here already imports json")
+    code, loaded = _main_in_a_child(["even", "--n", "2", "--m", "2", "--q-max", "2"])
+    assert code == 0
+    assert "heisenberg_cohomology.cohomology" in loaded
+    assert "heisenberg_cohomology.verify" not in loaded and "json" not in loaded
+
+
+def test_importing_the_package_loads_no_submodule():
+    loaded = _child("import sys, heisenberg_cohomology; print(*sys.modules)").split()
+    assert [m for m in loaded if m.startswith("heisenberg_cohomology")] \
+        == ["heisenberg_cohomology"]
+
+
+# tokens of the definition-file grammar, valid and not, for the fuzzer
+_FILE_TOKENS = ("name", "generator", "bracket", "a", "x", "y", "z", "0", "1",
+                "2", "=", "x:1", "z:1", "y:-1/2", "z:0", "x:1/0", "w:1", "#",
+                "9" * 5000, "\u00e9")
+
+
+def test_every_input_ends_one_of_three_ways(tmp_path, capsysbinary):
+    # random argv and definition files: an answer, a documented refusal
+    # or a one-line failure, in bounded time, and never a traceback
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    path = tmp_path / "fuzz.alg"
+    small = st.integers(-2, 6)
+    ints = st.one_of(small, small, st.sampled_from(
+        (99, 100, 101, 10 ** 6, 10 ** 30, -10 ** 30, 2 ** 63))).map(str)
+    choices = {"--format": ("text", "json", "csv", "yaml"),
+               "--method": ("rank", "formula", "both", "x"),
+               "--family": ("even", "odd", "x")}
+    # each verb's options, required first; the others may be left out
+    own = {"even": (3, "--n", "--m", "--q-max", "--format", "--method"),
+           "odd": (2, "--n", "--q-max", "--format", "--method"),
+           "compute": (1, "--q-max", "--format"),
+           "verify": (3, "--family", "--n-max", "--q-max", "--m-max", "--format"),
+           "frobnicate": (0, "--n")}
+    anything = st.one_of(ints, st.sampled_from(("x", "", "1.5", "even", "json")))
+    extra = st.tuples(st.sampled_from(("--n", "--m", "--family", "--method",
+                                       "--algebra", "--column-cap", "--help")),
+                      anything)
+
+    def value(flag):
+        return st.sampled_from(choices[flag]) if flag in choices else ints
+
+    def argv_for(verb):
+        required, *flags = own[verb]
+        options = [st.tuples(st.just(f), value(f)) for f in flags[:required]]
+        options += [st.one_of(st.none(), st.tuples(st.just(f), value(f)))
+                    for f in flags[required:]]
+        return st.tuples(st.just(verb), st.tuples(*options),
+                         st.lists(extra, max_size=1),
+                         # last, so it wins: every job admitted is at
+                         # most 300 columns wide
+                         st.integers(-1, 300))
+
+    # random bytes, random lines, or a valid file with one random line more
+    line = st.lists(st.sampled_from(_FILE_TOKENS), max_size=6).map(" ".join)
+    valid = (format_algebra(make_heisenberg_odd(1)),
+             format_algebra(make_heisenberg_even(1, 1)))
+    near_valid = st.tuples(st.sampled_from(valid), line).map("".join)
+    files = st.one_of(
+        st.binary(max_size=40), st.lists(line, max_size=8).map("\n".join),
+        near_valid, near_valid).map(
+            lambda text: text if isinstance(text, bytes) else text.encode("utf-8"))
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(st.sampled_from(sorted(own)).flatmap(argv_for), files)
+    def check(spec, text):
+        verb, options, extras, cap = spec
+        path.write_bytes(text)
+        argv = [verb]
+        if verb == "compute":
+            argv += ["--algebra", str(path)]
+        for option in [o for o in options if o is not None] + extras:
+            argv += option
+        argv += ["--column-cap", str(cap)]
+        start = time.perf_counter()
+        code = cli.main(argv)
+        elapsed = time.perf_counter() - start
+        _, err = capsysbinary.readouterr()
+        assert code in range(6), (argv, code)
+        assert b"Traceback" not in err, argv
+        assert elapsed < 10, (argv, elapsed)
+
+    check()

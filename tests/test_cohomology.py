@@ -4,7 +4,7 @@ import weakref
 
 import pytest
 
-from heisenberg_cohomology import algebra, cohomology, differential
+from heisenberg_cohomology import algebra, cohomology, differential, limits
 from heisenberg_cohomology.algebra import (AlgebraValidationError,
                                            LieSuperalgebra, adapted_basis,
                                            make_heisenberg_even,
@@ -292,6 +292,8 @@ def test_degree_limit_refuses_before_any_dimension_is_counted(monkeypatch):
     def no_count(*args):
         raise AssertionError("a dimension was counted before the degree limit")
 
+    # the size refusals count dimensions in limits
+    monkeypatch.setattr(limits, "graded_dim", no_count)
     monkeypatch.setattr(cohomology, "graded_dim", no_count)
     for call in (lambda: betti_table(make_heisenberg_even(1, 1), 20000),
                  lambda: cohomology_dims(make_heisenberg_even(1, 1), 10 ** 8),
