@@ -82,20 +82,22 @@ class CohomologyReport(_Record):
 
 
 def _enter(algebra: LieSuperalgebra, top: int, degrees: Iterable[int],
-           cap: int) -> Tuple[LieSuperalgebra, Dict[int, int], _Workspace]:
+           cap: int, reach: Optional[int] = None
+           ) -> Tuple[LieSuperalgebra, Dict[int, int], _Workspace]:
     """The one way into the rank engine: the size refusals, then
     adapted_basis, then validate on that sparse table, which fails
     exactly when the input's does; the error lists validate(algebra).
     The verdict is kept on the algebra, so it is validated once.
     Returns the adapted algebra, _checked_dims' dimensions and the
-    call's workspace."""
+    call's workspace over the adapted algebra, for keys of degree up to
+    `reach` (by default top + 1, d_top's codomain)."""
     dims = _checked_dims(algebra.name, algebra.superdim, top, degrees, cap)
     adapted = adapted_basis(algebra)
     if "valid" not in algebra._derived:
         algebra._derived["valid"] = not validate(adapted)
     if not algebra._derived["valid"]:
         raise AlgebraValidationError(validate(algebra))
-    return adapted, dims, _Workspace()
+    return adapted, dims, _Workspace.over(adapted, top + 1 if reach is None else reach)
 
 
 def _checked_rank(algebra: LieSuperalgebra, q: int, dims: Dict[int, int],
@@ -110,13 +112,13 @@ def _checked_rank(algebra: LieSuperalgebra, q: int, dims: Dict[int, int],
     """
     if q < 0:
         return 0
-    domain, _ = workspace.space(algebra.superdim, q)
+    domain, _ = workspace.space(q)
     if q + 1 < max(dims):
-        codomain, row_index = workspace.space(algebra.superdim, q + 1)
-        matrix = _coboundary(algebra, domain, row_index, len(codomain))
+        codomain, row_index = workspace.space(q + 1)
+        matrix = _coboundary(workspace, domain, row_index, len(codomain))
     else:
         row_index = _RowIndex()
-        matrix = _coboundary(algebra, domain, row_index, dims[q + 1])
+        matrix = _coboundary(workspace, domain, row_index, dims[q + 1])
         if len(row_index) > dims[q + 1]:
             raise AssertionError("d_%d reaches %d rows, more than dim C^%d = %d"
                                  % (q, len(row_index), q + 1, dims[q + 1]))

@@ -18,30 +18,39 @@ d_generator refuses an even self-bracket and a bracket that is not
 parity-homogeneous, so a d-term of an even dual has 0 or 2 odd factors
 and one of an odd dual exactly one even factor; the kernel relies on it.
 
-One integer kernel applies the rule, on (even_mask, odd_exponents) keys
-(a SuperMonomial is one, so enumerate_basis output goes in as it stands)
-with every coefficient scaled by a common denominator D, and serves
-every caller: differential_matrix and lefschetz_block hand its integer
-columns over as a RationalMatrix with scale 1/D, unchecked, and
-d_element (and tau through it) turns them into SuperElements with
-coefficients coeff * v / D.  lefschetz_block is the part of d that
-lowers the power of an odd central dual by one; psi_matrix is that
-block of h_n with scale (-1)^t / D.  The tests hold the kernel to the
-alternating-sum formula entry by entry.
+One integer kernel applies the rule, on packed keys with every
+coefficient scaled by a common denominator D, and serves every caller:
+differential_matrix and lefschetz_block hand its integer columns over
+as a RationalMatrix with scale 1/D, unchecked, and d_element (and tau
+through it) turns them into SuperElements with coefficients
+coeff * v / D.  lefschetz_block is the part of d that lowers the power
+of an odd central dual by one; psi_matrix is that block of h_n with
+scale (-1)^t / D.  The tests hold the kernel to the alternating-sum
+formula entry by entry.
+
+A key is the int even_mask + (sum_j alpha_j B^j << n0) of e_S o^alpha
+(superexterior._pack), B an odd radix above the degree of every key the
+call reaches, fixed per _Workspace (_radix).  A d-term is then one int
+delta: the row of a term of even slot i is key - (1 << i) + delta and
+that of odd slot j is key + delta, its unit B^j << n0 already taken
+off, so the kernel finds each row with one addition and one int-keyed
+lookup.  The public functions take and return SuperMonomials, packing
+and unpacking at the edge.
 
 Work that depends only on a value is done once per value.  The rank
 engine's entry points (betti_table, cohomology_dims, and verify_family
-per n) each own one _Workspace for the call, which enumerates a cochain
-space and its row index once per (dims, q), so the domain of d_q is the
-codomain just built for d_{q-1}, and a space of z-dual-free cochains
-once per (dims, q, z's position), so block t's codomain is block
-t + 2's domain and every power l of one t shares its spaces.  The
-workspace is dropped when its call returns or raises; the public
-builders take a fresh one per call.  A codomain that is nobody's domain
-is not enumerated at all: d_element's image and the rank engine's top
-coboundary number their rows in order of first use (_RowIndex).  h_n is
-built once per n for psi_matrix and tau, and an algebra's slot table is
-derived once and kept on the algebra, whose bracket table is read-only.
+per n) each own one _Workspace for the call, which packs the
+algebra's slot table once, enumerates a cochain space and its row
+index once per q, so the domain of d_q is the codomain just built for
+d_{q-1}, and a space of z-dual-free cochains once per (q, z's
+position), so block t's codomain is block t + 2's domain and every
+power l of one t shares its spaces.  The workspace is dropped when its
+call returns or raises; the public builders take a fresh one per call.
+A codomain that is nobody's domain is not enumerated at all:
+d_element's image and the rank engine's top coboundary number their
+rows in order of first use (_RowIndex).  h_n is built once per n for
+psi_matrix and tau, and an algebra's integer slot table is derived once
+and kept on the algebra, whose bracket table is read-only.
 What these return is never mutated.
 """
 
@@ -50,13 +59,13 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from operator import add
-from typing import Dict, Tuple
+from typing import Dict
 
 from .algebra import LieSuperalgebra, ODD, _Record, make_heisenberg_odd
 from .linalg import RationalMatrix
 from .superexterior import (SuperElement, SuperMonomial, SuperSpaceDims,
-                            _monomial, enumerate_basis, wedge_monomials)
+                            _monomial, _pack, _unpack, enumerate_basis,
+                            wedge_monomials)
 
 
 def _dual_monomial(algebra: LieSuperalgebra, i: int) -> SuperMonomial:
@@ -126,29 +135,82 @@ def _heisenberg_odd(n: int) -> LieSuperalgebra:
     return make_heisenberg_odd(n)
 
 
-class _Workspace:
-    """The cochain spaces of one rank-engine call, each enumerated once.
+def _radix(degree: int) -> int:
+    """The smallest odd integer above `degree`: the radix of the keys of
+    a call whose cochains have degree at most `degree`, so no exponent,
+    even of a d-term's image, carries into the next slot.  It is odd so
+    that wide keys spread over CPython's int hash, which is taken modulo
+    2^61 - 1; the powers of 2 repeat under it every 61 bits."""
+    return degree + 1 | 1
 
-    space(dims, q) is (basis, {key: row}) of C^q over `dims`, in the
-    canonical order; with `without`, an odd position, of the cochains
-    without that dual (enumerate_basis's `without`), whose index numbers
-    the rows of every block with l = 1.  Callers do not mutate either.
-    A workspace lives as long as the call that made it.
+
+class _Workspace:
+    """The cochain spaces of one call, each enumerated once, as packed
+    keys over one algebra's dual superdimension.
+
+    Made by over(algebra, degree), degree the largest degree of any
+    key of the call, which fixes the radix.  space(q) is
+    (keys, {key: row}) of C^q in the canonical order; with `without`,
+    an odd position, of the cochains without that dual
+    (enumerate_basis's `without`), whose index numbers the rows of
+    every block with l = 1.  `slots` is the algebra's slot table
+    packed at the radix: (D, even_slots, odd_slots) with one
+    (emask, even_set, delta, D * coefficient) per d-term of an even
+    slot and one (j, B^j, terms) per odd slot j with a nonzero d, its
+    terms (emask, e, delta, D * coefficient).  Callers do not mutate
+    any of it.  A workspace lives as long as the call that made it.
     """
 
     def __init__(self):
         self._spaces = {}
 
-    def space(self, dims: Tuple[int, int], q: int, without=None):
-        key = (dims, q, without)
+    @classmethod
+    def over(cls, algebra: LieSuperalgebra, degree: int) -> "_Workspace":
+        workspace = cls()
+        workspace.dims = SuperSpaceDims(*algebra.superdim)
+        workspace.radix = _radix(degree)
+        workspace.slots = _packed_slots(algebra, workspace.radix)
+        return workspace
+
+    def space(self, q: int, without=None):
+        if q >= self.radix:
+            raise ValueError("degree %d does not fit radix %d" % (q, self.radix))
+        key = (q, without)
         if key not in self._spaces:
-            basis = tuple(enumerate_basis(SuperSpaceDims(*dims), q, without))
-            self._spaces[key] = basis, {mono: r for r, mono in enumerate(basis)}
+            basis = enumerate_basis(self.dims, q, without, self.radix)
+            self._spaces[key] = basis, dict(zip(basis, range(len(basis))))
         return self._spaces[key]
 
+    def pack(self, mono: SuperMonomial) -> int:
+        return _pack(mono, self.dims.even_count, self.radix)
 
-def _d_columns(even_slots, odd_slots, domain, row_index):
-    """Integer coboundary columns {row: value} of (even_mask, alpha) keys.
+    def unpack(self, key: int) -> SuperMonomial:
+        return _unpack(key, self.dims, self.radix)
+
+
+def _packed_slots(algebra: LieSuperalgebra, radix: int):
+    """_integer_slots with each d-term's odd exponents and even mask
+    folded into one key delta at `radix` (see _Workspace)."""
+    denom, even_slots, odd_slots = _integer_slots(algebra)
+    n0 = algebra.superdim[0]
+
+    def delta(emask, beta):
+        return _pack(_monomial(emask, beta), n0, radix)
+
+    evens = tuple(tuple((emask, evens, delta(emask, beta), c)
+                        for emask, evens, beta, c in terms)
+                  for terms in even_slots)
+    # an odd slot's term also takes one copy of o_j off the key
+    odds = tuple((j, radix ** j,
+                  tuple((emask, e, delta(emask, beta) - (radix ** j << n0), c)
+                        for emask, (e,), beta, c in terms))
+                 for j, terms in enumerate(odd_slots) if terms)
+    return denom, evens, odds
+
+
+def _d_columns(workspace: _Workspace, domain, row_index):
+    """Integer coboundary columns {row: value} of the workspace's keys
+    `domain`, by its packed slot table.
 
     Applies the derivation rule to e_S o^alpha directly, visiting only
     the factors whose dual has a nonzero d.  The factor at position t
@@ -162,11 +224,14 @@ def _d_columns(even_slots, odd_slots, domain, row_index):
     o_j's d-term crosses the t - k odds before the copy at position t,
     so every copy's sign exponent is k plus e's crossings above it.
     """
+    _, even_slots, odd_slots = workspace.slots
+    n0, radix = workspace.dims.even_count, workspace.radix
     active = sum(1 << i for i, terms in enumerate(even_slots) if terms)
-    active_odd = [(j, terms) for j, terms in enumerate(odd_slots) if terms]
+    evens_only = (1 << n0) - 1
     columns = []
-    for mask, alpha in domain:
+    for key in domain:
         col: Dict[int, int] = {}
+        mask = key & evens_only
         k = mask.bit_count()
         rest = mask & active
         while rest:
@@ -176,28 +241,31 @@ def _d_columns(even_slots, odd_slots, domain, row_index):
             below = others & (low - 1)
             above = others ^ below
             t = below.bit_count()
-            for emask, evens, beta, c in even_slots[low.bit_length() - 1]:
+            base = key - low
+            for emask, evens, delta, c in even_slots[low.bit_length() - 1]:
                 if emask & others:
                     continue
                 swaps = t
                 for e in evens:
                     swaps += ((below >> (e + 1)).bit_count()
                               + (above & ((1 << e) - 1)).bit_count())
-                r = row_index[(others | emask, tuple(map(add, alpha, beta)))]
+                r = row_index[base + delta]
                 col[r] = col.get(r, 0) + (-c if swaps & 1 else c)
-        for j, terms in active_odd:
-            a = alpha[j]
-            if not a:
-                continue
-            odds = list(alpha)
-            odds[j] -= 1
-            for emask, (e,), beta, c in terms:
-                if emask & mask:
+        if odd_slots:
+            odd = key >> n0
+            for j, unit, terms in odd_slots:
+                a = odd // unit % radix
+                if not a:
                     continue
-                swaps = k + (mask >> (e + 1)).bit_count()
-                r = row_index[(mask | emask, tuple(map(add, odds, beta)))]
-                col[r] = col.get(r, 0) + (-a * c if swaps & 1 else a * c)
-        columns.append({r: v for r, v in col.items() if v})
+                for emask, e, delta, c in terms:
+                    if emask & mask:
+                        continue
+                    swaps = k + (mask >> (e + 1)).bit_count()
+                    r = row_index[key + delta]
+                    col[r] = col.get(r, 0) + (-a * c if swaps & 1 else a * c)
+        # terms that cancel leave a zero, which a column does not store
+        columns.append({r: v for r, v in col.items() if v}
+                       if 0 in col.values() else col)
     return columns
 
 
@@ -222,16 +290,18 @@ def d_element(algebra: LieSuperalgebra, elem: SuperElement) -> SuperElement:
             raise ValueError("%s is not a cochain of %s, whose dual "
                              "superdimension is (%d|%d)"
                              % (mono, algebra.name, n0, n1))
-    denom, even_slots, odd_slots = _integer_slots(algebra)
+    workspace = _Workspace.over(algebra, (elem.degree or 0) + 1)
     row_index = _RowIndex()
-    columns = _d_columns(even_slots, odd_slots, monos, row_index)
+    columns = _d_columns(workspace, list(map(workspace.pack, monos)), row_index)
     image: Dict[int, Fraction] = {}
     for mono, col in zip(monos, columns):
         coeff = elem.terms[mono]
         for r, v in col.items():
             image[r] = image.get(r, 0) + coeff * v
     rows = list(row_index)
-    return SuperElement({_monomial(*rows[r]): c / denom for r, c in image.items()})
+    denom = workspace.slots[0]
+    return SuperElement({workspace.unpack(rows[r]): c / denom
+                         for r, c in image.items()})
 
 
 class DifferentialMatrix(_Record):
@@ -246,21 +316,21 @@ def differential_matrix(algebra: LieSuperalgebra, q: int) -> DifferentialMatrix:
     """Matrix of the coboundary in degree q (columns indexed by C^q)."""
     if q < 0:
         raise ValueError("degree must be nonnegative")
-    workspace = _Workspace()
-    domain, _ = workspace.space(algebra.superdim, q)
-    codomain, row_index = workspace.space(algebra.superdim, q + 1)
-    mat = _coboundary(algebra, domain, row_index, len(codomain))
-    return DifferentialMatrix(q, domain, codomain, mat)
+    workspace = _Workspace.over(algebra, q + 1)
+    domain, _ = workspace.space(q)
+    codomain, row_index = workspace.space(q + 1)
+    mat = _coboundary(workspace, domain, row_index, len(codomain))
+    return DifferentialMatrix(q, tuple(map(workspace.unpack, domain)),
+                              tuple(map(workspace.unpack, codomain)), mat)
 
 
-def _coboundary(algebra: LieSuperalgebra, domain, row_index,
+def _coboundary(workspace: _Workspace, domain, row_index,
                 rows: int) -> RationalMatrix:
-    """d of the keys `domain` as a matrix of `rows` rows with scale 1/D,
-    its rows numbered by `row_index`: a cochain space's index, or a
-    _RowIndex that numbers them on first use."""
-    denom, even_slots, odd_slots = _integer_slots(algebra)
-    columns = _d_columns(even_slots, odd_slots, domain, row_index)
-    return RationalMatrix._wrap(rows, columns, Fraction(1, denom))
+    """d of the workspace's keys `domain` as a matrix of `rows` rows
+    with scale 1/D, its rows numbered by `row_index`: a cochain space's
+    index, or a _RowIndex that numbers them on first use."""
+    columns = _d_columns(workspace, domain, row_index)
+    return RationalMatrix._wrap(rows, columns, Fraction(1, workspace.slots[0]))
 
 
 def lefschetz_block(algebra: LieSuperalgebra, z: int, t: int,
@@ -278,22 +348,30 @@ def lefschetz_block(algebra: LieSuperalgebra, z: int, t: int,
     with f_z^{l-1}, and a d-term outside them (the precondition broken)
     raises KeyError.  For t < 0 the domain is empty.
     """
-    return _lefschetz_block(algebra, z, t, l, _Workspace())
+    return _lefschetz_block(algebra, z, t, l,
+                            _Workspace.over(algebra, t + l + 1))
 
 
 def _lefschetz_block(algebra: LieSuperalgebra, z: int, t: int, l: int,
                      workspace: _Workspace) -> RationalMatrix:
-    """lefschetz_block on the spaces of `workspace`."""
+    """lefschetz_block on the spaces of `workspace`, whose radix must
+    exceed the degree t + l + 1 of the rows."""
+    if t + l + 1 >= workspace.radix:
+        raise ValueError("degree %d does not fit radix %d"
+                         % (t + l + 1, workspace.radix))
     j = algebra.odd_indices.index(z)
     # domain first: block t's codomain is block t + 2's domain, so a walk
     # over every other t finds each space of A already enumerated
-    free, _ = workspace.space(algebra.superdim, t, j)
-    codomain, row_index = workspace.space(algebra.superdim, t + 2, j)
+    free, _ = workspace.space(t, j)
+    codomain, row_index = workspace.space(t + 2, j)
+    # f_z^l in z's slot, which the keys of A leave at 0
+    unit = workspace.radix ** j << workspace.dims.even_count
     if l > 1:
-        row_index = {(mask, odds[:j] + (l - 1,) + odds[j + 1:]): r
-                     for r, (mask, odds) in enumerate(codomain)}
-    domain = [(mask, odds[:j] + (l,) + odds[j + 1:]) for mask, odds in free]
-    return _coboundary(algebra, domain, row_index, len(codomain))
+        shift = (l - 1) * unit
+        row_index = {key + shift: r for r, key in enumerate(codomain)}
+    shift = l * unit
+    domain = [key + shift for key in free]
+    return _coboundary(workspace, domain, row_index, len(codomain))
 
 
 def tau(n: int, l: int) -> SuperElement:

@@ -12,9 +12,15 @@ rational combination of normal-form monomials
 
 with i_1 < ... < i_k, which is the basis enumerated and paired below.
 
-A SuperMonomial is the tuple (even_mask, odd_exponents), the key the
-coboundary kernel indexes by, so len, iteration and tuple `<` apply to
-it; the canonical basis order is `monomial_sort_key`, not tuple order.
+A SuperMonomial is the tuple (even_mask, odd_exponents), so len,
+iteration and tuple `<` apply to it; the canonical basis order is
+`monomial_sort_key`, not tuple order.  The coboundary kernel indexes
+packed keys instead: given a radix B, enumerate_basis returns each
+monomial as the one int even_mask + (sum_j alpha_j B^j << n), n the
+even count, in the same order (_pack and _unpack convert).  B must
+exceed every exponent, and is odd: CPython hashes an int modulo
+2^61 - 1, under which the powers of a power-of-two radix repeat with
+period 61 bits, so wide keys of such a radix share a few hash values.
 """
 
 from __future__ import annotations
@@ -275,7 +281,8 @@ def _odd_exponent_vectors(total: int, m: int,
         yield tuple(alpha)
 
 
-def enumerate_basis(dims: SuperSpaceDims, q: int, without: Optional[int] = None):
+def enumerate_basis(dims: SuperSpaceDims, q: int, without: Optional[int] = None,
+                    radix: Optional[int] = None):
     """Degree-q basis monomials over `dims`, in the canonical order.
 
     The order is: more even factors first, then even index sets in
@@ -286,6 +293,10 @@ def enumerate_basis(dims: SuperSpaceDims, q: int, without: Optional[int] = None)
     With `without`, an odd generator's position, only the monomials in
     which it has exponent 0, in the same order: the basis of the
     cochains without that dual, graded_dim((n, m - 1), q) entries.
+
+    With `radix`, an integer above q (odd, for the hash: see above),
+    each monomial comes as its packed int key (_pack), in the same
+    order.
     """
     n, m = dims
     if n < 0 or m < 0:
@@ -295,16 +306,45 @@ def enumerate_basis(dims: SuperSpaceDims, q: int, without: Optional[int] = None)
     out = []
     if q < 0:
         return out
+    if radix is not None:
+        # the key of o^alpha is the sum of its factors' units, and index
+        # multisets give the exponent tuples in their order
+        units = [radix ** j << n for j in range(m) if j != without]
     for q0 in range(min(q, n), -1, -1):
         q1 = q - q0
         if m == 0 and q1 > 0:
             continue
-        alphas = tuple(_odd_exponent_vectors(q1, m, without))
+        if radix is None:
+            alphas = tuple(_odd_exponent_vectors(q1, m, without))
+        else:
+            alphas = tuple(map(sum, combinations_with_replacement(units, q1)))
         for bits in combinations([1 << i for i in range(n)], q0):
             mask = sum(bits)
-            for alpha in alphas:
-                out.append(_monomial(mask, alpha))
+            if radix is None:
+                out.extend([_monomial(mask, alpha) for alpha in alphas])
+            else:
+                out.extend([mask + alpha for alpha in alphas])
     return out
+
+
+def _pack(mono: SuperMonomial, n: int, radix: int) -> int:
+    """The key of a monomial over n even duals: even_mask plus
+    sum_j alpha_j radix^j shifted past the mask; every alpha_j < radix."""
+    odd = 0
+    for a in reversed(mono.odd_exponents):
+        odd = odd * radix + a
+    return mono.even_mask + (odd << n)
+
+
+def _unpack(key: int, dims: SuperSpaceDims, radix: int) -> SuperMonomial:
+    """The monomial over `dims` whose key is `key` (inverse of _pack)."""
+    n, m = dims
+    odd = key >> n
+    alpha = []
+    for _ in range(m):
+        odd, a = divmod(odd, radix)
+        alpha.append(a)
+    return _monomial(key & ((1 << n) - 1), tuple(alpha))
 
 
 def dual_pairing(alpha: SuperMonomial, u: SuperMonomial) -> Fraction:

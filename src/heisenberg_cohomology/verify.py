@@ -90,10 +90,17 @@ class VerifyResult(_Record):
 
 def _is_multiple(matrix: RationalMatrix, base: RationalMatrix, l: int) -> bool:
     """Whether `matrix` is stored as l times `base`: the same rows and
-    scale, and every integer column l times base's.  O(nnz)."""
-    return (matrix.rows == base.rows and matrix.scale == base.scale
-            and matrix.columns == [{r: l * v for r, v in col.items()}
-                                   for col in base.columns])
+    scale, and every integer column l times base's.  O(nnz), compared
+    in place up to the first difference."""
+    if (matrix.rows, matrix.scale, matrix.cols) != (base.rows, base.scale, base.cols):
+        return False
+    for col, base_col in zip(matrix.columns, base.columns):
+        if len(col) != len(base_col):
+            return False
+        for r, v in base_col.items():
+            if col.get(r) != l * v:
+                return False
+    return True
 
 
 def verify_family(family: str, n_max: int, m_max: Optional[int] = None,
@@ -141,8 +148,10 @@ def verify_family(family: str, n_max: int, m_max: Optional[int] = None,
 def _odd_point(n: int, q_max: int, column_cap: int) -> List[Comparison]:
     """The checks of h_n: one block walk over t = 0..q_max on one
     workspace, dropped when this returns."""
+    # the rows of psi_{(n,l)} in degree t have degree t + l + 1
     algebra, dims, workspace = _enter(make_heisenberg_odd(n), q_max,
-                                      range(q_max + 1), column_cap)
+                                      range(q_max + 1), column_cap,
+                                      q_max + 1 + max(PSI_POWERS))
     z = 2 * n  # h_n's odd centre, its last generator
     checks = []
     block_rank = {}

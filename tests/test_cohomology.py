@@ -384,9 +384,9 @@ def test_cohomology_dims_enumerates_each_space_once(monkeypatch):
     real = differential.enumerate_basis
     calls = []
 
-    def counted(dims, q, without=None):
+    def counted(dims, q, without=None, radix=None):
         calls.append(q)
-        return real(dims, q, without)
+        return real(dims, q, without, radix)
 
     monkeypatch.setattr(differential, "enumerate_basis", counted)
     for q in range(6):
@@ -401,9 +401,9 @@ def test_betti_table_enumerates_each_space_once(monkeypatch):
     real = differential.enumerate_basis
     calls = []
 
-    def counted(dims, q, without=None):
+    def counted(dims, q, without=None, radix=None):
         calls.append(q)
-        return real(dims, q, without)
+        return real(dims, q, without, radix)
 
     monkeypatch.setattr(differential, "enumerate_basis", counted)
     for q_max in range(6):

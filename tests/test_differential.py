@@ -8,7 +8,8 @@ from heisenberg_cohomology.algebra import (LieSuperalgebra,
                                            make_heisenberg_odd, validate)
 from heisenberg_cohomology.cohomology import betti_table
 from heisenberg_cohomology.differential import (differential_matrix, d_element,
-                                                d_generator, psi_matrix, tau)
+                                                d_generator, lefschetz_block,
+                                                psi_matrix, tau)
 from heisenberg_cohomology.fileformats import parse_algebra
 from heisenberg_cohomology.linalg import RationalMatrix, kernel_dim, rank
 from heisenberg_cohomology.superexterior import (SuperElement, SuperMonomial,
@@ -18,7 +19,8 @@ from heisenberg_cohomology.superexterior import (SuperElement, SuperMonomial,
 
 from oracles import (coboundary_alternating_sum, coboundary_entry,  # noqa: F401
                      kernel_matrices_are_checked, matmul,
-                     monomial_generator_sequence, tensor_normal_form)
+                     monomial_generator_sequence, tensor_normal_form,
+                     z_power_block)
 
 
 def single(evens=(), odds=(), coeff=1):
@@ -324,6 +326,37 @@ def test_tau_matches_coboundary_of_z_powers():
         for l in (1, 2, 3):
             zl = single((), (0,) * n + (l,))
             assert tau(n, l) == d_element(alg, zl) == explicit_tau(n, l)
+
+
+def test_the_radix_is_chosen_per_call_past_any_field_width():
+    # exponents of 300 overflow a fixed 8-bit field per odd dual.  The
+    # alternating-sum oracle (coboundary_entry) cannot reach this degree:
+    # its permanent expands into prod_j alpha_j! terms.  On h_1 every
+    # dual but f_z is closed, so the Leibniz rule gives the reference
+    # d(alpha f_z^l) = (-1)^t alpha tau_(1,l), alpha z-free of degree t,
+    # through wedge and the explicit tau rather than the kernel.
+    alg = make_heisenberg_odd(1)
+    dm = differential_matrix(alg, 300)
+    assert len(dm.domain) == 601 and max(m.odd_degree for m in dm.domain) == 300
+    row = {m: r for r, m in enumerate(dm.codomain)}
+    want = {}
+    for c, omega in enumerate(dm.domain):
+        y, l = omega.odd_exponents
+        if not l:
+            continue
+        alpha = SuperMonomial(omega.even_set, (y, 0))
+        sign = -1 if alpha.degree & 1 else 1
+        image = wedge(SuperElement.from_monomial(alpha), explicit_tau(1, l))
+        for m, v in image.terms.items():
+            want[(row[m], c)] = sign * v
+    assert want and dm.matrix.entries == want
+    assert tau(1, 300) == explicit_tau(1, 300)
+    # the block of power 300 against the same rows of the full matrix of
+    # degree t + 300, each call with its own radix
+    for t in range(4):
+        block, rest = z_power_block(alg, 2, t, 300)
+        assert rest == 0
+        assert lefschetz_block(alg, 2, t, 300).entries == block, t
 
 
 def test_psi_matrix_examples():

@@ -108,9 +108,9 @@ def test_each_space_of_a_is_enumerated_once_per_table(monkeypatch):
     real = differential.enumerate_basis
     calls = []
 
-    def counted(dims, q, without=None):
+    def counted(dims, q, without=None, radix=None):
         calls.append((tuple(dims), q, without))
-        return real(dims, q, without)
+        return real(dims, q, without, radix)
 
     monkeypatch.setattr(differential, "enumerate_basis", counted)
     for n, q_max in ((1, 6), (3, 10), (4, 8)):

@@ -8,11 +8,11 @@ from math import factorial
 import pytest
 
 from heisenberg_cohomology.algebra import make_heisenberg_even
-from heisenberg_cohomology.differential import (_d_columns, _integer_slots,
+from heisenberg_cohomology.differential import (_d_columns, _radix, _Workspace,
                                                 d_element)
 from heisenberg_cohomology.superexterior import (
-    SuperElement, SuperMonomial, SuperSpaceDims, _odd_exponent_vectors,
-    dual_pairing, element_pairing, enumerate_basis, graded_dim,
+    SuperElement, SuperMonomial, SuperSpaceDims, _odd_exponent_vectors, _pack,
+    _unpack, dual_pairing, element_pairing, enumerate_basis, graded_dim,
     monomial_sort_key, wedge, wedge_monomials)
 
 from oracles import permanent, tensor_normal_form
@@ -242,19 +242,56 @@ def test_even_set_is_rebuilt_from_the_mask():
 
 
 def test_basis_monomials_are_kernel_keys():
-    # enumerate_basis output goes into the coboundary kernel as it stands:
-    # as domain columns, and as the row keys the kernel probes with plain pairs
+    # the kernel indexes the packed keys of enumerate_basis's monomials:
+    # as domain columns, and as the row keys the kernel probes with sums
     alg = make_heisenberg_even(1, 2)
     dims = SuperSpaceDims(*alg.superdim)
-    denom, even_slots, odd_slots = _integer_slots(alg)
     for q in range(4):
+        workspace = _Workspace.over(alg, q + 1)
         domain, codomain = enumerate_basis(dims, q), enumerate_basis(dims, q + 1)
-        row_index = {m: r for r, m in enumerate(codomain)}
-        columns = _d_columns(even_slots, odd_slots, domain, row_index)
+        keys = [_pack(m, dims.even_count, workspace.radix) for m in domain]
+        assert keys == enumerate_basis(dims, q, radix=workspace.radix)
+        row_index = {_pack(m, dims.even_count, workspace.radix): r
+                     for r, m in enumerate(codomain)}
+        columns = _d_columns(workspace, keys, row_index)
         assert len(columns) == len(domain)
+        denom = workspace.slots[0]
         for m, col in zip(domain, columns):
             image = {codomain[r]: Fraction(v, denom) for r, v in col.items()}
             assert image == d_element(alg, SuperElement.from_monomial(m)).terms
+
+
+def test_packing_round_trips_in_the_basis_order():
+    # exhaustively over small dims and degrees, with and without an odd
+    # dual: unpack(pack(m)) == m, the keys come in enumerate_basis's
+    # order, and distinct monomials get distinct keys
+    for n in range(4):
+        for m in range(4):
+            dims = SuperSpaceDims(n, m)
+            for q in range(6):
+                radix = _radix(q)
+                for without in (None, *range(m)):
+                    basis = enumerate_basis(dims, q, without)
+                    keys = enumerate_basis(dims, q, without, radix)
+                    assert keys == [_pack(mono, n, radix) for mono in basis], \
+                        (dims, q, without)
+                    assert [_unpack(key, dims, radix) for key in keys] == basis
+                    assert len(set(keys)) == len(keys)
+                    assert all(type(key) is int for key in keys)
+
+
+def test_the_radix_is_odd_so_wide_keys_spread_over_the_hash():
+    # CPython hashes an int modulo 2^61 - 1; the keys of 401 odd duals
+    # are about 640 bits wide, and with a power-of-two radix they would
+    # share a few hash values, each index lookup walking a long chain
+    dims = SuperSpaceDims(0, 401)
+    radix = _radix(2)
+    assert radix % 2 == 1 and radix > 2
+    keys = enumerate_basis(dims, 2, radix=radix)
+    assert len(keys) == graded_dim(dims, 2)
+    assert len({hash(key) for key in keys}) == len(keys)
+    wide = enumerate_basis(dims, 2, radix=4)
+    assert len({hash(key) for key in wide}) < len(wide) // 10
 
 
 def test_odd_exponent_vectors_are_the_sorted_exponent_tuples():

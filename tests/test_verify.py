@@ -41,9 +41,9 @@ def test_odd_grid_enumerates_each_space_once(monkeypatch):
     real = differential.enumerate_basis
     calls = Counter()
 
-    def counted(dims, q, without=None):
+    def counted(dims, q, without=None, radix=None):
         calls[(tuple(dims), q, without)] += 1
-        return real(dims, q, without)
+        return real(dims, q, without, radix)
 
     monkeypatch.setattr(differential, "enumerate_basis", counted)
     verify.verify_family("odd", 4, None, 7)
