@@ -11,8 +11,11 @@ here are the Heisenberg superalgebras: an even-center family h_{n,m}
 and an odd-center family h_n, both two-step nilpotent.
 
 The table is read-only, so the tables derived from it (the adapted
-basis here, the coboundary's slot table in differential) are kept on
-the algebra itself, derived on first use and never stale.
+basis and the validity verdict here, the coboundary's slot table in
+differential) are kept on the algebra itself, derived on first use and
+never stale.  require_valid is the one door that decides validity: the
+family builders, parse_algebra and the rank engine all pass through it,
+so each algebra is validated once, on its adapted table.
 """
 
 from __future__ import annotations
@@ -372,14 +375,28 @@ def _adapted_brackets(alg: LieSuperalgebra):
     return brackets
 
 
+def require_valid(alg: LieSuperalgebra) -> None:
+    """Raise AlgebraValidationError unless alg is a Lie superalgebra.
+
+    The axioms hold in every basis or in none, so the sparse table
+    adapted_basis(alg) is validated, once per algebra: the verdict is
+    kept on it beside the rewrite.  A failure lists validate(alg), whose
+    messages name the generators of the table as given.
+    """
+    if "valid" not in alg._derived:
+        alg._derived["valid"] = not validate(adapted_basis(alg))
+    if not alg._derived["valid"]:
+        raise AlgebraValidationError(validate(alg))
+
+
 def _built_in(name: str, gens, brackets) -> LieSuperalgebra:
-    """A built-in family member, validated once: the verdict is kept on
-    it, so the rank engine does not validate it again."""
+    """A built-in family member, validated once by require_valid."""
     alg = LieSuperalgebra(name, gens, brackets)
-    bad = validate(alg)
-    if bad:
-        raise AssertionError("%s failed validation: %s" % (name, bad))
-    alg._derived["valid"] = True
+    try:
+        require_valid(alg)
+    except AlgebraValidationError as err:
+        raise AssertionError("%s failed validation: %s"
+                             % (name, err.violations)) from None
     return alg
 
 

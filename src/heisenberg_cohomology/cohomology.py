@@ -7,18 +7,20 @@ MAX_Q_MAX, a matrix wider than the column cap (default 5000 columns)
 and a top codomain C^{q+1} over CODOMAIN_ROWS_PER_COLUMN times the cap,
 explicit, overridable refusals, not truncations.  Those constants, the
 checks and the error types are defined in limits, which loads no engine
-module, and stay importable from here.  Then it rewrites the algebra
-in a basis adapted to [g, g] (algebra.adapted_basis; the identity on
-the built-in families), which keeps every Betti number and makes
-dense-basis matrices sparse, and validates that table: one that is not a Lie superalgebra, so d^2 != 0,
-raises AlgebraValidationError.  The rewrite and the verdict are kept on
-the algebra, so one that parse_algebra or a family constructor just
+module, and stay importable from here.  Then algebra.require_valid
+validates the algebra rewritten in a basis adapted to [g, g]
+(algebra.adapted_basis; the identity on the built-in families), which
+keeps every Betti number and makes dense-basis matrices sparse: a
+table that is not a Lie superalgebra, so d^2 != 0, raises
+AlgebraValidationError.  The rewrite and the verdict are kept on the
+algebra, so one that parse_algebra or a family constructor just
 checked is neither rewritten nor validated again.  Each call owns one
-workspace (differential._Workspace) that enumerates each cochain space
-it needs once, and is dropped when the call returns or raises.  Every
-CohomologyReport, the closed forms' too (even_formula_report,
-odd_formula_report), is built here; an inconsistent one raises
-ReportInvariantError.
+workspace (differential._Workspace) that carries the adapted algebra
+and enumerates each cochain space it needs once; the rank helpers take
+the workspace alone, and it is dropped when the call returns or
+raises.  Every CohomologyReport, the closed forms' too
+(even_formula_report, odd_formula_report), is built here; an
+inconsistent one raises ReportInvariantError.
 
 betti_table takes one of two rank routes.  When one odd generator z is
 the only bracket target and appears in no bracket (h_n, and any table
@@ -42,7 +44,8 @@ from __future__ import annotations
 from itertools import chain
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from .algebra import ODD, LieSuperalgebra, _Record, adapted_basis, validate
+from .algebra import (ODD, LieSuperalgebra, _Record, adapted_basis,
+                      require_valid)
 from .differential import (_coboundary, _lefschetz_block, _RowIndex,
                            _Workspace)
 from .formulas import dim_h_even, dim_h_odd_proof, even_cocycle_dim, odd_cocycle_dim
@@ -83,25 +86,19 @@ class CohomologyReport(_Record):
 
 def _enter(algebra: LieSuperalgebra, top: int, degrees: Iterable[int],
            cap: int, reach: Optional[int] = None
-           ) -> Tuple[LieSuperalgebra, Dict[int, int], _Workspace]:
+           ) -> Tuple[_Workspace, Dict[int, int]]:
     """The one way into the rank engine: the size refusals, then
-    adapted_basis, then validate on that sparse table, which fails
-    exactly when the input's does; the error lists validate(algebra).
-    The verdict is kept on the algebra, so it is validated once.
-    Returns the adapted algebra, _checked_dims' dimensions and the
-    call's workspace over the adapted algebra, for keys of degree up to
-    `reach` (by default top + 1, d_top's codomain)."""
+    require_valid, which validates the adapted table once per algebra.
+    Returns the call's workspace, whose algebra is adapted_basis(algebra),
+    for keys of degree up to `reach` (by default top + 1, d_top's
+    codomain), and _checked_dims' dimensions."""
     dims = _checked_dims(algebra.name, algebra.superdim, top, degrees, cap)
-    adapted = adapted_basis(algebra)
-    if "valid" not in algebra._derived:
-        algebra._derived["valid"] = not validate(adapted)
-    if not algebra._derived["valid"]:
-        raise AlgebraValidationError(validate(algebra))
-    return adapted, dims, _Workspace.over(adapted, top + 1 if reach is None else reach)
+    require_valid(algebra)
+    reach = top + 1 if reach is None else reach
+    return _Workspace(adapted_basis(algebra), reach), dims
 
 
-def _checked_rank(algebra: LieSuperalgebra, q: int, dims: Dict[int, int],
-                  workspace: _Workspace) -> int:
+def _checked_rank(workspace: _Workspace, q: int, dims: Dict[int, int]) -> int:
     """rank d_q, its shape checked against the preamble's dimensions.
 
     dims runs up to the top degree's codomain (_checked_dims).  Below
@@ -141,9 +138,8 @@ def _odd_centre(algebra: LieSuperalgebra) -> Optional[int]:
     return z
 
 
-def _lefschetz_blocks(algebra: LieSuperalgebra, z: int, dims: Dict[int, int],
-                      t_end: int, workspace: _Workspace
-                      ) -> Iterator[Tuple[int, RationalMatrix, int]]:
+def _lefschetz_blocks(workspace: _Workspace, z: int, dims: Dict[int, int],
+                      t_end: int) -> Iterator[Tuple[int, RationalMatrix, int]]:
     """(t, L^(t), rank L^(t)) for t = 0..t_end-1, each block built and
     eliminated once, its shape and dim C^q = sum_l dim A^{q-l} checked
     against the preamble's dimensions.
@@ -152,7 +148,7 @@ def _lefschetz_blocks(algebra: LieSuperalgebra, z: int, dims: Dict[int, int],
     codomain is block t+2's domain, so each space of A is enumerated
     once.  A block is not kept past its t.
     """
-    n0, n1 = algebra.superdim
+    n0, n1 = workspace.dims
     space = (n0, n1 - 1)
     dim_a = {s: graded_dim(space, s) for s in range(t_end + 2)}
     for q in range(max(dims) + 1):
@@ -160,7 +156,7 @@ def _lefschetz_blocks(algebra: LieSuperalgebra, z: int, dims: Dict[int, int],
             raise AssertionError("dim C^%d is not the sum of dim A^(%d-l) f_z^l"
                                  % (q, q))
     for t in chain(range(0, t_end, 2), range(1, t_end, 2)):
-        block = _lefschetz_block(algebra, z, t, 1, workspace)
+        block = _lefschetz_block(workspace, z, t, 1)
         if (block.rows, block.cols) != (dim_a[t + 2], dim_a[t]):
             raise AssertionError("L^(%d) has shape %dx%d, not dim A^%d x dim A^%d"
                                  % (t, block.rows, block.cols, t + 2, t))
@@ -192,11 +188,11 @@ def cohomology_dims(algebra: LieSuperalgebra, q: int,
     """Betti data in a single degree, via exact ranks."""
     if q < 0:
         return CohomologyReport(algebra.name, q, 0, 0, 0, 0, METHOD_RANK)
-    algebra, dims, workspace = _enter(algebra, q, (q, q - 1), column_cap)
+    workspace, dims = _enter(algebra, q, (q, q - 1), column_cap)
     # d_{q-1} first: its codomain C^q is d_q's domain, already enumerated;
     # d_q is the top degree, so C^{q+1} is not enumerated
-    b = _checked_rank(algebra, q - 1, dims, workspace)
-    z = dims[q] - _checked_rank(algebra, q, dims, workspace)
+    b = _checked_rank(workspace, q - 1, dims)
+    z = dims[q] - _checked_rank(workspace, q, dims)
     return CohomologyReport(algebra.name, q, dims[q], z, b, z - b, METHOD_RANK)
 
 
@@ -213,13 +209,12 @@ def betti_table(algebra: LieSuperalgebra, q_max: int,
     """
     if q_max < 0:
         raise ValueError("q_max must be nonnegative")
-    algebra, dims, workspace = _enter(algebra, q_max, range(q_max + 1), column_cap)
-    z = _odd_centre(algebra)
+    workspace, dims = _enter(algebra, q_max, range(q_max + 1), column_cap)
+    z = _odd_centre(workspace.algebra)
     if z is None:
-        rk = {q: _checked_rank(algebra, q, dims, workspace)
-              for q in range(-1, q_max + 1)}
+        rk = {q: _checked_rank(workspace, q, dims) for q in range(-1, q_max + 1)}
     else:
-        blocks = _lefschetz_blocks(algebra, z, dims, q_max, workspace)
+        blocks = _lefschetz_blocks(workspace, z, dims, q_max)
         rk = _block_ranks({t: r for t, _, r in blocks}, q_max)
     return _reports(algebra.name, dims, rk)
 

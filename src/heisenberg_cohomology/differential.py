@@ -30,22 +30,23 @@ formula entry by entry.
 
 A key is the int even_mask + (sum_j alpha_j B^j << n0) of e_S o^alpha
 (superexterior._pack), B an odd radix above the degree of every key the
-call reaches, fixed per _Workspace (_radix).  A d-term is then one int
-delta: the row of a term of even slot i is key - (1 << i) + delta and
-that of odd slot j is key + delta, its unit B^j << n0 already taken
-off, so the kernel finds each row with one addition and one int-keyed
-lookup.  The public functions take and return SuperMonomials, packing
-and unpacking at the edge.
+call reaches, fixed per _Workspace (superexterior._radix).  A d-term is
+then one int delta: the row of a term of even slot i is
+key - (1 << i) + delta and that of odd slot j is key + delta, its unit
+B^j << n0 already taken off, so the kernel finds each row with one
+addition and one int-keyed lookup.  The public functions take and
+return SuperMonomials, packing and unpacking at the edge.
 
 Work that depends only on a value is done once per value.  The rank
 engine's entry points (betti_table, cohomology_dims, and verify_family
-per n) each own one _Workspace for the call, which packs the
-algebra's slot table once, enumerates a cochain space and its row
-index once per q, so the domain of d_q is the codomain just built for
-d_{q-1}, and a space of z-dual-free cochains once per (q, z's
-position), so block t's codomain is block t + 2's domain and every
-power l of one t shares its spaces.  The workspace is dropped when its
-call returns or raises; the public builders take a fresh one per call.
+per n) each own one _Workspace(algebra, degree) for the call: it
+carries the algebra the call ranks, packs its slot table once,
+enumerates a cochain space and its row index once per q, so the domain
+of d_q is the codomain just built for d_{q-1}, and a space of
+z-dual-free cochains once per (q, z's position), so block t's codomain
+is block t + 2's domain and every power l of one t shares its spaces.
+The workspace is dropped when its call returns or raises; the public
+builders take a fresh one per call.
 A codomain that is nobody's domain is not enumerated at all:
 d_element's image and the rank engine's top coboundary number their
 rows in order of first use (_RowIndex).  h_n is built once per n for
@@ -64,8 +65,8 @@ from typing import Dict
 from .algebra import LieSuperalgebra, ODD, _Record, make_heisenberg_odd
 from .linalg import RationalMatrix
 from .superexterior import (SuperElement, SuperMonomial, SuperSpaceDims,
-                            _monomial, _pack, _unpack, enumerate_basis,
-                            wedge_monomials)
+                            _monomial, _pack, _radix, _unpack,
+                            enumerate_basis, wedge_monomials)
 
 
 def _dual_monomial(algebra: LieSuperalgebra, i: int) -> SuperMonomial:
@@ -135,21 +136,13 @@ def _heisenberg_odd(n: int) -> LieSuperalgebra:
     return make_heisenberg_odd(n)
 
 
-def _radix(degree: int) -> int:
-    """The smallest odd integer above `degree`: the radix of the keys of
-    a call whose cochains have degree at most `degree`, so no exponent,
-    even of a d-term's image, carries into the next slot.  It is odd so
-    that wide keys spread over CPython's int hash, which is taken modulo
-    2^61 - 1; the powers of 2 repeat under it every 61 bits."""
-    return degree + 1 | 1
-
-
 class _Workspace:
-    """The cochain spaces of one call, each enumerated once, as packed
-    keys over one algebra's dual superdimension.
+    """One engine call: its algebra, and the cochain spaces of the call,
+    each enumerated once, as packed keys over the algebra's dual
+    superdimension.
 
-    Made by over(algebra, degree), degree the largest degree of any
-    key of the call, which fixes the radix.  space(q) is
+    `degree` is the largest degree of any key of the call, which fixes
+    the radix.  space(q) is
     (keys, {key: row}) of C^q in the canonical order; with `without`,
     an odd position, of the cochains without that dual
     (enumerate_basis's `without`), whose index numbers the rows of
@@ -161,16 +154,12 @@ class _Workspace:
     any of it.  A workspace lives as long as the call that made it.
     """
 
-    def __init__(self):
+    def __init__(self, algebra: LieSuperalgebra, degree: int):
+        self.algebra = algebra
+        self.dims = SuperSpaceDims(*algebra.superdim)
+        self.radix = _radix(degree)
+        self.slots = _packed_slots(algebra, self.radix)
         self._spaces = {}
-
-    @classmethod
-    def over(cls, algebra: LieSuperalgebra, degree: int) -> "_Workspace":
-        workspace = cls()
-        workspace.dims = SuperSpaceDims(*algebra.superdim)
-        workspace.radix = _radix(degree)
-        workspace.slots = _packed_slots(algebra, workspace.radix)
-        return workspace
 
     def space(self, q: int, without=None):
         if q >= self.radix:
@@ -290,7 +279,7 @@ def d_element(algebra: LieSuperalgebra, elem: SuperElement) -> SuperElement:
             raise ValueError("%s is not a cochain of %s, whose dual "
                              "superdimension is (%d|%d)"
                              % (mono, algebra.name, n0, n1))
-    workspace = _Workspace.over(algebra, (elem.degree or 0) + 1)
+    workspace = _Workspace(algebra, (elem.degree or 0) + 1)
     row_index = _RowIndex()
     columns = _d_columns(workspace, list(map(workspace.pack, monos)), row_index)
     image: Dict[int, Fraction] = {}
@@ -316,7 +305,7 @@ def differential_matrix(algebra: LieSuperalgebra, q: int) -> DifferentialMatrix:
     """Matrix of the coboundary in degree q (columns indexed by C^q)."""
     if q < 0:
         raise ValueError("degree must be nonnegative")
-    workspace = _Workspace.over(algebra, q + 1)
+    workspace = _Workspace(algebra, q + 1)
     domain, _ = workspace.space(q)
     codomain, row_index = workspace.space(q + 1)
     mat = _coboundary(workspace, domain, row_index, len(codomain))
@@ -348,18 +337,17 @@ def lefschetz_block(algebra: LieSuperalgebra, z: int, t: int,
     with f_z^{l-1}, and a d-term outside them (the precondition broken)
     raises KeyError.  For t < 0 the domain is empty.
     """
-    return _lefschetz_block(algebra, z, t, l,
-                            _Workspace.over(algebra, t + l + 1))
+    return _lefschetz_block(_Workspace(algebra, t + l + 1), z, t, l)
 
 
-def _lefschetz_block(algebra: LieSuperalgebra, z: int, t: int, l: int,
-                     workspace: _Workspace) -> RationalMatrix:
-    """lefschetz_block on the spaces of `workspace`, whose radix must
-    exceed the degree t + l + 1 of the rows."""
+def _lefschetz_block(workspace: _Workspace, z: int, t: int,
+                     l: int) -> RationalMatrix:
+    """lefschetz_block of the workspace's algebra on its spaces; the
+    radix must exceed the degree t + l + 1 of the rows."""
     if t + l + 1 >= workspace.radix:
         raise ValueError("degree %d does not fit radix %d"
                          % (t + l + 1, workspace.radix))
-    j = algebra.odd_indices.index(z)
+    j = workspace.algebra.odd_indices.index(z)
     # domain first: block t's codomain is block t + 2's domain, so a walk
     # over every other t finds each space of A already enumerated
     free, _ = workspace.space(t, j)

@@ -15,14 +15,14 @@ super skew-symmetry dictates.
 
 Parsing fails at the parse site, not later inside a rank computation.
 A malformed line raises AlgebraParseError with its line number.  The
-axioms are checked on the table rewritten in the basis adapted to
-[g, g] (algebra.adapted_basis), which is sparse; they hold there
-exactly when they hold in the file's basis.  The rewrite and the
-verdict are kept on the algebra returned, whose bracket table is
-read-only, so the rank engine reuses the one and does not validate
-again.  A table that fails raises AlgebraValidationError with
-validate's messages on the table as written, so they name the file's
-generators; they carry no line number.
+axioms are checked by algebra.require_valid, on the table rewritten in
+the basis adapted to [g, g], which is sparse; they hold there exactly
+when they hold in the file's basis.  The rewrite and the verdict are
+kept on the algebra returned, whose bracket table is read-only, so the
+rank engine reuses the one and does not validate again.  A table that
+fails raises AlgebraValidationError with validate's messages on the
+table as written, so they name the file's generators; they carry no
+line number.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import re
 from fractions import Fraction
 from typing import Dict, Iterable, List, Tuple
 
-from .algebra import LieSuperalgebra, adapted_basis, validate
+from .algebra import LieSuperalgebra, require_valid
 from .cohomology import CohomologyReport
 # both error types live in limits, which needs no engine module, so the
 # CLI catches them without loading this one; they stay importable here
@@ -137,12 +137,7 @@ def parse_algebra(text) -> LieSuperalgebra:
     if not gens:
         raise AlgebraParseError("no generators defined", max(1, len(text.splitlines())))
     alg = LieSuperalgebra(name, gens, brackets)
-    # the axioms hold in every basis or in none, so check the sparse
-    # adapted table and word a failure in the file's own basis; the
-    # rewrite and the verdict are kept on alg for the rank engine
-    if validate(adapted_basis(alg)):
-        raise AlgebraValidationError(validate(alg))
-    alg._derived["valid"] = True
+    require_valid(alg)
     return alg
 
 

@@ -15,12 +15,13 @@ with i_1 < ... < i_k, which is the basis enumerated and paired below.
 A SuperMonomial is the tuple (even_mask, odd_exponents), so len,
 iteration and tuple `<` apply to it; the canonical basis order is
 `monomial_sort_key`, not tuple order.  The coboundary kernel indexes
-packed keys instead: given a radix B, enumerate_basis returns each
-monomial as the one int even_mask + (sum_j alpha_j B^j << n), n the
-even count, in the same order (_pack and _unpack convert).  B must
-exceed every exponent, and is odd: CPython hashes an int modulo
-2^61 - 1, under which the powers of a power-of-two radix repeat with
-period 61 bits, so wide keys of such a radix share a few hash values.
+packed keys instead: enumerate_basis lists each monomial as the one
+int even_mask + (sum_j alpha_j B^j << n), n the even count, and returns
+those keys when given the radix B, or their monomials, in the same
+order (_pack and _unpack convert).  B must exceed every exponent, and
+is odd: CPython hashes an int modulo 2^61 - 1, under which the powers
+of a power-of-two radix repeat with period 61 bits, so wide keys of
+such a radix share a few hash values.
 """
 
 from __future__ import annotations
@@ -268,17 +269,13 @@ def wedge(a: SuperElement, b: SuperElement) -> SuperElement:
     return SuperElement(out)
 
 
-def _odd_exponent_vectors(total: int, m: int,
-                          without: Optional[int] = None) -> Iterator[Tuple[int, ...]]:
-    # index multisets come in lexicographic order, which is descending
-    # lexicographic order of the exponent tuples; O(m + total) per tuple.
-    # Leaving index `without` out keeps that order on the rest.
-    slots = [i for i in range(m) if i != without]
-    for picks in combinations_with_replacement(slots, total):
-        alpha = [0] * m
-        for i in picks:
-            alpha[i] += 1
-        yield tuple(alpha)
+def _radix(degree: int) -> int:
+    """The smallest odd integer above `degree`: the radix of the keys of
+    cochains of degree at most `degree`, so no exponent, even of a
+    d-term's image, carries into the next slot.  It is odd so that wide
+    keys spread over CPython's int hash, which is taken modulo
+    2^61 - 1; the powers of 2 repeat under it every 61 bits."""
+    return degree + 1 | 1
 
 
 def enumerate_basis(dims: SuperSpaceDims, q: int, without: Optional[int] = None,
@@ -296,35 +293,32 @@ def enumerate_basis(dims: SuperSpaceDims, q: int, without: Optional[int] = None,
 
     With `radix`, an integer above q (odd, for the hash: see above),
     each monomial comes as its packed int key (_pack), in the same
-    order.
+    order.  Without it the keys are listed at radix _radix(q) and
+    unpacked.
     """
     n, m = dims
     if n < 0 or m < 0:
         raise ValueError("dimensions must be nonnegative")
     if without is not None and not 0 <= without < m:
         raise ValueError("no odd generator %d among %d" % (without, m))
-    out = []
+    keys = []
     if q < 0:
-        return out
-    if radix is not None:
-        # the key of o^alpha is the sum of its factors' units, and index
-        # multisets give the exponent tuples in their order
-        units = [radix ** j << n for j in range(m) if j != without]
+        return keys
+    base = _radix(q) if radix is None else radix
+    # the key of o^alpha is the sum of its factors' units, and index
+    # multisets come in lexicographic order, which is descending
+    # lexicographic order of the exponent tuples
+    units = [base ** j << n for j in range(m) if j != without]
     for q0 in range(min(q, n), -1, -1):
-        q1 = q - q0
-        if m == 0 and q1 > 0:
+        alphas = tuple(map(sum, combinations_with_replacement(units, q - q0)))
+        if not alphas:
             continue
-        if radix is None:
-            alphas = tuple(_odd_exponent_vectors(q1, m, without))
-        else:
-            alphas = tuple(map(sum, combinations_with_replacement(units, q1)))
         for bits in combinations([1 << i for i in range(n)], q0):
             mask = sum(bits)
-            if radix is None:
-                out.extend([_monomial(mask, alpha) for alpha in alphas])
-            else:
-                out.extend([mask + alpha for alpha in alphas])
-    return out
+            keys.extend([mask + alpha for alpha in alphas])
+    if radix is None:
+        return [_unpack(key, dims, base) for key in keys]
+    return keys
 
 
 def _pack(mono: SuperMonomial, n: int, radix: int) -> int:
@@ -337,13 +331,15 @@ def _pack(mono: SuperMonomial, n: int, radix: int) -> int:
 
 
 def _unpack(key: int, dims: SuperSpaceDims, radix: int) -> SuperMonomial:
-    """The monomial over `dims` whose key is `key` (inverse of _pack)."""
+    """The monomial over `dims` whose key is `key` (inverse of _pack);
+    it stops at the last nonzero exponent."""
     n, m = dims
     odd = key >> n
-    alpha = []
-    for _ in range(m):
-        odd, a = divmod(odd, radix)
-        alpha.append(a)
+    alpha = [0] * m
+    j = 0
+    while odd:
+        odd, alpha[j] = divmod(odd, radix)
+        j += 1
     return _monomial(key & ((1 << n) - 1), tuple(alpha))
 
 

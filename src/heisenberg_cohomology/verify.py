@@ -149,25 +149,25 @@ def _odd_point(n: int, q_max: int, column_cap: int) -> List[Comparison]:
     """The checks of h_n: one block walk over t = 0..q_max on one
     workspace, dropped when this returns."""
     # the rows of psi_{(n,l)} in degree t have degree t + l + 1
-    algebra, dims, workspace = _enter(make_heisenberg_odd(n), q_max,
-                                      range(q_max + 1), column_cap,
-                                      q_max + 1 + max(PSI_POWERS))
+    workspace, dims = _enter(make_heisenberg_odd(n), q_max, range(q_max + 1),
+                             column_cap, q_max + 1 + max(PSI_POWERS))
     z = 2 * n  # h_n's odd centre, its last generator
     checks = []
     block_rank = {}
-    for t, block, r in _lefschetz_blocks(algebra, z, dims, q_max + 1, workspace):
+    for t, block, r in _lefschetz_blocks(workspace, z, dims, q_max + 1):
         block_rank[t] = r
         want = ker_psi_dim(t, n)
         base = _psi(block, t)
         for l in PSI_POWERS:
             psi = (base if l == 1
-                   else _psi(_lefschetz_block(algebra, z, t, l, workspace), t))
+                   else _psi(_lefschetz_block(workspace, z, t, l), t))
             # psi_{(n,l)} = l * psi_{(n,1)}: equal matrices have equal
             # kernels, and any other matrix is eliminated
             same = psi is base or _is_multiple(psi, base, l)
             got = block.cols - r if same else kernel_dim(psi)
             checks.append(Comparison("ker_psi_dim[l=%d]" % l, n, None, t, want, got))
-    for report in _reports(algebra.name, dims, _block_ranks(block_rank, q_max)):
+    for report in _reports(workspace.algebra.name, dims,
+                           _block_ranks(block_rank, q_max)):
         oracle = report.dim_cohomology
         checks.append(Comparison("dim_h_odd_proof", n, None, report.q,
                                  dim_h_odd_proof(n, report.q), oracle))

@@ -11,6 +11,7 @@ it stands in for, and kernel_matrices_are_checked, which checks the
 package's own matrices.
 """
 
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 
@@ -150,25 +151,36 @@ def det(mat):
 
 
 def permanent(mat, row=0):
-    """Permanent of a small square integer matrix.
+    """Permanent of a small square integer matrix, by its definition.
 
-    Expands along `row` (top-level only); which row is chosen must not
-    change the value.
+    Expands along `row` first, then along the other rows in order;
+    which row comes first must not change the value.  Removing either
+    of two equal columns leaves the same minor, so each expansion runs
+    over the distinct columns left, times how many copies are left,
+    and a minor is summed once per multiset of columns left: the delta
+    matrix of o^alpha's factors has prod_j (alpha_j + 1) such minors,
+    where a plain expansion visits prod_j alpha_j! leaves.
     """
     k = len(mat)
     if k == 0:
         return 1
     if row < 0 or row >= k:
         raise IndexError("expansion row out of range")
-    total = 0
-    rest = [r for i, r in enumerate(mat) if i != row]
-    for j in range(k):
-        a = mat[row][j]
-        if not a:
-            continue
-        minor = [r[:j] + r[j + 1:] for r in rest]
-        total += a * permanent(minor)
-    return total
+    rows = [mat[row]] + [r for i, r in enumerate(mat) if i != row]
+    kinds = Counter(zip(*rows))
+    columns = list(kinds)
+    # {copies of each distinct column left: sum over the rows expanded}
+    minors = {tuple(kinds[c] for c in columns): 1}
+    for i in range(k):
+        below = {}
+        for left, value in minors.items():
+            for c, copies in enumerate(left):
+                a = columns[c][i]
+                if copies and a:
+                    rest = left[:c] + (copies - 1,) + left[c + 1:]
+                    below[rest] = below.get(rest, 0) + value * a * copies
+        minors = below
+    return sum(minors.values())
 
 
 def _odd_sequence(mono):

@@ -196,8 +196,8 @@ def test_checked_rank_rejects_a_misshapen_matrix(monkeypatch):
 def _transposed_blocks(monkeypatch):
     real = cohomology._lefschetz_block
 
-    def transposed(algebra, z, t, l, workspace):
-        mat = real(algebra, z, t, l, workspace)
+    def transposed(workspace, z, t, l):
+        mat = real(workspace, z, t, l)
         return RationalMatrix(mat.cols, mat.rows,
                               {(c, r): v for (r, c), v in mat.entries.items()})
 
@@ -314,8 +314,8 @@ def test_cochain_spaces_are_released_when_the_call_returns(monkeypatch):
     made = []
     real_init = differential._Workspace.__init__
 
-    def recorded(self):
-        real_init(self)
+    def recorded(self, algebra, degree):
+        real_init(self, algebra, degree)
         made.append(weakref.ref(self))
 
     monkeypatch.setattr(differential._Workspace, "__init__", recorded)
@@ -356,23 +356,33 @@ def test_cochain_spaces_are_released_when_the_call_returns(monkeypatch):
 
 
 def test_an_algebra_is_validated_once(monkeypatch):
-    checked = _counted(monkeypatch, cohomology, "validate")
+    # every door into the engine passes through algebra.require_valid,
+    # so algebra.validate is the only caller to count
     alg = _hidden_valid("hidden", 2)
+    checked = _counted(monkeypatch, algebra, "validate")
     first = cohomology_dims(alg, 3)
     assert checked == [adapted_basis(alg)]
     # the verdict is kept on the algebra beside its rewrite
     assert cohomology_dims(alg, 3) == first and betti_table(alg, 3)[3] == first
     assert checked == [adapted_basis(alg)]
-    # the family constructors and parse_algebra record their own verdict
+    # the family constructors and parse_algebra validate what they build,
+    # and the engine makes no call on it afterwards
     checked.clear()
-    betti_table(make_heisenberg_odd(2), 3)
-    betti_table(make_heisenberg_even(1, 2), 3)
-    verify_family("odd", 2, None, 3)
-    cohomology_dims(parse_algebra(format_algebra(alg)), 2)
+    families = [make_heisenberg_odd(2), make_heisenberg_even(1, 2)]
+    parsed = parse_algebra(format_algebra(alg))
+    assert checked == [*families, adapted_basis(parsed)]
+    checked.clear()
+    for member in families:
+        betti_table(member, 3)
+    cohomology_dims(parsed, 2)
     assert checked == []
+    # verify_family validates each h_n it builds, once
+    verify_family("odd", 2, None, 3)
+    assert [a.name for a in checked] == ["h_1", "h_2"]
     # a failing verdict is kept too, and still raises with the table's
     # own messages
     bad = _invalid_algebras()[0]
+    checked.clear()
     for _ in range(2):
         with pytest.raises(AlgebraValidationError) as err:
             cohomology_dims(bad, 1)

@@ -329,12 +329,10 @@ def test_tau_matches_coboundary_of_z_powers():
 
 
 def test_the_radix_is_chosen_per_call_past_any_field_width():
-    # exponents of 300 overflow a fixed 8-bit field per odd dual.  The
-    # alternating-sum oracle (coboundary_entry) cannot reach this degree:
-    # its permanent expands into prod_j alpha_j! terms.  On h_1 every
-    # dual but f_z is closed, so the Leibniz rule gives the reference
-    # d(alpha f_z^l) = (-1)^t alpha tau_(1,l), alpha z-free of degree t,
-    # through wedge and the explicit tau rather than the kernel.
+    # exponents of 300 overflow a fixed 8-bit field per odd dual.  On h_1
+    # every dual but f_z is closed, so the Leibniz rule gives the
+    # reference d(alpha f_z^l) = (-1)^t alpha tau_(1,l), alpha z-free of
+    # degree t, through wedge and the explicit tau rather than the kernel.
     alg = make_heisenberg_odd(1)
     dm = differential_matrix(alg, 300)
     assert len(dm.domain) == 601 and max(m.odd_degree for m in dm.domain) == 300
@@ -350,6 +348,13 @@ def test_the_radix_is_chosen_per_call_past_any_field_width():
         for m, v in image.terms.items():
             want[(row[m], c)] = sign * v
     assert want and dm.matrix.entries == want
+    # the last columns, y^a z^(300-a) for a <= 4, entry by entry against
+    # the alternating-sum oracle, whose permanent expands over column
+    # multisets; a row x y^(a+1) z^(299-a) has a + 1 insertion terms
+    picked = [(r, c, v) for (r, c), v in dm.matrix.entries.items() if c >= 596]
+    assert len(picked) == 5
+    for r, c, v in picked:
+        assert v == coboundary_entry(alg, dm.domain[c], dm.codomain[r]), (r, c)
     assert tau(1, 300) == explicit_tau(1, 300)
     # the block of power 300 against the same rows of the full matrix of
     # degree t + 300, each call with its own radix

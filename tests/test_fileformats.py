@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from heisenberg_cohomology import cli, fileformats
+from heisenberg_cohomology import algebra, cli
 from heisenberg_cohomology.algebra import (LieSuperalgebra, adapted_basis,
                                            make_heisenberg_even,
                                            make_heisenberg_odd, validate)
@@ -178,7 +178,7 @@ def test_hidden_jacobi_fault_is_worded_in_the_files_basis():
 
 def test_valid_hidden_sums_parse_to_their_input(monkeypatch):
     checked = []
-    monkeypatch.setattr(fileformats, "validate",
+    monkeypatch.setattr(algebra, "validate",
                         lambda alg: checked.append(alg) or validate(alg))
     h_1, h_2 = _table(make_heisenberg_odd(1)), _table(make_heisenberg_odd(2))
     h_11, h_12 = _table(make_heisenberg_even(1, 1)), _table(make_heisenberg_even(1, 2))

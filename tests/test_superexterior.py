@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from itertools import product
 from math import factorial
+from operator import gt
 
 import pytest
 
@@ -11,9 +12,9 @@ from heisenberg_cohomology.algebra import make_heisenberg_even
 from heisenberg_cohomology.differential import (_d_columns, _radix, _Workspace,
                                                 d_element)
 from heisenberg_cohomology.superexterior import (
-    SuperElement, SuperMonomial, SuperSpaceDims, _odd_exponent_vectors, _pack,
-    _unpack, dual_pairing, element_pairing, enumerate_basis, graded_dim,
-    monomial_sort_key, wedge, wedge_monomials)
+    SuperElement, SuperMonomial, SuperSpaceDims, _pack, _unpack, dual_pairing,
+    element_pairing, enumerate_basis, graded_dim, monomial_sort_key, wedge,
+    wedge_monomials)
 
 from oracles import permanent, tensor_normal_form
 
@@ -186,15 +187,32 @@ def test_gram_matrix_diagonal():
                             assert val == 0
 
 
+def _permanent_by_rows(mat):
+    """The plain recursive expansion along the first row."""
+    if not mat:
+        return 1
+    return sum(a * _permanent_by_rows([r[:j] + r[j + 1:] for r in mat[1:]])
+               for j, a in enumerate(mat[0]) if a)
+
+
 def test_permanent_expansion_row_independence():
+    # every first row gives the plain expansion's value, on random
+    # matrices and on ones with repeated columns, whose minors the
+    # oracle's expansion over column multisets shares
     rng = random.Random(11)
-    for _ in range(60):
+    for _ in range(120):
         k = rng.randint(1, 5)
         mat = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(k)]
+        if rng.random() < 0.5:
+            pool = list(zip(*mat))[:2]
+            mat = [list(row) for row in zip(*(rng.choice(pool) for _ in range(k)))]
         vals = {permanent(mat, row=r) for r in range(k)}
-        assert len(vals) == 1
+        assert vals == {_permanent_by_rows(mat)}, mat
     assert permanent([]) == 1
     assert permanent([[1, 1], [1, 1]]) == 2
+    # the delta matrix of o_0^3 o_1^2: 3! 2! matchings
+    seq = (0, 0, 0, 1, 1)
+    assert permanent([[int(i == j) for j in seq] for i in seq]) == 12
 
 
 def test_monomial_str_and_repr():
@@ -247,7 +265,7 @@ def test_basis_monomials_are_kernel_keys():
     alg = make_heisenberg_even(1, 2)
     dims = SuperSpaceDims(*alg.superdim)
     for q in range(4):
-        workspace = _Workspace.over(alg, q + 1)
+        workspace = _Workspace(alg, q + 1)
         domain, codomain = enumerate_basis(dims, q), enumerate_basis(dims, q + 1)
         keys = [_pack(m, dims.even_count, workspace.radix) for m in domain]
         assert keys == enumerate_basis(dims, q, radix=workspace.radix)
@@ -263,18 +281,18 @@ def test_basis_monomials_are_kernel_keys():
 
 def test_packing_round_trips_in_the_basis_order():
     # exhaustively over small dims and degrees, with and without an odd
-    # dual: unpack(pack(m)) == m, the keys come in enumerate_basis's
-    # order, and distinct monomials get distinct keys
+    # dual, at two odd radices: unpack(pack(m)) == m, the keys come in
+    # enumerate_basis's order, and distinct monomials get distinct keys
     for n in range(4):
         for m in range(4):
             dims = SuperSpaceDims(n, m)
-            for q in range(6):
-                radix = _radix(q)
-                for without in (None, *range(m)):
+            for q in range(7):
+                for radix, without in product((_radix(q), _radix(q) + 6),
+                                              (None, *range(m))):
                     basis = enumerate_basis(dims, q, without)
                     keys = enumerate_basis(dims, q, without, radix)
                     assert keys == [_pack(mono, n, radix) for mono in basis], \
-                        (dims, q, without)
+                        (dims, q, without, radix)
                     assert [_unpack(key, dims, radix) for key in keys] == basis
                     assert len(set(keys)) == len(keys)
                     assert all(type(key) is int for key in keys)
@@ -294,13 +312,16 @@ def test_the_radix_is_odd_so_wide_keys_spread_over_the_hash():
     assert len({hash(key) for key in wide}) < len(wide) // 10
 
 
-def test_odd_exponent_vectors_are_the_sorted_exponent_tuples():
-    # descending lexicographic order of every exponent tuple of the degree
+def test_odd_exponents_come_in_descending_lexicographic_order():
+    # with no even duals the basis is every exponent tuple of the degree,
+    # in descending lexicographic order
     for m in range(6):
         for total in range(7):
             brute = sorted((a for a in product(range(total + 1), repeat=m)
                             if sum(a) == total), reverse=True)
-            assert list(_odd_exponent_vectors(total, m)) == brute, (m, total)
+            got = enumerate_basis(SuperSpaceDims(0, m), total)
+            assert [mono.odd_exponents for mono in got] == brute, (m, total)
+            assert all(mono.even_mask == 0 for mono in got)
 
 
 def test_enumerate_basis_without_an_odd_dual():
@@ -324,4 +345,10 @@ def test_enumerate_basis_without_an_odd_dual():
 
 def test_enumerate_basis_of_many_odd_duals():
     dims = SuperSpaceDims(0, 401)
-    assert len(enumerate_basis(dims, 2)) == graded_dim(dims, 2)
+    basis = enumerate_basis(dims, 2)
+    assert len(basis) == graded_dim(dims, 2)
+    # strictly descending degree-2 exponent tuples, so every one of
+    # them, each unpacked from a key of about 640 bits
+    alphas = [mono.odd_exponents for mono in basis]
+    assert all(map(gt, alphas, alphas[1:]))
+    assert set(map(sum, alphas)) == {2}

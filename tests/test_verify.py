@@ -14,8 +14,8 @@ def test_psi_shortcut_cannot_hide_a_faulty_build(monkeypatch):
     # so its own kernel (one larger than the closed form) must be reported
     real = verify._lefschetz_block
 
-    def faulty(algebra, z, t, l, workspace):
-        block = real(algebra, z, t, l, workspace)
+    def faulty(workspace, z, t, l):
+        block = real(workspace, z, t, l)
         if l != 2:
             return block
         return RationalMatrix.from_columns(block.rows, block.columns + [{}],
@@ -62,11 +62,12 @@ def test_odd_grid_eliminates_each_block_once(monkeypatch):
     def recording(module):
         real = module._lefschetz_block
 
-        def record(algebra, z, t, l, workspace):
-            block = real(algebra, z, t, l, workspace)
-            built[(algebra.name, t, l)] += 1
+        def record(workspace, z, t, l):
+            block = real(workspace, z, t, l)
+            name = workspace.algebra.name
+            built[(name, t, l)] += 1
             if l == 1:
-                blocks[id(block)] = (algebra.name, t)
+                blocks[id(block)] = (name, t)
             return block
         return record
 
