@@ -10,17 +10,19 @@ skew-symmetry, [x, y] = -(-1)^{|x||y|} [y, x].  The two families built
 here are the Heisenberg superalgebras: an even-center family h_{n,m}
 and an odd-center family h_n, both two-step nilpotent.
 
-The table is read-only, so the tables derived from it (the adapted
-basis and the validity verdict here, the coboundary's slot table in
-differential) are kept on the algebra itself, derived on first use and
-never stale.  require_valid is the one door that decides validity: the
-family builders, parse_algebra and the rank engine all pass through it,
-so each algebra is validated once, on its adapted table.
+The table is read-only, so the tables derived from it are kept on the
+algebra itself, derived on first use and never stale: integer_table,
+which validate, adapted_basis, bracket() and differential's d f_k all
+read, the adapted basis, the validity verdict, and differential's slot
+table.  require_valid is the one door that decides validity: the family
+builders, parse_algebra and the rank engine all pass through it, so each
+algebra is validated once, on its adapted table.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Tuple
 
@@ -191,14 +193,9 @@ class LieSuperalgebra:
             raise ValueError("unknown generator name %r" % name) from None
 
     def bracket(self, i: int, j: int) -> Dict[int, Fraction]:
-        """[g_i, g_j] as {target: coefficient}, for any index order."""
-        if i <= j:
-            return dict(self.brackets.get((i, j), {}))
-        base = self.brackets.get((j, i), {})
-        # [x, y] = -(-1)^{|x||y|} [y, x]: symmetric only for odd-odd
-        if self.parity(i) and self.parity(j):
-            return dict(base)
-        return {k: -c for k, c in base.items()}
+        """[g_i, g_j] as a new {target: coefficient}, for any index order."""
+        scale, ad = integer_table(self)
+        return {k: Fraction(c, scale) for k, c in ad.get(i, {}).get(j, {}).items()}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LieSuperalgebra):
@@ -213,18 +210,36 @@ class LieSuperalgebra:
             self.name, n0, n1, len(self.brackets))
 
 
-def _jacobi_defect(alg: LieSuperalgebra, a: int, b: int, c: int) -> Dict[int, Fraction]:
+def integer_table(alg: LieSuperalgebra):
+    """(L, ad), kept on alg: L is the lcm of the bracket denominators and
+    ad[i][j] = {k: L * c_{ij}^k}, in ints, for every nonzero [g_i, g_j]
+    in both index orders, the super sign applied, in the table's order."""
+    if "ad" not in alg._derived:
+        scale = lcm(1, *(c.denominator for t in alg.brackets.values() for c in t.values()))
+        ad: Dict[int, Dict[int, Dict[int, int]]] = {}
+        for (i, j), targets in alg.brackets.items():
+            row = ad.setdefault(i, {})[j] = {
+                k: c.numerator * (scale // c.denominator) for k, c in targets.items()}
+            # [x, y] = -(-1)^{|x||y|} [y, x]; ad[i][i] is the row itself
+            flip = 1 if alg.parity(i) and alg.parity(j) else -1
+            ad.setdefault(j, {}).setdefault(i, {k: flip * c for k, c in row.items()})
+        alg._derived["ad"] = scale, ad
+    return alg._derived["ad"]
+
+
+def _jacobi_defect(alg: LieSuperalgebra, a: int, b: int, c: int) -> Dict[int, int]:
     """Left side of the graded Jacobi identity on (a, b, c); {} if it holds.
 
     Computes (-1)^{|a||c|}[a,[b,c]] + (-1)^{|b||a|}[b,[c,a]]
-    + (-1)^{|c||b|}[c,[a,b]] as a coefficient map.
+    + (-1)^{|c||b|}[c,[a,b]] on integer_table, so scaled by L^2.
     """
-    out: Dict[int, Fraction] = {}
+    _, ad = integer_table(alg)
+    out: Dict[int, int] = {}
     for (x, y, z) in ((a, b, c), (b, c, a), (c, a, b)):
         sign = -1 if alg.parity(x) * alg.parity(z) else 1
-        for k, ck in alg.bracket(y, z).items():
-            for l, cl in alg.bracket(x, k).items():
-                out[l] = out.get(l, Fraction(0)) + sign * ck * cl
+        for k, ck in ad.get(y, {}).get(z, {}).items():
+            for l, cl in ad.get(x, {}).get(k, {}).items():
+                out[l] = out.get(l, 0) + sign * ck * cl
     return {l: v for l, v in out.items() if v}
 
 
@@ -253,19 +268,13 @@ def validate(alg: LieSuperalgebra) -> list:
             if alg.parity(k) != want:
                 issues.append("parity: [%s, %s] -> %s is not parity-homogeneous"
                               % (names[i], names[j], names[k]))
-    partners: Dict[int, set] = {}
-    for (i, j) in alg.brackets:
-        partners.setdefault(i, set()).add(j)
-        partners.setdefault(j, set()).add(i)
-    triples = set()
-    for (i, j), targets in alg.brackets.items():
-        for k in targets:
-            for x in partners.get(k, ()):
-                triples.add(tuple(sorted((x, i, j))))
+    scale, ad = integer_table(alg)
+    triples = {tuple(sorted((x, i, j))) for (i, j) in alg.brackets
+               for k in ad[i][j] for x in ad.get(k, ())}
     for (a, b, c) in sorted(triples):
         defect = _jacobi_defect(alg, a, b, c)
         if defect:
-            terms = " + ".join("%s*%s" % (v, names[l])
+            terms = " + ".join("%s*%s" % (Fraction(v, scale * scale), names[l])
                                for l, v in sorted(defect.items()))
             issues.append("jacobi: (%s, %s, %s) leaves %s"
                           % (names[a], names[b], names[c], terms))
@@ -309,28 +318,25 @@ def adapted_basis(alg: LieSuperalgebra) -> LieSuperalgebra:
 def _adapted_brackets(alg: LieSuperalgebra):
     """The nonzero brackets of alg in the adapted basis, or None when
     the change of basis is the identity."""
+    scale, ad = integer_table(alg)
     rows: Dict[int, Dict[int, Fraction]] = {}
-    for targets in alg.brackets.values():
+    for (i, j) in alg.brackets:
         for parity in (EVEN, ODD):
             # a row of one parity only reduces against rows of that parity
-            v = {k: c for k, c in targets.items() if alg.parity(k) == parity}
+            v = {k: c for k, c in ad[i][j].items() if alg.parity(k) == parity}
             # every row is zero at the other pivots, so one pass reduces v
             for p in [k for k in v if k in rows]:
                 _subtract(v, v[p], rows[p])
             if not v:
                 continue
             lead = min(v)
-            v = {i: x / v[lead] for i, x in v.items()}
+            v = {g: Fraction(x, v[lead]) for g, x in v.items()}
             for row in rows.values():
                 if lead in row:
                     _subtract(row, row[lead], v)
             rows[lead] = v
     if all(len(row) == 1 for row in rows.values()):
         return None
-    partners: Dict[int, Dict[int, Dict[int, Fraction]]] = {}
-    for (i, j) in alg.brackets:
-        partners.setdefault(i, {})[j] = alg.bracket(i, j)
-        partners.setdefault(j, {})[i] = alg.bracket(j, i)
     # users[j]: the pivot rows with a g_j coordinate; a generator that is
     # no pivot is also its own basis vector
     users: Dict[int, List[int]] = {}
@@ -348,20 +354,20 @@ def _adapted_brackets(alg: LieSuperalgebra):
     # only pairs of basis vectors that touch a bracketing pair are
     # visited, so the cost follows the nonzero brackets, not dim^2
     brackets = {}
-    for a in touching(partners):
-        # ad[j] = [b_a, g_j] in the old coordinates
-        ad: Dict[int, Dict[int, Fraction]] = {}
+    for a in touching(ad):
+        # image[j] = L [b_a, g_j] in the old coordinates
+        image: Dict[int, Dict[int, Fraction]] = {}
         for i, x in rows.get(a, {a: 1}).items():
-            for j, targets in partners.get(i, {}).items():
-                acc = ad.setdefault(j, {})
+            for j, targets in ad.get(i, {}).items():
+                acc = image.setdefault(j, {})
                 for k, c in targets.items():
                     acc[k] = acc.get(k, 0) + x * c
-        for b in touching(ad):
+        for b in touching(image):
             if b < a:
                 continue
             w: Dict[int, Fraction] = {}
             for j, y in rows.get(b, {b: 1}).items():
-                for k, c in ad.get(j, {}).items():
+                for k, c in image.get(j, {}).items():
                     w[k] = w.get(k, 0) + y * c
             # coordinates in the new basis: w[p] on pivot row p, and
             # w[i] - sum_p w[p] * row_p[i] on a generator i that stays
@@ -370,8 +376,8 @@ def _adapted_brackets(alg: LieSuperalgebra):
                 c = w[p]
                 _subtract(new, c, rows[p])
                 new[p] = c
-            if new:
-                brackets[(a, b)] = new
+            if new:  # integer_table's L cancels in the rows; divide it out
+                brackets[(a, b)] = {k: Fraction(c, scale) for k, c in new.items()}
     return brackets
 
 

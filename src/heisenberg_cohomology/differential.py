@@ -14,9 +14,11 @@ The halved coefficient on odd self-brackets matches the dual pairing, in
 which <o^2, y ^ y> = 2; tests check the whole convention against the
 alternating-sum formula for <d omega, a_0 ^ ... ^ a_q>.
 
-d_generator refuses an even self-bracket and a bracket that is not
-parity-homogeneous, so a d-term of an even dual has 0 or 2 odd factors
-and one of an odd dual exactly one even factor; the kernel relies on it.
+d_generator and the slot table read one pass over algebra.integer_table
+that derives every d f_k and refuses, per target, the first even
+self-bracket or bracket that is not parity-homogeneous, so a d-term of
+an even dual has 0 or 2 odd factors and one of an odd dual exactly one
+even factor; the kernel relies on it.
 
 One integer kernel applies the rule, on packed keys with every
 coefficient scaled by a common denominator D, and serves every caller:
@@ -59,72 +61,76 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from typing import Dict
 
-from .algebra import LieSuperalgebra, ODD, _Record, make_heisenberg_odd
+from .algebra import LieSuperalgebra, ODD, _Record, integer_table, make_heisenberg_odd
 from .linalg import RationalMatrix
 from .superexterior import (SuperElement, SuperMonomial, SuperSpaceDims,
-                            _monomial, _pack, _radix, _unpack,
-                            enumerate_basis, wedge_monomials)
+                            _monomial, _pack, _radix, _unpack, enumerate_basis)
 
 
-def _dual_monomial(algebra: LieSuperalgebra, i: int) -> SuperMonomial:
-    """Degree-1 dual monomial of generator i, over the algebra's dual dims."""
-    n1 = algebra.superdim[1]
-    if algebra.parity(i) == ODD:
-        exps = [0] * n1
-        exps[algebra.odd_indices.index(i)] = 1
-        return _monomial(0, tuple(exps))
-    return _monomial(1 << algebra.even_indices.index(i), (0,) * n1)
+def _d_duals(algebra: LieSuperalgebra):
+    """(terms, refused) from one pass over integer_table: terms[k] lists
+    d f_k's terms (even_mask, even_set, odd_exponents, numerator,
+    denominator), one per bracket with target k, in table order, and
+    refused[k] refuses the first such bracket that is an even
+    self-bracket or not parity-homogeneous."""
+    scale, ad = integer_table(algebra)
+    names = [g.name for g in algebra.generators]
+    parity = [g.parity for g in algebra.generators]
+    position = {g: p for dual in (algebra.even_indices, algebra.odd_indices)
+                for p, g in enumerate(dual)}
+    terms, refused = {}, {}
+    for (i, j) in algebra.brackets:
+        odds = [position[g] for g in (i, j) if parity[g] == ODD]
+        evens = tuple(position[g] for g in (i, j) if parity[g] != ODD)
+        mono = (sum(1 << e for e in evens), evens,
+                tuple(map(odds.count, range(algebra.superdim[1]))))
+        # d f_k has -c f_i f_j, whose normal form costs a sign when an odd
+        # f_i comes before an even f_j; <o^2, y ^ y> = 2 halves [y, y]
+        sign = 1 if parity[i] > parity[j] else -1
+        denom = 2 * scale if i == j else scale
+        for k, c in ad[i][j].items():
+            if k in refused:
+                continue
+            if parity[k] != parity[i] ^ parity[j]:
+                refused[k] = ("bracket [%s, %s] -> %s is not parity-homogeneous"
+                              % (names[i], names[j], names[k]))
+            elif i == j and parity[i] != ODD:
+                refused[k] = "even generator %r has a nonzero self-bracket" % names[i]
+            else:
+                terms.setdefault(k, []).append(mono + (sign * c, denom))
+    return terms, refused
 
 
 def d_generator(algebra: LieSuperalgebra, k: int) -> SuperElement:
     """Coboundary of the k-th dual generator, as a degree-2 element."""
     if not 0 <= k < algebra.dim:
         raise ValueError("generator index %d out of range" % k)
-    out: Dict[SuperMonomial, Fraction] = {}
-    for (i, j), targets in algebra.brackets.items():
-        c = targets.get(k)
-        if c is None:
-            continue
-        if algebra.parity(k) != (algebra.parity(i) + algebra.parity(j)) % 2:
-            raise ValueError("bracket [%s, %s] -> %s is not parity-homogeneous"
-                             % tuple(algebra.generators[g].name for g in (i, j, k)))
-        if i == j:
-            if algebra.parity(i) != ODD:
-                raise ValueError("even generator %r has a nonzero self-bracket"
-                                 % algebra.generators[i].name)
-            # odd self-bracket: <o^2, y ^ y> = 2 forces the 1/2
-            c = Fraction(c, 2)
-        sign, mono = wedge_monomials(_dual_monomial(algebra, i),
-                                     _dual_monomial(algebra, j))
-        out[mono] = out.get(mono, Fraction(0)) - c * sign
-    return SuperElement(out)
+    terms, refused = _d_duals(algebra)
+    if k in refused:
+        raise ValueError(refused[k])
+    return SuperElement({_monomial(mask, alpha): Fraction(c, denom)
+                         for mask, _, alpha, c, denom in terms.get(k, ())})
 
 
-def _integer_slots(algebra: LieSuperalgebra):
-    """d of every dual generator as integer terms over one denominator D.
+def _slot_table(algebra: LieSuperalgebra):
+    """d of every dual generator as integer terms over one denominator D;
+    raises the first refusal in slot order.
 
     Returns (D, even_slots, odd_slots), one tuple of terms per even and
     per odd dual position.  A term is (even_mask, even_set,
     odd_exponents, D * coefficient) for a degree-2 monomial of
-    d_generator; D is the lcm of the coefficient denominators, so every
-    scaled coefficient is an integer.  Derived once per algebra and
-    kept on it.
+    d_generator; D is the lcm of the coefficient denominators.
     """
-    if "slots" not in algebra._derived:
-        algebra._derived["slots"] = _slot_table(algebra)
-    return algebra._derived["slots"]
-
-
-def _slot_table(algebra: LieSuperalgebra):
-    table = [d_generator(algebra, g).terms
-             for g in algebra.even_indices + algebra.odd_indices]
-    denom = lcm(1, *(c.denominator for terms in table for c in terms.values()))
-    slots = [tuple((m.even_mask, m.even_set, m.odd_exponents, int(c * denom))
-                   for m, c in terms.items())
-             for terms in table]
+    terms, refused = _d_duals(algebra)
+    order = algebra.even_indices + algebra.odd_indices
+    if refused:
+        raise ValueError(refused[min(refused, key=order.index)])
+    denom = lcm(1, *(d // gcd(c, d) for slot in terms.values() for *_, c, d in slot))
+    slots = [tuple((mask, evens, alpha, c * denom // d)
+                   for mask, evens, alpha, c, d in terms.get(g, ())) for g in order]
     n0 = algebra.superdim[0]
     return denom, tuple(slots[:n0]), tuple(slots[n0:])
 
@@ -178,9 +184,11 @@ class _Workspace:
 
 
 def _packed_slots(algebra: LieSuperalgebra, radix: int):
-    """_integer_slots with each d-term's odd exponents and even mask
-    folded into one key delta at `radix` (see _Workspace)."""
-    denom, even_slots, odd_slots = _integer_slots(algebra)
+    """The algebra's _slot_table, derived once and kept on it, with each
+    d-term folded into one key delta at `radix` (see _Workspace)."""
+    if "slots" not in algebra._derived:
+        algebra._derived["slots"] = _slot_table(algebra)
+    denom, even_slots, odd_slots = algebra._derived["slots"]
     n0 = algebra.superdim[0]
 
     def delta(emask, beta):

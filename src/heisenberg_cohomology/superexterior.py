@@ -27,7 +27,7 @@ such a radix share a few hash values.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, repeat
 from math import factorial, prod
 from operator import add, itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Tuple, Union
@@ -293,8 +293,7 @@ def enumerate_basis(dims: SuperSpaceDims, q: int, without: Optional[int] = None,
 
     With `radix`, an integer above q (odd, for the hash: see above),
     each monomial comes as its packed int key (_pack), in the same
-    order.  Without it the keys are listed at radix _radix(q) and
-    unpacked.
+    order.
     """
     n, m = dims
     if n < 0 or m < 0:
@@ -304,21 +303,31 @@ def enumerate_basis(dims: SuperSpaceDims, q: int, without: Optional[int] = None,
     keys = []
     if q < 0:
         return keys
-    base = _radix(q) if radix is None else radix
-    # the key of o^alpha is the sum of its factors' units, and index
-    # multisets come in lexicographic order, which is descending
-    # lexicographic order of the exponent tuples
-    units = [base ** j << n for j in range(m) if j != without]
+    # index multisets come in lexicographic order, which is descending
+    # lexicographic order of the exponent tuples.  A factor is an odd
+    # index, or its unit in a key, whose odd part is the factors' sum;
+    # each odd part is built once and shared over the even masks
+    slots = [j for j in range(m) if j != without]
+    factors = slots if radix is None else [radix ** j << n for j in slots]
     for q0 in range(min(q, n), -1, -1):
-        alphas = tuple(map(sum, combinations_with_replacement(units, q - q0)))
+        multisets = combinations_with_replacement(factors, q - q0)
+        alphas = tuple(map(_exponents, multisets, repeat(m)) if radix is None
+                       else map(sum, multisets))
         if not alphas:
             continue
         for bits in combinations([1 << i for i in range(n)], q0):
             mask = sum(bits)
-            keys.extend([mask + alpha for alpha in alphas])
-    if radix is None:
-        return [_unpack(key, dims, base) for key in keys]
+            keys.extend([_monomial(mask, alpha) for alpha in alphas] if radix is None
+                        else [mask + alpha for alpha in alphas])
     return keys
+
+
+def _exponents(multiset: Tuple[int, ...], m: int) -> Tuple[int, ...]:
+    """The exponent tuple, of length m, of an odd index multiset."""
+    alpha = [0] * m
+    for j in multiset:
+        alpha[j] += 1
+    return tuple(alpha)
 
 
 def _pack(mono: SuperMonomial, n: int, radix: int) -> int:

@@ -12,7 +12,8 @@ from fractions import Fraction
 import pytest
 
 from heisenberg_cohomology.algebra import (EVEN, ODD, LieSuperalgebra,
-                                           adapted_basis, make_heisenberg_even,
+                                           _adapted_brackets, adapted_basis,
+                                           make_heisenberg_even,
                                            make_heisenberg_odd, validate)
 from heisenberg_cohomology.cohomology import betti_table, cohomology_dims
 from heisenberg_cohomology.differential import differential_matrix
@@ -125,18 +126,30 @@ def _apply(basis, coords):
     return {i: v for i, v in out.items() if v}
 
 
+def _scaled(alg, factor):
+    """alg with every structure constant times factor."""
+    return LieSuperalgebra(alg.name, alg.generators,
+                           {pair: {k: c * factor for k, c in targets.items()}
+                            for pair, targets in alg.brackets.items()})
+
+
 def test_adapted_basis_is_the_rref_change_of_basis():
     # B [b_a, b_b]_new == [B b_a, B b_b]_old on every pair, B from a dense RREF
     rng = random.Random(23)
     graded = [LieSuperalgebra("graded%d" % k, *change_basis(
         rng, random_graded_table(rng, rng.randint(2, 6), 0.5))) for k in range(20)]
+    # constants over 3, which no binary float holds exactly
+    thirds = [_scaled(s, Fraction(1, 3)) for _, _, s in HIDDEN_SUMS]
     for alg in ([s for _, _, s in HIDDEN_SUMS] + _hidden_two_step(12, 29)
-                + _hidden_with_simple_part(8, 31) + graded):
+                + _hidden_with_simple_part(8, 31) + graded + thirds):
         basis = _dense_rref_basis(alg)
         adapted = adapted_basis(alg)
         if all(len(col) == 1 for col in basis):
             assert adapted is alg, alg.name
             continue
+        rewritten = _adapted_brackets(alg)
+        assert all(type(c) is Fraction for targets in rewritten.values()
+                   for c in targets.values()), alg.name
         for a in range(alg.dim):
             for b in range(a, alg.dim):
                 old = {}

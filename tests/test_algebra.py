@@ -7,10 +7,12 @@ import pytest
 from heisenberg_cohomology.algebra import (
     EVEN, ODD, Generator, LieSuperalgebra, make_heisenberg_even,
     make_heisenberg_odd, validate)
+from heisenberg_cohomology.cohomology import betti_table
 from heisenberg_cohomology.differential import (DifferentialMatrix,
                                                 differential_matrix)
 
 from oracles import centralizer, derived_subalgebra_dim
+from test_validate import OSP12
 
 
 def test_even_family_shape():
@@ -126,6 +128,25 @@ def test_constructor_normalizes_coefficients():
     assert alg.bracket(1, 1) == {0: Fraction(1, 2)}
     assert (0, 1) not in alg.brackets
     assert alg.bracket(0, 1) == {}
+
+
+def test_bracket_returns_a_copy():
+    # osp(1|2) brackets every parity pair in both orders; the second table
+    # has constants over a common denominator of 105
+    rational = ([("a", EVEN), ("b", EVEN), ("c", EVEN), ("u", ODD), ("v", ODD)],
+                {(0, 1): {2: Fraction(1, 3)}, (3, 3): {2: Fraction(3, 5)},
+                 (3, 4): {2: Fraction(-2, 7)}})
+    for gens, brackets in (OSP12, rational):
+        alg, twin = (LieSuperalgebra("g", gens, brackets) for _ in range(2))
+        pairs = [(i, j) for i in range(alg.dim) for j in range(alg.dim)]
+        for i, j in pairs:
+            got = alg.bracket(i, j)
+            for k in got:
+                got[k] += 1
+            got[0] = 7
+        assert all(alg.bracket(i, j) == twin.bracket(i, j) for i, j in pairs)
+        assert validate(alg) == validate(twin) == []
+        assert betti_table(alg, 3) == betti_table(twin, 3)
 
 
 def test_index_of_and_parity():
