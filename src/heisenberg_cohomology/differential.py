@@ -36,8 +36,13 @@ call reaches, fixed per _Workspace (superexterior._radix).  A d-term is
 then one int delta: the row of a term of even slot i is
 key - (1 << i) + delta and that of odd slot j is key + delta, its unit
 B^j << n0 already taken off, so the kernel finds each row with one
-addition and one int-keyed lookup.  The public functions take and
-return SuperMonomials, packing and unpacking at the edge.
+addition and one int-keyed lookup.  Every sign of a d-term, and every
+test of its evens against the key's, reads the key's even mask alone,
+so each workspace builds one plan per even mask on first use
+(_mask_plan): per slot that applies, its terms as (row offset, signed
+D * coefficient), an odd slot's value times the key's exponent there.
+The public functions take and return SuperMonomials, packing and
+unpacking at the edge.
 
 Work that depends only on a value is done once per value.  The rank
 engine's entry points (betti_table, cohomology_dims, and verify_family
@@ -46,7 +51,9 @@ carries the algebra the call ranks, packs its slot table once,
 enumerates a cochain space and its row index once per q, so the domain
 of d_q is the codomain just built for d_{q-1}, and a space of
 z-dual-free cochains once per (q, z's position), so block t's codomain
-is block t + 2's domain and every power l of one t shares its spaces.
+is block t + 2's domain and every power l of one t shares its spaces,
+and the kernel's plan of each even mask once, which verify's L^(t),
+psi_2 and psi_3 of one n share.
 The workspace is dropped when its call returns or raises; the public
 builders take a fresh one per call.
 A codomain that is nobody's domain is not enumerated at all:
@@ -156,8 +163,11 @@ class _Workspace:
     packed at the radix: (D, even_slots, odd_slots) with one
     (emask, even_set, delta, D * coefficient) per d-term of an even
     slot and one (j, B^j, terms) per odd slot j with a nonzero d, its
-    terms (emask, e, delta, D * coefficient).  Callers do not mutate
-    any of it.  A workspace lives as long as the call that made it.
+    terms (emask, e, delta, D * coefficient).  `active` has the bit of
+    every even slot with a nonzero d.  Callers do not mutate any of it,
+    except `plans`, which the kernel fills in: it maps the even mask of
+    each key it met that has a d-term to the mask's _mask_plan.  A
+    workspace lives as long as the call that made it.
     """
 
     def __init__(self, algebra: LieSuperalgebra, degree: int):
@@ -165,6 +175,8 @@ class _Workspace:
         self.dims = SuperSpaceDims(*algebra.superdim)
         self.radix = _radix(degree)
         self.slots = _packed_slots(algebra, self.radix)
+        self.active = sum(1 << i for i, terms in enumerate(self.slots[1]) if terms)
+        self.plans = {}
         self._spaces = {}
 
     def space(self, q: int, without=None):
@@ -205,62 +217,113 @@ def _packed_slots(algebra: LieSuperalgebra, radix: int):
     return denom, evens, odds
 
 
+def _mask_plan(workspace: _Workspace, mask: int):
+    """The d-terms of every key whose even mask is `mask`, from the
+    workspace's packed slot table: (evens, odds), with one tuple of
+    (row offset, signed D * coefficient) per active even slot in the
+    mask that keeps a term, and one per odd slot with a nonzero d, in
+    the order of the table's odd slots, whose values a key multiplies
+    by its exponent in that slot.
+
+    The factor at position t contributes
+    (-1)^t g_1..g_{t-1} (d g_t) g_{t+1}..g_q, put in normal form by
+    counting crossings as wedge_monomials does: each even factor of a
+    d-term crosses the earlier evens above it and the later evens below
+    it, and each odd factor crosses the later evens.  By the module's
+    precondition the odd factors of an even dual's d-term add an even
+    crossing count, and the one even factor e of o_j's d-term crosses
+    the t - k odds before the copy at position t, so every copy's sign
+    exponent is k plus e's crossings above it.  So every sign, and
+    every test of a term's evens against the key's, reads the mask
+    alone.
+    """
+    _, even_slots, odd_slots = workspace.slots
+    evens = []
+    rest = mask & workspace.active
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        others = mask ^ low
+        below = others & (low - 1)
+        above = others ^ below
+        terms = []
+        for emask, even_set, delta, c in even_slots[low.bit_length() - 1]:
+            if emask & others:
+                continue
+            swaps = below.bit_count()
+            for e in even_set:
+                swaps += ((below >> (e + 1)).bit_count()
+                          + (above & ((1 << e) - 1)).bit_count())
+            terms.append((delta - low, -c if swaps & 1 else c))
+        if terms:
+            evens.append(tuple(terms))
+    k = mask.bit_count()
+    odds = tuple(tuple((delta, -c if (k + (mask >> (e + 1)).bit_count()) & 1 else c)
+                       for emask, e, delta, c in slot if not emask & mask)
+                 for _, _, slot in odd_slots)
+    return tuple(evens), odds
+
+
 def _d_columns(workspace: _Workspace, domain, row_index):
     """Integer coboundary columns {row: value} of the workspace's keys
     `domain`, by its packed slot table.
 
     Applies the derivation rule to e_S o^alpha directly, visiting only
-    the factors whose dual has a nonzero d.  The factor at position t
-    contributes (-1)^t g_1..g_{t-1} (d g_t) g_{t+1}..g_q, put in normal
-    form by counting crossings as wedge_monomials does: each even factor
-    of a d-term crosses the earlier evens above it and the later evens
-    below it, and each odd factor crosses the later evens.
-
-    By the module's precondition the odd factors of an even dual's
-    d-term add an even crossing count, and the one even factor e of
-    o_j's d-term crosses the t - k odds before the copy at position t,
-    so every copy's sign exponent is k plus e's crossings above it.
+    the factors whose dual has a nonzero d, through the plan of the
+    key's even mask (_mask_plan), built once per workspace: a row is
+    the key plus a plan's offset.  A key with no active even dual and
+    no power of an odd dual with a nonzero d gets an empty column
+    before any plan is looked up or built.  Distinct terms of one slot
+    never share a row, so a key that one slot applies to takes its
+    column straight from that slot's terms; terms of two or more slots
+    are summed, and those that cancel leave no stored zero.
     """
-    _, even_slots, odd_slots = workspace.slots
     n0, radix = workspace.dims.even_count, workspace.radix
-    active = sum(1 << i for i, terms in enumerate(even_slots) if terms)
     evens_only = (1 << n0) - 1
+    active, plans = workspace.active, workspace.plans
+    units = [(i, unit) for i, (_, unit, _) in enumerate(workspace.slots[2])]
     columns = []
     for key in domain:
-        col: Dict[int, int] = {}
         mask = key & evens_only
-        k = mask.bit_count()
-        rest = mask & active
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            others = mask ^ low
-            below = others & (low - 1)
-            above = others ^ below
-            t = below.bit_count()
-            base = key - low
-            for emask, evens, delta, c in even_slots[low.bit_length() - 1]:
-                if emask & others:
-                    continue
-                swaps = t
-                for e in evens:
-                    swaps += ((below >> (e + 1)).bit_count()
-                              + (above & ((1 << e) - 1)).bit_count())
-                r = row_index[base + delta]
-                col[r] = col.get(r, 0) + (-c if swaps & 1 else c)
-        if odd_slots:
+        if units:
+            # the odd slots with a nonzero d that the key has a power of:
+            # (that power, the slot's place in the plan)
             odd = key >> n0
-            for j, unit, terms in odd_slots:
+            powers = []
+            for i, unit in units:
                 a = odd // unit % radix
-                if not a:
-                    continue
-                for emask, e, delta, c in terms:
-                    if emask & mask:
-                        continue
-                    swaps = k + (mask >> (e + 1)).bit_count()
-                    r = row_index[key + delta]
-                    col[r] = col.get(r, 0) + (-a * c if swaps & 1 else a * c)
-        # terms that cancel leave a zero, which a column does not store
+                if a:
+                    powers.append((a, i))
+            if not (powers or mask & active):
+                columns.append({})
+                continue
+        elif mask & active:
+            powers = ()
+        else:
+            columns.append({})
+            continue
+        plan = plans.get(mask)
+        if plan is None:
+            plan = plans[mask] = _mask_plan(workspace, mask)
+        evens, odds = plan
+        if len(evens) + len(powers) < 2:
+            if evens:
+                columns.append({row_index[key + o]: v for o, v in evens[0]})
+            elif powers:
+                a, i = powers[0]
+                columns.append({row_index[key + o]: a * v for o, v in odds[i]})
+            else:
+                columns.append({})
+            continue
+        col: Dict[int, int] = {}
+        for terms in evens:
+            for o, v in terms:
+                r = row_index[key + o]
+                col[r] = col.get(r, 0) + v
+        for a, i in powers:
+            for o, v in odds[i]:
+                r = row_index[key + o]
+                col[r] = col.get(r, 0) + a * v
         columns.append({r: v for r, v in col.items() if v}
                        if 0 in col.values() else col)
     return columns
@@ -317,8 +380,10 @@ def differential_matrix(algebra: LieSuperalgebra, q: int) -> DifferentialMatrix:
     domain, _ = workspace.space(q)
     codomain, row_index = workspace.space(q + 1)
     mat = _coboundary(workspace, domain, row_index, len(codomain))
-    return DifferentialMatrix(q, tuple(map(workspace.unpack, domain)),
-                              tuple(map(workspace.unpack, codomain)), mat)
+    # the listing gives the monomials of the keys, in the same order,
+    # without unpacking each key one digit at a time
+    return DifferentialMatrix(q, tuple(enumerate_basis(workspace.dims, q)),
+                              tuple(enumerate_basis(workspace.dims, q + 1)), mat)
 
 
 def _coboundary(workspace: _Workspace, domain, row_index,

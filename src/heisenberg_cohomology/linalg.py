@@ -2,19 +2,26 @@
 
 A RationalMatrix is a list of sparse integer columns ({row: int}, no
 stored zeros) times one exact rational scale, so the coboundary kernel's
-integer output is a matrix as it stands.  rank() eliminates those
-integer columns directly (a nonzero scale cannot change rank) by
-fraction-free echelon elimination in one order fixed before it starts:
-rows by nonzero count (ties to the lowest index), columns sparsest
-first.  Each column is reduced against the pivots found so far, keyed
-by their first row in that order, and every updated column is divided
-by its content gcd to keep entries small.  Everything is exact; no
-floating point enters anywhere.
+integer output is a matrix as it stands.  rank() works on those integer
+columns directly (a nonzero scale cannot change rank).  It first peels
+structural pivots: a column with a row that no other column touches
+adds 1 to the rank and is dropped, in rounds that recount the rows,
+at most log2(columns) + 1 of them, so the peel's work is
+O(nnz log columns) where peeling to the end can be quadratic.  The
+rest goes through fraction-free echelon elimination in one order
+fixed before it starts: rows by the peel's last nonzero count (ties to
+the lowest index), columns sparsest first.  Each column is reduced
+against the pivots found so far, keyed by their first row in that
+order, and every updated column is divided by its content gcd to keep
+entries small.  Everything is exact; no floating point enters
+anywhere.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Tuple
@@ -113,17 +120,32 @@ class RationalMatrix:
 
 
 def rank(matrix: RationalMatrix) -> int:
-    """Exact rank by fraction-free elimination of the stored columns in
-    one pivot order, fixed before elimination starts."""
-    counts: Dict[int, int] = {}
-    for col in matrix.columns:
-        for r in col:
-            counts[r] = counts.get(r, 0) + 1
+    """Exact rank: structural pivots peeled off in a few counted rounds,
+    then fraction-free elimination of the rest in one pivot order,
+    fixed before elimination starts."""
+    cols = list(filter(None, matrix.columns))
+    counts = Counter(chain.from_iterable(cols))
+    peeled = 0
+    # at most log2(columns) + 1 rounds, so the peel costs O(nnz log
+    # columns): peeling until no private row is left can take one round
+    # per column (a bidiagonal chain loses two columns a round)
+    for _ in range(len(cols).bit_length()):
+        # a column with a row that no other column touches is a pivot:
+        # any combination of the others is 0 on that row
+        private = {r for r, n in counts.items() if n == 1}
+        kept = [col for col in cols if private.isdisjoint(col)]
+        if len(kept) == len(cols):
+            break
+        peeled += len(cols) - len(kept)
+        cols = kept
+        counts = Counter(chain.from_iterable(cols))
     # rows in the fixed order: fewer nonzeros first, lower index on ties;
     # a column is kept as {position of the row in that order: value}
-    position = {r: i for i, r in enumerate(sorted(counts, key=lambda r: (counts[r], r)))}
+    order = sorted(counts)
+    order.sort(key=counts.__getitem__)
+    position = dict(zip(order, range(len(order))))
     pivots: Dict[int, Dict[int, int]] = {}
-    for col in sorted(filter(None, matrix.columns), key=len):
+    for col in sorted(cols, key=len):
         v = {position[r]: x for r, x in col.items()}
         lead = min(v)
         # every row of the pivot keyed at `lead` comes at or after `lead`,
@@ -152,7 +174,7 @@ def rank(matrix: RationalMatrix) -> int:
             lead = min(v)
         else:
             pivots[lead] = v
-    return len(pivots)
+    return peeled + len(pivots)
 
 
 def kernel_dim(matrix: RationalMatrix) -> int:

@@ -17,6 +17,9 @@ from heisenberg_cohomology.superexterior import (SuperElement, SuperMonomial,
                                                  element_pairing,
                                                  enumerate_basis, wedge)
 
+from test_adapted_basis import HIDDEN_SUMS
+from test_validate import OSP12
+
 from oracles import (coboundary_alternating_sum, coboundary_entry,  # noqa: F401
                      kernel_matrices_are_checked, matmul,
                      monomial_generator_sequence, tensor_normal_form,
@@ -241,6 +244,22 @@ def test_active_slots_away_from_the_ends():
     assert [bool(d_generator(alg, k).terms) for k in range(alg.dim)] \
         == [False, False, True, True, False, False, False]
     assert_entries_match_oracle(alg, 4)
+
+
+def test_colliding_and_cancelling_d_terms_match_the_oracle():
+    # h_{1,1} (+) h_{1,1} in a hidden basis has six active even duals,
+    # whose d-terms of different slots land on one row (56 times in
+    # degree 2); osp(1|2) has active duals of both parities, d-terms of
+    # different slots that cancel, and odd exponents above 1, which
+    # scale their odd slots' terms
+    hidden = next(alg for a, b, alg in HIDDEN_SUMS if a == b == "h_{1,1}")
+    evens, odds = hidden.superdim
+    assert (evens, odds) == (6, 2)
+    assert sum(bool(d_generator(hidden, k).terms) for k in range(hidden.dim)) > 2
+    assert_entries_match_oracle(hidden, 2)
+    osp = LieSuperalgebra("osp(1|2)", *OSP12)
+    assert validate(osp) == []
+    assert_entries_match_oracle(osp, 4)
 
 
 def test_psi_matrix_is_right_multiplication_by_tau():

@@ -1,5 +1,6 @@
 import copy
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -257,3 +258,80 @@ def test_rank_hypothesis_under_row_and_column_permutations():
         assert rank(RationalMatrix.from_columns(rows, permuted, rng.choice((-1, 3)))) == want
 
     check()
+
+
+def _staircase(rng, rows, start, length):
+    """Columns {i: a, i + 1: b} on rows start .. start + length: alone,
+    the two end columns hold private rows, and each round of the peel
+    frees the next two."""
+    return [{r: nonzero_rational(rng).numerator, r + 1: nonzero_rational(rng).numerator}
+            for r in range(start, start + length) if r + 1 < rows]
+
+
+def _peel_cases(rng):
+    """Integer columns over `rows` rows built to exercise the peel."""
+    rows = rng.randint(4, 14)
+    base = _random_integer_columns(rng, rows, rng.randint(1, 10), 0.4)
+    cases = [("random", rows, base)]
+    # private rows: some columns also touch a row of their own
+    extra = [dict(col) for col in base]
+    own = rows
+    for col in extra:
+        if rng.random() < 0.5:
+            col[own] = rng.choice((1, -1)) * rng.randint(1, 9)
+            own += 1
+    cases.append(("private rows", own, extra))
+    # cascades: staircases that shrink from both ends one round at a time,
+    # beside the random block on the same rows
+    stairs = _staircase(rng, rows, rng.randint(0, rows // 2), rng.randint(2, rows))
+    cases.append(("cascade", rows, base + stairs))
+    # duplicate and scaled columns share every row, so none of them is
+    # private, though a column they are copies of may have been
+    copies = [{r: f * v for r, v in col.items()}
+              for col in rng.sample(extra, rng.randint(1, len(extra)))
+              for f in (1, -rng.randint(2, 10 ** 6))]
+    cases.append(("duplicates", own, extra + copies))
+    # no private row at all: every column twice, once scaled
+    cases.append(("no private row", rows,
+                  base + [{r: 3 * v for r, v in col.items()} for col in base]))
+    # every row private: columns on disjoint rows, some of them empty
+    disjoint, r = [], 0
+    for _ in range(rng.randint(1, 8)):
+        size = rng.randint(0, 3)
+        disjoint.append({r + i: rng.choice((1, -2, 5)) for i in range(size)})
+        r += size
+    cases.append(("every row private", r, disjoint))
+    return cases
+
+
+def test_structural_pivots_are_peeled_exactly():
+    rng = random.Random(37)
+    seen = set()
+    for _ in range(60):
+        for name, rows, columns in _peel_cases(rng):
+            rng.shuffle(columns)
+            m = RationalMatrix.from_columns(rows, columns, rng.choice((1, Fraction(-2, 3))))
+            want = dense_rank_bareiss(m.rows, m.cols, m.entries)
+            assert rank(m) == want, (name, columns)
+            seen.add(name)
+    assert len(seen) == 6
+    # the end columns peel and leave a scaled duplicate pair of rank 1;
+    # {1: 4} is private only once the first round has peeled the others
+    assert rank(RationalMatrix.from_columns(4, [{0: 1, 1: 1}, {1: 1, 2: 1}, {1: 2, 2: 2},
+                                                {2: 1, 3: 1}])) == 3
+    assert rank(RationalMatrix.from_columns(3, [{0: 1, 1: 1}, {1: -2, 2: 1}, {1: 4}])) == 3
+
+
+def test_a_long_bidiagonal_chain_is_ranked_in_time():
+    # each round of the peel frees only the two end columns, so peeling
+    # until no private row is left would take one pass over the matrix
+    # per pair of columns; the bounded peel leaves the rest to one
+    # elimination pass, which meets no fill-in
+    n = 20000
+    chain = RationalMatrix.from_columns(n + 1, [{i: 1, i + 1: -1} for i in range(n)])
+    transposed = RationalMatrix.from_columns(
+        n, [{r: v for r, v in ((i - 1, -1), (i, 1)) if 0 <= r < n} for i in range(n + 1)])
+    for m in (chain, transposed):
+        t0 = time.perf_counter()
+        assert rank(m) == n
+        assert time.perf_counter() - t0 < 5

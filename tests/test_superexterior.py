@@ -348,7 +348,7 @@ def test_enumerate_basis_of_many_odd_duals():
     basis = enumerate_basis(dims, 2)
     assert len(basis) == graded_dim(dims, 2)
     # strictly descending degree-2 exponent tuples, so every one of
-    # them, each unpacked from a key of about 640 bits
+    # them, each built once from its odd index multiset
     alphas = [mono.odd_exponents for mono in basis]
     assert all(map(gt, alphas, alphas[1:]))
     assert set(map(sum, alphas)) == {2}
