@@ -13,10 +13,10 @@ and an odd-center family h_n, both two-step nilpotent.
 The table is read-only, so the tables derived from it are kept on the
 algebra itself, derived on first use and never stale: integer_table,
 which validate, adapted_basis, bracket() and differential's d f_k all
-read, the adapted basis, the validity verdict, and differential's slot
-table.  require_valid is the one door that decides validity: the family
-builders, parse_algebra and the rank engine all pass through it, so each
-algebra is validated once, on its adapted table.
+read, the adapted basis and the validity verdict.  require_valid is
+the one door that decides validity: the family builders, parse_algebra
+and the rank engine all pass through it, so each algebra is validated
+once, on its adapted table.
 """
 
 from __future__ import annotations

@@ -14,11 +14,12 @@ The halved coefficient on odd self-brackets matches the dual pairing, in
 which <o^2, y ^ y> = 2; tests check the whole convention against the
 alternating-sum formula for <d omega, a_0 ^ ... ^ a_q>.
 
-d_generator and the slot table read one pass over algebra.integer_table
-that derives every d f_k and refuses, per target, the first even
-self-bracket or bracket that is not parity-homogeneous, so a d-term of
-an even dual has 0 or 2 odd factors and one of an odd dual exactly one
-even factor; the kernel relies on it.
+d_generator and each workspace's d-term table read one pass over
+algebra.integer_table (_d_duals) that derives every d f_k and refuses,
+per target, the first even self-bracket or bracket that is not
+parity-homogeneous, so a d-term of an even dual has 0 or 2 odd factors
+and one of an odd dual exactly one even factor; the kernel relies on
+it.
 
 One integer kernel applies the rule, on packed keys with every
 coefficient scaled by a common denominator D, and serves every caller:
@@ -47,7 +48,7 @@ unpacking at the edge.
 Work that depends only on a value is done once per value.  The rank
 engine's entry points (betti_table, cohomology_dims, and verify_family
 per n) each own one _Workspace(algebra, degree) for the call: it
-carries the algebra the call ranks, packs its slot table once,
+carries the algebra the call ranks, derives its d-term table once,
 enumerates a cochain space and its row index once per q, so the domain
 of d_q is the codomain just built for d_{q-1}, and a space of
 z-dual-free cochains once per (q, z's position), so block t's codomain
@@ -55,34 +56,34 @@ is block t + 2's domain and every power l of one t shares its spaces,
 and the kernel's plan of each even mask once, which verify's L^(t),
 psi_2 and psi_3 of one n share.
 The workspace is dropped when its call returns or raises; the public
-builders take a fresh one per call.
+builders take a fresh one per call, once they have refused a degree
+over limits.MAX_Q_MAX.
 A codomain that is nobody's domain is not enumerated at all:
 d_element's image and the rank engine's top coboundary number their
-rows in order of first use (_RowIndex).  h_n is built once per n for
-psi_matrix and tau, and an algebra's integer slot table is derived once
-and kept on the algebra, whose bracket table is read-only.
-What these return is never mutated.
+rows in order of first use (_RowIndex).  What these return is never
+mutated.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm
 from typing import Dict
 
 from .algebra import LieSuperalgebra, ODD, _Record, integer_table, make_heisenberg_odd
+from .limits import check_degree
 from .linalg import RationalMatrix
-from .superexterior import (SuperElement, SuperMonomial, SuperSpaceDims,
+from .superexterior import (SuperElement, SuperMonomial, SuperSpaceDims, _exponents,
                             _monomial, _pack, _radix, _unpack, enumerate_basis)
 
 
 def _d_duals(algebra: LieSuperalgebra):
     """(terms, refused) from one pass over integer_table: terms[k] lists
-    d f_k's terms (even_mask, even_set, odd_exponents, numerator,
-    denominator), one per bracket with target k, in table order, and
-    refused[k] refuses the first such bracket that is an even
-    self-bracket or not parity-homogeneous."""
+    d f_k's terms (even_mask, even_set, odd_positions, numerator,
+    denominator), one per bracket with target k, in table order, its odd
+    factors as dual positions ((p, p) for [y_p, y_p]), and refused[k]
+    refuses the first such bracket that is an even self-bracket or not
+    parity-homogeneous."""
     scale, ad = integer_table(algebra)
     names = [g.name for g in algebra.generators]
     parity = [g.parity for g in algebra.generators]
@@ -90,10 +91,9 @@ def _d_duals(algebra: LieSuperalgebra):
                 for p, g in enumerate(dual)}
     terms, refused = {}, {}
     for (i, j) in algebra.brackets:
-        odds = [position[g] for g in (i, j) if parity[g] == ODD]
+        odds = tuple(position[g] for g in (i, j) if parity[g] == ODD)
         evens = tuple(position[g] for g in (i, j) if parity[g] != ODD)
-        mono = (sum(1 << e for e in evens), evens,
-                tuple(map(odds.count, range(algebra.superdim[1]))))
+        mono = (sum(1 << e for e in evens), evens, odds)
         # d f_k has -c f_i f_j, whose normal form costs a sign when an odd
         # f_i comes before an even f_j; <o^2, y ^ y> = 2 halves [y, y]
         sign = 1 if parity[i] > parity[j] else -1
@@ -118,64 +118,56 @@ def d_generator(algebra: LieSuperalgebra, k: int) -> SuperElement:
     terms, refused = _d_duals(algebra)
     if k in refused:
         raise ValueError(refused[k])
-    return SuperElement({_monomial(mask, alpha): Fraction(c, denom)
-                         for mask, _, alpha, c, denom in terms.get(k, ())})
-
-
-def _slot_table(algebra: LieSuperalgebra):
-    """d of every dual generator as integer terms over one denominator D;
-    raises the first refusal in slot order.
-
-    Returns (D, even_slots, odd_slots), one tuple of terms per even and
-    per odd dual position.  A term is (even_mask, even_set,
-    odd_exponents, D * coefficient) for a degree-2 monomial of
-    d_generator; D is the lcm of the coefficient denominators.
-    """
-    terms, refused = _d_duals(algebra)
-    order = algebra.even_indices + algebra.odd_indices
-    if refused:
-        raise ValueError(refused[min(refused, key=order.index)])
-    denom = lcm(1, *(d // gcd(c, d) for slot in terms.values() for *_, c, d in slot))
-    slots = [tuple((mask, evens, alpha, c * denom // d)
-                   for mask, evens, alpha, c, d in terms.get(g, ())) for g in order]
-    n0 = algebra.superdim[0]
-    return denom, tuple(slots[:n0]), tuple(slots[n0:])
-
-
-@lru_cache(maxsize=4)
-def _heisenberg_odd(n: int) -> LieSuperalgebra:
-    # built and validated once per n for psi_matrix and tau, so its
-    # slot table, kept on it, serves every power and degree as well
-    return make_heisenberg_odd(n)
+    m = algebra.superdim[1]
+    return SuperElement({_monomial(mask, _exponents(odds, m)): Fraction(c, denom)
+                         for mask, _, odds, c, denom in terms.get(k, ())})
 
 
 class _Workspace:
-    """One engine call: its algebra, and the cochain spaces of the call,
-    each enumerated once, as packed keys over the algebra's dual
-    superdimension.
+    """One engine call: its algebra, its d-term table, and the cochain
+    spaces of the call, each enumerated once, as packed keys over the
+    algebra's dual superdimension.
 
     `degree` is the largest degree of any key of the call, which fixes
-    the radix.  space(q) is
-    (keys, {key: row}) of C^q in the canonical order; with `without`,
-    an odd position, of the cochains without that dual
-    (enumerate_basis's `without`), whose index numbers the rows of
-    every block with l = 1.  `slots` is the algebra's slot table
-    packed at the radix: (D, even_slots, odd_slots) with one
-    (emask, even_set, delta, D * coefficient) per d-term of an even
-    slot and one (j, B^j, terms) per odd slot j with a nonzero d, its
-    terms (emask, e, delta, D * coefficient).  `active` has the bit of
-    every even slot with a nonzero d.  Callers do not mutate any of it,
-    except `plans`, which the kernel fills in: it maps the even mask of
-    each key it met that has a d-term to the mask's _mask_plan.  A
-    workspace lives as long as the call that made it.
+    the radix.  The constructor derives d of every dual generator from
+    _d_duals and raises the first refusal in slot order.  `denom` is D,
+    the lcm of the coefficient denominators; `evens` has, per even
+    slot, its d-terms as (emask, even_set, delta, D * coefficient), and
+    `odds` one (B^j, terms) per odd slot j with a nonzero d, its terms
+    (emask, (e,), delta, D * coefficient), delta having the unit
+    B^j << n0 of o_j already taken off.  `active` has the bit of every
+    even slot with a nonzero d.  space(q) is (keys, {key: row}) of C^q
+    in the canonical order; with `without`, an odd position, of the
+    cochains without that dual (enumerate_basis's `without`), whose
+    index numbers the rows of every block with l = 1.  Callers do not
+    mutate any of it, except `plans`, which the kernel fills in: it
+    maps the even mask of each key it met that has a d-term to the
+    mask's _mask_plan.  A workspace lives as long as the call that made
+    it.
     """
 
     def __init__(self, algebra: LieSuperalgebra, degree: int):
         self.algebra = algebra
         self.dims = SuperSpaceDims(*algebra.superdim)
-        self.radix = _radix(degree)
-        self.slots = _packed_slots(algebra, self.radix)
-        self.active = sum(1 << i for i, terms in enumerate(self.slots[1]) if terms)
+        self.radix = radix = _radix(degree)
+        terms, refused = _d_duals(algebra)
+        order = algebra.even_indices + algebra.odd_indices
+        if refused:
+            raise ValueError(refused[min(refused, key=order.index)])
+        self.denom = denom = lcm(1, *(d // gcd(c, d) for slot in terms.values()
+                                      for *_, c, d in slot))
+        n0 = self.dims.even_count
+
+        def table(g, unit=0):
+            # a term's key delta: the key of its monomial, less `unit`
+            return tuple((emask, evens, emask + (sum(radix ** p for p in odds) << n0) - unit,
+                          c * denom // d)
+                         for emask, evens, odds, c, d in terms.get(g, ()))
+
+        self.evens = tuple(map(table, algebra.even_indices))
+        self.odds = tuple((radix ** j, table(g, radix ** j << n0))
+                          for j, g in enumerate(algebra.odd_indices) if g in terms)
+        self.active = sum(1 << i for i, slot in enumerate(self.evens) if slot)
         self.plans = {}
         self._spaces = {}
 
@@ -188,41 +180,13 @@ class _Workspace:
             self._spaces[key] = basis, dict(zip(basis, range(len(basis))))
         return self._spaces[key]
 
-    def pack(self, mono: SuperMonomial) -> int:
-        return _pack(mono, self.dims.even_count, self.radix)
-
-    def unpack(self, key: int) -> SuperMonomial:
-        return _unpack(key, self.dims, self.radix)
-
-
-def _packed_slots(algebra: LieSuperalgebra, radix: int):
-    """The algebra's _slot_table, derived once and kept on it, with each
-    d-term folded into one key delta at `radix` (see _Workspace)."""
-    if "slots" not in algebra._derived:
-        algebra._derived["slots"] = _slot_table(algebra)
-    denom, even_slots, odd_slots = algebra._derived["slots"]
-    n0 = algebra.superdim[0]
-
-    def delta(emask, beta):
-        return _pack(_monomial(emask, beta), n0, radix)
-
-    evens = tuple(tuple((emask, evens, delta(emask, beta), c)
-                        for emask, evens, beta, c in terms)
-                  for terms in even_slots)
-    # an odd slot's term also takes one copy of o_j off the key
-    odds = tuple((j, radix ** j,
-                  tuple((emask, e, delta(emask, beta) - (radix ** j << n0), c)
-                        for emask, (e,), beta, c in terms))
-                 for j, terms in enumerate(odd_slots) if terms)
-    return denom, evens, odds
-
 
 def _mask_plan(workspace: _Workspace, mask: int):
     """The d-terms of every key whose even mask is `mask`, from the
-    workspace's packed slot table: (evens, odds), with one tuple of
+    workspace's d-term table: (evens, odds), with one tuple of
     (row offset, signed D * coefficient) per active even slot in the
     mask that keeps a term, and one per odd slot with a nonzero d, in
-    the order of the table's odd slots, whose values a key multiplies
+    the order of the workspace's `odds`, whose values a key multiplies
     by its exponent in that slot.
 
     The factor at position t contributes
@@ -237,7 +201,6 @@ def _mask_plan(workspace: _Workspace, mask: int):
     every test of a term's evens against the key's, reads the mask
     alone.
     """
-    _, even_slots, odd_slots = workspace.slots
     evens = []
     rest = mask & workspace.active
     while rest:
@@ -247,7 +210,7 @@ def _mask_plan(workspace: _Workspace, mask: int):
         below = others & (low - 1)
         above = others ^ below
         terms = []
-        for emask, even_set, delta, c in even_slots[low.bit_length() - 1]:
+        for emask, even_set, delta, c in workspace.evens[low.bit_length() - 1]:
             if emask & others:
                 continue
             swaps = below.bit_count()
@@ -259,14 +222,14 @@ def _mask_plan(workspace: _Workspace, mask: int):
             evens.append(tuple(terms))
     k = mask.bit_count()
     odds = tuple(tuple((delta, -c if (k + (mask >> (e + 1)).bit_count()) & 1 else c)
-                       for emask, e, delta, c in slot if not emask & mask)
-                 for _, _, slot in odd_slots)
+                       for emask, (e,), delta, c in slot if not emask & mask)
+                 for _, slot in workspace.odds)
     return tuple(evens), odds
 
 
 def _d_columns(workspace: _Workspace, domain, row_index):
     """Integer coboundary columns {row: value} of the workspace's keys
-    `domain`, by its packed slot table.
+    `domain`, by its d-term table.
 
     Applies the derivation rule to e_S o^alpha directly, visiting only
     the factors whose dual has a nonzero d, through the plan of the
@@ -281,7 +244,7 @@ def _d_columns(workspace: _Workspace, domain, row_index):
     n0, radix = workspace.dims.even_count, workspace.radix
     evens_only = (1 << n0) - 1
     active, plans = workspace.active, workspace.plans
-    units = [(i, unit) for i, (_, unit, _) in enumerate(workspace.slots[2])]
+    units = [(i, unit) for i, (unit, _) in enumerate(workspace.odds)]
     columns = []
     for key in domain:
         mask = key & evens_only
@@ -351,16 +314,17 @@ def d_element(algebra: LieSuperalgebra, elem: SuperElement) -> SuperElement:
                              "superdimension is (%d|%d)"
                              % (mono, algebra.name, n0, n1))
     workspace = _Workspace(algebra, (elem.degree or 0) + 1)
+    radix = workspace.radix
     row_index = _RowIndex()
-    columns = _d_columns(workspace, list(map(workspace.pack, monos)), row_index)
+    columns = _d_columns(workspace, [_pack(mono, n0, radix) for mono in monos],
+                         row_index)
     image: Dict[int, Fraction] = {}
     for mono, col in zip(monos, columns):
         coeff = elem.terms[mono]
         for r, v in col.items():
             image[r] = image.get(r, 0) + coeff * v
     rows = list(row_index)
-    denom = workspace.slots[0]
-    return SuperElement({workspace.unpack(rows[r]): c / denom
+    return SuperElement({_unpack(rows[r], workspace.dims, radix): c / workspace.denom
                          for r, c in image.items()})
 
 
@@ -373,9 +337,11 @@ class DifferentialMatrix(_Record):
 
 
 def differential_matrix(algebra: LieSuperalgebra, q: int) -> DifferentialMatrix:
-    """Matrix of the coboundary in degree q (columns indexed by C^q)."""
+    """Matrix of the coboundary in degree q (columns indexed by C^q);
+    refuses q over MAX_Q_MAX before enumerating anything."""
     if q < 0:
         raise ValueError("degree must be nonnegative")
+    check_degree(q)
     workspace = _Workspace(algebra, q + 1)
     domain, _ = workspace.space(q)
     codomain, row_index = workspace.space(q + 1)
@@ -392,7 +358,7 @@ def _coboundary(workspace: _Workspace, domain, row_index,
     with scale 1/D, its rows numbered by `row_index`: a cochain space's
     index, or a _RowIndex that numbers them on first use."""
     columns = _d_columns(workspace, domain, row_index)
-    return RationalMatrix._wrap(rows, columns, Fraction(1, workspace.slots[0]))
+    return RationalMatrix._wrap(rows, columns, Fraction(1, workspace.denom))
 
 
 def lefschetz_block(algebra: LieSuperalgebra, z: int, t: int,
@@ -408,8 +374,10 @@ def lefschetz_block(algebra: LieSuperalgebra, z: int, t: int,
     It is built by the coboundary kernel on A's keys with f_z^l put in
     z's odd slot, which may be any slot; the rows are A^{t+2}'s keys
     with f_z^{l-1}, and a d-term outside them (the precondition broken)
-    raises KeyError.  For t < 0 the domain is empty.
+    raises KeyError.  For t < 0 the domain is empty.  A degree t + l
+    over MAX_Q_MAX is refused before anything is enumerated.
     """
+    check_degree(t + l)
     return _lefschetz_block(_Workspace(algebra, t + l + 1), z, t, l)
 
 
@@ -444,7 +412,7 @@ def tau(n: int, l: int) -> SuperElement:
     if n < 1 or l < 1:
         raise ValueError("tau needs n >= 1 and l >= 1")
     zpow = SuperMonomial((), (0,) * n + (l,))
-    return d_element(_heisenberg_odd(n), SuperElement.from_monomial(zpow))
+    return d_element(make_heisenberg_odd(n), SuperElement.from_monomial(zpow))
 
 
 def psi_matrix(t: int, n: int, l: int) -> RationalMatrix:
@@ -457,11 +425,13 @@ def psi_matrix(t: int, n: int, l: int) -> RationalMatrix:
     It is h_n's Lefschetz block: d kills every dual but the z-dual's, so
     for z-dual-free omega of degree t the Leibniz rule gives
     omega * tau = (-1)^t d(omega * (z-dual)^l), which is
-    lefschetz_block(h_n, z, t, l) with scale (-1)^t / D.
+    lefschetz_block(h_n, z, t, l) with scale (-1)^t / D.  Like that
+    block, it refuses t + l over MAX_Q_MAX, here before h_n is built.
     """
     if n < 1 or l < 1:
         raise ValueError("psi needs n >= 1 and l >= 1")
-    return _psi(lefschetz_block(_heisenberg_odd(n), 2 * n, t, l), t)
+    check_degree(t + l)
+    return _psi(lefschetz_block(make_heisenberg_odd(n), 2 * n, t, l), t)
 
 
 def _psi(block: RationalMatrix, t: int) -> RationalMatrix:

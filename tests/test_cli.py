@@ -502,6 +502,29 @@ def _child(code):
                           capture_output=True, text=True).stdout
 
 
+def test_the_engine_loads_only_the_standard_library():
+    # the package is stdlib-only: every module imported and a call of each
+    # kind made, no top-level module loads that is neither the package's
+    # nor the standard library's.  The snapshot comes first, since site
+    # hooks may load third-party modules before any package code runs
+    out = _child(
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import importlib, pkgutil\n"
+        "import heisenberg_cohomology as pkg\n"
+        "for info in pkgutil.iter_modules(pkg.__path__):\n"
+        "    importlib.import_module(pkg.__name__ + '.' + info.name)\n"
+        "from heisenberg_cohomology import (betti_table, emit_report, format_algebra,\n"
+        "    make_heisenberg_even, make_heisenberg_odd, parse_algebra, verify_family)\n"
+        "alg = parse_algebra(format_algebra(make_heisenberg_even(1, 1)))\n"
+        "emit_report(betti_table(alg, 3), 'json')\n"
+        "betti_table(make_heisenberg_odd(1), 3)\n"
+        "verify_family('odd', 1, q_max=3)\n"
+        "new = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
+        "print(*sorted(new - set(sys.stdlib_module_names) - {pkg.__name__}))\n")
+    assert out.split() == []
+
+
 def _main_in_a_child(argv):
     """cli.main(argv)'s exit code in a fresh interpreter, and the modules
     loaded when it returns: the package's, and json and verify."""

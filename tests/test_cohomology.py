@@ -471,15 +471,17 @@ def test_a_parsed_file_is_rewritten_once(monkeypatch):
     assert rewrites == [alg]
 
 
-def test_slot_table_is_derived_once_per_algebra(monkeypatch):
+def test_d_terms_are_derived_once_per_betti_table_call(monkeypatch):
     # full d_q on the hidden sum, Lefschetz blocks on h_3, full d_q on
-    # h_{2,2} (the identity rewrite)
+    # h_{2,2} (the identity rewrite): one workspace per call derives the
+    # d-term table, and nothing keeps it on the algebra or the module
     for alg in (_hidden_valid("hidden", 2), make_heisenberg_odd(3),
                 make_heisenberg_even(2, 2)):
-        derived = _counted(monkeypatch, differential, "_slot_table")
+        derived = _counted(monkeypatch, differential, "_d_duals")
         betti_table(alg, 4)
-        betti_table(alg, 3)
         assert derived == [adapted_basis(alg)], alg.name
+        betti_table(alg, 3)
+        assert derived == [adapted_basis(alg)] * 2, alg.name
 
 
 def test_bracket_table_is_read_only():

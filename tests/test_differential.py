@@ -1,8 +1,10 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from heisenberg_cohomology import differential, limits
 from heisenberg_cohomology.algebra import (LieSuperalgebra,
                                            make_heisenberg_even,
                                            make_heisenberg_odd, validate)
@@ -11,6 +13,7 @@ from heisenberg_cohomology.differential import (differential_matrix, d_element,
                                                 d_generator, lefschetz_block,
                                                 psi_matrix, tau)
 from heisenberg_cohomology.fileformats import parse_algebra
+from heisenberg_cohomology.limits import DegreeLimitExceeded
 from heisenberg_cohomology.linalg import RationalMatrix, kernel_dim, rank
 from heisenberg_cohomology.superexterior import (SuperElement, SuperMonomial,
                                                  SuperSpaceDims, dual_pairing,
@@ -233,13 +236,17 @@ def test_slot_memo_is_keyed_by_content():
                             (alg.brackets[(3, 3)], q, omega, u)
 
 
-def test_active_slots_away_from_the_ends():
+def _shuffled_h11_plus_h1():
     # h_{1,1} (+) h_1 with its generators shuffled: the only duals with a
     # nonzero d are z (even position 1 of 4) and w (odd position 1 of 3),
     # each between inactive duals of its own parity
-    alg = LieSuperalgebra("h_{1,1}+h_1", [
+    return LieSuperalgebra("h_{1,1}+h_1", [
         ("x1", 0), ("y", 1), ("z", 0), ("w", 1), ("x", 0), ("v", 1), ("x2", 0)],
         {(0, 6): {2: 1}, (1, 1): {2: 1}, (4, 5): {3: 1}})
+
+
+def test_active_slots_away_from_the_ends():
+    alg = _shuffled_h11_plus_h1()
     assert validate(alg) == []
     assert [bool(d_generator(alg, k).terms) for k in range(alg.dim)] \
         == [False, False, True, True, False, False, False]
@@ -260,6 +267,45 @@ def test_colliding_and_cancelling_d_terms_match_the_oracle():
     osp = LieSuperalgebra("osp(1|2)", *OSP12)
     assert validate(osp) == []
     assert_entries_match_oracle(osp, 4)
+
+
+def test_d_generator_matches_the_kernel_on_general_tables():
+    # d_generator reads _d_duals' odd positions as exponents; the kernel
+    # reads them as key deltas.  Hidden bases give many terms per dual,
+    # osp(1|2) odd self-brackets and duals of both parities with a
+    # nonzero d, the rational table denominators
+    algebras = [alg for _, _, alg in HIDDEN_SUMS]
+    algebras += [LieSuperalgebra("osp(1|2)", *OSP12), parse_algebra(RATIONAL_CONSTANTS),
+                 _shuffled_h11_plus_h1()]
+    for alg in algebras:
+        n1 = alg.superdim[1]
+        for k in range(alg.dim):
+            p = (alg.odd_indices if alg.parity(k) else alg.even_indices).index(k)
+            f_k = (SuperMonomial((), tuple(int(j == p) for j in range(n1)))
+                   if alg.parity(k) else SuperMonomial((p,), (0,) * n1))
+            assert d_generator(alg, k) == d_element(alg, SuperElement.from_monomial(f_k)), \
+                (alg.name, k)
+
+
+def test_public_builders_refuse_a_degree_over_the_limit(monkeypatch):
+    def no_enumeration(*args):
+        raise AssertionError("a cochain space was enumerated before the degree limit")
+
+    h1 = make_heisenberg_odd(1)
+    # the largest degrees the limit lets through
+    assert differential_matrix(h1, 100).matrix.cols == 201
+    assert lefschetz_block(h1, 2, 99, 1).cols == psi_matrix(99, 1, 1).cols == 2
+    monkeypatch.setattr(differential, "enumerate_basis", no_enumeration)
+    for call in (lambda: differential_matrix(h1, 10 ** 8),
+                 lambda: lefschetz_block(h1, 2, 10 ** 8, 1),
+                 lambda: psi_matrix(10 ** 8, 1, 1),
+                 lambda: differential_matrix(h1, 101),
+                 lambda: lefschetz_block(h1, 2, 100, 1),
+                 lambda: psi_matrix(1, 1, 100)):
+        start = time.perf_counter()
+        with pytest.raises(DegreeLimitExceeded, match="limit is 100"):
+            call()
+        assert time.perf_counter() - start < 0.5
 
 
 def test_psi_matrix_is_right_multiplication_by_tau():
@@ -347,12 +393,17 @@ def test_tau_matches_coboundary_of_z_powers():
             assert tau(n, l) == d_element(alg, zl) == explicit_tau(n, l)
 
 
-def test_the_radix_is_chosen_per_call_past_any_field_width():
+def test_the_radix_is_chosen_per_call_past_any_field_width(monkeypatch):
     # exponents of 300 overflow a fixed 8-bit field per odd dual.  On h_1
     # every dual but f_z is closed, so the Leibniz rule gives the
     # reference d(alpha f_z^l) = (-1)^t alpha tau_(1,l), alpha z-free of
     # degree t, through wedge and the explicit tau rather than the kernel.
     alg = make_heisenberg_odd(1)
+    with pytest.raises(DegreeLimitExceeded):
+        differential_matrix(alg, 300)
+    # the builders refuse such a degree; the kernel does not depend on
+    # the limit, so lift it to the largest degree reached below
+    monkeypatch.setattr(limits, "MAX_Q_MAX", 303)
     dm = differential_matrix(alg, 300)
     assert len(dm.domain) == 601 and max(m.odd_degree for m in dm.domain) == 300
     row = {m: r for r, m in enumerate(dm.codomain)}

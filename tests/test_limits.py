@@ -139,6 +139,14 @@ def test_the_package_namespace_is_complete():
     assert not hasattr(pkg, "frobnicate")
 
 
+def test_no_module_keeps_a_function_cache():
+    # no module-level cache: what an engine call derives lives on its
+    # algebra or its workspace, and goes when they do
+    for module in PUBLIC:
+        for name in dir(module):
+            assert not hasattr(getattr(module, name), "cache_info"), (module, name)
+
+
 def test_the_cli_binds_each_engine_name_once(monkeypatch):
     # a patch on the cli survives the verbs that call the patched name
     def fake(algebra, q_max, column_cap):

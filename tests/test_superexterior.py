@@ -273,7 +273,7 @@ def test_basis_monomials_are_kernel_keys():
                      for r, m in enumerate(codomain)}
         columns = _d_columns(workspace, keys, row_index)
         assert len(columns) == len(domain)
-        denom = workspace.slots[0]
+        denom = workspace.denom
         for m, col in zip(domain, columns):
             image = {codomain[r]: Fraction(v, denom) for r, v in col.items()}
             assert image == d_element(alg, SuperElement.from_monomial(m)).terms
