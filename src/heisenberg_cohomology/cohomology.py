@@ -41,7 +41,6 @@ d_q numbers them on first use and C^{q+1} is never enumerated.
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .algebra import (ODD, LieSuperalgebra, _Record, adapted_basis,
@@ -142,11 +141,7 @@ def _lefschetz_blocks(workspace: _Workspace, z: int, dims: Dict[int, int],
                       t_end: int) -> Iterator[Tuple[int, RationalMatrix, int]]:
     """(t, L^(t), rank L^(t)) for t = 0..t_end-1, each block built and
     eliminated once, its shape and dim C^q = sum_l dim A^{q-l} checked
-    against the preamble's dimensions.
-
-    The even t come first, then the odd t, each upward: block t's
-    codomain is block t+2's domain, so each space of A is enumerated
-    once.  A block is not kept past its t.
+    against the preamble's dimensions.  A block is not kept past its t.
     """
     n0, n1 = workspace.dims
     space = (n0, n1 - 1)
@@ -155,7 +150,7 @@ def _lefschetz_blocks(workspace: _Workspace, z: int, dims: Dict[int, int],
         if sum(dim_a[q - l] for l in range(q + 1)) != dims[q]:
             raise AssertionError("dim C^%d is not the sum of dim A^(%d-l) f_z^l"
                                  % (q, q))
-    for t in chain(range(0, t_end, 2), range(1, t_end, 2)):
+    for t in range(t_end):
         block = _lefschetz_block(workspace, z, t, 1)
         if (block.rows, block.cols) != (dim_a[t + 2], dim_a[t]):
             raise AssertionError("L^(%d) has shape %dx%d, not dim A^%d x dim A^%d"

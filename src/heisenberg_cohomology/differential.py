@@ -14,7 +14,7 @@ The halved coefficient on odd self-brackets matches the dual pairing, in
 which <o^2, y ^ y> = 2; tests check the whole convention against the
 alternating-sum formula for <d omega, a_0 ^ ... ^ a_q>.
 
-d_generator and each workspace's d-term table read one pass over
+Each workspace's d-term table reads one pass over
 algebra.integer_table (_d_duals) that derives every d f_k and refuses,
 per target, the first even self-bracket or bracket that is not
 parity-homogeneous, so a d-term of an even dual has 0 or 2 odd factors
@@ -24,11 +24,10 @@ it.
 One integer kernel applies the rule, on packed keys with every
 coefficient scaled by a common denominator D, and serves every caller:
 differential_matrix and lefschetz_block hand its integer columns over
-as a RationalMatrix with scale 1/D, unchecked, and d_element (and tau
-through it) turns them into SuperElements with coefficients
-coeff * v / D.  lefschetz_block is the part of d that lowers the power
-of an odd central dual by one; psi_matrix is that block of h_n with
-scale (-1)^t / D.  The tests hold the kernel to the alternating-sum
+as a RationalMatrix with scale 1/D, unchecked, and the elements module
+applies it to SuperElements.  lefschetz_block is the part of d that
+lowers the power of an odd central dual by one; psi_matrix is that
+block of h_n with scale (-1)^t / D.  The tests hold the kernel to the alternating-sum
 formula entry by entry.
 
 A key is the int even_mask + (sum_j alpha_j B^j << n0) of e_S o^alpha
@@ -42,8 +41,8 @@ test of its evens against the key's, reads the key's even mask alone,
 so each workspace builds one plan per even mask on first use
 (_mask_plan): per slot that applies, its terms as (row offset, signed
 D * coefficient), an odd slot's value times the key's exponent there.
-The public functions take and return SuperMonomials, packing and
-unpacking at the edge.
+differential_matrix lists its bases as SuperMonomials, in the keys'
+order.
 
 Work that depends only on a value is done once per value.  The rank
 engine's entry points (betti_table, cohomology_dims, and verify_family
@@ -58,10 +57,9 @@ psi_2 and psi_3 of one n share.
 The workspace is dropped when its call returns or raises; the public
 builders take a fresh one per call, once they have refused a degree
 over limits.MAX_Q_MAX.
-A codomain that is nobody's domain is not enumerated at all:
-d_element's image and the rank engine's top coboundary number their
-rows in order of first use (_RowIndex).  What these return is never
-mutated.
+A codomain that is nobody's domain is not enumerated at all: the rank
+engine's top coboundary numbers its rows in order of first use
+(_RowIndex).  What these return is never mutated.
 """
 
 from __future__ import annotations
@@ -73,8 +71,7 @@ from typing import Dict
 from .algebra import LieSuperalgebra, ODD, _Record, integer_table, make_heisenberg_odd
 from .limits import check_degree
 from .linalg import RationalMatrix
-from .superexterior import (SuperElement, SuperMonomial, SuperSpaceDims, _exponents,
-                            _monomial, _pack, _radix, _unpack, enumerate_basis)
+from .superexterior import SuperSpaceDims, _radix, enumerate_basis
 
 
 def _d_duals(algebra: LieSuperalgebra):
@@ -109,18 +106,6 @@ def _d_duals(algebra: LieSuperalgebra):
             else:
                 terms.setdefault(k, []).append(mono + (sign * c, denom))
     return terms, refused
-
-
-def d_generator(algebra: LieSuperalgebra, k: int) -> SuperElement:
-    """Coboundary of the k-th dual generator, as a degree-2 element."""
-    if not 0 <= k < algebra.dim:
-        raise ValueError("generator index %d out of range" % k)
-    terms, refused = _d_duals(algebra)
-    if k in refused:
-        raise ValueError(refused[k])
-    m = algebra.superdim[1]
-    return SuperElement({_monomial(mask, _exponents(odds, m)): Fraction(c, denom)
-                         for mask, _, odds, c, denom in terms.get(k, ())})
 
 
 class _Workspace:
@@ -172,8 +157,6 @@ class _Workspace:
         self._spaces = {}
 
     def space(self, q: int, without=None):
-        if q >= self.radix:
-            raise ValueError("degree %d does not fit radix %d" % (q, self.radix))
         key = (q, without)
         if key not in self._spaces:
             basis = enumerate_basis(self.dims, q, without, self.radix)
@@ -294,38 +277,13 @@ def _d_columns(workspace: _Workspace, domain, row_index):
 
 class _RowIndex(dict):
     """Row numbers handed out to keys in order of first use: the rows of
-    d_element's image, and of the rank engine's top coboundary, whose
-    codomain is nobody's domain and so is never enumerated."""
+    elements.d_element's image, and of the rank engine's top
+    coboundary, whose codomain is nobody's domain and so is never
+    enumerated."""
 
     def __missing__(self, key):
         row = self[key] = len(self)
         return row
-
-
-def d_element(algebra: LieSuperalgebra, elem: SuperElement) -> SuperElement:
-    """Coboundary of a homogeneous element over the algebra's dual
-    superdimension, through the same integer kernel as the matrices."""
-    n0, n1 = algebra.superdim
-    monos = list(elem.terms)
-    for mono in monos:
-        # the kernel would silently truncate or mis-index these
-        if len(mono.odd_exponents) != n1 or mono.even_mask >> n0:
-            raise ValueError("%s is not a cochain of %s, whose dual "
-                             "superdimension is (%d|%d)"
-                             % (mono, algebra.name, n0, n1))
-    workspace = _Workspace(algebra, (elem.degree or 0) + 1)
-    radix = workspace.radix
-    row_index = _RowIndex()
-    columns = _d_columns(workspace, [_pack(mono, n0, radix) for mono in monos],
-                         row_index)
-    image: Dict[int, Fraction] = {}
-    for mono, col in zip(monos, columns):
-        coeff = elem.terms[mono]
-        for r, v in col.items():
-            image[r] = image.get(r, 0) + coeff * v
-    rows = list(row_index)
-    return SuperElement({_unpack(rows[r], workspace.dims, radix): c / workspace.denom
-                         for r, c in image.items()})
 
 
 class DifferentialMatrix(_Record):
@@ -374,9 +332,14 @@ def lefschetz_block(algebra: LieSuperalgebra, z: int, t: int,
     It is built by the coboundary kernel on A's keys with f_z^l put in
     z's odd slot, which may be any slot; the rows are A^{t+2}'s keys
     with f_z^{l-1}, and a d-term outside them (the precondition broken)
-    raises KeyError.  For t < 0 the domain is empty.  A degree t + l
-    over MAX_Q_MAX is refused before anything is enumerated.
+    raises KeyError.  For t < 0 the domain is empty.  An l below 1, a z
+    that is not an odd generator and a degree t + l over MAX_Q_MAX are
+    refused before anything is enumerated.
     """
+    if l < 1:
+        raise ValueError("lefschetz_block needs l >= 1, not %r" % (l,))
+    if z not in algebra.odd_indices:
+        raise ValueError("z = %r is not an odd generator of %s" % (z, algebra.name))
     check_degree(t + l)
     return _lefschetz_block(_Workspace(algebra, t + l + 1), z, t, l)
 
@@ -389,8 +352,6 @@ def _lefschetz_block(workspace: _Workspace, z: int, t: int,
         raise ValueError("degree %d does not fit radix %d"
                          % (t + l + 1, workspace.radix))
     j = workspace.algebra.odd_indices.index(z)
-    # domain first: block t's codomain is block t + 2's domain, so a walk
-    # over every other t finds each space of A already enumerated
     free, _ = workspace.space(t, j)
     codomain, row_index = workspace.space(t + 2, j)
     # f_z^l in z's slot, which the keys of A leave at 0
@@ -401,18 +362,6 @@ def _lefschetz_block(workspace: _Workspace, z: int, t: int,
     shift = l * unit
     domain = [key + shift for key in free]
     return _coboundary(workspace, domain, row_index, len(codomain))
-
-
-def tau(n: int, l: int) -> SuperElement:
-    """The element tau_{(n,l)} = d((z-dual)^l) for the odd-center family h_n.
-
-    It lives over dual dims (n, n+1), the z-dual being the last odd slot,
-    and equals l * (sum_i -e_i o_i) * (z-dual)^{l-1}.
-    """
-    if n < 1 or l < 1:
-        raise ValueError("tau needs n >= 1 and l >= 1")
-    zpow = SuperMonomial((), (0,) * n + (l,))
-    return d_element(make_heisenberg_odd(n), SuperElement.from_monomial(zpow))
 
 
 def psi_matrix(t: int, n: int, l: int) -> RationalMatrix:

@@ -1,4 +1,5 @@
-"""Normal-form arithmetic in the super-exterior algebra of a superspace.
+"""Normal-form monomials of the super-exterior algebra of a superspace,
+and the listing of its graded pieces.
 
 A superspace here is just a pair of dimensions: `even_count` generators
 e_0, ..., e_{n-1} of parity 0 and `odd_count` generators o_0, ..., o_{m-1}
@@ -10,7 +11,8 @@ rational combination of normal-form monomials
 
     e_{i_1} * ... * e_{i_k} * o_0^{a_0} * ... * o_{m-1}^{a_{m-1}},
 
-with i_1 < ... < i_k, which is the basis enumerated and paired below.
+with i_1 < ... < i_k, which is the basis enumerated below.  Elements,
+their products and pairings are in the elements module.
 
 A SuperMonomial is the tuple (even_mask, odd_exponents), so len,
 iteration and tuple `<` apply to it; the canonical basis order is
@@ -26,17 +28,13 @@ such a radix share a few hash values.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, repeat
-from math import factorial, prod
-from operator import add, itemgetter
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Tuple, Union
+from operator import itemgetter
+from typing import Iterable, Iterator, NamedTuple, Optional, Tuple
 
 # the dimension counts live in limits, which needs no engine module;
 # they stay importable from here
 from .limits import graded_dim, sym_power_dim
-
-Rational = Union[int, Fraction]
 
 
 class SuperSpaceDims(NamedTuple):
@@ -129,146 +127,6 @@ def monomial_sort_key(mono: SuperMonomial):
             tuple(-a for a in mono.odd_exponents))
 
 
-def wedge_monomials(a: SuperMonomial, b: SuperMonomial):
-    """Product of two normal-form monomials.
-
-    Returns None when the product vanishes (a repeated even generator),
-    otherwise (sign, monomial) with sign in {1, -1}: commuting the odd
-    block of `a` past the even block of `b` costs one sign per crossing,
-    and merging the two even blocks costs one sign per inversion.
-    """
-    if len(a.odd_exponents) != len(b.odd_exponents):
-        raise ValueError("monomials live over different odd dimensions")
-    am = a.even_mask
-    if am & b.even_mask:
-        return None
-    swaps = a.odd_degree * b.even_degree
-    for j in b.even_set:
-        swaps += (am >> (j + 1)).bit_count()
-    odds = tuple(map(add, a.odd_exponents, b.odd_exponents))
-    return (-1 if swaps & 1 else 1), _monomial(am | b.even_mask, odds)
-
-
-class SuperElement:
-    """A homogeneous rational linear combination of SuperMonomials.
-
-    Homogeneous means every monomial has the same total degree and the
-    same parity (and lives over the same odd dimension); the zero
-    element is the empty combination.  Instances are treated as
-    immutable: do not mutate `terms` after construction.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        data = {}
-        for mono, coeff in items:
-            if not isinstance(mono, SuperMonomial):
-                raise TypeError("keys must be SuperMonomials")
-            coeff = Fraction(coeff)
-            if mono in data:
-                data[mono] += coeff
-            else:
-                data[mono] = coeff
-        data = {m: c for m, c in data.items() if c}
-        shapes = {(m.degree, m.parity, len(m.odd_exponents)) for m in data}
-        if len(shapes) > 1:
-            raise ValueError("inhomogeneous combination: %s" % sorted(shapes))
-        self.terms = data
-
-    @classmethod
-    def zero(cls) -> "SuperElement":
-        return cls()
-
-    @classmethod
-    def from_monomial(cls, mono: SuperMonomial, coeff: Rational = 1) -> "SuperElement":
-        return cls({mono: coeff})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    @property
-    def degree(self):
-        """Common total degree of the terms; None for the zero element."""
-        for m in self.terms:
-            return m.degree
-        return None
-
-    @property
-    def parity(self):
-        for m in self.terms:
-            return m.parity
-        return None
-
-    def coefficient(self, mono: SuperMonomial) -> Fraction:
-        return self.terms.get(mono, Fraction(0))
-
-    def __add__(self, other):
-        if not isinstance(other, SuperElement):
-            return NotImplemented
-        merged = dict(self.terms)
-        for m, c in other.terms.items():
-            if m in merged:
-                merged[m] += c
-            else:
-                merged[m] = c
-        return SuperElement(merged)
-
-    def __sub__(self, other):
-        if not isinstance(other, SuperElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return SuperElement({m: -c for m, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, SuperElement):
-            return wedge(self, other)
-        if isinstance(other, (int, Fraction)):
-            return SuperElement({m: c * other for m, c in self.terms.items()})
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return SuperElement({m: other * c for m, c in self.terms.items()})
-        return NotImplemented
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SuperElement):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "SuperElement(0)"
-        bits = []
-        for m in sorted(self.terms, key=monomial_sort_key):
-            bits.append("%s*%s" % (self.terms[m], m))
-        return "SuperElement(%s)" % " + ".join(bits)
-
-
-def wedge(a: SuperElement, b: SuperElement) -> SuperElement:
-    """Bilinear extension of the monomial product to elements."""
-    out = {}
-    for ma, ca in a.terms.items():
-        for mb, cb in b.terms.items():
-            hit = wedge_monomials(ma, mb)
-            if hit is None:
-                continue
-            sign, mono = hit
-            c = ca * cb if sign > 0 else -ca * cb
-            if mono in out:
-                out[mono] += c
-            else:
-                out[mono] = c
-    return SuperElement(out)
-
-
 def _radix(degree: int) -> int:
     """The smallest odd integer above `degree`: the radix of the keys of
     cochains of degree at most `degree`, so no exponent, even of a
@@ -293,13 +151,15 @@ def enumerate_basis(dims: SuperSpaceDims, q: int, without: Optional[int] = None,
 
     With `radix`, an integer above q (odd, for the hash: see above),
     each monomial comes as its packed int key (_pack), in the same
-    order.
+    order; a radix not above q is refused, as two keys could collide.
     """
     n, m = dims
     if n < 0 or m < 0:
         raise ValueError("dimensions must be nonnegative")
     if without is not None and not 0 <= without < m:
         raise ValueError("no odd generator %d among %d" % (without, m))
+    if radix is not None and q >= radix:
+        raise ValueError("degree %d does not fit radix %d" % (q, radix))
     keys = []
     if q < 0:
         return keys
@@ -350,30 +210,3 @@ def _unpack(key: int, dims: SuperSpaceDims, radix: int) -> SuperMonomial:
         odd, alpha[j] = divmod(odd, radix)
         j += 1
     return _monomial(key & ((1 << n) - 1), tuple(alpha))
-
-
-def dual_pairing(alpha: SuperMonomial, u: SuperMonomial) -> Fraction:
-    """Pair a dual-basis monomial `alpha` against a primal monomial `u`.
-
-    The pairing is a determinant over the even blocks times a permanent
-    over the odd blocks.  On normal forms the determinant is 1 exactly
-    when the even index sets agree, and the permanent counts the
-    prod_j (odd exponent_j)! matchings of equal odd factors, so the value
-    is that product when alpha == u and 0 otherwise.
-    """
-    if len(alpha.odd_exponents) != len(u.odd_exponents):
-        raise ValueError("monomials live over different odd dimensions")
-    if alpha != u:
-        return Fraction(0)
-    return Fraction(prod(map(factorial, alpha.odd_exponents)))
-
-
-def element_pairing(dual: SuperElement, primal: SuperElement) -> Fraction:
-    """Bilinear extension of dual_pairing."""
-    total = Fraction(0)
-    for ma, ca in dual.terms.items():
-        for mu, cu in primal.terms.items():
-            val = dual_pairing(ma, mu)
-            if val:
-                total += ca * cu * val
-    return total

@@ -553,6 +553,31 @@ def test_a_refusal_loads_no_engine_module(argv):
     assert _main_in_a_child(argv) == (3, ENGINE_FREE)
 
 
+@pytest.mark.parametrize("argv", (
+    ["even", "--n", "2", "--m", "2", "--q-max", "2"],
+    ["odd", "--n", "2", "--q-max", "3"],
+    ["compute", "--algebra", "h1.alg", "--q-max", "3"],
+    ["verify", "--family", "odd", "--n-max", "2", "--q-max", "3"]), ids=" ".join)
+def test_a_computing_verb_loads_no_element_api(argv, tmp_path):
+    # the element-level reference API is for the tests and the demos;
+    # the engine computes on keys and integer columns without it
+    path = tmp_path / "h1.alg"
+    path.write_text(format_algebra(make_heisenberg_odd(1)))
+    argv = [str(path) if arg == "h1.alg" else arg for arg in argv]
+    code, loaded = _main_in_a_child(argv)
+    assert code == 0
+    assert "heisenberg_cohomology.differential" in loaded
+    assert "heisenberg_cohomology.elements" not in loaded
+
+
+def test_the_engine_modules_load_no_element_api():
+    loaded = _child("import sys\n"
+                    "from heisenberg_cohomology import differential, superexterior\n"
+                    "print(*sys.modules)").split()
+    assert "heisenberg_cohomology.differential" in loaded
+    assert "heisenberg_cohomology.elements" not in loaded
+
+
 def test_a_text_table_loads_neither_verify_nor_json():
     if "json" in _child("import sys; print(*sys.modules)").split():
         pytest.skip("a bare interpreter here already imports json")

@@ -9,16 +9,16 @@ from heisenberg_cohomology.algebra import (LieSuperalgebra,
                                            make_heisenberg_even,
                                            make_heisenberg_odd, validate)
 from heisenberg_cohomology.cohomology import betti_table
-from heisenberg_cohomology.differential import (differential_matrix, d_element,
-                                                d_generator, lefschetz_block,
-                                                psi_matrix, tau)
+from heisenberg_cohomology.differential import (differential_matrix,
+                                                lefschetz_block, psi_matrix)
+from heisenberg_cohomology.elements import (SuperElement, d_element, d_generator,
+                                            dual_pairing, element_pairing, tau,
+                                            wedge)
 from heisenberg_cohomology.fileformats import parse_algebra
 from heisenberg_cohomology.limits import DegreeLimitExceeded
 from heisenberg_cohomology.linalg import RationalMatrix, kernel_dim, rank
-from heisenberg_cohomology.superexterior import (SuperElement, SuperMonomial,
-                                                 SuperSpaceDims, dual_pairing,
-                                                 element_pairing,
-                                                 enumerate_basis, wedge)
+from heisenberg_cohomology.superexterior import (SuperMonomial, SuperSpaceDims,
+                                                 enumerate_basis)
 
 from test_adapted_basis import HIDDEN_SUMS
 from test_validate import OSP12

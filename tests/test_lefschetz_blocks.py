@@ -9,6 +9,8 @@ not go through lefschetz_block.
 import random
 from itertools import product
 
+import pytest
+
 from heisenberg_cohomology import cohomology, differential
 from heisenberg_cohomology.algebra import (LieSuperalgebra, adapted_basis,
                                            make_heisenberg_even,
@@ -65,6 +67,21 @@ def test_blocks_are_the_z_power_blocks_of_the_full_matrix():
         assert rest == 0, (adapted.name, t, l)
         built = lefschetz_block(adapted, z, t, l)
         assert built.entries == block, (adapted.name, t, l)
+
+
+def test_lefschetz_block_refuses_a_bad_power_or_generator(monkeypatch):
+    # refused before a workspace is built: an l below 1, and a z that is
+    # even (h_1's x1) or no generator at all
+    def no_workspace(*args):
+        raise AssertionError("a workspace was built")
+
+    monkeypatch.setattr(differential, "_Workspace", no_workspace)
+    h1 = make_heisenberg_odd(1)
+    for z, l, match in ((2, 0, "needs l >= 1, not 0"), (2, -1, "needs l >= 1, not -1"),
+                        (0, 1, "z = 0 is not an odd generator of h_1"),
+                        (3, 1, "z = 3 is not an odd generator of h_1")):
+        with pytest.raises(ValueError, match=match):
+            lefschetz_block(h1, z, 1, l)
 
 
 def test_full_matrix_rank_is_the_block_sum():

@@ -8,8 +8,8 @@ import pytest
 
 import heisenberg_cohomology
 from heisenberg_cohomology import (algebra, cli, cohomology, differential,
-                                   fileformats, formulas, limits, linalg,
-                                   superexterior, verify)
+                                   elements, fileformats, formulas, limits,
+                                   linalg, superexterior, verify)
 from heisenberg_cohomology.limits import (AlgebraParseError,
                                           AlgebraValidationError,
                                           CodomainTooLarge, ColumnCapExceeded,
@@ -104,17 +104,17 @@ PUBLIC = {
                  "METHOD_FORMULA_ODD_PROOF", "METHOD_RANK", "CodomainTooLarge",
                  "CohomologyReport", "ColumnCapExceeded", "DegreeLimitExceeded",
                  "betti_table", "cohomology_dims"),
-    differential: ("DifferentialMatrix", "d_element", "d_generator",
-                   "differential_matrix", "psi_matrix", "tau"),
+    differential: ("DifferentialMatrix", "differential_matrix", "psi_matrix"),
+    elements: ("SuperElement", "d_element", "d_generator", "dual_pairing",
+               "element_pairing", "tau", "wedge", "wedge_monomials"),
     fileformats: ("AlgebraParseError", "emit_report", "format_algebra",
                   "parse_algebra"),
     formulas: ("binom", "delta", "dim_h_even", "dim_h_odd_displayed",
                "dim_h_odd_proof", "even_cocycle_dim", "ker_psi_dim",
                "odd_cocycle_dim", "sym_power_dim"),
     linalg: ("RationalMatrix", "kernel_dim", "rank"),
-    superexterior: ("SuperElement", "SuperMonomial", "SuperSpaceDims",
-                    "dual_pairing", "element_pairing", "enumerate_basis",
-                    "graded_dim", "monomial_sort_key", "wedge", "wedge_monomials"),
+    superexterior: ("SuperMonomial", "SuperSpaceDims", "enumerate_basis",
+                    "graded_dim", "monomial_sort_key"),
     verify: ("Comparison", "VerifyResult", "verify_family"),
 }
 

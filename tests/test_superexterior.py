@@ -9,12 +9,12 @@ from operator import gt
 import pytest
 
 from heisenberg_cohomology.algebra import make_heisenberg_even
-from heisenberg_cohomology.differential import (_d_columns, _radix, _Workspace,
-                                                d_element)
-from heisenberg_cohomology.superexterior import (
-    SuperElement, SuperMonomial, SuperSpaceDims, _pack, _unpack, dual_pairing,
-    element_pairing, enumerate_basis, graded_dim, monomial_sort_key, wedge,
-    wedge_monomials)
+from heisenberg_cohomology.differential import _d_columns, _radix, _Workspace
+from heisenberg_cohomology.elements import (SuperElement, d_element, dual_pairing,
+                                            element_pairing, wedge, wedge_monomials)
+from heisenberg_cohomology.superexterior import (SuperMonomial, SuperSpaceDims, _pack,
+                                                 _unpack, enumerate_basis, graded_dim,
+                                                 monomial_sort_key)
 
 from oracles import permanent, tensor_normal_form
 
@@ -296,6 +296,12 @@ def test_packing_round_trips_in_the_basis_order():
                     assert [_unpack(key, dims, radix) for key in keys] == basis
                     assert len(set(keys)) == len(keys)
                     assert all(type(key) is int for key in keys)
+                # a radix not above q could give two monomials one key
+                # (o0^2 o2 and o1^3 both pack to 6 at radix 2)
+                for radix in range(1, q + 1):
+                    with pytest.raises(ValueError, match="degree %d does not fit radix %d"
+                                       % (q, radix)):
+                        enumerate_basis(dims, q, radix=radix)
 
 
 def test_the_radix_is_odd_so_wide_keys_spread_over_the_hash():

@@ -36,8 +36,8 @@ def test_psi_shortcut_cannot_hide_a_faulty_build(monkeypatch):
 
 
 def test_odd_grid_enumerates_each_space_once(monkeypatch):
-    # betti_table's block walk and the psi walk are one walk per n, whose
-    # even and odd t each find their domain already enumerated
+    # betti_table's block walk and the psi walk are one walk per n on one
+    # workspace, which keeps every space it enumerates for the call
     real = differential.enumerate_basis
     calls = Counter()
 
