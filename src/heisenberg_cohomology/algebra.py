@@ -16,13 +16,15 @@ which validate, adapted_basis, bracket() and differential's d f_k all
 read, the adapted basis and the validity verdict.  require_valid is
 the one door that decides validity: the family builders, parse_algebra
 and the rank engine all pass through it, so each algebra is validated
-once, on its adapted table.
+once, on its adapted table.  The adapted basis is computed on
+integer_table's ints, fraction-free: the one Fraction it makes per
+structure constant is the rewritten constant itself.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Tuple
 
@@ -157,7 +159,8 @@ class LieSuperalgebra:
             for k, c in targets.items():
                 if not 0 <= k < dim:
                     raise ValueError("bracket target %d out of range" % k)
-                c = Fraction(c)
+                if type(c) is not Fraction:
+                    c = Fraction(c)
                 if c:
                     cleaned[k] = c
             if cleaned:
@@ -281,14 +284,31 @@ def validate(alg: LieSuperalgebra) -> list:
     return issues
 
 
-def _subtract(v: Dict[int, Fraction], c: Fraction, row: Mapping) -> None:
+def _subtract(v: Dict[int, int], c: int, row: Mapping[int, int]) -> None:
     """v -= c * row, in place, dropping the coordinates that cancel."""
-    for i, x in row.items():
-        w = v.get(i, 0) - c * x
+    for k, x in row.items():
+        w = v.get(k, 0) - c * x
         if w:
-            v[i] = w
+            v[k] = w
         else:
-            del v[i]
+            del v[k]
+
+
+def _reduce(v: Dict[int, int], row: Mapping[int, int], lead: int) -> None:
+    """v <- a v - b row, in place, with a/b = row[lead]/v[lead] in lowest
+    terms (a > 0), so the lead cancels; then v is divided by its content
+    gcd."""
+    a, b = row[lead], v[lead]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    if a > 1:
+        for k in v:
+            v[k] *= a
+    _subtract(v, b, row)
+    g = gcd(*v.values())
+    if g > 1:
+        for k in v:
+            v[k] //= g
 
 
 def adapted_basis(alg: LieSuperalgebra) -> LieSuperalgebra:
@@ -298,6 +318,9 @@ def adapted_basis(alg: LieSuperalgebra) -> LieSuperalgebra:
     the generator at each pivot position is replaced by its RREF row and
     every other generator stays, so the change of basis never mixes
     parities.  The structure constants are rewritten by bilinearity.
+    Both steps run in integers, fraction-free: each RREF row is kept as
+    an integer row over its positive pivot entry, and each rewritten
+    constant is divided out once, as one Fraction.
     Name, generator names, parities and order are kept, and Betti
     numbers do not depend on the basis.  When every RREF row is a single
     generator the change is the identity and `alg` itself is returned.
@@ -317,23 +340,30 @@ def adapted_basis(alg: LieSuperalgebra) -> LieSuperalgebra:
 
 def _adapted_brackets(alg: LieSuperalgebra):
     """The nonzero brackets of alg in the adapted basis, or None when
-    the change of basis is the identity."""
+    the change of basis is the identity.
+
+    Pivot row p is kept as an integer vector r_p with r_p[p] > 0 and
+    content gcd 1; the RREF row is r_p / r_p[p].  Every dict is updated
+    in the order an elimination over Fraction updates it, so the pair
+    order, the target order and the values match that elimination's."""
     scale, ad = integer_table(alg)
-    rows: Dict[int, Dict[int, Fraction]] = {}
+    rows: Dict[int, Dict[int, int]] = {}
     for (i, j) in alg.brackets:
         for parity in (EVEN, ODD):
             # a row of one parity only reduces against rows of that parity
             v = {k: c for k, c in ad[i][j].items() if alg.parity(k) == parity}
             # every row is zero at the other pivots, so one pass reduces v
             for p in [k for k in v if k in rows]:
-                _subtract(v, v[p], rows[p])
+                _reduce(v, rows[p], p)
             if not v:
                 continue
             lead = min(v)
-            v = {g: Fraction(x, v[lead]) for g, x in v.items()}
+            g = gcd(*v.values()) * (1 if v[lead] > 0 else -1)
+            if g != 1:
+                v = {k: x // g for k, x in v.items()}
             for row in rows.values():
                 if lead in row:
-                    _subtract(row, row[lead], v)
+                    _reduce(row, v, lead)
             rows[lead] = v
     if all(len(row) == 1 for row in rows.values()):
         return None
@@ -351,13 +381,16 @@ def _adapted_brackets(alg: LieSuperalgebra):
             out.update(users.get(j, ()))
         return sorted(out)
 
+    # D r_p / r_p[p] is an integer vector for every pivot p
+    common = lcm(*(row[p] for p, row in rows.items()))
     # only pairs of basis vectors that touch a bracketing pair are
     # visited, so the cost follows the nonzero brackets, not dim^2
     brackets = {}
     for a in touching(ad):
-        # image[j] = L [b_a, g_j] in the old coordinates
-        image: Dict[int, Dict[int, Fraction]] = {}
-        for i, x in rows.get(a, {a: 1}).items():
+        row_a = rows.get(a, {a: 1})
+        # image[j] = L d_a [b_a, g_j] in the old coordinates, d_a = row_a[a]
+        image: Dict[int, Dict[int, int]] = {}
+        for i, x in row_a.items():
             for j, targets in ad.get(i, {}).items():
                 acc = image.setdefault(j, {})
                 for k, c in targets.items():
@@ -365,19 +398,23 @@ def _adapted_brackets(alg: LieSuperalgebra):
         for b in touching(image):
             if b < a:
                 continue
-            w: Dict[int, Fraction] = {}
-            for j, y in rows.get(b, {b: 1}).items():
+            row_b = rows.get(b, {b: 1})
+            # w = L d_a d_b [b_a, b_b] in the old coordinates
+            w: Dict[int, int] = {}
+            for j, y in row_b.items():
                 for k, c in image.get(j, {}).items():
                     w[k] = w.get(k, 0) + y * c
-            # coordinates in the new basis: w[p] on pivot row p, and
-            # w[i] - sum_p w[p] * row_p[i] on a generator i that stays
-            new = {k: c for k, c in w.items() if c}
+            # coordinates in the new basis, times D: D w[p] on pivot row
+            # p, and D w[i] - sum_p w[p] (D / r_p[p]) r_p[i] on a
+            # generator i that stays
+            new = {k: common * c for k, c in w.items() if c}
             for p in [k for k in new if k in rows]:
                 c = w[p]
-                _subtract(new, c, rows[p])
-                new[p] = c
-            if new:  # integer_table's L cancels in the rows; divide it out
-                brackets[(a, b)] = {k: Fraction(c, scale) for k, c in new.items()}
+                _subtract(new, c * (common // rows[p][p]), rows[p])
+                new[p] = common * c
+            if new:
+                den = scale * row_a[a] * row_b[b] * common
+                brackets[(a, b)] = {k: Fraction(c, den) for k, c in new.items()}
     return brackets
 
 

@@ -7,11 +7,11 @@ ignored.  Directives:
     generator IDENT PARITY          # PARITY is 0 (even) or 1 (odd)
     bracket LEFT RIGHT = T:C [T:C ...]
 
-Each T:C pair contributes coefficient C (an integer or integer/integer)
-on generator T to [LEFT, RIGHT].  Each unordered generator pair may
-carry at most one bracket line; writing the pair in either order is
-allowed, the table stores the index-sorted form with the sign that
-super skew-symmetry dictates.
+Each T:C pair contributes coefficient C (an integer or integer/integer,
+in ASCII digits) on generator T to [LEFT, RIGHT].  Each unordered
+generator pair may carry at most one bracket line; writing the pair in
+either order is allowed, the table stores the index-sorted form with
+the sign that super skew-symmetry dictates.
 
 Parsing fails at the parse site, not later inside a rank computation.
 A malformed line raises AlgebraParseError with its line number.  The
@@ -39,7 +39,8 @@ from .cohomology import CohomologyReport
 # CLI catches them without loading this one; they stay importable here
 from .limits import AlgebraParseError, AlgebraValidationError
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+# ASCII digits only: \d would admit every Unicode decimal digit
+_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[1-9][0-9]*)?$")
 
 # csv header per the report layout; json keys are the report's own fields
 CSV_FIELDS = ("algebra", "q", "dim_cochain", "dim_cocycles",
@@ -47,11 +48,13 @@ CSV_FIELDS = ("algebra", "q", "dim_cochain", "dim_cocycles",
 JSON_FIELDS = CohomologyReport._fields
 
 
-def _parse_rational(token: str, lineno: int) -> Fraction:
+def _parse_rational(token: str, lineno: int):
+    """An int, or a Fraction for num/den; LieSuperalgebra normalizes it."""
     if not _RATIONAL_RE.match(token):
         raise AlgebraParseError("malformed rational %r" % token, lineno)
+    num, _, den = token.partition("/")
     try:
-        return Fraction(token)
+        return Fraction(int(num), int(den)) if den else int(num)
     except ValueError as exc:
         # a numeral over the interpreter's integer-conversion limit
         raise AlgebraParseError("rational of %d characters: %s"

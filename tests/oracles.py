@@ -8,15 +8,19 @@ the alternating-sum pairing formula.  The exceptions are z_power_block
 and full_matrix_ranks, which read the package's full coboundary matrices
 so that the odd-centre block route can be held to the full-matrix route
 it stands in for, and kernel_matrices_are_checked, which checks the
-package's own matrices.
+package's own matrices, and adapted_brackets_fractions, the package's
+former Fraction rewrite into the adapted basis, kept unchanged as the
+reference for the fraction-free one.
 """
 
 from collections import Counter
 from fractions import Fraction
 from math import lcm
+from typing import Dict, List, Mapping
 
 import pytest
 
+from heisenberg_cohomology.algebra import EVEN, ODD, integer_table
 from heisenberg_cohomology.differential import differential_matrix
 from heisenberg_cohomology.linalg import RationalMatrix, rank
 from heisenberg_cohomology.superexterior import (SuperMonomial, SuperSpaceDims,
@@ -434,3 +438,81 @@ def dense_betti_numbers(algebra, q_max):
                    for r, u in enumerate(bases[q + 1])}
         ranks.append(dense_rank_fractions(len(bases[q + 1]), len(bases[q]), entries))
     return [len(bases[q]) - ranks[q + 1] - ranks[q] for q in range(q_max + 1)]
+
+
+def _subtract(v: Dict[int, Fraction], c: Fraction, row: Mapping) -> None:
+    """v -= c * row, in place, dropping the coordinates that cancel."""
+    for i, x in row.items():
+        w = v.get(i, 0) - c * x
+        if w:
+            v[i] = w
+        else:
+            del v[i]
+
+
+def adapted_brackets_fractions(alg):
+    """The nonzero brackets of alg in the adapted basis, or None when
+    the change of basis is the identity: the exact Fraction RREF and
+    rewrite that algebra._adapted_brackets must equal, pair order,
+    target order and values included."""
+    scale, ad = integer_table(alg)
+    rows: Dict[int, Dict[int, Fraction]] = {}
+    for (i, j) in alg.brackets:
+        for parity in (EVEN, ODD):
+            # a row of one parity only reduces against rows of that parity
+            v = {k: c for k, c in ad[i][j].items() if alg.parity(k) == parity}
+            # every row is zero at the other pivots, so one pass reduces v
+            for p in [k for k in v if k in rows]:
+                _subtract(v, v[p], rows[p])
+            if not v:
+                continue
+            lead = min(v)
+            v = {g: Fraction(x, v[lead]) for g, x in v.items()}
+            for row in rows.values():
+                if lead in row:
+                    _subtract(row, row[lead], v)
+            rows[lead] = v
+    if all(len(row) == 1 for row in rows.values()):
+        return None
+    # users[j]: the pivot rows with a g_j coordinate; a generator that is
+    # no pivot is also its own basis vector
+    users: Dict[int, List[int]] = {}
+    for p, row in rows.items():
+        for j in row:
+            users.setdefault(j, []).append(p)
+
+    def touching(js) -> List[int]:
+        """The new basis vectors with a nonzero coordinate on some g_j."""
+        out = {j for j in js if j not in rows}
+        for j in js:
+            out.update(users.get(j, ()))
+        return sorted(out)
+
+    # only pairs of basis vectors that touch a bracketing pair are
+    # visited, so the cost follows the nonzero brackets, not dim^2
+    brackets = {}
+    for a in touching(ad):
+        # image[j] = L [b_a, g_j] in the old coordinates
+        image: Dict[int, Dict[int, Fraction]] = {}
+        for i, x in rows.get(a, {a: 1}).items():
+            for j, targets in ad.get(i, {}).items():
+                acc = image.setdefault(j, {})
+                for k, c in targets.items():
+                    acc[k] = acc.get(k, 0) + x * c
+        for b in touching(image):
+            if b < a:
+                continue
+            w: Dict[int, Fraction] = {}
+            for j, y in rows.get(b, {b: 1}).items():
+                for k, c in image.get(j, {}).items():
+                    w[k] = w.get(k, 0) + y * c
+            # coordinates in the new basis: w[p] on pivot row p, and
+            # w[i] - sum_p w[p] * row_p[i] on a generator i that stays
+            new = {k: c for k, c in w.items() if c}
+            for p in [k for k in new if k in rows]:
+                c = w[p]
+                _subtract(new, c, rows[p])
+                new[p] = c
+            if new:  # integer_table's L cancels in the rows; divide it out
+                brackets[(a, b)] = {k: Fraction(c, scale) for k, c in new.items()}
+    return brackets

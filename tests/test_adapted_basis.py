@@ -22,7 +22,7 @@ from heisenberg_cohomology.formulas import dim_h_even, dim_h_odd_proof
 from heisenberg_cohomology.linalg import rank
 from heisenberg_cohomology.superexterior import SuperSpaceDims, graded_dim
 
-from oracles import dense_rank_bareiss, matmul
+from oracles import adapted_brackets_fractions, dense_rank_bareiss, matmul
 from test_validate import (OSP12, SL2, _table, change_basis, direct_sum,
                            random_graded_table, random_table, random_two_step)
 
@@ -133,8 +133,24 @@ def _scaled(alg, factor):
                             for pair, targets in alg.brackets.items()})
 
 
+def _in_order(brackets):
+    """The table as nested item lists, each value with its type, so that
+    == compares pair order, target order, values and types."""
+    return None if brackets is None else [
+        (pair, [(k, c, type(c)) for k, c in targets.items()])
+        for pair, targets in brackets.items()]
+
+
+def _same_rewrite(alg):
+    """_adapted_brackets(alg), checked against the Fraction rewrite."""
+    got = _adapted_brackets(alg)
+    assert _in_order(got) == _in_order(adapted_brackets_fractions(alg)), alg.name
+    return got
+
+
 def test_adapted_basis_is_the_rref_change_of_basis():
-    # B [b_a, b_b]_new == [B b_a, B b_b]_old on every pair, B from a dense RREF
+    # B [b_a, b_b]_new == [B b_a, B b_b]_old on every pair, B from a dense
+    # RREF; the table equals the Fraction rewrite's, key order included
     rng = random.Random(23)
     graded = [LieSuperalgebra("graded%d" % k, *change_basis(
         rng, random_graded_table(rng, rng.randint(2, 6), 0.5))) for k in range(20)]
@@ -142,12 +158,12 @@ def test_adapted_basis_is_the_rref_change_of_basis():
     thirds = [_scaled(s, Fraction(1, 3)) for _, _, s in HIDDEN_SUMS]
     for alg in ([s for _, _, s in HIDDEN_SUMS] + _hidden_two_step(12, 29)
                 + _hidden_with_simple_part(8, 31) + graded + thirds):
+        rewritten = _same_rewrite(alg)
         basis = _dense_rref_basis(alg)
         adapted = adapted_basis(alg)
         if all(len(col) == 1 for col in basis):
-            assert adapted is alg, alg.name
+            assert adapted is alg and rewritten is None, alg.name
             continue
-        rewritten = _adapted_brackets(alg)
         assert all(type(c) is Fraction for targets in rewritten.values()
                    for c in targets.values()), alg.name
         for a in range(alg.dim):
@@ -159,6 +175,26 @@ def test_adapted_basis_is_the_rref_change_of_basis():
                             old[k] = old.get(k, 0) + x * y * c
                 old = {k: v for k, v in old.items() if v}
                 assert _apply(basis, adapted.bracket(a, b)) == old, (alg.name, a, b)
+
+
+def test_integer_rewrite_equals_the_fraction_rewrite_hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    summands = [SL2, OSP12] + [table for table, _ in FACTORS.values()]
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(st.integers(0, 2 ** 32), st.sampled_from(("two-step", "sum")),
+                      st.integers(2, 7), st.sampled_from((0.3, 0.6, 0.9)))
+    def check(seed, kind, dim, density):
+        rng = random.Random(seed)
+        if kind == "two-step":
+            table = random_two_step(rng, dim, density)
+        else:
+            table = direct_sum(rng.choice(summands), rng.choice(summands))
+        _same_rewrite(LieSuperalgebra("h", *change_basis(rng, table)))
+
+    check()
 
 
 def test_adapted_basis_of_a_valid_algebra_is_valid():

@@ -128,6 +128,17 @@ def test_constructor_normalizes_coefficients():
     assert alg.bracket(1, 1) == {0: Fraction(1, 2)}
     assert (0, 1) not in alg.brackets
     assert alg.bracket(0, 1) == {}
+    # every stored constant is exactly a Fraction, converted at most once
+    subclass = type("FractionSubclass", (Fraction,), {})
+    exact = Fraction(-4, 5)
+    given = {0: 3, 1: "2/6", 2: exact, 3: subclass(1, 3), 4: True, 5: 0}
+    alg = LieSuperalgebra("c", [("g%d" % k, EVEN) for k in range(6)],
+                          {(0, 1): given, (2, 3): {4: 0, 5: "0/7"}})
+    stored = alg.brackets[(0, 1)]
+    assert list(stored) == [0, 1, 2, 3, 4] and (2, 3) not in alg.brackets
+    assert all(type(c) is Fraction for c in stored.values())
+    assert stored == {0: 3, 1: Fraction(1, 3), 2: exact, 3: Fraction(1, 3), 4: 1}
+    assert stored[2] is exact
 
 
 def test_bracket_returns_a_copy():

@@ -54,6 +54,13 @@ bracket y y = z:1/2
 """
     alg = parse_algebra(text)
     assert alg.bracket(0, 0) == {1: Fraction(1, 2)}
+    base = "name a\ngenerator x 0\ngenerator y 0\ngenerator z 0\n"
+    for coeff, want in (("+3", {2: Fraction(3)}), ("-0", {}), ("4/2", {2: Fraction(2)}),
+                        ("-7/3", {2: Fraction(-7, 3)}), ("007", {2: Fraction(7)})):
+        alg = parse_algebra(base + "bracket x y = z:%s\n" % coeff)
+        got = {pair: dict(targets) for pair, targets in alg.brackets.items()}
+        assert got == ({(0, 1): want} if want else {}), coeff
+        assert all(type(c) is Fraction for t in got.values() for c in t.values())
 
 
 def test_reversed_pair_is_sign_normalized():
@@ -86,6 +93,13 @@ def test_parse_errors_carry_line_numbers():
 
     err = parse_error("name a\ngenerator x 0\ngenerator y 0\nbracket x y = x:1/0\n")
     assert err.line == 4 and "rational" in str(err)
+
+    # the grammar's digits are ASCII: an Arabic-Indic or a fullwidth
+    # digit is refused wherever it stands
+    for coeff in ("\u0663", "1/1\u0663", "\uff11", "\uff11/\uff17", "-\u0663/2"):
+        err = parse_error("name a\ngenerator x 0\ngenerator y 0\n"
+                          "bracket x y = x:%s\n" % coeff)
+        assert err.line == 4 and str(err).endswith("malformed rational %r" % coeff), coeff
 
     err = parse_error("name a\ngenerator x 0\ngenerator x 1\n")
     assert err.line == 3 and "duplicate generator" in str(err)
