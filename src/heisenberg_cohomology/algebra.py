@@ -17,8 +17,9 @@ read, the adapted basis and the validity verdict.  require_valid is
 the one door that decides validity: the family builders, parse_algebra
 and the rank engine all pass through it, so each algebra is validated
 once, on its adapted table.  The adapted basis is computed on
-integer_table's ints, fraction-free: the one Fraction it makes per
-structure constant is the rewritten constant itself.
+integer_table's ints, fraction-free, by linalg._reduce, the package's
+one reduction step: the one Fraction it makes per structure constant
+is the rewritten constant itself.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from typing import Dict, Iterable, List, Mapping, Tuple
 # needs no engine module; they stay importable from here
 from .limits import (AlgebraValidationError, even_family_shape,
                      odd_family_shape)
+from .linalg import _reduce, _subtract
 
 EVEN = 0
 ODD = 1
@@ -282,33 +284,6 @@ def validate(alg: LieSuperalgebra) -> list:
             issues.append("jacobi: (%s, %s, %s) leaves %s"
                           % (names[a], names[b], names[c], terms))
     return issues
-
-
-def _subtract(v: Dict[int, int], c: int, row: Mapping[int, int]) -> None:
-    """v -= c * row, in place, dropping the coordinates that cancel."""
-    for k, x in row.items():
-        w = v.get(k, 0) - c * x
-        if w:
-            v[k] = w
-        else:
-            del v[k]
-
-
-def _reduce(v: Dict[int, int], row: Mapping[int, int], lead: int) -> None:
-    """v <- a v - b row, in place, with a/b = row[lead]/v[lead] in lowest
-    terms (a > 0), so the lead cancels; then v is divided by its content
-    gcd."""
-    a, b = row[lead], v[lead]
-    g = gcd(a, b)
-    a, b = a // g, b // g
-    if a > 1:
-        for k in v:
-            v[k] *= a
-    _subtract(v, b, row)
-    g = gcd(*v.values())
-    if g > 1:
-        for k in v:
-            v[k] //= g
 
 
 def adapted_basis(alg: LieSuperalgebra) -> LieSuperalgebra:

@@ -69,7 +69,8 @@ from math import gcd, lcm
 from typing import Dict
 
 from .algebra import LieSuperalgebra, ODD, _Record, integer_table, make_heisenberg_odd
-from .limits import check_degree
+from .limits import (DEFAULT_COLUMN_CAP, _check_codomain, _check_psi_codomain,
+                     check_degree, graded_dim)
 from .linalg import RationalMatrix
 from .superexterior import SuperSpaceDims, _radix, enumerate_basis
 
@@ -296,10 +297,13 @@ class DifferentialMatrix(_Record):
 
 def differential_matrix(algebra: LieSuperalgebra, q: int) -> DifferentialMatrix:
     """Matrix of the coboundary in degree q (columns indexed by C^q);
-    refuses q over MAX_Q_MAX before enumerating anything."""
+    refuses q over MAX_Q_MAX, and a codomain C^{q+1} over the limit at
+    the default column cap, before enumerating anything."""
     if q < 0:
         raise ValueError("degree must be nonnegative")
     check_degree(q)
+    _check_codomain(algebra.name, q, graded_dim(algebra.superdim, q + 1),
+                    DEFAULT_COLUMN_CAP)
     workspace = _Workspace(algebra, q + 1)
     domain, _ = workspace.space(q)
     codomain, row_index = workspace.space(q + 1)
@@ -333,7 +337,8 @@ def lefschetz_block(algebra: LieSuperalgebra, z: int, t: int,
     z's odd slot, which may be any slot; the rows are A^{t+2}'s keys
     with f_z^{l-1}, and a d-term outside them (the precondition broken)
     raises KeyError.  For t < 0 the domain is empty.  An l below 1, a z
-    that is not an odd generator and a degree t + l over MAX_Q_MAX are
+    that is not an odd generator, a degree t + l over MAX_Q_MAX and a
+    codomain A^{t+2} over the limit at the default column cap are
     refused before anything is enumerated.
     """
     if l < 1:
@@ -341,6 +346,9 @@ def lefschetz_block(algebra: LieSuperalgebra, z: int, t: int,
     if z not in algebra.odd_indices:
         raise ValueError("z = %r is not an odd generator of %s" % (z, algebra.name))
     check_degree(t + l)
+    n0, n1 = algebra.superdim
+    _check_codomain(algebra.name, t, graded_dim((n0, n1 - 1), t + 2),
+                    DEFAULT_COLUMN_CAP, "codomain A^%d" % (t + 2))
     return _lefschetz_block(_Workspace(algebra, t + l + 1), z, t, l)
 
 
@@ -375,11 +383,13 @@ def psi_matrix(t: int, n: int, l: int) -> RationalMatrix:
     for z-dual-free omega of degree t the Leibniz rule gives
     omega * tau = (-1)^t d(omega * (z-dual)^l), which is
     lefschetz_block(h_n, z, t, l) with scale (-1)^t / D.  Like that
-    block, it refuses t + l over MAX_Q_MAX, here before h_n is built.
+    block, it refuses t + l over MAX_Q_MAX and a codomain over the limit
+    at the default column cap, here before h_n is built.
     """
     if n < 1 or l < 1:
         raise ValueError("psi needs n >= 1 and l >= 1")
     check_degree(t + l)
+    _check_psi_codomain(n, t, DEFAULT_COLUMN_CAP)
     return _psi(lefschetz_block(make_heisenberg_odd(n), 2 * n, t, l), t)
 
 

@@ -5,7 +5,8 @@ family member (even_family_shape, odd_family_shape), the dimension of
 each cochain space (graded_dim, sym_power_dim) and the limits below.
 check_degree refuses a degree over MAX_Q_MAX, check_column_cap a
 coboundary matrix wider than the column cap or a top codomain over
-CODOMAIN_ROWS_PER_COLUMN times it, and check_grid every refusal of a
+CODOMAIN_ROWS_PER_COLUMN times it (_check_codomain, the one comparison
+of a codomain with that limit), and check_grid every refusal of a
 verify grid.  The error types the CLI reports are defined here too, so
 the wording of every refusal and error lives in this one module.
 
@@ -30,8 +31,9 @@ MAX_Q_MAX = 100
 # column cap does not bound it: it is refused beyond this many rows per
 # column of the cap (500,000 at the default).  The full-matrix route
 # numbers only the rows its top d_q reaches; what the refusal bounds is
-# the last codomain the block route enumerates, A^{q+1}, and the top
-# matrix the public differential_matrix would build.
+# the last codomain the block route enumerates, A^{q+1}, and the
+# codomain of each public builder (differential_matrix, lefschetz_block,
+# psi_matrix), which refuses it at the default cap.
 CODOMAIN_ROWS_PER_COLUMN = 100
 
 # Largest grid verify_family accepts, in (n, m) points: n_max * m_max for
@@ -84,7 +86,8 @@ class ColumnCapExceeded(_Rebuilt, RuntimeError):
 class CodomainTooLarge(_Rebuilt, RuntimeError):
     """Refusal to build a coboundary matrix whose codomain has more rows
     than CODOMAIN_ROWS_PER_COLUMN times the column cap.  `codomain`
-    names the space: C^{q+1} by default, psi's A^{q+2} in verify."""
+    names the space: C^{q+1} by default, psi's A^{q+2} in verify and
+    psi_matrix, A^{q+2} in lefschetz_block."""
 
     _init_args = ("algebra_name", "q", "rows", "limit", "codomain")
 
@@ -191,6 +194,16 @@ def check_degree(q_max: int) -> None:
         raise DegreeLimitExceeded(q_max, MAX_Q_MAX)
 
 
+def _check_codomain(name: str, q: int, rows: int, cap: int,
+                    codomain: str | None = None) -> None:
+    """Refuse `rows` over CODOMAIN_ROWS_PER_COLUMN * cap with
+    CodomainTooLarge, whose message names the space `codomain` (C^{q+1}
+    when None); the one place that compares a codomain with its limit."""
+    limit = CODOMAIN_ROWS_PER_COLUMN * cap
+    if rows > limit:
+        raise CodomainTooLarge(name, q, rows, limit, codomain)
+
+
 def _checked_dims(name: str, superdim: tuple[int, int], top: int,
                   degrees, cap: int) -> dict[int, int]:
     """{q: dim C^q} for -1, `degrees` and top + 1, after refusing top over
@@ -202,10 +215,8 @@ def _checked_dims(name: str, superdim: tuple[int, int], top: int,
         dims[q] = graded_dim(superdim, q)
         if dims[q] > cap:
             raise ColumnCapExceeded(name, q, dims[q], cap)
-    rows = dims[top + 1] = graded_dim(superdim, top + 1)
-    limit = CODOMAIN_ROWS_PER_COLUMN * cap
-    if rows > limit:
-        raise CodomainTooLarge(name, top, rows, limit)
+    dims[top + 1] = graded_dim(superdim, top + 1)
+    _check_codomain(name, top, dims[top + 1], cap)
     return dims
 
 
@@ -221,11 +232,8 @@ def _check_psi_codomain(n: int, q_max: int, column_cap: int) -> None:
     """Refuse h_n's psi walk when its top codomain A^{q_max+2}, over
     dims (n|n), has more rows than CODOMAIN_ROWS_PER_COLUMN times the
     cap (CodomainTooLarge); from graded_dim alone, in O(q_max)."""
-    rows = graded_dim((n, n), q_max + 2)
-    limit = CODOMAIN_ROWS_PER_COLUMN * column_cap
-    if rows > limit:
-        raise CodomainTooLarge(odd_family_shape(n)[0], q_max, rows, limit,
-                               "psi's codomain A^%d" % (q_max + 2))
+    _check_codomain(odd_family_shape(n)[0], q_max, graded_dim((n, n), q_max + 2),
+                    column_cap, "psi's codomain A^%d" % (q_max + 2))
 
 
 def check_grid(family: str, n_max: int, m_max: int | None, q_max: int,

@@ -12,9 +12,10 @@ rest goes through fraction-free echelon elimination in one order
 fixed before it starts: rows by the peel's last nonzero count (ties to
 the lowest index), columns sparsest first.  Each column is reduced
 against the pivots found so far, keyed by their first row in that
-order, and every updated column is divided by its content gcd to keep
-entries small.  Everything is exact; no floating point enters
-anywhere.
+order, by _reduce, the package's one fraction-free reduction step
+(the adapted basis uses it too), which divides every updated column by
+its content gcd to keep entries small.  Everything is exact; no
+floating point enters anywhere.
 """
 
 from __future__ import annotations
@@ -119,6 +120,35 @@ class RationalMatrix:
         return RationalMatrix.from_columns, (self.rows, self.columns, self.scale)
 
 
+def _subtract(v: Dict[int, int], c: int, row: Mapping[int, int]) -> None:
+    """v -= c * row, in place, dropping the coordinates that cancel."""
+    for k, x in row.items():
+        w = v.get(k, 0) - c * x
+        if w:
+            v[k] = w
+        else:
+            del v[k]
+
+
+def _reduce(v: Dict[int, int], row: Mapping[int, int], lead: int) -> None:
+    """v <- a v - b row, in place, with a/b = row[lead]/v[lead] in lowest
+    terms and a > 0, so the lead cancels; then v is divided by its
+    content gcd.  The package's one fraction-free reduction step."""
+    a, b = row[lead], v[lead]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    if a < 0:
+        a, b = -a, -b
+    if a > 1:
+        for k in v:
+            v[k] *= a
+    _subtract(v, b, row)
+    g = gcd(*v.values())
+    if g > 1:
+        for k in v:
+            v[k] //= g
+
+
 def rank(matrix: RationalMatrix) -> int:
     """Exact rank: structural pivots peeled off in a few counted rounds,
     then fraction-free elimination of the rest in one pivot order,
@@ -156,21 +186,11 @@ def rank(matrix: RationalMatrix) -> int:
             if len(v) < len(p):
                 # the sparser of the two is kept as the pivot
                 pivots[lead], v, p = v, p, v
-            a, b = p[lead], v[lead]
-            g = gcd(a, b)
-            a, b = a // g, b // g
-            v = {k: a * x for k, x in v.items()}
-            for k, x in p.items():
-                w = v.get(k, 0) - b * x
-                if w:
-                    v[k] = w
-                else:
-                    del v[k]
+            # v is a fresh dict or an evicted pivot, so updating it in
+            # place touches no column of the matrix and no kept pivot
+            _reduce(v, p, lead)
             if not v:
                 break
-            g = gcd(*v.values())
-            if g > 1:
-                v = {k: x // g for k, x in v.items()}
             lead = min(v)
         else:
             pivots[lead] = v

@@ -15,7 +15,7 @@ from heisenberg_cohomology.elements import (SuperElement, d_element, d_generator
                                             dual_pairing, element_pairing, tau,
                                             wedge)
 from heisenberg_cohomology.fileformats import parse_algebra
-from heisenberg_cohomology.limits import DegreeLimitExceeded
+from heisenberg_cohomology.limits import CodomainTooLarge, DegreeLimitExceeded
 from heisenberg_cohomology.linalg import RationalMatrix, kernel_dim, rank
 from heisenberg_cohomology.superexterior import (SuperMonomial, SuperSpaceDims,
                                                  enumerate_basis)
@@ -306,6 +306,24 @@ def test_public_builders_refuse_a_degree_over_the_limit(monkeypatch):
         with pytest.raises(DegreeLimitExceeded, match="limit is 100"):
             call()
         assert time.perf_counter() - start < 0.5
+    # a codomain over 100 rows per column of the default cap is refused
+    # too: C^2 of h_1000, and A^3 over (73|73) for h_73's block and psi
+    for call, rows, codomain in (
+            (lambda: differential_matrix(make_heisenberg_odd(1000), 1),
+             2002001, "codomain C^2"),
+            (lambda: lefschetz_block(make_heisenberg_odd(73), 146, 1, 1),
+             518738, "codomain A^3"),
+            (lambda: psi_matrix(1, 73, 1), 518738, "psi's codomain A^3")):
+        start = time.perf_counter()
+        with pytest.raises(CodomainTooLarge) as err:
+            call()
+        assert time.perf_counter() - start < 0.5
+        assert (err.value.q, err.value.rows, err.value.limit,
+                err.value.codomain) == (1, rows, 500000, codomain)
+    # the one comparison behind every codomain refusal admits the limit
+    limits._check_codomain("h", 1, 500000, limits.DEFAULT_COLUMN_CAP)
+    with pytest.raises(CodomainTooLarge, match="has 500001 rows, limit is 500000"):
+        limits._check_codomain("h", 1, 500001, limits.DEFAULT_COLUMN_CAP)
 
 
 def test_psi_matrix_is_right_multiplication_by_tau():

@@ -2,12 +2,13 @@ import copy
 import random
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from heisenberg_cohomology.algebra import make_heisenberg_even
 from heisenberg_cohomology.differential import differential_matrix, psi_matrix
-from heisenberg_cohomology.linalg import RationalMatrix, kernel_dim, rank
+from heisenberg_cohomology.linalg import RationalMatrix, _reduce, kernel_dim, rank
 
 from oracles import dense_rank_bareiss, dense_rank_fractions, matmul
 
@@ -210,6 +211,42 @@ def test_rank_leaves_the_columns_unchanged():
         before = copy.deepcopy(m.columns)
         rank(m)
         assert m.columns == before
+
+
+def test_reduce_cancels_the_lead_against_a_row_of_either_sign():
+    # v <- a v - b row with a/b = row[lead]/v[lead], a > 0, then divided
+    # by its content gcd; the row is only read
+    for row, want in (({0: -6, 2: 9}, [(1, 3), (3, 1), (2, 3)]),
+                      # the adapted basis's case, a positive lead
+                      ({0: 6, 2: 9}, [(1, 3), (3, 1), (2, -3)])):
+        v = {0: 4, 1: 6, 3: 2}
+        before = dict(row)
+        _reduce(v, row, 0)
+        assert list(v.items()) == want
+        assert gcd(*v.values()) == 1
+        assert list(row.items()) == list(before.items())
+    rng = random.Random(26)
+    for _ in range(200):
+        row = {k: rng.randint(-30, 30) for k in rng.sample(range(8), 4)}
+        row = {k: x for k, x in row.items() if x}
+        if not row:
+            continue
+        lead = rng.choice(list(row))
+        v = {k: rng.randint(-30, 30) for k in rng.sample(range(8), 4)}
+        v[lead] = rng.choice((-1, 1)) * rng.randint(1, 30)
+        v = {k: x for k, x in v.items() if x}
+        # the same line as v - (v[lead] / row[lead]) row, a positive
+        # multiple of it, with content gcd 1
+        exact = {k: v.get(k, 0) - Fraction(v[lead], row[lead]) * row.get(k, 0)
+                 for k in set(v) | set(row)}
+        exact = {k: x for k, x in exact.items() if x}
+        _reduce(v, row, lead)
+        assert lead not in v and set(v) == set(exact)
+        if v:
+            assert gcd(*v.values()) == 1
+            k = next(iter(v))
+            ratio = exact[k] / v[k]
+            assert ratio > 0 and all(exact[j] == ratio * x for j, x in v.items())
 
 
 def test_rank_with_a_negative_scale():

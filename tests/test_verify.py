@@ -9,30 +9,50 @@ from heisenberg_cohomology.formulas import ker_psi_dim
 from heisenberg_cohomology.linalg import RationalMatrix, kernel_dim
 
 
+def _one_entry_negated(block):
+    """block with the first entry of its first column of two or more
+    entries negated: the same shape and column lengths, another matrix."""
+    columns = [dict(col) for col in block.columns]
+    for col in columns:
+        if len(col) > 1:
+            r = next(iter(col))
+            col[r] = -col[r]
+            break
+    return RationalMatrix.from_columns(block.rows, columns, block.scale)
+
+
 def test_psi_shortcut_cannot_hide_a_faulty_build(monkeypatch):
-    # psi_{(n,2)} built with an extra zero column is not 2 * psi_{(n,1)},
-    # so its own kernel (one larger than the closed form) must be reported
+    # psi_{(n,2)} built with an extra zero column, and psi_{(n,3)} with
+    # one entry changed, are not l * psi_{(n,1)}, so each one's own
+    # kernel must be reported: one larger than the closed form for l = 2,
+    # and for l = 3 one smaller where the change raises the rank
     real = verify._lefschetz_block
 
     def faulty(workspace, z, t, l):
         block = real(workspace, z, t, l)
-        if l != 2:
-            return block
-        return RationalMatrix.from_columns(block.rows, block.columns + [{}],
-                                           block.scale)
+        if l == 2:
+            return RationalMatrix.from_columns(block.rows, block.columns + [{}],
+                                               block.scale)
+        if l == 3:
+            return _one_entry_negated(block)
+        return block
 
     monkeypatch.setattr(verify, "_lefschetz_block", faulty)
-    res = verify.verify_family("odd", 2, q_max=3)
+    res = verify.verify_family("odd", 3, q_max=3)
     psi_checks = [c for c in res.checks if c.formula.startswith("ker_psi_dim")]
-    assert len(psi_checks) == 2 * 4 * 3
+    assert len(psi_checks) == 3 * 4 * 3
     for c in psi_checks:
         want = ker_psi_dim(c.q, c.n)
         assert c.formula_value == want
         if c.formula == "ker_psi_dim[l=2]":
             assert c.oracle_value == kernel_dim(psi_matrix(c.q, c.n, 2)) + 1 == want + 1
             assert c.describe().endswith("MISMATCH")
+        elif c.formula == "ker_psi_dim[l=3]":
+            assert c.oracle_value == kernel_dim(_one_entry_negated(psi_matrix(c.q, c.n, 3)))
         else:
             assert c.ok, c.describe()
+    assert {(c.n, c.q) for c in psi_checks
+            if c.formula == "ker_psi_dim[l=3]" and not c.ok} == {(3, 2), (3, 3)}
 
 
 def test_odd_grid_enumerates_each_space_once(monkeypatch):
