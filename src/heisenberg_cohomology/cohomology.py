@@ -37,6 +37,18 @@ eliminated: an even z-dual has no power above 1, so its blocks are
 reused by nothing.  The top codomain C^{q+1} is nobody's domain, and
 Betti numbers do not depend on how its rows are numbered, so the top
 d_q numbers them on first use and C^{q+1} is never enumerated.
+
+Inside both routes, a table with classes of identical copies
+(algebra.copy_classes; h_n, and h_{n,m} with n or m at least 2) is
+ranked one block per orbit: d keeps each copy's charge, a permutation
+of copies maps the block of one charge tuple onto another's, so
+rank d_q (or rank L^(t)) = sum over representatives of
+|orbit| rank(block).  differential._Workspace.orbits lists only the
+representatives' keys, stacked by orbit size, and each stack is built
+with its rows numbered on first use (_check_orbits checks
+sum |orbit| columns = dim C^q, or dim A^t).  A table without copies
+takes the canonical spaces, unchanged.  Refusals are decided from the
+full sizes before, so no refusal depends on the split.
 """
 
 from __future__ import annotations
@@ -56,7 +68,7 @@ from .limits import (CODOMAIN_ROWS_PER_COLUMN, DEFAULT_COLUMN_CAP, MAX_Q_MAX,
                      ReportInvariantError, _checked_dims, check_column_cap,
                      check_degree, even_family_shape, graded_dim,
                      odd_family_shape)
-from .linalg import RationalMatrix, rank
+from .linalg import rank
 
 METHOD_RANK = "rank"
 METHOD_FORMULA_EVEN = "formula-even"
@@ -90,24 +102,36 @@ def _enter(algebra: LieSuperalgebra, top: int, degrees: Iterable[int],
     require_valid, which validates the adapted table once per algebra.
     Returns the call's workspace, whose algebra is adapted_basis(algebra),
     for keys of degree up to `reach` (by default top + 1, d_top's
-    codomain), and _checked_dims' dimensions."""
+    codomain) and columns of degree up to top, and _checked_dims'
+    dimensions."""
     dims = _checked_dims(algebra.name, algebra.superdim, top, degrees, cap)
     require_valid(algebra)
     reach = top + 1 if reach is None else reach
-    return _Workspace(adapted_basis(algebra), reach), dims
+    return _Workspace(adapted_basis(algebra), reach, top), dims
 
 
 def _checked_rank(workspace: _Workspace, q: int, dims: Dict[int, int]) -> int:
-    """rank d_q, its shape checked against the preamble's dimensions.
+    """rank d_q, its shape checked against the preamble's dimensions:
+    the one per-degree rank helper of betti_table and cohomology_dims.
 
-    dims runs up to the top degree's codomain (_checked_dims).  Below
-    the top degree C^{q+1} is d_{q+1}'s domain, enumerated anyway,
-    and its canonical index numbers the rows.  The top codomain is
-    nobody's domain: its rows are numbered on first use, so it is never
-    enumerated, and the rows d_q reaches must fit in dim C^{q+1}.
+    dims runs up to the top degree's codomain (_checked_dims).  With
+    copy classes, rank d_q = sum |orbit| rank over the representative
+    blocks of workspace.orbits, each stack's rows numbered on first
+    use.  Otherwise, below the top degree C^{q+1} is d_{q+1}'s domain,
+    enumerated anyway, and its canonical index numbers the rows.  The
+    top codomain is nobody's domain: its rows are numbered on first
+    use, so it is never enumerated, and the rows d_q reaches must fit
+    in dim C^{q+1}.
     """
     if q < 0:
         return 0
+    groups = workspace.orbits(q)
+    if groups is not None:
+        built = [(orbit, _coboundary(workspace, keys, _RowIndex()))
+                 for orbit, keys in groups]
+        _check_orbits("d_%d" % q, built, "C^%d" % q, dims[q], "C^%d" % (q + 1),
+                      dims[q + 1])
+        return sum(orbit * rank(matrix) for orbit, matrix in built)
     domain, _ = workspace.space(q)
     if q + 1 < max(dims):
         codomain, row_index = workspace.space(q + 1)
@@ -124,6 +148,20 @@ def _checked_rank(workspace: _Workspace, q: int, dims: Dict[int, int]) -> int:
     return rank(matrix)
 
 
+def _check_orbits(name: str, built, domain: str, cols: int, codomain: str,
+                  rows: int) -> None:
+    """The shape check of a matrix ranked by its representative blocks,
+    the (orbit size, matrix) groups `built`, each group's rows those it
+    reaches: sum |orbit| columns must be dim `domain` = cols, and sum
+    |orbit| rows at most dim `codomain` = rows."""
+    width = sum(orbit * matrix.cols for orbit, matrix in built)
+    height = sum(orbit * matrix.rows for orbit, matrix in built)
+    if width != cols or height > rows:
+        raise AssertionError("%s has shape %dx%d summed over its orbits, not at "
+                             "most dim %s = %d rows by dim %s = %d columns"
+                             % (name, height, width, codomain, rows, domain, cols))
+
+
 def _odd_centre(algebra: LieSuperalgebra) -> Optional[int]:
     """The odd generator z that is the only nonzero bracket target and
     appears in no nonzero bracket, or None: then the z-dual is the only
@@ -138,10 +176,15 @@ def _odd_centre(algebra: LieSuperalgebra) -> Optional[int]:
 
 
 def _lefschetz_blocks(workspace: _Workspace, z: int, dims: Dict[int, int],
-                      t_end: int) -> Iterator[Tuple[int, RationalMatrix, int]]:
-    """(t, L^(t), rank L^(t)) for t = 0..t_end-1, each block built and
-    eliminated once, its shape and dim C^q = sum_l dim A^{q-l} checked
-    against the preamble's dimensions.  A block is not kept past its t.
+                      t_end: int) -> Iterator[Tuple[int, list]]:
+    """(t, groups) for t = 0..t_end-1: L^(t) as groups
+    (orbit size, keys, block, rank of the block), each block built and
+    eliminated once.  With copy classes (workspace.orbits) the groups
+    are the representative blocks stacked by orbit size, and
+    rank L^(t) = sum |orbit| rank; without, one group
+    (1, None, L^(t), rank L^(t)).  The shapes, and
+    dim C^q = sum_l dim A^{q-l}, are checked against the preamble's
+    dimensions.  A block is not kept past its t.
     """
     n0, n1 = workspace.dims
     space = (n0, n1 - 1)
@@ -150,12 +193,21 @@ def _lefschetz_blocks(workspace: _Workspace, z: int, dims: Dict[int, int],
         if sum(dim_a[q - l] for l in range(q + 1)) != dims[q]:
             raise AssertionError("dim C^%d is not the sum of dim A^(%d-l) f_z^l"
                                  % (q, q))
+    j = workspace.algebra.odd_indices.index(z)
     for t in range(t_end):
-        block = _lefschetz_block(workspace, z, t, 1)
-        if (block.rows, block.cols) != (dim_a[t + 2], dim_a[t]):
-            raise AssertionError("L^(%d) has shape %dx%d, not dim A^%d x dim A^%d"
-                                 % (t, block.rows, block.cols, t + 2, t))
-        yield t, block, rank(block)
+        groups = workspace.orbits(t, j)
+        if groups is None:
+            block = _lefschetz_block(workspace, z, t, 1)
+            if (block.rows, block.cols) != (dim_a[t + 2], dim_a[t]):
+                raise AssertionError("L^(%d) has shape %dx%d, not dim A^%d x dim A^%d"
+                                     % (t, block.rows, block.cols, t + 2, t))
+            yield t, [(1, None, block, rank(block))]
+            continue
+        built = [(orbit, keys, _lefschetz_block(workspace, z, t, 1, keys))
+                 for orbit, keys in groups]
+        _check_orbits("L^(%d)" % t, [(orbit, block) for orbit, _, block in built],
+                      "A^%d" % t, dim_a[t], "A^%d" % (t + 2), dim_a[t + 2])
+        yield t, [(orbit, keys, block, rank(block)) for orbit, keys, block in built]
 
 
 def _block_ranks(block_rank: Dict[int, int], q_max: int) -> Dict[int, int]:
@@ -200,6 +252,7 @@ def betti_table(algebra: LieSuperalgebra, q_max: int,
     nothing.  The ranks are taken in adapted_basis(algebra), which has
     the same Betti numbers: from its Lefschetz blocks when it has an odd
     centre spanning [g, g] (_odd_centre), from each full d_q otherwise.
+    Either way a table with copy classes is ranked one block per orbit.
     The cochain spaces built on the way live in the call's workspace.
     """
     if q_max < 0:
@@ -210,7 +263,8 @@ def betti_table(algebra: LieSuperalgebra, q_max: int,
         rk = {q: _checked_rank(workspace, q, dims) for q in range(-1, q_max + 1)}
     else:
         blocks = _lefschetz_blocks(workspace, z, dims, q_max)
-        rk = _block_ranks({t: r for t, _, r in blocks}, q_max)
+        rk = _block_ranks({t: sum(orbit * r for orbit, _, _, r in groups)
+                           for t, groups in blocks}, q_max)
     return _reports(algebra.name, dims, rk)
 
 

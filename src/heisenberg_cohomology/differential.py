@@ -60,15 +60,27 @@ over limits.MAX_Q_MAX.
 A codomain that is nobody's domain is not enumerated at all: the rank
 engine's top coboundary numbers its rows in order of first use
 (_RowIndex).  What these return is never mutated.
+
+When the algebra has classes of identical copies
+(algebra.copy_classes: h_n's pairs (x_i, y_i), h_{n,m}'s pairs and
+y_j), the rank engine lists no cochain space at all.  d keeps each
+copy's charge, so it is block diagonal over charge tuples, and
+permuting the copies of a class permutes the blocks;
+_Workspace.orbits lists the keys of one charge tuple per orbit,
+stacked by orbit size (symmetry.OrbitListing), and the blocks on them
+number their rows on first use, so rank d_q = sum |orbit| rank(block)
+costs the representatives' columns alone.  The public builders never
+split.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict
+from typing import Dict, List, Optional, Tuple
 
-from .algebra import LieSuperalgebra, ODD, _Record, integer_table, make_heisenberg_odd
+from .algebra import (ODD, LieSuperalgebra, _Record, copy_classes, integer_table,
+                      make_heisenberg_odd)
 from .limits import (DEFAULT_COLUMN_CAP, _check_codomain, _check_psi_codomain,
                      check_degree, graded_dim)
 from .linalg import RationalMatrix
@@ -115,7 +127,7 @@ class _Workspace:
     algebra's dual superdimension.
 
     `degree` is the largest degree of any key of the call, which fixes
-    the radix.  The constructor derives d of every dual generator from
+    the radix, and `top` that of any column (degree - 1 by default).  The constructor derives d of every dual generator from
     _d_duals and raises the first refusal in slot order.  `denom` is D,
     the lcm of the coefficient denominators; `evens` has, per even
     slot, its d-terms as (emask, even_set, delta, D * coefficient), and
@@ -128,11 +140,12 @@ class _Workspace:
     index numbers the rows of every block with l = 1.  Callers do not
     mutate any of it, except `plans`, which the kernel fills in: it
     maps the even mask of each key it met that has a d-term to the
-    mask's _mask_plan.  A workspace lives as long as the call that made
-    it.
+    mask's _mask_plan.  orbits(q) lists the keys of one charge tuple
+    per orbit of copies instead, when the algebra has copy classes.  A
+    workspace lives as long as the call that made it.
     """
 
-    def __init__(self, algebra: LieSuperalgebra, degree: int):
+    def __init__(self, algebra: LieSuperalgebra, degree: int, top: Optional[int] = None):
         self.algebra = algebra
         self.dims = SuperSpaceDims(*algebra.superdim)
         self.radix = radix = _radix(degree)
@@ -156,6 +169,8 @@ class _Workspace:
         self.active = sum(1 << i for i, slot in enumerate(self.evens) if slot)
         self.plans = {}
         self._spaces = {}
+        self.top = degree - 1 if top is None else top
+        self._listing = None
 
     def space(self, q: int, without=None):
         key = (q, without)
@@ -163,6 +178,31 @@ class _Workspace:
             basis = enumerate_basis(self.dims, q, without, self.radix)
             self._spaces[key] = basis, dict(zip(basis, range(len(basis))))
         return self._spaces[key]
+
+    def orbits(self, q: int, without: Optional[int] = None
+               ) -> Optional[List[Tuple[int, List[int]]]]:
+        """The keys of degree q of one charge tuple per orbit of copies,
+        stacked by orbit size: [(orbit size, keys)], smallest orbit
+        first.  None when the algebra has no copy classes
+        (algebra.copy_classes), or when `without`, an odd position as in
+        space(), is a generator inside a copy: then the caller takes the
+        canonical spaces.
+
+        A representative gives the copies of each class its nonzero
+        charges in sorted order, the first copies first, and the zero
+        charge to the rest; its orbit size is the product of the
+        classes' multinomials.  The listing (symmetry.OrbitListing) walks
+        the representatives once per workspace, up to degree `top`, and
+        builds no other key.
+        """
+        if self._listing is None:
+            classes = copy_classes(self.algebra)
+            if not classes:
+                return None
+            from .symmetry import OrbitListing
+            self._listing = OrbitListing(self, classes, self.top)
+        return self._listing.orbits(
+            q, None if without is None else self.algebra.odd_indices[without])
 
 
 def _mask_plan(workspace: _Workspace, mask: int):
@@ -295,15 +335,17 @@ class DifferentialMatrix(_Record):
     __slots__ = ("q", "domain", "codomain", "matrix")
 
 
-def differential_matrix(algebra: LieSuperalgebra, q: int) -> DifferentialMatrix:
+def differential_matrix(algebra: LieSuperalgebra, q: int,
+                        column_cap: int = DEFAULT_COLUMN_CAP) -> DifferentialMatrix:
     """Matrix of the coboundary in degree q (columns indexed by C^q);
-    refuses q over MAX_Q_MAX, and a codomain C^{q+1} over the limit at
-    the default column cap, before enumerating anything."""
+    refuses q over MAX_Q_MAX, and a codomain C^{q+1} over
+    CODOMAIN_ROWS_PER_COLUMN times `column_cap`, before enumerating
+    anything."""
     if q < 0:
         raise ValueError("degree must be nonnegative")
     check_degree(q)
     _check_codomain(algebra.name, q, graded_dim(algebra.superdim, q + 1),
-                    DEFAULT_COLUMN_CAP)
+                    column_cap)
     workspace = _Workspace(algebra, q + 1)
     domain, _ = workspace.space(q)
     codomain, row_index = workspace.space(q + 1)
@@ -315,16 +357,19 @@ def differential_matrix(algebra: LieSuperalgebra, q: int) -> DifferentialMatrix:
 
 
 def _coboundary(workspace: _Workspace, domain, row_index,
-                rows: int) -> RationalMatrix:
+                rows: Optional[int] = None) -> RationalMatrix:
     """d of the workspace's keys `domain` as a matrix of `rows` rows
     with scale 1/D, its rows numbered by `row_index`: a cochain space's
-    index, or a _RowIndex that numbers them on first use."""
+    index, or a _RowIndex that numbers them on first use, whose rows
+    reached are the matrix's rows when `rows` is None."""
     columns = _d_columns(workspace, domain, row_index)
+    if rows is None:
+        rows = len(row_index)
     return RationalMatrix._wrap(rows, columns, Fraction(1, workspace.denom))
 
 
-def lefschetz_block(algebra: LieSuperalgebra, z: int, t: int,
-                    l: int) -> RationalMatrix:
+def lefschetz_block(algebra: LieSuperalgebra, z: int, t: int, l: int,
+                    column_cap: int = DEFAULT_COLUMN_CAP) -> RationalMatrix:
     """d from A^t (z-dual)^l to A^{t+2} (z-dual)^{l-1}, scale 1/D.
 
     z is an odd generator, A the cochains on every other dual.  When
@@ -338,8 +383,8 @@ def lefschetz_block(algebra: LieSuperalgebra, z: int, t: int,
     with f_z^{l-1}, and a d-term outside them (the precondition broken)
     raises KeyError.  For t < 0 the domain is empty.  An l below 1, a z
     that is not an odd generator, a degree t + l over MAX_Q_MAX and a
-    codomain A^{t+2} over the limit at the default column cap are
-    refused before anything is enumerated.
+    codomain A^{t+2} over CODOMAIN_ROWS_PER_COLUMN times `column_cap`
+    are refused before anything is enumerated.
     """
     if l < 1:
         raise ValueError("lefschetz_block needs l >= 1, not %r" % (l,))
@@ -348,31 +393,39 @@ def lefschetz_block(algebra: LieSuperalgebra, z: int, t: int,
     check_degree(t + l)
     n0, n1 = algebra.superdim
     _check_codomain(algebra.name, t, graded_dim((n0, n1 - 1), t + 2),
-                    DEFAULT_COLUMN_CAP, "codomain A^%d" % (t + 2))
+                    column_cap, "codomain A^%d" % (t + 2))
     return _lefschetz_block(_Workspace(algebra, t + l + 1), z, t, l)
 
 
-def _lefschetz_block(workspace: _Workspace, z: int, t: int,
-                     l: int) -> RationalMatrix:
+def _lefschetz_block(workspace: _Workspace, z: int, t: int, l: int,
+                     keys: Optional[List[int]] = None) -> RationalMatrix:
     """lefschetz_block of the workspace's algebra on its spaces; the
-    radix must exceed the degree t + l + 1 of the rows."""
+    radix must exceed the degree t + l + 1 of the rows.  With `keys`,
+    keys of A^t (an orbit group of workspace.orbits), the block of
+    those columns, its rows numbered on first use: the same numbers for
+    every l."""
     if t + l + 1 >= workspace.radix:
         raise ValueError("degree %d does not fit radix %d"
                          % (t + l + 1, workspace.radix))
     j = workspace.algebra.odd_indices.index(z)
-    free, _ = workspace.space(t, j)
-    codomain, row_index = workspace.space(t + 2, j)
     # f_z^l in z's slot, which the keys of A leave at 0
     unit = workspace.radix ** j << workspace.dims.even_count
-    if l > 1:
-        shift = (l - 1) * unit
-        row_index = {key + shift: r for r, key in enumerate(codomain)}
+    if keys is None:
+        keys, _ = workspace.space(t, j)
+        codomain, row_index = workspace.space(t + 2, j)
+        rows = len(codomain)
+        if l > 1:
+            shift = (l - 1) * unit
+            row_index = {key + shift: r for r, key in enumerate(codomain)}
+    else:
+        row_index, rows = _RowIndex(), None
     shift = l * unit
-    domain = [key + shift for key in free]
-    return _coboundary(workspace, domain, row_index, len(codomain))
+    domain = [key + shift for key in keys]
+    return _coboundary(workspace, domain, row_index, rows)
 
 
-def psi_matrix(t: int, n: int, l: int) -> RationalMatrix:
+def psi_matrix(t: int, n: int, l: int,
+               column_cap: int = DEFAULT_COLUMN_CAP) -> RationalMatrix:
     """Right multiplication by tau_{(n,l)} on z-dual-free cochains.
 
     Domain: degree-t monomials over dims (n, n); codomain: degree-(t+2)
@@ -383,14 +436,15 @@ def psi_matrix(t: int, n: int, l: int) -> RationalMatrix:
     for z-dual-free omega of degree t the Leibniz rule gives
     omega * tau = (-1)^t d(omega * (z-dual)^l), which is
     lefschetz_block(h_n, z, t, l) with scale (-1)^t / D.  Like that
-    block, it refuses t + l over MAX_Q_MAX and a codomain over the limit
-    at the default column cap, here before h_n is built.
+    block, it refuses t + l over MAX_Q_MAX and a codomain over
+    CODOMAIN_ROWS_PER_COLUMN times `column_cap`, here before h_n is
+    built.
     """
     if n < 1 or l < 1:
         raise ValueError("psi needs n >= 1 and l >= 1")
     check_degree(t + l)
-    _check_psi_codomain(n, t, DEFAULT_COLUMN_CAP)
-    return _psi(lefschetz_block(make_heisenberg_odd(n), 2 * n, t, l), t)
+    _check_psi_codomain(n, t, column_cap)
+    return _psi(lefschetz_block(make_heisenberg_odd(n), 2 * n, t, l, column_cap), t)
 
 
 def _psi(block: RationalMatrix, t: int) -> RationalMatrix:

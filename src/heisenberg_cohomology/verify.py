@@ -7,6 +7,12 @@ dim_h_odd_proof count as failures; the expanded odd-family display is
 retained verbatim precisely so that its deviations can be reported
 rather than hidden.
 
+On h_n with n >= 2 each block L^(t) comes as orbit groups
+(cohomology._lefschetz_blocks): psi_{(n,2)} and psi_{(n,3)} are built
+on each group's keys, compared with it group by group (_is_multiple),
+and every kernel is the sum of |orbit| times the group's kernel, so a
+faulty psi is still reported through its own elimination.
+
 Every refusal of a grid is decided from sizes alone by limits.check_grid
 (its MAX_GRID_POINTS, GridTooLarge and the per-point column-cap and psi
 codomain checks live there), before any point is computed; the CLI runs
@@ -118,8 +124,9 @@ def verify_family(family: str, n_max: int, m_max: Optional[int] = None,
     block further: each block is built and eliminated once, its rank
     gives rank d_q for the Betti reports and the kernel of
     psi_{(n,1)} = (-1)^t L^(t).  psi_{(n,2)} and psi_{(n,3)} are built
-    on the same spaces; one that is exactly l times psi_{(n,1)} has its
-    kernel, and any other gets its own elimination.
+    on the same keys, orbit group by orbit group; one that is exactly
+    l times psi_{(n,1)} has its kernel, and any other gets its own
+    elimination, each group's kernel counted |orbit| times.
 
     Every refusal comes first, from sizes alone (limits.check_grid): a
     grid of more than MAX_GRID_POINTS points (GridTooLarge), a q_max
@@ -154,18 +161,22 @@ def _odd_point(n: int, q_max: int, column_cap: int) -> List[Comparison]:
     z = 2 * n  # h_n's odd centre, its last generator
     checks = []
     block_rank = {}
-    for t, block, r in _lefschetz_blocks(workspace, z, dims, q_max + 1):
-        block_rank[t] = r
+    for t, groups in _lefschetz_blocks(workspace, z, dims, q_max + 1):
+        block_rank[t] = sum(orbit * r for orbit, _, _, r in groups)
+        kernels = dict.fromkeys(PSI_POWERS, 0)
+        for orbit, keys, block, r in groups:
+            base = _psi(block, t)
+            for l in PSI_POWERS:
+                psi = (base if l == 1
+                       else _psi(_lefschetz_block(workspace, z, t, l, keys), t))
+                # psi_{(n,l)} = l * psi_{(n,1)} group by group: equal
+                # matrices have equal kernels, and any other is eliminated
+                same = psi is base or _is_multiple(psi, base, l)
+                kernels[l] += orbit * (block.cols - r if same else kernel_dim(psi))
         want = ker_psi_dim(t, n)
-        base = _psi(block, t)
         for l in PSI_POWERS:
-            psi = (base if l == 1
-                   else _psi(_lefschetz_block(workspace, z, t, l), t))
-            # psi_{(n,l)} = l * psi_{(n,1)}: equal matrices have equal
-            # kernels, and any other matrix is eliminated
-            same = psi is base or _is_multiple(psi, base, l)
-            got = block.cols - r if same else kernel_dim(psi)
-            checks.append(Comparison("ker_psi_dim[l=%d]" % l, n, None, t, want, got))
+            checks.append(Comparison("ker_psi_dim[l=%d]" % l, n, None, t, want,
+                                     kernels[l]))
     for report in _reports(workspace.algebra.name, dims,
                            _block_ranks(block_rank, q_max)):
         oracle = report.dim_cohomology

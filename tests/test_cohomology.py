@@ -196,8 +196,8 @@ def test_checked_rank_rejects_a_misshapen_matrix(monkeypatch):
 def _transposed_blocks(monkeypatch):
     real = cohomology._lefschetz_block
 
-    def transposed(workspace, z, t, l):
-        mat = real(workspace, z, t, l)
+    def transposed(workspace, z, t, l, keys=None):
+        mat = real(workspace, z, t, l, keys)
         return RationalMatrix(mat.cols, mat.rows,
                               {(c, r): v for (r, c), v in mat.entries.items()})
 
@@ -314,8 +314,8 @@ def test_cochain_spaces_are_released_when_the_call_returns(monkeypatch):
     made = []
     real_init = differential._Workspace.__init__
 
-    def recorded(self, algebra, degree):
-        real_init(self, algebra, degree)
+    def recorded(self, *args):
+        real_init(self, *args)
         made.append(weakref.ref(self))
 
     monkeypatch.setattr(differential._Workspace, "__init__", recorded)
@@ -390,37 +390,56 @@ def test_an_algebra_is_validated_once(monkeypatch):
     assert checked == [adapted_basis(bad), bad, bad]
 
 
-def test_cohomology_dims_enumerates_each_space_once(monkeypatch):
-    real = differential.enumerate_basis
-    calls = []
+def _listings(monkeypatch):
+    """(spaces, orbits): the degree of every canonical cochain space
+    enumerated, and of every listing of orbit representatives that
+    found copies, in call order."""
+    real_enumerate, real_orbits = differential.enumerate_basis, differential._Workspace.orbits
+    spaces, orbits = [], []
 
     def counted(dims, q, without=None, radix=None):
-        calls.append(q)
-        return real(dims, q, without, radix)
+        spaces.append(q)
+        return real_enumerate(dims, q, without, radix)
+
+    def listed(workspace, q, without=None):
+        groups = real_orbits(workspace, q, without)
+        if groups is not None:
+            orbits.append(q)
+        return groups
 
     monkeypatch.setattr(differential, "enumerate_basis", counted)
+    monkeypatch.setattr(differential._Workspace, "orbits", listed)
+    return spaces, orbits
+
+
+def test_cohomology_dims_enumerates_each_space_once(monkeypatch):
+    spaces, orbits = _listings(monkeypatch)
     for q in range(6):
-        calls.clear()
+        spaces.clear()
+        cohomology_dims(make_heisenberg_even(1, 1), q)
+        # no copies: d_{q-1} then d_q: C^{q-1}, C^q (kept for d_q); C^{q+1},
+        # the top codomain, is numbered on first use and never enumerated
+        assert spaces == list(range(max(q - 1, 0), q + 1)) and orbits == [], q
+        spaces.clear()
         cohomology_dims(make_heisenberg_even(2, 2), q)
-        # d_{q-1} then d_q: C^{q-1}, C^q (kept for d_q); C^{q+1}, the
-        # top codomain, is numbered on first use and never enumerated
-        assert calls == list(range(max(q - 1, 0), q + 1)), q
+        # copies: the representatives of d_{q-1}'s and d_q's domains are
+        # listed once each, and no space is enumerated
+        assert spaces == [] and orbits == list(range(max(q - 1, 0), q + 1)), q
+        orbits.clear()
 
 
 def test_betti_table_enumerates_each_space_once(monkeypatch):
-    real = differential.enumerate_basis
-    calls = []
-
-    def counted(dims, q, without=None, radix=None):
-        calls.append(q)
-        return real(dims, q, without, radix)
-
-    monkeypatch.setattr(differential, "enumerate_basis", counted)
+    spaces, orbits = _listings(monkeypatch)
     for q_max in range(6):
-        calls.clear()
+        spaces.clear()
+        betti_table(make_heisenberg_even(1, 1), q_max)
+        # no copies: C^q once for d_{q-1} and d_q; C^{q_max+1} never
+        assert spaces == list(range(q_max + 1)) and orbits == [], q_max
+        spaces.clear()
         betti_table(make_heisenberg_even(2, 2), q_max)
-        # C^q once for d_{q-1} and d_q; C^{q_max+1} never
-        assert calls == list(range(q_max + 1)), q_max
+        # copies: each degree's representatives once, no space
+        assert spaces == [] and orbits == list(range(q_max + 1)), q_max
+        orbits.clear()
 
 
 def test_first_use_rows_give_the_canonical_rank():

@@ -15,7 +15,8 @@ from heisenberg_cohomology.elements import (SuperElement, d_element, d_generator
                                             dual_pairing, element_pairing, tau,
                                             wedge)
 from heisenberg_cohomology.fileformats import parse_algebra
-from heisenberg_cohomology.limits import CodomainTooLarge, DegreeLimitExceeded
+from heisenberg_cohomology.limits import (CodomainTooLarge, DegreeLimitExceeded,
+                                          graded_dim)
 from heisenberg_cohomology.linalg import RationalMatrix, kernel_dim, rank
 from heisenberg_cohomology.superexterior import (SuperMonomial, SuperSpaceDims,
                                                  enumerate_basis)
@@ -324,6 +325,27 @@ def test_public_builders_refuse_a_degree_over_the_limit(monkeypatch):
     limits._check_codomain("h", 1, 500000, limits.DEFAULT_COLUMN_CAP)
     with pytest.raises(CodomainTooLarge, match="has 500001 rows, limit is 500000"):
         limits._check_codomain("h", 1, 500001, limits.DEFAULT_COLUMN_CAP)
+
+
+def test_public_builders_take_the_cap_their_refusal_names(monkeypatch):
+    # "raise the cap" is something a library caller can do: each builder
+    # takes column_cap, and refuses a codomain over 100 rows per column
+    def no_enumeration(*args):
+        raise AssertionError("a cochain space was enumerated before the refusal")
+
+    h3 = make_heisenberg_odd(3)
+    # h_3 at degree 3: C^4 over (3|4) has 129 rows, A^5 over (3|3) 102
+    assert (graded_dim((3, 4), 4), graded_dim((3, 3), 5)) == (129, 102)
+    for build, rows in ((lambda **cap: differential_matrix(h3, 3, **cap).matrix, 129),
+                        (lambda **cap: lefschetz_block(h3, 6, 3, 1, **cap), 102),
+                        (lambda **cap: psi_matrix(3, 3, 1, **cap), 102)):
+        with monkeypatch.context() as patched:
+            patched.setattr(differential, "enumerate_basis", no_enumeration)
+            with pytest.raises(CodomainTooLarge) as err:
+                build(column_cap=1)
+        assert (err.value.rows, err.value.limit) == (rows, 100)
+        # the default cap, and a cap just large enough, build the matrix
+        assert build() == build(column_cap=2) and build().rows == rows
 
 
 def test_psi_matrix_is_right_multiplication_by_tau():

@@ -122,16 +122,31 @@ def test_other_algebras_keep_the_full_route():
 
 
 def test_each_space_of_a_is_enumerated_once_per_table(monkeypatch):
-    real = differential.enumerate_basis
-    calls = []
+    real, real_orbits = differential.enumerate_basis, differential._Workspace.orbits
+    calls, orbits = [], []
 
     def counted(dims, q, without=None, radix=None):
         calls.append((tuple(dims), q, without))
         return real(dims, q, without, radix)
 
+    def listed(workspace, q, without=None):
+        groups = real_orbits(workspace, q, without)
+        if groups is not None:
+            orbits.append((q, without))
+        return groups
+
     monkeypatch.setattr(differential, "enumerate_basis", counted)
+    monkeypatch.setattr(differential._Workspace, "orbits", listed)
     for n, q_max in ((1, 6), (3, 10), (4, 8)):
         calls.clear()
+        orbits.clear()
         betti_table(make_heisenberg_odd(n), q_max)
-        # A^0..A^{q_max+1}, without z's dual (odd position n), each once
-        assert sorted(calls) == [((n, n + 1), s, n) for s in range(q_max + 2)]
+        if n == 1:
+            # no copies: A^0..A^{q_max+1}, without z's dual (odd position
+            # n), each once
+            assert sorted(calls) == [((n, n + 1), s, n) for s in range(q_max + 2)]
+            assert orbits == []
+        else:
+            # n copies of (x_i, y_i): the representatives of each A^t,
+            # t < q_max, listed once, and no space enumerated
+            assert calls == [] and orbits == [(t, n) for t in range(q_max)]

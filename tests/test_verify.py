@@ -21,20 +21,44 @@ def _one_entry_negated(block):
     return RationalMatrix.from_columns(block.rows, columns, block.scale)
 
 
+def _recorded_groups(monkeypatch):
+    """{id(keys): orbit size} and {(name, t): sum of orbit sizes} of the
+    groups verify's block walk yields; a canonical block (keys None)
+    has orbit size 1."""
+    real = verify._lefschetz_blocks
+    orbit_of, orbits_at = {id(None): 1}, Counter()
+
+    def recorded(workspace, z, dims, t_end):
+        for t, groups in real(workspace, z, dims, t_end):
+            for orbit, keys, _, _ in groups:
+                orbit_of[id(keys)] = orbit
+                orbits_at[(workspace.algebra.name, t)] += orbit
+            yield t, groups
+
+    monkeypatch.setattr(verify, "_lefschetz_blocks", recorded)
+    return orbit_of, orbits_at
+
+
 def test_psi_shortcut_cannot_hide_a_faulty_build(monkeypatch):
     # psi_{(n,2)} built with an extra zero column, and psi_{(n,3)} with
-    # one entry changed, are not l * psi_{(n,1)}, so each one's own
-    # kernel must be reported: one larger than the closed form for l = 2,
-    # and for l = 3 one smaller where the change raises the rank
+    # one entry changed, in every orbit group, are not l * psi_{(n,1)},
+    # so each group's own kernel, times its orbit size, must be
+    # reported: one more per orbit than the closed form for l = 2, and
+    # for l = 3 less where the change raises a group's rank
     real = verify._lefschetz_block
+    orbit_of, orbits_at = _recorded_groups(monkeypatch)
+    faulty_kernels = Counter()
 
-    def faulty(workspace, z, t, l):
-        block = real(workspace, z, t, l)
+    def faulty(workspace, z, t, l, keys=None):
+        block = real(workspace, z, t, l, keys)
         if l == 2:
-            return RationalMatrix.from_columns(block.rows, block.columns + [{}],
-                                               block.scale)
-        if l == 3:
-            return _one_entry_negated(block)
+            block = RationalMatrix.from_columns(block.rows, block.columns + [{}],
+                                                block.scale)
+        elif l == 3:
+            block = _one_entry_negated(block)
+        if l > 1:
+            faulty_kernels[(workspace.algebra.name, t, l)] += \
+                orbit_of[id(keys)] * kernel_dim(block)
         return block
 
     monkeypatch.setattr(verify, "_lefschetz_block", faulty)
@@ -44,37 +68,58 @@ def test_psi_shortcut_cannot_hide_a_faulty_build(monkeypatch):
     for c in psi_checks:
         want = ker_psi_dim(c.q, c.n)
         assert c.formula_value == want
+        name = "h_%d" % c.n
         if c.formula == "ker_psi_dim[l=2]":
-            assert c.oracle_value == kernel_dim(psi_matrix(c.q, c.n, 2)) + 1 == want + 1
+            assert c.oracle_value == faulty_kernels[(name, c.q, 2)] \
+                == want + orbits_at[(name, c.q)]
             assert c.describe().endswith("MISMATCH")
         elif c.formula == "ker_psi_dim[l=3]":
-            assert c.oracle_value == kernel_dim(_one_entry_negated(psi_matrix(c.q, c.n, 3)))
+            assert c.oracle_value == faulty_kernels[(name, c.q, 3)]
         else:
             assert c.ok, c.describe()
-    assert {(c.n, c.q) for c in psi_checks
-            if c.formula == "ker_psi_dim[l=3]" and not c.ok} == {(3, 2), (3, 3)}
+    # h_1 has no copies: its one group is the whole block
+    assert orbits_at[("h_1", 2)] == 1
+    for c in psi_checks:
+        if c.n == 1 and c.formula == "ker_psi_dim[l=2]":
+            assert c.oracle_value == kernel_dim(psi_matrix(c.q, 1, 2)) + 1
+    # l = 3 is reported wrong exactly where a negated entry changed some
+    # group's kernel, and that happens on this grid
+    wrong = {(c.n, c.q) for c in psi_checks if c.formula == "ker_psi_dim[l=3]" and not c.ok}
+    assert wrong == {(n, t) for n in (1, 2, 3) for t in range(4)
+                     if faulty_kernels[("h_%d" % n, t, 3)] != ker_psi_dim(t, n)}
+    assert wrong
 
 
 def test_odd_grid_enumerates_each_space_once(monkeypatch):
     # betti_table's block walk and the psi walk are one walk per n on one
     # workspace, which keeps every space it enumerates for the call
-    real = differential.enumerate_basis
-    calls = Counter()
+    real, real_orbits = differential.enumerate_basis, differential._Workspace.orbits
+    calls, listed = Counter(), Counter()
 
     def counted(dims, q, without=None, radix=None):
         calls[(tuple(dims), q, without)] += 1
         return real(dims, q, without, radix)
 
+    def orbits(workspace, q, without=None):
+        groups = real_orbits(workspace, q, without)
+        if groups is not None:
+            listed[(workspace.algebra.name, q, without)] += 1
+        return groups
+
     monkeypatch.setattr(differential, "enumerate_basis", counted)
+    monkeypatch.setattr(differential._Workspace, "orbits", orbits)
     verify.verify_family("odd", 4, None, 7)
-    # per n, A^0..A^9 (dims (n, n + 1) without z's slot n)
-    assert sorted(calls) == [((n, n + 1), q, n) for n in range(1, 5) for q in range(10)]
-    assert sum(calls.values()) == 40, calls
+    # h_1 has no copies: A^0..A^9 (dims (1, 2) without z's slot 1)
+    assert calls == Counter({((1, 2), q, 1): 1 for q in range(10)})
+    # h_2..h_4: the representatives of A^0..A^7, once each; psi's rows
+    # are numbered on first use, so no A^8 or A^9
+    assert listed == Counter({("h_%d" % n, t, n): 1 for n in range(2, 5) for t in range(8)})
 
 
 def test_odd_grid_eliminates_each_block_once(monkeypatch):
-    # per (n, t) one l = 1 block is built and eliminated, and psi_{(n,2)}
-    # and psi_{(n,3)} are still built and compared with it
+    # per (n, t) and orbit group one l = 1 block is built and eliminated,
+    # and psi_{(n,2)} and psi_{(n,3)} are still built on the group's keys
+    # and compared with it
     built = Counter()
     blocks = {}
     eliminated = []
@@ -82,12 +127,12 @@ def test_odd_grid_eliminates_each_block_once(monkeypatch):
     def recording(module):
         real = module._lefschetz_block
 
-        def record(workspace, z, t, l):
-            block = real(workspace, z, t, l)
-            name = workspace.algebra.name
-            built[(name, t, l)] += 1
+        def record(workspace, z, t, l, keys=None):
+            block = real(workspace, z, t, l, keys)
+            group = (workspace.algebra.name, t, None if keys is None else tuple(keys))
+            built[group + (l,)] += 1
             if l == 1:
-                blocks[id(block)] = (name, t)
+                blocks[id(block)] = group
             return block
         return record
 
@@ -103,9 +148,15 @@ def test_odd_grid_eliminates_each_block_once(monkeypatch):
     monkeypatch.setattr(verify, "kernel_dim", None)
     res = verify.verify_family("odd", 3, None, 5)
     assert res.ok() and len(res.checks) == 3 * 6 * 5
+    groups = {key[:3] for key in built}
     grid = [("h_%d" % n, t) for n in range(1, 4) for t in range(6)]
-    assert built == Counter({(name, t, l): 1 for name, t in grid for l in (1, 2, 3)})
-    assert sorted(eliminated) == grid
+    assert sorted({group[:2] for group in groups}) == grid
+    # h_1 has no copies: one canonical block per t; h_2 and h_3 split
+    assert {group for group in groups if group[0] == "h_1"} == {("h_1", t, None)
+                                                               for t in range(6)}
+    assert len(groups) > len(grid)
+    assert built == Counter({group + (l,): 1 for group in groups for l in (1, 2, 3)})
+    assert sorted(eliminated, key=repr) == sorted(groups, key=repr)
 
 
 def test_psi_codomain_is_refused_before_any_point(monkeypatch):
