@@ -19,15 +19,15 @@ uses to rank one block per orbit.  require_valid is
 the one door that decides validity: the family builders, parse_algebra
 and the rank engine all pass through it, so each algebra is validated
 once, on its adapted table.  The adapted basis is computed on
-integer_table's ints, fraction-free, by linalg._reduce, the package's
-one reduction step: the one Fraction it makes per structure constant
-is the rewritten constant itself.
+integer_table's ints, fraction-free, by linalg._echelon, the package's
+one echelon form: the one Fraction it makes per structure constant is
+the rewritten constant itself.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Tuple
 
@@ -35,7 +35,7 @@ from typing import Dict, Iterable, List, Mapping, Tuple
 # needs no engine module; they stay importable from here
 from .limits import (AlgebraValidationError, even_family_shape,
                      odd_family_shape)
-from .linalg import _reduce, _subtract
+from .linalg import _echelon, _subtract
 
 EVEN = 0
 ODD = 1
@@ -324,24 +324,10 @@ def _adapted_brackets(alg: LieSuperalgebra):
     in the order an elimination over Fraction updates it, so the pair
     order, the target order and the values match that elimination's."""
     scale, ad = integer_table(alg)
-    rows: Dict[int, Dict[int, int]] = {}
-    for (i, j) in alg.brackets:
-        for parity in (EVEN, ODD):
-            # a row of one parity only reduces against rows of that parity
-            v = {k: c for k, c in ad[i][j].items() if alg.parity(k) == parity}
-            # every row is zero at the other pivots, so one pass reduces v
-            for p in [k for k in v if k in rows]:
-                _reduce(v, rows[p], p)
-            if not v:
-                continue
-            lead = min(v)
-            g = gcd(*v.values()) * (1 if v[lead] > 0 else -1)
-            if g != 1:
-                v = {k: x // g for k, x in v.items()}
-            for row in rows.values():
-                if lead in row:
-                    _reduce(row, v, lead)
-            rows[lead] = v
+    # each bracket split by parity: a row of one parity only reduces
+    # against rows of that parity
+    rows = _echelon({k: c for k, c in ad[i][j].items() if alg.parity(k) == parity}
+                    for (i, j) in alg.brackets for parity in (EVEN, ODD))
     if all(len(row) == 1 for row in rows.values()):
         return None
     # users[j]: the pivot rows with a g_j coordinate; a generator that is

@@ -1,7 +1,7 @@
 """Betti numbers from exact ranks of the coboundary matrices.
 
 dim H^q = dim ker d_q - rank d_{q-1}, all over the rationals.
-betti_table and cohomology_dims share one preamble (_enter).  It first
+betti_table and cohomology_dims share one preamble (_admit).  It first
 runs limits' size refusals, from the superdimension alone: a degree over
 MAX_Q_MAX, a matrix wider than the column cap (default 5000 columns)
 and a top codomain C^{q+1} over CODOMAIN_ROWS_PER_COLUMN times the cap,
@@ -49,6 +49,15 @@ with its rows numbered on first use (_check_orbits checks
 sum |orbit| columns = dim C^q, or dim A^t).  A table without copies
 takes the canonical spaces, unchanged.  Refusals are decided from the
 full sizes before, so no refusal depends on the split.
+
+Before either route, betti_table and cohomology_dims try to split a
+two-step adapted table into ideals (_split_ranks, whose O(brackets)
+gate every built-in family member fails).  directsum.split searches
+for the parts and checks what it finds exactly; each part is ranked by
+betti_table on its own route, and the Betti numbers are the Kunneth
+product of the parts'.  A split not found, or failing the check, sends
+the table down the routes above: it costs speed, never an answer.
+Refusals come from the full sizes, before the split.
 """
 
 from __future__ import annotations
@@ -95,17 +104,24 @@ class CohomologyReport(_Record):
             raise ReportInvariantError("inconsistent dimensions in %r" % (self,))
 
 
+def _admit(algebra: LieSuperalgebra, top: int, degrees: Iterable[int],
+           cap: int) -> Dict[int, int]:
+    """The one way into the rank engine: the size refusals, then
+    require_valid, which validates the adapted table once per algebra.
+    Returns _checked_dims' dimensions."""
+    dims = _checked_dims(algebra.name, algebra.superdim, top, degrees, cap)
+    require_valid(algebra)
+    return dims
+
+
 def _enter(algebra: LieSuperalgebra, top: int, degrees: Iterable[int],
            cap: int, reach: Optional[int] = None
            ) -> Tuple[_Workspace, Dict[int, int]]:
-    """The one way into the rank engine: the size refusals, then
-    require_valid, which validates the adapted table once per algebra.
-    Returns the call's workspace, whose algebra is adapted_basis(algebra),
-    for keys of degree up to `reach` (by default top + 1, d_top's
-    codomain) and columns of degree up to top, and _checked_dims'
-    dimensions."""
-    dims = _checked_dims(algebra.name, algebra.superdim, top, degrees, cap)
-    require_valid(algebra)
+    """_admit, then the call's workspace, whose algebra is
+    adapted_basis(algebra), for keys of degree up to `reach` (by default
+    top + 1, d_top's codomain) and columns of degree up to top, with
+    _checked_dims' dimensions."""
+    dims = _admit(algebra, top, degrees, cap)
     reach = top + 1 if reach is None else reach
     return _Workspace(adapted_basis(algebra), reach, top), dims
 
@@ -218,6 +234,43 @@ def _block_ranks(block_rank: Dict[int, int], q_max: int) -> Dict[int, int]:
     return rk
 
 
+def _split_ranks(adapted: LieSuperalgebra, q_max: int,
+                 cap: int) -> Optional[Dict[int, int]]:
+    """{q: rank d_q} for q = -1..q_max from a checked split of the
+    adapted table into ideals (directsum.split), or None: then the
+    table takes the rank routes.
+
+    The gate costs O(brackets) and imports nothing: the table must be
+    two-step, its bracket targets P (the pivots that span [g, g]) in no
+    bracket, with |P| >= 2, q_max >= 2 (below, d_q costs no more than
+    the search), and every C^q up to q_max within the cap, so that no
+    part's betti_table refuses.  Each part is ranked by betti_table,
+    on its own route; H(g) is the Kunneth product of the parts' and
+    the free part's, and rank d_q = dim C^q - dim H^q - rank d_{q-1}.
+    """
+    targets = {k for t in adapted.brackets.values() for k in t}
+    if (q_max < 2 or len(targets) < 2
+            or any(i in targets or j in targets for i, j in adapted.brackets)):
+        return None
+    dims = [graded_dim(adapted.superdim, q) for q in range(q_max + 1)]
+    if max(dims) > cap:
+        return None
+    from .directsum import split
+    found = split(adapted, sorted(targets))
+    if found is None:
+        return None
+    parts, free = found
+    # an abelian algebra has d = 0: its Betti numbers are its cochains'
+    betti = [graded_dim(free, q) for q in range(q_max + 1)]
+    for part in parts:
+        h = [r.dim_cohomology for r in betti_table(part, q_max, cap)]
+        betti = [sum(betti[i] * h[q - i] for i in range(q + 1)) for q in range(q_max + 1)]
+    rk = {-1: 0}
+    for q in range(q_max + 1):
+        rk[q] = dims[q] - betti[q] - rk[q - 1]
+    return rk
+
+
 def _reports(name: str, dims: Dict[int, int],
              rk: Dict[int, int]) -> List[CohomologyReport]:
     """The rank route's reports for q = 0..max(rk), from dim C^q and
@@ -235,12 +288,16 @@ def cohomology_dims(algebra: LieSuperalgebra, q: int,
     """Betti data in a single degree, via exact ranks."""
     if q < 0:
         return CohomologyReport(algebra.name, q, 0, 0, 0, 0, METHOD_RANK)
-    workspace, dims = _enter(algebra, q, (q, q - 1), column_cap)
-    # d_{q-1} first: its codomain C^q is d_q's domain, already enumerated;
-    # d_q is the top degree, so C^{q+1} is not enumerated
-    b = _checked_rank(workspace, q - 1, dims)
-    z = dims[q] - _checked_rank(workspace, q, dims)
-    return CohomologyReport(algebra.name, q, dims[q], z, b, z - b, METHOD_RANK)
+    dims = _admit(algebra, q, (q, q - 1), column_cap)
+    rk = _split_ranks(adapted_basis(algebra), q, column_cap)
+    if rk is None:
+        workspace = _Workspace(adapted_basis(algebra), q + 1, q)
+        # d_{q-1} first: its codomain C^q is d_q's domain, already
+        # enumerated; d_q is the top degree, so C^{q+1} is not enumerated
+        rk = {p: _checked_rank(workspace, p, dims) for p in (q - 1, q)}
+    z = dims[q] - rk[q]
+    return CohomologyReport(algebra.name, q, dims[q], z, rk[q - 1], z - rk[q - 1],
+                            METHOD_RANK)
 
 
 def betti_table(algebra: LieSuperalgebra, q_max: int,
@@ -250,14 +307,19 @@ def betti_table(algebra: LieSuperalgebra, q_max: int,
     Every degree is checked against the column cap before any matrix is
     built, so a refusal names the first degree over the cap and costs
     nothing.  The ranks are taken in adapted_basis(algebra), which has
-    the same Betti numbers: from its Lefschetz blocks when it has an odd
+    the same Betti numbers: by parts when it splits into ideals
+    (_split_ranks), else from its Lefschetz blocks when it has an odd
     centre spanning [g, g] (_odd_centre), from each full d_q otherwise.
     Either way a table with copy classes is ranked one block per orbit.
     The cochain spaces built on the way live in the call's workspace.
     """
     if q_max < 0:
         raise ValueError("q_max must be nonnegative")
-    workspace, dims = _enter(algebra, q_max, range(q_max + 1), column_cap)
+    dims = _admit(algebra, q_max, range(q_max + 1), column_cap)
+    rk = _split_ranks(adapted_basis(algebra), q_max, column_cap)
+    if rk is not None:
+        return _reports(algebra.name, dims, rk)
+    workspace = _Workspace(adapted_basis(algebra), q_max + 1, q_max)
     z = _odd_centre(workspace.algebra)
     if z is None:
         rk = {q: _checked_rank(workspace, q, dims) for q in range(-1, q_max + 1)}

@@ -1,0 +1,373 @@
+"""Direct sums: a two-step table split into ideals, each split checked
+exactly before it is used.
+
+Past cohomology's gate the adapted table is two-step: its bracket
+targets P, the pivots that span [g, g], appear in no bracket, so every
+bracket of two other generators is [x, y] = sum_p B_p(x, y) p, with one
+super-symmetric form B_p per pivot on the span K of the others
+(integer_table's ints).  split() looks for ideals g_s = K_s + [K_s, K_s]
+such that g is their direct sum plus R, the common radical of the B_p:
+R holds the central generators outside [g, g], and each of them is a
+free part of dimension 1.
+
+- A parity class of pivots with one pivot gives one centre line.  A
+  class with two or more gives theirs from a pencil of its forms
+  (M. Gauger, Trans. AMS 179, 1973): for a combination omega of the
+  class's forms, nondegenerate on K modulo their common radical, and
+  another combination B, T = omega^-1 B acts on each K_s of the class
+  as one scalar.  Its eigenvalues are the rational roots of its
+  minimal polynomial, and each eigenspace brackets onto one centre
+  line.
+- The functionals lambda_s dual to the centre lines give the parts:
+  K_s is the intersection of rad B_{lambda_t}, t != s, less R.
+
+Nothing the search finds is trusted.  _checked proves on integer
+vectors that every vector has one parity, [K_s, K_t] = 0 for s != t,
+R is central, the centres [K_s, K_s] are independent and span P, and
+the K_s and R together are a basis of K.  Then g is the direct sum of
+the parts and R, each part is a subalgebra of a valid table, and H(g)
+is the Kunneth product of the parts' cohomology.  Everything runs
+fraction-free on linalg._echelon, the echelon form the adapted basis
+uses too; the only Fractions are the parts' structure constants.  The engine imports
+this module only past its gate, so a table that fails the gate
+compiles none of it.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd, isqrt, lcm
+from typing import Dict, List, Optional, Sequence, Tuple
+
+from .algebra import EVEN, ODD, LieSuperalgebra, integer_table
+from .linalg import _echelon, _reduce
+
+Vector = Dict[int, int]
+Form = Dict[int, Vector]  # {row: {column: value}}, no stored zeros
+
+# a minimal polynomial whose end coefficients are larger than this is
+# not searched for rational roots (trial division up to its square root)
+_ROOT_SEARCH_BOUND = 10 ** 9
+
+
+def split(algebra: LieSuperalgebra, pivots: Sequence[int]
+          ) -> Optional[Tuple[List[LieSuperalgebra], Tuple[int, int]]]:
+    """(parts, free) for the two-step table `algebra`, whose bracket
+    targets are `pivots` and appear in no bracket: g is the direct sum
+    of the parts, each a LieSuperalgebra in its own basis, and of an
+    abelian algebra of superdimension `free`.  None when no split is
+    found or a found one fails the exact check."""
+    scale, ad = integer_table(algebra)
+    targets = set(pivots)
+    others = [g for g in range(algebra.dim) if g not in targets]
+    at = {g: i for i, g in enumerate(others)}
+    n = len(others)
+    forms: Dict[int, Form] = {p: {} for p in pivots}
+    for g, row in ad.items():
+        for h, image in row.items():
+            for p, c in image.items():
+                forms[p].setdefault(at[g], {})[at[h]] = c
+    reduced = _echelon(row for form in forms.values() for row in form.values())
+    radical = _kernel(reduced, n)
+    duals: List[Vector] = []
+    classes = []
+    for parity in (EVEN, ODD):
+        cls = [p for p in pivots if algebra.parity(p) == parity]
+        if len(cls) == 1:
+            duals.append({cls[0]: 1})
+        elif cls:
+            found = _class_duals(forms, cls)
+            if found is None:
+                return None
+            duals += found
+        classes.append(len(duals))
+    # K_s + R is the common radical of the forms B_{lambda_t}, t != s;
+    # summing them per parity class keeps each sum homogeneous, and
+    # x_f = 0 on R's free coordinates f leaves R out
+    outside_r = [{f: 1} for f in range(n) if f not in reduced]
+    spaces = []
+    for s in range(len(duals)):
+        rows = list(outside_r)
+        for lo, hi in ((0, classes[0]), (classes[0], classes[1])):
+            weights: Vector = {}
+            for t in range(lo, hi):
+                if t != s:
+                    for p, c in duals[t].items():
+                        weights[p] = weights.get(p, 0) + c
+            rows += _combine(forms, weights).values()
+        spaces.append(_kernel(_echelon(rows), n))
+    parity = [algebra.parity(g) for g in others]
+    checked = _checked(forms, parity, radical, spaces, [algebra.parity(p) for p in pivots])
+    if checked is None:
+        return None
+    parts = [_part("%s[%d]" % (algebra.name, s), [parity[min(x)] for x in space],
+                   centre, images, algebra.parity, scale)
+             for s, (space, (centre, images)) in enumerate(zip(spaces, checked))]
+    free = sum(1 for r in radical if parity[min(r)] == ODD)
+    return parts, (len(radical) - free, free)
+
+
+def _class_duals(forms: Dict[int, Form], cls: List[int]) -> Optional[List[Vector]]:
+    """The functionals, over the pivots `cls` of one parity class, dual
+    to the class's centre lines, or None.  W, a coordinate complement
+    of the class's common radical, carries the pencil: omega and B run
+    through pairs of the class's forms, then of their combinations,
+    until omega is nondegenerate on W and T = omega^-1 B has len(cls)
+    rational eigenvalues, each eigenspace bracketing onto a line."""
+    k = len(cls)
+    space = sorted(_echelon(row for p in cls for row in forms[p].values()))
+    at = {c: i for i, c in enumerate(space)}
+    w = len(space)
+
+    def on_space(weights) -> List[Vector]:
+        form = _combine(forms, dict(zip(cls, weights)))
+        return [{at[j]: x for j, x in form.get(c, {}).items() if j in at} for c in space]
+
+    # single forms first, omega = B_{cls[i]} and B = B_{cls[j]}: T's
+    # eigenvalues are then ratios of two coordinates of the centre
+    # lines, the smallest numbers to find roots among.  Then the
+    # weights t^i and (t + 1)^i: each part's omega-weight a_s(t) has at
+    # most k - 1 roots, so t = 1..k(k - 1) + 1 reach a nondegenerate
+    # omega if any exists
+    units = [[int(a == i) for a in range(k)] for i in range(k)]
+    pencils = [(units[i], units[j]) for i in range(k) for j in range(k) if i != j]
+    pencils += [([t ** i for i in range(k)], [(t + 1) ** i for i in range(k)])
+                for t in range(1, k * k - k + 2)]
+    for omega, other in pencils:
+        solved = _solve(on_space(omega), on_space(other), w)
+        if solved is None:
+            continue
+        # N = D T as integer rows.  The roots of T's minimal polynomial
+        # relative to a start vector, N's with coefficient i scaled by
+        # D^i: the all-ones vector, then each unit vector, until k are
+        # found (a start vector inside fewer eigenspaces finds fewer).
+        # On a split T is diagonal over Q, for every nondegenerate
+        # omega: an irrational or repeated root rules the split out
+        denom, scaled = solved
+        roots = set()
+        for start in [dict.fromkeys(range(w), 1)] + [{j: 1} for j in range(w)]:
+            poly = [c * denom ** i for i, c in enumerate(_min_poly(scaled, w, start))]
+            g = gcd(*poly)
+            found = _rational_roots([c // g for c in poly])
+            if found is None or len(found) < len(poly) - 1:
+                return None
+            roots.update(found)
+            if len(roots) >= k:
+                break
+        if len(roots) != k:
+            continue
+        lines = []
+        for num, den in sorted(roots):
+            # T x = (num/den) x  <=>  (den N - num D) x = 0
+            rows = []
+            for l in range(w):
+                row = {j: den * x for j, x in scaled[l].items()}
+                row[l] = row.get(l, 0) - num * denom
+                rows.append(row)
+            eigen = [{space[i]: x for i, x in v.items()} for v in _kernel(_echelon(rows), w)]
+            line = _centre_line(forms, cls, eigen)
+            if line is None:
+                break
+            lines.append(line)
+        else:
+            # lambda_s = column s of the inverse of the matrix of lines
+            solved = _solve(lines, [{s: 1} for s in range(k)], k)
+            if solved is None:
+                return None
+            _, inverse = solved
+            return [{cls[i]: row[s] for i, row in enumerate(inverse) if s in row}
+                    for s in range(k)]
+    return None
+
+
+def _centre_line(forms: Dict[int, Form], cls: List[int],
+                 vectors: List[Vector]) -> Optional[Vector]:
+    """The first nonzero bracket of two of `vectors`, as {i: its
+    coordinate on the pivot cls[i]}; None when they all bracket to 0."""
+    for i, x in enumerate(vectors):
+        covectors = [_covector(forms[p], x) for p in cls]
+        for y in vectors[i:]:
+            line = {a: c for a, c in enumerate(_dot(cov, y) for cov in covectors) if c}
+            if line:
+                return line
+    return None
+
+
+def _checked(forms: Dict[int, Form], parity: List[int], radical: List[Vector],
+             spaces: List[List[Vector]], pivot_parity: List[int]) -> Optional[list]:
+    """Per part, (centre, images) when the split passes the exact check,
+    else None: images[(i, j)] is [x_i, x_j] over the pivots for the
+    vectors i <= j of K_s, and centre the fully reduced echelon basis
+    of their span [K_s, K_s].  The check: every vector has one parity;
+    the K_s and R together are a basis of K; R is central;
+    [K_s, K_t] = 0 for s != t; and the centres are independent and
+    together span P."""
+    vectors = radical + [x for space in spaces for x in space]
+    if any(not x or len({parity[i] for i in x}) != 1 for x in vectors):
+        return None
+    if len(vectors) != len(parity) or len(_echelon(vectors)) != len(parity):
+        return None
+    if any(_covector(form, r) for r in radical for form in forms.values()):
+        return None
+    pivots = list(forms)
+    covectors = [[[_covector(forms[p], x) for p in pivots] for x in space] for space in spaces]
+    for s, space in enumerate(spaces):
+        for t in range(s + 1, len(spaces)):
+            for covs in covectors[s]:
+                if any(_dot(cov, y) for cov in covs for y in spaces[t]):
+                    return None
+    out = []
+    for space, covs in zip(spaces, covectors):
+        images = {(i, j): {p: _dot(cov, space[j]) for p, cov in zip(pivots, covs_x)}
+                  for i, covs_x in enumerate(covs) for j in range(i, len(space))}
+        centre = _echelon(images.values())
+        if not centre:
+            return None
+        out.append((centre, images))
+    rows = [row for centre, _ in out for row in centre.values()]
+    pivot_of = dict(zip(pivots, pivot_parity))
+    if any(len({pivot_of[p] for p in row}) != 1 for row in rows):
+        return None
+    if len(rows) != len(pivots) or len(_echelon(rows)) != len(pivots):
+        return None
+    return out
+
+
+def _part(name: str, parities: List[int], centre: Dict[int, Vector], images,
+          pivot_parity, scale: int) -> LieSuperalgebra:
+    """The ideal K_s + [K_s, K_s] as a LieSuperalgebra: generators x1..
+    (the vectors of K_s, of these parities), then z1.. (the rows of the
+    echelon `centre`), each bracket (`images`, as _checked gives them)
+    written in the centre's rows."""
+    leads = sorted(centre)
+    size = len(parities)
+    gens = [("x%d" % (i + 1), p) for i, p in enumerate(parities)]
+    gens += [("z%d" % (r + 1), pivot_parity(lead)) for r, lead in enumerate(leads)]
+    brackets = {}
+    for pair, image in images.items():
+        # the rows are zero at each other's leads, so the coordinate on
+        # row r is image[lead_r] / row_r[lead_r]
+        targets = {size + r: Fraction(image[lead], centre[lead][lead] * scale)
+                   for r, lead in enumerate(leads) if image[lead]}
+        if targets:
+            brackets[pair] = targets
+    part = LieSuperalgebra(name, gens, brackets)
+    # the brackets span the z's, so the part is its own adapted basis;
+    # and it is an ideal of a table that passed require_valid
+    part._derived.update(adapted=None, valid=True)
+    return part
+
+
+def _combine(forms: Dict[int, Form], weights: Dict[int, int]) -> Form:
+    """sum_p weights[p] B_p, with no stored zeros."""
+    out: Form = {}
+    for p, c in weights.items():
+        if c:
+            for i, row in forms[p].items():
+                acc = out.setdefault(i, {})
+                for j, x in row.items():
+                    acc[j] = acc.get(j, 0) + c * x
+    return {i: r for i, r in ((i, {j: x for j, x in row.items() if x})
+                              for i, row in out.items()) if r}
+
+
+def _covector(form: Form, x: Vector) -> Vector:
+    """B(x, .) as {column: value}, with no stored zeros."""
+    out: Vector = {}
+    for i, a in x.items():
+        for j, b in form.get(i, {}).items():
+            out[j] = out.get(j, 0) + a * b
+    return {j: v for j, v in out.items() if v}
+
+
+def _dot(u: Vector, v: Vector) -> int:
+    return sum(a * v[j] for j, a in u.items() if j in v)
+
+
+def _kernel(basis: Dict[int, Vector], n: int) -> List[Vector]:
+    """An integer basis of the x in Q^n with row . x = 0 for every row of
+    the fully reduced echelon `basis`: one vector per free column f,
+    zero at every other free column."""
+    users: Dict[int, List[int]] = {}
+    for lead, row in basis.items():
+        for j in row:
+            if j != lead:
+                users.setdefault(j, []).append(lead)
+    out = []
+    for f in range(n):
+        if f in basis:
+            continue
+        leads = users.get(f, ())
+        d = lcm(1, *(basis[l][l] for l in leads))
+        x = {f: d}
+        for l in leads:
+            x[l] = -basis[l][f] * (d // basis[l][l])
+        g = gcd(*x.values())
+        out.append({j: v // g for j, v in x.items()})
+    return out
+
+
+def _solve(a_rows: List[Vector], b_rows: List[Vector], w: int
+           ) -> Optional[Tuple[int, List[Vector]]]:
+    """(D, N) with N = D A^-1 B as integer rows, for the w x w matrix A
+    and the matrix B given by their rows; None when A is singular.  One
+    Gauss-Jordan elimination of [A | B], B's columns shifted by w."""
+    basis = _echelon({**a, **{w + j: x for j, x in b.items()}}
+                     for a, b in zip(a_rows, b_rows))
+    if sorted(basis) != list(range(w)):
+        return None
+    denom = lcm(*(basis[l][l] for l in range(w)))
+    return denom, [{j - w: x * (denom // basis[l][l]) for j, x in basis[l].items() if j >= w}
+                   for l in range(w)]
+
+
+def _min_poly(rows: List[Vector], w: int, start: Vector) -> List[int]:
+    """c_0..c_d, the first linear dependence sum c_i N^i start = 0 of the
+    Krylov vectors of the w x w integer matrix N (its rows): the
+    minimal polynomial of N relative to `start`.  Each vector carries a
+    marker column w + i, so the reduction records the combination."""
+    pivots: Dict[int, Vector] = {}
+    u = start
+    for i in range(w + 1):
+        v = dict(u)
+        v[w + i] = 1
+        lead = min(v)
+        while lead < w and lead in pivots:
+            _reduce(v, pivots[lead], lead)
+            lead = min(v)
+        if lead >= w:
+            return [v.get(w + j, 0) for j in range(i + 1)]
+        pivots[lead] = v
+        u = {l: s for l, s in ((l, _dot(row, u)) for l, row in enumerate(rows)) if s}
+    raise AssertionError("no dependence among w + 1 vectors of dimension w")
+
+
+def _rational_roots(poly: List[int]) -> Optional[List[Tuple[int, int]]]:
+    """The distinct rational roots p/q (q > 0, lowest terms) of the
+    integer polynomial sum poly[i] t^i, or None when its end
+    coefficients are over _ROOT_SEARCH_BOUND."""
+    roots = []
+    if poly[0] == 0:
+        roots.append((0, 1))
+        while poly[0] == 0:
+            poly = poly[1:]
+    first, last = abs(poly[0]), abs(poly[-1])
+    if max(first, last) > _ROOT_SEARCH_BOUND:
+        return None
+    d = len(poly) - 1
+    for q in _divisors(last):
+        for p in _divisors(first):
+            if gcd(p, q) == 1:
+                for sp in (p, -p):
+                    if sum(c * sp ** i * q ** (d - i) for i, c in enumerate(poly)) == 0:
+                        roots.append((sp, q))
+    return roots
+
+
+def _divisors(m: int) -> List[int]:
+    """The positive divisors of m > 0, by trial division."""
+    out = []
+    for a in range(1, isqrt(m) + 1):
+        if m % a == 0:
+            out += (a, m // a) if a * a != m else (a,)
+    return out

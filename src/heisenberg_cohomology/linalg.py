@@ -12,10 +12,11 @@ rest goes through fraction-free echelon elimination in one order
 fixed before it starts: rows by the peel's last nonzero count (ties to
 the lowest index), columns sparsest first.  Each column is reduced
 against the pivots found so far, keyed by their first row in that
-order, by _reduce, the package's one fraction-free reduction step
-(the adapted basis uses it too), which divides every updated column by
-its content gcd to keep entries small.  Everything is exact; no
-floating point enters anywhere.
+order, by _reduce, the package's one fraction-free reduction step,
+which divides every updated column by its content gcd to keep entries
+small.  _echelon, the fully reduced echelon form that the adapted basis
+and the direct-sum search use, is built on the same step.  Everything
+is exact; no floating point enters anywhere.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 Entry = Tuple[int, int]
 
@@ -147,6 +148,29 @@ def _reduce(v: Dict[int, int], row: Mapping[int, int], lead: int) -> None:
     if g > 1:
         for k in v:
             v[k] //= g
+
+
+def _echelon(rows: Iterable[Mapping[int, int]]) -> Dict[int, Dict[int, int]]:
+    """A fully reduced echelon basis of the span of the integer `rows`,
+    {lead: row}: row[lead] > 0 is the row's first entry, its content is
+    1, and it is zero at every other lead."""
+    basis: Dict[int, Dict[int, int]] = {}
+    for row in rows:
+        v = {k: x for k, x in row.items() if x}
+        # every basis row is zero at the other leads, so one pass reduces v
+        for p in [k for k in v if k in basis]:
+            _reduce(v, basis[p], p)
+        if not v:
+            continue
+        lead = min(v)
+        g = gcd(*v.values()) * (1 if v[lead] > 0 else -1)
+        if g != 1:
+            v = {k: x // g for k, x in v.items()}
+        for other in basis.values():
+            if lead in other:
+                _reduce(other, v, lead)
+        basis[lead] = v
+    return basis
 
 
 def rank(matrix: RationalMatrix) -> int:

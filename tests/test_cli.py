@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -11,8 +12,12 @@ from pathlib import Path
 import pytest
 
 from heisenberg_cohomology import cli, limits, verify
-from heisenberg_cohomology.algebra import make_heisenberg_even, make_heisenberg_odd
+from heisenberg_cohomology.algebra import (LieSuperalgebra, make_heisenberg_even,
+                                           make_heisenberg_odd)
 from heisenberg_cohomology.fileformats import format_algebra
+
+from test_symmetric_blocks import shuffled
+from test_validate import _table, change_basis, direct_sum
 
 
 def run_cli(capsysbinary, argv):
@@ -568,6 +573,28 @@ def test_a_computing_verb_loads_no_element_api(argv, tmp_path):
     assert code == 0
     assert "heisenberg_cohomology.differential" in loaded
     assert "heisenberg_cohomology.elements" not in loaded
+
+
+@pytest.mark.parametrize("argv", (
+    ["even", "--n", "2", "--m", "2", "--q-max", "4"],
+    ["odd", "--n", "2", "--q-max", "4"],
+    ["compute", "--algebra", "shuffled.alg", "--q-max", "4"],
+    ["verify", "--family", "even", "--n-max", "2", "--m-max", "2", "--q-max", "4"],
+    ["compute", "--algebra", "sum.alg", "--q-max", "4"]), ids=" ".join)
+def test_only_a_split_table_loads_the_direct_sum_search(argv, tmp_path):
+    # the family members and a generator-shuffled h_{2,2} have one pivot,
+    # so they fail the split's gate and their children compile none of
+    # it; a hidden-basis h_1 + h_1 passes the gate and loads it
+    (tmp_path / "shuffled.alg").write_text(
+        format_algebra(shuffled(make_heisenberg_even(2, 2), 5)))
+    summed = direct_sum(_table(make_heisenberg_odd(1)), _table(make_heisenberg_odd(1)))
+    (tmp_path / "sum.alg").write_text(format_algebra(
+        LieSuperalgebra("sum", *change_basis(random.Random(28), summed))))
+    argv = [str(tmp_path / arg) if arg.endswith(".alg") else arg for arg in argv]
+    code, loaded = _main_in_a_child(argv)
+    assert code == 0
+    assert "heisenberg_cohomology.cohomology" in loaded
+    assert ("heisenberg_cohomology.directsum" in loaded) == argv[-3].endswith("sum.alg")
 
 
 def test_the_engine_modules_load_no_element_api():

@@ -491,16 +491,24 @@ def test_a_parsed_file_is_rewritten_once(monkeypatch):
 
 
 def test_d_terms_are_derived_once_per_betti_table_call(monkeypatch):
-    # full d_q on the hidden sum, Lefschetz blocks on h_3, full d_q on
-    # h_{2,2} (the identity rewrite): one workspace per call derives the
-    # d-term table, and nothing keeps it on the algebra or the module
-    for alg in (_hidden_valid("hidden", 2), make_heisenberg_odd(3),
-                make_heisenberg_even(2, 2)):
-        derived = _counted(monkeypatch, differential, "_d_duals")
-        betti_table(alg, 4)
-        assert derived == [adapted_basis(alg)], alg.name
-        betti_table(alg, 3)
-        assert derived == [adapted_basis(alg)] * 2, alg.name
+    # full d_q on the hidden sum (its split switched off), Lefschetz
+    # blocks on h_3, full d_q on h_{2,2} (the identity rewrite): one
+    # workspace per call derives the d-term table, and nothing keeps it
+    # on the algebra or the module
+    hidden = _hidden_valid("hidden", 2)
+    with monkeypatch.context() as whole:
+        whole.setattr(cohomology, "_split_ranks", lambda *args: None)
+        for alg in (hidden, make_heisenberg_odd(3), make_heisenberg_even(2, 2)):
+            derived = _counted(whole, differential, "_d_duals")
+            betti_table(alg, 4)
+            assert derived == [adapted_basis(alg)], alg.name
+            betti_table(alg, 3)
+            assert derived == [adapted_basis(alg)] * 2, alg.name
+    # split, each part's own workspace derives its table once per call
+    derived = _counted(monkeypatch, differential, "_d_duals")
+    for calls in (1, 2):
+        betti_table(hidden, 4 - calls)
+        assert [a.name for a in derived] == ["hidden[0]", "hidden[1]"] * calls
 
 
 def test_bracket_table_is_read_only():
