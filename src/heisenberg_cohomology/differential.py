@@ -53,7 +53,10 @@ of d_q is the codomain just built for d_{q-1}, and a space of
 z-dual-free cochains once per (q, z's position), so block t's codomain
 is block t + 2's domain and every power l of one t shares its spaces,
 and the kernel's plan of each even mask once, which verify's L^(t),
-psi_2 and psi_3 of one n share.
+psi_2 and psi_3 of one n share.  The scale 1/D of every matrix it
+builds, and the kernel's masks for reading a key's slots, are made
+once per workspace too, not once per block: the engine builds
+hundreds of blocks a few columns wide per call.
 The workspace is dropped when its call returns or raises; the public
 builders take a fresh one per call, once they have refused a degree
 over limits.MAX_Q_MAX.
@@ -127,15 +130,19 @@ class _Workspace:
     algebra's dual superdimension.
 
     `degree` is the largest degree of any key of the call, which fixes
-    the radix, and `top` that of any column (degree - 1 by default).  The constructor derives d of every dual generator from
-    _d_duals and raises the first refusal in slot order.  `denom` is D,
-    the lcm of the coefficient denominators; `evens` has, per even
-    slot, its d-terms as (emask, even_set, delta, D * coefficient), and
+    the radix, and `top` that of any column (degree - 1 by default).
+    The constructor derives d of every dual generator from _d_duals
+    and raises the first refusal in slot order.  `denom` is D, the lcm
+    of the coefficient denominators, and `scale` the Fraction 1/D that
+    every matrix of the workspace shares; `evens` has, per even slot,
+    its d-terms as (emask, even_set, delta, D * coefficient), and
     `odds` one (B^j, terms) per odd slot j with a nonzero d, its terms
     (emask, (e,), delta, D * coefficient), delta having the unit
     B^j << n0 of o_j already taken off.  `active` has the bit of every
-    even slot with a nonzero d.  space(q) is (keys, {key: row}) of C^q
-    in the canonical order; with `without`, an odd position, of the
+    even slot with a nonzero d, `evens_only` the bits of every even
+    slot, and `units` the kernel's (place in `odds`, B^j) per odd slot
+    with a nonzero d.  space(q) is (keys, {key: row}) of C^q in the
+    canonical order; with `without`, an odd position, of the
     cochains without that dual (enumerate_basis's `without`), whose
     index numbers the rows of every block with l = 1.  Callers do not
     mutate any of it, except `plans`, which the kernel fills in: it
@@ -167,6 +174,9 @@ class _Workspace:
         self.odds = tuple((radix ** j, table(g, radix ** j << n0))
                           for j, g in enumerate(algebra.odd_indices) if g in terms)
         self.active = sum(1 << i for i, slot in enumerate(self.evens) if slot)
+        self.scale = Fraction(1, denom)
+        self.evens_only = (1 << n0) - 1
+        self.units = [(i, unit) for i, (unit, _) in enumerate(self.odds)]
         self.plans = {}
         self._spaces = {}
         self.top = degree - 1 if top is None else top
@@ -266,9 +276,8 @@ def _d_columns(workspace: _Workspace, domain, row_index):
     are summed, and those that cancel leave no stored zero.
     """
     n0, radix = workspace.dims.even_count, workspace.radix
-    evens_only = (1 << n0) - 1
+    evens_only, units = workspace.evens_only, workspace.units
     active, plans = workspace.active, workspace.plans
-    units = [(i, unit) for i, (unit, _) in enumerate(workspace.odds)]
     columns = []
     for key in domain:
         mask = key & evens_only
@@ -365,7 +374,7 @@ def _coboundary(workspace: _Workspace, domain, row_index,
     columns = _d_columns(workspace, domain, row_index)
     if rows is None:
         rows = len(row_index)
-    return RationalMatrix._wrap(rows, columns, Fraction(1, workspace.denom))
+    return RationalMatrix._wrap(rows, columns, workspace.scale)
 
 
 def lefschetz_block(algebra: LieSuperalgebra, z: int, t: int, l: int,
@@ -444,12 +453,8 @@ def psi_matrix(t: int, n: int, l: int,
         raise ValueError("psi needs n >= 1 and l >= 1")
     check_degree(t + l)
     _check_psi_codomain(n, t, column_cap)
-    return _psi(lefschetz_block(make_heisenberg_odd(n), 2 * n, t, l, column_cap), t)
-
-
-def _psi(block: RationalMatrix, t: int) -> RationalMatrix:
-    """psi_{(n,l)} in degree t from h_n's Lefschetz block of power l:
-    the same integer columns, the scale times (-1)^t."""
+    block = lefschetz_block(make_heisenberg_odd(n), 2 * n, t, l, column_cap)
     if t & 1:
+        # the same integer columns, the scale times -1
         return RationalMatrix._wrap(block.rows, block.columns, -block.scale)
     return block

@@ -8,10 +8,13 @@ retained verbatim precisely so that its deviations can be reported
 rather than hidden.
 
 On h_n with n >= 2 each block L^(t) comes as orbit groups
-(cohomology._lefschetz_blocks): psi_{(n,2)} and psi_{(n,3)} are built
-on each group's keys, compared with it group by group (_is_multiple),
-and every kernel is the sum of |orbit| times the group's kernel, so a
-faulty psi is still reported through its own elimination.
+(cohomology._lefschetz_blocks): the Lefschetz blocks of powers 2 and 3,
+which are psi_{(n,2)} and psi_{(n,3)} up to the sign (-1)^t, are built
+on each group's keys and compared with l times the group's L^(t)
+(_is_multiple) as they are, without the sign, which changes no kernel
+and is put on only by the public psi_matrix.  Every kernel is the sum
+of |orbit| times the group's kernel, so a faulty psi is still reported
+through its own elimination.
 
 Every refusal of a grid is decided from sizes alone by limits.check_grid
 (its MAX_GRID_POINTS, GridTooLarge and the per-point column-cap and psi
@@ -28,7 +31,7 @@ from typing import List, Optional
 from .algebra import _Record, make_heisenberg_even, make_heisenberg_odd
 from .cohomology import (_block_ranks, _enter, _lefschetz_blocks, _reports,
                          betti_table)
-from .differential import _lefschetz_block, _psi
+from .differential import _lefschetz_block
 from .formulas import dim_h_even, dim_h_odd_displayed, dim_h_odd_proof, ker_psi_dim
 # the grid's refusals live in limits, which needs no engine module, so
 # the CLI runs them before this module is loaded; they stay importable
@@ -124,9 +127,10 @@ def verify_family(family: str, n_max: int, m_max: Optional[int] = None,
     block further: each block is built and eliminated once, its rank
     gives rank d_q for the Betti reports and the kernel of
     psi_{(n,1)} = (-1)^t L^(t).  psi_{(n,2)} and psi_{(n,3)} are built
-    on the same keys, orbit group by orbit group; one that is exactly
-    l times psi_{(n,1)} has its kernel, and any other gets its own
-    elimination, each group's kernel counted |orbit| times.
+    on the same keys, orbit group by orbit group, as Lefschetz blocks
+    without their sign; one that is exactly l times L^(t) has its
+    kernel, and any other gets its own elimination, each group's kernel
+    counted |orbit| times.
 
     Every refusal comes first, from sizes alone (limits.check_grid): a
     grid of more than MAX_GRID_POINTS points (GridTooLarge), a q_max
@@ -165,13 +169,13 @@ def _odd_point(n: int, q_max: int, column_cap: int) -> List[Comparison]:
         block_rank[t] = sum(orbit * r for orbit, _, _, r in groups)
         kernels = dict.fromkeys(PSI_POWERS, 0)
         for orbit, keys, block, r in groups:
-            base = _psi(block, t)
-            for l in PSI_POWERS:
-                psi = (base if l == 1
-                       else _psi(_lefschetz_block(workspace, z, t, l, keys), t))
-                # psi_{(n,l)} = l * psi_{(n,1)} group by group: equal
-                # matrices have equal kernels, and any other is eliminated
-                same = psi is base or _is_multiple(psi, base, l)
+            kernels[1] += orbit * (block.cols - r)
+            for l in PSI_POWERS[1:]:
+                # psi_{(n,l)} is (-1)^t times the block of power l, and
+                # the sign changes no kernel: a block that is l times
+                # L^(t) has its kernel, and any other is eliminated
+                psi = _lefschetz_block(workspace, z, t, l, keys)
+                same = _is_multiple(psi, block, l)
                 kernels[l] += orbit * (block.cols - r if same else kernel_dim(psi))
         want = ker_psi_dim(t, n)
         for l in PSI_POWERS:

@@ -6,11 +6,15 @@ from math import gcd
 
 import pytest
 
-from heisenberg_cohomology.algebra import make_heisenberg_even
+from heisenberg_cohomology import cohomology, linalg, verify
+from heisenberg_cohomology.algebra import (LieSuperalgebra, adapted_basis,
+                                           make_heisenberg_even, make_heisenberg_odd)
+from heisenberg_cohomology.cohomology import betti_table
 from heisenberg_cohomology.differential import differential_matrix, psi_matrix
 from heisenberg_cohomology.linalg import RationalMatrix, _reduce, kernel_dim, rank
 
 from oracles import dense_rank_bareiss, dense_rank_fractions, matmul
+from test_validate import _table, change_basis, direct_sum
 
 
 def random_sparse(rng, rows, cols, density=0.3, rational=True):
@@ -372,3 +376,123 @@ def test_a_long_bidiagonal_chain_is_ranked_in_time():
         t0 = time.perf_counter()
         assert rank(m) == n
         assert time.perf_counter() - t0 < 5
+
+
+def _rank_checked(columns, rows=None, scale=1):
+    """rank of the integer columns against the Bareiss oracle; rank must
+    leave the columns as they were."""
+    if rows is None:
+        rows = 1 + max((max(col) for col in columns if col), default=0)
+    m = RationalMatrix.from_columns(rows, columns, scale)
+    before = copy.deepcopy(m.columns)
+    got = rank(m)
+    assert m.columns == before
+    assert got == dense_rank_bareiss(m.rows, m.cols, m.entries)
+    return got
+
+
+def test_rank_exits_before_elimination_below_two_nonzero_columns(monkeypatch):
+    # two nonzero columns sharing every row: nothing is peeled, and the
+    # pair is eliminated
+    assert _rank_checked([{0: 2, 1: 4}, {}, {0: -1, 1: -2}]) == 1
+    assert _rank_checked([{0: 2, 1: 4}, {0: 1, 1: 3}]) == 2
+    # below two nonzero columns, at entry or after a round of the peel,
+    # rank returns without counting the rows again or eliminating
+    tallies = []
+    real_counter = linalg.Counter
+
+    def counted(*args):
+        tallies.append(1)
+        return real_counter(*args)
+
+    def refused(*args):
+        raise AssertionError("rank reached elimination")
+
+    monkeypatch.setattr(linalg, "Counter", counted)
+    monkeypatch.setattr(linalg, "_reduce", refused)
+    assert _rank_checked([], rows=3) == 0
+    assert _rank_checked([{}, {}, {}], rows=3) == 0
+    assert _rank_checked([{}, {2: -7, 0: 3}, {}], scale=Fraction(-1, 4)) == 1
+    assert not tallies
+    # a bidiagonal chain of five columns: the first round peels the two
+    # ends, the second the next two, and the middle column is left alone
+    chain = [{i: i + 2, i + 1: -1} for i in range(5)]
+    assert _rank_checked([{}] + chain) == 5
+    assert len(tallies) == 2
+
+
+def _cycle(width, rank_deficient, offset):
+    """`width` columns {r: 1, r + 1: -1} on a cycle of rows offset by
+    `offset`: every row is touched twice, so nothing is peeled, and the
+    rank is width - 1, or width when one entry is doubled."""
+    columns = [{offset + i: 1, offset + (i + 1) % width: -1} for i in range(width)]
+    if not rank_deficient:
+        columns[0][offset] = 2
+    return columns
+
+
+def test_rank_renumbers_rows_only_past_the_width(monkeypatch):
+    # rows offset past every column count: a lead below the offset is a
+    # renumbered row, one at or above it a row as numbered
+    offset = 1000
+    real = linalg._reduce
+    leads = []
+
+    def recorded(v, row, lead):
+        leads.append(lead)
+        real(v, row, lead)
+
+    monkeypatch.setattr(linalg, "_reduce", recorded)
+    width = linalg._RENUMBER_WIDTH
+    for cols in (width - 1, width, width + 1):
+        for deficient in (True, False):
+            leads.clear()
+            got = _rank_checked(_cycle(cols, deficient, offset))
+            assert got == cols - deficient
+            assert leads
+            assert all((lead < offset) == (cols > width) for lead in leads)
+
+
+def test_rank_hypothesis_on_small_blocks():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(st.lists(st.dictionaries(st.integers(0, 9),
+                                               st.integers(-4, 4).filter(bool),
+                                               max_size=4),
+                               max_size=12))
+    def check(columns):
+        _rank_checked(columns, rows=10)
+
+    check()
+
+
+def test_every_block_the_engine_ranks_matches_the_dense_oracle(monkeypatch):
+    # the blocks of the rank routes, of verify's psi walk and of a split
+    # table's parts are small; each must be ranked as the dense oracle
+    # ranks it, whichever of rank's exits it takes
+    seen = []
+
+    def checked(name, real):
+        def call(matrix):
+            got = real(matrix)
+            want = dense_rank_bareiss(matrix.rows, matrix.cols, matrix.entries)
+            assert got == (want if name == "rank" else matrix.cols - want)
+            seen.append(name)
+            return got
+        return call
+
+    monkeypatch.setattr(cohomology, "rank", checked("rank", cohomology.rank))
+    monkeypatch.setattr(verify, "kernel_dim", checked("kernel_dim", verify.kernel_dim))
+    h1 = _table(make_heisenberg_odd(1))
+    hidden = LieSuperalgebra("h1+h1", *change_basis(random.Random(29), direct_sum(h1, h1)))
+    assert cohomology._split_ranks(adapted_basis(hidden), 6, 5000) is not None
+    for call in (lambda: betti_table(make_heisenberg_odd(4), 8),
+                 lambda: betti_table(make_heisenberg_even(3, 3), 8),
+                 lambda: verify.verify_family("odd", 4, None, 6),
+                 lambda: betti_table(hidden, 6)):
+        seen.clear()
+        call()
+        assert seen

@@ -1,4 +1,5 @@
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -88,6 +89,29 @@ def test_psi_shortcut_cannot_hide_a_faulty_build(monkeypatch):
     assert wrong == {(n, t) for n in (1, 2, 3) for t in range(4)
                      if faulty_kernels[("h_%d" % n, t, 3)] != ker_psi_dim(t, n)}
     assert wrong
+
+
+def test_is_multiple_compares_whole_columns():
+    # base has an empty column and a negative entry; l = 2
+    base = RationalMatrix.from_columns(4, [{0: 1, 2: -3}, {}, {1: 5}], Fraction(1, 2))
+
+    def stored(columns, rows=4, scale=Fraction(1, 2)):
+        return RationalMatrix.from_columns(rows, columns, scale)
+
+    assert verify._is_multiple(stored([{0: 2, 2: -6}, {}, {1: 10}]), base, 2)
+    assert verify._is_multiple(base, base, 1)
+    for other in (stored([{0: 2, 2: -6, 3: 1}, {}, {1: 10}]),   # an extra entry
+                  stored([{0: 2, 2: -6}, {3: 1}, {1: 10}]),     # one in an empty column
+                  stored([{0: 2}, {}, {1: 10}]),                # a missing entry
+                  stored([{0: 2, 2: -6}, {}, {}]),              # the last column's missing
+                  stored([{0: 3, 2: -9}, {}, {1: 15}]),         # 3 times, not 2
+                  stored([{0: 2, 2: -6}, {}, {1: 11}]),         # one entry wrong
+                  stored([{0: 2, 3: -6}, {}, {1: 10}]),         # another row
+                  stored([{0: 2, 2: -6}, {}, {1: 10}], rows=5),  # other rows
+                  stored([{0: 2, 2: -6}, {}, {1: 10}], scale=Fraction(1, 3)),
+                  stored([{0: 2, 2: -6}, {}, {1: 10}], scale=Fraction(-1, 2)),
+                  stored([{0: 2, 2: -6}, {}, {1: 10}, {}])):    # another width
+        assert not verify._is_multiple(other, base, 2)
 
 
 def test_odd_grid_enumerates_each_space_once(monkeypatch):
