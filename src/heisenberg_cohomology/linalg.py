@@ -11,17 +11,15 @@ O(nnz log columns) where peeling to the end can be quadratic.  Fewer
 than two nonzero columns, at entry or after any round, are their own
 rank, and rank returns at once: most of the engine's blocks are a few
 columns wide and end there.  The rest goes through fraction-free
-echelon elimination in one order fixed before it starts: columns
-sparsest first, and, when more than _RENUMBER_WIDTH columns are left,
-rows by the peel's last nonzero count (ties to the lowest index); a
-narrower remainder keeps its rows as numbered, because renumbering
-costs more than it saves there.  Each column is reduced against the
-pivots found so far, keyed by their first row in that order, by
-_reduce, the package's one fraction-free reduction step, which divides
-every updated column by its content gcd to keep entries small.
-_echelon, the fully reduced echelon form that the adapted basis and
-the direct-sum search use, is built on the same step.  Everything is
-exact; no floating point enters anywhere.
+echelon elimination in one order fixed before it starts: rows by the
+peel's last nonzero count (ties to the lowest index), columns sparsest
+first.  Each column is reduced against the pivots found so far, keyed
+by their first row in that order, by _reduce, the package's one
+fraction-free reduction step, which divides every updated column by
+its content gcd to keep entries small.  _echelon, the fully reduced
+echelon form that the adapted basis and the direct-sum search use, is
+built on the same step.  Everything is exact; no floating point enters
+anywhere.
 """
 
 from __future__ import annotations
@@ -178,20 +176,11 @@ def _echelon(rows: Iterable[Mapping[int, int]]) -> Dict[int, Dict[int, int]]:
     return basis
 
 
-# a peel remainder of at most this many columns is eliminated on its rows
-# as numbered, where renumbering by count costs more than it saves; a
-# wider one, such as a hidden-basis d_q, needs the count order to keep
-# its fill-in down
-_RENUMBER_WIDTH = 32
-
-
 def rank(matrix: RationalMatrix) -> int:
     """Exact rank: structural pivots peeled off in a few counted rounds,
     then fraction-free elimination of the rest in one pivot order,
     fixed before elimination starts.  Fewer than two nonzero columns,
-    at entry or after any round of the peel, are their own rank; a
-    remainder of at most _RENUMBER_WIDTH columns keeps its rows as
-    numbered, a wider one has them renumbered by count."""
+    at entry or after any round of the peel, are their own rank."""
     cols = list(filter(None, matrix.columns))
     if len(cols) < 2:
         return len(cols)
@@ -212,18 +201,14 @@ def rank(matrix: RationalMatrix) -> int:
         if len(cols) < 2:
             return peeled + len(cols)
         counts = Counter(chain.from_iterable(cols))
-    if len(cols) > _RENUMBER_WIDTH:
-        # rows in the fixed order: fewer nonzeros first, lower index on
-        # ties; a column is kept as {position of the row in that order:
-        # value}
-        order = sorted(counts)
-        order.sort(key=counts.__getitem__)
-        position = dict(zip(order, range(len(order))))
-        cols = [{position[r]: x for r, x in col.items()} for col in cols]
-    else:
-        cols = [dict(col) for col in cols]
+    # rows in the fixed order: fewer nonzeros first, lower index on ties;
+    # a column is kept as {position of the row in that order: value}
+    order = sorted(counts)
+    order.sort(key=counts.__getitem__)
+    position = dict(zip(order, range(len(order))))
     pivots: Dict[int, Dict[int, int]] = {}
-    for v in sorted(cols, key=len):
+    for col in sorted(cols, key=len):
+        v = {position[r]: x for r, x in col.items()}
         lead = min(v)
         # every row of the pivot keyed at `lead` comes at or after `lead`,
         # and the update cancels `lead`, so the first row of v moves

@@ -421,54 +421,6 @@ def test_rank_exits_before_elimination_below_two_nonzero_columns(monkeypatch):
     assert len(tallies) == 2
 
 
-def _cycle(width, rank_deficient, offset):
-    """`width` columns {r: 1, r + 1: -1} on a cycle of rows offset by
-    `offset`: every row is touched twice, so nothing is peeled, and the
-    rank is width - 1, or width when one entry is doubled."""
-    columns = [{offset + i: 1, offset + (i + 1) % width: -1} for i in range(width)]
-    if not rank_deficient:
-        columns[0][offset] = 2
-    return columns
-
-
-def test_rank_renumbers_rows_only_past_the_width(monkeypatch):
-    # rows offset past every column count: a lead below the offset is a
-    # renumbered row, one at or above it a row as numbered
-    offset = 1000
-    real = linalg._reduce
-    leads = []
-
-    def recorded(v, row, lead):
-        leads.append(lead)
-        real(v, row, lead)
-
-    monkeypatch.setattr(linalg, "_reduce", recorded)
-    width = linalg._RENUMBER_WIDTH
-    for cols in (width - 1, width, width + 1):
-        for deficient in (True, False):
-            leads.clear()
-            got = _rank_checked(_cycle(cols, deficient, offset))
-            assert got == cols - deficient
-            assert leads
-            assert all((lead < offset) == (cols > width) for lead in leads)
-
-
-def test_rank_hypothesis_on_small_blocks():
-    hypothesis = pytest.importorskip("hypothesis")
-    st = pytest.importorskip("hypothesis.strategies")
-
-    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True,
-                         database=None)
-    @hypothesis.given(st.lists(st.dictionaries(st.integers(0, 9),
-                                               st.integers(-4, 4).filter(bool),
-                                               max_size=4),
-                               max_size=12))
-    def check(columns):
-        _rank_checked(columns, rows=10)
-
-    check()
-
-
 def test_every_block_the_engine_ranks_matches_the_dense_oracle(monkeypatch):
     # the blocks of the rank routes, of verify's psi walk and of a split
     # table's parts are small; each must be ranked as the dense oracle
