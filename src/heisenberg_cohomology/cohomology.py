@@ -119,8 +119,8 @@ def _enter(algebra: LieSuperalgebra, top: int, degrees: Iterable[int],
            ) -> Tuple[_Workspace, Dict[int, int]]:
     """_admit, then the call's workspace, whose algebra is
     adapted_basis(algebra), for keys of degree up to `reach` (by default
-    top + 1, d_top's codomain) and columns of degree up to top, with
-    _checked_dims' dimensions."""
+    top + 1, d_top's codomain) and listed representatives of degree up
+    to top, with _checked_dims' dimensions."""
     dims = _admit(algebra, top, degrees, cap)
     reach = top + 1 if reach is None else reach
     return _Workspace(adapted_basis(algebra), reach, top), dims
@@ -316,11 +316,13 @@ def betti_table(algebra: LieSuperalgebra, q_max: int,
     if q_max < 0:
         raise ValueError("q_max must be nonnegative")
     dims = _admit(algebra, q_max, range(q_max + 1), column_cap)
-    rk = _split_ranks(adapted_basis(algebra), q_max, column_cap)
+    adapted = adapted_basis(algebra)
+    rk = _split_ranks(adapted, q_max, column_cap)
     if rk is not None:
         return _reports(algebra.name, dims, rk)
-    workspace = _Workspace(adapted_basis(algebra), q_max + 1, q_max)
-    z = _odd_centre(workspace.algebra)
+    z = _odd_centre(adapted)
+    # the listing's keys: those of d_q's columns, or of L^(t)'s for t < q_max
+    workspace = _Workspace(adapted, q_max + 1, q_max if z is None else q_max - 1)
     if z is None:
         rk = {q: _checked_rank(workspace, q, dims) for q in range(-1, q_max + 1)}
     else:

@@ -130,7 +130,8 @@ class _Workspace:
     algebra's dual superdimension.
 
     `degree` is the largest degree of any key of the call, which fixes
-    the radix, and `top` that of any column (degree - 1 by default).
+    the radix, and `top` that of any key orbits() lists (degree - 1 by
+    default).
     The constructor derives d of every dual generator from _d_duals
     and raises the first refusal in slot order.  `denom` is D, the lcm
     of the coefficient denominators, and `scale` the Fraction 1/D that
@@ -202,8 +203,9 @@ class _Workspace:
         charges in sorted order, the first copies first, and the zero
         charge to the rest; its orbit size is the product of the
         classes' multinomials.  The listing (symmetry.OrbitListing) walks
-        the representatives once per workspace, up to degree `top`, and
-        builds no other key.
+        each class's representatives once per workspace, up to degree
+        `top`, and sums the classes' keys once per `without`, so later
+        calls are lookups; it builds no other key, and none above `top`.
         """
         if self._listing is None:
             classes = copy_classes(self.algebra)

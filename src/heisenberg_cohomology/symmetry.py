@@ -13,16 +13,19 @@ rank engine ranks one block per orbit.
 
 An OrbitListing lists those blocks' keys for one workspace
 (differential._Workspace.orbits), as sums of each copy's local keys and
-the keys of the other generators; no other key is built.  The engine
-imports this module only for a table with a copy class, so a table
-without one compiles none of it.
+the keys of the other generators; no other key is built.  Its
+representatives, sorted multisets of nonzero charges per class, are
+emitted directly (orderly generation): one walk per class (_listed),
+then one sum of the classes' groups per left-out generator (_add).
+The engine imports this module only for a table with a copy class, so
+a table without one compiles none of it.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-Keys = Dict[int, List[int]]  # {degree: packed keys}
+Groups = List[Tuple[Tuple[int, int], List[int]]]  # [((degree, orbit size), keys)]
 
 
 def _echelon_lattice(vectors, width: int) -> List[Tuple[int, List[int]]]:
@@ -65,12 +68,10 @@ def _lattice_class(v, basis) -> Tuple[int, ...]:
 class OrbitListing:
     """One workspace's representative keys, up to degree `top`.
 
-    `classes` has, per copy class, (nonzero, keys, tails): the charges
-    but the zero charge with their least degrees, in order, keys[i] the
-    {charge: {degree: keys}} of copy i, and tails[i] the keys of the
-    zero charge on copies i, i+1, ...  `picks` are the representatives
-    (_picks); `in_copies` the generators inside a copy and `unit` each
-    generator's key of degree 1.
+    `classes` has each copy class's groups (_listed), `in_copies` the
+    generators inside a copy and `unit` each generator's key of degree
+    1; `_orbits[skip]` files every representative key without the
+    generator `skip` as {degree: [(orbit size, keys)]}.
     """
 
     def __init__(self, workspace, copy_classes, top: int):
@@ -78,101 +79,106 @@ class OrbitListing:
         self.algebra, self.top = algebra, top
         self.unit = unit = {g: 1 << p for p, g in enumerate(algebra.even_indices)}
         unit.update((g, radix ** j << n0) for j, g in enumerate(algebra.odd_indices))
-        self.classes, self.in_copies = [], set()
-        for parities, lattice, copies in copy_classes:
-            table: Dict[tuple, Dict[int, list]] = {}
-            for d, e in _exponents(parities, top):
-                table.setdefault(_lattice_class(e, lattice), {}).setdefault(d, []).append(e)
-            zero = (0,) * len(parities)
-            keys = [{c: {d: [sum(map(int.__mul__, e, units)) for e in es]
-                         for d, es in t.items()} for c, t in table.items()}
-                    for units in ([unit[g] for g in copy] for copy in copies)]
-            # a pick gives at most top copies a nonzero charge, each of
-            # least degree 1 or more, so its zero charge starts at most there
-            tails, tail = {}, {0: [0]}
-            for i in range(len(keys), -1, -1):
-                if i < len(keys):
-                    tail = _fold(tail, keys[i][zero], top)
-                if i <= top:
-                    tails[i] = tail
-            self.classes.append((sorted((c, min(t)) for c, t in table.items() if c != zero),
-                                 keys, tails))
-            self.in_copies.update(*copies)
-        self.picks = _picks(self.classes, top)
-        self._bases: Dict[tuple, Keys] = {}
-        self._reach: Dict[Optional[int], Dict[int, list]] = {}
+        self.classes = [_listed(parities, lattice, [[unit[g] for g in c] for c in copies], top)
+                        for parities, lattice, copies in copy_classes]
+        self.in_copies = {g for _, _, copies in copy_classes for c in copies for g in c}
+        self._orbits: Dict[Optional[int], Dict[int, List[Tuple[int, List[int]]]]] = {}
 
     def orbits(self, q: int, skip: Optional[int]) -> Optional[List[Tuple[int, List[int]]]]:
         """[(orbit size, keys)] of degree q, smallest orbit first, the
-        generator `skip` left out; None when `skip` is inside a copy."""
+        generator `skip` left out; None when `skip` is inside a copy.
+        The first call for a `skip` sums the classes' groups and the
+        monomials over the generators in no copy but `skip` (_add);
+        later calls look it up."""
         if skip in self.in_copies:
             return None
-        if skip not in self._reach:
-            # each pick's keys span the degrees min(acc)..max(acc) + max(base)
-            reach = self._reach[skip] = {}
-            for orbit, firsts, acc in self.picks:
-                base = self._base(firsts, skip)
-                for d in range(min(acc), min(max(acc) + max(base), self.top) + 1):
-                    reach.setdefault(d, []).append((orbit, acc, base))
-        groups: Dict[int, List[int]] = {}
-        for orbit, acc, base in self._reach[skip].get(q, ()):
-            listed = [a + b for d, ks in acc.items() for b in base.get(q - d, ())
-                      for a in ks]
-            if listed:
-                groups.setdefault(orbit, []).extend(listed)
-        return sorted(groups.items())
-
-    def _base(self, firsts: Tuple[int, ...], skip: Optional[int]) -> Keys:
-        """{degree: keys} of the zero charge on every copy of class c from
-        copy firsts[c] on, times every monomial over the generators in no
-        copy but `skip`."""
-        key = (firsts, skip)
-        if key not in self._bases:
-            if (None, skip) not in self._bases:
-                rest = [g for g in range(self.algebra.dim)
-                        if g not in self.in_copies and g != skip]
-                acc: Keys = {}
-                for d, e in _exponents([self.algebra.parity(g) for g in rest], self.top):
-                    acc.setdefault(d, []).append(sum(a * self.unit[g] for a, g in zip(e, rest)))
-                self._bases[(None, skip)] = acc
-            acc = self._bases[(None, skip)]
-            for (_, _, tails), first in zip(self.classes, firsts):
-                acc = _fold(acc, tails[first], self.top)
-            self._bases[key] = acc
-        return self._bases[key]
+        if skip not in self._orbits:
+            rest = [g for g in range(self.algebra.dim) if g not in self.in_copies and g != skip]
+            free: Dict[tuple, List[int]] = {}
+            for d, e in _exponents([self.algebra.parity(g) for g in rest], self.top):
+                free.setdefault((d, 1), []).append(sum(a * self.unit[g] for a, g in zip(e, rest)))
+            groups, *factors = self.classes + ([sorted(free.items())] if rest else [])
+            for factor in factors:
+                groups = _add({}, groups, factor, self.top).items()
+            filed = self._orbits[skip] = {}
+            for (d, orbit), keys in sorted(groups):
+                filed.setdefault(d, []).append((orbit, keys))
+        return self._orbits[skip].get(q, [])
 
 
-def _picks(classes, top: int):
-    """(orbit, firsts, acc) per representative charge tuple with a key
-    of degree at most top.  A representative gives copies
-    0..firsts[c]-1 of class c its nonzero charges in sorted order and
-    the zero charge to the rest; orbit is the product of the classes'
-    multinomials, and acc the {degree: keys} of the copies with a
-    nonzero charge."""
-    picks = []
+def _listed(parities, lattice, units, top: int) -> Groups:
+    """One copy class's representative keys of degree at most top, in
+    increasing degree: the copies' local parities, the echelon basis of
+    their charge lattice, and each copy's generators' keys of degree 1.
 
-    def visit(c, firsts, i, last, run, acc, orbit):
-        # the pick so far gives copies 0..i-1 of class c nonzero charges,
-        # nonzero[last] the last `run` times over: keep it with the zero
-        # charge on every later copy of class c, then extend it by one
-        # more nonzero charge, in sorted order
-        nonzero, keys, _ = classes[c]
-        if c + 1 < len(classes):
-            visit(c + 1, firsts + (i,), 0, 0, 0, acc, orbit)
-        else:
-            picks.append((orbit, firsts + (i,), acc))
-        if i < len(keys):
-            room = top - min(acc)
-            for s in range(last, len(nonzero)):
-                charge, least = nonzero[s]
-                if least <= room:
-                    # one of the len(keys) - i copies left takes it
-                    r = run + 1 if s == last else 1
-                    visit(c, firsts, i + 1, s, r, _fold(acc, keys[i][charge], top),
-                          orbit * (len(keys) - i) // r)
+    A representative gives copies 0..f-1 nonzero charges in sorted
+    order and the zero charge to every later copy; its orbit size is
+    the multinomial of the charges' runs.  The walk goes copy by copy:
+    copy i takes each nonzero charge at or after the last one's, one
+    degree at a time, while the degree fits, and the orbit size grows
+    by (copies - i) / run as it takes a charge the run-th time in a
+    row.  Every nonzero charge has degree 1 or more, so only copies
+    0..top-1 take one, however many copies there are.  Entries of one
+    level with the same last charge, run, degree and orbit size have
+    the same future and walk on as one.  Each (degree, orbit size)
+    group of level i is closed once, with the zero charge on copies
+    i, i+1, ... (tails[i]).
+    """
+    table: Dict[tuple, Dict[int, list]] = {}
+    for d, e in _exponents(parities, top):
+        table.setdefault(_lattice_class(e, lattice), {}).setdefault(d, []).append(e)
+    zero = sorted(table.pop((0,) * len(parities)).items())
+    # least degree first, so a walk with less room stops at the first
+    # charge that does not fit
+    charges = sorted((min(t), c, sorted(t.items())) for c, t in table.items())
+    least = [d for d, _, _ in charges]
 
-    visit(0, (), 0, 0, 0, {0: [0]}, 1)
-    return picks
+    def keyed(exps, copy):
+        return [((d, 1), [sum(map(int.__mul__, e, copy)) for e in es]) for d, es in exps]
+
+    nonzero = [[keyed(t, copy) for _, _, t in charges] for copy in units[:top]]
+    tails, tail = {}, [((0, 1), [0])]
+    for i in range(len(units), -1, -1):
+        if i < len(units):
+            tail = sorted(_add({}, tail, keyed(zero, units[i]), top).items())
+        if i <= top:
+            tails[i] = tail
+    listed: Dict[tuple, List[int]] = {}
+    # {(last charge, its run, degree, orbit size): keys} of level i
+    level: Dict[tuple, List[int]] = {(0, 0, 0, 1): [0]}
+    for i in range(len(nonzero) + 1):
+        heads: Dict[tuple, List[int]] = {}
+        grown: Dict[tuple, List[int]] = {}
+        for (last, run, deg, orbit), keys in level.items():
+            heads.setdefault((deg, orbit), []).extend(keys)
+            room = top - deg
+            if i == len(nonzero):
+                continue
+            for s in range(last, len(least)):
+                if least[s] > room:
+                    break
+                r = run + 1 if s == last else 1
+                for (d, _), ks in nonzero[i][s]:
+                    if d > room:
+                        break
+                    grown.setdefault((s, r, deg + d, orbit * (len(units) - i) // r),
+                                     []).extend([a + b for a in keys for b in ks])
+        _add(listed, heads.items(), tails[i], top)
+        level = grown
+    return sorted(listed.items())
+
+
+def _add(into: Dict[tuple, List[int]], groups, factor: Groups, top: int):
+    """Files a + b under (d1 + d2, o1 * o2) in `into`, for every key a
+    of a group ((d1, o1), keys) of `groups` and b of one ((d2, o2), keys)
+    of `factor` (in increasing degree) with d1 + d2 at most top; keys
+    are additive over disjoint generators.  Returns `into`."""
+    for (d1, o1), ks1 in groups:
+        for (d2, o2), ks2 in factor:
+            if d1 + d2 > top:
+                break
+            into.setdefault((d1 + d2, o1 * o2), []).extend([a + b for a in ks1 for b in ks2])
+    return into
 
 
 def _exponents(parities, top: int):
@@ -182,15 +188,4 @@ def _exponents(parities, top: int):
     for p in parities:
         out = [(d + a, e + (a,)) for d, e in out
                for a in range(min(top if p else 1, top - d) + 1)]
-    return out
-
-
-def _fold(acc: Keys, part: Keys, top: int) -> Keys:
-    """{degree: keys} of the sums of a key of acc and a key of part, up
-    to degree top: keys are additive over disjoint generators."""
-    out: Keys = {}
-    for d1, ks1 in acc.items():
-        for d2, ks2 in part.items():
-            if d1 + d2 <= top:
-                out.setdefault(d1 + d2, []).extend([a + b for a in ks1 for b in ks2])
     return out

@@ -10,11 +10,14 @@ so that the odd-centre block route can be held to the full-matrix route
 it stands in for, and kernel_matrices_are_checked, which checks the
 package's own matrices, and adapted_brackets_fractions, the package's
 former Fraction rewrite into the adapted basis, kept unchanged as the
-reference for the fraction-free one.
+reference for the fraction-free one.  orbit_listing_defects reads the
+package's packed keys and its copies' generator tuples, but none of
+its charges, lattices or listing code.
 """
 
 from collections import Counter
 from fractions import Fraction
+from itertools import permutations, product
 from math import lcm
 from typing import Dict, List, Mapping
 
@@ -416,6 +419,56 @@ def z_power_block(algebra, z, t, l):
         else:
             block[(row_of[row], col_of[col])] = v
     return block, rest
+
+
+def orbit_listing_defects(algebra, copies, groups, basis, radix) -> List[str]:
+    """How one degree's representative groups fail to list its cochains
+    once per orbit of the copies; [] when they do not.
+
+    `copies` has, per class, the copies' generator tuples, `groups` is
+    [(orbit size, keys)] of packed keys over `radix`, and `basis` the
+    degree's SuperMonomials.  Every permutation of the copies within
+    their classes, applied to a group's keys as a relabelling of
+    generators, must give exactly orbit size times len(keys) cochains
+    (a key's block is one of orbit size blocks that the permutations
+    map onto each other), none given by another group; and together the
+    images must be every monomial of `basis`.
+    """
+    n0 = len(algebra.even_indices)
+
+    def monomial(key):
+        out = {g: 1 for p, g in enumerate(algebra.even_indices) if key >> p & 1}
+        odd = key >> n0
+        for g in algebra.odd_indices:
+            odd, a = divmod(odd, radix)
+            if a:
+                out[g] = a
+        return out
+
+    relabellings = []
+    for orders in product(*(permutations(c) for c in copies)):
+        relabel = {}
+        for c, order in zip(copies, orders):
+            for old, new in zip(c, order):
+                relabel.update(zip(old, new))
+        relabellings.append(relabel)
+    defects, seen = [], set()
+    for orbit, keys in groups:
+        images = {frozenset((relabel.get(g, g), a) for g, a in monomial(key).items())
+                  for key in keys for relabel in relabellings}
+        if len(images) != orbit * len(keys):
+            defects.append("the group of orbit %d has %d images, not %d x %d"
+                           % (orbit, len(images), orbit, len(keys)))
+        if images & seen:
+            defects.append("the group of orbit %d meets an earlier group" % orbit)
+        seen |= images
+    want = {frozenset([(algebra.even_indices[p], 1) for p in m.even_set]
+                      + [(g, a) for g, a in zip(algebra.odd_indices, m.odd_exponents) if a])
+            for m in basis}
+    if seen != want:
+        defects.append("the orbits miss %d monomials and add %d"
+                       % (len(want - seen), len(seen - want)))
+    return defects
 
 
 def full_matrix_ranks(algebra, q_max):

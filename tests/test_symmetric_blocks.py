@@ -14,6 +14,7 @@ import random
 import pytest
 
 from heisenberg_cohomology import cohomology, differential
+from heisenberg_cohomology.formulas import dim_h_even, dim_h_odd_proof
 from heisenberg_cohomology.algebra import (LieSuperalgebra, adapted_basis,
                                            copy_classes, make_heisenberg_even,
                                            make_heisenberg_odd)
@@ -22,7 +23,7 @@ from heisenberg_cohomology.differential import _Workspace
 from heisenberg_cohomology.symmetry import _lattice_class
 from heisenberg_cohomology.superexterior import _radix, enumerate_basis
 
-from oracles import full_matrix_ranks
+from oracles import full_matrix_ranks, orbit_listing_defects
 from test_adapted_basis import HIDDEN_SUMS
 from test_lefschetz_blocks import NOT_CENTRAL
 from test_validate import ODD, OSP12, SL2, _table, direct_sum
@@ -147,6 +148,69 @@ def test_representatives_are_distinct_keys_of_their_degree():
         assert 5 * len(listed) < 2 * len(everything), alg.name
         orbits = [orbit for orbit, _ in workspace.orbits(6)]
         assert orbits == sorted(set(orbits)) and orbits[0] == 1
+
+
+def test_each_orbit_group_lists_its_orbits_once():
+    # the oracle relabels each listed key by every permutation of the
+    # copies within their classes, with no charge or lattice
+    # h_n's z, its last odd generator, is in no copy, and is left out too
+    tables = [(make_heisenberg_odd(n), top, (None, n)) for n, top in ((2, 10), (3, 8),
+                                                                     (4, 7), (5, 6))]
+    tables += [(make_heisenberg_even(n, m), 7, (None,)) for n, m in ((1, 4), (3, 1), (2, 4),
+                                                                   (3, 3))]
+    tables.append((shuffled(make_heisenberg_even(3, 3), 5), 7, (None,)))
+    for alg, top, skips in tables:
+        adapted = adapted_basis(alg)
+        copies = [c for _, _, c in copy_classes(adapted)]
+        workspace = _Workspace(adapted, top + 1, top)
+        for without in skips:
+            for q in range(top + 1):
+                groups = workspace.orbits(q, without)
+                basis = enumerate_basis(workspace.dims, q, without)
+                assert orbit_listing_defects(adapted, copies, groups, basis,
+                                             workspace.radix) == [], (alg.name, without, q)
+        # an odd generator inside a copy: the caller takes the canonical spaces
+        for g in (g for c in copies for g in c[0] if g in adapted.odd_indices):
+            assert workspace.orbits(top, adapted.odd_indices.index(g)) is None, alg.name
+
+
+def test_betti_table_lists_no_degree_it_does_not_rank(monkeypatch):
+    # h_3's Lefschetz walk stops at L^(q_max - 1), whose columns are A^t
+    # times f_z; the full route of h_{2,2} ranks d_q up to q_max
+    workspaces = []
+    real = differential._Workspace.orbits
+
+    def orbits(workspace, q, without=None):
+        workspaces.append((workspace, without))
+        return real(workspace, q, without)
+
+    monkeypatch.setattr(differential._Workspace, "orbits", orbits)
+    for alg, q_max, top in ((make_heisenberg_odd(3), 6, 5), (make_heisenberg_even(2, 2), 6, 6)):
+        workspaces.clear()
+        betti_table(alg, q_max)
+        workspace, without = workspaces[0]
+        assert real(workspace, top, without) and real(workspace, top + 1, without) == [], alg.name
+
+
+def test_deep_degrees_with_few_copies_match_the_canonical_route(monkeypatch):
+    # two or three copies at degrees 30 and 45: many charge multisets,
+    # few keys each
+    deep = [(make_heisenberg_odd(2), 45, lambda q: dim_h_odd_proof(2, q)),
+            (make_heisenberg_even(1, 3), 30, lambda q: dim_h_even(1, 3, q))]
+    listed = [[r.dim_cohomology for r in betti_table(alg, q_max)] for alg, q_max, _ in deep]
+    monkeypatch.setattr(differential, "copy_classes", lambda alg: ())
+    for (alg, q_max, formula), betti in zip(deep, listed):
+        assert betti == [r.dim_cohomology for r in betti_table(alg, q_max)], alg.name
+        assert betti == [formula(q) for q in range(q_max + 1)], alg.name
+
+
+def test_many_copies_are_listed_without_deep_recursion():
+    # no copy past the degree takes a nonzero charge, so 1,200 copies
+    # are walked no deeper than two
+    for alg, want in ((make_heisenberg_odd(1200), dim_h_odd_proof(1200, 1)),
+                      (make_heisenberg_even(1200, 2), dim_h_even(1200, 2, 1))):
+        assert betti_table(alg, 1, column_cap=10**5)[1].dim_cohomology == want, alg.name
+        assert cohomology.cohomology_dims(alg, 1, column_cap=10**5).dim_cohomology == want
 
 
 def test_tables_without_copies_take_the_canonical_spaces(monkeypatch):
