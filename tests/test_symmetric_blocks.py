@@ -14,12 +14,12 @@ import random
 import pytest
 
 from heisenberg_cohomology import cohomology, differential
-from heisenberg_cohomology.formulas import dim_h_even, dim_h_odd_proof
 from heisenberg_cohomology.algebra import (LieSuperalgebra, adapted_basis,
                                            copy_classes, make_heisenberg_even,
                                            make_heisenberg_odd)
 from heisenberg_cohomology.cohomology import _checked_rank, _enter, betti_table
 from heisenberg_cohomology.differential import _Workspace
+from heisenberg_cohomology.formulas import dim_h_even, dim_h_odd_proof
 from heisenberg_cohomology.symmetry import _lattice_class
 from heisenberg_cohomology.superexterior import _radix, enumerate_basis
 
@@ -152,8 +152,8 @@ def test_representatives_are_distinct_keys_of_their_degree():
 
 def test_each_orbit_group_lists_its_orbits_once():
     # the oracle relabels each listed key by every permutation of the
-    # copies within their classes, with no charge or lattice
-    # h_n's z, its last odd generator, is in no copy, and is left out too
+    # copies within their classes, with no charge or lattice; h_n's z,
+    # its last odd generator, is in no copy, and is left out too
     tables = [(make_heisenberg_odd(n), top, (None, n)) for n, top in ((2, 10), (3, 8),
                                                                      (4, 7), (5, 6))]
     tables += [(make_heisenberg_even(n, m), 7, (None,)) for n, m in ((1, 4), (3, 1), (2, 4),
@@ -205,8 +205,8 @@ def test_deep_degrees_with_few_copies_match_the_canonical_route(monkeypatch):
 
 
 def test_many_copies_are_listed_without_deep_recursion():
-    # no copy past the degree takes a nonzero charge, so 1,200 copies
-    # are walked no deeper than two
+    # no copy past the degree takes a nonzero charge, so the walk over
+    # 1,200 copies has at most two levels and nothing recurses per copy
     for alg, want in ((make_heisenberg_odd(1200), dim_h_odd_proof(1200, 1)),
                       (make_heisenberg_even(1200, 2), dim_h_even(1200, 2, 1))):
         assert betti_table(alg, 1, column_cap=10**5)[1].dim_cohomology == want, alg.name
