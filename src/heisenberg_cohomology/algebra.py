@@ -423,9 +423,12 @@ def copy_classes(alg: LieSuperalgebra) -> tuple:
         for g in range(alg.dim):
             if g not in central:
                 members.setdefault(find(g), []).append(g)
+        # integer_table's ints: one scale L for the whole table, so the
+        # components' signatures compare as the Fractions would
+        _, ad = integer_table(alg)
         terms: Dict[int, list] = {r: [] for r in members}
-        for (i, j), targets in brackets.items():
-            terms[find(i)].append((i, j, targets))
+        for i, j in brackets:
+            terms[find(i)].append((i, j, ad[i][j]))
         classes: Dict[tuple, List[Tuple[int, ...]]] = {}
         for r, component in members.items():
             local = {g: a for a, g in enumerate(component)}

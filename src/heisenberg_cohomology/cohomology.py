@@ -16,11 +16,11 @@ AlgebraValidationError.  The rewrite and the verdict are kept on the
 algebra, so one that parse_algebra or a family constructor just
 checked is neither rewritten nor validated again.  Each call owns one
 workspace (differential._Workspace) that carries the adapted algebra
-and enumerates each cochain space it needs once; the rank helpers take
-the workspace alone, and it is dropped when the call returns or
-raises.  Every CohomologyReport, the closed forms' too
-(even_formula_report, odd_formula_report), is built here; an
-inconsistent one raises ReportInvariantError.
+and lists the cochains it needs once; the rank helpers take the
+workspace alone, and it is dropped when the call returns or raises.
+Every CohomologyReport, the closed forms' too (even_formula_report,
+odd_formula_report), is built here, the rank route's by one helper
+(_reports); an inconsistent one raises ReportInvariantError.
 
 betti_table takes one of two rank routes.  When one odd generator z is
 the only bracket target and appears in no bracket (h_n, and any table
@@ -34,21 +34,25 @@ verify_family iterates the same walk one block further, and reads the
 kernel of psi_{(n,1)} = +-L^(t) off each block's rank.  Every
 other algebra, even centres included, has each full d_q built and
 eliminated: an even z-dual has no power above 1, so its blocks are
-reused by nothing.  The top codomain C^{q+1} is nobody's domain, and
-Betti numbers do not depend on how its rows are numbered, so the top
-d_q numbers them on first use and C^{q+1} is never enumerated.
+reused by nothing.
 
-Inside both routes, a table with classes of identical copies
+Both routes list their cochains through differential._Workspace.orbits
+alone, one block per stack.  A table with classes of identical copies
 (algebra.copy_classes; h_n, and h_{n,m} with n or m at least 2) is
 ranked one block per orbit: d keeps each copy's charge, a permutation
 of copies maps the block of one charge tuple onto another's, so
 rank d_q (or rank L^(t)) = sum over representatives of
-|orbit| rank(block).  differential._Workspace.orbits lists only the
-representatives' keys, stacked by orbit size, and each stack is built
-with its rows numbered on first use (_check_orbits checks
-sum |orbit| columns = dim C^q, or dim A^t).  A table without copies
-takes the canonical spaces, unchanged.  Refusals are decided from the
-full sizes before, so no refusal depends on the split.
+|orbit| rank(block), and the listing has only the representatives'
+keys, stacked by orbit size.  A table without copies has one stack of
+orbit size 1 per degree, its canonical space.  A stack of d_q below
+the top degree numbers its rows by the stack of the same orbit size in
+C^{q+1}; the top codomain is nobody's domain, and Betti numbers do not
+depend on how its rows are numbered, so the top d_q, like every
+Lefschetz block, numbers them on first use, and the top codomain is
+never listed.  _check_orbits checks every shape: sum |orbit| columns
+= dim C^q (or dim A^t), and sum |orbit| rows at most the codomain's
+dimension.  Refusals are decided from the full sizes before, so no
+refusal depends on the split.
 
 Before either route, betti_table and cohomology_dims try to split a
 two-step adapted table into ideals (_split_ranks, whose O(brackets)
@@ -127,41 +131,27 @@ def _enter(algebra: LieSuperalgebra, top: int, degrees: Iterable[int],
 
 
 def _checked_rank(workspace: _Workspace, q: int, dims: Dict[int, int]) -> int:
-    """rank d_q, its shape checked against the preamble's dimensions:
-    the one per-degree rank helper of betti_table and cohomology_dims.
+    """rank d_q = sum |orbit| rank over the blocks on the stacks of
+    workspace.orbits(q), their shapes checked against the preamble's
+    dimensions (_check_orbits): the one per-degree rank helper of
+    betti_table and cohomology_dims.
 
-    dims runs up to the top degree's codomain (_checked_dims).  With
-    copy classes, rank d_q = sum |orbit| rank over the representative
-    blocks of workspace.orbits, each stack's rows numbered on first
-    use.  Otherwise, below the top degree C^{q+1} is d_{q+1}'s domain,
-    enumerated anyway, and its canonical index numbers the rows.  The
-    top codomain is nobody's domain: its rows are numbered on first
-    use, so it is never enumerated, and the rows d_q reaches must fit
-    in dim C^{q+1}.
+    d keeps a key's charges, so it maps a stack into the stack of the
+    same orbit size one degree up.  Below the top degree, that stack,
+    d_{q+1}'s domain and listed anyway, numbers the rows in its order;
+    the top codomain is nobody's domain, so its rows are numbered on
+    first use and it is never listed.
     """
     if q < 0:
         return 0
-    groups = workspace.orbits(q)
-    if groups is not None:
-        built = [(orbit, _coboundary(workspace, keys, _RowIndex()))
-                 for orbit, keys in groups]
-        _check_orbits("d_%d" % q, built, "C^%d" % q, dims[q], "C^%d" % (q + 1),
-                      dims[q + 1])
-        return sum(orbit * rank(matrix) for orbit, matrix in built)
-    domain, _ = workspace.space(q)
-    if q + 1 < max(dims):
-        codomain, row_index = workspace.space(q + 1)
-        matrix = _coboundary(workspace, domain, row_index, len(codomain))
-    else:
-        row_index = _RowIndex()
-        matrix = _coboundary(workspace, domain, row_index, dims[q + 1])
-        if len(row_index) > dims[q + 1]:
-            raise AssertionError("d_%d reaches %d rows, more than dim C^%d = %d"
-                                 % (q, len(row_index), q + 1, dims[q + 1]))
-    if (matrix.cols, matrix.rows) != (dims[q], dims[q + 1]):
-        raise AssertionError("d_%d has shape %dx%d, not dim C^%d x dim C^%d"
-                             % (q, matrix.rows, matrix.cols, q + 1, q))
-    return rank(matrix)
+    below = {}
+    if q < workspace.top:
+        below = {orbit: dict(zip(keys, range(len(keys))))
+                 for orbit, keys in workspace.orbits(q + 1)}
+    built = [(orbit, _coboundary(workspace, keys, below.get(orbit) or _RowIndex()))
+             for orbit, keys in workspace.orbits(q)]
+    _check_orbits("d_%d" % q, built, "C^%d" % q, dims[q], "C^%d" % (q + 1), dims[q + 1])
+    return sum(orbit * rank(matrix) for orbit, matrix in built)
 
 
 def _check_orbits(name: str, built, domain: str, cols: int, codomain: str,
@@ -194,13 +184,12 @@ def _odd_centre(algebra: LieSuperalgebra) -> Optional[int]:
 def _lefschetz_blocks(workspace: _Workspace, z: int, dims: Dict[int, int],
                       t_end: int) -> Iterator[Tuple[int, list]]:
     """(t, groups) for t = 0..t_end-1: L^(t) as groups
-    (orbit size, keys, block, rank of the block), each block built and
-    eliminated once.  With copy classes (workspace.orbits) the groups
-    are the representative blocks stacked by orbit size, and
-    rank L^(t) = sum |orbit| rank; without, one group
-    (1, None, L^(t), rank L^(t)).  The shapes, and
-    dim C^q = sum_l dim A^{q-l}, are checked against the preamble's
-    dimensions.  A block is not kept past its t.
+    (orbit size, keys, block, rank of the block), one per stack of
+    workspace.orbits(t, z's position), each block built, its rows
+    numbered on first use, and eliminated once: rank L^(t) =
+    sum |orbit| rank.  The shapes, and dim C^q = sum_l dim A^{q-l}, are
+    checked against the preamble's dimensions.  A block is not kept
+    past its t.
     """
     n0, n1 = workspace.dims
     space = (n0, n1 - 1)
@@ -211,16 +200,8 @@ def _lefschetz_blocks(workspace: _Workspace, z: int, dims: Dict[int, int],
                                  % (q, q))
     j = workspace.algebra.odd_indices.index(z)
     for t in range(t_end):
-        groups = workspace.orbits(t, j)
-        if groups is None:
-            block = _lefschetz_block(workspace, z, t, 1)
-            if (block.rows, block.cols) != (dim_a[t + 2], dim_a[t]):
-                raise AssertionError("L^(%d) has shape %dx%d, not dim A^%d x dim A^%d"
-                                     % (t, block.rows, block.cols, t + 2, t))
-            yield t, [(1, None, block, rank(block))]
-            continue
         built = [(orbit, keys, _lefschetz_block(workspace, z, t, 1, keys))
-                 for orbit, keys in groups]
+                 for orbit, keys in workspace.orbits(t, j)]
         _check_orbits("L^(%d)" % t, [(orbit, block) for orbit, _, block in built],
                       "A^%d" % t, dim_a[t], "A^%d" % (t + 2), dim_a[t + 2])
         yield t, [(orbit, keys, block, rank(block)) for orbit, keys, block in built]
@@ -271,33 +252,28 @@ def _split_ranks(adapted: LieSuperalgebra, q_max: int,
     return rk
 
 
-def _reports(name: str, dims: Dict[int, int],
-             rk: Dict[int, int]) -> List[CohomologyReport]:
-    """The rank route's reports for q = 0..max(rk), from dim C^q and
-    rank d_q."""
-    out = []
-    for q in range(max(rk) + 1):
-        z = dims[q] - rk[q]
-        out.append(CohomologyReport(name, q, dims[q], z, rk[q - 1],
-                                    z - rk[q - 1], METHOD_RANK))
-    return out
+def _reports(name: str, dims: Dict[int, int], rk: Dict[int, int],
+             degrees: Iterable[int]) -> List[CohomologyReport]:
+    """The rank route's reports for these degrees q, from dim C^q,
+    rank d_q and rank d_{q-1}."""
+    return [CohomologyReport(name, q, dims[q], dims[q] - rk[q], rk[q - 1],
+                             dims[q] - rk[q] - rk[q - 1], METHOD_RANK) for q in degrees]
 
 
 def cohomology_dims(algebra: LieSuperalgebra, q: int,
                     column_cap: int = DEFAULT_COLUMN_CAP) -> CohomologyReport:
     """Betti data in a single degree, via exact ranks."""
     if q < 0:
-        return CohomologyReport(algebra.name, q, 0, 0, 0, 0, METHOD_RANK)
+        # no cochains: every dimension is 0
+        return _reports(algebra.name, {q: 0}, {q - 1: 0, q: 0}, (q,))[0]
     dims = _admit(algebra, q, (q, q - 1), column_cap)
     rk = _split_ranks(adapted_basis(algebra), q, column_cap)
     if rk is None:
         workspace = _Workspace(adapted_basis(algebra), q + 1, q)
-        # d_{q-1} first: its codomain C^q is d_q's domain, already
-        # enumerated; d_q is the top degree, so C^{q+1} is not enumerated
+        # d_{q-1} first: its codomain C^q is d_q's domain, listed
+        # anyway; d_q is the top degree, so C^{q+1} is not listed
         rk = {p: _checked_rank(workspace, p, dims) for p in (q - 1, q)}
-    z = dims[q] - rk[q]
-    return CohomologyReport(algebra.name, q, dims[q], z, rk[q - 1], z - rk[q - 1],
-                            METHOD_RANK)
+    return _reports(algebra.name, dims, rk, (q,))[0]
 
 
 def betti_table(algebra: LieSuperalgebra, q_max: int,
@@ -319,7 +295,7 @@ def betti_table(algebra: LieSuperalgebra, q_max: int,
     adapted = adapted_basis(algebra)
     rk = _split_ranks(adapted, q_max, column_cap)
     if rk is not None:
-        return _reports(algebra.name, dims, rk)
+        return _reports(algebra.name, dims, rk, range(q_max + 1))
     z = _odd_centre(adapted)
     # the listing's keys: those of d_q's columns, or of L^(t)'s for t < q_max
     workspace = _Workspace(adapted, q_max + 1, q_max if z is None else q_max - 1)
@@ -329,7 +305,7 @@ def betti_table(algebra: LieSuperalgebra, q_max: int,
         blocks = _lefschetz_blocks(workspace, z, dims, q_max)
         rk = _block_ranks({t: sum(orbit * r for orbit, _, _, r in groups)
                            for t, groups in blocks}, q_max)
-    return _reports(algebra.name, dims, rk)
+    return _reports(algebra.name, dims, rk, range(q_max + 1))
 
 
 def _formula_report(shape: Tuple[str, Tuple[int, int]],

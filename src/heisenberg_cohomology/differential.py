@@ -48,32 +48,30 @@ Work that depends only on a value is done once per value.  The rank
 engine's entry points (betti_table, cohomology_dims, and verify_family
 per n) each own one _Workspace(algebra, degree) for the call: it
 carries the algebra the call ranks, derives its d-term table once,
-enumerates a cochain space and its row index once per q, so the domain
-of d_q is the codomain just built for d_{q-1}, and a space of
-z-dual-free cochains once per (q, z's position), so block t's codomain
-is block t + 2's domain and every power l of one t shares its spaces,
-and the kernel's plan of each even mask once, which verify's L^(t),
-psi_2 and psi_3 of one n share.  The scale 1/D of every matrix it
-builds, and the kernel's masks for reading a key's slots, are made
-once per workspace too, not once per block: the engine builds
-hundreds of blocks a few columns wide per call.
+lists its cochains once per left-out dual (below), and builds the
+kernel's plan of each even mask once, which verify's L^(t), psi_2 and
+psi_3 of one n share.  The scale 1/D of every matrix it builds, and
+the kernel's masks for reading a key's slots, are made once per
+workspace too, not once per block: the engine builds hundreds of
+blocks a few columns wide per call.
 The workspace is dropped when its call returns or raises; the public
 builders take a fresh one per call, once they have refused a degree
-over limits.MAX_Q_MAX.
-A codomain that is nobody's domain is not enumerated at all: the rank
-engine's top coboundary numbers its rows in order of first use
-(_RowIndex).  What these return is never mutated.
+over limits.MAX_Q_MAX, and enumerate their two canonical spaces
+themselves (enumerate_basis).  What these return is never mutated.
 
-When the algebra has classes of identical copies
-(algebra.copy_classes: h_n's pairs (x_i, y_i), h_{n,m}'s pairs and
-y_j), the rank engine lists no cochain space at all.  d keeps each
-copy's charge, so it is block diagonal over charge tuples, and
-permuting the copies of a class permutes the blocks;
-_Workspace.orbits lists the keys of one charge tuple per orbit,
-stacked by orbit size (symmetry.OrbitListing), and the blocks on them
-number their rows on first use, so rank d_q = sum |orbit| rank(block)
-costs the representatives' columns alone.  The public builders never
-split.
+The rank engine lists every cochain through _Workspace.orbits
+(symmetry.OrbitListing), and nothing else.  When the algebra has
+classes of identical copies (algebra.copy_classes: h_n's pairs
+(x_i, y_i), h_{n,m}'s pairs and y_j), d keeps each copy's charge, so
+it is block diagonal over charge tuples, and permuting the copies of a
+class permutes the blocks: the listing has the keys of one charge
+tuple per orbit, stacked by orbit size, so
+rank d_q = sum |orbit| rank(block) costs the representatives' columns
+alone.  A table without copies is the listing with no class: one
+stack of orbit size 1 per degree, its canonical space.  A codomain
+that is nobody's domain is never listed: the rank engine's top
+coboundary and its Lefschetz blocks number their rows in order of
+first use (_RowIndex).  The public builders never split.
 """
 
 from __future__ import annotations
@@ -88,6 +86,7 @@ from .limits import (DEFAULT_COLUMN_CAP, _check_codomain, _check_psi_codomain,
                      check_degree, graded_dim)
 from .linalg import RationalMatrix
 from .superexterior import SuperSpaceDims, _radix, enumerate_basis
+from .symmetry import OrbitListing
 
 
 def _d_duals(algebra: LieSuperalgebra):
@@ -125,8 +124,8 @@ def _d_duals(algebra: LieSuperalgebra):
 
 
 class _Workspace:
-    """One engine call: its algebra, its d-term table, and the cochain
-    spaces of the call, each enumerated once, as packed keys over the
+    """One engine call: its algebra, its d-term table, and the listing
+    of the call's cochains, built once, as packed keys over the
     algebra's dual superdimension.
 
     `degree` is the largest degree of any key of the call, which fixes
@@ -142,15 +141,11 @@ class _Workspace:
     B^j << n0 of o_j already taken off.  `active` has the bit of every
     even slot with a nonzero d, `evens_only` the bits of every even
     slot, and `units` the kernel's (place in `odds`, B^j) per odd slot
-    with a nonzero d.  space(q) is (keys, {key: row}) of C^q in the
-    canonical order; with `without`, an odd position, of the
-    cochains without that dual (enumerate_basis's `without`), whose
-    index numbers the rows of every block with l = 1.  Callers do not
-    mutate any of it, except `plans`, which the kernel fills in: it
-    maps the even mask of each key it met that has a d-term to the
-    mask's _mask_plan.  orbits(q) lists the keys of one charge tuple
-    per orbit of copies instead, when the algebra has copy classes.  A
-    workspace lives as long as the call that made it.
+    with a nonzero d.  orbits(q) lists the call's cochains of degree
+    q, stacked by orbit size.  Callers do not mutate any of it, except
+    `plans`, which the kernel fills in: it maps the even mask of each
+    key it met that has a d-term to the mask's _mask_plan.  A workspace
+    lives as long as the call that made it.
     """
 
     def __init__(self, algebra: LieSuperalgebra, degree: int, top: Optional[int] = None):
@@ -179,25 +174,16 @@ class _Workspace:
         self.evens_only = (1 << n0) - 1
         self.units = [(i, unit) for i, (unit, _) in enumerate(self.odds)]
         self.plans = {}
-        self._spaces = {}
         self.top = degree - 1 if top is None else top
         self._listing = None
 
-    def space(self, q: int, without=None):
-        key = (q, without)
-        if key not in self._spaces:
-            basis = enumerate_basis(self.dims, q, without, self.radix)
-            self._spaces[key] = basis, dict(zip(basis, range(len(basis))))
-        return self._spaces[key]
-
-    def orbits(self, q: int, without: Optional[int] = None
-               ) -> Optional[List[Tuple[int, List[int]]]]:
-        """The keys of degree q of one charge tuple per orbit of copies,
-        stacked by orbit size: [(orbit size, keys)], smallest orbit
-        first.  None when the algebra has no copy classes
-        (algebra.copy_classes), or when `without`, an odd position as in
-        space(), is a generator inside a copy: then the caller takes the
-        canonical spaces.
+    def orbits(self, q: int, without: Optional[int] = None) -> List[Tuple[int, List[int]]]:
+        """The keys of degree q of one charge tuple per orbit of copies
+        (algebra.copy_classes), stacked by orbit size:
+        [(orbit size, keys)], smallest orbit first; with `without`, an
+        odd position outside every copy, of the cochains without that
+        dual.  A table without copies has one stack of orbit size 1,
+        its canonical space in the canonical order.
 
         A representative gives the copies of each class its nonzero
         charges in sorted order, the first copies first, and the zero
@@ -208,11 +194,7 @@ class _Workspace:
         calls are lookups; it builds no other key, and none above `top`.
         """
         if self._listing is None:
-            classes = copy_classes(self.algebra)
-            if not classes:
-                return None
-            from .symmetry import OrbitListing
-            self._listing = OrbitListing(self, classes, self.top)
+            self._listing = OrbitListing(self, copy_classes(self.algebra), self.top)
         return self._listing.orbits(
             q, None if without is None else self.algebra.odd_indices[without])
 
@@ -329,9 +311,9 @@ def _d_columns(workspace: _Workspace, domain, row_index):
 
 class _RowIndex(dict):
     """Row numbers handed out to keys in order of first use: the rows of
-    elements.d_element's image, and of the rank engine's top
-    coboundary, whose codomain is nobody's domain and so is never
-    enumerated."""
+    elements.d_element's image, and of the rank engine's blocks whose
+    codomain it does not list: those of the top coboundary, which is
+    nobody's domain, and of every Lefschetz block."""
 
     def __missing__(self, key):
         row = self[key] = len(self)
@@ -358,25 +340,23 @@ def differential_matrix(algebra: LieSuperalgebra, q: int,
     _check_codomain(algebra.name, q, graded_dim(algebra.superdim, q + 1),
                     column_cap)
     workspace = _Workspace(algebra, q + 1)
-    domain, _ = workspace.space(q)
-    codomain, row_index = workspace.space(q + 1)
-    mat = _coboundary(workspace, domain, row_index, len(codomain))
+    dims, radix = workspace.dims, workspace.radix
+    codomain = enumerate_basis(dims, q + 1, radix=radix)
+    mat = _coboundary(workspace, enumerate_basis(dims, q, radix=radix),
+                      dict(zip(codomain, range(len(codomain)))))
     # the listing gives the monomials of the keys, in the same order,
     # without unpacking each key one digit at a time
-    return DifferentialMatrix(q, tuple(enumerate_basis(workspace.dims, q)),
-                              tuple(enumerate_basis(workspace.dims, q + 1)), mat)
+    return DifferentialMatrix(q, tuple(enumerate_basis(dims, q)),
+                              tuple(enumerate_basis(dims, q + 1)), mat)
 
 
-def _coboundary(workspace: _Workspace, domain, row_index,
-                rows: Optional[int] = None) -> RationalMatrix:
-    """d of the workspace's keys `domain` as a matrix of `rows` rows
-    with scale 1/D, its rows numbered by `row_index`: a cochain space's
-    index, or a _RowIndex that numbers them on first use, whose rows
-    reached are the matrix's rows when `rows` is None."""
+def _coboundary(workspace: _Workspace, domain, row_index) -> RationalMatrix:
+    """d of the workspace's keys `domain` as a matrix with scale 1/D,
+    its rows numbered by `row_index`: a {key: row} index of the rows,
+    or a _RowIndex that numbers them on first use, whose rows reached
+    are the matrix's rows."""
     columns = _d_columns(workspace, domain, row_index)
-    if rows is None:
-        rows = len(row_index)
-    return RationalMatrix._wrap(rows, columns, workspace.scale)
+    return RationalMatrix._wrap(len(row_index), columns, workspace.scale)
 
 
 def lefschetz_block(algebra: LieSuperalgebra, z: int, t: int, l: int,
@@ -405,34 +385,28 @@ def lefschetz_block(algebra: LieSuperalgebra, z: int, t: int, l: int,
     n0, n1 = algebra.superdim
     _check_codomain(algebra.name, t, graded_dim((n0, n1 - 1), t + 2),
                     column_cap, "codomain A^%d" % (t + 2))
-    return _lefschetz_block(_Workspace(algebra, t + l + 1), z, t, l)
+    workspace = _Workspace(algebra, t + l + 1)
+    dims, radix, j = workspace.dims, workspace.radix, algebra.odd_indices.index(z)
+    return _lefschetz_block(workspace, z, t, l, enumerate_basis(dims, t, j, radix),
+                            enumerate_basis(dims, t + 2, j, radix))
 
 
-def _lefschetz_block(workspace: _Workspace, z: int, t: int, l: int,
-                     keys: Optional[List[int]] = None) -> RationalMatrix:
-    """lefschetz_block of the workspace's algebra on its spaces; the
-    radix must exceed the degree t + l + 1 of the rows.  With `keys`,
-    keys of A^t (an orbit group of workspace.orbits), the block of
-    those columns, its rows numbered on first use: the same numbers for
-    every l."""
+def _lefschetz_block(workspace: _Workspace, z: int, t: int, l: int, keys: List[int],
+                     codomain: Optional[List[int]] = None) -> RationalMatrix:
+    """The block of lefschetz_block on `keys`, keys of A^t (a stack of
+    workspace.orbits), in the workspace's algebra; the radix must
+    exceed the degree t + l + 1 of the rows.  With `codomain`, keys of
+    A^{t+2}, its rows are those keys, in order; without, they are
+    numbered on first use: the same numbers for every l."""
     if t + l + 1 >= workspace.radix:
         raise ValueError("degree %d does not fit radix %d"
                          % (t + l + 1, workspace.radix))
     j = workspace.algebra.odd_indices.index(z)
     # f_z^l in z's slot, which the keys of A leave at 0
     unit = workspace.radix ** j << workspace.dims.even_count
-    if keys is None:
-        keys, _ = workspace.space(t, j)
-        codomain, row_index = workspace.space(t + 2, j)
-        rows = len(codomain)
-        if l > 1:
-            shift = (l - 1) * unit
-            row_index = {key + shift: r for r, key in enumerate(codomain)}
-    else:
-        row_index, rows = _RowIndex(), None
-    shift = l * unit
-    domain = [key + shift for key in keys]
-    return _coboundary(workspace, domain, row_index, rows)
+    row_index = (_RowIndex() if codomain is None
+                 else {key + (l - 1) * unit: r for r, key in enumerate(codomain)})
+    return _coboundary(workspace, [key + l * unit for key in keys], row_index)
 
 
 def psi_matrix(t: int, n: int, l: int,

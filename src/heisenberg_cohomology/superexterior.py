@@ -23,14 +23,16 @@ those keys when given the radix B, or their monomials, in the same
 order (_pack and _unpack convert).  B must exceed every exponent, and
 is odd: CPython hashes an int modulo 2^61 - 1, under which the powers
 of a power-of-two radix repeat with period 61 bits, so wide keys of
-such a radix share a few hash values.
+such a radix share a few hash values.  The keys come from _keys, the
+package's one listing of keys over lists of degree-1 keys, which the
+rank engine's orbit listing (symmetry.OrbitListing) calls too.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, combinations_with_replacement, repeat
 from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple, Optional, Tuple
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 # the dimension counts live in limits, which needs no engine module;
 # they stay importable from here
@@ -160,25 +162,40 @@ def enumerate_basis(dims: SuperSpaceDims, q: int, without: Optional[int] = None,
         raise ValueError("no odd generator %d among %d" % (without, m))
     if radix is not None and q >= radix:
         raise ValueError("degree %d does not fit radix %d" % (q, radix))
-    keys = []
     if q < 0:
-        return keys
-    # index multisets come in lexicographic order, which is descending
-    # lexicographic order of the exponent tuples.  A factor is an odd
-    # index, or its unit in a key, whose odd part is the factors' sum;
-    # each odd part is built once and shared over the even masks
+        return []
     slots = [j for j in range(m) if j != without]
-    factors = slots if radix is None else [radix ** j << n for j in slots]
+    if radix is not None:
+        return _keys([1 << i for i in range(n)], [radix ** j << n for j in slots], q)
+    # index multisets come in lexicographic order, which is descending
+    # lexicographic order of the exponent tuples; each exponent tuple is
+    # built once and shared over the even masks
+    monomials = []
     for q0 in range(min(q, n), -1, -1):
-        multisets = combinations_with_replacement(factors, q - q0)
-        alphas = tuple(map(_exponents, multisets, repeat(m)) if radix is None
-                       else map(sum, multisets))
+        alphas = tuple(map(_exponents, combinations_with_replacement(slots, q - q0),
+                           repeat(m)))
         if not alphas:
             continue
         for bits in combinations([1 << i for i in range(n)], q0):
             mask = sum(bits)
-            keys.extend([_monomial(mask, alpha) for alpha in alphas] if radix is None
-                        else [mask + alpha for alpha in alphas])
+            monomials.extend([_monomial(mask, alpha) for alpha in alphas])
+    return monomials
+
+
+def _keys(evens, odds, q: int) -> List[int]:
+    """The packed keys of degree q over the generators whose keys of
+    degree 1 are `evens` and `odds`: the one listing of keys, that of
+    enumerate_basis when each list ascends.  Each odd part, the sum of
+    an odd multiset's units, is built once and shared over the even
+    masks."""
+    keys = []
+    for q0 in range(min(q, len(evens)), -1, -1):
+        alphas = tuple(map(sum, combinations_with_replacement(odds, q - q0)))
+        if not alphas:
+            continue
+        for bits in combinations(evens, q0):
+            mask = sum(bits)
+            keys.extend([mask + alpha for alpha in alphas])
     return keys
 
 

@@ -12,18 +12,22 @@ permuting the copies of a class permutes the blocks up to sign: the
 rank engine ranks one block per orbit.
 
 An OrbitListing lists those blocks' keys for one workspace
-(differential._Workspace.orbits), as sums of each copy's local keys and
-the keys of the other generators; no other key is built.  Its
-representatives, sorted multisets of nonzero charges per class, are
-emitted directly (orderly generation): one walk per class (_listed),
-then one sum of the classes' groups per left-out generator (_add).
-The engine imports this module only for a table with a copy class, so
-a table without one compiles none of it.
+(differential._Workspace.orbits), the rank engine's one listing of
+cochains, as sums of each copy's local keys and the keys of the
+generators in no copy; no other key is built.  Its representatives,
+sorted multisets of nonzero charges per class, are emitted directly
+(orderly generation): one walk per class (_listed), then one sum of
+the classes' groups and the other generators' monomials per left-out
+generator (_add).  Those monomials come from superexterior._keys,
+enumerate_basis's listing, so a table without copies, the listing
+with no class, has its canonical spaces in the canonical order.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
+
+from .superexterior import _keys
 
 Groups = List[Tuple[Tuple[int, int], List[int]]]  # [((degree, orbit size), keys)]
 
@@ -71,7 +75,8 @@ class OrbitListing:
     `classes` has each copy class's groups (_listed), `in_copies` the
     generators inside a copy and `unit` each generator's key of degree
     1; `_orbits[skip]` files every representative key without the
-    generator `skip` as {degree: [(orbit size, keys)]}.
+    generator `skip` as {degree: [(orbit size, keys)]}.  With no class
+    each degree is one stack of orbit size 1, the canonical space.
     """
 
     def __init__(self, workspace, copy_classes, top: int):
@@ -84,20 +89,25 @@ class OrbitListing:
         self.in_copies = {g for _, _, copies in copy_classes for c in copies for g in c}
         self._orbits: Dict[Optional[int], Dict[int, List[Tuple[int, List[int]]]]] = {}
 
-    def orbits(self, q: int, skip: Optional[int]) -> Optional[List[Tuple[int, List[int]]]]:
+    def orbits(self, q: int, skip: Optional[int]) -> List[Tuple[int, List[int]]]:
         """[(orbit size, keys)] of degree q, smallest orbit first, the
-        generator `skip` left out; None when `skip` is inside a copy.
-        The first call for a `skip` sums the classes' groups and the
-        monomials over the generators in no copy but `skip` (_add);
-        later calls look it up."""
+        generator `skip` left out; a `skip` inside a copy is refused.
+        The first call for a `skip` lists the monomials over the
+        generators in no copy but `skip` (superexterior._keys) and sums
+        the classes' groups with them (_add); later calls look it up."""
         if skip in self.in_copies:
-            return None
+            raise ValueError("generator %r lies in a copy, so the orbit listing "
+                             "cannot leave it out" % self.algebra.generators[skip].name)
         if skip not in self._orbits:
             rest = [g for g in range(self.algebra.dim) if g not in self.in_copies and g != skip]
-            free: Dict[tuple, List[int]] = {}
-            for d, e in _exponents([self.algebra.parity(g) for g in rest], self.top):
-                free.setdefault((d, 1), []).append(sum(a * self.unit[g] for a, g in zip(e, rest)))
-            groups, *factors = self.classes + ([sorted(free.items())] if rest else [])
+            parity = self.algebra.parity
+            evens = [self.unit[g] for g in rest if not parity(g)]
+            odds = [self.unit[g] for g in rest if parity(g)]
+            listed = ((d, _keys(evens, odds, d)) for d in range(self.top + 1))
+            free = [((d, 1), keys) for d, keys in listed if keys]
+            # the monomials over `rest` are a factor when `rest` has a
+            # generator, and the whole listing when there is no class
+            groups, *factors = self.classes + [free] if rest else self.classes or [free]
             for factor in factors:
                 groups = _add({}, groups, factor, self.top).items()
             filed = self._orbits[skip] = {}

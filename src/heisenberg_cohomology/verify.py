@@ -7,8 +7,9 @@ dim_h_odd_proof count as failures; the expanded odd-family display is
 retained verbatim precisely so that its deviations can be reported
 rather than hidden.
 
-On h_n with n >= 2 each block L^(t) comes as orbit groups
-(cohomology._lefschetz_blocks): the Lefschetz blocks of powers 2 and 3,
+On h_n each block L^(t) comes as orbit groups
+(cohomology._lefschetz_blocks; on h_1, which has no copies, one group,
+the whole of A^t): the Lefschetz blocks of powers 2 and 3,
 which are psi_{(n,2)} and psi_{(n,3)} up to the sign (-1)^t, are built
 on each group's keys and compared with l times the group's L^(t)
 (_is_multiple) as they are, without the sign, which changes no kernel
@@ -182,7 +183,7 @@ def _odd_point(n: int, q_max: int, column_cap: int) -> List[Comparison]:
             checks.append(Comparison("ker_psi_dim[l=%d]" % l, n, None, t, want,
                                      kernels[l]))
     for report in _reports(workspace.algebra.name, dims,
-                           _block_ranks(block_rank, q_max)):
+                           _block_ranks(block_rank, q_max), range(q_max + 1)):
         oracle = report.dim_cohomology
         checks.append(Comparison("dim_h_odd_proof", n, None, report.q,
                                  dim_h_odd_proof(n, report.q), oracle))

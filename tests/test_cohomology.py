@@ -4,7 +4,8 @@ import weakref
 
 import pytest
 
-from heisenberg_cohomology import algebra, cohomology, differential, limits
+from heisenberg_cohomology import (algebra, cohomology, differential, limits,
+                                   superexterior, symmetry)
 from heisenberg_cohomology.algebra import (AlgebraValidationError,
                                            LieSuperalgebra, adapted_basis,
                                            make_heisenberg_even,
@@ -154,60 +155,71 @@ def test_betti_table_refuses_before_building(monkeypatch):
 
 
 def test_checked_rank_rejects_a_misshapen_matrix(monkeypatch):
-    real_top = cohomology._coboundary
+    real = cohomology._coboundary
 
-    def transposed(algebra, domain, row_index, rows):
-        mat = real_top(algebra, domain, row_index, rows)
+    def transposed(workspace, domain, row_index):
+        mat = real(workspace, domain, row_index)
         return RationalMatrix(mat.cols, mat.rows,
                               {(c, r): v for (r, c), v in mat.entries.items()})
 
     monkeypatch.setattr(cohomology, "_coboundary", transposed)
-    # an even centre takes the full-matrix route; d_0 of h_{1,1} is 4x1
-    with pytest.raises(AssertionError, match="d_0 has shape 1x4"):
+    # an even centre takes the full-matrix route; h_{1,1} has no copies,
+    # so d_0 is one 4x1 block on C^0, its rows C^1's stack
+    with pytest.raises(AssertionError, match=r"d_0 has shape 1x4 summed over its orbits, "
+                                             r"not at most dim C\^1 = 4 rows"):
         betti_table(make_heisenberg_even(1, 1), 2)
 
     # the top d_q numbers its rows on first use: more rows than dim C^{q+1},
     # or a column too few, is a fault too; the lower d_q are built as they are
 
-    def overflowing(algebra, domain, row_index, rows):
-        mat = real_top(algebra, domain, row_index, rows)
+    def overflowing(workspace, domain, row_index):
+        mat = real(workspace, domain, row_index)
         if isinstance(row_index, _RowIndex):
-            for k in range(rows + 1 - len(row_index)):
-                row_index[("not a row", k)]
+            return RationalMatrix._wrap(mat.rows + 5, mat.columns, mat.scale)
         return mat
 
-    def narrow(algebra, domain, row_index, rows):
+    def narrow(workspace, domain, row_index):
         if isinstance(row_index, _RowIndex):
             domain = domain[1:]
-        return real_top(algebra, domain, row_index, rows)
+        return real(workspace, domain, row_index)
 
-    # h_{1,1}: dims (3|1), dim C^2 = 7, dim C^3 = 8
+    # h_{1,1}: dims (3|1), dim C^2 = 7, dim C^3 = 8, and d_2 reaches 4 rows
     monkeypatch.setattr(cohomology, "_coboundary", overflowing)
     for call in (lambda: betti_table(make_heisenberg_even(1, 1), 2),
                  lambda: cohomology_dims(make_heisenberg_even(1, 1), 2)):
-        with pytest.raises(AssertionError,
-                           match=r"d_2 reaches 9 rows, more than dim C\^3 = 8"):
+        with pytest.raises(AssertionError, match=r"d_2 has shape 9x7 summed over its "
+                                                 r"orbits, not at most dim C\^3 = 8 rows"):
             call()
     monkeypatch.setattr(cohomology, "_coboundary", narrow)
-    with pytest.raises(AssertionError, match="d_2 has shape 8x6"):
+    with pytest.raises(AssertionError, match=r"d_2 has shape \d+x6 summed .* by dim "
+                                             r"C\^2 = 7 columns"):
         betti_table(make_heisenberg_even(1, 1), 2)
 
 
-def _transposed_blocks(monkeypatch):
+def _misshapen_blocks(monkeypatch, extra_rows, extra_columns):
+    """Every block of the odd-centre walk with extra rows and extra
+    empty columns."""
     real = cohomology._lefschetz_block
 
-    def transposed(workspace, z, t, l, keys=None):
+    def misshapen(workspace, z, t, l, keys):
         mat = real(workspace, z, t, l, keys)
-        return RationalMatrix(mat.cols, mat.rows,
-                              {(c, r): v for (r, c), v in mat.entries.items()})
+        return RationalMatrix._wrap(mat.rows + extra_rows,
+                                    mat.columns + [{}] * extra_columns, mat.scale)
 
-    monkeypatch.setattr(cohomology, "_lefschetz_block", transposed)
+    monkeypatch.setattr(cohomology, "_lefschetz_block", misshapen)
 
 
 def test_block_ranks_reject_a_misshapen_block(monkeypatch):
-    _transposed_blocks(monkeypatch)
-    # an odd centre takes the block route; L^(0) of h_1 is 2x1
-    with pytest.raises(AssertionError, match=r"L\^\(0\) has shape 1x2"):
+    # an odd centre takes the block route; h_1 has no copies, so L^(0)
+    # is one block on A^0 (1 column), its rows numbered on first use
+    # (at most dim A^2 = 2)
+    with monkeypatch.context() as patched:
+        _misshapen_blocks(patched, 0, 1)
+        with pytest.raises(AssertionError, match=r"L\^\(0\) has shape 1x2 summed"):
+            betti_table(make_heisenberg_odd(1), 2)
+    _misshapen_blocks(monkeypatch, 2, 0)
+    with pytest.raises(AssertionError, match=r"L\^\(0\) has shape 3x1 summed over its "
+                                             r"orbits, not at most dim A\^2 = 2 rows"):
         betti_table(make_heisenberg_odd(1), 2)
 
 
@@ -343,7 +355,7 @@ def test_cochain_spaces_are_released_when_the_call_returns(monkeypatch):
         assert not alive()
     # a fault found mid-walk, after the call's workspace was made
     with monkeypatch.context() as patched:
-        _transposed_blocks(patched)
+        _misshapen_blocks(patched, 0, 1)
         for call in (lambda: betti_table(make_heisenberg_odd(3), 4),
                      lambda: verify_family("odd", 2, None, 3)):
             before = len(made)
@@ -391,55 +403,68 @@ def test_an_algebra_is_validated_once(monkeypatch):
 
 
 def _listings(monkeypatch):
-    """(spaces, orbits): the degree of every canonical cochain space
-    enumerated, and of every listing of orbit representatives that
-    found copies, in call order."""
-    real_enumerate, real_orbits = differential.enumerate_basis, differential._Workspace.orbits
-    spaces, orbits = [], []
+    """(spaces, listed): the arguments of every canonical cochain space
+    enumerated, and the degree of every listing of monomials over the
+    generators in no copy (symmetry._keys), in call order."""
+    real_enumerate, real_keys = superexterior.enumerate_basis, symmetry._keys
+    spaces, listed = [], []
 
-    def counted(dims, q, without=None, radix=None):
-        spaces.append(q)
-        return real_enumerate(dims, q, without, radix)
+    def enumerated(*args, **kwargs):
+        spaces.append((args, kwargs))
+        return real_enumerate(*args, **kwargs)
 
-    def listed(workspace, q, without=None):
-        groups = real_orbits(workspace, q, without)
-        if groups is not None:
-            orbits.append(q)
-        return groups
+    def keys(evens, odds, q):
+        listed.append(q)
+        return real_keys(evens, odds, q)
 
-    monkeypatch.setattr(differential, "enumerate_basis", counted)
-    monkeypatch.setattr(differential._Workspace, "orbits", listed)
-    return spaces, orbits
+    for module in (differential, superexterior):
+        monkeypatch.setattr(module, "enumerate_basis", enumerated)
+    monkeypatch.setattr(symmetry, "_keys", keys)
+    return spaces, listed
 
 
 def test_cohomology_dims_enumerates_each_space_once(monkeypatch):
-    spaces, orbits = _listings(monkeypatch)
+    spaces, listed = _listings(monkeypatch)
     for q in range(6):
-        spaces.clear()
-        cohomology_dims(make_heisenberg_even(1, 1), q)
-        # no copies: d_{q-1} then d_q: C^{q-1}, C^q (kept for d_q); C^{q+1},
-        # the top codomain, is numbered on first use and never enumerated
-        assert spaces == list(range(max(q - 1, 0), q + 1)) and orbits == [], q
-        spaces.clear()
-        cohomology_dims(make_heisenberg_even(2, 2), q)
-        # copies: the representatives of d_{q-1}'s and d_q's domains are
-        # listed once each, and no space is enumerated
-        assert spaces == [] and orbits == list(range(max(q - 1, 0), q + 1)), q
-        orbits.clear()
+        for alg in (make_heisenberg_even(1, 1), make_heisenberg_even(2, 2)):
+            listed.clear()
+            cohomology_dims(alg, q)
+            # one listing per call: the generators in no copy (all of
+            # h_{1,1}'s, h_{2,2}'s z) are listed once in each degree up to
+            # q, d_q's domain; C^{q+1}, the top codomain, is numbered on
+            # first use and never listed
+            assert listed == list(range(q + 1)), (alg.name, q)
+    assert spaces == []
 
 
 def test_betti_table_enumerates_each_space_once(monkeypatch):
-    spaces, orbits = _listings(monkeypatch)
+    spaces, listed = _listings(monkeypatch)
     for q_max in range(6):
-        spaces.clear()
-        betti_table(make_heisenberg_even(1, 1), q_max)
-        # no copies: C^q once for d_{q-1} and d_q; C^{q_max+1} never
-        assert spaces == list(range(q_max + 1)) and orbits == [], q_max
-        spaces.clear()
-        betti_table(make_heisenberg_even(2, 2), q_max)
-        # copies: each degree's representatives once, no space
-        assert spaces == [] and orbits == list(range(q_max + 1)), q_max
-        orbits.clear()
+        for alg in (make_heisenberg_even(1, 1), make_heisenberg_even(2, 2)):
+            listed.clear()
+            betti_table(alg, q_max)
+            # each degree up to q_max once, whether or not the table has
+            # copies; C^{q_max+1} never
+            assert listed == list(range(q_max + 1)), (alg.name, q_max)
+    assert spaces == []
+
+
+def test_no_engine_entry_enumerates_a_canonical_space(monkeypatch):
+    # every table, with copies or without, on the full route and on the
+    # Lefschetz blocks, is listed by its workspace's orbit listing alone
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("the engine enumerated a canonical space")
+
+    for module in (differential, superexterior):
+        monkeypatch.setattr(module, "enumerate_basis", no_enumeration)
+    monkeypatch.setattr(cohomology, "_split_ranks", lambda *args: None)
+    hidden = [s for _, _, s in HIDDEN_SUMS]
+    for alg in [make_heisenberg_even(1, 1), make_heisenberg_even(2, 2),
+                make_heisenberg_odd(1), make_heisenberg_odd(3)] + hidden:
+        betti_table(alg, 4)
+        cohomology_dims(alg, 3)
+    assert verify_family("odd", 3, None, 4).ok()
+    assert verify_family("even", 2, 2, 4).ok()
 
 
 def test_first_use_rows_give_the_canonical_rank():

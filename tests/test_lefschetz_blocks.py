@@ -11,7 +11,7 @@ from itertools import product
 
 import pytest
 
-from heisenberg_cohomology import cohomology, differential
+from heisenberg_cohomology import cohomology, differential, symmetry
 from heisenberg_cohomology.algebra import (LieSuperalgebra, adapted_basis,
                                            make_heisenberg_even,
                                            make_heisenberg_odd)
@@ -122,31 +122,32 @@ def test_other_algebras_keep_the_full_route():
 
 
 def test_each_space_of_a_is_enumerated_once_per_table(monkeypatch):
-    real, real_orbits = differential.enumerate_basis, differential._Workspace.orbits
-    calls, orbits = [], []
+    real_keys, real_orbits = symmetry._keys, differential._Workspace.orbits
+    spaces, listed, orbits = [], [], []
 
-    def counted(dims, q, without=None, radix=None):
-        calls.append((tuple(dims), q, without))
-        return real(dims, q, without, radix)
+    def enumerated(*args):
+        spaces.append(args)
 
-    def listed(workspace, q, without=None):
-        groups = real_orbits(workspace, q, without)
-        if groups is not None:
-            orbits.append((q, without))
-        return groups
+    def keys(evens, odds, q):
+        listed.append((len(evens), len(odds), q))
+        return real_keys(evens, odds, q)
 
-    monkeypatch.setattr(differential, "enumerate_basis", counted)
-    monkeypatch.setattr(differential._Workspace, "orbits", listed)
+    def stacks(workspace, q, without=None):
+        orbits.append((q, without))
+        return real_orbits(workspace, q, without)
+
+    monkeypatch.setattr(differential, "enumerate_basis", enumerated)
+    monkeypatch.setattr(symmetry, "_keys", keys)
+    monkeypatch.setattr(differential._Workspace, "orbits", stacks)
     for n, q_max in ((1, 6), (3, 10), (4, 8)):
-        calls.clear()
+        listed.clear()
         orbits.clear()
         betti_table(make_heisenberg_odd(n), q_max)
-        if n == 1:
-            # no copies: A^0..A^{q_max+1}, without z's dual (odd position
-            # n), each once
-            assert sorted(calls) == [((n, n + 1), s, n) for s in range(q_max + 2)]
-            assert orbits == []
-        else:
-            # n copies of (x_i, y_i): the representatives of each A^t,
-            # t < q_max, listed once, and no space enumerated
-            assert calls == [] and orbits == [(t, n) for t in range(q_max)]
+        # the stacks of each A^t, t < q_max, without z's dual (odd
+        # position n), asked for once
+        assert orbits == [(t, n) for t in range(q_max)], n
+        # h_1 has no copies: its x and y are listed once per degree; h_n's
+        # n copies of (x_i, y_i) leave no generator but z, which is left out
+        free = (1, 1) if n == 1 else (0, 0)
+        assert listed == [free + (t,) for t in range(q_max)], n
+    assert spaces == []

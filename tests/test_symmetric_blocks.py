@@ -10,6 +10,7 @@ differential_matrix, which never splits.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -20,7 +21,7 @@ from heisenberg_cohomology.algebra import (LieSuperalgebra, adapted_basis,
 from heisenberg_cohomology.cohomology import _checked_rank, _enter, betti_table
 from heisenberg_cohomology.differential import _Workspace
 from heisenberg_cohomology.formulas import dim_h_even, dim_h_odd_proof
-from heisenberg_cohomology.symmetry import _lattice_class
+from heisenberg_cohomology.symmetry import OrbitListing, _lattice_class
 from heisenberg_cohomology.superexterior import _radix, enumerate_basis
 
 from oracles import full_matrix_ranks, orbit_listing_defects
@@ -33,6 +34,10 @@ from test_validate import ODD, OSP12, SL2, _table, direct_sum
 ODD_MEMBERS = ((1, 10), (2, 10), (3, 10), (4, 8), (40, 1))
 EVEN_MEMBERS = ((1, 1, 8), (1, 2, 8), (1, 3, 8), (2, 1, 8), (2, 2, 8), (2, 3, 8),
                 (3, 1, 8), (3, 2, 8), (3, 3, 8), (2, 4, 8), (40, 2, 1))
+# (n, q_max) and (n, m, q_max) of distinct-coefficient members, which
+# have no copies (distinct)
+DISTINCT_ODD = ((2, 8), (3, 8))
+DISTINCT_EVEN = ((2, 3, 6), (3, 2, 6))
 
 
 def shuffled(alg, seed):
@@ -53,9 +58,32 @@ def shuffled(alg, seed):
     return LieSuperalgebra("shuffled_" + alg.name, [gens[old] for old in order], table)
 
 
+def distinct(alg):
+    """alg, h_n or h_{n,m}, with coefficient i on its i-th pair and j on
+    its y_j: no two components are copies, and over C a rescaling of
+    the generators gives back alg, so its Betti numbers are alg's."""
+    gens, brackets = _table(alg)
+    seen = Counter()
+    table = {}
+    for (i, j), targets in brackets.items():
+        seen[i == j] += 1
+        table[(i, j)] = {k: seen[i == j] * c for k, c in targets.items()}
+    return LieSuperalgebra("distinct_" + alg.name, gens, table)
+
+
+def _distinct_members():
+    """(algebra, q_max, its family's Betti numbers) of the
+    distinct-coefficient members."""
+    out = [(distinct(make_heisenberg_odd(n)), q, [dim_h_odd_proof(n, p) for p in range(q + 1)])
+           for n, q in DISTINCT_ODD]
+    return out + [(distinct(make_heisenberg_even(n, m)), q,
+                   [dim_h_even(n, m, p) for p in range(q + 1)]) for n, m, q in DISTINCT_EVEN]
+
+
 def _members():
     out = [(make_heisenberg_odd(n), q) for n, q in ODD_MEMBERS]
     out += [(make_heisenberg_even(n, m), q) for n, m, q in EVEN_MEMBERS]
+    out += [(alg, q) for alg, q, _ in _distinct_members()]
     return out + [(shuffled(make_heisenberg_even(3, 3), 5), 8)]
 
 
@@ -92,10 +120,13 @@ def test_orbit_sums_equal_the_full_matrix_ranks():
         adapted = adapted_basis(alg)
         full = full_matrix_ranks(adapted, q_max)
         symmetric = bool(copy_classes(adapted))
-        # h_1 and h_{1,1} alone have no class of two copies
-        assert symmetric == (alg.name not in ("h_1", "h_{1,1}")), alg.name
+        # h_1, h_{1,1} and the distinct-coefficient members alone have no
+        # class of two copies
+        assert symmetric == (alg.name not in ("h_1", "h_{1,1}")
+                             and not alg.name.startswith("distinct_")), alg.name
         workspace, _ = _enter(alg, q_max, range(q_max + 1), 5000)
-        assert (workspace.orbits(q_max) is not None) == symmetric, alg.name
+        # without copies, each degree is one stack of orbit size 1
+        assert symmetric or [orbit for orbit, _ in workspace.orbits(q_max)] == [1], alg.name
         # the full-matrix route, whatever the table's centre
         assert _orbit_ranks(alg, q_max) == full, alg.name
         # betti_table: the Lefschetz blocks on h_n, the full route otherwise
@@ -103,6 +134,12 @@ def test_orbit_sums_equal_the_full_matrix_ranks():
         assert [r.dim_cochain - r.dim_cocycles for r in table] \
             == [full[q] for q in range(q_max + 1)], alg.name
         assert [r.dim_coboundaries for r in table] == [full[q - 1] for q in range(q_max + 1)]
+
+
+def test_distinct_coefficients_keep_the_family_betti_numbers():
+    for alg, q_max, betti in _distinct_members():
+        assert [r.dim_cohomology for r in betti_table(alg, q_max)] == betti, alg.name
+        assert cohomology.cohomology_dims(alg, q_max).dim_cohomology == betti[q_max], alg.name
 
 
 def test_copies_must_share_their_central_targets():
@@ -169,9 +206,22 @@ def test_each_orbit_group_lists_its_orbits_once():
                 basis = enumerate_basis(workspace.dims, q, without)
                 assert orbit_listing_defects(adapted, copies, groups, basis,
                                              workspace.radix) == [], (alg.name, without, q)
-        # an odd generator inside a copy: the caller takes the canonical spaces
-        for g in (g for c in copies for g in c[0] if g in adapted.odd_indices):
-            assert workspace.orbits(top, adapted.odd_indices.index(g)) is None, alg.name
+
+
+def test_a_generator_inside_a_copy_cannot_be_left_out():
+    # the engine leaves out only an odd centre, which lies in no copy
+    for alg in (make_heisenberg_odd(3), make_heisenberg_even(2, 2)):
+        adapted = adapted_basis(alg)
+        classes = copy_classes(adapted)
+        listing = OrbitListing(_Workspace(adapted, 5), classes, 4)
+        for g in (g for _, _, copies in classes for c in copies for g in c):
+            name = adapted.generators[g].name
+            with pytest.raises(ValueError, match="generator %r lies in a copy" % name):
+                listing.orbits(2, g)
+        # an odd one, asked for by its odd position through the workspace
+        y = next(g for g in classes[-1][2][0] if g in adapted.odd_indices)
+        with pytest.raises(ValueError, match="lies in a copy"):
+            _Workspace(adapted, 5).orbits(2, adapted.odd_indices.index(y))
 
 
 def test_betti_table_lists_no_degree_it_does_not_rank(monkeypatch):
@@ -213,48 +263,70 @@ def test_many_copies_are_listed_without_deep_recursion():
         assert cohomology.cohomology_dims(alg, 1, column_cap=10**5).dim_cohomology == want
 
 
-def test_tables_without_copies_take_the_canonical_spaces(monkeypatch):
-    # a hidden-basis direct sum, indecomposable tables and h_1: no class
-    # of two copies, so every matrix is today's, on enumerated spaces.
-    # The sums are ranked whole here: split, their parts are ranked in
-    # bases of their own, where copies can show
-    monkeypatch.setattr(cohomology, "_split_ranks", lambda *args: None)
+def _without_copies():
+    """Tables with no class of two copies: hidden-basis direct sums,
+    indecomposable tables, h_1, h_{1,1} and the distinct-coefficient
+    members."""
     algebras = [s for _, _, s in HIDDEN_SUMS]
     algebras += [LieSuperalgebra("sl2", *SL2), LieSuperalgebra("osp12", *OSP12),
-                 NOT_CENTRAL, make_heisenberg_odd(1)]
+                 NOT_CENTRAL, make_heisenberg_odd(1), make_heisenberg_even(1, 1)]
+    return algebras + [alg for alg, _, _ in _distinct_members()]
+
+
+def test_tables_without_copies_take_the_canonical_spaces(monkeypatch):
+    # no class of two copies, so every stack the engine ranks is a whole
+    # canonical space, of orbit size 1.  The sums are ranked whole here:
+    # split, their parts are ranked in bases of their own, where copies
+    # can show
+    monkeypatch.setattr(cohomology, "_split_ranks", lambda *args: None)
     listed = []
     real = differential._Workspace.orbits
 
     def orbits(workspace, q, without=None):
         groups = real(workspace, q, without)
-        listed.append(groups)
+        listed.append((workspace, q, without, groups))
         return groups
 
     monkeypatch.setattr(differential._Workspace, "orbits", orbits)
-    for alg in algebras:
+    for alg in _without_copies():
         assert copy_classes(adapted_basis(alg)) == (), alg.name
         listed.clear()
         betti_table(alg, 3)
-        assert listed and listed == [None] * len(listed), alg.name
+        assert listed, alg.name
+        for workspace, q, without, groups in listed:
+            basis = enumerate_basis(workspace.dims, q, without, workspace.radix)
+            assert groups == [(1, basis)], (alg.name, q, without)
+
+
+def test_a_table_without_copies_lists_its_canonical_spaces():
+    # one stack of orbit size 1 per degree: enumerate_basis's keys, in
+    # its order, with and without each odd dual
+    for alg in _without_copies():
+        workspace = _Workspace(adapted_basis(alg), 7, 6)
+        for without in (None, *range(alg.superdim[1])):
+            for q in range(7):
+                basis = enumerate_basis(workspace.dims, q, without, workspace.radix)
+                assert workspace.orbits(q, without) == ([(1, basis)] if basis else []), \
+                    (alg.name, q, without)
 
 
 def test_a_miscounted_orbit_trips_the_shape_check(monkeypatch):
     real = differential._Workspace.orbits
 
     def doubled(workspace, q, without=None):
-        groups = real(workspace, q, without)
-        if groups is not None:
-            (orbit, keys), *rest = groups
-            groups = [(2 * orbit, keys)] + rest
-        return groups
+        (orbit, keys), *rest = real(workspace, q, without)
+        return [(2 * orbit, keys)] + rest
 
     monkeypatch.setattr(differential._Workspace, "orbits", doubled)
-    # the full-matrix route (h_{2,2}) and the Lefschetz blocks (h_3)
-    with pytest.raises(AssertionError,
-                       match=r"d_0 has shape 0x2 summed over its orbits, not at most "
-                             r"dim C\^1 = 7 rows by dim C\^0 = 1 columns"):
-        betti_table(make_heisenberg_even(2, 2), 2)
-    with pytest.raises(AssertionError, match=r"L\^\(0\) has shape \d+x2 summed"):
-        betti_table(make_heisenberg_odd(3), 2)
+    # the full-matrix route (h_{2,2}, and h_{1,1} without copies) and the
+    # Lefschetz blocks (h_3, and h_1 without copies)
+    for alg in (make_heisenberg_even(2, 2), make_heisenberg_even(1, 1)):
+        with pytest.raises(AssertionError,
+                           match=r"d_0 has shape \d+x2 summed over its orbits, not at most "
+                                 r"dim C\^1 = \d+ rows by dim C\^0 = 1 columns"):
+            betti_table(alg, 2)
+    for alg in (make_heisenberg_odd(3), make_heisenberg_odd(1)):
+        with pytest.raises(AssertionError, match=r"L\^\(0\) has shape \d+x2 summed"):
+            betti_table(alg, 2)
     with pytest.raises(AssertionError, match="summed over its orbits"):
         cohomology.cohomology_dims(make_heisenberg_even(2, 2), 1)

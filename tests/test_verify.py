@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from heisenberg_cohomology import cohomology, differential, verify
+from heisenberg_cohomology import cohomology, differential, symmetry, verify
 from heisenberg_cohomology.cohomology import CodomainTooLarge
 from heisenberg_cohomology.differential import psi_matrix
 from heisenberg_cohomology.formulas import ker_psi_dim
+from heisenberg_cohomology.limits import graded_dim
 from heisenberg_cohomology.linalg import RationalMatrix, kernel_dim
 
 
@@ -24,10 +25,9 @@ def _one_entry_negated(block):
 
 def _recorded_groups(monkeypatch):
     """{id(keys): orbit size} and {(name, t): sum of orbit sizes} of the
-    groups verify's block walk yields; a canonical block (keys None)
-    has orbit size 1."""
+    groups verify's block walk yields."""
     real = verify._lefschetz_blocks
-    orbit_of, orbits_at = {id(None): 1}, Counter()
+    orbit_of, orbits_at = {}, Counter()
 
     def recorded(workspace, z, dims, t_end):
         for t, groups in real(workspace, z, dims, t_end):
@@ -50,7 +50,7 @@ def test_psi_shortcut_cannot_hide_a_faulty_build(monkeypatch):
     orbit_of, orbits_at = _recorded_groups(monkeypatch)
     faulty_kernels = Counter()
 
-    def faulty(workspace, z, t, l, keys=None):
+    def faulty(workspace, z, t, l, keys):
         block = real(workspace, z, t, l, keys)
         if l == 2:
             block = RationalMatrix.from_columns(block.rows, block.columns + [{}],
@@ -112,28 +112,33 @@ def test_is_multiple_rejects_any_difference():
 
 def test_odd_grid_enumerates_each_space_once(monkeypatch):
     # betti_table's block walk and the psi walk are one walk per n on one
-    # workspace, which keeps every space it enumerates for the call
-    real, real_orbits = differential.enumerate_basis, differential._Workspace.orbits
-    calls, listed = Counter(), Counter()
+    # workspace, whose orbit listing lists each degree once
+    real_keys, real_orbits = symmetry._keys, differential._Workspace.orbits
+    spaces, keys, listed = [], Counter(), Counter()
 
-    def counted(dims, q, without=None, radix=None):
-        calls[(tuple(dims), q, without)] += 1
-        return real(dims, q, without, radix)
+    def enumerated(*args):
+        spaces.append(args)
+
+    def counted(evens, odds, q):
+        keys[(len(evens), len(odds), q)] += 1
+        return real_keys(evens, odds, q)
 
     def orbits(workspace, q, without=None):
-        groups = real_orbits(workspace, q, without)
-        if groups is not None:
-            listed[(workspace.algebra.name, q, without)] += 1
-        return groups
+        listed[(workspace.algebra.name, q, without)] += 1
+        return real_orbits(workspace, q, without)
 
-    monkeypatch.setattr(differential, "enumerate_basis", counted)
+    monkeypatch.setattr(differential, "enumerate_basis", enumerated)
+    monkeypatch.setattr(symmetry, "_keys", counted)
     monkeypatch.setattr(differential._Workspace, "orbits", orbits)
     verify.verify_family("odd", 4, None, 7)
-    # h_1 has no copies: A^0..A^9 (dims (1, 2) without z's slot 1)
-    assert calls == Counter({((1, 2), q, 1): 1 for q in range(10)})
-    # h_2..h_4: the representatives of A^0..A^7, once each; psi's rows
-    # are numbered on first use, so no A^8 or A^9
-    assert listed == Counter({("h_%d" % n, t, n): 1 for n in range(2, 5) for t in range(8)})
+    # h_1..h_4: the stacks of A^0..A^7 (without z's dual, odd position n),
+    # once each; psi's rows are numbered on first use, so no A^8 or A^9
+    assert listed == Counter({("h_%d" % n, t, n): 1 for n in range(1, 5) for t in range(8)})
+    # h_1 has no copies: its x and y, listed once per degree; h_2..h_4
+    # leave no generator outside their copies but z
+    assert keys == Counter({(1, 1, t): 1 for t in range(8)}) + \
+        Counter({(0, 0, t): 3 for t in range(8)})
+    assert spaces == []
 
 
 def test_odd_grid_eliminates_each_block_once(monkeypatch):
@@ -147,9 +152,9 @@ def test_odd_grid_eliminates_each_block_once(monkeypatch):
     def recording(module):
         real = module._lefschetz_block
 
-        def record(workspace, z, t, l, keys=None):
+        def record(workspace, z, t, l, keys):
             block = real(workspace, z, t, l, keys)
-            group = (workspace.algebra.name, t, None if keys is None else tuple(keys))
+            group = (workspace.algebra.name, t, tuple(keys))
             built[group + (l,)] += 1
             if l == 1:
                 blocks[id(block)] = group
@@ -171,9 +176,10 @@ def test_odd_grid_eliminates_each_block_once(monkeypatch):
     groups = {key[:3] for key in built}
     grid = [("h_%d" % n, t) for n in range(1, 4) for t in range(6)]
     assert sorted({group[:2] for group in groups}) == grid
-    # h_1 has no copies: one canonical block per t; h_2 and h_3 split
-    assert {group for group in groups if group[0] == "h_1"} == {("h_1", t, None)
-                                                               for t in range(6)}
+    # h_1 has no copies: one block per t, on the whole of A^t over x and
+    # y; h_2 and h_3 split
+    assert sorted((t, len(keys)) for name, t, keys in groups if name == "h_1") \
+        == [(t, graded_dim((1, 1), t)) for t in range(6)]
     assert len(groups) > len(grid)
     assert built == Counter({group + (l,): 1 for group in groups for l in (1, 2, 3)})
     assert sorted(eliminated, key=repr) == sorted(groups, key=repr)
