@@ -44,12 +44,11 @@ of copies maps the block of one charge tuple onto another's, so
 rank d_q (or rank L^(t)) = sum over representatives of
 |orbit| rank(block), and the listing has only the representatives'
 keys, stacked by orbit size.  A table without copies has one stack of
-orbit size 1 per degree, its canonical space.  A stack of d_q below
-the top degree numbers its rows by the stack of the same orbit size in
-C^{q+1}; the top codomain is nobody's domain, and Betti numbers do not
-depend on how its rows are numbered, so the top d_q, like every
-Lefschetz block, numbers them on first use, and the top codomain is
-never listed.  _check_orbits checks every shape: sum |orbit| columns
+orbit size 1 per degree, its canonical space.  A rank does not
+depend on how the rows are numbered, so every block, of d_q or of
+L^(t), numbers its rows on first use: no codomain is listed, and a call
+lists only the degrees whose d it ranks (cohomology_dims: C^{q-1} and
+C^q).  _check_orbits checks every shape: sum |orbit| columns
 = dim C^q (or dim A^t), and sum |orbit| rows at most the codomain's
 dimension.  Refusals are decided from the full sizes before, so no
 refusal depends on the split.
@@ -132,23 +131,12 @@ def _enter(algebra: LieSuperalgebra, top: int, degrees: Iterable[int],
 
 def _checked_rank(workspace: _Workspace, q: int, dims: Dict[int, int]) -> int:
     """rank d_q = sum |orbit| rank over the blocks on the stacks of
-    workspace.orbits(q), their shapes checked against the preamble's
-    dimensions (_check_orbits): the one per-degree rank helper of
-    betti_table and cohomology_dims.
-
-    d keeps a key's charges, so it maps a stack into the stack of the
-    same orbit size one degree up.  Below the top degree, that stack,
-    d_{q+1}'s domain and listed anyway, numbers the rows in its order;
-    the top codomain is nobody's domain, so its rows are numbered on
-    first use and it is never listed.
-    """
+    workspace.orbits(q), their rows numbered on first use and their
+    shapes checked against the preamble's dimensions (_check_orbits):
+    the one per-degree rank helper of betti_table and cohomology_dims."""
     if q < 0:
         return 0
-    below = {}
-    if q < workspace.top:
-        below = {orbit: dict(zip(keys, range(len(keys))))
-                 for orbit, keys in workspace.orbits(q + 1)}
-    built = [(orbit, _coboundary(workspace, keys, below.get(orbit) or _RowIndex()))
+    built = [(orbit, _coboundary(workspace, keys, _RowIndex()))
              for orbit, keys in workspace.orbits(q)]
     _check_orbits("d_%d" % q, built, "C^%d" % q, dims[q], "C^%d" % (q + 1), dims[q + 1])
     return sum(orbit * rank(matrix) for orbit, matrix in built)
@@ -264,14 +252,11 @@ def cohomology_dims(algebra: LieSuperalgebra, q: int,
                     column_cap: int = DEFAULT_COLUMN_CAP) -> CohomologyReport:
     """Betti data in a single degree, via exact ranks."""
     if q < 0:
-        # no cochains: every dimension is 0
-        return _reports(algebra.name, {q: 0}, {q - 1: 0, q: 0}, (q,))[0]
+        return CohomologyReport(algebra.name, q, 0, 0, 0, 0, METHOD_RANK)
     dims = _admit(algebra, q, (q, q - 1), column_cap)
     rk = _split_ranks(adapted_basis(algebra), q, column_cap)
     if rk is None:
         workspace = _Workspace(adapted_basis(algebra), q + 1, q)
-        # d_{q-1} first: its codomain C^q is d_q's domain, listed
-        # anyway; d_q is the top degree, so C^{q+1} is not listed
         rk = {p: _checked_rank(workspace, p, dims) for p in (q - 1, q)}
     return _reports(algebra.name, dims, rk, (q,))[0]
 

@@ -48,7 +48,7 @@ Work that depends only on a value is done once per value.  The rank
 engine's entry points (betti_table, cohomology_dims, and verify_family
 per n) each own one _Workspace(algebra, degree) for the call: it
 carries the algebra the call ranks, derives its d-term table once,
-lists its cochains once per left-out dual (below), and builds the
+lists the cochains of each degree it ranks once (below), and builds the
 kernel's plan of each even mask once, which verify's L^(t), psi_2 and
 psi_3 of one n share.  The scale 1/D of every matrix it builds, and
 the kernel's masks for reading a key's slots, are made once per
@@ -68,9 +68,8 @@ class permutes the blocks: the listing has the keys of one charge
 tuple per orbit, stacked by orbit size, so
 rank d_q = sum |orbit| rank(block) costs the representatives' columns
 alone.  A table without copies is the listing with no class: one
-stack of orbit size 1 per degree, its canonical space.  A codomain
-that is nobody's domain is never listed: the rank engine's top
-coboundary and its Lefschetz blocks number their rows in order of
+stack of orbit size 1 per degree, its canonical space.  No codomain is
+listed: every block of the rank engine numbers its rows in order of
 first use (_RowIndex).  The public builders never split.
 """
 
@@ -190,8 +189,9 @@ class _Workspace:
         charge to the rest; its orbit size is the product of the
         classes' multinomials.  The listing (symmetry.OrbitListing) walks
         each class's representatives once per workspace, up to degree
-        `top`, and sums the classes' keys once per `without`, so later
-        calls are lookups; it builds no other key, and none above `top`.
+        `top`, and each call sums them with the other generators'
+        monomials of degree q; it builds no other key, lists no degree
+        not asked for, and refuses one above `top`.
         """
         if self._listing is None:
             self._listing = OrbitListing(self, copy_classes(self.algebra), self.top)
@@ -311,9 +311,8 @@ def _d_columns(workspace: _Workspace, domain, row_index):
 
 class _RowIndex(dict):
     """Row numbers handed out to keys in order of first use: the rows of
-    elements.d_element's image, and of the rank engine's blocks whose
-    codomain it does not list: those of the top coboundary, which is
-    nobody's domain, and of every Lefschetz block."""
+    elements.d_element's image, and of every block of the rank engine,
+    which lists no codomain."""
 
     def __missing__(self, key):
         row = self[key] = len(self)

@@ -16,11 +16,13 @@ An OrbitListing lists those blocks' keys for one workspace
 cochains, as sums of each copy's local keys and the keys of the
 generators in no copy; no other key is built.  Its representatives,
 sorted multisets of nonzero charges per class, are emitted directly
-(orderly generation): one walk per class (_listed), then one sum of
-the classes' groups and the other generators' monomials per left-out
-generator (_add).  Those monomials come from superexterior._keys,
-enumerate_basis's listing, so a table without copies, the listing
-with no class, has its canonical spaces in the canonical order.
+(orderly generation): one walk per class (_listed) and one sum of the
+classes' groups (_add), once per listing; then, per degree asked for,
+one sum of those groups with the other generators' monomials.  Those
+monomials come from superexterior._keys, enumerate_basis's listing, so
+a table without copies, the listing with no class, has its canonical
+spaces in the canonical order, and lists no degree it is not asked
+for.
 """
 
 from __future__ import annotations
@@ -72,11 +74,14 @@ def _lattice_class(v, basis) -> Tuple[int, ...]:
 class OrbitListing:
     """One workspace's representative keys, up to degree `top`.
 
-    `classes` has each copy class's groups (_listed), `in_copies` the
-    generators inside a copy and `unit` each generator's key of degree
-    1; `_orbits[skip]` files every representative key without the
-    generator `skip` as {degree: [(orbit size, keys)]}.  With no class
-    each degree is one stack of orbit size 1, the canonical space.
+    `groups` has the (degree, orbit size) groups of the classes'
+    representatives (_listed, summed over the classes by _add), in no
+    set order; with no class it is the empty monomial alone.
+    `in_copies` has the generators inside a copy, `unit` each
+    generator's key of degree 1, and `_free[skip, d]` the monomials of
+    degree d over the generators in no copy but `skip`, each listed
+    once.  With no class each degree is one stack of orbit size 1, the
+    canonical space.
     """
 
     def __init__(self, workspace, copy_classes, top: int):
@@ -84,36 +89,41 @@ class OrbitListing:
         self.algebra, self.top = algebra, top
         self.unit = unit = {g: 1 << p for p, g in enumerate(algebra.even_indices)}
         unit.update((g, radix ** j << n0) for j, g in enumerate(algebra.odd_indices))
-        self.classes = [_listed(parities, lattice, [[unit[g] for g in c] for c in copies], top)
-                        for parities, lattice, copies in copy_classes]
+        groups, *factors = [_listed(parities, lattice, [[unit[g] for g in c] for c in copies], top)
+                            for parities, lattice, copies in copy_classes] or [[((0, 1), [0])]]
+        for factor in factors:
+            groups = _add({}, groups, factor, top).items()
+        self.groups = list(groups)
         self.in_copies = {g for _, _, copies in copy_classes for c in copies for g in c}
-        self._orbits: Dict[Optional[int], Dict[int, List[Tuple[int, List[int]]]]] = {}
+        self._free: Dict[Tuple[Optional[int], int], List[int]] = {}
 
     def orbits(self, q: int, skip: Optional[int]) -> List[Tuple[int, List[int]]]:
         """[(orbit size, keys)] of degree q, smallest orbit first, the
-        generator `skip` left out; a `skip` inside a copy is refused.
-        The first call for a `skip` lists the monomials over the
-        generators in no copy but `skip` (superexterior._keys) and sums
-        the classes' groups with them (_add); later calls look it up."""
+        generator `skip` left out; a q over `top` and a `skip` inside a
+        copy are refused.  Each call sums the groups of degree d <= q
+        with the free monomials of degree q - d (_monomials), so only
+        the degrees asked for are listed, and keeps no sum."""
+        if q > self.top:
+            raise ValueError("degree %d is over the listing's top %d" % (q, self.top))
         if skip in self.in_copies:
             raise ValueError("generator %r lies in a copy, so the orbit listing "
                              "cannot leave it out" % self.algebra.generators[skip].name)
-        if skip not in self._orbits:
-            rest = [g for g in range(self.algebra.dim) if g not in self.in_copies and g != skip]
+        stacks: Dict[int, List[int]] = {}
+        for (d, orbit), keys in self.groups:
+            free = self._monomials(skip, q - d) if d <= q else ()
+            if free:
+                stacks.setdefault(orbit, []).extend([a + b for a in keys for b in free])
+        return sorted(stacks.items())
+
+    def _monomials(self, skip: Optional[int], d: int) -> List[int]:
+        """The keys of degree d over the generators in no copy but
+        `skip` (superexterior._keys), listed on first use."""
+        if (skip, d) not in self._free:
             parity = self.algebra.parity
-            evens = [self.unit[g] for g in rest if not parity(g)]
-            odds = [self.unit[g] for g in rest if parity(g)]
-            listed = ((d, _keys(evens, odds, d)) for d in range(self.top + 1))
-            free = [((d, 1), keys) for d, keys in listed if keys]
-            # the monomials over `rest` are a factor when `rest` has a
-            # generator, and the whole listing when there is no class
-            groups, *factors = self.classes + [free] if rest else self.classes or [free]
-            for factor in factors:
-                groups = _add({}, groups, factor, self.top).items()
-            filed = self._orbits[skip] = {}
-            for (d, orbit), keys in sorted(groups):
-                filed.setdefault(d, []).append((orbit, keys))
-        return self._orbits[skip].get(q, [])
+            rest = [g for g in range(self.algebra.dim) if g not in self.in_copies and g != skip]
+            self._free[skip, d] = _keys([self.unit[g] for g in rest if not parity(g)],
+                                        [self.unit[g] for g in rest if parity(g)], d)
+        return self._free[skip, d]
 
 
 def _listed(parities, lattice, units, top: int) -> Groups:

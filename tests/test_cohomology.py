@@ -6,7 +6,7 @@ import pytest
 
 from heisenberg_cohomology import (algebra, cohomology, differential, limits,
                                    superexterior, symmetry)
-from heisenberg_cohomology.algebra import (AlgebraValidationError,
+from heisenberg_cohomology.algebra import (EVEN, AlgebraValidationError,
                                            LieSuperalgebra, adapted_basis,
                                            make_heisenberg_even,
                                            make_heisenberg_odd, odd_family_shape,
@@ -18,7 +18,7 @@ from heisenberg_cohomology.cohomology import (CodomainTooLarge,
                                               ReportInvariantError,
                                               betti_table, check_column_cap,
                                               cohomology_dims)
-from heisenberg_cohomology.differential import _RowIndex, differential_matrix
+from heisenberg_cohomology.differential import differential_matrix
 from heisenberg_cohomology.fileformats import format_algebra, parse_algebra
 from heisenberg_cohomology.linalg import RationalMatrix, rank
 from heisenberg_cohomology.verify import Comparison, VerifyResult, verify_family
@@ -164,36 +164,37 @@ def test_checked_rank_rejects_a_misshapen_matrix(monkeypatch):
 
     monkeypatch.setattr(cohomology, "_coboundary", transposed)
     # an even centre takes the full-matrix route; h_{1,1} has no copies,
-    # so d_0 is one 4x1 block on C^0, its rows C^1's stack
-    with pytest.raises(AssertionError, match=r"d_0 has shape 1x4 summed over its orbits, "
-                                             r"not at most dim C\^1 = 4 rows"):
+    # so d_0 is one block on C^0, whose rows, numbered on first use, are
+    # none: d of a constant is 0
+    with pytest.raises(AssertionError, match=r"d_0 has shape 1x0 summed over its orbits, "
+                                             r"not at most dim C\^1 = 4 rows by dim "
+                                             r"C\^0 = 1 columns"):
         betti_table(make_heisenberg_even(1, 1), 2)
 
-    # the top d_q numbers its rows on first use: more rows than dim C^{q+1},
-    # or a column too few, is a fault too; the lower d_q are built as they are
+    # every d_q numbers its rows on first use: more rows than dim C^{q+1},
+    # or a column too few, is a fault
 
     def overflowing(workspace, domain, row_index):
         mat = real(workspace, domain, row_index)
-        if isinstance(row_index, _RowIndex):
-            return RationalMatrix._wrap(mat.rows + 5, mat.columns, mat.scale)
-        return mat
+        return RationalMatrix._wrap(mat.rows + 5, mat.columns, mat.scale)
 
     def narrow(workspace, domain, row_index):
-        if isinstance(row_index, _RowIndex):
-            domain = domain[1:]
-        return real(workspace, domain, row_index)
+        return real(workspace, domain[1:], row_index)
 
-    # h_{1,1}: dims (3|1), dim C^2 = 7, dim C^3 = 8, and d_2 reaches 4 rows
+    # h_{1,1}: dims (3|1), dim C^1..C^3 = 4, 7, 8; d_0, d_1 and d_2 reach
+    # 0, 2 and 4 rows, so five more are too many for d_0 and d_2, and
+    # exactly dim C^2 for d_1
     monkeypatch.setattr(cohomology, "_coboundary", overflowing)
-    for call in (lambda: betti_table(make_heisenberg_even(1, 1), 2),
-                 lambda: cohomology_dims(make_heisenberg_even(1, 1), 2)):
-        with pytest.raises(AssertionError, match=r"d_2 has shape 9x7 summed over its "
-                                                 r"orbits, not at most dim C\^3 = 8 rows"):
-            call()
-    monkeypatch.setattr(cohomology, "_coboundary", narrow)
-    with pytest.raises(AssertionError, match=r"d_2 has shape \d+x6 summed .* by dim "
-                                             r"C\^2 = 7 columns"):
+    with pytest.raises(AssertionError, match=r"d_0 has shape 5x1 summed over its "
+                                             r"orbits, not at most dim C\^1 = 4 rows"):
         betti_table(make_heisenberg_even(1, 1), 2)
+    with pytest.raises(AssertionError, match=r"d_2 has shape 9x7 summed over its "
+                                             r"orbits, not at most dim C\^3 = 8 rows"):
+        cohomology_dims(make_heisenberg_even(1, 1), 2)
+    monkeypatch.setattr(cohomology, "_coboundary", narrow)
+    with pytest.raises(AssertionError, match=r"d_1 has shape \d+x3 summed .* by dim "
+                                             r"C\^1 = 4 columns"):
+        cohomology_dims(make_heisenberg_even(1, 1), 2)
 
 
 def _misshapen_blocks(monkeypatch, extra_rows, extra_columns):
@@ -403,15 +404,21 @@ def test_an_algebra_is_validated_once(monkeypatch):
 
 
 def _listings(monkeypatch):
-    """(spaces, listed): the arguments of every canonical cochain space
-    enumerated, and the degree of every listing of monomials over the
-    generators in no copy (symmetry._keys), in call order."""
-    real_enumerate, real_keys = superexterior.enumerate_basis, symmetry._keys
-    spaces, listed = [], []
+    """(spaces, asked, listed): the arguments of every canonical cochain
+    space enumerated, the degree of every listing the workspace is asked
+    for (_Workspace.orbits), and that of every listing of monomials over
+    the generators in no copy (symmetry._keys), in call order."""
+    real_enumerate, real_orbits = superexterior.enumerate_basis, differential._Workspace.orbits
+    real_keys = symmetry._keys
+    spaces, asked, listed = [], [], []
 
     def enumerated(*args, **kwargs):
         spaces.append((args, kwargs))
         return real_enumerate(*args, **kwargs)
+
+    def orbits(workspace, q, without=None):
+        asked.append(q)
+        return real_orbits(workspace, q, without)
 
     def keys(evens, odds, q):
         listed.append(q)
@@ -419,34 +426,62 @@ def _listings(monkeypatch):
 
     for module in (differential, superexterior):
         monkeypatch.setattr(module, "enumerate_basis", enumerated)
+    monkeypatch.setattr(differential._Workspace, "orbits", orbits)
     monkeypatch.setattr(symmetry, "_keys", keys)
-    return spaces, listed
+    return spaces, asked, listed
 
 
 def test_cohomology_dims_enumerates_each_space_once(monkeypatch):
-    spaces, listed = _listings(monkeypatch)
+    spaces, asked, listed = _listings(monkeypatch)
     for q in range(6):
+        ranked = list(range(max(q - 1, 0), q + 1))
         for alg in (make_heisenberg_even(1, 1), make_heisenberg_even(2, 2)):
+            asked.clear()
             listed.clear()
             cohomology_dims(alg, q)
-            # one listing per call: the generators in no copy (all of
-            # h_{1,1}'s, h_{2,2}'s z) are listed once in each degree up to
-            # q, d_q's domain; C^{q+1}, the top codomain, is numbered on
-            # first use and never listed
-            assert listed == list(range(q + 1)), (alg.name, q)
+            # d_{q-1} then d_q: the stacks of C^{q-1} and C^q, once each;
+            # C^{q+1}, the top codomain, is numbered on first use and never
+            # listed
+            assert asked == ranked, (alg.name, q)
+            if alg.name == "h_{1,1}":
+                # no copies: the stacks are the monomials of C^{q-1} and
+                # C^q, and no other degree is listed
+                assert listed == ranked, q
+            else:
+                # copies: their representatives, of every degree up to q,
+                # are summed with the monomials of z, each degree once
+                assert sorted(listed) == list(range(q + 1)), q
     assert spaces == []
 
 
 def test_betti_table_enumerates_each_space_once(monkeypatch):
-    spaces, listed = _listings(monkeypatch)
+    spaces, asked, listed = _listings(monkeypatch)
     for q_max in range(6):
         for alg in (make_heisenberg_even(1, 1), make_heisenberg_even(2, 2)):
+            asked.clear()
             listed.clear()
             betti_table(alg, q_max)
             # each degree up to q_max once, whether or not the table has
             # copies; C^{q_max+1} never
-            assert listed == list(range(q_max + 1)), (alg.name, q_max)
+            assert asked == list(range(q_max + 1)), (alg.name, q_max)
+            assert sorted(listed) == list(range(q_max + 1)), (alg.name, q_max)
     assert spaces == []
+
+
+def test_cohomology_dims_of_a_wide_table_lists_only_its_two_degrees(monkeypatch):
+    # the 25-dimensional Heisenberg algebra, [x_i, y_i] = i z: even, no
+    # copies and no split.  At q = 24 the cap admits C^23 (300 monomials)
+    # and C^24 (25); C^12, which the call does not rank, has 5.2 million
+    n = 12
+    gens = [("z", EVEN)] + [("%s%d" % (c, i), EVEN) for c in "xy" for i in range(1, n + 1)]
+    alg = LieSuperalgebra("heisenberg_25", gens, {(i, n + i): {0: i} for i in range(1, n + 1)})
+    spaces, asked, listed = _listings(monkeypatch)
+    report = cohomology_dims(alg, 24)
+    assert asked == listed == [23, 24] and spaces == []
+    # Poincare duality: dim H^24 = dim H^1 = 24, and dim H^23 = dim H^2 =
+    # C(24, 2) - 1
+    assert (report.dim_cochain, report.dim_coboundaries, report.dim_cohomology) == (25, 1, 24)
+    assert cohomology_dims(alg, 23).dim_cohomology == 275
 
 
 def test_no_engine_entry_enumerates_a_canonical_space(monkeypatch):
