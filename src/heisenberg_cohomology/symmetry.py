@@ -74,13 +74,13 @@ def _lattice_class(v, basis) -> Tuple[int, ...]:
 class OrbitListing:
     """One workspace's representative keys, up to degree `top`.
 
-    `groups` has the (degree, orbit size) groups of the classes'
-    representatives (_listed, summed over the classes by _add), in no
-    set order; with no class it is the empty monomial alone.
-    `in_copies` has the generators inside a copy, `unit` each
-    generator's key of degree 1, and `_free[skip, d]` the monomials of
-    degree d over the generators in no copy but `skip`, each listed
-    once.  With no class each degree is one stack of orbit size 1, the
+    `groups` files the keys of the classes' representatives (_listed,
+    summed over the classes by _add) as {degree: [(orbit size, keys)]};
+    with no class it is the empty monomial alone.
+    `in_copies` has the generators inside a copy, `free` the others,
+    `unit` each generator's key of degree 1, and `_free[skip, d]` the
+    monomials of degree d over the generators in `free` but `skip`,
+    each listed once.  With no class each degree is one stack of orbit size 1, the
     canonical space.
     """
 
@@ -93,8 +93,11 @@ class OrbitListing:
                             for parities, lattice, copies in copy_classes] or [[((0, 1), [0])]]
         for factor in factors:
             groups = _add({}, groups, factor, top).items()
-        self.groups = list(groups)
+        self.groups: Dict[int, List[Tuple[int, List[int]]]] = {}
+        for (d, orbit), keys in groups:
+            self.groups.setdefault(d, []).append((orbit, keys))
         self.in_copies = {g for _, _, copies in copy_classes for c in copies for g in c}
+        self.free = [g for g in range(algebra.dim) if g not in self.in_copies]
         self._free: Dict[Tuple[Optional[int], int], List[int]] = {}
 
     def orbits(self, q: int, skip: Optional[int]) -> List[Tuple[int, List[int]]]:
@@ -109,20 +112,20 @@ class OrbitListing:
             raise ValueError("generator %r lies in a copy, so the orbit listing "
                              "cannot leave it out" % self.algebra.generators[skip].name)
         stacks: Dict[int, List[int]] = {}
-        for (d, orbit), keys in self.groups:
+        for d, groups in self.groups.items():
             free = self._monomials(skip, q - d) if d <= q else ()
             if free:
-                stacks.setdefault(orbit, []).extend([a + b for a in keys for b in free])
+                for orbit, keys in groups:
+                    stacks.setdefault(orbit, []).extend([a + b for a in keys for b in free])
         return sorted(stacks.items())
 
     def _monomials(self, skip: Optional[int], d: int) -> List[int]:
         """The keys of degree d over the generators in no copy but
         `skip` (superexterior._keys), listed on first use."""
         if (skip, d) not in self._free:
-            parity = self.algebra.parity
-            rest = [g for g in range(self.algebra.dim) if g not in self.in_copies and g != skip]
-            self._free[skip, d] = _keys([self.unit[g] for g in rest if not parity(g)],
-                                        [self.unit[g] for g in rest if parity(g)], d)
+            parity, unit = self.algebra.parity, self.unit
+            self._free[skip, d] = _keys([unit[g] for g in self.free if g != skip and not parity(g)],
+                                        [unit[g] for g in self.free if g != skip and parity(g)], d)
         return self._free[skip, d]
 
 

@@ -440,7 +440,7 @@ def test_cohomology_dims_enumerates_each_space_once(monkeypatch):
             listed.clear()
             cohomology_dims(alg, q)
             # d_{q-1} then d_q: the stacks of C^{q-1} and C^q, once each;
-            # C^{q+1}, the top codomain, is numbered on first use and never
+            # their rows are numbered on first use, so C^{q+1} is never
             # listed
             assert asked == ranked, (alg.name, q)
             if alg.name == "h_{1,1}":
@@ -503,7 +503,7 @@ def test_no_engine_entry_enumerates_a_canonical_space(monkeypatch):
 
 
 def test_first_use_rows_give_the_canonical_rank():
-    # the top d_q's rows are numbered on first use; every rank the engine
+    # every d_q's rows are numbered on first use; every rank the engine
     # reports equals the rank of the canonical differential_matrix
     families = [make_heisenberg_even(n, m) for n, m in ((1, 1), (1, 3), (2, 1), (2, 2))]
     hidden = [s for _, _, s in HIDDEN_SUMS] + _hidden_two_step(6, 41)
