@@ -323,6 +323,10 @@ def _adapted_brackets(alg: LieSuperalgebra):
     content gcd 1; the RREF row is r_p / r_p[p].  Every dict is updated
     in the order an elimination over Fraction updates it, so the pair
     order, the target order and the values match that elimination's."""
+    # single targets echelon to unit rows, the identity, so only a
+    # table with a bracket of two or more targets is eliminated
+    if all(len(targets) == 1 for targets in alg.brackets.values()):
+        return None
     scale, ad = integer_table(alg)
     # each bracket split by parity: a row of one parity only reduces
     # against rows of that parity
@@ -419,16 +423,18 @@ def copy_classes(alg: LieSuperalgebra) -> tuple:
             for g in (j, *targets):
                 if g not in central:
                     root[find(g)] = find(i)
+        roots = [find(g) for g in range(alg.dim)]
+        parity = [g.parity for g in alg.generators]
         members: Dict[int, List[int]] = {}
         for g in range(alg.dim):
             if g not in central:
-                members.setdefault(find(g), []).append(g)
+                members.setdefault(roots[g], []).append(g)
         # integer_table's ints: one scale L for the whole table, so the
         # components' signatures compare as the Fractions would
         _, ad = integer_table(alg)
         terms: Dict[int, list] = {r: [] for r in members}
         for i, j in brackets:
-            terms[find(i)].append((i, j, ad[i][j]))
+            terms[roots[i]].append((i, j, ad[i][j]))
         classes: Dict[tuple, List[Tuple[int, ...]]] = {}
         for r, component in members.items():
             local = {g: a for a, g in enumerate(component)}
@@ -437,7 +443,7 @@ def copy_classes(alg: LieSuperalgebra) -> tuple:
                 (local[i], local[j], tuple(sorted((local.get(k, -1 - k), c)
                                                   for k, c in targets.items())))
                 for i, j, targets in terms[r]))
-            signature = (tuple(alg.parity(g) for g in component), table)
+            signature = (tuple([parity[g] for g in component]), table)
             classes.setdefault(signature, []).append(tuple(component))
         found = []
         for (parities, table), copies in classes.items():

@@ -108,23 +108,28 @@ class CohomologyReport(_Record):
 
 
 def _admit(algebra: LieSuperalgebra, top: int, degrees: Iterable[int],
-           cap: int) -> Dict[int, int]:
+           cap: int, dims: Optional[Dict[int, int]] = None) -> Dict[int, int]:
     """The one way into the rank engine: the size refusals, then
     require_valid, which validates the adapted table once per algebra.
-    Returns _checked_dims' dimensions."""
-    dims = _checked_dims(algebra.name, algebra.superdim, top, degrees, cap)
+    Returns _checked_dims' dimensions.  A verify grid point passes
+    `dims`, the dimensions limits.check_grid computed while it refused
+    the whole grid first, so they are neither computed nor checked
+    twice."""
+    if dims is None:
+        dims = _checked_dims(algebra.name, algebra.superdim, top, degrees, cap)
     require_valid(algebra)
     return dims
 
 
 def _enter(algebra: LieSuperalgebra, top: int, degrees: Iterable[int],
-           cap: int, reach: Optional[int] = None
-           ) -> Tuple[_Workspace, Dict[int, int]]:
-    """_admit, then the call's workspace, whose algebra is
-    adapted_basis(algebra), for keys of degree up to `reach` (by default
-    top + 1, d_top's codomain) and listed representatives of degree up
-    to top, with _checked_dims' dimensions."""
-    dims = _admit(algebra, top, degrees, cap)
+           cap: int, reach: Optional[int] = None,
+           dims: Optional[Dict[int, int]] = None) -> Tuple[_Workspace, Dict[int, int]]:
+    """_admit (given its `dims`, if any), then the call's workspace,
+    whose algebra is adapted_basis(algebra), for keys of degree up to
+    `reach` (by default top + 1, d_top's codomain) and listed
+    representatives of degree up to top, with _checked_dims'
+    dimensions."""
+    dims = _admit(algebra, top, degrees, cap, dims)
     reach = top + 1 if reach is None else reach
     return _Workspace(adapted_basis(algebra), reach, top), dims
 
@@ -276,7 +281,14 @@ def betti_table(algebra: LieSuperalgebra, q_max: int,
     """
     if q_max < 0:
         raise ValueError("q_max must be nonnegative")
-    dims = _admit(algebra, q_max, range(q_max + 1), column_cap)
+    return _betti_table(algebra, q_max, column_cap)
+
+
+def _betti_table(algebra: LieSuperalgebra, q_max: int, column_cap: int,
+                 dims: Optional[Dict[int, int]] = None) -> List[CohomologyReport]:
+    """betti_table past its argument check, given a verify grid point's
+    `dims` (_admit)."""
+    dims = _admit(algebra, q_max, range(q_max + 1), column_cap, dims)
     adapted = adapted_basis(algebra)
     rk = _split_ranks(adapted, q_max, column_cap)
     if rk is not None:

@@ -65,7 +65,9 @@ def dim_h_odd_proof(n: int, q: int) -> int:
     """dim H^q of the odd-center family h_n, from the kernel recursion.
 
     dim Z^q = graded_dim((n,n), q) + sum_{i=1}^{q} ker_psi_dim(q-i, n),
-    and dim H^q = dim Z^q + dim Z^{q-1} - dim C^{q-1}.
+    and dim H^q = dim Z^q + dim Z^{q-1} - dim C^{q-1}.  The two sums
+    share ker_psi_dim(s, n) for s <= q-2, so each kernel is computed
+    once.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -74,11 +76,9 @@ def dim_h_odd_proof(n: int, q: int) -> int:
     free = (n, n)
     full = (n, n + 1)
     total = graded_dim(free, q) + graded_dim(free, q - 1) - graded_dim(full, q - 1)
-    for i in range(1, q + 1):
-        total += ker_psi_dim(q - i, n)
-    for i in range(1, q):
-        total += ker_psi_dim(q - 1 - i, n)
-    return total
+    # dim Z^q's kernels are those of s = 0..q-1, dim Z^{q-1}'s those of 0..q-2
+    kernels = [ker_psi_dim(s, n) for s in range(q)]
+    return total + sum(kernels) + sum(kernels[:-1])
 
 
 def odd_cocycle_dim(n: int, q: int) -> int:

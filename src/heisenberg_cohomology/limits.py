@@ -221,11 +221,12 @@ def _checked_dims(name: str, superdim: tuple[int, int], top: int,
 
 
 def check_column_cap(name: str, superdim: tuple[int, int], q_max: int,
-                     column_cap: int = DEFAULT_COLUMN_CAP) -> None:
+                     column_cap: int = DEFAULT_COLUMN_CAP) -> dict[int, int]:
     """betti_table's size refusals for degrees 0..q_max (the first degree
     over the cap is named).  Needs only the superdimension, so a caller
-    can refuse before the algebra is built."""
-    _checked_dims(name, superdim, q_max, range(q_max + 1), column_cap)
+    can refuse before the algebra is built.  Returns _checked_dims'
+    dimensions, those betti_table would compute."""
+    return _checked_dims(name, superdim, q_max, range(q_max + 1), column_cap)
 
 
 def _check_psi_codomain(n: int, q_max: int, column_cap: int) -> None:
@@ -237,14 +238,16 @@ def _check_psi_codomain(n: int, q_max: int, column_cap: int) -> None:
 
 
 def check_grid(family: str, n_max: int, m_max: int | None, q_max: int,
-               column_cap: int = DEFAULT_COLUMN_CAP) -> None:
+               column_cap: int = DEFAULT_COLUMN_CAP) -> dict:
     """Every refusal of verify_family, from sizes alone, in its order.
 
     First the O(1) checks: ValueError for a bad grid, then GridTooLarge
     for one of more than MAX_GRID_POINTS, then DegreeLimitExceeded for a
     q_max over MAX_Q_MAX.  Then every grid point against the column cap,
     in grid order, and on the odd family every psi walk against its
-    codomain bound (_check_psi_codomain).
+    codomain bound (_check_psi_codomain).  Returns each point's
+    check_column_cap dimensions, {(n, m): dims} in grid order (m None on
+    the odd family), which verify_family hands on to the point.
     """
     if n_max < 1 or q_max < 0:
         raise ValueError("need n_max >= 1 and q_max >= 0")
@@ -261,11 +264,10 @@ def check_grid(family: str, n_max: int, m_max: int | None, q_max: int,
         raise GridTooLarge(points, MAX_GRID_POINTS)
     check_degree(q_max)
     if family == "even":
-        for n in range(1, n_max + 1):
-            for m in range(1, m_max + 1):
-                check_column_cap(*even_family_shape(n, m), q_max, column_cap)
-    else:
-        for n in range(1, n_max + 1):
-            check_column_cap(*odd_family_shape(n), q_max, column_cap)
-        for n in range(1, n_max + 1):
-            _check_psi_codomain(n, q_max, column_cap)
+        return {(n, m): check_column_cap(*even_family_shape(n, m), q_max, column_cap)
+                for n in range(1, n_max + 1) for m in range(1, m_max + 1)}
+    dims = {(n, None): check_column_cap(*odd_family_shape(n), q_max, column_cap)
+            for n in range(1, n_max + 1)}
+    for n in range(1, n_max + 1):
+        _check_psi_codomain(n, q_max, column_cap)
+    return dims

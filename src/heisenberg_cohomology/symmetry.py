@@ -27,12 +27,12 @@ for.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from itertools import accumulate
+from operator import add
 from typing import Dict, List, Optional, Tuple
 
 from .superexterior import _keys
-
-Groups = List[Tuple[Tuple[int, int], List[int]]]  # [((degree, orbit size), keys)]
-
 
 def _echelon_lattice(vectors, width: int) -> List[Tuple[int, List[int]]]:
     """An echelon basis of the lattice that the integer `vectors` (of
@@ -63,7 +63,6 @@ def _echelon_lattice(vectors, width: int) -> List[Tuple[int, List[int]]]:
 def _lattice_class(v, basis) -> Tuple[int, ...]:
     """The representative of v's coset of the lattice with this echelon
     basis (_echelon_lattice)."""
-    v = list(v)
     for p, row in basis:
         f = v[p] // row[p]
         if f:
@@ -75,133 +74,188 @@ class OrbitListing:
     """One workspace's representative keys, up to degree `top`.
 
     `groups` files the keys of the classes' representatives (_listed,
-    summed over the classes by _add) as {degree: [(orbit size, keys)]};
-    with no class it is the empty monomial alone.
-    `in_copies` has the generators inside a copy, `free` the others,
-    `unit` each generator's key of degree 1, and `_free[skip, d]` the
-    monomials of degree d over the generators in `free` but `skip`,
-    each listed once.  With no class each degree is one stack of orbit size 1, the
+    multiplied over the classes by _times) as
+    {degree: {orbit size: keys}}, in increasing degree; with no class it
+    is the empty monomial alone.  `in_copies` has the generators inside
+    a copy, `free` the others, `unit` each generator's key of degree 1,
+    and `_free[skip]` the keys of degree 1 of the generators in `free`
+    but `skip` and their monomials of each degree asked for, each listed
+    once.  With no class each degree is one stack of orbit size 1, the
     canonical space.
     """
 
     def __init__(self, workspace, copy_classes, top: int):
-        algebra, n0, radix = workspace.algebra, workspace.dims.even_count, workspace.radix
+        algebra, (n0, n1), radix = workspace.algebra, workspace.dims, workspace.radix
         self.algebra, self.top = algebra, top
         self.unit = unit = {g: 1 << p for p, g in enumerate(algebra.even_indices)}
         unit.update((g, radix ** j << n0) for j, g in enumerate(algebra.odd_indices))
-        groups, *factors = [_listed(parities, lattice, [[unit[g] for g in c] for c in copies], top)
-                            for parities, lattice, copies in copy_classes] or [[((0, 1), [0])]]
+        # every key is below radix^n1 << n0; a walk's keys carry their
+        # degree in the bits above, so a sum of keys sums their degrees
+        one = 1 << (radix ** n1 << n0).bit_length()
+        groups, *factors = [_listed(parities, lattice, [[unit[g] + one for g in c] for c in copies],
+                                    top, one)
+                            for parities, lattice, copies in copy_classes] or [{0: {1: [0]}}]
         for factor in factors:
-            groups = _add({}, groups, factor, top).items()
-        self.groups: Dict[int, List[Tuple[int, List[int]]]] = {}
-        for (d, orbit), keys in groups:
-            self.groups.setdefault(d, []).append((orbit, keys))
+            groups = _times(groups, factor, top)
+        self.groups = dict(sorted(groups.items()))
         self.in_copies = {g for _, _, copies in copy_classes for c in copies for g in c}
         self.free = [g for g in range(algebra.dim) if g not in self.in_copies]
-        self._free: Dict[Tuple[Optional[int], int], List[int]] = {}
+        self._free: Dict[Optional[int], tuple] = {}
 
     def orbits(self, q: int, skip: Optional[int]) -> List[Tuple[int, List[int]]]:
         """[(orbit size, keys)] of degree q, smallest orbit first, the
         generator `skip` left out; a q over `top` and a `skip` inside a
         copy are refused.  Each call sums the groups of degree d <= q
-        with the free monomials of degree q - d (_monomials), so only
-        the degrees asked for are listed, and keeps no sum."""
+        with the free monomials of degree q - d, listed by
+        superexterior._keys on first use, so only the degrees asked for
+        are listed, and keeps no sum.  A group of degree q is handed out
+        as it is filed: the callers never mutate a listing."""
         if q > self.top:
             raise ValueError("degree %d is over the listing's top %d" % (q, self.top))
         if skip in self.in_copies:
             raise ValueError("generator %r lies in a copy, so the orbit listing "
                              "cannot leave it out" % self.algebra.generators[skip].name)
+        if skip not in self._free:
+            parity, unit = self.algebra.parity, self.unit
+            self._free[skip] = ([unit[g] for g in self.free if g != skip and not parity(g)],
+                                [unit[g] for g in self.free if g != skip and parity(g)], {})
+        evens, odds, monomials = self._free[skip]
         stacks: Dict[int, List[int]] = {}
         for d, groups in self.groups.items():
-            free = self._monomials(skip, q - d) if d <= q else ()
-            if free:
-                for orbit, keys in groups:
+            if d > q:
+                break
+            free = monomials.get(q - d)
+            if free is None:
+                free = monomials[q - d] = _keys(evens, odds, q - d)
+            if not free:
+                continue
+            for orbit, keys in groups.items():
+                # degree q is the last, and its one free monomial is 1
+                if d < q:
                     stacks.setdefault(orbit, []).extend([a + b for a in keys for b in free])
+                elif orbit in stacks:
+                    stacks[orbit] += keys
+                else:
+                    stacks[orbit] = keys
         return sorted(stacks.items())
 
-    def _monomials(self, skip: Optional[int], d: int) -> List[int]:
-        """The keys of degree d over the generators in no copy but
-        `skip` (superexterior._keys), listed on first use."""
-        if (skip, d) not in self._free:
-            parity, unit = self.algebra.parity, self.unit
-            self._free[skip, d] = _keys([unit[g] for g in self.free if g != skip and not parity(g)],
-                                        [unit[g] for g in self.free if g != skip and parity(g)], d)
-        return self._free[skip, d]
 
-
-def _listed(parities, lattice, units, top: int) -> Groups:
-    """One copy class's representative keys of degree at most top, in
-    increasing degree: the copies' local parities, the echelon basis of
-    their charge lattice, and each copy's generators' keys of degree 1.
+def _listed(parities, lattice, units, top: int, one: int) -> Dict[int, Dict[int, List[int]]]:
+    """One copy class's representative keys of degree at most top, as
+    {degree: {orbit size: keys}}, each group in increasing key order:
+    the copies' local parities, the echelon basis of their charge
+    lattice, and each copy's generators' keys of degree 1 plus `one`, a
+    bit above every key, so that a sum of keys is its key plus its
+    degree times `one`.
 
     A representative gives copies 0..f-1 nonzero charges in sorted
     order and the zero charge to every later copy; its orbit size is
     the multinomial of the charges' runs.  The walk goes copy by copy:
-    copy i takes each nonzero charge at or after the last one's, one
-    degree at a time, while the degree fits, and the orbit size grows
-    by (copies - i) / run as it takes a charge the run-th time in a
-    row.  Every nonzero charge has degree 1 or more, so only copies
-    0..top-1 take one, however many copies there are.  Entries of one
-    level with the same last charge, run, degree and orbit size have
-    the same future and walk on as one.  Each (degree, orbit size)
-    group of level i is closed once, with the zero charge on copies
-    i, i+1, ... (tails[i]).
+    copy i takes each nonzero charge at or after the last one's, every
+    degree of it at once, and keeps the sums whose degree fits; the
+    orbit size grows by (copies - i) / run as it takes a charge the
+    run-th time in a row.  Every nonzero charge has degree 1 or more,
+    so only copies 0..top-1 take one, however many copies there are.
+    Entries of one level with the same last charge, run and orbit size
+    have the same future and walk on as one, whatever their degrees;
+    each orbit size of level i is closed once, with the zero charge on
+    copies i, i+1, ... (tails[i]).  The keys are split by degree once,
+    at the end.
     """
-    table: Dict[tuple, Dict[int, list]] = {}
+    limit, low = (top + 1) * one, one - 1
+    table: Dict[tuple, list] = {}
     for d, e in _exponents(parities, top):
-        table.setdefault(_lattice_class(e, lattice), {}).setdefault(d, []).append(e)
-    zero = sorted(table.pop((0,) * len(parities)).items())
+        table.setdefault(_lattice_class(e, lattice), []).append((d, e))
+    zero = [e for _, e in table.pop((0,) * len(parities))]
     # least degree first, so a walk with less room stops at the first
     # charge that does not fit
-    charges = sorted((min(t), c, sorted(t.items())) for c, t in table.items())
+    charges = sorted((min(es)[0], c, [e for _, e in es]) for c, es in table.items())
     least = [d for d, _, _ in charges]
+    exps = [e for _, _, es in charges for e in es] + zero
+    ends = list(accumulate(len(es) for _, _, es in charges))
+    spans = list(zip([0] + ends, ends))
+    columns = list(zip(*exps))
 
-    def keyed(exps, copy):
-        return [((d, 1), [sum(map(int.__mul__, e, copy)) for e in es]) for d, es in exps]
+    def keyed(copy):
+        """The copy's keys of every exponent in `exps`, one pass per
+        generator: the nonzero charges', in charge order, then the
+        zero charge's."""
+        keys = [0] * len(exps)
+        for u, column in zip(copy, columns):
+            keys = list(map(add, keys, map(u.__mul__, column)))
+        return keys
 
-    nonzero = [[keyed(t, copy) for _, _, t in charges] for copy in units[:top]]
-    tails, tail = {}, [((0, 1), [0])]
+    flat = [keyed(copy) for copy in units[:top]]
+    nonzero = [[keys[a:b] for a, b in spans] for keys in flat]
+    tails, tail = {}, [0]
     for i in range(len(units), -1, -1):
         if i < len(units):
-            tail = sorted(_add({}, tail, keyed(zero, units[i]), top).items())
+            z = (flat[i] if i < len(flat) else keyed(units[i]))[len(exps) - len(zero):]
+            tail = sorted([c for a in z for b in tail if (c := a + b) < limit])
         if i <= top:
             tails[i] = tail
-    listed: Dict[tuple, List[int]] = {}
-    # {(last charge, its run, degree, orbit size): keys} of level i
-    level: Dict[tuple, List[int]] = {(0, 0, 0, 1): [0]}
+    listed: Dict[int, List[int]] = {}
+    # {(last charge, its run, orbit size): keys} of level i
+    level: Dict[tuple, List[int]] = {(0, 0, 1): [0]}
     for i in range(len(nonzero) + 1):
-        heads: Dict[tuple, List[int]] = {}
+        heads: Dict[int, List[int]] = {}
         grown: Dict[tuple, List[int]] = {}
-        for (last, run, deg, orbit), keys in level.items():
-            heads.setdefault((deg, orbit), []).extend(keys)
-            room = top - deg
+        for (last, run, orbit), keys in level.items():
+            heads.setdefault(orbit, []).extend(keys)
             if i == len(nonzero):
                 continue
-            for s in range(last, len(least)):
-                if least[s] > room:
-                    break
-                r = run + 1 if s == last else 1
-                for (d, _), ks in nonzero[i][s]:
-                    if d > room:
+            room = top - min(keys) // one
+            if i + 1 < len(nonzero):
+                for s in range(last, len(least)):
+                    if least[s] > room:
                         break
-                    grown.setdefault((s, r, deg + d, orbit * (len(units) - i) // r),
-                                     []).extend([a + b for a in keys for b in ks])
-        _add(listed, heads.items(), tails[i], top)
+                    r = run + 1 if s == last else 1
+                    new = [c for a in keys for b in nonzero[i][s] if (c := a + b) < limit]
+                    if new:
+                        grown.setdefault((s, r, orbit * (len(units) - i) // r), []).extend(new)
+                continue
+            # the last copy to take a charge: only the orbit size of a
+            # walk's end counts, so every later charge is taken at once
+            later = last + 1 if run else last
+            for r, ks in ((run + 1, nonzero[i][last] if run else ()),
+                          (1, flat[i][spans[later][0]:ends[-1]] if later < len(least) else ())):
+                new = [c for a in keys for b in ks if (c := a + b) < limit]
+                if new:
+                    grown.setdefault((0, 0, orbit * (len(units) - i) // r), []).extend(new)
+        tail = tails[i]
+        for orbit, keys in heads.items():
+            # tail ascends with the degree: a takes the b that fit
+            listed.setdefault(orbit, []).extend(
+                [a + b for a in keys for b in tail[:bisect_left(tail, limit - a)]])
         level = grown
-    return sorted(listed.items())
+    groups: Dict[int, Dict[int, List[int]]] = {}
+    for orbit, keys in listed.items():
+        keys.sort()
+        bare = [k & low for k in keys]
+        lo = 0
+        for d in range(top + 1):
+            hi = bisect_left(keys, (d + 1) * one, lo)
+            if hi > lo:
+                groups.setdefault(d, {})[orbit] = bare[lo:hi]
+            lo = hi
+    return dict(sorted(groups.items()))
 
 
-def _add(into: Dict[tuple, List[int]], groups, factor: Groups, top: int):
-    """Files a + b under (d1 + d2, o1 * o2) in `into`, for every key a
-    of a group ((d1, o1), keys) of `groups` and b of one ((d2, o2), keys)
-    of `factor` (in increasing degree) with d1 + d2 at most top; keys
-    are additive over disjoint generators.  Returns `into`."""
-    for (d1, o1), ks1 in groups:
-        for (d2, o2), ks2 in factor:
+def _times(left, right, top: int) -> Dict[int, Dict[int, List[int]]]:
+    """The groups {degree: {orbit size: keys}} of the sums a + b, a a key
+    of `left` and b one of `right` (groups over disjoint generators, in
+    increasing degree), of degree at most top; keys are additive over
+    disjoint generators, and orbit sizes multiply."""
+    out: Dict[int, Dict[int, List[int]]] = {}
+    for d1, g1 in left.items():
+        for d2, g2 in right.items():
             if d1 + d2 > top:
                 break
-            into.setdefault((d1 + d2, o1 * o2), []).extend([a + b for a in ks1 for b in ks2])
-    return into
+            into = out.setdefault(d1 + d2, {})
+            for o1, ks1 in g1.items():
+                for o2, ks2 in g2.items():
+                    into.setdefault(o1 * o2, []).extend([a + b for a in ks1 for b in ks2])
+    return out
 
 
 def _exponents(parities, top: int):

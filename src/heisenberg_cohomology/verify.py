@@ -26,12 +26,11 @@ the same check before this module is loaded.
 from __future__ import annotations
 
 import time
-from itertools import product
 from typing import List, Optional
 
 from .algebra import _Record, make_heisenberg_even, make_heisenberg_odd
-from .cohomology import (_block_ranks, _enter, _lefschetz_blocks, _reports,
-                         betti_table)
+from .cohomology import (_betti_table, _block_ranks, _enter, _lefschetz_blocks,
+                         _reports)
 from .differential import _lefschetz_block
 from .formulas import dim_h_even, dim_h_odd_displayed, dim_h_odd_proof, ker_psi_dim
 # the grid's refusals live in limits, which needs no engine module, so
@@ -138,31 +137,32 @@ def verify_family(family: str, n_max: int, m_max: Optional[int] = None,
     over MAX_Q_MAX (DegreeLimitExceeded), then every grid point against
     the column cap, in grid order, and on the odd family every psi walk
     against its codomain bound, so an oversized grid is refused before
-    anything is computed.
+    anything is computed.  Each point takes the dimensions check_grid
+    computed for it, so none is computed twice.
     """
     start = time.perf_counter()
-    check_grid(family, n_max, m_max, q_max, column_cap)
+    points = check_grid(family, n_max, m_max, q_max, column_cap)
     checks: List[Comparison] = []
-    if family == "even":
-        for n, m in product(range(1, n_max + 1), range(1, m_max + 1)):
-            for report in betti_table(make_heisenberg_even(n, m), q_max, column_cap):
-                checks.append(Comparison("dim_h_even", n, m, report.q,
-                                         dim_h_even(n, m, report.q),
-                                         report.dim_cohomology))
-    else:
-        for n in range(1, n_max + 1):
-            checks.extend(_odd_point(n, q_max, column_cap))
+    for (n, m), dims in points.items():
+        if m is None:
+            checks.extend(_odd_point(n, q_max, column_cap, dims))
+            continue
+        for report in _betti_table(make_heisenberg_even(n, m), q_max, column_cap, dims):
+            checks.append(Comparison("dim_h_even", n, m, report.q,
+                                     dim_h_even(n, m, report.q),
+                                     report.dim_cohomology))
     checks.sort(key=lambda c: (c.formula, c.n, c.m or 0, c.q))
     elapsed = time.perf_counter() - start
     return VerifyResult(family, n_max, m_max, q_max, checks, elapsed)
 
 
-def _odd_point(n: int, q_max: int, column_cap: int) -> List[Comparison]:
-    """The checks of h_n: one block walk over t = 0..q_max on one
-    workspace, dropped when this returns."""
+def _odd_point(n: int, q_max: int, column_cap: int, dims) -> List[Comparison]:
+    """The checks of h_n, whose dimensions check_grid gave: one block
+    walk over t = 0..q_max on one workspace, dropped when this
+    returns."""
     # the rows of psi_{(n,l)} in degree t have degree t + l + 1
     workspace, dims = _enter(make_heisenberg_odd(n), q_max, range(q_max + 1),
-                             column_cap, q_max + 1 + max(PSI_POWERS))
+                             column_cap, q_max + 1 + max(PSI_POWERS), dims)
     z = 2 * n  # h_n's odd centre, its last generator
     checks = []
     block_rank = {}

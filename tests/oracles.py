@@ -10,7 +10,9 @@ so that the odd-centre block route can be held to the full-matrix route
 it stands in for, and kernel_matrices_are_checked, which checks the
 package's own matrices, and adapted_brackets_fractions, the package's
 former Fraction rewrite into the adapted basis, kept unchanged as the
-reference for the fraction-free one.  orbit_listing_defects reads the
+reference for the fraction-free one, and dim_h_odd_proof_double_sum,
+the package's former double sum for dim_h_odd_proof over its
+ker_psi_dim and graded_dim.  orbit_listing_defects reads the
 package's packed keys and its copies' generator tuples, but none of
 its charges, lattices or listing code.
 """
@@ -25,9 +27,10 @@ import pytest
 
 from heisenberg_cohomology.algebra import EVEN, ODD, integer_table
 from heisenberg_cohomology.differential import differential_matrix
+from heisenberg_cohomology.formulas import ker_psi_dim
 from heisenberg_cohomology.linalg import RationalMatrix, rank
 from heisenberg_cohomology.superexterior import (SuperMonomial, SuperSpaceDims,
-                                                 enumerate_basis)
+                                                 enumerate_basis, graded_dim)
 
 
 def tensor_normal_form(word):
@@ -569,3 +572,18 @@ def adapted_brackets_fractions(alg):
             if new:  # integer_table's L cancels in the rows; divide it out
                 brackets[(a, b)] = {k: Fraction(c, scale) for k, c in new.items()}
     return brackets
+
+
+def dim_h_odd_proof_double_sum(n, q):
+    """dim H^q(h_n) as dim Z^q + dim Z^{q-1} - dim C^{q-1}, each dim Z
+    with its own sum of kernels (dim_h_odd_proof shares them)."""
+    if q < 0:
+        return 0
+    free = (n, n)
+    full = (n, n + 1)
+    total = graded_dim(free, q) + graded_dim(free, q - 1) - graded_dim(full, q - 1)
+    for i in range(1, q + 1):
+        total += ker_psi_dim(q - i, n)
+    for i in range(1, q):
+        total += ker_psi_dim(q - 1 - i, n)
+    return total

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from heisenberg_cohomology import algebra
 from heisenberg_cohomology.algebra import (EVEN, ODD, LieSuperalgebra,
                                            _adapted_brackets, adapted_basis,
                                            make_heisenberg_even,
@@ -227,6 +228,40 @@ def test_identity_case_returns_the_algebra_itself():
     families += [make_heisenberg_even(40, 2), make_heisenberg_even(12, 20)]
     for alg in families:
         assert adapted_basis(alg) is alg, alg.name
+
+
+def test_no_family_member_runs_the_echelon(monkeypatch):
+    # every bracket of h_n and h_{n,m} has one target, in any generator
+    # order, so the adapted basis is the identity without an elimination
+    from test_symmetric_blocks import shuffled
+
+    def refused(rows):
+        raise AssertionError("_echelon ran")
+
+    monkeypatch.setattr(algebra, "_echelon", refused)
+    families = [make_heisenberg_odd(n) for n in range(1, 7)]
+    families += [make_heisenberg_even(n, m) for n in range(1, 5) for m in range(1, 5)]
+    families += [shuffled(alg, seed) for alg in families[2:5] + families[-4:]
+                 for seed in range(3)]
+    for alg in families:
+        assert adapted_basis(alg) is alg, alg.name
+
+
+def test_single_target_tables_keep_their_basis():
+    # random tables, valid or not, whose every bracket has one target of
+    # either parity: no echelon, and the Fraction rewrite agrees
+    rng = random.Random(20132)
+    parities = set()
+    for k in range(200):
+        gens = [("g%d" % i, rng.choice((EVEN, ODD))) for i in range(rng.randint(1, 7))]
+        brackets = {(i, j): {rng.randrange(len(gens)): Fraction(rng.choice((-3, -1, 1, 2)),
+                                                                rng.choice((1, 2, 5)))}
+                    for i in range(len(gens)) for j in range(i, len(gens))
+                    if rng.random() < 0.4}
+        alg = LieSuperalgebra("single%d" % k, gens, brackets)
+        parities.update(gens[t][1] for targets in brackets.values() for t in targets)
+        assert _same_rewrite(alg) is None and adapted_basis(alg) is alg, alg.name
+    assert parities == {EVEN, ODD}
 
 
 def test_even_self_bracket_still_names_the_users_generator():

@@ -277,7 +277,7 @@ def test_refusal_comes_before_the_family_is_built(capsysbinary, monkeypatch):
 def test_verify_refuses_the_grid_before_computing(capsysbinary, monkeypatch):
     # the first point over the cap is m=97 (5047 columns at q=2); the
     # 96 points before it fit, and none of them may be computed
-    monkeypatch.setattr(verify, "betti_table", _never_built)
+    monkeypatch.setattr(verify, "_betti_table", _never_built)
     monkeypatch.setattr(verify, "_enter", _never_built)
     for argv, message in (
             (["verify", "--family", "even", "--n-max", "1", "--m-max", "120",
@@ -291,7 +291,7 @@ def test_verify_refuses_the_grid_before_computing(capsysbinary, monkeypatch):
 
 def test_verify_refuses_an_oversized_grid_from_its_size(capsysbinary, monkeypatch):
     # 10^8 points at q=0 each fit the cap; the point count alone refuses
-    monkeypatch.setattr(verify, "betti_table", _never_built)
+    monkeypatch.setattr(verify, "_betti_table", _never_built)
     monkeypatch.setattr(verify, "_enter", _never_built)
     # the per-point checks are made in limits.check_grid
     monkeypatch.setattr(limits, "check_column_cap", _never_built)
@@ -435,7 +435,7 @@ def test_degree_limit_refuses_before_any_work(capsysbinary, monkeypatch, tmp_pat
                  "check_column_cap", "even_formula_report",
                  "odd_formula_report", "parse_algebra"):
         monkeypatch.setattr(cli, name, _never_built)
-    monkeypatch.setattr(verify, "betti_table", _never_built)
+    monkeypatch.setattr(verify, "_betti_table", _never_built)
     monkeypatch.setattr(verify, "_enter", _never_built)
     monkeypatch.setattr(limits, "check_column_cap", _never_built)
     missing = str(tmp_path / "missing.alg")

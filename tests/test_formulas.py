@@ -1,5 +1,8 @@
+from collections import Counter
+
 import pytest
 
+from heisenberg_cohomology import formulas
 from heisenberg_cohomology.algebra import (make_heisenberg_even,
                                            make_heisenberg_odd)
 from heisenberg_cohomology.cohomology import betti_table
@@ -9,6 +12,8 @@ from heisenberg_cohomology.formulas import (dim_h_even, dim_h_odd_displayed,
                                             sym_power_dim)
 from heisenberg_cohomology.superexterior import (SuperSpaceDims,
                                                  enumerate_basis, graded_dim)
+
+from oracles import dim_h_odd_proof_double_sum
 
 
 def test_sym_power_dim_examples():
@@ -68,6 +73,27 @@ def test_dim_h_odd_proof_examples():
     assert dim_h_odd_proof(1, -1) == 0
     with pytest.raises(ValueError):
         dim_h_odd_proof(0, 1)
+
+
+def test_dim_h_odd_proof_equals_its_double_sum():
+    for n in range(1, 9):
+        for q in range(-1, 41):
+            assert dim_h_odd_proof(n, q) == dim_h_odd_proof_double_sum(n, q), (n, q)
+
+
+def test_dim_h_odd_proof_computes_each_kernel_once(monkeypatch):
+    calls = Counter()
+    real = formulas.ker_psi_dim
+
+    def counted(t, n):
+        calls[(t, n)] += 1
+        return real(t, n)
+
+    monkeypatch.setattr(formulas, "ker_psi_dim", counted)
+    for q in range(-1, 12):
+        calls.clear()
+        dim_h_odd_proof(3, q)
+        assert calls == Counter({(s, 3): 1 for s in range(q)}), q
 
 
 def test_cocycle_dim_bookkeeping():

@@ -195,6 +195,12 @@ def test_each_orbit_group_lists_its_orbits_once():
                                                                      (4, 7), (5, 6))]
     tables += [(make_heisenberg_even(n, m), 7, (None,)) for n, m in ((1, 4), (3, 1), (2, 4),
                                                                    (3, 3))]
+    # the verify grids' tables at their tops: h_1 without copies, h_2,
+    # h_{1,m} with one class, h_{3,2} and h_{2,3} with two
+    tables += [(make_heisenberg_odd(n), 8, (None, n)) for n in (1, 2)]
+    tables += [(make_heisenberg_even(n, m), top, (None,))
+               for n, m, top in ((1, 1, 8), (1, 2, 8), (1, 3, 8), (1, 4, 8), (3, 2, 6),
+                                 (2, 3, 7))]
     tables.append((shuffled(make_heisenberg_even(3, 3), 5), 7, (None,)))
     for alg, top, skips in tables:
         adapted = adapted_basis(alg)
