@@ -439,18 +439,18 @@ def copy_classes(alg: LieSuperalgebra) -> tuple:
         for r, component in members.items():
             local = {g: a for a, g in enumerate(component)}
             # a central target k is keyed -1 - k, below every local index
-            table = tuple(sorted(
-                (local[i], local[j], tuple(sorted((local.get(k, -1 - k), c)
-                                                  for k, c in targets.items())))
-                for i, j, targets in terms[r]))
+            table = tuple(sorted([
+                (local[i], local[j], tuple(sorted([(local.get(k, -1 - k), c)
+                                                   for k, c in targets.items()])))
+                for i, j, targets in terms[r]]))
             signature = (tuple([parity[g] for g in component]), table)
             classes.setdefault(signature, []).append(tuple(component))
         found = []
+        # symmetry holds the charge lattice's reduction
+        from .symmetry import _echelon_lattice
         for (parities, table), copies in classes.items():
             if len(copies) < 2:
                 continue
-            # the charge lattice, only for a table with a class of copies
-            from .symmetry import _echelon_lattice
             width = len(parities)
             relations = []
             for a, b, targets in table:

@@ -186,9 +186,12 @@ def _lefschetz_blocks(workspace: _Workspace, z: int, dims: Dict[int, int],
     """
     n0, n1 = workspace.dims
     space = (n0, n1 - 1)
-    dim_a = {s: graded_dim(space, s) for s in range(t_end + 2)}
+    dim_a = [graded_dim(space, s) for s in range(t_end + 2)]
+    # sum_l dim A^(q-l), a running sum over q
+    total = 0
     for q in range(max(dims) + 1):
-        if sum(dim_a[q - l] for l in range(q + 1)) != dims[q]:
+        total += dim_a[q]
+        if total != dims[q]:
             raise AssertionError("dim C^%d is not the sum of dim A^(%d-l) f_z^l"
                                  % (q, q))
     j = workspace.algebra.odd_indices.index(z)

@@ -96,8 +96,8 @@ def _d_duals(algebra: LieSuperalgebra):
     refuses the first such bracket that is an even self-bracket or not
     parity-homogeneous."""
     scale, ad = integer_table(algebra)
-    names = [g.name for g in algebra.generators]
-    parity = [g.parity for g in algebra.generators]
+    gens = algebra.generators
+    parity = [g.parity for g in gens]
     position = {g: p for dual in (algebra.even_indices, algebra.odd_indices)
                 for p, g in enumerate(dual)}
     terms, refused = {}, {}
@@ -114,9 +114,9 @@ def _d_duals(algebra: LieSuperalgebra):
                 continue
             if parity[k] != parity[i] ^ parity[j]:
                 refused[k] = ("bracket [%s, %s] -> %s is not parity-homogeneous"
-                              % (names[i], names[j], names[k]))
+                              % (gens[i].name, gens[j].name, gens[k].name))
             elif i == j and parity[i] != ODD:
-                refused[k] = "even generator %r has a nonzero self-bracket" % names[i]
+                refused[k] = "even generator %r has a nonzero self-bracket" % gens[i].name
             else:
                 terms.setdefault(k, []).append(mono + (sign * c, denom))
     return terms, refused
@@ -152,8 +152,8 @@ class _Workspace:
         self.dims = SuperSpaceDims(*algebra.superdim)
         self.radix = radix = _radix(degree)
         terms, refused = _d_duals(algebra)
-        order = algebra.even_indices + algebra.odd_indices
         if refused:
+            order = algebra.even_indices + algebra.odd_indices
             raise ValueError(refused[min(refused, key=order.index)])
         self.denom = denom = lcm(1, *(d // gcd(c, d) for slot in terms.values()
                                       for *_, c, d in slot))
@@ -161,9 +161,9 @@ class _Workspace:
 
         def table(g, unit=0):
             # a term's key delta: the key of its monomial, less `unit`
-            return tuple((emask, evens, emask + (sum(radix ** p for p in odds) << n0) - unit,
-                          c * denom // d)
-                         for emask, evens, odds, c, d in terms.get(g, ()))
+            return tuple([(emask, evens, emask + (sum([radix ** p for p in odds]) << n0) - unit,
+                           c * denom // d)
+                          for emask, evens, odds, c, d in terms[g]]) if g in terms else ()
 
         self.evens = tuple(map(table, algebra.even_indices))
         self.odds = tuple((radix ** j, table(g, radix ** j << n0))

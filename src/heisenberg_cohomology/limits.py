@@ -167,10 +167,11 @@ def graded_dim(dims: tuple[int, int], q: int) -> int:
         raise ValueError("dimensions must be nonnegative")
     if q < 0:
         return 0
-    total = 0
-    for p in range(q + 1):
-        if q - p <= n:
-            total += comb(n, q - p) * sym_power_dim(m, p)
+    # p odd factors: C(n, q - p) even masks times sym_power_dim(m, p),
+    # which is C(m + p - 1, p) for p >= 1 (0 when m = 0)
+    total = comb(n, q)
+    for p in range(max(1, q - n), q + 1):
+        total += comb(n, q - p) * comb(m + p - 1, p)
     return total
 
 

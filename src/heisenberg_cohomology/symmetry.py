@@ -28,7 +28,7 @@ for.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import accumulate
+from itertools import accumulate, groupby
 from operator import add
 from typing import Dict, List, Optional, Tuple
 
@@ -75,13 +75,14 @@ class OrbitListing:
 
     `groups` files the keys of the classes' representatives (_listed,
     multiplied over the classes by _times) as
-    {degree: {orbit size: keys}}, in increasing degree; with no class it
-    is the empty monomial alone.  `in_copies` has the generators inside
-    a copy, `free` the others, `unit` each generator's key of degree 1,
-    and `_free[skip]` the keys of degree 1 of the generators in `free`
-    but `skip` and their monomials of each degree asked for, each listed
-    once.  With no class each degree is one stack of orbit size 1, the
-    canonical space.
+    {orbit size: {degree: keys}}, smallest orbit first and each in
+    increasing degree, the shape orbits() reads; with no class it is the
+    empty monomial alone, and `degrees` has the degrees filed.
+    `in_copies` has the generators inside a copy, `free` the others,
+    `unit` each generator's key of degree 1, and `_free[skip]` the keys
+    of degree 1 of the generators in `free` but `skip` and their
+    monomials of each degree asked for, each listed once.  With no class
+    each degree is one stack of orbit size 1, the canonical space.
     """
 
     def __init__(self, workspace, copy_classes, top: int):
@@ -94,10 +95,12 @@ class OrbitListing:
         one = 1 << (radix ** n1 << n0).bit_length()
         groups, *factors = [_listed(parities, lattice, [[unit[g] + one for g in c] for c in copies],
                                     top, one)
-                            for parities, lattice, copies in copy_classes] or [{0: {1: [0]}}]
+                            for parities, lattice, copies in copy_classes] or [{1: {0: [0]}}]
         for factor in factors:
             groups = _times(groups, factor, top)
-        self.groups = dict(sorted(groups.items()))
+        self.groups = {orbit: dict(sorted(by_degree.items()))
+                       for orbit, by_degree in sorted(groups.items())}
+        self.degrees = sorted({d for by_degree in self.groups.values() for d in by_degree})
         self.in_copies = {g for _, _, copies in copy_classes for c in copies for g in c}
         self.free = [g for g in range(algebra.dim) if g not in self.in_copies]
         self._free: Dict[Optional[int], tuple] = {}
@@ -105,11 +108,10 @@ class OrbitListing:
     def orbits(self, q: int, skip: Optional[int]) -> List[Tuple[int, List[int]]]:
         """[(orbit size, keys)] of degree q, smallest orbit first, the
         generator `skip` left out; a q over `top` and a `skip` inside a
-        copy are refused.  Each call sums the groups of degree d <= q
-        with the free monomials of degree q - d, listed by
+        copy are refused.  Each call sums each orbit size's groups of
+        degree d <= q with the free monomials of degree q - d, listed by
         superexterior._keys on first use, so only the degrees asked for
-        are listed, and keeps no sum.  A group of degree q is handed out
-        as it is filed: the callers never mutate a listing."""
+        are listed, and keeps no sum."""
         if q > self.top:
             raise ValueError("degree %d is over the listing's top %d" % (q, self.top))
         if skip in self.in_copies:
@@ -120,30 +122,25 @@ class OrbitListing:
             self._free[skip] = ([unit[g] for g in self.free if g != skip and not parity(g)],
                                 [unit[g] for g in self.free if g != skip and parity(g)], {})
         evens, odds, monomials = self._free[skip]
-        stacks: Dict[int, List[int]] = {}
-        for d, groups in self.groups.items():
-            if d > q:
-                break
-            free = monomials.get(q - d)
-            if free is None:
-                free = monomials[q - d] = _keys(evens, odds, q - d)
-            if not free:
-                continue
-            for orbit, keys in groups.items():
-                # degree q is the last, and its one free monomial is 1
-                if d < q:
-                    stacks.setdefault(orbit, []).extend([a + b for a in keys for b in free])
-                elif orbit in stacks:
-                    stacks[orbit] += keys
-                else:
-                    stacks[orbit] = keys
-        return sorted(stacks.items())
+        free = []  # (d, the free monomials of degree q - d), for each d filed
+        for d in self.degrees:
+            if d <= q:
+                if q - d not in monomials:
+                    monomials[q - d] = _keys(evens, odds, q - d)
+                if monomials[q - d]:
+                    free.append((d, monomials[q - d]))
+        stacks = []
+        for orbit, by_degree in self.groups.items():
+            keys = [a + b for d, bs in free for b in bs for a in by_degree.get(d, ())]
+            if keys:
+                stacks.append((orbit, keys))
+        return stacks
 
 
 def _listed(parities, lattice, units, top: int, one: int) -> Dict[int, Dict[int, List[int]]]:
     """One copy class's representative keys of degree at most top, as
-    {degree: {orbit size: keys}}, each group in increasing key order:
-    the copies' local parities, the echelon basis of their charge
+    {orbit size: {degree: keys}}, in increasing degree: the copies'
+    local parities, the echelon basis of their charge
     lattice, and each copy's generators' keys of degree 1 plus `one`, a
     bit above every key, so that a sum of keys is its key plus its
     degree times `one`.
@@ -159,10 +156,10 @@ def _listed(parities, lattice, units, top: int, one: int) -> Dict[int, Dict[int,
     Entries of one level with the same last charge, run and orbit size
     have the same future and walk on as one, whatever their degrees;
     each orbit size of level i is closed once, with the zero charge on
-    copies i, i+1, ... (tails[i]).  The keys are split by degree once,
-    at the end.
+    copies i, i+1, ... (tails[i]).  The keys are split by degree at the
+    end.
     """
-    limit, low = (top + 1) * one, one - 1
+    limit = (top + 1) * one
     table: Dict[tuple, list] = {}
     for d, e in _exponents(parities, top):
         table.setdefault(_lattice_class(e, lattice), []).append((d, e))
@@ -171,90 +168,75 @@ def _listed(parities, lattice, units, top: int, one: int) -> Dict[int, Dict[int,
     # charge that does not fit
     charges = sorted((min(es)[0], c, [e for _, e in es]) for c, es in table.items())
     least = [d for d, _, _ in charges]
-    exps = [e for _, _, es in charges for e in es] + zero
-    ends = list(accumulate(len(es) for _, _, es in charges))
-    spans = list(zip([0] + ends, ends))
+    exps = zero + [e for _, _, es in charges for e in es]
+    ends = list(accumulate([len(zero)] + [len(es) for _, _, es in charges]))
     columns = list(zip(*exps))
 
-    def keyed(copy):
-        """The copy's keys of every exponent in `exps`, one pass per
-        generator: the nonzero charges', in charge order, then the
-        zero charge's."""
-        keys = [0] * len(exps)
+    def keyed(copy, count=len(exps)):
+        """The copy's keys of the first `count` exponents of `exps`, the
+        zero charge's and then each nonzero charge's, one pass per
+        generator."""
+        keys = [0] * count
         for u, column in zip(copy, columns):
             keys = list(map(add, keys, map(u.__mul__, column)))
         return keys
 
     flat = [keyed(copy) for copy in units[:top]]
-    nonzero = [[keys[a:b] for a, b in spans] for keys in flat]
+    nonzero = [[keys[a:b] for a, b in zip(ends, ends[1:])] for keys in flat]
     tails, tail = {}, [0]
     for i in range(len(units), -1, -1):
         if i < len(units):
-            z = (flat[i] if i < len(flat) else keyed(units[i]))[len(exps) - len(zero):]
-            tail = sorted([c for a in z for b in tail if (c := a + b) < limit])
+            z = flat[i][:len(zero)] if i < len(flat) else keyed(units[i], len(zero))
+            tail = sorted(_sums(z, tail, limit))
         if i <= top:
             tails[i] = tail
     listed: Dict[int, List[int]] = {}
     # {(last charge, its run, orbit size): keys} of level i
     level: Dict[tuple, List[int]] = {(0, 0, 1): [0]}
-    for i in range(len(nonzero) + 1):
+    for i, row in enumerate(nonzero + [[]]):
         heads: Dict[int, List[int]] = {}
         grown: Dict[tuple, List[int]] = {}
         for (last, run, orbit), keys in level.items():
             heads.setdefault(orbit, []).extend(keys)
-            if i == len(nonzero):
-                continue
             room = top - min(keys) // one
-            if i + 1 < len(nonzero):
-                for s in range(last, len(least)):
-                    if least[s] > room:
-                        break
-                    r = run + 1 if s == last else 1
-                    new = [c for a in keys for b in nonzero[i][s] if (c := a + b) < limit]
-                    if new:
-                        grown.setdefault((s, r, orbit * (len(units) - i) // r), []).extend(new)
-                continue
-            # the last copy to take a charge: only the orbit size of a
-            # walk's end counts, so every later charge is taken at once
-            later = last + 1 if run else last
-            for r, ks in ((run + 1, nonzero[i][last] if run else ()),
-                          (1, flat[i][spans[later][0]:ends[-1]] if later < len(least) else ())):
+            for s, ks in enumerate(row[last:], last):
+                if least[s] > room:
+                    break
+                r = run + 1 if s == last else 1
                 new = [c for a in keys for b in ks if (c := a + b) < limit]
-                if new:
-                    grown.setdefault((0, 0, orbit * (len(units) - i) // r), []).extend(new)
-        tail = tails[i]
+                state = (s, r, orbit * (len(units) - i) // r)
+                if state in grown:
+                    grown[state] += new
+                elif new:
+                    grown[state] = new
         for orbit, keys in heads.items():
-            # tail ascends with the degree: a takes the b that fit
-            listed.setdefault(orbit, []).extend(
-                [a + b for a in keys for b in tail[:bisect_left(tail, limit - a)]])
+            listed.setdefault(orbit, []).extend(_sums(keys, tails[i], limit))
         level = grown
-    groups: Dict[int, Dict[int, List[int]]] = {}
-    for orbit, keys in listed.items():
-        keys.sort()
-        bare = [k & low for k in keys]
-        lo = 0
-        for d in range(top + 1):
-            hi = bisect_left(keys, (d + 1) * one, lo)
-            if hi > lo:
-                groups.setdefault(d, {})[orbit] = bare[lo:hi]
-            lo = hi
-    return dict(sorted(groups.items()))
+    return {orbit: {d: [k & one - 1 for k in ks] for d, ks in groupby(sorted(keys), one.__rfloordiv__)}
+            for orbit, keys in listed.items()}
+
+
+def _sums(left, right: List[int], limit: int) -> List[int]:
+    """a + b below limit for every key a of `left` and b of `right`, keys
+    that carry their degree above their bits, `right`'s in increasing
+    order: each a takes the b up to the first that does not fit."""
+    return [a + b for a in left for b in right[:bisect_left(right, limit - a)]]
 
 
 def _times(left, right, top: int) -> Dict[int, Dict[int, List[int]]]:
-    """The groups {degree: {orbit size: keys}} of the sums a + b, a a key
-    of `left` and b one of `right` (groups over disjoint generators, in
-    increasing degree), of degree at most top; keys are additive over
-    disjoint generators, and orbit sizes multiply."""
+    """The groups {orbit size: {degree: keys}} of the sums a + b, a a
+    key of `left` and b one of `right` (groups over disjoint generators,
+    right's in increasing degree), of degree at most top; keys are
+    additive over disjoint generators, and orbit sizes multiply."""
     out: Dict[int, Dict[int, List[int]]] = {}
-    for d1, g1 in left.items():
-        for d2, g2 in right.items():
-            if d1 + d2 > top:
-                break
-            into = out.setdefault(d1 + d2, {})
-            for o1, ks1 in g1.items():
-                for o2, ks2 in g2.items():
-                    into.setdefault(o1 * o2, []).extend([a + b for a in ks1 for b in ks2])
+    for o1, g1 in left.items():
+        for o2, g2 in right.items():
+            into = out.setdefault(o1 * o2, {})
+            for d1, ks1 in g1.items():
+                for d2, ks2 in g2.items():
+                    if d1 + d2 > top:
+                        break
+                    into.setdefault(d1 + d2, []).extend([a + b for a in ks1 for b in ks2])
     return out
 
 
