@@ -300,7 +300,10 @@ def adapted_basis(alg: LieSuperalgebra) -> LieSuperalgebra:
     constant is divided out once, as one Fraction.
     Name, generator names, parities and order are kept, and Betti
     numbers do not depend on the basis.  When every RREF row is a single
-    generator the change is the identity and `alg` itself is returned.
+    generator the change is the identity and `alg` itself is returned;
+    a table whose every bracket has a single target (both built-in
+    families, in any generator order) echelons to such rows, so it is
+    returned after one pass over the brackets, with no elimination.
 
     The rewrite visits only the pairs of new basis vectors that touch a
     nonzero bracket, so it costs O(nonzero brackets x row lengths), not
@@ -317,7 +320,8 @@ def adapted_basis(alg: LieSuperalgebra) -> LieSuperalgebra:
 
 def _adapted_brackets(alg: LieSuperalgebra):
     """The nonzero brackets of alg in the adapted basis, or None when
-    the change of basis is the identity.
+    the change of basis is the identity, as it is without an echelon
+    when every bracket has a single target.
 
     Pivot row p is kept as an integer vector r_p with r_p[p] > 0 and
     content gcd 1; the RREF row is r_p / r_p[p].  Every dict is updated
@@ -424,7 +428,6 @@ def copy_classes(alg: LieSuperalgebra) -> tuple:
                 if g not in central:
                     root[find(g)] = find(i)
         roots = [find(g) for g in range(alg.dim)]
-        parity = [g.parity for g in alg.generators]
         members: Dict[int, List[int]] = {}
         for g in range(alg.dim):
             if g not in central:
@@ -443,7 +446,7 @@ def copy_classes(alg: LieSuperalgebra) -> tuple:
                 (local[i], local[j], tuple(sorted([(local.get(k, -1 - k), c)
                                                    for k, c in targets.items()])))
                 for i, j, targets in terms[r]]))
-            signature = (tuple([parity[g] for g in component]), table)
+            signature = (tuple([alg.generators[g].parity for g in component]), table)
             classes.setdefault(signature, []).append(tuple(component))
         found = []
         # symmetry holds the charge lattice's reduction

@@ -7,7 +7,9 @@ MAX_Q_MAX, a matrix wider than the column cap (default 5000 columns)
 and a top codomain C^{q+1} over CODOMAIN_ROWS_PER_COLUMN times the cap,
 explicit, overridable refusals, not truncations.  Those constants, the
 checks and the error types are defined in limits, which loads no engine
-module, and stay importable from here.  Then algebra.require_valid
+module, and stay importable from here.  A verify grid point skips them:
+limits.check_grid made them for the whole grid first, and its
+dimensions are handed on (_betti_table, _enter).  Then algebra.require_valid
 validates the algebra rewritten in a basis adapted to [g, g]
 (algebra.adapted_basis; the identity on the built-in families), which
 keeps every Betti number and makes dense-basis matrices sparse: a
@@ -65,6 +67,7 @@ Refusals come from the full sizes, before the split.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .algebra import (ODD, LieSuperalgebra, _Record, adapted_basis,
@@ -188,9 +191,7 @@ def _lefschetz_blocks(workspace: _Workspace, z: int, dims: Dict[int, int],
     space = (n0, n1 - 1)
     dim_a = [graded_dim(space, s) for s in range(t_end + 2)]
     # sum_l dim A^(q-l), a running sum over q
-    total = 0
-    for q in range(max(dims) + 1):
-        total += dim_a[q]
+    for q, total in enumerate(accumulate(dim_a[:max(dims) + 1])):
         if total != dims[q]:
             raise AssertionError("dim C^%d is not the sum of dim A^(%d-l) f_z^l"
                                  % (q, q))

@@ -16,13 +16,17 @@ An OrbitListing lists those blocks' keys for one workspace
 cochains, as sums of each copy's local keys and the keys of the
 generators in no copy; no other key is built.  Its representatives,
 sorted multisets of nonzero charges per class, are emitted directly
-(orderly generation): one walk per class (_listed) and one sum of the
-classes' groups (_add), once per listing; then, per degree asked for,
-one sum of those groups with the other generators' monomials.  Those
-monomials come from superexterior._keys, enumerate_basis's listing, so
-a table without copies, the listing with no class, has its canonical
-spaces in the canonical order, and lists no degree it is not asked
-for.
+(orderly generation), once per listing: one walk per class (_listed),
+whose keys carry their degree in bits above the key so that entries of
+every degree walk on together, and one product of the classes' groups
+(_times), filed by orbit size and then degree, the shape orbits()
+reads.  Each class builds its exponent table, and each copy its keys,
+once.  Then, per degree asked for, one sum per orbit size of those
+groups with the other generators' monomials of the degrees that have
+any.  Those monomials come from superexterior._keys, enumerate_basis's
+listing, so a table without copies, the listing with no class, has its
+canonical spaces in the canonical order, and lists no degree it is not
+asked for.
 """
 
 from __future__ import annotations
@@ -122,28 +126,26 @@ class OrbitListing:
             self._free[skip] = ([unit[g] for g in self.free if g != skip and not parity(g)],
                                 [unit[g] for g in self.free if g != skip and parity(g)], {})
         evens, odds, monomials = self._free[skip]
-        free = []  # (d, the free monomials of degree q - d), for each d filed
         for d in self.degrees:
-            if d <= q:
-                if q - d not in monomials:
-                    monomials[q - d] = _keys(evens, odds, q - d)
-                if monomials[q - d]:
-                    free.append((d, monomials[q - d]))
-        stacks = []
-        for orbit, by_degree in self.groups.items():
-            keys = [a + b for d, bs in free for b in bs for a in by_degree.get(d, ())]
-            if keys:
-                stacks.append((orbit, keys))
-        return stacks
+            if d <= q and q - d not in monomials:
+                monomials[q - d] = _keys(evens, odds, q - d)
+        # (d, the free monomials of degree q - d) for each d filed that has any
+        free = [(d, monomials[q - d]) for d in self.degrees if d <= q and monomials[q - d]]
+        stacks = [(orbit, [a + b for d, bs in free for b in bs for a in by_degree.get(d, ())])
+                  for orbit, by_degree in self.groups.items()]
+        return [(orbit, keys) for orbit, keys in stacks if keys]
 
 
 def _listed(parities, lattice, units, top: int, one: int) -> Dict[int, Dict[int, List[int]]]:
     """One copy class's representative keys of degree at most top, as
     {orbit size: {degree: keys}}, in increasing degree: the copies'
-    local parities, the echelon basis of their charge
-    lattice, and each copy's generators' keys of degree 1 plus `one`, a
-    bit above every key, so that a sum of keys is its key plus its
-    degree times `one`.
+    local parities, the echelon basis of their charge lattice, and each
+    copy's generators' keys of degree 1 plus `one`, a bit above every
+    key, so that a sum of keys is its key plus its degree times `one`.
+
+    The exponent vectors of degree at most top are classed by charge
+    once (_exponents, _lattice_class), and each copy's keys of all of
+    them come from one pass per generator (keyed).
 
     A representative gives copies 0..f-1 nonzero charges in sorted
     order and the zero charge to every later copy; its orbit size is
@@ -183,13 +185,11 @@ def _listed(parities, lattice, units, top: int, one: int) -> Dict[int, Dict[int,
 
     flat = [keyed(copy) for copy in units[:top]]
     nonzero = [[keys[a:b] for a, b in zip(ends, ends[1:])] for keys in flat]
-    tails, tail = {}, [0]
-    for i in range(len(units), -1, -1):
-        if i < len(units):
-            z = flat[i][:len(zero)] if i < len(flat) else keyed(units[i], len(zero))
-            tail = sorted(_sums(z, tail, limit))
-        if i <= top:
-            tails[i] = tail
+    tails = [[0]]  # the zero charge on copies i, i+1, ..., for i falling
+    for i in range(len(units) - 1, -1, -1):
+        z = flat[i][:len(zero)] if i < len(flat) else keyed(units[i], len(zero))
+        tails.append(sorted(_sums(z, tails[-1], limit)))
+    tails.reverse()
     listed: Dict[int, List[int]] = {}
     # {(last charge, its run, orbit size): keys} of level i
     level: Dict[tuple, List[int]] = {(0, 0, 1): [0]}
@@ -204,11 +204,8 @@ def _listed(parities, lattice, units, top: int, one: int) -> Dict[int, Dict[int,
                     break
                 r = run + 1 if s == last else 1
                 new = [c for a in keys for b in ks if (c := a + b) < limit]
-                state = (s, r, orbit * (len(units) - i) // r)
-                if state in grown:
-                    grown[state] += new
-                elif new:
-                    grown[state] = new
+                if new:
+                    grown.setdefault((s, r, orbit * (len(units) - i) // r), []).extend(new)
         for orbit, keys in heads.items():
             listed.setdefault(orbit, []).extend(_sums(keys, tails[i], limit))
         level = grown
