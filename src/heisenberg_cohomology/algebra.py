@@ -449,7 +449,7 @@ def copy_classes(alg: LieSuperalgebra) -> tuple:
             signature = (tuple([alg.generators[g].parity for g in component]), table)
             classes.setdefault(signature, []).append(tuple(component))
         found = []
-        # symmetry holds the charge lattice's reduction
+        # here, not at the top: parsing and validating load no listing code
         from .symmetry import _echelon_lattice
         for (parities, table), copies in classes.items():
             if len(copies) < 2:
