@@ -11,11 +11,11 @@ here are the Heisenberg superalgebras: an even-center family h_{n,m}
 and an odd-center family h_n, both two-step nilpotent.
 
 The table is read-only, so the tables derived from it are kept on the
-algebra itself, derived on first use and never stale: integer_table,
-which validate, adapted_basis, bracket() and differential's d f_k all
-read, the adapted basis, the validity verdict and copy_classes, the
-classes of identical components whose permutations the rank engine
-uses to rank one block per orbit.  require_valid is
+algebra itself (`_derived`), derived on first use and never stale:
+integer_table, which validate, adapted_basis, bracket(), differential's
+d f_k and symmetry.copy_classes all read, the adapted basis, the
+validity verdict, and the copy classes symmetry finds.  This module
+imports no listing code.  require_valid is
 the one door that decides validity: the family builders, parse_algebra
 and the rank engine all pass through it, so each algebra is validated
 once, on its adapted table.  The adapted basis is computed on
@@ -387,88 +387,6 @@ def _adapted_brackets(alg: LieSuperalgebra):
                 den = scale * row_a[a] * row_b[b] * common
                 brackets[(a, b)] = {k: Fraction(c, den) for k, c in new.items()}
     return brackets
-
-
-def copy_classes(alg: LieSuperalgebra) -> tuple:
-    """The classes of identical copies in alg's table that split its
-    cochains into symmetric blocks, kept on alg; () when there are none.
-
-    One pass over the brackets.  The central targets are the bracket
-    targets that appear in no nonzero bracket; the components are the
-    connected pieces of the bracket graph on the other generators, a
-    term [g_i, g_j] -> g_k linking i with j, and both with k when k is
-    not central.  Two components are copies when their signatures are
-    equal: the parities, the local bracket table in generator order,
-    and the central targets by global id.  Swapping two copies in
-    generator order is then an automorphism of alg.
-
-    A copy's charge is the class of its local exponent vector in
-    Z^C / R_C, where R_C is spanned by e_i + e_j (- e_k when k lies in
-    C) over the component's bracket terms; each d-term swaps f_k for
-    f_i f_j, so d keeps every copy's charge.  Each entry is
-    (parities, lattice, copies): the local parities, the echelon basis
-    of R_C (symmetry._echelon_lattice) and the copies' generator index
-    tuples, for every class of at least two copies whose charges are
-    not all one (R_C is not all of Z^C).
-    """
-    if "copies" not in alg._derived:
-        brackets = alg.brackets
-        central = {k for t in brackets.values() for k in t}
-        central.difference_update(*brackets)
-        root = list(range(alg.dim))
-
-        def find(g):
-            while root[g] != g:
-                root[g] = root[root[g]]
-                g = root[g]
-            return g
-
-        for (i, j), targets in brackets.items():
-            for g in (j, *targets):
-                if g not in central:
-                    root[find(g)] = find(i)
-        roots = [find(g) for g in range(alg.dim)]
-        members: Dict[int, List[int]] = {}
-        for g in range(alg.dim):
-            if g not in central:
-                members.setdefault(roots[g], []).append(g)
-        # integer_table's ints: one scale L for the whole table, so the
-        # components' signatures compare as the Fractions would
-        _, ad = integer_table(alg)
-        terms: Dict[int, list] = {r: [] for r in members}
-        for i, j in brackets:
-            terms[roots[i]].append((i, j, ad[i][j]))
-        classes: Dict[tuple, List[Tuple[int, ...]]] = {}
-        for r, component in members.items():
-            local = {g: a for a, g in enumerate(component)}
-            # a central target k is keyed -1 - k, below every local index
-            table = tuple(sorted([
-                (local[i], local[j], tuple(sorted([(local.get(k, -1 - k), c)
-                                                   for k, c in targets.items()])))
-                for i, j, targets in terms[r]]))
-            signature = (tuple([alg.generators[g].parity for g in component]), table)
-            classes.setdefault(signature, []).append(tuple(component))
-        found = []
-        # here, not at the top: parsing and validating load no listing code
-        from .symmetry import _echelon_lattice
-        for (parities, table), copies in classes.items():
-            if len(copies) < 2:
-                continue
-            width = len(parities)
-            relations = []
-            for a, b, targets in table:
-                for k, _ in targets:
-                    v = [0] * width
-                    v[a] += 1
-                    v[b] += 1
-                    if k >= 0:
-                        v[k] -= 1
-                    relations.append(v)
-            lattice = _echelon_lattice(relations, width)
-            if len(lattice) < width or any(row[p] != 1 for p, row in lattice):
-                found.append((parities, lattice, tuple(copies)))
-        alg._derived["copies"] = tuple(found)
-    return alg._derived["copies"]
 
 
 def require_valid(alg: LieSuperalgebra) -> None:

@@ -15,10 +15,12 @@ reported as one line on stderr).
 At start-up this module loads only argparse and limits, which holds the
 size limits and checks and every error type main catches.  `even`,
 `odd` and `verify` run all their refusals there, from the arguments
-alone, so a refused command never loads the engine; `compute` parses
-its file first.  The engine functions the verbs call are
-attributes of this module, each imported on first access and then kept
-(module __getattr__), so a verb loads only the modules it reaches.
+alone, so a refused command never loads the engine; `compute` refuses
+a negative or oversized --q-max before it reads its file, and makes
+its other refusals after parsing it.  The engine functions the verbs
+call are attributes of this module, each imported on first access and
+then kept (module __getattr__), so a verb loads only the modules it
+reaches.
 """
 
 from __future__ import annotations
@@ -194,12 +196,14 @@ def _cmd_odd(args) -> int:
 
 
 def _cmd_compute(args) -> int:
+    # the degree's refusals first, in _family_reports' order, so a bad
+    # --q-max costs no read, parse or validation of the file
+    if args.q_max < 0:
+        raise ValueError("--q-max must be nonnegative")
     check_degree(args.q_max)
     with open(args.algebra, "rb") as fh:
         text = fh.read()
     alg = _engine("parse_algebra")(text)
-    if args.q_max < 0:
-        raise ValueError("--q-max must be nonnegative")
     reports = _engine("betti_table")(alg, args.q_max, args.column_cap)
     return _emit(reports, args.format)
 

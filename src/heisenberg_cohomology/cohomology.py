@@ -1,22 +1,26 @@
 """Betti numbers from exact ranks of the coboundary matrices.
 
 dim H^q = dim ker d_q - rank d_{q-1}, all over the rationals.
-betti_table and cohomology_dims share one preamble (_admit).  It first
-runs limits' size refusals, from the superdimension alone: a degree over
-MAX_Q_MAX, a matrix wider than the column cap (default 5000 columns)
-and a top codomain C^{q+1} over CODOMAIN_ROWS_PER_COLUMN times the cap,
-explicit, overridable refusals, not truncations.  Those constants, the
-checks and the error types are defined in limits, which loads no engine
-module, and stay importable from here.  A verify grid point skips them:
-limits.check_grid made them for the whole grid first, and its
-dimensions are handed on (_betti_table, _enter).  Then algebra.require_valid
-validates the algebra rewritten in a basis adapted to [g, g]
+betti_table and cohomology_dims open the same way.  First
+limits._checked_dims runs the size refusals from the superdimension
+alone (a degree over MAX_Q_MAX, a matrix wider than the column cap,
+default 5000 columns, and a top codomain C^{q+1} over
+CODOMAIN_ROWS_PER_COLUMN times the cap: explicit, overridable
+refusals, not truncations) and returns the dimensions dim C^q that
+every later shape check reads.  Those constants, the checks and the
+error types are defined in limits, which loads no engine module, and
+stay importable from here.  Then algebra.require_valid validates the
+algebra rewritten in a basis adapted to [g, g]
 (algebra.adapted_basis; the identity on the built-in families), which
 keeps every Betti number and makes dense-basis matrices sparse: a
 table that is not a Lie superalgebra, so d^2 != 0, raises
 AlgebraValidationError.  The rewrite and the verdict are kept on the
 algebra, so one that parse_algebra or a family constructor just
-checked is neither rewritten nor validated again.  Each call owns one
+checked is neither rewritten nor validated again.  A verify grid point
+runs neither step: limits.check_grid refused the whole grid first and
+hands each point its dimensions, and the family constructor validated
+the member, so an even point calls _betti_table with them, and an odd
+point builds its workspace as _betti_table does.  Each call owns one
 workspace (differential._Workspace) that carries the adapted algebra
 and lists the cochains it needs once; the rank helpers take the
 workspace alone, and it is dropped when the call returns or raises.
@@ -40,7 +44,7 @@ reused by nothing.
 
 Both routes list their cochains through differential._Workspace.orbits
 alone, one block per stack.  A table with classes of identical copies
-(algebra.copy_classes; h_n, and h_{n,m} with n or m at least 2) is
+(symmetry.copy_classes; h_n, and h_{n,m} with n or m at least 2) is
 ranked one block per orbit: d keeps each copy's charge, a permutation
 of copies maps the block of one charge tuple onto another's, so
 rank d_q (or rank L^(t)) = sum over representatives of
@@ -110,33 +114,6 @@ class CohomologyReport(_Record):
             raise ReportInvariantError("inconsistent dimensions in %r" % (self,))
 
 
-def _admit(algebra: LieSuperalgebra, top: int, degrees: Iterable[int],
-           cap: int, dims: Optional[Dict[int, int]] = None) -> Dict[int, int]:
-    """The one way into the rank engine: the size refusals, then
-    require_valid, which validates the adapted table once per algebra.
-    Returns _checked_dims' dimensions.  A verify grid point passes
-    `dims`, the dimensions limits.check_grid computed while it refused
-    the whole grid first, so they are neither computed nor checked
-    twice."""
-    if dims is None:
-        dims = _checked_dims(algebra.name, algebra.superdim, top, degrees, cap)
-    require_valid(algebra)
-    return dims
-
-
-def _enter(algebra: LieSuperalgebra, top: int, degrees: Iterable[int],
-           cap: int, reach: Optional[int] = None,
-           dims: Optional[Dict[int, int]] = None) -> Tuple[_Workspace, Dict[int, int]]:
-    """_admit (given its `dims`, if any), then the call's workspace,
-    whose algebra is adapted_basis(algebra), for keys of degree up to
-    `reach` (by default top + 1, d_top's codomain) and listed
-    representatives of degree up to top, with _checked_dims'
-    dimensions."""
-    dims = _admit(algebra, top, degrees, cap, dims)
-    reach = top + 1 if reach is None else reach
-    return _Workspace(adapted_basis(algebra), reach, top), dims
-
-
 def _checked_rank(workspace: _Workspace, q: int, dims: Dict[int, int]) -> int:
     """rank d_q = sum |orbit| rank over the blocks on the stacks of
     workspace.orbits(q), their rows numbered on first use and their
@@ -181,7 +158,7 @@ def _lefschetz_blocks(workspace: _Workspace, z: int, dims: Dict[int, int],
                       t_end: int) -> Iterator[Tuple[int, list]]:
     """(t, groups) for t = 0..t_end-1: L^(t) as groups
     (orbit size, keys, block, rank of the block), one per stack of
-    workspace.orbits(t, z's position), each block built, its rows
+    workspace.orbits(t, z), each block built, its rows
     numbered on first use, and eliminated once: rank L^(t) =
     sum |orbit| rank.  The shapes, and dim C^q = sum_l dim A^{q-l}, are
     checked against the preamble's dimensions.  A block is not kept
@@ -195,10 +172,9 @@ def _lefschetz_blocks(workspace: _Workspace, z: int, dims: Dict[int, int],
         if total != dims[q]:
             raise AssertionError("dim C^%d is not the sum of dim A^(%d-l) f_z^l"
                                  % (q, q))
-    j = workspace.algebra.odd_indices.index(z)
     for t in range(t_end):
         built = [(orbit, keys, _lefschetz_block(workspace, z, t, 1, keys))
-                 for orbit, keys in workspace.orbits(t, j)]
+                 for orbit, keys in workspace.orbits(t, z)]
         _check_orbits("L^(%d)" % t, [(orbit, block) for orbit, _, block in built],
                       "A^%d" % t, dim_a[t], "A^%d" % (t + 2), dim_a[t + 2])
         yield t, [(orbit, keys, block, rank(block)) for orbit, keys, block in built]
@@ -262,10 +238,12 @@ def cohomology_dims(algebra: LieSuperalgebra, q: int,
     """Betti data in a single degree, via exact ranks."""
     if q < 0:
         return CohomologyReport(algebra.name, q, 0, 0, 0, 0, METHOD_RANK)
-    dims = _admit(algebra, q, (q, q - 1), column_cap)
-    rk = _split_ranks(adapted_basis(algebra), q, column_cap)
+    dims = _checked_dims(algebra.name, algebra.superdim, q, (q, q - 1), column_cap)
+    require_valid(algebra)
+    adapted = adapted_basis(algebra)
+    rk = _split_ranks(adapted, q, column_cap)
     if rk is None:
-        workspace = _Workspace(adapted_basis(algebra), q + 1, q)
+        workspace = _Workspace(adapted, q + 1, q)
         rk = {p: _checked_rank(workspace, p, dims) for p in (q - 1, q)}
     return _reports(algebra.name, dims, rk, (q,))[0]
 
@@ -285,14 +263,16 @@ def betti_table(algebra: LieSuperalgebra, q_max: int,
     """
     if q_max < 0:
         raise ValueError("q_max must be nonnegative")
-    return _betti_table(algebra, q_max, column_cap)
+    dims = _checked_dims(algebra.name, algebra.superdim, q_max, range(q_max + 1), column_cap)
+    require_valid(algebra)
+    return _betti_table(algebra, q_max, column_cap, dims)
 
 
 def _betti_table(algebra: LieSuperalgebra, q_max: int, column_cap: int,
-                 dims: Optional[Dict[int, int]] = None) -> List[CohomologyReport]:
-    """betti_table past its argument check, given a verify grid point's
-    `dims` (_admit)."""
-    dims = _admit(algebra, q_max, range(q_max + 1), column_cap, dims)
+                 dims: Dict[int, int]) -> List[CohomologyReport]:
+    """betti_table past its refusals and require_valid, given their
+    dimensions `dims` {q: dim C^q} for q = -1..q_max + 1; a verify grid
+    point's come from limits.check_grid."""
     adapted = adapted_basis(algebra)
     rk = _split_ranks(adapted, q_max, column_cap)
     if rk is not None:

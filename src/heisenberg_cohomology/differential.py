@@ -60,17 +60,19 @@ over limits.MAX_Q_MAX, and enumerate their two canonical spaces
 themselves (enumerate_basis).  What these return is never mutated.
 
 The rank engine lists every cochain through _Workspace.orbits
-(symmetry.OrbitListing), and nothing else.  When the algebra has
-classes of identical copies (algebra.copy_classes: h_n's pairs
-(x_i, y_i), h_{n,m}'s pairs and y_j), d keeps each copy's charge, so
-it is block diagonal over charge tuples, and permuting the copies of a
-class permutes the blocks: the listing has the keys of one charge
-tuple per orbit, stacked by orbit size, so
-rank d_q = sum |orbit| rank(block) costs the representatives' columns
-alone.  A table without copies is the listing with no class: one
+(symmetry.OrbitListing, which finds the copies itself), and nothing
+else.  When the algebra has classes of identical copies
+(symmetry.copy_classes: h_n's pairs (x_i, y_i), h_{n,m}'s pairs and
+y_j), d keeps each copy's charge, so it is block diagonal over charge
+tuples, and permuting the copies of a class permutes the blocks: the
+listing has the keys of one charge tuple per orbit, stacked by orbit
+size, so rank d_q = sum |orbit| rank(block) costs the representatives'
+columns alone.  A table without copies is the listing with no class: one
 stack of orbit size 1 per degree, its canonical space.  No codomain is
 listed: every block of the rank engine numbers its rows in order of
-first use (_RowIndex).  The public builders never split.
+first use (_RowIndex), the Lefschetz blocks too (_lefschetz_block).
+The public builders never split, and number their rows by their
+canonical codomains.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import (ODD, LieSuperalgebra, _Record, copy_classes, integer_table,
+from .algebra import (ODD, LieSuperalgebra, _Record, integer_table,
                       make_heisenberg_odd)
 from .limits import (DEFAULT_COLUMN_CAP, _check_codomain, _check_psi_codomain,
                      check_degree, graded_dim)
@@ -176,11 +178,11 @@ class _Workspace:
         self.top = degree - 1 if top is None else top
         self._listing = None
 
-    def orbits(self, q: int, without: Optional[int] = None) -> List[Tuple[int, List[int]]]:
+    def orbits(self, q: int, skip: Optional[int] = None) -> List[Tuple[int, List[int]]]:
         """The keys of degree q of one charge tuple per orbit of copies
-        (algebra.copy_classes), stacked by orbit size:
-        [(orbit size, keys)], smallest orbit first; with `without`, an
-        odd position outside every copy, of the cochains without that
+        (symmetry.copy_classes), stacked by orbit size:
+        [(orbit size, keys)], smallest orbit first; with `skip`, a
+        generator outside every copy, of the cochains without its
         dual.  A table without copies has one stack of orbit size 1,
         its canonical space in the canonical order.
 
@@ -194,9 +196,8 @@ class _Workspace:
         not asked for, and refuses one above `top`.
         """
         if self._listing is None:
-            self._listing = OrbitListing(self, copy_classes(self.algebra), self.top)
-        return self._listing.orbits(
-            q, None if without is None else self.algebra.odd_indices[without])
+            self._listing = OrbitListing(self, self.top)
+        return self._listing.orbits(q, skip)
 
 
 def _mask_plan(workspace: _Workspace, mask: int):
@@ -386,26 +387,26 @@ def lefschetz_block(algebra: LieSuperalgebra, z: int, t: int, l: int,
                     column_cap, "codomain A^%d" % (t + 2))
     workspace = _Workspace(algebra, t + l + 1)
     dims, radix, j = workspace.dims, workspace.radix, algebra.odd_indices.index(z)
-    return _lefschetz_block(workspace, z, t, l, enumerate_basis(dims, t, j, radix),
-                            enumerate_basis(dims, t + 2, j, radix))
+    # f_z^l in z's slot, which the keys of A leave at 0
+    unit = radix ** j << dims.even_count
+    rows = enumerate_basis(dims, t + 2, j, radix)
+    return _coboundary(workspace, [key + l * unit for key in enumerate_basis(dims, t, j, radix)],
+                       {key + (l - 1) * unit: r for r, key in enumerate(rows)})
 
 
-def _lefschetz_block(workspace: _Workspace, z: int, t: int, l: int, keys: List[int],
-                     codomain: Optional[List[int]] = None) -> RationalMatrix:
+def _lefschetz_block(workspace: _Workspace, z: int, t: int, l: int,
+                     keys: List[int]) -> RationalMatrix:
     """The block of lefschetz_block on `keys`, keys of A^t (a stack of
-    workspace.orbits), in the workspace's algebra; the radix must
-    exceed the degree t + l + 1 of the rows.  With `codomain`, keys of
-    A^{t+2}, its rows are those keys, in order; without, they are
-    numbered on first use: the same numbers for every l."""
+    workspace.orbits), in the workspace's algebra, its rows numbered on
+    first use: the same numbers for every l.  The radix must exceed the
+    degree t + l + 1 of the rows."""
     if t + l + 1 >= workspace.radix:
         raise ValueError("degree %d does not fit radix %d"
                          % (t + l + 1, workspace.radix))
     j = workspace.algebra.odd_indices.index(z)
     # f_z^l in z's slot, which the keys of A leave at 0
     unit = workspace.radix ** j << workspace.dims.even_count
-    row_index = (_RowIndex() if codomain is None
-                 else {key + (l - 1) * unit: r for r, key in enumerate(codomain)})
-    return _coboundary(workspace, [key + l * unit for key in keys], row_index)
+    return _coboundary(workspace, [key + l * unit for key in keys], _RowIndex())
 
 
 def psi_matrix(t: int, n: int, l: int,

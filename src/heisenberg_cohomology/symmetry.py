@@ -1,20 +1,23 @@
-"""Symmetric weight blocks: each copy's charge, and the keys of one
-charge tuple per orbit of identical copies.
+"""Symmetric weight blocks: the classes of identical copies, each
+copy's charge, and the keys of one charge tuple per orbit of copies.
 
-algebra.copy_classes finds the classes of identical components of an
-adapted table (h_n's pairs (x_i, y_i), h_{n,m}'s pairs and y_j).  A
-copy's charge is the class of its local exponent vector in Z^C / R_C,
-R_C spanned by e_i + e_j (- e_k when k lies in the component) over its
-bracket terms; _echelon_lattice and _lattice_class are the integer row
-reduction that gives each class one representative.  d keeps every
-copy's charge, so it is block diagonal over charge tuples, and
-permuting the copies of a class permutes the blocks up to sign: the
-rank engine ranks one block per orbit.
+copy_classes finds the classes of identical components of an adapted
+table (h_n's pairs (x_i, y_i), h_{n,m}'s pairs and y_j) and keeps them
+on the algebra, beside its other derived tables.  A copy's charge is
+the class of its local exponent vector in Z^C / R_C, R_C spanned by
+e_i + e_j (- e_k when k lies in the component) over its bracket terms;
+_echelon_lattice and _lattice_class are the integer row reduction that
+gives each class one representative.  d keeps every copy's charge, so
+it is block diagonal over charge tuples, and permuting the copies of a
+class permutes the blocks up to sign: the rank engine ranks one block
+per orbit.  This module imports algebra, and algebra imports nothing
+from here.
 
 An OrbitListing lists those blocks' keys for one workspace
 (differential._Workspace.orbits), the rank engine's one listing of
 cochains, as sums of each copy's local keys and the keys of the
-generators in no copy; no other key is built.  Its representatives,
+generators in no copy; no other key is built.  It finds the
+workspace's classes itself (copy_classes).  Its representatives,
 sorted multisets of nonzero charges per class, are emitted directly
 (orderly generation), once per listing: one walk per class (_listed),
 whose keys carry their degree in bits above the key so that entries of
@@ -36,7 +39,9 @@ from itertools import accumulate, groupby
 from operator import add
 from typing import Dict, List, Optional, Tuple
 
+from .algebra import LieSuperalgebra, integer_table
 from .superexterior import _keys
+
 
 def _echelon_lattice(vectors, width: int) -> List[Tuple[int, List[int]]]:
     """An echelon basis of the lattice that the integer `vectors` (of
@@ -74,8 +79,89 @@ def _lattice_class(v, basis) -> Tuple[int, ...]:
     return tuple(v)
 
 
+def copy_classes(alg: LieSuperalgebra) -> tuple:
+    """The classes of identical copies in alg's table that split its
+    cochains into symmetric blocks, kept on alg; () when there are none.
+
+    One pass over the brackets.  The central targets are the bracket
+    targets that appear in no nonzero bracket; the components are the
+    connected pieces of the bracket graph on the other generators, a
+    term [g_i, g_j] -> g_k linking i with j, and both with k when k is
+    not central.  Two components are copies when their signatures are
+    equal: the parities, the local bracket table in generator order,
+    and the central targets by global id.  Swapping two copies in
+    generator order is then an automorphism of alg.
+
+    A copy's charge is the class of its local exponent vector in
+    Z^C / R_C, where R_C is spanned by e_i + e_j (- e_k when k lies in
+    C) over the component's bracket terms; each d-term swaps f_k for
+    f_i f_j, so d keeps every copy's charge.  Each entry is
+    (parities, lattice, copies): the local parities, the echelon basis
+    of R_C (_echelon_lattice) and the copies' generator index tuples,
+    for every class of at least two copies whose charges are not all
+    one (R_C is not all of Z^C).
+    """
+    if "copies" not in alg._derived:
+        brackets = alg.brackets
+        central = {k for t in brackets.values() for k in t}
+        central.difference_update(*brackets)
+        root = list(range(alg.dim))
+
+        def find(g):
+            while root[g] != g:
+                root[g] = root[root[g]]
+                g = root[g]
+            return g
+
+        for (i, j), targets in brackets.items():
+            for g in (j, *targets):
+                if g not in central:
+                    root[find(g)] = find(i)
+        roots = [find(g) for g in range(alg.dim)]
+        members: Dict[int, List[int]] = {}
+        for g in range(alg.dim):
+            if g not in central:
+                members.setdefault(roots[g], []).append(g)
+        # integer_table's ints: one scale L for the whole table, so the
+        # components' signatures compare as the Fractions would
+        _, ad = integer_table(alg)
+        terms: Dict[int, list] = {r: [] for r in members}
+        for i, j in brackets:
+            terms[roots[i]].append((i, j, ad[i][j]))
+        classes: Dict[tuple, List[Tuple[int, ...]]] = {}
+        for r, component in members.items():
+            local = {g: a for a, g in enumerate(component)}
+            # a central target k is keyed -1 - k, below every local index
+            table = tuple(sorted([
+                (local[i], local[j], tuple(sorted([(local.get(k, -1 - k), c)
+                                                   for k, c in targets.items()])))
+                for i, j, targets in terms[r]]))
+            signature = (tuple([alg.generators[g].parity for g in component]), table)
+            classes.setdefault(signature, []).append(tuple(component))
+        found = []
+        for (parities, table), copies in classes.items():
+            if len(copies) < 2:
+                continue
+            width = len(parities)
+            relations = []
+            for a, b, targets in table:
+                for k, _ in targets:
+                    v = [0] * width
+                    v[a] += 1
+                    v[b] += 1
+                    if k >= 0:
+                        v[k] -= 1
+                    relations.append(v)
+            lattice = _echelon_lattice(relations, width)
+            if len(lattice) < width or any(row[p] != 1 for p, row in lattice):
+                found.append((parities, lattice, tuple(copies)))
+        alg._derived["copies"] = tuple(found)
+    return alg._derived["copies"]
+
+
 class OrbitListing:
-    """One workspace's representative keys, up to degree `top`.
+    """One workspace's representative keys, up to degree `top`, over
+    the copy classes of the workspace's algebra (copy_classes).
 
     `groups` files the keys of the classes' representatives (_listed,
     multiplied over the classes by _times) as
@@ -89,8 +175,9 @@ class OrbitListing:
     each degree is one stack of orbit size 1, the canonical space.
     """
 
-    def __init__(self, workspace, copy_classes, top: int):
+    def __init__(self, workspace, top: int):
         algebra, (n0, n1), radix = workspace.algebra, workspace.dims, workspace.radix
+        classes = copy_classes(algebra)
         self.algebra, self.top = algebra, top
         self.unit = unit = {g: 1 << p for p, g in enumerate(algebra.even_indices)}
         unit.update((g, radix ** j << n0) for j, g in enumerate(algebra.odd_indices))
@@ -99,13 +186,13 @@ class OrbitListing:
         one = 1 << (radix ** n1 << n0).bit_length()
         groups, *factors = [_listed(parities, lattice, [[unit[g] + one for g in c] for c in copies],
                                     top, one)
-                            for parities, lattice, copies in copy_classes] or [{1: {0: [0]}}]
+                            for parities, lattice, copies in classes] or [{1: {0: [0]}}]
         for factor in factors:
             groups = _times(groups, factor, top)
         self.groups = {orbit: dict(sorted(by_degree.items()))
                        for orbit, by_degree in sorted(groups.items())}
         self.degrees = sorted({d for by_degree in self.groups.values() for d in by_degree})
-        self.in_copies = {g for _, _, copies in copy_classes for c in copies for g in c}
+        self.in_copies = {g for _, _, copies in classes for c in copies for g in c}
         self.free = [g for g in range(algebra.dim) if g not in self.in_copies]
         self._free: Dict[Optional[int], tuple] = {}
 

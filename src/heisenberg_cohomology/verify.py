@@ -20,7 +20,11 @@ through its own elimination.
 Every refusal of a grid is decided from sizes alone by limits.check_grid
 (its MAX_GRID_POINTS, GridTooLarge and the per-point column-cap and psi
 codomain checks live there), before any point is computed; the CLI runs
-the same check before this module is loaded.
+the same check before this module is loaded.  check_grid returns each
+point's dimensions dim C^q, and the point takes them as they are: an
+even point calls cohomology._betti_table with them, and an odd point
+checks its blocks' shapes against them, so no dimension is computed
+twice.  The family constructors have validated every member.
 """
 
 from __future__ import annotations
@@ -28,10 +32,9 @@ from __future__ import annotations
 import time
 from typing import List, Optional
 
-from .algebra import _Record, make_heisenberg_even, make_heisenberg_odd
-from .cohomology import (_betti_table, _block_ranks, _enter, _lefschetz_blocks,
-                         _reports)
-from .differential import _lefschetz_block
+from .algebra import _Record, adapted_basis, make_heisenberg_even, make_heisenberg_odd
+from .cohomology import _betti_table, _block_ranks, _lefschetz_blocks, _reports
+from .differential import _lefschetz_block, _Workspace
 from .formulas import dim_h_even, dim_h_odd_displayed, dim_h_odd_proof, ker_psi_dim
 # the grid's refusals live in limits, which needs no engine module, so
 # the CLI runs them before this module is loaded; they stay importable
@@ -145,7 +148,7 @@ def verify_family(family: str, n_max: int, m_max: Optional[int] = None,
     checks: List[Comparison] = []
     for (n, m), dims in points.items():
         if m is None:
-            checks.extend(_odd_point(n, q_max, column_cap, dims))
+            checks.extend(_odd_point(n, q_max, dims))
             continue
         for report in _betti_table(make_heisenberg_even(n, m), q_max, column_cap, dims):
             checks.append(Comparison("dim_h_even", n, m, report.q,
@@ -156,13 +159,13 @@ def verify_family(family: str, n_max: int, m_max: Optional[int] = None,
     return VerifyResult(family, n_max, m_max, q_max, checks, elapsed)
 
 
-def _odd_point(n: int, q_max: int, column_cap: int, dims) -> List[Comparison]:
+def _odd_point(n: int, q_max: int, dims) -> List[Comparison]:
     """The checks of h_n, whose dimensions check_grid gave: one block
-    walk over t = 0..q_max on one workspace, dropped when this
-    returns."""
+    walk over t = 0..q_max on one workspace, built as _betti_table
+    builds its own, and dropped when this returns."""
     # the rows of psi_{(n,l)} in degree t have degree t + l + 1
-    workspace, dims = _enter(make_heisenberg_odd(n), q_max, range(q_max + 1),
-                             column_cap, q_max + 1 + max(PSI_POWERS), dims)
+    workspace = _Workspace(adapted_basis(make_heisenberg_odd(n)),
+                           q_max + 1 + max(PSI_POWERS), q_max)
     z = 2 * n  # h_n's odd centre, its last generator
     checks = []
     block_rank = {}

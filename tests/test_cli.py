@@ -204,6 +204,18 @@ def test_bad_files_exit_codes(tmp_path, capsysbinary):
     assert b"cannot read input" in err
 
 
+def test_compute_refuses_a_negative_degree_before_reading_its_file(capsysbinary, monkeypatch,
+                                                                  tmp_path):
+    # the same order as even and odd: the sign of --q-max is checked
+    # before the file is read, parsed or validated
+    monkeypatch.setattr(cli, "parse_algebra", _never_built)
+    broken = tmp_path / "broken.alg"
+    broken.write_text("name a\ngenerator x 0\nbracket x w = x:1\n")
+    for path in (tmp_path / "missing.alg", broken):
+        assert run_cli(capsysbinary, ["compute", "--algebra", str(path), "--q-max", "-1"]) \
+            == (2, b"", b"validation error: --q-max must be nonnegative\n"), path
+
+
 def test_help_exits_zero(capsysbinary):
     code, out, _ = run_cli(capsysbinary, ["--help"])
     assert code == 0
@@ -278,7 +290,7 @@ def test_verify_refuses_the_grid_before_computing(capsysbinary, monkeypatch):
     # the first point over the cap is m=97 (5047 columns at q=2); the
     # 96 points before it fit, and none of them may be computed
     monkeypatch.setattr(verify, "_betti_table", _never_built)
-    monkeypatch.setattr(verify, "_enter", _never_built)
+    monkeypatch.setattr(verify, "_Workspace", _never_built)
     for argv, message in (
             (["verify", "--family", "even", "--n-max", "1", "--m-max", "120",
               "--q-max", "2"], _refusal("h_{1,97}", 2, 5047)),
@@ -292,7 +304,7 @@ def test_verify_refuses_the_grid_before_computing(capsysbinary, monkeypatch):
 def test_verify_refuses_an_oversized_grid_from_its_size(capsysbinary, monkeypatch):
     # 10^8 points at q=0 each fit the cap; the point count alone refuses
     monkeypatch.setattr(verify, "_betti_table", _never_built)
-    monkeypatch.setattr(verify, "_enter", _never_built)
+    monkeypatch.setattr(verify, "_Workspace", _never_built)
     # the per-point checks are made in limits.check_grid
     monkeypatch.setattr(limits, "check_column_cap", _never_built)
     monkeypatch.setattr(limits, "_check_psi_codomain", _never_built)
@@ -311,7 +323,7 @@ def test_verify_refuses_an_oversized_psi_codomain(capsysbinary, monkeypatch):
     # every h_n of the grid fits the cap and its C^{q_max+1} fits the
     # codomain bound, but psi's A^{q_max+2} over (n|n) does not from n=73
     # on (n=16 at a cap of 50); no point may be computed
-    monkeypatch.setattr(verify, "_enter", _never_built)
+    monkeypatch.setattr(verify, "_Workspace", _never_built)
     monkeypatch.setattr(verify, "make_heisenberg_odd", _never_built)
     for argv, message in (
             (["verify", "--family", "odd", "--n-max", "499", "--q-max", "1"],
@@ -436,7 +448,7 @@ def test_degree_limit_refuses_before_any_work(capsysbinary, monkeypatch, tmp_pat
                  "odd_formula_report", "parse_algebra"):
         monkeypatch.setattr(cli, name, _never_built)
     monkeypatch.setattr(verify, "_betti_table", _never_built)
-    monkeypatch.setattr(verify, "_enter", _never_built)
+    monkeypatch.setattr(verify, "_Workspace", _never_built)
     monkeypatch.setattr(limits, "check_column_cap", _never_built)
     missing = str(tmp_path / "missing.alg")
     for q_max in (cli.MAX_Q_MAX + 1, 100000000):

@@ -416,9 +416,9 @@ def _listings(monkeypatch):
         spaces.append((args, kwargs))
         return real_enumerate(*args, **kwargs)
 
-    def orbits(workspace, q, without=None):
+    def orbits(workspace, q, skip=None):
         asked.append(q)
-        return real_orbits(workspace, q, without)
+        return real_orbits(workspace, q, skip)
 
     def keys(evens, odds, q):
         listed.append(q)

@@ -132,9 +132,9 @@ def test_each_space_of_a_is_enumerated_once_per_table(monkeypatch):
         listed.append((len(evens), len(odds), q))
         return real_keys(evens, odds, q)
 
-    def stacks(workspace, q, without=None):
-        orbits.append((q, without))
-        return real_orbits(workspace, q, without)
+    def stacks(workspace, q, skip=None):
+        orbits.append((q, skip))
+        return real_orbits(workspace, q, skip)
 
     monkeypatch.setattr(differential, "enumerate_basis", enumerated)
     monkeypatch.setattr(symmetry, "_keys", keys)
@@ -143,9 +143,9 @@ def test_each_space_of_a_is_enumerated_once_per_table(monkeypatch):
         listed.clear()
         orbits.clear()
         betti_table(make_heisenberg_odd(n), q_max)
-        # the stacks of each A^t, t < q_max, without z's dual (odd
-        # position n), asked for once
-        assert orbits == [(t, n) for t in range(q_max)], n
+        # the stacks of each A^t, t < q_max, without z's dual (z is
+        # generator 2n), asked for once
+        assert orbits == [(t, 2 * n) for t in range(q_max)], n
         # h_1 has no copies: its x and y are listed once per degree; h_n's
         # n copies of (x_i, y_i) leave no generator but z, which is left out
         free = (1, 1) if n == 1 else (0, 0)

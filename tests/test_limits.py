@@ -1,8 +1,10 @@
 """limits: the engine-free home of the size checks and error types, and
 the lazy package namespace in front of it."""
 
+import ast
 import copy
 import pickle
+from pathlib import Path
 
 import pytest
 
@@ -145,6 +147,42 @@ def test_no_module_keeps_a_function_cache():
     for module in PUBLIC:
         for name in dir(module):
             assert not hasattr(getattr(module, name), "cache_info"), (module, name)
+
+
+def _package_imports():
+    """(module, enclosing function or None, imported package module) for
+    every import of a package module in the package's source files."""
+    found = []
+
+    def visit(module, node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ImportFrom) and child.level:
+                targets = [child.module] if child.module else [a.name for a in child.names]
+            elif isinstance(child, ast.Import):
+                targets = [a.name.split(".", 1)[1] for a in child.names
+                           if a.name.startswith("heisenberg_cohomology.")]
+            else:
+                targets = []
+            found.extend((module, function, target) for target in targets)
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(module, child, child.name if inner else function)
+
+    for path in sorted(Path(heisenberg_cohomology.__file__).parent.glob("*.py")):
+        visit(path.stem, ast.parse(path.read_text()), None)
+    return found
+
+
+def test_the_import_graph():
+    imports = _package_imports()
+    # algebra loads no listing or kernel code: symmetry imports algebra
+    # for its copy classes, not the other way round
+    assert {target for module, _, target in imports if module == "algebra"}.isdisjoint(
+        {"symmetry", "differential"})
+    assert ("symmetry", None, "algebra") in imports
+    # every package import is at the top of its module but the direct-sum
+    # search, which only tables past _split_ranks' gate load
+    assert [entry for entry in imports if entry[1] is not None] \
+        == [("cohomology", "_split_ranks", "directsum")]
 
 
 def test_the_cli_binds_each_engine_name_once(monkeypatch):

@@ -1,6 +1,6 @@
 """Symmetric weight blocks: rank one block per orbit of identical copies.
 
-The structure pass (algebra.copy_classes) finds classes of identical
+The structure pass (symmetry.copy_classes) finds classes of identical
 components of the adapted table; each copy's charge is kept by d, so d
 is block diagonal over charge tuples, and permuting the copies of a
 class permutes the blocks.  The engine lists the keys of one charge
@@ -14,14 +14,15 @@ from collections import Counter
 
 import pytest
 
-from heisenberg_cohomology import cohomology, differential
+from heisenberg_cohomology import cohomology, differential, symmetry
 from heisenberg_cohomology.algebra import (LieSuperalgebra, adapted_basis,
-                                           copy_classes, make_heisenberg_even,
-                                           make_heisenberg_odd)
-from heisenberg_cohomology.cohomology import _checked_rank, _enter, betti_table
+                                           make_heisenberg_even, make_heisenberg_odd,
+                                           require_valid)
+from heisenberg_cohomology.cohomology import _checked_rank, betti_table
 from heisenberg_cohomology.differential import _Workspace
 from heisenberg_cohomology.formulas import dim_h_even, dim_h_odd_proof
-from heisenberg_cohomology.symmetry import OrbitListing, _lattice_class
+from heisenberg_cohomology.limits import _checked_dims
+from heisenberg_cohomology.symmetry import OrbitListing, _lattice_class, copy_classes
 from heisenberg_cohomology.superexterior import _radix, enumerate_basis
 
 from oracles import full_matrix_ranks, orbit_listing_defects
@@ -87,9 +88,18 @@ def _members():
     return out + [(shuffled(make_heisenberg_even(3, 3), 5), 8)]
 
 
+def _full_route(alg, q_max):
+    """(workspace, dims) of the full-matrix route, set up as betti_table
+    sets them up: the size refusals and their dimensions, require_valid,
+    then a workspace on the adapted table listing up to q_max."""
+    dims = _checked_dims(alg.name, alg.superdim, q_max, range(q_max + 1), 5000)
+    require_valid(alg)
+    return _Workspace(adapted_basis(alg), q_max + 1, q_max), dims
+
+
 def _orbit_ranks(alg, q_max):
     """{q: rank d_q} from the full-matrix route's per-degree helper."""
-    workspace, dims = _enter(alg, q_max, range(q_max + 1), 5000)
+    workspace, dims = _full_route(alg, q_max)
     return {q: _checked_rank(workspace, q, dims) for q in range(-1, q_max + 1)}
 
 
@@ -124,7 +134,7 @@ def test_orbit_sums_equal_the_full_matrix_ranks():
         # class of two copies
         assert symmetric == (alg.name not in ("h_1", "h_{1,1}")
                              and not alg.name.startswith("distinct_")), alg.name
-        workspace, _ = _enter(alg, q_max, range(q_max + 1), 5000)
+        workspace, _ = _full_route(alg, q_max)
         # without copies, each degree is one stack of orbit size 1
         assert symmetric or [orbit for orbit, _ in workspace.orbits(q_max)] == [1], alg.name
         # the full-matrix route, whatever the table's centre
@@ -190,14 +200,14 @@ def test_representatives_are_distinct_keys_of_their_degree():
 def test_each_orbit_group_lists_its_orbits_once():
     # the oracle relabels each listed key by every permutation of the
     # copies within their classes, with no charge or lattice; h_n's z,
-    # its last odd generator, is in no copy, and is left out too
-    tables = [(make_heisenberg_odd(n), top, (None, n)) for n, top in ((2, 10), (3, 8),
-                                                                     (4, 7), (5, 6))]
+    # its last generator, is in no copy, and is left out too
+    tables = [(make_heisenberg_odd(n), top, (None, 2 * n)) for n, top in ((2, 10), (3, 8),
+                                                                         (4, 7), (5, 6))]
     tables += [(make_heisenberg_even(n, m), 7, (None,)) for n, m in ((1, 4), (3, 1), (2, 4),
                                                                    (3, 3))]
     # the verify grids' tables at their tops: h_1 without copies, h_2,
     # h_{1,m} with one class, h_{3,2} and h_{2,3} with two
-    tables += [(make_heisenberg_odd(n), 8, (None, n)) for n in (1, 2)]
+    tables += [(make_heisenberg_odd(n), 8, (None, 2 * n)) for n in (1, 2)]
     tables += [(make_heisenberg_even(n, m), top, (None,))
                for n, m, top in ((1, 1, 8), (1, 2, 8), (1, 3, 8), (1, 4, 8), (3, 2, 6),
                                  (2, 3, 7))]
@@ -206,12 +216,14 @@ def test_each_orbit_group_lists_its_orbits_once():
         adapted = adapted_basis(alg)
         copies = [c for _, _, c in copy_classes(adapted)]
         workspace = _Workspace(adapted, top + 1, top)
-        for without in skips:
+        for skip in skips:
+            # enumerate_basis leaves out an odd dual by its odd position
+            without = None if skip is None else adapted.odd_indices.index(skip)
             for q in range(top + 1):
-                groups = workspace.orbits(q, without)
+                groups = workspace.orbits(q, skip)
                 basis = enumerate_basis(workspace.dims, q, without)
                 assert orbit_listing_defects(adapted, copies, groups, basis,
-                                             workspace.radix) == [], (alg.name, without, q)
+                                             workspace.radix) == [], (alg.name, skip, q)
 
 
 def test_a_generator_inside_a_copy_cannot_be_left_out():
@@ -219,15 +231,15 @@ def test_a_generator_inside_a_copy_cannot_be_left_out():
     for alg in (make_heisenberg_odd(3), make_heisenberg_even(2, 2)):
         adapted = adapted_basis(alg)
         classes = copy_classes(adapted)
-        listing = OrbitListing(_Workspace(adapted, 5), classes, 4)
+        listing = OrbitListing(_Workspace(adapted, 5), 4)
         for g in (g for _, _, copies in classes for c in copies for g in c):
             name = adapted.generators[g].name
             with pytest.raises(ValueError, match="generator %r lies in a copy" % name):
                 listing.orbits(2, g)
-        # an odd one, asked for by its odd position through the workspace
+        # an odd one, asked for by its generator id through the workspace
         y = next(g for g in classes[-1][2][0] if g in adapted.odd_indices)
         with pytest.raises(ValueError, match="lies in a copy"):
-            _Workspace(adapted, 5).orbits(2, adapted.odd_indices.index(y))
+            _Workspace(adapted, 5).orbits(2, y)
 
 
 def test_betti_table_lists_no_degree_it_does_not_rank(monkeypatch):
@@ -236,19 +248,19 @@ def test_betti_table_lists_no_degree_it_does_not_rank(monkeypatch):
     workspaces = []
     real = differential._Workspace.orbits
 
-    def orbits(workspace, q, without=None):
-        workspaces.append((workspace, without))
-        return real(workspace, q, without)
+    def orbits(workspace, q, skip=None):
+        workspaces.append((workspace, skip))
+        return real(workspace, q, skip)
 
     monkeypatch.setattr(differential._Workspace, "orbits", orbits)
     for alg, q_max, top in ((make_heisenberg_odd(3), 6, 5), (make_heisenberg_even(2, 2), 6, 6)):
         workspaces.clear()
         betti_table(alg, q_max)
-        workspace, without = workspaces[0]
-        assert real(workspace, top, without), alg.name
+        workspace, skip = workspaces[0]
+        assert real(workspace, top, skip), alg.name
         with pytest.raises(ValueError, match="degree %d is over the listing's top %d"
                                              % (top + 1, top)):
-            real(workspace, top + 1, without)
+            real(workspace, top + 1, skip)
 
 
 def test_deep_degrees_with_few_copies_match_the_canonical_route(monkeypatch):
@@ -257,7 +269,7 @@ def test_deep_degrees_with_few_copies_match_the_canonical_route(monkeypatch):
     deep = [(make_heisenberg_odd(2), 45, lambda q: dim_h_odd_proof(2, q)),
             (make_heisenberg_even(1, 3), 30, lambda q: dim_h_even(1, 3, q))]
     listed = [[r.dim_cohomology for r in betti_table(alg, q_max)] for alg, q_max, _ in deep]
-    monkeypatch.setattr(differential, "copy_classes", lambda alg: ())
+    monkeypatch.setattr(symmetry, "copy_classes", lambda alg: ())
     for (alg, q_max, formula), betti in zip(deep, listed):
         assert betti == [r.dim_cohomology for r in betti_table(alg, q_max)], alg.name
         assert betti == [formula(q) for q in range(q_max + 1)], alg.name
@@ -291,9 +303,9 @@ def test_tables_without_copies_take_the_canonical_spaces(monkeypatch):
     listed = []
     real = differential._Workspace.orbits
 
-    def orbits(workspace, q, without=None):
-        groups = real(workspace, q, without)
-        listed.append((workspace, q, without, groups))
+    def orbits(workspace, q, skip=None):
+        groups = real(workspace, q, skip)
+        listed.append((workspace, q, skip, groups))
         return groups
 
     monkeypatch.setattr(differential._Workspace, "orbits", orbits)
@@ -302,28 +314,32 @@ def test_tables_without_copies_take_the_canonical_spaces(monkeypatch):
         listed.clear()
         betti_table(alg, 3)
         assert listed, alg.name
-        for workspace, q, without, groups in listed:
+        for workspace, q, skip, groups in listed:
+            # enumerate_basis leaves out an odd dual by its odd position
+            without = None if skip is None else workspace.algebra.odd_indices.index(skip)
             basis = enumerate_basis(workspace.dims, q, without, workspace.radix)
-            assert groups == [(1, basis)], (alg.name, q, without)
+            assert groups == [(1, basis)], (alg.name, q, skip)
 
 
 def test_a_table_without_copies_lists_its_canonical_spaces():
     # one stack of orbit size 1 per degree: enumerate_basis's keys, in
-    # its order, with and without each odd dual
+    # its order, with and without each odd dual (the workspace is asked
+    # by generator id, enumerate_basis by odd position)
     for alg in _without_copies():
-        workspace = _Workspace(adapted_basis(alg), 7, 6)
-        for without in (None, *range(alg.superdim[1])):
+        adapted = adapted_basis(alg)
+        workspace = _Workspace(adapted, 7, 6)
+        for without, skip in ((None, None), *enumerate(adapted.odd_indices)):
             for q in range(7):
                 basis = enumerate_basis(workspace.dims, q, without, workspace.radix)
-                assert workspace.orbits(q, without) == ([(1, basis)] if basis else []), \
-                    (alg.name, q, without)
+                assert workspace.orbits(q, skip) == ([(1, basis)] if basis else []), \
+                    (alg.name, q, skip)
 
 
 def test_a_miscounted_orbit_trips_the_shape_check(monkeypatch):
     real = differential._Workspace.orbits
 
-    def doubled(workspace, q, without=None):
-        (orbit, keys), *rest = real(workspace, q, without)
+    def doubled(workspace, q, skip=None):
+        (orbit, keys), *rest = real(workspace, q, skip)
         return [(2 * orbit, keys)] + rest
 
     monkeypatch.setattr(differential._Workspace, "orbits", doubled)

@@ -123,17 +123,19 @@ def test_odd_grid_enumerates_each_space_once(monkeypatch):
         keys[(len(evens), len(odds), q)] += 1
         return real_keys(evens, odds, q)
 
-    def orbits(workspace, q, without=None):
-        listed[(workspace.algebra.name, q, without)] += 1
-        return real_orbits(workspace, q, without)
+    def orbits(workspace, q, skip=None):
+        listed[(workspace.algebra.name, q, skip)] += 1
+        return real_orbits(workspace, q, skip)
 
     monkeypatch.setattr(differential, "enumerate_basis", enumerated)
     monkeypatch.setattr(symmetry, "_keys", counted)
     monkeypatch.setattr(differential._Workspace, "orbits", orbits)
     verify.verify_family("odd", 4, None, 7)
-    # h_1..h_4: the stacks of A^0..A^7 (without z's dual, odd position n),
-    # once each; psi's rows are numbered on first use, so no A^8 or A^9
-    assert listed == Counter({("h_%d" % n, t, n): 1 for n in range(1, 5) for t in range(8)})
+    # h_1..h_4: the stacks of A^0..A^7 (without z's dual, z generator
+    # 2n), once each; psi's rows are numbered on first use, so no A^8 or
+    # A^9
+    assert listed == Counter({("h_%d" % n, t, 2 * n): 1 for n in range(1, 5)
+                              for t in range(8)})
     # h_1 has no copies: its x and y, listed once per degree; h_2..h_4
     # leave no generator outside their copies but z
     assert keys == Counter({(1, 1, t): 1 for t in range(8)}) + \
@@ -219,7 +221,7 @@ def test_odd_grid_eliminates_each_block_once(monkeypatch):
 def test_psi_codomain_is_refused_before_any_point(monkeypatch):
     # h_499's C^2 fits (499,001 rows), but its psi walk at t = 1 would
     # enumerate A^3 over (499|499); the first n over the bound is refused
-    monkeypatch.setattr(verify, "_enter", None)
+    monkeypatch.setattr(verify, "_Workspace", None)
     with pytest.raises(CodomainTooLarge) as err:
         verify.verify_family("odd", 499, None, 1)
     assert (err.value.q, err.value.rows, err.value.limit) == (1, 518738, 500000)
