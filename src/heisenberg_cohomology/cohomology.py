@@ -20,10 +20,13 @@ checked is neither rewritten nor validated again.  A verify grid point
 runs neither step: limits.check_grid refused the whole grid first and
 hands each point its dimensions, and the family constructor validated
 the member, so an even point calls _betti_table with them, and an odd
-point builds its workspace as _betti_table does.  Each call owns one
-workspace (differential._Workspace) that carries the adapted algebra
-and lists the cochains it needs once; the rank helpers take the
-workspace alone, and it is dropped when the call returns or raises.
+point builds its listing as _betti_table does.  Each call owns one
+listing, OrbitListing(_Workspace(adapted, degree), top): the workspace
+(differential._Workspace) is the d-term table of the adapted algebra,
+and the listing (symmetry.OrbitListing), built above it, lists the
+cochains the call needs once and keeps the workspace as
+listing.workspace.  The rank helpers take the listing alone, and it is
+dropped when the call returns or raises.
 Every CohomologyReport, the closed forms' too (even_formula_report,
 odd_formula_report), is built here, the rank route's by one helper
 (_reports); an inconsistent one raises ReportInvariantError.
@@ -42,7 +45,7 @@ other algebra, even centres included, has each full d_q built and
 eliminated: an even z-dual has no power above 1, so its blocks are
 reused by nothing.
 
-Both routes list their cochains through differential._Workspace.orbits
+Both routes list their cochains through the call's OrbitListing.orbits
 alone, one block per stack.  A table with classes of identical copies
 (symmetry.copy_classes; h_n, and h_{n,m} with n or m at least 2) is
 ranked one block per orbit: d keeps each copy's charge, a permutation
@@ -78,6 +81,7 @@ from .algebra import (ODD, LieSuperalgebra, _Record, adapted_basis,
                       require_valid)
 from .differential import (_coboundary, _lefschetz_block, _RowIndex,
                            _Workspace)
+from .symmetry import OrbitListing
 from .formulas import dim_h_even, dim_h_odd_proof, even_cocycle_dim, odd_cocycle_dim
 # the size refusals and the error types live in limits, which needs no
 # engine module; they stay importable from here
@@ -114,15 +118,15 @@ class CohomologyReport(_Record):
             raise ReportInvariantError("inconsistent dimensions in %r" % (self,))
 
 
-def _checked_rank(workspace: _Workspace, q: int, dims: Dict[int, int]) -> int:
+def _checked_rank(listing: OrbitListing, q: int, dims: Dict[int, int]) -> int:
     """rank d_q = sum |orbit| rank over the blocks on the stacks of
-    workspace.orbits(q), their rows numbered on first use and their
+    listing.orbits(q), their rows numbered on first use and their
     shapes checked against the preamble's dimensions (_check_orbits):
     the one per-degree rank helper of betti_table and cohomology_dims."""
     if q < 0:
         return 0
-    built = [(orbit, _coboundary(workspace, keys, _RowIndex()))
-             for orbit, keys in workspace.orbits(q)]
+    built = [(orbit, _coboundary(listing.workspace, keys, _RowIndex()))
+             for orbit, keys in listing.orbits(q)]
     _check_orbits("d_%d" % q, built, "C^%d" % q, dims[q], "C^%d" % (q + 1), dims[q + 1])
     return sum(orbit * rank(matrix) for orbit, matrix in built)
 
@@ -154,17 +158,17 @@ def _odd_centre(algebra: LieSuperalgebra) -> Optional[int]:
     return z
 
 
-def _lefschetz_blocks(workspace: _Workspace, z: int, dims: Dict[int, int],
+def _lefschetz_blocks(listing: OrbitListing, z: int, dims: Dict[int, int],
                       t_end: int) -> Iterator[Tuple[int, list]]:
     """(t, groups) for t = 0..t_end-1: L^(t) as groups
     (orbit size, keys, block, rank of the block), one per stack of
-    workspace.orbits(t, z), each block built, its rows
+    listing.orbits(t, z), each block built, its rows
     numbered on first use, and eliminated once: rank L^(t) =
     sum |orbit| rank.  The shapes, and dim C^q = sum_l dim A^{q-l}, are
     checked against the preamble's dimensions.  A block is not kept
     past its t.
     """
-    n0, n1 = workspace.dims
+    n0, n1 = listing.workspace.dims
     space = (n0, n1 - 1)
     dim_a = [graded_dim(space, s) for s in range(t_end + 2)]
     # sum_l dim A^(q-l), a running sum over q
@@ -173,8 +177,8 @@ def _lefschetz_blocks(workspace: _Workspace, z: int, dims: Dict[int, int],
             raise AssertionError("dim C^%d is not the sum of dim A^(%d-l) f_z^l"
                                  % (q, q))
     for t in range(t_end):
-        built = [(orbit, keys, _lefschetz_block(workspace, z, t, 1, keys))
-                 for orbit, keys in workspace.orbits(t, z)]
+        built = [(orbit, keys, _lefschetz_block(listing.workspace, z, t, 1, keys))
+                 for orbit, keys in listing.orbits(t, z)]
         _check_orbits("L^(%d)" % t, [(orbit, block) for orbit, _, block in built],
                       "A^%d" % t, dim_a[t], "A^%d" % (t + 2), dim_a[t + 2])
         yield t, [(orbit, keys, block, rank(block)) for orbit, keys, block in built]
@@ -188,11 +192,12 @@ def _block_ranks(block_rank: Dict[int, int], q_max: int) -> Dict[int, int]:
     return rk
 
 
-def _split_ranks(adapted: LieSuperalgebra, q_max: int,
-                 cap: int) -> Optional[Dict[int, int]]:
+def _split_ranks(adapted: LieSuperalgebra, q_max: int, cap: int,
+                 dims: Dict[int, int]) -> Optional[Dict[int, int]]:
     """{q: rank d_q} for q = -1..q_max from a checked split of the
     adapted table into ideals (directsum.split), or None: then the
-    table takes the rank routes.
+    table takes the rank routes.  `dims` has dim C^q for q = 0..q_max,
+    the entry's (limits._checked_dims).
 
     The gate costs O(brackets) and imports nothing: the table must be
     two-step, its bracket targets P (the pivots that span [g, g]) in no
@@ -206,8 +211,7 @@ def _split_ranks(adapted: LieSuperalgebra, q_max: int,
     if (q_max < 2 or len(targets) < 2
             or any(i in targets or j in targets for i, j in adapted.brackets)):
         return None
-    dims = [graded_dim(adapted.superdim, q) for q in range(q_max + 1)]
-    if max(dims) > cap:
+    if max(dims[q] for q in range(q_max + 1)) > cap:
         return None
     from .directsum import split
     found = split(adapted, sorted(targets))
@@ -241,10 +245,10 @@ def cohomology_dims(algebra: LieSuperalgebra, q: int,
     dims = _checked_dims(algebra.name, algebra.superdim, q, (q, q - 1), column_cap)
     require_valid(algebra)
     adapted = adapted_basis(algebra)
-    rk = _split_ranks(adapted, q, column_cap)
+    rk = _split_ranks(adapted, q, column_cap, dims)
     if rk is None:
-        workspace = _Workspace(adapted, q + 1, q)
-        rk = {p: _checked_rank(workspace, p, dims) for p in (q - 1, q)}
+        listing = OrbitListing(_Workspace(adapted, q + 1), q)
+        rk = {p: _checked_rank(listing, p, dims) for p in (q - 1, q)}
     return _reports(algebra.name, dims, rk, (q,))[0]
 
 
@@ -259,7 +263,7 @@ def betti_table(algebra: LieSuperalgebra, q_max: int,
     (_split_ranks), else from its Lefschetz blocks when it has an odd
     centre spanning [g, g] (_odd_centre), from each full d_q otherwise.
     Either way a table with copy classes is ranked one block per orbit.
-    The cochain spaces built on the way live in the call's workspace.
+    The cochain spaces built on the way live in the call's orbit listing.
     """
     if q_max < 0:
         raise ValueError("q_max must be nonnegative")
@@ -274,16 +278,17 @@ def _betti_table(algebra: LieSuperalgebra, q_max: int, column_cap: int,
     dimensions `dims` {q: dim C^q} for q = -1..q_max + 1; a verify grid
     point's come from limits.check_grid."""
     adapted = adapted_basis(algebra)
-    rk = _split_ranks(adapted, q_max, column_cap)
+    rk = _split_ranks(adapted, q_max, column_cap, dims)
     if rk is not None:
         return _reports(algebra.name, dims, rk, range(q_max + 1))
     z = _odd_centre(adapted)
     # the listing's keys: those of d_q's columns, or of L^(t)'s for t < q_max
-    workspace = _Workspace(adapted, q_max + 1, q_max if z is None else q_max - 1)
+    listing = OrbitListing(_Workspace(adapted, q_max + 1),
+                           q_max if z is None else q_max - 1)
     if z is None:
-        rk = {q: _checked_rank(workspace, q, dims) for q in range(-1, q_max + 1)}
+        rk = {q: _checked_rank(listing, q, dims) for q in range(-1, q_max + 1)}
     else:
-        blocks = _lefschetz_blocks(workspace, z, dims, q_max)
+        blocks = _lefschetz_blocks(listing, z, dims, q_max)
         rk = _block_ranks({t: sum(orbit * r for orbit, _, _, r in groups)
                            for t, groups in blocks}, q_max)
     return _reports(algebra.name, dims, rk, range(q_max + 1))

@@ -30,64 +30,51 @@ lowers the power of an odd central dual by one; psi_matrix is that
 block of h_n with scale (-1)^t / D.  The tests hold the kernel to the alternating-sum
 formula entry by entry.
 
-A key is the int even_mask + (sum_j alpha_j B^j << n0) of e_S o^alpha
-(superexterior._pack), B an odd radix above the degree of every key the
-call reaches, fixed per _Workspace (superexterior._radix).  A d-term is
-then one int delta: the row of a term of even slot i is
+A key is the int even_mask + sum_j alpha_j u_j of e_S o^alpha, u_j the
+key of degree 1 of o_j (superexterior._units, which lays the keys out:
+u_j = B^j << n0, B an odd radix above the degree of every key the
+call reaches, fixed per _Workspace by superexterior._radix).  A d-term
+is then one int delta: the row of a term of even slot i is
 key - (1 << i) + delta and that of odd slot j is key + delta, its unit
-B^j << n0 already taken off, so the kernel finds each row with one
-addition and one int-keyed lookup.  Every sign of a d-term, and every
-test of its evens against the key's, reads the key's even mask alone,
-so each workspace builds one plan per even mask on first use
-(_mask_plan): per slot that applies, its terms as (row offset, signed
-D * coefficient), an odd slot's value times the key's exponent there.
-differential_matrix lists its bases as SuperMonomials, in the keys'
-order.
+u_j already taken off, so the kernel finds each row with one addition
+and one int-keyed lookup, and reads the exponent of slot j as
+key // u_j % B.  Every sign of a d-term, and every test of its evens
+against the key's, reads the key's even mask alone, so each workspace
+builds one plan per even mask on first use (_mask_plan): per slot that
+applies, its terms as (row offset, signed D * coefficient), an odd
+slot's value times the key's exponent there.  differential_matrix
+lists its bases as SuperMonomials, in the keys' order.
 
-Work that depends only on a value is done once per value.  The rank
-engine's entry points (betti_table, cohomology_dims, and verify_family
-per n) each own one _Workspace(algebra, degree) for the call: it
-carries the algebra the call ranks, derives its d-term table once,
-lists the cochains of each degree it ranks once (below), and builds the
-kernel's plan of each even mask once, which verify's L^(t), psi_2 and
-psi_3 of one n share.  The scale 1/D of every matrix it builds, and
-the kernel's masks for reading a key's slots, are made once per
-workspace too, not once per block: the engine builds hundreds of
-blocks a few columns wide per call.
-The workspace is dropped when its call returns or raises; the public
-builders take a fresh one per call, once they have refused a degree
-over limits.MAX_Q_MAX, and enumerate their two canonical spaces
-themselves (enumerate_basis).  What these return is never mutated.
-
-The rank engine lists every cochain through _Workspace.orbits
-(symmetry.OrbitListing, which finds the copies itself), and nothing
-else.  When the algebra has classes of identical copies
-(symmetry.copy_classes: h_n's pairs (x_i, y_i), h_{n,m}'s pairs and
-y_j), d keeps each copy's charge, so it is block diagonal over charge
-tuples, and permuting the copies of a class permutes the blocks: the
-listing has the keys of one charge tuple per orbit, stacked by orbit
-size, so rank d_q = sum |orbit| rank(block) costs the representatives'
-columns alone.  A table without copies is the listing with no class: one
-stack of orbit size 1 per degree, its canonical space.  No codomain is
-listed: every block of the rank engine numbers its rows in order of
-first use (_RowIndex), the Lefschetz blocks too (_lefschetz_block).
-The public builders never split, and number their rows by their
-canonical codomains.
+Work that depends only on a value is done once per value.  Each call
+owns one _Workspace(algebra, degree): it carries the algebra, derives
+its d-term table once, and builds the kernel's plan
+of each even mask once, which verify's L^(t), psi_2 and psi_3 of one n
+share.  The scale 1/D of every matrix it builds, and the kernel's
+units for reading a key's slots, are made once per workspace too, not
+once per block: the rank engine builds hundreds of blocks a few
+columns wide per call, on keys that the orbit listing above this
+module (symmetry.OrbitListing) lists, and numbers each block's rows in
+order of first use (_RowIndex), the Lefschetz blocks too
+(_lefschetz_block).  The workspace is dropped when its call returns or
+raises; the public builders take a fresh one per call, once they have
+refused a degree over limits.MAX_Q_MAX, and enumerate their two
+canonical spaces themselves (enumerate_basis), by which they number
+their rows.  What these return is never mutated.  This module knows
+nothing of copies or orbits: it imports no listing code.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 from .algebra import (ODD, LieSuperalgebra, _Record, integer_table,
                       make_heisenberg_odd)
 from .limits import (DEFAULT_COLUMN_CAP, _check_codomain, _check_psi_codomain,
                      check_degree, graded_dim)
 from .linalg import RationalMatrix
-from .superexterior import SuperSpaceDims, _radix, enumerate_basis
-from .symmetry import OrbitListing
+from .superexterior import SuperSpaceDims, _radix, _units, enumerate_basis
 
 
 def _d_duals(algebra: LieSuperalgebra):
@@ -125,79 +112,56 @@ def _d_duals(algebra: LieSuperalgebra):
 
 
 class _Workspace:
-    """One engine call: its algebra, its d-term table, and the listing
-    of the call's cochains, built once, as packed keys over the
+    """One call's d-term table, built once, on packed keys over the
     algebra's dual superdimension.
 
     `degree` is the largest degree of any key of the call, which fixes
-    the radix, and `top` that of any key orbits() lists (degree - 1 by
-    default).
-    The constructor derives d of every dual generator from _d_duals
-    and raises the first refusal in slot order.  `denom` is D, the lcm
-    of the coefficient denominators, and `scale` the Fraction 1/D that
-    every matrix of the workspace shares; `evens` has, per even slot,
-    its d-terms as (emask, even_set, delta, D * coefficient), and
-    `odds` one (B^j, terms) per odd slot j with a nonzero d, its terms
-    (emask, (e,), delta, D * coefficient), delta having the unit
-    B^j << n0 of o_j already taken off.  `active` has the bit of every
-    even slot with a nonzero d, `evens_only` the bits of every even
-    slot, and `units` the kernel's (place in `odds`, B^j) per odd slot
-    with a nonzero d.  orbits(q) lists the call's cochains of degree
-    q, stacked by orbit size.  Callers do not mutate any of it, except
-    `plans`, which the kernel fills in: it maps the even mask of each
-    key it met that has a d-term to the mask's _mask_plan.  A workspace
-    lives as long as the call that made it.
+    the radix.  `unit` maps each generator to its dual's key of degree
+    1 (superexterior._units).  The constructor derives d of every dual
+    generator from _d_duals and raises the first refusal in slot
+    order.  `denom` is D, the lcm of the coefficient denominators, and
+    `scale` the Fraction 1/D that every matrix of the workspace shares;
+    `evens` has, per even slot, its d-terms as
+    (emask, even_set, delta, D * coefficient), and `odds` one
+    (unit, terms) per odd slot with a nonzero d, its terms
+    (emask, (e,), delta, D * coefficient), delta having the slot's unit
+    already taken off.  `active` has the bit of every even slot with a
+    nonzero d, `evens_only` the bits of every even slot, and `units`
+    the kernel's (place in `odds`, unit) per odd slot with a nonzero d.
+    Callers do not mutate any of it, except `plans`, which the kernel
+    fills in: it maps the even mask of each key it met that has a
+    d-term to the mask's _mask_plan.  A workspace lives as long as the
+    call that made it.
     """
 
-    def __init__(self, algebra: LieSuperalgebra, degree: int, top: Optional[int] = None):
+    def __init__(self, algebra: LieSuperalgebra, degree: int):
         self.algebra = algebra
         self.dims = SuperSpaceDims(*algebra.superdim)
-        self.radix = radix = _radix(degree)
+        self.radix = _radix(degree)
         terms, refused = _d_duals(algebra)
         if refused:
             order = algebra.even_indices + algebra.odd_indices
             raise ValueError(refused[min(refused, key=order.index)])
         self.denom = denom = lcm(1, *(d // gcd(c, d) for slot in terms.values()
                                       for *_, c, d in slot))
-        n0 = self.dims.even_count
+        evens, odds = _units(self.dims, self.radix)
+        self.unit = unit = dict(zip(algebra.even_indices + algebra.odd_indices,
+                                    evens + odds))
 
-        def table(g, unit=0):
-            # a term's key delta: the key of its monomial, less `unit`
-            return tuple([(emask, evens, emask + (sum([radix ** p for p in odds]) << n0) - unit,
+        def table(g, off=0):
+            # a term's key delta: the key of its monomial, less `off`
+            return tuple([(emask, even_set, emask + sum([odds[p] for p in odd_set]) - off,
                            c * denom // d)
-                          for emask, evens, odds, c, d in terms[g]]) if g in terms else ()
+                          for emask, even_set, odd_set, c, d in terms[g]]) if g in terms else ()
 
         self.evens = tuple(map(table, algebra.even_indices))
-        self.odds = tuple((radix ** j, table(g, radix ** j << n0))
-                          for j, g in enumerate(algebra.odd_indices) if g in terms)
+        self.odds = tuple((unit[g], table(g, unit[g]))
+                          for g in algebra.odd_indices if g in terms)
         self.active = sum(1 << i for i, slot in enumerate(self.evens) if slot)
         self.scale = Fraction(1, denom)
-        self.evens_only = (1 << n0) - 1
-        self.units = [(i, unit) for i, (unit, _) in enumerate(self.odds)]
+        self.evens_only = (1 << self.dims.even_count) - 1
+        self.units = [(i, u) for i, (u, _) in enumerate(self.odds)]
         self.plans = {}
-        self.top = degree - 1 if top is None else top
-        self._listing = None
-
-    def orbits(self, q: int, skip: Optional[int] = None) -> List[Tuple[int, List[int]]]:
-        """The keys of degree q of one charge tuple per orbit of copies
-        (symmetry.copy_classes), stacked by orbit size:
-        [(orbit size, keys)], smallest orbit first; with `skip`, a
-        generator outside every copy, of the cochains without its
-        dual.  A table without copies has one stack of orbit size 1,
-        its canonical space in the canonical order.
-
-        A representative gives the copies of each class its nonzero
-        charges in sorted order, the first copies first, and the zero
-        charge to the rest; its orbit size is the product of the
-        classes' multinomials.  The listing (symmetry.OrbitListing) walks
-        each class's representatives once per workspace, up to degree
-        `top`, and each call sums them with the other generators'
-        monomials of degree q; it builds no other key, lists no degree
-        not asked for, and refuses one above `top`.
-        """
-        if self._listing is None:
-            self._listing = OrbitListing(self, self.top)
-        return self._listing.orbits(q, skip)
 
 
 def _mask_plan(workspace: _Workspace, mask: int):
@@ -260,8 +224,7 @@ def _d_columns(workspace: _Workspace, domain, row_index):
     column straight from that slot's terms; terms of two or more slots
     are summed, and those that cancel leave no stored zero.
     """
-    n0, radix = workspace.dims.even_count, workspace.radix
-    evens_only, units = workspace.evens_only, workspace.units
+    radix, evens_only, units = workspace.radix, workspace.evens_only, workspace.units
     active, plans = workspace.active, workspace.plans
     columns = []
     for key in domain:
@@ -269,10 +232,9 @@ def _d_columns(workspace: _Workspace, domain, row_index):
         if units:
             # the odd slots with a nonzero d that the key has a power of:
             # (that power, the slot's place in the plan)
-            odd = key >> n0
             powers = []
             for i, unit in units:
-                a = odd // unit % radix
+                a = key // unit % radix
                 if a:
                     powers.append((a, i))
             if not (powers or mask & active):
@@ -388,7 +350,7 @@ def lefschetz_block(algebra: LieSuperalgebra, z: int, t: int, l: int,
     workspace = _Workspace(algebra, t + l + 1)
     dims, radix, j = workspace.dims, workspace.radix, algebra.odd_indices.index(z)
     # f_z^l in z's slot, which the keys of A leave at 0
-    unit = radix ** j << dims.even_count
+    unit = workspace.unit[z]
     rows = enumerate_basis(dims, t + 2, j, radix)
     return _coboundary(workspace, [key + l * unit for key in enumerate_basis(dims, t, j, radix)],
                        {key + (l - 1) * unit: r for r, key in enumerate(rows)})
@@ -397,15 +359,14 @@ def lefschetz_block(algebra: LieSuperalgebra, z: int, t: int, l: int,
 def _lefschetz_block(workspace: _Workspace, z: int, t: int, l: int,
                      keys: List[int]) -> RationalMatrix:
     """The block of lefschetz_block on `keys`, keys of A^t (a stack of
-    workspace.orbits), in the workspace's algebra, its rows numbered on
-    first use: the same numbers for every l.  The radix must exceed the
-    degree t + l + 1 of the rows."""
+    symmetry.OrbitListing.orbits), in the workspace's algebra, its rows
+    numbered on first use: the same numbers for every l.  The radix
+    must exceed the degree t + l + 1 of the rows."""
     if t + l + 1 >= workspace.radix:
         raise ValueError("degree %d does not fit radix %d"
                          % (t + l + 1, workspace.radix))
-    j = workspace.algebra.odd_indices.index(z)
     # f_z^l in z's slot, which the keys of A leave at 0
-    unit = workspace.radix ** j << workspace.dims.even_count
+    unit = workspace.unit[z]
     return _coboundary(workspace, [key + l * unit for key in keys], _RowIndex())
 
 

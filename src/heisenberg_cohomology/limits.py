@@ -207,16 +207,18 @@ def _check_codomain(name: str, q: int, rows: int, cap: int,
 
 def _checked_dims(name: str, superdim: tuple[int, int], top: int,
                   degrees, cap: int) -> dict[int, int]:
-    """{q: dim C^q} for -1, `degrees` and top + 1, after refusing top over
-    MAX_Q_MAX, each of `degrees` (in order) over the cap, and C^{top+1}
-    over CODOMAIN_ROWS_PER_COLUMN * cap."""
+    """{q: dim C^q} for q = -1..top + 1, after refusing top over
+    MAX_Q_MAX (before any dimension is counted), then each of `degrees`
+    (in order) over the cap, and C^{top+1} over
+    CODOMAIN_ROWS_PER_COLUMN * cap.  Each dimension is counted once,
+    those of `degrees` first, so a refusal over the cap counts no other."""
     check_degree(top)
     dims = {-1: 0}
     for q in degrees:
         dims[q] = graded_dim(superdim, q)
         if dims[q] > cap:
             raise ColumnCapExceeded(name, q, dims[q], cap)
-    dims[top + 1] = graded_dim(superdim, top + 1)
+    dims.update((q, graded_dim(superdim, q)) for q in range(top + 2) if q not in dims)
     _check_codomain(name, top, dims[top + 1], cap)
     return dims
 

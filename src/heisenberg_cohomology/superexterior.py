@@ -17,13 +17,17 @@ their products and pairings are in the elements module.
 A SuperMonomial is the tuple (even_mask, odd_exponents), so len,
 iteration and tuple `<` apply to it; the canonical basis order is
 `monomial_sort_key`, not tuple order.  The coboundary kernel indexes
-packed keys instead: enumerate_basis lists each monomial as the one
-int even_mask + (sum_j alpha_j B^j << n), n the even count, and returns
-those keys when given the radix B, or their monomials, in the same
-order (_pack and _unpack convert).  B must exceed every exponent, and
-is odd: CPython hashes an int modulo 2^61 - 1, under which the powers
-of a power-of-two radix repeat with period 61 bits, so wide keys of
-such a radix share a few hash values.  The keys come from _keys, the
+packed keys instead: the key of e_S o^alpha is the one int
+even_mask + sum_j alpha_j u_j, u_j = B^j << n the key of degree 1 of
+o_j, n the even count.  _units is the one place that lays keys out:
+every key builder reads its keys of degree 1 (enumerate_basis, the
+coboundary workspace's d-term deltas and Lefschetz shifts, the orbit
+listing), and _pack and _unpack are its inverses.  enumerate_basis
+returns the keys when given the radix B, or their monomials, in the
+same order.  B must exceed every exponent, and is odd: CPython hashes
+an int modulo 2^61 - 1, under which the powers of a power-of-two radix
+repeat with period 61 bits, so wide keys of such a radix share a few
+hash values.  The keys come from _keys, the
 package's one listing of keys over lists of degree-1 keys, which the
 rank engine's orbit listing (symmetry.OrbitListing) calls too.
 """
@@ -166,7 +170,8 @@ def enumerate_basis(dims: SuperSpaceDims, q: int, without: Optional[int] = None,
         return []
     slots = [j for j in range(m) if j != without]
     if radix is not None:
-        return _keys([1 << i for i in range(n)], [radix ** j << n for j in slots], q)
+        evens, odds = _units(dims, radix)
+        return _keys(evens, [odds[j] for j in slots], q)
     # index multisets come in lexicographic order, which is descending
     # lexicographic order of the exponent tuples; each exponent tuple is
     # built once and shared over the even masks
@@ -205,6 +210,15 @@ def _exponents(multiset: Tuple[int, ...], m: int) -> Tuple[int, ...]:
     for j in multiset:
         alpha[j] += 1
     return tuple(alpha)
+
+
+def _units(dims: SuperSpaceDims, radix: int) -> Tuple[List[int], List[int]]:
+    """The keys of degree 1 over `dims`, (evens, odds): e_i's is 1 << i
+    and o_j's radix^j << n, n the even count, so the key of e_S o^alpha
+    is even_mask + sum_j alpha_j odds[j].  The one place that lays the
+    keys out; _pack and _unpack are its inverses."""
+    n, m = dims
+    return [1 << i for i in range(n)], [radix ** j << n for j in range(m)]
 
 
 def _pack(mono: SuperMonomial, n: int, radix: int) -> int:

@@ -10,14 +10,17 @@ _echelon_lattice and _lattice_class are the integer row reduction that
 gives each class one representative.  d keeps every copy's charge, so
 it is block diagonal over charge tuples, and permuting the copies of a
 class permutes the blocks up to sign: the rank engine ranks one block
-per orbit.  This module imports algebra, and algebra imports nothing
-from here.
+per orbit.  This module imports algebra and superexterior; algebra and
+differential import nothing from here, nor this module anything from
+differential.
 
-An OrbitListing lists those blocks' keys for one workspace
-(differential._Workspace.orbits), the rank engine's one listing of
-cochains, as sums of each copy's local keys and the keys of the
-generators in no copy; no other key is built.  It finds the
-workspace's classes itself (copy_classes).  Its representatives,
+An OrbitListing lists those blocks' keys for one engine call, the rank
+engine's one listing of cochains: cohomology and verify build it as
+OrbitListing(_Workspace(adapted, degree), top), above the kernel, and
+keep the workspace on it.  Its keys are sums of each copy's local keys
+and the keys of the generators in no copy, laid out by the workspace's
+`unit` table (superexterior._units); no other key is built.  It finds
+the workspace's classes itself (copy_classes).  Its representatives,
 sorted multisets of nonzero charges per class, are emitted directly
 (orderly generation), once per listing: one walk per class (_listed),
 whose keys carry their degree in bits above the key so that entries of
@@ -160,8 +163,11 @@ def copy_classes(alg: LieSuperalgebra) -> tuple:
 
 
 class OrbitListing:
-    """One workspace's representative keys, up to degree `top`, over
-    the copy classes of the workspace's algebra (copy_classes).
+    """One engine call's representative keys, up to degree `top`, over
+    the copy classes of its workspace's algebra (copy_classes): the
+    rank engine's one listing of cochains.  `workspace` is the call's
+    differential._Workspace, whose radix and `unit` table (each
+    generator's key of degree 1) lay the keys out.
 
     `groups` files the keys of the classes' representatives (_listed,
     multiplied over the classes by _times) as
@@ -169,21 +175,20 @@ class OrbitListing:
     increasing degree, the shape orbits() reads; with no class it is the
     empty monomial alone, and `degrees` has the degrees filed.
     `in_copies` has the generators inside a copy, `free` the others,
-    `unit` each generator's key of degree 1, and `_free[skip]` the keys
-    of degree 1 of the generators in `free` but `skip` and their
-    monomials of each degree asked for, each listed once.  With no class
-    each degree is one stack of orbit size 1, the canonical space.
+    and `_free[skip]` the keys of degree 1 of the generators in `free`
+    but `skip` and their monomials of each degree asked for, each
+    listed once.  With no class each degree is one stack of orbit size
+    1, the canonical space.  At a top below 0 nothing is listed.
     """
 
     def __init__(self, workspace, top: int):
-        algebra, (n0, n1), radix = workspace.algebra, workspace.dims, workspace.radix
+        algebra, unit = workspace.algebra, workspace.unit
         classes = copy_classes(algebra)
-        self.algebra, self.top = algebra, top
-        self.unit = unit = {g: 1 << p for p, g in enumerate(algebra.even_indices)}
-        unit.update((g, radix ** j << n0) for j, g in enumerate(algebra.odd_indices))
-        # every key is below radix^n1 << n0; a walk's keys carry their
-        # degree in the bits above, so a sum of keys sums their degrees
-        one = 1 << (radix ** n1 << n0).bit_length()
+        self.workspace, self.top = workspace, top
+        # every key of degree below the radix is below the radix times
+        # the largest unit; a walk's keys carry their degree in the bits
+        # above, so a sum of keys sums their degrees
+        one = 1 << (workspace.radix * max(unit.values(), default=1)).bit_length()
         groups, *factors = [_listed(parities, lattice, [[unit[g] + one for g in c] for c in copies],
                                     top, one)
                             for parities, lattice, copies in classes] or [{1: {0: [0]}}]
@@ -196,20 +201,30 @@ class OrbitListing:
         self.free = [g for g in range(algebra.dim) if g not in self.in_copies]
         self._free: Dict[Optional[int], tuple] = {}
 
-    def orbits(self, q: int, skip: Optional[int]) -> List[Tuple[int, List[int]]]:
-        """[(orbit size, keys)] of degree q, smallest orbit first, the
-        generator `skip` left out; a q over `top` and a `skip` inside a
-        copy are refused.  Each call sums each orbit size's groups of
-        degree d <= q with the free monomials of degree q - d, listed by
-        superexterior._keys on first use, so only the degrees asked for
-        are listed, and keeps no sum."""
+    def orbits(self, q: int, skip: Optional[int] = None) -> List[Tuple[int, List[int]]]:
+        """The keys of degree q of one charge tuple per orbit of copies,
+        stacked by orbit size: [(orbit size, keys)], smallest orbit
+        first; with `skip`, a generator outside every copy, of the
+        cochains without its dual.  A table without copies has one
+        stack of orbit size 1, its canonical space in the canonical
+        order.  A q over `top` and a `skip` inside a copy are refused.
+
+        A representative gives the copies of each class its nonzero
+        charges in sorted order, the first copies first, and the zero
+        charge to the rest; its orbit size is the product of the
+        classes' multinomials.  Each call sums each orbit size's groups
+        of degree d <= q with the free monomials of degree q - d,
+        listed by superexterior._keys on first use, so only the degrees
+        asked for are listed; it builds no other key and keeps no sum.
+        """
         if q > self.top:
             raise ValueError("degree %d is over the listing's top %d" % (q, self.top))
+        algebra = self.workspace.algebra
         if skip in self.in_copies:
             raise ValueError("generator %r lies in a copy, so the orbit listing "
-                             "cannot leave it out" % self.algebra.generators[skip].name)
+                             "cannot leave it out" % algebra.generators[skip].name)
         if skip not in self._free:
-            parity, unit = self.algebra.parity, self.unit
+            parity, unit = algebra.parity, self.workspace.unit
             self._free[skip] = ([unit[g] for g in self.free if g != skip and not parity(g)],
                                 [unit[g] for g in self.free if g != skip and parity(g)], {})
         evens, odds, monomials = self._free[skip]
@@ -246,8 +261,10 @@ def _listed(parities, lattice, units, top: int, one: int) -> Dict[int, Dict[int,
     have the same future and walk on as one, whatever their degrees;
     each orbit size of level i is closed once, with the zero charge on
     copies i, i+1, ... (tails[i]).  The keys are split by degree at the
-    end.
+    end.  At a top below 0 the listing is empty.
     """
+    if top < 0:
+        return {}
     limit = (top + 1) * one
     table: Dict[tuple, list] = {}
     for d, e in _exponents(parities, top):

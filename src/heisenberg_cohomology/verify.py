@@ -15,7 +15,11 @@ on each group's keys and compared with l times the group's L^(t)
 (_is_multiple) as they are, without the sign, which changes no kernel
 and is put on only by the public psi_matrix.  Every kernel is the sum
 of |orbit| times the group's kernel, so a faulty psi is still reported
-through its own elimination.
+through its own elimination.  Each n owns one orbit listing,
+OrbitListing(_Workspace(adapted h_n, q_max + 4), q_max), built as
+cohomology._betti_table builds its own: the walk reads its keys, and
+the psi blocks the d-term table of its workspace (listing.workspace),
+whose radix fits psi's rows of degree t + l + 1.
 
 Every refusal of a grid is decided from sizes alone by limits.check_grid
 (its MAX_GRID_POINTS, GridTooLarge and the per-point column-cap and psi
@@ -42,6 +46,7 @@ from .formulas import dim_h_even, dim_h_odd_displayed, dim_h_odd_proof, ker_psi_
 from .limits import (DEFAULT_COLUMN_CAP, MAX_GRID_POINTS, GridTooLarge,
                      _check_psi_codomain, check_grid)
 from .linalg import RationalMatrix, kernel_dim
+from .symmetry import OrbitListing
 
 FAILING_FORMULAS = ("dim_h_even", "dim_h_odd_proof")
 PSI_POWERS = (1, 2, 3)
@@ -126,7 +131,7 @@ def verify_family(family: str, n_max: int, m_max: Optional[int] = None,
     psi_{(n,l)} (psi_matrix(t, n, l)) for t=0..q_max and l=1,2,3.
 
     Each n of the odd family makes one walk over h_n's Lefschetz blocks
-    L^(t), t=0..q_max, with one workspace, as betti_table does one
+    L^(t), t=0..q_max, with one orbit listing, as betti_table does one
     block further: each block is built and eliminated once, its rank
     gives rank d_q for the Betti reports and the kernel of
     psi_{(n,1)} = (-1)^t L^(t).  psi_{(n,2)} and psi_{(n,3)} are built
@@ -161,15 +166,15 @@ def verify_family(family: str, n_max: int, m_max: Optional[int] = None,
 
 def _odd_point(n: int, q_max: int, dims) -> List[Comparison]:
     """The checks of h_n, whose dimensions check_grid gave: one block
-    walk over t = 0..q_max on one workspace, built as _betti_table
+    walk over t = 0..q_max on one listing, built as _betti_table
     builds its own, and dropped when this returns."""
     # the rows of psi_{(n,l)} in degree t have degree t + l + 1
-    workspace = _Workspace(adapted_basis(make_heisenberg_odd(n)),
-                           q_max + 1 + max(PSI_POWERS), q_max)
+    listing = OrbitListing(_Workspace(adapted_basis(make_heisenberg_odd(n)),
+                                      q_max + 1 + max(PSI_POWERS)), q_max)
     z = 2 * n  # h_n's odd centre, its last generator
     checks = []
     block_rank = {}
-    for t, groups in _lefschetz_blocks(workspace, z, dims, q_max + 1):
+    for t, groups in _lefschetz_blocks(listing, z, dims, q_max + 1):
         block_rank[t] = sum(orbit * r for orbit, _, _, r in groups)
         kernels = dict.fromkeys(PSI_POWERS, 0)
         for orbit, keys, block, r in groups:
@@ -178,14 +183,14 @@ def _odd_point(n: int, q_max: int, dims) -> List[Comparison]:
                 # psi_{(n,l)} is (-1)^t times the block of power l, and
                 # the sign changes no kernel: a block that is l times
                 # L^(t) has its kernel, and any other is eliminated
-                psi = _lefschetz_block(workspace, z, t, l, keys)
+                psi = _lefschetz_block(listing.workspace, z, t, l, keys)
                 same = _is_multiple(psi, block, l)
                 kernels[l] += orbit * (block.cols - r if same else kernel_dim(psi))
         want = ker_psi_dim(t, n)
         for l in PSI_POWERS:
             checks.append(Comparison("ker_psi_dim[l=%d]" % l, n, None, t, want,
                                      kernels[l]))
-    for report in _reports(workspace.algebra.name, dims,
+    for report in _reports(listing.workspace.algebra.name, dims,
                            _block_ranks(block_rank, q_max), range(q_max + 1)):
         oracle = report.dim_cohomology
         checks.append(Comparison("dim_h_odd_proof", n, None, report.q,

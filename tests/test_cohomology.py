@@ -405,10 +405,11 @@ def test_an_algebra_is_validated_once(monkeypatch):
 
 def _listings(monkeypatch):
     """(spaces, asked, listed): the arguments of every canonical cochain
-    space enumerated, the degree of every listing the workspace is asked
-    for (_Workspace.orbits), and that of every listing of monomials over
-    the generators in no copy (symmetry._keys), in call order."""
-    real_enumerate, real_orbits = superexterior.enumerate_basis, differential._Workspace.orbits
+    space enumerated, the degree of every listing the orbit listing is
+    asked for (symmetry.OrbitListing.orbits), and that of every listing
+    of monomials over the generators in no copy (symmetry._keys), in
+    call order."""
+    real_enumerate, real_orbits = superexterior.enumerate_basis, symmetry.OrbitListing.orbits
     real_keys = symmetry._keys
     spaces, asked, listed = [], [], []
 
@@ -416,9 +417,9 @@ def _listings(monkeypatch):
         spaces.append((args, kwargs))
         return real_enumerate(*args, **kwargs)
 
-    def orbits(workspace, q, skip=None):
+    def orbits(listing, q, skip=None):
         asked.append(q)
-        return real_orbits(workspace, q, skip)
+        return real_orbits(listing, q, skip)
 
     def keys(evens, odds, q):
         listed.append(q)
@@ -426,7 +427,7 @@ def _listings(monkeypatch):
 
     for module in (differential, superexterior):
         monkeypatch.setattr(module, "enumerate_basis", enumerated)
-    monkeypatch.setattr(differential._Workspace, "orbits", orbits)
+    monkeypatch.setattr(symmetry.OrbitListing, "orbits", orbits)
     monkeypatch.setattr(symmetry, "_keys", keys)
     return spaces, asked, listed
 

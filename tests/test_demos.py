@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -25,3 +26,13 @@ def test_demo_prints_its_expected_output(demo):
     want = (ROOT / "demos" / "expected" / (demo.stem + ".txt")).read_bytes()
     assert run.stdout == want
     assert run.stderr == b""
+
+
+def test_the_readme_library_block_runs():
+    # the README's one Python block, run as a reader would against src/;
+    # its CLI block is pinned in test_cli
+    (block,) = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(),
+                          re.M | re.S)
+    run = subprocess.run([sys.executable, "-c", block], cwd=ROOT,
+                         env=dict(os.environ, PYTHONPATH="src"), capture_output=True)
+    assert run.returncode == 0, run.stderr.decode()

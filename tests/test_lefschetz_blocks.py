@@ -122,7 +122,7 @@ def test_other_algebras_keep_the_full_route():
 
 
 def test_each_space_of_a_is_enumerated_once_per_table(monkeypatch):
-    real_keys, real_orbits = symmetry._keys, differential._Workspace.orbits
+    real_keys, real_orbits = symmetry._keys, symmetry.OrbitListing.orbits
     spaces, listed, orbits = [], [], []
 
     def enumerated(*args):
@@ -132,13 +132,13 @@ def test_each_space_of_a_is_enumerated_once_per_table(monkeypatch):
         listed.append((len(evens), len(odds), q))
         return real_keys(evens, odds, q)
 
-    def stacks(workspace, q, skip=None):
+    def stacks(listing, q, skip=None):
         orbits.append((q, skip))
-        return real_orbits(workspace, q, skip)
+        return real_orbits(listing, q, skip)
 
     monkeypatch.setattr(differential, "enumerate_basis", enumerated)
     monkeypatch.setattr(symmetry, "_keys", keys)
-    monkeypatch.setattr(differential._Workspace, "orbits", stacks)
+    monkeypatch.setattr(symmetry.OrbitListing, "orbits", stacks)
     for n, q_max in ((1, 6), (3, 10), (4, 8)):
         listed.clear()
         orbits.clear()

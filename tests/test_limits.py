@@ -3,7 +3,10 @@ the lazy package namespace in front of it."""
 
 import ast
 import copy
+import os
 import pickle
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -183,6 +186,26 @@ def test_the_import_graph():
     # search, which only tables past _split_ranks' gate load
     assert [entry for entry in imports if entry[1] is not None] \
         == [("cohomology", "_split_ranks", "directsum")]
+    # the kernel loads no listing code: differential and the element API
+    # import nothing from symmetry, whose listing is built above the
+    # kernel and imports nothing from differential
+    assert [(module, target) for module, _, target in imports
+            if (module in ("differential", "elements") and target == "symmetry")
+            or (module == "symmetry" and target == "differential")] == []
+
+
+def test_the_element_api_loads_no_listing_code():
+    # a fresh interpreter: the element API loads the kernel, and the
+    # orbit listing stays out of sys.modules
+    src = str(Path(heisenberg_cohomology.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    probe = ("import sys, heisenberg_cohomology.elements; "
+             "print(' '.join(m for m in sys.modules if m.startswith('heisenberg_cohomology.')))")
+    loaded = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                            capture_output=True, text=True).stdout.split()
+    assert "heisenberg_cohomology.differential" in loaded
+    assert "heisenberg_cohomology.symmetry" not in loaded
 
 
 def test_the_cli_binds_each_engine_name_once(monkeypatch):

@@ -440,7 +440,8 @@ def test_every_block_the_engine_ranks_matches_the_dense_oracle(monkeypatch):
     monkeypatch.setattr(verify, "kernel_dim", checked("kernel_dim", verify.kernel_dim))
     h1 = _table(make_heisenberg_odd(1))
     hidden = LieSuperalgebra("h1+h1", *change_basis(random.Random(29), direct_sum(h1, h1)))
-    assert cohomology._split_ranks(adapted_basis(hidden), 6, 5000) is not None
+    dims = cohomology.check_column_cap(hidden.name, hidden.superdim, 6)
+    assert cohomology._split_ranks(adapted_basis(hidden), 6, 5000, dims) is not None
     for call in (lambda: betti_table(make_heisenberg_odd(4), 8),
                  lambda: betti_table(make_heisenberg_even(3, 3), 8),
                  lambda: verify.verify_family("odd", 4, None, 6),

@@ -4,7 +4,7 @@ The structure pass (symmetry.copy_classes) finds classes of identical
 components of the adapted table; each copy's charge is kept by d, so d
 is block diagonal over charge tuples, and permuting the copies of a
 class permutes the blocks.  The engine lists the keys of one charge
-tuple per orbit (_Workspace.orbits) and takes rank d_q, or rank L^(t),
+tuple per orbit (symmetry.OrbitListing.orbits) and takes rank d_q, or rank L^(t),
 as sum |orbit| rank(block).  The references are the full matrices of
 differential_matrix, which never splits.
 """
@@ -14,7 +14,7 @@ from collections import Counter
 
 import pytest
 
-from heisenberg_cohomology import cohomology, differential, symmetry
+from heisenberg_cohomology import cohomology, symmetry
 from heisenberg_cohomology.algebra import (LieSuperalgebra, adapted_basis,
                                            make_heisenberg_even, make_heisenberg_odd,
                                            require_valid)
@@ -89,18 +89,19 @@ def _members():
 
 
 def _full_route(alg, q_max):
-    """(workspace, dims) of the full-matrix route, set up as betti_table
+    """(listing, dims) of the full-matrix route, set up as betti_table
     sets them up: the size refusals and their dimensions, require_valid,
-    then a workspace on the adapted table listing up to q_max."""
+    then an orbit listing up to q_max on a workspace of the adapted
+    table."""
     dims = _checked_dims(alg.name, alg.superdim, q_max, range(q_max + 1), 5000)
     require_valid(alg)
-    return _Workspace(adapted_basis(alg), q_max + 1, q_max), dims
+    return OrbitListing(_Workspace(adapted_basis(alg), q_max + 1), q_max), dims
 
 
 def _orbit_ranks(alg, q_max):
     """{q: rank d_q} from the full-matrix route's per-degree helper."""
-    workspace, dims = _full_route(alg, q_max)
-    return {q: _checked_rank(workspace, q, dims) for q in range(-1, q_max + 1)}
+    listing, dims = _full_route(alg, q_max)
+    return {q: _checked_rank(listing, q, dims) for q in range(-1, q_max + 1)}
 
 
 def test_copy_classes_of_the_families():
@@ -134,9 +135,9 @@ def test_orbit_sums_equal_the_full_matrix_ranks():
         # class of two copies
         assert symmetric == (alg.name not in ("h_1", "h_{1,1}")
                              and not alg.name.startswith("distinct_")), alg.name
-        workspace, _ = _full_route(alg, q_max)
+        listing, _ = _full_route(alg, q_max)
         # without copies, each degree is one stack of orbit size 1
-        assert symmetric or [orbit for orbit, _ in workspace.orbits(q_max)] == [1], alg.name
+        assert symmetric or [orbit for orbit, _ in listing.orbits(q_max)] == [1], alg.name
         # the full-matrix route, whatever the table's centre
         assert _orbit_ranks(alg, q_max) == full, alg.name
         # betti_table: the Lefschetz blocks on h_n, the full route otherwise
@@ -187,13 +188,13 @@ def test_shuffled_generators_keep_the_betti_numbers():
 def test_representatives_are_distinct_keys_of_their_degree():
     for alg in (make_heisenberg_even(2, 3), make_heisenberg_odd(4),
                 shuffled(make_heisenberg_even(3, 3), 1)):
-        workspace = _Workspace(adapted_basis(alg), 7)
-        everything = set(enumerate_basis(workspace.dims, 6, radix=_radix(7)))
-        listed = [key for _, keys in workspace.orbits(6) for key in keys]
+        listing = OrbitListing(_Workspace(adapted_basis(alg), 7), 6)
+        everything = set(enumerate_basis(listing.workspace.dims, 6, radix=_radix(7)))
+        listed = [key for _, keys in listing.orbits(6) for key in keys]
         assert len(set(listed)) == len(listed) and set(listed) <= everything
         # well under half of the columns are listed
         assert 5 * len(listed) < 2 * len(everything), alg.name
-        orbits = [orbit for orbit, _ in workspace.orbits(6)]
+        orbits = [orbit for orbit, _ in listing.orbits(6)]
         assert orbits == sorted(set(orbits)) and orbits[0] == 1
 
 
@@ -215,12 +216,13 @@ def test_each_orbit_group_lists_its_orbits_once():
     for alg, top, skips in tables:
         adapted = adapted_basis(alg)
         copies = [c for _, _, c in copy_classes(adapted)]
-        workspace = _Workspace(adapted, top + 1, top)
+        listing = OrbitListing(_Workspace(adapted, top + 1), top)
+        workspace = listing.workspace
         for skip in skips:
             # enumerate_basis leaves out an odd dual by its odd position
             without = None if skip is None else adapted.odd_indices.index(skip)
             for q in range(top + 1):
-                groups = workspace.orbits(q, skip)
+                groups = listing.orbits(q, skip)
                 basis = enumerate_basis(workspace.dims, q, without)
                 assert orbit_listing_defects(adapted, copies, groups, basis,
                                              workspace.radix) == [], (alg.name, skip, q)
@@ -236,31 +238,46 @@ def test_a_generator_inside_a_copy_cannot_be_left_out():
             name = adapted.generators[g].name
             with pytest.raises(ValueError, match="generator %r lies in a copy" % name):
                 listing.orbits(2, g)
-        # an odd one, asked for by its generator id through the workspace
+        # an odd one, asked for by its generator id on a fresh listing
         y = next(g for g in classes[-1][2][0] if g in adapted.odd_indices)
         with pytest.raises(ValueError, match="lies in a copy"):
-            _Workspace(adapted, 5).orbits(2, y)
+            OrbitListing(_Workspace(adapted, 5), 4).orbits(2, y)
+
+
+def test_an_engine_call_that_lists_nothing():
+    # betti_table's Lefschetz route at q_max = 0 builds its listing at
+    # top -1, where a table with copies has no representative to walk,
+    # and ranks no block: H^0 is the constants alone
+    for n in (2, 3, 4):
+        adapted = adapted_basis(make_heisenberg_odd(n))
+        assert copy_classes(adapted), n
+        assert [r.dim_cohomology for r in betti_table(make_heisenberg_odd(n), 0)] == [1], n
+        listing = OrbitListing(_Workspace(adapted, 1), -1)
+        for q in range(4):
+            for skip in (None, 2 * n):
+                with pytest.raises(ValueError, match="degree %d is over the listing's top -1" % q):
+                    listing.orbits(q, skip)
 
 
 def test_betti_table_lists_no_degree_it_does_not_rank(monkeypatch):
     # h_3's Lefschetz walk stops at L^(q_max - 1), whose columns are A^t
     # times f_z; the full route of h_{2,2} ranks d_q up to q_max
-    workspaces = []
-    real = differential._Workspace.orbits
+    listings = []
+    real = symmetry.OrbitListing.orbits
 
-    def orbits(workspace, q, skip=None):
-        workspaces.append((workspace, skip))
-        return real(workspace, q, skip)
+    def orbits(listing, q, skip=None):
+        listings.append((listing, skip))
+        return real(listing, q, skip)
 
-    monkeypatch.setattr(differential._Workspace, "orbits", orbits)
+    monkeypatch.setattr(symmetry.OrbitListing, "orbits", orbits)
     for alg, q_max, top in ((make_heisenberg_odd(3), 6, 5), (make_heisenberg_even(2, 2), 6, 6)):
-        workspaces.clear()
+        listings.clear()
         betti_table(alg, q_max)
-        workspace, skip = workspaces[0]
-        assert real(workspace, top, skip), alg.name
+        listing, skip = listings[0]
+        assert real(listing, top, skip), alg.name
         with pytest.raises(ValueError, match="degree %d is over the listing's top %d"
                                              % (top + 1, top)):
-            real(workspace, top + 1, skip)
+            real(listing, top + 1, skip)
 
 
 def test_deep_degrees_with_few_copies_match_the_canonical_route(monkeypatch):
@@ -301,14 +318,14 @@ def test_tables_without_copies_take_the_canonical_spaces(monkeypatch):
     # can show
     monkeypatch.setattr(cohomology, "_split_ranks", lambda *args: None)
     listed = []
-    real = differential._Workspace.orbits
+    real = symmetry.OrbitListing.orbits
 
-    def orbits(workspace, q, skip=None):
-        groups = real(workspace, q, skip)
-        listed.append((workspace, q, skip, groups))
+    def orbits(listing, q, skip=None):
+        groups = real(listing, q, skip)
+        listed.append((listing.workspace, q, skip, groups))
         return groups
 
-    monkeypatch.setattr(differential._Workspace, "orbits", orbits)
+    monkeypatch.setattr(symmetry.OrbitListing, "orbits", orbits)
     for alg in _without_copies():
         assert copy_classes(adapted_basis(alg)) == (), alg.name
         listed.clear()
@@ -323,26 +340,27 @@ def test_tables_without_copies_take_the_canonical_spaces(monkeypatch):
 
 def test_a_table_without_copies_lists_its_canonical_spaces():
     # one stack of orbit size 1 per degree: enumerate_basis's keys, in
-    # its order, with and without each odd dual (the workspace is asked
+    # its order, with and without each odd dual (the listing is asked
     # by generator id, enumerate_basis by odd position)
     for alg in _without_copies():
         adapted = adapted_basis(alg)
-        workspace = _Workspace(adapted, 7, 6)
+        listing = OrbitListing(_Workspace(adapted, 7), 6)
+        workspace = listing.workspace
         for without, skip in ((None, None), *enumerate(adapted.odd_indices)):
             for q in range(7):
                 basis = enumerate_basis(workspace.dims, q, without, workspace.radix)
-                assert workspace.orbits(q, skip) == ([(1, basis)] if basis else []), \
+                assert listing.orbits(q, skip) == ([(1, basis)] if basis else []), \
                     (alg.name, q, skip)
 
 
 def test_a_miscounted_orbit_trips_the_shape_check(monkeypatch):
-    real = differential._Workspace.orbits
+    real = symmetry.OrbitListing.orbits
 
-    def doubled(workspace, q, skip=None):
-        (orbit, keys), *rest = real(workspace, q, skip)
+    def doubled(listing, q, skip=None):
+        (orbit, keys), *rest = real(listing, q, skip)
         return [(2 * orbit, keys)] + rest
 
-    monkeypatch.setattr(differential._Workspace, "orbits", doubled)
+    monkeypatch.setattr(symmetry.OrbitListing, "orbits", doubled)
     # the full-matrix route (h_{2,2}, and h_{1,1} without copies) and the
     # Lefschetz blocks (h_3, and h_1 without copies)
     for alg in (make_heisenberg_even(2, 2), make_heisenberg_even(1, 1)):

@@ -29,11 +29,11 @@ def _recorded_groups(monkeypatch):
     real = verify._lefschetz_blocks
     orbit_of, orbits_at = {}, Counter()
 
-    def recorded(workspace, z, dims, t_end):
-        for t, groups in real(workspace, z, dims, t_end):
+    def recorded(listing, z, dims, t_end):
+        for t, groups in real(listing, z, dims, t_end):
             for orbit, keys, _, _ in groups:
                 orbit_of[id(keys)] = orbit
-                orbits_at[(workspace.algebra.name, t)] += orbit
+                orbits_at[(listing.workspace.algebra.name, t)] += orbit
             yield t, groups
 
     monkeypatch.setattr(verify, "_lefschetz_blocks", recorded)
@@ -112,8 +112,8 @@ def test_is_multiple_rejects_any_difference():
 
 def test_odd_grid_enumerates_each_space_once(monkeypatch):
     # betti_table's block walk and the psi walk are one walk per n on one
-    # workspace, whose orbit listing lists each degree once
-    real_keys, real_orbits = symmetry._keys, differential._Workspace.orbits
+    # orbit listing, which lists each degree once
+    real_keys, real_orbits = symmetry._keys, symmetry.OrbitListing.orbits
     spaces, keys, listed = [], Counter(), Counter()
 
     def enumerated(*args):
@@ -123,13 +123,13 @@ def test_odd_grid_enumerates_each_space_once(monkeypatch):
         keys[(len(evens), len(odds), q)] += 1
         return real_keys(evens, odds, q)
 
-    def orbits(workspace, q, skip=None):
-        listed[(workspace.algebra.name, q, skip)] += 1
-        return real_orbits(workspace, q, skip)
+    def orbits(listing, q, skip=None):
+        listed[(listing.workspace.algebra.name, q, skip)] += 1
+        return real_orbits(listing, q, skip)
 
     monkeypatch.setattr(differential, "enumerate_basis", enumerated)
     monkeypatch.setattr(symmetry, "_keys", counted)
-    monkeypatch.setattr(differential._Workspace, "orbits", orbits)
+    monkeypatch.setattr(symmetry.OrbitListing, "orbits", orbits)
     verify.verify_family("odd", 4, None, 7)
     # h_1..h_4: the stacks of A^0..A^7 (without z's dual, z generator
     # 2n), once each; psi's rows are numbered on first use, so no A^8 or
