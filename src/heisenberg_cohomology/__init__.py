@@ -21,12 +21,11 @@ __version__ = "0.1.0"
 _HOMES = {
     "algebra": ("EVEN", "ODD", "Generator", "LieSuperalgebra",
                 "make_heisenberg_even", "make_heisenberg_odd", "validate"),
-    "superexterior": ("SuperSpaceDims", "SuperMonomial", "enumerate_basis",
-                      "monomial_sort_key"),
-    "elements": ("SuperElement", "wedge", "wedge_monomials", "dual_pairing",
-                 "element_pairing", "d_generator", "d_element", "tau"),
+    "elements": ("SuperSpaceDims", "SuperMonomial", "enumerate_basis",
+                 "monomial_sort_key", "SuperElement", "wedge", "wedge_monomials",
+                 "dual_pairing", "element_pairing", "d_generator", "d_element",
+                 "tau", "DifferentialMatrix", "differential_matrix", "psi_matrix"),
     "linalg": ("RationalMatrix", "rank", "kernel_dim"),
-    "differential": ("DifferentialMatrix", "differential_matrix", "psi_matrix"),
     "cohomology": ("CohomologyReport", "cohomology_dims", "betti_table",
                    "METHOD_RANK", "METHOD_FORMULA_EVEN",
                    "METHOD_FORMULA_ODD_PROOF"),

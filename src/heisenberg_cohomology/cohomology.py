@@ -33,8 +33,9 @@ odd_formula_report), is built here, the rank route's by one helper
 
 betti_table takes one of two rank routes.  When one odd generator z is
 the only bracket target and appears in no bracket (h_n, and any table
-of that type once adapted), the z-dual f_z is the only dual with a
-nonzero d and d(alpha f_z^l) = +-l (alpha omega) f_z^{l-1} with
+of that type once adapted; differential._odd_centre finds z, and
+elements.lefschetz_block checks the same precondition), the z-dual f_z
+is the only dual with a nonzero d and d(alpha f_z^l) = +-l (alpha omega) f_z^{l-1} with
 omega = d f_z, so d_q splits into the blocks +-l L^(q-l), L^(t) the
 multiplication by omega from A^t to A^{t+2} (A: the cochains on the
 other duals), and rank d_q = sum_{t<q} rank L^(t).  One walk
@@ -77,10 +78,9 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from .algebra import (ODD, LieSuperalgebra, _Record, adapted_basis,
-                      require_valid)
-from .differential import (_coboundary, _lefschetz_block, _RowIndex,
-                           _Workspace)
+from .algebra import LieSuperalgebra, _Record, adapted_basis, require_valid
+from .differential import (_coboundary, _lefschetz_block, _odd_centre,
+                           _RowIndex, _Workspace)
 from .symmetry import OrbitListing
 from .formulas import dim_h_even, dim_h_odd_proof, even_cocycle_dim, odd_cocycle_dim
 # the size refusals and the error types live in limits, which needs no
@@ -143,19 +143,6 @@ def _check_orbits(name: str, built, domain: str, cols: int, codomain: str,
         raise AssertionError("%s has shape %dx%d summed over its orbits, not at "
                              "most dim %s = %d rows by dim %s = %d columns"
                              % (name, height, width, codomain, rows, domain, cols))
-
-
-def _odd_centre(algebra: LieSuperalgebra) -> Optional[int]:
-    """The odd generator z that is the only nonzero bracket target and
-    appears in no nonzero bracket, or None: then the z-dual is the only
-    dual with a nonzero d, and no d-term contains it."""
-    targets = {k for t in algebra.brackets.values() for k in t}
-    if len(targets) != 1:
-        return None
-    (z,) = targets
-    if algebra.parity(z) != ODD or any(z in pair for pair in algebra.brackets):
-        return None
-    return z
 
 
 def _lefschetz_blocks(listing: OrbitListing, z: int, dims: Dict[int, int],

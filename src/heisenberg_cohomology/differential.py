@@ -1,5 +1,4 @@
-"""The coboundary operator on super-exterior cochains, and the wedge maps
-used by the odd-center family.
+"""The coboundary kernel: d on packed keys of super-exterior cochains.
 
 For a Lie superalgebra with dual degree-1 generators f_0, ..., f_{d-1}
 
@@ -23,12 +22,11 @@ it.
 
 One integer kernel applies the rule, on packed keys with every
 coefficient scaled by a common denominator D, and serves every caller:
-differential_matrix and lefschetz_block hand its integer columns over
-as a RationalMatrix with scale 1/D, unchecked, and the elements module
-applies it to SuperElements.  lefschetz_block is the part of d that
-lowers the power of an odd central dual by one; psi_matrix is that
-block of h_n with scale (-1)^t / D.  The tests hold the kernel to the alternating-sum
-formula entry by entry.
+the rank engine's blocks (_coboundary, _lefschetz_block) and, in the
+elements module, the public builders and d_element.  _lefschetz_block
+is the part of d that lowers the power of an odd central dual by one
+(_odd_centre finds that dual).  The tests hold the kernel to the
+alternating-sum formula entry by entry.
 
 A key is the int even_mask + sum_j alpha_j u_j of e_S o^alpha, u_j the
 key of degree 1 of o_j (superexterior._units, which lays the keys out:
@@ -42,39 +40,31 @@ key // u_j % B.  Every sign of a d-term, and every test of its evens
 against the key's, reads the key's even mask alone, so each workspace
 builds one plan per even mask on first use (_mask_plan): per slot that
 applies, its terms as (row offset, signed D * coefficient), an odd
-slot's value times the key's exponent there.  differential_matrix
-lists its bases as SuperMonomials, in the keys' order.
+slot's value times the key's exponent there.
 
 Work that depends only on a value is done once per value.  Each call
 owns one _Workspace(algebra, degree): it carries the algebra, derives
-its d-term table once, and builds the kernel's plan
-of each even mask once, which verify's L^(t), psi_2 and psi_3 of one n
-share.  The scale 1/D of every matrix it builds, and the kernel's
-units for reading a key's slots, are made once per workspace too, not
-once per block: the rank engine builds hundreds of blocks a few
-columns wide per call, on keys that the orbit listing above this
-module (symmetry.OrbitListing) lists, and numbers each block's rows in
-order of first use (_RowIndex), the Lefschetz blocks too
-(_lefschetz_block).  The workspace is dropped when its call returns or
-raises; the public builders take a fresh one per call, once they have
-refused a degree over limits.MAX_Q_MAX, and enumerate their two
-canonical spaces themselves (enumerate_basis), by which they number
-their rows.  What these return is never mutated.  This module knows
-nothing of copies or orbits: it imports no listing code.
+its d-term table once, and builds the kernel's plan of each even mask
+once, which verify's L^(t), psi_2 and psi_3 of one n share.  The scale
+1/D of every matrix it builds, and the kernel's units for reading a
+key's slots, are made once per workspace too, not once per block: the
+rank engine builds hundreds of blocks a few columns wide per call, on
+keys that the orbit listing above this module (symmetry.OrbitListing)
+lists, and numbers each block's rows in order of first use
+(_RowIndex).  The workspace is dropped when its call returns or
+raises.  What the kernel returns is never mutated.  This module knows
+nothing of monomials, copies or orbits: it imports no listing code.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, List
+from typing import Dict, List, Optional
 
-from .algebra import (ODD, LieSuperalgebra, _Record, integer_table,
-                      make_heisenberg_odd)
-from .limits import (DEFAULT_COLUMN_CAP, _check_codomain, _check_psi_codomain,
-                     check_degree, graded_dim)
+from .algebra import ODD, LieSuperalgebra, integer_table
 from .linalg import RationalMatrix
-from .superexterior import SuperSpaceDims, _radix, _units, enumerate_basis
+from .superexterior import _radix, _units
 
 
 def _d_duals(algebra: LieSuperalgebra):
@@ -115,8 +105,9 @@ class _Workspace:
     """One call's d-term table, built once, on packed keys over the
     algebra's dual superdimension.
 
-    `degree` is the largest degree of any key of the call, which fixes
-    the radix.  `unit` maps each generator to its dual's key of degree
+    `dims` is the algebra's superdim pair (n0, n1), and `degree` the
+    largest degree of any key of the call, which fixes the radix.
+    `unit` maps each generator to its dual's key of degree
     1 (superexterior._units).  The constructor derives d of every dual
     generator from _d_duals and raises the first refusal in slot
     order.  `denom` is D, the lcm of the coefficient denominators, and
@@ -136,7 +127,7 @@ class _Workspace:
 
     def __init__(self, algebra: LieSuperalgebra, degree: int):
         self.algebra = algebra
-        self.dims = SuperSpaceDims(*algebra.superdim)
+        self.dims = algebra.superdim
         self.radix = _radix(degree)
         terms, refused = _d_duals(algebra)
         if refused:
@@ -159,7 +150,7 @@ class _Workspace:
                           for g in algebra.odd_indices if g in terms)
         self.active = sum(1 << i for i, slot in enumerate(self.evens) if slot)
         self.scale = Fraction(1, denom)
-        self.evens_only = (1 << self.dims.even_count) - 1
+        self.evens_only = (1 << self.dims[0]) - 1
         self.units = [(i, u) for i, (u, _) in enumerate(self.odds)]
         self.plans = {}
 
@@ -282,36 +273,6 @@ class _RowIndex(dict):
         return row
 
 
-class DifferentialMatrix(_Record):
-    """d_q : C^q -> C^{q+1} over the canonical bases of both sides: the
-    degree q, the domain and codomain as tuples of SuperMonomial, and
-    the RationalMatrix."""
-
-    __slots__ = ("q", "domain", "codomain", "matrix")
-
-
-def differential_matrix(algebra: LieSuperalgebra, q: int,
-                        column_cap: int = DEFAULT_COLUMN_CAP) -> DifferentialMatrix:
-    """Matrix of the coboundary in degree q (columns indexed by C^q);
-    refuses q over MAX_Q_MAX, and a codomain C^{q+1} over
-    CODOMAIN_ROWS_PER_COLUMN times `column_cap`, before enumerating
-    anything."""
-    if q < 0:
-        raise ValueError("degree must be nonnegative")
-    check_degree(q)
-    _check_codomain(algebra.name, q, graded_dim(algebra.superdim, q + 1),
-                    column_cap)
-    workspace = _Workspace(algebra, q + 1)
-    dims, radix = workspace.dims, workspace.radix
-    codomain = enumerate_basis(dims, q + 1, radix=radix)
-    mat = _coboundary(workspace, enumerate_basis(dims, q, radix=radix),
-                      dict(zip(codomain, range(len(codomain)))))
-    # the listing gives the monomials of the keys, in the same order,
-    # without unpacking each key one digit at a time
-    return DifferentialMatrix(q, tuple(enumerate_basis(dims, q)),
-                              tuple(enumerate_basis(dims, q + 1)), mat)
-
-
 def _coboundary(workspace: _Workspace, domain, row_index) -> RationalMatrix:
     """d of the workspace's keys `domain` as a matrix with scale 1/D,
     its rows numbered by `row_index`: a {key: row} index of the rows,
@@ -321,47 +282,12 @@ def _coboundary(workspace: _Workspace, domain, row_index) -> RationalMatrix:
     return RationalMatrix._wrap(len(row_index), columns, workspace.scale)
 
 
-def lefschetz_block(algebra: LieSuperalgebra, z: int, t: int, l: int,
-                    column_cap: int = DEFAULT_COLUMN_CAP) -> RationalMatrix:
-    """d from A^t (z-dual)^l to A^{t+2} (z-dual)^{l-1}, scale 1/D.
-
-    z is an odd generator, A the cochains on every other dual.  When
-    the z-dual f_z is the only dual with a nonzero d and no term of
-    omega = d f_z contains it, the cochains are A (x) k[f_z] and the
-    Leibniz rule gives
-    d(alpha f_z^l) = (-1)^t l (alpha omega) f_z^{l-1}: this matrix is
-    (-1)^t l times L^(t), multiplication by omega from A^t to A^{t+2}.
-    It is built by the coboundary kernel on A's keys with f_z^l put in
-    z's odd slot, which may be any slot; the rows are A^{t+2}'s keys
-    with f_z^{l-1}, and a d-term outside them (the precondition broken)
-    raises KeyError.  For t < 0 the domain is empty.  An l below 1, a z
-    that is not an odd generator, a degree t + l over MAX_Q_MAX and a
-    codomain A^{t+2} over CODOMAIN_ROWS_PER_COLUMN times `column_cap`
-    are refused before anything is enumerated.
-    """
-    if l < 1:
-        raise ValueError("lefschetz_block needs l >= 1, not %r" % (l,))
-    if z not in algebra.odd_indices:
-        raise ValueError("z = %r is not an odd generator of %s" % (z, algebra.name))
-    check_degree(t + l)
-    n0, n1 = algebra.superdim
-    _check_codomain(algebra.name, t, graded_dim((n0, n1 - 1), t + 2),
-                    column_cap, "codomain A^%d" % (t + 2))
-    workspace = _Workspace(algebra, t + l + 1)
-    dims, radix, j = workspace.dims, workspace.radix, algebra.odd_indices.index(z)
-    # f_z^l in z's slot, which the keys of A leave at 0
-    unit = workspace.unit[z]
-    rows = enumerate_basis(dims, t + 2, j, radix)
-    return _coboundary(workspace, [key + l * unit for key in enumerate_basis(dims, t, j, radix)],
-                       {key + (l - 1) * unit: r for r, key in enumerate(rows)})
-
-
 def _lefschetz_block(workspace: _Workspace, z: int, t: int, l: int,
                      keys: List[int]) -> RationalMatrix:
-    """The block of lefschetz_block on `keys`, keys of A^t (a stack of
-    symmetry.OrbitListing.orbits), in the workspace's algebra, its rows
-    numbered on first use: the same numbers for every l.  The radix
-    must exceed the degree t + l + 1 of the rows."""
+    """The block of elements.lefschetz_block on `keys`, keys of A^t (a
+    stack of symmetry.OrbitListing.orbits), in the workspace's algebra,
+    its rows numbered on first use: the same numbers for every l.  The
+    radix must exceed the degree t + l + 1 of the rows."""
     if t + l + 1 >= workspace.radix:
         raise ValueError("degree %d does not fit radix %d"
                          % (t + l + 1, workspace.radix))
@@ -370,28 +296,14 @@ def _lefschetz_block(workspace: _Workspace, z: int, t: int, l: int,
     return _coboundary(workspace, [key + l * unit for key in keys], _RowIndex())
 
 
-def psi_matrix(t: int, n: int, l: int,
-               column_cap: int = DEFAULT_COLUMN_CAP) -> RationalMatrix:
-    """Right multiplication by tau_{(n,l)} on z-dual-free cochains.
-
-    Domain: degree-t monomials over dims (n, n); codomain: degree-(t+2)
-    monomials over (n, n), the constant (z-dual)^{l-1} factor dropped.
-    For t < 0 the domain is empty.
-
-    It is h_n's Lefschetz block: d kills every dual but the z-dual's, so
-    for z-dual-free omega of degree t the Leibniz rule gives
-    omega * tau = (-1)^t d(omega * (z-dual)^l), which is
-    lefschetz_block(h_n, z, t, l) with scale (-1)^t / D.  Like that
-    block, it refuses t + l over MAX_Q_MAX and a codomain over
-    CODOMAIN_ROWS_PER_COLUMN times `column_cap`, here before h_n is
-    built.
-    """
-    if n < 1 or l < 1:
-        raise ValueError("psi needs n >= 1 and l >= 1")
-    check_degree(t + l)
-    _check_psi_codomain(n, t, column_cap)
-    block = lefschetz_block(make_heisenberg_odd(n), 2 * n, t, l, column_cap)
-    if t & 1:
-        # the same integer columns, the scale times -1
-        return RationalMatrix._wrap(block.rows, block.columns, -block.scale)
-    return block
+def _odd_centre(algebra: LieSuperalgebra) -> Optional[int]:
+    """The odd generator z that is the only nonzero bracket target and
+    appears in no nonzero bracket, or None: then the z-dual is the only
+    dual with a nonzero d, and no d-term contains it."""
+    targets = {k for t in algebra.brackets.values() for k in t}
+    if len(targets) != 1:
+        return None
+    (z,) = targets
+    if algebra.parity(z) != ODD or any(z in pair for pair in algebra.brackets):
+        return None
+    return z

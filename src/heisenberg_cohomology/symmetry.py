@@ -29,10 +29,10 @@ every degree walk on together, and one product of the classes' groups
 reads.  Each class builds its exponent table, and each copy its keys,
 once.  Then, per degree asked for, one sum per orbit size of those
 groups with the other generators' monomials of the degrees that have
-any.  Those monomials come from superexterior._keys, enumerate_basis's
-listing, so a table without copies, the listing with no class, has its
-canonical spaces in the canonical order, and lists no degree it is not
-asked for.
+any.  Those monomials come from superexterior._keys, the one listing
+of keys, which the public builders read too, so a table without
+copies, the listing with no class, has its canonical spaces in the
+canonical order, and lists no degree it is not asked for.
 """
 
 from __future__ import annotations

@@ -26,11 +26,11 @@ from typing import Dict, List, Mapping
 import pytest
 
 from heisenberg_cohomology.algebra import EVEN, ODD, integer_table
-from heisenberg_cohomology.differential import differential_matrix
+from heisenberg_cohomology.elements import (SuperMonomial, SuperSpaceDims,
+                                            differential_matrix, enumerate_basis)
 from heisenberg_cohomology.formulas import ker_psi_dim
+from heisenberg_cohomology.limits import graded_dim
 from heisenberg_cohomology.linalg import RationalMatrix, rank
-from heisenberg_cohomology.superexterior import (SuperMonomial, SuperSpaceDims,
-                                                 enumerate_basis, graded_dim)
 
 
 def tensor_normal_form(word):
@@ -430,12 +430,12 @@ def orbit_listing_defects(algebra, copies, groups, basis, radix) -> List[str]:
 
     `copies` has, per class, the copies' generator tuples, `groups` is
     [(orbit size, keys)] of packed keys over `radix`, and `basis` the
-    degree's SuperMonomials.  Every permutation of the copies within
+    degree's packed keys.  Every permutation of the copies within
     their classes, applied to a group's keys as a relabelling of
     generators, must give exactly orbit size times len(keys) cochains
     (a key's block is one of orbit size blocks that the permutations
     map onto each other), none given by another group; and together the
-    images must be every monomial of `basis`.
+    images must be every cochain of `basis`.
     """
     n0 = len(algebra.even_indices)
 
@@ -465,9 +465,7 @@ def orbit_listing_defects(algebra, copies, groups, basis, radix) -> List[str]:
         if images & seen:
             defects.append("the group of orbit %d meets an earlier group" % orbit)
         seen |= images
-    want = {frozenset([(algebra.even_indices[p], 1) for p in m.even_set]
-                      + [(g, a) for g, a in zip(algebra.odd_indices, m.odd_exponents) if a])
-            for m in basis}
+    want = {frozenset(monomial(key).items()) for key in basis}
     if seen != want:
         defects.append("the orbits miss %d monomials and add %d"
                        % (len(want - seen), len(seen - want)))

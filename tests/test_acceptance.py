@@ -20,15 +20,16 @@ from heisenberg_cohomology.algebra import (LieSuperalgebra,
                                            make_heisenberg_even,
                                            make_heisenberg_odd)
 from heisenberg_cohomology.cohomology import betti_table, cohomology_dims
-from heisenberg_cohomology.differential import differential_matrix, psi_matrix
-from heisenberg_cohomology.elements import (SuperElement, d_element, dual_pairing,
-                                            element_pairing)
+from heisenberg_cohomology.elements import (SuperElement, SuperMonomial,
+                                            SuperSpaceDims, d_element,
+                                            differential_matrix, dual_pairing,
+                                            element_pairing, enumerate_basis,
+                                            psi_matrix)
 from heisenberg_cohomology.fileformats import parse_algebra
 from heisenberg_cohomology.formulas import (dim_h_even, dim_h_odd_proof,
                                             ker_psi_dim)
+from heisenberg_cohomology.limits import graded_dim
 from heisenberg_cohomology.linalg import kernel_dim, rank
-from heisenberg_cohomology.superexterior import (SuperMonomial, SuperSpaceDims,
-                                                 enumerate_basis, graded_dim)
 
 from oracles import (dense_rank_fractions, insertion_terms, matmul,
                      monomial_generator_sequence, pairing_det_perm,

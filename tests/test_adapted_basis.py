@@ -17,11 +17,11 @@ from heisenberg_cohomology.algebra import (EVEN, ODD, LieSuperalgebra,
                                            make_heisenberg_even,
                                            make_heisenberg_odd, validate)
 from heisenberg_cohomology.cohomology import betti_table, cohomology_dims
-from heisenberg_cohomology.differential import differential_matrix
+from heisenberg_cohomology.elements import SuperSpaceDims, differential_matrix
 from heisenberg_cohomology.fileformats import format_algebra, parse_algebra
 from heisenberg_cohomology.formulas import dim_h_even, dim_h_odd_proof
+from heisenberg_cohomology.limits import graded_dim
 from heisenberg_cohomology.linalg import rank
-from heisenberg_cohomology.superexterior import SuperSpaceDims, graded_dim
 
 from oracles import adapted_brackets_fractions, dense_rank_bareiss, matmul
 from test_validate import (OSP12, SL2, _table, change_basis, direct_sum,

@@ -8,8 +8,7 @@ from heisenberg_cohomology.algebra import (
     EVEN, ODD, Generator, LieSuperalgebra, make_heisenberg_even,
     make_heisenberg_odd, validate)
 from heisenberg_cohomology.cohomology import betti_table
-from heisenberg_cohomology.differential import (DifferentialMatrix,
-                                                differential_matrix)
+from heisenberg_cohomology.elements import DifferentialMatrix, differential_matrix
 
 from oracles import centralizer, derived_subalgebra_dim
 from test_validate import OSP12

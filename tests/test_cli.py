@@ -570,11 +570,14 @@ def test_a_refusal_loads_no_engine_module(argv):
     assert _main_in_a_child(argv) == (3, ENGINE_FREE)
 
 
-@pytest.mark.parametrize("argv", (
+COMPUTING_VERBS = (
     ["even", "--n", "2", "--m", "2", "--q-max", "2"],
     ["odd", "--n", "2", "--q-max", "3"],
     ["compute", "--algebra", "h1.alg", "--q-max", "3"],
-    ["verify", "--family", "odd", "--n-max", "2", "--q-max", "3"]), ids=" ".join)
+    ["verify", "--family", "odd", "--n-max", "2", "--q-max", "3"])
+
+
+@pytest.mark.parametrize("argv", COMPUTING_VERBS, ids=" ".join)
 def test_a_computing_verb_loads_no_element_api(argv, tmp_path):
     # the element-level reference API is for the tests and the demos;
     # the engine computes on keys and integer columns without it
@@ -585,6 +588,28 @@ def test_a_computing_verb_loads_no_element_api(argv, tmp_path):
     assert code == 0
     assert "heisenberg_cohomology.differential" in loaded
     assert "heisenberg_cohomology.elements" not in loaded
+
+
+@pytest.mark.parametrize("argv", COMPUTING_VERBS, ids=" ".join)
+def test_a_computing_verb_compiles_no_monomial_api(argv, tmp_path):
+    # the monomials and the public matrix builders are defined in
+    # elements alone, so no engine module a computing child loads holds
+    # any of them
+    path = tmp_path / "h1.alg"
+    path.write_text(format_algebra(make_heisenberg_odd(1)))
+    argv = [str(path) if arg == "h1.alg" else arg for arg in argv]
+    out = _child(
+        "import io, sys\n"
+        "from heisenberg_cohomology import cli\n"
+        "sys.stdout, sys.stderr = io.TextIOWrapper(io.BytesIO()), io.StringIO()\n"
+        "code = cli.main(%r)\n"
+        "held = sorted((m, name) for m, module in list(sys.modules.items())\n"
+        "              if m.startswith('heisenberg_cohomology')\n"
+        "              for name in ('SuperMonomial', 'enumerate_basis', 'differential_matrix')\n"
+        "              if name in vars(module))\n"
+        "print(code, 'heisenberg_cohomology.elements' in sys.modules, held,\n"
+        "      file=sys.__stdout__)\n" % (argv,))
+    assert out == "0 False []\n"
 
 
 @pytest.mark.parametrize("argv", (

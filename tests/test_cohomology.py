@@ -4,8 +4,8 @@ import weakref
 
 import pytest
 
-from heisenberg_cohomology import (algebra, cohomology, differential, limits,
-                                   superexterior, symmetry)
+from heisenberg_cohomology import (algebra, cohomology, differential, elements,
+                                   limits, symmetry)
 from heisenberg_cohomology.algebra import (EVEN, AlgebraValidationError,
                                            LieSuperalgebra, adapted_basis,
                                            make_heisenberg_even,
@@ -18,7 +18,7 @@ from heisenberg_cohomology.cohomology import (CodomainTooLarge,
                                               ReportInvariantError,
                                               betti_table, check_column_cap,
                                               cohomology_dims)
-from heisenberg_cohomology.differential import differential_matrix
+from heisenberg_cohomology.elements import differential_matrix
 from heisenberg_cohomology.fileformats import format_algebra, parse_algebra
 from heisenberg_cohomology.linalg import RationalMatrix, rank
 from heisenberg_cohomology.verify import Comparison, VerifyResult, verify_family
@@ -405,17 +405,19 @@ def test_an_algebra_is_validated_once(monkeypatch):
 
 def _listings(monkeypatch):
     """(spaces, asked, listed): the arguments of every canonical cochain
-    space enumerated, the degree of every listing the orbit listing is
+    space the public builders list (elements.enumerate_basis and
+    elements._keys), the degree of every listing the orbit listing is
     asked for (symmetry.OrbitListing.orbits), and that of every listing
     of monomials over the generators in no copy (symmetry._keys), in
     call order."""
-    real_enumerate, real_orbits = superexterior.enumerate_basis, symmetry.OrbitListing.orbits
-    real_keys = symmetry._keys
+    real_orbits, real_keys = symmetry.OrbitListing.orbits, symmetry._keys
     spaces, asked, listed = [], [], []
 
-    def enumerated(*args, **kwargs):
-        spaces.append((args, kwargs))
-        return real_enumerate(*args, **kwargs)
+    def recorded(real):
+        def enumerated(*args, **kwargs):
+            spaces.append((args, kwargs))
+            return real(*args, **kwargs)
+        return enumerated
 
     def orbits(listing, q, skip=None):
         asked.append(q)
@@ -425,8 +427,8 @@ def _listings(monkeypatch):
         listed.append(q)
         return real_keys(evens, odds, q)
 
-    for module in (differential, superexterior):
-        monkeypatch.setattr(module, "enumerate_basis", enumerated)
+    for name in ("enumerate_basis", "_keys"):
+        monkeypatch.setattr(elements, name, recorded(getattr(elements, name)))
     monkeypatch.setattr(symmetry.OrbitListing, "orbits", orbits)
     monkeypatch.setattr(symmetry, "_keys", keys)
     return spaces, asked, listed
@@ -491,8 +493,8 @@ def test_no_engine_entry_enumerates_a_canonical_space(monkeypatch):
     def no_enumeration(*args, **kwargs):
         raise AssertionError("the engine enumerated a canonical space")
 
-    for module in (differential, superexterior):
-        monkeypatch.setattr(module, "enumerate_basis", no_enumeration)
+    for name in ("enumerate_basis", "_keys"):
+        monkeypatch.setattr(elements, name, no_enumeration)
     monkeypatch.setattr(cohomology, "_split_ranks", lambda *args: None)
     hidden = [s for _, _, s in HIDDEN_SUMS]
     for alg in [make_heisenberg_even(1, 1), make_heisenberg_even(2, 2),

@@ -4,22 +4,20 @@ from fractions import Fraction
 
 import pytest
 
-from heisenberg_cohomology import differential, limits
+from heisenberg_cohomology import elements, limits
 from heisenberg_cohomology.algebra import (LieSuperalgebra,
                                            make_heisenberg_even,
                                            make_heisenberg_odd, validate)
 from heisenberg_cohomology.cohomology import betti_table
-from heisenberg_cohomology.differential import (differential_matrix,
-                                                lefschetz_block, psi_matrix)
-from heisenberg_cohomology.elements import (SuperElement, d_element, d_generator,
-                                            dual_pairing, element_pairing, tau,
-                                            wedge)
+from heisenberg_cohomology.elements import (SuperElement, SuperMonomial,
+                                            SuperSpaceDims, d_element, d_generator,
+                                            differential_matrix, dual_pairing,
+                                            element_pairing, enumerate_basis,
+                                            lefschetz_block, psi_matrix, tau, wedge)
 from heisenberg_cohomology.fileformats import parse_algebra
 from heisenberg_cohomology.limits import (CodomainTooLarge, DegreeLimitExceeded,
                                           graded_dim)
 from heisenberg_cohomology.linalg import RationalMatrix, kernel_dim, rank
-from heisenberg_cohomology.superexterior import (SuperMonomial, SuperSpaceDims,
-                                                 enumerate_basis)
 
 from test_adapted_basis import HIDDEN_SUMS
 from test_validate import OSP12
@@ -296,7 +294,8 @@ def test_public_builders_refuse_a_degree_over_the_limit(monkeypatch):
     # the largest degrees the limit lets through
     assert differential_matrix(h1, 100).matrix.cols == 201
     assert lefschetz_block(h1, 2, 99, 1).cols == psi_matrix(99, 1, 1).cols == 2
-    monkeypatch.setattr(differential, "enumerate_basis", no_enumeration)
+    for name in ("enumerate_basis", "_keys"):
+        monkeypatch.setattr(elements, name, no_enumeration)
     for call in (lambda: differential_matrix(h1, 10 ** 8),
                  lambda: lefschetz_block(h1, 2, 10 ** 8, 1),
                  lambda: psi_matrix(10 ** 8, 1, 1),
@@ -340,7 +339,8 @@ def test_public_builders_take_the_cap_their_refusal_names(monkeypatch):
                         (lambda **cap: lefschetz_block(h3, 6, 3, 1, **cap), 102),
                         (lambda **cap: psi_matrix(3, 3, 1, **cap), 102)):
         with monkeypatch.context() as patched:
-            patched.setattr(differential, "enumerate_basis", no_enumeration)
+            for name in ("enumerate_basis", "_keys"):
+                patched.setattr(elements, name, no_enumeration)
             with pytest.raises(CodomainTooLarge) as err:
                 build(column_cap=1)
         assert (err.value.rows, err.value.limit) == (rows, 100)

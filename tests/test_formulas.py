@@ -6,12 +6,12 @@ from heisenberg_cohomology import formulas
 from heisenberg_cohomology.algebra import (make_heisenberg_even,
                                            make_heisenberg_odd)
 from heisenberg_cohomology.cohomology import betti_table
+from heisenberg_cohomology.elements import SuperSpaceDims, enumerate_basis
 from heisenberg_cohomology.formulas import (dim_h_even, dim_h_odd_displayed,
                                             dim_h_odd_proof, even_cocycle_dim,
                                             ker_psi_dim, odd_cocycle_dim,
                                             sym_power_dim)
-from heisenberg_cohomology.superexterior import (SuperSpaceDims,
-                                                 enumerate_basis, graded_dim)
+from heisenberg_cohomology.limits import graded_dim
 
 from oracles import dim_h_odd_proof_double_sum
 

@@ -11,12 +11,12 @@ from itertools import product
 
 import pytest
 
-from heisenberg_cohomology import cohomology, differential, symmetry
+from heisenberg_cohomology import cohomology, elements, symmetry
 from heisenberg_cohomology.algebra import (LieSuperalgebra, adapted_basis,
                                            make_heisenberg_even,
                                            make_heisenberg_odd)
 from heisenberg_cohomology.cohomology import betti_table
-from heisenberg_cohomology.differential import lefschetz_block
+from heisenberg_cohomology.elements import lefschetz_block
 from heisenberg_cohomology.formulas import dim_h_even, dim_h_odd_proof
 from heisenberg_cohomology.linalg import rank
 
@@ -70,18 +70,30 @@ def test_blocks_are_the_z_power_blocks_of_the_full_matrix():
 
 
 def test_lefschetz_block_refuses_a_bad_power_or_generator(monkeypatch):
-    # refused before a workspace is built: an l below 1, and a z that is
-    # even (h_1's x1) or no generator at all
+    # refused before a workspace is built: an l below 1, a z that is
+    # even (h_1's x1) or no generator at all, and an odd z that is not
+    # the table's odd centre, whose d-terms would leave the block's rows
     def no_workspace(*args):
         raise AssertionError("a workspace was built")
 
-    monkeypatch.setattr(differential, "_Workspace", no_workspace)
+    monkeypatch.setattr(elements, "_Workspace", no_workspace)
     h1 = make_heisenberg_odd(1)
-    for z, l, match in ((2, 0, "needs l >= 1, not 0"), (2, -1, "needs l >= 1, not -1"),
-                        (0, 1, "z = 0 is not an odd generator of h_1"),
-                        (3, 1, "z = 3 is not an odd generator of h_1")):
+    # [x1, x2] = [y, y] = z, z even: w is odd but no bracket target
+    even_target = LieSuperalgebra("even_target",
+                                  [("x1", 0), ("x2", 0), ("y", 1), ("z", 0), ("w", 1)],
+                                  {(0, 1): {3: 1}, (2, 2): {3: 1}})
+    for alg, z, l, match in (
+            (h1, 2, 0, "needs l >= 1, not 0"), (h1, 2, -1, "needs l >= 1, not -1"),
+            (h1, 0, 1, "z = 0 is not an odd generator of h_1"),
+            (h1, 3, 1, "z = 3 is not an odd generator of h_1"),
+            (even_target, 4, 1, r"z = 4 \(w\) is not the odd centre of even_target"),
+            (NOT_CENTRAL, 1, 1, r"z = 1 \(z\) is not the odd centre of xz"),
+            (MIDDLE_Z, 3, 1, r"z = 3 \(u\) is not the odd centre of middle_z"),
+            (h1, 1, 1, r"z = 1 \(y1\) is not the odd centre of h_1"),
+            (make_heisenberg_even(1, 1), 3, 1,
+             r"z = 3 \(y1\) is not the odd centre of h_\{1,1\}")):
         with pytest.raises(ValueError, match=match):
-            lefschetz_block(h1, z, 1, l)
+            lefschetz_block(alg, z, 1, l)
 
 
 def test_full_matrix_rank_is_the_block_sum():
@@ -136,7 +148,8 @@ def test_each_space_of_a_is_enumerated_once_per_table(monkeypatch):
         orbits.append((q, skip))
         return real_orbits(listing, q, skip)
 
-    monkeypatch.setattr(differential, "enumerate_basis", enumerated)
+    for name in ("enumerate_basis", "_keys"):
+        monkeypatch.setattr(elements, name, enumerated)
     monkeypatch.setattr(symmetry, "_keys", keys)
     monkeypatch.setattr(symmetry.OrbitListing, "orbits", stacks)
     for n, q_max in ((1, 6), (3, 10), (4, 8)):

@@ -76,7 +76,6 @@ OLD_HOMES = (
               "_check_psi_codomain", "DEFAULT_COLUMN_CAP")),
     (algebra, ("AlgebraValidationError", "even_family_shape", "odd_family_shape")),
     (fileformats, ("AlgebraParseError", "AlgebraValidationError")),
-    (superexterior, ("graded_dim", "sym_power_dim")),
     (formulas, ("graded_dim", "sym_power_dim")),
     (cli, ("DEFAULT_COLUMN_CAP", "MAX_Q_MAX", "AlgebraParseError",
            "AlgebraValidationError", "CodomainTooLarge", "ColumnCapExceeded",
@@ -93,14 +92,13 @@ def test_old_import_paths_give_the_limits_objects():
 
 
 def test_graded_dim_takes_any_pair():
-    dims = superexterior.SuperSpaceDims(3, 2)
+    dims = elements.SuperSpaceDims(3, 2)
     for q in range(-1, 6):
         assert limits.graded_dim((3, 2), q) == limits.graded_dim(dims, q) \
-            == len(superexterior.enumerate_basis(dims, q))
+            == len(elements.enumerate_basis(dims, q))
 
 
-# the package's public names, by the module the eager package imported
-# each one from
+# the package's public names, by a module that holds each one
 PUBLIC = {
     algebra: ("EVEN", "ODD", "AlgebraValidationError", "Generator",
               "LieSuperalgebra", "make_heisenberg_even", "make_heisenberg_odd",
@@ -108,18 +106,17 @@ PUBLIC = {
     cohomology: ("DEFAULT_COLUMN_CAP", "MAX_Q_MAX", "METHOD_FORMULA_EVEN",
                  "METHOD_FORMULA_ODD_PROOF", "METHOD_RANK", "CodomainTooLarge",
                  "CohomologyReport", "ColumnCapExceeded", "DegreeLimitExceeded",
-                 "betti_table", "cohomology_dims"),
-    differential: ("DifferentialMatrix", "differential_matrix", "psi_matrix"),
-    elements: ("SuperElement", "d_element", "d_generator", "dual_pairing",
-               "element_pairing", "tau", "wedge", "wedge_monomials"),
+                 "betti_table", "cohomology_dims", "graded_dim"),
+    elements: ("DifferentialMatrix", "SuperElement", "SuperMonomial", "SuperSpaceDims",
+               "d_element", "d_generator", "differential_matrix", "dual_pairing",
+               "element_pairing", "enumerate_basis", "monomial_sort_key",
+               "psi_matrix", "tau", "wedge", "wedge_monomials"),
     fileformats: ("AlgebraParseError", "emit_report", "format_algebra",
                   "parse_algebra"),
     formulas: ("binom", "delta", "dim_h_even", "dim_h_odd_displayed",
                "dim_h_odd_proof", "even_cocycle_dim", "ker_psi_dim",
                "odd_cocycle_dim", "sym_power_dim"),
     linalg: ("RationalMatrix", "kernel_dim", "rank"),
-    superexterior: ("SuperMonomial", "SuperSpaceDims", "enumerate_basis",
-                    "graded_dim", "monomial_sort_key"),
     verify: ("Comparison", "VerifyResult", "verify_family"),
 }
 
@@ -147,7 +144,7 @@ def test_the_package_namespace_is_complete():
 def test_no_module_keeps_a_function_cache():
     # no module-level cache: what an engine call derives lives on its
     # algebra or its workspace, and goes when they do
-    for module in PUBLIC:
+    for module in (*PUBLIC, differential, superexterior):
         for name in dir(module):
             assert not hasattr(getattr(module, name), "cache_info"), (module, name)
 
@@ -192,6 +189,27 @@ def test_the_import_graph():
     assert [(module, target) for module, _, target in imports
             if (module in ("differential", "elements") and target == "symmetry")
             or (module == "symmetry" and target == "differential")] == []
+
+
+def test_the_engine_modules_hold_only_keys_and_the_kernel():
+    # superexterior lays out and lists packed keys, differential applies
+    # d to them; the monomial layer and the public builders are defined
+    # in elements alone, with no re-export left behind
+    def defined(module):
+        return {name for name, value in vars(module).items()
+                if getattr(value, "__module__", None) == module.__name__}
+
+    assert defined(superexterior) == {"_radix", "_units", "_keys"}
+    assert defined(differential) == {"_d_duals", "_Workspace", "_mask_plan", "_d_columns",
+                                     "_RowIndex", "_coboundary", "_lefschetz_block",
+                                     "_odd_centre"}
+    moved = ("SuperSpaceDims", "SuperMonomial", "monomial_sort_key", "enumerate_basis",
+             "_exponents", "_monomial", "_pack", "_unpack", "DifferentialMatrix",
+             "differential_matrix", "lefschetz_block", "psi_matrix")
+    assert defined(elements) >= set(moved)
+    for module in (superexterior, differential):
+        assert set(vars(module)).isdisjoint(moved + ("graded_dim", "sym_power_dim")), \
+            module.__name__
 
 
 def test_the_element_api_loads_no_listing_code():

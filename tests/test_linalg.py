@@ -10,7 +10,7 @@ from heisenberg_cohomology import cohomology, linalg, verify
 from heisenberg_cohomology.algebra import (LieSuperalgebra, adapted_basis,
                                            make_heisenberg_even, make_heisenberg_odd)
 from heisenberg_cohomology.cohomology import betti_table
-from heisenberg_cohomology.differential import differential_matrix, psi_matrix
+from heisenberg_cohomology.elements import differential_matrix, psi_matrix
 from heisenberg_cohomology.linalg import RationalMatrix, _reduce, kernel_dim, rank
 
 from oracles import dense_rank_bareiss, dense_rank_fractions, matmul

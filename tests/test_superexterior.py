@@ -9,12 +9,13 @@ from operator import gt
 import pytest
 
 from heisenberg_cohomology.algebra import make_heisenberg_even
-from heisenberg_cohomology.differential import _d_columns, _radix, _Workspace
-from heisenberg_cohomology.elements import (SuperElement, d_element, dual_pairing,
-                                            element_pairing, wedge, wedge_monomials)
-from heisenberg_cohomology.superexterior import (SuperMonomial, SuperSpaceDims, _pack,
-                                                 _unpack, enumerate_basis, graded_dim,
-                                                 monomial_sort_key)
+from heisenberg_cohomology.differential import _d_columns, _Workspace
+from heisenberg_cohomology.elements import (SuperElement, SuperMonomial, SuperSpaceDims,
+                                            _pack, _unpack, d_element, dual_pairing,
+                                            element_pairing, enumerate_basis,
+                                            monomial_sort_key, wedge, wedge_monomials)
+from heisenberg_cohomology.limits import graded_dim
+from heisenberg_cohomology.superexterior import _keys, _radix, _units
 
 from oracles import permanent, tensor_normal_form
 
@@ -268,7 +269,7 @@ def test_basis_monomials_are_kernel_keys():
         workspace = _Workspace(alg, q + 1)
         domain, codomain = enumerate_basis(dims, q), enumerate_basis(dims, q + 1)
         keys = [_pack(m, dims.even_count, workspace.radix) for m in domain]
-        assert keys == enumerate_basis(dims, q, radix=workspace.radix)
+        assert keys == _keys(*_units(dims, workspace.radix), q)
         row_index = {_pack(m, dims.even_count, workspace.radix): r
                      for r, m in enumerate(codomain)}
         columns = _d_columns(workspace, keys, row_index)
@@ -281,27 +282,27 @@ def test_basis_monomials_are_kernel_keys():
 
 def test_packing_round_trips_in_the_basis_order():
     # exhaustively over small dims and degrees, with and without an odd
-    # dual, at two odd radices: unpack(pack(m)) == m, the keys come in
-    # enumerate_basis's order, and distinct monomials get distinct keys
+    # dual, at two odd radices: _keys over the same units lists the keys
+    # of enumerate_basis's monomials in its order, unpack(pack(m)) == m,
+    # and distinct monomials get distinct keys
     for n in range(4):
         for m in range(4):
             dims = SuperSpaceDims(n, m)
             for q in range(7):
                 for radix, without in product((_radix(q), _radix(q) + 6),
                                               (None, *range(m))):
+                    evens, odds = _units(dims, radix)
+                    keys = _keys(evens, [u for j, u in enumerate(odds) if j != without], q)
                     basis = enumerate_basis(dims, q, without)
-                    keys = enumerate_basis(dims, q, without, radix)
                     assert keys == [_pack(mono, n, radix) for mono in basis], \
                         (dims, q, without, radix)
                     assert [_unpack(key, dims, radix) for key in keys] == basis
                     assert len(set(keys)) == len(keys)
                     assert all(type(key) is int for key in keys)
-                # a radix not above q could give two monomials one key
-                # (o0^2 o2 and o1^3 both pack to 6 at radix 2)
-                for radix in range(1, q + 1):
-                    with pytest.raises(ValueError, match="degree %d does not fit radix %d"
-                                       % (q, radix)):
-                        enumerate_basis(dims, q, radix=radix)
+                assert _radix(q) > q
+    # a radix not above the degree could give two monomials one key
+    # (o0^2 o2 and o1^3 both pack to 6 at radix 2)
+    assert _pack(mono((), (2, 0, 1)), 0, 2) == _pack(mono((), (0, 3, 0)), 0, 2) == 6
 
 
 def test_the_radix_is_odd_so_wide_keys_spread_over_the_hash():
@@ -311,10 +312,10 @@ def test_the_radix_is_odd_so_wide_keys_spread_over_the_hash():
     dims = SuperSpaceDims(0, 401)
     radix = _radix(2)
     assert radix % 2 == 1 and radix > 2
-    keys = enumerate_basis(dims, 2, radix=radix)
+    keys = _keys(*_units(dims, radix), 2)
     assert len(keys) == graded_dim(dims, 2)
     assert len({hash(key) for key in keys}) == len(keys)
-    wide = enumerate_basis(dims, 2, radix=4)
+    wide = _keys(*_units(dims, 4), 2)
     assert len({hash(key) for key in wide}) < len(wide) // 10
 
 

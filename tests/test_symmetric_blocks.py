@@ -23,12 +23,20 @@ from heisenberg_cohomology.differential import _Workspace
 from heisenberg_cohomology.formulas import dim_h_even, dim_h_odd_proof
 from heisenberg_cohomology.limits import _checked_dims
 from heisenberg_cohomology.symmetry import OrbitListing, _lattice_class, copy_classes
-from heisenberg_cohomology.superexterior import _radix, enumerate_basis
+from heisenberg_cohomology.superexterior import _keys, _radix, _units
 
 from oracles import full_matrix_ranks, orbit_listing_defects
 from test_adapted_basis import HIDDEN_SUMS
 from test_lefschetz_blocks import NOT_CENTRAL
 from test_validate import ODD, OSP12, SL2, _table, direct_sum
+
+def _canonical(workspace, q, skip=None):
+    """The keys of degree q over the workspace's units, without the
+    unit of `skip`, a generator: its canonical space, in the canonical
+    order."""
+    evens, odds = _units(workspace.dims, workspace.radix)
+    return _keys(evens, [u for u in odds if skip is None or u != workspace.unit[skip]], q)
+
 
 # (n, q_max) and (n, m, q_max) of the family members the tests and the
 # benchmark's family-deep workload compute, at their depths
@@ -189,7 +197,7 @@ def test_representatives_are_distinct_keys_of_their_degree():
     for alg in (make_heisenberg_even(2, 3), make_heisenberg_odd(4),
                 shuffled(make_heisenberg_even(3, 3), 1)):
         listing = OrbitListing(_Workspace(adapted_basis(alg), 7), 6)
-        everything = set(enumerate_basis(listing.workspace.dims, 6, radix=_radix(7)))
+        everything = set(_keys(*_units(listing.workspace.dims, _radix(7)), 6))
         listed = [key for _, keys in listing.orbits(6) for key in keys]
         assert len(set(listed)) == len(listed) and set(listed) <= everything
         # well under half of the columns are listed
@@ -219,11 +227,9 @@ def test_each_orbit_group_lists_its_orbits_once():
         listing = OrbitListing(_Workspace(adapted, top + 1), top)
         workspace = listing.workspace
         for skip in skips:
-            # enumerate_basis leaves out an odd dual by its odd position
-            without = None if skip is None else adapted.odd_indices.index(skip)
             for q in range(top + 1):
                 groups = listing.orbits(q, skip)
-                basis = enumerate_basis(workspace.dims, q, without)
+                basis = _canonical(workspace, q, skip)
                 assert orbit_listing_defects(adapted, copies, groups, basis,
                                              workspace.radix) == [], (alg.name, skip, q)
 
@@ -332,23 +338,19 @@ def test_tables_without_copies_take_the_canonical_spaces(monkeypatch):
         betti_table(alg, 3)
         assert listed, alg.name
         for workspace, q, skip, groups in listed:
-            # enumerate_basis leaves out an odd dual by its odd position
-            without = None if skip is None else workspace.algebra.odd_indices.index(skip)
-            basis = enumerate_basis(workspace.dims, q, without, workspace.radix)
-            assert groups == [(1, basis)], (alg.name, q, skip)
+            assert groups == [(1, _canonical(workspace, q, skip))], (alg.name, q, skip)
 
 
 def test_a_table_without_copies_lists_its_canonical_spaces():
-    # one stack of orbit size 1 per degree: enumerate_basis's keys, in
-    # its order, with and without each odd dual (the listing is asked
-    # by generator id, enumerate_basis by odd position)
+    # one stack of orbit size 1 per degree: the canonical keys, in their
+    # order, with and without each odd dual
     for alg in _without_copies():
         adapted = adapted_basis(alg)
         listing = OrbitListing(_Workspace(adapted, 7), 6)
         workspace = listing.workspace
-        for without, skip in ((None, None), *enumerate(adapted.odd_indices)):
+        for skip in (None, *adapted.odd_indices):
             for q in range(7):
-                basis = enumerate_basis(workspace.dims, q, without, workspace.radix)
+                basis = _canonical(workspace, q, skip)
                 assert listing.orbits(q, skip) == ([(1, basis)] if basis else []), \
                     (alg.name, q, skip)
 

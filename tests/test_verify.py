@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from heisenberg_cohomology import cohomology, differential, limits, symmetry, verify
+from heisenberg_cohomology import cohomology, elements, limits, symmetry, verify
 from heisenberg_cohomology.cohomology import CodomainTooLarge
-from heisenberg_cohomology.differential import psi_matrix
+from heisenberg_cohomology.elements import psi_matrix
 from heisenberg_cohomology.formulas import ker_psi_dim
 from heisenberg_cohomology.limits import graded_dim
 from heisenberg_cohomology.linalg import RationalMatrix, kernel_dim
@@ -127,7 +127,8 @@ def test_odd_grid_enumerates_each_space_once(monkeypatch):
         listed[(listing.workspace.algebra.name, q, skip)] += 1
         return real_orbits(listing, q, skip)
 
-    monkeypatch.setattr(differential, "enumerate_basis", enumerated)
+    for name in ("enumerate_basis", "_keys"):
+        monkeypatch.setattr(elements, name, enumerated)
     monkeypatch.setattr(symmetry, "_keys", counted)
     monkeypatch.setattr(symmetry.OrbitListing, "orbits", orbits)
     verify.verify_family("odd", 4, None, 7)
@@ -159,7 +160,7 @@ def test_a_grid_computes_each_dimension_once(monkeypatch):
             return real(dims, q)
         return counted
 
-    for module in (limits, cohomology, differential):
+    for module in (limits, cohomology, elements):
         monkeypatch.setattr(module, "graded_dim", counting(module))
     for args, points in ((("odd", 4, None, 7), [(n, n + 1) for n in range(1, 5)]),
                          (("even", 2, 3, 7), [(2 * n + 1, m) for n in (1, 2)
