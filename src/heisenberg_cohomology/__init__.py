@@ -9,8 +9,9 @@ Importing the package loads none of its modules.  Each public name is
 imported from its module on first access (PEP 562 module __getattr__)
 and kept here, so `from heisenberg_cohomology import X`, `import *` and
 `__all__` work as if everything were imported eagerly, and a caller
-that needs only limits (the size refusals and error types) or formulas
-loads nothing else.
+that needs only limits (the size refusals and error types) loads
+nothing else, and one that needs only the closed forms loads formulas,
+reports and limits.
 """
 
 from importlib import import_module
@@ -26,16 +27,16 @@ _HOMES = {
                  "dual_pairing", "element_pairing", "d_generator", "d_element",
                  "tau", "DifferentialMatrix", "differential_matrix", "psi_matrix"),
     "linalg": ("RationalMatrix", "rank", "kernel_dim"),
-    "cohomology": ("CohomologyReport", "cohomology_dims", "betti_table",
-                   "METHOD_RANK", "METHOD_FORMULA_EVEN",
-                   "METHOD_FORMULA_ODD_PROOF"),
+    "cohomology": ("cohomology_dims", "betti_table"),
+    "reports": ("CohomologyReport", "METHOD_RANK", "METHOD_FORMULA_EVEN",
+                "METHOD_FORMULA_ODD_PROOF", "emit_report"),
     "limits": ("ColumnCapExceeded", "CodomainTooLarge", "DegreeLimitExceeded",
                "DEFAULT_COLUMN_CAP", "MAX_Q_MAX", "graded_dim", "sym_power_dim",
                "AlgebraParseError", "AlgebraValidationError"),
     "formulas": ("binom", "delta", "dim_h_even", "ker_psi_dim",
                  "dim_h_odd_proof", "dim_h_odd_displayed",
                  "even_cocycle_dim", "odd_cocycle_dim"),
-    "fileformats": ("parse_algebra", "format_algebra", "emit_report"),
+    "fileformats": ("parse_algebra", "format_algebra"),
     "verify": ("Comparison", "VerifyResult", "verify_family"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}

@@ -36,82 +36,10 @@ from typing import Dict, Iterable, List, Mapping, Tuple
 from .limits import (AlgebraValidationError, even_family_shape,
                      odd_family_shape)
 from .linalg import _echelon, _subtract
+from .reports import _Record
 
 EVEN = 0
 ODD = 1
-
-
-class _Record:
-    """Base of the package's record types: a `__slots__` class whose
-    fields, `_fields`, are its `__slots__`, in order.
-
-    It gives immutable value semantics: construction by position or
-    keyword (TypeError on a missing or unknown field), equality and hash
-    by the field tuple within one class, the repr
-    `Name(field=value, ...)`, and no assignment or deletion.  Pickle and
-    copy rebuild through the constructor, which also re-runs a
-    subclass's checks.  No import or code generation happens when a
-    subclass is defined, so the CLI starts without either.
-    """
-
-    __slots__ = ()
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        fields = cls.__dict__.get("__slots__")
-        if fields:  # a subclass that adds no slots keeps its parent's fields
-            cls._fields = cls.__match_args__ = fields
-            # the slots' own setters, which the refusing __setattr__ bypasses
-            cls._setters = tuple(cls.__dict__[f].__set__ for f in fields)
-
-    def __init__(self, *args, **kwargs):
-        if kwargs or len(args) != len(self._setters):
-            args = self._arrange(args, kwargs)
-        for set_field, value in zip(self._setters, args):
-            set_field(self, value)
-
-    def _arrange(self, args: tuple, kwargs: dict) -> list:
-        """The field values in order, from positions and keywords."""
-        fields = self._fields
-        if len(args) > len(fields):
-            raise TypeError("%s takes %d fields but %d were given"
-                            % (type(self).__name__, len(fields), len(args)))
-        values = dict(zip(fields, args))
-        for name, value in kwargs.items():
-            if name not in fields or name in values:
-                raise TypeError("%s got an unexpected or repeated field %r"
-                                % (type(self).__name__, name))
-            values[name] = value
-        missing = [f for f in fields if f not in values]
-        if missing:
-            raise TypeError("%s missing field(s) %s"
-                            % (type(self).__name__, ", ".join(map(repr, missing))))
-        return [values[f] for f in fields]
-
-    def _values(self) -> tuple:
-        """The field values, in field order."""
-        return tuple(getattr(self, f) for f in self._fields)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        return "%s(%s)" % (type(self).__qualname__, ", ".join(
-            "%s=%r" % (f, getattr(self, f)) for f in self._fields))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("cannot assign to field %r" % name)
-
-    def __delattr__(self, name):
-        raise AttributeError("cannot delete field %r" % name)
-
-    def __reduce__(self):
-        return type(self), self._values()
 
 
 class Generator(_Record):

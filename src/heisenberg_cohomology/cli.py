@@ -16,11 +16,13 @@ At start-up this module loads only argparse and limits, which holds the
 size limits and checks and every error type main catches.  `even`,
 `odd` and `verify` run all their refusals there, from the arguments
 alone, so a refused command never loads the engine; `compute` refuses
-a negative or oversized --q-max before it reads its file, and makes
-its other refusals after parsing it.  The engine functions the verbs
-call are attributes of this module, each imported on first access and
-then kept (module __getattr__), so a verb loads only the modules it
-reaches.
+a negative or oversized --q-max before it reads its file, then parses
+it (exit 1), then refuses by size (exit 3), then validates it (exit 2):
+betti_table makes its size refusals before require_valid.  The engine
+functions the verbs call are attributes of this module, each imported
+on first access and then kept (module __getattr__), so a verb loads
+only the modules it reaches: `--method formula` loads formulas and
+reports, and no module of the rank engine.
 """
 
 from __future__ import annotations
@@ -40,10 +42,9 @@ from .limits import (DEFAULT_COLUMN_CAP, MAX_Q_MAX, AlgebraParseError,
 # (_engine), so a name patched on this module stays patched.
 _ENGINE = {
     "make_heisenberg_even": "algebra", "make_heisenberg_odd": "algebra",
-    "betti_table": "cohomology", "even_formula_report": "cohomology",
-    "odd_formula_report": "cohomology",
-    "parse_algebra": "fileformats", "emit_report": "fileformats",
-    "verify_family": "verify",
+    "betti_table": "cohomology", "even_formula_report": "formulas",
+    "odd_formula_report": "formulas", "_parse_table": "fileformats",
+    "emit_report": "reports", "verify_family": "verify",
 }
 
 
@@ -203,7 +204,8 @@ def _cmd_compute(args) -> int:
     check_degree(args.q_max)
     with open(args.algebra, "rb") as fh:
         text = fh.read()
-    alg = _engine("parse_algebra")(text)
+    # unvalidated: betti_table refuses by size before it validates
+    alg = _engine("_parse_table")(text)
     reports = _engine("betti_table")(alg, args.q_max, args.column_cap)
     return _emit(reports, args.format)
 

@@ -27,9 +27,10 @@ and the listing (symmetry.OrbitListing), built above it, lists the
 cochains the call needs once and keeps the workspace as
 listing.workspace.  The rank helpers take the listing alone, and it is
 dropped when the call returns or raises.
-Every CohomologyReport, the closed forms' too (even_formula_report,
-odd_formula_report), is built here, the rank route's by one helper
-(_reports); an inconsistent one raises ReportInvariantError.
+The reports are built by reports._reports, the one builder of the rank
+route's reports; an inconsistent one raises ReportInvariantError.  This
+module imports nothing from formulas: the closed forms' reports are
+built beside them (formulas.even_formula_report, odd_formula_report).
 
 betti_table takes one of two rank routes.  When one odd generator z is
 the only bracket target and appears in no bracket (h_n, and any table
@@ -76,13 +77,12 @@ Refusals come from the full sizes, before the split.
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
-from .algebra import LieSuperalgebra, _Record, adapted_basis, require_valid
+from .algebra import LieSuperalgebra, adapted_basis, require_valid
 from .differential import (_coboundary, _lefschetz_block, _odd_centre,
                            _RowIndex, _Workspace)
 from .symmetry import OrbitListing
-from .formulas import dim_h_even, dim_h_odd_proof, even_cocycle_dim, odd_cocycle_dim
 # the size refusals and the error types live in limits, which needs no
 # engine module; they stay importable from here
 from .limits import (CODOMAIN_ROWS_PER_COLUMN, DEFAULT_COLUMN_CAP, MAX_Q_MAX,
@@ -92,31 +92,7 @@ from .limits import (CODOMAIN_ROWS_PER_COLUMN, DEFAULT_COLUMN_CAP, MAX_Q_MAX,
                      check_degree, even_family_shape, graded_dim,
                      odd_family_shape)
 from .linalg import rank
-
-METHOD_RANK = "rank"
-METHOD_FORMULA_EVEN = "formula-even"
-METHOD_FORMULA_ODD_PROOF = "formula-odd-proof"
-METHODS = (METHOD_RANK, METHOD_FORMULA_EVEN, METHOD_FORMULA_ODD_PROOF)
-
-
-class CohomologyReport(_Record):
-    """Dimension bookkeeping for one cohomological degree; the
-    constructor raises ReportInvariantError on inconsistent fields."""
-
-    __slots__ = ("algebra_name", "q", "dim_cochain", "dim_cocycles",
-                 "dim_coboundaries", "dim_cohomology", "method")
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        if self.method not in METHODS:
-            raise ReportInvariantError("unknown method %r" % self.method)
-        ok = (0 <= self.dim_cohomology
-              and 0 <= self.dim_coboundaries
-              and self.dim_cocycles <= self.dim_cochain
-              and self.dim_cohomology == self.dim_cocycles - self.dim_coboundaries)
-        if not ok:
-            raise ReportInvariantError("inconsistent dimensions in %r" % (self,))
-
+from .reports import METHOD_RANK, CohomologyReport, _reports
 
 def _checked_rank(listing: OrbitListing, q: int, dims: Dict[int, int]) -> int:
     """rank d_q = sum |orbit| rank over the blocks on the stacks of
@@ -216,14 +192,6 @@ def _split_ranks(adapted: LieSuperalgebra, q_max: int, cap: int,
     return rk
 
 
-def _reports(name: str, dims: Dict[int, int], rk: Dict[int, int],
-             degrees: Iterable[int]) -> List[CohomologyReport]:
-    """The rank route's reports for these degrees q, from dim C^q,
-    rank d_q and rank d_{q-1}."""
-    return [CohomologyReport(name, q, dims[q], dims[q] - rk[q], rk[q - 1],
-                             dims[q] - rk[q] - rk[q - 1], METHOD_RANK) for q in degrees]
-
-
 def cohomology_dims(algebra: LieSuperalgebra, q: int,
                     column_cap: int = DEFAULT_COLUMN_CAP) -> CohomologyReport:
     """Betti data in a single degree, via exact ranks."""
@@ -280,26 +248,3 @@ def _betti_table(algebra: LieSuperalgebra, q_max: int, column_cap: int,
                            for t, groups in blocks}, q_max)
     return _reports(algebra.name, dims, rk, range(q_max + 1))
 
-
-def _formula_report(shape: Tuple[str, Tuple[int, int]],
-                    cocycle_dim: Callable[[int], int],
-                    h: int, method: str, q: int) -> CohomologyReport:
-    """Betti data in degree q of the family member of this shape from its
-    closed forms: cocycle_dim(p) is dim Z^p and h is dim H^q."""
-    name, superdim = shape
-    b = graded_dim(superdim, q - 1) - cocycle_dim(q - 1)
-    return CohomologyReport(name, q, graded_dim(superdim, q), cocycle_dim(q), b,
-                            h, method)
-
-
-def even_formula_report(n: int, m: int, q: int) -> CohomologyReport:
-    """Betti data of h_{n,m} in degree q from the closed forms."""
-    return _formula_report(even_family_shape(n, m),
-                           lambda p: even_cocycle_dim(n, m, p),
-                           dim_h_even(n, m, q), METHOD_FORMULA_EVEN, q)
-
-
-def odd_formula_report(n: int, q: int) -> CohomologyReport:
-    """Betti data of h_n in degree q from the closed forms."""
-    return _formula_report(odd_family_shape(n), lambda p: odd_cocycle_dim(n, p),
-                           dim_h_odd_proof(n, q), METHOD_FORMULA_ODD_PROOF, q)

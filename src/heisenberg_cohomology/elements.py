@@ -49,12 +49,13 @@ from operator import add, itemgetter
 from typing import (Dict, Iterable, Iterator, List, Mapping, NamedTuple,
                     Optional, Tuple, Union)
 
-from .algebra import LieSuperalgebra, _Record, make_heisenberg_odd
+from .algebra import LieSuperalgebra, make_heisenberg_odd
 from .differential import (_coboundary, _d_columns, _d_duals, _odd_centre,
                            _RowIndex, _Workspace)
 from .limits import (DEFAULT_COLUMN_CAP, _check_codomain, _check_psi_codomain,
                      check_degree, graded_dim)
 from .linalg import RationalMatrix
+from .reports import _Record
 from .superexterior import _keys
 
 Rational = Union[int, Fraction]

@@ -1,4 +1,4 @@
-"""Text formats: algebra definition files and report serialization.
+"""Algebra definition files: the parser and its inverse.
 
 Algebra files are line oriented; '#' starts a comment, blank lines are
 ignored.  Directives:
@@ -22,30 +22,25 @@ kept on the algebra returned, whose bracket table is read-only, so the
 rank engine reuses the one and does not validate again.  A table that
 fails raises AlgebraValidationError with validate's messages on the
 table as written, so they name the file's generators; they carry no
-line number.
+line number.  _parse_table is the parse alone: `compute` hands its
+table to betti_table, which refuses by size before it calls
+require_valid, so a table too big to rank is refused unvalidated.
+Reports are written by reports.emit_report.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import re
 from fractions import Fraction
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Tuple
 
 from .algebra import LieSuperalgebra, require_valid
-from .cohomology import CohomologyReport
 # both error types live in limits, which needs no engine module, so the
 # CLI catches them without loading this one; they stay importable here
 from .limits import AlgebraParseError, AlgebraValidationError
 
 # ASCII digits only: \d would admit every Unicode decimal digit
 _RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[1-9][0-9]*)?$")
-
-# csv header per the report layout; json keys are the report's own fields
-CSV_FIELDS = ("algebra", "q", "dim_cochain", "dim_cocycles",
-              "dim_coboundaries", "dim_cohomology", "method")
-JSON_FIELDS = CohomologyReport._fields
 
 
 def _parse_rational(token: str, lineno: int):
@@ -63,6 +58,13 @@ def _parse_rational(token: str, lineno: int):
 
 def parse_algebra(text) -> LieSuperalgebra:
     """Parse and validate an algebra definition file."""
+    alg = _parse_table(text)
+    require_valid(alg)
+    return alg
+
+
+def _parse_table(text) -> LieSuperalgebra:
+    """The algebra of a definition file, parsed but not validated."""
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")
@@ -139,9 +141,7 @@ def parse_algebra(text) -> LieSuperalgebra:
         raise AlgebraParseError("missing 'name' directive", max(1, len(text.splitlines())))
     if not gens:
         raise AlgebraParseError("no generators defined", max(1, len(text.splitlines())))
-    alg = LieSuperalgebra(name, gens, brackets)
-    require_valid(alg)
-    return alg
+    return LieSuperalgebra(name, gens, brackets)
 
 
 def format_algebra(alg: LieSuperalgebra) -> str:
@@ -156,29 +156,3 @@ def format_algebra(alg: LieSuperalgebra) -> str:
         lines.append("bracket %s %s = %s" % (names[i], names[j], terms))
     return "\n".join(lines) + "\n"
 
-
-def emit_report(reports: Iterable[CohomologyReport], fmt: str) -> bytes:
-    """Serialize reports as 'json', 'csv' or 'text' (deterministic bytes)."""
-    reports = list(reports)
-    if fmt == "json":
-        import json  # only a json report needs it
-        payload = [dict(zip(JSON_FIELDS, r._values())) for r in reports]
-        return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_MINIMAL)
-        writer.writerow(CSV_FIELDS)
-        for r in reports:
-            writer.writerow(r._values())
-        return buf.getvalue().encode("utf-8")
-    if fmt == "text":
-        table = [tuple(str(x) for x in r._values()) for r in reports]
-        widths = [len(h) for h in CSV_FIELDS]
-        for row in table:
-            widths = [max(w, len(x)) for w, x in zip(widths, row)]
-        def line(cells):
-            return "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
-        out = [line(CSV_FIELDS)]
-        out.extend(line(row) for row in table)
-        return ("\n".join(out) + "\n").encode("utf-8")
-    raise ValueError("unknown format %r" % fmt)

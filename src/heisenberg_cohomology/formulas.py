@@ -10,13 +10,19 @@ same function: the expanded display disagrees with the rank oracle in
 low degrees (first at n=1, q=2), which is exactly what the comparison
 harness is built to surface, so the transcription below must not be
 "fixed" to agree.
+
+even_formula_report and odd_formula_report give a family member's
+CohomologyReport from the closed forms alone.  This module imports only
+limits and reports, so the formula route loads no rank engine module.
+Those two import reports when called, so a caller that needs only the
+closed forms (reference values, say) compiles no report code.
 """
 
 from __future__ import annotations
 
 from math import comb
 
-from .limits import graded_dim, sym_power_dim
+from .limits import even_family_shape, graded_dim, odd_family_shape, sym_power_dim
 
 
 def binom(a: int, b: int) -> int:
@@ -100,6 +106,21 @@ def even_cocycle_dim(n: int, m: int, q: int) -> int:
     if q < 0:
         return 0
     return graded_dim((2 * n, m), q)
+
+
+def even_formula_report(n: int, m: int, q: int):
+    """The CohomologyReport of h_{n,m} in degree q, from the closed forms."""
+    from .reports import METHOD_FORMULA_EVEN, _formula_report
+    return _formula_report(even_family_shape(n, m),
+                           lambda p: even_cocycle_dim(n, m, p),
+                           dim_h_even(n, m, q), METHOD_FORMULA_EVEN, q)
+
+
+def odd_formula_report(n: int, q: int):
+    """The CohomologyReport of h_n in degree q, from the closed forms."""
+    from .reports import METHOD_FORMULA_ODD_PROOF, _formula_report
+    return _formula_report(odd_family_shape(n), lambda p: odd_cocycle_dim(n, p),
+                           dim_h_odd_proof(n, q), METHOD_FORMULA_ODD_PROOF, q)
 
 
 def dim_h_odd_displayed(n: int, q: int) -> int:

@@ -36,8 +36,8 @@ from __future__ import annotations
 import time
 from typing import List, Optional
 
-from .algebra import _Record, adapted_basis, make_heisenberg_even, make_heisenberg_odd
-from .cohomology import _betti_table, _block_ranks, _lefschetz_blocks, _reports
+from .algebra import adapted_basis, make_heisenberg_even, make_heisenberg_odd
+from .cohomology import _betti_table, _block_ranks, _lefschetz_blocks
 from .differential import _lefschetz_block, _Workspace
 from .formulas import dim_h_even, dim_h_odd_displayed, dim_h_odd_proof, ker_psi_dim
 # the grid's refusals live in limits, which needs no engine module, so
@@ -46,6 +46,7 @@ from .formulas import dim_h_even, dim_h_odd_displayed, dim_h_odd_proof, ker_psi_
 from .limits import (DEFAULT_COLUMN_CAP, MAX_GRID_POINTS, GridTooLarge,
                      _check_psi_codomain, check_grid)
 from .linalg import RationalMatrix, kernel_dim
+from .reports import _Record, _reports
 from .symmetry import OrbitListing
 
 FAILING_FORMULAS = ("dim_h_even", "dim_h_odd_proof")

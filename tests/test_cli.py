@@ -11,13 +11,13 @@ from pathlib import Path
 
 import pytest
 
-from heisenberg_cohomology import cli, limits, verify
+from heisenberg_cohomology import algebra, cli, limits, verify
 from heisenberg_cohomology.algebra import (LieSuperalgebra, make_heisenberg_even,
                                            make_heisenberg_odd)
 from heisenberg_cohomology.fileformats import format_algebra
 
 from test_symmetric_blocks import shuffled
-from test_validate import _table, change_basis, direct_sum
+from test_validate import BAD_SL2, SL2, _table, change_basis, direct_sum
 
 
 def run_cli(capsysbinary, argv):
@@ -208,12 +208,48 @@ def test_compute_refuses_a_negative_degree_before_reading_its_file(capsysbinary,
                                                                   tmp_path):
     # the same order as even and odd: the sign of --q-max is checked
     # before the file is read, parsed or validated
-    monkeypatch.setattr(cli, "parse_algebra", _never_built)
+    monkeypatch.setattr(cli, "_parse_table", _never_built)
     broken = tmp_path / "broken.alg"
     broken.write_text("name a\ngenerator x 0\nbracket x w = x:1\n")
     for path in (tmp_path / "missing.alg", broken):
         assert run_cli(capsysbinary, ["compute", "--algebra", str(path), "--q-max", "-1"]) \
             == (2, b"", b"validation error: --q-max must be nonnegative\n"), path
+
+
+def _never_validated(*args):
+    raise AssertionError("the table was validated before the size refusal")
+
+
+def test_compute_refuses_by_size_before_it_validates(capsysbinary, monkeypatch, tmp_path):
+    # C^6 of sl(2)^5 has 5005 columns, over the default cap.  The refusal
+    # needs only the generator lines, so the dense table is not validated
+    table = SL2
+    for _ in range(4):
+        table = direct_sum(table, SL2)
+    path = tmp_path / "sl2_5.alg"
+    path.write_text(format_algebra(
+        LieSuperalgebra("sl2^5", *change_basis(random.Random(5), table))))
+    monkeypatch.setattr(algebra, "validate", _never_validated)
+    assert run_cli(capsysbinary, ["compute", "--algebra", str(path), "--q-max", "6"]) \
+        == (3, b"", _refusal("sl2^5", 6, 5005))
+
+
+def test_compute_parses_then_refuses_by_size_then_validates(capsysbinary, tmp_path):
+    # one table that fails the Jacobi identity: with a line that does not
+    # parse it is a parse error (1), too wide it is refused (3), and only
+    # an admitted one is validated (2)
+    bad = format_algebra(LieSuperalgebra("bad", *BAD_SL2))
+    path = tmp_path / "bad.alg"
+    for text, cap, code, message in (
+            (bad + "frobnicate\n", "2", 1, b"parse error: line 8: unknown directive"),
+            (bad, "2", 3, b"resource refusal: refusing bad at q=1: matrix has 3 columns, "
+                          b"cap is 2"),
+            (bad, "3", 2, b"validation error: algebra fails validation:")):
+        path.write_text(text)
+        got, out, err = run_cli(capsysbinary, ["compute", "--algebra", str(path),
+                                               "--q-max", "1", "--column-cap", cap])
+        assert (got, out) == (code, b""), (cap, text)
+        assert err.startswith(message), err
 
 
 def test_help_exits_zero(capsysbinary):
@@ -341,7 +377,7 @@ def test_verify_refuses_an_oversized_psi_codomain(capsysbinary, monkeypatch):
 
 def test_negative_column_cap_is_a_usage_error(capsysbinary, monkeypatch):
     for name in ("check_column_cap", "betti_table", "verify_family",
-                 "parse_algebra", "make_heisenberg_even", "make_heisenberg_odd"):
+                 "_parse_table", "make_heisenberg_even", "make_heisenberg_odd"):
         monkeypatch.setattr(cli, name, _never_built)
     for argv in (["even", "--n", "1", "--m", "1", "--q-max", "1"],
                  ["odd", "--n", "1", "--q-max", "1", "--method", "formula"],
@@ -422,8 +458,8 @@ def test_internal_error_exit_5_without_traceback(capsysbinary, monkeypatch):
 
 
 def test_inconsistent_report_is_an_internal_error(capsysbinary, monkeypatch):
-    from heisenberg_cohomology.cohomology import (CohomologyReport,
-                                                  METHOD_FORMULA_ODD_PROOF)
+    from heisenberg_cohomology.reports import (CohomologyReport,
+                                               METHOD_FORMULA_ODD_PROOF)
 
     def inconsistent(n, q):
         # dim H^q = 5 with 1 cocycle and no coboundary
@@ -445,7 +481,7 @@ def _degree_refusal(q_max):
 def test_degree_limit_refuses_before_any_work(capsysbinary, monkeypatch, tmp_path):
     for name in ("make_heisenberg_even", "make_heisenberg_odd", "betti_table",
                  "check_column_cap", "even_formula_report",
-                 "odd_formula_report", "parse_algebra"):
+                 "odd_formula_report", "_parse_table"):
         monkeypatch.setattr(cli, name, _never_built)
     monkeypatch.setattr(verify, "_betti_table", _never_built)
     monkeypatch.setattr(verify, "_Workspace", _never_built)
@@ -568,6 +604,33 @@ def test_a_refusal_loads_no_engine_module(argv):
     # the refusals need the arguments alone, so a refused child compiles
     # nothing of the engine
     assert _main_in_a_child(argv) == (3, ENGINE_FREE)
+
+
+FORMULA_ROUTE = sorted(ENGINE_FREE + ["heisenberg_cohomology.formulas",
+                                      "heisenberg_cohomology.reports"])
+
+
+def test_a_formula_verb_loads_no_rank_engine_module():
+    # the closed forms and their reports import only limits and reports,
+    # so a formula child compiles nothing of the rank route; the closed
+    # forms alone load no report code either
+    out = _child(
+        "import io, sys\n"
+        "from heisenberg_cohomology import cli, dim_h_even, dim_h_odd_proof\n"
+        "dim_h_even(2, 3, 4), dim_h_odd_proof(3, 4)\n"
+        "print(*sorted(sys.modules), file=sys.__stdout__)\n"
+        "codes = []\n"
+        "for fmt in ('text', 'csv', 'json'):\n"
+        "    for argv in (['even', '--n', '2', '--m', '3'], ['odd', '--n', '3']):\n"
+        "        sys.stdout, sys.stderr = io.TextIOWrapper(io.BytesIO()), io.StringIO()\n"
+        "        codes.append(cli.main(argv + ['--q-max', '4', '--method', 'formula',\n"
+        "                                      '--format', fmt]))\n"
+        "print(*codes, *sorted(sys.modules), file=sys.__stdout__)\n").splitlines()
+    closed_forms, verbs = (line.split() for line in out)
+    assert [m for m in closed_forms if m.startswith("heisenberg_cohomology")] \
+        == sorted(ENGINE_FREE + ["heisenberg_cohomology.formulas"])
+    assert verbs[:6] == ["0"] * 6
+    assert [m for m in verbs[6:] if m.startswith("heisenberg_cohomology")] == FORMULA_ROUTE
 
 
 COMPUTING_VERBS = (

@@ -14,7 +14,7 @@ import pytest
 import heisenberg_cohomology
 from heisenberg_cohomology import (algebra, cli, cohomology, differential,
                                    elements, fileformats, formulas, limits,
-                                   linalg, superexterior, verify)
+                                   linalg, reports, superexterior, verify)
 from heisenberg_cohomology.limits import (AlgebraParseError,
                                           AlgebraValidationError,
                                           CodomainTooLarge, ColumnCapExceeded,
@@ -103,20 +103,20 @@ PUBLIC = {
     algebra: ("EVEN", "ODD", "AlgebraValidationError", "Generator",
               "LieSuperalgebra", "make_heisenberg_even", "make_heisenberg_odd",
               "validate"),
-    cohomology: ("DEFAULT_COLUMN_CAP", "MAX_Q_MAX", "METHOD_FORMULA_EVEN",
-                 "METHOD_FORMULA_ODD_PROOF", "METHOD_RANK", "CodomainTooLarge",
-                 "CohomologyReport", "ColumnCapExceeded", "DegreeLimitExceeded",
-                 "betti_table", "cohomology_dims", "graded_dim"),
+    cohomology: ("DEFAULT_COLUMN_CAP", "MAX_Q_MAX", "CodomainTooLarge",
+                 "ColumnCapExceeded", "DegreeLimitExceeded", "betti_table",
+                 "cohomology_dims", "graded_dim"),
     elements: ("DifferentialMatrix", "SuperElement", "SuperMonomial", "SuperSpaceDims",
                "d_element", "d_generator", "differential_matrix", "dual_pairing",
                "element_pairing", "enumerate_basis", "monomial_sort_key",
                "psi_matrix", "tau", "wedge", "wedge_monomials"),
-    fileformats: ("AlgebraParseError", "emit_report", "format_algebra",
-                  "parse_algebra"),
+    fileformats: ("AlgebraParseError", "format_algebra", "parse_algebra"),
     formulas: ("binom", "delta", "dim_h_even", "dim_h_odd_displayed",
                "dim_h_odd_proof", "even_cocycle_dim", "ker_psi_dim",
                "odd_cocycle_dim", "sym_power_dim"),
     linalg: ("RationalMatrix", "kernel_dim", "rank"),
+    reports: ("METHOD_FORMULA_EVEN", "METHOD_FORMULA_ODD_PROOF", "METHOD_RANK",
+              "CohomologyReport", "emit_report"),
     verify: ("Comparison", "VerifyResult", "verify_family"),
 }
 
@@ -180,15 +180,31 @@ def test_the_import_graph():
         {"symmetry", "differential"})
     assert ("symmetry", None, "algebra") in imports
     # every package import is at the top of its module but the direct-sum
-    # search, which only tables past _split_ranks' gate load
+    # search, which only tables past _split_ranks' gate load, and the
+    # report code, which a caller of the closed forms alone never loads
     assert [entry for entry in imports if entry[1] is not None] \
-        == [("cohomology", "_split_ranks", "directsum")]
+        == [("cohomology", "_split_ranks", "directsum"),
+            ("formulas", "even_formula_report", "reports"),
+            ("formulas", "odd_formula_report", "reports")]
     # the kernel loads no listing code: differential and the element API
     # import nothing from symmetry, whose listing is built above the
     # kernel and imports nothing from differential
     assert [(module, target) for module, _, target in imports
             if (module in ("differential", "elements") and target == "symmetry")
             or (module == "symmetry" and target == "differential")] == []
+    # the two routes share no code: no module of the rank route imports
+    # the closed forms, which import only limits and reports, the one
+    # module that builds and writes reports for both; verify alone
+    # imports both routes, and fileformats holds the file format alone
+    def targets(module):
+        return {target for source, _, target in imports if source == module}
+
+    for module in ("cohomology", "differential", "symmetry", "linalg", "algebra"):
+        assert "formulas" not in targets(module), module
+    assert targets("formulas") == {"limits", "reports"}
+    assert targets("reports") == {"limits"}
+    assert targets("fileformats") == {"algebra", "limits"}
+    assert {source for source, _, target in imports if target == "formulas"} == {"verify"}
 
 
 def test_the_engine_modules_hold_only_keys_and_the_kernel():
