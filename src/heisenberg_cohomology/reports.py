@@ -22,6 +22,7 @@ from typing import Callable, Dict, Iterable, List, Tuple
 
 from .limits import ReportInvariantError, graded_dim
 
+
 class _Record:
     """Base of the package's record types: a `__slots__` class whose
     fields, `_fields`, are its `__slots__`, in order.

@@ -192,10 +192,11 @@ def test_the_import_graph():
     assert [(module, target) for module, _, target in imports
             if (module in ("differential", "elements") and target == "symmetry")
             or (module == "symmetry" and target == "differential")] == []
-    # the two routes share no code: no module of the rank route imports
-    # the closed forms, which import only limits and reports, the one
-    # module that builds and writes reports for both; verify alone
-    # imports both routes, and fileformats holds the file format alone
+    # the two routes meet only in reports, which builds and writes the
+    # reports of both and imports only limits: no module of the rank
+    # route imports the closed forms, which import only limits and
+    # reports; verify alone imports both routes, and fileformats holds
+    # the file format alone
     def targets(module):
         return {target for source, _, target in imports if source == module}
 
