@@ -349,6 +349,13 @@ def make_heisenberg_even(n: int, m: int) -> LieSuperalgebra:
     [x_i, x_{n+i}] = z and [y_j, y_j] = z.  Superdimension (2n+1 | m).
     """
     name, _ = even_family_shape(n, m)
+    return _heisenberg_even(name, n, m)
+
+
+def _heisenberg_even(name: str, n: int, m: int) -> LieSuperalgebra:
+    """h_{n,m} named `name`, for any n, m >= 0: make_heisenberg_even
+    past its shape check, and the direct-sum route's canonical even
+    part, where n or m may be 0."""
     gens = [("z", EVEN)]
     gens += [("x%d" % i, EVEN) for i in range(1, 2 * n + 1)]
     gens += [("y%d" % j, ODD) for j in range(1, m + 1)]

@@ -67,9 +67,23 @@ refusal depends on the split.
 Before either route, betti_table and cohomology_dims try to split a
 two-step adapted table into ideals (_split_ranks, whose O(brackets)
 gate every built-in family member fails).  directsum.split searches
-for the parts and checks what it finds exactly; each part is ranked by
-betti_table on its own route, and the Betti numbers are the Kunneth
-product of the parts'.  A split not found, or failing the check, sends
+for the parts, checks what it finds exactly, and returns each part's
+type (dim K_s^0, dim K_s^1, parity of its centre).  The type alone
+fixes a part's Betti numbers, in three steps (directsum's docstring
+gives them in full):
+
+1. R, the free radical, is the full common radical of the forms, so a
+   part's form beta_s is nondegenerate on K_s.
+2. Over C, nondegenerate forms are classified by dimension and parity,
+   so the part tensored with C is h_{n,m} (x) C (2n = dim K_s^0,
+   m = dim K_s^1) for an even centre, h_n (x) C (n = dim K_s^0) for an
+   odd one.
+3. A rank does not depend on the field.
+
+So each distinct type is ranked once per call, by betti_table on its
+canonical table (make_heisenberg_odd, or algebra._heisenberg_even,
+where n or m may be 0), and the Betti numbers are the Kunneth product
+of the parts' and R's.  A split not found, or failing the check, sends
 the table down the routes above: it costs speed, never an answer.
 Refusals come from the full sizes, before the split.
 """
@@ -79,7 +93,8 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .algebra import LieSuperalgebra, adapted_basis, require_valid
+from .algebra import (LieSuperalgebra, _heisenberg_even, adapted_basis,
+                      make_heisenberg_odd, require_valid)
 from .differential import (_coboundary, _lefschetz_block, _odd_centre,
                            _RowIndex, _Workspace)
 from .symmetry import OrbitListing
@@ -164,15 +179,25 @@ def _split_ranks(adapted: LieSuperalgebra, q_max: int, cap: int,
 
     The gate costs O(brackets) and imports nothing: the table must be
     two-step, its bracket targets P (the pivots that span [g, g]) in no
-    bracket, with |P| >= 2, q_max >= 2 (below, d_q costs no more than
-    the search), and every C^q up to q_max within the cap, so that no
-    part's betti_table refuses.  Each part is ranked by betti_table,
-    on its own route; H(g) is the Kunneth product of the parts' and
-    the free part's, and rank d_q = dim C^q - dim H^q - rank d_{q-1}.
+    bracket, with q_max >= 2 (below, d_q costs no more than the
+    search), and every C^q up to q_max within the cap, so that no
+    canonical table's betti_table refuses.  A table with |P| = 1 passes
+    only when its coefficients differ in absolute value: with one
+    coefficient up to sign (the built-in members in any generator
+    order, and every canonical table) it keeps the rank routes, and
+    its copies.  Each distinct part type is ranked once, by
+    betti_table on its canonical table; H(g) is the Kunneth product of
+    the parts' and the free part's, and rank d_q = dim C^q - dim H^q
+    - rank d_{q-1}.
     """
     targets = {k for t in adapted.brackets.values() for k in t}
-    if (q_max < 2 or len(targets) < 2
+    if (q_max < 2 or not targets
             or any(i in targets or j in targets for i, j in adapted.brackets)):
+        return None
+    # |c| as two ints: abs and hash of a Fraction cost 5x more, on every
+    # family member's call
+    if len(targets) == 1 and len({(abs(c.numerator), c.denominator)
+                                  for t in adapted.brackets.values() for c in t.values()}) == 1:
         return None
     if max(dims[q] for q in range(q_max + 1)) > cap:
         return None
@@ -180,11 +205,16 @@ def _split_ranks(adapted: LieSuperalgebra, q_max: int, cap: int,
     found = split(adapted, sorted(targets))
     if found is None:
         return None
-    parts, free = found
+    types, free = found
     # an abelian algebra has d = 0: its Betti numbers are its cochains'
     betti = [graded_dim(free, q) for q in range(q_max + 1)]
-    for part in parts:
-        h = [r.dim_cohomology for r in betti_table(part, q_max, cap)]
+    ranked: Dict[Tuple[int, int, int], List[int]] = {}
+    for even, odd, z in dict.fromkeys(types):
+        part = (make_heisenberg_odd(odd) if z else
+                _heisenberg_even("h_{%d,%d}" % (even // 2, odd), even // 2, odd))
+        ranked[even, odd, z] = [r.dim_cohomology for r in betti_table(part, q_max, cap)]
+    for kind in types:
+        h = ranked[kind]
         betti = [sum(betti[i] * h[q - i] for i in range(q + 1)) for q in range(q_max + 1)]
     rk = {-1: 0}
     for q in range(q_max + 1):

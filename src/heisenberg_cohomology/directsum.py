@@ -25,17 +25,35 @@ Nothing the search finds is trusted.  _checked proves on integer
 vectors that every vector has one parity, [K_s, K_t] = 0 for s != t,
 R is central, the centres [K_s, K_s] are independent and span P, and
 the K_s and R together are a basis of K.  Then g is the direct sum of
-the parts and R, each part is a subalgebra of a valid table, and H(g)
-is the Kunneth product of the parts' cohomology.  Everything runs
-fraction-free on linalg._echelon, the echelon form the adapted basis
-uses too; the only Fractions are the parts' structure constants.  The engine imports
-this module only past its gate, so a table that fails the gate
-compiles none of it.
+the parts g_s and R, and H(g) is the Kunneth product of the parts' and
+R's cohomology.  There are as many parts as pivots, so each centre is
+one line, spanned by a z_s of one parity, and [x, y] = beta_s(x, y) z_s
+on K_s.  A part's Betti numbers follow from its type alone,
+(dim K_s^0, dim K_s^1, parity of z_s), in three steps:
+
+1. R is the full common radical of the forms.  An x in K_s with
+   beta_s(x, K_s) = 0 brackets to 0 with every K_t and with R, so it
+   lies in R, and K_s meets R in 0: beta_s is nondegenerate on K_s.
+2. Over C a nondegenerate form is fixed up to a change of basis by its
+   dimension and parity (E. Artin, Geometric Algebra, 1957, ch. III).
+   For even z_s, beta_s is skew on K_s^0 (so dim K_s^0 = 2n is even)
+   and symmetric on K_s^1, and g_s (x) C is h_{n,m} (x) C, m = dim
+   K_s^1.  For odd z_s, beta_s pairs K_s^0 with K_s^1 (so both have
+   dimension n), and g_s (x) C is h_n (x) C.
+3. A rank does not depend on the field: the cochain complex of
+   g_s (x) C is that of g_s tensored with C, so g_s has the Betti
+   numbers of h_{n,m} (or h_n) over Q, though over Q a symmetric
+   form need not normalise (2, 3 and -1 are not squares).
+
+So split returns types, not tables, and a type that no nondegenerate
+form has is refused.  Everything runs fraction-free on linalg._echelon,
+the echelon form the adapted basis uses too.  The engine imports this
+module only past its gate, so a table that fails the gate compiles
+none of it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -51,13 +69,14 @@ _ROOT_SEARCH_BOUND = 10 ** 9
 
 
 def split(algebra: LieSuperalgebra, pivots: Sequence[int]
-          ) -> Optional[Tuple[List[LieSuperalgebra], Tuple[int, int]]]:
-    """(parts, free) for the two-step table `algebra`, whose bracket
+          ) -> Optional[Tuple[List[Tuple[int, int, int]], Tuple[int, int]]]:
+    """(types, free) for the two-step table `algebra`, whose bracket
     targets are `pivots` and appear in no bracket: g is the direct sum
-    of the parts, each a LieSuperalgebra in its own basis, and of an
-    abelian algebra of superdimension `free`.  None when no split is
-    found or a found one fails the exact check."""
-    scale, ad = integer_table(algebra)
+    of one part per pivot and of an abelian algebra of superdimension
+    `free`, and each part's type is (dim K_s^0, dim K_s^1, parity of
+    its centre).  None when no split is found, a found one fails the
+    exact check, or a type has no nondegenerate form."""
+    _, ad = integer_table(algebra)
     targets = set(pivots)
     others = [g for g in range(algebra.dim) if g not in targets]
     at = {g: i for i, g in enumerate(others)}
@@ -97,14 +116,19 @@ def split(algebra: LieSuperalgebra, pivots: Sequence[int]
             rows += _combine(forms, weights).values()
         spaces.append(_kernel(_echelon(rows), n))
     parity = [algebra.parity(g) for g in others]
-    checked = _checked(forms, parity, radical, spaces, [algebra.parity(p) for p in pivots])
-    if checked is None:
+    centres = _checked(forms, parity, radical, spaces, [algebra.parity(p) for p in pivots])
+    if centres is None:
         return None
-    parts = [_part("%s[%d]" % (algebra.name, s), [parity[min(x)] for x in space],
-                   centre, images, algebra.parity, scale)
-             for s, (space, (centre, images)) in enumerate(zip(spaces, checked))]
+    types = []
+    for space, centre in zip(spaces, centres):
+        odd = sum(parity[min(x)] for x in space)
+        even, z = len(space) - odd, algebra.parity(min(centre))
+        # an odd centre pairs K_s^0 with K_s^1; an even one is skew on K_s^0
+        if (even != odd) if z == ODD else even % 2:
+            return None
+        types.append((even, odd, z))
     free = sum(1 for r in radical if parity[min(r)] == ODD)
-    return parts, (len(radical) - free, free)
+    return types, (len(radical) - free, free)
 
 
 def _class_duals(forms: Dict[int, Form], cls: List[int]) -> Optional[List[Vector]]:
@@ -195,10 +219,10 @@ def _centre_line(forms: Dict[int, Form], cls: List[int],
 
 def _checked(forms: Dict[int, Form], parity: List[int], radical: List[Vector],
              spaces: List[List[Vector]], pivot_parity: List[int]) -> Optional[list]:
-    """Per part, (centre, images) when the split passes the exact check,
-    else None: images[(i, j)] is [x_i, x_j] over the pivots for the
-    vectors i <= j of K_s, and centre the fully reduced echelon basis
-    of their span [K_s, K_s].  The check: every vector has one parity;
+    """Per part, its centre when the split passes the exact check, else
+    None: the fully reduced echelon basis, over the pivots, of the span
+    [K_s, K_s] of the brackets of the vectors of K_s.  The check: every
+    vector has one parity;
     the K_s and R together are a basis of K; R is central;
     [K_s, K_t] = 0 for s != t; and the centres are independent and
     together span P."""
@@ -218,44 +242,18 @@ def _checked(forms: Dict[int, Form], parity: List[int], radical: List[Vector],
                     return None
     out = []
     for space, covs in zip(spaces, covectors):
-        images = {(i, j): {p: _dot(cov, space[j]) for p, cov in zip(pivots, covs_x)}
-                  for i, covs_x in enumerate(covs) for j in range(i, len(space))}
-        centre = _echelon(images.values())
+        centre = _echelon({p: _dot(cov, space[j]) for p, cov in zip(pivots, covs_x)}
+                          for i, covs_x in enumerate(covs) for j in range(i, len(space)))
         if not centre:
             return None
-        out.append((centre, images))
-    rows = [row for centre, _ in out for row in centre.values()]
+        out.append(centre)
+    rows = [row for centre in out for row in centre.values()]
     pivot_of = dict(zip(pivots, pivot_parity))
     if any(len({pivot_of[p] for p in row}) != 1 for row in rows):
         return None
     if len(rows) != len(pivots) or len(_echelon(rows)) != len(pivots):
         return None
     return out
-
-
-def _part(name: str, parities: List[int], centre: Dict[int, Vector], images,
-          pivot_parity, scale: int) -> LieSuperalgebra:
-    """The ideal K_s + [K_s, K_s] as a LieSuperalgebra: generators x1..
-    (the vectors of K_s, of these parities), then z1.. (the rows of the
-    echelon `centre`), each bracket (`images`, as _checked gives them)
-    written in the centre's rows."""
-    leads = sorted(centre)
-    size = len(parities)
-    gens = [("x%d" % (i + 1), p) for i, p in enumerate(parities)]
-    gens += [("z%d" % (r + 1), pivot_parity(lead)) for r, lead in enumerate(leads)]
-    brackets = {}
-    for pair, image in images.items():
-        # the rows are zero at each other's leads, so the coordinate on
-        # row r is image[lead_r] / row_r[lead_r]
-        targets = {size + r: Fraction(image[lead], centre[lead][lead] * scale)
-                   for r, lead in enumerate(leads) if image[lead]}
-        if targets:
-            brackets[pair] = targets
-    part = LieSuperalgebra(name, gens, brackets)
-    # the brackets span the z's, so the part is its own adapted basis;
-    # and it is an ideal of a table that passed require_valid
-    part._derived.update(adapted=None, valid=True)
-    return part
 
 
 def _combine(forms: Dict[int, Form], weights: Dict[int, int]) -> Form:

@@ -682,9 +682,10 @@ def test_a_computing_verb_compiles_no_monomial_api(argv, tmp_path):
     ["verify", "--family", "even", "--n-max", "2", "--m-max", "2", "--q-max", "4"],
     ["compute", "--algebra", "sum.alg", "--q-max", "4"]), ids=" ".join)
 def test_only_a_split_table_loads_the_direct_sum_search(argv, tmp_path):
-    # the family members and a generator-shuffled h_{2,2} have one pivot,
-    # so they fail the split's gate and their children compile none of
-    # it; a hidden-basis h_1 + h_1 passes the gate and loads it
+    # the family members and a generator-shuffled h_{2,2} have one pivot
+    # and one coefficient up to sign, so they fail the split's gate and
+    # their children compile none of it; a hidden-basis h_1 + h_1 passes
+    # the gate and loads it
     (tmp_path / "shuffled.alg").write_text(
         format_algebra(shuffled(make_heisenberg_even(2, 2), 5)))
     summed = direct_sum(_table(make_heisenberg_odd(1)), _table(make_heisenberg_odd(1)))

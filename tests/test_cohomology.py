@@ -372,14 +372,18 @@ def test_an_algebra_is_validated_once(monkeypatch):
     # every door into the engine passes through algebra.require_valid,
     # so algebra.validate is the only caller to count
     alg = _hidden_valid("hidden", 2)
+    parts = [make_heisenberg_even(1, 1), make_heisenberg_odd(1)]
     checked = _counted(monkeypatch, algebra, "validate")
     first = cohomology_dims(alg, 3)
-    assert checked == [adapted_basis(alg)]
+    # the table splits into h_{1,1} + h_1: each call builds the canonical
+    # table of each part type once, and its constructor validates it
+    assert checked == [adapted_basis(alg), *parts]
     # the verdict is kept on the algebra beside its rewrite
     assert cohomology_dims(alg, 3) == first and betti_table(alg, 3)[3] == first
-    assert checked == [adapted_basis(alg)]
+    assert checked == [adapted_basis(alg), *parts * 3]
     # the family constructors and parse_algebra validate what they build,
-    # and the engine makes no call on it afterwards
+    # and the engine makes no call on it afterwards: only the canonical
+    # part tables that the parsed sum's split builds are validated
     checked.clear()
     families = [make_heisenberg_odd(2), make_heisenberg_even(1, 2)]
     parsed = parse_algebra(format_algebra(alg))
@@ -388,8 +392,9 @@ def test_an_algebra_is_validated_once(monkeypatch):
     for member in families:
         betti_table(member, 3)
     cohomology_dims(parsed, 2)
-    assert checked == []
+    assert checked == parts
     # verify_family validates each h_n it builds, once
+    checked.clear()
     verify_family("odd", 2, None, 3)
     assert [a.name for a in checked] == ["h_1", "h_2"]
     # a failing verdict is kept too, and still raises with the table's
@@ -545,12 +550,14 @@ def _counted(monkeypatch, module, name):
 
 def test_a_parsed_file_is_rewritten_once(monkeypatch):
     text = format_algebra(_hidden_valid("hidden", 2))
+    parts = [make_heisenberg_even(1, 1), make_heisenberg_odd(1)]
     rewrites = _counted(monkeypatch, algebra, "_adapted_brackets")
     alg = parse_algebra(text)
     table = betti_table(alg, 3)
     assert cohomology_dims(alg, 3) == table[3]
-    # the parse's rewrite is kept on alg, and the engine reuses it
-    assert rewrites == [alg]
+    # the parse's rewrite is kept on alg, and the engine reuses it; each
+    # call's canonical part tables (h_{1,1} and h_1) are derived once each
+    assert rewrites == [alg, *parts * 2]
 
 
 def test_d_terms_are_derived_once_per_betti_table_call(monkeypatch):
@@ -567,11 +574,12 @@ def test_d_terms_are_derived_once_per_betti_table_call(monkeypatch):
             assert derived == [adapted_basis(alg)], alg.name
             betti_table(alg, 3)
             assert derived == [adapted_basis(alg)] * 2, alg.name
-    # split, each part's own workspace derives its table once per call
+    # split, the canonical table of each part type (h_{1,1} and h_1) is
+    # built once per call, and its own workspace derives its d-terms once
     derived = _counted(monkeypatch, differential, "_d_duals")
     for calls in (1, 2):
         betti_table(hidden, 4 - calls)
-        assert [a.name for a in derived] == ["hidden[0]", "hidden[1]"] * calls
+        assert [a.name for a in derived] == ["h_{1,1}", "h_1"] * calls
 
 
 def test_bracket_table_is_read_only():

@@ -4,10 +4,16 @@ The inputs are hidden-basis sums built by test_validate's direct_sum
 and unimodular change_basis, which share no code with the search; the
 references are oracles.dense_betti_numbers (dense Fraction ranks filled
 entry by entry) and the Kunneth product of the summands' Betti numbers,
-each summand ranked on its own family route.
+each summand ranked on its own family route.  A part is ranked by its
+type alone, so the tables written with non-square coefficients and the
+single-target tables are checked against references that never type a
+part: the dense oracle, the whole table's differential_matrix (which
+never splits) and closed forms.
 """
 
 import random
+from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -35,6 +41,15 @@ SPLIT_SUMS = (
     ((H11, H11, H1), 5, 1),                 # a two-pivot class beside a one-pivot class
     ((H1, H1, FREE_EVEN, FREE_ODD), 5, 2),  # free generators: the radical R
 )
+
+# h_{1,2} and h_2 written with the non-square coefficients 2, 3 and -1 on
+# their pairs and y_j: no rescaling over Q brings [y_j, y_j] to z
+NON_SQUARE_EVEN = LieSuperalgebra("h_{1,2}'", [("z", EVEN), ("x1", EVEN), ("x2", EVEN),
+                                               ("y1", ODD), ("y2", ODD)],
+                                  {(1, 2): {0: 3}, (3, 3): {0: 2}, (4, 4): {0: -1}})
+NON_SQUARE_ODD = LieSuperalgebra("h_2'", [("x1", EVEN), ("x2", EVEN), ("y1", ODD),
+                                          ("y2", ODD), ("z", ODD)],
+                                 {(0, 2): {4: 2}, (1, 3): {4: -1}})
 
 # h_3 over Q(sqrt 2) as a 6-dimensional Q-algebra: its pencil has the
 # eigenvalues +-sqrt 2, so it is indecomposable over Q
@@ -68,6 +83,41 @@ def kunneth(summands, q_max):
     return betti
 
 
+def _type(alg):
+    """The part type of a family member: its superdimension less z, and
+    z's parity."""
+    (n0, n1), z = alg.superdim, alg.parity(alg.index_of("z"))
+    return (n0 - (z == EVEN), n1 - (z == ODD), z)
+
+
+def coefficient_table(rng, digits):
+    """(generators, brackets) of a classical Heisenberg algebra of
+    dimension 9 in a written basis: x0..x7 and z even, and every
+    [x_i, x_j] is c_ij z, c_ij a random fraction with a `digits`-digit
+    numerator over a digits/2-digit denominator."""
+    gens = [("x%d" % i, EVEN) for i in range(8)] + [("z", EVEN)]
+    size = max(digits // 2, 1)
+    return gens, {(i, j): {8: Fraction(rng.choice((-1, 1)) * rng.randrange(10 ** (digits - 1), 10 ** digits),
+                                       rng.randrange(10 ** (size - 1), 10 ** size))}
+                  for i in range(8) for j in range(i + 1, 8)}
+
+
+def single_target(rng, evens, odds, z, density):
+    """(generators, brackets) of a table with one bracket target z of
+    parity `z` over `evens` even and `odds` odd other generators, each
+    bracket allowed by parity present with probability `density`, with
+    coefficients 2, 3 and -1."""
+    gens = [("a%d" % i, EVEN) for i in range(evens)] + [("b%d" % i, ODD) for i in range(odds)]
+    dim = evens + odds
+    brackets = {}
+    for i in range(dim):
+        for j in range(i, dim):
+            if (gens[i][1] + gens[j][1]) % 2 == z and not (i == j and gens[i][1] == EVEN) \
+                    and rng.random() < density:
+                brackets[(i, j)] = {dim: rng.choice((2, 3, -1))}
+    return gens + [("z", z)], brackets
+
+
 def _found(alg):
     adapted = adapted_basis(alg)
     return directsum.split(adapted, sorted({k for t in adapted.brackets.values() for k in t}))
@@ -87,10 +137,11 @@ def test_hidden_sums_split_and_match_the_oracles(case):
     alg, summands, q_max, q_dense = case
     found = _found(alg)
     assert found is not None, alg.name
-    parts, free = found
-    # one part per Heisenberg summand, the free generators in R
+    types, free = found
+    # one part per Heisenberg summand, typed (dim K_s^0, dim K_s^1,
+    # parity of its centre z), the free generators in R
     heisenberg = [a for a in summands if a.brackets]
-    assert sorted(p.superdim for p in parts) == sorted(a.superdim for a in heisenberg)
+    assert sorted(types) == sorted(_type(a) for a in heisenberg)
     assert free == (sum(a is FREE_EVEN for a in summands), sum(a is FREE_ODD for a in summands))
     assert _splits(alg, q_max)
     table = betti_table(alg, q_max)
@@ -129,48 +180,104 @@ def test_indecomposable_tables_report_no_split(alg, betti, monkeypatch):
     assert betti_table(alg, 6) == table
 
 
-def test_the_random_two_step_pool_matches_the_oracle():
-    # random two-step tables, hidden, summed pairwise and with an h_1:
+def _non_square_cases():
+    for name, table in (("even", _table(NON_SQUARE_EVEN)), ("odd", _table(NON_SQUARE_ODD)),
+                        ("even+odd", direct_sum(_table(NON_SQUARE_EVEN), _table(NON_SQUARE_ODD)))):
+        yield LieSuperalgebra(name, *table)
+        yield LieSuperalgebra("hidden " + name, *change_basis(random.Random(37), table))
+
+
+@pytest.mark.parametrize("alg", list(_non_square_cases()), ids=lambda a: a.name)
+def test_non_square_coefficients_are_ranked_as_their_types(alg):
+    # one bracket target or two, written plainly or hidden: each part's
+    # form is not the canonical one over Q, and the table is ranked by
+    # the canonical table of its type, h_{1,2} or h_2
+    assert _splits(alg, 4)
+    table = betti_table(alg, 4)
+    assert [r.dim_cohomology for r in table[:3]] == dense_betti_numbers(alg, 2)
+    ranks = full_matrix_ranks(alg, 4)
+    assert [r.dim_cochain - r.dim_cocycles for r in table] == [ranks[q] for q in range(5)]
+    assert [cohomology_dims(alg, q) for q in range(5)] == table
+
+
+def test_a_table_of_large_coefficients_is_ranked_as_its_type():
+    # x0..x7 and z, with 50-digit coefficients: one nondegenerate skew
+    # form, so the classical Heisenberg algebra of dimension 9, whose
+    # b_q = C(8, q) - C(8, q - 2) below the middle degree
+    alg = LieSuperalgebra("coefficients", *coefficient_table(random.Random(50), 50))
+    assert _splits(alg, 4)
+    assert [r.dim_cohomology for r in betti_table(alg, 4)] == \
+        [comb(8, q) - (comb(8, q - 2) if q >= 2 else 0) for q in range(5)]
+
+
+def test_the_random_two_step_pool_matches_the_oracle(monkeypatch):
+    # random two-step tables, hidden, summed pairwise and with an h_1,
+    # and hidden single-target tables whose coefficients differ:
     # whichever route each takes, the dense oracle agrees in degrees up
     # to 2, and the whole table's differential_matrix up to 4
+    real, types = directsum.split, set()
+
+    def split_typed(*args):
+        found = real(*args)
+        types.update(found[0] if found else ())
+        return found
+
+    monkeypatch.setattr(directsum, "split", split_typed)
     rng = random.Random(28)
     routes = {"split": 0, "whole": 0}
+    pool = []
     for k in range(8):
         a = LieSuperalgebra("a", *random_two_step(rng, rng.randint(3, 4), 0.7))
         b = LieSuperalgebra("b", *random_two_step(rng, rng.randint(2, 3), 0.7))
-        for alg in (hidden("a%d" % k, [a], rng.random()),
-                    hidden("ab%d" % k, [a, b], rng.random()),
-                    hidden("ah%d" % k, [a, H1], rng.random())):
-            split = _splits(alg, 4)
-            routes["split" if split else "whole"] += 1
-            table = betti_table(alg, 4)
-            assert [r.dim_cohomology for r in table[:3]] == dense_betti_numbers(alg, 2), alg.name
-            ranks = full_matrix_ranks(alg, 4)
-            assert [r.dim_cochain - r.dim_cocycles for r in table] == \
-                [ranks[q] for q in range(5)], alg.name
-    # both routes are taken
+        pool += [hidden("a%d" % k, [a], rng.random()), hidden("ab%d" % k, [a, b], rng.random()),
+                 hidden("ah%d" % k, [a, H1], rng.random())]
+    # (evens, odds, parity of z): K without odd or without even
+    # generators under an even z, and odd centres
+    for k, (evens, odds, z) in enumerate(((0, 3, EVEN), (0, 4, EVEN), (4, 0, EVEN), (3, 0, EVEN),
+                                          (2, 2, EVEN), (2, 2, ODD), (2, 3, ODD))):
+        one = LieSuperalgebra("one", *single_target(rng, evens, odds, z, 0.8))
+        pool.append(hidden("one%d" % k, [one], rng.random()))
+    for alg in pool:
+        split = _splits(alg, 4)
+        routes["split" if split else "whole"] += 1
+        table = betti_table(alg, 4)
+        assert [r.dim_cohomology for r in table[:3]] == dense_betti_numbers(alg, 2), alg.name
+        ranks = full_matrix_ranks(alg, 4)
+        assert [r.dim_cochain - r.dim_cocycles for r in table] == \
+            [ranks[q] for q in range(5)], alg.name
+    # both routes are taken, and the canonical tables h_{0,m} and h_{n,0}
+    # are ranked
     assert routes["split"] >= 2 and routes["whole"] >= 2, routes
+    assert any(even == 0 and odd and z == EVEN for even, odd, z in types), types
+    assert any(even and odd == 0 and z == EVEN for even, odd, z in types), types
 
 
 def _corruptions():
-    """Ways to spoil a found split, each (name, spaces -> spaces)."""
-    def moved(spaces):
-        return [spaces[0][1:], spaces[1] + spaces[0][:1]] + spaces[2:]
+    """Ways to spoil a found split, each (check, spaces) -> verdict:
+    check is _checked on the spaces it is given."""
+    def moved(check, spaces):
+        return check([spaces[0][1:], spaces[1] + spaces[0][:1]] + spaces[2:])
 
-    def mixed(spaces):
+    def mixed(check, spaces):
         x, y = spaces[0][0], spaces[1][0]
         out = dict(y)
         for i, v in x.items():
             out[i] = out.get(i, 0) + v
-        return [spaces[0], [out] + spaces[1][1:]] + spaces[2:]
+        return check([spaces[0], [out] + spaces[1][1:]] + spaces[2:])
 
-    def dropped(spaces):
-        return [spaces[0][1:]] + spaces[1:]
+    def dropped(check, spaces):
+        return check([spaces[0][1:]] + spaces[1:])
 
-    def doubled(spaces):
-        return [spaces[0] + spaces[0][:1]] + spaces[1:]
+    def doubled(check, spaces):
+        return check([spaces[0] + spaces[0][:1]] + spaces[1:])
 
-    return [moved, mixed, dropped, doubled]
+    def swapped(check, spaces):
+        # the true split, each part under the other's centre: h_{1,1}'s K,
+        # of dimensions (2, 1), under an odd centre, and h_1's, (1, 1),
+        # under an even one
+        return check(spaces)[::-1]
+
+    return [moved, mixed, dropped, doubled, swapped]
 
 
 @pytest.mark.parametrize("corrupt", _corruptions(), ids=lambda f: f.__name__)
@@ -181,11 +288,13 @@ def test_a_wrong_split_is_rejected_by_the_check(corrupt, monkeypatch):
     verdicts = []
 
     def spoiled(forms, parity, radical, spaces, pivot_parity):
-        verdicts.append(real(forms, parity, radical, corrupt(spaces), pivot_parity))
+        verdicts.append(corrupt(lambda s: real(forms, parity, radical, s, pivot_parity), spaces))
         return verdicts[-1]
 
     monkeypatch.setattr(directsum, "_checked", spoiled)
-    assert _found(alg) is None and verdicts == [None]
+    # spoiled spaces fail the check; swapped centres pass it, and split
+    # refuses their types
+    assert _found(alg) is None and (verdicts == [None]) != (corrupt.__name__ == "swapped")
     # the table takes the whole-table route, with the same answers
     assert betti_table(alg, 5) == want
     assert [cohomology_dims(alg, q) for q in range(6)] == want
