@@ -16,9 +16,12 @@ integer_table, which validate, adapted_basis, bracket(), differential's
 d f_k and symmetry.copy_classes all read, the adapted basis, the
 validity verdict, and the copy classes symmetry finds.  This module
 imports no listing code.  require_valid is
-the one door that decides validity: the family builders, parse_algebra
-and the rank engine all pass through it, so each algebra is validated
-once, on its adapted table.  The adapted basis is computed on
+the one door that decides validity, for the tables that come from
+outside: parse_algebra, betti_table and cohomology_dims pass through
+it, so each such algebra is validated once, on its adapted table.  The
+family constructors only build their explicit tables, which are Lie
+superalgebras by construction; the tests hold them to the axioms.  The
+adapted basis is computed on
 integer_table's ints, fraction-free, by linalg._echelon, the package's
 one echelon form: the one Fraction it makes per structure constant is
 the rewritten constant itself.
@@ -31,8 +34,6 @@ from math import lcm
 from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Tuple
 
-# AlgebraValidationError and the family shapes live in limits, which
-# needs no engine module; they stay importable from here
 from .limits import (AlgebraValidationError, even_family_shape,
                      odd_family_shape)
 from .linalg import _echelon, _subtract
@@ -331,17 +332,6 @@ def require_valid(alg: LieSuperalgebra) -> None:
         raise AlgebraValidationError(validate(alg))
 
 
-def _built_in(name: str, gens, brackets) -> LieSuperalgebra:
-    """A built-in family member, validated once by require_valid."""
-    alg = LieSuperalgebra(name, gens, brackets)
-    try:
-        require_valid(alg)
-    except AlgebraValidationError as err:
-        raise AssertionError("%s failed validation: %s"
-                             % (name, err.violations)) from None
-    return alg
-
-
 def make_heisenberg_even(n: int, m: int) -> LieSuperalgebra:
     """Heisenberg superalgebra h_{n,m} with even central element z.
 
@@ -362,7 +352,7 @@ def _heisenberg_even(name: str, n: int, m: int) -> LieSuperalgebra:
     brackets = {(i, n + i): {0: 1} for i in range(1, n + 1)}
     for j in range(1, m + 1):
         brackets[(2 * n + j, 2 * n + j)] = {0: 1}
-    return _built_in(name, gens, brackets)
+    return LieSuperalgebra(name, gens, brackets)
 
 
 def make_heisenberg_odd(n: int) -> LieSuperalgebra:
@@ -376,4 +366,4 @@ def make_heisenberg_odd(n: int) -> LieSuperalgebra:
     gens += [("y%d" % i, ODD) for i in range(1, n + 1)]
     gens.append(("z", ODD))
     brackets = {(i - 1, n + i - 1): {2 * n: 1} for i in range(1, n + 1)}
-    return _built_in(name, gens, brackets)
+    return LieSuperalgebra(name, gens, brackets)

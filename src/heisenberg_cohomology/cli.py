@@ -31,7 +31,7 @@ import argparse
 import sys
 from importlib import import_module
 
-from .limits import (DEFAULT_COLUMN_CAP, MAX_Q_MAX, AlgebraParseError,
+from .limits import (DEFAULT_COLUMN_CAP, AlgebraParseError,
                      AlgebraValidationError, CodomainTooLarge,
                      ColumnCapExceeded, DegreeLimitExceeded, GridTooLarge,
                      ReportInvariantError, check_column_cap, check_degree,

@@ -8,23 +8,25 @@ default 5000 columns, and a top codomain C^{q+1} over
 CODOMAIN_ROWS_PER_COLUMN times the cap: explicit, overridable
 refusals, not truncations) and returns the dimensions dim C^q that
 every later shape check reads.  Those constants, the checks and the
-error types are defined in limits, which loads no engine module, and
-stay importable from here.  Then algebra.require_valid validates the
+error types are defined in limits, which loads no engine module.  Then
+algebra.require_valid, the one validity door, validates the
 algebra rewritten in a basis adapted to [g, g]
 (algebra.adapted_basis; the identity on the built-in families), which
 keeps every Betti number and makes dense-basis matrices sparse: a
 table that is not a Lie superalgebra, so d^2 != 0, raises
 AlgebraValidationError.  The rewrite and the verdict are kept on the
-algebra, so one that parse_algebra or a family constructor just
-checked is neither rewritten nor validated again.  A verify grid point
-runs neither step: limits.check_grid refused the whole grid first and
-hands each point its dimensions, and the family constructor validated
-the member, so an even point calls _betti_table with them, and an odd
-point builds its listing as _betti_table does.  Each call owns one
-listing, OrbitListing(_Workspace(adapted, degree), top): the workspace
-(differential._Workspace) is the d-term table of the adapted algebra,
-and the listing (symmetry.OrbitListing), built above it, lists the
-cochains the call needs once and keeps the workspace as
+algebra, so one that parse_algebra just checked is neither rewritten
+nor validated again.  A table the engine builds for itself is not
+validated, since the built-in families are Lie superalgebras by
+construction, and takes its dimensions from a check made before:
+limits.check_grid refused a whole verify grid first and hands each
+point its dimensions, so an even point calls _betti_table with them,
+and an odd point builds its listing as _betti_table does; a direct-sum
+part takes those of limits.check_column_cap (below).  Each call owns
+one listing, OrbitListing(_Workspace(adapted, degree), top): the
+workspace (differential._Workspace) is the d-term table of the adapted
+algebra, and the listing (symmetry.OrbitListing), built above it,
+lists the cochains the call needs once and keeps the workspace as
 listing.workspace.  The rank helpers take the listing alone, and it is
 dropped when the call returns or raises.
 The reports are built by reports._reports, the one builder of the rank
@@ -80,11 +82,14 @@ gives them in full):
    odd one.
 3. A rank does not depend on the field.
 
-So each distinct type is ranked once per call, by betti_table on its
+So each distinct type is ranked once per call, by _betti_table on its
 canonical table (make_heisenberg_odd, or algebra._heisenberg_even,
-where n or m may be 0), and the Betti numbers are the Kunneth product
-of the parts' and R's.  A split not found, or failing the check, sends
-the table down the routes above: it costs speed, never an answer.
+where n or m may be 0) with the dimensions limits.check_column_cap
+gives it, and the Betti numbers are the Kunneth product of the parts'
+and R's.  That check cannot refuse: a part's C^q is never larger than
+the whole table's, which the entry checked.  A split not found, or
+failing the check, sends the table down the routes above: it costs
+speed, never an answer.
 Refusals come from the full sizes, before the split.
 """
 
@@ -98,14 +103,7 @@ from .algebra import (LieSuperalgebra, _heisenberg_even, adapted_basis,
 from .differential import (_coboundary, _lefschetz_block, _odd_centre,
                            _RowIndex, _Workspace)
 from .symmetry import OrbitListing
-# the size refusals and the error types live in limits, which needs no
-# engine module; they stay importable from here
-from .limits import (CODOMAIN_ROWS_PER_COLUMN, DEFAULT_COLUMN_CAP, MAX_Q_MAX,
-                     AlgebraValidationError, CodomainTooLarge,
-                     ColumnCapExceeded, DegreeLimitExceeded,
-                     ReportInvariantError, _checked_dims, check_column_cap,
-                     check_degree, even_family_shape, graded_dim,
-                     odd_family_shape)
+from .limits import DEFAULT_COLUMN_CAP, _checked_dims, check_column_cap, graded_dim
 from .linalg import rank
 from .reports import METHOD_RANK, CohomologyReport, _reports
 
@@ -180,13 +178,13 @@ def _split_ranks(adapted: LieSuperalgebra, q_max: int, cap: int,
     The gate costs O(brackets) and imports nothing: the table must be
     two-step, its bracket targets P (the pivots that span [g, g]) in no
     bracket, with q_max >= 2 (below, d_q costs no more than the
-    search), and every C^q up to q_max within the cap, so that no
-    canonical table's betti_table refuses.  A table with |P| = 1 passes
-    only when its coefficients differ in absolute value: with one
+    search), and every C^q up to q_max within the cap, so that
+    check_column_cap refuses no canonical table.  A table with |P| = 1
+    passes only when its coefficients differ in absolute value: with one
     coefficient up to sign (the built-in members in any generator
     order, and every canonical table) it keeps the rank routes, and
     its copies.  Each distinct part type is ranked once, by
-    betti_table on its canonical table; H(g) is the Kunneth product of
+    _betti_table on its canonical table; H(g) is the Kunneth product of
     the parts' and the free part's, and rank d_q = dim C^q - dim H^q
     - rank d_{q-1}.
     """
@@ -212,7 +210,9 @@ def _split_ranks(adapted: LieSuperalgebra, q_max: int, cap: int,
     for even, odd, z in dict.fromkeys(types):
         part = (make_heisenberg_odd(odd) if z else
                 _heisenberg_even("h_{%d,%d}" % (even // 2, odd), even // 2, odd))
-        ranked[even, odd, z] = [r.dim_cohomology for r in betti_table(part, q_max, cap)]
+        dims_part = check_column_cap(part.name, part.superdim, q_max, cap)
+        ranked[even, odd, z] = [r.dim_cohomology
+                                for r in _betti_table(part, q_max, cap, dims_part)]
     for kind in types:
         h = ranked[kind]
         betti = [sum(betti[i] * h[q - i] for i in range(q + 1)) for q in range(q_max + 1)]
@@ -261,7 +261,8 @@ def _betti_table(algebra: LieSuperalgebra, q_max: int, column_cap: int,
                  dims: Dict[int, int]) -> List[CohomologyReport]:
     """betti_table past its refusals and require_valid, given their
     dimensions `dims` {q: dim C^q} for q = -1..q_max + 1; a verify grid
-    point's come from limits.check_grid."""
+    point's come from limits.check_grid, and a direct-sum part's from
+    limits.check_column_cap."""
     adapted = adapted_basis(algebra)
     rk = _split_ranks(adapted, q_max, column_cap, dims)
     if rk is not None:

@@ -151,8 +151,7 @@ def monomial_sort_key(mono: SuperMonomial):
             tuple(-a for a in mono.odd_exponents))
 
 
-def enumerate_basis(dims: SuperSpaceDims, q: int,
-                    without: Optional[int] = None) -> List[SuperMonomial]:
+def enumerate_basis(dims: SuperSpaceDims, q: int) -> List[SuperMonomial]:
     """Degree-q basis monomials over `dims`, in the canonical order.
 
     The order is: more even factors first, then even index sets in
@@ -160,25 +159,18 @@ def enumerate_basis(dims: SuperSpaceDims, q: int,
     descending lexicographic order, that of superexterior._keys over
     ascending units.  enumerate_basis(dims, q) always has
     graded_dim(dims, q) entries.
-
-    With `without`, an odd generator's position, only the monomials in
-    which it has exponent 0, in the same order: the basis of the
-    cochains without that dual, graded_dim((n, m - 1), q) entries.
     """
     n, m = dims
     if n < 0 or m < 0:
         raise ValueError("dimensions must be nonnegative")
-    if without is not None and not 0 <= without < m:
-        raise ValueError("no odd generator %d among %d" % (without, m))
     if q < 0:
         return []
-    slots = [j for j in range(m) if j != without]
     # index multisets come in lexicographic order, which is descending
     # lexicographic order of the exponent tuples; each exponent tuple is
     # built once and shared over the even masks
     monomials = []
     for q0 in range(min(q, n), -1, -1):
-        alphas = tuple(map(_exponents, combinations_with_replacement(slots, q - q0),
+        alphas = tuple(map(_exponents, combinations_with_replacement(range(m), q - q0),
                            repeat(m)))
         if not alphas:
             continue

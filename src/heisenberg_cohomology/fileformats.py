@@ -35,9 +35,7 @@ from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .algebra import LieSuperalgebra, require_valid
-# both error types live in limits, which needs no engine module, so the
-# CLI catches them without loading this one; they stay importable here
-from .limits import AlgebraParseError, AlgebraValidationError
+from .limits import AlgebraParseError
 
 # ASCII digits only: \d would admit every Unicode decimal digit
 _RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[1-9][0-9]*)?$")

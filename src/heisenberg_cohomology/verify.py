@@ -28,7 +28,9 @@ the same check before this module is loaded.  check_grid returns each
 point's dimensions dim C^q, and the point takes them as they are: an
 even point calls cohomology._betti_table with them, and an odd point
 checks its blocks' shapes against them, so no dimension is computed
-twice.  The family constructors have validated every member.
+twice.  No member is validated: the families are Lie superalgebras by
+construction, and algebra.require_valid is the door for tables that
+come from outside.
 """
 
 from __future__ import annotations
@@ -40,11 +42,7 @@ from .algebra import adapted_basis, make_heisenberg_even, make_heisenberg_odd
 from .cohomology import _betti_table, _block_ranks, _lefschetz_blocks
 from .differential import _lefschetz_block, _Workspace
 from .formulas import dim_h_even, dim_h_odd_displayed, dim_h_odd_proof, ker_psi_dim
-# the grid's refusals live in limits, which needs no engine module, so
-# the CLI runs them before this module is loaded; they stay importable
-# from here
-from .limits import (DEFAULT_COLUMN_CAP, MAX_GRID_POINTS, GridTooLarge,
-                     _check_psi_codomain, check_grid)
+from .limits import DEFAULT_COLUMN_CAP, check_grid
 from .linalg import RationalMatrix, kernel_dim
 from .reports import _Record, _reports
 from .symmetry import OrbitListing

@@ -352,7 +352,7 @@ def test_verify_refuses_an_oversized_grid_from_its_size(capsysbinary, monkeypatc
         code, out, err = run_cli(capsysbinary, argv)
         assert (code, out) == (3, b""), argv
         assert err == ("resource refusal: refusing a verify grid of %d points, "
-                       "limit is %d\n" % (points, verify.MAX_GRID_POINTS)).encode()
+                       "limit is %d\n" % (points, limits.MAX_GRID_POINTS)).encode()
 
 
 def test_verify_refuses_an_oversized_psi_codomain(capsysbinary, monkeypatch):
@@ -414,7 +414,8 @@ def test_oversized_codomain_refuses_before_the_family_is_built(capsysbinary,
 
 
 def test_refusal_message_matches_betti_table(capsysbinary):
-    from heisenberg_cohomology.cohomology import ColumnCapExceeded, betti_table
+    from heisenberg_cohomology.cohomology import betti_table
+    from heisenberg_cohomology.limits import ColumnCapExceeded
     with pytest.raises(ColumnCapExceeded) as exc:
         betti_table(make_heisenberg_odd(3), 4, 5)
     code, out, err = run_cli(capsysbinary, [
@@ -475,7 +476,7 @@ def test_inconsistent_report_is_an_internal_error(capsysbinary, monkeypatch):
 
 def _degree_refusal(q_max):
     return ("resource refusal: refusing --q-max %d, limit is %d\n"
-            % (q_max, cli.MAX_Q_MAX)).encode()
+            % (q_max, limits.MAX_Q_MAX)).encode()
 
 
 def test_degree_limit_refuses_before_any_work(capsysbinary, monkeypatch, tmp_path):
@@ -487,7 +488,7 @@ def test_degree_limit_refuses_before_any_work(capsysbinary, monkeypatch, tmp_pat
     monkeypatch.setattr(verify, "_Workspace", _never_built)
     monkeypatch.setattr(limits, "check_column_cap", _never_built)
     missing = str(tmp_path / "missing.alg")
-    for q_max in (cli.MAX_Q_MAX + 1, 100000000):
+    for q_max in (limits.MAX_Q_MAX + 1, 100000000):
         q = str(q_max)
         for argv in (
                 ["even", "--n", "1", "--m", "1", "--q-max", q],
@@ -521,11 +522,11 @@ def test_argument_checks_come_before_the_degree_limit(capsysbinary):
 
 def test_degree_limit_itself_is_accepted(capsysbinary):
     code, out, _ = run_cli(capsysbinary, [
-        "even", "--n", "1", "--m", "1", "--q-max", str(cli.MAX_Q_MAX),
+        "even", "--n", "1", "--m", "1", "--q-max", str(limits.MAX_Q_MAX),
         "--format", "csv"])
     assert code == 0
     rows = list(csv.reader(io.StringIO(out.decode())))[1:]
-    assert [r[1] for r in rows] == [str(q) for q in range(cli.MAX_Q_MAX + 1)]
+    assert [r[1] for r in rows] == [str(q) for q in range(limits.MAX_Q_MAX + 1)]
 
 
 def test_cli_imports_neither_dataclasses_nor_inspect():

@@ -6,21 +6,18 @@ import pytest
 
 from heisenberg_cohomology import (algebra, cohomology, differential, elements,
                                    limits, symmetry)
-from heisenberg_cohomology.algebra import (EVEN, AlgebraValidationError,
-                                           LieSuperalgebra, adapted_basis,
+from heisenberg_cohomology.algebra import (EVEN, LieSuperalgebra, adapted_basis,
                                            make_heisenberg_even,
-                                           make_heisenberg_odd, odd_family_shape,
-                                           validate)
-from heisenberg_cohomology.cohomology import (CodomainTooLarge,
-                                              ColumnCapExceeded,
-                                              CohomologyReport,
-                                              DegreeLimitExceeded, METHOD_RANK,
-                                              ReportInvariantError,
-                                              betti_table, check_column_cap,
-                                              cohomology_dims)
+                                           make_heisenberg_odd, validate)
+from heisenberg_cohomology.cohomology import betti_table, cohomology_dims
 from heisenberg_cohomology.elements import differential_matrix
 from heisenberg_cohomology.fileformats import format_algebra, parse_algebra
+from heisenberg_cohomology.limits import (AlgebraValidationError, CodomainTooLarge,
+                                          ColumnCapExceeded, DegreeLimitExceeded,
+                                          ReportInvariantError, check_column_cap,
+                                          odd_family_shape)
 from heisenberg_cohomology.linalg import RationalMatrix, rank
+from heisenberg_cohomology.reports import METHOD_RANK, CohomologyReport
 from heisenberg_cohomology.verify import Comparison, VerifyResult, verify_family
 
 from test_adapted_basis import (HIDDEN_SUMS, _hidden_two_step,
@@ -369,34 +366,37 @@ def test_cochain_spaces_are_released_when_the_call_returns(monkeypatch):
 
 
 def test_an_algebra_is_validated_once(monkeypatch):
-    # every door into the engine passes through algebra.require_valid,
-    # so algebra.validate is the only caller to count
+    # algebra.require_valid is the one door, for the tables a caller
+    # hands in, so algebra.validate is the only caller to count
     alg = _hidden_valid("hidden", 2)
-    parts = [make_heisenberg_even(1, 1), make_heisenberg_odd(1)]
     checked = _counted(monkeypatch, algebra, "validate")
     first = cohomology_dims(alg, 3)
-    # the table splits into h_{1,1} + h_1: each call builds the canonical
-    # table of each part type once, and its constructor validates it
-    assert checked == [adapted_basis(alg), *parts]
+    # the table splits into h_{1,1} + h_1, and the canonical table of
+    # each part type, which the engine builds for itself, is not validated
+    assert checked == [adapted_basis(alg)]
     # the verdict is kept on the algebra beside its rewrite
     assert cohomology_dims(alg, 3) == first and betti_table(alg, 3)[3] == first
-    assert checked == [adapted_basis(alg), *parts * 3]
-    # the family constructors and parse_algebra validate what they build,
-    # and the engine makes no call on it afterwards: only the canonical
-    # part tables that the parsed sum's split builds are validated
+    assert checked == [adapted_basis(alg)]
+    # the family constructors validate nothing; parse_algebra validates
+    # what it parses, and the engine makes no call on it afterwards
     checked.clear()
     families = [make_heisenberg_odd(2), make_heisenberg_even(1, 2)]
     parsed = parse_algebra(format_algebra(alg))
-    assert checked == [*families, adapted_basis(parsed)]
+    assert checked == [adapted_basis(parsed)]
+    # a family member handed to the engine is validated once, as its own
+    # adapted table
     checked.clear()
-    for member in families:
-        betti_table(member, 3)
-    cohomology_dims(parsed, 2)
-    assert checked == parts
-    # verify_family validates each h_n it builds, once
+    for _ in range(2):
+        for member in families:
+            betti_table(member, 3)
+            cohomology_dims(member, 2)
+        cohomology_dims(parsed, 2)
+    assert checked == families == [adapted_basis(member) for member in families]
+    # verify_family validates none of the members it builds
     checked.clear()
-    verify_family("odd", 2, None, 3)
-    assert [a.name for a in checked] == ["h_1", "h_2"]
+    assert verify_family("odd", 2, None, 3).ok()
+    assert verify_family("even", 1, 2, 3).ok()
+    assert checked == []
     # a failing verdict is kept too, and still raises with the table's
     # own messages
     bad = _invalid_algebras()[0]

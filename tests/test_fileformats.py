@@ -13,9 +13,8 @@ from heisenberg_cohomology.algebra import (LieSuperalgebra, adapted_basis,
                                            make_heisenberg_even,
                                            make_heisenberg_odd, validate)
 from heisenberg_cohomology.cohomology import betti_table, cohomology_dims
-from heisenberg_cohomology.fileformats import (AlgebraParseError,
-                                               AlgebraValidationError,
-                                               format_algebra, parse_algebra)
+from heisenberg_cohomology.fileformats import format_algebra, parse_algebra
+from heisenberg_cohomology.limits import AlgebraParseError, AlgebraValidationError
 from heisenberg_cohomology.reports import CSV_FIELDS, JSON_FIELDS, emit_report
 
 from test_validate import BAD_SL2, OSP12, SL2, _table, change_basis, direct_sum

@@ -65,32 +65,6 @@ def test_error_types_are_defined_in_limits():
         assert type(error).__module__ == "heisenberg_cohomology.limits"
 
 
-# (module, name) pairs that named a moved object before it moved
-OLD_HOMES = (
-    (cohomology, ("DEFAULT_COLUMN_CAP", "MAX_Q_MAX", "CODOMAIN_ROWS_PER_COLUMN",
-                  "DegreeLimitExceeded", "ColumnCapExceeded", "CodomainTooLarge",
-                  "ReportInvariantError", "AlgebraValidationError",
-                  "check_degree", "_checked_dims", "check_column_cap",
-                  "even_family_shape", "odd_family_shape", "graded_dim")),
-    (verify, ("MAX_GRID_POINTS", "GridTooLarge", "check_grid",
-              "_check_psi_codomain", "DEFAULT_COLUMN_CAP")),
-    (algebra, ("AlgebraValidationError", "even_family_shape", "odd_family_shape")),
-    (fileformats, ("AlgebraParseError", "AlgebraValidationError")),
-    (formulas, ("graded_dim", "sym_power_dim")),
-    (cli, ("DEFAULT_COLUMN_CAP", "MAX_Q_MAX", "AlgebraParseError",
-           "AlgebraValidationError", "CodomainTooLarge", "ColumnCapExceeded",
-           "DegreeLimitExceeded", "GridTooLarge", "ReportInvariantError",
-           "check_column_cap", "check_degree", "even_family_shape",
-           "odd_family_shape")),
-)
-
-
-def test_old_import_paths_give_the_limits_objects():
-    for module, names in OLD_HOMES:
-        for name in names:
-            assert getattr(module, name) is getattr(limits, name), (module, name)
-
-
 def test_graded_dim_takes_any_pair():
     dims = elements.SuperSpaceDims(3, 2)
     for q in range(-1, 6):
@@ -98,22 +72,22 @@ def test_graded_dim_takes_any_pair():
             == len(elements.enumerate_basis(dims, q))
 
 
-# the package's public names, by a module that holds each one
+# the package's public names, by the module that defines each one
 PUBLIC = {
-    algebra: ("EVEN", "ODD", "AlgebraValidationError", "Generator",
-              "LieSuperalgebra", "make_heisenberg_even", "make_heisenberg_odd",
-              "validate"),
-    cohomology: ("DEFAULT_COLUMN_CAP", "MAX_Q_MAX", "CodomainTooLarge",
-                 "ColumnCapExceeded", "DegreeLimitExceeded", "betti_table",
-                 "cohomology_dims", "graded_dim"),
+    algebra: ("EVEN", "ODD", "Generator", "LieSuperalgebra", "make_heisenberg_even",
+              "make_heisenberg_odd", "validate"),
+    cohomology: ("betti_table", "cohomology_dims"),
     elements: ("DifferentialMatrix", "SuperElement", "SuperMonomial", "SuperSpaceDims",
                "d_element", "d_generator", "differential_matrix", "dual_pairing",
                "element_pairing", "enumerate_basis", "monomial_sort_key",
                "psi_matrix", "tau", "wedge", "wedge_monomials"),
-    fileformats: ("AlgebraParseError", "format_algebra", "parse_algebra"),
+    fileformats: ("format_algebra", "parse_algebra"),
     formulas: ("binom", "delta", "dim_h_even", "dim_h_odd_displayed",
                "dim_h_odd_proof", "even_cocycle_dim", "ker_psi_dim",
-               "odd_cocycle_dim", "sym_power_dim"),
+               "odd_cocycle_dim"),
+    limits: ("AlgebraParseError", "AlgebraValidationError", "CodomainTooLarge",
+             "ColumnCapExceeded", "DEFAULT_COLUMN_CAP", "DegreeLimitExceeded",
+             "MAX_Q_MAX", "graded_dim", "sym_power_dim"),
     linalg: ("RationalMatrix", "kernel_dim", "rank"),
     reports: ("METHOD_FORMULA_EVEN", "METHOD_FORMULA_ODD_PROOF", "METHOD_RANK",
               "CohomologyReport", "emit_report"),
@@ -206,6 +180,17 @@ def test_the_import_graph():
     assert targets("reports") == {"limits"}
     assert targets("fileformats") == {"algebra", "limits"}
     assert {source for source, _, target in imports if target == "formulas"} == {"verify"}
+    # no module re-exports another's names: every name a module imports
+    # from the package is read in that module, so a name is reached
+    # through the module that defines it or through the package
+    for path in sorted(Path(heisenberg_cohomology.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        bound = {alias.asname or alias.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.level
+                 for alias in node.names}
+        assert bound <= read, (path.stem, sorted(bound - read))
 
 
 def test_the_engine_modules_hold_only_keys_and_the_kernel():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from heisenberg_cohomology.algebra import (EVEN, ODD, LieSuperalgebra,
-                                           make_heisenberg_even,
+                                           _heisenberg_even, make_heisenberg_even,
                                            make_heisenberg_odd, validate)
 
 from oracles import validate_dense
@@ -213,6 +213,22 @@ def test_validate_matches_dense_oracle():
         invalid += bool(got)
     # the set is not vacuous on either side
     assert 150 <= invalid <= len(TABLES) - 40
+
+
+def test_the_tables_the_engine_builds_are_lie_superalgebras():
+    # the engine validates no table it builds for itself: each verify
+    # grid member and each direct-sum part's canonical table, h_{n,m}
+    # (n or m may be 0) and h_n, is held to the axioms here instead, by
+    # validate and by the dense oracle
+    built = [_heisenberg_even("h_{%d,%d}" % (n, m), n, m)
+             for n in range(5) for m in range(5)]
+    built += [make_heisenberg_odd(n) for n in range(1, 9)]
+    for alg in built:
+        assert validate(alg) == validate_dense(alg) == [], alg.name
+    # make_heisenberg_even builds the same tables past its shape check
+    for n in range(1, 5):
+        for m in range(1, 5):
+            assert make_heisenberg_even(n, m) == _heisenberg_even("h_{%d,%d}" % (n, m), n, m)
 
 
 def test_valid_tables_pass_and_broken_sums_fail_jacobi():

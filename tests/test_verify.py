@@ -4,10 +4,9 @@ from fractions import Fraction
 import pytest
 
 from heisenberg_cohomology import cohomology, elements, limits, symmetry, verify
-from heisenberg_cohomology.cohomology import CodomainTooLarge
 from heisenberg_cohomology.elements import psi_matrix
 from heisenberg_cohomology.formulas import ker_psi_dim
-from heisenberg_cohomology.limits import graded_dim
+from heisenberg_cohomology.limits import CodomainTooLarge, graded_dim
 from heisenberg_cohomology.linalg import RationalMatrix, kernel_dim
 
 
@@ -231,5 +230,5 @@ def test_psi_codomain_is_refused_before_any_point(monkeypatch):
                               "column cap; raise the cap to force the "
                               "computation)")
     # the column cap is still checked first, at every point
-    with pytest.raises(cohomology.ColumnCapExceeded):
+    with pytest.raises(limits.ColumnCapExceeded):
         verify.verify_family("odd", 100, None, 2)
