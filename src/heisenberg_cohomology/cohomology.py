@@ -53,7 +53,8 @@ Both routes list their cochains through the call's OrbitListing.orbits
 alone, one block per stack.  A table with classes of identical copies
 (symmetry.copy_classes; h_n, and h_{n,m} with n or m at least 2) is
 ranked one block per orbit: d keeps each copy's charge, a permutation
-of copies maps the block of one charge tuple onto another's, so
+of copies, or of one copy's generators by its class's local group,
+maps the block of one charge tuple onto another's, so
 rank d_q (or rank L^(t)) = sum over representatives of
 |orbit| rank(block), and the listing has only the representatives'
 keys, stacked by orbit size.  A table without copies has one stack of
@@ -116,22 +117,24 @@ def _checked_rank(listing: OrbitListing, q: int, dims: Dict[int, int]) -> int:
         return 0
     built = [(orbit, _coboundary(listing.workspace, keys, _RowIndex()))
              for orbit, keys in listing.orbits(q)]
-    _check_orbits("d_%d" % q, built, "C^%d" % q, dims[q], "C^%d" % (q + 1), dims[q + 1])
+    _check_orbits(built, "d", q, dims[q], dims[q + 1])
     return sum(orbit * rank(matrix) for orbit, matrix in built)
 
 
-def _check_orbits(name: str, built, domain: str, cols: int, codomain: str,
-                  rows: int) -> None:
-    """The shape check of a matrix ranked by its representative blocks,
-    the (orbit size, matrix) groups `built`, each group's rows those it
-    reaches: sum |orbit| columns must be dim `domain` = cols, and sum
-    |orbit| rows at most dim `codomain` = rows."""
-    width = sum(orbit * matrix.cols for orbit, matrix in built)
-    height = sum(orbit * matrix.rows for orbit, matrix in built)
+def _check_orbits(built, kind: str, q: int, cols: int, rows: int) -> None:
+    """The shape check of d_q (kind "d", from C^q to C^(q+1)) or L^(q)
+    (kind "L", from A^q to A^(q+2)) ranked by its representative blocks,
+    the groups `built`, each an orbit size first and a block, its rows
+    those it reaches, last: sum |orbit| columns must be the domain's
+    dimension, cols, and sum |orbit| rows at most the codomain's, rows.
+    The message is formatted only when the check fails."""
+    width = sum(group[0] * group[-1].cols for group in built)
+    height = sum(group[0] * group[-1].rows for group in built)
     if width != cols or height > rows:
+        name, space, step = ("d_%d" % q, "C", 1) if kind == "d" else ("L^(%d)" % q, "A", 2)
         raise AssertionError("%s has shape %dx%d summed over its orbits, not at "
-                             "most dim %s = %d rows by dim %s = %d columns"
-                             % (name, height, width, codomain, rows, domain, cols))
+                             "most dim %s^%d = %d rows by dim %s^%d = %d columns"
+                             % (name, height, width, space, q + step, rows, space, q, cols))
 
 
 def _lefschetz_blocks(listing: OrbitListing, z: int, dims: Dict[int, int],
@@ -155,8 +158,7 @@ def _lefschetz_blocks(listing: OrbitListing, z: int, dims: Dict[int, int],
     for t in range(t_end):
         built = [(orbit, keys, _lefschetz_block(listing.workspace, z, t, 1, keys))
                  for orbit, keys in listing.orbits(t, z)]
-        _check_orbits("L^(%d)" % t, [(orbit, block) for orbit, _, block in built],
-                      "A^%d" % t, dim_a[t], "A^%d" % (t + 2), dim_a[t + 2])
+        _check_orbits(built, "L", t, dim_a[t], dim_a[t + 2])
         yield t, [(orbit, keys, block, rank(block)) for orbit, keys, block in built]
 
 

@@ -9,8 +9,12 @@ e_i + e_j (- e_k when k lies in the component) over its bracket terms;
 _echelon_lattice and _lattice_class are the integer row reduction that
 gives each class one representative.  d keeps every copy's charge, so
 it is block diagonal over charge tuples, and permuting the copies of a
-class permutes the blocks up to sign: the rank engine ranks one block
-per orbit.  This module imports algebra and superexterior; algebra and
+class permutes the blocks up to sign.  So does each class's local
+group (_local_group), the permutations of one copy's generators that
+with signs are automorphisms, such as h_{n,m}'s x_i -> x_{n+i},
+x_{n+i} -> -x_i: the rank engine ranks one block per orbit of both,
+of the wreath product S_c wr G of c copies with local group G.  This
+module imports algebra and superexterior; algebra and
 differential import nothing from here, nor this module anything from
 differential.
 
@@ -38,7 +42,8 @@ canonical order, and lists no degree it is not asked for.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import accumulate, groupby
+from itertools import accumulate, groupby, permutations, product
+from math import factorial
 from operator import add
 from typing import Dict, List, Optional, Tuple
 
@@ -157,9 +162,86 @@ def copy_classes(alg: LieSuperalgebra) -> tuple:
                     relations.append(v)
             lattice = _echelon_lattice(relations, width)
             if len(lattice) < width or any(row[p] != 1 for p, row in lattice):
-                found.append((parities, lattice, tuple(copies)))
+                found.append((parities, lattice, tuple(copies), _local_group(parities, table)))
         alg._derived["copies"] = tuple(found)
     return alg._derived["copies"]
+
+
+# parity-keeping permutations of one copy's generators that
+# _local_group tries, at most; a copy with more gets the trivial group
+_SEARCH_BOUND = 720
+
+
+def _local_group(parities, table) -> Tuple[Tuple[int, ...], ...]:
+    """The local group of a copy: the permutations sigma of its
+    generators, identity first, for which some signs eps make
+    g_a -> eps_a g_sigma(a) an automorphism of the copy's bracket table
+    `table` (copy_classes' signature, with ints) that fixes its central
+    targets.  Such a map, the identity off the copy, is an automorphism
+    of the algebra, so its cochain map commutes with d and maps the
+    block of each charge onto the block of the permuted charge, keys to
+    +-keys: the blocks of one orbit have one rank.
+
+    Only a copy whose every target is central is searched, over the
+    sigma that keep parities, at most _SEARCH_BOUND of them; any
+    other copy, and one with no two generators of a parity (h_n's
+    (x_i, y_i), the y_j), gets the trivial group, which costs speed but
+    never an answer.  Each sigma is checked exactly: every nonzero
+    bracket goes to +- its image (_signed)."""
+    identity = tuple(range(len(parities)))
+    evens = [a for a, p in enumerate(parities) if not p]
+    odds = [a for a, p in enumerate(parities) if p]
+    if (max(len(evens), len(odds)) < 2
+            or factorial(len(evens)) * factorial(len(odds)) > _SEARCH_BOUND
+            or any(k >= 0 for _, _, targets in table for k, _ in targets)):
+        return (identity,)
+    bracket = {}
+    for a, b, targets in table:
+        bracket[a, b] = dict(targets)
+        # [g_b, g_a] = -(-1)^{|a||b|} [g_a, g_b]
+        flip = 1 if parities[a] and parities[b] else -1
+        bracket[b, a] = {k: flip * c for k, c in targets}
+    group = [identity]
+    for even, odd in product(permutations(evens), permutations(odds)):
+        sigma = [0] * len(parities)
+        for a, b in zip(evens + odds, even + odd):
+            sigma[a] = b
+        if tuple(sigma) != identity and _signed(sigma, bracket):
+            group.append(tuple(sigma))
+    return tuple(group)
+
+
+def _signed(sigma, bracket) -> bool:
+    """Whether some signs eps make g_a -> eps_a g_sigma(a) keep every
+    bracket of `bracket` ({(a, b): {central target: coefficient}} in
+    both orders): each nonzero [g_a, g_b] must go to s times
+    [g_sigma(a), g_sigma(b)], s = +-1, and eps_a eps_b = s must have a
+    solution.  sigma is a bijection, so the zero brackets then go to
+    zero brackets."""
+    edges: Dict[int, List[Tuple[int, int]]] = {}
+    for (a, b), targets in bracket.items():
+        image = bracket.get((sigma[a], sigma[b]))
+        if image == targets:
+            s = 1
+        elif image == {k: -c for k, c in targets.items()}:
+            s = -1
+        else:
+            return False
+        edges.setdefault(a, []).append((b, s))
+    sign: Dict[int, int] = {}
+    for start in edges:
+        if start in sign:
+            continue
+        sign[start], stack = 1, [start]
+        while stack:
+            a = stack.pop()
+            for b, s in edges[a]:
+                if b not in sign:
+                    sign[b] = sign[a] * s
+                    stack.append(b)
+                elif sign[b] != sign[a] * s:
+                    return False
+    return True
 
 
 class OrbitListing:
@@ -189,15 +271,15 @@ class OrbitListing:
         # the largest unit; a walk's keys carry their degree in the bits
         # above, so a sum of keys sums their degrees
         one = 1 << (workspace.radix * max(unit.values(), default=1)).bit_length()
-        groups, *factors = [_listed(parities, lattice, [[unit[g] + one for g in c] for c in copies],
-                                    top, one)
-                            for parities, lattice, copies in classes] or [{1: {0: [0]}}]
+        groups, *factors = [_listed(parities, lattice, group,
+                                    [[unit[g] + one for g in c] for c in copies], top, one)
+                            for parities, lattice, copies, group in classes] or [{1: {0: [0]}}]
         for factor in factors:
             groups = _times(groups, factor, top)
         self.groups = {orbit: dict(sorted(by_degree.items()))
                        for orbit, by_degree in sorted(groups.items())}
         self.degrees = sorted({d for by_degree in self.groups.values() for d in by_degree})
-        self.in_copies = {g for _, _, copies in classes for c in copies for g in c}
+        self.in_copies = {g for _, _, copies, _ in classes for c in copies for g in c}
         self.free = [g for g in range(algebra.dim) if g not in self.in_copies]
         self._free: Dict[Optional[int], tuple] = {}
 
@@ -238,25 +320,33 @@ class OrbitListing:
         return [(orbit, keys) for orbit, keys in stacks if keys]
 
 
-def _listed(parities, lattice, units, top: int, one: int) -> Dict[int, Dict[int, List[int]]]:
+def _listed(parities, lattice, group, units, top: int,
+            one: int) -> Dict[int, Dict[int, List[int]]]:
     """One copy class's representative keys of degree at most top, as
     {orbit size: {degree: keys}}, in increasing degree: the copies'
-    local parities, the echelon basis of their charge lattice, and each
-    copy's generators' keys of degree 1 plus `one`, a bit above every
-    key, so that a sum of keys is its key plus its degree times `one`.
+    local parities, the echelon basis of their charge lattice, their
+    local group (_local_group), and each copy's generators' keys of
+    degree 1 plus `one`, a bit above every key, so that a sum of keys
+    is its key plus its degree times `one`.
 
     The exponent vectors of degree at most top are classed by charge
     once (_exponents, _lattice_class), and each copy's keys of all of
-    them come from one pass per generator (keyed).
+    them come from one pass per generator (keyed).  A local group
+    beyond the identity keeps the first charge of each of its orbits,
+    with the orbit's size (_local_orbits); the zero charge is its own
+    orbit.
 
     A representative gives copies 0..f-1 nonzero charges in sorted
-    order and the zero charge to every later copy; its orbit size is
-    the multinomial of the charges' runs.  The walk goes copy by copy:
-    copy i takes each nonzero charge at or after the last one's, every
-    degree of it at once, and keeps the sums whose degree fits; the
-    orbit size grows by (copies - i) / run as it takes a charge the
-    run-th time in a row.  Every nonzero charge has degree 1 or more,
-    so only copies 0..top-1 take one, however many copies there are.
+    order and the zero charge to every later copy; its orbit, under
+    the permutations of the copies and each copy's local group, has
+    the multinomial of the charges' runs times each charge's local
+    orbit size.  The walk goes copy by copy: copy i takes each nonzero
+    charge at or after the last one's, every degree of it at once, and
+    keeps the sums whose degree fits; the orbit size grows by
+    (copies - i) / run, times the charge's local orbit size, as it
+    takes a charge the run-th time in a row.  Every nonzero charge has
+    degree 1 or more, so only copies 0..top-1 take one, however many
+    copies there are.
     Entries of one level with the same last charge, run and orbit size
     have the same future and walk on as one, whatever their degrees;
     each orbit size of level i is closed once, with the zero charge on
@@ -273,6 +363,9 @@ def _listed(parities, lattice, units, top: int, one: int) -> Dict[int, Dict[int,
     # least degree first, so a walk with less room stops at the first
     # charge that does not fit
     charges = sorted((min(es)[0], c, [e for _, e in es]) for c, es in table.items())
+    size = [1] * len(charges)
+    if len(group) > 1:
+        charges, size = _local_orbits(charges, lattice, group)
     least = [d for d, _, _ in charges]
     exps = zero + [e for _, _, es in charges for e in es]
     ends = list(accumulate([len(zero)] + [len(es) for _, _, es in charges]))
@@ -309,12 +402,32 @@ def _listed(parities, lattice, units, top: int, one: int) -> Dict[int, Dict[int,
                 r = run + 1 if s == last else 1
                 new = [c for a in keys for b in ks if (c := a + b) < limit]
                 if new:
-                    grown.setdefault((s, r, orbit * (len(units) - i) // r), []).extend(new)
+                    grown.setdefault((s, r, orbit * size[s] * (len(units) - i) // r),
+                                     []).extend(new)
         for orbit, keys in heads.items():
             listed.setdefault(orbit, []).extend(_sums(keys, tails[i], limit))
         level = grown
     return {orbit: {d: [k & one - 1 for k in ks] for d, ks in groupby(sorted(keys), one.__rfloordiv__)}
             for orbit, keys in listed.items()}
+
+
+def _local_orbits(charges, lattice, group):
+    """(charges, sizes): the first of `charges`, (least degree, charge,
+    exponents) in sorted order, in each orbit of the local group, and
+    each orbit's size.  sigma maps an exponent vector e to
+    (e[sigma[0]], e[sigma[1]], ...), of e's degree, and the charge of
+    e to that of its image; the charges of one orbit share their least
+    degree, so every orbit's first charge comes first in the order."""
+    kept, size, seen = [], [], set()
+    for entry in charges:
+        if entry[1] in seen:
+            continue
+        e = entry[2][0]
+        orbit = {_lattice_class([e[a] for a in sigma], lattice) for sigma in group}
+        seen |= orbit
+        kept.append(entry)
+        size.append(len(orbit))
+    return kept, size
 
 
 def _sums(left, right: List[int], limit: int) -> List[int]:

@@ -14,7 +14,8 @@ reference for the fraction-free one, and dim_h_odd_proof_double_sum,
 the package's former double sum for dim_h_odd_proof over its
 ker_psi_dim and graded_dim.  orbit_listing_defects reads the
 package's packed keys and its copies' generator tuples, but none of
-its charges, lattices or listing code.
+its charges, lattices, local groups or listing code: the local
+permutations it applies come from its caller.
 """
 
 from collections import Counter
@@ -424,18 +425,21 @@ def z_power_block(algebra, z, t, l):
     return block, rest
 
 
-def orbit_listing_defects(algebra, copies, groups, basis, radix) -> List[str]:
+def orbit_listing_defects(algebra, copies, groups, basis, radix, local) -> List[str]:
     """How one degree's representative groups fail to list its cochains
     once per orbit of the copies; [] when they do not.
 
     `copies` has, per class, the copies' generator tuples, `groups` is
     [(orbit size, keys)] of packed keys over `radix`, and `basis` the
-    degree's packed keys.  Every permutation of the copies within
-    their classes, applied to a group's keys as a relabelling of
-    generators, must give exactly orbit size times len(keys) cochains
-    (a key's block is one of orbit size blocks that the permutations
-    map onto each other), none given by another group; and together the
-    images must be every cochain of `basis`.
+    degree's packed keys.  `local` has, per class, the permutations of
+    one copy's generators (sigma[a], a position in the copy's tuple)
+    that each copy takes on its own.  Every permutation of the copies
+    within their classes, after any local permutation of each copy,
+    applied to a group's keys as a relabelling of generators, must give
+    exactly orbit size times len(keys) cochains (a key's block is one
+    of orbit size blocks that the relabellings map onto each other),
+    none given by another group; and together the images must be every
+    cochain of `basis`.
     """
     n0 = len(algebra.even_indices)
 
@@ -450,11 +454,13 @@ def orbit_listing_defects(algebra, copies, groups, basis, radix) -> List[str]:
 
     relabellings = []
     for orders in product(*(permutations(c) for c in copies)):
-        relabel = {}
-        for c, order in zip(copies, orders):
-            for old, new in zip(c, order):
-                relabel.update(zip(old, new))
-        relabellings.append(relabel)
+        # then each copy's own permutation: old[a] goes to new[sigma[a]]
+        for sigmas in product(*(product(perms, repeat=len(c)) for c, perms in zip(copies, local))):
+            relabel = {}
+            for c, order, within in zip(copies, orders, sigmas):
+                for old, new, sigma in zip(c, order, within):
+                    relabel.update((old[a], new[b]) for a, b in enumerate(sigma))
+            relabellings.append(relabel)
     defects, seen = [], set()
     for orbit, keys in groups:
         images = {frozenset((relabel.get(g, g), a) for g, a in monomial(key).items())

@@ -281,15 +281,18 @@ def test_basis_monomials_are_kernel_keys():
 
 
 def test_packing_round_trips_in_the_basis_order():
-    # exhaustively over small dims and degrees, with and without an odd
-    # dual, at two odd radices: _keys over the same units lists the keys
-    # of enumerate_basis's monomials in its order (those free of the
-    # left-out dual), unpack(pack(m)) == m, and distinct monomials get
+    # exhaustively over small dims and degrees (q = -1, which lists
+    # nothing, included), with and without an odd dual, at two odd
+    # radices: _keys over the same units lists the keys of
+    # enumerate_basis's monomials in its order (those free of the
+    # left-out dual: the cochains without that dual, as the orbit
+    # listing and the public builders list A^t, graded_dim((n, m - 1), q)
+    # of them), unpack(pack(m)) == m, and distinct monomials get
     # distinct keys
     for n in range(4):
         for m in range(4):
             dims = SuperSpaceDims(n, m)
-            for q in range(7):
+            for q in range(-1, 7):
                 for radix, without in product((_radix(q), _radix(q) + 6),
                                               (None, *range(m))):
                     evens, odds = _units(dims, radix)
@@ -301,6 +304,8 @@ def test_packing_round_trips_in_the_basis_order():
                     assert [_unpack(key, dims, radix) for key in keys] == basis
                     assert len(set(keys)) == len(keys)
                     assert all(type(key) is int for key in keys)
+                    if without is not None:
+                        assert len(keys) == graded_dim(SuperSpaceDims(n, m - 1), q)
                 assert _radix(q) > q
     # a radix not above the degree could give two monomials one key
     # (o0^2 o2 and o1^3 both pack to 6 at radix 2)
@@ -331,24 +336,6 @@ def test_odd_exponents_come_in_descending_lexicographic_order():
             got = enumerate_basis(SuperSpaceDims(0, m), total)
             assert [mono.odd_exponents for mono in got] == brute, (m, total)
             assert all(mono.even_mask == 0 for mono in got)
-
-
-def test_enumerate_basis_without_an_odd_dual():
-    # _keys with one odd unit left out lists the monomials with exponent
-    # 0 in that slot, as a subsequence of the full basis in its order:
-    # the cochains without that dual, as the orbit listing and the
-    # public builders list A^t
-    for n in range(3):
-        for m in range(1, 4):
-            dims = SuperSpaceDims(n, m)
-            evens, odds = _units(dims, _radix(5))
-            for j in range(m):
-                for q in range(-1, 6):
-                    want = [mono for mono in enumerate_basis(dims, q)
-                            if mono.odd_exponents[j] == 0]
-                    got = _keys(evens, odds[:j] + odds[j + 1:], q)
-                    assert got == [_pack(mono, n, _radix(5)) for mono in want], (n, m, j, q)
-                    assert len(got) == graded_dim(SuperSpaceDims(n, m - 1), q)
 
 
 def test_enumerate_basis_of_many_odd_duals():

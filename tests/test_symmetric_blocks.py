@@ -1,21 +1,27 @@
 """Symmetric weight blocks: rank one block per orbit of identical copies.
 
 The structure pass (symmetry.copy_classes) finds classes of identical
-components of the adapted table; each copy's charge is kept by d, so d
-is block diagonal over charge tuples, and permuting the copies of a
-class permutes the blocks.  The engine lists the keys of one charge
-tuple per orbit (symmetry.OrbitListing.orbits) and takes rank d_q, or rank L^(t),
-as sum |orbit| rank(block).  The references are the full matrices of
-differential_matrix, which never splits.
+components of the adapted table, and each class's local group: the
+permutations of one copy's generators that, with signs, are
+automorphisms.  Each copy's charge is kept by d, so d is block diagonal
+over charge tuples, and permuting the copies of a class, or the
+generators of one copy by its local group, permutes the blocks.  The
+engine lists the keys of one charge tuple per orbit
+(symmetry.OrbitListing.orbits) and takes rank d_q, or rank L^(t), as
+sum |orbit| rank(block).  The references are the full matrices of
+differential_matrix, which never splits, and a brute-force search for
+the local groups (signed_symmetries).
 """
 
 import random
 from collections import Counter
+from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
 
 from heisenberg_cohomology import cohomology, symmetry
-from heisenberg_cohomology.algebra import (LieSuperalgebra, adapted_basis,
+from heisenberg_cohomology.algebra import (EVEN, ODD, LieSuperalgebra, adapted_basis,
                                            make_heisenberg_even, make_heisenberg_odd,
                                            require_valid)
 from heisenberg_cohomology.cohomology import _checked_rank, betti_table
@@ -28,7 +34,7 @@ from heisenberg_cohomology.superexterior import _keys, _radix, _units
 from oracles import full_matrix_ranks, orbit_listing_defects
 from test_adapted_basis import HIDDEN_SUMS
 from test_lefschetz_blocks import NOT_CENTRAL
-from test_validate import ODD, OSP12, SL2, _table, direct_sum
+from test_validate import OSP12, SL2, _table, direct_sum
 
 def _canonical(workspace, q, skip=None):
     """The keys of degree q over the workspace's units, without the
@@ -89,10 +95,83 @@ def _distinct_members():
                    [dim_h_even(n, m, p) for p in range(q + 1)]) for n, m, q in DISTINCT_EVEN]
 
 
+def odd_pairs(k, n=0):
+    """z (even), n even pairs (x_i, w_i) with [x_i, w_i] = z, and k odd
+    pairs (u_i, v_i) with [u_i, v_i] = z.  Swapping u_i and v_i needs no
+    sign, where swapping x_i and w_i needs one.  Over C, u_i +- v_i
+    rescale to odd y with [y, y] = z, so this is h_{n,2k} in another
+    basis, and has its Betti numbers."""
+    gens = [("z", EVEN)]
+    gens += [(name % i, EVEN) for i in range(1, n + 1) for name in ("x%d", "w%d")]
+    gens += [(name % i, ODD) for i in range(1, k + 1) for name in ("u%d", "v%d")]
+    brackets = {(a, a + 1): {0: 1} for a in range(1, len(gens), 2)}
+    return LieSuperalgebra("odd_pairs_%d_%d" % (k, n), gens, brackets)
+
+
+# (k, n, q_max) of the odd-pair tables: odd pairs alone, and beside
+# x-pairs
+ODD_PAIRS = ((2, 0, 8), (3, 0, 6), (2, 2, 6), (3, 2, 5))
+
+# three even generators a, b, c around z: the fan [a, b] = [a, c] = z,
+# where swapping b and c is an automorphism and moving a is not, and
+# the triangle [a, b] = [b, c] = [c, a] = z, where a transposition
+# would need eps_a eps_b = eps_b eps_c = eps_a eps_c = -1, so only the
+# rotations are; each with its local group
+TRIPLES = {"fan": ({(0, 1): 1, (0, 2): 1}, {(0, 1, 2), (0, 2, 1)}),
+           "triangle": ({(0, 1): 1, (1, 2): 1, (0, 2): -1}, {(0, 1, 2), (1, 2, 0), (2, 0, 1)})}
+
+
+def triples(kind, k):
+    """z (even) and k copies of the even triple `kind` of TRIPLES."""
+    gens = [("z", EVEN)]
+    gens += [(name % i, EVEN) for i in range(1, k + 1) for name in ("a%d", "b%d", "c%d")]
+    brackets = {(3 * i + 1 + a, 3 * i + 1 + b): {0: c}
+                for i in range(k) for (a, b), c in TRIPLES[kind][0].items()}
+    return LieSuperalgebra("%s_%d" % (kind, k), gens, brackets)
+
+
+def signed_symmetries(alg, copy):
+    """The permutations sigma of the generators in `copy` (sigma[a] a
+    position in the tuple) for which some signs eps make
+    g_copy[a] -> eps_a g_copy[sigma[a]], the identity on every other
+    generator, an automorphism of alg: every signed permutation is
+    tried, and every bracket of alg's table checked, both orders, in
+    Fractions."""
+    par = [g.parity for g in alg.generators]
+    table = {}
+    for (i, j), targets in alg.brackets.items():
+        table[i, j] = {k: Fraction(c) for k, c in targets.items()}
+        flip = 1 if par[i] == par[j] == ODD else -1
+        table[j, i] = {k: flip * Fraction(c) for k, c in targets.items()}
+    found = set()
+    for sigma in permutations(range(len(copy))):
+        if any(par[copy[sigma[a]]] != par[g] for a, g in enumerate(copy)):
+            continue
+        for eps in product((1, -1), repeat=len(copy)):
+            image = {g: (g, 1) for g in range(alg.dim)}
+            image.update((g, (copy[sigma[a]], eps[a])) for a, g in enumerate(copy))
+
+            def mapped(targets):
+                out = Counter()
+                for k, c in targets.items():
+                    out[image[k][0]] += image[k][1] * c
+                return {k: c for k, c in out.items() if c}
+
+            if all(mapped(table.get((i, j), {}))
+                   == {k: image[i][1] * image[j][1] * c
+                       for k, c in table.get((image[i][0], image[j][0]), {}).items()}
+                   for i in range(alg.dim) for j in range(alg.dim)):
+                found.add(sigma)
+                break
+    return found
+
+
 def _members():
     out = [(make_heisenberg_odd(n), q) for n, q in ODD_MEMBERS]
     out += [(make_heisenberg_even(n, m), q) for n, m, q in EVEN_MEMBERS]
     out += [(alg, q) for alg, q, _ in _distinct_members()]
+    out += [(odd_pairs(k, n), q) for k, n, q in ODD_PAIRS]
+    out += [(triples(kind, 3), 6) for kind in TRIPLES]
     return out + [(shuffled(make_heisenberg_even(3, 3), 5), 8)]
 
 
@@ -116,16 +195,18 @@ def test_copy_classes_of_the_families():
     # h_n: n copies (x_i, y_i) around the central z; the charge of
     # x_i^s y_i^alpha is alpha - s
     assert copy_classes(make_heisenberg_odd(1)) == ()
-    ((parities, lattice, copies),) = copy_classes(make_heisenberg_odd(3))
-    assert (parities, copies) == ((0, 1), ((0, 3), (1, 4), (2, 5)))
+    ((parities, lattice, copies, group),) = copy_classes(make_heisenberg_odd(3))
+    # x_i and y_i differ in parity: no local permutation but the identity
+    assert (parities, copies, group) == ((0, 1), ((0, 3), (1, 4), (2, 5)), ((0, 1),))
     for s in (0, 1):
         for alpha in range(5):
             assert _lattice_class((s, alpha), lattice) == (0, alpha - s)
-    # h_{n,m}: the pairs (x_i, x_{n+i}) charged by s_{n+i} - s_i, and the
-    # y_j by alpha_j mod 2; one copy of a piece is no class
+    # h_{n,m}: the pairs (x_i, x_{n+i}) charged by s_{n+i} - s_i, and
+    # swapped by x_i -> x_{n+i}, x_{n+i} -> -x_i; the y_j charged by
+    # alpha_j mod 2; one copy of a piece is no class
     pairs, ys = copy_classes(make_heisenberg_even(2, 3))
-    assert (pairs[0], pairs[2]) == ((0, 0), ((1, 3), (2, 4)))
-    assert (ys[0], ys[2]) == ((1,), ((5,), (6,), (7,)))
+    assert (pairs[0], pairs[2], pairs[3]) == ((0, 0), ((1, 3), (2, 4)), ((0, 1), (1, 0)))
+    assert (ys[0], ys[2], ys[3]) == ((1,), ((5,), (6,), (7,)), ((0,),))
     assert {_lattice_class((s, t), pairs[1]) for s in (0, 1) for t in (0, 1)} \
         == {(0, -1), (0, 0), (0, 1)}
     assert [_lattice_class((a,), ys[1]) for a in range(4)] == [(0,), (1,), (0,), (1,)]
@@ -140,7 +221,7 @@ def test_orbit_sums_equal_the_full_matrix_ranks():
         full = full_matrix_ranks(adapted, q_max)
         symmetric = bool(copy_classes(adapted))
         # h_1, h_{1,1} and the distinct-coefficient members alone have no
-        # class of two copies
+        # class of two copies; the odd-pair tables' swaps need no sign
         assert symmetric == (alg.name not in ("h_1", "h_{1,1}")
                              and not alg.name.startswith("distinct_")), alg.name
         listing, _ = _full_route(alg, q_max)
@@ -173,7 +254,7 @@ def test_copies_must_share_their_central_targets():
     classes = {}
     for name, table in sums.items():
         alg = LieSuperalgebra(name, *table)
-        classes[name] = [copies for _, _, copies in copy_classes(alg)]
+        classes[name] = [copies for _, _, copies, _ in copy_classes(alg)]
         full = full_matrix_ranks(alg, 6)
         assert _orbit_ranks(alg, 6) == full, name
         assert [r.dim_cochain - r.dim_cocycles for r in betti_table(alg, 6)] \
@@ -188,7 +269,7 @@ def test_shuffled_generators_keep_the_betti_numbers():
         mixed = shuffled(alg, seed)
         # the y_j keep one class whatever the order; a pair listed as
         # (x_{n+i}, x_i) brackets to -z, and is a copy of such pairs only
-        assert any(len(parities) == 1 for parities, _, _ in copy_classes(mixed)), seed
+        assert any(len(parities) == 1 for parities, _, _, _ in copy_classes(mixed)), seed
         assert [r.dim_cohomology for r in betti_table(mixed, 5)] \
             == [r.dim_cohomology for r in betti_table(alg, 5)], seed
 
@@ -206,10 +287,40 @@ def test_representatives_are_distinct_keys_of_their_degree():
         assert orbits == sorted(set(orbits)) and orbits[0] == 1
 
 
+def test_local_groups_match_a_brute_force_search():
+    # every copy of every class, against every signed permutation of its
+    # generators checked on the whole table: h_n's (x_i, y_i) and the
+    # y_j have the identity alone, a pair of h_{n,m} (shuffled too) and
+    # an odd pair its swap, and the triples theirs
+    tables = [make_heisenberg_odd(n) for n in (2, 3, 4)]
+    tables += [make_heisenberg_even(n, m) for n, m, _ in EVEN_MEMBERS if 2 < n + m < 10]
+    tables += [shuffled(make_heisenberg_even(3, 3), seed) for seed in range(4)]
+    tables += [odd_pairs(k, n) for k, n, _ in ODD_PAIRS]
+    tables += [triples(kind, k) for kind in TRIPLES for k in (2, 3)]
+    for alg in tables:
+        adapted = adapted_basis(alg)
+        classes = copy_classes(adapted)
+        assert classes, alg.name
+        for parities, _, copies, group in classes:
+            assert group[0] == tuple(range(len(parities))), alg.name
+            for copy in copies:
+                assert set(group) == signed_symmetries(adapted, copy), (alg.name, copy)
+            if len(parities) < 3:
+                # exactly the pairs of one parity have a swap
+                assert (group[1:] == ((1, 0),)) == (parities in ((0, 0), (1, 1))), alg.name
+            else:
+                assert set(group) == TRIPLES[alg.name.split("_")[0]][1], alg.name
+    # no class: their pairs keep their swaps, but no two are copies
+    for alg, _, _ in _distinct_members():
+        assert copy_classes(adapted_basis(alg)) == (), alg.name
+
+
 def test_each_orbit_group_lists_its_orbits_once():
     # the oracle relabels each listed key by every permutation of the
-    # copies within their classes, with no charge or lattice; h_n's z,
-    # its last generator, is in no copy, and is left out too
+    # copies within their classes, after each copy's own permutations
+    # (signed_symmetries, not the package's), with no charge or
+    # lattice; h_n's z, its last generator, is in no copy, and is left
+    # out too
     tables = [(make_heisenberg_odd(n), top, (None, 2 * n)) for n, top in ((2, 10), (3, 8),
                                                                          (4, 7), (5, 6))]
     tables += [(make_heisenberg_even(n, m), 7, (None,)) for n, m in ((1, 4), (3, 1), (2, 4),
@@ -221,9 +332,14 @@ def test_each_orbit_group_lists_its_orbits_once():
                for n, m, top in ((1, 1, 8), (1, 2, 8), (1, 3, 8), (1, 4, 8), (3, 2, 6),
                                  (2, 3, 7))]
     tables.append((shuffled(make_heisenberg_even(3, 3), 5), 7, (None,)))
+    # odd pairs alone and beside x-pairs, whose swaps need no sign, and
+    # the triples, whose local groups have two and three elements
+    tables += [(odd_pairs(k, n), q, (None,)) for k, n, q in ODD_PAIRS]
+    tables += [(triples(kind, 3), 6, (None,)) for kind in TRIPLES]
     for alg, top, skips in tables:
         adapted = adapted_basis(alg)
-        copies = [c for _, _, c in copy_classes(adapted)]
+        copies = [c for _, _, c, _ in copy_classes(adapted)]
+        local = [sorted(signed_symmetries(adapted, c[0])) for c in copies]
         listing = OrbitListing(_Workspace(adapted, top + 1), top)
         workspace = listing.workspace
         for skip in skips:
@@ -231,7 +347,7 @@ def test_each_orbit_group_lists_its_orbits_once():
                 groups = listing.orbits(q, skip)
                 basis = _canonical(workspace, q, skip)
                 assert orbit_listing_defects(adapted, copies, groups, basis,
-                                             workspace.radix) == [], (alg.name, skip, q)
+                                             workspace.radix, local) == [], (alg.name, skip, q)
 
 
 def test_a_generator_inside_a_copy_cannot_be_left_out():
@@ -240,7 +356,7 @@ def test_a_generator_inside_a_copy_cannot_be_left_out():
         adapted = adapted_basis(alg)
         classes = copy_classes(adapted)
         listing = OrbitListing(_Workspace(adapted, 5), 4)
-        for g in (g for _, _, copies in classes for c in copies for g in c):
+        for g in (g for _, _, copies, _ in classes for c in copies for g in c):
             name = adapted.generators[g].name
             with pytest.raises(ValueError, match="generator %r lies in a copy" % name):
                 listing.orbits(2, g)
@@ -375,3 +491,22 @@ def test_a_miscounted_orbit_trips_the_shape_check(monkeypatch):
             betti_table(alg, 2)
     with pytest.raises(AssertionError, match="summed over its orbits"):
         cohomology.cohomology_dims(make_heisenberg_even(2, 2), 1)
+
+
+def test_a_miscounted_local_orbit_trips_the_shape_check(monkeypatch):
+    # one more than each local orbit of two charges: h_{2,2}'s pairs
+    # take +-1 in degree 1, so d_1 has too many columns summed
+    real = symmetry._local_orbits
+
+    def miscounted(charges, lattice, group):
+        kept, size = real(charges, lattice, group)
+        return kept, [s + (s > 1) for s in size]
+
+    monkeypatch.setattr(symmetry, "_local_orbits", miscounted)
+    for alg in (make_heisenberg_even(2, 2), odd_pairs(2)):
+        with pytest.raises(AssertionError,
+                           match=r"d_1 has shape \d+x\d+ summed over its orbits, not at most "
+                                 r"dim C\^2 = \d+ rows by dim C\^1 = \d+ columns"):
+            betti_table(alg, 2)
+        with pytest.raises(AssertionError, match="summed over its orbits"):
+            cohomology.cohomology_dims(alg, 1)
