@@ -282,30 +282,20 @@ def test_basis_monomials_are_kernel_keys():
 
 def test_packing_round_trips_in_the_basis_order():
     # exhaustively over small dims and degrees (q = -1, which lists
-    # nothing, included), with and without an odd dual, at two odd
-    # radices: _keys over the same units lists the keys of
-    # enumerate_basis's monomials in its order (those free of the
-    # left-out dual: the cochains without that dual, as the orbit
-    # listing and the public builders list A^t, graded_dim((n, m - 1), q)
-    # of them), unpack(pack(m)) == m, and distinct monomials get
-    # distinct keys
+    # nothing, included), at two odd radices: _keys over the same units
+    # lists the keys of enumerate_basis's monomials in its order,
+    # unpack(pack(m)) == m, and distinct monomials get distinct keys
     for n in range(4):
         for m in range(4):
             dims = SuperSpaceDims(n, m)
             for q in range(-1, 7):
-                for radix, without in product((_radix(q), _radix(q) + 6),
-                                              (None, *range(m))):
-                    evens, odds = _units(dims, radix)
-                    keys = _keys(evens, [u for j, u in enumerate(odds) if j != without], q)
-                    basis = [mono for mono in enumerate_basis(dims, q)
-                             if without is None or mono.odd_exponents[without] == 0]
-                    assert keys == [_pack(mono, n, radix) for mono in basis], \
-                        (dims, q, without, radix)
+                for radix in (_radix(q), _radix(q) + 6):
+                    keys = _keys(*_units(dims, radix), q)
+                    basis = enumerate_basis(dims, q)
+                    assert keys == [_pack(mono, n, radix) for mono in basis], (dims, q, radix)
                     assert [_unpack(key, dims, radix) for key in keys] == basis
                     assert len(set(keys)) == len(keys)
                     assert all(type(key) is int for key in keys)
-                    if without is not None:
-                        assert len(keys) == graded_dim(SuperSpaceDims(n, m - 1), q)
                 assert _radix(q) > q
     # a radix not above the degree could give two monomials one key
     # (o0^2 o2 and o1^3 both pack to 6 at radix 2)
@@ -336,6 +326,25 @@ def test_odd_exponents_come_in_descending_lexicographic_order():
             got = enumerate_basis(SuperSpaceDims(0, m), total)
             assert [mono.odd_exponents for mono in got] == brute, (m, total)
             assert all(mono.even_mask == 0 for mono in got)
+
+
+def test_enumerate_basis_without_an_odd_dual():
+    # _keys with one odd unit left out lists the monomials with exponent
+    # 0 in that slot, as a subsequence of the full basis in its order, at
+    # two odd radices: the cochains without that dual, as the orbit
+    # listing and the public builders list A^t, graded_dim((n, m - 1), q)
+    # of them
+    for n in range(4):
+        for m in range(1, 4):
+            dims = SuperSpaceDims(n, m)
+            for q in range(-1, 7):
+                for radix, j in product((_radix(q), _radix(q) + 6), range(m)):
+                    evens, odds = _units(dims, radix)
+                    want = [mono for mono in enumerate_basis(dims, q)
+                            if mono.odd_exponents[j] == 0]
+                    got = _keys(evens, odds[:j] + odds[j + 1:], q)
+                    assert got == [_pack(mono, n, radix) for mono in want], (n, m, j, q, radix)
+                    assert len(got) == graded_dim(SuperSpaceDims(n, m - 1), q)
 
 
 def test_enumerate_basis_of_many_odd_duals():
