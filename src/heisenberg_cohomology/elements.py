@@ -34,8 +34,11 @@ unchecked.  lefschetz_block is the part of d that lowers the power of
 an odd central dual by one; psi_matrix is that block of h_n with scale
 (-1)^t / D.  What these return is never mutated.
 
-Every d here is applied by the engine's integer kernel, so there is
-one implementation of d.  The tests, the demos and the README use this
+d_element, tau and the matrix builders apply d through the engine's
+integer kernel, and d_generator reads the kernel's own d-term table
+(differential._d_duals), held to d_element by
+test_d_generator_matches_the_kernel_on_general_tables, so there is one
+implementation of d.  The tests, the demos and the README use this
 module; no CLI verb imports it, and no engine module imports it, so a
 computing run never loads it.
 """
@@ -235,8 +238,11 @@ class SuperElement:
 
     Homogeneous means every monomial has the same total degree and the
     same parity (and lives over the same odd dimension); the zero
-    element is the empty combination.  Instances are treated as
-    immutable: do not mutate `terms` after construction.
+    element is the empty combination.  `terms` is a mapping or an
+    iterable of (monomial, coefficient) pairs; the constructor sums like
+    terms and drops zeros, so sums and products hand it their terms
+    unmerged.  Instances are treated as immutable: do not mutate `terms`
+    after construction.
     """
 
     __slots__ = ("terms",)
@@ -247,11 +253,7 @@ class SuperElement:
         for mono, coeff in items:
             if not isinstance(mono, SuperMonomial):
                 raise TypeError("keys must be SuperMonomials")
-            coeff = Fraction(coeff)
-            if mono in data:
-                data[mono] += coeff
-            else:
-                data[mono] = coeff
+            data[mono] = data.get(mono, 0) + Fraction(coeff)
         data = {m: c for m, c in data.items() if c}
         shapes = {(m.degree, m.parity, len(m.odd_exponents)) for m in data}
         if len(shapes) > 1:
@@ -288,13 +290,7 @@ class SuperElement:
     def __add__(self, other):
         if not isinstance(other, SuperElement):
             return NotImplemented
-        merged = dict(self.terms)
-        for m, c in other.terms.items():
-            if m in merged:
-                merged[m] += c
-            else:
-                merged[m] = c
-        return SuperElement(merged)
+        return SuperElement([*self.terms.items(), *other.terms.items()])
 
     def __sub__(self, other):
         if not isinstance(other, SuperElement):
@@ -313,7 +309,7 @@ class SuperElement:
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return SuperElement({m: other * c for m, c in self.terms.items()})
+            return self * other
         return NotImplemented
 
     def __eq__(self, other) -> bool:
@@ -335,19 +331,15 @@ class SuperElement:
 
 def wedge(a: SuperElement, b: SuperElement) -> SuperElement:
     """Bilinear extension of the monomial product to elements."""
-    out = {}
+    terms = []
     for ma, ca in a.terms.items():
         for mb, cb in b.terms.items():
             hit = wedge_monomials(ma, mb)
-            if hit is None:
-                continue
-            sign, mono = hit
-            c = ca * cb if sign > 0 else -ca * cb
-            if mono in out:
-                out[mono] += c
-            else:
-                out[mono] = c
-    return SuperElement(out)
+            if hit is not None:
+                sign, mono = hit
+                terms.append((mono, sign * ca * cb))
+    # the constructor sums the terms that land on one monomial
+    return SuperElement(terms)
 
 
 def dual_pairing(alpha: SuperMonomial, u: SuperMonomial) -> Fraction:

@@ -7,6 +7,9 @@ ignored.  Directives:
     generator IDENT PARITY          # PARITY is 0 (even) or 1 (odd)
     bracket LEFT RIGHT = T:C [T:C ...]
 
+An IDENT is one token: no whitespace and no '#'; a generator's also has
+no ':', which the parser refuses on its generator line.
+
 Each T:C pair contributes coefficient C (an integer or integer/integer,
 in ASCII digits) on generator T to [LEFT, RIGHT].  Each unordered
 generator pair may carry at most one bracket line; writing the pair in
@@ -74,7 +77,6 @@ def _parse_table(text) -> LieSuperalgebra:
     name = None
     gens: List[Tuple[str, int]] = []
     gen_index: Dict[str, int] = {}
-    gen_parity: Dict[str, int] = {}
     brackets: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
     pair_line: Dict[Tuple[int, int], int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -93,12 +95,14 @@ def _parse_table(text) -> LieSuperalgebra:
             if len(tokens) != 3:
                 raise AlgebraParseError("'generator' takes a name and a parity", lineno)
             gname, ptok = tokens[1], tokens[2]
+            if ":" in gname:
+                # a bracket's target:coeff could not name it
+                raise AlgebraParseError("generator name %r contains ':'" % gname, lineno)
             if gname in gen_index:
                 raise AlgebraParseError("duplicate generator %r" % gname, lineno)
             if ptok not in ("0", "1"):
                 raise AlgebraParseError("parity must be 0 or 1, got %r" % ptok, lineno)
             gen_index[gname] = len(gens)
-            gen_parity[gname] = int(ptok)
             gens.append((gname, int(ptok)))
         elif kw == "bracket":
             if len(tokens) < 5 or tokens[3] != "=":
@@ -123,7 +127,7 @@ def _parse_table(text) -> LieSuperalgebra:
                 targets[k] = _parse_rational(ctext, lineno)
             if il > ir:
                 # [left, right] = -(-1)^{|l||r|} [right, left]
-                flip = 1 if gen_parity[left] and gen_parity[right] else -1
+                flip = 1 if gens[il][1] and gens[ir][1] else -1
                 il, ir = ir, il
                 targets = {k: flip * c for k, c in targets.items()}
             pair = (il, ir)
@@ -143,11 +147,18 @@ def _parse_table(text) -> LieSuperalgebra:
 
 
 def format_algebra(alg: LieSuperalgebra) -> str:
-    """Render an algebra in the file grammar; parse_algebra inverts this."""
+    """Render an algebra in the file grammar; parse_algebra inverts this.
+
+    Every name must be one nonempty token without '#', and a generator's
+    without ':' too; ValueError names the first name that is not.
+    """
+    names = [g.name for g in alg.generators]
+    for name, banned in ((alg.name, "#"), *((n, "#:") for n in names)):
+        if name.split() != [name] or any(c in name for c in banned):
+            raise ValueError("a definition file cannot carry the name %r" % name)
     lines = ["name %s" % alg.name]
     for g in alg.generators:
         lines.append("generator %s %d" % (g.name, g.parity))
-    names = [g.name for g in alg.generators]
     for (i, j) in sorted(alg.brackets):
         terms = " ".join("%s:%s" % (names[k], c)
                          for k, c in sorted(alg.brackets[(i, j)].items()))

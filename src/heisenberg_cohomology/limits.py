@@ -12,8 +12,9 @@ the wording of every refusal and error lives in this one module.
 
 It imports nothing from the package and only `math` from the standard
 library, so a caller can refuse before any engine module is loaded;
-the CLI does, and the engine modules re-export these names.  Each
-exception pickles and copies by rebuilding through its constructor.
+the CLI does.  No other module re-exports these names: each comes from
+here or the package.  Each exception pickles and copies by rebuilding
+through its constructor.
 """
 
 from math import comb
@@ -29,11 +30,12 @@ MAX_Q_MAX = 100
 
 # The codomain C^{q+1} of the top degree is nobody's domain, so the
 # column cap does not bound it: it is refused beyond this many rows per
-# column of the cap (500,000 at the default).  The full-matrix route
-# numbers only the rows its top d_q reaches; what the refusal bounds is
-# the last codomain the block route enumerates, A^{q+1}, and the
-# codomain of each public builder (differential_matrix, lefschetz_block,
-# psi_matrix), which refuses it at the default cap.
+# column of the cap (500,000 at the default).  No engine route lists a
+# codomain: each numbers only the rows its top d_q reaches.  The engine
+# keeps the refusal so that what is refused does not depend on the
+# route; what it bounds is the canonical codomain of each public builder
+# (differential_matrix, lefschetz_block, psi_matrix), which refuses it
+# at the default cap.
 CODOMAIN_ROWS_PER_COLUMN = 100
 
 # Largest grid verify_family accepts, in (n, m) points: n_max * m_max for

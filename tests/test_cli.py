@@ -458,6 +458,37 @@ def test_internal_error_exit_5_without_traceback(capsysbinary, monkeypatch):
     assert b"Traceback" not in err
 
 
+def test_each_error_type_has_one_line_and_one_exit_code(capsysbinary, monkeypatch):
+    for exc, code, line in (
+            (limits.AlgebraParseError("unknown directive 'x'", 3), 1,
+             "parse error: line 3: unknown directive 'x'"),
+            (limits.AlgebraValidationError(["jacobi: (0, 1, 2)"]), 2,
+             "validation error: algebra fails validation:\n  jacobi: (0, 1, 2)"),
+            (limits.DegreeLimitExceeded(101, 100), 3,
+             "resource refusal: refusing --q-max 101, limit is 100"),
+            (limits.ColumnCapExceeded("h_1", 2, 9, 5), 3,
+             "resource refusal: refusing h_1 at q=2: matrix has 9 columns, cap is 5 "
+             "(raise the cap to force the computation)"),
+            (limits.CodomainTooLarge("h_1", 2, 900, 500), 3,
+             "resource refusal: refusing h_1 at q=2: codomain C^3 has 900 rows, "
+             "limit is 500 (100 times the column cap; raise the cap to force the "
+             "computation)"),
+            (limits.GridTooLarge(2000, 1000), 3,
+             "resource refusal: refusing a verify grid of 2000 points, limit is 1000"),
+            (OSError(2, "No such file or directory", "x.alg"), 1,
+             "cannot read input: [Errno 2] No such file or directory: 'x.alg'"),
+            (limits.ReportInvariantError("inconsistent dimensions"), 5,
+             "internal error: inconsistent dimensions"),
+            (AssertionError("d_1 has shape 3x2"), 5, "internal error: d_1 has shape 3x2"),
+            (ValueError("not a table"), 2, "validation error: not a table")):
+        def raising(*args, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(cli, "betti_table", raising)
+        got = run_cli(capsysbinary, ["odd", "--n", "1", "--q-max", "2"])
+        assert got == (code, b"", (line + "\n").encode()), type(exc).__name__
+
+
 def test_inconsistent_report_is_an_internal_error(capsysbinary, monkeypatch):
     from heisenberg_cohomology.reports import (CohomologyReport,
                                                METHOD_FORMULA_ODD_PROOF)

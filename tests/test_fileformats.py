@@ -17,17 +17,42 @@ from heisenberg_cohomology.fileformats import format_algebra, parse_algebra
 from heisenberg_cohomology.limits import AlgebraParseError, AlgebraValidationError
 from heisenberg_cohomology.reports import CSV_FIELDS, JSON_FIELDS, emit_report
 
+from test_adapted_basis import HIDDEN_SUMS
 from test_validate import BAD_SL2, OSP12, SL2, _table, change_basis, direct_sum
 
 
 def test_round_trip_builtin_families():
     algebras = [make_heisenberg_odd(n) for n in (1, 2, 3)]
     algebras += [make_heisenberg_even(n, m) for n in (1, 2) for m in (1, 2)]
+    # and tables with other names and coefficients: the hidden-basis
+    # sums, and rational constants under a name holding ':', which no
+    # bracket reads
+    algebras += [alg for _, _, alg in HIDDEN_SUMS]
+    algebras.append(LieSuperalgebra(
+        "q:rational", [("x", 0), ("y", 0), ("u", 1), ("z", 0)],
+        {(0, 1): {3: Fraction(-7, 3)}, (2, 2): {3: Fraction(1, 2)}}))
     for alg in algebras:
         text = format_algebra(alg)
-        assert parse_algebra(text) == alg
+        assert parse_algebra(text) == alg, alg.name
         # formatting is idempotent
         assert format_algebra(parse_algebra(text)) == text
+
+
+def test_names_a_file_cannot_carry_are_refused():
+    # no bracket could name a generator a:b, since a:b:1 reads as target a
+    with pytest.raises(AlgebraParseError) as err:
+        parse_algebra("name t\ngenerator x 0\ngenerator a:b 0\nbracket x x = a:b:1\n")
+    assert str(err.value) == "line 3: generator name 'a:b' contains ':'"
+    x = ("x", 0)
+    for name, gens, refused in (
+            ("n m", [x], "n m"), ("", [x], ""), ("a#b", [x], "a#b"),
+            ("n\x1cm", [x], "n\x1cm"), ("n m", [("a:b", 0)], "n m"),
+            ("t", [x, ("a:b", 1)], "a:b"), ("t", [x, ("x y", 0)], "x y"),
+            ("t", [("#", 0)], "#"), ("t", [x, ("", 0), ("a:b", 0)], "")):
+        alg = LieSuperalgebra(name, gens, {})
+        with pytest.raises(ValueError) as err:
+            format_algebra(alg)
+        assert str(err.value) == "a definition file cannot carry the name %r" % refused
 
 
 def test_hand_written_file_matches_constructor():

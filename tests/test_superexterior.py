@@ -152,6 +152,22 @@ def test_element_scalar_arithmetic():
     assert a.coefficient(mono((), (0, 0))) == 0
 
 
+def test_like_terms_are_summed_and_cancelled_terms_dropped():
+    # two terms on one monomial, from a sum and from products
+    x, y = elem((0,), (1, 0), 2), elem((1,), (0, 1))
+    assert (x + x).terms == {mono((0,), (1, 0)): 4}
+    assert (x + y + elem((0,), (1, 0), -2)).terms == {mono((1,), (0, 1)): 1}
+    assert (x + elem((0,), (1, 0), -2)).terms == {}
+    e0, e1 = elem((0,), (0,)), elem((1,), (0,))
+    # e0 e1 and -e1 e0 both give e0 e1, and e0 e1 + e1 e0 cancels
+    assert wedge(e0 + e1, e1 - e0).terms == {mono((0, 1), (0,)): 2}
+    assert wedge(e0 + e1, e0 + e1).terms == {}
+    o0, o1 = elem((), (1, 0)), elem((), (0, 1))
+    assert wedge(o0 + o1, o0 - o1).terms == {mono((), (2, 0)): 1, mono((), (0, 2)): -1}
+    assert wedge(o0 + o1, o0 + o1).terms == {mono((), (2, 0)): 1, mono((), (1, 1)): 2,
+                                             mono((), (0, 2)): 1}
+
+
 def test_dual_pairing_examples():
     # <e0^e1, x1^x0> = -1: primal wedge normalizes with a swap
     alpha = mono((0, 1), ())
