@@ -54,18 +54,25 @@ alone, one block per stack.  A table with classes of identical copies
 (symmetry.copy_classes; h_n, and h_{n,m} with n or m at least 2) is
 ranked one block per orbit: d keeps each copy's charge, a permutation
 of copies, or of one copy's generators by its class's local group,
-maps the block of one charge tuple onto another's, so
-rank d_q (or rank L^(t)) = sum over representatives of
-|orbit| rank(block), and the listing has only the representatives'
-keys, stacked by orbit size.  A table without copies has one stack of
-orbit size 1 per degree, its canonical space.  A rank does not
-depend on how the rows are numbered, so every block, of d_q or of
-L^(t), numbers its rows on first use: no codomain is listed, and a call
-lists only the degrees whose d it ranks (cohomology_dims: C^{q-1} and
-C^q).  _check_orbits checks every shape: sum |orbit| columns
-= dim C^q (or dim A^t), and sum |orbit| rows at most the codomain's
-dimension.  Refusals are decided from the full sizes before, so no
-refusal depends on the split.
+maps the block of one charge tuple onto another's.  A shift does too,
+one degree up: for y an odd generator of a copy that is no bracket
+target, f_y is a cocycle and multiplying by it is injective, so
+f_y maps a block of degree q - 1 onto one of degree q of the same rank
+(symmetry's docstring gives the gate).  So each stack of base charge
+tuples carries a weight series W, |orbit| times its copies' series of
+shifts, and rank d_q (or rank L^(t)) = sum over t <= q of
+sum_W W[q - t] rank(block of degree t) (_spread): each base block is
+built and ranked once, for every degree it stands for.  A table
+without shifts has W = (|orbit|,), and one without copies one stack of
+W = (1,) per degree, its canonical space.  A rank does not depend on
+how the rows are numbered, so every block, of d_q or of L^(t), numbers
+its rows on first use: no codomain is listed, and a call lists only
+the degrees whose d it ranks, and the listing's reach below them, the
+most shifts a stack stands for (cohomology_dims: C^{q-1} and C^q on a
+table without shifts).  _check_orbits checks every shape:
+sum W[q - t] columns = dim C^q (or dim A^q), and sum W[q - t] rows at
+most the codomain's dimension.  Refusals are decided from the full
+sizes before, so no refusal depends on the split.
 
 Before either route, betti_table and cohomology_dims try to split a
 two-step adapted table into ideals (_split_ranks, whose O(brackets)
@@ -108,28 +115,47 @@ from .limits import DEFAULT_COLUMN_CAP, _checked_dims, check_column_cap, graded_
 from .linalg import rank
 from .reports import METHOD_RANK, CohomologyReport, _reports
 
-def _checked_rank(listing: OrbitListing, q: int, dims: Dict[int, int]) -> int:
-    """rank d_q = sum |orbit| rank over the blocks on the stacks of
-    listing.orbits(q), their rows numbered on first use and their
-    shapes checked against the preamble's dimensions (_check_orbits):
-    the one per-degree rank helper of betti_table and cohomology_dims."""
-    if q < 0:
-        return 0
-    built = [(orbit, _coboundary(listing.workspace, keys, _RowIndex()))
-             for orbit, keys in listing.orbits(q)]
-    _check_orbits(built, "d", q, dims[q], dims[q + 1])
-    return sum(orbit * rank(matrix) for orbit, matrix in built)
+def _checked_ranks(listing: OrbitListing, low: int, high: int,
+                   dims: Dict[int, int]) -> Dict[int, int]:
+    """{q: rank d_q} for q = low..high, each the sum of W[q - t] rank
+    over the blocks of the stacks (W, keys) of listing.orbits(t),
+    t <= q: the one rank helper of betti_table and cohomology_dims.
+    Only the degrees from low - listing.reach on are listed.  Each
+    block is built, its rows numbered on first use, and ranked once,
+    and the shape of each degree from low on is checked against the
+    preamble's dimensions (_check_orbits) before its blocks are
+    ranked."""
+    width, height, ranks = ([0] * (high + 1) for _ in range(3))
+    for t in range(max(0, low - listing.reach), high + 1):
+        built = [(weight, _coboundary(listing.workspace, keys, _RowIndex()))
+                 for weight, keys in listing.orbits(t)]
+        for weight, block in built:
+            _spread(width, t, weight, block.cols)
+            _spread(height, t, weight, block.rows)
+        if t >= low:
+            _check_orbits(width[t], height[t], "d", t, dims[t], dims[t + 1])
+        for weight, block in built:
+            _spread(ranks, t, weight, rank(block))
+    return {q: ranks[q] if q >= 0 else 0 for q in range(low, high + 1)}
 
 
-def _check_orbits(built, kind: str, q: int, cols: int, rows: int) -> None:
+def _spread(totals: List[int], t: int, weight, value: int) -> None:
+    """Add weight[k] * value to totals[t + k] for every k that totals
+    reach: a block of degree t whose stack has the weight series
+    `weight` (symmetry.OrbitListing) stands for weight[k] blocks of
+    degree t + k of its shape and rank."""
+    for k, w in enumerate(weight[:len(totals) - t]):
+        totals[t + k] += w * value
+
+
+def _check_orbits(width: int, height: int, kind: str, q: int, cols: int,
+                  rows: int) -> None:
     """The shape check of d_q (kind "d", from C^q to C^(q+1)) or L^(q)
     (kind "L", from A^q to A^(q+2)) ranked by its representative blocks,
-    the groups `built`, each an orbit size first and a block, its rows
-    those it reaches, last: sum |orbit| columns must be the domain's
-    dimension, cols, and sum |orbit| rows at most the codomain's, rows.
-    The message is formatted only when the check fails."""
-    width = sum(group[0] * group[-1].cols for group in built)
-    height = sum(group[0] * group[-1].rows for group in built)
+    their columns summed with their weights to `width` and their rows,
+    those they reach, to `height` (_spread): the width must be the
+    domain's dimension, cols, and the height at most the codomain's,
+    rows.  The message is formatted only when the check fails."""
     if width != cols or height > rows:
         name, space, step = ("d_%d" % q, "C", 1) if kind == "d" else ("L^(%d)" % q, "A", 2)
         raise AssertionError("%s has shape %dx%d summed over its orbits, not at "
@@ -139,13 +165,13 @@ def _check_orbits(built, kind: str, q: int, cols: int, rows: int) -> None:
 
 def _lefschetz_blocks(listing: OrbitListing, z: int, dims: Dict[int, int],
                       t_end: int) -> Iterator[Tuple[int, list]]:
-    """(t, groups) for t = 0..t_end-1: L^(t) as groups
-    (orbit size, keys, block, rank of the block), one per stack of
-    listing.orbits(t, z), each block built, its rows
-    numbered on first use, and eliminated once: rank L^(t) =
-    sum |orbit| rank.  The shapes, and dim C^q = sum_l dim A^{q-l}, are
-    checked against the preamble's dimensions.  A block is not kept
-    past its t.
+    """(t, groups) for t = 0..t_end-1: the blocks of degree t as groups
+    (weight series, keys, block, rank of the block), one per stack of
+    listing.orbits(t, z), each block built, its rows numbered on first
+    use, and eliminated once: rank L^(t) = sum over s <= t of W[t - s]
+    rank over the groups of s (_spread).  The shapes, and
+    dim C^q = sum_l dim A^{q-l}, are checked against the preamble's
+    dimensions.  A block is not kept past its t.
     """
     n0, n1 = listing.workspace.dims
     space = (n0, n1 - 1)
@@ -155,14 +181,18 @@ def _lefschetz_blocks(listing: OrbitListing, z: int, dims: Dict[int, int],
         if total != dims[q]:
             raise AssertionError("dim C^%d is not the sum of dim A^(%d-l) f_z^l"
                                  % (q, q))
+    width, height = [0] * t_end, [0] * t_end
     for t in range(t_end):
-        built = [(orbit, keys, _lefschetz_block(listing.workspace, z, t, 1, keys))
-                 for orbit, keys in listing.orbits(t, z)]
-        _check_orbits(built, "L", t, dim_a[t], dim_a[t + 2])
-        yield t, [(orbit, keys, block, rank(block)) for orbit, keys, block in built]
+        built = [(weight, keys, _lefschetz_block(listing.workspace, z, t, 1, keys))
+                 for weight, keys in listing.orbits(t, z)]
+        for weight, _, block in built:
+            _spread(width, t, weight, block.cols)
+            _spread(height, t, weight, block.rows)
+        _check_orbits(width[t], height[t], "L", t, dim_a[t], dim_a[t + 2])
+        yield t, [(weight, keys, block, rank(block)) for weight, keys, block in built]
 
 
-def _block_ranks(block_rank: Dict[int, int], q_max: int) -> Dict[int, int]:
+def _block_ranks(block_rank: List[int], q_max: int) -> Dict[int, int]:
     """{q: rank d_q} for q = -1..q_max as sum_{t<q} rank L^(t)."""
     rk = {-1: 0, 0: 0}
     for q in range(1, q_max + 1):
@@ -234,8 +264,7 @@ def cohomology_dims(algebra: LieSuperalgebra, q: int,
     adapted = adapted_basis(algebra)
     rk = _split_ranks(adapted, q, column_cap, dims)
     if rk is None:
-        listing = OrbitListing(_Workspace(adapted, q + 1), q)
-        rk = {p: _checked_rank(listing, p, dims) for p in (q - 1, q)}
+        rk = _checked_ranks(OrbitListing(_Workspace(adapted, q + 1), q), q - 1, q, dims)
     return _reports(algebra.name, dims, rk, (q,))[0]
 
 
@@ -249,8 +278,9 @@ def betti_table(algebra: LieSuperalgebra, q_max: int,
     the same Betti numbers: by parts when it splits into ideals
     (_split_ranks), else from its Lefschetz blocks when it has an odd
     centre spanning [g, g] (_odd_centre), from each full d_q otherwise.
-    Either way a table with copy classes is ranked one block per orbit.
-    The cochain spaces built on the way live in the call's orbit listing.
+    Either way a table with copy classes is ranked one block per orbit
+    and shift chain.  The cochain spaces built on the way live in the
+    call's orbit listing.
     """
     if q_max < 0:
         raise ValueError("q_max must be nonnegative")
@@ -274,10 +304,12 @@ def _betti_table(algebra: LieSuperalgebra, q_max: int, column_cap: int,
     listing = OrbitListing(_Workspace(adapted, q_max + 1),
                            q_max if z is None else q_max - 1)
     if z is None:
-        rk = {q: _checked_rank(listing, q, dims) for q in range(-1, q_max + 1)}
+        rk = _checked_ranks(listing, -1, q_max, dims)
     else:
-        blocks = _lefschetz_blocks(listing, z, dims, q_max)
-        rk = _block_ranks({t: sum(orbit * r for orbit, _, _, r in groups)
-                           for t, groups in blocks}, q_max)
+        block_rank = [0] * q_max
+        for t, groups in _lefschetz_blocks(listing, z, dims, q_max):
+            for weight, _, _, r in groups:
+                _spread(block_rank, t, weight, r)
+        rk = _block_ranks(block_rank, q_max)
     return _reports(algebra.name, dims, rk, range(q_max + 1))
 

@@ -1,5 +1,6 @@
 """Symmetric weight blocks: the classes of identical copies, each
-copy's charge, and the keys of one charge tuple per orbit of copies.
+copy's charge, and the keys of one base charge tuple per orbit of
+copies, weighted by its shifts.
 
 copy_classes finds the classes of identical components of an adapted
 table (h_n's pairs (x_i, y_i), h_{n,m}'s pairs and y_j) and keeps them
@@ -18,6 +19,22 @@ module imports algebra and superexterior; algebra and
 differential import nothing from here, nor this module anything from
 differential.
 
+A charge can also be a shift.  Let y be an odd generator of a copy
+that is no bracket target.  Then d f_y = 0, so d(f_y a) = -f_y da, and
+multiplying by f_y is injective, since the odd duals generate a
+polynomial ring.  So a copy's charge c' whose every exponent vector
+(of degree at most the listing's top) has y to a power of 1 or more is
+the shift of c = c' - [e_y]: f_y maps the block of c in degree q - 1
+onto that of c' in degree q, and the two have one rank, for d, for
+L^(t) and for psi's blocks of power l alike.  The gate: shifts are taken
+only in a class whose local group is the identity alone, by the first
+such y of its copies (h_n's y_i and h_{n,m}'s y_j; not the odd pairs,
+whose swap is in G, nor a copy whose odd generators are all targets).
+Any other class lists as before, which costs speed, never an answer.
+A base charge, one that is no shift, heads a chain of L shifts, its
+series 1 + t + ... + t^L (1/(1 - t), cut after t^top, for h_n's charge
+0; 1 + t for an h_{n,m} y_j).
+
 An OrbitListing lists those blocks' keys for one engine call, the rank
 engine's one listing of cochains: cohomology and verify build it as
 OrbitListing(_Workspace(adapted, degree), top), above the kernel, and
@@ -25,13 +42,17 @@ keep the workspace on it.  Its keys are sums of each copy's local keys
 and the keys of the generators in no copy, laid out by the workspace's
 `unit` table (superexterior._units); no other key is built.  It finds
 the workspace's classes itself (copy_classes).  Its representatives,
-sorted multisets of nonzero charges per class, are emitted directly
-(orderly generation), once per listing: one walk per class (_listed),
-whose keys carry their degree in bits above the key so that entries of
-every degree walk on together, and one product of the classes' groups
-(_times), filed by orbit size and then degree, the shape orbits()
-reads.  Each class builds its exponent table, and each copy its keys,
-once.  Then, per degree asked for, one sum per orbit size of those
+sorted multisets of nonzero base charges per class, are emitted
+directly (orderly generation), once per listing: one walk per class
+(_listed), whose keys carry their degree in bits above the key so that
+entries of every degree walk on together, and one product of the
+classes' groups (_times), filed by weight series and then degree, the
+shape orbits() reads.  A stack's weight series W is its orbit size
+times the product of its copies' base charges' series (_product,
+_power), cut after t^top: its block of degree t stands for W[k] blocks
+of degree t + k, its shifts.  A class without shifts has W = (orbit
+size,).  Each class builds its exponent table, and each copy its keys,
+once.  Then, per degree asked for, one sum per weight series of those
 groups with the other generators' monomials of the degrees that have
 any.  Those monomials come from superexterior._keys, the one listing
 of keys, which the public builders read too, so a table without
@@ -253,14 +274,16 @@ class OrbitListing:
 
     `groups` files the keys of the classes' representatives (_listed,
     multiplied over the classes by _times) as
-    {orbit size: {degree: keys}}, smallest orbit first and each in
+    {weight series: {degree: keys}}, least series first and each in
     increasing degree, the shape orbits() reads; with no class it is the
-    empty monomial alone, and `degrees` has the degrees filed.
+    empty monomial alone, of series (1,), and `degrees` has the degrees
+    filed.  `reach` is the most shifts any stack stands for, the
+    longest series' length less 1: 0 when nothing shifts.
     `in_copies` has the generators inside a copy, `free` the others,
     and `_free[skip]` the keys of degree 1 of the generators in `free`
     but `skip` and their monomials of each degree asked for, each
-    listed once.  With no class each degree is one stack of orbit size
-    1, the canonical space.  At a top below 0 nothing is listed.
+    listed once.  With no class each degree is one stack of series
+    (1,), the canonical space.  At a top below 0 nothing is listed.
     """
 
     def __init__(self, workspace, top: int):
@@ -271,29 +294,35 @@ class OrbitListing:
         # the largest unit; a walk's keys carry their degree in the bits
         # above, so a sum of keys sums their degrees
         one = 1 << (workspace.radix * max(unit.values(), default=1)).bit_length()
+        targets = {k for t in algebra.brackets.values() for k in t}
         groups, *factors = [_listed(parities, lattice, group,
-                                    [[unit[g] + one for g in c] for c in copies], top, one)
-                            for parities, lattice, copies, group in classes] or [{1: {0: [0]}}]
+                                    [[unit[g] + one for g in c] for c in copies], top, one,
+                                    next((a for a, g in enumerate(copies[0])
+                                          if algebra.parity(g) and g not in targets), None))
+                            for parities, lattice, copies, group in classes] or [{(1,): {0: [0]}}]
         for factor in factors:
             groups = _times(groups, factor, top)
-        self.groups = {orbit: dict(sorted(by_degree.items()))
-                       for orbit, by_degree in sorted(groups.items())}
+        self.groups = {weight: dict(sorted(by_degree.items()))
+                       for weight, by_degree in sorted(groups.items())}
+        self.reach = max(map(len, self.groups), default=1) - 1
         self.degrees = sorted({d for by_degree in self.groups.values() for d in by_degree})
         self.in_copies = {g for _, _, copies, _ in classes for c in copies for g in c}
         self.free = [g for g in range(algebra.dim) if g not in self.in_copies]
         self._free: Dict[Optional[int], tuple] = {}
 
     def orbits(self, q: int, skip: Optional[int] = None) -> List[Tuple[int, List[int]]]:
-        """The keys of degree q of one charge tuple per orbit of copies,
-        stacked by orbit size: [(orbit size, keys)], smallest orbit
+        """The keys of degree q of one base charge tuple per orbit of
+        copies, stacked by weight series: [(W, keys)], least series
         first; with `skip`, a generator outside every copy, of the
-        cochains without its dual.  A table without copies has one
-        stack of orbit size 1, its canonical space in the canonical
-        order.  A q over `top` and a `skip` inside a copy are refused.
+        cochains without its dual.  Each block on these keys stands for
+        W[k] blocks of degree q + k of its rank.  A table without copies
+        has one stack of series (1,), its canonical space in the
+        canonical order.  A q over `top` and a `skip` inside a copy are
+        refused.
 
         A representative gives the copies of each class its nonzero
-        charges in sorted order, the first copies first, and the zero
-        charge to the rest; its orbit size is the product of the
+        base charges in sorted order, the first copies first, and the
+        zero charge to the rest; its orbit size is the product of the
         classes' multinomials.  Each call sums each orbit size's groups
         of degree d <= q with the free monomials of degree q - d,
         listed by superexterior._keys on first use, so only the degrees
@@ -315,43 +344,53 @@ class OrbitListing:
                 monomials[q - d] = _keys(evens, odds, q - d)
         # (d, the free monomials of degree q - d) for each d filed that has any
         free = [(d, monomials[q - d]) for d in self.degrees if d <= q and monomials[q - d]]
-        stacks = [(orbit, [a + b for d, bs in free for b in bs for a in by_degree.get(d, ())])
-                  for orbit, by_degree in self.groups.items()]
-        return [(orbit, keys) for orbit, keys in stacks if keys]
+        stacks = [(weight, [a + b for d, bs in free for b in bs for a in by_degree.get(d, ())])
+                  for weight, by_degree in self.groups.items()]
+        return [(weight, keys) for weight, keys in stacks if keys]
 
 
-def _listed(parities, lattice, group, units, top: int,
-            one: int) -> Dict[int, Dict[int, List[int]]]:
+def _listed(parities, lattice, group, units, top: int, one: int,
+            shift: Optional[int]) -> Dict[tuple, Dict[int, List[int]]]:
     """One copy class's representative keys of degree at most top, as
-    {orbit size: {degree: keys}}, in increasing degree: the copies'
+    {weight series: {degree: keys}}, in increasing degree: the copies'
     local parities, the echelon basis of their charge lattice, their
-    local group (_local_group), and each copy's generators' keys of
+    local group (_local_group), each copy's generators' keys of
     degree 1 plus `one`, a bit above every key, so that a sum of keys
-    is its key plus its degree times `one`.
+    is its key plus its degree times `one`, and `shift`, the local
+    position of the copies' first odd generator that is no bracket
+    target, or None.
 
     The exponent vectors of degree at most top are classed by charge
     once (_exponents, _lattice_class), and each copy's keys of all of
-    them come from one pass per generator (keyed).  A local group
-    beyond the identity keeps the first charge of each of its orbits,
-    with the orbit's size (_local_orbits); the zero charge is its own
-    orbit.
+    them come from one pass per generator (keyed).  When the local
+    group is the identity alone and `shift` is given, the charges that
+    are shifts (the module docstring) are dropped, and each base charge
+    takes the series of its chain of shifts; every other charge has
+    series (1,).  A local group beyond the identity keeps the first
+    charge of each of its orbits, with the orbit's size
+    (_local_orbits); the zero charge is its own orbit.
 
-    A representative gives copies 0..f-1 nonzero charges in sorted
+    A representative gives copies 0..f-1 nonzero base charges in sorted
     order and the zero charge to every later copy; its orbit, under
     the permutations of the copies and each copy's local group, has
     the multinomial of the charges' runs times each charge's local
-    orbit size.  The walk goes copy by copy: copy i takes each nonzero
-    charge at or after the last one's, every degree of it at once, and
-    keeps the sums whose degree fits; the orbit size grows by
-    (copies - i) / run, times the charge's local orbit size, as it
-    takes a charge the run-th time in a row.  Every nonzero charge has
+    orbit size, and its weight series is that times each copy's
+    charge's series.  The walk goes copy by copy: copy i takes each
+    nonzero charge at or after the last one's, every degree of it at
+    once, and keeps the sums whose degree fits; the series is
+    multiplied by the charge's, and by (copies - i) / run times the
+    charge's local orbit size, as it takes a charge the run-th time in
+    a row.  Every nonzero charge has
     degree 1 or more, so only copies 0..top-1 take one, however many
     copies there are.
-    Entries of one level with the same last charge, run and orbit size
+    Entries of one level with the same last charge, run and series
     have the same future and walk on as one, whatever their degrees;
-    each orbit size of level i is closed once, with the zero charge on
-    copies i, i+1, ... (tails[i]).  The keys are split by degree at the
-    end.  At a top below 0 the listing is empty.
+    each series of level i is closed once, with the zero charge on
+    copies i, i+1, ... (tails[i]), its series times the zero charge's
+    to the power copies - i (powers[i], one _power per class, so
+    however many copies there are, no key costs a product per copy).
+    The keys are split by degree at the end.  At a top below 0 the
+    listing is empty.
     """
     if top < 0:
         return {}
@@ -359,6 +398,22 @@ def _listed(parities, lattice, group, units, top: int,
     table: Dict[tuple, list] = {}
     for d, e in _exponents(parities, top):
         table.setdefault(_lattice_class(e, lattice), []).append((d, e))
+    series = dict.fromkeys(table, (1,))
+    if shift is not None and len(group) == 1:
+        # a charge whose every exponent has y to a power of 1 or more
+        # is f_y times the charge one y lower; a base charge takes
+        # 1 + t + ... + t^L, its chain of L shifts
+        moved = {c for c, es in table.items() if all(e[shift] for _, e in es)}
+        for c in table.keys() - moved:
+            base = min(table[c])[1]
+            e = list(base)
+            e[shift] += 1
+            while _lattice_class(e, lattice) in moved:
+                e[shift] += 1
+            series[c] = (1,) * (e[shift] - base[shift])
+        for c in moved:
+            del table[c]
+    zero_series = series[(0,) * len(parities)]
     zero = [e for _, e in table.pop((0,) * len(parities))]
     # least degree first, so a walk with less room stops at the first
     # charge that does not fit
@@ -367,6 +422,7 @@ def _listed(parities, lattice, group, units, top: int,
     if len(group) > 1:
         charges, size = _local_orbits(charges, lattice, group)
     least = [d for d, _, _ in charges]
+    chains = [series[c] for _, c, _ in charges]
     exps = zero + [e for _, _, es in charges for e in es]
     ends = list(accumulate([len(zero)] + [len(es) for _, _, es in charges]))
     columns = list(zip(*exps))
@@ -387,14 +443,20 @@ def _listed(parities, lattice, group, units, top: int,
         z = flat[i][:len(zero)] if i < len(flat) else keyed(units[i], len(zero))
         tails.append(sorted(_sums(z, tails[-1], limit)))
     tails.reverse()
-    listed: Dict[int, List[int]] = {}
-    # {(last charge, its run, orbit size): keys} of level i
-    level: Dict[tuple, List[int]] = {(0, 0, 1): [0]}
+    # and its series, zero_series to the power len(units) - i, from one
+    # power and one product per level
+    powers = [_power(zero_series, len(units) - len(nonzero), top)]
+    for _ in nonzero:
+        powers.append(_product(powers[-1], zero_series, top))
+    powers.reverse()
+    listed: Dict[tuple, List[int]] = {}
+    # {(last charge, its run, weight series): keys} of level i
+    level: Dict[tuple, List[int]] = {(0, 0, (1,)): [0]}
     for i, row in enumerate(nonzero + [[]]):
-        heads: Dict[int, List[int]] = {}
+        heads: Dict[tuple, List[int]] = {}
         grown: Dict[tuple, List[int]] = {}
-        for (last, run, orbit), keys in level.items():
-            heads.setdefault(orbit, []).extend(keys)
+        for (last, run, weight), keys in level.items():
+            heads.setdefault(weight, []).extend(keys)
             room = top - min(keys) // one
             for s, ks in enumerate(row[last:], last):
                 if least[s] > room:
@@ -402,13 +464,17 @@ def _listed(parities, lattice, group, units, top: int,
                 r = run + 1 if s == last else 1
                 new = [c for a in keys for b in ks if (c := a + b) < limit]
                 if new:
-                    grown.setdefault((s, r, orbit * size[s] * (len(units) - i) // r),
+                    factor = size[s] * (len(units) - i)
+                    grown.setdefault((s, r, tuple([w * factor // r for w in
+                                                   _product(weight, chains[s], top)])),
                                      []).extend(new)
-        for orbit, keys in heads.items():
-            listed.setdefault(orbit, []).extend(_sums(keys, tails[i], limit))
+        for weight, keys in heads.items():
+            listed.setdefault(_product(weight, powers[i], top), []).extend(
+                _sums(keys, tails[i], limit))
         level = grown
-    return {orbit: {d: [k & one - 1 for k in ks] for d, ks in groupby(sorted(keys), one.__rfloordiv__)}
-            for orbit, keys in listed.items()}
+    return {weight: {d: [k & one - 1 for k in ks]
+                     for d, ks in groupby(sorted(keys), one.__rfloordiv__)}
+            for weight, keys in listed.items()}
 
 
 def _local_orbits(charges, lattice, group):
@@ -437,20 +503,41 @@ def _sums(left, right: List[int], limit: int) -> List[int]:
     return [a + b for a in left for b in right[:bisect_left(right, limit - a)]]
 
 
-def _times(left, right, top: int) -> Dict[int, Dict[int, List[int]]]:
-    """The groups {orbit size: {degree: keys}} of the sums a + b, a a
+def _times(left, right, top: int) -> Dict[tuple, Dict[int, List[int]]]:
+    """The groups {weight series: {degree: keys}} of the sums a + b, a a
     key of `left` and b one of `right` (groups over disjoint generators,
     right's in increasing degree), of degree at most top; keys are
-    additive over disjoint generators, and orbit sizes multiply."""
-    out: Dict[int, Dict[int, List[int]]] = {}
-    for o1, g1 in left.items():
-        for o2, g2 in right.items():
-            into = out.setdefault(o1 * o2, {})
+    additive over disjoint generators, and weight series multiply."""
+    out: Dict[tuple, Dict[int, List[int]]] = {}
+    for w1, g1 in left.items():
+        for w2, g2 in right.items():
+            into = out.setdefault(_product(w1, w2, top), {})
             for d1, ks1 in g1.items():
                 for d2, ks2 in g2.items():
                     if d1 + d2 > top:
                         break
                     into.setdefault(d1 + d2, []).extend([a + b for a in ks1 for b in ks2])
+    return out
+
+
+def _product(a, b, top: int) -> tuple:
+    """The product of the series a and b (coefficient tuples), cut after
+    t^top."""
+    out = [0] * min(len(a) + len(b) - 1, top + 1)
+    for i, x in enumerate(a[:len(out)]):
+        for j, y in enumerate(b[:len(out) - i]):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def _power(series, m: int, top: int) -> tuple:
+    """series ** m cut after t^top, by squaring: O(log m) products."""
+    out = (1,)
+    while m:
+        if m & 1:
+            out = _product(out, series, top)
+        series = _product(series, series, top)
+        m >>= 1
     return out
 
 

@@ -7,14 +7,18 @@ dim_h_odd_proof count as failures; the expanded odd-family display is
 retained verbatim precisely so that its deviations can be reported
 rather than hidden.
 
-On h_n each block L^(t) comes as orbit groups
-(cohomology._lefschetz_blocks; on h_1, which has no copies, one group,
-the whole of A^t): the Lefschetz blocks of powers 2 and 3,
-which are psi_{(n,2)} and psi_{(n,3)} up to the sign (-1)^t, are built
-on each group's keys and compared with l times the group's L^(t)
-(_is_multiple) as they are, without the sign, which changes no kernel
-and is put on only by the public psi_matrix.  Every kernel is the sum
-of |orbit| times the group's kernel, so a faulty psi is still reported
+On h_n each block L^(t) comes as groups of base charge tuples with
+their weight series (cohomology._lefschetz_blocks; on h_1, which has no
+copies, one group, the whole of A^t, of series (1,)): the Lefschetz
+blocks of powers 2 and 3, which are psi_{(n,2)} and psi_{(n,3)} up to
+the sign (-1)^t, are built on each group's keys and compared with l
+times the group's L^(t) (_is_multiple) as they are, without the sign,
+which changes no kernel and is put on only by the public psi_matrix.
+Multiplying by f_{y_i} maps psi's blocks, like L^(t)'s, onto blocks one
+degree up of the same kernel (symmetry's docstring), so the kernel of
+degree t is the sum over s <= t of W[t - s] times each group of degree
+s's kernel (cohomology._spread): each group's psi blocks are built once
+for every degree they stand for, and a faulty psi is still reported
 through its own elimination.  Each n owns one orbit listing,
 OrbitListing(_Workspace(adapted h_n, q_max + 4), q_max), built as
 cohomology._betti_table builds its own: the walk reads its keys, and
@@ -39,7 +43,7 @@ import time
 from typing import List, Optional
 
 from .algebra import adapted_basis, make_heisenberg_even, make_heisenberg_odd
-from .cohomology import _betti_table, _block_ranks, _lefschetz_blocks
+from .cohomology import _betti_table, _block_ranks, _lefschetz_blocks, _spread
 from .differential import _lefschetz_block, _Workspace
 from .formulas import dim_h_even, dim_h_odd_displayed, dim_h_odd_proof, ker_psi_dim
 from .limits import DEFAULT_COLUMN_CAP, check_grid
@@ -134,10 +138,10 @@ def verify_family(family: str, n_max: int, m_max: Optional[int] = None,
     block further: each block is built and eliminated once, its rank
     gives rank d_q for the Betti reports and the kernel of
     psi_{(n,1)} = (-1)^t L^(t).  psi_{(n,2)} and psi_{(n,3)} are built
-    on the same keys, orbit group by orbit group, as Lefschetz blocks
-    without their sign; one that is exactly l times L^(t) has its
-    kernel, and any other gets its own elimination, each group's kernel
-    counted |orbit| times.
+    on the same keys, group by group, as Lefschetz blocks without their
+    sign; one that is exactly l times L^(t) has its kernel, and any
+    other gets its own elimination, each group's kernel counted
+    W[k] times in degree t + k, W its weight series.
 
     Every refusal comes first, from sizes alone (limits.check_grid): a
     grid of more than MAX_GRID_POINTS points (GridTooLarge), a q_max
@@ -166,29 +170,34 @@ def verify_family(family: str, n_max: int, m_max: Optional[int] = None,
 def _odd_point(n: int, q_max: int, dims) -> List[Comparison]:
     """The checks of h_n, whose dimensions check_grid gave: one block
     walk over t = 0..q_max on one listing, built as _betti_table
-    builds its own, and dropped when this returns."""
+    builds its own, and dropped when this returns.  Each group's rank
+    and psi kernels are spread over the degrees its weight series
+    reaches (cohomology._spread), so degree t's totals are whole once
+    the walk has passed it."""
     # the rows of psi_{(n,l)} in degree t have degree t + l + 1
     listing = OrbitListing(_Workspace(adapted_basis(make_heisenberg_odd(n)),
                                       q_max + 1 + max(PSI_POWERS)), q_max)
     z = 2 * n  # h_n's odd centre, its last generator
     checks = []
-    block_rank = {}
+    # rank L^(t) and each psi kernel of degree t, summed over the blocks
+    # of every degree s <= t with their weights (_spread)
+    block_rank = [0] * (q_max + 1)
+    kernels = {l: [0] * (q_max + 1) for l in PSI_POWERS}
     for t, groups in _lefschetz_blocks(listing, z, dims, q_max + 1):
-        block_rank[t] = sum(orbit * r for orbit, _, _, r in groups)
-        kernels = dict.fromkeys(PSI_POWERS, 0)
-        for orbit, keys, block, r in groups:
-            kernels[1] += orbit * (block.cols - r)
+        for weight, keys, block, r in groups:
+            _spread(block_rank, t, weight, r)
+            _spread(kernels[1], t, weight, block.cols - r)
             for l in PSI_POWERS[1:]:
                 # psi_{(n,l)} is (-1)^t times the block of power l, and
                 # the sign changes no kernel: a block that is l times
                 # L^(t) has its kernel, and any other is eliminated
                 psi = _lefschetz_block(listing.workspace, z, t, l, keys)
                 same = _is_multiple(psi, block, l)
-                kernels[l] += orbit * (block.cols - r if same else kernel_dim(psi))
+                _spread(kernels[l], t, weight, block.cols - r if same else kernel_dim(psi))
         want = ker_psi_dim(t, n)
         for l in PSI_POWERS:
             checks.append(Comparison("ker_psi_dim[l=%d]" % l, n, None, t, want,
-                                     kernels[l]))
+                                     kernels[l][t]))
     for report in _reports(listing.workspace.algebra.name, dims,
                            _block_ranks(block_rank, q_max), range(q_max + 1)):
         oracle = report.dim_cohomology

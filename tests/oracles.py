@@ -15,7 +15,8 @@ the package's former double sum for dim_h_odd_proof over its
 ker_psi_dim and graded_dim.  orbit_listing_defects reads the
 package's packed keys and its copies' generator tuples, but none of
 its charges, lattices, local groups or listing code: the local
-permutations it applies come from its caller.
+permutations it applies come from its caller, and it finds the shifts
+by brute force over the copies' local monomials.
 """
 
 from collections import Counter
@@ -425,21 +426,30 @@ def z_power_block(algebra, z, t, l):
     return block, rest
 
 
-def orbit_listing_defects(algebra, copies, groups, basis, radix, local) -> List[str]:
-    """How one degree's representative groups fail to list its cochains
-    once per orbit of the copies; [] when they do not.
+def orbit_listing_defects(algebra, copies, groups, basis, radix, local, top) -> List[str]:
+    """How the representative groups fail to list one degree's cochains
+    once per orbit of the copies and per shift; [] when they do not.
 
-    `copies` has, per class, the copies' generator tuples, `groups` is
-    [(orbit size, keys)] of packed keys over `radix`, and `basis` the
-    degree's packed keys.  `local` has, per class, the permutations of
-    one copy's generators (sigma[a], a position in the copy's tuple)
-    that each copy takes on its own.  Every permutation of the copies
-    within their classes, after any local permutation of each copy,
-    applied to a group's keys as a relabelling of generators, must give
-    exactly orbit size times len(keys) cochains (a key's block is one
-    of orbit size blocks that the relabellings map onto each other),
-    none given by another group; and together the images must be every
-    cochain of `basis`.
+    `copies` has, per class, the copies' generator tuples, `basis` the
+    degree's packed keys over `radix`, and `groups` is
+    [(k, weight, keys)]: packed keys of k degrees less, each standing
+    for weight[k] cochains of this degree (0 past weight's end).
+    `local` has, per class, the permutations of one copy's generators
+    (sigma[a], a position in the copy's tuple) that each copy takes on
+    its own.  Every permutation of the copies within their classes,
+    after any local permutation of each copy, applied to a group's keys
+    as a relabelling of generators, must give exactly weight[0] times
+    len(keys) monomials; k shifts of those, exactly weight[k] times
+    len(keys) cochains, none given by another group; and together the
+    images must be every cochain of `basis`.
+
+    A shift multiplies one copy's monomial by its y, the first odd
+    generator of the copy that no bracket targets, in a class whose
+    copies take the identity alone (`local`).  It is allowed when every
+    local monomial of degree at most top in the class of the image has
+    y; a class is a set of local monomials joined by the copy's bracket
+    moves, e -> e + e_i + e_j (- e_k when k lies in the copy) for each
+    nonzero [g_i, g_j] -> g_k of the table (_shift_targets).
     """
     n0 = len(algebra.even_indices)
 
@@ -461,21 +471,88 @@ def orbit_listing_defects(algebra, copies, groups, basis, radix, local) -> List[
                 for old, new, sigma in zip(c, order, within):
                     relabel.update((old[a], new[b]) for a, b in enumerate(sigma))
             relabellings.append(relabel)
+    targets = {k for t in algebra.brackets.values() for k, c in t.items() if c}
+    shifts = []
+    for c, perms in zip(copies, local):
+        ys = [a for a, g in enumerate(c[0]) if algebra.parity(g) == ODD and g not in targets]
+        if len(perms) == 1 and ys:
+            allowed = _shift_targets(algebra, c[0], ys[0], top)
+            shifts += [(copy, copy[ys[0]], allowed) for copy in c]
+
+    def shifted(images):
+        out = set()
+        for image in images:
+            mono = dict(image)
+            for copy, y, allowed in shifts:
+                if tuple(mono.get(g, 0) + (g == y) for g in copy) in allowed:
+                    out.add(frozenset({**mono, y: mono.get(y, 0) + 1}.items()))
+        return out
+
     defects, seen = [], set()
-    for orbit, keys in groups:
+    for k, weight, keys in groups:
         images = {frozenset((relabel.get(g, g), a) for g, a in monomial(key).items())
                   for key in keys for relabel in relabellings}
-        if len(images) != orbit * len(keys):
-            defects.append("the group of orbit %d has %d images, not %d x %d"
-                           % (orbit, len(images), orbit, len(keys)))
+        if len(images) != weight[0] * len(keys):
+            defects.append("the group of weight %s has %d images, not %d x %d"
+                           % (weight, len(images), weight[0], len(keys)))
+        for _ in range(k):
+            images = shifted(images)
+        want = weight[k] if k < len(weight) else 0
+        if len(images) != want * len(keys):
+            defects.append("the group of weight %s has %d images %d shifts up, not %d x %d"
+                           % (weight, len(images), k, want, len(keys)))
         if images & seen:
-            defects.append("the group of orbit %d meets an earlier group" % orbit)
+            defects.append("the group of weight %s meets an earlier group" % (weight,))
         seen |= images
     want = {frozenset(monomial(key).items()) for key in basis}
     if seen != want:
         defects.append("the orbits miss %d monomials and add %d"
                        % (len(want - seen), len(seen - want)))
     return defects
+
+
+def _shift_targets(algebra, copy, y, top):
+    """The exponent vectors over `copy`'s generators, of degree at most
+    top, whose class under the copy's bracket moves has y (a position
+    in `copy`) in every member of degree at most top.  A move can pass
+    through a monomial of higher degree (the filiform triple's
+    [a, c] -> t adds f_a f_c), so the moves join the vectors of degree
+    up to 2 top + 2."""
+    reach = 2 * top + 2
+    vectors = [()]
+    for g in copy:
+        bound = reach if algebra.parity(g) == ODD else 1
+        vectors = [v + (a,) for v in vectors for a in range(bound + 1)]
+    vectors = {v for v in vectors if sum(v) <= reach}
+    position = {g: a for a, g in enumerate(copy)}
+    moves = []
+    for (i, j), ts in algebra.brackets.items():
+        if i in position and j in position:
+            for k, c in ts.items():
+                if c:
+                    move = [0] * len(copy)
+                    move[position[i]] += 1
+                    move[position[j]] += 1
+                    if k in position:
+                        move[position[k]] -= 1
+                    moves.append(move)
+    root = {v: v for v in vectors}
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for v in vectors:
+        for move in moves:
+            w = tuple(a + b for a, b in zip(v, move))
+            if w in root:
+                root[find(w)] = find(v)
+    classes: Dict[tuple, list] = {}
+    for v in vectors:
+        if sum(v) <= top:
+            classes.setdefault(find(v), []).append(v)
+    return {v for members in classes.values() if all(u[y] for u in members) for v in members}
 
 
 def full_matrix_ranks(algebra, q_max):

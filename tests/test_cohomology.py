@@ -442,14 +442,16 @@ def _listings(monkeypatch):
 def test_cohomology_dims_enumerates_each_space_once(monkeypatch):
     spaces, asked, listed = _listings(monkeypatch)
     for q in range(6):
-        ranked = list(range(max(q - 1, 0), q + 1))
-        for alg in (make_heisenberg_even(1, 1), make_heisenberg_even(2, 2)):
+        for alg, reach in ((make_heisenberg_even(1, 1), 0), (make_heisenberg_even(2, 2), 2)):
             asked.clear()
             listed.clear()
             cohomology_dims(alg, q)
-            # d_{q-1} then d_q: the stacks of C^{q-1} and C^q, once each;
-            # their rows are numbered on first use, so C^{q+1} is never
-            # listed
+            # d_{q-1} then d_q: the stacks of C^{q-1} and C^q, and on
+            # h_{2,2} those of the two degrees below, whose blocks its
+            # y_j shift up to C^{q-1} (weight series (1 + t)^2), once
+            # each; their rows are numbered on first use, so C^{q+1} is
+            # never listed
+            ranked = list(range(max(q - 1 - reach, 0), q + 1))
             assert asked == ranked, (alg.name, q)
             if alg.name == "h_{1,1}":
                 # no copies: the stacks are the monomials of C^{q-1} and

@@ -8,9 +8,14 @@ over charge tuples, and permuting the copies of a class, or the
 generators of one copy by its local group, permutes the blocks.  The
 engine lists the keys of one charge tuple per orbit
 (symmetry.OrbitListing.orbits) and takes rank d_q, or rank L^(t), as
-sum |orbit| rank(block).  The references are the full matrices of
-differential_matrix, which never splits, and a brute-force search for
-the local groups (signed_symmetries).
+sum |orbit| rank(block).  Multiplying by f_y, y an odd generator of a
+copy that is no bracket target, maps blocks onto blocks one degree up,
+so only base charges are listed, each stack with a weight series W,
+and the ranks are sum_t sum W[q - t] rank(block of degree t).  The
+references are the full matrices of differential_matrix, which never
+splits, dense Fraction ranks of their blocks, and brute-force searches
+for the local groups (signed_symmetries) and the shifts
+(oracles.orbit_listing_defects).
 """
 
 import random
@@ -20,18 +25,20 @@ from itertools import permutations, product
 
 import pytest
 
-from heisenberg_cohomology import cohomology, symmetry
+from heisenberg_cohomology import cohomology, symmetry, verify
 from heisenberg_cohomology.algebra import (EVEN, ODD, LieSuperalgebra, adapted_basis,
                                            make_heisenberg_even, make_heisenberg_odd,
                                            require_valid)
-from heisenberg_cohomology.cohomology import _checked_rank, betti_table
+from heisenberg_cohomology.cohomology import _checked_ranks, betti_table
 from heisenberg_cohomology.differential import _Workspace
+from heisenberg_cohomology.elements import SuperSpaceDims, differential_matrix, enumerate_basis
 from heisenberg_cohomology.formulas import dim_h_even, dim_h_odd_proof
 from heisenberg_cohomology.limits import _checked_dims
 from heisenberg_cohomology.symmetry import OrbitListing, _lattice_class, copy_classes
 from heisenberg_cohomology.superexterior import _keys, _radix, _units
 
-from oracles import full_matrix_ranks, orbit_listing_defects
+from oracles import (dense_rank_fractions, full_matrix_ranks, orbit_listing_defects,
+                     z_power_block)
 from test_adapted_basis import HIDDEN_SUMS
 from test_lefschetz_blocks import NOT_CENTRAL
 from test_validate import OSP12, SL2, _table, direct_sum
@@ -130,6 +137,21 @@ def triples(kind, k):
     return LieSuperalgebra("%s_%d" % (kind, k), gens, brackets)
 
 
+def filiform(k):
+    """t (odd) and k copies of the odd-headed filiform triple
+    [a_i, b_i] = c_i, [a_i, c_i] = t: a_i even, b_i and c_i odd.  c_i is
+    a bracket target inside its copy and b_i is none, so the copies
+    shift by b_i though a target is not central."""
+    gens = [("t", ODD)]
+    gens += [(name % i, parity) for i in range(1, k + 1)
+             for name, parity in (("a%d", EVEN), ("b%d", ODD), ("c%d", ODD))]
+    brackets = {}
+    for i in range(k):
+        a, b, c = 3 * i + 1, 3 * i + 2, 3 * i + 3
+        brackets.update({(a, b): {c: 1}, (a, c): {0: 1}})
+    return LieSuperalgebra("filiform_%d" % k, gens, brackets)
+
+
 def signed_symmetries(alg, copy):
     """The permutations sigma of the generators in `copy` (sigma[a] a
     position in the tuple) for which some signs eps make
@@ -171,7 +193,7 @@ def _members():
     out += [(make_heisenberg_even(n, m), q) for n, m, q in EVEN_MEMBERS]
     out += [(alg, q) for alg, q, _ in _distinct_members()]
     out += [(odd_pairs(k, n), q) for k, n, q in ODD_PAIRS]
-    out += [(triples(kind, 3), 6) for kind in TRIPLES]
+    out += [(triples(kind, 3), 6) for kind in TRIPLES] + [(filiform(3), 5)]
     return out + [(shuffled(make_heisenberg_even(3, 3), 5), 8)]
 
 
@@ -186,9 +208,9 @@ def _full_route(alg, q_max):
 
 
 def _orbit_ranks(alg, q_max):
-    """{q: rank d_q} from the full-matrix route's per-degree helper."""
+    """{q: rank d_q} from the full-matrix route's rank helper."""
     listing, dims = _full_route(alg, q_max)
-    return {q: _checked_rank(listing, q, dims) for q in range(-1, q_max + 1)}
+    return _checked_ranks(listing, -1, q_max, dims)
 
 
 def test_copy_classes_of_the_families():
@@ -226,7 +248,7 @@ def test_orbit_sums_equal_the_full_matrix_ranks():
                              and not alg.name.startswith("distinct_")), alg.name
         listing, _ = _full_route(alg, q_max)
         # without copies, each degree is one stack of orbit size 1
-        assert symmetric or [orbit for orbit, _ in listing.orbits(q_max)] == [1], alg.name
+        assert symmetric or [weight for weight, _ in listing.orbits(q_max)] == [(1,)], alg.name
         # the full-matrix route, whatever the table's centre
         assert _orbit_ranks(alg, q_max) == full, alg.name
         # betti_table: the Lefschetz blocks on h_n, the full route otherwise
@@ -283,8 +305,8 @@ def test_representatives_are_distinct_keys_of_their_degree():
         assert len(set(listed)) == len(listed) and set(listed) <= everything
         # well under half of the columns are listed
         assert 5 * len(listed) < 2 * len(everything), alg.name
-        orbits = [orbit for orbit, _ in listing.orbits(6)]
-        assert orbits == sorted(set(orbits)) and orbits[0] == 1
+        weights = [weight for weight, _ in listing.orbits(6)]
+        assert weights == sorted(set(weights)) and weights[0][0] == 1
 
 
 def test_local_groups_match_a_brute_force_search():
@@ -318,9 +340,10 @@ def test_local_groups_match_a_brute_force_search():
 def test_each_orbit_group_lists_its_orbits_once():
     # the oracle relabels each listed key by every permutation of the
     # copies within their classes, after each copy's own permutations
-    # (signed_symmetries, not the package's), with no charge or
-    # lattice; h_n's z, its last generator, is in no copy, and is left
-    # out too
+    # (signed_symmetries, not the package's), and shifts it by brute
+    # force, with no charge or lattice: the stacks of every degree
+    # t <= q must tile degree q's basis, W[q - t] images a key; h_n's z,
+    # its last generator, is in no copy, and is left out too
     tables = [(make_heisenberg_odd(n), top, (None, 2 * n)) for n, top in ((2, 10), (3, 8),
                                                                          (4, 7), (5, 6))]
     tables += [(make_heisenberg_even(n, m), 7, (None,)) for n, m in ((1, 4), (3, 1), (2, 4),
@@ -336,6 +359,9 @@ def test_each_orbit_group_lists_its_orbits_once():
     # the triples, whose local groups have two and three elements
     tables += [(odd_pairs(k, n), q, (None,)) for k, n, q in ODD_PAIRS]
     tables += [(triples(kind, 3), 6, (None,)) for kind in TRIPLES]
+    # the filiform copies shift by b_i, and their classes join through
+    # monomials of higher degree
+    tables += [(filiform(k), top, (None,)) for k, top in ((2, 6), (3, 5))]
     for alg, top, skips in tables:
         adapted = adapted_basis(alg)
         copies = [c for _, _, c, _ in copy_classes(adapted)]
@@ -344,10 +370,133 @@ def test_each_orbit_group_lists_its_orbits_once():
         workspace = listing.workspace
         for skip in skips:
             for q in range(top + 1):
-                groups = listing.orbits(q, skip)
+                # the stacks of every degree t <= q, shifted q - t times
+                groups = [(q - t, weight, keys) for t in range(q + 1)
+                          for weight, keys in listing.orbits(t, skip)]
                 basis = _canonical(workspace, q, skip)
-                assert orbit_listing_defects(adapted, copies, groups, basis,
-                                             workspace.radix, local) == [], (alg.name, skip, q)
+                assert orbit_listing_defects(adapted, copies, groups, basis, workspace.radix,
+                                             local, top) == [], (alg.name, skip, q)
+
+
+def _hand_charges(alg):
+    """(charges, lower) of h_n or h_{n,m}, by hand: charges maps a
+    monomial {generator name: exponent} to its copies' charges, and
+    lower(i, c) is the charge one y lower when copy i's charge c is a
+    shift (f_y times that charge), else None.  On h_n the charge of
+    (x_i, y_i) is alpha_i - s_i, a shift from 1 on; on h_{n,m} the pair
+    (x_i, x_{n+i}) has s_{n+i} - s_i, never a shift (the swap is in its
+    local group), and y_j has alpha_j mod 2, a shift when odd."""
+    names = [g.name for g in alg.generators]
+    n = sum(name.startswith("x") for name in names)
+    if "," not in alg.name:
+        def charges(mono):
+            return tuple(mono.get("y%d" % i, 0) - mono.get("x%d" % i, 0) for i in range(1, n + 1))
+        return charges, lambda i, c: c - 1 if c >= 1 else None
+    n //= 2
+    m = len(names) - 2 * n - 1
+
+    def charges(mono):
+        pairs = [mono.get("x%d" % (n + i), 0) - mono.get("x%d" % i, 0) for i in range(1, n + 1)]
+        return tuple(pairs + [mono.get("y%d" % j, 0) % 2 for j in range(1, m + 1)])
+    return charges, lambda i, c: 0 if i >= n and c == 1 else None
+
+
+def _dense_block_ranks(entries, basis, names, charges):
+    """{charge tuple: dense Fraction rank of the columns of `basis`
+    (monomials over the generators `names`, evens first) with those
+    charges} of the matrix {(row, col): value} `entries`."""
+    columns = {}
+    for (r, c), v in entries.items():
+        columns.setdefault(c, {})[r] = v
+    blocks = {}
+    for c, mono in enumerate(basis):
+        n0 = len(names) - len(mono.odd_exponents)
+        word = {names[p]: 1 for p in mono.even_set}
+        word.update((names[n0 + p], a) for p, a in enumerate(mono.odd_exponents) if a)
+        blocks.setdefault(charges(word), []).append(c)
+    out = {}
+    for key, cols in blocks.items():
+        rows = {r: i for i, r in enumerate(sorted({r for c in cols for r in columns.get(c, ())}))}
+        out[key] = dense_rank_fractions(len(rows), len(cols), {
+            (rows[r], i): v for i, c in enumerate(cols) for r, v in columns.get(c, {}).items()})
+    return out
+
+
+def test_each_shifted_block_has_its_base_rank_one_degree_down():
+    # f_y, y odd and no bracket target, is a cocycle, and multiplying by
+    # it is injective, so a charge whose every monomial has y is f_y
+    # times the charge one y lower, and its block in degree q has the
+    # rank of that one's in degree q - 1: for L^(t) on h_n, for d_q on
+    # h_{n,m}; ranks from dense eliminations of the full matrices' blocks
+    compared = 0
+    for alg, top in ((make_heisenberg_odd(2), 8), (make_heisenberg_odd(3), 7),
+                     (make_heisenberg_odd(4), 6), (make_heisenberg_even(1, 2), 7),
+                     (make_heisenberg_even(2, 2), 6), (make_heisenberg_even(1, 3), 6)):
+        charges, lower = _hand_charges(alg)
+        gens = [alg.generators[g].name for g in alg.even_indices + alg.odd_indices]
+        ranks = {}
+        for q in range(top + 1):
+            if "," in alg.name:
+                dm = differential_matrix(alg, q)
+                found = _dense_block_ranks(dm.matrix.entries, dm.domain, gens, charges)
+            else:
+                block, _ = z_power_block(alg, alg.dim - 1, q, 1)
+                space = SuperSpaceDims(alg.superdim[0], alg.superdim[1] - 1)
+                found = _dense_block_ranks(block, enumerate_basis(space, q), gens[:-1], charges)
+            ranks.update(((q, key), r) for key, r in found.items())
+        for (q, key), r in ranks.items():
+            for i, c in enumerate(key):
+                if lower(i, c) is not None:
+                    base = key[:i] + (lower(i, c),) + key[i + 1:]
+                    assert ranks[q - 1, base] == r, (alg.name, q, key, i)
+                    compared += 1
+        # and the weighted listing, on either route, has the full ranks
+        listing, _ = _full_route(alg, top)
+        assert listing.reach > 0, alg.name
+        full = full_matrix_ranks(adapted_basis(alg), top)
+        assert _orbit_ranks(alg, top) == full, alg.name
+        assert [r.dim_cochain - r.dim_cocycles for r in betti_table(alg, top)] \
+            == [full[q] for q in range(top + 1)], alg.name
+    # every shifted block of those degrees, once per copy it is shifted on
+    assert compared == 2540
+
+
+def gl11_copies(k):
+    """k copies of a gl(1|1)-type block, [h_i, e_i] = e_i,
+    [h_i, f_i] = -f_i, [e_i, f_i] = c with c shared: h_i even, e_i and
+    f_i odd, and both bracket targets, so neither is a shift."""
+    gens = [("c", EVEN)]
+    gens += [(name % i, parity) for i in range(1, k + 1)
+             for name, parity in (("h%d", EVEN), ("e%d", ODD), ("f%d", ODD))]
+    brackets = {}
+    for i in range(k):
+        h, e, f = 3 * i + 1, 3 * i + 2, 3 * i + 3
+        brackets.update({(h, e): {e: 1}, (h, f): {f: -1}, (e, f): {0: 1}})
+    return LieSuperalgebra("gl11_%d" % k, gens, brackets)
+
+
+def test_classes_that_must_not_shift_list_as_without_a_shift(monkeypatch):
+    # the odd pairs' swap and the triples' groups are in G, and the
+    # gl(1|1)-type blocks' odd generators are bracket targets: each
+    # class lists as with no shift generator given, every weight series
+    # of length 1, and the ranks are the full matrices'
+    tables = [(odd_pairs(k, n), q) for k, n, q in ODD_PAIRS]
+    tables += [(triples(kind, 3), 6) for kind in TRIPLES] + [(gl11_copies(3), 5)]
+    listed = {alg.name: _full_route(alg, top)[0] for alg, top in tables}
+    # the gate holds back these alone: h_3's pairs do shift, and so do
+    # the filiform copies, by b_i, though their c_i is a target
+    assert _full_route(make_heisenberg_odd(3), 4)[0].reach == 4
+    assert _full_route(filiform(3), 4)[0].reach == 4
+    real = symmetry._listed
+    monkeypatch.setattr(symmetry, "_listed", lambda *args: real(*args[:-1], None))
+    for alg, top in tables:
+        adapted = adapted_basis(alg)
+        assert copy_classes(adapted), alg.name
+        listing, bare = listed[alg.name], _full_route(alg, top)[0]
+        assert listing.reach == 0 and all(len(w) == 1 for w in listing.groups), alg.name
+        for q in range(top + 1):
+            assert listing.orbits(q) == bare.orbits(q), (alg.name, q)
+        assert _orbit_ranks(alg, top) == full_matrix_ranks(adapted, top), alg.name
 
 
 def test_a_generator_inside_a_copy_cannot_be_left_out():
@@ -454,7 +603,7 @@ def test_tables_without_copies_take_the_canonical_spaces(monkeypatch):
         betti_table(alg, 3)
         assert listed, alg.name
         for workspace, q, skip, groups in listed:
-            assert groups == [(1, _canonical(workspace, q, skip))], (alg.name, q, skip)
+            assert groups == [((1,), _canonical(workspace, q, skip))], (alg.name, q, skip)
 
 
 def test_a_table_without_copies_lists_its_canonical_spaces():
@@ -467,7 +616,7 @@ def test_a_table_without_copies_lists_its_canonical_spaces():
         for skip in (None, *adapted.odd_indices):
             for q in range(7):
                 basis = _canonical(workspace, q, skip)
-                assert listing.orbits(q, skip) == ([(1, basis)] if basis else []), \
+                assert listing.orbits(q, skip) == ([((1,), basis)] if basis else []), \
                     (alg.name, q, skip)
 
 
@@ -475,8 +624,8 @@ def test_a_miscounted_orbit_trips_the_shape_check(monkeypatch):
     real = symmetry.OrbitListing.orbits
 
     def doubled(listing, q, skip=None):
-        (orbit, keys), *rest = real(listing, q, skip)
-        return [(2 * orbit, keys)] + rest
+        (weight, keys), *rest = real(listing, q, skip)
+        return [(tuple(2 * w for w in weight), keys)] + rest
 
     monkeypatch.setattr(symmetry.OrbitListing, "orbits", doubled)
     # the full-matrix route (h_{2,2}, and h_{1,1} without copies) and the
@@ -491,6 +640,28 @@ def test_a_miscounted_orbit_trips_the_shape_check(monkeypatch):
             betti_table(alg, 2)
     with pytest.raises(AssertionError, match="summed over its orbits"):
         cohomology.cohomology_dims(make_heisenberg_even(2, 2), 1)
+
+    def shifted_once_more(listing, q, skip=None):
+        # W[1] one over: the first stack stands for one block too many a
+        # degree up (a series of length 1 gets W[1] = 1)
+        (weight, keys), *rest = real(listing, q, skip)
+        weight = weight + (0,) * (len(weight) < 2)
+        return [(weight[:1] + (weight[1] + 1,) + weight[2:], keys)] + rest
+
+    monkeypatch.setattr(symmetry.OrbitListing, "orbits", shifted_once_more)
+    # h_{2,2}'s y_j and h_3's pairs shift, h_{1,1} and h_1 do not
+    for alg in (make_heisenberg_even(2, 2), make_heisenberg_even(1, 1)):
+        with pytest.raises(AssertionError, match=r"d_1 has shape \d+x\d+ summed over its orbits"):
+            betti_table(alg, 2)
+        with pytest.raises(AssertionError, match=r"d_1 has shape \d+x\d+ summed over its orbits"):
+            cohomology.cohomology_dims(alg, 1)
+    for alg in (make_heisenberg_odd(3), make_heisenberg_odd(1)):
+        with pytest.raises(AssertionError, match=r"L\^\(1\) has shape \d+x\d+ summed"):
+            betti_table(alg, 2)
+    # verify's odd point walks the same blocks, psi's with them
+    for n_max in (1, 3):
+        with pytest.raises(AssertionError, match=r"L\^\(1\) has shape \d+x\d+ summed"):
+            verify.verify_family("odd", n_max, q_max=2)
 
 
 def test_a_miscounted_local_orbit_trips_the_shape_check(monkeypatch):

@@ -22,32 +22,38 @@ def _one_entry_negated(block):
     return RationalMatrix.from_columns(block.rows, columns, block.scale)
 
 
-def _recorded_groups(monkeypatch):
-    """{id(keys): orbit size} and {(name, t): sum of orbit sizes} of the
-    groups verify's block walk yields."""
+def _recorded_weights(monkeypatch):
+    """{id(keys): weight series} of the groups verify's block walk
+    yields, each filed while its step runs."""
     real = verify._lefschetz_blocks
-    orbit_of, orbits_at = {}, Counter()
+    weight_of = {}
 
     def recorded(listing, z, dims, t_end):
         for t, groups in real(listing, z, dims, t_end):
-            for orbit, keys, _, _ in groups:
-                orbit_of[id(keys)] = orbit
-                orbits_at[(listing.workspace.algebra.name, t)] += orbit
+            weight_of.update((id(keys), weight) for weight, keys, _, _ in groups)
             yield t, groups
 
     monkeypatch.setattr(verify, "_lefschetz_blocks", recorded)
-    return orbit_of, orbits_at
+    return weight_of
+
+
+def _weighted(blocks, q):
+    """sum W[q - t] * value over the (t, W, value) of `blocks`: what
+    degree q counts of blocks of degree t, each standing for W[k] blocks
+    k degrees up."""
+    return sum(w[q - t] * v for t, w, v in blocks if 0 <= q - t < len(w))
 
 
 def test_psi_shortcut_cannot_hide_a_faulty_build(monkeypatch):
     # psi_{(n,2)} built with an extra zero column, and psi_{(n,3)} with
     # one entry changed, in every orbit group, are not l * psi_{(n,1)},
-    # so each group's own kernel, times its orbit size, must be
-    # reported: one more per orbit than the closed form for l = 2, and
-    # for l = 3 less where the change raises a group's rank
+    # so each group's own kernel, with its weight series, must be
+    # reported: one more per block it stands for than the closed form
+    # for l = 2, and for l = 3 less where the change raises a group's
+    # rank
     real = verify._lefschetz_block
-    orbit_of, orbits_at = _recorded_groups(monkeypatch)
-    faulty_kernels = Counter()
+    weight_of = _recorded_weights(monkeypatch)
+    faulty_kernels = {}
 
     def faulty(workspace, z, t, l, keys):
         block = real(workspace, z, t, l, keys)
@@ -57,8 +63,8 @@ def test_psi_shortcut_cannot_hide_a_faulty_build(monkeypatch):
         elif l == 3:
             block = _one_entry_negated(block)
         if l > 1:
-            faulty_kernels[(workspace.algebra.name, t, l)] += \
-                orbit_of[id(keys)] * kernel_dim(block)
+            faulty_kernels.setdefault((workspace.algebra.name, l), []).append(
+                (t, weight_of[id(keys)], kernel_dim(block)))
         return block
 
     monkeypatch.setattr(verify, "_lefschetz_block", faulty)
@@ -70,15 +76,16 @@ def test_psi_shortcut_cannot_hide_a_faulty_build(monkeypatch):
         assert c.formula_value == want
         name = "h_%d" % c.n
         if c.formula == "ker_psi_dim[l=2]":
-            assert c.oracle_value == faulty_kernels[(name, c.q, 2)] \
-                == want + orbits_at[(name, c.q)]
+            blocks = faulty_kernels[name, 2]
+            assert c.oracle_value == _weighted(blocks, c.q) \
+                == want + _weighted([(t, w, 1) for t, w, _ in blocks], c.q)
             assert c.describe().endswith("MISMATCH")
         elif c.formula == "ker_psi_dim[l=3]":
-            assert c.oracle_value == faulty_kernels[(name, c.q, 3)]
+            assert c.oracle_value == _weighted(faulty_kernels[name, 3], c.q)
         else:
             assert c.ok, c.describe()
     # h_1 has no copies: its one group is the whole block
-    assert orbits_at[("h_1", 2)] == 1
+    assert [w for t, w, _ in faulty_kernels["h_1", 2] if t == 2] == [(1,)]
     for c in psi_checks:
         if c.n == 1 and c.formula == "ker_psi_dim[l=2]":
             assert c.oracle_value == kernel_dim(psi_matrix(c.q, 1, 2)) + 1
@@ -86,7 +93,7 @@ def test_psi_shortcut_cannot_hide_a_faulty_build(monkeypatch):
     # group's kernel, and that happens on this grid
     wrong = {(c.n, c.q) for c in psi_checks if c.formula == "ker_psi_dim[l=3]" and not c.ok}
     assert wrong == {(n, t) for n in (1, 2, 3) for t in range(4)
-                     if faulty_kernels[("h_%d" % n, t, 3)] != ker_psi_dim(t, n)}
+                     if _weighted(faulty_kernels["h_%d" % n, 3], t) != ker_psi_dim(t, n)}
     assert wrong
 
 
@@ -175,7 +182,7 @@ def test_a_grid_computes_each_dimension_once(monkeypatch):
 
 
 def test_odd_grid_eliminates_each_block_once(monkeypatch):
-    # per (n, t) and orbit group one l = 1 block is built and eliminated,
+    # per (n, t) and group one l = 1 block is built and eliminated,
     # and psi_{(n,2)} and psi_{(n,3)} are still built on the group's keys
     # and compared with it
     built = Counter()
@@ -208,7 +215,9 @@ def test_odd_grid_eliminates_each_block_once(monkeypatch):
     assert res.ok() and len(res.checks) == 3 * 6 * 5
     groups = {key[:3] for key in built}
     grid = [("h_%d" % n, t) for n in range(1, 4) for t in range(6)]
-    assert sorted({group[:2] for group in groups}) == grid
+    # no block of h_2's A^5 is listed: its base keys stop at degree 4
+    # (x_1 y_1 x_2 y_2), and every block of A^5 is a shift of one below
+    assert sorted({group[:2] for group in groups}) == [g for g in grid if g != ("h_2", 5)]
     # h_1 has no copies: one block per t, on the whole of A^t over x and
     # y; h_2 and h_3 split
     assert sorted((t, len(keys)) for name, t, keys in groups if name == "h_1") \
