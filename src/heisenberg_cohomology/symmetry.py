@@ -387,7 +387,7 @@ def _listed(parities, lattice, group, units, top: int, one: int,
     have the same future and walk on as one, whatever their degrees;
     each series of level i is closed once, with the zero charge on
     copies i, i+1, ... (tails[i]), its series times the zero charge's
-    to the power copies - i (powers[i], one _power per class, so
+    to the power copies - i (powers[i], one _power per level, so
     however many copies there are, no key costs a product per copy).
     The keys are split by degree at the end.  At a top below 0 the
     listing is empty.
@@ -443,12 +443,8 @@ def _listed(parities, lattice, group, units, top: int, one: int,
         z = flat[i][:len(zero)] if i < len(flat) else keyed(units[i], len(zero))
         tails.append(sorted(_sums(z, tails[-1], limit)))
     tails.reverse()
-    # and its series, zero_series to the power len(units) - i, from one
-    # power and one product per level
-    powers = [_power(zero_series, len(units) - len(nonzero), top)]
-    for _ in nonzero:
-        powers.append(_product(powers[-1], zero_series, top))
-    powers.reverse()
+    # and its series: zero_series to the power len(units) - i
+    powers = [_power(zero_series, len(units) - i, top) for i in range(len(nonzero) + 1)]
     listed: Dict[tuple, List[int]] = {}
     # {(last charge, its run, weight series): keys} of level i
     level: Dict[tuple, List[int]] = {(0, 0, (1,)): [0]}
