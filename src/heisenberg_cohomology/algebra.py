@@ -349,9 +349,10 @@ def _heisenberg_even(name: str, n: int, m: int) -> LieSuperalgebra:
     gens = [("z", EVEN)]
     gens += [("x%d" % i, EVEN) for i in range(1, 2 * n + 1)]
     gens += [("y%d" % j, ODD) for j in range(1, m + 1)]
-    brackets = {(i, n + i): {0: 1} for i in range(1, n + 1)}
+    one = Fraction(1)  # shared, so the constructor converts no coefficient
+    brackets = {(i, n + i): {0: one} for i in range(1, n + 1)}
     for j in range(1, m + 1):
-        brackets[(2 * n + j, 2 * n + j)] = {0: 1}
+        brackets[(2 * n + j, 2 * n + j)] = {0: one}
     return LieSuperalgebra(name, gens, brackets)
 
 
@@ -365,5 +366,6 @@ def make_heisenberg_odd(n: int) -> LieSuperalgebra:
     gens = [("x%d" % i, EVEN) for i in range(1, n + 1)]
     gens += [("y%d" % i, ODD) for i in range(1, n + 1)]
     gens.append(("z", ODD))
-    brackets = {(i - 1, n + i - 1): {2 * n: 1} for i in range(1, n + 1)}
+    one = Fraction(1)  # shared, so the constructor converts no coefficient
+    brackets = {(i - 1, n + i - 1): {2 * n: one} for i in range(1, n + 1)}
     return LieSuperalgebra(name, gens, brackets)

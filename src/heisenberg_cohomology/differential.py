@@ -81,9 +81,14 @@ def _d_duals(algebra: LieSuperalgebra):
                 for p, g in enumerate(dual)}
     terms, refused = {}, {}
     for (i, j) in algebra.brackets:
-        odds = tuple(position[g] for g in (i, j) if parity[g] == ODD)
-        evens = tuple(position[g] for g in (i, j) if parity[g] != ODD)
-        mono = (sum(1 << e for e in evens), evens, odds)
+        odds, evens, mask = (), (), 0
+        for g in (i, j):
+            if parity[g] == ODD:
+                odds += (position[g],)
+            else:
+                evens += (position[g],)
+                mask += 1 << position[g]
+        mono = (mask, evens, odds)
         # d f_k has -c f_i f_j, whose normal form costs a sign when an odd
         # f_i comes before an even f_j; <o^2, y ^ y> = 2 halves [y, y]
         sign = 1 if parity[i] > parity[j] else -1
@@ -133,22 +138,22 @@ class _Workspace:
         if refused:
             order = algebra.even_indices + algebra.odd_indices
             raise ValueError(refused[min(refused, key=order.index)])
-        self.denom = denom = lcm(1, *(d // gcd(c, d) for slot in terms.values()
-                                      for *_, c, d in slot))
+        self.denom = denom = lcm(1, *[d // gcd(c, d) for slot in terms.values()
+                                      for *_, c, d in slot])
         evens, odds = _units(self.dims, self.radix)
         self.unit = unit = dict(zip(algebra.even_indices + algebra.odd_indices,
                                     evens + odds))
 
         def table(g, off=0):
             # a term's key delta: the key of its monomial, less `off`
-            return tuple([(emask, even_set, emask + sum([odds[p] for p in odd_set]) - off,
+            return tuple([(emask, even_set, emask + sum(map(odds.__getitem__, odd_set)) - off,
                            c * denom // d)
                           for emask, even_set, odd_set, c, d in terms[g]]) if g in terms else ()
 
         self.evens = tuple(map(table, algebra.even_indices))
-        self.odds = tuple((unit[g], table(g, unit[g]))
-                          for g in algebra.odd_indices if g in terms)
-        self.active = sum(1 << i for i, slot in enumerate(self.evens) if slot)
+        self.odds = tuple([(unit[g], table(g, unit[g]))
+                           for g in algebra.odd_indices if g in terms])
+        self.active = sum([1 << i for i, slot in enumerate(self.evens) if slot])
         self.scale = Fraction(1, denom)
         self.evens_only = (1 << self.dims[0]) - 1
         self.units = [(i, u) for i, (u, _) in enumerate(self.odds)]

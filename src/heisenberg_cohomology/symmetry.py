@@ -7,8 +7,8 @@ table (h_n's pairs (x_i, y_i), h_{n,m}'s pairs and y_j) and keeps them
 on the algebra, beside its other derived tables.  A copy's charge is
 the class of its local exponent vector in Z^C / R_C, R_C spanned by
 e_i + e_j (- e_k when k lies in the component) over its bracket terms;
-_echelon_lattice and _lattice_class are the integer row reduction that
-gives each class one representative.  d keeps every copy's charge, so
+_echelon_lattice and _lattice_classes are the integer row reduction
+that gives each class one representative.  d keeps every copy's charge, so
 it is block diagonal over charge tuples, and permuting the copies of a
 class permutes the blocks up to sign.  So does each class's local
 group (_local_group), the permutations of one copy's generators that
@@ -31,9 +31,10 @@ only in a class whose local group is the identity alone, by the first
 such y of its copies (h_n's y_i and h_{n,m}'s y_j; not the odd pairs,
 whose swap is in G, nor a copy whose odd generators are all targets).
 Any other class lists as before, which costs speed, never an answer.
-A base charge, one that is no shift, heads a chain of L shifts, its
-series 1 + t + ... + t^L (1/(1 - t), cut after t^top, for h_n's charge
-0; 1 + t for an h_{n,m} y_j).
+A base charge, one that is no shift, heads a chain of length L, itself
+and its L - 1 shifts, of series 1 + t + ... + t^(L - 1) (1/(1 - t),
+cut after t^top, for h_n's charge 0, of length top + 1; 1 + t for an
+h_{n,m} y_j).
 
 An OrbitListing lists those blocks' keys for one engine call, the rank
 engine's one listing of cochains: cohomology and verify build it as
@@ -48,11 +49,15 @@ directly (orderly generation), once per listing: one walk per class
 entries of every degree walk on together, and one product of the
 classes' groups (_times), filed by weight series and then degree, the
 shape orbits() reads.  A stack's weight series W is its orbit size
-times the product of its copies' base charges' series (_product,
-_power), cut after t^top: its block of degree t stands for W[k] blocks
-of degree t + k, its shifts.  A class without shifts has W = (orbit
-size,).  Each class builds its exponent table, and each copy its keys,
-once.  Then, per degree asked for, one sum per weight series of those
+times the product of its copies' base charges' series, cut after
+t^top: its block of degree t stands for W[k] blocks of degree t + k,
+its shifts.  A class without shifts has W = (orbit size,).  The walk
+and the product multiply no series: they carry each weight as its
+factors, the orbit size and the chain counts (how many chains of each
+length its copies head), so orbit sizes multiply and counts add
+(_chained), and the listing expands each stack's factors once
+(_expanded).  Each class builds its exponent table, and each copy its
+keys, once.  Then, per degree asked for, one sum per weight series of those
 groups with the other generators' monomials of the degrees that have
 any.  Those monomials come from superexterior._keys, the one listing
 of keys, which the public builders read too, so a table without
@@ -63,9 +68,9 @@ canonical order, and lists no degree it is not asked for.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import accumulate, groupby, permutations, product
-from math import factorial
-from operator import add
+from itertools import compress, groupby, permutations, product
+from math import comb, factorial
+from operator import add, mul, sub
 from typing import Dict, List, Optional, Tuple
 
 from .algebra import LieSuperalgebra, integer_table
@@ -76,7 +81,7 @@ def _echelon_lattice(vectors, width: int) -> List[Tuple[int, List[int]]]:
     """An echelon basis of the lattice that the integer `vectors` (of
     length `width`) span, as (pivot, row) pairs: row[pivot] > 0 is the
     row's first nonzero entry, and the pivots increase.  Reducing v by
-    the rows in order, v[pivot] into 0..row[pivot] - 1 (_lattice_class),
+    the rows in order, v[pivot] into 0..row[pivot] - 1 (_lattice_classes),
     gives one representative per coset of the lattice."""
     rows = [list(v) for v in vectors if any(v)]
     basis = []
@@ -98,14 +103,16 @@ def _echelon_lattice(vectors, width: int) -> List[Tuple[int, List[int]]]:
     return basis
 
 
-def _lattice_class(v, basis) -> Tuple[int, ...]:
-    """The representative of v's coset of the lattice with this echelon
-    basis (_echelon_lattice)."""
+def _lattice_classes(vectors, basis) -> List[Tuple[int, ...]]:
+    """The representative of each vector's coset of the lattice with this
+    echelon basis (_echelon_lattice), all of them reduced together, one
+    pass per basis row."""
+    columns = list(zip(*vectors))
     for p, row in basis:
-        f = v[p] // row[p]
-        if f:
-            v = [x - f * y for x, y in zip(v, row)]
-    return tuple(v)
+        f = [x // row[p] for x in columns[p]]
+        columns = [list(map(add, column, map((-r).__mul__, f))) if r else column
+                   for column, r in zip(columns, row)]
+    return list(zip(*columns))
 
 
 def copy_classes(alg: LieSuperalgebra) -> tuple:
@@ -147,25 +154,28 @@ def copy_classes(alg: LieSuperalgebra) -> tuple:
                 if g not in central:
                     root[find(g)] = find(i)
         roots = [find(g) for g in range(alg.dim)]
+        # each component's generators in order, and each generator's
+        # position in its component; a central target k is keyed
+        # -1 - k, below every local position
         members: Dict[int, List[int]] = {}
+        local = [-1 - g for g in range(alg.dim)]
         for g in range(alg.dim):
             if g not in central:
-                members.setdefault(roots[g], []).append(g)
+                component = members.setdefault(roots[g], [])
+                local[g] = len(component)
+                component.append(g)
         # integer_table's ints: one scale L for the whole table, so the
         # components' signatures compare as the Fractions would
         _, ad = integer_table(alg)
-        terms: Dict[int, list] = {r: [] for r in members}
+        tables: Dict[int, list] = {r: [] for r in members}
         for i, j in brackets:
-            terms[roots[i]].append((i, j, ad[i][j]))
+            targets = ad[i][j]
+            tables[roots[i]].append((local[i], local[j], tuple(sorted(
+                zip(map(local.__getitem__, targets), targets.values())))))
+        parity = [g.parity for g in alg.generators]
         classes: Dict[tuple, List[Tuple[int, ...]]] = {}
         for r, component in members.items():
-            local = {g: a for a, g in enumerate(component)}
-            # a central target k is keyed -1 - k, below every local index
-            table = tuple(sorted([
-                (local[i], local[j], tuple(sorted([(local.get(k, -1 - k), c)
-                                                   for k, c in targets.items()])))
-                for i, j, targets in terms[r]]))
-            signature = (tuple([alg.generators[g].parity for g in component]), table)
+            signature = (tuple(map(parity.__getitem__, component)), tuple(sorted(tables[r])))
             classes.setdefault(signature, []).append(tuple(component))
         found = []
         for (parities, table), copies in classes.items():
@@ -273,11 +283,11 @@ class OrbitListing:
     generator's key of degree 1) lay the keys out.
 
     `groups` files the keys of the classes' representatives (_listed,
-    multiplied over the classes by _times) as
-    {weight series: {degree: keys}}, least series first and each in
-    increasing degree, the shape orbits() reads; with no class it is the
-    empty monomial alone, of series (1,), and `degrees` has the degrees
-    filed.  `reach` is the most shifts any stack stands for, the
+    multiplied over the classes by _times, each stack's weight factors
+    expanded once by _expanded) as {weight series: {degree: keys}},
+    least series first and each in increasing degree, the shape
+    orbits() reads; with no class it is the empty monomial alone, of
+    series (1,), and `degrees` has the degrees filed.  `reach` is the most shifts any stack stands for, the
     longest series' length less 1: 0 when nothing shifts.
     `in_copies` has the generators inside a copy, `free` the others,
     and `_free[skip]` the keys of degree 1 of the generators in `free`
@@ -299,11 +309,14 @@ class OrbitListing:
                                     [[unit[g] + one for g in c] for c in copies], top, one,
                                     next((a for a, g in enumerate(copies[0])
                                           if algebra.parity(g) and g not in targets), None))
-                            for parities, lattice, copies, group in classes] or [{(1,): {0: [0]}}]
+                            for parities, lattice, copies, group in classes] or [{(1, (0,) * (top + 2)): {0: [0]}}]
         for factor in factors:
             groups = _times(groups, factor, top)
-        self.groups = {weight: dict(sorted(by_degree.items()))
-                       for weight, by_degree in sorted(groups.items())}
+        # distinct factors expand to distinct series, chains being no
+        # longer than top + 1 (_expanded), so no two stacks merge here
+        self.groups = {weight: dict(sorted(by_degree.items())) for weight, by_degree in
+                       sorted([(_expanded(*weight, top), by_degree)
+                               for weight, by_degree in groups.items()])}
         self.reach = max(map(len, self.groups), default=1) - 1
         self.degrees = sorted({d for by_degree in self.groups.values() for d in by_degree})
         self.in_copies = {g for _, _, copies, _ in classes for c in copies for g in c}
@@ -330,29 +343,42 @@ class OrbitListing:
         """
         if q > self.top:
             raise ValueError("degree %d is over the listing's top %d" % (q, self.top))
-        algebra = self.workspace.algebra
-        if skip in self.in_copies:
-            raise ValueError("generator %r lies in a copy, so the orbit listing "
-                             "cannot leave it out" % algebra.generators[skip].name)
         if skip not in self._free:
-            parity, unit = algebra.parity, self.workspace.unit
-            self._free[skip] = ([unit[g] for g in self.free if g != skip and not parity(g)],
-                                [unit[g] for g in self.free if g != skip and parity(g)], {})
+            algebra, unit = self.workspace.algebra, self.workspace.unit
+            if skip in self.in_copies:
+                raise ValueError("generator %r lies in a copy, so the orbit listing "
+                                 "cannot leave it out" % algebra.generators[skip].name)
+            self._free[skip] = ([unit[g] for g in self.free if g != skip and not algebra.parity(g)],
+                                [unit[g] for g in self.free if g != skip and algebra.parity(g)], {})
         evens, odds, monomials = self._free[skip]
-        for d in self.degrees:
-            if d <= q and q - d not in monomials:
-                monomials[q - d] = _keys(evens, odds, q - d)
         # (d, the free monomials of degree q - d) for each d filed that has any
-        free = [(d, monomials[q - d]) for d in self.degrees if d <= q and monomials[q - d]]
-        stacks = [(weight, [a + b for d, bs in free for b in bs for a in by_degree.get(d, ())])
-                  for weight, by_degree in self.groups.items()]
-        return [(weight, keys) for weight, keys in stacks if keys]
+        free = []
+        for d in self.degrees:
+            if d > q:
+                break
+            bs = monomials.get(q - d)
+            if bs is None:
+                bs = monomials[q - d] = _keys(evens, odds, q - d)
+            if bs:
+                free.append((d, bs))
+        stacks = []
+        for weight, by_degree in self.groups.items():
+            keys: List[int] = []
+            for d, bs in free:
+                ks = by_degree.get(d)
+                if ks:
+                    for b in bs:
+                        keys += [a + b for a in ks] if b else ks
+            if keys:
+                stacks.append((weight, keys))
+        return stacks
 
 
 def _listed(parities, lattice, group, units, top: int, one: int,
             shift: Optional[int]) -> Dict[tuple, Dict[int, List[int]]]:
     """One copy class's representative keys of degree at most top, as
-    {weight series: {degree: keys}}, in increasing degree: the copies'
+    {(orbit size, chain counts): {degree: keys}}, in increasing degree,
+    the weights as factors (_expanded gives their series): the copies'
     local parities, the echelon basis of their charge lattice, their
     local group (_local_group), each copy's generators' keys of
     degree 1 plus `one`, a bit above every key, so that a sum of keys
@@ -361,98 +387,91 @@ def _listed(parities, lattice, group, units, top: int, one: int,
     target, or None.
 
     The exponent vectors of degree at most top are classed by charge
-    once (_exponents, _lattice_class), and each copy's keys of all of
-    them come from one pass per generator (keyed).  When the local
-    group is the identity alone and `shift` is given, the charges that
-    are shifts (the module docstring) are dropped, and each base charge
-    takes the series of its chain of shifts; every other charge has
-    series (1,).  A local group beyond the identity keeps the first
-    charge of each of its orbits, with the orbit's size
-    (_local_orbits); the zero charge is its own orbit.
+    once, all together (_exponents, _lattice_classes), and each copy's
+    keys of them are made once.  When the local group is the identity
+    alone and `shift` is given, the charges that are shifts (the module
+    docstring) are dropped, and each base charge takes its chain of
+    shifts, found by following each shift's charge one y lower; every
+    other charge has a chain of length 1, the series (1,).  A local
+    group beyond the identity keeps the first charge of each of its
+    orbits, with the orbit's size (_local_orbits); the zero charge is
+    its own orbit.
 
     A representative gives copies 0..f-1 nonzero base charges in sorted
     order and the zero charge to every later copy; its orbit, under
     the permutations of the copies and each copy's local group, has
     the multinomial of the charges' runs times each charge's local
     orbit size, and its weight series is that times each copy's
-    charge's series.  The walk goes copy by copy: copy i takes each
-    nonzero charge at or after the last one's, every degree of it at
-    once, and keeps the sums whose degree fits; the series is
-    multiplied by the charge's, and by (copies - i) / run times the
-    charge's local orbit size, as it takes a charge the run-th time in
-    a row.  Every nonzero charge has
-    degree 1 or more, so only copies 0..top-1 take one, however many
-    copies there are.
-    Entries of one level with the same last charge, run and series
+    charge's series.  The weight is carried as its factors, (orbit
+    size, chain counts), a tuple of top + 2 counts indexed by chain
+    length.  The walk goes copy by copy: copy i takes each nonzero
+    charge at or after the last one's, every degree of it at once, and
+    keeps the sums whose degree fits; the orbit size is multiplied by
+    (copies - i) / run times the charge's local orbit size, as it takes
+    a charge the run-th time in a row, and the charge's chain is
+    counted.  Every nonzero charge has degree 1 or more, so only copies
+    0..top-1 take one, however many copies there are.
+    Entries of one level with the same last charge, run and factors
     have the same future and walk on as one, whatever their degrees;
-    each series of level i is closed once, with the zero charge on
-    copies i, i+1, ... (tails[i]), its series times the zero charge's
-    to the power copies - i (powers[i], one _power per level, so
-    however many copies there are, no key costs a product per copy).
-    The keys are split by degree at the end.  At a top below 0 the
-    listing is empty.
+    the entries of level i with the same factors are closed once, with
+    the zero charge on copies i, i+1, ... (tails[i]), whose chain is
+    counted copies - i times at once, so no key costs work per copy.  Distinct factors
+    are distinct series (_expanded), so they file the keys as the
+    series would.  The keys are split by degree at the end.  At a top
+    below 0 the listing is empty.
     """
     if top < 0:
         return {}
     limit = (top + 1) * one
+    exps = _exponents(parities, top)
+    charges = _lattice_classes(exps, lattice)
     table: Dict[tuple, list] = {}
-    for d, e in _exponents(parities, top):
-        table.setdefault(_lattice_class(e, lattice), []).append((d, e))
-    series = dict.fromkeys(table, (1,))
+    for e, c in zip(exps, charges):
+        table.setdefault(c, []).append(e)
+    chain = dict.fromkeys(table, 1)
     if shift is not None and len(group) == 1:
+        charge = dict(zip(exps, charges))
         # a charge whose every exponent has y to a power of 1 or more
-        # is f_y times the charge one y lower; a base charge takes
-        # 1 + t + ... + t^L, its chain of L shifts
-        moved = {c for c, es in table.items() if all(e[shift] for _, e in es)}
-        for c in table.keys() - moved:
-            base = min(table[c])[1]
-            e = list(base)
-            e[shift] += 1
-            while _lattice_class(e, lattice) in moved:
-                e[shift] += 1
-            series[c] = (1,) * (e[shift] - base[shift])
+        # is f_y times the charge of those exponents with one y less;
+        # a base charge heads a chain of L - 1 shifts, 1 + t + ... + t^(L - 1)
+        base = {c for e, c in zip(exps, charges) if not e[shift]}
+        moved = table.keys() - base
+        up = {charge[e[:shift] + (e[shift] - 1,) + e[shift + 1:]]: c
+              for c in moved for e in table[c][:1]}
+        for c in base:
+            b = c
+            while b in up:
+                b = up[b]
+                chain[c] += 1
         for c in moved:
             del table[c]
-    zero_series = series[(0,) * len(parities)]
-    zero = [e for _, e in table.pop((0,) * len(parities))]
+    zero_chain = chain[(0,) * len(parities)]
+    zero = table.pop((0,) * len(parities))
     # least degree first, so a walk with less room stops at the first
     # charge that does not fit
-    charges = sorted((min(es)[0], c, [e for _, e in es]) for c, es in table.items())
+    charges = sorted([(min(map(sum, es)), c, es) for c, es in table.items()])
     size = [1] * len(charges)
     if len(group) > 1:
         charges, size = _local_orbits(charges, lattice, group)
     least = [d for d, _, _ in charges]
-    chains = [series[c] for _, c, _ in charges]
-    exps = zero + [e for _, _, es in charges for e in es]
-    ends = list(accumulate([len(zero)] + [len(es) for _, _, es in charges]))
-    columns = list(zip(*exps))
-
-    def keyed(copy, count=len(exps)):
-        """The copy's keys of the first `count` exponents of `exps`, the
-        zero charge's and then each nonzero charge's, one pass per
-        generator."""
-        keys = [0] * count
-        for u, column in zip(copy, columns):
-            keys = list(map(add, keys, map(u.__mul__, column)))
-        return keys
-
-    flat = [keyed(copy) for copy in units[:top]]
-    nonzero = [[keys[a:b] for a, b in zip(ends, ends[1:])] for keys in flat]
+    chains = [chain[c] for _, c, _ in charges]
+    # each copy's keys of each nonzero charge, for the copies that take one
+    nonzero = [[[sum(map(mul, copy, e)) for e in es] for _, _, es in charges]
+               for copy in units[:top]]
     tails = [[0]]  # the zero charge on copies i, i+1, ..., for i falling
-    for i in range(len(units) - 1, -1, -1):
-        z = flat[i][:len(zero)] if i < len(flat) else keyed(units[i], len(zero))
-        tails.append(sorted(_sums(z, tails[-1], limit)))
+    for copy in reversed(units):
+        tails.append(sorted(_sums([sum(map(mul, copy, e)) for e in zero], tails[-1], limit)))
     tails.reverse()
-    # and its series: zero_series to the power len(units) - i
-    powers = [_power(zero_series, len(units) - i, top) for i in range(len(nonzero) + 1)]
     listed: Dict[tuple, List[int]] = {}
-    # {(last charge, its run, weight series): keys} of level i
-    level: Dict[tuple, List[int]] = {(0, 0, (1,)): [0]}
+    # {(last charge, its run, orbit size, chain counts): keys} of level i
+    level: Dict[tuple, List[int]] = {(0, 0, 1, (0,) * (top + 2)): [0]}
     for i, row in enumerate(nonzero + [[]]):
+        if not level:
+            break
         heads: Dict[tuple, List[int]] = {}
         grown: Dict[tuple, List[int]] = {}
-        for (last, run, weight), keys in level.items():
-            heads.setdefault(weight, []).extend(keys)
+        for (last, run, orbit, counts), keys in level.items():
+            heads.setdefault((orbit, counts), []).extend(keys)
             room = top - min(keys) // one
             for s, ks in enumerate(row[last:], last):
                 if least[s] > room:
@@ -460,15 +479,15 @@ def _listed(parities, lattice, group, units, top: int, one: int,
                 r = run + 1 if s == last else 1
                 new = [c for a in keys for b in ks if (c := a + b) < limit]
                 if new:
-                    factor = size[s] * (len(units) - i)
-                    grown.setdefault((s, r, tuple([w * factor // r for w in
-                                                   _product(weight, chains[s], top)])),
-                                     []).extend(new)
-        for weight, keys in heads.items():
-            listed.setdefault(_product(weight, powers[i], top), []).extend(
-                _sums(keys, tails[i], limit))
+                    grown.setdefault((s, r, orbit * size[s] * (len(units) - i) // r,
+                                      _chained(counts, chains[s], 1)), []).extend(new)
+        for (orbit, counts), keys in heads.items():
+            # level 0 has the keys [0] alone
+            listed.setdefault((orbit, _chained(counts, zero_chain, len(units) - i)),
+                              []).extend(_sums(keys, tails[i], limit) if i else tails[0])
         level = grown
-    return {weight: {d: [k & one - 1 for k in ks]
+    mask = one - 1
+    return {weight: {d: [k & mask for k in ks]
                      for d, ks in groupby(sorted(keys), one.__rfloordiv__)}
             for weight, keys in listed.items()}
 
@@ -485,7 +504,7 @@ def _local_orbits(charges, lattice, group):
         if entry[1] in seen:
             continue
         e = entry[2][0]
-        orbit = {_lattice_class([e[a] for a in sigma], lattice) for sigma in group}
+        orbit = set(_lattice_classes([[e[a] for a in sigma] for sigma in group], lattice))
         seen |= orbit
         kept.append(entry)
         size.append(len(orbit))
@@ -500,14 +519,15 @@ def _sums(left, right: List[int], limit: int) -> List[int]:
 
 
 def _times(left, right, top: int) -> Dict[tuple, Dict[int, List[int]]]:
-    """The groups {weight series: {degree: keys}} of the sums a + b, a a
-    key of `left` and b one of `right` (groups over disjoint generators,
+    """The groups {weight: {degree: keys}} of the sums a + b, a a key of
+    `left` and b one of `right` (groups over disjoint generators,
     right's in increasing degree), of degree at most top; keys are
-    additive over disjoint generators, and weight series multiply."""
+    additive over disjoint generators, and weights, as factors (orbit
+    size, chain lengths), multiply."""
     out: Dict[tuple, Dict[int, List[int]]] = {}
-    for w1, g1 in left.items():
-        for w2, g2 in right.items():
-            into = out.setdefault(_product(w1, w2, top), {})
+    for (o1, c1), g1 in left.items():
+        for (o2, c2), g2 in right.items():
+            into = out.setdefault((o1 * o2, tuple(map(add, c1, c2))), {})
             for d1, ks1 in g1.items():
                 for d2, ks2 in g2.items():
                     if d1 + d2 > top:
@@ -516,32 +536,39 @@ def _times(left, right, top: int) -> Dict[tuple, Dict[int, List[int]]]:
     return out
 
 
-def _product(a, b, top: int) -> tuple:
-    """The product of the series a and b (coefficient tuples), cut after
-    t^top."""
-    out = [0] * min(len(a) + len(b) - 1, top + 1)
-    for i, x in enumerate(a[:len(out)]):
-        for j, y in enumerate(b[:len(out) - i]):
-            out[i + j] += x * y
+def _chained(counts: tuple, length: int, more: int) -> tuple:
+    """The chain counts `counts` (how many chains of each length, a
+    tuple indexed by length) with `more` chains of this length added; a
+    chain of length 1, the series 1, is not counted."""
+    if length < 2 or not more:
+        return counts
+    return counts[:length] + (counts[length] + more,) + counts[length + 1:]
+
+
+def _expanded(orbit: int, counts, top: int) -> tuple:
+    """The weight series of the factors (orbit size, chain counts):
+    orbit times the product of 1 + t + ... + t^(L - 1) over the chains,
+    counts[L] of length L, cut after t^top.  That product is
+    (1 - t)^-k, k the number of chains, whose coefficients are
+    binomials, times 1 - t^L once per chain of each length L up to top
+    (a longer chain is 1 / (1 - t) that far), so no two series are
+    multiplied.  It has the uncut product's length, at most top + 1
+    terms; chains no longer than top + 1 make distinct factors expand
+    to distinct series."""
+    k = sum(counts)
+    size = min(1 + sum(map(mul, counts, range(-1, len(counts) - 1))), top + 1)
+    out = list(map(orbit.__mul__, map(comb, range(k - 1, k + size - 1), range(size)))) if k else [orbit]
+    for length in compress(range(size), counts):
+        for _ in range(counts[length]):
+            out[length:] = map(sub, out[length:], out[:-length])  # times 1 - t^L
     return tuple(out)
 
 
-def _power(series, m: int, top: int) -> tuple:
-    """series ** m cut after t^top, by squaring: O(log m) products."""
-    out = (1,)
-    while m:
-        if m & 1:
-            out = _product(out, series, top)
-        series = _product(series, series, top)
-        m >>= 1
-    return out
-
-
-def _exponents(parities, top: int):
-    """(degree, exponent tuple) of every monomial of degree at most top
-    over generators of these parities: an even (0) exponent is 0 or 1."""
+def _exponents(parities, top: int) -> List[tuple]:
+    """The exponent tuple of every monomial of degree at most top over
+    generators of these parities: an even (0) exponent is 0 or 1."""
     out = [(0, ())]
     for p in parities:
         out = [(d + a, e + (a,)) for d, e in out
                for a in range(min(top if p else 1, top - d) + 1)]
-    return out
+    return [e for _, e in out]

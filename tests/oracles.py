@@ -16,7 +16,10 @@ ker_psi_dim and graded_dim.  orbit_listing_defects reads the
 package's packed keys and its copies' generator tuples, but none of
 its charges, lattices, local groups or listing code: the local
 permutations it applies come from its caller, and it finds the shifts
-by brute force over the copies' local monomials.
+by brute force over the copies' local monomials.  series_product is
+the package's former weight-series arithmetic (symmetry._product and
+_power, a product of coefficient tuples cut after t^top), kept as the
+reference for the factored weights that replaced it.
 """
 
 from collections import Counter
@@ -553,6 +556,21 @@ def _shift_targets(algebra, copy, y, top):
         if sum(v) <= top:
             classes.setdefault(find(v), []).append(v)
     return {v for members in classes.values() if all(u[y] for u in members) for v in members}
+
+
+def series_product(factors, top: int) -> tuple:
+    """The product of the series `factors` (coefficient tuples), cut
+    after t^top, term by term: as long as the uncut product, at most
+    top + 1 terms, and (1,) for no factor."""
+    out = (1,)
+    for f in factors:
+        new = [0] * min(len(out) + len(f) - 1, top + 1)
+        for i, x in enumerate(out):
+            for j, y in enumerate(f):
+                if i + j <= top:
+                    new[i + j] += x * y
+        out = tuple(new)
+    return out
 
 
 def full_matrix_ranks(algebra, q_max):

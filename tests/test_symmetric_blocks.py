@@ -34,14 +34,14 @@ from heisenberg_cohomology.differential import _Workspace
 from heisenberg_cohomology.elements import SuperSpaceDims, differential_matrix, enumerate_basis
 from heisenberg_cohomology.formulas import dim_h_even, dim_h_odd_proof
 from heisenberg_cohomology.limits import _checked_dims
-from heisenberg_cohomology.symmetry import OrbitListing, _lattice_class, copy_classes
+from heisenberg_cohomology.symmetry import OrbitListing, _lattice_classes, copy_classes
 from heisenberg_cohomology.superexterior import _keys, _radix, _units
 
 from oracles import (dense_rank_fractions, full_matrix_ranks, orbit_listing_defects,
-                     z_power_block)
+                     series_product, z_power_block)
 from test_adapted_basis import HIDDEN_SUMS
 from test_lefschetz_blocks import NOT_CENTRAL
-from test_validate import OSP12, SL2, _table, direct_sum
+from test_validate import OSP12, SL2, _table, change_basis, direct_sum
 
 def _canonical(workspace, q, skip=None):
     """The keys of degree q over the workspace's units, without the
@@ -220,18 +220,17 @@ def test_copy_classes_of_the_families():
     ((parities, lattice, copies, group),) = copy_classes(make_heisenberg_odd(3))
     # x_i and y_i differ in parity: no local permutation but the identity
     assert (parities, copies, group) == ((0, 1), ((0, 3), (1, 4), (2, 5)), ((0, 1),))
-    for s in (0, 1):
-        for alpha in range(5):
-            assert _lattice_class((s, alpha), lattice) == (0, alpha - s)
+    vectors = [(s, alpha) for s in (0, 1) for alpha in range(5)]
+    assert _lattice_classes(vectors, lattice) == [(0, alpha - s) for s, alpha in vectors]
     # h_{n,m}: the pairs (x_i, x_{n+i}) charged by s_{n+i} - s_i, and
     # swapped by x_i -> x_{n+i}, x_{n+i} -> -x_i; the y_j charged by
     # alpha_j mod 2; one copy of a piece is no class
     pairs, ys = copy_classes(make_heisenberg_even(2, 3))
     assert (pairs[0], pairs[2], pairs[3]) == ((0, 0), ((1, 3), (2, 4)), ((0, 1), (1, 0)))
     assert (ys[0], ys[2], ys[3]) == ((1,), ((5,), (6,), (7,)), ((0,),))
-    assert {_lattice_class((s, t), pairs[1]) for s in (0, 1) for t in (0, 1)} \
+    assert set(_lattice_classes([(s, t) for s in (0, 1) for t in (0, 1)], pairs[1])) \
         == {(0, -1), (0, 0), (0, 1)}
-    assert [_lattice_class((a,), ys[1]) for a in range(4)] == [(0,), (1,), (0,), (1,)]
+    assert _lattice_classes([(a,) for a in range(4)], ys[1]) == [(0,), (1,), (0,), (1,)]
     assert [len(c[2]) for c in copy_classes(make_heisenberg_even(1, 3))] == [3]
     assert [len(c[2]) for c in copy_classes(make_heisenberg_even(3, 1))] == [3]
     assert copy_classes(make_heisenberg_even(1, 1)) == ()
@@ -570,6 +569,78 @@ def test_many_copies_are_listed_without_deep_recursion():
                       (make_heisenberg_even(1200, 2), dim_h_even(1200, 2, 1))):
         assert betti_table(alg, 1, column_cap=10**5)[1].dim_cohomology == want, alg.name
         assert cohomology.cohomology_dims(alg, 1, column_cap=10**5).dim_cohomology == want
+
+
+def test_factored_weights_expand_to_the_brute_force_series():
+    # a stack's weight is carried as its factors, an orbit size and how
+    # many chains 1 + t + ... + t^(L - 1) of each length L, and expanded
+    # once: the expansion must be the series product it replaced, and
+    # distinct factors, with chains no longer than top + 1, distinct
+    # series
+    rng = random.Random(42)
+    for top in range(13):
+        lengths = sorted({1, 2, 3, 4, top + 1})
+        cases = [{length: count} for length in lengths for count in range(13)]
+        cases += [{length: rng.randrange(13) for length in rng.sample(lengths, 3)}
+                  for _ in range(30)]
+        expanded = {}
+        for orbit in (1, 2, 6, 24, 120, 720):
+            for chains in cases:
+                counts = (0,) * max(top + 2, 5)
+                for length, count in chains.items():
+                    counts = symmetry._chained(counts, length, count)
+                got = symmetry._expanded(orbit, counts, top)
+                factors = [(1,) * length for length, count in chains.items() for _ in range(count)]
+                assert got == tuple(orbit * c for c in series_product(factors, top)), \
+                    (top, orbit, chains)
+                if max(chains) <= top + 1:
+                    weight = (orbit, counts[2:top + 2])
+                    assert expanded.setdefault(got, weight) == weight, (top, got)
+
+
+def test_each_engine_call_builds_its_set_up_once(monkeypatch):
+    # one orbit listing per betti_table or cohomology_dims call, per
+    # verify grid point and per direct-sum part type, and one derivation
+    # of a table's copy classes, kept on the table: _echelon_lattice runs
+    # once per class of two or more copies a derivation meets
+    listings, lattices = [], []
+    real_init, real_lattice = symmetry.OrbitListing.__init__, symmetry._echelon_lattice
+
+    def init(listing, workspace, top):
+        listings.append(workspace.algebra.name)
+        real_init(listing, workspace, top)
+
+    def echelon(vectors, width):
+        lattices.append(width)
+        return real_lattice(vectors, width)
+
+    monkeypatch.setattr(symmetry.OrbitListing, "__init__", init)
+    monkeypatch.setattr(symmetry, "_echelon_lattice", echelon)
+    for alg, classes in ((make_heisenberg_odd(3), 1), (make_heisenberg_even(2, 2), 2),
+                         (odd_pairs(2, 2), 2)):
+        del listings[:], lattices[:]
+        betti_table(alg, 4)
+        cohomology.cohomology_dims(alg, 3)
+        betti_table(alg, 2)
+        assert listings == [alg.name] * 3, alg.name
+        assert len(lattices) == classes and len(copy_classes(adapted_basis(alg))) == classes, \
+            alg.name
+    # each grid point builds its own member: h_1 and h_{1,1} have no
+    # class of two copies, h_{2,2} two
+    for family, m_max, names, classes in (
+            ("odd", None, ["h_1", "h_2", "h_3"], 2),
+            ("even", 2, ["h_{1,1}", "h_{1,2}", "h_{2,1}", "h_{2,2}"], 4)):
+        del listings[:], lattices[:]
+        verify.verify_family(family, 3 if m_max is None else 2, m_max, q_max=3)
+        assert sorted(listings) == names and len(lattices) == classes, family
+    # a hidden h_1 + h_1 + h_{1,1} splits: one listing per part type, on
+    # its canonical table, and none for the whole
+    h1, h11 = _table(make_heisenberg_odd(1)), _table(make_heisenberg_even(1, 1))
+    alg = LieSuperalgebra("hidden", *change_basis(random.Random(5),
+                                                  direct_sum(direct_sum(h1, h1), h11)))
+    del listings[:]
+    betti_table(alg, 4)
+    assert sorted(listings) == ["h_1", "h_{1,1}"]
 
 
 def _without_copies():
