@@ -8,14 +8,14 @@ on the algebra, beside its other derived tables.  A copy's charge is
 the class of its local exponent vector in Z^C / R_C, R_C spanned by
 e_i + e_j (- e_k when k lies in the component) over its bracket terms;
 _echelon_lattice and _lattice_classes are the integer row reduction
-that gives each class one representative.  d keeps every copy's charge, so
-it is block diagonal over charge tuples, and permuting the copies of a
-class permutes the blocks up to sign.  So does each class's local
-group (_local_group), the permutations of one copy's generators that
-with signs are automorphisms, such as h_{n,m}'s x_i -> x_{n+i},
-x_{n+i} -> -x_i: the rank engine ranks one block per orbit of both,
-of the wreath product S_c wr G of c copies with local group G.  This
-module imports algebra and superexterior; algebra and
+that gives each class one representative.  d keeps every copy's
+charge, so it is block diagonal over charge tuples, and permuting the
+copies of a class permutes the blocks up to sign.  So does each
+class's local group (_local_group), the permutations of one copy's
+generators that with signs are automorphisms, such as h_{n,m}'s
+x_i -> x_{n+i}, x_{n+i} -> -x_i: the rank engine ranks one block per
+orbit of both, of the wreath product S_c wr G of c copies with local
+group G.  This module imports algebra and superexterior; algebra and
 differential import nothing from here, nor this module anything from
 differential.
 
@@ -57,10 +57,10 @@ factors, the orbit size and the chain counts (how many chains of each
 length its copies head), so orbit sizes multiply and counts add
 (_chained), and the listing expands each stack's factors once
 (_expanded).  Each class builds its exponent table, and each copy its
-keys, once.  Then, per degree asked for, one sum per weight series of those
-groups with the other generators' monomials of the degrees that have
-any.  Those monomials come from superexterior._keys, the one listing
-of keys, which the public builders read too, so a table without
+keys, once.  Then, per degree asked for, one sum per weight series of
+those groups with the other generators' monomials of the degrees that
+have any.  Those monomials come from superexterior._keys, the one
+listing of keys, which the public builders read too, so a table without
 copies, the listing with no class, has its canonical spaces in the
 canonical order, and lists no degree it is not asked for.
 """
@@ -287,8 +287,9 @@ class OrbitListing:
     expanded once by _expanded) as {weight series: {degree: keys}},
     least series first and each in increasing degree, the shape
     orbits() reads; with no class it is the empty monomial alone, of
-    series (1,), and `degrees` has the degrees filed.  `reach` is the most shifts any stack stands for, the
-    longest series' length less 1: 0 when nothing shifts.
+    series (1,), and `degrees` has the degrees filed.  `reach` is the
+    most shifts any stack stands for, the longest series' length less
+    1: 0 when nothing shifts.
     `in_copies` has the generators inside a copy, `free` the others,
     and `_free[skip]` the keys of degree 1 of the generators in `free`
     but `skip` and their monomials of each degree asked for, each
@@ -309,7 +310,8 @@ class OrbitListing:
                                     [[unit[g] + one for g in c] for c in copies], top, one,
                                     next((a for a, g in enumerate(copies[0])
                                           if algebra.parity(g) and g not in targets), None))
-                            for parities, lattice, copies, group in classes] or [{(1, (0,) * (top + 2)): {0: [0]}}]
+                            for parities, lattice, copies, group in classes
+                            ] or [{(1, (0,) * (top + 2)): {0: [0]}}]
         for factor in factors:
             groups = _times(groups, factor, top)
         # distinct factors expand to distinct series, chains being no
@@ -412,10 +414,10 @@ def _listed(parities, lattice, group, units, top: int, one: int,
     counted.  Every nonzero charge has degree 1 or more, so only copies
     0..top-1 take one, however many copies there are.
     Entries of one level with the same last charge, run and factors
-    have the same future and walk on as one, whatever their degrees;
-    the entries of level i with the same factors are closed once, with
-    the zero charge on copies i, i+1, ... (tails[i]), whose chain is
-    counted copies - i times at once, so no key costs work per copy.  Distinct factors
+    have the same future and walk on as one, whatever their degrees,
+    and each is closed with the zero charge on copies i, i+1, ...
+    (tails[i]), whose chain is counted copies - i times at once, so no
+    key costs work per copy.  Distinct factors
     are distinct series (_expanded), so they file the keys as the
     series would.  The keys are split by degree at the end.  At a top
     below 0 the listing is empty.
@@ -424,17 +426,18 @@ def _listed(parities, lattice, group, units, top: int, one: int,
         return {}
     limit = (top + 1) * one
     exps = _exponents(parities, top)
-    charges = _lattice_classes(exps, lattice)
+    charge_of = _lattice_classes(exps, lattice)
     table: Dict[tuple, list] = {}
-    for e, c in zip(exps, charges):
+    for e, c in zip(exps, charge_of):
         table.setdefault(c, []).append(e)
     chain = dict.fromkeys(table, 1)
     if shift is not None and len(group) == 1:
-        charge = dict(zip(exps, charges))
+        charge = dict(zip(exps, charge_of))
         # a charge whose every exponent has y to a power of 1 or more
         # is f_y times the charge of those exponents with one y less;
-        # a base charge heads a chain of L - 1 shifts, 1 + t + ... + t^(L - 1)
-        base = {c for e, c in zip(exps, charges) if not e[shift]}
+        # a base charge heads a chain of length L, itself and L - 1
+        # shifts, 1 + t + ... + t^(L - 1)
+        base = {c for e, c in zip(exps, charge_of) if not e[shift]}
         moved = table.keys() - base
         up = {charge[e[:shift] + (e[shift] - 1,) + e[shift + 1:]]: c
               for c in moved for e in table[c][:1]}
@@ -468,10 +471,11 @@ def _listed(parities, lattice, group, units, top: int, one: int,
     for i, row in enumerate(nonzero + [[]]):
         if not level:
             break
-        heads: Dict[tuple, List[int]] = {}
         grown: Dict[tuple, List[int]] = {}
         for (last, run, orbit, counts), keys in level.items():
-            heads.setdefault((orbit, counts), []).extend(keys)
+            # level 0 has the keys [0] alone
+            listed.setdefault((orbit, _chained(counts, zero_chain, len(units) - i)),
+                              []).extend(_sums(keys, tails[i], limit) if i else tails[0])
             room = top - min(keys) // one
             for s, ks in enumerate(row[last:], last):
                 if least[s] > room:
@@ -481,10 +485,6 @@ def _listed(parities, lattice, group, units, top: int, one: int,
                 if new:
                     grown.setdefault((s, r, orbit * size[s] * (len(units) - i) // r,
                                       _chained(counts, chains[s], 1)), []).extend(new)
-        for (orbit, counts), keys in heads.items():
-            # level 0 has the keys [0] alone
-            listed.setdefault((orbit, _chained(counts, zero_chain, len(units) - i)),
-                              []).extend(_sums(keys, tails[i], limit) if i else tails[0])
         level = grown
     mask = one - 1
     return {weight: {d: [k & mask for k in ks]
@@ -523,7 +523,7 @@ def _times(left, right, top: int) -> Dict[tuple, Dict[int, List[int]]]:
     `left` and b one of `right` (groups over disjoint generators,
     right's in increasing degree), of degree at most top; keys are
     additive over disjoint generators, and weights, as factors (orbit
-    size, chain lengths), multiply."""
+    size, chain counts), multiply: sizes multiply and counts add."""
     out: Dict[tuple, Dict[int, List[int]]] = {}
     for (o1, c1), g1 in left.items():
         for (o2, c2), g2 in right.items():
@@ -532,7 +532,9 @@ def _times(left, right, top: int) -> Dict[tuple, Dict[int, List[int]]]:
                 for d2, ks2 in g2.items():
                     if d1 + d2 > top:
                         break
-                    into.setdefault(d1 + d2, []).extend([a + b for a in ks1 for b in ks2])
+                    # a group of degree 0 is the key 0 alone
+                    into.setdefault(d1 + d2, []).extend(
+                        [a + b for a in ks1 for b in ks2] if d1 and d2 else ks1 if d1 else ks2)
     return out
 
 
@@ -557,7 +559,8 @@ def _expanded(orbit: int, counts, top: int) -> tuple:
     to distinct series."""
     k = sum(counts)
     size = min(1 + sum(map(mul, counts, range(-1, len(counts) - 1))), top + 1)
-    out = list(map(orbit.__mul__, map(comb, range(k - 1, k + size - 1), range(size)))) if k else [orbit]
+    out = (list(map(orbit.__mul__, map(comb, range(k - 1, k + size - 1), range(size))))
+           if k else [orbit])
     for length in compress(range(size), counts):
         for _ in range(counts[length]):
             out[length:] = map(sub, out[length:], out[:-length])  # times 1 - t^L
