@@ -21,14 +21,15 @@ validated, since the built-in families are Lie superalgebras by
 construction, and takes its dimensions from a check made before:
 limits.check_grid refused a whole verify grid first and hands each
 point its dimensions, so an even point calls _betti_table with them,
-and an odd point builds its listing as _betti_table does; a direct-sum
+and an odd point builds its listing as _ranks does; a direct-sum
 part takes those of limits.check_column_cap (below).  Each call owns
 one listing, OrbitListing(_Workspace(adapted, degree), top): the
 workspace (differential._Workspace) is the d-term table of the adapted
 algebra, and the listing (symmetry.OrbitListing), built above it,
 lists the cochains the call needs once and keeps the workspace as
-listing.workspace.  The rank helpers take the listing alone, and it is
-dropped when the call returns or raises.
+listing.workspace.  _ranks builds it and hands it to the one block
+walk, _blocks, which takes the listing alone; it is dropped when the
+call returns or raises.
 The reports are built by reports._reports, the one builder of the rank
 route's reports; an inconsistent one raises ReportInvariantError.  This
 module imports nothing from formulas: the closed forms' reports are
@@ -41,16 +42,18 @@ elements.lefschetz_block checks the same precondition), the z-dual f_z
 is the only dual with a nonzero d and d(alpha f_z^l) = +-l (alpha omega) f_z^{l-1} with
 omega = d f_z, so d_q splits into the blocks +-l L^(q-l), L^(t) the
 multiplication by omega from A^t to A^{t+2} (A: the cochains on the
-other duals), and rank d_q = sum_{t<q} rank L^(t).  One walk
-(_lefschetz_blocks) builds and eliminates each L^(t) once per table;
-verify_family iterates the same walk one block further, and reads the
-kernel of psi_{(n,1)} = +-L^(t) off each block's rank.  Every
-other algebra, even centres included, has each full d_q built and
-eliminated: an even z-dual has no power above 1, so its blocks are
-reused by nothing.
+other duals), and rank d_q = sum_{t<q} rank L^(t).  Given z, the block
+walk (_blocks) builds and eliminates each L^(t) once per table, and
+_ranks takes the prefix sums; verify_family iterates the same walk one
+block further, and reads the kernel of psi_{(n,1)} = +-L^(t) off each
+block's rank.  Every other algebra, even centres included, has each
+full d_q built and eliminated: an even z-dual has no power above 1, so
+its blocks are reused by nothing.
 
-Both routes list their cochains through the call's OrbitListing.orbits
-alone, one block per stack.  A table with classes of identical copies
+Both routes, and verify's psi groups, walk their blocks in one
+generator, _blocks: it lists the cochains through the call's
+OrbitListing.orbits alone, one block per stack, and builds d, or L^(t)
+given z, on each.  A table with classes of identical copies
 (symmetry.copy_classes; h_n, and h_{n,m} with n or m at least 2) is
 ranked one block per orbit: d keeps each copy's charge, a permutation
 of copies, or of one copy's generators by its class's local group,
@@ -69,7 +72,7 @@ how the rows are numbered, so every block, of d_q or of L^(t), numbers
 its rows on first use: no codomain is listed, and a call lists only
 the degrees whose d it ranks, and the listing's reach below them, the
 most shifts a stack stands for (cohomology_dims: C^{q-1} and C^q on a
-table without shifts).  _check_orbits checks every shape:
+table without shifts).  _blocks checks every shape:
 sum W[q - t] columns = dim C^q (or dim A^q), and sum W[q - t] rows at
 most the codomain's dimension.  Refusals are decided from the full
 sizes before, so no refusal depends on the split.
@@ -115,27 +118,63 @@ from .limits import DEFAULT_COLUMN_CAP, _checked_dims, check_column_cap, graded_
 from .linalg import rank
 from .reports import METHOD_RANK, CohomologyReport, _reports
 
-def _checked_ranks(listing: OrbitListing, low: int, high: int,
-                   dims: Dict[int, int]) -> Dict[int, int]:
-    """{q: rank d_q} for q = low..high, each the sum of W[q - t] rank
-    over the blocks of the stacks (W, keys) of listing.orbits(t),
-    t <= q: the one rank helper of betti_table and cohomology_dims.
-    Only the degrees from low - listing.reach on are listed.  Each
-    block is built, its rows numbered on first use, and ranked once,
-    and the shape of each degree from low on is checked against the
-    preamble's dimensions (_check_orbits) before its blocks are
-    ranked."""
-    width, height, ranks = ([0] * (high + 1) for _ in range(3))
+def _blocks(listing: OrbitListing, low: int, high: int, dims: Dict[int, int],
+            z: Optional[int] = None) -> Iterator[Tuple[int, list]]:
+    """(t, groups) for t = max(0, low - listing.reach)..high: the one
+    block walk of both rank routes and of verify.  The groups of degree
+    t are (weight series, keys, block, rank of the block), one per stack
+    of listing.orbits(t, z); a block is d on the stack's keys, from C^t
+    to C^(t+1), or with the odd centre z the Lefschetz block L^(t), from
+    A^t to A^(t+2).  Each block is built, its rows numbered on first
+    use, and ranked once, and is not kept past its t.  Before a degree
+    from low on is ranked, its shape is checked against the preamble's
+    dimensions: the columns summed with their weights (_spread) must be
+    dim C^t (dim A^t), and the rows, those they reach, at most the
+    codomain's; with z, dim C^q = sum_l dim A^(q-l) is checked first.
+    The message is formatted only when a check fails."""
+    workspace = listing.workspace
+    if z is None:
+        name, space, step, bound = "d_%d", "C", 1, dims
+    else:
+        n0, n1 = workspace.dims
+        name, space, step = "L^(%d)", "A", 2
+        bound = [graded_dim((n0, n1 - 1), s) for s in range(high + 3)]
+        # sum_l dim A^(q-l), a running sum over q
+        for q, total in enumerate(accumulate(bound[:max(dims) + 1])):
+            if total != dims[q]:
+                raise AssertionError("dim C^%d is not the sum of dim A^(%d-l) f_z^l"
+                                     % (q, q))
+    width, height = [0] * (high + 1), [0] * (high + 1)
     for t in range(max(0, low - listing.reach), high + 1):
-        built = [(weight, _coboundary(listing.workspace, keys, _RowIndex()))
-                 for weight, keys in listing.orbits(t)]
-        for weight, block in built:
+        built = [(weight, keys, _coboundary(workspace, keys, _RowIndex()) if z is None
+                  else _lefschetz_block(workspace, z, t, 1, keys))
+                 for weight, keys in listing.orbits(t, z)]
+        for weight, _, block in built:
             _spread(width, t, weight, block.cols)
             _spread(height, t, weight, block.rows)
-        if t >= low:
-            _check_orbits(width[t], height[t], "d", t, dims[t], dims[t + 1])
-        for weight, block in built:
-            _spread(ranks, t, weight, rank(block))
+        if t >= low and (width[t] != bound[t] or height[t] > bound[t + step]):
+            raise AssertionError("%s has shape %dx%d summed over its orbits, not at "
+                                 "most dim %s^%d = %d rows by dim %s^%d = %d columns"
+                                 % (name % t, height[t], width[t], space, t + step,
+                                    bound[t + step], space, t, bound[t]))
+        yield t, [(weight, keys, block, rank(block)) for weight, keys, block in built]
+
+
+def _ranks(adapted: LieSuperalgebra, low: int, high: int, dims: Dict[int, int],
+           z: Optional[int] = None) -> Dict[int, int]:
+    """{q: rank d_q} for q = low..high from the call's one listing, each
+    block's rank counted W[k] times in degree t + k (_spread): the
+    blocks of d_t themselves, or with the odd centre z those of L^(t),
+    and then rank d_q = sum_{t<q} rank L^(t)."""
+    # the listing's keys: those of d_q's columns, or of L^(t)'s for t < high
+    top = high if z is None else high - 1
+    listing = OrbitListing(_Workspace(adapted, high + 1), top)
+    ranks = [0] * (top + 1)
+    for t, groups in _blocks(listing, low, top, dims, z):
+        for weight, _, _, r in groups:
+            _spread(ranks, t, weight, r)
+    if z is not None:
+        ranks = list(accumulate(ranks, initial=0))
     return {q: ranks[q] if q >= 0 else 0 for q in range(low, high + 1)}
 
 
@@ -146,58 +185,6 @@ def _spread(totals: List[int], t: int, weight, value: int) -> None:
     degree t + k of its shape and rank."""
     for k, w in enumerate(weight[:len(totals) - t]):
         totals[t + k] += w * value
-
-
-def _check_orbits(width: int, height: int, kind: str, q: int, cols: int,
-                  rows: int) -> None:
-    """The shape check of d_q (kind "d", from C^q to C^(q+1)) or L^(q)
-    (kind "L", from A^q to A^(q+2)) ranked by its representative blocks,
-    their columns summed with their weights to `width` and their rows,
-    those they reach, to `height` (_spread): the width must be the
-    domain's dimension, cols, and the height at most the codomain's,
-    rows.  The message is formatted only when the check fails."""
-    if width != cols or height > rows:
-        name, space, step = ("d_%d" % q, "C", 1) if kind == "d" else ("L^(%d)" % q, "A", 2)
-        raise AssertionError("%s has shape %dx%d summed over its orbits, not at "
-                             "most dim %s^%d = %d rows by dim %s^%d = %d columns"
-                             % (name, height, width, space, q + step, rows, space, q, cols))
-
-
-def _lefschetz_blocks(listing: OrbitListing, z: int, dims: Dict[int, int],
-                      t_end: int) -> Iterator[Tuple[int, list]]:
-    """(t, groups) for t = 0..t_end-1: the blocks of degree t as groups
-    (weight series, keys, block, rank of the block), one per stack of
-    listing.orbits(t, z), each block built, its rows numbered on first
-    use, and eliminated once: rank L^(t) = sum over s <= t of W[t - s]
-    rank over the groups of s (_spread).  The shapes, and
-    dim C^q = sum_l dim A^{q-l}, are checked against the preamble's
-    dimensions.  A block is not kept past its t.
-    """
-    n0, n1 = listing.workspace.dims
-    space = (n0, n1 - 1)
-    dim_a = [graded_dim(space, s) for s in range(t_end + 2)]
-    # sum_l dim A^(q-l), a running sum over q
-    for q, total in enumerate(accumulate(dim_a[:max(dims) + 1])):
-        if total != dims[q]:
-            raise AssertionError("dim C^%d is not the sum of dim A^(%d-l) f_z^l"
-                                 % (q, q))
-    width, height = [0] * t_end, [0] * t_end
-    for t in range(t_end):
-        built = [(weight, keys, _lefschetz_block(listing.workspace, z, t, 1, keys))
-                 for weight, keys in listing.orbits(t, z)]
-        for weight, _, block in built:
-            _spread(width, t, weight, block.cols)
-            _spread(height, t, weight, block.rows)
-        _check_orbits(width[t], height[t], "L", t, dim_a[t], dim_a[t + 2])
-        yield t, [(weight, keys, block, rank(block)) for weight, keys, block in built]
-
-
-def _block_ranks(block_rank: List[int], q_max: int) -> Dict[int, int]:
-    """{q: rank d_q} for q = -1..q_max as sum_{t<q} rank L^(t)."""
-    rk = {-1: 0, 0: 0}
-    for q in range(1, q_max + 1):
-        rk[q] = rk[q - 1] + block_rank[q - 1]
-    return rk
 
 
 def _split_ranks(adapted: LieSuperalgebra, q_max: int, cap: int,
@@ -262,9 +249,7 @@ def cohomology_dims(algebra: LieSuperalgebra, q: int,
     dims = _checked_dims(algebra.name, algebra.superdim, q, (q, q - 1), column_cap)
     require_valid(algebra)
     adapted = adapted_basis(algebra)
-    rk = _split_ranks(adapted, q, column_cap, dims)
-    if rk is None:
-        rk = _checked_ranks(OrbitListing(_Workspace(adapted, q + 1), q), q - 1, q, dims)
+    rk = _split_ranks(adapted, q, column_cap, dims) or _ranks(adapted, q - 1, q, dims)
     return _reports(algebra.name, dims, rk, (q,))[0]
 
 
@@ -296,20 +281,6 @@ def _betti_table(algebra: LieSuperalgebra, q_max: int, column_cap: int,
     point's come from limits.check_grid, and a direct-sum part's from
     limits.check_column_cap."""
     adapted = adapted_basis(algebra)
-    rk = _split_ranks(adapted, q_max, column_cap, dims)
-    if rk is not None:
-        return _reports(algebra.name, dims, rk, range(q_max + 1))
-    z = _odd_centre(adapted)
-    # the listing's keys: those of d_q's columns, or of L^(t)'s for t < q_max
-    listing = OrbitListing(_Workspace(adapted, q_max + 1),
-                           q_max if z is None else q_max - 1)
-    if z is None:
-        rk = _checked_ranks(listing, -1, q_max, dims)
-    else:
-        block_rank = [0] * q_max
-        for t, groups in _lefschetz_blocks(listing, z, dims, q_max):
-            for weight, _, _, r in groups:
-                _spread(block_rank, t, weight, r)
-        rk = _block_ranks(block_rank, q_max)
+    rk = (_split_ranks(adapted, q_max, column_cap, dims)
+          or _ranks(adapted, -1, q_max, dims, _odd_centre(adapted)))
     return _reports(algebra.name, dims, rk, range(q_max + 1))
-

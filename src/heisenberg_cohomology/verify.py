@@ -8,8 +8,9 @@ retained verbatim precisely so that its deviations can be reported
 rather than hidden.
 
 On h_n each block L^(t) comes as groups of base charge tuples with
-their weight series (cohomology._lefschetz_blocks; on h_1, which has no
-copies, one group, the whole of A^t, of series (1,)): the Lefschetz
+their weight series (cohomology._blocks, the rank routes' one block
+walk, given h_n's odd centre; on h_1, which has no copies, one group,
+the whole of A^t, of series (1,)): the Lefschetz
 blocks of powers 2 and 3, which are psi_{(n,2)} and psi_{(n,3)} up to
 the sign (-1)^t, are built on each group's keys and compared with l
 times the group's L^(t) (_is_multiple) as they are, without the sign,
@@ -21,7 +22,7 @@ s's kernel (cohomology._spread): each group's psi blocks are built once
 for every degree they stand for, and a faulty psi is still reported
 through its own elimination.  Each n owns one orbit listing,
 OrbitListing(_Workspace(adapted h_n, q_max + 4), q_max), built as
-cohomology._betti_table builds its own: the walk reads its keys, and
+cohomology._ranks builds its own: the walk reads its keys, and
 the psi blocks the d-term table of its workspace (listing.workspace),
 whose radix fits psi's rows of degree t + l + 1.
 
@@ -40,10 +41,11 @@ come from outside.
 from __future__ import annotations
 
 import time
+from itertools import accumulate
 from typing import List, Optional
 
 from .algebra import adapted_basis, make_heisenberg_even, make_heisenberg_odd
-from .cohomology import _betti_table, _block_ranks, _lefschetz_blocks, _spread
+from .cohomology import _betti_table, _blocks, _spread
 from .differential import _lefschetz_block, _Workspace
 from .formulas import dim_h_even, dim_h_odd_displayed, dim_h_odd_proof, ker_psi_dim
 from .limits import DEFAULT_COLUMN_CAP, check_grid
@@ -169,7 +171,7 @@ def verify_family(family: str, n_max: int, m_max: Optional[int] = None,
 
 def _odd_point(n: int, q_max: int, dims) -> List[Comparison]:
     """The checks of h_n, whose dimensions check_grid gave: one block
-    walk over t = 0..q_max on one listing, built as _betti_table
+    walk over t = 0..q_max on one listing, built as cohomology._ranks
     builds its own, and dropped when this returns.  Each group's rank
     and psi kernels are spread over the degrees its weight series
     reaches (cohomology._spread), so degree t's totals are whole once
@@ -183,7 +185,7 @@ def _odd_point(n: int, q_max: int, dims) -> List[Comparison]:
     # of every degree s <= t with their weights (_spread)
     block_rank = [0] * (q_max + 1)
     kernels = {l: [0] * (q_max + 1) for l in PSI_POWERS}
-    for t, groups in _lefschetz_blocks(listing, z, dims, q_max + 1):
+    for t, groups in _blocks(listing, 0, q_max, dims, z):
         for weight, keys, block, r in groups:
             _spread(block_rank, t, weight, r)
             _spread(kernels[1], t, weight, block.cols - r)
@@ -198,8 +200,9 @@ def _odd_point(n: int, q_max: int, dims) -> List[Comparison]:
         for l in PSI_POWERS:
             checks.append(Comparison("ker_psi_dim[l=%d]" % l, n, None, t, want,
                                      kernels[l][t]))
-    for report in _reports(listing.workspace.algebra.name, dims,
-                           _block_ranks(block_rank, q_max), range(q_max + 1)):
+    # rank d_q = sum_{t<q} rank L^(t), and d_{-1} = 0
+    rk = {-1: 0, **dict(enumerate(accumulate(block_rank, initial=0)))}
+    for report in _reports(listing.workspace.algebra.name, dims, rk, range(q_max + 1)):
         oracle = report.dim_cohomology
         checks.append(Comparison("dim_h_odd_proof", n, None, report.q,
                                  dim_h_odd_proof(n, report.q), oracle))

@@ -12,6 +12,7 @@ from heisenberg_cohomology.algebra import (EVEN, LieSuperalgebra, adapted_basis,
 from heisenberg_cohomology.cohomology import betti_table, cohomology_dims
 from heisenberg_cohomology.elements import differential_matrix
 from heisenberg_cohomology.fileformats import format_algebra, parse_algebra
+from heisenberg_cohomology.formulas import dim_h_odd_proof
 from heisenberg_cohomology.limits import (AlgebraValidationError, CodomainTooLarge,
                                           ColumnCapExceeded, DegreeLimitExceeded,
                                           ReportInvariantError, check_column_cap,
@@ -44,6 +45,12 @@ def test_degree_zero_is_scalars():
                 rep.dim_coboundaries, rep.dim_cohomology) == (1, 1, 0, 1)
         assert rep.algebra_name == alg.name
         assert rep.method == METHOD_RANK
+        # h_2 takes the Lefschetz route, whose listing is empty at q_max 0
+        # (top -1), and h_{2,1} the full route
+        assert betti_table(alg, 0) == [rep]
+    # the Lefschetz route's one-degree case: one block, L^(0), with copies
+    table = betti_table(make_heisenberg_odd(4), 1)
+    assert [r.dim_cohomology for r in table] == [dim_h_odd_proof(4, q) for q in (0, 1)]
 
 
 def test_known_small_dimensions():
@@ -68,6 +75,24 @@ def test_betti_table_matches_single_degree_calls():
         assert rep.q == q
         assert rep == cohomology_dims(alg, q)
     assert [r.dim_cohomology for r in table] == [1, 4, 7, 8, 8, 8]
+    # cohomology_dims walks the full route from q - 1 - reach, while
+    # betti_table takes h_3's Lefschetz blocks and their prefix sums
+    for alg, q_max in ((make_heisenberg_odd(3), 7), (make_heisenberg_even(3, 3), 6)):
+        table = betti_table(alg, q_max)
+        assert [rep.q for rep in table] == list(range(q_max + 1))
+        for q, rep in enumerate(table):
+            assert rep == cohomology_dims(alg, q), (alg.name, q)
+
+
+def test_the_lefschetz_route_checks_its_dimensions():
+    # dim C^q = sum_l dim A^(q-l) f_z^l, checked before any block of h_2
+    # is built: one dimension off by one is caught
+    alg = make_heisenberg_odd(2)
+    dims = limits._checked_dims(alg.name, alg.superdim, 3, range(4), 5000)
+    dims[2] += 1
+    with pytest.raises(AssertionError,
+                       match=r"^dim C\^2 is not the sum of dim A\^\(2-l\) f_z\^l$"):
+        cohomology._betti_table(alg, 3, 5000, dims)
 
 
 def test_known_betti_numbers_odd_family():

@@ -29,7 +29,7 @@ from heisenberg_cohomology import cohomology, symmetry, verify
 from heisenberg_cohomology.algebra import (EVEN, ODD, LieSuperalgebra, adapted_basis,
                                            make_heisenberg_even, make_heisenberg_odd,
                                            require_valid)
-from heisenberg_cohomology.cohomology import _checked_ranks, betti_table
+from heisenberg_cohomology.cohomology import _ranks, betti_table
 from heisenberg_cohomology.differential import _Workspace
 from heisenberg_cohomology.elements import SuperSpaceDims, differential_matrix, enumerate_basis
 from heisenberg_cohomology.formulas import dim_h_even, dim_h_odd_proof
@@ -210,7 +210,7 @@ def _full_route(alg, q_max):
 def _orbit_ranks(alg, q_max):
     """{q: rank d_q} from the full-matrix route's rank helper."""
     listing, dims = _full_route(alg, q_max)
-    return _checked_ranks(listing, -1, q_max, dims)
+    return _ranks(listing.workspace.algebra, -1, q_max, dims)
 
 
 def test_copy_classes_of_the_families():

@@ -25,15 +25,15 @@ def _one_entry_negated(block):
 def _recorded_weights(monkeypatch):
     """{id(keys): weight series} of the groups verify's block walk
     yields, each filed while its step runs."""
-    real = verify._lefschetz_blocks
+    real = verify._blocks
     weight_of = {}
 
-    def recorded(listing, z, dims, t_end):
-        for t, groups in real(listing, z, dims, t_end):
+    def recorded(listing, low, high, dims, z=None):
+        for t, groups in real(listing, low, high, dims, z):
             weight_of.update((id(keys), weight) for weight, keys, _, _ in groups)
             yield t, groups
 
-    monkeypatch.setattr(verify, "_lefschetz_blocks", recorded)
+    monkeypatch.setattr(verify, "_blocks", recorded)
     return weight_of
 
 
