@@ -64,7 +64,7 @@ f_y maps a block of degree q - 1 onto one of degree q of the same rank
 (symmetry's docstring gives the gate).  So each stack of base charge
 tuples carries a weight series W, |orbit| times its copies' series of
 shifts, and rank d_q (or rank L^(t)) = sum over t <= q of
-sum_W W[q - t] rank(block of degree t) (_spread): each base block is
+sum_W W[q - t] rank(block of degree t): each base block is
 built and ranked once, for every degree it stands for.  A table
 without shifts has W = (|orbit|,), and one without copies one stack of
 W = (1,) per degree, its canonical space.  A rank does not depend on
@@ -111,8 +111,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from .algebra import (LieSuperalgebra, _heisenberg_even, adapted_basis,
                       make_heisenberg_odd, require_valid)
-from .differential import (_coboundary, _lefschetz_block, _odd_centre,
-                           _RowIndex, _Workspace)
+from .differential import _coboundary, _lefschetz_block, _odd_centre, _Workspace
 from .symmetry import OrbitListing
 from .limits import DEFAULT_COLUMN_CAP, _checked_dims, check_column_cap, graded_dim
 from .linalg import rank
@@ -128,10 +127,18 @@ def _blocks(listing: OrbitListing, low: int, high: int, dims: Dict[int, int],
     A^t to A^(t+2).  Each block is built, its rows numbered on first
     use, and ranked once, and is not kept past its t.  Before a degree
     from low on is ranked, its shape is checked against the preamble's
-    dimensions: the columns summed with their weights (_spread) must be
-    dim C^t (dim A^t), and the rows, those they reach, at most the
-    codomain's; with z, dim C^q = sum_l dim A^(q-l) is checked first.
-    The message is formatted only when a check fails."""
+    dimensions: the columns summed with their weights must be dim C^t
+    (dim A^t), and the rows, those they reach, at most the codomain's;
+    with z, dim C^q = sum_l dim A^(q-l) is checked first.  Each block
+    adds W[k] times its columns and rows to degree t + k, for every k
+    that reaches high, in one pass over W.  The message is formatted
+    only when a check fails.
+
+    dim A^t is counted here, from A's superdimension, though it is also
+    dim C^t - dim C^(t-1) of `dims` when the odd centre's powers are
+    unbounded: the identity check compares two counts made
+    independently, and one derived from the other would make it pass
+    by construction."""
     workspace = listing.workspace
     if z is None:
         name, space, step, bound = "d_%d", "C", 1, dims
@@ -146,12 +153,15 @@ def _blocks(listing: OrbitListing, low: int, high: int, dims: Dict[int, int],
                                      % (q, q))
     width, height = [0] * (high + 1), [0] * (high + 1)
     for t in range(max(0, low - listing.reach), high + 1):
-        built = [(weight, keys, _coboundary(workspace, keys, _RowIndex()) if z is None
+        built = [(weight, keys, _coboundary(workspace, keys, {}) if z is None
                   else _lefschetz_block(workspace, z, t, 1, keys))
                  for weight, keys in listing.orbits(t, z)]
         for weight, _, block in built:
-            _spread(width, t, weight, block.cols)
-            _spread(height, t, weight, block.rows)
+            cols, rows = block.cols, block.rows
+            # one pass over W for both totals, cut at high
+            for s, w in enumerate(weight[:high + 1 - t], t):
+                width[s] += w * cols
+                height[s] += w * rows
         if t >= low and (width[t] != bound[t] or height[t] > bound[t + step]):
             raise AssertionError("%s has shape %dx%d summed over its orbits, not at "
                                  "most dim %s^%d = %d rows by dim %s^%d = %d columns"
@@ -163,28 +173,21 @@ def _blocks(listing: OrbitListing, low: int, high: int, dims: Dict[int, int],
 def _ranks(adapted: LieSuperalgebra, low: int, high: int, dims: Dict[int, int],
            z: Optional[int] = None) -> Dict[int, int]:
     """{q: rank d_q} for q = low..high from the call's one listing, each
-    block's rank counted W[k] times in degree t + k (_spread): the
-    blocks of d_t themselves, or with the odd centre z those of L^(t),
-    and then rank d_q = sum_{t<q} rank L^(t)."""
+    block's rank counted W[k] times in degree t + k, in one pass over
+    W: the blocks of d_t themselves, or with the odd centre z those of
+    L^(t), and then rank d_q = sum_{t<q} rank L^(t)."""
     # the listing's keys: those of d_q's columns, or of L^(t)'s for t < high
     top = high if z is None else high - 1
     listing = OrbitListing(_Workspace(adapted, high + 1), top)
     ranks = [0] * (top + 1)
     for t, groups in _blocks(listing, low, top, dims, z):
         for weight, _, _, r in groups:
-            _spread(ranks, t, weight, r)
+            if r:
+                for s, w in enumerate(weight[:top + 1 - t], t):
+                    ranks[s] += w * r
     if z is not None:
         ranks = list(accumulate(ranks, initial=0))
     return {q: ranks[q] if q >= 0 else 0 for q in range(low, high + 1)}
-
-
-def _spread(totals: List[int], t: int, weight, value: int) -> None:
-    """Add weight[k] * value to totals[t + k] for every k that totals
-    reach: a block of degree t whose stack has the weight series
-    `weight` (symmetry.OrbitListing) stands for weight[k] blocks of
-    degree t + k of its shape and rank."""
-    for k, w in enumerate(weight[:len(totals) - t]):
-        totals[t + k] += w * value
 
 
 def _split_ranks(adapted: LieSuperalgebra, q_max: int, cap: int,

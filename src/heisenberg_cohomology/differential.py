@@ -51,7 +51,7 @@ key's slots, are made once per workspace too, not once per block: the
 rank engine builds hundreds of blocks a few columns wide per call, on
 keys that the orbit listing above this module (symmetry.OrbitListing)
 lists, and numbers each block's rows in order of first use
-(_RowIndex).  The workspace is dropped when its call returns or
+(_d_columns).  The workspace is dropped when its call returns or
 raises.  What the kernel returns is never mutated.  This module knows
 nothing of monomials, copies or orbits: it imports no listing code.
 """
@@ -218,10 +218,14 @@ def _d_columns(workspace: _Workspace, domain, row_index):
     before any plan is looked up or built.  Distinct terms of one slot
     never share a row, so a key that one slot applies to takes its
     column straight from that slot's terms; terms of two or more slots
-    are summed, and those that cancel leave no stored zero.
+    are summed, and those that cancel leave no stored zero.  A row is
+    numbered by `row_index`, {key: row}: a key it lacks gets the next
+    number, so {} numbers the rows in order of first use, with one
+    setdefault per entry.
     """
     radix, evens_only, units = workspace.radix, workspace.evens_only, workspace.units
     active, plans = workspace.active, workspace.plans
+    number = row_index.setdefault
     columns = []
     for key in domain:
         mask = key & evens_only
@@ -247,42 +251,33 @@ def _d_columns(workspace: _Workspace, domain, row_index):
         evens, odds = plan
         if len(evens) + len(powers) < 2:
             if evens:
-                columns.append({row_index[key + o]: v for o, v in evens[0]})
+                columns.append({number(key + o, len(row_index)): v for o, v in evens[0]})
             elif powers:
                 a, i = powers[0]
-                columns.append({row_index[key + o]: a * v for o, v in odds[i]})
+                columns.append({number(key + o, len(row_index)): a * v for o, v in odds[i]})
             else:
                 columns.append({})
             continue
         col: Dict[int, int] = {}
         for terms in evens:
             for o, v in terms:
-                r = row_index[key + o]
+                r = number(key + o, len(row_index))
                 col[r] = col.get(r, 0) + v
         for a, i in powers:
             for o, v in odds[i]:
-                r = row_index[key + o]
+                r = number(key + o, len(row_index))
                 col[r] = col.get(r, 0) + a * v
         columns.append({r: v for r, v in col.items() if v}
                        if 0 in col.values() else col)
     return columns
 
 
-class _RowIndex(dict):
-    """Row numbers handed out to keys in order of first use: the rows of
-    elements.d_element's image, and of every block of the rank engine,
-    which lists no codomain."""
-
-    def __missing__(self, key):
-        row = self[key] = len(self)
-        return row
-
-
 def _coboundary(workspace: _Workspace, domain, row_index) -> RationalMatrix:
     """d of the workspace's keys `domain` as a matrix with scale 1/D,
-    its rows numbered by `row_index`: a {key: row} index of the rows,
-    or a _RowIndex that numbers them on first use, whose rows reached
-    are the matrix's rows."""
+    its rows numbered by `row_index`, a {key: row} index of the rows
+    that _d_columns extends: a full index of the codomain, or {} to
+    number the rows on first use, and then the rows reached are the
+    matrix's rows."""
     columns = _d_columns(workspace, domain, row_index)
     return RationalMatrix._wrap(len(row_index), columns, workspace.scale)
 
@@ -297,8 +292,7 @@ def _lefschetz_block(workspace: _Workspace, z: int, t: int, l: int,
         raise ValueError("degree %d does not fit radix %d"
                          % (t + l + 1, workspace.radix))
     # f_z^l in z's slot, which the keys of A leave at 0
-    unit = workspace.unit[z]
-    return _coboundary(workspace, [key + l * unit for key in keys], _RowIndex())
+    return _coboundary(workspace, map((l * workspace.unit[z]).__add__, keys), {})
 
 
 def _odd_centre(algebra: LieSuperalgebra) -> Optional[int]:

@@ -54,7 +54,7 @@ from typing import (Dict, Iterable, Iterator, List, Mapping, NamedTuple,
 
 from .algebra import LieSuperalgebra, make_heisenberg_odd
 from .differential import (_coboundary, _d_columns, _d_duals, _odd_centre,
-                           _RowIndex, _Workspace)
+                           _Workspace)
 from .limits import (DEFAULT_COLUMN_CAP, _check_codomain, _check_psi_codomain,
                      check_degree, graded_dim)
 from .linalg import RationalMatrix
@@ -394,7 +394,7 @@ def d_element(algebra: LieSuperalgebra, elem: SuperElement) -> SuperElement:
                              % (mono, algebra.name, n0, n1))
     workspace = _Workspace(algebra, (elem.degree or 0) + 1)
     radix = workspace.radix
-    row_index = _RowIndex()
+    row_index: Dict[int, int] = {}
     columns = _d_columns(workspace, [_pack(mono, n0, radix) for mono in monos],
                          row_index)
     image: Dict[int, Fraction] = {}

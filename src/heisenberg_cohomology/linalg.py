@@ -5,12 +5,14 @@ stored zeros) times one exact rational scale, so the coboundary kernel's
 integer output is a matrix as it stands.  rank() works on those integer
 columns directly (a nonzero scale cannot change rank).  It first peels
 structural pivots: a column with a row that no other column touches
-adds 1 to the rank and is dropped, in rounds that recount the rows,
-at most log2(columns) + 1 of them, so the peel's work is
-O(nnz log columns) where peeling to the end can be quadratic.  Fewer
-than two nonzero columns, at entry or after any round, are their own
-rank, and rank returns at once: most of the engine's blocks are a few
-columns wide and end there.  The rest goes through fraction-free
+adds 1 to the rank and is dropped, in rounds that recount the rows
+in a plain dict (_row_counts), at most log2(columns) + 1 of them, so
+the peel's work is O(nnz log columns) where peeling to the end can be
+quadratic.  A rank is at most the rows and at most the nonzero
+columns, so a block of fewer than two rows, or fewer than two nonzero
+columns at entry or after any round, has its rank at once: most of
+the engine's blocks are a few columns wide or one row high and end
+there.  The rest goes through fraction-free
 echelon elimination in one order fixed before it starts: rows by the
 peel's last nonzero count (ties to the lowest index), columns sparsest
 first.  Each column is reduced against the pivots found so far, keyed
@@ -24,9 +26,7 @@ anywhere.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
-from itertools import chain
 from math import gcd, lcm
 from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Tuple
@@ -179,12 +179,14 @@ def _echelon(rows: Iterable[Mapping[int, int]]) -> Dict[int, Dict[int, int]]:
 def rank(matrix: RationalMatrix) -> int:
     """Exact rank: structural pivots peeled off in a few counted rounds,
     then fraction-free elimination of the rest in one pivot order,
-    fixed before elimination starts.  Fewer than two nonzero columns,
-    at entry or after any round of the peel, are their own rank."""
+    fixed before elimination starts.  Fewer than two rows, or fewer
+    than two nonzero columns at entry or after any round of the peel,
+    give the rank at once: it is at most either count."""
     cols = list(filter(None, matrix.columns))
-    if len(cols) < 2:
-        return len(cols)
-    counts = Counter(chain.from_iterable(cols))
+    if len(cols) < 2 or matrix.rows < 2:
+        # a nonzero column needs a row, so this is len(cols) or rows
+        return min(len(cols), matrix.rows)
+    counts = _row_counts(cols)
     peeled = 0
     # at most log2(columns) + 1 rounds, so the peel costs O(nnz log
     # columns): peeling until no private row is left can take one round
@@ -200,7 +202,7 @@ def rank(matrix: RationalMatrix) -> int:
         cols = kept
         if len(cols) < 2:
             return peeled + len(cols)
-        counts = Counter(chain.from_iterable(cols))
+        counts = _row_counts(cols)
     # rows in the fixed order: fewer nonzeros first, lower index on ties;
     # a column is kept as {position of the row in that order: value}
     order = sorted(counts)
@@ -227,6 +229,17 @@ def rank(matrix: RationalMatrix) -> int:
         else:
             pivots[lead] = v
     return peeled + len(pivots)
+
+
+def _row_counts(cols: List[Dict[int, int]]) -> Dict[int, int]:
+    """{row: how many of the columns `cols` have it}, in a plain dict:
+    on the engine's blocks of a few columns a Counter's set-up costs
+    more than the count."""
+    counts: Dict[int, int] = {}
+    for col in cols:
+        for r in col:
+            counts[r] = counts.get(r, 0) + 1
+    return counts
 
 
 def kernel_dim(matrix: RationalMatrix) -> int:

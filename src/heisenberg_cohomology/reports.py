@@ -47,9 +47,10 @@ class _Record:
             cls._setters = tuple(cls.__dict__[f].__set__ for f in fields)
 
     def __init__(self, *args, **kwargs):
-        if kwargs or len(args) != len(self._setters):
+        setters = self._setters
+        if kwargs or len(args) != len(setters):
             args = self._arrange(args, kwargs)
-        for set_field, value in zip(self._setters, args):
+        for set_field, value in zip(setters, args):
             set_field(self, value)
 
     def _arrange(self, args: tuple, kwargs: dict) -> list:

@@ -2,7 +2,8 @@
 
 verify_family runs a whole (n, m, q) grid, computes Betti numbers from
 coboundary ranks, and records one Comparison per grid point per
-formula, match or not.  Only disagreements of dim_h_even or
+formula, match or not, each formula's in grid order, so that the
+formulas' lists joined in name order are sorted with no sort.  Only disagreements of dim_h_even or
 dim_h_odd_proof count as failures; the expanded odd-family display is
 retained verbatim precisely so that its deviations can be reported
 rather than hidden.
@@ -18,8 +19,9 @@ which changes no kernel and is put on only by the public psi_matrix.
 Multiplying by f_{y_i} maps psi's blocks, like L^(t)'s, onto blocks one
 degree up of the same kernel (symmetry's docstring), so the kernel of
 degree t is the sum over s <= t of W[t - s] times each group of degree
-s's kernel (cohomology._spread): each group's psi blocks are built once
-for every degree they stand for, and a faulty psi is still reported
+s's kernel, added with the group's rank in one pass over W: each
+group's psi blocks are built once for every degree they stand for,
+and a faulty psi is still reported
 through its own elimination.  Each n owns one orbit listing,
 OrbitListing(_Workspace(adapted h_n, q_max + 4), q_max), built as
 cohomology._ranks builds its own: the walk reads its keys, and
@@ -42,10 +44,10 @@ from __future__ import annotations
 
 import time
 from itertools import accumulate
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from .algebra import adapted_basis, make_heisenberg_even, make_heisenberg_odd
-from .cohomology import _betti_table, _blocks, _spread
+from .cohomology import _betti_table, _blocks
 from .differential import _lefschetz_block, _Workspace
 from .formulas import dim_h_even, dim_h_odd_displayed, dim_h_odd_proof, ker_psi_dim
 from .limits import DEFAULT_COLUMN_CAP, check_grid
@@ -55,6 +57,7 @@ from .symmetry import OrbitListing
 
 FAILING_FORMULAS = ("dim_h_even", "dim_h_odd_proof")
 PSI_POWERS = (1, 2, 3)
+_PSI_FORMULAS = tuple("ker_psi_dim[l=%d]" % l for l in PSI_POWERS)
 
 
 class Comparison(_Record):
@@ -155,57 +158,64 @@ def verify_family(family: str, n_max: int, m_max: Optional[int] = None,
     """
     start = time.perf_counter()
     points = check_grid(family, n_max, m_max, q_max, column_cap)
-    checks: List[Comparison] = []
+    # {formula: its checks}, each list in grid order and then by q, so
+    # joined by formula they are in (formula, n, m, q) order
+    by_formula: Dict[str, List[Comparison]] = {}
     for (n, m), dims in points.items():
         if m is None:
-            checks.extend(_odd_point(n, q_max, dims))
+            _odd_point(n, q_max, dims, by_formula)
             continue
+        even = by_formula.setdefault("dim_h_even", [])
         for report in _betti_table(make_heisenberg_even(n, m), q_max, column_cap, dims):
-            checks.append(Comparison("dim_h_even", n, m, report.q,
-                                     dim_h_even(n, m, report.q),
-                                     report.dim_cohomology))
-    checks.sort(key=lambda c: (c.formula, c.n, c.m or 0, c.q))
+            even.append(Comparison("dim_h_even", n, m, report.q,
+                                   dim_h_even(n, m, report.q), report.dim_cohomology))
+    checks = [c for formula in sorted(by_formula) for c in by_formula[formula]]
     elapsed = time.perf_counter() - start
     return VerifyResult(family, n_max, m_max, q_max, checks, elapsed)
 
 
-def _odd_point(n: int, q_max: int, dims) -> List[Comparison]:
-    """The checks of h_n, whose dimensions check_grid gave: one block
-    walk over t = 0..q_max on one listing, built as cohomology._ranks
-    builds its own, and dropped when this returns.  Each group's rank
-    and psi kernels are spread over the degrees its weight series
-    reaches (cohomology._spread), so degree t's totals are whole once
-    the walk has passed it."""
+def _odd_point(n: int, q_max: int, dims, by_formula: Dict[str, List[Comparison]]) -> None:
+    """Append the checks of h_n, whose dimensions check_grid gave, to
+    their formulas' lists in `by_formula`: one block walk over
+    t = 0..q_max on one listing, built as cohomology._ranks builds its
+    own, and dropped when this returns.  Each group's rank and psi
+    kernels are added, in one pass over its weight series W, to every
+    degree t + k that W reaches, W[k] times, so degree t's totals are
+    whole once the walk has passed it."""
     # the rows of psi_{(n,l)} in degree t have degree t + l + 1
     listing = OrbitListing(_Workspace(adapted_basis(make_heisenberg_odd(n)),
                                       q_max + 1 + max(PSI_POWERS)), q_max)
+    workspace = listing.workspace
     z = 2 * n  # h_n's odd centre, its last generator
-    checks = []
-    # rank L^(t) and each psi kernel of degree t, summed over the blocks
-    # of every degree s <= t with their weights (_spread)
-    block_rank = [0] * (q_max + 1)
-    kernels = {l: [0] * (q_max + 1) for l in PSI_POWERS}
+    top = q_max + 1
+    # rank L^(t) and the kernels of psi_{(n,1)}, psi_{(n,2)}, psi_{(n,3)}
+    # in degree t, summed over the groups of every degree s <= t
+    block_rank, ker1, ker2, ker3 = totals = [[0] * top for _ in range(4)]
+    psi_checks = [by_formula.setdefault(name, []) for name in _PSI_FORMULAS]
     for t, groups in _blocks(listing, 0, q_max, dims, z):
         for weight, keys, block, r in groups:
-            _spread(block_rank, t, weight, r)
-            _spread(kernels[1], t, weight, block.cols - r)
-            for l in PSI_POWERS[1:]:
-                # psi_{(n,l)} is (-1)^t times the block of power l, and
-                # the sign changes no kernel: a block that is l times
-                # L^(t) has its kernel, and any other is eliminated
-                psi = _lefschetz_block(listing.workspace, z, t, l, keys)
-                same = _is_multiple(psi, block, l)
-                _spread(kernels[l], t, weight, block.cols - r if same else kernel_dim(psi))
+            kernel = block.cols - r
+            # psi_{(n,l)} is (-1)^t times the block of power l, and the
+            # sign changes no kernel: a block that is l times L^(t) has
+            # its kernel, and any other is eliminated
+            psi2 = _lefschetz_block(workspace, z, t, 2, keys)
+            k2 = kernel if _is_multiple(psi2, block, 2) else kernel_dim(psi2)
+            psi3 = _lefschetz_block(workspace, z, t, 3, keys)
+            k3 = kernel if _is_multiple(psi3, block, 3) else kernel_dim(psi3)
+            for s, w in enumerate(weight[:top - t], t):
+                block_rank[s] += w * r
+                ker1[s] += w * kernel
+                ker2[s] += w * k2
+                ker3[s] += w * k3
         want = ker_psi_dim(t, n)
-        for l in PSI_POWERS:
-            checks.append(Comparison("ker_psi_dim[l=%d]" % l, n, None, t, want,
-                                     kernels[l][t]))
+        for name, checks, kernels in zip(_PSI_FORMULAS, psi_checks, totals[1:]):
+            checks.append(Comparison(name, n, None, t, want, kernels[t]))
     # rank d_q = sum_{t<q} rank L^(t), and d_{-1} = 0
     rk = {-1: 0, **dict(enumerate(accumulate(block_rank, initial=0)))}
-    for report in _reports(listing.workspace.algebra.name, dims, rk, range(q_max + 1)):
-        oracle = report.dim_cohomology
-        checks.append(Comparison("dim_h_odd_proof", n, None, report.q,
-                                 dim_h_odd_proof(n, report.q), oracle))
-        checks.append(Comparison("dim_h_odd_displayed", n, None, report.q,
-                                 dim_h_odd_displayed(n, report.q), oracle))
-    return checks
+    proof = by_formula.setdefault("dim_h_odd_proof", [])
+    displayed = by_formula.setdefault("dim_h_odd_displayed", [])
+    for report in _reports(workspace.algebra.name, dims, rk, range(top)):
+        q, oracle = report.q, report.dim_cohomology
+        proof.append(Comparison("dim_h_odd_proof", n, None, q, dim_h_odd_proof(n, q), oracle))
+        displayed.append(Comparison("dim_h_odd_displayed", n, None, q,
+                                    dim_h_odd_displayed(n, q), oracle))

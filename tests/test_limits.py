@@ -203,7 +203,7 @@ def test_the_engine_modules_hold_only_keys_and_the_kernel():
 
     assert defined(superexterior) == {"_radix", "_units", "_keys"}
     assert defined(differential) == {"_d_duals", "_Workspace", "_mask_plan", "_d_columns",
-                                     "_RowIndex", "_coboundary", "_lefschetz_block",
+                                     "_coboundary", "_lefschetz_block",
                                      "_odd_centre"}
     moved = ("SuperSpaceDims", "SuperMonomial", "monomial_sort_key", "enumerate_basis",
              "_exponents", "_monomial", "_pack", "_unpack", "DifferentialMatrix",

@@ -397,28 +397,42 @@ def test_rank_exits_before_elimination_below_two_nonzero_columns(monkeypatch):
     assert _rank_checked([{0: 2, 1: 4}, {}, {0: -1, 1: -2}]) == 1
     assert _rank_checked([{0: 2, 1: 4}, {0: 1, 1: 3}]) == 2
     # below two nonzero columns, at entry or after a round of the peel,
-    # rank returns without counting the rows again or eliminating
+    # and below two rows at entry, rank returns without counting the
+    # rows (_row_counts) again or eliminating
     tallies = []
-    real_counter = linalg.Counter
+    real_counts = linalg._row_counts
 
-    def counted(*args):
-        tallies.append(1)
-        return real_counter(*args)
+    def counted(cols):
+        tallies.append(len(cols))
+        return real_counts(cols)
 
     def refused(*args):
         raise AssertionError("rank reached elimination")
 
-    monkeypatch.setattr(linalg, "Counter", counted)
+    monkeypatch.setattr(linalg, "_row_counts", counted)
     monkeypatch.setattr(linalg, "_reduce", refused)
     assert _rank_checked([], rows=3) == 0
     assert _rank_checked([{}, {}, {}], rows=3) == 0
     assert _rank_checked([{}, {2: -7, 0: 3}, {}], scale=Fraction(-1, 4)) == 1
     assert not tallies
+    # rank is at most the rows: blocks of 0 or 1 rows and up to 6
+    # columns, zero columns mixed in and scales of either sign, are
+    # ranked without counting or eliminating
+    rng = random.Random(44)
+    for rows in (0, 1):
+        for width in range(7):
+            for _ in range(6):
+                columns = [{0: rng.choice((-3, -1, 1, 2, 5))} if rows and rng.random() < 0.6
+                           else {} for _ in range(width)]
+                scale = Fraction(rng.choice((-1, 1)) * rng.randint(1, 4), rng.randint(1, 3))
+                want = 1 if any(columns) else 0
+                assert _rank_checked(columns, rows=rows, scale=scale) == want
+    assert not tallies
     # a bidiagonal chain of five columns: the first round peels the two
     # ends, the second the next two, and the middle column is left alone
     chain = [{i: i + 2, i + 1: -1} for i in range(5)]
     assert _rank_checked([{}] + chain) == 5
-    assert len(tallies) == 2
+    assert tallies == [5, 3]
 
 
 def test_every_block_the_engine_ranks_matches_the_dense_oracle(monkeypatch):
