@@ -250,13 +250,17 @@ def _d_columns(workspace: _Workspace, domain, row_index):
             plan = plans[mask] = _mask_plan(workspace, mask)
         evens, odds = plan
         if len(evens) + len(powers) < 2:
+            # filled in this loop: a comprehension's frame costs more
+            # than the one to four entries most columns have
+            col = {}
             if evens:
-                columns.append({number(key + o, len(row_index)): v for o, v in evens[0]})
+                for o, v in evens[0]:
+                    col[number(key + o, len(row_index))] = v
             elif powers:
                 a, i = powers[0]
-                columns.append({number(key + o, len(row_index)): a * v for o, v in odds[i]})
-            else:
-                columns.append({})
+                for o, v in odds[i]:
+                    col[number(key + o, len(row_index))] = a * v
+            columns.append(col)
             continue
         col: Dict[int, int] = {}
         for terms in evens:
@@ -291,8 +295,10 @@ def _lefschetz_block(workspace: _Workspace, z: int, t: int, l: int,
     if t + l + 1 >= workspace.radix:
         raise ValueError("degree %d does not fit radix %d"
                          % (t + l + 1, workspace.radix))
+    rows: Dict[int, int] = {}
     # f_z^l in z's slot, which the keys of A leave at 0
-    return _coboundary(workspace, map((l * workspace.unit[z]).__add__, keys), {})
+    columns = _d_columns(workspace, map((l * workspace.unit[z]).__add__, keys), rows)
+    return RationalMatrix._wrap(len(rows), columns, workspace.scale)
 
 
 def _odd_centre(algebra: LieSuperalgebra) -> Optional[int]:

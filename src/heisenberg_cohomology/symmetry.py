@@ -316,9 +316,8 @@ class OrbitListing:
             groups = _times(groups, factor, top)
         # distinct factors expand to distinct series, chains being no
         # longer than top + 1 (_expanded), so no two stacks merge here
-        self.groups = {weight: dict(sorted(by_degree.items())) for weight, by_degree in
-                       sorted([(_expanded(*weight, top), by_degree)
-                               for weight, by_degree in groups.items()])}
+        self.groups = dict(sorted([(_expanded(*weight, top), by_degree)
+                                   for weight, by_degree in groups.items()]))
         self.reach = max(map(len, self.groups), default=1) - 1
         self.degrees = sorted({d for by_degree in self.groups.values() for d in by_degree})
         self.in_copies = {g for _, _, copies, _ in classes for c in copies for g in c}
@@ -523,7 +522,8 @@ def _times(left, right, top: int) -> Dict[tuple, Dict[int, List[int]]]:
     `left` and b one of `right` (groups over disjoint generators,
     right's in increasing degree), of degree at most top; keys are
     additive over disjoint generators, and weights, as factors (orbit
-    size, chain counts), multiply: sizes multiply and counts add."""
+    size, chain counts), multiply: sizes multiply and counts add.  Each
+    group is returned in increasing degree, as _listed returns its own."""
     out: Dict[tuple, Dict[int, List[int]]] = {}
     for (o1, c1), g1 in left.items():
         for (o2, c2), g2 in right.items():
@@ -535,7 +535,7 @@ def _times(left, right, top: int) -> Dict[tuple, Dict[int, List[int]]]:
                     # a group of degree 0 is the key 0 alone
                     into.setdefault(d1 + d2, []).extend(
                         [a + b for a in ks1 for b in ks2] if d1 and d2 else ks1 if d1 else ks2)
-    return out
+    return {weight: dict(sorted(by_degree.items())) for weight, by_degree in out.items()}
 
 
 def _chained(counts: tuple, length: int, more: int) -> tuple:

@@ -21,7 +21,7 @@ for the local groups (signed_symmetries) and the shifts
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import accumulate, permutations, product
 
 import pytest
 
@@ -30,10 +30,11 @@ from heisenberg_cohomology.algebra import (EVEN, ODD, LieSuperalgebra, adapted_b
                                            make_heisenberg_even, make_heisenberg_odd,
                                            require_valid)
 from heisenberg_cohomology.cohomology import _ranks, betti_table
-from heisenberg_cohomology.differential import _Workspace
+from heisenberg_cohomology.differential import _lefschetz_block, _odd_centre, _Workspace
 from heisenberg_cohomology.elements import SuperSpaceDims, differential_matrix, enumerate_basis
 from heisenberg_cohomology.formulas import dim_h_even, dim_h_odd_proof
-from heisenberg_cohomology.limits import _checked_dims
+from heisenberg_cohomology.limits import _checked_dims, check_grid
+from heisenberg_cohomology.linalg import kernel_dim
 from heisenberg_cohomology.symmetry import OrbitListing, _lattice_classes, copy_classes
 from heisenberg_cohomology.superexterior import _keys, _radix, _units
 
@@ -211,6 +212,63 @@ def _orbit_ranks(alg, q_max):
     """{q: rank d_q} from the full-matrix route's rank helper."""
     listing, dims = _full_route(alg, q_max)
     return _ranks(listing.workspace.algebra, -1, q_max, dims)
+
+
+def _spread(totals, t, weight, value):
+    """The reference spread, a term at a time: weight[k] * value added
+    to totals[t + k] for every k that totals reach."""
+    for k, w in enumerate(weight):
+        if t + k < len(totals):
+            totals[t + k] += w * value
+
+
+def test_fused_spreads_keep_every_weight():
+    # _ranks and verify's odd points add each block's rank, and its psi
+    # kernels, to every degree its weight series reaches, in one pass
+    # over the series; block by block, the reference spread must give
+    # the same totals, for series longer than the degrees left too
+    cut = 0
+    pools = _members() + [(alg, 6) for alg in _without_copies()]
+    for alg, q_max in pools:
+        q_max = min(q_max, 8)
+        listing, dims = _full_route(alg, q_max)
+        adapted = listing.workspace.algebra
+        z = _odd_centre(adapted)
+        # the full d_q route, the Lefschetz route given z, and a
+        # single-degree call's (cohomology_dims: low = q - 1)
+        for low, route in {(-1, None), (-1, z), (q_max - 1, None)}:
+            top = q_max if route is None else q_max - 1
+            walked = OrbitListing(_Workspace(adapted, q_max + 1), top)
+            want = [0] * (top + 1)
+            for t, groups in cohomology._blocks(walked, low, top, dims, route):
+                for weight, _, _, r in groups:
+                    _spread(want, t, weight, r)
+                    cut += len(weight) > top + 1 - t
+            if route is not None:
+                want = list(accumulate(want, initial=0))
+            assert _ranks(adapted, low, q_max, dims, route) == {
+                q: want[q] if q >= 0 else 0 for q in range(low, q_max + 1)}, (alg.name, low)
+    # verify's odd points: rank L^(t) and the kernels of psi_(n,l), each
+    # group's psi kernel by its own elimination here
+    for (n, _), dims in check_grid("odd", 4, None, 8).items():
+        listing = OrbitListing(_Workspace(adapted_basis(make_heisenberg_odd(n)), 12), 8)
+        totals = [[0] * 9 for _ in range(4)]
+        for t, groups in cohomology._blocks(listing, 0, 8, dims, 2 * n):
+            for weight, keys, block, r in groups:
+                kernels = [kernel_dim(_lefschetz_block(listing.workspace, 2 * n, t, l, keys))
+                           for l in (2, 3)]
+                for total, value in zip(totals, [r, block.cols - r] + kernels):
+                    _spread(total, t, weight, value)
+                cut += len(weight) > 9 - t
+        rk = list(accumulate(totals[0], initial=0))
+        by_formula = {}
+        verify._odd_point(n, 8, dims, by_formula)
+        for l in (1, 2, 3):
+            assert [c.oracle_value for c in by_formula["ker_psi_dim[l=%d]" % l]] == totals[l]
+        assert [c.oracle_value for c in by_formula["dim_h_odd_proof"]] == [
+            dims[q] - rk[q] - (rk[q - 1] if q else 0) for q in range(9)]
+    # series longer than the degrees left are cut at the top
+    assert cut > 100
 
 
 def test_copy_classes_of_the_families():
