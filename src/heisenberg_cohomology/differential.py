@@ -295,10 +295,8 @@ def _lefschetz_block(workspace: _Workspace, z: int, t: int, l: int,
     if t + l + 1 >= workspace.radix:
         raise ValueError("degree %d does not fit radix %d"
                          % (t + l + 1, workspace.radix))
-    rows: Dict[int, int] = {}
     # f_z^l in z's slot, which the keys of A leave at 0
-    columns = _d_columns(workspace, map((l * workspace.unit[z]).__add__, keys), rows)
-    return RationalMatrix._wrap(len(rows), columns, workspace.scale)
+    return _coboundary(workspace, map((l * workspace.unit[z]).__add__, keys), {})
 
 
 def _odd_centre(algebra: LieSuperalgebra) -> Optional[int]:

@@ -2,11 +2,11 @@
 
 verify_family runs a whole (n, m, q) grid, computes Betti numbers from
 coboundary ranks, and records one Comparison per grid point per
-formula, match or not, each formula's in grid order, so that the
-formulas' lists joined in name order are sorted with no sort.  Only disagreements of dim_h_even or
-dim_h_odd_proof count as failures; the expanded odd-family display is
-retained verbatim precisely so that its deviations can be reported
-rather than hidden.
+formula, match or not.  Each formula's checks are filed in grid order,
+so its lists joined in formula order come out sorted, with no sort.
+Only disagreements of dim_h_even or dim_h_odd_proof count as failures;
+the expanded odd-family display is retained verbatim precisely so that
+its deviations can be reported rather than hidden.
 
 On h_n each block L^(t) comes as groups of base charge tuples with
 their weight series (cohomology._blocks, the rank routes' one block
