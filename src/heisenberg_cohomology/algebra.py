@@ -152,13 +152,16 @@ def integer_table(alg: LieSuperalgebra):
     in both index orders, the super sign applied, in the table's order."""
     if "ad" not in alg._derived:
         scale = lcm(1, *(c.denominator for t in alg.brackets.values() for c in t.values()))
+        parity = [g.parity for g in alg.generators]
         ad: Dict[int, Dict[int, Dict[int, int]]] = {}
         for (i, j), targets in alg.brackets.items():
-            row = ad.setdefault(i, {})[j] = {
-                k: c.numerator * (scale // c.denominator) for k, c in targets.items()}
+            row = ad.setdefault(i, {})[j] = (
+                {k: c.numerator for k, c in targets.items()} if scale == 1 else
+                {k: c.numerator * (scale // c.denominator) for k, c in targets.items()})
             # [x, y] = -(-1)^{|x||y|} [y, x]; ad[i][i] is the row itself
-            flip = 1 if alg.parity(i) and alg.parity(j) else -1
-            ad.setdefault(j, {}).setdefault(i, {k: flip * c for k, c in row.items()})
+            if i != j:
+                flip = 1 if parity[i] and parity[j] else -1
+                ad.setdefault(j, {})[i] = {k: flip * c for k, c in row.items()}
         alg._derived["ad"] = scale, ad
     return alg._derived["ad"]
 
@@ -261,10 +264,21 @@ def _adapted_brackets(alg: LieSuperalgebra):
     if all(len(targets) == 1 for targets in alg.brackets.values()):
         return None
     scale, ad = integer_table(alg)
-    # each bracket split by parity: a row of one parity only reduces
-    # against rows of that parity
-    rows = _echelon({k: c for k, c in ad[i][j].items() if alg.parity(k) == parity}
-                    for (i, j) in alg.brackets for parity in (EVEN, ODD))
+    parity = [g.parity for g in alg.generators]
+
+    def halves():
+        # each bracket split by parity, even half first: a row of one
+        # parity only reduces against rows of that parity.  A bracket of
+        # one parity, as in a valid table, is its own half
+        for (i, j) in alg.brackets:
+            row = ad[i][j]
+            odd = {k: c for k, c in row.items() if parity[k]}
+            if len(odd) < len(row):
+                yield {k: c for k, c in row.items() if not parity[k]} if odd else row
+            if odd:
+                yield odd
+
+    rows = _echelon(halves())
     if all(len(row) == 1 for row in rows.values()):
         return None
     # users[j]: the pivot rows with a g_j coordinate; a generator that is
@@ -281,29 +295,41 @@ def _adapted_brackets(alg: LieSuperalgebra):
             out.update(users.get(j, ()))
         return sorted(out)
 
+    # images[a][j] = L d_a [b_a, g_j] in the old coordinates, d_a =
+    # row_a[a], for each b_a that touches a bracketing pair and is not
+    # central: a central one, such as a pivot row of a two-step table,
+    # brackets to 0 with every b_b, so none of its pairs is visited
+    images: Dict[int, Dict[int, Dict[int, int]]] = {}
+    for a in touching(ad):
+        image: Dict[int, Dict[int, int]] = {}
+        for i, x in rows.get(a, {a: 1}).items():
+            for j, targets in ad.get(i, {}).items():
+                acc = image.setdefault(j, {})
+                for k, c in targets.items():
+                    acc[k] = acc.get(k, 0) + x * c
+        if any(any(acc.values()) for acc in image.values()):
+            images[a] = image
     # D r_p / r_p[p] is an integer vector for every pivot p
     common = lcm(*(row[p] for p, row in rows.items()))
     # only pairs of basis vectors that touch a bracketing pair are
     # visited, so the cost follows the nonzero brackets, not dim^2
     brackets = {}
-    for a in touching(ad):
-        row_a = rows.get(a, {a: 1})
-        # image[j] = L d_a [b_a, g_j] in the old coordinates, d_a = row_a[a]
-        image: Dict[int, Dict[int, int]] = {}
-        for i, x in row_a.items():
-            for j, targets in ad.get(i, {}).items():
-                acc = image.setdefault(j, {})
-                for k, c in targets.items():
-                    acc[k] = acc.get(k, 0) + x * c
+    for a, image in images.items():
+        d_a = rows[a][a] if a in rows else 1
         for b in touching(image):
-            if b < a:
+            if b < a or b not in images:
                 continue
-            row_b = rows.get(b, {b: 1})
-            # w = L d_a d_b [b_a, b_b] in the old coordinates
-            w: Dict[int, int] = {}
-            for j, y in row_b.items():
-                for k, c in image.get(j, {}).items():
-                    w[k] = w.get(k, 0) + y * c
+            # w = L d_a d_b [b_a, b_b] in the old coordinates: image[b]
+            # itself when b is no pivot, d_b = 1
+            if b in rows:
+                row_b = rows[b]
+                w: Dict[int, int] = {}
+                for j, y in row_b.items():
+                    for k, c in image.get(j, {}).items():
+                        w[k] = w.get(k, 0) + y * c
+                d_b = row_b[b]
+            else:
+                w, d_b = image.get(b, {}), 1
             # coordinates in the new basis, times D: D w[p] on pivot row
             # p, and D w[i] - sum_p w[p] (D / r_p[p]) r_p[i] on a
             # generator i that stays
@@ -313,7 +339,7 @@ def _adapted_brackets(alg: LieSuperalgebra):
                 _subtract(new, c * (common // rows[p][p]), rows[p])
                 new[p] = common * c
             if new:
-                den = scale * row_a[a] * row_b[b] * common
+                den = scale * d_a * d_b * common
                 brackets[(a, b)] = {k: Fraction(c, den) for k, c in new.items()}
     return brackets
 

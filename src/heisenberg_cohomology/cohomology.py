@@ -93,11 +93,13 @@ gives them in full):
    odd one.
 3. A rank does not depend on the field.
 
-So each distinct type is ranked once per call, by _betti_table on its
+So each distinct type is ranked once per call, by _ranks on its
 canonical table (make_heisenberg_odd, or algebra._heisenberg_even,
 where n or m may be 0) with the dimensions limits.check_column_cap
 gives it, and the Betti numbers are the Kunneth product of the parts'
-and R's.  That check cannot refuse: a part's C^q is never larger than
+and R's.  A canonical table is its own adapted basis and fails the
+split gate, so a part is ranked with no rewrite, no second gate and no
+reports: its Betti numbers are read off its ranks.  That check cannot refuse: a part's C^q is never larger than
 the whole table's, which the entry checked.  A split not found, or
 failing the check, sends the table down the routes above: it costs
 speed, never an answer.
@@ -205,10 +207,10 @@ def _split_ranks(adapted: LieSuperalgebra, q_max: int, cap: int,
     passes only when its coefficients differ in absolute value: with one
     coefficient up to sign (the built-in members in any generator
     order, and every canonical table) it keeps the rank routes, and
-    its copies.  Each distinct part type is ranked once, by
-    _betti_table on its canonical table; H(g) is the Kunneth product of
-    the parts' and the free part's, and rank d_q = dim C^q - dim H^q
-    - rank d_{q-1}.
+    its copies.  Each distinct part type is ranked once, by _ranks on
+    its canonical table, on the Lefschetz route for an odd centre;
+    H(g) is the Kunneth product of the parts' and the free part's, and
+    rank d_q = dim C^q - dim H^q - rank d_{q-1}.
     """
     targets = {k for t in adapted.brackets.values() for k in t}
     if (q_max < 2 or not targets
@@ -233,8 +235,8 @@ def _split_ranks(adapted: LieSuperalgebra, q_max: int, cap: int,
         part = (make_heisenberg_odd(odd) if z else
                 _heisenberg_even("h_{%d,%d}" % (even // 2, odd), even // 2, odd))
         dims_part = check_column_cap(part.name, part.superdim, q_max, cap)
-        ranked[even, odd, z] = [r.dim_cohomology
-                                for r in _betti_table(part, q_max, cap, dims_part)]
+        rk = _ranks(part, -1, q_max, dims_part, _odd_centre(part))
+        ranked[even, odd, z] = [dims_part[q] - rk[q] - rk[q - 1] for q in range(q_max + 1)]
     for kind in types:
         h = ranked[kind]
         betti = [sum(betti[i] * h[q - i] for i in range(q + 1)) for q in range(q_max + 1)]

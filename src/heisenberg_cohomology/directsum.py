@@ -17,7 +17,9 @@ free part of dimension 1.
   another combination B, T = omega^-1 B acts on each K_s of the class
   as one scalar.  Its eigenvalues are the rational roots of its
   minimal polynomial, and each eigenspace brackets onto one centre
-  line.
+  line.  For a class of two pivots and omega, B two single forms
+  B_{p_i}, B_{p_j}, T is c_sj / c_si on K_s, z_s = sum_p c_sp p, so
+  each root num/den is the line den p_i + num p_j itself.
 - The functionals lambda_s dual to the centre lines give the parts:
   K_s is the intersection of rad B_{lambda_t}, t != s, less R.
 
@@ -95,7 +97,11 @@ def split(algebra: LieSuperalgebra, pivots: Sequence[int]
         if len(cls) == 1:
             duals.append({cls[0]: 1})
         elif cls:
-            found = _class_duals(forms, cls)
+            # W: the leads of the class's forms, reduced's own when the
+            # class holds every pivot
+            rows = reduced if len(cls) == len(pivots) else _echelon(
+                row for p in cls for row in forms[p].values())
+            found = _class_duals(forms, cls, sorted(rows))
             if found is None:
                 return None
             duals += found
@@ -131,15 +137,17 @@ def split(algebra: LieSuperalgebra, pivots: Sequence[int]
     return types, (len(radical) - free, free)
 
 
-def _class_duals(forms: Dict[int, Form], cls: List[int]) -> Optional[List[Vector]]:
+def _class_duals(forms: Dict[int, Form], cls: List[int],
+                 space: List[int]) -> Optional[List[Vector]]:
     """The functionals, over the pivots `cls` of one parity class, dual
-    to the class's centre lines, or None.  W, a coordinate complement
-    of the class's common radical, carries the pencil: omega and B run
-    through pairs of the class's forms, then of their combinations,
-    until omega is nondegenerate on W and T = omega^-1 B has len(cls)
-    rational eigenvalues, each eigenspace bracketing onto a line."""
+    to the class's centre lines, or None.  W, the coordinates `space`
+    (the leads of an echelon form of the class's forms' rows, so a
+    coordinate complement of the class's common radical), carries the
+    pencil: omega and B run through pairs of the class's forms, then of
+    their combinations, until omega is nondegenerate on W and
+    T = omega^-1 B has len(cls) rational eigenvalues, each eigenspace
+    bracketing onto a line."""
     k = len(cls)
-    space = sorted(_echelon(row for p in cls for row in forms[p].values()))
     at = {c: i for i, c in enumerate(space)}
     w = len(space)
 
@@ -154,10 +162,10 @@ def _class_duals(forms: Dict[int, Form], cls: List[int]) -> Optional[List[Vector
     # most k - 1 roots, so t = 1..k(k - 1) + 1 reach a nondegenerate
     # omega if any exists
     units = [[int(a == i) for a in range(k)] for i in range(k)]
-    pencils = [(units[i], units[j]) for i in range(k) for j in range(k) if i != j]
-    pencils += [([t ** i for i in range(k)], [(t + 1) ** i for i in range(k)])
+    pencils = [(units[i], units[j], (i, j)) for i in range(k) for j in range(k) if i != j]
+    pencils += [([t ** i for i in range(k)], [(t + 1) ** i for i in range(k)], None)
                 for t in range(1, k * k - k + 2)]
-    for omega, other in pencils:
+    for omega, other, pair in pencils:
         solved = _solve(on_space(omega), on_space(other), w)
         if solved is None:
             continue
@@ -180,28 +188,44 @@ def _class_duals(forms: Dict[int, Form], cls: List[int]) -> Optional[List[Vector
                 break
         if len(roots) != k:
             continue
-        lines = []
-        for num, den in sorted(roots):
-            # T x = (num/den) x  <=>  (den N - num D) x = 0
-            rows = []
-            for l in range(w):
-                row = {j: den * x for j, x in scaled[l].items()}
-                row[l] = row.get(l, 0) - num * denom
-                rows.append(row)
-            eigen = [{space[i]: x for i, x in v.items()} for v in _kernel(_echelon(rows), w)]
-            line = _centre_line(forms, cls, eigen)
-            if line is None:
-                break
-            lines.append(line)
+        if pair and k == 2:
+            # T is c_sj / c_si on K_s, z_s = c_s0 cls[0] + c_s1 cls[1], so
+            # the root num/den is the line den cls[i] + num cls[j] itself
+            i, j = pair
+            lines = [{a: c for a, c in ((i, den), (j, num)) if c} for num, den in sorted(roots)]
         else:
-            # lambda_s = column s of the inverse of the matrix of lines
-            solved = _solve(lines, [{s: 1} for s in range(k)], k)
-            if solved is None:
-                return None
-            _, inverse = solved
-            return [{cls[i]: row[s] for i, row in enumerate(inverse) if s in row}
-                    for s in range(k)]
+            lines = _eigen_lines(forms, cls, space, scaled, denom, sorted(roots))
+            if lines is None:
+                continue
+        # lambda_s = column s of the inverse of the matrix of lines
+        solved = _solve(lines, [{s: 1} for s in range(k)], k)
+        if solved is None:
+            return None
+        _, inverse = solved
+        return [{cls[i]: row[s] for i, row in enumerate(inverse) if s in row}
+                for s in range(k)]
     return None
+
+
+def _eigen_lines(forms: Dict[int, Form], cls: List[int], space: List[int],
+                 scaled: List[Vector], denom: int, roots) -> Optional[List[Vector]]:
+    """The centre line that each eigenspace of T = N / D on W, one per
+    root num/den, brackets onto, or None when one brackets to 0."""
+    w = len(space)
+    lines = []
+    for num, den in roots:
+        # T x = (num/den) x  <=>  (den N - num D) x = 0
+        rows = []
+        for l in range(w):
+            row = {j: den * x for j, x in scaled[l].items()}
+            row[l] = row.get(l, 0) - num * denom
+            rows.append(row)
+        eigen = [{space[i]: x for i, x in v.items()} for v in _kernel(_echelon(rows), w)]
+        line = _centre_line(forms, cls, eigen)
+        if line is None:
+            return None
+        lines.append(line)
+    return lines
 
 
 def _centre_line(forms: Dict[int, Form], cls: List[int],
@@ -257,14 +281,17 @@ def _checked(forms: Dict[int, Form], parity: List[int], radical: List[Vector],
 
 
 def _combine(forms: Dict[int, Form], weights: Dict[int, int]) -> Form:
-    """sum_p weights[p] B_p, with no stored zeros."""
+    """sum_p weights[p] B_p, with no stored zeros: B_p itself, not a
+    copy, when it is the only form weighted, with weight 1."""
+    used = [(p, c) for p, c in weights.items() if c]
+    if len(used) == 1 and used[0][1] == 1:
+        return forms[used[0][0]]
     out: Form = {}
-    for p, c in weights.items():
-        if c:
-            for i, row in forms[p].items():
-                acc = out.setdefault(i, {})
-                for j, x in row.items():
-                    acc[j] = acc.get(j, 0) + c * x
+    for p, c in used:
+        for i, row in forms[p].items():
+            acc = out.setdefault(i, {})
+            for j, x in row.items():
+                acc[j] = acc.get(j, 0) + c * x
     return {i: r for i, r in ((i, {j: x for j, x in row.items() if x})
                               for i, row in out.items()) if r}
 
@@ -279,7 +306,12 @@ def _covector(form: Form, x: Vector) -> Vector:
 
 
 def _dot(u: Vector, v: Vector) -> int:
-    return sum(a * v[j] for j, a in u.items() if j in v)
+    # a loop: a generator's frame costs more than the few terms
+    total = 0
+    for j, a in u.items():
+        if j in v:
+            total += a * v[j]
+    return total
 
 
 def _kernel(basis: Dict[int, Vector], n: int) -> List[Vector]:
@@ -353,8 +385,9 @@ def _rational_roots(poly: List[int]) -> Optional[List[Tuple[int, int]]]:
     if max(first, last) > _ROOT_SEARCH_BOUND:
         return None
     d = len(poly) - 1
+    numerators = _divisors(first)
     for q in _divisors(last):
-        for p in _divisors(first):
+        for p in numerators:
             if gcd(p, q) == 1:
                 for sp in (p, -p):
                     if sum(c * sp ** i * q ** (d - i) for i, c in enumerate(poly)) == 0:

@@ -46,7 +46,9 @@ _RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[1-9][0-9]*)?$")
 
 def _parse_rational(token: str, lineno: int):
     """An int, or a Fraction for num/den; LieSuperalgebra normalizes it."""
-    if not _RATIONAL_RE.match(token):
+    # a plain integer, the usual coefficient, skips the regex
+    digits = token[1:] if token[:1] in ("+", "-") else token
+    if not (digits.isdigit() and digits.isascii()) and not _RATIONAL_RE.match(token):
         raise AlgebraParseError("malformed rational %r" % token, lineno)
     num, _, den = token.partition("/")
     try:
@@ -115,12 +117,12 @@ def _parse_table(text) -> LieSuperalgebra:
             il, ir = gen_index[left], gen_index[right]
             targets: Dict[int, Fraction] = {}
             for tok in tokens[4:]:
-                if ":" not in tok:
+                tname, colon, ctext = tok.partition(":")
+                if not colon:
                     raise AlgebraParseError("expected target:coeff, got %r" % tok, lineno)
-                tname, _, ctext = tok.partition(":")
-                if tname not in gen_index:
+                k = gen_index.get(tname)
+                if k is None:
                     raise AlgebraParseError("unknown generator %r" % tname, lineno)
-                k = gen_index[tname]
                 if k in targets:
                     raise AlgebraParseError("generator %r repeated in bracket result"
                                             % tname, lineno)

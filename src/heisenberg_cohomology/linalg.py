@@ -16,12 +16,14 @@ there.  The rest goes through fraction-free
 echelon elimination in one order fixed before it starts: rows by the
 peel's last nonzero count (ties to the lowest index), columns sparsest
 first.  Each column is reduced against the pivots found so far, keyed
-by their first row in that order, by _reduce, the package's one
-fraction-free reduction step, which divides every updated column by
-its content gcd to keep entries small.  _echelon, the fully reduced
-echelon form that the adapted basis and the direct-sum search use, is
-built on the same step.  Everything is exact; no floating point enters
-anywhere.
+by their first row in that order, by _reduce: _cancel, the package's
+one fraction-free reduction step, then a division of the updated
+column by its content gcd to keep entries small.  _echelon, the fully
+reduced echelon form that the adapted basis and the direct-sum search
+use, is built on the same step: it cancels each lead a new row meets
+by _cancel alone, and divides out the row's content once, after the
+last step, which leaves the same row as dividing after every step.
+Everything is exact; no floating point enters anywhere.
 """
 
 from __future__ import annotations
@@ -134,10 +136,10 @@ def _subtract(v: Dict[int, int], c: int, row: Mapping[int, int]) -> None:
             del v[k]
 
 
-def _reduce(v: Dict[int, int], row: Mapping[int, int], lead: int) -> None:
+def _cancel(v: Dict[int, int], row: Mapping[int, int], lead: int) -> None:
     """v <- a v - b row, in place, with a/b = row[lead]/v[lead] in lowest
-    terms and a > 0, so the lead cancels; then v is divided by its
-    content gcd.  The package's one fraction-free reduction step."""
+    terms and a > 0, so the lead cancels: the package's one
+    fraction-free reduction step."""
     a, b = row[lead], v[lead]
     g = gcd(a, b)
     a, b = a // g, b // g
@@ -147,6 +149,12 @@ def _reduce(v: Dict[int, int], row: Mapping[int, int], lead: int) -> None:
         for k in v:
             v[k] *= a
     _subtract(v, b, row)
+
+
+def _reduce(v: Dict[int, int], row: Mapping[int, int], lead: int) -> None:
+    """_cancel, then v divided by its content gcd, which keeps the
+    entries of a vector reduced again and again small."""
+    _cancel(v, row, lead)
     g = gcd(*v.values())
     if g > 1:
         for k in v:
@@ -160,9 +168,10 @@ def _echelon(rows: Iterable[Mapping[int, int]]) -> Dict[int, Dict[int, int]]:
     basis: Dict[int, Dict[int, int]] = {}
     for row in rows:
         v = {k: x for k, x in row.items() if x}
-        # every basis row is zero at the other leads, so one pass reduces v
+        # every basis row is zero at the other leads, so one pass reduces
+        # v; its content is divided out once, below, not after each step
         for p in [k for k in v if k in basis]:
-            _reduce(v, basis[p], p)
+            _cancel(v, basis[p], p)
         if not v:
             continue
         lead = min(v)

@@ -577,14 +577,14 @@ def _counted(monkeypatch, module, name):
 
 def test_a_parsed_file_is_rewritten_once(monkeypatch):
     text = format_algebra(_hidden_valid("hidden", 2))
-    parts = [make_heisenberg_even(1, 1), make_heisenberg_odd(1)]
     rewrites = _counted(monkeypatch, algebra, "_adapted_brackets")
     alg = parse_algebra(text)
     table = betti_table(alg, 3)
     assert cohomology_dims(alg, 3) == table[3]
-    # the parse's rewrite is kept on alg, and the engine reuses it; each
-    # call's canonical part tables (h_{1,1} and h_1) are derived once each
-    assert rewrites == [alg, *parts * 2]
+    # the parse's rewrite is kept on alg, and the engine reuses it; the
+    # canonical part tables (h_{1,1} and h_1) are their own adapted
+    # basis, and are ranked without one
+    assert rewrites == [alg]
 
 
 def test_d_terms_are_derived_once_per_betti_table_call(monkeypatch):

@@ -12,12 +12,13 @@ never splits) and closed forms.
 """
 
 import random
+import time
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from heisenberg_cohomology import cohomology, directsum
+from heisenberg_cohomology import cohomology, directsum, reports
 from heisenberg_cohomology.algebra import (EVEN, ODD, LieSuperalgebra,
                                            adapted_basis, make_heisenberg_even,
                                            make_heisenberg_odd)
@@ -158,6 +159,64 @@ def test_hidden_sums_split_and_match_the_oracles(case):
     assert [cohomology_dims(alg, q) for q in range(q_max + 1)] == table
 
 
+def test_no_split_echelons_the_same_rows_twice(monkeypatch):
+    # every echelon form a split takes is of rows it has not reduced
+    # before, as a set: a parity class holding every pivot reads its
+    # space off the echelon form of all the forms' rows
+    real, taken = directsum._echelon, []
+
+    def recorded(rows):
+        rows = list(rows)
+        taken.append(tuple(sorted(tuple(sorted((k, x) for k, x in row.items() if x))
+                                  for row in rows if any(row.values()))))
+        return real(rows)
+
+    monkeypatch.setattr(directsum, "_echelon", recorded)
+    for alg, _, _, _ in _split_cases():
+        taken.clear()
+        assert _found(alg) is not None, alg.name
+        assert len(set(taken)) == len(taken), alg.name
+
+
+def test_a_split_table_builds_only_its_own_reports(monkeypatch):
+    # the parts are ranked by _ranks alone: betti_table builds one report
+    # per degree, each for the whole table, and none for a part
+    real, built = reports.CohomologyReport.__init__, []
+
+    def counted(self, *args, **kwargs):
+        real(self, *args, **kwargs)
+        built.append(self.algebra_name)
+
+    monkeypatch.setattr(reports.CohomologyReport, "__init__", counted)
+    for k, (summands, q_max, _) in enumerate(SPLIT_SUMS):
+        alg = hidden("sum%d" % k, summands, 100 * k)
+        assert _splits(alg, q_max)
+        built.clear()
+        table = betti_table(alg, q_max)
+        assert built == [alg.name] * (q_max + 1)
+        assert [r.dim_cohomology for r in table] == kunneth(summands, q_max)
+
+
+def test_rational_roots_lists_each_divisor_set_once():
+    # end coefficients 735134400 = 2^6 3^3 5^2 7 11 13 17, 1,344 divisors
+    # each, under _ROOT_SEARCH_BOUND: the numerators' divisors are listed
+    # once for the whole search, not once per denominator
+    a = 735134400
+    assert a <= directsum._ROOT_SEARCH_BOUND and len(directsum._divisors(a)) == 1344
+    start = time.perf_counter()
+    roots = directsum._rational_roots([a, -(a * a + 1), a])  # (a t - 1)(t - a)
+    assert time.perf_counter() - start < 1
+    assert sorted(roots) == [(1, a), (a, 1)]
+    # known roots: those of the CI table's pencil, (17017 t - 43200)
+    # (43200 t - 17017); (2t + 3)(t - 5); t^2 (3t - 2); t^2 + 1 has none
+    assert sorted(directsum._rational_roots([a, -(17017 ** 2 + 43200 ** 2), a])) == \
+        [(17017, 43200), (43200, 17017)]
+    assert sorted(directsum._rational_roots([-15, -7, 2])) == [(-3, 2), (5, 1)]
+    assert sorted(directsum._rational_roots([0, 0, 2, -3])) == [(0, 1), (2, 3)]
+    assert directsum._rational_roots([1, 0, 1]) == []
+    assert directsum._rational_roots([directsum._ROOT_SEARCH_BOUND + 1, 0, 1]) is None
+
+
 @pytest.mark.parametrize("alg, betti", (
     (SQRT2_H3, [1, 4, 8, 10, 8, 4, 1]),
     (LieSuperalgebra("hidden_h3_sqrt2", *change_basis(random.Random(5), _table(SQRT2_H3))),
@@ -253,31 +312,48 @@ def test_the_random_two_step_pool_matches_the_oracle(monkeypatch):
 
 
 def _corruptions():
-    """Ways to spoil a found split, each (check, spaces) -> verdict:
-    check is _checked on the spaces it is given."""
-    def moved(check, spaces):
+    """Ways to spoil a found split, each (check, spaces, parity) ->
+    verdict: check is _checked on the spaces it is given, and parity
+    that of each coordinate of K."""
+    def moved(check, spaces, parity):
         return check([spaces[0][1:], spaces[1] + spaces[0][:1]] + spaces[2:])
 
-    def mixed(check, spaces):
+    def mixed(check, spaces, parity):
         x, y = spaces[0][0], spaces[1][0]
         out = dict(y)
         for i, v in x.items():
             out[i] = out.get(i, 0) + v
         return check([spaces[0], [out] + spaces[1][1:]] + spaces[2:])
 
-    def dropped(check, spaces):
+    def dropped(check, spaces, parity):
         return check([spaces[0][1:]] + spaces[1:])
 
-    def doubled(check, spaces):
+    def doubled(check, spaces, parity):
         return check([spaces[0] + spaces[0][:1]] + spaces[1:])
 
-    def swapped(check, spaces):
+    def dependent(check, spaces, parity):
+        # still n vectors, each of one parity, but one vector of a K_s
+        # becomes the sum of two others of one parity: the brackets and
+        # the centres are still those of a split, so only the basis
+        # condition fails.  h_{1,1}'s K has two even vectors and an odd
+        # one, which becomes their sum
+        space = spaces[0]
+        kinds = [parity[min(x)] for x in space]
+        a, b = [i for i, kind in enumerate(kinds) if kind == EVEN]
+        out = dict(space[a])
+        for i, v in space[b].items():
+            out[i] = out.get(i, 0) + v
+        space = list(space)
+        space[kinds.index(ODD)] = {i: v for i, v in out.items() if v}
+        return check([space] + spaces[1:])
+
+    def swapped(check, spaces, parity):
         # the true split, each part under the other's centre: h_{1,1}'s K,
         # of dimensions (2, 1), under an odd centre, and h_1's, (1, 1),
         # under an even one
         return check(spaces)[::-1]
 
-    return [moved, mixed, dropped, doubled, swapped]
+    return [moved, mixed, dropped, doubled, dependent, swapped]
 
 
 @pytest.mark.parametrize("corrupt", _corruptions(), ids=lambda f: f.__name__)
@@ -288,7 +364,8 @@ def test_a_wrong_split_is_rejected_by_the_check(corrupt, monkeypatch):
     verdicts = []
 
     def spoiled(forms, parity, radical, spaces, pivot_parity):
-        verdicts.append(corrupt(lambda s: real(forms, parity, radical, s, pivot_parity), spaces))
+        verdicts.append(corrupt(lambda s: real(forms, parity, radical, s, pivot_parity),
+                                spaces, parity))
         return verdicts[-1]
 
     monkeypatch.setattr(directsum, "_checked", spoiled)
