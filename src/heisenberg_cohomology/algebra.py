@@ -155,9 +155,8 @@ def integer_table(alg: LieSuperalgebra):
         parity = [g.parity for g in alg.generators]
         ad: Dict[int, Dict[int, Dict[int, int]]] = {}
         for (i, j), targets in alg.brackets.items():
-            row = ad.setdefault(i, {})[j] = (
-                {k: c.numerator for k, c in targets.items()} if scale == 1 else
-                {k: c.numerator * (scale // c.denominator) for k, c in targets.items()})
+            row = ad.setdefault(i, {})[j] = {
+                k: c.numerator * (scale // c.denominator) for k, c in targets.items()}
             # [x, y] = -(-1)^{|x||y|} [y, x]; ad[i][i] is the row itself
             if i != j:
                 flip = 1 if parity[i] and parity[j] else -1
@@ -319,17 +318,12 @@ def _adapted_brackets(alg: LieSuperalgebra):
         for b in touching(image):
             if b < a or b not in images:
                 continue
-            # w = L d_a d_b [b_a, b_b] in the old coordinates: image[b]
-            # itself when b is no pivot, d_b = 1
-            if b in rows:
-                row_b = rows[b]
-                w: Dict[int, int] = {}
-                for j, y in row_b.items():
-                    for k, c in image.get(j, {}).items():
-                        w[k] = w.get(k, 0) + y * c
-                d_b = row_b[b]
-            else:
-                w, d_b = image.get(b, {}), 1
+            row_b = rows.get(b, {b: 1})
+            # w = L d_a d_b [b_a, b_b] in the old coordinates
+            w: Dict[int, int] = {}
+            for j, y in row_b.items():
+                for k, c in image.get(j, {}).items():
+                    w[k] = w.get(k, 0) + y * c
             # coordinates in the new basis, times D: D w[p] on pivot row
             # p, and D w[i] - sum_p w[p] (D / r_p[p]) r_p[i] on a
             # generator i that stays
@@ -339,7 +333,7 @@ def _adapted_brackets(alg: LieSuperalgebra):
                 _subtract(new, c * (common // rows[p][p]), rows[p])
                 new[p] = common * c
             if new:
-                den = scale * d_a * d_b * common
+                den = scale * d_a * row_b[b] * common
                 brackets[(a, b)] = {k: Fraction(c, den) for k, c in new.items()}
     return brackets
 
