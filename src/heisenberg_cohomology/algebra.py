@@ -152,15 +152,13 @@ def integer_table(alg: LieSuperalgebra):
     in both index orders, the super sign applied, in the table's order."""
     if "ad" not in alg._derived:
         scale = lcm(1, *(c.denominator for t in alg.brackets.values() for c in t.values()))
-        parity = [g.parity for g in alg.generators]
         ad: Dict[int, Dict[int, Dict[int, int]]] = {}
         for (i, j), targets in alg.brackets.items():
             row = ad.setdefault(i, {})[j] = {
                 k: c.numerator * (scale // c.denominator) for k, c in targets.items()}
             # [x, y] = -(-1)^{|x||y|} [y, x]; ad[i][i] is the row itself
-            if i != j:
-                flip = 1 if parity[i] and parity[j] else -1
-                ad.setdefault(j, {})[i] = {k: flip * c for k, c in row.items()}
+            flip = 1 if alg.parity(i) and alg.parity(j) else -1
+            ad.setdefault(j, {}).setdefault(i, {k: flip * c for k, c in row.items()})
         alg._derived["ad"] = scale, ad
     return alg._derived["ad"]
 

@@ -99,9 +99,9 @@ def split(algebra: LieSuperalgebra, pivots: Sequence[int]
         elif cls:
             # W: the leads of the class's forms, reduced's own when the
             # class holds every pivot
-            rows = reduced if len(cls) == len(pivots) else _echelon(
+            echelon = reduced if len(cls) == len(pivots) else _echelon(
                 row for p in cls for row in forms[p].values())
-            found = _class_duals(forms, cls, sorted(rows))
+            found = _class_duals(forms, cls, sorted(echelon))
             if found is None:
                 return None
             duals += found
