@@ -97,12 +97,12 @@ So each distinct type is ranked once per call, by _ranks on its
 canonical table (make_heisenberg_odd, or algebra._heisenberg_even,
 where n or m may be 0) with the dimensions limits.check_column_cap
 gives it, and the Betti numbers are the Kunneth product of the parts'
-and R's.  A canonical table is its own adapted basis and fails the
-split gate, so a part is ranked with no rewrite, no second gate and no
-reports: its Betti numbers are read off its ranks.  That check cannot refuse: a part's C^q is never larger than
-the whole table's, which the entry checked.  A split not found, or
-failing the check, sends the table down the routes above: it costs
-speed, never an answer.
+and R's.  That check cannot refuse: a part's C^q is never larger than
+the whole table's, which the entry checked.  A canonical table is its
+own adapted basis and fails the split gate, so a part is ranked with
+no rewrite, no second gate and no reports: its Betti numbers are read
+off its ranks.  A split not found, or failing the check, sends the
+table down the routes above: it costs speed, never an answer.
 Refusals come from the full sizes, before the split.
 """
 
