@@ -10,21 +10,26 @@ skew-symmetry, [x, y] = -(-1)^{|x||y|} [y, x].  The two families built
 here are the Heisenberg superalgebras: an even-center family h_{n,m}
 and an odd-center family h_n, both two-step nilpotent.
 
-The table is read-only, so the tables derived from it are kept on the
-algebra itself (`_derived`), derived on first use and never stale:
-integer_table, which validate, adapted_basis, bracket(), differential's
-d f_k and symmetry.copy_classes all read, the adapted basis, the
+The constructor converts each coefficient once, into an int over one
+scale L, the lcm of the reduced denominators, and keeps that table in
+both index orders: every consumer of the structure constants (validate,
+the adapted basis, bracket(), differential's d f_k, symmetry's copy
+classes, directsum.split and cohomology's split gate) reads those ints.
+`brackets` is a read-only Fraction view of the same table, built on
+first read, which no engine path reads.  The algebra cannot be changed,
+so the tables derived from it are kept on it (`_derived`), derived on
+first use and never stale: the Fraction view, the adapted basis, the
 validity verdict, and the copy classes symmetry finds.  This module
-imports no listing code.  require_valid is
-the one door that decides validity, for the tables that come from
-outside: parse_algebra, betti_table and cohomology_dims pass through
-it, so each such algebra is validated once, on its adapted table.  The
-family constructors only build their explicit tables, which are Lie
-superalgebras by construction; the tests hold them to the axioms.  The
-adapted basis is computed on
-integer_table's ints, fraction-free, by linalg._echelon, the package's
+imports no listing code.  require_valid is the one door that decides
+validity, for the tables that come from outside: parse_algebra,
+betti_table and cohomology_dims pass through it, so each such algebra
+is validated once, on its adapted table.  The family constructors only
+build their explicit tables, which are Lie superalgebras by
+construction; the tests hold them to the axioms.  The adapted basis is
+computed on the ints, fraction-free, by linalg._echelon, the package's
 one echelon form: the one Fraction it makes per structure constant is
-the rewritten constant itself.
+the rewritten constant itself, which the constructor of the rewritten
+algebra scales back to ints.
 """
 
 from __future__ import annotations
@@ -52,16 +57,19 @@ class Generator(_Record):
 class LieSuperalgebra:
     """Immutable structure-constant presentation of a Lie superalgebra.
 
-    `generators` is a sequence of (name, parity) pairs; `brackets` maps
-    index pairs (i, j) with i <= j to {target_index: coefficient}.  The
-    constructor normalizes coefficients to Fraction and drops zeros but
-    does not check the axioms; use validate() for that.  No attribute
-    can be rebound, and the stored table and each of its target maps
-    are read-only mappings, so `_derived`, the tables derived from it,
-    cannot go stale.
+    `generators` is a sequence of (name, parity) pairs; the bracket table
+    maps index pairs (i, j) with i <= j to {target_index: coefficient}.
+    The constructor drops zeros, converts each coefficient that is not
+    an int to Fraction once, and keeps the table as ints over one scale
+    L, the lcm of the reduced denominators: `_table` in the given pair
+    and target order, with `_ad[i][j]` for both index orders, the super
+    sign applied, and `_ad[i][j]` the row of `_table` itself for i <= j.
+    It does not check the axioms; use validate() for that.  No attribute
+    can be rebound and nothing reads the ints to change them, so
+    `_derived`, the tables derived from them, cannot go stale.
     """
 
-    __slots__ = ("name", "generators", "brackets", "_index_by_name",
+    __slots__ = ("name", "generators", "_scale", "_table", "_ad", "_index_by_name",
                  "even_indices", "odd_indices", "_derived")
 
     def __init__(self, name: str, generators: Iterable, brackets: Mapping):
@@ -84,7 +92,7 @@ class LieSuperalgebra:
                 raise ValueError("duplicate generator name %r" % g.name)
             by_name[g.name] = g.index
         dim = len(gens)
-        table = {}
+        table, ad, scale = {}, {}, 1
         for (i, j), targets in brackets.items():
             if not (0 <= i <= j < dim):
                 raise ValueError("bracket pair (%d, %d) out of range or unordered" % (i, j))
@@ -92,14 +100,22 @@ class LieSuperalgebra:
             for k, c in targets.items():
                 if not 0 <= k < dim:
                     raise ValueError("bracket target %d out of range" % k)
-                if type(c) is not Fraction:
-                    c = Fraction(c)
+                if type(c) is not int:
+                    c = c if type(c) is Fraction else Fraction(c)
+                    scale = lcm(scale, c.denominator)
                 if c:
                     cleaned[k] = c
             if cleaned:
-                table[(i, j)] = MappingProxyType(cleaned)
-        fields = {"name": str(name), "generators": tuple(gens),
-                  "brackets": MappingProxyType(table), "_index_by_name": by_name,
+                table[(i, j)] = cleaned
+        for (i, j), targets in table.items():
+            # an int's numerator is itself and its denominator 1
+            row = table[(i, j)] = ad.setdefault(i, {})[j] = {
+                k: c.numerator * (scale // c.denominator) for k, c in targets.items()}
+            # [x, y] = -(-1)^{|x||y|} [y, x]; ad[i][i] is the row itself
+            flip = 1 if gens[i].parity and gens[j].parity else -1
+            ad.setdefault(j, {}).setdefault(i, {k: flip * c for k, c in row.items()})
+        fields = {"name": str(name), "generators": tuple(gens), "_scale": scale,
+                  "_table": table, "_ad": ad, "_index_by_name": by_name,
                   "even_indices": tuple(g.index for g in gens if g.parity == EVEN),
                   "odd_indices": tuple(g.index for g in gens if g.parity == ODD),
                   "_derived": {}}
@@ -107,8 +123,18 @@ class LieSuperalgebra:
             object.__setattr__(self, attr, value)
 
     def __setattr__(self, attr, value):
-        # rebinding brackets or generators would leave _derived stale
+        # rebinding the table or the generators would leave _derived stale
         raise AttributeError("LieSuperalgebra is read-only")
+
+    @property
+    def brackets(self) -> Mapping:
+        """The table {(i, j): {k: c_ij^k}}, i <= j, as Fractions in the
+        given order; read-only, built on first read and kept."""
+        if "brackets" not in self._derived:
+            self._derived["brackets"] = MappingProxyType({
+                pair: MappingProxyType({k: Fraction(c, self._scale) for k, c in row.items()})
+                for pair, row in self._table.items()})
+        return self._derived["brackets"]
 
     @property
     def dim(self) -> int:
@@ -130,46 +156,33 @@ class LieSuperalgebra:
 
     def bracket(self, i: int, j: int) -> Dict[int, Fraction]:
         """[g_i, g_j] as a new {target: coefficient}, for any index order."""
-        scale, ad = integer_table(self)
-        return {k: Fraction(c, scale) for k, c in ad.get(i, {}).get(j, {}).items()}
+        for g in (i, j):
+            if not 0 <= g < self.dim:
+                raise ValueError("generator index %d out of range" % g)
+        return {k: Fraction(c, self._scale) for k, c in self._ad.get(i, {}).get(j, {}).items()}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LieSuperalgebra):
             return NotImplemented
+        # L is fixed by the reduced denominators, so equal ints over equal
+        # L are equal Fraction tables
         return (self.name == other.name
                 and self.generators == other.generators
-                and self.brackets == other.brackets)
+                and (self._scale, self._table) == (other._scale, other._table))
 
     def __repr__(self) -> str:
         n0, n1 = self.superdim
         return "LieSuperalgebra(%r, dim=(%d|%d), brackets=%d)" % (
-            self.name, n0, n1, len(self.brackets))
-
-
-def integer_table(alg: LieSuperalgebra):
-    """(L, ad), kept on alg: L is the lcm of the bracket denominators and
-    ad[i][j] = {k: L * c_{ij}^k}, in ints, for every nonzero [g_i, g_j]
-    in both index orders, the super sign applied, in the table's order."""
-    if "ad" not in alg._derived:
-        scale = lcm(1, *(c.denominator for t in alg.brackets.values() for c in t.values()))
-        ad: Dict[int, Dict[int, Dict[int, int]]] = {}
-        for (i, j), targets in alg.brackets.items():
-            row = ad.setdefault(i, {})[j] = {
-                k: c.numerator * (scale // c.denominator) for k, c in targets.items()}
-            # [x, y] = -(-1)^{|x||y|} [y, x]; ad[i][i] is the row itself
-            flip = 1 if alg.parity(i) and alg.parity(j) else -1
-            ad.setdefault(j, {}).setdefault(i, {k: flip * c for k, c in row.items()})
-        alg._derived["ad"] = scale, ad
-    return alg._derived["ad"]
+            self.name, n0, n1, len(self._table))
 
 
 def _jacobi_defect(alg: LieSuperalgebra, a: int, b: int, c: int) -> Dict[int, int]:
     """Left side of the graded Jacobi identity on (a, b, c); {} if it holds.
 
     Computes (-1)^{|a||c|}[a,[b,c]] + (-1)^{|b||a|}[b,[c,a]]
-    + (-1)^{|c||b|}[c,[a,b]] on integer_table, so scaled by L^2.
+    + (-1)^{|c||b|}[c,[a,b]] on the algebra's ints, so scaled by L^2.
     """
-    _, ad = integer_table(alg)
+    ad = alg._ad
     out: Dict[int, int] = {}
     for (x, y, z) in ((a, b, c), (b, c, a), (c, a, b)):
         sign = -1 if alg.parity(x) * alg.parity(z) else 1
@@ -195,7 +208,7 @@ def validate(alg: LieSuperalgebra) -> list:
     """
     issues = []
     names = [g.name for g in alg.generators]
-    for (i, j), targets in sorted(alg.brackets.items()):
+    for (i, j), targets in sorted(alg._table.items()):
         if i == j and alg.parity(i) == EVEN:
             issues.append("skew-symmetry: even generator %r has a nonzero self-bracket"
                           % names[i])
@@ -204,13 +217,12 @@ def validate(alg: LieSuperalgebra) -> list:
             if alg.parity(k) != want:
                 issues.append("parity: [%s, %s] -> %s is not parity-homogeneous"
                               % (names[i], names[j], names[k]))
-    scale, ad = integer_table(alg)
-    triples = {tuple(sorted((x, i, j))) for (i, j) in alg.brackets
-               for k in ad[i][j] for x in ad.get(k, ())}
+    triples = {tuple(sorted((x, i, j))) for (i, j), targets in alg._table.items()
+               for k in targets for x in alg._ad.get(k, ())}
     for (a, b, c) in sorted(triples):
         defect = _jacobi_defect(alg, a, b, c)
         if defect:
-            terms = " + ".join("%s*%s" % (Fraction(v, scale * scale), names[l])
+            terms = " + ".join("%s*%s" % (Fraction(v, alg._scale ** 2), names[l])
                                for l, v in sorted(defect.items()))
             issues.append("jacobi: (%s, %s, %s) leaves %s"
                           % (names[a], names[b], names[c], terms))
@@ -258,17 +270,16 @@ def _adapted_brackets(alg: LieSuperalgebra):
     order, the target order and the values match that elimination's."""
     # single targets echelon to unit rows, the identity, so only a
     # table with a bracket of two or more targets is eliminated
-    if all(len(targets) == 1 for targets in alg.brackets.values()):
+    if all(len(targets) == 1 for targets in alg._table.values()):
         return None
-    scale, ad = integer_table(alg)
+    ad = alg._ad
     parity = [g.parity for g in alg.generators]
 
     def halves():
         # each bracket split by parity, even half first: a row of one
         # parity only reduces against rows of that parity.  A bracket of
         # one parity, as in a valid table, is its own half
-        for (i, j) in alg.brackets:
-            row = ad[i][j]
+        for row in alg._table.values():
             odd = {k: c for k, c in row.items() if parity[k]}
             if len(odd) < len(row):
                 yield {k: c for k, c in row.items() if not parity[k]} if odd else row
@@ -331,7 +342,7 @@ def _adapted_brackets(alg: LieSuperalgebra):
                 _subtract(new, c * (common // rows[p][p]), rows[p])
                 new[p] = common * c
             if new:
-                den = scale * d_a * row_b[b] * common
+                den = alg._scale * d_a * row_b[b] * common
                 brackets[(a, b)] = {k: Fraction(c, den) for k, c in new.items()}
     return brackets
 
@@ -367,10 +378,9 @@ def _heisenberg_even(name: str, n: int, m: int) -> LieSuperalgebra:
     gens = [("z", EVEN)]
     gens += [("x%d" % i, EVEN) for i in range(1, 2 * n + 1)]
     gens += [("y%d" % j, ODD) for j in range(1, m + 1)]
-    one = Fraction(1)  # shared, so the constructor converts no coefficient
-    brackets = {(i, n + i): {0: one} for i in range(1, n + 1)}
+    brackets = {(i, n + i): {0: 1} for i in range(1, n + 1)}
     for j in range(1, m + 1):
-        brackets[(2 * n + j, 2 * n + j)] = {0: one}
+        brackets[(2 * n + j, 2 * n + j)] = {0: 1}
     return LieSuperalgebra(name, gens, brackets)
 
 
@@ -384,6 +394,5 @@ def make_heisenberg_odd(n: int) -> LieSuperalgebra:
     gens = [("x%d" % i, EVEN) for i in range(1, n + 1)]
     gens += [("y%d" % i, ODD) for i in range(1, n + 1)]
     gens.append(("z", ODD))
-    one = Fraction(1)  # shared, so the constructor converts no coefficient
-    brackets = {(i - 1, n + i - 1): {2 * n: one} for i in range(1, n + 1)}
+    brackets = {(i - 1, n + i - 1): {2 * n: 1} for i in range(1, n + 1)}
     return LieSuperalgebra(name, gens, brackets)

@@ -212,14 +212,12 @@ def _split_ranks(adapted: LieSuperalgebra, q_max: int, cap: int,
     H(g) is the Kunneth product of the parts' and the free part's, and
     rank d_q = dim C^q - dim H^q - rank d_{q-1}.
     """
-    targets = {k for t in adapted.brackets.values() for k in t}
+    table = adapted._table
+    targets = {k for t in table.values() for k in t}
     if (q_max < 2 or not targets
-            or any(i in targets or j in targets for i, j in adapted.brackets)):
+            or any(i in targets or j in targets for i, j in table)):
         return None
-    # |c| as two ints: abs and hash of a Fraction cost 5x more, on every
-    # family member's call
-    if len(targets) == 1 and len({(abs(c.numerator), c.denominator)
-                                  for t in adapted.brackets.values() for c in t.values()}) == 1:
+    if len(targets) == 1 and len({abs(c) for t in table.values() for c in t.values()}) == 1:
         return None
     if max(dims[q] for q in range(q_max + 1)) > cap:
         return None

@@ -13,8 +13,8 @@ The halved coefficient on odd self-brackets matches the dual pairing, in
 which <o^2, y ^ y> = 2; tests check the whole convention against the
 alternating-sum formula for <d omega, a_0 ^ ... ^ a_q>.
 
-Each workspace's d-term table reads one pass over
-algebra.integer_table (_d_duals) that derives every d f_k and refuses,
+Each workspace's d-term table reads one pass over the algebra's
+integer table (_d_duals) that derives every d f_k and refuses,
 per target, the first even self-bracket or bracket that is not
 parity-homogeneous, so a d-term of an even dual has 0 or 2 odd factors
 and one of an odd dual exactly one even factor; the kernel relies on
@@ -62,25 +62,25 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, List, Optional
 
-from .algebra import ODD, LieSuperalgebra, integer_table
+from .algebra import ODD, LieSuperalgebra
 from .linalg import RationalMatrix
 from .superexterior import _radix, _units
 
 
 def _d_duals(algebra: LieSuperalgebra):
-    """(terms, refused) from one pass over integer_table: terms[k] lists
+    """(terms, refused) from one pass over the algebra's ints: terms[k] lists
     d f_k's terms (even_mask, even_set, odd_positions, numerator,
     denominator), one per bracket with target k, in table order, its odd
     factors as dual positions ((p, p) for [y_p, y_p]), and refused[k]
     refuses the first such bracket that is an even self-bracket or not
     parity-homogeneous."""
-    scale, ad = integer_table(algebra)
+    scale = algebra._scale
     gens = algebra.generators
     parity = [g.parity for g in gens]
     position = {g: p for dual in (algebra.even_indices, algebra.odd_indices)
                 for p, g in enumerate(dual)}
     terms, refused = {}, {}
-    for (i, j) in algebra.brackets:
+    for (i, j), row in algebra._table.items():
         odds, evens, mask = (), (), 0
         for g in (i, j):
             if parity[g] == ODD:
@@ -93,7 +93,7 @@ def _d_duals(algebra: LieSuperalgebra):
         # f_i comes before an even f_j; <o^2, y ^ y> = 2 halves [y, y]
         sign = 1 if parity[i] > parity[j] else -1
         denom = 2 * scale if i == j else scale
-        for k, c in ad[i][j].items():
+        for k, c in row.items():
             if k in refused:
                 continue
             if parity[k] != parity[i] ^ parity[j]:
@@ -303,10 +303,10 @@ def _odd_centre(algebra: LieSuperalgebra) -> Optional[int]:
     """The odd generator z that is the only nonzero bracket target and
     appears in no nonzero bracket, or None: then the z-dual is the only
     dual with a nonzero d, and no d-term contains it."""
-    targets = {k for t in algebra.brackets.values() for k in t}
+    targets = {k for t in algebra._table.values() for k in t}
     if len(targets) != 1:
         return None
     (z,) = targets
-    if algebra.parity(z) != ODD or any(z in pair for pair in algebra.brackets):
+    if algebra.parity(z) != ODD or any(z in pair for pair in algebra._table):
         return None
     return z

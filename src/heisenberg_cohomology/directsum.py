@@ -4,11 +4,11 @@ exactly before it is used.
 Past cohomology's gate the adapted table is two-step: its bracket
 targets P, the pivots that span [g, g], appear in no bracket, so every
 bracket of two other generators is [x, y] = sum_p B_p(x, y) p, with one
-super-symmetric form B_p per pivot on the span K of the others
-(integer_table's ints).  split() looks for ideals g_s = K_s + [K_s, K_s]
-such that g is their direct sum plus R, the common radical of the B_p:
-R holds the central generators outside [g, g], and each of them is a
-free part of dimension 1.
+super-symmetric form B_p per pivot on the span K of the others (the
+algebra's ints, over its one scale L).  split() looks for ideals
+g_s = K_s + [K_s, K_s] such that g is their direct sum plus R, the
+common radical of the B_p: R holds the central generators outside
+[g, g], and each of them is a free part of dimension 1.
 
 - A parity class of pivots with one pivot gives one centre line.  A
   class with two or more gives theirs from a pencil of its forms
@@ -59,7 +59,7 @@ from __future__ import annotations
 from math import gcd, isqrt, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .algebra import EVEN, ODD, LieSuperalgebra, integer_table
+from .algebra import EVEN, ODD, LieSuperalgebra
 from .linalg import _echelon, _reduce
 
 Vector = Dict[int, int]
@@ -78,13 +78,12 @@ def split(algebra: LieSuperalgebra, pivots: Sequence[int]
     `free`, and each part's type is (dim K_s^0, dim K_s^1, parity of
     its centre).  None when no split is found, a found one fails the
     exact check, or a type has no nondegenerate form."""
-    _, ad = integer_table(algebra)
     targets = set(pivots)
     others = [g for g in range(algebra.dim) if g not in targets]
     at = {g: i for i, g in enumerate(others)}
     n = len(others)
     forms: Dict[int, Form] = {p: {} for p in pivots}
-    for g, row in ad.items():
+    for g, row in algebra._ad.items():
         for h, image in row.items():
             for p, c in image.items():
                 forms[p].setdefault(at[g], {})[at[h]] = c

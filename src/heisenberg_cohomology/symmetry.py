@@ -3,14 +3,15 @@ copy's charge, and the keys of one base charge tuple per orbit of
 copies, weighted by its shifts.
 
 copy_classes finds the classes of identical components of an adapted
-table (h_n's pairs (x_i, y_i), h_{n,m}'s pairs and y_j) and keeps them
-on the algebra, beside its other derived tables.  A copy's charge is
-the class of its local exponent vector in Z^C / R_C, R_C spanned by
-e_i + e_j (- e_k when k lies in the component) over its bracket terms;
-_echelon_lattice and _lattice_classes are the integer row reduction
-that gives each class one representative.  d keeps every copy's
-charge, so it is block diagonal over charge tuples, and permuting the
-copies of a class permutes the blocks up to sign.  So does each
+table (h_n's pairs (x_i, y_i), h_{n,m}'s pairs and y_j) on its ints,
+which share one scale L, and keeps them on the algebra, beside its
+other derived tables.  A copy's charge is the class of its local
+exponent vector in Z^C / R_C, R_C spanned by e_i + e_j (- e_k when k
+lies in the component) over its bracket terms; _echelon_lattice and
+_lattice_classes are the integer row reduction that gives each class
+one representative.  d keeps every copy's charge, so it is block
+diagonal over charge tuples, and permuting the copies of a class
+permutes the blocks up to sign.  So does each
 class's local group (_local_group), the permutations of one copy's
 generators that with signs are automorphisms, such as h_{n,m}'s
 x_i -> x_{n+i}, x_{n+i} -> -x_i: the rank engine ranks one block per
@@ -73,7 +74,7 @@ from math import comb, factorial
 from operator import add, mul, sub
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import LieSuperalgebra, integer_table
+from .algebra import LieSuperalgebra
 from .superexterior import _keys
 
 
@@ -138,7 +139,7 @@ def copy_classes(alg: LieSuperalgebra) -> tuple:
     one (R_C is not all of Z^C).
     """
     if "copies" not in alg._derived:
-        brackets = alg.brackets
+        brackets = alg._table
         central = {k for t in brackets.values() for k in t}
         central.difference_update(*brackets)
         root = list(range(alg.dim))
@@ -164,12 +165,10 @@ def copy_classes(alg: LieSuperalgebra) -> tuple:
                 component = members.setdefault(roots[g], [])
                 local[g] = len(component)
                 component.append(g)
-        # integer_table's ints: one scale L for the whole table, so the
+        # the table's ints: one scale L for the whole table, so the
         # components' signatures compare as the Fractions would
-        _, ad = integer_table(alg)
         tables: Dict[int, list] = {r: [] for r in members}
-        for i, j in brackets:
-            targets = ad[i][j]
+        for (i, j), targets in brackets.items():
             tables[roots[i]].append((local[i], local[j], tuple(sorted(
                 zip(map(local.__getitem__, targets), targets.values())))))
         parity = [g.parity for g in alg.generators]
@@ -305,7 +304,7 @@ class OrbitListing:
         # the largest unit; a walk's keys carry their degree in the bits
         # above, so a sum of keys sums their degrees
         one = 1 << (workspace.radix * max(unit.values(), default=1)).bit_length()
-        targets = {k for t in algebra.brackets.values() for k in t}
+        targets = {k for t in algebra._table.values() for k in t}
         groups, *factors = [_listed(parities, lattice, group,
                                     [[unit[g] + one for g in c] for c in copies], top, one,
                                     next((a for a, g in enumerate(copies[0])

@@ -30,7 +30,7 @@ from typing import Dict, List, Mapping
 
 import pytest
 
-from heisenberg_cohomology.algebra import EVEN, ODD, integer_table
+from heisenberg_cohomology.algebra import EVEN, ODD
 from heisenberg_cohomology.elements import (SuperMonomial, SuperSpaceDims,
                                             differential_matrix, enumerate_basis)
 from heisenberg_cohomology.formulas import ker_psi_dim
@@ -610,7 +610,7 @@ def adapted_brackets_fractions(alg):
     the change of basis is the identity: the exact Fraction RREF and
     rewrite that algebra._adapted_brackets must equal, pair order,
     target order and values included."""
-    scale, ad = integer_table(alg)
+    scale, ad = alg._scale, alg._ad
     rows: Dict[int, Dict[int, Fraction]] = {}
     for (i, j) in alg.brackets:
         for parity in (EVEN, ODD):
@@ -668,7 +668,7 @@ def adapted_brackets_fractions(alg):
                 c = w[p]
                 _subtract(new, c, rows[p])
                 new[p] = c
-            if new:  # integer_table's L cancels in the rows; divide it out
+            if new:  # the table's L cancels in the rows; divide it out
                 brackets[(a, b)] = {k: Fraction(c, scale) for k, c in new.items()}
     return brackets
 

@@ -127,7 +127,8 @@ def test_constructor_normalizes_coefficients():
     assert alg.bracket(1, 1) == {0: Fraction(1, 2)}
     assert (0, 1) not in alg.brackets
     assert alg.bracket(0, 1) == {}
-    # every stored constant is exactly a Fraction, converted at most once
+    # the view holds every constant as exactly a Fraction, in the given
+    # order, and is built once
     subclass = type("FractionSubclass", (Fraction,), {})
     exact = Fraction(-4, 5)
     given = {0: 3, 1: "2/6", 2: exact, 3: subclass(1, 3), 4: True, 5: 0}
@@ -137,7 +138,7 @@ def test_constructor_normalizes_coefficients():
     assert list(stored) == [0, 1, 2, 3, 4] and (2, 3) not in alg.brackets
     assert all(type(c) is Fraction for c in stored.values())
     assert stored == {0: 3, 1: Fraction(1, 3), 2: exact, 3: Fraction(1, 3), 4: 1}
-    assert stored[2] is exact
+    assert alg.brackets is alg.brackets
 
 
 def test_bracket_returns_a_copy():
@@ -166,6 +167,12 @@ def test_index_of_and_parity():
     assert alg.parity(alg.index_of("x1")) == EVEN
     with pytest.raises(ValueError):
         alg.index_of("nope")
+    # bracket() refuses a generator that does not exist, in either slot
+    h1 = make_heisenberg_odd(1)
+    for i, j, bad in ((7, 0, 7), (-1, 0, -1), (0, 3, 3), (2, -2, -2)):
+        with pytest.raises(ValueError, match="generator index %d out of range" % bad):
+            h1.bracket(i, j)
+    assert h1.bracket(2, 2) == {} and h1.bracket(1, 0) == {2: -1}
 
 
 def check_record(rec, fields, text, frozen=True, hashable=True):
@@ -222,6 +229,19 @@ def test_equality_and_repr():
     assert z == Generator("z", 2, ODD) != Generator("z", 2, EVEN)
     assert LieSuperalgebra("h", h1.generators, h1.brackets) == LieSuperalgebra(
         "h", [(g.name, g.parity) for g in copy.deepcopy(h1.generators)], h1.brackets)
+    # equal as Fraction tables, however the constants are given; one
+    # constant, or only the scale L, apart is unequal
+    gens = [("a", EVEN), ("b", EVEN), ("c", EVEN)]
+
+    def table(first, second):
+        return LieSuperalgebra("t", gens, {(0, 1): {2: first}, (0, 2): {2: second}})
+
+    given = [table(x, y) for x in (3, "6/2", Fraction(3)) for y in ("2/6", Fraction(1, 3))]
+    assert all(t == given[0] for t in given)
+    assert table(3, Fraction(2, 3)) != given[0] != table(4, Fraction(1, 3))
+    # 1 and 2 over L = 1 against 1/2 and 1 over L = 2: the same ints
+    assert table(1, 2) != table("1/2", 1)
+    assert repr(given[1]) == "LieSuperalgebra('t', dim=(3|0), brackets=2)"
     d1 = differential_matrix(h1, 1)
     check_record(d1, ("q", "domain", "codomain", "matrix"),
                  "DifferentialMatrix(q=1, domain=(SuperMonomial((0,), (0, 0)), "

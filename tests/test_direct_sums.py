@@ -23,6 +23,9 @@ from heisenberg_cohomology.algebra import (EVEN, ODD, LieSuperalgebra,
                                            adapted_basis, make_heisenberg_even,
                                            make_heisenberg_odd)
 from heisenberg_cohomology.cohomology import betti_table, check_column_cap, cohomology_dims
+from heisenberg_cohomology.fileformats import format_algebra, parse_algebra
+from heisenberg_cohomology.reports import emit_report
+from heisenberg_cohomology.verify import verify_family
 
 from oracles import dense_betti_numbers, full_matrix_ranks
 from test_validate import _table, change_basis, direct_sum, random_two_step
@@ -30,6 +33,15 @@ from test_validate import _table, change_basis, direct_sum, random_two_step
 H1, H2, H11 = make_heisenberg_odd(1), make_heisenberg_odd(2), make_heisenberg_even(1, 1)
 FREE_EVEN = LieSuperalgebra("u", [("u", EVEN)], {})
 FREE_ODD = LieSuperalgebra("v", [("v", ODD)], {})
+
+
+def scaled(alg, c):
+    """alg with every structure constant times c, an isomorphic table:
+    its centre z is rescaled."""
+    return LieSuperalgebra("%s*%s" % (alg.name, c), alg.generators,
+                           {pair: {k: c * x for k, x in t.items()}
+                            for pair, t in alg.brackets.items()})
+
 
 # (summands, q_max of the Kunneth comparison, q_max of the dense oracle,
 # which fills every entry of every matrix and so stays shallow)
@@ -41,6 +53,10 @@ SPLIT_SUMS = (
     ((H2, H2), 6, 1),
     ((H11, H11, H1), 5, 1),                 # a two-pivot class beside a one-pivot class
     ((H1, H1, FREE_EVEN, FREE_ODD), 5, 2),  # free generators: the radical R
+    # rational constants over L = 36 and a two-pivot class; the dense
+    # oracle took seconds at q <= 2, so only full_matrix_ranks checks it
+    ((scaled(H11, Fraction(3, 4)), scaled(H11, Fraction(-2, 9)), scaled(H1, Fraction(5, 6))),
+     5, -1),
 )
 
 # h_{1,2} and h_2 written with the non-square coefficients 2, 3 and -1 on
@@ -195,6 +211,48 @@ def test_a_split_table_builds_only_its_own_reports(monkeypatch):
         table = betti_table(alg, q_max)
         assert built == [alg.name] * (q_max + 1)
         assert [r.dim_cohomology for r in table] == kunneth(summands, q_max)
+
+
+def test_no_engine_path_reads_the_fraction_view(monkeypatch):
+    # the engine reads each table's ints alone: the Fraction view is read
+    # by no computing verb, and every table the engine builds (adapted
+    # tables, canonical parts) holds ints
+    rational = hidden("rational", SPLIT_SUMS[-1][0], 5)
+    sqrt2 = hidden("sqrt2", (SQRT2_H3,), 5)
+    texts = [format_algebra(alg) for alg in (rational, sqrt2)]
+    view, reads, built, routes = LieSuperalgebra.brackets, [], [], []
+    monkeypatch.setattr(LieSuperalgebra, "brackets",
+                        property(lambda alg: reads.append(alg) or view.fget(alg)))
+    init = LieSuperalgebra.__init__
+
+    def recorded(alg, *args):
+        init(alg, *args)
+        built.append(alg)
+
+    monkeypatch.setattr(LieSuperalgebra, "__init__", recorded)
+    split_ranks = cohomology._split_ranks
+    monkeypatch.setattr(cohomology, "_split_ranks",
+                        lambda *args: routes.append(split_ranks(*args)) or routes[-1])
+    for alg in (make_heisenberg_odd(3), make_heisenberg_even(2, 2)):
+        betti_table(alg, 6)
+        cohomology_dims(alg, 5)
+    verify_family("odd", 2, q_max=5)
+    verify_family("even", 2, 2, q_max=4)
+    # the rational sum over L = 36 splits; the sqrt 2 table, in ints,
+    # takes the whole-table route
+    for text, scale, splits in zip(texts, (36, 1), (True, False)):
+        routes.clear()
+        alg = parse_algebra(text)
+        emit_report(betti_table(alg, 5), "text")
+        assert alg._scale == scale and adapted_basis(alg) is not alg
+        assert adapted_basis(alg) in built and (routes[0] is not None) == splits, alg.name
+    assert reads == []
+    # the rational sum's canonical parts, h_{1,1} and h_1, are among them
+    assert {"h_{1,1}", "h_1"} <= {alg.name for alg in built}
+    for alg in built:
+        assert all(type(c) is int for row in alg._table.values() for c in row.values())
+        assert all(type(c) is int for rows in alg._ad.values()
+                   for row in rows.values() for c in row.values())
 
 
 def test_rational_roots_lists_each_divisor_set_once():
