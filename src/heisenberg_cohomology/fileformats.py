@@ -45,7 +45,7 @@ _RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[1-9][0-9]*)?$")
 
 
 def _parse_rational(token: str, lineno: int):
-    """An int, or a Fraction for num/den; LieSuperalgebra normalizes it."""
+    """An int, or a Fraction for num/den; LieSuperalgebra scales it to ints."""
     # a plain integer, the usual coefficient, skips the regex
     digits = token[1:] if token[:1] in ("+", "-") else token
     if not (digits.isdigit() and digits.isascii()) and not _RATIONAL_RE.match(token):
