@@ -69,30 +69,32 @@ class LieSuperalgebra:
     `_derived`, the tables derived from them, cannot go stale.
     """
 
-    __slots__ = ("name", "generators", "_scale", "_table", "_ad", "_index_by_name",
+    __slots__ = ("name", "_names", "_parities", "_scale", "_table", "_ad", "_index_by_name",
                  "even_indices", "odd_indices", "_derived")
 
     def __init__(self, name: str, generators: Iterable, brackets: Mapping):
-        gens = []
+        names, parities = [], []
         for idx, g in enumerate(generators):
             if isinstance(g, Generator):
                 if g.index != idx:
                     raise ValueError("generator %r listed at position %d" % (g, idx))
-                gens.append(g)
+                gname, parity = g.name, g.parity
             else:
                 gname, parity = g
-                gens.append(Generator(str(gname), idx, int(parity)))
-        if not gens:
+                gname, parity = str(gname), int(parity)
+            names.append(gname)
+            parities.append(parity)
+        if not names:
             raise ValueError("an algebra needs at least one generator")
         by_name = {}
-        for g in gens:
-            if g.parity not in (EVEN, ODD):
-                raise ValueError("parity of %r must be 0 or 1" % g.name)
-            if g.name in by_name:
-                raise ValueError("duplicate generator name %r" % g.name)
-            by_name[g.name] = g.index
-        dim = len(gens)
-        table, ad, scale = {}, {}, 1
+        for gname, parity in zip(names, parities):
+            if parity not in (EVEN, ODD):
+                raise ValueError("parity of %r must be 0 or 1" % gname)
+            if gname in by_name:
+                raise ValueError("duplicate generator name %r" % gname)
+            by_name[gname] = len(by_name)
+        dim = len(names)
+        table, ad, scale, fractions = {}, {}, 1, False
         for (i, j), targets in brackets.items():
             if not (0 <= i <= j < dim):
                 raise ValueError("bracket pair (%d, %d) out of range or unordered" % (i, j))
@@ -102,25 +104,31 @@ class LieSuperalgebra:
                     raise ValueError("bracket target %d out of range" % k)
                 if type(c) is not int:
                     c = c if type(c) is Fraction else Fraction(c)
-                    scale = lcm(scale, c.denominator)
+                    scale, fractions = lcm(scale, c.denominator), True
                 if c:
                     cleaned[k] = c
             if cleaned:
                 table[(i, j)] = cleaned
-        for (i, j), targets in table.items():
-            # an int's numerator is itself and its denominator 1
-            row = table[(i, j)] = ad.setdefault(i, {})[j] = {
-                k: c.numerator * (scale // c.denominator) for k, c in targets.items()}
+        for (i, j), row in table.items():
+            if fractions:
+                # an int's numerator is itself and its denominator 1
+                row = table[(i, j)] = {k: c.numerator * (scale // c.denominator)
+                                       for k, c in row.items()}
+            ad.setdefault(i, {})[j] = row
             # [x, y] = -(-1)^{|x||y|} [y, x]; ad[i][i] is the row itself
-            flip = 1 if gens[i].parity and gens[j].parity else -1
+            flip = 1 if parities[i] and parities[j] else -1
             ad.setdefault(j, {}).setdefault(i, {k: flip * c for k, c in row.items()})
-        fields = {"name": str(name), "generators": tuple(gens), "_scale": scale,
-                  "_table": table, "_ad": ad, "_index_by_name": by_name,
-                  "even_indices": tuple(g.index for g in gens if g.parity == EVEN),
-                  "odd_indices": tuple(g.index for g in gens if g.parity == ODD),
-                  "_derived": {}}
-        for attr, value in fields.items():
-            object.__setattr__(self, attr, value)
+        setter = object.__setattr__
+        setter(self, "name", str(name))
+        setter(self, "_names", tuple(names))
+        setter(self, "_parities", tuple(parities))
+        setter(self, "_scale", scale)
+        setter(self, "_table", table)
+        setter(self, "_ad", ad)
+        setter(self, "_index_by_name", by_name)
+        setter(self, "even_indices", tuple([g for g, p in enumerate(parities) if p == EVEN]))
+        setter(self, "odd_indices", tuple([g for g, p in enumerate(parities) if p == ODD]))
+        setter(self, "_derived", {})
 
     def __setattr__(self, attr, value):
         # rebinding the table or the generators would leave _derived stale
@@ -137,8 +145,16 @@ class LieSuperalgebra:
         return self._derived["brackets"]
 
     @property
+    def generators(self) -> Tuple[Generator, ...]:
+        """The Generator records, in order; built on first read and kept."""
+        if "generators" not in self._derived:
+            self._derived["generators"] = tuple(map(
+                Generator, self._names, range(len(self._names)), self._parities))
+        return self._derived["generators"]
+
+    @property
     def dim(self) -> int:
-        return len(self.generators)
+        return len(self._names)
 
     @property
     def superdim(self) -> Tuple[int, int]:
@@ -146,7 +162,7 @@ class LieSuperalgebra:
         return (len(self.even_indices), len(self.odd_indices))
 
     def parity(self, i: int) -> int:
-        return self.generators[i].parity
+        return self._parities[i]
 
     def index_of(self, name: str) -> int:
         try:
@@ -166,9 +182,13 @@ class LieSuperalgebra:
             return NotImplemented
         # L is fixed by the reduced denominators, so equal ints over equal
         # L are equal Fraction tables
-        return (self.name == other.name
-                and self.generators == other.generators
-                and (self._scale, self._table) == (other._scale, other._table))
+        return ((self.name, self._names, self._parities, self._scale, self._table)
+                == (other.name, other._names, other._parities, other._scale, other._table))
+
+    def __reduce__(self):
+        # rebuilt through the constructor, which the read-only slots need
+        return (LieSuperalgebra, (self.name, list(zip(self._names, self._parities)),
+                                  {pair: dict(row) for pair, row in self.brackets.items()}))
 
     def __repr__(self) -> str:
         n0, n1 = self.superdim
@@ -185,7 +205,7 @@ def _jacobi_defect(alg: LieSuperalgebra, a: int, b: int, c: int) -> Dict[int, in
     ad = alg._ad
     out: Dict[int, int] = {}
     for (x, y, z) in ((a, b, c), (b, c, a), (c, a, b)):
-        sign = -1 if alg.parity(x) * alg.parity(z) else 1
+        sign = -1 if alg._parities[x] * alg._parities[z] else 1
         for k, ck in ad.get(y, {}).get(z, {}).items():
             for l, cl in ad.get(x, {}).get(k, {}).items():
                 out[l] = out.get(l, 0) + sign * ck * cl
@@ -207,14 +227,14 @@ def validate(alg: LieSuperalgebra) -> list:
     visited in sorted order, the order of a full a <= b <= c loop.
     """
     issues = []
-    names = [g.name for g in alg.generators]
+    names, parity = alg._names, alg._parities
     for (i, j), targets in sorted(alg._table.items()):
-        if i == j and alg.parity(i) == EVEN:
+        if i == j and parity[i] == EVEN:
             issues.append("skew-symmetry: even generator %r has a nonzero self-bracket"
                           % names[i])
-        want = (alg.parity(i) + alg.parity(j)) % 2
+        want = parity[i] ^ parity[j]
         for k in sorted(targets):
-            if alg.parity(k) != want:
+            if parity[k] != want:
                 issues.append("parity: [%s, %s] -> %s is not parity-homogeneous"
                               % (names[i], names[j], names[k]))
     triples = {tuple(sorted((x, i, j))) for (i, j), targets in alg._table.items()
@@ -255,7 +275,8 @@ def adapted_basis(alg: LieSuperalgebra) -> LieSuperalgebra:
     if "adapted" not in alg._derived:
         brackets = _adapted_brackets(alg)
         alg._derived["adapted"] = (None if brackets is None else
-                                   LieSuperalgebra(alg.name, alg.generators, brackets))
+                                   LieSuperalgebra(alg.name, zip(alg._names, alg._parities),
+                                                   brackets))
     return alg._derived["adapted"] or alg
 
 
@@ -273,7 +294,7 @@ def _adapted_brackets(alg: LieSuperalgebra):
     if all(len(targets) == 1 for targets in alg._table.values()):
         return None
     ad = alg._ad
-    parity = [g.parity for g in alg.generators]
+    parity = alg._parities
 
     def halves():
         # each bracket split by parity, even half first: a row of one

@@ -115,7 +115,7 @@ from .algebra import (LieSuperalgebra, _heisenberg_even, adapted_basis,
                       make_heisenberg_odd, require_valid)
 from .differential import _coboundary, _lefschetz_block, _odd_centre, _Workspace
 from .symmetry import OrbitListing
-from .limits import DEFAULT_COLUMN_CAP, _checked_dims, check_column_cap, graded_dim
+from .limits import DEFAULT_COLUMN_CAP, _checked_dims, _graded_dims, check_column_cap
 from .linalg import rank
 from .reports import METHOD_RANK, CohomologyReport, _reports
 
@@ -147,7 +147,7 @@ def _blocks(listing: OrbitListing, low: int, high: int, dims: Dict[int, int],
     else:
         n0, n1 = workspace.dims
         name, space, step = "L^(%d)", "A", 2
-        bound = [graded_dim((n0, n1 - 1), s) for s in range(high + 3)]
+        bound = _graded_dims((n0, n1 - 1), high + 2)
         # sum_l dim A^(q-l), a running sum over q
         for q, total in enumerate(accumulate(bound[:max(dims) + 1])):
             if total != dims[q]:
@@ -227,7 +227,7 @@ def _split_ranks(adapted: LieSuperalgebra, q_max: int, cap: int,
         return None
     types, free = found
     # an abelian algebra has d = 0: its Betti numbers are its cochains'
-    betti = [graded_dim(free, q) for q in range(q_max + 1)]
+    betti = _graded_dims(free, q_max)
     ranked: Dict[Tuple[int, int, int], List[int]] = {}
     for even, odd, z in dict.fromkeys(types):
         part = (make_heisenberg_odd(odd) if z else

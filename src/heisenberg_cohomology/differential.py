@@ -75,8 +75,7 @@ def _d_duals(algebra: LieSuperalgebra):
     refuses the first such bracket that is an even self-bracket or not
     parity-homogeneous."""
     scale = algebra._scale
-    gens = algebra.generators
-    parity = [g.parity for g in gens]
+    names, parity = algebra._names, algebra._parities
     position = {g: p for dual in (algebra.even_indices, algebra.odd_indices)
                 for p, g in enumerate(dual)}
     terms, refused = {}, {}
@@ -98,9 +97,9 @@ def _d_duals(algebra: LieSuperalgebra):
                 continue
             if parity[k] != parity[i] ^ parity[j]:
                 refused[k] = ("bracket [%s, %s] -> %s is not parity-homogeneous"
-                              % (gens[i].name, gens[j].name, gens[k].name))
+                              % (names[i], names[j], names[k]))
             elif i == j and parity[i] != ODD:
-                refused[k] = "even generator %r has a nonzero self-bracket" % gens[i].name
+                refused[k] = "even generator %r has a nonzero self-bracket" % names[i]
             else:
                 terms.setdefault(k, []).append(mono + (sign * c, denom))
     return terms, refused
@@ -118,10 +117,11 @@ class _Workspace:
     order.  `denom` is D, the lcm of the coefficient denominators, and
     `scale` the Fraction 1/D that every matrix of the workspace shares;
     `evens` has, per even slot, its d-terms as
-    (emask, even_set, delta, D * coefficient), and `odds` one
-    (unit, terms) per odd slot with a nonzero d, its terms
-    (emask, (e,), delta, D * coefficient), delta having the slot's unit
-    already taken off.  `active` has the bit of every even slot with a
+    (emask, signs, delta, D * coefficient), and `odds` one
+    (unit, terms) per odd slot with a nonzero d, its terms the same,
+    delta having the slot's unit already taken off: `signs` has the
+    evens of a key whose count, mod 2, is the term's sign exponent
+    (_mask_plan).  `active` has the bit of every even slot with a
     nonzero d, `evens_only` the bits of every even slot, and `units`
     the kernel's (place in `odds`, unit) per odd slot with a nonzero d.
     Callers do not mutate any of it, except `plans`, which the kernel
@@ -144,14 +144,24 @@ class _Workspace:
         self.unit = unit = dict(zip(algebra.even_indices + algebra.odd_indices,
                                     evens + odds))
 
-        def table(g, off=0):
-            # a term's key delta: the key of its monomial, less `off`
-            return tuple([(emask, even_set, emask + sum(map(odds.__getitem__, odd_set)) - off,
-                           c * denom // d)
+        def signs(i, evens):
+            # a key's evens whose count, mod 2, signs a d-term of even
+            # slot i with these even factors (_mask_plan): those below
+            # i, and for each factor e those strictly between e and i
+            out = (1 << i) - 1
+            for e in evens:
+                out ^= (1 << i) - 1 & -(2 << e) | (1 << e) - 1 & -(2 << i)
+            return out
+
+        def table(g, i=None, off=0):
+            # a term's signs, in even slot i or an odd slot, and key
+            # delta: the key of its monomial, less `off`
+            return tuple([(emask, emask - 1 if i is None else signs(i, even_set),
+                           emask + sum(map(odds.__getitem__, odd_set)) - off, c * denom // d)
                           for emask, even_set, odd_set, c, d in terms[g]]) if g in terms else ()
 
-        self.evens = tuple(map(table, algebra.even_indices))
-        self.odds = tuple([(unit[g], table(g, unit[g]))
+        self.evens = tuple([table(g, i) for i, g in enumerate(algebra.even_indices)])
+        self.odds = tuple([(unit[g], table(g, None, unit[g]))
                            for g in algebra.odd_indices if g in terms])
         self.active = sum([1 << i for i, slot in enumerate(self.evens) if slot])
         self.scale = Fraction(1, denom)
@@ -176,34 +186,27 @@ def _mask_plan(workspace: _Workspace, mask: int):
     precondition the odd factors of an even dual's d-term add an even
     crossing count, and the one even factor e of o_j's d-term crosses
     the t - k odds before the copy at position t, so every copy's sign
-    exponent is k plus e's crossings above it.  So every sign, and
+    exponent is k plus e's crossings above it, which is as even as the
+    mask's evens below e (e is not in the mask).  So every sign, and
     every test of a term's evens against the key's, reads the mask
-    alone.
+    alone: the sign exponent is the count of the mask's evens in the
+    term's `signs`, which the workspace derives once per term.
     """
     evens = []
     rest = mask & workspace.active
     while rest:
         low = rest & -rest
         rest ^= low
-        others = mask ^ low
-        below = others & (low - 1)
-        above = others ^ below
-        terms = []
-        for emask, even_set, delta, c in workspace.evens[low.bit_length() - 1]:
-            if emask & others:
-                continue
-            swaps = below.bit_count()
-            for e in even_set:
-                swaps += ((below >> (e + 1)).bit_count()
-                          + (above & ((1 << e) - 1)).bit_count())
-            terms.append((delta - low, -c if swaps & 1 else c))
+        terms = tuple([(delta - low, -c if (mask & signs).bit_count() & 1 else c)
+                       for emask, signs, delta, c in workspace.evens[low.bit_length() - 1]
+                       if not emask & (mask ^ low)])
         if terms:
-            evens.append(tuple(terms))
-    k = mask.bit_count()
-    odds = tuple(tuple((delta, -c if (k + (mask >> (e + 1)).bit_count()) & 1 else c)
-                       for emask, (e,), delta, c in slot if not emask & mask)
-                 for _, slot in workspace.odds)
+            evens.append(terms)
+    odds = tuple([tuple([(delta, -c if (mask & signs).bit_count() & 1 else c)
+                         for emask, signs, delta, c in slot if not emask & mask])
+                  for _, slot in workspace.odds])
     return tuple(evens), odds
+
 
 
 def _d_columns(workspace: _Workspace, domain, row_index):
@@ -307,6 +310,6 @@ def _odd_centre(algebra: LieSuperalgebra) -> Optional[int]:
     if len(targets) != 1:
         return None
     (z,) = targets
-    if algebra.parity(z) != ODD or any(z in pair for pair in algebra._table):
+    if algebra._parities[z] != ODD or any(z in pair for pair in algebra._table):
         return None
     return z

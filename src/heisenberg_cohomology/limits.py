@@ -177,6 +177,20 @@ def graded_dim(dims: tuple[int, int], q: int) -> int:
     return total
 
 
+def _graded_dims(dims: tuple[int, int], top: int) -> list[int]:
+    """[graded_dim(dims, q) for q = 0..top] as one series, in O(top)
+    steps whatever the dimensions: f = (1 + t)^n / (1 - t)^m has
+    (1 - t^2) f' = (n + m + (m - n) t) f, so its coefficients satisfy
+    (q + 1) a_(q+1) = (n + m) a_q + (m - n + q - 1) a_(q-1), exactly."""
+    n, m = dims
+    if n < 0 or m < 0:
+        raise ValueError("dimensions must be nonnegative")
+    out = [1, n + m][:top + 1]
+    for q in range(1, top):
+        out.append(((n + m) * out[q] + (m - n + q - 1) * out[q - 1]) // (q + 1))
+    return out
+
+
 def even_family_shape(n: int, m: int) -> tuple[str, tuple[int, int]]:
     """Name and superdimension (2n+1 | m) of h_{n,m}, without building it."""
     if n < 1 or m < 1:
@@ -212,15 +226,14 @@ def _checked_dims(name: str, superdim: tuple[int, int], top: int,
     """{q: dim C^q} for q = -1..top + 1, after refusing top over
     MAX_Q_MAX (before any dimension is counted), then each of `degrees`
     (in order) over the cap, and C^{top+1} over
-    CODOMAIN_ROWS_PER_COLUMN * cap.  Each dimension is counted once,
-    those of `degrees` first, so a refusal over the cap counts no other."""
+    CODOMAIN_ROWS_PER_COLUMN * cap.  The dimensions are counted once,
+    as one series (_graded_dims), in O(top^2) at most."""
     check_degree(top)
     dims = {-1: 0}
+    dims.update(enumerate(_graded_dims(superdim, top + 1)))
     for q in degrees:
-        dims[q] = graded_dim(superdim, q)
         if dims[q] > cap:
             raise ColumnCapExceeded(name, q, dims[q], cap)
-    dims.update((q, graded_dim(superdim, q)) for q in range(top + 2) if q not in dims)
     _check_codomain(name, top, dims[top + 1], cap)
     return dims
 

@@ -115,14 +115,16 @@ class CohomologyReport(_Record):
                  "dim_coboundaries", "dim_cohomology", "method")
 
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        if self.method not in METHODS:
-            raise ReportInvariantError("unknown method %r" % self.method)
-        ok = (0 <= self.dim_cohomology
-              and 0 <= self.dim_coboundaries
-              and self.dim_cocycles <= self.dim_cochain
-              and self.dim_cohomology == self.dim_cocycles - self.dim_coboundaries)
-        if not ok:
+        # _Record's construction, with the checks read off the values
+        if kwargs or len(args) != 7:
+            args = self._arrange(args, kwargs)
+        for set_field, value in zip(self._setters, args):
+            set_field(self, value)
+        _, _, cochain, cocycles, coboundaries, cohomology, method = args
+        if method not in METHODS:
+            raise ReportInvariantError("unknown method %r" % method)
+        if not (0 <= cohomology and 0 <= coboundaries and cocycles <= cochain
+                and cohomology == cocycles - coboundaries):
             raise ReportInvariantError("inconsistent dimensions in %r" % (self,))
 
 

@@ -69,7 +69,7 @@ canonical order, and lists no degree it is not asked for.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import compress, groupby, permutations, product
+from itertools import permutations, product
 from math import comb, factorial
 from operator import add, mul, sub
 from typing import Dict, List, Optional, Tuple
@@ -171,7 +171,7 @@ def copy_classes(alg: LieSuperalgebra) -> tuple:
         for (i, j), targets in brackets.items():
             tables[roots[i]].append((local[i], local[j], tuple(sorted(
                 zip(map(local.__getitem__, targets), targets.values())))))
-        parity = [g.parity for g in alg.generators]
+        parity = alg._parities
         classes: Dict[tuple, List[Tuple[int, ...]]] = {}
         for r, component in members.items():
             signature = (tuple(map(parity.__getitem__, component)), tuple(sorted(tables[r])))
@@ -281,14 +281,13 @@ class OrbitListing:
     differential._Workspace, whose radix and `unit` table (each
     generator's key of degree 1) lay the keys out.
 
-    `groups` files the keys of the classes' representatives (_listed,
+    `stacks` files the keys of the classes' representatives (_listed,
     multiplied over the classes by _times, each stack's weight factors
-    expanded once by _expanded) as {weight series: {degree: keys}},
-    least series first and each in increasing degree, the shape
-    orbits() reads; with no class it is the empty monomial alone, of
-    series (1,), and `degrees` has the degrees filed.  `reach` is the
-    most shifts any stack stands for, the longest series' length less
-    1: 0 when nothing shifts.
+    expanded once by _expanded) as {degree: [(weight series, keys)]},
+    in increasing degree and each degree's stacks least series first,
+    the shape orbits() reads; with no class it is the empty monomial
+    alone, of series (1,).  `reach` is the most shifts any stack stands
+    for, the longest series' length less 1: 0 when nothing shifts.
     `in_copies` has the generators inside a copy, `free` the others,
     and `_free[skip]` the keys of degree 1 of the generators in `free`
     but `skip` and their monomials of each degree asked for, each
@@ -301,29 +300,41 @@ class OrbitListing:
         classes = copy_classes(algebra)
         self.workspace, self.top = workspace, top
         # every key of degree below the radix is below the radix times
-        # the largest unit; a walk's keys carry their degree in the bits
-        # above, so a sum of keys sums their degrees
+        # the largest unit; a key carries its degree in the bits above,
+        # so a sum of keys sums their degrees, and a weight's chain
+        # counts are one int, `width` bits per chain length
         one = 1 << (workspace.radix * max(unit.values(), default=1)).bit_length()
+        width = algebra.dim.bit_length()
+        limit = (top + 1) * one
         targets = {k for t in algebra._table.values() for k in t}
-        groups, *factors = [_listed(parities, lattice, group,
-                                    [[unit[g] + one for g in c] for c in copies], top, one,
-                                    next((a for a, g in enumerate(copies[0])
-                                          if algebra.parity(g) and g not in targets), None))
-                            for parities, lattice, copies, group in classes
-                            ] or [{(1, (0,) * (top + 2)): {0: [0]}}]
-        for factor in factors:
-            groups = _times(groups, factor, top)
+        listed = None
+        for parities, lattice, copies, group in classes:
+            factor = _listed(parities, lattice, group, [[unit[g] + one for g in c] for c in copies],
+                             top, one, width, next((a for a, g in enumerate(copies[0])
+                                                    if algebra._parities[g] and g not in targets),
+                                                   None))
+            listed = factor if listed is None else _times(listed, factor, limit)
         # distinct factors expand to distinct series, chains being no
         # longer than top + 1 (_expanded), so no two stacks merge here
-        self.groups = dict(sorted([(_expanded(*weight, top), by_degree)
-                                   for weight, by_degree in groups.items()]))
-        self.reach = max(map(len, self.groups), default=1) - 1
-        self.degrees = sorted({d for by_degree in self.groups.values() for d in by_degree})
+        ordered = sorted([(_expanded(orbit, counts, top, width), keys)
+                          for (orbit, counts), keys in (listed or {(1, 0): [0]}).items()])
+        self.reach = max([len(weight) for weight, _ in ordered]) - 1
+        stacks: Dict[int, list] = {}
+        mask = one - 1
+        for weight, keys in ordered:
+            keys.sort()
+            masked, lo = [k & mask for k in keys], 0
+            while lo < len(keys):
+                d = keys[lo] // one
+                hi = bisect_left(keys, (d + 1) * one, lo)
+                stacks.setdefault(d, []).append((weight, masked[lo:hi]))
+                lo = hi
+        self.stacks = dict(sorted(stacks.items()))
         self.in_copies = {g for _, _, copies, _ in classes for c in copies for g in c}
         self.free = [g for g in range(algebra.dim) if g not in self.in_copies]
         self._free: Dict[Optional[int], tuple] = {}
 
-    def orbits(self, q: int, skip: Optional[int] = None) -> List[Tuple[int, List[int]]]:
+    def orbits(self, q: int, skip: Optional[int] = None) -> List[Tuple[tuple, List[int]]]:
         """The keys of degree q of one base charge tuple per orbit of
         copies, stacked by weight series: [(W, keys)], least series
         first; with `skip`, a generator outside every copy, of the
@@ -331,15 +342,16 @@ class OrbitListing:
         W[k] blocks of degree q + k of its rank.  A table without copies
         has one stack of series (1,), its canonical space in the
         canonical order.  A q over `top` and a `skip` inside a copy are
-        refused.
+        refused.  The keys are not to be mutated: a stack with no free
+        monomial to add is the listing's own.
 
         A representative gives the copies of each class its nonzero
         base charges in sorted order, the first copies first, and the
         zero charge to the rest; its orbit size is the product of the
-        classes' multinomials.  Each call sums each orbit size's groups
-        of degree d <= q with the free monomials of degree q - d,
-        listed by superexterior._keys on first use, so only the degrees
-        asked for are listed; it builds no other key and keeps no sum.
+        classes' multinomials.  Each call sums each stack of degree
+        d <= q with the free monomials of degree q - d, listed by
+        superexterior._keys on first use, so only the degrees asked for
+        are listed; it keeps no sum.
         """
         if q > self.top:
             raise ValueError("degree %d is over the listing's top %d" % (q, self.top))
@@ -348,43 +360,38 @@ class OrbitListing:
             if skip in self.in_copies:
                 raise ValueError("generator %r lies in a copy, so the orbit listing "
                                  "cannot leave it out" % algebra.generators[skip].name)
-            self._free[skip] = ([unit[g] for g in self.free if g != skip and not algebra.parity(g)],
-                                [unit[g] for g in self.free if g != skip and algebra.parity(g)], {})
+            parity = algebra._parities
+            self._free[skip] = ([unit[g] for g in self.free if g != skip and not parity[g]],
+                                [unit[g] for g in self.free if g != skip and parity[g]], {})
         evens, odds, monomials = self._free[skip]
-        # (d, the free monomials of degree q - d) for each d filed that has any
-        free = []
-        for d in self.degrees:
-            if d > q:
-                break
+        if not (evens or odds):
+            return list(self.stacks.get(q, ()))
+        stacks: Dict[tuple, List[int]] = {}
+        # a free monomial of degree over len(evens) has an odd factor
+        for d in range(0 if odds else max(0, q - len(evens)), q + 1):
+            if d not in self.stacks:
+                continue
             bs = monomials.get(q - d)
             if bs is None:
                 bs = monomials[q - d] = _keys(evens, odds, q - d)
-            if bs:
-                free.append((d, bs))
-        stacks = []
-        for weight, by_degree in self.groups.items():
-            keys: List[int] = []
-            for d, bs in free:
-                ks = by_degree.get(d)
-                if ks:
-                    for b in bs:
-                        keys += [a + b for a in ks] if b else ks
-            if keys:
-                stacks.append((weight, keys))
-        return stacks
+            for weight, ks in self.stacks[d] if bs else ():
+                keys = stacks.setdefault(weight, [])
+                for b in bs:
+                    keys += [a + b for a in ks] if b else ks
+        return sorted(stacks.items())
 
 
-def _listed(parities, lattice, group, units, top: int, one: int,
-            shift: Optional[int]) -> Dict[tuple, Dict[int, List[int]]]:
+def _listed(parities, lattice, group, units, top: int, one: int, width: int,
+            shift: Optional[int]) -> Dict[tuple, List[int]]:
     """One copy class's representative keys of degree at most top, as
-    {(orbit size, chain counts): {degree: keys}}, in increasing degree,
-    the weights as factors (_expanded gives their series): the copies'
-    local parities, the echelon basis of their charge lattice, their
-    local group (_local_group), each copy's generators' keys of
-    degree 1 plus `one`, a bit above every key, so that a sum of keys
-    is its key plus its degree times `one`, and `shift`, the local
-    position of the copies' first odd generator that is no bracket
-    target, or None.
+    {(orbit size, chain counts): keys}, the weights as factors
+    (_expanded gives their series): the copies' local parities, the
+    echelon basis of their charge lattice, their local group
+    (_local_group), each copy's generators' keys of degree 1 plus
+    `one`, a bit above every key, so that a sum of keys is its key plus
+    its degree times `one`, the bits per chain length of the chain
+    counts, and `shift`, the local position of the copies' first odd
+    generator that is no bracket target, or None.
 
     The exponent vectors of degree at most top are classed by charge
     once, all together (_exponents, _lattice_classes), and each copy's
@@ -403,8 +410,9 @@ def _listed(parities, lattice, group, units, top: int, one: int,
     the multinomial of the charges' runs times each charge's local
     orbit size, and its weight series is that times each copy's
     charge's series.  The weight is carried as its factors, (orbit
-    size, chain counts), a tuple of top + 2 counts indexed by chain
-    length.  The walk goes copy by copy: copy i takes each nonzero
+    size, chain counts), the counts one int that holds how many chains
+    of length L in its bits from L * width on.  The walk goes copy by
+    copy: copy i takes each nonzero
     charge at or after the last one's, every degree of it at once, and
     keeps the sums whose degree fits; the orbit size is multiplied by
     (copies - i) / run times the charge's local orbit size, as it takes
@@ -417,8 +425,7 @@ def _listed(parities, lattice, group, units, top: int, one: int,
     (tails[i]), whose chain is counted copies - i times at once, so no
     key costs work per copy.  Distinct factors
     are distinct series (_expanded), so they file the keys as the
-    series would.  The keys are split by degree at the end.  At a top
-    below 0 the listing is empty.
+    series would.  At a top below 0 the listing is empty.
     """
     if top < 0:
         return {}
@@ -430,24 +437,24 @@ def _listed(parities, lattice, group, units, top: int, one: int,
         table.setdefault(c, []).append(e)
     chain = dict.fromkeys(table, 1)
     if shift is not None and len(group) == 1:
-        charge = dict(zip(exps, charge_of))
         # a charge whose every exponent has y to a power of 1 or more
         # is f_y times the charge of those exponents with one y less;
         # a base charge heads a chain of length L, itself and L - 1
         # shifts, 1 + t + ... + t^(L - 1)
+        charge = dict(zip(exps, charge_of))
         base = {c for e, c in zip(exps, charge_of) if not e[shift]}
-        moved = table.keys() - base
-        up = {charge[e[:shift] + (e[shift] - 1,) + e[shift + 1:]]: c
-              for c in moved for e in table[c][:1]}
+        up = {}
+        for c in table.keys() - base:
+            e = table.pop(c)[0]
+            up[charge[e[:shift] + (e[shift] - 1,) + e[shift + 1:]]] = c
         for c in base:
             b = c
             while b in up:
                 b = up[b]
                 chain[c] += 1
-        for c in moved:
-            del table[c]
-    zero_chain = chain[(0,) * len(parities)]
-    zero = table.pop((0,) * len(parities))
+    zero = (0,) * len(parities)
+    zero_chain = _chain(chain[zero], top, width)
+    zero = table.pop(zero)
     # least degree first, so a walk with less room stops at the first
     # charge that does not fit
     charges = sorted([(min(map(sum, es)), c, es) for c, es in table.items()])
@@ -455,7 +462,7 @@ def _listed(parities, lattice, group, units, top: int, one: int,
     if len(group) > 1:
         charges, size = _local_orbits(charges, lattice, group)
     least = [d for d, _, _ in charges]
-    chains = [chain[c] for _, c, _ in charges]
+    chains = [_chain(chain[c], top, width) for _, c, _ in charges]
     # each copy's keys of each nonzero charge, for the copies that take one
     nonzero = [[[sum(map(mul, copy, e)) for e in es] for _, _, es in charges]
                for copy in units[:top]]
@@ -465,15 +472,16 @@ def _listed(parities, lattice, group, units, top: int, one: int,
     tails.reverse()
     listed: Dict[tuple, List[int]] = {}
     # {(last charge, its run, orbit size, chain counts): keys} of level i
-    level: Dict[tuple, List[int]] = {(0, 0, 1, (0,) * (top + 2)): [0]}
+    level: Dict[tuple, List[int]] = {(0, 0, 1, 0): [0]}
     for i, row in enumerate(nonzero + [[]]):
         if not level:
             break
+        rest = len(units) - i
         grown: Dict[tuple, List[int]] = {}
         for (last, run, orbit, counts), keys in level.items():
             # level 0 has the keys [0] alone
-            listed.setdefault((orbit, _chained(counts, zero_chain, len(units) - i)),
-                              []).extend(_sums(keys, tails[i], limit) if i else tails[0])
+            listed.setdefault((orbit, counts + rest * zero_chain), []).extend(
+                _sums(keys, tails[i], limit) if i else tails[0])
             room = top - min(keys) // one
             for s, ks in enumerate(row[last:], last):
                 if least[s] > room:
@@ -481,13 +489,10 @@ def _listed(parities, lattice, group, units, top: int, one: int,
                 r = run + 1 if s == last else 1
                 new = [c for a in keys for b in ks if (c := a + b) < limit]
                 if new:
-                    grown.setdefault((s, r, orbit * size[s] * (len(units) - i) // r,
-                                      _chained(counts, chains[s], 1)), []).extend(new)
+                    grown.setdefault((s, r, orbit * size[s] * rest // r, counts + chains[s]),
+                                     []).extend(new)
         level = grown
-    mask = one - 1
-    return {weight: {d: [k & mask for k in ks]
-                     for d, ks in groupby(sorted(keys), one.__rfloordiv__)}
-            for weight, keys in listed.items()}
+    return listed
 
 
 def _local_orbits(charges, lattice, group):
@@ -516,53 +521,54 @@ def _sums(left, right: List[int], limit: int) -> List[int]:
     return [a + b for a in left for b in right[:bisect_left(right, limit - a)]]
 
 
-def _times(left, right, top: int) -> Dict[tuple, Dict[int, List[int]]]:
-    """The groups {weight: {degree: keys}} of the sums a + b, a a key of
-    `left` and b one of `right` (groups over disjoint generators,
-    right's in increasing degree), of degree at most top; keys are
+def _times(left, right, limit: int) -> Dict[tuple, List[int]]:
+    """The groups {weight: keys} of the sums a + b, a a key of `left`
+    and b one of `right` (groups over disjoint generators, keys that
+    carry their degree above their bits), below limit; keys are
     additive over disjoint generators, and weights, as factors (orbit
-    size, chain counts), multiply: sizes multiply and counts add.  Each
-    group is returned in increasing degree, as _listed returns its own."""
-    out: Dict[tuple, Dict[int, List[int]]] = {}
-    for (o1, c1), g1 in left.items():
-        for (o2, c2), g2 in right.items():
-            into = out.setdefault((o1 * o2, tuple(map(add, c1, c2))), {})
-            for d1, ks1 in g1.items():
-                for d2, ks2 in g2.items():
-                    if d1 + d2 > top:
-                        break
-                    # a group of degree 0 is the key 0 alone
-                    into.setdefault(d1 + d2, []).extend(
-                        [a + b for a in ks1 for b in ks2] if d1 and d2 else ks1 if d1 else ks2)
-    return {weight: dict(sorted(by_degree.items())) for weight, by_degree in out.items()}
+    size, chain counts), multiply: sizes multiply and counts add."""
+    out: Dict[tuple, List[int]] = {}
+    right = [(weight, sorted(keys)) for weight, keys in right.items()]
+    for (o1, c1), k1 in left.items():
+        for (o2, c2), k2 in right:
+            out.setdefault((o1 * o2, c1 + c2), []).extend(_sums(k1, k2, limit))
+    return out
 
 
-def _chained(counts: tuple, length: int, more: int) -> tuple:
-    """The chain counts `counts` (how many chains of each length, a
-    tuple indexed by length) with `more` chains of this length added; a
-    chain of length 1, the series 1, is not counted."""
-    if length < 2 or not more:
-        return counts
-    return counts[:length] + (counts[length] + more,) + counts[length + 1:]
+def _chain(length: int, top: int, width: int) -> int:
+    """The chain counts of one chain of this length, as an int that
+    holds how many chains there are in its low `width` bits and how
+    many of each length L from 2 to top in the bits from
+    (L - 1) * width on; a chain of length 1, the series 1, is not
+    counted, and one of top + 1, 1 / (1 - t) that far, only in the
+    total.  Counts add as ints."""
+    if length < 2:
+        return 0
+    return 1 + ((length <= top) << (length - 1) * width)
 
 
-def _expanded(orbit: int, counts, top: int) -> tuple:
-    """The weight series of the factors (orbit size, chain counts):
-    orbit times the product of 1 + t + ... + t^(L - 1) over the chains,
-    counts[L] of length L, cut after t^top.  That product is
-    (1 - t)^-k, k the number of chains, whose coefficients are
-    binomials, times 1 - t^L once per chain of each length L up to top
-    (a longer chain is 1 / (1 - t) that far), so no two series are
-    multiplied.  It has the uncut product's length, at most top + 1
-    terms; chains no longer than top + 1 make distinct factors expand
-    to distinct series."""
-    k = sum(counts)
-    size = min(1 + sum(map(mul, counts, range(-1, len(counts) - 1))), top + 1)
-    out = (list(map(orbit.__mul__, map(comb, range(k - 1, k + size - 1), range(size))))
-           if k else [orbit])
-    for length in compress(range(size), counts):
-        for _ in range(counts[length]):
+def _expanded(orbit: int, counts: int, top: int, width: int) -> tuple:
+    """The weight series of the factors (orbit size, chain counts,
+    _chain's int): orbit times the product of 1 + t + ... + t^(L - 1)
+    over the chains, cut after t^top.  That product is (1 - t)^-k, k
+    the number of chains, whose coefficients are binomials, times
+    1 - t^L once per chain of each length L up to top (a longer chain
+    is 1 / (1 - t) that far), so no two series are multiplied.  It has
+    the uncut product's length, at most top + 1 terms, whose last is
+    its last nonzero one; chains no longer than top + 1 make distinct
+    factors expand to distinct series."""
+    field = (1 << width) - 1
+    k = counts & field
+    if not k:
+        return (orbit,)
+    out = list(map(orbit.__mul__, map(comb, range(k - 1, k + top), range(top + 1))))
+    length = 1
+    while counts := counts >> width:
+        length += 1
+        for _ in range(counts & field):
             out[length:] = map(sub, out[length:], out[:-length])  # times 1 - t^L
+    while not out[-1]:
+        out.pop()
     return tuple(out)
 
 

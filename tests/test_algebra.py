@@ -216,6 +216,24 @@ def check_record(rec, fields, text, frozen=True, hashable=True):
         assert type(c) is cls and c == rec and repr(c) == text
 
 
+def test_an_algebra_copies_and_pickles_through_its_constructor():
+    # the read-only slots refuse a restore of their state, so copy,
+    # deepcopy and pickle at every protocol rebuild the algebra from its
+    # name, its (name, parity) pairs and its bracket table: equal, with
+    # the same records, table and Betti numbers, on int and on rational
+    # constants
+    rational = LieSuperalgebra("r", [("a", EVEN), ("b", EVEN), ("c", EVEN), ("u", ODD)],
+                               {(0, 1): {2: Fraction(1, 3)}, (3, 3): {2: Fraction(-3, 5)}})
+    for alg in (make_heisenberg_odd(1), make_heisenberg_even(2, 1), rational):
+        want = betti_table(alg, 4)
+        copies = [copy.copy(alg), copy.deepcopy(alg), copy.deepcopy([alg])[0]]
+        copies += [pickle.loads(pickle.dumps(alg, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for c in copies:
+            assert type(c) is LieSuperalgebra and c is not alg and c == alg, alg.name
+            assert (c.generators, c.brackets, repr(c)) == (alg.generators, alg.brackets, repr(alg))
+            assert betti_table(c, 4) == want, alg.name
+
+
 def test_equality_and_repr():
     a = make_heisenberg_even(1, 2)
     b = make_heisenberg_even(1, 2)

@@ -160,7 +160,7 @@ def test_each_space_of_a_is_enumerated_once_per_table(monkeypatch):
         # generator 2n), asked for once
         assert orbits == [(t, 2 * n) for t in range(q_max)], n
         # h_1 has no copies: its x and y are listed once per degree; h_n's
-        # n copies of (x_i, y_i) leave no generator but z, which is left out
-        free = (1, 1) if n == 1 else (0, 0)
-        assert listed == [free + (t,) for t in range(q_max)], n
+        # n copies of (x_i, y_i) leave no generator but z, which is left
+        # out, so nothing is listed beside them
+        assert listed == ([(1, 1, t) for t in range(q_max)] if n == 1 else []), n
     assert spaces == []

@@ -550,7 +550,8 @@ def test_classes_that_must_not_shift_list_as_without_a_shift(monkeypatch):
         adapted = adapted_basis(alg)
         assert copy_classes(adapted), alg.name
         listing, bare = listed[alg.name], _full_route(alg, top)[0]
-        assert listing.reach == 0 and all(len(w) == 1 for w in listing.groups), alg.name
+        assert listing.reach == 0 and all(len(w) == 1 for stacks in listing.stacks.values()
+                                          for w, _ in stacks), alg.name
         for q in range(top + 1):
             assert listing.orbits(q) == bare.orbits(q), (alg.name, q)
         assert _orbit_ranks(alg, top) == full_matrix_ranks(adapted, top), alg.name
@@ -642,17 +643,18 @@ def test_factored_weights_expand_to_the_brute_force_series():
         cases += [{length: rng.randrange(13) for length in rng.sample(lengths, 3)}
                   for _ in range(30)]
         expanded = {}
+        # chain counts add as ints, 6 bits a field: up to 63 chains
         for orbit in (1, 2, 6, 24, 120, 720):
             for chains in cases:
-                counts = (0,) * max(top + 2, 5)
-                for length, count in chains.items():
-                    counts = symmetry._chained(counts, length, count)
-                got = symmetry._expanded(orbit, counts, top)
+                counts = sum(count * symmetry._chain(length, top, 6)
+                             for length, count in chains.items())
+                got = symmetry._expanded(orbit, counts, top, 6)
                 factors = [(1,) * length for length, count in chains.items() for _ in range(count)]
                 assert got == tuple(orbit * c for c in series_product(factors, top)), \
                     (top, orbit, chains)
                 if max(chains) <= top + 1:
-                    weight = (orbit, counts[2:top + 2])
+                    weight = (orbit, tuple(sorted((length, count) for length, count
+                                                  in chains.items() if length > 1 and count)))
                     assert expanded.setdefault(got, weight) == weight, (top, got)
 
 
