@@ -78,12 +78,10 @@ class LieSuperalgebra:
             if isinstance(g, Generator):
                 if g.index != idx:
                     raise ValueError("generator %r listed at position %d" % (g, idx))
-                gname, parity = g.name, g.parity
-            else:
-                gname, parity = g
-                gname, parity = str(gname), int(parity)
-            names.append(gname)
-            parities.append(parity)
+                g = g.name, g.parity
+            gname, parity = g
+            names.append(str(gname))
+            parities.append(int(parity))
         if not names:
             raise ValueError("an algebra needs at least one generator")
         by_name = {}
@@ -118,17 +116,12 @@ class LieSuperalgebra:
             # [x, y] = -(-1)^{|x||y|} [y, x]; ad[i][i] is the row itself
             flip = 1 if parities[i] and parities[j] else -1
             ad.setdefault(j, {}).setdefault(i, {k: flip * c for k, c in row.items()})
-        setter = object.__setattr__
-        setter(self, "name", str(name))
-        setter(self, "_names", tuple(names))
-        setter(self, "_parities", tuple(parities))
-        setter(self, "_scale", scale)
-        setter(self, "_table", table)
-        setter(self, "_ad", ad)
-        setter(self, "_index_by_name", by_name)
-        setter(self, "even_indices", tuple([g for g, p in enumerate(parities) if p == EVEN]))
-        setter(self, "odd_indices", tuple([g for g, p in enumerate(parities) if p == ODD]))
-        setter(self, "_derived", {})
+        for attr, value in (("name", str(name)), ("_names", tuple(names)),
+                            ("_parities", tuple(parities)), ("_scale", scale), ("_table", table),
+                            ("_ad", ad), ("_index_by_name", by_name), ("_derived", {}),
+                            ("even_indices", tuple([g for g, p in enumerate(parities) if not p])),
+                            ("odd_indices", tuple([g for g, p in enumerate(parities) if p]))):
+            object.__setattr__(self, attr, value)
 
     def __setattr__(self, attr, value):
         # rebinding the table or the generators would leave _derived stale

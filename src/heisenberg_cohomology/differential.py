@@ -299,7 +299,8 @@ def _lefschetz_block(workspace: _Workspace, z: int, t: int, l: int,
         raise ValueError("degree %d does not fit radix %d"
                          % (t + l + 1, workspace.radix))
     # f_z^l in z's slot, which the keys of A leave at 0
-    return _coboundary(workspace, map((l * workspace.unit[z]).__add__, keys), {})
+    shift = l * workspace.unit[z]
+    return _coboundary(workspace, [key + shift for key in keys], {})
 
 
 def _odd_centre(algebra: LieSuperalgebra) -> Optional[int]:

@@ -71,7 +71,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from itertools import permutations, product
 from math import comb, factorial
-from operator import add, mul, sub
+from operator import mul, sub
 from typing import Dict, List, Optional, Tuple
 
 from .algebra import LieSuperalgebra
@@ -111,7 +111,7 @@ def _lattice_classes(vectors, basis) -> List[Tuple[int, ...]]:
     columns = list(zip(*vectors))
     for p, row in basis:
         f = [x // row[p] for x in columns[p]]
-        columns = [list(map(add, column, map((-r).__mul__, f))) if r else column
+        columns = [[x - r * y for x, y in zip(column, f)] if r else column
                    for column, r in zip(columns, row)]
     return list(zip(*columns))
 
@@ -170,7 +170,7 @@ def copy_classes(alg: LieSuperalgebra) -> tuple:
         tables: Dict[int, list] = {r: [] for r in members}
         for (i, j), targets in brackets.items():
             tables[roots[i]].append((local[i], local[j], tuple(sorted(
-                zip(map(local.__getitem__, targets), targets.values())))))
+                [(local[k], c) for k, c in targets.items()]))))
         parity = alg._parities
         classes: Dict[tuple, List[Tuple[int, ...]]] = {}
         for r, component in members.items():
@@ -561,7 +561,7 @@ def _expanded(orbit: int, counts: int, top: int, width: int) -> tuple:
     k = counts & field
     if not k:
         return (orbit,)
-    out = list(map(orbit.__mul__, map(comb, range(k - 1, k + top), range(top + 1))))
+    out = [orbit * c for c in map(comb, range(k - 1, k + top), range(top + 1))]
     length = 1
     while counts := counts >> width:
         length += 1

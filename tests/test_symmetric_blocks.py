@@ -153,6 +153,15 @@ def filiform(k):
     return LieSuperalgebra("filiform_%d" % k, gens, brackets)
 
 
+def aff_copies(k):
+    """k copies of aff(1), [a_i, b_i] = b_i, a_i and b_i even: each
+    copy's bracket target lies inside it, so the class has the trivial
+    local group, and no odd generator to shift by."""
+    gens = [(name % i, EVEN) for i in range(1, k + 1) for name in ("a%d", "b%d")]
+    brackets = {(2 * i, 2 * i + 1): {2 * i + 1: 1} for i in range(k)}
+    return LieSuperalgebra("aff1_%d" % k, gens, brackets)
+
+
 def signed_symmetries(alg, copy):
     """The permutations sigma of the generators in `copy` (sigma[a] a
     position in the tuple) for which some signs eps make
@@ -195,6 +204,7 @@ def _members():
     out += [(alg, q) for alg, q, _ in _distinct_members()]
     out += [(odd_pairs(k, n), q) for k, n, q in ODD_PAIRS]
     out += [(triples(kind, 3), 6) for kind in TRIPLES] + [(filiform(3), 5)]
+    out += [(aff_copies(k), 4) for k in (2, 3)]
     return out + [(shuffled(make_heisenberg_even(3, 3), 5), 8)]
 
 
@@ -313,6 +323,12 @@ def test_orbit_sums_equal_the_full_matrix_ranks():
         assert [r.dim_cochain - r.dim_cocycles for r in table] \
             == [full[q] for q in range(q_max + 1)], alg.name
         assert [r.dim_coboundaries for r in table] == [full[q - 1] for q in range(q_max + 1)]
+        # cohomology_dims: d_{q-1} and d_q alone, every degree of the
+        # aff(1) copies, the top degree of the others
+        for q in range(q_max + 1) if alg.name.startswith("aff1_") else (q_max,):
+            report = cohomology.cohomology_dims(alg, q)
+            assert (report.dim_cochain - report.dim_cocycles, report.dim_coboundaries) \
+                == (full[q], full[q - 1]), (alg.name, q)
 
 
 def test_distinct_coefficients_keep_the_family_betti_numbers():
@@ -401,10 +417,11 @@ def test_each_orbit_group_lists_its_orbits_once():
     # force, with no charge or lattice: the stacks of every degree
     # t <= q must tile degree q's basis, W[q - t] images a key; h_n's z,
     # its last generator, is in no copy, and is left out too
-    tables = [(make_heisenberg_odd(n), top, (None, 2 * n)) for n, top in ((2, 10), (3, 8),
+    tables = [(make_heisenberg_odd(n), top, (None, 2 * n)) for n, top in ((2, 10), (3, 9),
                                                                          (4, 7), (5, 6))]
-    tables += [(make_heisenberg_even(n, m), 7, (None,)) for n, m in ((1, 4), (3, 1), (2, 4),
-                                                                   (3, 3))]
+    # the family-deep depths: h_3 at top 9, and h_{2,4} and h_{3,3} at 8
+    tables += [(make_heisenberg_even(n, m), top, (None,))
+               for n, m, top in ((1, 4, 7), (3, 1, 7), (2, 4, 8), (3, 3, 8))]
     # the verify grids' tables at their tops: h_1 without copies, h_2,
     # h_{1,m} with one class, h_{3,2} and h_{2,3} with two
     tables += [(make_heisenberg_odd(n), 8, (None, 2 * n)) for n in (1, 2)]
