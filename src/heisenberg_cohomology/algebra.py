@@ -18,8 +18,12 @@ classes, directsum.split and cohomology's split gate) reads those ints.
 `brackets` is a read-only Fraction view of the same table, built on
 first read, which no engine path reads.  The algebra cannot be changed,
 so the tables derived from it are kept on it (`_derived`), derived on
-first use and never stale: the Fraction view, the adapted basis, the
-validity verdict, and the copy classes symmetry finds.  This module
+first use and never stale: the Fraction view, the Generator records,
+the adapted basis, the validity verdict, and the copy classes symmetry
+finds.  The engine reads the names and parities the constructor keeps
+(`_names`, `_parities`), so a computation builds no Generator record.
+Copy, deepcopy and pickle rebuild an algebra through its constructor.
+This module
 imports no listing code.  require_valid is the one door that decides
 validity, for the tables that come from outside: parse_algebra,
 betti_table and cohomology_dims pass through it, so each such algebra
@@ -57,8 +61,11 @@ class Generator(_Record):
 class LieSuperalgebra:
     """Immutable structure-constant presentation of a Lie superalgebra.
 
-    `generators` is a sequence of (name, parity) pairs; the bracket table
-    maps index pairs (i, j) with i <= j to {target_index: coefficient}.
+    `generators` is a sequence of (name, parity) pairs or Generator
+    records, kept as the tuples `_names` and `_parities`; the property
+    `generators` gives the records, built on first read.  The bracket
+    table maps index pairs (i, j) with i <= j to {target_index:
+    coefficient}.
     The constructor drops zeros, converts each coefficient that is not
     an int to Fraction once, and keeps the table as ints over one scale
     L, the lcm of the reduced denominators: `_table` in the given pair

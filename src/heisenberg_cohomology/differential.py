@@ -208,7 +208,6 @@ def _mask_plan(workspace: _Workspace, mask: int):
     return tuple(evens), odds
 
 
-
 def _d_columns(workspace: _Workspace, domain, row_index):
     """Integer coboundary columns {row: value} of the workspace's keys
     `domain`, by its d-term table.

@@ -227,7 +227,7 @@ def _checked_dims(name: str, superdim: tuple[int, int], top: int,
     MAX_Q_MAX (before any dimension is counted), then each of `degrees`
     (in order) over the cap, and C^{top+1} over
     CODOMAIN_ROWS_PER_COLUMN * cap.  The dimensions are counted once,
-    as one series (_graded_dims), in O(top^2) at most."""
+    as one series (_graded_dims), in O(top) steps."""
     check_degree(top)
     dims = {-1: 0}
     dims.update(enumerate(_graded_dims(superdim, top + 1)))

@@ -46,24 +46,28 @@ and the keys of the generators in no copy, laid out by the workspace's
 the workspace's classes itself (copy_classes).  Its representatives,
 sorted multisets of nonzero base charges per class, are emitted
 directly (orderly generation), once per listing: one walk per class
-(_listed), whose keys carry their degree in bits above the key so that
-entries of every degree walk on together, and one product of the
-classes' groups (_times), filed by weight series and then degree, the
+(_listed) and one product of the classes (_times), whose keys carry
+their degree in bits above the key, so that entries of every degree
+walk on and multiply together; the listing then splits each weight
+series' keys by degree once, into `stacks`, {degree: [(W, keys)]}, the
 shape orbits() reads.  A stack's weight series W is its orbit size
 times the product of its copies' base charges' series, cut after
 t^top: its block of degree t stands for W[k] blocks of degree t + k,
 its shifts.  A class without shifts has W = (orbit size,).  The walk
 and the product multiply no series: they carry each weight as its
 factors, the orbit size and the chain counts (how many chains of each
-length its copies head), so orbit sizes multiply and counts add
-(_chained), and the listing expands each stack's factors once
-(_expanded).  Each class builds its exponent table, and each copy its
-keys, once.  Then, per degree asked for, one sum per weight series of
-those groups with the other generators' monomials of the degrees that
-have any.  Those monomials come from superexterior._keys, the one
-listing of keys, which the public builders read too, so a table without
-copies, the listing with no class, has its canonical spaces in the
-canonical order, and lists no degree it is not asked for.
+length its copies head, one int of fields that add, _chain), so orbit
+sizes multiply and counts add, and the listing expands each stack's
+factors once (_expanded).  Each class builds its exponent table, and
+each copy its keys, once.  orbits(q) hands out degree q's stacks as
+they are when no generator outside the copies is left, the engine's
+case on h_n with its centre left out; otherwise it sums, per weight
+series, the stacks of each degree d <= q with the other generators'
+monomials of degree q - d.  Those monomials come from
+superexterior._keys, the one listing of keys, which the public builders
+read too, so a table without copies, the listing with no class, has its
+canonical spaces in the canonical order, and lists no degree it is not
+asked for.
 """
 
 from __future__ import annotations
@@ -154,22 +158,23 @@ def copy_classes(alg: LieSuperalgebra) -> tuple:
             for g in (j, *targets):
                 if g not in central:
                     root[find(g)] = find(i)
-        roots = [find(g) for g in range(alg.dim)]
         # each component's generators in order, and each generator's
         # position in its component; a central target k is keyed
-        # -1 - k, below every local position
+        # -1 - k, below every local position.  Each generator outside
+        # the central targets points at its component's root
         members: Dict[int, List[int]] = {}
         local = [-1 - g for g in range(alg.dim)]
         for g in range(alg.dim):
             if g not in central:
-                component = members.setdefault(roots[g], [])
+                root[g] = find(g)
+                component = members.setdefault(root[g], [])
                 local[g] = len(component)
                 component.append(g)
         # the table's ints: one scale L for the whole table, so the
         # components' signatures compare as the Fractions would
         tables: Dict[int, list] = {r: [] for r in members}
         for (i, j), targets in brackets.items():
-            tables[roots[i]].append((local[i], local[j], tuple(sorted(
+            tables[root[i]].append((local[i], local[j], tuple(sorted(
                 [(local[k], c) for k, c in targets.items()]))))
         parity = alg._parities
         classes: Dict[tuple, List[Tuple[int, ...]]] = {}
@@ -292,7 +297,8 @@ class OrbitListing:
     and `_free[skip]` the keys of degree 1 of the generators in `free`
     but `skip` and their monomials of each degree asked for, each
     listed once.  With no class each degree is one stack of series
-    (1,), the canonical space.  At a top below 0 nothing is listed.
+    (1,), the canonical space.  At a top below 0 orbits() lists
+    nothing: every degree is over the top.
     """
 
     def __init__(self, workspace, top: int):
