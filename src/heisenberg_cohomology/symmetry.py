@@ -354,10 +354,11 @@ class OrbitListing:
         A representative gives the copies of each class its nonzero
         base charges in sorted order, the first copies first, and the
         zero charge to the rest; its orbit size is the product of the
-        classes' multinomials.  Each call sums each stack of degree
-        d <= q with the free monomials of degree q - d, listed by
-        superexterior._keys on first use, so only the degrees asked for
-        are listed; it keeps no sum.
+        classes' multinomials.  With no generator outside the copies
+        but `skip`, a call hands out degree q's stacks; otherwise it
+        sums each stack of degree d <= q with the free monomials of
+        degree q - d, listed by superexterior._keys on first use, so
+        only the degrees asked for are listed, and keeps no sum.
         """
         if q > self.top:
             raise ValueError("degree %d is over the listing's top %d" % (q, self.top))

@@ -162,6 +162,20 @@ def aff_copies(k):
     return LieSuperalgebra("aff1_%d" % k, gens, brackets)
 
 
+def chains(k):
+    """z (even) and k copies of the even chain a_i - b_i - c_i - d_i,
+    [a_i, b_i] = [b_i, c_i] = [c_i, d_i] = z, its brackets listed so that
+    b_i - c_i joins two pieces already found: the copy's generators are
+    one component only once every union is followed to its root."""
+    gens = [("z", EVEN)]
+    gens += [(name % i, EVEN) for i in range(1, k + 1) for name in ("a%d", "b%d", "c%d", "d%d")]
+    brackets = {}
+    for i in range(k):
+        a = 4 * i + 1
+        brackets.update({(a, a + 1): {0: 1}, (a + 2, a + 3): {0: 1}, (a + 1, a + 2): {0: 1}})
+    return LieSuperalgebra("chains_%d" % k, gens, brackets)
+
+
 def signed_symmetries(alg, copy):
     """The permutations sigma of the generators in `copy` (sigma[a] a
     position in the tuple) for which some signs eps make
@@ -204,7 +218,7 @@ def _members():
     out += [(alg, q) for alg, q, _ in _distinct_members()]
     out += [(odd_pairs(k, n), q) for k, n, q in ODD_PAIRS]
     out += [(triples(kind, 3), 6) for kind in TRIPLES] + [(filiform(3), 5)]
-    out += [(aff_copies(k), 4) for k in (2, 3)]
+    out += [(aff_copies(k), 4) for k in (2, 3)] + [(chains(2), 6)]
     return out + [(shuffled(make_heisenberg_even(3, 3), 5), 8)]
 
 
