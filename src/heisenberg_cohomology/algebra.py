@@ -19,20 +19,20 @@ classes, directsum.split and cohomology's split gate) reads those ints.
 first read, which no engine path reads.  The algebra cannot be changed,
 so the tables derived from it are kept on it (`_derived`), derived on
 first use and never stale: the Fraction view, the Generator records,
-the adapted basis, the validity verdict, and the copy classes symmetry
-finds.  The engine reads the names and parities the constructor keeps
-(`_names`, `_parities`), so a computation builds no Generator record.
-Copy, deepcopy and pickle rebuild an algebra through its constructor.
-This module
-imports no listing code.  require_valid is the one door that decides
-validity, for the tables that come from outside: parse_algebra,
-betti_table and cohomology_dims pass through it, so each such algebra
-is validated once, on its adapted table.  The family constructors only
-build their explicit tables, which are Lie superalgebras by
-construction; the tests hold them to the axioms.  The adapted basis is
-computed on the ints, fraction-free, by linalg._echelon, the package's
-one echelon form: the one Fraction it makes per structure constant is
-the rewritten constant itself, which the constructor of the rewritten
+the bracket targets (_targets), the adapted basis, the validity
+verdict, and the copy classes symmetry finds.  The engine reads the
+names and parities the constructor keeps (`_names`, `_parities`), so a
+computation builds no Generator record.  Copy, deepcopy and pickle
+rebuild an algebra through its constructor.  This module imports no
+listing code.  require_valid is the one door that decides validity,
+for the tables that come from outside: parse_algebra, betti_table and
+cohomology_dims pass through it, so each such algebra is validated
+once, on its adapted table.  The family constructors only build their
+explicit tables, which are Lie superalgebras by construction; the
+tests hold them to the axioms.  The adapted basis is computed on the
+ints, fraction-free, by linalg._echelon, the package's one echelon
+form: the one Fraction it makes per structure constant is the
+rewritten constant itself, which the constructor of the rewritten
 algebra scales back to ints.
 """
 
@@ -366,6 +366,14 @@ def _adapted_brackets(alg: LieSuperalgebra):
                 den = alg._scale * d_a * row_b[b] * common
                 brackets[(a, b)] = {k: Fraction(c, den) for k, c in new.items()}
     return brackets
+
+
+def _targets(alg: LieSuperalgebra) -> set:
+    """The generators that some nonzero bracket of alg targets, derived
+    once and kept on alg; callers do not change the set."""
+    if "targets" not in alg._derived:
+        alg._derived["targets"] = {k for t in alg._table.values() for k in t}
+    return alg._derived["targets"]
 
 
 def require_valid(alg: LieSuperalgebra) -> None:

@@ -111,7 +111,7 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .algebra import (LieSuperalgebra, _heisenberg_even, adapted_basis,
+from .algebra import (LieSuperalgebra, _heisenberg_even, _targets, adapted_basis,
                       make_heisenberg_odd, require_valid)
 from .differential import _coboundary, _lefschetz_block, _odd_centre, _Workspace
 from .symmetry import OrbitListing
@@ -212,8 +212,7 @@ def _split_ranks(adapted: LieSuperalgebra, q_max: int, cap: int,
     H(g) is the Kunneth product of the parts' and the free part's, and
     rank d_q = dim C^q - dim H^q - rank d_{q-1}.
     """
-    table = adapted._table
-    targets = {k for t in table.values() for k in t}
+    table, targets = adapted._table, _targets(adapted)
     if (q_max < 2 or not targets
             or any(i in targets or j in targets for i, j in table)):
         return None

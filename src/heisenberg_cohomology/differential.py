@@ -62,7 +62,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, List, Optional
 
-from .algebra import ODD, LieSuperalgebra
+from .algebra import ODD, LieSuperalgebra, _targets
 from .linalg import RationalMatrix
 from .superexterior import _radix, _units
 
@@ -306,7 +306,7 @@ def _odd_centre(algebra: LieSuperalgebra) -> Optional[int]:
     """The odd generator z that is the only nonzero bracket target and
     appears in no nonzero bracket, or None: then the z-dual is the only
     dual with a nonzero d, and no d-term contains it."""
-    targets = {k for t in algebra._table.values() for k in t}
+    targets = _targets(algebra)
     if len(targets) != 1:
         return None
     (z,) = targets

@@ -78,7 +78,7 @@ from math import comb, factorial
 from operator import mul, sub
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import LieSuperalgebra
+from .algebra import LieSuperalgebra, _targets
 from .superexterior import _keys
 
 
@@ -144,8 +144,7 @@ def copy_classes(alg: LieSuperalgebra) -> tuple:
     """
     if "copies" not in alg._derived:
         brackets = alg._table
-        central = {k for t in brackets.values() for k in t}
-        central.difference_update(*brackets)
+        central = _targets(alg).difference(*brackets)
         root = list(range(alg.dim))
 
         def find(g):
@@ -312,18 +311,24 @@ class OrbitListing:
         one = 1 << (workspace.radix * max(unit.values(), default=1)).bit_length()
         width = algebra.dim.bit_length()
         limit = (top + 1) * one
-        targets = {k for t in algebra._table.values() for k in t}
+        targets = _targets(algebra)
         listed = None
         for parities, lattice, copies, group in classes:
-            factor = _listed(parities, lattice, group, [[unit[g] + one for g in c] for c in copies],
-                             top, one, width, next((a for a, g in enumerate(copies[0])
-                                                    if algebra._parities[g] and g not in targets),
-                                                   None))
+            shift = next((a for a, g in enumerate(copies[0])
+                          if algebra._parities[g] and g not in targets), None)
+            factor = _listed(parities, lattice, group,
+                             [[unit[g] + one for g in c] for c in copies], top, one, width, shift)
             listed = factor if listed is None else _times(listed, factor, limit)
         # distinct factors expand to distinct series, chains being no
-        # longer than top + 1 (_expanded), so no two stacks merge here
-        ordered = sorted([(_expanded(orbit, counts, top, width), keys)
-                          for (orbit, counts), keys in (listed or {(1, 0): [0]}).items()])
+        # longer than top + 1 (_expanded), so no two stacks merge here;
+        # stacks with the same chains share one expansion
+        series: Dict[int, tuple] = {}
+        ordered = []
+        for (orbit, counts), keys in (listed or {(1, 0): [0]}).items():
+            if counts not in series:
+                series[counts] = _expanded(counts, top, width)
+            ordered.append((tuple([orbit * c for c in series[counts]]), keys))
+        ordered.sort()
         self.reach = max([len(weight) for weight, _ in ordered]) - 1
         stacks: Dict[int, list] = {}
         mask = one - 1
@@ -554,21 +559,22 @@ def _chain(length: int, top: int, width: int) -> int:
     return 1 + ((length <= top) << (length - 1) * width)
 
 
-def _expanded(orbit: int, counts: int, top: int, width: int) -> tuple:
-    """The weight series of the factors (orbit size, chain counts,
-    _chain's int): orbit times the product of 1 + t + ... + t^(L - 1)
-    over the chains, cut after t^top.  That product is (1 - t)^-k, k
-    the number of chains, whose coefficients are binomials, times
-    1 - t^L once per chain of each length L up to top (a longer chain
-    is 1 / (1 - t) that far), so no two series are multiplied.  It has
-    the uncut product's length, at most top + 1 terms, whose last is
-    its last nonzero one; chains no longer than top + 1 make distinct
-    factors expand to distinct series."""
+def _expanded(counts: int, top: int, width: int) -> tuple:
+    """The weight series of the chain counts `counts` (_chain's int) of
+    an orbit of size 1: the product of 1 + t + ... + t^(L - 1) over the
+    chains, cut after t^top; a stack's series is its orbit size times
+    this.  That product is (1 - t)^-k, k the number of chains, whose
+    coefficients are binomials, times 1 - t^L once per chain of each
+    length L up to top (a longer chain is 1 / (1 - t) that far), so no
+    two series are multiplied.  It has the uncut product's length, at
+    most top + 1 terms, whose last is its last nonzero one; chains no
+    longer than top + 1 make distinct factors expand to distinct
+    series."""
     field = (1 << width) - 1
     k = counts & field
     if not k:
-        return (orbit,)
-    out = [orbit * c for c in map(comb, range(k - 1, k + top), range(top + 1))]
+        return (1,)
+    out = list(map(comb, range(k - 1, k + top), range(top + 1)))
     length = 1
     while counts := counts >> width:
         length += 1

@@ -679,7 +679,7 @@ def test_factored_weights_expand_to_the_brute_force_series():
             for chains in cases:
                 counts = sum(count * symmetry._chain(length, top, 6)
                              for length, count in chains.items())
-                got = symmetry._expanded(orbit, counts, top, 6)
+                got = tuple(orbit * c for c in symmetry._expanded(counts, top, 6))
                 factors = [(1,) * length for length, count in chains.items() for _ in range(count)]
                 assert got == tuple(orbit * c for c in series_product(factors, top)), \
                     (top, orbit, chains)
