@@ -57,8 +57,8 @@ its shifts.  A class without shifts has W = (orbit size,).  The walk
 and the product multiply no series: they carry each weight as its
 factors, the orbit size and the chain counts (how many chains of each
 length its copies head, one int of fields that add, _chain), so orbit
-sizes multiply and counts add, and the listing expands each stack's
-factors once (_expanded).  Each class builds its exponent table, and
+sizes multiply and counts add, and the listing expands each distinct
+chain count once (_expanded).  Each class builds its exponent table, and
 each copy its keys, once.  orbits(q) hands out degree q's stacks as
 they are when no generator outside the copies is left, the engine's
 case on h_n with its centre left out; otherwise it sums, per weight
@@ -422,9 +422,8 @@ def _listed(parities, lattice, group, units, top: int, one: int, width: int,
     the multinomial of the charges' runs times each charge's local
     orbit size, and its weight series is that times each copy's
     charge's series.  The weight is carried as its factors, (orbit
-    size, chain counts), the counts one int that holds how many chains
-    of length L in its bits from L * width on.  The walk goes copy by
-    copy: copy i takes each nonzero
+    size, chain counts), the counts one int whose fields add (_chain).
+    The walk goes copy by copy: copy i takes each nonzero
     charge at or after the last one's, every degree of it at once, and
     keeps the sums whose degree fits; the orbit size is multiplied by
     (copies - i) / run times the charge's local orbit size, as it takes
