@@ -162,7 +162,7 @@ def aff_copies(k):
     return LieSuperalgebra("aff1_%d" % k, gens, brackets)
 
 
-def chains(k):
+def chain_copies(k):
     """z (even) and k copies of the even chain a_i - b_i - c_i - d_i,
     [a_i, b_i] = [b_i, c_i] = [c_i, d_i] = z, its brackets listed so that
     b_i - c_i joins two pieces already found: the copy's generators are
@@ -218,7 +218,7 @@ def _members():
     out += [(alg, q) for alg, q, _ in _distinct_members()]
     out += [(odd_pairs(k, n), q) for k, n, q in ODD_PAIRS]
     out += [(triples(kind, 3), 6) for kind in TRIPLES] + [(filiform(3), 5)]
-    out += [(aff_copies(k), 4) for k in (2, 3)] + [(chains(2), 6)]
+    out += [(aff_copies(k), 4) for k in (2, 3)] + [(chain_copies(2), 6)]
     return out + [(shuffled(make_heisenberg_even(3, 3), 5), 8)]
 
 
