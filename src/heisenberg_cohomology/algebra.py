@@ -55,7 +55,10 @@ ODD = 1
 class Generator(_Record):
     """One generator: its name, its position and its parity."""
 
-    __slots__ = ("name", "index", "parity")
+    __slots__ = ()
+
+    def __new__(cls, name, index, parity):
+        return tuple.__new__(cls, (name, index, parity))
 
 
 class LieSuperalgebra:
@@ -88,7 +91,8 @@ class LieSuperalgebra:
                 g = g.name, g.parity
             gname, parity = g
             names.append(str(gname))
-            parities.append(int(parity))
+            # only a parity equal to 0 or 1 is converted; any other is refused below
+            parities.append(int(parity) if parity in (EVEN, ODD) else parity)
         if not names:
             raise ValueError("an algebra needs at least one generator")
         by_name = {}

@@ -230,7 +230,7 @@ def _verify_json(res) -> str:
         "n_max": res.n_max,
         "m_max": res.m_max,
         "q_max": res.q_max,
-        "checks": [dict(zip(c._fields, c._values()), ok=c.ok) for c in res.checks],
+        "checks": [dict(zip(c._fields, c), ok=c.ok) for c in res.checks],
         "failures": len(res.failures),
         "deviations": len(res.deviations),
         "ok": res.ok(),

@@ -433,7 +433,10 @@ class DifferentialMatrix(_Record):
     degree q, the domain and codomain as tuples of SuperMonomial, and
     the RationalMatrix."""
 
-    __slots__ = ("q", "domain", "codomain", "matrix")
+    __slots__ = ()
+
+    def __new__(cls, q, domain, codomain, matrix):
+        return tuple.__new__(cls, (q, domain, codomain, matrix))
 
 
 def differential_matrix(algebra: LieSuperalgebra, q: int,

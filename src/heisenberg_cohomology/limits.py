@@ -13,8 +13,11 @@ the wording of every refusal and error lives in this one module.
 It imports nothing from the package and only `math` from the standard
 library, so a caller can refuse before any engine module is loaded;
 the CLI does.  No other module re-exports these names: each comes from
-here or the package.  Each exception pickles and copies by rebuilding
-through its constructor.
+here or the package.  The refusal types share one constructor,
+_Rebuilt's: it keeps its arguments as the attributes a type names in
+`_init_args` and formats the type's message template `_text` from them,
+so each message is written once.  Each exception pickles and copies by
+rebuilding through its constructor.
 """
 
 from math import comb
@@ -46,12 +49,21 @@ MAX_GRID_POINTS = 1000
 
 
 class _Rebuilt:
-    """Mixin for the exceptions below: pickle and copy call the
-    constructor again with the attributes named in `_init_args`, then
-    restore the instance dictionary (notes included)."""
+    """Base of the refusal types below, and their one constructor: it
+    keeps its arguments as the attributes named in `_init_args`, in
+    order, and formats the class's message template `_text` from them.
+    Pickle and copy call the constructor again with those attributes,
+    then restore the instance dictionary (notes included)."""
 
     __slots__ = ()
     _init_args = ()
+
+    def __init__(self, *args):
+        if len(args) != len(self._init_args):
+            raise TypeError("%s takes %d arguments but %d were given"
+                            % (type(self).__name__, len(self._init_args), len(args)))
+        vars(self).update(zip(self._init_args, args))
+        super().__init__(self._text % vars(self))
 
     def __reduce__(self):
         return (type(self), tuple(getattr(self, a) for a in self._init_args),
@@ -62,27 +74,15 @@ class DegreeLimitExceeded(_Rebuilt, RuntimeError):
     """Refusal of a degree over MAX_Q_MAX; `degree` is the one refused."""
 
     _init_args = ("degree", "limit")
-
-    def __init__(self, degree: int, limit: int):
-        super().__init__("refusing degree %d, limit is %d" % (degree, limit))
-        self.degree = degree
-        self.limit = limit
+    _text = "refusing degree %(degree)d, limit is %(limit)d"
 
 
 class ColumnCapExceeded(_Rebuilt, RuntimeError):
     """Refusal to build a coboundary matrix wider than the cap."""
 
     _init_args = ("algebra_name", "q", "columns", "cap")
-
-    def __init__(self, algebra_name: str, q: int, columns: int, cap: int):
-        super().__init__(
-            "refusing %s at q=%d: matrix has %d columns, cap is %d "
-            "(raise the cap to force the computation)"
-            % (algebra_name, q, columns, cap))
-        self.algebra_name = algebra_name
-        self.q = q
-        self.columns = columns
-        self.cap = cap
+    _text = ("refusing %(algebra_name)s at q=%(q)d: matrix has %(columns)d columns, "
+             "cap is %(cap)d (raise the cap to force the computation)")
 
 
 class CodomainTooLarge(_Rebuilt, RuntimeError):
@@ -92,43 +92,28 @@ class CodomainTooLarge(_Rebuilt, RuntimeError):
     psi_matrix, A^{q+2} in lefschetz_block."""
 
     _init_args = ("algebra_name", "q", "rows", "limit", "codomain")
+    _text = ("refusing %%(algebra_name)s at q=%%(q)d: %%(codomain)s has %%(rows)d rows, "
+             "limit is %%(limit)d (%d times the column cap; raise the cap to force "
+             "the computation)" % CODOMAIN_ROWS_PER_COLUMN)
 
     def __init__(self, algebra_name: str, q: int, rows: int, limit: int,
                  codomain: str | None = None):
-        if codomain is None:
-            codomain = "codomain C^%d" % (q + 1)
-        super().__init__(
-            "refusing %s at q=%d: %s has %d rows, limit is %d "
-            "(%d times the column cap; raise the cap to force the computation)"
-            % (algebra_name, q, codomain, rows, limit, CODOMAIN_ROWS_PER_COLUMN))
-        self.algebra_name = algebra_name
-        self.q = q
-        self.rows = rows
-        self.limit = limit
-        self.codomain = codomain
+        super().__init__(algebra_name, q, rows, limit,
+                         "codomain C^%d" % (q + 1) if codomain is None else codomain)
 
 
 class GridTooLarge(_Rebuilt, RuntimeError):
     """Refusal to walk a verify grid with more points than the limit."""
 
     _init_args = ("points", "limit")
-
-    def __init__(self, points: int, limit: int):
-        super().__init__("refusing a verify grid of %d points, limit is %d"
-                         % (points, limit))
-        self.points = points
-        self.limit = limit
+    _text = "refusing a verify grid of %(points)d points, limit is %(limit)d"
 
 
 class AlgebraParseError(_Rebuilt, ValueError):
     """Malformed algebra file; `line` is the 1-based offending line."""
 
     _init_args = ("message", "line")
-
-    def __init__(self, message: str, line: int):
-        super().__init__("line %d: %s" % (line, message))
-        self.message = message
-        self.line = line
+    _text = "line %(line)d: %(message)s"
 
 
 class AlgebraValidationError(_Rebuilt, ValueError):
@@ -137,8 +122,7 @@ class AlgebraValidationError(_Rebuilt, ValueError):
     _init_args = ("violations",)
 
     def __init__(self, violations: list):
-        super().__init__("algebra fails validation:\n  "
-                         + "\n  ".join(violations))
+        ValueError.__init__(self, "algebra fails validation:\n  " + "\n  ".join(violations))
         self.violations = list(violations)
 
 

@@ -6,8 +6,11 @@ report is built here: the rank route's by _reports, from dim C^q and
 the ranks of d, and the closed forms' by _formula_report, from the
 cocycle dimensions and dim H^q (formulas.even_formula_report and
 odd_formula_report call it).  emit_report writes reports as json, csv
-or text.  _Record, the base of every record type of the package, is
-defined here too.
+or text, reading each report as the tuple it is.  _Record, the tuple
+base of the package's immutable record types (Generator,
+CohomologyReport, verify's Comparison, DifferentialMatrix), is defined
+here too: each type names its fields once, as the parameters of its own
+`__new__`.
 
 This module imports only limits and the standard library, so neither
 route loads the other: the formula verbs reach formulas and this
@@ -18,20 +21,25 @@ from __future__ import annotations
 
 import csv
 import io
+from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, Tuple
 
 from .limits import ReportInvariantError, graded_dim
 
 
-class _Record:
-    """Base of the package's record types: a `__slots__` class whose
-    fields, `_fields`, are its `__slots__`, in order.
+class _Record(tuple):
+    """Base of the package's record types: a tuple whose fields,
+    `_fields`, are the parameters of its subclass's own `__new__`, read
+    once when the class is created, each read by an `itemgetter`
+    property.
 
-    It gives immutable value semantics: construction by position or
-    keyword (TypeError on a missing or unknown field), equality and hash
-    by the field tuple within one class, the repr
-    `Name(field=value, ...)`, and no assignment or deletion.  Pickle and
-    copy rebuild through the constructor, which also re-runs a
+    Python's argument binding gives construction by position or keyword
+    and its TypeErrors, and the tuple its storage, immutability and
+    hash.  Equality is by value within one class, and False for any
+    other object, plain tuples included; the repr is
+    `Name(field=value, ...)`.  Pickle and copy rebuild through the
+    constructor at every protocol (`__reduce__`, which protocols 0 and
+    1 do not skip as they skip `__getnewargs__`), which also re-runs a
     subclass's checks.  No import or code generation happens when a
     subclass is defined, so the CLI starts without either.
     """
@@ -40,61 +48,26 @@ class _Record:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        fields = cls.__dict__.get("__slots__")
-        if fields:  # a subclass that adds no slots keeps its parent's fields
-            cls._fields = cls.__match_args__ = fields
-            # the slots' own setters, which the refusing __setattr__ bypasses
-            cls._setters = tuple(cls.__dict__[f].__set__ for f in fields)
-
-    def __init__(self, *args, **kwargs):
-        setters = self._setters
-        if kwargs or len(args) != len(setters):
-            args = self._arrange(args, kwargs)
-        for set_field, value in zip(setters, args):
-            set_field(self, value)
-
-    def _arrange(self, args: tuple, kwargs: dict) -> list:
-        """The field values in order, from positions and keywords."""
-        fields = self._fields
-        if len(args) > len(fields):
-            raise TypeError("%s takes %d fields but %d were given"
-                            % (type(self).__name__, len(fields), len(args)))
-        values = dict(zip(fields, args))
-        for name, value in kwargs.items():
-            if name not in fields or name in values:
-                raise TypeError("%s got an unexpected or repeated field %r"
-                                % (type(self).__name__, name))
-            values[name] = value
-        missing = [f for f in fields if f not in values]
-        if missing:
-            raise TypeError("%s missing field(s) %s"
-                            % (type(self).__name__, ", ".join(map(repr, missing))))
-        return [values[f] for f in fields]
-
-    def _values(self) -> tuple:
-        """The field values, in field order."""
-        return tuple(getattr(self, f) for f in self._fields)
+        if "__new__" in cls.__dict__:  # a subclass without one keeps its fields
+            code = cls.__new__.__code__
+            cls._fields = cls.__match_args__ = code.co_varnames[1:code.co_argcount]
+            for i, field in enumerate(cls._fields):
+                setattr(cls, field, property(itemgetter(i)))
 
     def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
 
-    def __hash__(self):
-        return hash(self._values())
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
     def __repr__(self) -> str:
         return "%s(%s)" % (type(self).__qualname__, ", ".join(
-            "%s=%r" % (f, getattr(self, f)) for f in self._fields))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("cannot assign to field %r" % name)
-
-    def __delattr__(self, name):
-        raise AttributeError("cannot delete field %r" % name)
+            "%s=%r" % pair for pair in zip(self._fields, self)))
 
     def __reduce__(self):
-        return type(self), self._values()
+        return type(self), tuple(self)
 
 
 METHOD_RANK = "rank"
@@ -109,23 +82,22 @@ CSV_FIELDS = ("algebra", "q", "dim_cochain", "dim_cocycles",
 
 class CohomologyReport(_Record):
     """Dimension bookkeeping for one cohomological degree; the
-    constructor raises ReportInvariantError on inconsistent fields."""
+    constructor, which pickle and copy call too, raises
+    ReportInvariantError on inconsistent fields."""
 
-    __slots__ = ("algebra_name", "q", "dim_cochain", "dim_cocycles",
-                 "dim_coboundaries", "dim_cohomology", "method")
+    __slots__ = ()
 
-    def __init__(self, *args, **kwargs):
-        # _Record's construction, with the checks read off the values
-        if kwargs or len(args) != 7:
-            args = self._arrange(args, kwargs)
-        for set_field, value in zip(self._setters, args):
-            set_field(self, value)
-        _, _, cochain, cocycles, coboundaries, cohomology, method = args
+    def __new__(cls, algebra_name, q, dim_cochain, dim_cocycles,
+                dim_coboundaries, dim_cohomology, method):
         if method not in METHODS:
             raise ReportInvariantError("unknown method %r" % method)
-        if not (0 <= cohomology and 0 <= coboundaries and cocycles <= cochain
-                and cohomology == cocycles - coboundaries):
+        self = tuple.__new__(cls, (algebra_name, q, dim_cochain, dim_cocycles,
+                                   dim_coboundaries, dim_cohomology, method))
+        if not (0 <= dim_cohomology and 0 <= dim_coboundaries
+                and dim_cocycles <= dim_cochain
+                and dim_cohomology == dim_cocycles - dim_coboundaries):
             raise ReportInvariantError("inconsistent dimensions in %r" % (self,))
+        return self
 
 
 JSON_FIELDS = CohomologyReport._fields
@@ -155,17 +127,17 @@ def emit_report(reports: Iterable[CohomologyReport], fmt: str) -> bytes:
     reports = list(reports)
     if fmt == "json":
         import json  # only a json report needs it
-        payload = [dict(zip(JSON_FIELDS, r._values())) for r in reports]
+        payload = [dict(zip(JSON_FIELDS, r)) for r in reports]
         return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_MINIMAL)
         writer.writerow(CSV_FIELDS)
         for r in reports:
-            writer.writerow(r._values())
+            writer.writerow(r)
         return buf.getvalue().encode("utf-8")
     if fmt == "text":
-        table = [tuple(str(x) for x in r._values()) for r in reports]
+        table = [tuple(map(str, r)) for r in reports]
         widths = [len(h) for h in CSV_FIELDS]
         for row in table:
             widths = [max(w, len(x)) for w, x in zip(widths, row)]

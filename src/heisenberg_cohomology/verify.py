@@ -38,6 +38,11 @@ checks its blocks' shapes against them, so no dimension is computed
 twice.  No member is validated: the families are Lie superalgebras by
 construction, and algebra.require_valid is the door for tables that
 come from outside.
+
+A Comparison is a record, a tuple of its six fields (reports._Record),
+which the CLI's json writer reads as it is.  A VerifyResult is the one
+mutable result: a plain slotted class with a record's repr, equality
+within one class and rebuild through its constructor, and no hash.
 """
 
 from __future__ import annotations
@@ -64,7 +69,10 @@ class Comparison(_Record):
     """One grid point: a closed form against the rank oracle (m is None
     on the odd family)."""
 
-    __slots__ = ("formula", "n", "m", "q", "formula_value", "oracle_value")
+    __slots__ = ()
+
+    def __new__(cls, formula, n, m, q, formula_value, oracle_value):
+        return tuple.__new__(cls, (formula, n, m, q, formula_value, oracle_value))
 
     @property
     def ok(self) -> bool:
@@ -80,20 +88,34 @@ class Comparison(_Record):
             self.oracle_value, status)
 
 
-class VerifyResult(_Record):
-    """One verify_family run; unlike the other records it is mutable,
-    and so unhashable."""
+class VerifyResult:
+    """One verify_family run.  Unlike the records it is a plain class,
+    mutable and so unhashable; its repr, equality within one class and
+    rebuild through the constructor are theirs."""
 
-    __slots__ = ("family", "n_max", "m_max", "q_max", "checks", "elapsed")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
+    __slots__ = __match_args__ = ("family", "n_max", "m_max", "q_max", "checks",
+                                  "elapsed")
     __hash__ = None
 
     def __init__(self, family: str, n_max: int, m_max: Optional[int],
                  q_max: int, checks: Optional[List[Comparison]] = None,
                  elapsed: float = 0.0):
-        super().__init__(family, n_max, m_max, q_max,
-                         [] if checks is None else checks, elapsed)
+        self.family, self.n_max, self.m_max, self.q_max = family, n_max, m_max, q_max
+        self.checks = [] if checks is None else checks
+        self.elapsed = elapsed
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and self._values() == other._values()
+
+    def __repr__(self) -> str:
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % pair for pair in zip(self.__slots__, self._values())))
+
+    def __reduce__(self):
+        return type(self), self._values()
 
     @property
     def mismatches(self) -> List[Comparison]:

@@ -9,6 +9,9 @@ from heisenberg_cohomology.algebra import (
     make_heisenberg_odd, validate)
 from heisenberg_cohomology.cohomology import betti_table
 from heisenberg_cohomology.elements import DifferentialMatrix, differential_matrix
+from heisenberg_cohomology.limits import ReportInvariantError
+from heisenberg_cohomology.reports import METHOD_RANK, CohomologyReport
+from heisenberg_cohomology.verify import verify_family
 
 from oracles import centralizer, derived_subalgebra_dim
 from test_validate import OSP12
@@ -111,6 +114,11 @@ def test_constructor_guards():
         LieSuperalgebra("dup", [("a", EVEN), ("a", EVEN)], {})
     with pytest.raises(ValueError):
         LieSuperalgebra("parity", [("a", 2)], {})
+    # a parity is refused unless it equals 0 or 1, before it is converted
+    for parity in (1.5, 0.7, -1, "1", "0", None):
+        with pytest.raises(ValueError, match="parity of 'b' must be 0 or 1"):
+            LieSuperalgebra("x", [("a", EVEN), ("b", parity)], {})
+    assert LieSuperalgebra("x", [("a", 1.0), ("b", False)], {})._parities == (ODD, EVEN)
     with pytest.raises(ValueError):
         LieSuperalgebra("empty", [], {})
     with pytest.raises(ValueError):
@@ -191,13 +199,13 @@ def check_record(rec, fields, text, frozen=True, hashable=True):
     else:
         with pytest.raises(TypeError):
             hash(rec)
-    # equal only to a record of the very same class
-    assert rec != values and rec.__eq__(values) is NotImplemented
+    # equal only to a record of the very same class, from either side
+    assert rec != values and values != rec and rec.__eq__(values) is False
 
     class Sub(cls):
         __slots__ = ()
 
-    assert Sub(*values) != rec and rec.__eq__(Sub(*values)) is NotImplemented
+    assert Sub(*values) != rec and rec.__eq__(Sub(*values)) is False
     for args, kwargs in ((values[:1], {}), (values + (None,), {}),
                          (values, {"unknown": 1}), (values, {fields[0]: values[0]})):
         with pytest.raises(TypeError):
@@ -214,6 +222,37 @@ def check_record(rec, fields, text, frozen=True, hashable=True):
                for p in range(pickle.HIGHEST_PROTOCOL + 1)]
     for c in copies:
         assert type(c) is cls and c == rec and repr(c) == text
+
+
+def test_records_rebuild_through_their_constructor():
+    # pickle at every protocol, copy and deepcopy each call the record's
+    # own constructor exactly once per rebuild, so a subclass's checks
+    # run on load: protocols 0 and 1 would skip a __getnewargs__
+    records = (make_heisenberg_odd(1).generators[2], betti_table(make_heisenberg_odd(1), 2)[2],
+               verify_family("odd", 1, q_max=1).checks[0],
+               differential_matrix(make_heisenberg_odd(1), 1))
+    rebuilds = [copy.copy, copy.deepcopy]
+    rebuilds += [lambda rec, p=p: pickle.loads(pickle.dumps(rec, p))
+                 for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for rec in records:
+        cls, calls = type(rec), []
+        real = cls.__new__
+
+        def counted(klass, *args, **kwargs):
+            calls.append(klass)
+            return real(klass, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cls, "__new__", counted)
+            for rebuild in rebuilds:
+                calls.clear()
+                assert rebuild(rec) == rec and calls == [cls], (cls.__name__, rebuild)
+    # a payload that breaks the report's invariants is refused on load
+    broken = tuple.__new__(CohomologyReport, ("h_1", 2, 3, 3, 1, 5, METHOD_RANK))
+    for p in range(pickle.HIGHEST_PROTOCOL + 1):
+        data = pickle.dumps(broken, p)
+        with pytest.raises(ReportInvariantError, match="inconsistent dimensions"):
+            pickle.loads(data)
 
 
 def test_an_algebra_copies_and_pickles_through_its_constructor():

@@ -561,8 +561,10 @@ def test_degree_limit_itself_is_accepted(capsysbinary):
 
 
 def test_cli_imports_neither_dataclasses_nor_inspect():
-    # every CLI child process pays for what importing the cli loads; the
-    # record types are plain slot classes, so neither module is needed
+    # every CLI child process pays for what importing the cli loads; a
+    # record type reads its fields off its constructor's code and makes
+    # no code, so neither module is needed to import the cli, nor to
+    # build the reports and comparisons of an even and a verify run
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
@@ -576,6 +578,11 @@ def test_cli_imports_neither_dataclasses_nor_inspect():
     if loaded("pass"):
         pytest.skip("a bare interpreter here already imports %s" % loaded("pass"))
     assert loaded("import heisenberg_cohomology.cli") == []
+    assert loaded("import io; from heisenberg_cohomology import cli; "
+                  "sys.stdout, sys.stderr = io.TextIOWrapper(io.BytesIO()), io.StringIO(); "
+                  "codes = [cli.main(['even', '--n', '2', '--m', '2', '--q-max', '3']), "
+                  "cli.main(['verify', '--family', 'odd', '--n-max', '2', '--q-max', '3'])]; "
+                  "sys.stdout = sys.__stdout__; assert codes == [0, 0], codes") == []
 
 
 def _child(code):

@@ -197,13 +197,14 @@ def test_no_split_echelons_the_same_rows_twice(monkeypatch):
 def test_a_split_table_builds_only_its_own_reports(monkeypatch):
     # the parts are ranked by _ranks alone: betti_table builds one report
     # per degree, each for the whole table, and none for a part
-    real, built = reports.CohomologyReport.__init__, []
+    real, built = reports.CohomologyReport.__new__, []
 
-    def counted(self, *args, **kwargs):
-        real(self, *args, **kwargs)
-        built.append(self.algebra_name)
+    def counted(cls, *args, **kwargs):
+        report = real(cls, *args, **kwargs)
+        built.append(report.algebra_name)
+        return report
 
-    monkeypatch.setattr(reports.CohomologyReport, "__init__", counted)
+    monkeypatch.setattr(reports.CohomologyReport, "__new__", counted)
     for k, (summands, q_max, _) in enumerate(SPLIT_SUMS):
         alg = hidden("sum%d" % k, summands, 100 * k)
         assert _splits(alg, q_max)

@@ -60,6 +60,40 @@ def test_every_error_survives_pickle_and_copy(error, attributes):
             assert getattr(twin, name) == value, name
 
 
+# the message of each instance of ERRORS, in order: what the CLI prints
+# after its prefix on stderr
+TEXTS = (
+    "refusing degree 101, limit is 100",
+    "refusing h_{1,97} at q=2: matrix has 5047 columns, cap is 5000 "
+    "(raise the cap to force the computation)",
+    "refusing h_2499 at q=1: codomain C^2 has 12495001 rows, limit is 500000 "
+    "(100 times the column cap; raise the cap to force the computation)",
+    "refusing h_73 at q=1: psi's codomain A^3 has 518738 rows, limit is 500000 "
+    "(100 times the column cap; raise the cap to force the computation)",
+    "refusing a verify grid of 1600 points, limit is 1000",
+    "line 3: unknown generator 'w'",
+    "algebra fails validation:\n  jacobi: (x, y, z) leaves 1*z\n"
+    "  parity: [x, y] -> u is not parity-homogeneous",
+    "inconsistent dimensions",
+)
+
+
+@pytest.mark.parametrize("error, text", zip([e for e, _ in ERRORS], TEXTS),
+                         ids=[type(e).__name__ for e, _ in ERRORS])
+def test_every_error_keeps_its_text(error, text):
+    # pinned literally, so a drift in a shared template cannot pass
+    # unseen; the one argument is the message
+    assert str(error) == text and error.args == (text,)
+
+
+def test_a_refusal_is_built_from_its_fields_alone():
+    # by position, one argument per field, as the engine raises them
+    for cls, args in ((DegreeLimitExceeded, (101,)), (GridTooLarge, (1, 2, 3)),
+                      (AlgebraParseError, ()), (ColumnCapExceeded, ("h_1", 2, 9))):
+        with pytest.raises(TypeError, match="%s takes" % cls.__name__):
+            cls(*args)
+
+
 def test_error_types_are_defined_in_limits():
     for error, _ in ERRORS:
         assert type(error).__module__ == "heisenberg_cohomology.limits"
