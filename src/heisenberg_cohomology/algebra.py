@@ -69,8 +69,9 @@ class LieSuperalgebra:
     `generators` gives the records, built on first read.  The bracket
     table maps index pairs (i, j) with i <= j to {target_index:
     coefficient}.
-    The constructor drops zeros, converts each coefficient that is not
-    an int to Fraction once, and keeps the table as ints over one scale
+    The constructor drops zeros, refuses a float (TypeError: it is not
+    exact), converts each other coefficient that is not an int to
+    Fraction once, and keeps the table as ints over one scale
     L, the lcm of the reduced denominators: `_table` in the given pair
     and target order, with `_ad[i][j]` for both index orders, the super
     sign applied, and `_ad[i][j]` the row of `_table` itself for i <= j.
@@ -112,6 +113,9 @@ class LieSuperalgebra:
                 if not 0 <= k < dim:
                     raise ValueError("bracket target %d out of range" % k)
                 if type(c) is not int:
+                    if isinstance(c, float):
+                        raise TypeError("bracket (%d, %d) has the float %r on target %d; "
+                                        "a float is not exact" % (i, j, c, k))
                     c = c if type(c) is Fraction else Fraction(c)
                     scale, fractions = lcm(scale, c.denominator), True
                 if c:

@@ -253,6 +253,9 @@ class SuperElement:
         for mono, coeff in items:
             if not isinstance(mono, SuperMonomial):
                 raise TypeError("keys must be SuperMonomials")
+            if isinstance(coeff, float):
+                raise TypeError("the coefficient of %r is the float %r; a float is not "
+                                "exact" % (mono, coeff))
             data[mono] = data.get(mono, 0) + Fraction(coeff)
         data = {m: c for m, c in data.items() if c}
         shapes = {(m.degree, m.parity, len(m.odd_exponents)) for m in data}

@@ -33,6 +33,7 @@ Reports are written by reports.emit_report.
 
 from __future__ import annotations
 
+import io
 import re
 from fractions import Fraction
 from typing import Dict, List, Tuple
@@ -66,6 +67,14 @@ def parse_algebra(text) -> LieSuperalgebra:
     return alg
 
 
+def _lines(text: str) -> List[str]:
+    r"""The lines of text as an editor numbers them: universal newlines end
+    a line at \n, \r\n or \r alone, where str.splitlines would also end
+    one at \v, \f, \x1c-\x1e, \x85, U+2028 and U+2029, inside a comment
+    too."""
+    return io.StringIO(text, newline=None).readlines()
+
+
 def _parse_table(text) -> LieSuperalgebra:
     """The algebra of a definition file, parsed but not validated."""
     if isinstance(text, bytes):
@@ -73,7 +82,7 @@ def _parse_table(text) -> LieSuperalgebra:
             text = text.decode("utf-8")
         except UnicodeDecodeError as exc:
             # number lines as the parser below does, up to the bad byte
-            line = len((text[:exc.start].decode("utf-8") + ".").splitlines())
+            line = len(_lines(text[:exc.start].decode("utf-8") + "."))
             raise AlgebraParseError("byte 0x%02x is not UTF-8 (%s)"
                                     % (text[exc.start], exc.reason), line) from None
     name = None
@@ -81,7 +90,8 @@ def _parse_table(text) -> LieSuperalgebra:
     gen_index: Dict[str, int] = {}
     brackets: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
     pair_line: Dict[Tuple[int, int], int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = _lines(text)
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -142,9 +152,9 @@ def _parse_table(text) -> LieSuperalgebra:
         else:
             raise AlgebraParseError("unknown directive %r" % kw, lineno)
     if name is None:
-        raise AlgebraParseError("missing 'name' directive", max(1, len(text.splitlines())))
+        raise AlgebraParseError("missing 'name' directive", max(1, len(lines)))
     if not gens:
-        raise AlgebraParseError("no generators defined", max(1, len(text.splitlines())))
+        raise AlgebraParseError("no generators defined", max(1, len(lines)))
     return LieSuperalgebra(name, gens, brackets)
 
 

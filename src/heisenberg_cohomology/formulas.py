@@ -20,9 +20,10 @@ closed forms (reference values, say) compiles no report code.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import comb
 
-from .limits import even_family_shape, graded_dim, odd_family_shape, sym_power_dim
+from .limits import _graded_dims, even_family_shape, graded_dim, odd_family_shape, sym_power_dim
 
 
 def binom(a: int, b: int) -> int:
@@ -57,46 +58,46 @@ def ker_psi_dim(t: int, n: int) -> int:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if t < 0:
-        return 0
-    total = delta(t, n)
-    free = (n, n)
-    for i in range(1, t // 2 + 1):
-        term = graded_dim(free, t - 2 * i) - delta(t - 2 * i, n)
-        total += term if i % 2 == 1 else -term
-    return total
+    return _kernels(n, _graded_dims((n, n), t))[t] if t >= 0 else 0
+
+
+def _kernels(n: int, dims: list) -> list:
+    """[ker_psi_dim(t, n) for t < len(dims)], dims the graded_dim series
+    of (n|n).  ker_psi_dim(t, n) is delta(t, n) plus the alternating sum
+    over i >= 1 of graded_dim((n, n), t - 2i) - delta(t - 2i, n), which
+    telescopes: K(t) + K(t - 2) = delta(t, n) + graded_dim((n, n), t - 2),
+    so each kernel is one step from the one two below it."""
+    out = []
+    for t in range(len(dims)):
+        out.append(delta(t, n) + (dims[t - 2] - out[t - 2] if t >= 2 else 0))
+    return out
+
+
+def _odd_cocycle_dims(n: int, top: int) -> list:
+    """[dim Z^q(h_n) for q = 0..top] in O(top) steps from one graded_dim
+    series: the z-dual-free monomials plus one kernel per z-power,
+    dim Z^q = graded_dim((n, n), q) + sum_{s<q} ker_psi_dim(s, n)."""
+    dims = _graded_dims((n, n), top)
+    return [d + z for d, z in zip(dims, accumulate(_kernels(n, dims), initial=0))]
 
 
 def dim_h_odd_proof(n: int, q: int) -> int:
-    """dim H^q of the odd-center family h_n, from the kernel recursion.
-
-    dim Z^q = graded_dim((n,n), q) + sum_{i=1}^{q} ker_psi_dim(q-i, n),
-    and dim H^q = dim Z^q + dim Z^{q-1} - dim C^{q-1}.  The two sums
-    share ker_psi_dim(s, n) for s <= q-2, so each kernel is computed
-    once.
-    """
+    """dim H^q of the odd-center family h_n, from the kernel recursion:
+    dim H^q = dim Z^q + dim Z^{q-1} - dim C^{q-1}, both dim Z from one
+    series, in O(q) steps."""
     if n < 1:
         raise ValueError("n must be positive")
     if q < 0:
         return 0
-    free = (n, n)
-    full = (n, n + 1)
-    total = graded_dim(free, q) + graded_dim(free, q - 1) - graded_dim(full, q - 1)
-    # dim Z^q's kernels are those of s = 0..q-1, dim Z^{q-1}'s those of 0..q-2
-    kernels = [ker_psi_dim(s, n) for s in range(q)]
-    return total + sum(kernels) + sum(kernels[:-1])
+    z = _odd_cocycle_dims(n, q)
+    return z[q] + (z[q - 1] if q else 0) - graded_dim((n, n + 1), q - 1)
 
 
 def odd_cocycle_dim(n: int, q: int) -> int:
     """dim Z^q(h_n): z-dual-free monomials plus one kernel per z-power."""
     if n < 1:
         raise ValueError("n must be positive")
-    if q < 0:
-        return 0
-    total = graded_dim((n, n), q)
-    for l in range(1, q + 1):
-        total += ker_psi_dim(q - l, n)
-    return total
+    return _odd_cocycle_dims(n, q)[q] if q >= 0 else 0
 
 
 def even_cocycle_dim(n: int, m: int, q: int) -> int:

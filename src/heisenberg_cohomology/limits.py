@@ -26,8 +26,9 @@ DEFAULT_COLUMN_CAP = 5000
 
 # Largest degree the engine accepts.  The column cap bounds the width of
 # each degree, not how many degrees there are: with at most one odd
-# generator dim C^q stops growing, so the cap never refuses, and the
-# closed forms cost O(q^4) per table.  Every test, demo and benchmark
+# generator dim C^q stops growing, so the cap never refuses.  The
+# closed forms cost O(q) steps a value and O(q^2) a table (h_3's odd
+# table to q = 100 takes about 2 ms).  Every test, demo and benchmark
 # degree is far below it.
 MAX_Q_MAX = 100
 

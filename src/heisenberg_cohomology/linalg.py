@@ -53,6 +53,9 @@ class RationalMatrix:
             if not (0 <= r < rows and 0 <= c < cols):
                 raise ValueError("entry (%d, %d) outside a %dx%d matrix"
                                  % (r, c, rows, cols))
+            if isinstance(v, float):
+                raise TypeError("entry (%d, %d) is the float %r; a float is not exact"
+                                % (r, c, v))
             v = Fraction(v)
             if v:
                 data[(r, c)] = v
@@ -70,6 +73,8 @@ class RationalMatrix:
                      scale=1) -> "RationalMatrix":
         """`scale` times the integer columns {row: nonzero int}; the
         matrix takes the list over as its storage, without a copy."""
+        if isinstance(scale, float):
+            raise TypeError("the scale is the float %r; a float is not exact" % scale)
         scale = Fraction(scale)
         if rows < 0 or not scale:
             raise ValueError("need rows >= 0 and a nonzero scale")

@@ -10,13 +10,16 @@ so that the odd-centre block route can be held to the full-matrix route
 it stands in for, and kernel_matrices_are_checked, which checks the
 package's own matrices, and adapted_brackets_fractions, the package's
 former Fraction rewrite into the adapted basis, kept unchanged as the
-reference for the fraction-free one, and dim_h_odd_proof_double_sum,
-the package's former double sum for dim_h_odd_proof over its
-ker_psi_dim and graded_dim.  orbit_listing_defects reads the
-package's packed keys and its copies' generator tuples, but none of
-its charges, lattices, local groups or listing code: the local
-permutations it applies come from its caller, and it finds the shifts
-by brute force over the copies' local monomials.  series_product is
+reference for the fraction-free one.  ker_psi_dim_sum,
+odd_cocycle_dim_sum and dim_h_odd_proof_shared_sum are the package's
+former closed forms for h_n, which summed each kernel afresh over
+graded_dim, kept as the reference for the series that replaced them;
+dim_h_odd_proof_double_sum is the form before those.
+orbit_listing_defects reads the package's packed keys and its copies'
+generator tuples, but none of its charges, lattices, local groups or
+listing code: the local permutations it applies come from its caller,
+and it finds the shifts by brute force over the copies' local
+monomials.  series_product is
 the package's former weight-series arithmetic (symmetry._product and
 _power, a product of coefficient tuples cut after t^top), kept as the
 reference for the factored weights that replaced it.
@@ -33,7 +36,6 @@ import pytest
 from heisenberg_cohomology.algebra import EVEN, ODD
 from heisenberg_cohomology.elements import (SuperMonomial, SuperSpaceDims,
                                             differential_matrix, enumerate_basis)
-from heisenberg_cohomology.formulas import ker_psi_dim
 from heisenberg_cohomology.limits import graded_dim
 from heisenberg_cohomology.linalg import RationalMatrix, rank
 
@@ -673,16 +675,51 @@ def adapted_brackets_fractions(alg):
     return brackets
 
 
+def ker_psi_dim_sum(t, n):
+    """ker_psi_dim(t, n) as its alternating sum over graded_dim."""
+    if t < 0:
+        return 0
+    total = int(t == n)
+    free = (n, n)
+    for i in range(1, t // 2 + 1):
+        term = graded_dim(free, t - 2 * i) - (t - 2 * i == n)
+        total += term if i % 2 == 1 else -term
+    return total
+
+
+def odd_cocycle_dim_sum(n, q):
+    """dim Z^q(h_n): z-dual-free monomials plus one kernel per z-power."""
+    if q < 0:
+        return 0
+    total = graded_dim((n, n), q)
+    for l in range(1, q + 1):
+        total += ker_psi_dim_sum(q - l, n)
+    return total
+
+
+def dim_h_odd_proof_shared_sum(n, q):
+    """dim H^q(h_n) as dim Z^q + dim Z^{q-1} - dim C^{q-1}, the two sums
+    of kernels sharing ker_psi_dim_sum(s, n) for s <= q-2."""
+    if q < 0:
+        return 0
+    free = (n, n)
+    full = (n, n + 1)
+    total = graded_dim(free, q) + graded_dim(free, q - 1) - graded_dim(full, q - 1)
+    # dim Z^q's kernels are those of s = 0..q-1, dim Z^{q-1}'s those of 0..q-2
+    kernels = [ker_psi_dim_sum(s, n) for s in range(q)]
+    return total + sum(kernels) + sum(kernels[:-1])
+
+
 def dim_h_odd_proof_double_sum(n, q):
     """dim H^q(h_n) as dim Z^q + dim Z^{q-1} - dim C^{q-1}, each dim Z
-    with its own sum of kernels (dim_h_odd_proof shares them)."""
+    with its own sum of kernels (dim_h_odd_proof_shared_sum shares them)."""
     if q < 0:
         return 0
     free = (n, n)
     full = (n, n + 1)
     total = graded_dim(free, q) + graded_dim(free, q - 1) - graded_dim(full, q - 1)
     for i in range(1, q + 1):
-        total += ker_psi_dim(q - i, n)
+        total += ker_psi_dim_sum(q - i, n)
     for i in range(1, q):
-        total += ker_psi_dim(q - 1 - i, n)
+        total += ker_psi_dim_sum(q - 1 - i, n)
     return total

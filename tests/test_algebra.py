@@ -127,6 +127,13 @@ def test_constructor_guards():
         LieSuperalgebra("range", [("a", EVEN)], {(0, 0): {3: 1}})
     with pytest.raises(ValueError):
         LieSuperalgebra("gen", [Generator("a", 1, EVEN)], {})
+    # a float is refused, not taken as the binary fraction it stores
+    # (0.1 as 3602879701896397/36028797018963968) or let out as
+    # OverflowError (inf) or ValueError (nan)
+    for c in (0.1, 0.5, float("inf"), float("nan")):
+        with pytest.raises(TypeError, match=r"bracket \(0, 1\) has the float %s on target 2"
+                           % c):
+            LieSuperalgebra("x", [("a", EVEN), ("b", EVEN), ("c", EVEN)], {(0, 1): {2: c}})
 
 
 def test_constructor_normalizes_coefficients():

@@ -149,6 +149,40 @@ def test_parse_errors_carry_line_numbers():
         assert err.line == line and "not UTF-8" in str(err), text
 
 
+# the characters that end a line for str.splitlines and not for an editor
+NOT_NEWLINES = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+PLAIN = "name a\ngenerator x 0\ngenerator y 0\ngenerator z 0\nbracket x y = z:1\n"
+
+
+def test_a_comment_ends_only_at_a_newline():
+    want = parse_algebra(PLAIN)
+    for ch in NOT_NEWLINES:
+        # each comment hides a directive that would change the table
+        text = ("name a # note%sname b\ngenerator x 0 # parity%sgenerator w 1\n"
+                "generator y 0\ngenerator z 0\n# note%sbracket x z = y:1\n"
+                "bracket x y = z:1\n" % (ch, ch, ch))
+        assert parse_algebra(text) == want, repr(ch)
+        assert parse_algebra(text.encode("utf-8")) == want, repr(ch)
+
+
+def test_crlf_and_cr_files_parse_as_lf_files():
+    want = parse_algebra(PLAIN)
+    for newline in ("\r\n", "\r"):
+        text = PLAIN.replace("\n", newline)
+        assert parse_algebra(text) == want
+        assert parse_algebra(text.encode("ascii")) == want
+        err = parse_error("name a%sgenerator x 0%s%sgenerator y 2%s" % ((newline,) * 4))
+        assert err.line == 4 and "parity" in str(err)
+
+
+def test_a_line_number_after_a_form_feed_is_the_editors():
+    err = parse_error("name a\ngenerator x 0\n\f\ngenerator y 2\n")
+    assert err.line == 4 and "parity" in str(err)
+    err = parse_error(b"name a\n# \x0c page\n\xff")
+    assert err.line == 3 and "not UTF-8" in str(err)
+
+
 def test_an_over_long_numeral_is_a_parse_error(tmp_path, capsysbinary):
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if not limit:

@@ -13,7 +13,8 @@ from heisenberg_cohomology.formulas import (dim_h_even, dim_h_odd_displayed,
                                             sym_power_dim)
 from heisenberg_cohomology.limits import graded_dim
 
-from oracles import dim_h_odd_proof_double_sum
+from oracles import (dim_h_odd_proof_double_sum, dim_h_odd_proof_shared_sum,
+                     ker_psi_dim_sum, odd_cocycle_dim_sum)
 
 
 def test_sym_power_dim_examples():
@@ -81,19 +82,31 @@ def test_dim_h_odd_proof_equals_its_double_sum():
             assert dim_h_odd_proof(n, q) == dim_h_odd_proof_double_sum(n, q), (n, q)
 
 
+def test_the_closed_forms_equal_their_former_sums():
+    values = [(n, q) for n in range(1, 13) for q in range(-1, 41)]
+    values += [(n, 100) for n in (1, 2, 7, 50)]
+    for n, q in values:
+        assert ker_psi_dim(q, n) == ker_psi_dim_sum(q, n), (n, q)
+        assert odd_cocycle_dim(n, q) == odd_cocycle_dim_sum(n, q), (n, q)
+        assert dim_h_odd_proof(n, q) == dim_h_odd_proof_shared_sum(n, q), (n, q)
+
+
 def test_dim_h_odd_proof_computes_each_kernel_once(monkeypatch):
+    # one graded_dim series, and one step a kernel from it: no kernel is
+    # summed afresh, and ker_psi_dim is not called
     calls = Counter()
-    real = formulas.ker_psi_dim
+    real = formulas._kernels
 
-    def counted(t, n):
-        calls[(t, n)] += 1
-        return real(t, n)
+    def counted(n, dims):
+        calls[(n, len(dims))] += 1
+        return real(n, dims)
 
-    monkeypatch.setattr(formulas, "ker_psi_dim", counted)
+    monkeypatch.setattr(formulas, "_kernels", counted)
+    monkeypatch.setattr(formulas, "ker_psi_dim", None)
     for q in range(-1, 12):
         calls.clear()
         dim_h_odd_proof(3, q)
-        assert calls == Counter({(s, 3): 1 for s in range(q)}), q
+        assert calls == Counter({(3, q + 1): 1} if q >= 0 else {}), q
 
 
 def test_cocycle_dim_bookkeeping():

@@ -162,6 +162,11 @@ def test_constructor_guards():
     m = RationalMatrix(2, 2, {(0, 0): 0, (1, 1): Fraction(2, 4)})
     assert m.nnz == 1 and m.get(1, 1) == Fraction(1, 2)
     assert m.get(0, 0) == 0
+    # a float is refused as inexact; an exact string is not
+    for v in (0.1, 0.5, float("inf"), float("nan")):
+        with pytest.raises(TypeError, match=r"entry \(1, 0\) is the float %s" % v):
+            RationalMatrix(2, 2, {(1, 0): v})
+    assert RationalMatrix(1, 1, {(0, 0): "1/2"}).get(0, 0) == Fraction(1, 2)
 
 
 def test_get_outside_the_shape_raises():
@@ -183,6 +188,10 @@ def test_from_columns_and_column():
                                  (3, [{0: 1}], 0)):
         with pytest.raises(ValueError):
             RationalMatrix.from_columns(rows, columns, scale)
+    for scale in (0.1, 0.5, float("inf"), float("nan")):
+        with pytest.raises(TypeError, match="the scale is the float %s" % scale):
+            RationalMatrix.from_columns(1, [{0: 1}], scale)
+    assert RationalMatrix.from_columns(1, [{0: 1}], "1/2").get(0, 0) == Fraction(1, 2)
 
 
 def test_storage_does_not_change_the_matrix():

@@ -143,6 +143,14 @@ def test_element_homogeneity_and_zero():
     assert (elem((0,)) + SuperElement.zero()) == elem((0,))
 
 
+def test_an_element_refuses_a_float_coefficient():
+    for c in (0.1, 0.5, float("inf"), float("nan")):
+        with pytest.raises(TypeError, match=r"of SuperMonomial\(\(0,\), \(\)\) is the float %s"
+                           % c):
+            SuperElement({mono((0,)): c})
+    assert SuperElement({mono((0,)): "1/2"}).terms == {mono((0,)): Fraction(1, 2)}
+
+
 def test_element_scalar_arithmetic():
     a = elem((0,), (1, 0)) + elem((1,), (0, 1), 3)
     assert 2 * a == a * 2 == a + a
