@@ -18,51 +18,25 @@ size limits and checks and every error type main catches.  `even`,
 alone, so a refused command never loads the engine; `compute` refuses
 a negative or oversized --q-max before it reads its file, then parses
 it (exit 1), then refuses by size (exit 3), then validates it (exit 2):
-betti_table makes its size refusals before require_valid.  The engine
-functions the verbs call are attributes of this module, each imported
-on first access and then kept (module __getattr__), so a verb loads
-only the modules it reaches: `--method formula` loads formulas and
-reports, and no module of the rank engine.
+betti_table makes its size refusals before require_valid.  Each verb
+imports what it calls inside the branch that calls it: the public
+names from the package, whose lazy namespace loads each module on
+first use, and the private ones (_parse_table, the formula report
+builders) from their own modules.  So a verb loads only the modules it
+reaches, `--method formula` loads formulas and reports and no module
+of the rank engine, and a name patched on the package, or a private
+name patched on its module, is the one the verbs call.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from importlib import import_module
 
 from .limits import (DEFAULT_COLUMN_CAP, AlgebraParseError, CodomainTooLarge,
                      ColumnCapExceeded, DegreeLimitExceeded, GridTooLarge,
                      ReportInvariantError, check_column_cap, check_degree,
                      check_grid, even_family_shape, odd_family_shape)
-
-# The engine names the verbs reach, by module.  Each is imported on first
-# access and bound in this module once; the verbs look it up here
-# (_engine), so a name patched on this module stays patched.
-_ENGINE = {
-    "make_heisenberg_even": "algebra", "make_heisenberg_odd": "algebra",
-    "betti_table": "cohomology", "even_formula_report": "formulas",
-    "odd_formula_report": "formulas", "_parse_table": "fileformats",
-    "emit_report": "reports", "verify_family": "verify",
-}
-
-
-def __getattr__(name):
-    if name not in _ENGINE:
-        raise AttributeError("module %r has no attribute %r" % (__name__, name))
-    value = getattr(import_module("." + _ENGINE[name], __package__), name)
-    globals()[name] = value
-    return value
-
-
-def _engine(name: str):
-    """This module's attribute `name`: a patch if there is one, else the
-    engine object, imported and bound on its first use."""
-    try:
-        return globals()[name]
-    except KeyError:
-        return __getattr__(name)
-
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -116,14 +90,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_even.add_argument("--m", type=int, required=True)
     p_even.add_argument("--q-max", type=int, required=True)
     _add_output_options(p_even)
-    p_even.set_defaults(func=_cmd_even)
+    p_even.set_defaults(func=_cmd_family)
 
     p_odd = sub.add_parser("odd",
                            help="Betti table of the odd-center family h_n")
     p_odd.add_argument("--n", type=int, required=True)
     p_odd.add_argument("--q-max", type=int, required=True)
     _add_output_options(p_odd)
-    p_odd.set_defaults(func=_cmd_odd)
+    p_odd.set_defaults(func=_cmd_family)
 
     # closed forms exist only for the built-in families: no --method on compute
     for p in (p_even, p_odd):
@@ -152,61 +126,55 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(reports, fmt: str) -> int:
-    sys.stdout.buffer.write(_engine("emit_report")(reports, fmt))
+    from . import emit_report
+    sys.stdout.buffer.write(emit_report(reports, fmt))
     sys.stdout.buffer.flush()
     return EXIT_OK
 
 
-def _family_reports(args, shape, build_family, formula_factory):
-    """Reports of a built-in family, given its (name, superdim) shape.
+def _cmd_family(args) -> int:
+    """Reports of the built-in family the verb names, `even` or `odd`.
 
     The rank route checks every degree against the column cap from the
-    shape alone, so a refusal comes before the family is built.
+    family's shape alone, so a refusal comes before the family is built.
     """
+    even = args.command == "even"
+    params = (args.n, args.m) if even else (args.n,)
+    shape = (even_family_shape if even else odd_family_shape)(*params)
     if args.q_max < 0:
         raise ValueError("--q-max must be nonnegative")
     check_degree(args.q_max)
-    reports = []
-    ranked = None
+    ranked = formula = None
     if args.method in ("rank", "both"):
         check_column_cap(*shape, args.q_max, args.column_cap)
-        ranked = _engine("betti_table")(build_family(), args.q_max, args.column_cap)
+        from . import betti_table, make_heisenberg_even, make_heisenberg_odd
+        build = make_heisenberg_even if even else make_heisenberg_odd
+        ranked = betti_table(build(*params), args.q_max, args.column_cap)
+    if args.method in ("formula", "both"):
+        from .formulas import even_formula_report, odd_formula_report
+        formula = even_formula_report if even else odd_formula_report
+    reports = []
     for q in range(args.q_max + 1):
         if ranked is not None:
             reports.append(ranked[q])
-        if args.method in ("formula", "both"):
-            reports.append(formula_factory(q))
-    return reports
-
-
-def _cmd_even(args) -> int:
-    reports = _family_reports(
-        args, even_family_shape(args.n, args.m),
-        lambda: _engine("make_heisenberg_even")(args.n, args.m),
-        lambda q: _engine("even_formula_report")(args.n, args.m, q))
-    return _emit(reports, args.format)
-
-
-def _cmd_odd(args) -> int:
-    reports = _family_reports(
-        args, odd_family_shape(args.n),
-        lambda: _engine("make_heisenberg_odd")(args.n),
-        lambda q: _engine("odd_formula_report")(args.n, q))
+        if formula is not None:
+            reports.append(formula(*params, q))
     return _emit(reports, args.format)
 
 
 def _cmd_compute(args) -> int:
-    # the degree's refusals first, in _family_reports' order, so a bad
+    # the degree's refusals first, in _cmd_family's order, so a bad
     # --q-max costs no read, parse or validation of the file
     if args.q_max < 0:
         raise ValueError("--q-max must be nonnegative")
     check_degree(args.q_max)
     with open(args.algebra, "rb") as fh:
         text = fh.read()
+    from . import betti_table
+    from .fileformats import _parse_table
     # unvalidated: betti_table refuses by size before it validates
-    alg = _engine("_parse_table")(text)
-    reports = _engine("betti_table")(alg, args.q_max, args.column_cap)
-    return _emit(reports, args.format)
+    return _emit(betti_table(_parse_table(text), args.q_max, args.column_cap),
+                 args.format)
 
 
 def _verify_text(res) -> str:
@@ -240,8 +208,9 @@ def _verify_json(res) -> str:
 
 def _cmd_verify(args) -> int:
     check_grid(args.family, args.n_max, args.m_max, args.q_max, args.column_cap)
-    res = _engine("verify_family")(args.family, args.n_max, args.m_max,
-                                   args.q_max, args.column_cap)
+    from . import verify_family
+    res = verify_family(args.family, args.n_max, args.m_max, args.q_max,
+                        args.column_cap)
     text = _verify_text(res) if args.format == "text" else _verify_json(res)
     sys.stdout.buffer.write(text.encode("utf-8"))
     sys.stdout.buffer.flush()

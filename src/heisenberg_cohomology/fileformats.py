@@ -85,6 +85,9 @@ def _parse_table(text) -> LieSuperalgebra:
             line = len(_lines(text[:exc.start].decode("utf-8") + "."))
             raise AlgebraParseError("byte 0x%02x is not UTF-8 (%s)"
                                     % (text[exc.start], exc.reason), line) from None
+    # an editor's byte-order mark is no part of the first line; one
+    # anywhere else is an error on its line
+    text = text.removeprefix("\ufeff")
     name = None
     gens: List[Tuple[str, int]] = []
     gen_index: Dict[str, int] = {}

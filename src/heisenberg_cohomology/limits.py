@@ -52,7 +52,8 @@ MAX_GRID_POINTS = 1000
 class _Rebuilt:
     """Base of the refusal types below, and their one constructor: it
     keeps its arguments as the attributes named in `_init_args`, in
-    order, and formats the class's message template `_text` from them.
+    order, and formats the class's message template `_text` from them
+    and from what a class's `_fields` derives from them.
     Pickle and copy call the constructor again with those attributes,
     then restore the instance dictionary (notes included)."""
 
@@ -64,7 +65,11 @@ class _Rebuilt:
             raise TypeError("%s takes %d arguments but %d were given"
                             % (type(self).__name__, len(self._init_args), len(args)))
         vars(self).update(zip(self._init_args, args))
-        super().__init__(self._text % vars(self))
+        super().__init__(self._text % self._fields())
+
+    def _fields(self) -> dict:
+        """What `_text` is formatted from: the attributes."""
+        return vars(self)
 
     def __reduce__(self):
         return (type(self), tuple(getattr(self, a) for a in self._init_args),
@@ -79,23 +84,35 @@ class DegreeLimitExceeded(_Rebuilt, RuntimeError):
 
 
 class ColumnCapExceeded(_Rebuilt, RuntimeError):
-    """Refusal to build a coboundary matrix wider than the cap."""
+    """Refusal to build a coboundary matrix wider than the cap, for a
+    call that asked for degrees up to `top`.  `fits` is the largest top
+    degree whose degrees all fit the cap (-1 when none does), and
+    `needed` the least cap that admits every degree up to `top` and the
+    codomain above it."""
 
-    _init_args = ("algebra_name", "q", "columns", "cap")
+    _init_args = ("algebra_name", "q", "columns", "cap", "top", "fits", "needed")
     _text = ("refusing %(algebra_name)s at q=%(q)d: matrix has %(columns)d columns, "
-             "cap is %(cap)d (raise the cap to force the computation)")
+             "cap is %(cap)d (%(fitting)s; a cap of %(needed)d admits q <= %(top)d)")
+
+    def _fields(self) -> dict:
+        return dict(vars(self), fitting="q <= %d fits" % self.fits if self.fits >= 0
+                    else "no degree fits")
 
 
 class CodomainTooLarge(_Rebuilt, RuntimeError):
     """Refusal to build a coboundary matrix whose codomain has more rows
     than CODOMAIN_ROWS_PER_COLUMN times the column cap.  `codomain`
     names the space: C^{q+1} by default, psi's A^{q+2} in verify and
-    psi_matrix, A^{q+2} in lefschetz_block."""
+    psi_matrix, A^{q+2} in lefschetz_block.  The message names the
+    least cap that admits the rows."""
 
     _init_args = ("algebra_name", "q", "rows", "limit", "codomain")
     _text = ("refusing %%(algebra_name)s at q=%%(q)d: %%(codomain)s has %%(rows)d rows, "
-             "limit is %%(limit)d (%d times the column cap; raise the cap to force "
-             "the computation)" % CODOMAIN_ROWS_PER_COLUMN)
+             "limit is %%(limit)d (%d times the column cap; a cap of %%(needed)d "
+             "admits it)" % CODOMAIN_ROWS_PER_COLUMN)
+
+    def _fields(self) -> dict:
+        return dict(vars(self), needed=_cap_admitting(self.rows))
 
     def __init__(self, algebra_name: str, q: int, rows: int, limit: int,
                  codomain: str | None = None):
@@ -196,6 +213,12 @@ def check_degree(q_max: int) -> None:
         raise DegreeLimitExceeded(q_max, MAX_Q_MAX)
 
 
+def _cap_admitting(rows: int) -> int:
+    """The least column cap under which a codomain of `rows` rows is not
+    refused: rows over CODOMAIN_ROWS_PER_COLUMN, rounded up."""
+    return -(-rows // CODOMAIN_ROWS_PER_COLUMN)
+
+
 def _check_codomain(name: str, q: int, rows: int, cap: int,
                     codomain: str | None = None) -> None:
     """Refuse `rows` over CODOMAIN_ROWS_PER_COLUMN * cap with
@@ -212,13 +235,18 @@ def _checked_dims(name: str, superdim: tuple[int, int], top: int,
     MAX_Q_MAX (before any dimension is counted), then each of `degrees`
     (in order) over the cap, and C^{top+1} over
     CODOMAIN_ROWS_PER_COLUMN * cap.  The dimensions are counted once,
-    as one series (_graded_dims), in O(top) steps."""
+    as one series (_graded_dims), in O(top) steps; a column-cap refusal
+    reads from it what would fit and what cap would admit the call."""
     check_degree(top)
+    series = _graded_dims(superdim, top + 1)
     dims = {-1: 0}
-    dims.update(enumerate(_graded_dims(superdim, top + 1)))
+    dims.update(enumerate(series))
     for q in degrees:
         if dims[q] > cap:
-            raise ColumnCapExceeded(name, q, dims[q], cap)
+            widths = series[:top + 1]
+            fits = next(p for p, width in enumerate(widths) if width > cap) - 1
+            needed = max(*widths, _cap_admitting(series[top + 1]))
+            raise ColumnCapExceeded(name, q, dims[q], cap, top, fits, needed)
     _check_codomain(name, top, dims[top + 1], cap)
     return dims
 

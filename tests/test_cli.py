@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from heisenberg_cohomology import algebra, cli, limits, verify
+import heisenberg_cohomology
+from heisenberg_cohomology import algebra, cli, fileformats, formulas, limits, verify
 from heisenberg_cohomology.algebra import (LieSuperalgebra, make_heisenberg_even,
                                            make_heisenberg_odd)
 from heisenberg_cohomology.fileformats import format_algebra
@@ -132,10 +133,10 @@ def test_verify_json_payload(capsysbinary):
     assert payload["ok"] is True
     assert payload["failures"] == 0
     assert payload["deviations"] == 1
-    formulas = {c["formula"] for c in payload["checks"]}
-    assert formulas == {"dim_h_odd_proof", "dim_h_odd_displayed",
-                        "ker_psi_dim[l=1]", "ker_psi_dim[l=2]",
-                        "ker_psi_dim[l=3]"}
+    names = {c["formula"] for c in payload["checks"]}
+    assert names == {"dim_h_odd_proof", "dim_h_odd_displayed",
+                     "ker_psi_dim[l=1]", "ker_psi_dim[l=2]",
+                     "ker_psi_dim[l=3]"}
     bad = [c for c in payload["checks"] if not c["ok"]]
     assert bad == [{"formula": "dim_h_odd_displayed", "n": 1, "m": None,
                     "q": 2, "formula_value": 3, "oracle_value": 2,
@@ -208,7 +209,7 @@ def test_compute_refuses_a_negative_degree_before_reading_its_file(capsysbinary,
                                                                   tmp_path):
     # the same order as even and odd: the sign of --q-max is checked
     # before the file is read, parsed or validated
-    monkeypatch.setattr(cli, "_parse_table", _never_built)
+    monkeypatch.setattr(fileformats, "_parse_table", _never_built)
     broken = tmp_path / "broken.alg"
     broken.write_text("name a\ngenerator x 0\nbracket x w = x:1\n")
     for path in (tmp_path / "missing.alg", broken):
@@ -231,7 +232,7 @@ def test_compute_refuses_by_size_before_it_validates(capsysbinary, monkeypatch, 
         LieSuperalgebra("sl2^5", *change_basis(random.Random(5), table))))
     monkeypatch.setattr(algebra, "validate", _never_validated)
     assert run_cli(capsysbinary, ["compute", "--algebra", str(path), "--q-max", "6"]) \
-        == (3, b"", _refusal("sl2^5", 6, 5005))
+        == (3, b"", _refusal("sl2^5", 6, 5005, 5005, 6))
 
 
 def test_compute_parses_then_refuses_by_size_then_validates(capsysbinary, tmp_path):
@@ -298,10 +299,12 @@ def test_readme_examples_run(tmp_path, capsysbinary):
         assert b"Traceback" not in out + err, argv
 
 
-def _refusal(name, q, columns):
+def _refusal(name, q, columns, needed, top, cap=5000):
+    # the CLI checks degrees from 0 up, so q - 1 is the largest that fits
+    fitting = "q <= %d fits" % (q - 1) if q else "no degree fits"
     return ("resource refusal: refusing %s at q=%d: matrix has %d columns, "
-            "cap is 5000 (raise the cap to force the computation)\n"
-            % (name, q, columns)).encode()
+            "cap is %d (%s; a cap of %d admits q <= %d)\n"
+            % (name, q, columns, cap, fitting, needed, top)).encode()
 
 
 def _never_built(*args):
@@ -309,15 +312,15 @@ def _never_built(*args):
 
 
 def test_refusal_comes_before_the_family_is_built(capsysbinary, monkeypatch):
-    monkeypatch.setattr(cli, "make_heisenberg_even", _never_built)
-    monkeypatch.setattr(cli, "make_heisenberg_odd", _never_built)
+    monkeypatch.setattr(heisenberg_cohomology, "make_heisenberg_even", _never_built)
+    monkeypatch.setattr(heisenberg_cohomology, "make_heisenberg_odd", _never_built)
     for argv, message in (
             (["even", "--n", "400", "--m", "1", "--q-max", "9"],
-             _refusal("h_{400,1}", 2, 321202)),
+             _refusal("h_{400,1}", 2, 321202, 361652995614034042122, 9)),
             (["even", "--n", "400", "--m", "1", "--q-max", "9", "--method", "both"],
-             _refusal("h_{400,1}", 2, 321202)),
+             _refusal("h_{400,1}", 2, 321202, 361652995614034042122, 9)),
             (["odd", "--n", "3000000", "--q-max", "2"],
-             _refusal("h_3000000", 1, 6000001))):
+             _refusal("h_3000000", 1, 6000001, 360000180000080001, 2))):
         code, out, err = run_cli(capsysbinary, argv)
         assert (code, out, err) == (3, b"", message), argv
 
@@ -329,10 +332,10 @@ def test_verify_refuses_the_grid_before_computing(capsysbinary, monkeypatch):
     monkeypatch.setattr(verify, "_Workspace", _never_built)
     for argv, message in (
             (["verify", "--family", "even", "--n-max", "1", "--m-max", "120",
-              "--q-max", "2"], _refusal("h_{1,97}", 2, 5047)),
+              "--q-max", "2"], _refusal("h_{1,97}", 2, 5047, 5047, 2)),
             (["verify", "--family", "odd", "--n-max", "9", "--q-max", "3",
               "--column-cap", "300"],
-             _refusal("h_6", 3, 377).replace(b"cap is 5000", b"cap is 300"))):
+             _refusal("h_6", 3, 377, 377, 3, cap=300))):
         code, out, err = run_cli(capsysbinary, argv)
         assert (code, out, err) == (3, b"", message), argv
 
@@ -364,21 +367,22 @@ def test_verify_refuses_an_oversized_psi_codomain(capsysbinary, monkeypatch):
     for argv, message in (
             (["verify", "--family", "odd", "--n-max", "499", "--q-max", "1"],
              "refusing h_73 at q=1: psi's codomain A^3 has 518738 rows, "
-             "limit is 500000"),
+             "limit is 500000 (100 times the column cap; a cap of 5188 admits it)"),
             (["verify", "--family", "odd", "--n-max", "20", "--q-max", "1",
               "--column-cap", "50"],
              "refusing h_16 at q=1: psi's codomain A^3 has 5472 rows, "
-             "limit is 5000")):
+             "limit is 5000 (100 times the column cap; a cap of 55 admits it)")):
         code, out, err = run_cli(capsysbinary, argv)
         assert (code, out) == (3, b""), argv
-        assert err == ("resource refusal: %s (100 times the column cap; raise "
-                       "the cap to force the computation)\n" % message).encode()
+        assert err == ("resource refusal: %s\n" % message).encode()
 
 
 def test_negative_column_cap_is_a_usage_error(capsysbinary, monkeypatch):
-    for name in ("check_column_cap", "betti_table", "verify_family",
-                 "_parse_table", "make_heisenberg_even", "make_heisenberg_odd"):
-        monkeypatch.setattr(cli, name, _never_built)
+    monkeypatch.setattr(cli, "check_column_cap", _never_built)
+    monkeypatch.setattr(fileformats, "_parse_table", _never_built)
+    for name in ("betti_table", "verify_family", "make_heisenberg_even",
+                 "make_heisenberg_odd"):
+        monkeypatch.setattr(heisenberg_cohomology, name, _never_built)
     for argv in (["even", "--n", "1", "--m", "1", "--q-max", "1"],
                  ["odd", "--n", "1", "--q-max", "1", "--method", "formula"],
                  ["compute", "--algebra", "missing.alg", "--q-max", "1"],
@@ -393,8 +397,7 @@ def test_negative_column_cap_is_a_usage_error(capsysbinary, monkeypatch):
     # column), and the closed forms never refuse
     code, _, err = run_cli(capsysbinary, ["even", "--n", "1", "--m", "1",
                                           "--q-max", "1", "--column-cap", "0"])
-    assert (code, err) == (3, _refusal("h_{1,1}", 0, 1).replace(b"cap is 5000",
-                                                               b"cap is 0"))
+    assert (code, err) == (3, _refusal("h_{1,1}", 0, 1, 4, 1, cap=0))
     code, _, _ = run_cli(capsysbinary, ["odd", "--n", "1", "--q-max", "1",
                                         "--method", "formula", "--column-cap", "0"])
     assert code == 0
@@ -404,13 +407,13 @@ def test_oversized_codomain_refuses_before_the_family_is_built(capsysbinary,
                                                               monkeypatch):
     # 4999 columns at q=1 fit the cap, but d_1's codomain C^2 has
     # 12,495,001 rows, over 100 times the cap
-    monkeypatch.setattr(cli, "make_heisenberg_odd", _never_built)
-    monkeypatch.setattr(cli, "betti_table", _never_built)
+    monkeypatch.setattr(heisenberg_cohomology, "make_heisenberg_odd", _never_built)
+    monkeypatch.setattr(heisenberg_cohomology, "betti_table", _never_built)
     code, out, err = run_cli(capsysbinary, ["odd", "--n", "2499", "--q-max", "1"])
     assert (code, out) == (3, b"")
     assert err == (b"resource refusal: refusing h_2499 at q=1: codomain C^2 has "
                    b"12495001 rows, limit is 500000 (100 times the column cap; "
-                   b"raise the cap to force the computation)\n")
+                   b"a cap of 124951 admits it)\n")
 
 
 def test_refusal_message_matches_betti_table(capsysbinary):
@@ -425,7 +428,7 @@ def test_refusal_message_matches_betti_table(capsysbinary):
 
 
 def test_formula_method_never_refuses(capsysbinary, monkeypatch):
-    monkeypatch.setattr(cli, "make_heisenberg_even", _never_built)
+    monkeypatch.setattr(heisenberg_cohomology, "make_heisenberg_even", _never_built)
     code, out, _ = run_cli(capsysbinary, [
         "even", "--n", "400", "--m", "1", "--q-max", "9", "--method", "formula",
         "--format", "csv"])
@@ -450,7 +453,7 @@ def test_family_parameters_are_checked_before_q_max(capsysbinary):
 def test_internal_error_exit_5_without_traceback(capsysbinary, monkeypatch):
     def broken(*args):
         raise AssertionError("d_1 has shape 3x2, not dim C^2 x dim C^1")
-    monkeypatch.setattr(cli, "betti_table", broken)
+    monkeypatch.setattr(heisenberg_cohomology, "betti_table", broken)
     code, out, err = run_cli(capsysbinary, [
         "odd", "--n", "1", "--q-max", "2"])
     assert (code, out) == (5, b"")
@@ -466,13 +469,12 @@ def test_each_error_type_has_one_line_and_one_exit_code(capsysbinary, monkeypatc
              "validation error: algebra fails validation:\n  jacobi: (0, 1, 2)"),
             (limits.DegreeLimitExceeded(101, 100), 3,
              "resource refusal: refusing --q-max 101, limit is 100"),
-            (limits.ColumnCapExceeded("h_1", 2, 9, 5), 3,
+            (limits.ColumnCapExceeded("h_1", 2, 9, 5, 2, 1, 9), 3,
              "resource refusal: refusing h_1 at q=2: matrix has 9 columns, cap is 5 "
-             "(raise the cap to force the computation)"),
+             "(q <= 1 fits; a cap of 9 admits q <= 2)"),
             (limits.CodomainTooLarge("h_1", 2, 900, 500), 3,
              "resource refusal: refusing h_1 at q=2: codomain C^3 has 900 rows, "
-             "limit is 500 (100 times the column cap; raise the cap to force the "
-             "computation)"),
+             "limit is 500 (100 times the column cap; a cap of 9 admits it)"),
             (limits.GridTooLarge(2000, 1000), 3,
              "resource refusal: refusing a verify grid of 2000 points, limit is 1000"),
             (OSError(2, "No such file or directory", "x.alg"), 1,
@@ -484,7 +486,7 @@ def test_each_error_type_has_one_line_and_one_exit_code(capsysbinary, monkeypatc
         def raising(*args, exc=exc):
             raise exc
 
-        monkeypatch.setattr(cli, "betti_table", raising)
+        monkeypatch.setattr(heisenberg_cohomology, "betti_table", raising)
         got = run_cli(capsysbinary, ["odd", "--n", "1", "--q-max", "2"])
         assert got == (code, b"", (line + "\n").encode()), type(exc).__name__
 
@@ -497,7 +499,7 @@ def test_inconsistent_report_is_an_internal_error(capsysbinary, monkeypatch):
         # dim H^q = 5 with 1 cocycle and no coboundary
         return CohomologyReport("h_%d" % n, q, 1, 1, 0, 5, METHOD_FORMULA_ODD_PROOF)
 
-    monkeypatch.setattr(cli, "odd_formula_report", inconsistent)
+    monkeypatch.setattr(formulas, "odd_formula_report", inconsistent)
     code, out, err = run_cli(capsysbinary, [
         "odd", "--n", "1", "--q-max", "0", "--method", "formula"])
     assert (code, out) == (5, b"")
@@ -511,10 +513,11 @@ def _degree_refusal(q_max):
 
 
 def test_degree_limit_refuses_before_any_work(capsysbinary, monkeypatch, tmp_path):
-    for name in ("make_heisenberg_even", "make_heisenberg_odd", "betti_table",
-                 "check_column_cap", "even_formula_report",
-                 "odd_formula_report", "_parse_table"):
-        monkeypatch.setattr(cli, name, _never_built)
+    for name in ("make_heisenberg_even", "make_heisenberg_odd", "betti_table"):
+        monkeypatch.setattr(heisenberg_cohomology, name, _never_built)
+    for module, name in ((cli, "check_column_cap"), (formulas, "even_formula_report"),
+                         (formulas, "odd_formula_report"), (fileformats, "_parse_table")):
+        monkeypatch.setattr(module, name, _never_built)
     monkeypatch.setattr(verify, "_betti_table", _never_built)
     monkeypatch.setattr(verify, "_Workspace", _never_built)
     monkeypatch.setattr(limits, "check_column_cap", _never_built)

@@ -172,8 +172,8 @@ def test_betti_table_refuses_before_building(monkeypatch):
     # dims (29|16): 1006 columns at q=2, 3654 + 6496 + 3944 + 816 at q=3
     assert (err.value.q, err.value.columns, err.value.cap) == (3, 14910, 5000)
     assert str(err.value) == ("refusing h_{14,16} at q=3: matrix has 14910 "
-                              "columns, cap is 5000 (raise the cap to force "
-                              "the computation)")
+                              "columns, cap is 5000 (q <= 2 fits; a cap of "
+                              "14910 admits q <= 3)")
 
 
 def test_checked_rank_rejects_a_misshapen_matrix(monkeypatch):

@@ -183,6 +183,49 @@ def test_a_line_number_after_a_form_feed_is_the_editors():
     assert err.line == 3 and "not UTF-8" in str(err)
 
 
+TWO = "name a\ngenerator x 0\ngenerator y 0\n"
+
+
+@pytest.mark.parametrize("text, line, message", (
+    ("generator x 0\nname a b\n", 2, "'name' takes exactly one token"),
+    ("name a\ngenerator x\n", 2, "'generator' takes a name and a parity"),
+    (TWO + "bracket x y = x:1 y\n", 4, "expected target:coeff, got 'y'"),
+    (TWO + "bracket x y = w:1\n", 4, "unknown generator 'w'"),
+    (TWO + "bracket x y = x:1 y:2 x:3\n", 4, "generator 'x' repeated in bracket result")),
+    ids=("name-tokens", "generator-tokens", "no-colon", "unknown-target", "repeated-target"))
+def test_each_malformed_directive_names_its_line(text, line, message):
+    err = parse_error(text)
+    assert (err.line, err.message, str(err)) == (line, message, "line %d: %s" % (line, message))
+
+
+def test_a_leading_byte_order_mark_is_dropped(tmp_path, capsysbinary):
+    # an editor may save UTF-8 with a byte-order mark: the one at the
+    # start is no part of the first directive, in bytes or in text
+    want = parse_algebra(PLAIN)
+    assert parse_algebra(b"\xef\xbb\xbf" + PLAIN.encode("ascii")) == want
+    assert parse_algebra("\ufeff" + PLAIN) == want
+    # the lines keep the editor's numbers, on the UTF-8 error path too
+    err = parse_error(b"\xef\xbb\xbfname a\ngenerator x 2\n")
+    assert err.line == 2 and "parity" in str(err)
+    err = parse_error(b"\xef\xbb\xbfname a\n\xff")
+    assert err.line == 2 and "not UTF-8" in str(err)
+    # a second mark, or one anywhere else, is an error on its line
+    err = parse_error("\ufeff\ufeffname a\n")
+    assert str(err) == "line 1: unknown directive '\\ufeffname'"
+    err = parse_error("name a\n\ufeffgenerator x 0\n")
+    assert str(err) == "line 2: unknown directive '\\ufeffgenerator'"
+    # compute reads its file as bytes
+    path = tmp_path / "t.alg"
+    outputs = []
+    for mark in (b"", b"\xef\xbb\xbf"):
+        path.write_bytes(mark + b"name t\ngenerator x 0\n")
+        code = cli.main(["compute", "--algebra", str(path), "--q-max", "1"])
+        captured = capsysbinary.readouterr()
+        assert (code, captured.err) == (0, b""), mark
+        outputs.append(captured.out)
+    assert outputs[0] == outputs[1] and outputs[0].startswith(b"algebra")
+
+
 def test_an_over_long_numeral_is_a_parse_error(tmp_path, capsysbinary):
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if not limit:
@@ -309,7 +352,7 @@ def test_compute_refuses_a_wide_file_by_its_size(tmp_path, capsysbinary):
     assert code == 3 and captured.out == b""
     assert captured.err == (b"resource refusal: refusing wide at q=1: codomain C^2 "
                             b"has 719400 rows, limit is 500000 (100 times the column "
-                            b"cap; raise the cap to force the computation)\n")
+                            b"cap; a cap of 7194 admits it)\n")
 
 
 def test_emit_csv_golden():

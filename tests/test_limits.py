@@ -24,8 +24,9 @@ from heisenberg_cohomology.limits import (AlgebraParseError,
 # one instance of every error type, with the attributes it must keep
 ERRORS = (
     (DegreeLimitExceeded(101, 100), {"degree": 101, "limit": 100}),
-    (ColumnCapExceeded("h_{1,97}", 2, 5047, 5000),
-     {"algebra_name": "h_{1,97}", "q": 2, "columns": 5047, "cap": 5000}),
+    (ColumnCapExceeded("h_{1,97}", 2, 5047, 5000, 2, 1, 5047),
+     {"algebra_name": "h_{1,97}", "q": 2, "columns": 5047, "cap": 5000,
+      "top": 2, "fits": 1, "needed": 5047}),
     (CodomainTooLarge("h_2499", 1, 12495001, 500000),
      {"algebra_name": "h_2499", "q": 1, "rows": 12495001, "limit": 500000,
       "codomain": "codomain C^2"}),
@@ -65,11 +66,11 @@ def test_every_error_survives_pickle_and_copy(error, attributes):
 TEXTS = (
     "refusing degree 101, limit is 100",
     "refusing h_{1,97} at q=2: matrix has 5047 columns, cap is 5000 "
-    "(raise the cap to force the computation)",
+    "(q <= 1 fits; a cap of 5047 admits q <= 2)",
     "refusing h_2499 at q=1: codomain C^2 has 12495001 rows, limit is 500000 "
-    "(100 times the column cap; raise the cap to force the computation)",
+    "(100 times the column cap; a cap of 124951 admits it)",
     "refusing h_73 at q=1: psi's codomain A^3 has 518738 rows, limit is 500000 "
-    "(100 times the column cap; raise the cap to force the computation)",
+    "(100 times the column cap; a cap of 5188 admits it)",
     "refusing a verify grid of 1600 points, limit is 1000",
     "line 3: unknown generator 'w'",
     "algebra fails validation:\n  jacobi: (x, y, z) leaves 1*z\n"
@@ -84,6 +85,51 @@ def test_every_error_keeps_its_text(error, text):
     # pinned literally, so a drift in a shared template cannot pass
     # unseen; the one argument is the message
     assert str(error) == text and error.args == (text,)
+
+
+def _refused(check, *args):
+    with pytest.raises((ColumnCapExceeded, CodomainTooLarge)) as err:
+        check(*args)
+    return str(err.value)
+
+
+def test_a_refusal_names_what_would_fit():
+    # a column-cap refusal names the largest top degree whose degrees all
+    # fit, and the cap that admits every degree asked for: h_9's C^19
+    # over (9|10) has 654,862,247 columns, its C^20 fewer than 100 times that
+    assert limits.graded_dim((9, 10), 19) == 654862247
+    assert _refused(limits.check_column_cap, "h_9", (9, 10), 19, 5000) == (
+        "refusing h_9 at q=4: matrix has 5641 columns, cap is 5000 "
+        "(q <= 3 fits; a cap of 654862247 admits q <= 19)")
+    # C^0 has one column, so a cap of 0 fits no degree
+    assert _refused(limits.check_column_cap, "h_1", (1, 2), 1, 0) == (
+        "refusing h_1 at q=0: matrix has 1 columns, cap is 0 "
+        "(no degree fits; a cap of 3 admits q <= 1)")
+    # the admitting cap covers the top codomain too: C^2 of h_2499 has
+    # 12,495,001 rows, so a cap of its 4999 columns at q=1 would not do
+    assert _refused(limits.check_column_cap, "h_2499", (2499, 2500), 1, 4998) == (
+        "refusing h_2499 at q=1: matrix has 4999 columns, cap is 4998 "
+        "(q <= 0 fits; a cap of 124951 admits q <= 1)")
+    # the cap named is the least one that admits the call
+    for name, superdim, top, cap in (("h_9", (9, 10), 19, 5000),
+                                     ("h_2499", (2499, 2500), 1, 4998),
+                                     ("h_{14,16}", (29, 16), 3, 5000)):
+        with pytest.raises(ColumnCapExceeded) as err:
+            limits.check_column_cap(name, superdim, top, cap)
+        limits.check_column_cap(name, superdim, top, err.value.needed)
+        with pytest.raises((ColumnCapExceeded, CodomainTooLarge)):
+            limits.check_column_cap(name, superdim, top, err.value.needed - 1)
+    # a codomain refusal names the cap that admits its rows: the rows
+    # over CODOMAIN_ROWS_PER_COLUMN, rounded up
+    assert _refused(limits.check_column_cap, "h_2499", (2499, 2500), 1, 5000) == (
+        "refusing h_2499 at q=1: codomain C^2 has 12495001 rows, limit is 500000 "
+        "(100 times the column cap; a cap of 124951 admits it)")
+    assert _refused(limits._check_psi_codomain, 16, 1, 50) == (
+        "refusing h_16 at q=1: psi's codomain A^3 has 5472 rows, limit is 5000 "
+        "(100 times the column cap; a cap of 55 admits it)")
+    assert _refused(limits._check_codomain, "h", 1, 500001, 5000) == (
+        "refusing h at q=1: codomain C^2 has 500001 rows, limit is 500000 "
+        "(100 times the column cap; a cap of 5001 admits it)")
 
 
 def test_a_refusal_is_built_from_its_fields_alone():
@@ -159,13 +205,17 @@ def test_no_module_keeps_a_function_cache():
 
 def _package_imports():
     """(module, enclosing function or None, imported package module) for
-    every import of a package module in the package's source files."""
+    every import of a package module in the package's source files; a
+    name imported from the package itself comes from `__init__`."""
     found = []
+    paths = sorted(Path(heisenberg_cohomology.__file__).parent.glob("*.py"))
+    modules = {path.stem for path in paths}
 
     def visit(module, node, function):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ImportFrom) and child.level:
-                targets = [child.module] if child.module else [a.name for a in child.names]
+                targets = [child.module] if child.module else list(dict.fromkeys(
+                    a.name if a.name in modules else "__init__" for a in child.names))
             elif isinstance(child, ast.Import):
                 targets = [a.name.split(".", 1)[1] for a in child.names
                            if a.name.startswith("heisenberg_cohomology.")]
@@ -175,7 +225,7 @@ def _package_imports():
             inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             visit(module, child, child.name if inner else function)
 
-    for path in sorted(Path(heisenberg_cohomology.__file__).parent.glob("*.py")):
+    for path in paths:
         visit(path.stem, ast.parse(path.read_text()), None)
     return found
 
@@ -187,11 +237,20 @@ def test_the_import_graph():
     assert {target for module, _, target in imports if module == "algebra"}.isdisjoint(
         {"symmetry", "differential"})
     assert ("symmetry", None, "algebra") in imports
-    # every package import is at the top of its module but the direct-sum
-    # search, which only tables past _split_ranks' gate load, and the
-    # report code, which a caller of the closed forms alone never loads
+    # every package import is at the top of its module but the engine
+    # names each verb of the cli calls, which it takes from the package
+    # (or a private one from its module) in the branch that calls it,
+    # the direct-sum search, which only tables past _split_ranks' gate
+    # load, and the report code, which a caller of the closed forms alone
+    # never loads
     assert [entry for entry in imports if entry[1] is not None] \
-        == [("cohomology", "_split_ranks", "directsum"),
+        == [("cli", "_emit", "__init__"),
+            ("cli", "_cmd_family", "__init__"),
+            ("cli", "_cmd_family", "formulas"),
+            ("cli", "_cmd_compute", "__init__"),
+            ("cli", "_cmd_compute", "fileformats"),
+            ("cli", "_cmd_verify", "__init__"),
+            ("cohomology", "_split_ranks", "directsum"),
             ("formulas", "even_formula_report", "reports"),
             ("formulas", "odd_formula_report", "reports")]
     # the kernel loads no listing code: differential and the element API
@@ -203,8 +262,9 @@ def test_the_import_graph():
     # the two routes meet only in reports, which builds and writes the
     # reports of both and imports only limits: no module of the rank
     # route imports the closed forms, which import only limits and
-    # reports; verify alone imports both routes, and fileformats holds
-    # the file format alone
+    # reports; verify alone imports both routes at its top, the cli's
+    # family verbs each in its own branch, and fileformats holds the
+    # file format alone
     def targets(module):
         return {target for source, _, target in imports if source == module}
 
@@ -213,7 +273,8 @@ def test_the_import_graph():
     assert targets("formulas") == {"limits", "reports"}
     assert targets("reports") == {"limits"}
     assert targets("fileformats") == {"algebra", "limits"}
-    assert {source for source, _, target in imports if target == "formulas"} == {"verify"}
+    assert {(source, function) for source, function, target in imports
+            if target == "formulas"} == {("verify", None), ("cli", "_cmd_family")}
     # no module re-exports another's names: every name a module imports
     # from the package is read in that module, so a name is reached
     # through the module that defines it or through the package
@@ -262,13 +323,25 @@ def test_the_element_api_loads_no_listing_code():
     assert "heisenberg_cohomology.symmetry" not in loaded
 
 
-def test_the_cli_binds_each_engine_name_once(monkeypatch):
-    # a patch on the cli survives the verbs that call the patched name
+def test_a_patch_on_the_package_name_reaches_the_verb(monkeypatch):
+    # the cli binds no engine name of its own: each verb imports what it
+    # calls when it calls it, a public name from the package and a
+    # private one from its module, so a patch on either reaches the verb
+    calls = []
+
     def fake(algebra, q_max, column_cap):
+        calls.append((algebra.name, q_max, column_cap))
         return [None] * (q_max + 1)
-    monkeypatch.setattr(cli, "emit_report", lambda reports, fmt: b"")
-    monkeypatch.setattr(cli, "betti_table", fake)
-    assert cli.main(["even", "--n", "1", "--m", "1", "--q-max", "1"]) == 0
-    assert cli.betti_table is fake
+    monkeypatch.setattr(heisenberg_cohomology, "emit_report", lambda reports, fmt: b"")
+    monkeypatch.setattr(heisenberg_cohomology, "betti_table", fake)
+    monkeypatch.setattr(formulas, "even_formula_report", lambda n, m, q: None)
+    assert cli.main(["even", "--n", "1", "--m", "1", "--q-max", "1", "--method", "both"]) == 0
+    assert calls == [("h_{1,1}", 1, limits.DEFAULT_COLUMN_CAP)]
+    assert heisenberg_cohomology.betti_table is fake
+    # the package's hook is the one lazy attribute lookup: the cli binds
+    # no engine name, and no other module defines a module __getattr__
+    assert not hasattr(cli, "betti_table")
+    assert [path.stem for path in sorted(Path(cli.__file__).parent.glob("*.py"))
+            if "\ndef __getattr__(" in path.read_text()] == ["__init__"]
     with pytest.raises(AttributeError, match="no attribute 'frobnicate'"):
-        cli.frobnicate
+        heisenberg_cohomology.frobnicate

@@ -238,8 +238,7 @@ def test_psi_codomain_is_refused_before_any_point(monkeypatch):
     assert (err.value.q, err.value.rows, err.value.limit) == (1, 518738, 500000)
     assert str(err.value) == ("refusing h_73 at q=1: psi's codomain A^3 has "
                               "518738 rows, limit is 500000 (100 times the "
-                              "column cap; raise the cap to force the "
-                              "computation)")
+                              "column cap; a cap of 5188 admits it)")
     # the column cap is still checked first, at every point
     with pytest.raises(limits.ColumnCapExceeded):
         verify.verify_family("odd", 100, None, 2)
