@@ -69,12 +69,13 @@ class LieSuperalgebra:
     `generators` gives the records, built on first read.  The bracket
     table maps index pairs (i, j) with i <= j to {target_index:
     coefficient}.
-    The constructor drops zeros, refuses a float (TypeError: it is not
-    exact), converts each other coefficient that is not an int to
-    Fraction once, and keeps the table as ints over one scale
-    L, the lcm of the reduced denominators: `_table` in the given pair
-    and target order, with `_ad[i][j]` for both index orders, the super
-    sign applied, and `_ad[i][j]` the row of `_table` itself for i <= j.
+    The constructor refuses an index that is not an int (TypeError),
+    drops zeros, refuses a float (TypeError: it is not exact), converts
+    each other coefficient that is not an int to Fraction once, and
+    keeps the table as ints over one scale L, the lcm of the reduced
+    denominators: `_table` in the given pair and target order, with
+    `_ad[i][j]` for both index orders, the super sign applied, and
+    `_ad[i][j]` the row of `_table` itself for i <= j.
     It does not check the axioms; use validate() for that.  No attribute
     can be rebound and nothing reads the ints to change them, so
     `_derived`, the tables derived from them, cannot go stale.
@@ -106,6 +107,10 @@ class LieSuperalgebra:
         dim = len(names)
         table, ad, scale, fractions = {}, {}, 1, False
         for (i, j), targets in brackets.items():
+            for g in (i, j, *targets):
+                if not isinstance(g, int):
+                    raise TypeError("bracket (%r, %r) names the generator index %r, "
+                                    "which is not an int" % (i, j, g))
             if not (0 <= i <= j < dim):
                 raise ValueError("bracket pair (%d, %d) out of range or unordered" % (i, j))
             cleaned = {}

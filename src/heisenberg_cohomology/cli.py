@@ -223,10 +223,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        code = exc.code
-        if code is None:
-            return EXIT_OK
-        return code if isinstance(code, int) else EXIT_USAGE
+        # argparse exits with an int status: 0 after --help, EXIT_USAGE
+        # on a usage error (the parser's own error())
+        return exc.code
     try:
         return args.func(args)
     except AlgebraParseError as exc:

@@ -13,20 +13,21 @@ The halved coefficient on odd self-brackets matches the dual pairing, in
 which <o^2, y ^ y> = 2; tests check the whole convention against the
 alternating-sum formula for <d omega, a_0 ^ ... ^ a_q>.
 
-Each workspace's d-term table reads one pass over the algebra's
-integer table (_d_duals) that derives every d f_k and refuses,
-per target, the first even self-bracket or bracket that is not
-parity-homogeneous, so a d-term of an even dual has 0 or 2 odd factors
-and one of an odd dual exactly one even factor; the kernel relies on
-it.
+There is one way into this kernel: a _Workspace, the d-term table, and
+_coboundary, the one builder of d's columns.  Every block of the rank
+engine, every Lefschetz block (_lefschetz_block, the part of d that
+lowers the power of an odd central dual by one; _odd_centre finds that
+dual), and, in the elements module, every public matrix, psi, tau,
+d_element and d_generator goes through one _coboundary call on a
+workspace; no other module derives a d-term.  The tests hold the
+kernel to the alternating-sum formula entry by entry.
 
-One integer kernel applies the rule, on packed keys with every
-coefficient scaled by a common denominator D, and serves every caller:
-the rank engine's blocks (_coboundary, _lefschetz_block) and, in the
-elements module, the public builders and d_element.  _lefschetz_block
-is the part of d that lowers the power of an odd central dual by one
-(_odd_centre finds that dual).  The tests hold the kernel to the
-alternating-sum formula entry by entry.
+The workspace's constructor makes one pass over the algebra's integer
+table that derives every d f_k and refuses, per target, the first even
+self-bracket or bracket that is not parity-homogeneous, so a d-term of
+an even dual has 0 or 2 odd factors and one of an odd dual exactly one
+even factor; the kernel relies on it.  Every coefficient is scaled by
+a common denominator D, so the kernel works in ints.
 
 A key is the int even_mask + sum_j alpha_j u_j of e_S o^alpha, u_j the
 key of degree 1 of o_j (superexterior._units, which lays the keys out:
@@ -51,7 +52,7 @@ key's slots, are made once per workspace too, not once per block: the
 rank engine builds hundreds of blocks a few columns wide per call, on
 keys that the orbit listing above this module (symmetry.OrbitListing)
 lists, and numbers each block's rows in order of first use
-(_d_columns).  The workspace is dropped when its call returns or
+(_coboundary).  The workspace is dropped when its call returns or
 raises.  What the kernel returns is never mutated.  This module knows
 nothing of monomials, copies or orbits: it imports no listing code.
 """
@@ -67,44 +68,6 @@ from .linalg import RationalMatrix
 from .superexterior import _radix, _units
 
 
-def _d_duals(algebra: LieSuperalgebra):
-    """(terms, refused) from one pass over the algebra's ints: terms[k] lists
-    d f_k's terms (even_mask, even_set, odd_positions, numerator,
-    denominator), one per bracket with target k, in table order, its odd
-    factors as dual positions ((p, p) for [y_p, y_p]), and refused[k]
-    refuses the first such bracket that is an even self-bracket or not
-    parity-homogeneous."""
-    scale = algebra._scale
-    names, parity = algebra._names, algebra._parities
-    position = {g: p for dual in (algebra.even_indices, algebra.odd_indices)
-                for p, g in enumerate(dual)}
-    terms, refused = {}, {}
-    for (i, j), row in algebra._table.items():
-        odds, evens, mask = (), (), 0
-        for g in (i, j):
-            if parity[g] == ODD:
-                odds += (position[g],)
-            else:
-                evens += (position[g],)
-                mask += 1 << position[g]
-        mono = (mask, evens, odds)
-        # d f_k has -c f_i f_j, whose normal form costs a sign when an odd
-        # f_i comes before an even f_j; <o^2, y ^ y> = 2 halves [y, y]
-        sign = 1 if parity[i] > parity[j] else -1
-        denom = 2 * scale if i == j else scale
-        for k, c in row.items():
-            if k in refused:
-                continue
-            if parity[k] != parity[i] ^ parity[j]:
-                refused[k] = ("bracket [%s, %s] -> %s is not parity-homogeneous"
-                              % (names[i], names[j], names[k]))
-            elif i == j and parity[i] != ODD:
-                refused[k] = "even generator %r has a nonzero self-bracket" % names[i]
-            else:
-                terms.setdefault(k, []).append(mono + (sign * c, denom))
-    return terms, refused
-
-
 class _Workspace:
     """One call's d-term table, built once, on packed keys over the
     algebra's dual superdimension.
@@ -113,9 +76,10 @@ class _Workspace:
     largest degree of any key of the call, which fixes the radix.
     `unit` maps each generator to its dual's key of degree
     1 (superexterior._units).  The constructor derives d of every dual
-    generator from _d_duals and raises the first refusal in slot
-    order.  `denom` is D, the lcm of the coefficient denominators, and
-    `scale` the Fraction 1/D that every matrix of the workspace shares;
+    generator in one pass over the integer table and raises the first
+    refusal in slot order.  `scale` is the Fraction 1/D, D the lcm of
+    the coefficient denominators, that every matrix of the workspace
+    shares;
     `evens` has, per even slot, its d-terms as
     (emask, signs, delta, D * coefficient), and `odds` one
     (unit, terms) per odd slot with a nonzero d, its terms the same,
@@ -134,31 +98,53 @@ class _Workspace:
         self.algebra = algebra
         self.dims = algebra.superdim
         self.radix = _radix(degree)
-        terms, refused = _d_duals(algebra)
-        if refused:
-            order = algebra.even_indices + algebra.odd_indices
-            raise ValueError(refused[min(refused, key=order.index)])
-        self.denom = denom = lcm(1, *[d // gcd(c, d) for slot in terms.values()
-                                      for *_, c, d in slot])
         evens, odds = _units(self.dims, self.radix)
-        self.unit = unit = dict(zip(algebra.even_indices + algebra.odd_indices,
-                                    evens + odds))
+        order = algebra.even_indices + algebra.odd_indices
+        self.unit = unit = dict(zip(order, evens + odds))
+        names, parity, scale = algebra._names, algebra._parities, algebra._scale
+        # one pass over the integer table: terms[k] lists d f_k's terms
+        # (even mask, even factors' bits, key, numerator, denominator),
+        # one per bracket with target k, in table order, and refused[k]
+        # the first such bracket that is an even self-bracket or not
+        # parity-homogeneous
+        terms, refused = {}, {}
+        for (i, j), row in algebra._table.items():
+            bits = [unit[g] for g in (i, j) if parity[g] != ODD]
+            # d f_k has -c f_i f_j, whose normal form costs a sign when an odd
+            # f_i comes before an even f_j; <o^2, y ^ y> = 2 halves [y, y]
+            sign = 1 if parity[i] > parity[j] else -1
+            den = 2 * scale if i == j else scale
+            for k, c in row.items():
+                if k in refused:
+                    continue
+                if parity[k] != parity[i] ^ parity[j]:
+                    refused[k] = ("bracket [%s, %s] -> %s is not parity-homogeneous"
+                                  % (names[i], names[j], names[k]))
+                elif i == j and parity[i] != ODD:
+                    refused[k] = "even generator %r has a nonzero self-bracket" % names[i]
+                else:
+                    terms.setdefault(k, []).append(
+                        (sum(bits), bits, unit[i] + unit[j], sign * c, den))
+        if refused:
+            raise ValueError(refused[min(refused, key=order.index)])
+        denom = lcm(1, *[d // gcd(c, d) for slot in terms.values() for *_, c, d in slot])
 
-        def signs(i, evens):
+        def signs(i, bits):
             # a key's evens whose count, mod 2, signs a d-term of even
             # slot i with these even factors (_mask_plan): those below
-            # i, and for each factor e those strictly between e and i
-            out = (1 << i) - 1
-            for e in evens:
-                out ^= (1 << i) - 1 & -(2 << e) | (1 << e) - 1 & -(2 << i)
+            # i, and for each factor's bit b those strictly between b and i
+            low = 1 << i
+            out = low - 1
+            for b in bits:
+                out ^= low - 1 & -(b << 1) | b - 1 & -(low << 1)
             return out
 
         def table(g, i=None, off=0):
             # a term's signs, in even slot i or an odd slot, and key
             # delta: the key of its monomial, less `off`
-            return tuple([(emask, emask - 1 if i is None else signs(i, even_set),
-                           emask + sum(map(odds.__getitem__, odd_set)) - off, c * denom // d)
-                          for emask, even_set, odd_set, c, d in terms[g]]) if g in terms else ()
+            return tuple([(emask, emask - 1 if i is None else signs(i, bits),
+                           key - off, c * denom // d)
+                          for emask, bits, key, c, d in terms[g]]) if g in terms else ()
 
         self.evens = tuple([table(g, i) for i, g in enumerate(algebra.even_indices)])
         self.odds = tuple([(unit[g], table(g, None, unit[g]))
@@ -208,9 +194,10 @@ def _mask_plan(workspace: _Workspace, mask: int):
     return tuple(evens), odds
 
 
-def _d_columns(workspace: _Workspace, domain, row_index):
-    """Integer coboundary columns {row: value} of the workspace's keys
-    `domain`, by its d-term table.
+def _coboundary(workspace: _Workspace, domain, row_index) -> RationalMatrix:
+    """d of the workspace's keys `domain` as a matrix with scale 1/D: the
+    one builder of d, which every block, Lefschetz block, public matrix
+    and element coboundary goes through.
 
     Applies the derivation rule to e_S o^alpha directly, visiting only
     the factors whose dual has a nonzero d, through the plan of the
@@ -221,9 +208,11 @@ def _d_columns(workspace: _Workspace, domain, row_index):
     never share a row, so a key that one slot applies to takes its
     column straight from that slot's terms; terms of two or more slots
     are summed, and those that cancel leave no stored zero.  A row is
-    numbered by `row_index`, {key: row}: a key it lacks gets the next
-    number, so {} numbers the rows in order of first use, with one
-    setdefault per entry.
+    numbered by `row_index`, {key: row}, which the call extends: a key
+    it lacks gets the next number, with one setdefault per entry.  So a
+    full index of the codomain gives the canonical rows, and {} numbers
+    the rows in order of first use; then the rows reached are the
+    matrix's rows.
     """
     radix, evens_only, units = workspace.radix, workspace.evens_only, workspace.units
     active, plans = workspace.active, workspace.plans
@@ -275,31 +264,24 @@ def _d_columns(workspace: _Workspace, domain, row_index):
                 col[r] = col.get(r, 0) + a * v
         columns.append({r: v for r, v in col.items() if v}
                        if 0 in col.values() else col)
-    return columns
-
-
-def _coboundary(workspace: _Workspace, domain, row_index) -> RationalMatrix:
-    """d of the workspace's keys `domain` as a matrix with scale 1/D,
-    its rows numbered by `row_index`, a {key: row} index of the rows
-    that _d_columns extends: a full index of the codomain, or {} to
-    number the rows on first use, and then the rows reached are the
-    matrix's rows."""
-    columns = _d_columns(workspace, domain, row_index)
     return RationalMatrix._wrap(len(row_index), columns, workspace.scale)
 
 
 def _lefschetz_block(workspace: _Workspace, z: int, t: int, l: int,
-                     keys: List[int]) -> RationalMatrix:
+                     keys: List[int], rows: Optional[List[int]] = None) -> RationalMatrix:
     """The block of elements.lefschetz_block on `keys`, keys of A^t (a
-    stack of symmetry.OrbitListing.orbits), in the workspace's algebra,
-    its rows numbered on first use: the same numbers for every l.  The
-    radix must exceed the degree t + l + 1 of the rows."""
+    stack of symmetry.OrbitListing.orbits, or all of A^t), in the
+    workspace's algebra.  Its rows are `rows`, keys of A^(t+2), in that
+    order, or when None (the rank engine) numbered on first use: the
+    same numbers for every l.  The radix must exceed the degree
+    t + l + 1 of the rows."""
     if t + l + 1 >= workspace.radix:
         raise ValueError("degree %d does not fit radix %d"
                          % (t + l + 1, workspace.radix))
     # f_z^l in z's slot, which the keys of A leave at 0
-    shift = l * workspace.unit[z]
-    return _coboundary(workspace, [key + shift for key in keys], {})
+    unit = workspace.unit[z]
+    row_index = {} if rows is None else {key + (l - 1) * unit: r for r, key in enumerate(rows)}
+    return _coboundary(workspace, [key + l * unit for key in keys], row_index)
 
 
 def _odd_centre(algebra: LieSuperalgebra) -> Optional[int]:

@@ -34,11 +34,14 @@ unchecked.  lefschetz_block is the part of d that lowers the power of
 an odd central dual by one; psi_matrix is that block of h_n with scale
 (-1)^t / D.  What these return is never mutated.
 
-d_element, tau and the matrix builders apply d through the engine's
-integer kernel, and d_generator reads the kernel's own d-term table
-(differential._d_duals), held to d_element by
-test_d_generator_matches_the_kernel_on_general_tables, so there is one
-implementation of d.  The tests, the demos and the README use this
+Every d this module applies goes through the engine's one door into
+the kernel, a _coboundary call on a fresh differential._Workspace:
+d_generator is d_element of the dual f_k, d_element and tau one
+_coboundary call that numbers its rows on first use, differential_matrix
+one over the canonical rows, and lefschetz_block and psi_matrix the
+rank engine's differential._lefschetz_block given the canonical rows.
+So there is one implementation of d, and one refusal of a table the
+kernel cannot take.  The tests, the demos and the README use this
 module; no CLI verb imports it, and no engine module imports it, so a
 computing run never loads it.
 """
@@ -53,8 +56,7 @@ from typing import (Dict, Iterable, Iterator, List, Mapping, NamedTuple,
                     Optional, Tuple, Union)
 
 from .algebra import LieSuperalgebra, make_heisenberg_odd
-from .differential import (_coboundary, _d_columns, _d_duals, _odd_centre,
-                           _Workspace)
+from .differential import _coboundary, _lefschetz_block, _odd_centre, _Workspace
 from .limits import (DEFAULT_COLUMN_CAP, _check_codomain, _check_psi_codomain,
                      check_degree, graded_dim)
 from .linalg import RationalMatrix
@@ -75,14 +77,19 @@ class SuperMonomial(tuple):
     """The normal-form monomial e_S o^alpha as the tuple (even_mask, alpha).
 
     Bit i of `even_mask` marks i in S.  Built from `even_set` (S, strictly
-    increasing) and `odd_exponents` (alpha), whose length fixes the odd
-    dimension: monomials over different superspaces never compare equal.
+    increasing) and `odd_exponents` (alpha), ints, whose length fixes the
+    odd dimension: monomials over different superspaces never compare
+    equal.
     """
 
     __slots__ = ()
 
     def __new__(cls, even_set: Iterable[int] = (), odd_exponents: Iterable[int] = ()):
-        odd_exponents = tuple(odd_exponents)
+        even_set, odd_exponents = tuple(even_set), tuple(odd_exponents)
+        for v in even_set + odd_exponents:
+            if not isinstance(v, int):
+                raise TypeError("SuperMonomial takes int indices and exponents, "
+                                "not %r" % (v,))
         mask = 0
         for i in even_set:
             if i < 0:
@@ -373,20 +380,22 @@ def element_pairing(dual: SuperElement, primal: SuperElement) -> Fraction:
 
 
 def d_generator(algebra: LieSuperalgebra, k: int) -> SuperElement:
-    """Coboundary of the k-th dual generator, as a degree-2 element."""
+    """Coboundary of the k-th dual generator, as a degree-2 element:
+    d_element of its dual f_k."""
     if not 0 <= k < algebra.dim:
         raise ValueError("generator index %d out of range" % k)
-    terms, refused = _d_duals(algebra)
-    if k in refused:
-        raise ValueError(refused[k])
-    m = algebra.superdim[1]
-    return SuperElement({_monomial(mask, _exponents(odds, m)): Fraction(c, denom)
-                         for mask, _, odds, c, denom in terms.get(k, ())})
+    n1 = algebra.superdim[1]
+    if algebra._parities[k]:
+        f_k = _monomial(0, _exponents((algebra.odd_indices.index(k),), n1))
+    else:
+        f_k = _monomial(1 << algebra.even_indices.index(k), (0,) * n1)
+    return d_element(algebra, SuperElement.from_monomial(f_k))
 
 
 def d_element(algebra: LieSuperalgebra, elem: SuperElement) -> SuperElement:
     """Coboundary of a homogeneous element over the algebra's dual
-    superdimension, through the same integer kernel as the matrices."""
+    superdimension: one _coboundary call on its monomials' keys, whose
+    rows it numbers on first use."""
     n0, n1 = algebra.superdim
     monos = list(elem.terms)
     for mono in monos:
@@ -398,15 +407,14 @@ def d_element(algebra: LieSuperalgebra, elem: SuperElement) -> SuperElement:
     workspace = _Workspace(algebra, (elem.degree or 0) + 1)
     radix = workspace.radix
     row_index: Dict[int, int] = {}
-    columns = _d_columns(workspace, [_pack(mono, n0, radix) for mono in monos],
-                         row_index)
+    mat = _coboundary(workspace, [_pack(mono, n0, radix) for mono in monos], row_index)
     image: Dict[int, Fraction] = {}
-    for mono, col in zip(monos, columns):
+    for mono, col in zip(monos, mat.columns):
         coeff = elem.terms[mono]
         for r, v in col.items():
             image[r] = image.get(r, 0) + coeff * v
     rows = list(row_index)
-    return SuperElement({_unpack(rows[r], workspace.dims, radix): c / workspace.denom
+    return SuperElement({_unpack(rows[r], workspace.dims, radix): c * mat.scale
                          for r, c in image.items()})
 
 
@@ -473,9 +481,10 @@ def lefschetz_block(algebra: LieSuperalgebra, z: int, t: int, l: int,
     Leibniz rule gives
     d(alpha f_z^l) = (-1)^t l (alpha omega) f_z^{l-1}: this matrix is
     (-1)^t l times L^(t), multiplication by omega from A^t to A^{t+2}.
-    It is built by the coboundary kernel on A's keys with f_z^l put in
-    z's odd slot, which may be any slot; the rows are A^{t+2}'s keys
-    with f_z^{l-1}.  For t < 0 the domain is empty.  An l below 1, a z
+    It is the rank engine's block (differential._lefschetz_block) on
+    all of A^t, f_z^l put in z's odd slot, which may be any slot; the
+    rows are A^{t+2}'s keys with f_z^{l-1}, in the canonical order.
+    For t < 0 the domain is empty.  An l below 1, a z
     that is not an odd generator, a table that breaks the precondition
     (z is not its _odd_centre), a degree t + l over MAX_Q_MAX and a
     codomain A^{t+2} over CODOMAIN_ROWS_PER_COLUMN times `column_cap`
@@ -494,11 +503,8 @@ def lefschetz_block(algebra: LieSuperalgebra, z: int, t: int, l: int,
     _check_codomain(algebra.name, t, graded_dim((n0, n1 - 1), t + 2),
                     column_cap, "codomain A^%d" % (t + 2))
     workspace = _Workspace(algebra, t + l + 1)
-    # f_z^l in z's slot, which the keys of A leave at 0
-    unit = workspace.unit[z]
-    rows = _space(workspace, t + 2, z)
-    return _coboundary(workspace, [key + l * unit for key in _space(workspace, t, z)],
-                       {key + (l - 1) * unit: r for r, key in enumerate(rows)})
+    return _lefschetz_block(workspace, z, t, l, _space(workspace, t, z),
+                            _space(workspace, t + 2, z))
 
 
 def psi_matrix(t: int, n: int, l: int,

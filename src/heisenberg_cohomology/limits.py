@@ -7,8 +7,9 @@ check_degree refuses a degree over MAX_Q_MAX, check_column_cap a
 coboundary matrix wider than the column cap or a top codomain over
 CODOMAIN_ROWS_PER_COLUMN times it (_check_codomain, the one comparison
 of a codomain with that limit), and check_grid every refusal of a
-verify grid.  The error types the CLI reports are defined here too, so
-the wording of every refusal and error lives in this one module.
+verify grid, from its last member.  The error types the CLI reports
+are defined here too, so the wording of every refusal and error lives
+in this one module.
 
 It imports nothing from the package and only `math` from the standard
 library, so a caller can refuse before any engine module is loaded;
@@ -274,11 +275,16 @@ def check_grid(family: str, n_max: int, m_max: int | None, q_max: int,
 
     First the O(1) checks: ValueError for a bad grid, then GridTooLarge
     for one of more than MAX_GRID_POINTS, then DegreeLimitExceeded for a
-    q_max over MAX_Q_MAX.  Then every grid point against the column cap,
-    in grid order, and on the odd family every psi walk against its
-    codomain bound (_check_psi_codomain).  Returns each point's
-    check_column_cap dimensions, {(n, m): dims} in grid order (m None on
-    the odd family), which verify_family hands on to the point.
+    q_max over MAX_Q_MAX.  Then the grid's last member against the
+    column cap, and on the odd family its psi walk against its codomain
+    bound (_check_psi_codomain).  Multiplying the dimension series by
+    1 + t or 1/(1 - t) only adds nonnegative terms, so every dim C^q,
+    codomain and A^(q+2) grows with n and m: the last member is refused
+    exactly when some member is, at the least degree any member is, and
+    its refusal names a cap that admits the whole grid.  Returns each
+    point's check_column_cap dimensions, {(n, m): dims} in grid order
+    (m None on the odd family), which verify_family hands on to the
+    point; each is counted once.
     """
     if n_max < 1 or q_max < 0:
         raise ValueError("need n_max >= 1 and q_max >= 0")
@@ -294,11 +300,12 @@ def check_grid(family: str, n_max: int, m_max: int | None, q_max: int,
     if points > MAX_GRID_POINTS:
         raise GridTooLarge(points, MAX_GRID_POINTS)
     check_degree(q_max)
-    if family == "even":
-        return {(n, m): check_column_cap(*even_family_shape(n, m), q_max, column_cap)
-                for n in range(1, n_max + 1) for m in range(1, m_max + 1)}
-    dims = {(n, None): check_column_cap(*odd_family_shape(n), q_max, column_cap)
-            for n in range(1, n_max + 1)}
-    for n in range(1, n_max + 1):
-        _check_psi_codomain(n, q_max, column_cap)
-    return dims
+    members = [(n, m) for n in range(1, n_max + 1)
+               for m in (range(1, m_max + 1) if m_max else (None,))]
+    dims = {}
+    for n, m in members[-1:] + members[:-1]:
+        shape = odd_family_shape(n) if m is None else even_family_shape(n, m)
+        dims[n, m] = check_column_cap(*shape, q_max, column_cap)
+        if m is None and n == n_max:
+            _check_psi_codomain(n, q_max, column_cap)
+    return {point: dims[point] for point in members}

@@ -136,6 +136,16 @@ def test_constructor_guards():
             LieSuperalgebra("x", [("a", EVEN), ("b", EVEN), ("c", EVEN)], {(0, 1): {2: c}})
 
 
+def test_a_generator_index_that_is_not_an_int_is_refused():
+    # a float pair or target passed the range check, and the engine
+    # failed on it as a tuple index
+    gens = [("x", EVEN), ("y", ODD), ("z", ODD)]
+    for brackets, bad in (({(0, 1.0): {2: 1}}, "1.0"), ({(0, 1): {2.0: 1}}, "2.0"),
+                          ({(Fraction(0), 1): {2: 1}}, "Fraction"), ({(0, 1): {"2": 1}}, "'2'")):
+        with pytest.raises(TypeError, match="names the generator index %s" % bad):
+            LieSuperalgebra("t", gens, brackets)
+
+
 def test_constructor_normalizes_coefficients():
     alg = LieSuperalgebra("h", [("z", EVEN), ("y", ODD)],
                           {(1, 1): {0: "1/2"}, (0, 1): {1: 0}})
@@ -285,6 +295,8 @@ def test_equality_and_repr():
     b = make_heisenberg_even(1, 2)
     assert a == b
     assert a != make_heisenberg_even(2, 1)
+    # another type is not an algebra, and Python then compares identity
+    assert a.__eq__(a.name) is NotImplemented and a != a.name
     assert "h_{1,2}" in repr(a)
     h1 = make_heisenberg_odd(1)
     z = h1.generators[2]

@@ -326,16 +326,18 @@ def test_refusal_comes_before_the_family_is_built(capsysbinary, monkeypatch):
 
 
 def test_verify_refuses_the_grid_before_computing(capsysbinary, monkeypatch):
-    # the first point over the cap is m=97 (5047 columns at q=2); the
-    # 96 points before it fit, and none of them may be computed
+    # every dim C^q grows with n and m, so the grid's last point is
+    # checked first: it names the least degree over the cap and a cap
+    # that admits the whole grid (h_{1,97} is the first point over the
+    # cap, at 5047 columns); no point may be computed
     monkeypatch.setattr(verify, "_betti_table", _never_built)
     monkeypatch.setattr(verify, "_Workspace", _never_built)
     for argv, message in (
             (["verify", "--family", "even", "--n-max", "1", "--m-max", "120",
-              "--q-max", "2"], _refusal("h_{1,97}", 2, 5047, 5047, 2)),
+              "--q-max", "2"], _refusal("h_{1,120}", 2, 7623, 7623, 2)),
             (["verify", "--family", "odd", "--n-max", "9", "--q-max", "3",
               "--column-cap", "300"],
-             _refusal("h_6", 3, 377, 377, 3, cap=300))):
+             _refusal("h_9", 3, 1159, 1159, 3, cap=300))):
         code, out, err = run_cli(capsysbinary, argv)
         assert (code, out, err) == (3, b"", message), argv
 
@@ -361,17 +363,18 @@ def test_verify_refuses_an_oversized_grid_from_its_size(capsysbinary, monkeypatc
 def test_verify_refuses_an_oversized_psi_codomain(capsysbinary, monkeypatch):
     # every h_n of the grid fits the cap and its C^{q_max+1} fits the
     # codomain bound, but psi's A^{q_max+2} over (n|n) does not from n=73
-    # on (n=16 at a cap of 50); no point may be computed
+    # on (n=16 at a cap of 50); the last point's, the largest, is named,
+    # and no point may be computed
     monkeypatch.setattr(verify, "_Workspace", _never_built)
     monkeypatch.setattr(verify, "make_heisenberg_odd", _never_built)
     for argv, message in (
             (["verify", "--family", "odd", "--n-max", "499", "--q-max", "1"],
-             "refusing h_73 at q=1: psi's codomain A^3 has 518738 rows, "
-             "limit is 500000 (100 times the column cap; a cap of 5188 admits it)"),
+             "refusing h_499 at q=1: psi's codomain A^3 has 165668998 rows, "
+             "limit is 500000 (100 times the column cap; a cap of 1656690 admits it)"),
             (["verify", "--family", "odd", "--n-max", "20", "--q-max", "1",
               "--column-cap", "50"],
-             "refusing h_16 at q=1: psi's codomain A^3 has 5472 rows, "
-             "limit is 5000 (100 times the column cap; a cap of 55 admits it)")):
+             "refusing h_20 at q=1: psi's codomain A^3 has 10680 rows, "
+             "limit is 5000 (100 times the column cap; a cap of 107 admits it)")):
         code, out, err = run_cli(capsysbinary, argv)
         assert (code, out) == (3, b""), argv
         assert err == ("resource refusal: %s\n" % message).encode()

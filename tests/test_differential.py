@@ -160,13 +160,24 @@ def test_d_element_rejects_an_even_index_out_of_range():
 
 def test_even_self_bracket_is_refused_by_name():
     # not a Lie superalgebra (validate reports the same defect); the
-    # coboundary has no term for it and must say so, not crash
+    # coboundary has no term for it and must say so, not crash.  Every
+    # entry refuses the table, d_generator of a dual the bracket misses
+    # included: there is one door into the kernel
     bad = LieSuperalgebra("bad", [("x", 0), ("y", 0)], {(0, 0): {1: 1}})
-    for call in (lambda: d_generator(bad, 1), lambda: betti_table(bad, 2)):
+    for call in (lambda: d_generator(bad, 0), lambda: d_generator(bad, 1),
+                 lambda: d_element(bad, single((0,), ())), lambda: differential_matrix(bad, 0),
+                 lambda: betti_table(bad, 2)):
         with pytest.raises(ValueError,
                            match="even generator 'x' has a nonzero self-bracket"):
             call()
-    assert d_generator(bad, 0).is_zero()
+    # a later bracket onto the target already refused, [x, u] (valid)
+    # or [u, u] (refused too), leaves the first refusal standing
+    for later in ((0, 2), (2, 2)):
+        worse = LieSuperalgebra("worse", [("x", 0), ("y", 0), ("u", 0)],
+                                {(0, 0): {1: 1}, later: {1: 1}})
+        with pytest.raises(ValueError,
+                           match="even generator 'x' has a nonzero self-bracket"):
+            d_generator(worse, 1)
 
 
 def test_parity_breaking_bracket_is_refused_by_name():
@@ -268,22 +279,25 @@ def test_colliding_and_cancelling_d_terms_match_the_oracle():
     assert_entries_match_oracle(osp, 4)
 
 
-def test_d_generator_matches_the_kernel_on_general_tables():
-    # d_generator reads _d_duals' odd positions as exponents; the kernel
-    # reads them as key deltas.  Hidden bases give many terms per dual,
-    # osp(1|2) odd self-brackets and duals of both parities with a
-    # nonzero d, the rational table denominators
+def test_d_generator_matches_the_oracle_on_general_tables():
+    # every coefficient of d f_k against the alternating-sum oracle.
+    # Hidden bases give many terms per dual, osp(1|2) odd self-brackets
+    # and duals of both parities with a nonzero d, the rational table
+    # denominators
     algebras = [alg for _, _, alg in HIDDEN_SUMS]
     algebras += [LieSuperalgebra("osp(1|2)", *OSP12), parse_algebra(RATIONAL_CONSTANTS),
                  _shuffled_h11_plus_h1()]
     for alg in algebras:
         n1 = alg.superdim[1]
+        degree_two = enumerate_basis(SuperSpaceDims(*alg.superdim), 2)
         for k in range(alg.dim):
             p = (alg.odd_indices if alg.parity(k) else alg.even_indices).index(k)
             f_k = (SuperMonomial((), tuple(int(j == p) for j in range(n1)))
                    if alg.parity(k) else SuperMonomial((p,), (0,) * n1))
-            assert d_generator(alg, k) == d_element(alg, SuperElement.from_monomial(f_k)), \
-                (alg.name, k)
+            d_k = d_generator(alg, k)
+            assert set(d_k.terms) <= set(degree_two), (alg.name, k)
+            for u in degree_two:
+                assert d_k.coefficient(u) == coboundary_entry(alg, f_k, u), (alg.name, k, u)
 
 
 def test_public_builders_refuse_a_degree_over_the_limit(monkeypatch):

@@ -260,13 +260,10 @@ def test_no_engine_path_reads_the_fraction_view(monkeypatch):
 def test_rational_roots_lists_each_divisor_set_once():
     # end coefficients 735134400 = 2^6 3^3 5^2 7 11 13 17, 1,344 divisors
     # each, under _ROOT_SEARCH_BOUND: the numerators' divisors are listed
-    # once for the whole search, not once per denominator
+    # once for the whole search, not once per denominator.  The untimed
+    # cases come first, so a slow run still reaches each of them
     a = 735134400
     assert a <= directsum._ROOT_SEARCH_BOUND and len(directsum._divisors(a)) == 1344
-    start = time.perf_counter()
-    roots = directsum._rational_roots([a, -(a * a + 1), a])  # (a t - 1)(t - a)
-    assert time.perf_counter() - start < 1
-    assert sorted(roots) == [(1, a), (a, 1)]
     # known roots: those of the CI table's pencil, (17017 t - 43200)
     # (43200 t - 17017); (2t + 3)(t - 5); t^2 (3t - 2); t^2 + 1 has none
     assert sorted(directsum._rational_roots([a, -(17017 ** 2 + 43200 ** 2), a])) == \
@@ -275,6 +272,49 @@ def test_rational_roots_lists_each_divisor_set_once():
     assert sorted(directsum._rational_roots([0, 0, 2, -3])) == [(0, 1), (2, 3)]
     assert directsum._rational_roots([1, 0, 1]) == []
     assert directsum._rational_roots([directsum._ROOT_SEARCH_BOUND + 1, 0, 1]) is None
+    start = time.perf_counter()
+    roots = directsum._rational_roots([a, -(a * a + 1), a])  # (a t - 1)(t - a)
+    assert time.perf_counter() - start < 1
+    assert sorted(roots) == [(1, a), (a, 1)]
+
+
+def test_a_pencil_whose_lines_fail_is_passed_over(monkeypatch):
+    # h_1 + h_1 + h_1: one class of three odd pivots, whose centre lines
+    # come from T's eigenspaces (_eigen_lines).  A pencil whose
+    # eigenspace brackets to 0 gives no lines, and the next is tried;
+    # lines that are not independent rule the split out, and the table
+    # takes the whole-table route, with the same answers
+    alg = hidden("h_1+h_1+h_1", (H1, H1, H1), 3)
+    want, table = _found(alg), betti_table(alg, 5)
+    assert want is not None
+    real, calls = directsum._eigen_lines, []
+
+    def first_fails(*args):
+        calls.append(args)
+        return None if len(calls) == 1 else real(*args)
+
+    monkeypatch.setattr(directsum, "_eigen_lines", first_fails)
+    assert _found(alg) == want and len(calls) >= 2
+
+    def one_line(*args):
+        lines = real(*args)
+        return [lines[0]] * len(lines)
+
+    monkeypatch.setattr(directsum, "_eigen_lines", one_line)
+    assert _found(alg) is None
+    assert betti_table(alg, 5) == table
+
+
+def test_a_root_with_no_eigenspace_gives_no_line():
+    # B pairs coordinate 0 with coordinate 1, onto the pivot 7, and
+    # T = 1 on W = both coordinates
+    forms, identity = {7: {0: {1: 1}, 1: {0: 1}}}, [{0: 1}, {1: 1}]
+    assert directsum._centre_line(forms, [7], [{0: 1}, {1: 1}]) == {0: 1}
+    # x_0 brackets to 0 with itself
+    assert directsum._centre_line(forms, [7], [{0: 1}]) is None
+    assert directsum._eigen_lines(forms, [7], [0, 1], identity, 1, [(1, 1)]) == [{0: 1}]
+    # 2 is no eigenvalue of T: its eigenspace is 0 and brackets onto no line
+    assert directsum._eigen_lines(forms, [7], [0, 1], identity, 1, [(1, 1), (2, 1)]) is None
 
 
 @pytest.mark.parametrize("alg, betti", (
@@ -372,48 +412,85 @@ def test_the_random_two_step_pool_matches_the_oracle(monkeypatch):
 
 
 def _corruptions():
-    """Ways to spoil a found split, each (check, spaces, parity) ->
-    verdict: check is _checked on the spaces it is given, and parity
-    that of each coordinate of K."""
-    def moved(check, spaces, parity):
-        return check([spaces[0][1:], spaces[1] + spaces[0][:1]] + spaces[2:])
+    """Ways to spoil a found split, each (check, given) -> verdict:
+    `given` holds _checked's arguments by name, and check(**changes) is
+    _checked on them with `changes` put in.  The table is h_{1,1} + h_1,
+    so K_0 has two even vectors and an odd one, and R is empty."""
+    def moved(check, given):
+        spaces = given["spaces"]
+        return check(spaces=[spaces[0][1:], spaces[1] + spaces[0][:1]] + spaces[2:])
 
-    def mixed(check, spaces, parity):
+    def mixed(check, given):
+        spaces = given["spaces"]
         x, y = spaces[0][0], spaces[1][0]
         out = dict(y)
         for i, v in x.items():
             out[i] = out.get(i, 0) + v
-        return check([spaces[0], [out] + spaces[1][1:]] + spaces[2:])
+        return check(spaces=[spaces[0], [out] + spaces[1][1:]] + spaces[2:])
 
-    def dropped(check, spaces, parity):
-        return check([spaces[0][1:]] + spaces[1:])
+    def dropped(check, given):
+        spaces = given["spaces"]
+        return check(spaces=[spaces[0][1:]] + spaces[1:])
 
-    def doubled(check, spaces, parity):
-        return check([spaces[0] + spaces[0][:1]] + spaces[1:])
+    def doubled(check, given):
+        spaces = given["spaces"]
+        return check(spaces=[spaces[0] + spaces[0][:1]] + spaces[1:])
 
-    def dependent(check, spaces, parity):
-        # still n vectors, each of one parity, but one vector of a K_s
-        # becomes the sum of two others of one parity: the brackets and
-        # the centres are still those of a split, so only the basis
-        # condition fails.  h_{1,1}'s K has two even vectors and an odd
-        # one, which becomes their sum
-        space = spaces[0]
+    def dependent(check, given):
+        # still n vectors, each of one parity, but the odd vector of K_0
+        # becomes the sum of its two even ones: the brackets and the
+        # centres are still those of a split, so only the basis
+        # condition fails
+        space = list(given["spaces"][0])
+        parity = given["parity"]
         kinds = [parity[min(x)] for x in space]
         a, b = [i for i, kind in enumerate(kinds) if kind == EVEN]
         out = dict(space[a])
         for i, v in space[b].items():
             out[i] = out.get(i, 0) + v
-        space = list(space)
         space[kinds.index(ODD)] = {i: v for i, v in out.items() if v}
-        return check([space] + spaces[1:])
+        return check(spaces=[space] + given["spaces"][1:])
 
-    def swapped(check, spaces, parity):
+    def mixed_parity(check, given):
+        # an even vector of K_0 plus its odd one: a vector of two parities
+        space, parity = list(given["spaces"][0]), given["parity"]
+        kinds = [parity[min(x)] for x in space]
+        even, odd = space[kinds.index(EVEN)], space[kinds.index(ODD)]
+        space[kinds.index(EVEN)] = {**even, **odd}
+        return check(spaces=[space] + given["spaces"][1:])
+
+    def not_central(check, given):
+        # a vector of K_0 moved into R: the same basis, but R brackets
+        spaces = given["spaces"]
+        return check(radical=given["radical"] + spaces[0][:1],
+                     spaces=[spaces[0][1:]] + spaces[1:])
+
+    def empty_centre(check, given):
+        # one part more, with no vectors: its centre [K_s, K_s] is 0
+        return check(spaces=given["spaces"] + [[]])
+
+    def mixed_centre(check, given):
+        # the odd pivot's form gains the even one's: the centre of the
+        # part that brackets onto the even pivot has both parities
+        forms, kinds = given["forms"], dict(zip(given["forms"], given["pivot_parity"]))
+        even, odd = sorted(forms, key=kinds.get)
+        both = directsum._combine(forms, {even: 1, odd: 1})
+        return check(forms={**forms, odd: both})
+
+    def short_centres(check, given):
+        # a pivot that no bracket reaches: the centres do not span P
+        forms = given["forms"]
+        return check(forms={**forms, max(forms) + 1: {}},
+                     pivot_parity=given["pivot_parity"] + [EVEN])
+
+    def swapped(check, given):
         # the true split, each part under the other's centre: h_{1,1}'s K,
         # of dimensions (2, 1), under an odd centre, and h_1's, (1, 1),
         # under an even one
-        return check(spaces)[::-1]
+        return check()[::-1]
 
-    return [moved, mixed, dropped, doubled, dependent, swapped]
+    return [moved, mixed, dropped, doubled, dependent, mixed_parity, not_central,
+            empty_centre, mixed_centre, short_centres, swapped]
 
 
 @pytest.mark.parametrize("corrupt", _corruptions(), ids=lambda f: f.__name__)
@@ -424,8 +501,9 @@ def test_a_wrong_split_is_rejected_by_the_check(corrupt, monkeypatch):
     verdicts = []
 
     def spoiled(forms, parity, radical, spaces, pivot_parity):
-        verdicts.append(corrupt(lambda s: real(forms, parity, radical, s, pivot_parity),
-                                spaces, parity))
+        given = dict(forms=forms, parity=parity, radical=radical, spaces=spaces,
+                     pivot_parity=pivot_parity)
+        verdicts.append(corrupt(lambda **changes: real(**{**given, **changes}), given))
         return verdicts[-1]
 
     monkeypatch.setattr(directsum, "_checked", spoiled)

@@ -143,6 +143,7 @@ def test_displayed_formula_hand_checked_values():
     assert dim_h_odd_displayed(1, 1) == 2
     assert dim_h_odd_displayed(1, 2) == 3
     assert dim_h_odd_displayed(2, 1) == 3
+    assert dim_h_odd_displayed(1, -1) == 0
     with pytest.raises(ValueError):
         dim_h_odd_displayed(0, 1)
 

@@ -11,7 +11,7 @@ from itertools import product
 
 import pytest
 
-from heisenberg_cohomology import cohomology, elements, symmetry
+from heisenberg_cohomology import cohomology, differential, elements, symmetry
 from heisenberg_cohomology.algebra import (LieSuperalgebra, adapted_basis,
                                            make_heisenberg_even,
                                            make_heisenberg_odd)
@@ -94,6 +94,16 @@ def test_lefschetz_block_refuses_a_bad_power_or_generator(monkeypatch):
              r"z = 3 \(y1\) is not the odd centre of h_\{1,1\}")):
         with pytest.raises(ValueError, match=match):
             lefschetz_block(alg, z, 1, l)
+
+
+def test_the_engine_block_refuses_rows_past_its_radix():
+    # a workspace of degree 2 has radix 3, so the rows of L^(1) with
+    # f_z^1, of degree 3, would carry into the next odd slot
+    workspace = differential._Workspace(make_heisenberg_odd(1), 2)
+    assert workspace.radix == 3
+    with pytest.raises(ValueError, match="degree 3 does not fit radix 3"):
+        differential._lefschetz_block(workspace, 2, 1, 1, [1])
+    assert differential._lefschetz_block(workspace, 2, 0, 1, [0]).cols == 1
 
 
 def test_full_matrix_rank_is_the_block_sum():

@@ -132,6 +132,85 @@ def test_a_refusal_names_what_would_fit():
         "(100 times the column cap; a cap of 5001 admits it)")
 
 
+def _member_refusals(family, n_max, m_max, q_max, cap):
+    """The members of a verify grid, in grid order, each with the
+    refusal of its own size checks or None."""
+    out = []
+    for n in range(1, n_max + 1):
+        for m in (None,) if m_max is None else range(1, m_max + 1):
+            shape = limits.odd_family_shape(n) if m is None else limits.even_family_shape(n, m)
+            try:
+                limits.check_column_cap(*shape, q_max, cap)
+                if m is None:
+                    limits._check_psi_codomain(n, q_max, cap)
+                out.append((shape, None))
+            except (ColumnCapExceeded, CodomainTooLarge) as exc:
+                out.append((shape, exc))
+    return out
+
+
+@pytest.mark.parametrize("grid", [("even", 1, 120, 2, 5000), ("even", 3, 4, 5, 300),
+                                  ("even", 4, 2, 3, 40), ("odd", 9, None, 3, 300),
+                                  ("odd", 6, None, 5, 40), ("odd", 20, None, 1, 50)])
+def test_a_grid_is_refused_by_its_last_member(grid):
+    # every dim C^q, codomain and psi's A^(q+2) grows with n and m, so
+    # the last member is refused exactly when some member is, at the
+    # least degree any member is, and names a cap for the whole grid
+    members = _member_refusals(*grid)
+    refused = [exc for _, exc in members if exc]
+    (name, _), last = members[-1]
+    with pytest.raises((ColumnCapExceeded, CodomainTooLarge)) as err:
+        limits.check_grid(*grid)
+    assert len(refused) < len(members) and str(err.value) == str(last)
+    assert err.value.algebra_name == name
+    if isinstance(err.value, ColumnCapExceeded):
+        assert err.value.q == min(e.q for e in refused if isinstance(e, ColumnCapExceeded))
+        for shape, _ in members:
+            limits.check_column_cap(*shape, grid[3], err.value.needed)
+    else:
+        assert all(type(e) is CodomainTooLarge for e in refused)
+
+
+def test_a_refused_grid_names_the_cap_that_admits_it():
+    assert _refused(limits.check_grid, "even", 1, 120, 2) == (
+        "refusing h_{1,120} at q=2: matrix has 7623 columns, cap is 5000 "
+        "(q <= 1 fits; a cap of 7623 admits q <= 2)")
+    assert limits.check_grid("even", 1, 120, 2, 7623)[1, 120][2] == 7623
+
+
+# a bad argument of each public or size function, refused where it
+# enters: (call, exception type, message)
+ARGUMENT_REFUSALS = (
+    (lambda: limits.sym_power_dim(-1, 2), ValueError, "m must be nonnegative"),
+    (lambda: limits.graded_dim((1, -1), 2), ValueError, "dimensions must be nonnegative"),
+    (lambda: limits._graded_dims((-1, 1), 2), ValueError, "dimensions must be nonnegative"),
+    (lambda: limits.check_grid("mixed", 1, None, 2), ValueError,
+     "family must be 'even' or 'odd', got 'mixed'"),
+    (lambda: formulas.odd_cocycle_dim(0, 2), ValueError, "n must be positive"),
+    (lambda: formulas.even_cocycle_dim(1, 0, 2), ValueError, r"h_\{n,m\} needs n >= 1"),
+    (lambda: cohomology.betti_table(algebra.make_heisenberg_odd(1), -1), ValueError,
+     "q_max must be nonnegative"),
+    (lambda: elements.enumerate_basis((-1, 1), 2), ValueError,
+     "dimensions must be nonnegative"),
+    (lambda: elements.wedge_monomials(elements.SuperMonomial((), (1,)),
+                                      elements.SuperMonomial((), (1, 0))), ValueError,
+     "monomials live over different odd dimensions"),
+    (lambda: elements.d_generator(algebra.make_heisenberg_odd(1), 3), ValueError,
+     "generator index 3 out of range"),
+    (lambda: elements.d_generator(algebra.make_heisenberg_odd(1), -1), ValueError,
+     "generator index -1 out of range"),
+    (lambda: elements.psi_matrix(1, 0, 1), ValueError, "psi needs n >= 1 and l >= 1"),
+    (lambda: elements.psi_matrix(1, 1, 0), ValueError, "psi needs n >= 1 and l >= 1"),
+)
+
+
+@pytest.mark.parametrize("call, error, message", ARGUMENT_REFUSALS,
+                         ids=[str(i) for i in range(len(ARGUMENT_REFUSALS))])
+def test_a_bad_argument_is_refused_where_it_enters(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_a_refusal_is_built_from_its_fields_alone():
     # by position, one argument per field, as the engine raises them
     for cls, args in ((DegreeLimitExceeded, (101,)), (GridTooLarge, (1, 2, 3)),
@@ -297,9 +376,8 @@ def test_the_engine_modules_hold_only_keys_and_the_kernel():
                 if getattr(value, "__module__", None) == module.__name__}
 
     assert defined(superexterior) == {"_radix", "_units", "_keys"}
-    assert defined(differential) == {"_d_duals", "_Workspace", "_mask_plan", "_d_columns",
-                                     "_coboundary", "_lefschetz_block",
-                                     "_odd_centre"}
+    assert defined(differential) == {"_Workspace", "_mask_plan", "_coboundary",
+                                     "_lefschetz_block", "_odd_centre"}
     moved = ("SuperSpaceDims", "SuperMonomial", "monomial_sort_key", "enumerate_basis",
              "_exponents", "_monomial", "_pack", "_unpack", "DifferentialMatrix",
              "differential_matrix", "lefschetz_block", "psi_matrix")

@@ -212,6 +212,8 @@ def test_storage_does_not_change_the_matrix():
                 == [{0: half, 2: -1}, {1: Fraction(3, 2)}])
         assert m.nnz == 3
     assert built[0] != RationalMatrix.from_columns(3, [{0: 1, 2: -2}, {1: 3}], Fraction(1, 4))
+    # its entries are not the matrix
+    assert built[0].__eq__(want) is NotImplemented and built[0] != want
     with pytest.raises(TypeError):
         built[0].entries[(0, 1)] = 1
 

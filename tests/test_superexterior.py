@@ -9,7 +9,7 @@ from operator import gt
 import pytest
 
 from heisenberg_cohomology.algebra import make_heisenberg_even
-from heisenberg_cohomology.differential import _d_columns, _Workspace
+from heisenberg_cohomology.differential import _coboundary, _Workspace
 from heisenberg_cohomology.elements import (SuperElement, SuperMonomial, SuperSpaceDims,
                                             _pack, _unpack, d_element, dual_pairing,
                                             element_pairing, enumerate_basis,
@@ -46,6 +46,15 @@ def test_monomial_validation():
         SuperMonomial((-1,), ())
     with pytest.raises(ValueError):
         SuperMonomial((), (1, -1))
+
+
+def test_a_monomial_refuses_an_index_or_exponent_that_is_not_an_int():
+    # (0, 0.5) had degree 1.5, and d_element of it failed inside the kernel
+    for evens, odds, bad in (((0,), (0, 0.5), "0.5"), ((0.0,), (1,), "0.0"),
+                             ((), (Fraction(1),), "Fraction(1, 1)"), (("0",), (), "'0'")):
+        with pytest.raises(TypeError, match=r"int indices and exponents, not %s$"
+                           % bad.replace("(", r"\(").replace(")", r"\)")):
+            SuperMonomial(evens, odds)
 
 
 def test_monomial_degrees():
@@ -149,6 +158,23 @@ def test_an_element_refuses_a_float_coefficient():
                            % c):
             SuperElement({mono((0,)): c})
     assert SuperElement({mono((0,)): "1/2"}).terms == {mono((0,)): Fraction(1, 2)}
+
+
+def test_element_parity_hash_repr_and_foreign_operands():
+    a = elem((0,), (1, 0)) + elem((1,), (0, 1), Fraction(-1, 2))
+    assert (a.parity, elem((0, 1), (0, 0)).parity, SuperElement.zero().parity) == (1, 0, None)
+    # equal elements hash alike, whatever order their terms came in
+    assert hash(a) == hash(elem((1,), (0, 1), Fraction(-1, 2)) + elem((0,), (1, 0)))
+    assert repr(a) == "SuperElement(1*e0*o0 + -1/2*e1*o1)"
+    assert repr(SuperElement.zero()) == "SuperElement(0)"
+    other = object()
+    for op in (lambda: a + other, lambda: a - other, lambda: a * other,
+               lambda: other * a, lambda: a * 0.5):
+        with pytest.raises(TypeError):
+            op()
+    assert a.__eq__(other) is NotImplemented and a != other
+    with pytest.raises(TypeError, match="keys must be SuperMonomials"):
+        SuperElement({(0b1, (0, 0)): 1})
 
 
 def test_element_scalar_arithmetic():
@@ -296,11 +322,10 @@ def test_basis_monomials_are_kernel_keys():
         assert keys == _keys(*_units(dims, workspace.radix), q)
         row_index = {_pack(m, dims.even_count, workspace.radix): r
                      for r, m in enumerate(codomain)}
-        columns = _d_columns(workspace, keys, row_index)
-        assert len(columns) == len(domain)
-        denom = workspace.denom
-        for m, col in zip(domain, columns):
-            image = {codomain[r]: Fraction(v, denom) for r, v in col.items()}
+        mat = _coboundary(workspace, keys, row_index)
+        assert len(mat.columns) == len(domain)
+        for m, col in zip(domain, mat.columns):
+            image = {codomain[r]: v * mat.scale for r, v in col.items()}
             assert image == d_element(alg, SuperElement.from_monomial(m)).terms
 
 

@@ -19,7 +19,7 @@ PLANTED = [
 
 
 def test_the_table_is_well_formed():
-    assert len(CASES) == 42
+    assert len(CASES) == 44
     assert len({c.name for c in CASES}) == len(CASES)
     for c in CASES:
         assert c.timeout > 0, c.name
@@ -31,7 +31,7 @@ def test_the_table_is_well_formed():
 
 
 def test_the_refusals_pass(capsys):
-    assert len(REFUSALS) == 9
+    assert len(REFUSALS) == 10
     assert run(REFUSALS) == 0, capsys.readouterr().out
 
 

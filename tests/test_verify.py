@@ -231,14 +231,15 @@ def test_odd_grid_eliminates_each_block_once(monkeypatch):
 
 def test_psi_codomain_is_refused_before_any_point(monkeypatch):
     # h_499's C^2 fits (499,001 rows), but its psi walk at t = 1 would
-    # enumerate A^3 over (499|499); the first n over the bound is refused
+    # enumerate A^3 over (499|499); A^3 grows with n, so the last point
+    # is checked first and named (the first over the bound is h_73)
     monkeypatch.setattr(verify, "_Workspace", None)
     with pytest.raises(CodomainTooLarge) as err:
         verify.verify_family("odd", 499, None, 1)
-    assert (err.value.q, err.value.rows, err.value.limit) == (1, 518738, 500000)
-    assert str(err.value) == ("refusing h_73 at q=1: psi's codomain A^3 has "
-                              "518738 rows, limit is 500000 (100 times the "
-                              "column cap; a cap of 5188 admits it)")
-    # the column cap is still checked first, at every point
+    assert (err.value.q, err.value.rows, err.value.limit) == (1, 165668998, 500000)
+    assert str(err.value) == ("refusing h_499 at q=1: psi's codomain A^3 has "
+                              "165668998 rows, limit is 500000 (100 times the "
+                              "column cap; a cap of 1656690 admits it)")
+    # the column cap is still checked before the psi bound
     with pytest.raises(limits.ColumnCapExceeded):
         verify.verify_family("odd", 100, None, 2)

@@ -205,6 +205,9 @@ CASES = [
         ("even-n3000000", "even --n 3000000 --m 1 --q-max 2"),
         ("odd-n2499", "odd --n 2499 --q-max 1"),
         ("verify-even-m120", "verify --family even --n-max 1 --m-max 120 --q-max 2"),
+        # its refusal names h_{1,120} and a cap of 7623: one less is refused
+        ("verify-m120-cap7622",
+         "verify --family even --n-max 1 --m-max 120 --q-max 2 --column-cap 7622"),
         ("verify-odd-n100000000", "verify --family odd --n-max 100000000 --q-max 0"),
         ("verify-odd-n499", "verify --family odd --n-max 499 --q-max 1"),
         ("odd-formula-q100000000", "odd --n 1 --q-max 100000000 --method formula"),
@@ -215,6 +218,10 @@ CASES = [
     Case("degree0-odd-n4", cli("odd --n 4 --q-max 0"), 10, checks=(column([1]),)),
     Case("degree0-even-n3-m3", cli("even --n 3 --m 3 --q-max 0"), 10, checks=(column([1]),)),
     Case("degree0-verify-odd-n4", verify("odd --n-max 4 --q-max 0"), 10, checks=(verify_ok,)),
+    # the cap the refused grid's message names admits the whole grid
+    Case("grid-even-n1-m120-cap7623",
+         verify("even --n-max 1 --m-max 120 --q-max 2 --column-cap 7623"), 10,
+         checks=(verify_ok,)),
     # compute refuses a negative --q-max (a validation error) or one over
     # MAX_Q_MAX (a resource refusal) before it reads its file
     Case("compute-q-negative", cli("compute --algebra {dir}/missing.alg --q-max -1"), 5, code=2),
