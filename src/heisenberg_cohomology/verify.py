@@ -172,10 +172,10 @@ def verify_family(family: str, n_max: int, m_max: Optional[int] = None,
 
     Every refusal comes first, from sizes alone (limits.check_grid): a
     grid of more than MAX_GRID_POINTS points (GridTooLarge), a q_max
-    over MAX_Q_MAX (DegreeLimitExceeded), then every grid point against
-    the column cap, in grid order, and on the odd family every psi walk
-    against its codomain bound, so an oversized grid is refused before
-    anything is computed.  Each point takes the dimensions check_grid
+    over MAX_Q_MAX (DegreeLimitExceeded), then the grid's last member,
+    the largest, against the column cap, and on the odd family its psi
+    walk against its codomain bound, so an oversized grid is refused
+    before anything is computed.  Each point takes the dimensions check_grid
     computed for it, so none is computed twice.
     """
     start = time.perf_counter()
