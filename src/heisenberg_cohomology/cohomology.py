@@ -55,7 +55,8 @@ generator, _blocks: it lists the cochains through the call's
 OrbitListing.orbits alone, one block per stack, and builds d, or L^(t)
 given z, on each, as one differential._coboundary call on the call's
 workspace (through differential._lefschetz_block given z), the one
-path into the kernel that the public builders in elements take too.  A table with classes of identical copies
+path into the kernel that the public builders in elements take too.
+A table with classes of identical copies
 (symmetry.copy_classes; h_n, and h_{n,m} with n or m at least 2) is
 ranked one block per orbit: d keeps each copy's charge, a permutation
 of copies, or of one copy's generators by its class's local group,

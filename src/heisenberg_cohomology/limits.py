@@ -282,10 +282,10 @@ def check_grid(family: str, n_max: int, m_max: int | None, q_max: int,
     codomain and A^(q+2) grows with n and m: the last member is refused
     exactly when some member is, at the least degree any member is, and
     its refusal names a cap that admits the whole grid (on the odd
-    family, the psi walk's codomain too).  Returns each
-    point's check_column_cap dimensions, {(n, m): dims} in grid order
-    (m None on the odd family), which verify_family hands on to the
-    point; each is counted once.
+    family, the psi walk's codomain too).  Returns each point's
+    check_column_cap dimensions, {(n, m): dims} in grid order (m None
+    on the odd family), which verify_family hands on to the point;
+    each is counted once.
     """
     if n_max < 1 or q_max < 0:
         raise ValueError("need n_max >= 1 and q_max >= 0")

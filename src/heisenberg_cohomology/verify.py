@@ -175,8 +175,8 @@ def verify_family(family: str, n_max: int, m_max: Optional[int] = None,
     over MAX_Q_MAX (DegreeLimitExceeded), then the grid's last member,
     the largest, against the column cap, and on the odd family its psi
     walk against its codomain bound, so an oversized grid is refused
-    before anything is computed.  Each point takes the dimensions check_grid
-    computed for it, so none is computed twice.
+    before anything is computed.  Each point takes the dimensions
+    check_grid computed for it, so none is computed twice.
     """
     start = time.perf_counter()
     points = check_grid(family, n_max, m_max, q_max, column_cap)
