@@ -382,6 +382,8 @@ def element_pairing(dual: SuperElement, primal: SuperElement) -> Fraction:
 def d_generator(algebra: LieSuperalgebra, k: int) -> SuperElement:
     """Coboundary of the k-th dual generator, as a degree-2 element:
     d_element of its dual f_k."""
+    if not isinstance(k, int):
+        raise TypeError("generator index %r is not an int" % (k,))
     if not 0 <= k < algebra.dim:
         raise ValueError("generator index %d out of range" % k)
     n1 = algebra.superdim[1]

@@ -206,6 +206,8 @@ ARGUMENT_REFUSALS = (
      "generator index 3 out of range"),
     (lambda: elements.d_generator(algebra.make_heisenberg_odd(1), -1), ValueError,
      "generator index -1 out of range"),
+    (lambda: elements.d_generator(algebra.make_heisenberg_odd(1), 1.0), TypeError,
+     r"generator index 1\.0 is not an int"),
     (lambda: elements.psi_matrix(1, 0, 1), ValueError, "psi needs n >= 1 and l >= 1"),
     (lambda: elements.psi_matrix(1, 1, 0), ValueError, "psi needs n >= 1 and l >= 1"),
 )
