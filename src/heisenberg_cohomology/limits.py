@@ -281,11 +281,11 @@ def check_grid(family: str, n_max: int, m_max: int | None, q_max: int,
     1 + t or 1/(1 - t) only adds nonnegative terms, so every dim C^q,
     codomain and A^(q+2) grows with n and m: the last member is refused
     exactly when some member is, at the least degree any member is, and
-    its refusal names a cap that admits the whole grid (on the odd
-    family, the psi walk's codomain too).  Returns each point's
-    check_column_cap dimensions, {(n, m): dims} in grid order (m None
-    on the odd family), which verify_family hands on to the point;
-    each is counted once.
+    its refusal names a cap that admits every member's degrees (psi's
+    codomain keeps its own refusal, which names its own cap).  Returns
+    each point's check_column_cap dimensions, {(n, m): dims} in grid
+    order (m None on the odd family), which verify_family hands on to
+    the point; each is counted once.
     """
     if n_max < 1 or q_max < 0:
         raise ValueError("need n_max >= 1 and q_max >= 0")
@@ -303,22 +303,10 @@ def check_grid(family: str, n_max: int, m_max: int | None, q_max: int,
     check_degree(q_max)
     members = [(n, m) for n in range(1, n_max + 1)
                for m in (range(1, m_max + 1) if m_max else (None,))]
-
-    def checked(n, m):
+    dims = {}
+    for n, m in members[-1:] + members[:-1]:
         shape = odd_family_shape(n) if m is None else even_family_shape(n, m)
-        return check_column_cap(*shape, q_max, column_cap)
-
-    try:
-        dims = {members[-1]: checked(*members[-1])}
-    except ColumnCapExceeded as exc:
-        if family == "even":
-            raise
-        # the cap named admits the psi walk's codomain too
-        psi = _cap_admitting(graded_dim((n_max, n_max), q_max + 2))
-        raise ColumnCapExceeded(exc.algebra_name, exc.q, exc.columns, exc.cap, exc.top,
-                                exc.fits, max(exc.needed, psi)) from None
-    if family == "odd":
-        _check_psi_codomain(n_max, q_max, column_cap)
-    # no other member can be refused now
-    dims.update((point, checked(*point)) for point in members[:-1])
+        dims[n, m] = check_column_cap(*shape, q_max, column_cap)
+        if m is None and n == n_max:
+            _check_psi_codomain(n, q_max, column_cap)
     return {point: dims[point] for point in members}
