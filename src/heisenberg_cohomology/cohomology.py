@@ -35,7 +35,8 @@ route's reports; an inconsistent one raises ReportInvariantError.  This
 module imports nothing from formulas: the closed forms' reports are
 built beside them (formulas.even_formula_report, odd_formula_report).
 
-betti_table takes one of two rank routes.  When one odd generator z is
+The table picks one of two rank routes, for every caller: _ranks
+finds its odd centre itself.  When one odd generator z is
 the only bracket target and appears in no bracket (h_n, and any table
 of that type once adapted; differential._odd_centre finds z, and
 elements.lefschetz_block checks the same precondition), the z-dual f_z
@@ -48,7 +49,11 @@ _ranks takes the prefix sums; verify_family iterates the same walk one
 block further, and reads the kernel of psi_{(n,1)} = +-L^(t) off each
 block's rank.  Every other algebra, even centres included, has each
 full d_q built and eliminated: an even z-dual has no power above 1, so
-its blocks are reused by nothing.
+its blocks are reused by nothing.  cohomology_dims(q) takes the same
+route as betti_table: given z it lists A^0..A^(q-1) and ranks each
+L^(t), since rank d_q is their prefix sum.  No block of that walk is
+over the cap: with an odd generator dim C^t grows with t, so each A^t
+with t < q has at most dim C^(q-1) keys, which the entry checked.
 
 Both routes, and verify's psi groups, walk their blocks in one
 generator, _blocks: it lists the cochains through the call's
@@ -74,8 +79,8 @@ W = (1,) per degree, its canonical space.  A rank does not depend on
 how the rows are numbered, so every block, of d_q or of L^(t), numbers
 its rows on first use: no codomain is listed, and a call lists only
 the degrees whose d it ranks, and the listing's reach below them, the
-most shifts a stack stands for (cohomology_dims: C^{q-1} and C^q on a
-table without shifts).  _blocks checks every shape:
+most shifts a stack stands for (cohomology_dims on the full route:
+C^{q-1} and C^q on a table without shifts).  _blocks checks every shape:
 sum W[q - t] columns = dim C^q (or dim A^q), and sum W[q - t] rows at
 most the codomain's dimension.  Refusals are decided from the full
 sizes before, so no refusal depends on the split.
@@ -175,17 +180,20 @@ def _blocks(listing: OrbitListing, low: int, high: int, dims: Dict[int, int],
         yield t, [(weight, keys, block, rank(block)) for weight, keys, block in built]
 
 
-def _ranks(adapted: LieSuperalgebra, low: int, high: int, dims: Dict[int, int],
-           z: Optional[int] = None) -> Dict[int, int]:
+def _ranks(adapted: LieSuperalgebra, low: int, high: int,
+           dims: Dict[int, int]) -> Dict[int, int]:
     """{q: rank d_q} for q = low..high from the call's one listing, each
     block's rank counted W[k] times in degree t + k, in one pass over
-    W: the blocks of d_t themselves, or with the odd centre z those of
-    L^(t), and then rank d_q = sum_{t<q} rank L^(t)."""
+    W: the blocks of d_t themselves, or, when the table has an odd
+    centre z (_odd_centre), those of L^(t) for every t < high, and then
+    rank d_q = sum_{t<q} rank L^(t).  The table picks the route, so
+    every caller takes the same one."""
+    z = _odd_centre(adapted)
     # the listing's keys: those of d_q's columns, or of L^(t)'s for t < high
     top = high if z is None else high - 1
     listing = OrbitListing(_Workspace(adapted, high + 1), top)
     ranks = [0] * (top + 1)
-    for t, groups in _blocks(listing, low, top, dims, z):
+    for t, groups in _blocks(listing, low if z is None else -1, top, dims, z):
         for weight, _, _, r in groups:
             if r:
                 for s, w in enumerate(weight[:top + 1 - t], t):
@@ -235,7 +243,7 @@ def _split_ranks(adapted: LieSuperalgebra, q_max: int, cap: int,
         part = (make_heisenberg_odd(odd) if z else
                 _heisenberg_even("h_{%d,%d}" % (even // 2, odd), even // 2, odd))
         dims_part = check_column_cap(part.name, part.superdim, q_max, cap)
-        rk = _ranks(part, -1, q_max, dims_part, _odd_centre(part))
+        rk = _ranks(part, -1, q_max, dims_part)
         ranked[even, odd, z] = [dims_part[q] - rk[q] - rk[q - 1] for q in range(q_max + 1)]
     for kind in types:
         h = ranked[kind]
@@ -286,6 +294,5 @@ def _betti_table(algebra: LieSuperalgebra, q_max: int, column_cap: int,
     point's come from limits.check_grid, and a direct-sum part's from
     limits.check_column_cap."""
     adapted = adapted_basis(algebra)
-    rk = (_split_ranks(adapted, q_max, column_cap, dims)
-          or _ranks(adapted, -1, q_max, dims, _odd_centre(adapted)))
+    rk = _split_ranks(adapted, q_max, column_cap, dims) or _ranks(adapted, -1, q_max, dims)
     return _reports(algebra.name, dims, rk, range(q_max + 1))

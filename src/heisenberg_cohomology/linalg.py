@@ -23,7 +23,10 @@ reduced echelon form that the adapted basis and the direct-sum search
 use, is built on the same step: it cancels each lead a new row meets
 by _cancel alone, and divides out the row's content once, after the
 last step, which leaves the same row as dividing after every step.
-Everything is exact; no floating point enters anywhere.
+rank and _echelon are the package's only eliminations over Q: the
+direct-sum search reads its solves, radicals, kernels, eigenspaces and
+minimal polynomials off _echelon (symmetry's charge lattice is reduced
+over Z, apart).  Everything is exact; no floating point enters anywhere.
 """
 
 from __future__ import annotations

@@ -21,6 +21,7 @@ from heisenberg_cohomology.linalg import RationalMatrix, rank
 from heisenberg_cohomology.reports import METHOD_RANK, CohomologyReport
 from heisenberg_cohomology.verify import Comparison, VerifyResult, verify_family
 
+from oracles import full_matrix_ranks
 from test_adapted_basis import (HIDDEN_SUMS, _hidden_two_step,
                                 _hidden_with_simple_part)
 from test_algebra import check_record
@@ -75,13 +76,19 @@ def test_betti_table_matches_single_degree_calls():
         assert rep.q == q
         assert rep == cohomology_dims(alg, q)
     assert [r.dim_cohomology for r in table] == [1, 4, 7, 8, 8, 8]
-    # cohomology_dims walks the full route from q - 1 - reach, while
-    # betti_table takes h_3's Lefschetz blocks and their prefix sums
-    for alg, q_max in ((make_heisenberg_odd(3), 7), (make_heisenberg_even(3, 3), 6)):
+    # both take the table's route: h_3's Lefschetz blocks and their
+    # prefix sums (cohomology_dims from degree 0), h_{3,3}'s full d_q
+    # (cohomology_dims from q - 1 - reach); h_3's ranks are held to the
+    # full matrices as well
+    h3 = make_heisenberg_odd(3)
+    for alg, q_max in ((h3, 7), (make_heisenberg_even(3, 3), 6)):
         table = betti_table(alg, q_max)
         assert [rep.q for rep in table] == list(range(q_max + 1))
         for q, rep in enumerate(table):
             assert rep == cohomology_dims(alg, q), (alg.name, q)
+    full = full_matrix_ranks(h3, 7)
+    assert [(rep.dim_cochain - rep.dim_cocycles, rep.dim_coboundaries)
+            for rep in betti_table(h3, 7)] == [(full[q], full[q - 1]) for q in range(8)]
 
 
 def test_the_lefschetz_route_checks_its_dimensions():
@@ -489,6 +496,11 @@ def test_cohomology_dims_enumerates_each_space_once(monkeypatch):
                 # are summed with the monomials of z, of degree 0 and 1
                 # alone, each once
                 assert sorted(listed) == list(range(min(q, 1) + 1)), q
+        # an odd centre takes the Lefschetz route, as betti_table does:
+        # A^0..A^(q-1), each once, for the prefix sums of rank L^(t)
+        asked.clear()
+        cohomology_dims(make_heisenberg_odd(1), q)
+        assert asked == list(range(q)), q
     assert spaces == []
 
 

@@ -12,9 +12,8 @@ never splits) and closed forms.
 """
 
 import random
-import time
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -24,10 +23,11 @@ from heisenberg_cohomology.algebra import (EVEN, ODD, LieSuperalgebra,
                                            make_heisenberg_odd)
 from heisenberg_cohomology.cohomology import betti_table, check_column_cap, cohomology_dims
 from heisenberg_cohomology.fileformats import format_algebra, parse_algebra
+from heisenberg_cohomology.linalg import _echelon
 from heisenberg_cohomology.reports import emit_report
 from heisenberg_cohomology.verify import verify_family
 
-from oracles import dense_betti_numbers, full_matrix_ranks
+from oracles import dense_betti_numbers, dense_rank_fractions, full_matrix_ranks
 from test_validate import _table, change_basis, direct_sum, random_two_step
 
 H1, H2, H11 = make_heisenberg_odd(1), make_heisenberg_odd(2), make_heisenberg_even(1, 1)
@@ -257,25 +257,104 @@ def test_no_engine_path_reads_the_fraction_view(monkeypatch):
                    for row in rows.values() for c in row.values())
 
 
-def test_rational_roots_lists_each_divisor_set_once():
+def test_rational_roots_lists_each_divisor_set_once(monkeypatch):
     # end coefficients 735134400 = 2^6 3^3 5^2 7 11 13 17, 1,344 divisors
     # each, under _ROOT_SEARCH_BOUND: the numerators' divisors are listed
-    # once for the whole search, not once per denominator.  The untimed
-    # cases come first, so a slow run still reaches each of them
+    # once for the whole search, not once per denominator, so a search
+    # lists divisors twice, counted on the calls, not timed
     a = 735134400
     assert a <= directsum._ROOT_SEARCH_BOUND and len(directsum._divisors(a)) == 1344
+    real, listed = directsum._divisors, []
+    monkeypatch.setattr(directsum, "_divisors", lambda m: listed.append(m) or real(m))
     # known roots: those of the CI table's pencil, (17017 t - 43200)
     # (43200 t - 17017); (2t + 3)(t - 5); t^2 (3t - 2); t^2 + 1 has none
     assert sorted(directsum._rational_roots([a, -(17017 ** 2 + 43200 ** 2), a])) == \
         [(17017, 43200), (43200, 17017)]
+    assert listed == [a, a]
     assert sorted(directsum._rational_roots([-15, -7, 2])) == [(-3, 2), (5, 1)]
     assert sorted(directsum._rational_roots([0, 0, 2, -3])) == [(0, 1), (2, 3)]
     assert directsum._rational_roots([1, 0, 1]) == []
     assert directsum._rational_roots([directsum._ROOT_SEARCH_BOUND + 1, 0, 1]) is None
-    start = time.perf_counter()
+    listed.clear()
     roots = directsum._rational_roots([a, -(a * a + 1), a])  # (a t - 1)(t - a)
-    assert time.perf_counter() - start < 1
+    assert listed == [a, a]
     assert sorted(roots) == [(1, a), (a, 1)]
+
+
+def _apply(rows, v):
+    """N v for the integer matrix N given by its rows, as a dense list."""
+    return [sum(x * v[j] for j, x in row.items()) for row in rows]
+
+
+def _min_poly_cases():
+    """(name, rows of N, start, the degree when known) on w = 0..6:
+    random N and starts, N = 0, strictly upper triangular (nilpotent) N,
+    diagonal N with repeated entries, starts inside one eigenspace, and
+    starts with N start = 0 (every start of N = 0, e_0 of a nilpotent N)."""
+    rng = random.Random(55)
+    cases = [("w=0", [], {}, 0)]
+    for w in range(1, 7):
+        values = [rng.choice((-1, 2)) for _ in range(w)]
+        dense = {"random": [[rng.randint(-3, 3) for _ in range(w)] for _ in range(w)],
+                 "zero": [[0] * w for _ in range(w)],
+                 "nilpotent": [[rng.randint(-2, 2) if j > i else 0 for j in range(w)]
+                               for i in range(w)],
+                 "diagonal": [[values[i] if i == j else 0 for j in range(w)] for i in range(w)]}
+        for kind, matrix in dense.items():
+            rows = [{j: x for j, x in enumerate(row) if x} for row in matrix]
+            unit = 1 if kind in ("zero", "diagonal") else None
+            starts = [({j: rng.randint(-2, 2) or 1 for j in range(w)}, 1 if kind == "zero" else None),
+                      ({0: 1}, 1 if kind == "nilpotent" else unit), ({w - 1: 1}, unit)]
+            if kind == "diagonal":
+                # inside the eigenspace of values[0]
+                starts.append(({j: j + 1 for j in range(w) if values[j] == values[0]}, 1))
+            for start, degree in starts:
+                cases.append(("%s w=%d %r" % (kind, w, start), rows, start, degree))
+    return cases
+
+
+def test_min_poly_is_the_least_dependence_of_the_krylov_vectors():
+    # c_0..c_d with sum c_i N^i start = 0 in integers and c_d != 0, and
+    # no lower dependence: the first d Krylov vectors have rank d
+    top = 0
+    for name, rows, start, degree in _min_poly_cases():
+        w = len(rows)
+        krylov = [[start.get(j, 0) for j in range(w)]]
+        for _ in range(w):
+            krylov.append(_apply(rows, krylov[-1]))
+        poly = directsum._min_poly(rows, w, start)
+        d = len(poly) - 1
+        assert poly[d] != 0 and all(type(c) is int for c in poly), name
+        assert [sum(c * v[j] for c, v in zip(poly, krylov)) for j in range(w)] == [0] * w, name
+        entries = {(j, i): v[j] for i, v in enumerate(krylov[:d]) for j in range(w)}
+        assert dense_rank_fractions(w, d, entries) == d, name
+        assert degree is None or d == degree, name
+        top = max(top, d)
+    assert top == 6
+
+
+def test_kernel_reads_an_integer_basis_off_the_echelon_rows():
+    # every vector is annihilated by every row, the vectors have rank
+    # n - rank, and each has content 1 and is zero at every other free
+    # column, in the order of the free columns
+    rng = random.Random(55)
+    for trial in range(60):
+        n = rng.randint(0, 7)
+        rows = [{j: rng.randint(-3, 3) for j in range(n) if rng.random() < 0.5}
+                for _ in range(rng.randint(0, n + 1))]
+        basis = _echelon(rows)
+        free = [f for f in range(n) if f not in basis]
+        vectors = directsum._kernel(basis, n)
+        rk = dense_rank_fractions(len(rows), n, {(i, j): x for i, row in enumerate(rows)
+                                                 for j, x in row.items()})
+        assert len(vectors) == len(free) == n - rk, trial
+        assert all(sum(x * v.get(j, 0) for j, x in row.items()) == 0
+                   for row in rows for v in vectors), trial
+        assert dense_rank_fractions(n, len(vectors), {(j, i): x for i, v in enumerate(vectors)
+                                                      for j, x in v.items()}) == n - rk, trial
+        for f, v in zip(free, vectors):
+            assert gcd(*v.values()) == 1 and all(v.values()), trial
+            assert [g for g in free if g in v] == [f], trial
 
 
 def test_a_pencil_whose_lines_fail_is_passed_over(monkeypatch):

@@ -233,7 +233,7 @@ def _full_route(alg, q_max):
 
 
 def _orbit_ranks(alg, q_max):
-    """{q: rank d_q} from the full-matrix route's rank helper."""
+    """{q: rank d_q} from the rank helper, on the table's route."""
     listing, dims = _full_route(alg, q_max)
     return _ranks(listing.workspace.algebra, -1, q_max, dims)
 
@@ -257,20 +257,23 @@ def test_fused_spreads_keep_every_weight():
         q_max = min(q_max, 8)
         listing, dims = _full_route(alg, q_max)
         adapted = listing.workspace.algebra
+        # the table's route, the Lefschetz route given its odd centre z
+        # and the full d_q route otherwise, for a whole table and for a
+        # single-degree call (cohomology_dims: low = q - 1), which given
+        # z walks from degree 0 too, for the prefix sums
         z = _odd_centre(adapted)
-        # the full d_q route, the Lefschetz route given z, and a
-        # single-degree call's (cohomology_dims: low = q - 1)
-        for low, route in {(-1, None), (-1, z), (q_max - 1, None)}:
-            top = q_max if route is None else q_max - 1
+        top = q_max if z is None else q_max - 1
+        for low in (-1, q_max - 1):
             walked = OrbitListing(_Workspace(adapted, q_max + 1), top)
             want = [0] * (top + 1)
-            for t, groups in cohomology._blocks(walked, low, top, dims, route):
+            for t, groups in cohomology._blocks(walked, low if z is None else -1,
+                                                top, dims, z):
                 for weight, _, _, r in groups:
                     _spread(want, t, weight, r)
                     cut += len(weight) > top + 1 - t
-            if route is not None:
+            if z is not None:
                 want = list(accumulate(want, initial=0))
-            assert _ranks(adapted, low, q_max, dims, route) == {
+            assert _ranks(adapted, low, q_max, dims) == {
                 q: want[q] if q >= 0 else 0 for q in range(low, q_max + 1)}, (alg.name, low)
     # verify's odd points: rank L^(t) and the kernels of psi_(n,l), each
     # group's psi kernel by its own elimination here
@@ -330,9 +333,9 @@ def test_orbit_sums_equal_the_full_matrix_ranks():
         listing, _ = _full_route(alg, q_max)
         # without copies, each degree is one stack of orbit size 1
         assert symmetric or [weight for weight, _ in listing.orbits(q_max)] == [(1,)], alg.name
-        # the full-matrix route, whatever the table's centre
+        # the table's route: the Lefschetz blocks on h_n, the full route
+        # otherwise, as the rank helper and betti_table take it
         assert _orbit_ranks(alg, q_max) == full, alg.name
-        # betti_table: the Lefschetz blocks on h_n, the full route otherwise
         table = betti_table(alg, q_max)
         assert [r.dim_cochain - r.dim_cocycles for r in table] \
             == [full[q] for q in range(q_max + 1)], alg.name
