@@ -303,7 +303,8 @@ def _min_poly_cases():
         for kind, matrix in dense.items():
             rows = [{j: x for j, x in enumerate(row) if x} for row in matrix]
             unit = 1 if kind in ("zero", "diagonal") else None
-            starts = [({j: rng.randint(-2, 2) or 1 for j in range(w)}, 1 if kind == "zero" else None),
+            dense_start = {j: rng.randint(-2, 2) or 1 for j in range(w)}
+            starts = [(dense_start, 1 if kind == "zero" else None),
                       ({0: 1}, 1 if kind == "nilpotent" else unit), ({w - 1: 1}, unit)]
             if kind == "diagonal":
                 # inside the eigenspace of values[0]
