@@ -50,11 +50,12 @@ on K_s.  A part's Betti numbers follow from its type alone,
 So split returns types, not tables, and a type that no nondegenerate
 form has is refused.  Everything runs fraction-free on linalg._echelon,
 the echelon form the adapted basis uses too, and this module runs no
-elimination of its own: a minimal polynomial is the dependence of
-least top power in one echelon form of the Krylov vectors (_min_poly),
-and a kernel vector is read off the echelon rows that hold its free
-column (_kernel).  The engine imports this module only past its gate,
-so a table that fails the gate compiles none of it.
+elimination of its own: a minimal polynomial is the first dependence
+of the Krylov vectors, fed one at a time into one echelon form and
+stopped there (_min_poly), and a kernel vector is read off the echelon
+rows that hold its free column (_kernel).  The engine imports this
+module only past its gate, so a table that fails the gate compiles
+none of it.
 """
 
 from __future__ import annotations
@@ -318,15 +319,22 @@ def _dot(u: Vector, v: Vector) -> int:
 
 def _kernel(basis: Dict[int, Vector], n: int) -> List[Vector]:
     """An integer basis of the x in Q^n with row . x = 0 for every row of
-    the fully reduced echelon `basis`: one vector per free column f, read
-    off the rows that hold f, zero at every other free column."""
+    the fully reduced echelon `basis`: one vector per free column f,
+    zero at every other free column."""
+    users: Dict[int, List[int]] = {}
+    for lead, row in basis.items():
+        for j in row:
+            if j != lead:
+                users.setdefault(j, []).append(lead)
     out = []
     for f in range(n):
         if f in basis:
             continue
-        rows = [(l, row) for l, row in basis.items() if f in row]
-        d = lcm(1, *(row[l] for l, row in rows))
-        x = {f: d, **{l: -row[f] * (d // row[l]) for l, row in rows}}
+        leads = users.get(f, ())
+        d = lcm(1, *(basis[l][l] for l in leads))
+        x = {f: d}
+        for l in leads:
+            x[l] = -basis[l][f] * (d // basis[l][l])
         g = gcd(*x.values())
         out.append({j: v // g for j, v in x.items()})
     return out
@@ -347,18 +355,23 @@ def _solve(a_rows: List[Vector], b_rows: List[Vector], w: int
 
 
 def _min_poly(rows: List[Vector], w: int, start: Vector) -> List[int]:
-    """c_0..c_d, c_d > 0, the dependence sum c_i N^i start = 0 of least
-    top power among the w + 1 Krylov vectors of the w x w integer matrix
-    N (its rows): the minimal polynomial of N relative to `start`.
-    Vector i carries the marker column 2w - i, so in one echelon form of
-    all of them the rows led from column w on are the dependences, and
-    the one with the largest lead has the least top power d."""
-    krylov = [start]
-    for _ in range(w):
-        u = krylov[-1]
-        krylov.append({l: s for l, s in ((l, _dot(row, u)) for l, row in enumerate(rows)) if s})
-    basis = _echelon({**v, 2 * w - i: 1} for i, v in enumerate(krylov))
-    lead = max(basis)
+    """c_0..c_d, c_d > 0, the first linear dependence sum c_i N^i start = 0
+    of the Krylov vectors of the w x w integer matrix N (its rows): the
+    minimal polynomial of N relative to `start`.  Vector i carries the
+    marker column 2w - i and goes into one echelon form, and the vectors
+    stop at the first row led from column w on: that row is the
+    dependence, led by the marker of its top power d."""
+    basis: Dict[int, Vector] = {}
+
+    def krylov():
+        u = start
+        for i in range(w + 1):
+            yield {**u, 2 * w - i: 1}
+            if max(basis) >= w:
+                return
+            u = {l: s for l, s in ((l, _dot(row, u)) for l, row in enumerate(rows)) if s}
+
+    lead = max(_echelon(krylov(), basis))
     return [basis[lead].get(2 * w - i, 0) for i in range(2 * w - lead + 1)]
 
 

@@ -23,10 +23,11 @@ reduced echelon form that the adapted basis and the direct-sum search
 use, is built on the same step: it cancels each lead a new row meets
 by _cancel alone, and divides out the row's content once, after the
 last step, which leaves the same row as dividing after every step.
-rank and _echelon are the package's only eliminations over Q: the
-direct-sum search reads its solves, radicals, kernels, eigenspaces and
-minimal polynomials off _echelon (symmetry's charge lattice is reduced
-over Z, apart).  Everything is exact; no floating point enters anywhere.
+Given a form, _echelon extends it in place, so a caller can feed rows
+lazily and read the form between them.  rank and _echelon are the
+package's only eliminations over Q: the direct-sum search reads its
+solves, radicals, kernels, eigenspaces and minimal polynomials off
+_echelon (symmetry's charge lattice is reduced over Z, apart).  Everything is exact; no floating point enters anywhere.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from types import MappingProxyType
-from typing import Dict, Iterable, List, Mapping, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 Entry = Tuple[int, int]
 
@@ -169,11 +170,16 @@ def _reduce(v: Dict[int, int], row: Mapping[int, int], lead: int) -> None:
             v[k] //= g
 
 
-def _echelon(rows: Iterable[Mapping[int, int]]) -> Dict[int, Dict[int, int]]:
+def _echelon(rows: Iterable[Mapping[int, int]],
+             basis: Optional[Dict[int, Dict[int, int]]] = None
+             ) -> Dict[int, Dict[int, int]]:
     """A fully reduced echelon basis of the span of the integer `rows`,
     {lead: row}: row[lead] > 0 is the row's first entry, its content is
-    1, and it is zero at every other lead."""
-    basis: Dict[int, Dict[int, int]] = {}
+    1, and it is zero at every other lead.  Given such a `basis`, the
+    rows extend it in place, so a caller feeding them lazily can read
+    the form between rows."""
+    if basis is None:
+        basis = {}
     for row in rows:
         v = {k: x for k, x in row.items() if x}
         # every basis row is zero at the other leads, so one pass reduces

@@ -179,13 +179,21 @@ def test_no_split_echelons_the_same_rows_twice(monkeypatch):
     # every echelon form a split takes is of rows it has not reduced
     # before, as a set: a parity class holding every pivot reads its
     # space off the echelon form of all the forms' rows
+    # (_min_poly feeds its rows lazily into a basis it reads between
+    # rows, so the rows are recorded as they are taken)
     real, taken = directsum._echelon, []
 
-    def recorded(rows):
-        rows = list(rows)
-        taken.append(tuple(sorted(tuple(sorted((k, x) for k, x in row.items() if x))
-                                  for row in rows if any(row.values()))))
-        return real(rows)
+    def recorded(rows, *basis):
+        fed = []
+
+        def feed():
+            for row in rows:
+                fed.append(tuple(sorted((k, x) for k, x in row.items() if x)))
+                yield row
+
+        out = real(feed(), *basis)
+        taken.append(tuple(sorted(row for row in fed if row)))
+        return out
 
     monkeypatch.setattr(directsum, "_echelon", recorded)
     for alg, _, _, _ in _split_cases():
@@ -332,6 +340,24 @@ def test_min_poly_is_the_least_dependence_of_the_krylov_vectors():
         assert degree is None or d == degree, name
         top = max(top, d)
     assert top == 6
+
+
+def test_min_poly_stops_at_the_first_dependence(monkeypatch):
+    # the Krylov vectors stop at the first dependence: a minimal
+    # polynomial of degree d costs d products N u, w dot products each,
+    # whatever w is.  N = diag(1, 2, ..., 1, 2) on w = 40 from the
+    # all-ones start has degree 2
+    real, dots = directsum._dot, []
+
+    def dot(u, v):
+        dots.append(1)
+        return real(u, v)
+
+    monkeypatch.setattr(directsum, "_dot", dot)
+    w = 40
+    rows = [{i: 1 + i % 2} for i in range(w)]
+    assert directsum._min_poly(rows, w, dict.fromkeys(range(w), 1)) == [2, -3, 1]
+    assert len(dots) == 2 * w
 
 
 def test_kernel_reads_an_integer_basis_off_the_echelon_rows():
